@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-codec
+.PHONY: check vet build test race benchmark-test bench bench-smoke bench-codec
 
-## check: the tier-1 gate — vet, build, and race-enabled tests.
-check: vet build race
+## check: the tier-1 gate — vet, build, race-enabled tests, and the
+## repository benchmark's own smoke test.
+check: vet build race benchmark-test
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +17,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## benchmark-test: benchmark/ is a module of its own, so ./... above
+## never reaches its tests.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 bench:
 	$(GO) run ./cmd/frangibench -quick

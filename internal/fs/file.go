@@ -2,7 +2,7 @@ package fs
 
 import (
 	"io"
-	"time"
+	"sync"
 
 	"frangipani/internal/lockservice"
 	"frangipani/internal/petal"
@@ -12,6 +12,14 @@ import (
 type File struct {
 	fs   *FS
 	inum int64
+	ra   stream
+}
+
+func newFile(fs *FS, inum int64) *File {
+	f := &File{fs: fs, inum: inum}
+	f.ra.window = petal.ChunkSize
+	f.ra.idle.L = &f.ra.mu
+	return f
 }
 
 // Open returns a handle for the regular file at path, following
@@ -31,7 +39,7 @@ func (fs *FS) Open(path string) (*File, error) {
 	if info.Type == TypeDir {
 		return nil, ErrIsDir
 	}
-	return &File{fs: fs, inum: inum}, nil
+	return newFile(fs, inum), nil
 }
 
 // OpenFile opens path, creating it first if create is set and it
@@ -244,8 +252,8 @@ func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
 }
 
 // ReadAt reads into p from byte offset off. Holes read as zeros;
-// reads past EOF return io.EOF. Sequential reads trigger read-ahead
-// when enabled.
+// reads past EOF return io.EOF. A handle that is read sequentially
+// keeps a window of pages fetched ahead of it (see stream).
 func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 	err = f.fs.traced("read", func() error {
 		var e error
@@ -266,11 +274,7 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 	fs.chargeOp(len(p))
 	fs.accountBytes(0, len(p))
 	lock := InodeLock(f.inum)
-
-	fs.raMu.Lock()
-	sequential := fs.raNext[f.inum] == off && off > 0
-	ra := fs.raPages
-	fs.raMu.Unlock()
+	raMax := fs.raPages.Load() * BlockSize
 
 	// If our lock was revoked while a prefetch is still in flight, the
 	// in-flight I/O is already wasted — and, as in the paper's UFS-
@@ -278,16 +282,8 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 	// request until that work completes ("the readers are doing extra
 	// work, they cannot make lock requests at the same rate as the
 	// writer", §9.4).
-	if ra > 0 && fs.clerk.Held(lock) == lockservice.None {
-		for {
-			fs.raMu.Lock()
-			busy := fs.raBusy[f.inum] > 0
-			fs.raMu.Unlock()
-			if !busy {
-				break
-			}
-			fs.w.Clock.Sleep(time.Millisecond)
-		}
+	if raMax > 0 && fs.clerk.Held(lock) == lockservice.None {
+		f.ra.drain()
 	}
 
 	n := 0
@@ -309,44 +305,43 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 			want = in.Size - off
 			readErr = io.EOF
 		}
+		// Top the window up before reading, so the prefetch overlaps
+		// whatever this read has to wait for.
+		var mark int64
+		if raMax > 0 {
+			var lo, hi int64
+			lo, hi, mark = f.ra.advance(off, off+want, in.Size, raMax)
+			if lo < hi {
+				f.prefetch(in, lo, hi)
+			}
+		}
 		for int64(n) < want {
 			cur := off + int64(n)
 			pageAddr, inPage, ok := fs.filePageAddr(in, cur)
 			chunk := int(int64(BlockSize) - inPage%BlockSize)
+			if int64(chunk) > want-int64(n) {
+				chunk = int(want - int64(n))
+			}
 			if !ok {
 				// Hole: zero fill up to the next page boundary.
-				if int64(chunk) > want-int64(n) {
-					chunk = int(want - int64(n))
-				}
 				clear(p[n : n+chunk])
 				n += chunk
 				continue
 			}
 			pe, cached := fs.data.Lookup(pageAddr)
 			if !cached {
-				// Cluster the miss: fetch as many contiguous missing
-				// pages of this request as possible with one Petal
-				// read (the mirror image of clustered write-back).
-				run := int64(1)
-				maxRun := (want - int64(n) + inPage + BlockSize - 1) / BlockSize
-				for run < maxRun {
-					a2, _, ok2 := fs.filePageAddr(in, cur-inPage+run*BlockSize)
-					if !ok2 || a2 != pageAddr+run*BlockSize {
-						break
-					}
-					if _, hit := fs.data.Lookup(a2); hit {
-						break
-					}
-					run++
-				}
-				var err error
-				pe, err = fs.readDataRun(pageAddr, int(run), lock)
+				// Cluster the miss: the rest of this request comes in
+				// with the page (the mirror image of clustered
+				// write-back).
+				var buf [16]int64 // stack scratch for a 64 KB request; longer ones spill to the heap
+				var own bool
+				pe, own, err = fs.fetchData(fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
 				if err != nil {
 					return err
 				}
-			}
-			if int64(chunk) > want-int64(n) {
-				chunk = int(want - int64(n))
+				if own && cur < mark {
+					f.ra.restart(off + want)
+				}
 			}
 			copy(p[n:n+chunk], pe.Data[inPage:])
 			n += chunk
@@ -357,124 +352,137 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 		fs.mu.Lock()
 		fs.atimes[f.inum] = int64(fs.w.Clock.Now())
 		fs.mu.Unlock()
-
-		if sequential && ra > 0 {
-			fs.maybePrefetch(f.inum, in, off+int64(n), ra)
-		}
 		return nil
 	})
-	fs.raMu.Lock()
-	fs.raNext[f.inum] = off + int64(n)
-	fs.raMu.Unlock()
 	if err != nil {
 		return n, err
 	}
 	return n, readErr
 }
 
-// maybePrefetch starts (at most one per inode) an asynchronous
-// prefetch of the next window beyond the read-ahead high-water mark.
-// This is the UFS-style read-ahead whose interaction with write
-// contention the paper's Figure 8 measures: the prefetched pages are
-// discarded when the lock is revoked, and the wasted work slows the
-// reader's lock requests.
-func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
-	end := readPos + int64(pages)*BlockSize
-	if end > in.Size {
-		end = in.Size
+// pageAddrs appends to buf the Petal addresses of the file's pages in
+// [lo, hi), holes left out. lo is page-aligned.
+func (fs *FS) pageAddrs(buf []int64, in Inode, lo, hi int64) []int64 {
+	for off := lo; off < hi; off += BlockSize {
+		if a, _, ok := fs.filePageAddr(in, off); ok {
+			buf = append(buf, a)
+		}
 	}
-	fs.raMu.Lock()
-	from := fs.raHigh[inum]
-	if from < readPos {
-		from = readPos
+	return buf
+}
+
+// stream is the read-ahead state of one open file: where its reader is
+// expected next, how far ahead of it pages have been requested, and
+// how far ahead to stay. Three rules move it.
+//
+//   - Continue: a read at next (a new handle expects offset 0), or at
+//     offset 0, where every whole-file read begins, belongs to the
+//     stream. Once the reader is within half a window of the mark, the
+//     pages from the mark to one window past the reader are fetched in
+//     the background and the window doubles, from one Petal chunk up to
+//     Config.ReadAhead: a stream has to prove itself before it is
+//     trusted with many chunks, and then keeps that many disks busy.
+//   - Restart: a read anywhere else starts the stream over at one chunk
+//     and prefetches nothing; so does a read that had to go to Petal
+//     itself for a page below the mark, because what was prefetched is
+//     gone (evicted, invalidated by a revoke, or discarded by one).
+//   - Discard: a prefetch runs without the file's lock; if the lock is
+//     gone when its data arrives, the data is dropped (fillPages) and
+//     the reader drains what is still in flight before it asks for the
+//     lock again (§9.4).
+//
+// Pages are claimed in fs.inflight before they are fetched, so a reader
+// that catches up with a prefetch waits for it instead of reading the
+// same pages again.
+type stream struct {
+	mu     sync.Mutex
+	idle   sync.Cond // busy fell to 0; L is &mu
+	next   int64     // the offset that continues the stream
+	ahead  int64     // the mark: every page of [next, ahead) was cached or claimed
+	window int64     // bytes to stay ahead of the reader
+	busy   int       // prefetches in flight
+}
+
+// advance records a read of [off, end) of a file of size bytes and
+// returns the range to prefetch now (lo < hi, or none), with the mark
+// as the read found it. limit caps the window.
+func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mark = s.ahead
+	restart := off != s.next
+	s.next = end
+	if restart || off == 0 {
+		s.ahead, s.window, mark = end, petal.ChunkSize, 0
+		if off != 0 {
+			return 0, 0, 0
+		}
 	}
-	// Half-window batches, two in flight: each prefetch read spans
-	// several chunks (transferred chunk-parallel by the Petal driver)
-	// and the second run overlaps the first, so the consumer rarely
-	// stalls on disk latency.
-	batch := int64(pages) * BlockSize / 2
-	if batch < BlockSize {
-		batch = BlockSize
+	if s.window > limit {
+		s.window = limit
 	}
-	to := from + batch
-	if to > end {
-		to = end
+	if s.ahead < end {
+		s.ahead = end
 	}
-	if fs.raBusy[inum] >= 2 || from >= end {
-		fs.raMu.Unlock()
+	if s.ahead-end > s.window/2 {
+		return 0, 0, mark
+	}
+	// Up to one window past the reader, ending on a chunk boundary when
+	// that leaves anything to fetch: later fetches are then whole chunks.
+	lo, hi = s.ahead, end+s.window
+	if aligned := hi &^ (petal.ChunkSize - 1); aligned > lo {
+		hi = aligned
+	}
+	if hi > size {
+		hi = size
+	}
+	if hi <= lo {
+		return 0, 0, mark
+	}
+	s.ahead = hi
+	if s.window *= 2; s.window > limit {
+		s.window = limit
+	}
+	return lo, hi, mark
+}
+
+// restart records that the reader fetched below the mark itself: from
+// end on nothing is prefetched and the window starts over.
+func (s *stream) restart(end int64) {
+	s.mu.Lock()
+	s.ahead, s.window = end, petal.ChunkSize
+	s.mu.Unlock()
+}
+
+// drain waits until no prefetch of this handle is in flight.
+func (s *stream) drain() {
+	s.mu.Lock()
+	for s.busy > 0 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// prefetch fetches the pages of [lo, hi) that are neither cached nor
+// claimed, in the background and without the lock; nothing to fetch
+// starts no goroutine.
+func (f *File) prefetch(in Inode, lo, hi int64) {
+	fs := f.fs
+	var buf [64]int64 // stack scratch: a cached stream tops up without allocating
+	mine, done, _ := fs.claimPages(fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), hi))
+	if len(mine) == 0 {
 		return
 	}
-	fs.raBusy[inum]++
-	fs.raHigh[inum] = to
-	fs.raMu.Unlock()
-	end = to
-
-	lock := InodeLock(inum)
+	f.ra.mu.Lock()
+	f.ra.busy++
+	f.ra.mu.Unlock()
 	go func() {
-		defer func() {
-			fs.raMu.Lock()
-			fs.raBusy[inum]--
-			fs.raMu.Unlock()
-		}()
-		// Collect the window's contiguous missing runs and fetch them
-		// all with one scatter-gather read. The fetch itself runs
-		// WITHOUT holding the lock — like the paper's UFS-derived
-		// read-ahead — so if the lock is revoked meanwhile, the fetched
-		// data "must be discarded, and the work to read it turns out to
-		// have been wasted" (§9.4). The lock is only touched briefly at
-		// insert time to guarantee no stale page ever enters the cache.
-		var exts []petal.ReadExtent
-		total := 0
-		for off := from; off < end; {
-			pageAddr, _, ok := fs.filePageAddr(in, off)
-			if !ok {
-				off += BlockSize
-				continue
-			}
-			if _, cached := fs.data.Lookup(pageAddr); cached {
-				off += BlockSize
-				continue
-			}
-			run := int64(1)
-			for off+run*BlockSize < end {
-				a2, _, ok2 := fs.filePageAddr(in, off+run*BlockSize)
-				if !ok2 || a2 != pageAddr+run*BlockSize {
-					break
-				}
-				if _, hit := fs.data.Lookup(a2); hit {
-					break
-				}
-				run++
-			}
-			exts = append(exts, petal.ReadExtent{Off: pageAddr, Dst: make([]byte, run*BlockSize)})
-			total += int(run * BlockSize)
-			off += run * BlockSize
+		_, _ = fs.fillPages(mine, done, InodeLock(f.inum), false)
+		f.ra.mu.Lock()
+		if f.ra.busy--; f.ra.busy == 0 {
+			f.ra.idle.Broadcast()
 		}
-		if len(exts) == 0 {
-			return
-		}
-		if err := fs.pc.ReadV(fs.vd, exts); err != nil {
-			return
-		}
-		fs.m.bytesRead.Add(int64(total))
-		// Validity gate: only while we still hold the lock may the
-		// fetched pages enter the cache.
-		if fs.clerk.TryLock(lock, lockservice.Shared) {
-			for _, e := range exts {
-				for i := int64(0); i < int64(len(e.Dst))/BlockSize; i++ {
-					pa := e.Off + i*BlockSize
-					if _, hit := fs.data.Lookup(pa); hit {
-						continue
-					}
-					fs.data.Insert(pa, e.Dst[i*BlockSize:(i+1)*BlockSize], lock)
-				}
-			}
-			fs.clerk.Unlock(lock)
-			fs.m.raHits.Inc()
-		} else {
-			// Lock lost mid-prefetch: the data is discarded.
-			fs.m.raWasted.Add(int64(total))
-		}
+		f.ra.mu.Unlock()
 	}()
 }
 

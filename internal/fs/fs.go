@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"frangipani/internal/bufpool"
@@ -43,8 +44,9 @@ type Config struct {
 	SyncLog bool
 	// LeaseMargin is checked before every Petal write (§6, 15 s).
 	LeaseMargin sim.Duration
-	// ReadAhead is the number of 4 KB pages prefetched on sequential
-	// reads; 0 disables it (the Figure 8 experiment).
+	// ReadAhead caps the read-ahead window of a sequentially read file
+	// handle, in 4 KB pages; 0 disables read-ahead (the Figure 8
+	// experiment).
 	ReadAhead int
 	// FlushParallelism bounds concurrent write-back dispatches in the
 	// sync demon and lock-revocation flushes. Values <= 1 select the
@@ -76,7 +78,7 @@ func DefaultConfig() Config {
 	return Config{
 		SyncEvery:        30 * time.Second,
 		LeaseMargin:      lockservice.DefaultLeaseMargin,
-		ReadAhead:        64,    // 256 KB window: four chunk-parallel Petal reads in flight
+		ReadAhead:        128,   // 512 KB window: up to eight Petal chunks in flight for one stream
 		FlushParallelism: 8,     // pipelined write-back, 8 batches in flight
 		MetaCacheCap:     16384, // 8 MB of sectors
 		DataCacheCap:     8192,  // 32 MB of pages
@@ -120,7 +122,7 @@ type Counters struct {
 type fsMetrics struct {
 	ops, bytesRead, bytesWritten *obs.Counter
 	retries, recoveries          *obs.Counter
-	raHits, raWasted             *obs.Counter
+	raHits, raWasted, fills      *obs.Counter
 	allocSticky, allocResume     *obs.Counter
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
@@ -152,6 +154,7 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		recoveries:       c("recovery.count"),
 		raHits:           c("readahead.hits"),
 		raWasted:         c("readahead.wasted"),
+		fills:            c("read.fills"),
 		allocSticky:      c("alloc.sticky.hits"),
 		allocResume:      c("alloc.resume.hits"),
 		allocRescan:      c("alloc.rescan"),
@@ -198,20 +201,18 @@ type FS struct {
 	stickySeg map[allocClass]int64 // last segment that allocated; -1/absent = none
 	segResume map[segKey]int64     // next bit segScan resumes from
 	segFull   map[segKey]bool      // segments known full for a class
-	appended int64 // highest log seq appended
-	flushed  int64 // log seq known flushed
-	poisoned bool
-	closed   bool
-	logSlot  int
+	appended  int64                // highest log seq appended
+	flushed   int64                // log seq known flushed
+	poisoned  bool
+	closed    bool
+	logSlot   int
 
-	raMu    sync.Mutex
-	raNext  map[int64]int64 // inum -> expected next sequential offset
-	raHigh  map[int64]int64 // inum -> read-ahead high-water mark
-	raBusy  map[int64]int   // inum -> prefetch runs in flight
-	raPages int             // current read-ahead setting
+	raPages atomic.Int64 // read-ahead window cap in pages (SetReadAhead)
 
+	// inflight maps each data page some fetch is bringing in from Petal
+	// to the channel that fetch closes when it is over (single flight).
 	fetchMu  sync.Mutex
-	inflight map[int64]chan struct{} // single-flight page fetches
+	inflight map[int64]chan struct{}
 
 	wbMu   sync.Mutex
 	wbBusy bool // write-behind flush in flight
@@ -282,27 +283,24 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		return nil, err
 	}
 	fs := &FS{
-		w:        w,
-		machine:  machine,
-		pc:       pc,
-		vd:       vd,
-		lay:      lay,
-		cfg:      cfg,
-		cpu:      w.CPU(machine),
-		meta:     cache.NewPool(SectorSize, cfg.MetaCacheCap),
-		data:     cache.NewPool(BlockSize, cfg.DataCacheCap),
+		w:         w,
+		machine:   machine,
+		pc:        pc,
+		vd:        vd,
+		lay:       lay,
+		cfg:       cfg,
+		cpu:       w.CPU(machine),
+		meta:      cache.NewPool(SectorSize, cfg.MetaCacheCap),
+		data:      cache.NewPool(BlockSize, cfg.DataCacheCap),
 		owned:     make(map[allocClass][]int64),
 		probeOff:  make(map[allocClass]int64),
 		stickySeg: make(map[allocClass]int64),
 		segResume: make(map[segKey]int64),
 		segFull:   make(map[segKey]bool),
-		raNext:   make(map[int64]int64),
-		raHigh:   make(map[int64]int64),
-		raBusy:   make(map[int64]int),
-		atimes:   make(map[int64]int64),
-		inflight: make(map[int64]chan struct{}),
-		raPages:  cfg.ReadAhead,
+		atimes:    make(map[int64]int64),
+		inflight:  make(map[int64]chan struct{}),
 	}
+	fs.raPages.Store(int64(cfg.ReadAhead))
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
 		fs.now = w.Obs.Now
@@ -459,13 +457,9 @@ func (fs *FS) lat(op string) func() {
 	return func() { h.Record(fs.now() - start) }
 }
 
-// SetReadAhead adjusts the read-ahead window at runtime (Figure 8's
-// experiment toggles it).
-func (fs *FS) SetReadAhead(pages int) {
-	fs.raMu.Lock()
-	fs.raPages = pages
-	fs.raMu.Unlock()
-}
+// SetReadAhead adjusts the read-ahead window cap at runtime (Figure
+// 8's experiment toggles it); 0 turns read-ahead off.
+func (fs *FS) SetReadAhead(pages int) { fs.raPages.Store(int64(pages)) }
 
 // Unmount cleanly detaches: flush everything, close the lock table.
 func (fs *FS) Unmount() error {
@@ -663,74 +657,133 @@ func (fs *FS) readMetaBatch(fills []metaFill) error {
 	return err
 }
 
-// readData returns the cached 4 KB data page at addr.
+// readData returns the cached 4 KB data page at addr, reading it from
+// Petal on a miss. The caller holds owner, the covering lock.
 func (fs *FS) readData(addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := fs.data.Lookup(addr); ok {
 		return e, nil
 	}
-	return fs.readDataRun(addr, 1, owner)
+	e, _, err := fs.fetchData([]int64{addr}, owner)
+	return e, err
 }
 
-// readDataRun fetches count contiguous pages from Petal in one read
-// and inserts them all, returning the first. Clustering misses keeps
-// large sequential reads at one RPC per 64 KB chunk instead of one
-// per page; single-flight claiming stops the foreground read and the
-// prefetcher from fetching the same pages twice.
-func (fs *FS) readDataRun(addr int64, count int, owner uint64) (*cache.Entry, error) {
+// fetchData returns the data page at addrs[0] for a caller that holds
+// owner and needs the page now. Whichever pages of addrs are neither
+// cached nor on their way come in with it in one Petal read; pages
+// another fetch (a prefetch, usually) has in flight are waited for,
+// not read a second time. own reports that this call itself went to
+// Petal for addrs[0].
+func (fs *FS) fetchData(addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
 	for {
-		fs.fetchMu.Lock()
-		if ch, busy := fs.inflight[addr]; busy {
-			fs.fetchMu.Unlock()
-			<-ch // someone else is fetching this page
-			if e, ok := fs.data.Lookup(addr); ok {
-				return e, nil
-			}
-			continue // their fetch failed; try ourselves
+		mine, done, theirs := fs.claimPages(addrs)
+		if len(mine) > 0 {
+			fs.m.fills.Inc()
+			sp := fs.tr.Child("cache", "fill")
+			obs.With(sp, func() { e, err = fs.fillPages(mine, done, owner, true) })
+			sp.Done()
 		}
-		n := 0
-		for n < count {
-			if _, busy := fs.inflight[addr+int64(n)*BlockSize]; busy {
-				break
-			}
-			n++
+		for _, ch := range theirs {
+			<-ch
 		}
-		ch := make(chan struct{})
-		for i := 0; i < n; i++ {
-			fs.inflight[addr+int64(i)*BlockSize] = ch
+		if err != nil {
+			return nil, false, err
 		}
-		fs.fetchMu.Unlock()
-
-		var first *cache.Entry
-		var err error
-		sp := fs.tr.Child("cache", "fill")
-		obs.With(sp, func() {
-			bufp := bufpool.Get(n * BlockSize)
-			defer bufpool.Put(bufp)
-			buf := *bufp
-			err = fs.pc.Read(fs.vd, addr, buf)
-			if err == nil {
-				fs.m.bytesRead.Add(int64(len(buf)))
-				first = fs.data.Insert(addr, buf[:BlockSize], owner)
-				for i := 1; i < n; i++ {
-					// A concurrent writer may have raced a page in; keep
-					// theirs.
-					pageAddr := addr + int64(i)*BlockSize
-					if _, hit := fs.data.Lookup(pageAddr); hit {
-						continue
-					}
-					fs.data.Insert(pageAddr, buf[i*BlockSize:(i+1)*BlockSize], owner)
-				}
-			}
-		})
-		sp.Done()
-		fs.fetchMu.Lock()
-		for i := 0; i < n; i++ {
-			delete(fs.inflight, addr+int64(i)*BlockSize)
+		if len(mine) > 0 && mine[0] == addrs[0] {
+			return e, true, nil
 		}
-		fs.fetchMu.Unlock()
-		close(ch)
-		return first, err
+		if e, ok := fs.data.Lookup(addrs[0]); ok {
+			return e, false, nil
+		}
+		// The fetch we joined failed, or was discarded at its validity
+		// gate: fetch the page ourselves.
 	}
+}
+
+// claimPages is the single-flight gate every data-page fetch passes.
+// Of addrs it claims, in fs.inflight, the pages that are neither
+// cached nor already claimed (mine, released by fillPages, which
+// closes done), and returns the channels of the fetches that hold the
+// others. The cache is consulted under fetchMu and fillPages inserts
+// before it releases, so a page is never seen as neither cached nor in
+// flight while a fetch of it is landing.
+func (fs *FS) claimPages(addrs []int64) (mine []int64, done chan struct{}, theirs []chan struct{}) {
+	fs.fetchMu.Lock()
+	defer fs.fetchMu.Unlock()
+	for _, a := range addrs {
+		if ch, busy := fs.inflight[a]; busy {
+			if len(theirs) == 0 || theirs[len(theirs)-1] != ch {
+				theirs = append(theirs, ch)
+			}
+			continue
+		}
+		if _, hit := fs.data.Lookup(a); hit {
+			continue
+		}
+		if done == nil {
+			done = make(chan struct{})
+		}
+		fs.inflight[a] = done
+		mine = append(mine, a)
+	}
+	return mine, done, theirs
+}
+
+// fillPages reads the claimed pages with one scatter-gather Petal read
+// (one extent per contiguous run, which the Petal driver splits by
+// chunk and fans out over servers and disks), inserts them under
+// owner, and releases the claims. It returns the entry of mine[0].
+//
+// A foreground caller holds owner (locked). A prefetch does not: it
+// ran without the lock, like the paper's UFS-derived read-ahead, and
+// only touches it here, briefly, as a validity gate — if the lock was
+// revoked meanwhile the data "must be discarded, and the work to read
+// it turns out to have been wasted" (§9.4), so no stale page ever
+// enters the cache.
+func (fs *FS) fillPages(mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
+	defer func() {
+		fs.fetchMu.Lock()
+		for _, a := range mine {
+			delete(fs.inflight, a)
+		}
+		fs.fetchMu.Unlock()
+		close(done)
+	}()
+	// Pooled scratch: Insert copies into the cache's own page.
+	bufp := bufpool.Get(len(mine) * BlockSize)
+	defer bufpool.Put(bufp)
+	buf := *bufp
+	var exts []petal.ReadExtent
+	for i := 0; i < len(mine); {
+		j := i + 1
+		for j < len(mine) && mine[j] == mine[j-1]+BlockSize {
+			j++
+		}
+		exts = append(exts, petal.ReadExtent{Off: mine[i], Dst: buf[i*BlockSize : j*BlockSize]})
+		i = j
+	}
+	if err := fs.pc.ReadV(fs.vd, exts); err != nil {
+		return nil, err
+	}
+	fs.m.bytesRead.Add(int64(len(buf)))
+	if !locked {
+		if !fs.clerk.TryLock(owner, lockservice.Shared) {
+			fs.m.raWasted.Add(int64(len(buf)))
+			return nil, nil
+		}
+		defer fs.clerk.Unlock(owner)
+		fs.m.raHits.Inc()
+	}
+	for i, a := range mine {
+		// A writer may have raced the page in; keep theirs.
+		e, hit := fs.data.Lookup(a)
+		if !hit {
+			e = fs.data.Insert(a, buf[i*BlockSize:(i+1)*BlockSize], owner)
+		}
+		if i == 0 {
+			first = e
+		}
+	}
+	return first, nil
 }
 
 // ensureLogFlushed enforces write-ahead order: before a block dirtied
@@ -1236,11 +1289,6 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 		if to == lockservice.None {
 			fs.meta.InvalidateByOwner(lock)
 			fs.data.InvalidateByOwner(lock)
-			// The prefetch window is void with the cache.
-			inum := int64(lock &^ (0xff << 56))
-			fs.raMu.Lock()
-			delete(fs.raHigh, inum)
-			fs.raMu.Unlock()
 		}
 	case lockTagBitmap:
 		fs.flushOwner(lock)

@@ -33,14 +33,14 @@ func lockCfg() lockservice.Config {
 	return cfg
 }
 
-func newTestWorld(t *testing.T) *testWorld {
+func newTestWorld(t testing.TB) *testWorld {
 	t.Helper()
 	return newTestWorldLayout(t, DefaultLayout())
 }
 
 // newTestWorldLayout is newTestWorld with a caller-chosen layout, for
 // tests that need small class ranges (e.g. inode exhaustion).
-func newTestWorldLayout(t *testing.T, lay Layout) *testWorld {
+func newTestWorldLayout(t testing.TB, lay Layout) *testWorld {
 	t.Helper()
 	w := sim.NewWorld(100, 99)
 	tw := &testWorld{w: w, lay: lay, vd: "shared"}
@@ -89,7 +89,7 @@ func (tw *testWorld) client(machine string) *petal.Client {
 	return petal.NewClient(tw.w, machine, tw.petalNames)
 }
 
-func (tw *testWorld) mount(t *testing.T, machine string, mutate func(*Config)) *FS {
+func (tw *testWorld) mount(t testing.TB, machine string, mutate func(*Config)) *FS {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Lock = lockCfg()

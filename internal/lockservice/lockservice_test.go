@@ -19,8 +19,12 @@ type testLS struct {
 
 func newTestLS(t *testing.T, nServers int) *testLS {
 	t.Helper()
+	return newTestLSConfig(t, nServers, DefaultConfig())
+}
+
+func newTestLSConfig(t *testing.T, nServers int, cfg Config) *testLS {
+	t.Helper()
 	w := sim.NewWorld(300, 17)
-	cfg := DefaultConfig()
 	ls := &testLS{w: w, cfg: cfg}
 	for i := 0; i < nServers; i++ {
 		ls.names = append(ls.names, fmt.Sprintf("ls%d", i))
@@ -179,6 +183,32 @@ func TestRevokeDowngradesWriter(t *testing.T) {
 		t.Fatalf("writer holds %v after exclusive grant elsewhere", c1.Held(5))
 	}
 	c2.Unlock(5)
+}
+
+// TestFirstRevokeNotRateLimited: a conflict in the first RevokeRetry of
+// a world's life is revoked by the request that creates it. (A zero
+// "last revoke" time used to read as "revoked at t=0", so the holder
+// heard nothing until the retry tick.)
+func TestFirstRevokeNotRateLimited(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RevokeRetry = 10 * time.Minute // 2 s of wall time: a tick cannot be mistaken for the request
+	ls := newTestLSConfig(t, 3, cfg)
+	c1 := ls.clerk(t, "ws1")
+	c2 := ls.clerk(t, "ws2")
+	if err := c1.Lock(5, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c1.Unlock(5)
+	if err := c2.Lock(5, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c2.Unlock(5)
+	if now := sim.Duration(ls.w.Clock.Now()); now >= cfg.RevokeRetry {
+		t.Fatalf("conflicting lock granted at t=%v, after the first revoke retry tick (%v)", now, cfg.RevokeRetry)
+	}
+	if c1.Held(5) != None {
+		t.Fatalf("first holder still has %v", c1.Held(5))
+	}
 }
 
 func TestRevokeWaitsForActiveUser(t *testing.T) {

@@ -72,8 +72,12 @@ type waiter struct {
 // lockState is the volatile per-lock state on its serving lock
 // server. It is reconstructed from clerks after reassignment.
 type lockState struct {
-	holders    map[string]Mode // clerk -> Shared/Exclusive
-	waiters    []waiter
+	holders map[string]Mode // clerk -> Shared/Exclusive
+	waiters []waiter
+	// revoked says the head conflict's revokes went out at lastRevoke,
+	// so only RevokeRetry later are they due again. Clear (as on a new
+	// lock, a new waiter, a changed holder set) means revoke at once.
+	revoked    bool
 	lastRevoke sim.Time
 }
 
@@ -116,7 +120,7 @@ type Server struct {
 	// ackCast is the last time a piggyback RenewAck was cast to each
 	// clerk; acks are rate-limited so a clerk streaming batches gets
 	// O(1) ack traffic per lease window, not one ack per batch.
-	ackCast map[string]sim.Time
+	ackCast    map[string]sim.Time
 	recoveries map[string]*recoveryJob // session key -> job
 	nextSeq    uint64
 	crashed    bool
@@ -582,7 +586,7 @@ func (s *Server) onAcquireBatch(clerk, table string, mapEpoch int64, reqs []Batc
 			ls.waiters = append(ls.waiters, waiter{clerk, r.Mode, r.Epoch})
 			// A new conflict deserves an immediate revoke; the rate limit
 			// only applies to retransmissions of the same conflict.
-			ls.lastRevoke = 0
+			ls.revoked = false
 		}
 		outs = append(outs, s.tryGrantLocked(k, ls)...)
 	}
@@ -622,7 +626,7 @@ func (s *Server) onReleaseBatch(clerk, table string, mapEpoch int64, rels []Batc
 		}
 		// Holder state changed: if a conflict persists, revoke the
 		// remaining holders without waiting out the retransmit limiter.
-		ls.lastRevoke = 0
+		ls.revoked = false
 		outs = append(outs, s.tryGrantLocked(k, ls)...)
 		if len(ls.holders) == 0 && len(ls.waiters) == 0 {
 			delete(s.locks, k)
@@ -693,10 +697,10 @@ func (s *Server) compatibleLocked(ls *lockState, w waiter) bool {
 // their locks stay frozen until recovery releases them.
 func (s *Server) revokesFor(k lockKey, ls *lockState) []outMsg {
 	now := s.w.Clock.Now()
-	if sim.Duration(now-ls.lastRevoke) < s.cfg.RevokeRetry {
+	if ls.revoked && sim.Duration(now-ls.lastRevoke) < s.cfg.RevokeRetry {
 		return nil
 	}
-	ls.lastRevoke = now
+	ls.revoked, ls.lastRevoke = true, now
 	w := ls.waiters[0]
 	var outs []outMsg
 	for clerk, mode := range ls.holders {

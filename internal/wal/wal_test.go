@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,11 +156,11 @@ func TestCircularWrapAndReclaim(t *testing.T) {
 	const size = 8 << 10 // small log: 16 blocks
 	region := newMemRegion(size)
 	l := New(region, size)
-	released := int64(0)
+	var released atomic.Int64 // the callback also runs on the log's background reclaimer
 	l.SetReclaim(func(through int64) {
 		_ = l.Flush()
 		l.Release(through)
-		released = through
+		released.Store(through)
 	})
 	// Append far more than capacity; reclaim must be driven.
 	data := bytes.Repeat([]byte{0xEE}, 100)
@@ -171,7 +172,7 @@ func TestCircularWrapAndReclaim(t *testing.T) {
 		}
 		lastSeq = seq
 	}
-	if released == 0 {
+	if released.Load() == 0 {
 		t.Fatal("reclaim callback never ran")
 	}
 	if err := l.Flush(); err != nil {
@@ -322,7 +323,7 @@ func TestConcurrentFlushGroupCommit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				n := w*perWorker + i
-				_, err := l.Append([]Update{upd(int64(n)*512, 0, uint64(n+1), byte(n), byte(n >> 8))})
+				_, err := l.Append([]Update{upd(int64(n)*512, 0, uint64(n+1), byte(n), byte(n>>8))})
 				if err != nil {
 					errs <- err
 					return
