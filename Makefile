@@ -42,7 +42,8 @@ bench:
 ## account table each add <= 1% serial Sync latency. lock-scaling
 ## asserts contended acquire p99 improves >= 2x
 ## and throughput >= 1.5x from 1 to 4 lock-server shards, with the
-## stale-map nack/refetch path and a mid-run shard handoff exercised.
+## stale-map nack/refetch path and a mid-run shard handoff exercised;
+## its curves are persisted as lock-scaling-trajectory.json.
 ## noisy-neighbor-obs pits a principal-tagged streaming writer against
 ## an interactive reader and asserts >= 95% of bytes and lock-wait are
 ## attributed, the writer ranks first by bytes, and the watcher's
@@ -61,7 +62,7 @@ bench-smoke:
 	CODEC_BUDGET=1 $(GO) test -run TestCodecBudget -count=1 ./internal/rpc/
 	$(GO) run ./cmd/frangibench -quick -exp codec-mux
 	$(GO) run ./cmd/frangibench -quick -exp forensics-smoke
-	$(GO) run ./cmd/frangibench -quick -exp lock-scaling
+	$(GO) run ./cmd/frangibench -quick -exp lock-scaling -out lock-scaling-trajectory.json
 	$(GO) run ./cmd/frangibench -quick -exp obs-overhead
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json

@@ -210,8 +210,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	pcfg.HeartbeatEvery = cfg.HeartbeatEvery
 	pcfg.SuspectAfter = cfg.SuspectAfter
 	if cfg.GuardWrites {
-		pcfg.WriteGuard = func(req petal.WriteReq, now int64) bool {
-			return req.ExpireAt == 0 || req.ExpireAt > now
+		pcfg.WriteGuard = func(expireAt int64, _ uint64, now int64) bool {
+			return expireAt == 0 || expireAt > now
 		}
 	}
 	pcfg.NoReplicate = cfg.NoReplicate

@@ -290,7 +290,7 @@ func (o Options) readDirRows(t *Table) error {
 	if err != nil {
 		return err
 	}
-	s0 := scan.PetalStats().ReadRPCTotal()
+	s0 := scan.PetalStats().ReadVRPCs
 	ents, err := scan.ReadDir("/dir")
 	if err != nil {
 		return err
@@ -303,13 +303,13 @@ func (o Options) readDirRows(t *Table) error {
 			return err
 		}
 	}
-	baseline := scan.PetalStats().ReadRPCTotal() - s0
+	baseline := scan.PetalStats().ReadVRPCs - s0
 
 	plus, err := c.AddServer("plus")
 	if err != nil {
 		return err
 	}
-	p0 := plus.PetalStats().ReadRPCTotal()
+	p0 := plus.PetalStats().ReadVRPCs
 	ents2, infos, err := plus.ReadDirPlus("/dir")
 	if err != nil {
 		return err
@@ -317,7 +317,7 @@ func (o Options) readDirRows(t *Table) error {
 	if len(ents2) != files || len(infos) != files {
 		return fmt.Errorf("read-scaling: ReadDirPlus returned %d entries, %d infos; want %d", len(ents2), len(infos), files)
 	}
-	batched := plus.PetalStats().ReadRPCTotal() - p0
+	batched := plus.PetalStats().ReadVRPCs - p0
 
 	if batched*2 > baseline {
 		return fmt.Errorf("read-scaling: ReadDirPlus used %d Petal read RPCs vs stat scan's %d; want <= 50%%", batched, baseline)

@@ -49,11 +49,10 @@ type Config struct {
 	// experiment).
 	ReadAhead int
 	// FlushParallelism bounds concurrent write-back dispatches in the
-	// sync demon and lock-revocation flushes. Values <= 1 select the
-	// serial path: one synchronous Petal RPC per coalesced run. Higher
-	// values enable the write-back pipeline: runs are packed into
-	// scatter-gather WriteV batches and dispatched through a bounded
-	// worker pool, overlapping Petal transfers.
+	// sync demon and lock-revocation flushes: coalesced runs are
+	// packed into scatter-gather WriteV batches and that many batches
+	// are in flight at once, overlapping Petal transfers. Values <= 1
+	// mean one batch at a time.
 	FlushParallelism int
 	// Cache capacities, in blocks.
 	MetaCacheCap int
@@ -994,9 +993,10 @@ func (t *txn) releaseSegs() {
 // Sync is the update demon body: force the log, write back all dirty
 // blocks, then let the log reclaim the records ("the permanent
 // locations are updated periodically (roughly every 30 seconds) by
-// the update demon", §4). With FlushParallelism > 1 metadata and data
-// write-back proceed concurrently through the pipelined path; each
-// batch still honors the per-entry log-before-data rule.
+// the update demon", §4). Metadata and data write-back are two jobs
+// for the flush workers, so with FlushParallelism > 1 they proceed
+// concurrently; each batch still honors the per-entry log-before-data
+// rule.
 func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
@@ -1019,32 +1019,14 @@ func (fs *FS) sync() error {
 	}
 	fs.mu.Unlock()
 
-	var metaErr, dataErr error
-	if fs.cfg.FlushParallelism > 1 {
-		cur := obs.Current()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			obs.With(cur, func() { metaErr = fs.flushRuns(fs.meta, fs.meta.AllDirty()) })
-		}()
-		go func() {
-			defer wg.Done()
-			obs.With(cur, func() { dataErr = fs.flushRuns(fs.data, fs.data.AllDirty()) })
-		}()
-		wg.Wait()
-	} else {
-		metaErr = fs.flushRuns(fs.meta, fs.meta.AllDirty())
-		dataErr = fs.flushRuns(fs.data, fs.data.AllDirty())
-	}
-	firstErr := metaErr
-	if firstErr == nil {
-		firstErr = dataErr
-	}
-	if firstErr == nil {
+	pools := []*cache.Pool{fs.meta, fs.data}
+	err := fs.flushWorkers(len(pools), func(i int) error {
+		return fs.flushRuns(pools[i], pools[i].AllDirty())
+	})
+	if err == nil {
 		fs.log.Release(target)
 	}
-	return firstErr
+	return err
 }
 
 // writeBehind starts (at most one) background flush of dirty data
@@ -1126,10 +1108,9 @@ func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 const maxBatchBytes = 1 << 20
 
 // flushRuns writes back a set of dirty entries from one pool,
-// log-first. Serial mode (FlushParallelism <= 1) issues one Petal
-// write per coalesced run; pipelined mode packs runs into
-// scatter-gather batches and dispatches them through a bounded worker
-// pool, so one cache-sync round trip carries many runs and transfers
+// log-first: coalesced runs are packed into scatter-gather batches
+// and dispatched through the flush workers, so one cache-sync round
+// trip carries many runs and, with FlushParallelism > 1, transfers
 // overlap.
 func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
@@ -1140,21 +1121,10 @@ func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 	if err := fs.ensureLogFlushed(pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
-	runs := coalesceRuns(pool, dirty)
-	if fs.cfg.FlushParallelism <= 1 {
-		var firstErr error
-		for _, r := range runs {
-			if err := fs.writeRun(pool, r); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	// Pack runs into batches and dispatch through the worker pool.
 	var batches [][]flushRun
 	var cur []flushRun
 	bytes := 0
-	for _, r := range runs {
+	for _, r := range coalesceRuns(pool, dirty) {
 		if len(cur) > 0 && bytes+len(r.buf) > maxBatchBytes {
 			batches = append(batches, cur)
 			cur, bytes = nil, 0
@@ -1164,32 +1134,23 @@ func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 	}
 	batches = append(batches, cur)
 	return fs.flushWorkers(len(batches), func(i int) error {
-		return fs.writeRunBatch(pool, batches[i])
+		return fs.writeBatch(pool, batches[i])
 	})
 }
 
-// writeRun writes one coalesced run synchronously (serial path).
-func (fs *FS) writeRun(pool *cache.Pool, r flushRun) error {
-	if err := fs.petalWrite(r.addr, r.buf); err != nil {
-		return err
-	}
-	pool.MarkCleanIfBatch(r.entries, r.gens)
-	fs.m.bytesWritten.Add(int64(len(r.buf)))
-	fs.m.flushRuns.Inc()
-	fs.m.flushPages.Add(int64(len(r.entries)))
-	return nil
-}
-
-// writeRunBatch sends one batch of runs as a single scatter-gather
+// writeBatch sends one batch of runs as a single scatter-gather
 // write and marks the covered entries clean on success.
-func (fs *FS) writeRunBatch(pool *cache.Pool, batch []flushRun) error {
+func (fs *FS) writeBatch(pool *cache.Pool, batch []flushRun) error {
 	exts := make([]petal.Extent, len(batch))
 	total := 0
 	for i, r := range batch {
 		exts[i] = petal.Extent{Off: r.addr, Data: r.buf}
 		total += len(r.buf)
 	}
-	if err := fs.petalWriteV(exts); err != nil {
+	fs.noteFlushInFlight(1)
+	err := fs.petalWriteV(exts)
+	fs.noteFlushInFlight(-1)
+	if err != nil {
 		return err
 	}
 	fs.m.bytesWritten.Add(int64(total))
@@ -1203,8 +1164,8 @@ func (fs *FS) writeRunBatch(pool *cache.Pool, batch []flushRun) error {
 }
 
 // flushWorkers runs fn(i) for every i in [0, n) on up to
-// FlushParallelism workers, tracking the in-flight peak. All n run
-// regardless of failures; the first error is returned.
+// FlushParallelism workers. All n run regardless of failures; the
+// first error is returned.
 func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 	par := fs.cfg.FlushParallelism
 	if par > n {
@@ -1213,10 +1174,7 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 	if par <= 1 {
 		var firstErr error
 		for i := 0; i < n; i++ {
-			fs.noteFlushInFlight(1)
-			err := fn(i)
-			fs.noteFlushInFlight(-1)
-			if err != nil && firstErr == nil {
+			if err := fn(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -1231,9 +1189,7 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			fs.noteFlushInFlight(1)
 			obs.With(cur, func() { errCh <- fn(i) })
-			fs.noteFlushInFlight(-1)
 			<-sem
 		}(i)
 	}
@@ -1248,6 +1204,8 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 	return firstErr
 }
 
+// noteFlushInFlight tracks write-back batches in flight and their
+// peak.
 func (fs *FS) noteFlushInFlight(d int64) {
 	fs.mu.Lock()
 	fs.flushInFlight += d

@@ -5,12 +5,8 @@ import (
 	"testing"
 )
 
-// readRPCs is the machine's total Petal read round trips (single +
-// scatter-gather batches).
-func readRPCs(f *FS) int64 {
-	st := f.PetalStats()
-	return st.ReadRPCs + st.ReadVRPCs
-}
+// readRPCs is the machine's total Petal read round trips.
+func readRPCs(f *FS) int64 { return f.PetalStats().ReadVRPCs }
 
 // TestReadDirPlusMatchesStatScan: ReadDirPlus returns exactly what
 // ReadDir + a Stat per entry would, index-aligned.

@@ -1,6 +1,7 @@
 package petal
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,9 +41,9 @@ type Client struct {
 	// from expired leases (§6's hazard fix).
 	leaseInfo func() (expireAt int64, leaseID uint64)
 
-	// opDeadline bounds one logical chunk operation including retries.
+	// opDeadline bounds one data call including retries.
 	opDeadline sim.Duration
-	// parallelism bounds concurrent chunk transfers for large I/Os.
+	// parallelism bounds one data call's concurrent RPCs.
 	parallelism int
 
 	// balanceReads spreads first-choice read routing across both alive
@@ -56,13 +57,10 @@ type Client struct {
 	// randIntn supplies deterministic jitter for retry backoff.
 	randIntn func(int) int
 
-	// Data-path statistics (benchmarks compare the scatter-gather
-	// paths against per-chunk RPCs by count, and read balancing by the
-	// primary/backup split).
-	writeRPCs     *obs.Counter // WriteReq calls issued
+	// Data-path statistics (benchmarks judge batching by extents per
+	// RPC, and read balancing by the primary/backup split).
 	writeVRPCs    *obs.Counter // WriteVReq calls issued
 	writeVExtents *obs.Counter // extents carried by WriteVReq calls
-	readRPCs      *obs.Counter // ReadReq calls issued
 	readVRPCs     *obs.Counter // ReadVReq calls issued
 	readVExtents  *obs.Counter // extents carried by ReadVReq calls
 	readPrimary   *obs.Counter // first-choice read routings to the primary
@@ -91,17 +89,13 @@ type Client struct {
 
 // ClientStats counts data-path RPC traffic.
 type ClientStats struct {
-	// WriteRPCs is the number of single-extent WriteReq calls issued
-	// (including retries and fallbacks).
-	WriteRPCs int64
-	// WriteVRPCs is the number of scatter-gather WriteVReq calls.
+	// WriteVRPCs is the number of WriteVReq calls issued (including
+	// retries and failovers).
 	WriteVRPCs int64
 	// WriteVExtents is the total extents carried by those calls.
 	WriteVExtents int64
-	// ReadRPCs is the number of single-extent ReadReq calls issued
-	// (including retries and per-extent failovers).
-	ReadRPCs int64
-	// ReadVRPCs is the number of scatter-gather ReadVReq calls.
+	// ReadVRPCs is the number of ReadVReq calls issued (including
+	// retries and failovers).
 	ReadVRPCs int64
 	// ReadVExtents is the total extents carried by those calls.
 	ReadVExtents int64
@@ -114,20 +108,14 @@ type ClientStats struct {
 // Stats snapshots the client's data-path counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		WriteRPCs:     c.writeRPCs.Value(),
 		WriteVRPCs:    c.writeVRPCs.Value(),
 		WriteVExtents: c.writeVExtents.Value(),
-		ReadRPCs:      c.readRPCs.Value(),
 		ReadVRPCs:     c.readVRPCs.Value(),
 		ReadVExtents:  c.readVExtents.Value(),
 		ReadPrimary:   c.readPrimary.Value(),
 		ReadBackup:    c.readBackup.Value(),
 	}
 }
-
-// ReadRPCTotal is the total Petal read round trips this client has
-// issued, counting a scatter-gather batch as one RPC.
-func (s ClientStats) ReadRPCTotal() int64 { return s.ReadRPCs + s.ReadVRPCs }
 
 // ClientAddr returns the network name of a machine's Petal driver.
 func ClientAddr(machine string) string { return machine + ".petalc" }
@@ -142,18 +130,16 @@ func NewClient(w *sim.World, machine string, servers []string) *Client {
 // carrier (TCP for daemon deployments, sim for tests).
 func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrier rpc.Carrier) *Client {
 	c := &Client{
-		name:          machine,
-		clock:         w.Clock,
-		servers:       append([]string(nil), servers...),
-		opDeadline:    30 * time.Second,
-		parallelism:   8,
-		randIntn:      w.RandIntn,
-		writeRPCs:     obs.NewCounter(),
-		writeVRPCs:    obs.NewCounter(),
-		writeVExtents: obs.NewCounter(),
-		readRPCs:      obs.NewCounter(),
-		readVRPCs:     obs.NewCounter(),
-		readVExtents:  obs.NewCounter(),
+		name:           machine,
+		clock:          w.Clock,
+		servers:        append([]string(nil), servers...),
+		opDeadline:     30 * time.Second,
+		parallelism:    8,
+		randIntn:       w.RandIntn,
+		writeVRPCs:     obs.NewCounter(),
+		writeVExtents:  obs.NewCounter(),
+		readVRPCs:      obs.NewCounter(),
+		readVExtents:   obs.NewCounter(),
 		readPrimary:    obs.NewCounter(),
 		readBackup:     obs.NewCounter(),
 		balancePct:     obs.NewGauge(),
@@ -165,10 +151,8 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 	}
 	c.balanceReads.Store(1)
 	if reg := w.Obs; reg != nil {
-		c.writeRPCs = reg.Counter("petal.write.rpcs#" + machine)
 		c.writeVRPCs = reg.Counter("petal.writev.rpcs#" + machine)
 		c.writeVExtents = reg.Counter("petal.writev.extents#" + machine)
-		c.readRPCs = reg.Counter("petal.read.rpcs#" + machine)
 		c.readVRPCs = reg.Counter("petal.readv.rpcs#" + machine)
 		c.readVExtents = reg.Counter("petal.readv.extents#" + machine)
 		c.readPrimary = reg.Counter("petal.read.primary#" + machine)
@@ -230,10 +214,6 @@ func (c *Client) SetLeaseInfo(f func() (expireAt int64, leaseID uint64)) {
 
 // Close releases the client's endpoint.
 func (c *Client) Close() { c.ep.Close() }
-
-// refreshState refreshes the routing view unconditionally (legacy
-// entry point; admin paths use it after mutating the directory).
-func (c *Client) refreshState() error { return c.refreshSince(-1) }
 
 // refreshSince refreshes the global-state view, version-aware and
 // incremental. usedVersion is the version the caller routed with when
@@ -332,7 +312,8 @@ func (c *Client) doRefresh(have int64) error {
 	var rmu sync.Mutex
 	got, gotState := false, false
 	var best GlobalState
-	_ = boundedPar(4, rest, func(s string) error {
+	_ = boundedPar(4, len(rest), func(i int) error {
+		s := rest[i]
 		c.refreshRPCs.Add(1)
 		resp, err := c.ep.Call(DataAddr(s), StateReq{HaveVersion: have}, dataTimeout)
 		if err != nil {
@@ -378,7 +359,7 @@ func (c *Client) getState() (GlobalState, error) {
 	if ok {
 		return st, nil
 	}
-	if err := c.refreshState(); err != nil {
+	if err := c.refreshSince(-1); err != nil {
 		return GlobalState{}, err
 	}
 	c.mu.Lock()
@@ -524,201 +505,34 @@ func (c *Client) call(srv string, req any, timeout sim.Duration) (any, error) {
 	return resp, err
 }
 
-// readChunk performs one intra-chunk read with failover and state
-// refresh until the op deadline.
-func (c *Client) readChunk(v VDiskID, chunk int64, off, length int, dst []byte) error {
-	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	var lastErr error
-	var tl targetList
-	routedVer := int64(-1)
-	for attempt := 0; ; attempt++ {
-		st, err := c.getState()
-		if err == nil {
-			routedVer = st.Version
-			c.readTargets(&st, v, chunk, &tl)
-			for _, srv := range tl.list() {
-				c.readRPCs.Add(1)
-				resp, err := c.call(srv, ReadReq{VDisk: v, Chunk: chunk, Off: off, Len: length}, dataTimeout)
-				if err != nil {
-					lastErr = err
-					c.jr.Record("petal", "read", "failover", uint64(chunk), 0, srv)
-					continue
-				}
-				rr, ok := resp.(ReadResp)
-				if !ok {
-					continue
-				}
-				if !rr.OK {
-					rpc.Release(rr)
-					if rr.Err == ErrNoSuchVDisk.Error() {
-						// Possibly stale directory: refresh and retry.
-						break
-					}
-					// Replica-local failure (e.g. a CRC error): fall
-					// over to the other replica, which "can ordinarily
-					// recover it" (§4).
-					lastErr = fmt.Errorf("petal read: %s", rr.Err)
-					c.jr.Record("petal", "read", "replica-fail", uint64(chunk), 0, srv)
-					continue
-				}
-				// A short (or nil, for a hole) response must not leave
-				// stale bytes in the tail of dst.
-				n := copy(dst, rr.Data)
-				clear(dst[n:])
-				// On TCP the data aliases a pooled receive buffer;
-				// recycle it now that it has been copied out.
-				rpc.Release(rr)
-				return nil
-			}
-		}
-		if c.clock.Now() >= deadline {
-			if lastErr != nil {
-				return lastErr
-			}
-			return ErrUnavailable
-		}
-		// Version-aware: if another caller already refreshed past the
-		// view we routed with, the retry reuses it without touching
-		// the network (petal.refresh.skipped counts these).
-		_ = c.refreshSince(routedVer)
-		c.retryPause(attempt, deadline)
-	}
-}
-
-// writeChunk performs one intra-chunk write with failover.
-func (c *Client) writeChunk(v VDiskID, chunk int64, off int, data []byte) error {
-	// The in-memory transport passes payloads by reference and the
-	// caller may keep mutating its buffer (e.g. a cache page) after we
-	// return; snapshot the bytes here, where a real driver would DMA.
-	// The snapshot comes from the shared size-classed pool, so the
-	// write path recycles a small working set of chunk buffers.
-	bufp := bufpool.Get(len(data))
-	snap := *bufp
-	copy(snap, data)
-	leaked := false
-	err := c.writeChunkSnap(v, chunk, off, snap, &leaked)
-	if !leaked {
-		// No call attempt timed out, so no in-flight message can still
-		// reference the snapshot; safe to recycle.
-		bufpool.Put(bufp)
-	}
-	return err
-}
-
-func (c *Client) writeChunkSnap(v VDiskID, chunk int64, off int, snap []byte, leaked *bool) error {
-	c.mu.Lock()
-	li := c.leaseInfo
-	c.mu.Unlock()
-	req := WriteReq{VDisk: v, Chunk: chunk, Off: off, Data: snap}
-	if li != nil {
-		req.ExpireAt, req.LeaseID = li()
-	}
-	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	var tl targetList
-	routedVer := int64(-1)
-	for attempt := 0; ; attempt++ {
-		st, err := c.getState()
-		if err == nil {
-			routedVer = st.Version
-			// Stamp the epoch we are writing at so replicas lagging a
-			// snapshot wait for Paxos catch-up instead of writing into
-			// the frozen epoch.
-			if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
-				req.Epoch = meta.Epoch
-			} else {
-				req.Epoch = 0
-			}
-			c.targets(&st, v, chunk, &tl)
-			for _, srv := range tl.list() {
-				c.writeRPCs.Add(1)
-				resp, err := c.call(srv, req, dataTimeout)
-				if err != nil {
-					// The message may still be queued at the carrier and
-					// delivered later; the snapshot cannot be recycled.
-					*leaked = true
-					c.jr.Record("petal", "write", "failover", uint64(chunk), 0, srv)
-					continue
-				}
-				wr, ok := resp.(WriteResp)
-				if !ok {
-					continue
-				}
-				if wr.OK {
-					return nil
-				}
-				switch wr.Err {
-				case ErrNoSuchVDisk.Error(), ErrStaleEpoch.Error():
-					// stale directory or epoch; refresh below
-				case ErrLeaseExpired.Error():
-					c.jr.Record("petal", "write", "lease-rejected", uint64(chunk), 0, srv)
-					return ErrLeaseExpired
-				default:
-					return fmt.Errorf("petal write: %s", wr.Err)
-				}
-				break
-			}
-		}
-		if c.clock.Now() >= deadline {
-			return ErrUnavailable
-		}
-		_ = c.refreshSince(routedVer)
-		c.retryPause(attempt, deadline)
-	}
-}
-
-// span describes one chunk-aligned piece of a larger I/O.
-type span struct {
-	chunk  int64
-	off    int
-	length int
-	bufOff int
-}
-
-func spans(off int64, length int) []span {
-	var out []span
-	bufOff := 0
-	for length > 0 {
-		chunk := off / ChunkSize
-		inOff := int(off % ChunkSize)
-		n := ChunkSize - inOff
-		if n > length {
-			n = length
-		}
-		out = append(out, span{chunk: chunk, off: inOff, length: n, bufOff: bufOff})
-		off += int64(n)
-		bufOff += n
-		length -= n
-	}
-	return out
-}
-
-// boundedPar runs f over items with at most limit in flight,
-// returning the first error.
-func boundedPar[T any](limit int, items []T, f func(T) error) error {
-	if len(items) == 1 {
-		return f(items[0])
+// boundedPar runs f(0..n-1) with at most limit in flight, returning
+// the first error. Every index runs regardless of failures; a single
+// index runs inline on the caller's goroutine.
+func boundedPar(limit, n int, f func(int) error) error {
+	if n == 1 {
+		return f(0)
 	}
 	if limit < 1 {
 		limit = 1
 	}
 	sem := make(chan struct{}, limit)
-	errCh := make(chan error, len(items))
+	errCh := make(chan error, n)
 	// Span and principal bindings are per-goroutine: carry the
 	// caller's trace context and principal into the workers so
 	// fanned-out RPCs stay in the tree and stay attributed.
 	cur := obs.Current()
 	who := obs.CurrentPrincipal()
 	var wg sync.WaitGroup
-	for _, it := range items {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(it T) {
+		go func(i int) {
 			defer wg.Done()
 			obs.With(cur, func() {
-				obs.WithPrincipal(who, func() { errCh <- f(it) })
+				obs.WithPrincipal(who, func() { errCh <- f(i) })
 			})
 			<-sem
-		}(it)
+		}(i)
 	}
 	wg.Wait()
 	close(errCh)
@@ -730,33 +544,314 @@ func boundedPar[T any](limit int, items []T, f func(T) error) error {
 	return nil
 }
 
-// forEachSpan runs f over the spans with bounded parallelism,
-// returning the first error.
-func (c *Client) forEachSpan(sp []span, f func(span) error) error {
-	return boundedPar(c.parallelism, sp, f)
+// piece is one chunk-local span of a data call bound to its share of
+// the caller's buffer: the destination of a read, the source of a
+// write.
+type piece struct {
+	chunk int64
+	off   int
+	buf   []byte
+	tl    targetList // replica preference under the current routing view
+}
+
+// appendPieces splits the I/O of buf at byte offset off at chunk
+// boundaries.
+func appendPieces(dst []piece, off int64, buf []byte) []piece {
+	for len(buf) > 0 {
+		in := int(off % ChunkSize)
+		n := min(ChunkSize-in, len(buf))
+		dst = append(dst, piece{chunk: off / ChunkSize, off: in, buf: buf[:n]})
+		off += int64(n)
+		buf = buf[n:]
+	}
+	return dst
+}
+
+// Per-request caps: bound one RPC's simulated transfer time (network
+// ~17 MB/s, disks ~6 MB/s) well under its timeout and keep message
+// sizes sane.
+const (
+	batchMaxBytes   = 1 << 20
+	batchMaxExtents = 256
+)
+
+// callTimeout is how long one data RPC may take before the client
+// fails over: dataTimeout per chunk's worth of bytes it carries,
+// at most three of them.
+func callTimeout(bytes int) sim.Duration {
+	chunks := (bytes + ChunkSize - 1) / ChunkSize
+	return dataTimeout * sim.Duration(min(max(chunks, 1), 3))
+}
+
+// batch is the pieces one RPC carries to one server.
+type batch struct {
+	srv   string
+	ps    []piece
+	bytes int
+}
+
+// batchByTarget groups pieces by their rank-th preferred replica into
+// size-capped batches, in first-appearance order. Pieces with no
+// rank-th candidate come back in none.
+func batchByTarget(ps []piece, rank int) (batches []batch, none []piece) {
+	open := make(map[string]int, 4) // server -> its batch still taking pieces
+	for _, p := range ps {
+		if rank >= p.tl.n {
+			none = append(none, p)
+			continue
+		}
+		srv := p.tl.srv[rank]
+		i, ok := open[srv]
+		if !ok || batches[i].bytes+len(p.buf) > batchMaxBytes || len(batches[i].ps) >= batchMaxExtents {
+			i = len(batches)
+			batches = append(batches, batch{srv: srv})
+			open[srv] = i
+		}
+		batches[i].ps = append(batches[i].ps, p)
+		batches[i].bytes += len(p.buf)
+	}
+	return batches, none
+}
+
+// dataOp is the direction-specific half of a data call; transfer is
+// the shared half.
+type dataOp interface {
+	// name is the journal subject: "read" or "write".
+	name() string
+	// route fills a piece's replica preference list.
+	route(st *GlobalState, v VDiskID, chunk int64, tl *targetList)
+	// request builds the one message that carries a batch.
+	request(st *GlobalState, v VDiskID, ps []piece) any
+	// settle consumes a batch's reply and returns the pieces it did
+	// not serve and why. An error with nothing left to retry is final:
+	// no replica would answer differently.
+	settle(ps []piece, resp any) (unserved []piece, err error)
+}
+
+// replyErr turns a reply's error string back into the sentinel it
+// names, or into an op-prefixed error.
+func replyErr(op, s string) error {
+	for _, e := range []error{ErrNoSuchVDisk, ErrStaleEpoch, ErrLeaseExpired} {
+		if s == e.Error() {
+			return e
+		}
+	}
+	return fmt.Errorf("petal %s: %s", op, s)
+}
+
+// staleView reports a rejection the client's directory view or write
+// epoch caused: the other replica would say the same, a refresh may
+// not.
+func staleView(err error) bool {
+	return errors.Is(err, ErrNoSuchVDisk) || errors.Is(err, ErrStaleEpoch)
+}
+
+// transfer is the one engine behind Read, ReadV, Write and WriteV. It
+// loops until the op deadline: take the routing view; send the
+// pending pieces to their first-preference replicas in size-capped
+// batches with bounded parallelism; keep what was served and re-batch
+// what was not (call error, replica-local failure) to the next
+// preference, so failover costs one RPC per surviving replica, not
+// one per extent. Once every preference is exhausted — or at once
+// for a piece the view itself made fail — refresh the view, back off
+// and go again. timedOut reports that some call got no answer, so
+// its request may still be queued at the carrier, aliasing the
+// pieces' buffers.
+func (c *Client) transfer(v VDiskID, ps []piece, op dataOp) (timedOut bool, err error) {
+	deadline := c.clock.Now() + sim.Time(c.opDeadline)
+	// One heap object holds everything a round's concurrent batches
+	// share; mu guards all but st, which they only read.
+	var x struct {
+		st       GlobalState
+		mu       sync.Mutex
+		next     []piece // unserved at this rank: offered to the next preference
+		parked   []piece // wait for a refreshed view
+		lastErr  error
+		timedOut bool
+	}
+	for attempt := 0; len(ps) > 0; attempt++ {
+		routedVer := int64(-1)
+		if x.st, err = c.getState(); err == nil {
+			routedVer = x.st.Version
+			for i := range ps {
+				op.route(&x.st, v, ps[i].chunk, &ps[i].tl)
+			}
+			x.parked = nil
+			for rank := 0; len(ps) > 0; rank++ {
+				batches, none := batchByTarget(ps, rank)
+				x.parked = append(x.parked, none...)
+				x.next = nil
+				final := boundedPar(c.parallelism, len(batches), func(i int) error {
+					b := batches[i]
+					resp, callErr := c.call(b.srv, op.request(&x.st, v, b.ps), callTimeout(b.bytes))
+					unserved, err, verb := b.ps, callErr, "failover"
+					if callErr == nil {
+						unserved, err = op.settle(b.ps, resp)
+						verb = "replica-fail"
+					}
+					if len(unserved) == 0 {
+						return err
+					}
+					c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), b.srv)
+					x.mu.Lock()
+					defer x.mu.Unlock()
+					x.timedOut = x.timedOut || callErr != nil
+					if err != nil {
+						x.lastErr = err
+					}
+					if staleView(err) {
+						x.parked = append(x.parked, unserved...)
+					} else {
+						x.next = append(x.next, unserved...)
+					}
+					return nil
+				})
+				if final != nil {
+					return x.timedOut, final
+				}
+				ps = x.next
+			}
+			ps = x.parked
+		}
+		if len(ps) == 0 {
+			break
+		}
+		if c.clock.Now() >= deadline {
+			if x.lastErr != nil {
+				return x.timedOut, fmt.Errorf("%w (last: %v)", ErrUnavailable, x.lastErr)
+			}
+			return x.timedOut, ErrUnavailable
+		}
+		// Version-aware: if another caller already refreshed past the
+		// view we routed with, the retry reuses it without touching
+		// the network (petal.refresh.skipped counts these).
+		_ = c.refreshSince(routedVer)
+		c.retryPause(attempt, deadline)
+	}
+	return x.timedOut, nil
+}
+
+// readOp is the read direction: balanced routing, ReadVReq, and
+// per-extent results, so a replica-local failure (e.g. a CRC error)
+// fails over only the damaged extents — the other replica "can
+// ordinarily recover it" (§4) — and served data is kept.
+type readOp struct{ c *Client }
+
+func (readOp) name() string { return "read" }
+
+func (o readOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
+	o.c.readTargets(st, v, chunk, tl)
+}
+
+func (o readOp) request(_ *GlobalState, v VDiskID, ps []piece) any {
+	exts := make([]ReadVExtent, len(ps))
+	for i, p := range ps {
+		exts[i] = ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)}
+	}
+	o.c.readVRPCs.Add(1)
+	o.c.readVExtents.Add(int64(len(exts)))
+	return ReadVReq{VDisk: v, Extents: exts}
+}
+
+func (readOp) settle(ps []piece, resp any) (unserved []piece, err error) {
+	rr, ok := resp.(ReadVResp)
+	if !ok {
+		return ps, nil
+	}
+	// On TCP the data aliases a pooled receive buffer; recycle it once
+	// every extent has been copied out.
+	defer rpc.Release(rr)
+	if !rr.OK {
+		return ps, replyErr("read", rr.Err)
+	}
+	if len(rr.Results) != len(ps) {
+		return ps, fmt.Errorf("petal read: %d results for %d extents", len(rr.Results), len(ps))
+	}
+	for i, res := range rr.Results {
+		if !res.OK {
+			// Leave the destination untouched; the replica that serves
+			// the piece fills (or zeroes) it.
+			unserved = append(unserved, ps[i])
+			err = replyErr("read", res.Err)
+			continue
+		}
+		// A short (or nil, for a hole) result must not leave stale
+		// bytes in the tail of the destination.
+		n := copy(ps[i].buf, res.Data)
+		clear(ps[i].buf[n:])
+	}
+	return unserved, err
+}
+
+// writeOp is the write direction: primary-first routing and
+// WriteVReq, stamped with the caller's lease (read once per call) and
+// with the vdisk epoch of the view each attempt routes with, so
+// replicas lagging a snapshot wait for Paxos catch-up instead of
+// writing into the frozen epoch. A batch is applied or rejected
+// whole; replays are idempotent at the store.
+type writeOp struct {
+	c        *Client
+	expireAt int64
+	leaseID  uint64
+}
+
+func (c *Client) newWriteOp() writeOp {
+	c.mu.Lock()
+	li := c.leaseInfo
+	c.mu.Unlock()
+	o := writeOp{c: c}
+	if li != nil {
+		o.expireAt, o.leaseID = li()
+	}
+	return o
+}
+
+func (writeOp) name() string { return "write" }
+
+func (o writeOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
+	o.c.targets(st, v, chunk, tl)
+}
+
+func (o writeOp) request(st *GlobalState, v VDiskID, ps []piece) any {
+	req := WriteVReq{VDisk: v, Extents: make([]WriteVExtent, len(ps)), ExpireAt: o.expireAt, LeaseID: o.leaseID}
+	if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
+		req.Epoch = meta.Epoch
+	}
+	for i, p := range ps {
+		req.Extents[i] = WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf}
+	}
+	o.c.writeVRPCs.Add(1)
+	o.c.writeVExtents.Add(int64(len(ps)))
+	return req
+}
+
+func (o writeOp) settle(ps []piece, resp any) ([]piece, error) {
+	wr, ok := resp.(WriteVResp)
+	if !ok {
+		return ps, nil
+	}
+	if wr.OK {
+		return nil, nil
+	}
+	err := replyErr("write", wr.Err)
+	if staleView(err) {
+		return ps, err
+	}
+	if errors.Is(err, ErrLeaseExpired) {
+		o.c.jr.Record("petal", "write", "lease-rejected", uint64(ps[0].chunk), 0, "")
+	}
+	return nil, err
 }
 
 // Read fills p from the virtual disk at byte offset off. Uncommitted
-// ranges read as zeros. Reads spanning several chunks go through the
-// scatter-gather engine, so chunk spans that route to the same server
-// collapse into one ReadVReq.
+// ranges read as zeros.
 func (c *Client) Read(v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
 	return c.instr("read", func() error {
-		sp := spans(off, len(p))
-		if len(sp) <= 1 {
-			if len(sp) == 0 {
-				return nil
-			}
-			return c.readChunk(v, sp[0].chunk, sp[0].off, sp[0].length, p[:sp[0].length])
-		}
-		all := make([]rspan, len(sp))
-		for i, s := range sp {
-			all[i] = rspan{chunk: s.chunk, off: s.off, dst: p[s.bufOff : s.bufOff+s.length]}
-		}
-		return c.readRspans(v, all)
+		_, err := c.transfer(v, appendPieces(nil, off, p), readOp{c})
+		return err
 	})
 }
 
@@ -767,149 +862,46 @@ type ReadExtent struct {
 	Dst []byte
 }
 
-// rspan is one chunk-local piece of a scatter-gather read.
-type rspan struct {
-	chunk int64
-	off   int
-	dst   []byte
-}
-
-// Per-request caps for batched reads, mirroring the write-path caps:
-// bound one RPC's simulated transfer time well under its timeout and
-// keep message sizes sane.
-const (
-	readVMaxBytes   = 1 << 20
-	readVMaxExtents = 256
-	readVTimeout    = 15 * time.Second
-)
-
-// ReadV fills every extent's Dst, batching the reads into as few
-// server round trips as possible: extents are split at chunk
-// boundaries, grouped by their balanced read target, and dispatched
-// with bounded parallelism. Extents a batch could not serve (replica
-// failure, stale routing) fall over individually through the
-// per-chunk read path, so ReadV is exactly as robust as issuing the
-// extents through Read, and a failed extent never leaves stale bytes
-// in its destination.
+// ReadV fills every extent's Dst in as few server round trips as
+// possible: extents are split at chunk boundaries and each server is
+// sent one batch of everything routed to it. A failed extent never
+// leaves stale bytes in its destination.
 func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
+	var ps []piece
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
+		ps = appendPieces(ps, e.Off, e.Dst)
 	}
 	return c.instr("readv", func() error {
-		var all []rspan
-		for _, e := range extents {
-			for _, s := range spans(e.Off, len(e.Dst)) {
-				all = append(all, rspan{chunk: s.chunk, off: s.off, dst: e.Dst[s.bufOff : s.bufOff+s.length]})
-			}
-		}
-		return c.readRspans(v, all)
+		_, err := c.transfer(v, ps, readOp{c})
+		return err
 	})
 }
 
-// readRspans is the scatter-gather read engine shared by Read and
-// ReadV.
-func (c *Client) readRspans(v VDiskID, all []rspan) error {
-	if len(all) == 0 {
-		return nil
-	}
-	if len(all) == 1 {
-		return c.readChunk(v, all[0].chunk, all[0].off, len(all[0].dst), all[0].dst)
-	}
-	st, err := c.getState()
-	if err != nil {
-		// No routing state: the per-chunk path refreshes and retries.
-		return c.readFallback(v, all)
-	}
-	// Group spans by their balanced read target, splitting oversized
-	// groups into size-capped batches.
-	groups := make(map[string][]rspan)
-	var tl targetList
-	for _, sp := range all {
-		c.readTargets(&st, v, sp.chunk, &tl)
-		if tl.n == 0 {
-			return ErrUnavailable
-		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], sp)
-	}
-	type batch struct {
-		srv string
-		sps []rspan
-	}
-	var batches []batch
-	for srv, sps := range groups {
-		cur := batch{srv: srv}
-		bytes := 0
-		for _, sp := range sps {
-			if len(cur.sps) > 0 && (bytes+len(sp.dst) > readVMaxBytes || len(cur.sps) >= readVMaxExtents) {
-				batches = append(batches, cur)
-				cur = batch{srv: srv}
-				bytes = 0
-			}
-			cur.sps = append(cur.sps, sp)
-			bytes += len(sp.dst)
-		}
-		batches = append(batches, cur)
-	}
-	return boundedPar(c.parallelism, batches, func(b batch) error {
-		exts := make([]ReadVExtent, len(b.sps))
-		for i, sp := range b.sps {
-			exts[i] = ReadVExtent{Chunk: sp.chunk, Off: sp.off, Len: len(sp.dst)}
-		}
-		c.readVRPCs.Add(1)
-		c.readVExtents.Add(int64(len(exts)))
-		resp, err := c.call(b.srv, ReadVReq{VDisk: v, Extents: exts}, readVTimeout)
-		if err == nil {
-			if rr, ok := resp.(ReadVResp); ok {
-				if rr.OK && len(rr.Results) == len(b.sps) {
-					var failed []rspan
-					for i, res := range rr.Results {
-						if !res.OK {
-							// Leave dst untouched here; the fallback fills
-							// (or zeroes) it from the other replica.
-							failed = append(failed, b.sps[i])
-							continue
-						}
-						n := copy(b.sps[i].dst, res.Data)
-						clear(b.sps[i].dst[n:])
-					}
-					// All extent data has been copied out; recycle the
-					// pooled receive buffer it aliased on TCP.
-					rpc.Release(rr)
-					if len(failed) == 0 {
-						return nil
-					}
-					// Per-extent failover: only the damaged extents retry
-					// through the per-chunk path; served data is kept.
-					return c.readFallback(v, failed)
-				}
-				rpc.Release(rr)
-			}
-		}
-		// Server down, lagging, or unknown vdisk: per-chunk reads sort
-		// it out with the usual failover and state refresh.
-		return c.readFallback(v, b.sps)
-	})
-}
-
-// readFallback reads chunk spans one by one through the failover
-// path, with bounded parallelism.
-func (c *Client) readFallback(v VDiskID, sps []rspan) error {
-	return boundedPar(c.parallelism, sps, func(sp rspan) error {
-		return c.readChunk(v, sp.chunk, sp.off, len(sp.dst), sp.dst)
-	})
-}
-
-// Write stores p at byte offset off, committing chunks as needed.
+// Write stores p at byte offset off, committing chunks as needed. The
+// caller may reuse p as soon as Write returns.
 func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
 	return c.instr("write", func() error {
-		return c.forEachSpan(spans(off, len(p)), func(s span) error {
-			return c.writeChunk(v, s.chunk, s.off, p[s.bufOff:s.bufOff+s.length])
-		})
+		// The in-memory transport passes payloads by reference and
+		// the caller may keep mutating its buffer (a cache page, the
+		// WAL's flush buffer) after we return; snapshot the bytes here,
+		// where a real driver would DMA. The snapshot comes from the
+		// shared size-classed pool, so the write path recycles a small
+		// working set of buffers.
+		bufp := bufpool.Get(len(p))
+		copy(*bufp, p)
+		timedOut, err := c.transfer(v, appendPieces(nil, off, *bufp), c.newWriteOp())
+		if !timedOut {
+			// Every call was answered, so no in-flight message can
+			// still reference the snapshot; safe to recycle.
+			bufpool.Put(bufp)
+		}
+		return err
 	})
 }
 
@@ -919,128 +911,22 @@ type Extent struct {
 	Data []byte
 }
 
-// wspan is one chunk-local piece of a scatter-gather write.
-type wspan struct {
-	chunk int64
-	off   int
-	data  []byte
-}
-
-// Per-request caps for batched writes: bound the simulated transfer
-// time of one RPC (network ~17 MB/s, disks ~6 MB/s) well under the
-// data-path timeout, and keep message sizes sane.
-const (
-	writeVMaxBytes   = 1 << 20
-	writeVMaxExtents = 256
-	writeVTimeout    = 15 * time.Second
-)
-
-// WriteV stores every extent, batching them into as few server round
-// trips as possible: extents are split at chunk boundaries, grouped
-// by their primary replica, and dispatched with bounded parallelism —
-// ideally one WriteVReq per primary. Each batch is applied under a
-// single lease/epoch check at the server. A batch that fails (server
-// down, stale routing) falls back to per-chunk writes with the usual
-// failover, so WriteV is exactly as robust as issuing the extents
-// through Write. The caller must not mutate extent data until WriteV
-// returns.
+// WriteV stores every extent in as few server round trips as
+// possible: extents are split at chunk boundaries and each primary is
+// sent one batch, applied under a single lease/epoch check. Unlike
+// Write it sends the caller's buffers themselves: the caller must not
+// mutate extent data until WriteV returns.
 func (c *Client) WriteV(v VDiskID, extents []Extent) error {
-	return c.instr("writev", func() error { return c.writeV(v, extents) })
-}
-
-func (c *Client) writeV(v VDiskID, extents []Extent) error {
-	var all []wspan
+	var ps []piece
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
-		for _, s := range spans(e.Off, len(e.Data)) {
-			all = append(all, wspan{chunk: s.chunk, off: s.off, data: e.Data[s.bufOff : s.bufOff+s.length]})
-		}
+		ps = appendPieces(ps, e.Off, e.Data)
 	}
-	if len(all) == 0 {
-		return nil
-	}
-	if len(all) == 1 {
-		return c.writeChunk(v, all[0].chunk, all[0].off, all[0].data)
-	}
-	st, err := c.getState()
-	if err != nil {
-		// No routing state: the per-chunk path refreshes and retries.
-		return c.writeWspans(v, all)
-	}
-	c.mu.Lock()
-	li := c.leaseInfo
-	c.mu.Unlock()
-	var expireAt int64
-	var leaseID uint64
-	if li != nil {
-		expireAt, leaseID = li()
-	}
-	var epoch int64
-	if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
-		epoch = meta.Epoch
-	}
-	// Group spans by primary replica, splitting oversized groups into
-	// size-capped batches.
-	groups := make(map[string][]wspan)
-	var tl targetList
-	for _, sp := range all {
-		c.targets(&st, v, sp.chunk, &tl)
-		if tl.n == 0 {
-			return ErrUnavailable
-		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], sp)
-	}
-	type batch struct {
-		srv string
-		sps []wspan
-	}
-	var batches []batch
-	for srv, sps := range groups {
-		cur := batch{srv: srv}
-		bytes := 0
-		for _, sp := range sps {
-			if len(cur.sps) > 0 && (bytes+len(sp.data) > writeVMaxBytes || len(cur.sps) >= writeVMaxExtents) {
-				batches = append(batches, cur)
-				cur = batch{srv: srv}
-				bytes = 0
-			}
-			cur.sps = append(cur.sps, sp)
-			bytes += len(sp.data)
-		}
-		batches = append(batches, cur)
-	}
-	return boundedPar(c.parallelism, batches, func(b batch) error {
-		exts := make([]WriteVExtent, len(b.sps))
-		for i, sp := range b.sps {
-			exts[i] = WriteVExtent{Chunk: sp.chunk, Off: sp.off, Data: sp.data}
-		}
-		req := WriteVReq{VDisk: v, Extents: exts, ExpireAt: expireAt, LeaseID: leaseID, Epoch: epoch}
-		c.writeVRPCs.Add(1)
-		c.writeVExtents.Add(int64(len(exts)))
-		resp, err := c.call(b.srv, req, writeVTimeout)
-		if err == nil {
-			if wr, ok := resp.(WriteVResp); ok {
-				if wr.OK {
-					return nil
-				}
-				if wr.Err == ErrLeaseExpired.Error() {
-					return ErrLeaseExpired
-				}
-			}
-		}
-		// Server down, lagging, or mid-batch failure: per-chunk writes
-		// sort out partial progress (chunk replays are idempotent).
-		return c.writeWspans(v, b.sps)
-	})
-}
-
-// writeWspans writes chunk spans one by one through the failover
-// path, with bounded parallelism.
-func (c *Client) writeWspans(v VDiskID, sps []wspan) error {
-	return boundedPar(c.parallelism, sps, func(sp wspan) error {
-		return c.writeChunk(v, sp.chunk, sp.off, sp.data)
+	return c.instr("writev", func() error {
+		_, err := c.transfer(v, ps, c.newWriteOp())
+		return err
 	})
 }
 

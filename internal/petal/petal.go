@@ -73,25 +73,8 @@ func fnv64(v VDiskID, chunk int64) uint64 {
 
 // Wire messages for the Petal data and control path.
 type (
-	// ReadReq reads Len bytes at Off within one chunk of a vdisk.
-	ReadReq struct {
-		VDisk VDiskID
-		Chunk int64
-		Off   int
-		Len   int
-	}
-	// ReadResp carries data or an error string. When decoded from the
-	// TCP carrier's fast codec, Data aliases a pooled receive buffer
-	// (wb); the consumer releases it with rpc.Release after copying
-	// the data out. gob ignores the unexported field.
-	ReadResp struct {
-		OK   bool
-		Err  string
-		Data []byte
-		wb   *rpc.RecvBuf
-	}
 	// ReadVExtent asks for Len bytes at Off within one chunk — one
-	// piece of a scatter-gather read.
+	// piece of a read.
 	ReadVExtent struct {
 		Chunk int64
 		Off   int
@@ -105,10 +88,10 @@ type (
 		Err  string
 		Data []byte
 	}
-	// ReadVReq is a multi-extent read: the server resolves the vdisk
-	// once and serves every extent from its local store, so one round
-	// trip carries a whole run of cache misses or a batch of inode
-	// blocks.
+	// ReadVReq is the one Petal read message: one or many chunk-local
+	// extents. The server resolves the vdisk once and serves every
+	// extent from its local store, so one round trip carries a whole
+	// run of cache misses or a batch of inode blocks.
 	ReadVReq struct {
 		VDisk   VDiskID
 		Extents []ReadVExtent
@@ -118,26 +101,35 @@ type (
 	// not be served (e.g. unknown vdisk); extent-local failures (a CRC
 	// error on one chunk) come back in Results so the other extents'
 	// data is not thrown away.
-	// Per-extent Data may alias a pooled receive buffer (wb), as in
-	// ReadResp.
+	// When decoded from the TCP carrier's fast codec, per-extent Data
+	// aliases a pooled receive buffer (wb); the consumer releases it
+	// with rpc.Release after copying the data out. gob ignores the
+	// unexported field.
 	ReadVResp struct {
 		OK      bool
 		Err     string
 		Results []ReadVExtentResult
 		wb      *rpc.RecvBuf
 	}
-	// WriteReq writes Data at Off within one chunk. Forwarded marks
-	// replica-to-replica propagation. ExpireAt optionally carries the
-	// writer's lease expiration (simulated ns); servers configured
-	// with a write guard reject requests whose lease has expired —
-	// the hazard fix proposed at the end of paper §6. LeaseID
-	// optionally identifies the writer's lock-service lease for the
-	// integrated validation variant.
-	WriteReq struct {
+	// WriteVExtent is one piece of a write: Data lands at Off within
+	// Chunk.
+	WriteVExtent struct {
+		Chunk int64
+		Off   int
+		Data  []byte
+	}
+	// WriteVReq is the one Petal write message: one or many
+	// chunk-local extents, applied under a single lease/epoch check, so
+	// one cache-sync round trip carries many coalesced dirty runs.
+	// Forwarded marks replica-to-replica propagation. ExpireAt
+	// optionally carries the writer's lease expiration (simulated ns);
+	// servers configured with a write guard reject requests whose
+	// lease has expired — the hazard fix proposed at the end of paper
+	// §6. LeaseID optionally identifies the writer's lock-service
+	// lease for the integrated validation variant.
+	WriteVReq struct {
 		VDisk     VDiskID
-		Chunk     int64
-		Off       int
-		Data      []byte
+		Extents   []WriteVExtent
 		Forwarded bool
 		ExpireAt  int64
 		LeaseID   uint64
@@ -148,41 +140,14 @@ type (
 		// resolution), used only by in-process tests.
 		Epoch int64
 
-		// wb is the pooled receive buffer Data aliases when the
-		// request was decoded by the TCP fast codec.
+		// wb is the pooled receive buffer the extents' Data aliases
+		// when the request was decoded by the TCP fast codec.
 		wb *rpc.RecvBuf
 	}
-	// WriteResp acknowledges a write.
-	WriteResp struct {
-		OK  bool
-		Err string
-	}
-	// WriteVExtent is one piece of a scatter-gather write: Data lands
-	// at Off within Chunk.
-	WriteVExtent struct {
-		Chunk int64
-		Off   int
-		Data  []byte
-	}
-	// WriteVReq is a multi-extent write: the server applies every
-	// extent under a single lease/epoch check, so one cache-sync round
-	// trip carries many coalesced dirty runs. Lease, epoch, and
-	// forwarding semantics match WriteReq.
-	// Per-extent Data may alias a pooled receive buffer (wb), as in
-	// WriteReq.
-	WriteVReq struct {
-		VDisk     VDiskID
-		Extents   []WriteVExtent
-		Forwarded bool
-		ExpireAt  int64
-		LeaseID   uint64
-		Epoch     int64
-		wb        *rpc.RecvBuf
-	}
-	// WriteVResp acknowledges a scatter-gather write. All extents
-	// applied (OK) or the batch failed at the first bad extent (Err);
-	// the client falls back to per-chunk writes to sort out partial
-	// progress — replays are idempotent at the store.
+	// WriteVResp acknowledges a write. All extents applied (OK) or the
+	// batch failed at the first bad extent (Err); a client that
+	// retries need not sort out partial progress — replays are
+	// idempotent at the store.
 	WriteVResp struct {
 		OK  bool
 		Err string
@@ -255,11 +220,7 @@ type (
 // WireSize implementations so the simulated network charges the data
 // path realistically.
 
-// WireSize reports the payload size of a read response.
-func (r ReadResp) WireSize() int { return len(r.Data) }
-
-// WireSize reports the total payload size of a scatter-gather read
-// response.
+// WireSize reports the total payload size of a read response.
 func (r ReadVResp) WireSize() int {
 	n := 0
 	for _, e := range r.Results {
@@ -268,10 +229,7 @@ func (r ReadVResp) WireSize() int {
 	return n
 }
 
-// WireSize reports the payload size of a write request.
-func (w WriteReq) WireSize() int { return len(w.Data) }
-
-// WireSize reports the total payload size of a scatter-gather write.
+// WireSize reports the total payload size of a write request.
 func (w WriteVReq) WireSize() int {
 	n := 0
 	for _, e := range w.Extents {

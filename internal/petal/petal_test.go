@@ -21,7 +21,15 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mutate func(*ServerConfig)) *testCluster {
 	t.Helper()
-	w := sim.NewWorld(200, 3)
+	return newTestClusterAt(t, 200, n, mutate)
+}
+
+// newTestClusterAt is newTestCluster at a chosen clock compression;
+// tests that assert on simulated durations run slower clocks so host
+// scheduling stalls weigh less.
+func newTestClusterAt(t *testing.T, compression float64, n int, mutate func(*ServerConfig)) *testCluster {
+	t.Helper()
+	w := sim.NewWorld(compression, 3)
 	var names []string
 	for i := 0; i < n; i++ {
 		names = append(names, fmt.Sprintf("p%d", i))
@@ -378,12 +386,16 @@ func TestSnapshotOfSnapshotAndChain(t *testing.T) {
 	}
 }
 
+// guardByExpiry is the write guard the cluster installs under
+// GuardWrites: unstamped writes pass, stamped ones need a live lease.
+func guardByExpiry(cfg *ServerConfig) {
+	cfg.WriteGuard = func(expireAt int64, _ uint64, now int64) bool {
+		return expireAt == 0 || expireAt > now
+	}
+}
+
 func TestWriteGuardRejectsExpiredLease(t *testing.T) {
-	tc := newTestCluster(t, 3, func(cfg *ServerConfig) {
-		cfg.WriteGuard = func(req WriteReq, now int64) bool {
-			return req.ExpireAt == 0 || req.ExpireAt > now
-		}
-	})
+	tc := newTestCluster(t, 3, guardByExpiry)
 	d := tc.mustCreate(t, "vol")
 	// Unstamped writes pass.
 	if err := d.WriteAt([]byte{1}, 0); err != nil {
@@ -471,6 +483,26 @@ func TestReplicasStableAndDistinct(t *testing.T) {
 			t.Fatal("snapshot placement differs from parent")
 		}
 	}
+}
+
+// span is one piece of the chunk splitter's output as the splitter
+// tests read it: bufOff is where the piece's buffer starts within the
+// caller's.
+type span struct {
+	chunk  int64
+	off    int
+	length int
+	bufOff int
+}
+
+// spans runs appendPieces over a length-byte I/O at off.
+func spans(off int64, length int) []span {
+	whole := make([]byte, length)
+	var out []span
+	for _, p := range appendPieces(nil, off, whole) {
+		out = append(out, span{p.chunk, p.off, len(p.buf), cap(whole) - cap(p.buf)})
+	}
+	return out
 }
 
 func TestSpansProperty(t *testing.T) {

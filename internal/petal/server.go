@@ -1,7 +1,8 @@
 package petal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,8 +28,9 @@ type ServerConfig struct {
 	HeartbeatEvery sim.Duration
 	SuspectAfter   sim.Duration
 	// WriteGuard, if non-nil, can reject writes (lease validation).
-	// It receives the request and the current simulated time in ns.
-	WriteGuard func(req WriteReq, now int64) bool
+	// It receives the lease stamp a client write carries and the
+	// current simulated time in ns.
+	WriteGuard func(expireAt int64, leaseID uint64, now int64) bool
 	// NoReplicate disables write forwarding to the partner replica —
 	// an ablation knob for the Figure 7 replication-cost study. Only
 	// safe in failure-free runs.
@@ -215,12 +217,8 @@ func (s *Server) handle(from string, body any) any {
 	// server-side work is charged to the originating client.
 	s.acct.ServerOp(obs.CurrentPrincipal())
 	switch m := body.(type) {
-	case ReadReq:
-		return s.spanned("server.read", func() any { return s.onRead(m) })
 	case ReadVReq:
 		return s.spanned("server.readv", func() any { return s.onReadV(m) })
-	case WriteReq:
-		return s.spanned("server.write", func() any { return s.onWrite(m, from) })
 	case WriteVReq:
 		return s.spanned("server.writev", func() any { return s.onWriteV(m) })
 	case DecommitReq:
@@ -355,36 +353,15 @@ func (s *Server) chargeCPU(bytes int) {
 	s.cpu.Use(s.cfg.CPUPerOp + sim.Duration(bytes/1024)*s.cfg.CPUPerKB)
 }
 
-func (s *Server) onRead(m ReadReq) ReadResp {
-	s.chargeCPU(m.Len)
-	s.mu.Lock()
-	base, ceiling, _, err := s.state.resolve(m.VDisk)
-	s.mu.Unlock()
-	if err != nil {
-		return ReadResp{Err: err.Error()}
-	}
-	if m.Off < 0 || m.Len < 0 || m.Off+m.Len > ChunkSize {
-		return ReadResp{Err: ErrBounds.Error()}
-	}
-	data, committed, err := s.st.readChunk(base, m.Chunk, ceiling, m.Off, m.Len)
-	if err != nil {
-		return ReadResp{Err: err.Error()}
-	}
-	if !committed {
-		return ReadResp{OK: true, Data: nil} // hole: reads as zeros
-	}
-	return ReadResp{OK: true, Data: data}
-}
-
 // readVServePar bounds concurrent store reads while serving one
-// scatter-gather read; the disk arms serialize actual media time.
+// read; the disk arms serialize actual media time.
 const readVServePar = 16
 
-// onReadV serves a scatter-gather read: the vdisk resolves once, then
-// every extent is read from the local store with bounded parallelism.
-// Reads don't modify anything, so unlike applyExtents no conflict
-// chaining is needed. Extent failures (e.g. a CRC error) are reported
-// per extent so the client can fail over only the damaged pieces.
+// onReadV serves a read: the vdisk resolves once, then every extent
+// is read from the local store with bounded parallelism. Reads don't
+// modify anything, so unlike applyExtents no conflict chaining is
+// needed. Extent failures (e.g. a CRC error) are reported per extent
+// so the client can fail over only the damaged pieces.
 func (s *Server) onReadV(m ReadVReq) ReadVResp {
 	total := 0
 	for _, e := range m.Extents {
@@ -398,32 +375,24 @@ func (s *Server) onReadV(m ReadVReq) ReadVResp {
 		return ReadVResp{Err: err.Error()}
 	}
 	results := make([]ReadVExtentResult, len(m.Extents))
-	sem := make(chan struct{}, readVServePar)
-	var wg sync.WaitGroup
-	for i := range m.Extents {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			e := m.Extents[i]
-			if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
-				results[i] = ReadVExtentResult{Err: ErrBounds.Error()}
-				return
-			}
-			data, committed, err := s.st.readChunk(base, e.Chunk, ceiling, e.Off, e.Len)
-			if err != nil {
-				results[i] = ReadVExtentResult{Err: err.Error()}
-				return
-			}
-			if !committed {
-				results[i] = ReadVExtentResult{OK: true} // hole: reads as zeros
-				return
-			}
-			results[i] = ReadVExtentResult{OK: true, Data: data}
-		}(i)
-	}
-	wg.Wait()
+	_ = boundedPar(readVServePar, len(results), func(i int) error {
+		e := m.Extents[i]
+		if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
+			results[i].Err = ErrBounds.Error()
+			return nil
+		}
+		data, committed, err := s.st.readChunk(base, e.Chunk, ceiling, e.Off, e.Len)
+		if err != nil {
+			results[i].Err = err.Error()
+			return nil
+		}
+		// A hole comes back OK with nil Data: it reads as zeros.
+		results[i].OK = true
+		if committed {
+			results[i].Data = data
+		}
+		return nil
+	})
 	return ReadVResp{OK: true, Results: results}
 }
 
@@ -463,46 +432,16 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 	return base, ceiling, st, ""
 }
 
-func (s *Server) onWrite(m WriteReq, from string) WriteResp {
-	// On TCP, m.Data aliases a pooled receive buffer. Once the store
-	// has copied the bytes and any replica forward has completed, the
-	// buffer is recycled — unless a forward timed out, in which case
-	// the payload may still be queued at the carrier and the buffer
-	// must leak to the garbage collector instead.
-	leaked := false
-	defer func() {
-		if !leaked {
-			rpc.Release(m)
-		}
-	}()
-	s.chargeCPU(len(m.Data))
-	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded {
-		if !g(m, int64(s.w.Clock.Now())) {
-			return WriteResp{Err: ErrLeaseExpired.Error()}
-		}
-	}
-	base, ceiling, st, errStr := s.resolveWriteEpoch(m.VDisk, m.Epoch)
-	if errStr != "" {
-		return WriteResp{Err: errStr}
-	}
-	if m.Off < 0 || m.Off+len(m.Data) > ChunkSize {
-		return WriteResp{Err: ErrBounds.Error()}
-	}
-	if err := s.st.writeChunk(base, m.Chunk, ceiling, m.Off, m.Data); err != nil {
-		return WriteResp{Err: err.Error()}
-	}
-	if !m.Forwarded && !s.cfg.NoReplicate {
-		leaked = s.replicate(st, base, ceiling, m)
-	}
-	return WriteResp{OK: true}
-}
-
-// onWriteV applies a scatter-gather write: one lease check and one
-// epoch resolution cover every extent, then the extents land on the
-// local store in order. Replication forwards the extents grouped by
-// partner so the batch stays batched on the replica hop too.
+// onWriteV applies a write: one lease check and one epoch resolution
+// cover every extent, then the extents land on the local store.
+// Replication forwards the extents grouped by partner so a batch
+// stays batched on the replica hop too.
 func (s *Server) onWriteV(m WriteVReq) WriteVResp {
-	// Same pooled-buffer discipline as onWrite.
+	// On TCP, extent data aliases a pooled receive buffer. Once the
+	// store has copied the bytes and any replica forward has completed,
+	// the buffer is recycled — unless a forward timed out, in which
+	// case the payload may still be queued at the carrier and the
+	// buffer must leak to the garbage collector instead.
 	leaked := false
 	defer func() {
 		if !leaked {
@@ -514,13 +453,9 @@ func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 		total += len(e.Data)
 	}
 	s.chargeCPU(total)
-	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded {
-		// The guard inspects lease fields only; hand it an equivalent
-		// single-write request.
-		probe := WriteReq{VDisk: m.VDisk, ExpireAt: m.ExpireAt, LeaseID: m.LeaseID, Epoch: m.Epoch}
-		if !g(probe, int64(s.w.Clock.Now())) {
-			return WriteVResp{Err: ErrLeaseExpired.Error()}
-		}
+	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded &&
+		!g(m.ExpireAt, m.LeaseID, int64(s.w.Clock.Now())) {
+		return WriteVResp{Err: ErrLeaseExpired.Error()}
 	}
 	base, ceiling, st, errStr := s.resolveWriteEpoch(m.VDisk, m.Epoch)
 	if errStr != "" {
@@ -541,7 +476,7 @@ func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 }
 
 // writeVApplyPar bounds concurrent store writes while applying one
-// scatter-gather batch; the disk arms serialize actual media time.
+// batch; the disk arms serialize actual media time.
 const writeVApplyPar = 16
 
 // applyExtents applies a batch's extents to the local store with
@@ -552,69 +487,53 @@ const writeVApplyPar = 16
 // error string, or "".
 func (s *Server) applyExtents(base VDiskID, ceiling int64, exts []WriteVExtent) string {
 	units := conflictUnits(exts)
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		ferr string
-	)
-	sem := make(chan struct{}, writeVApplyPar)
-	for _, u := range units {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(u []WriteVExtent) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, e := range u {
-				if err := s.st.writeChunk(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
-					emu.Lock()
-					if ferr == "" {
-						ferr = err.Error()
-					}
-					emu.Unlock()
-					return
-				}
+	err := boundedPar(writeVApplyPar, len(units), func(i int) error {
+		for _, e := range units[i] {
+			if err := s.st.writeChunk(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
+				return err
 			}
-		}(u)
+		}
+		return nil
+	})
+	if err != nil {
+		return err.Error()
 	}
-	wg.Wait()
-	return ferr
+	return ""
 }
 
-// conflictUnits sorts extents by (chunk, offset) and chains those
-// whose sector-aligned spans overlap into one serial unit.
+// conflictUnits orders extents by (chunk, offset) and cuts the
+// sequence into runs whose sector-aligned spans overlap: each run is
+// one serial unit.
 func conflictUnits(exts []WriteVExtent) [][]WriteVExtent {
-	sorted := append([]WriteVExtent(nil), exts...)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].Chunk != sorted[b].Chunk {
-			return sorted[a].Chunk < sorted[b].Chunk
-		}
-		return sorted[a].Off < sorted[b].Off
-	})
+	byAddr := func(a, b WriteVExtent) int {
+		return cmp.Or(cmp.Compare(a.Chunk, b.Chunk), cmp.Compare(a.Off, b.Off))
+	}
+	if !slices.IsSortedFunc(exts, byAddr) {
+		// The slice belongs to the request; order a copy.
+		exts = slices.Clone(exts)
+		slices.SortStableFunc(exts, byAddr)
+	}
 	var units [][]WriteVExtent
-	var unitChunk, unitHi int64 // current unit's chunk and aligned end
-	for _, e := range sorted {
+	start, unitHi := 0, int64(0) // current unit's first extent and aligned end
+	for i, e := range exts {
 		lo := int64(e.Off) &^ (sim.SectorSize - 1)
 		hi := (int64(e.Off+len(e.Data)) + sim.SectorSize - 1) &^ (sim.SectorSize - 1)
-		if len(units) > 0 && e.Chunk == unitChunk && lo < unitHi {
-			units[len(units)-1] = append(units[len(units)-1], e)
-			if hi > unitHi {
-				unitHi = hi
-			}
-			continue
+		if i > start && (e.Chunk != exts[start].Chunk || lo >= unitHi) {
+			units = append(units, exts[start:i])
+			start, unitHi = i, 0
 		}
-		units = append(units, []WriteVExtent{e})
-		unitChunk, unitHi = e.Chunk, hi
+		unitHi = max(unitHi, hi)
 	}
-	return units
+	return append(units, exts[start:])
 }
 
-// replicateV forwards a scatter-gather write to partner replicas,
-// grouped so each partner receives one batched request covering the
-// extents it replicates. Extents whose partner misses the forward are
-// recorded chunk-by-chunk for rejoin/anti-entropy repair. The
-// returned leaked flag is true when a forward call errored — the
-// request payload may still be queued at the carrier, so the caller
-// must not recycle its buffer.
+// replicateV forwards a client write to partner replicas, grouped so
+// each partner receives one request covering the extents it
+// replicates. Extents whose partner is down, unreachable or refuses
+// the forward are recorded chunk-by-chunk so rejoin (or anti-entropy)
+// can copy the whole chunk image. The returned leaked flag is true
+// when a forward call errored — the request payload may still be
+// queued at the carrier, so the caller must not recycle its buffer.
 func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVReq) (leaked bool) {
 	byPartner := make(map[string][]WriteVExtent)
 	for _, e := range m.Extents {
@@ -654,49 +573,6 @@ func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVR
 		}
 		s.mu.Unlock()
 	}
-	return leaked
-}
-
-// replicate forwards a client write to the partner replica, recording
-// a missed write if the partner is down or unreachable. As with
-// replicateV, leaked reports that the forwarded payload may still be
-// queued at the carrier.
-func (s *Server) replicate(st GlobalState, base VDiskID, epoch int64, m WriteReq) (leaked bool) {
-	p1, p2 := st.replicas(base, m.Chunk)
-	partner := p1
-	if p1 == s.name {
-		partner = p2
-	}
-	if partner == "" || partner == s.name {
-		return false
-	}
-	fw := m
-	fw.Forwarded = true
-	fw.Epoch = epoch
-	s.mu.Lock()
-	partnerAlive := st.Alive[partner]
-	s.mu.Unlock()
-	if partnerAlive {
-		resp, err := s.ep.Call(DataAddr(partner), fw, dataTimeout)
-		if err == nil {
-			if wr, ok := resp.(WriteResp); ok && wr.OK {
-				return false
-			}
-		} else {
-			leaked = true
-		}
-	}
-	// Partner missed this write; remember the exact chunk key so
-	// rejoin (or anti-entropy) can copy the whole chunk image.
-	key := chunkKey{base, m.Chunk, epoch}
-	s.mu.Lock()
-	mm := s.missed[partner]
-	if mm == nil {
-		mm = make(map[chunkKey]bool)
-		s.missed[partner] = mm
-	}
-	mm[key] = true
-	s.mu.Unlock()
 	return leaked
 }
 

@@ -8,9 +8,7 @@ import "frangipani/internal/rpc"
 // simulated network.
 func init() {
 	for _, v := range []any{
-		ReadReq{}, ReadResp{},
 		ReadVExtent{}, ReadVExtentResult{}, ReadVReq{}, ReadVResp{},
-		WriteReq{}, WriteResp{},
 		WriteVExtent{}, WriteVReq{}, WriteVResp{},
 		DecommitReq{},
 		AdminReq{}, AdminResp{},

@@ -1,14 +1,15 @@
 package petal
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"frangipani/internal/rpc"
 )
 
-// Hand-rolled wire codec for the Petal data path. The eight
-// high-volume message types — Read/Write/ReadV/WriteV requests and
-// replies — implement rpc.WireMessage and register rpc decoders, so
+// Hand-rolled wire codec for the Petal data path. The four
+// high-volume message types — ReadV/WriteV requests and replies —
+// implement rpc.WireMessage and register rpc decoders, so
 // on the TCP carrier they bypass gob entirely: headers are appended
 // into a small pooled buffer, payload []byte fields are handed to the
 // carrier as the caller's own slices (zero-copy encode), and decode
@@ -22,16 +23,15 @@ import (
 // receive buffer and return it via ReleaseWire once the consumer has
 // copied the data out.
 
-// Wire type tags (tag 0 is rpc's gob escape hatch).
+// Wire type tags (tag 0 is rpc's gob escape hatch). Tags 1, 2, 5 and
+// 6 belonged to the retired single-extent messages and stay unused,
+// so a frame from an old peer is refused, not misread; the lock
+// service owns 9-11.
 const (
-	TagReadReq byte = iota + 1
-	TagReadResp
-	TagReadVReq
-	TagReadVResp
-	TagWriteReq
-	TagWriteResp
-	TagWriteVReq
-	TagWriteVResp
+	TagReadVReq   byte = 3
+	TagReadVResp  byte = 4
+	TagWriteVReq  byte = 7
+	TagWriteVResp byte = 8
 )
 
 // appendDataLen appends uvarint(len<<1 | present) for a data slice.
@@ -40,7 +40,7 @@ func appendDataLen(dst []byte, data []byte, present bool) []byte {
 	if present {
 		bits |= 1
 	}
-	return appendUvarint(dst, bits)
+	return binary.AppendUvarint(dst, bits)
 }
 
 // takeData reads a presence-tagged data length from the header cursor
@@ -60,90 +60,6 @@ func takeData(hc, pc *rpc.Cursor) []byte {
 	return pc.Take(int(bits >> 1))
 }
 
-// Tiny local wrappers keep the encoder call sites readable.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-func appendVarint(dst []byte, v int64) []byte {
-	uv := uint64(v) << 1
-	if v < 0 {
-		uv = ^uv
-	}
-	return appendUvarint(dst, uv)
-}
-
-// ---- ReadReq ----
-
-// WireTag implements rpc.WireMessage.
-func (r ReadReq) WireTag() byte { return TagReadReq }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (r ReadReq) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendString(dst, string(r.VDisk))
-	dst = appendVarint(dst, r.Chunk)
-	dst = appendUvarint(dst, uint64(r.Off))
-	return appendUvarint(dst, uint64(r.Len))
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (r ReadReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst, 0 }
-
-func decodeReadReq(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	r := ReadReq{VDisk: VDiskID(hc.String())}
-	r.Chunk = hc.Varint()
-	r.Off = int(hc.Uvarint())
-	r.Len = int(hc.Uvarint())
-	if !hc.Done() || len(payload) != 0 {
-		return nil, false, fmt.Errorf("%w: ReadReq", rpc.ErrBadMessage)
-	}
-	return r, false, nil
-}
-
-// ---- ReadResp ----
-
-// WireTag implements rpc.WireMessage.
-func (r ReadResp) WireTag() byte { return TagReadResp }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (r ReadResp) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, r.OK)
-	dst = rpc.AppendString(dst, r.Err)
-	return appendDataLen(dst, r.Data, r.Data != nil)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (r ReadResp) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
-	if len(r.Data) == 0 {
-		return dst, 0
-	}
-	return append(dst, r.Data), len(r.Data)
-}
-
-func decodeReadResp(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	pc := rpc.Cursor{Data: payload}
-	r := ReadResp{OK: hc.Bool(), Err: hc.String()}
-	r.Data = takeData(&hc, &pc)
-	if !hc.Done() || !pc.Done() {
-		return nil, false, fmt.Errorf("%w: ReadResp", rpc.ErrBadMessage)
-	}
-	if len(payload) > 0 {
-		r.wb = rb
-		return r, true, nil
-	}
-	return r, false, nil
-}
-
-// ReleaseWire implements rpc.WireReleaser: it returns the pooled
-// receive buffer the Data field aliases. Idempotent.
-func (r ReadResp) ReleaseWire() { r.wb.Release() }
-
 // ---- ReadVReq ----
 
 // WireTag implements rpc.WireMessage.
@@ -152,11 +68,11 @@ func (r ReadVReq) WireTag() byte { return TagReadVReq }
 // AppendWireHeader implements rpc.WireMessage.
 func (r ReadVReq) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendString(dst, string(r.VDisk))
-	dst = appendUvarint(dst, uint64(len(r.Extents)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Extents)))
 	for _, e := range r.Extents {
-		dst = appendVarint(dst, e.Chunk)
-		dst = appendUvarint(dst, uint64(e.Off))
-		dst = appendUvarint(dst, uint64(e.Len))
+		dst = binary.AppendVarint(dst, e.Chunk)
+		dst = binary.AppendUvarint(dst, uint64(e.Off))
+		dst = binary.AppendUvarint(dst, uint64(e.Len))
 	}
 	return dst
 }
@@ -191,7 +107,7 @@ func (r ReadVResp) WireTag() byte { return TagReadVResp }
 func (r ReadVResp) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendBool(dst, r.OK)
 	dst = rpc.AppendString(dst, r.Err)
-	dst = appendUvarint(dst, uint64(len(r.Results)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Results)))
 	for _, e := range r.Results {
 		dst = rpc.AppendBool(dst, e.OK)
 		dst = rpc.AppendString(dst, e.Err)
@@ -239,79 +155,6 @@ func decodeReadVResp(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error)
 // receive buffer the per-extent Data fields alias. Idempotent.
 func (r ReadVResp) ReleaseWire() { r.wb.Release() }
 
-// ---- WriteReq ----
-
-// WireTag implements rpc.WireMessage.
-func (w WriteReq) WireTag() byte { return TagWriteReq }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (w WriteReq) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendString(dst, string(w.VDisk))
-	dst = appendVarint(dst, w.Chunk)
-	dst = appendUvarint(dst, uint64(w.Off))
-	dst = rpc.AppendBool(dst, w.Forwarded)
-	dst = appendVarint(dst, w.ExpireAt)
-	dst = appendUvarint(dst, w.LeaseID)
-	dst = appendVarint(dst, w.Epoch)
-	return appendDataLen(dst, w.Data, w.Data != nil)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (w WriteReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
-	if len(w.Data) == 0 {
-		return dst, 0
-	}
-	return append(dst, w.Data), len(w.Data)
-}
-
-func decodeWriteReq(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	pc := rpc.Cursor{Data: payload}
-	w := WriteReq{VDisk: VDiskID(hc.String())}
-	w.Chunk = hc.Varint()
-	w.Off = int(hc.Uvarint())
-	w.Forwarded = hc.Bool()
-	w.ExpireAt = hc.Varint()
-	w.LeaseID = hc.Uvarint()
-	w.Epoch = hc.Varint()
-	w.Data = takeData(&hc, &pc)
-	if !hc.Done() || !pc.Done() {
-		return nil, false, fmt.Errorf("%w: WriteReq", rpc.ErrBadMessage)
-	}
-	if len(payload) > 0 {
-		w.wb = rb
-		return w, true, nil
-	}
-	return w, false, nil
-}
-
-// ReleaseWire implements rpc.WireReleaser: it returns the pooled
-// receive buffer the Data field aliases. Idempotent.
-func (w WriteReq) ReleaseWire() { w.wb.Release() }
-
-// ---- WriteResp ----
-
-// WireTag implements rpc.WireMessage.
-func (w WriteResp) WireTag() byte { return TagWriteResp }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (w WriteResp) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, w.OK)
-	return rpc.AppendString(dst, w.Err)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (w WriteResp) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst, 0 }
-
-func decodeWriteResp(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	w := WriteResp{OK: hc.Bool(), Err: hc.String()}
-	if !hc.Done() || len(payload) != 0 {
-		return nil, false, fmt.Errorf("%w: WriteResp", rpc.ErrBadMessage)
-	}
-	return w, false, nil
-}
-
 // ---- WriteVReq ----
 
 // WireTag implements rpc.WireMessage.
@@ -321,13 +164,13 @@ func (w WriteVReq) WireTag() byte { return TagWriteVReq }
 func (w WriteVReq) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendString(dst, string(w.VDisk))
 	dst = rpc.AppendBool(dst, w.Forwarded)
-	dst = appendVarint(dst, w.ExpireAt)
-	dst = appendUvarint(dst, w.LeaseID)
-	dst = appendVarint(dst, w.Epoch)
-	dst = appendUvarint(dst, uint64(len(w.Extents)))
+	dst = binary.AppendVarint(dst, w.ExpireAt)
+	dst = binary.AppendUvarint(dst, w.LeaseID)
+	dst = binary.AppendVarint(dst, w.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(w.Extents)))
 	for _, e := range w.Extents {
-		dst = appendVarint(dst, e.Chunk)
-		dst = appendUvarint(dst, uint64(e.Off))
+		dst = binary.AppendVarint(dst, e.Chunk)
+		dst = binary.AppendUvarint(dst, uint64(e.Off))
 		dst = appendDataLen(dst, e.Data, e.Data != nil)
 	}
 	return dst
@@ -400,12 +243,8 @@ func decodeWriteVResp(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error)
 }
 
 func init() {
-	rpc.RegisterWireDecoder(TagReadReq, decodeReadReq)
-	rpc.RegisterWireDecoder(TagReadResp, decodeReadResp)
 	rpc.RegisterWireDecoder(TagReadVReq, decodeReadVReq)
 	rpc.RegisterWireDecoder(TagReadVResp, decodeReadVResp)
-	rpc.RegisterWireDecoder(TagWriteReq, decodeWriteReq)
-	rpc.RegisterWireDecoder(TagWriteResp, decodeWriteResp)
 	rpc.RegisterWireDecoder(TagWriteVReq, decodeWriteVReq)
 	rpc.RegisterWireDecoder(TagWriteVResp, decodeWriteVResp)
 }

@@ -58,19 +58,17 @@ func TestWriteVBatchesRPCs(t *testing.T) {
 	after := tc.client.Stats()
 	vRPCs := after.WriteVRPCs - before.WriteVRPCs
 	vExts := after.WriteVExtents - before.WriteVExtents
-	singles := after.WriteRPCs - before.WriteRPCs
 	if vExts != 32 {
 		t.Fatalf("WriteV carried %d extents, want 32", vExts)
 	}
 	if vRPCs >= 32/4 {
 		t.Fatalf("WriteV used %d RPCs for 32 extents; batching ineffective", vRPCs)
 	}
-	if singles != 0 {
-		t.Fatalf("%d extents fell back to per-chunk writes on the happy path", singles)
-	}
 }
 
-func TestWriteVSingleExtentUsesPlainWrite(t *testing.T) {
+// TestWriteVSingleExtentIsOneRPC: there is no second protocol for
+// small writes — one extent is exactly one WriteVReq carrying it.
+func TestWriteVSingleExtentIsOneRPC(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
 	before := tc.client.Stats()
@@ -78,8 +76,8 @@ func TestWriteVSingleExtentUsesPlainWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := tc.client.Stats()
-	if after.WriteVRPCs != before.WriteVRPCs {
-		t.Fatal("single-extent WriteV should take the plain write path")
+	if rpcs, exts := after.WriteVRPCs-before.WriteVRPCs, after.WriteVExtents-before.WriteVExtents; rpcs != 1 || exts != 1 {
+		t.Fatalf("single-extent WriteV used %d WriteVReq carrying %d extents; want 1 and 1", rpcs, exts)
 	}
 	got := make([]byte, 300)
 	if err := d.ReadAt(got, 100); err != nil {
@@ -93,15 +91,15 @@ func TestWriteVSingleExtentUsesPlainWrite(t *testing.T) {
 func TestWriteVFailoverOnCrash(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
-	// Crash one server; batches routed to it must fall back to the
-	// per-chunk path, which retries against the survivors.
+	// Crash one server; extents routed to it must be re-batched to
+	// the survivors.
 	tc.servers[1].Crash()
 	waitUntil(t, 20*time.Second, func() bool {
 		return !tc.servers[0].State().Alive["p1"]
 	})
 	var exts []Extent
 	for i := 0; i < 8; i++ {
-		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(2048, byte(i + 1))})
+		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(2048, byte(i+1))})
 	}
 	if err := d.WriteV(exts); err != nil {
 		t.Fatal(err)
@@ -122,7 +120,7 @@ func TestWriteVReplicatesAcrossCrash(t *testing.T) {
 	d := tc.mustCreate(t, "vol")
 	var exts []Extent
 	for i := 0; i < 6; i++ {
-		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(4096, byte(0x40 + i))})
+		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(4096, byte(0x40+i))})
 	}
 	if err := d.WriteV(exts); err != nil {
 		t.Fatal(err)
@@ -141,5 +139,53 @@ func TestWriteVReplicatesAcrossCrash(t *testing.T) {
 		if !bytes.Equal(got, e.Data) {
 			t.Fatalf("extent %d lost its replica", i)
 		}
+	}
+}
+
+// TestConflictUnits: extents come back ordered by (chunk, offset) and
+// cut into serial units exactly where sector-aligned spans stop
+// overlapping, whatever order they arrived in; the request's own
+// slice is left as it was.
+func TestConflictUnits(t *testing.T) {
+	ext := func(chunk int64, off, n int) WriteVExtent {
+		return WriteVExtent{Chunk: chunk, Off: off, Data: make([]byte, n)}
+	}
+	in := []WriteVExtent{
+		ext(2, 0, 100),     // alone in chunk 2
+		ext(1, 1024, 512),  // sector-aligned neighbour of the next: no overlap
+		ext(1, 1536, 10),   // shares sector 3 with the two after it
+		ext(1, 1600, 1000), // runs through sector 5
+		ext(1, 1546, 4),
+		ext(1, 3072, 8), // first sector past the run
+		ext(0, 300, 8),  // same sector as...
+		ext(0, 100, 8),  // ...this one, arriving later
+	}
+	want := [][][2]int{ // units of (chunk, off)
+		{{0, 100}, {0, 300}},
+		{{1, 1024}},
+		{{1, 1536}, {1, 1546}, {1, 1600}},
+		{{1, 3072}},
+		{{2, 0}},
+	}
+	first := in[0]
+	units := conflictUnits(in)
+	if in[0].Chunk != first.Chunk || in[0].Off != first.Off {
+		t.Fatal("conflictUnits reordered the caller's slice")
+	}
+	if len(units) != len(want) {
+		t.Fatalf("%d units, want %d: %v", len(units), len(want), units)
+	}
+	for i, u := range units {
+		if len(u) != len(want[i]) {
+			t.Fatalf("unit %d has %d extents, want %d", i, len(u), len(want[i]))
+		}
+		for j, e := range u {
+			if [2]int{int(e.Chunk), e.Off} != want[i][j] {
+				t.Fatalf("unit %d extent %d = (%d, %d), want %v", i, j, e.Chunk, e.Off, want[i][j])
+			}
+		}
+	}
+	if got := conflictUnits(in[:1]); len(got) != 1 || len(got[0]) != 1 {
+		t.Fatalf("one extent -> %v, want one unit of one", got)
 	}
 }

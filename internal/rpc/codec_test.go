@@ -5,6 +5,7 @@
 package rpc_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -16,11 +17,13 @@ import (
 // hatch, with presence edge cases (nil vs empty data, holes).
 func sampleEnvelopes() []rpc.Envelope {
 	return []rpc.Envelope{
-		{ID: 1, Body: petal.ReadReq{VDisk: "vd", Chunk: 7, Off: 512, Len: 4096}},
-		{ID: 1, IsReply: true, Trace: 99, Span: 7, Principal: "tenant-7", Body: petal.ReadResp{OK: true, Data: []byte("hello")}},
-		{ID: 2, IsReply: true, Body: petal.ReadResp{OK: true, Data: nil}},           // hole
-		{ID: 3, IsReply: true, Body: petal.ReadResp{OK: true, Data: []byte{}}},      // present, empty
-		{ID: 4, IsReply: true, Body: petal.ReadResp{OK: false, Err: "petal: boom"}}, // error
+		// One-extent messages: what every small read and write is.
+		{ID: 1, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
+		{ID: 1, IsReply: true, Trace: 99, Span: 7, Principal: "tenant-7", Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte("hello")}}}},
+		{ID: 2, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: nil}}}},      // hole
+		{ID: 3, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte{}}}}}, // present, empty
+		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{Err: "petal: boom"}}}},       // extent error
+		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: false, Err: "petal: no such virtual disk"}},                            // batch error
 		{ID: 5, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 1, Off: 0, Len: 8}, {Chunk: 2, Off: 100, Len: 9}}}},
 		{ID: 5, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{
 			{OK: true, Data: []byte("abc")},
@@ -28,8 +31,10 @@ func sampleEnvelopes() []rpc.Envelope {
 			{OK: false, Err: "crc"},           // extent-local failure
 			{OK: true, Data: []byte{1, 2, 3}}, // more data after failure
 		}}},
-		{ID: 6, Trace: 1, Span: 2, Body: petal.WriteReq{VDisk: "vd", Chunk: 9, Off: 1024, Data: []byte("payload"), Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3}},
-		{ID: 6, IsReply: true, Body: petal.WriteResp{OK: true}},
+		{ID: 6, Trace: 1, Span: 2, Body: petal.WriteVReq{VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3, Extents: []petal.WriteVExtent{
+			{Chunk: 9, Off: 1024, Data: []byte("payload")},
+		}}},
+		{ID: 6, IsReply: true, Body: petal.WriteVResp{OK: true}},
 		{ID: 7, Body: petal.WriteVReq{VDisk: "vd", ExpireAt: 11, LeaseID: 5, Epoch: 2, Extents: []petal.WriteVExtent{
 			{Chunk: 0, Off: 0, Data: []byte("aa")},
 			{Chunk: 1, Off: 512, Data: nil},
@@ -91,6 +96,23 @@ func TestCodecUnknownTag(t *testing.T) {
 	}
 }
 
+// TestCodecRetiredTags: tags 1, 2, 5 and 6 carried the single-extent
+// Petal messages. An otherwise well-formed frame from a peer that
+// still speaks them must be refused as an unknown tag, not panic and
+// not be misread as another type.
+func TestCodecRetiredTags(t *testing.T) {
+	msg, err := rpc.AppendMessage(nil, sampleEnvelopes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []byte{1, 2, 5, 6} {
+		msg[0] = tag
+		if _, _, err := rpc.DecodeMessage(msg, nil); !errors.Is(err, rpc.ErrUnknownTag) {
+			t.Fatalf("frame with retired tag %d: err = %v, want ErrUnknownTag", tag, err)
+		}
+	}
+}
+
 // FuzzCodecRoundTrip throws arbitrary bytes at the decoder: malformed
 // input (truncated frames, oversized lengths, unknown type tags) must
 // error, never panic; input that does decode must re-encode and
@@ -108,8 +130,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})                                                              // empty
 	f.Add([]byte{0xC8, 0xFF, 0xFF})                                              // unknown tag
-	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // oversized varint
-	f.Add([]byte{5, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})                            // oversized header length
+	f.Add([]byte{3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // oversized varint
+	f.Add([]byte{7, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})                            // oversized header length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, _, err := rpc.DecodeMessage(data, nil)
 		if err != nil {
