@@ -331,13 +331,16 @@ func (p *Pool) AllDirty() []*Entry {
 }
 
 // InvalidateByOwner drops all entries covered by a lock (which must
-// have been flushed already if they were dirty).
+// have been flushed already if their contents still matter: a dropped
+// entry is no longer dirty, so a flusher that still holds it leaves it
+// alone).
 func (p *Pool) InvalidateByOwner(owner uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.byOwner[owner] {
 		delete(p.entries, e.Addr)
 		p.lru.Remove(e.elem)
+		e.Dirty = false
 	}
 	delete(p.byOwner, owner)
 }
@@ -350,6 +353,7 @@ func (p *Pool) Invalidate(addr int64) {
 		delete(p.entries, addr)
 		p.lru.Remove(e.elem)
 		p.removeOwnerLocked(e)
+		e.Dirty = false
 	}
 }
 

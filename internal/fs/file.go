@@ -2,8 +2,10 @@ package fs
 
 import (
 	"io"
+	"slices"
 	"sync"
 
+	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
 	"frangipani/internal/petal"
 )
@@ -13,6 +15,7 @@ type File struct {
 	fs   *FS
 	inum int64
 	ra   stream
+	wb   wstream
 }
 
 func newFile(fs *FS, inum int64) *File {
@@ -101,6 +104,22 @@ func (fs *FS) filePageAddr(in Inode, off int64) (pageAddr, inPage int64, ok bool
 	return base + (inBlock &^ (BlockSize - 1)), inBlock & (BlockSize - 1), true
 }
 
+// inodeHasPage reports whether the page at Petal address addr lies in
+// one of in's blocks.
+func (fs *FS) inodeHasPage(in Inode, addr int64) bool {
+	if in.Large != 0 {
+		if base := fs.lay.LargeAddr(in.Large - 1); addr >= base && addr < base+fs.lay.LargeBlockSize {
+			return true
+		}
+	}
+	for _, s := range in.Small {
+		if s != 0 && fs.lay.SmallAddr(s-1) == addr {
+			return true
+		}
+	}
+	return false
+}
+
 // ensureBlock allocates the block backing offset off. New small
 // blocks are entered into the cache zero-filled and dirty so stale
 // on-disk bytes from a previous owner never become visible; freed
@@ -175,6 +194,8 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 		if in.Type != TypeFile {
 			return ErrIsDir
 		}
+		var pbuf [16]*cache.Entry // stack scratch for a 64 KB write
+		pages := pbuf[:0]
 		pos := 0
 		for pos < len(p) {
 			cur := off + int64(pos)
@@ -205,6 +226,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 			}
 			fs.data.Mutate(func() { copy(pe.Data[inPage:], p[pos:pos+n]) })
 			fs.data.MarkDirty(pe, 0)
+			pages = append(pages, pe)
 			pos += n
 		}
 		if off+int64(len(p)) > in.Size {
@@ -216,12 +238,14 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 		}
 		in.Mtime = int64(fs.w.Clock.Now())
 		t.putInode(e, in)
+		if ready, hi := f.wb.wrote(off, off+int64(len(p)), pages); len(ready) > 0 && fs.flushBehind(ready) {
+			f.wb.handedOff(hi)
+		}
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	fs.writeBehind()
 	return len(p), nil
 }
 
@@ -318,7 +342,9 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 		for int64(n) < want {
 			cur := off + int64(n)
 			pageAddr, inPage, ok := fs.filePageAddr(in, cur)
-			chunk := int(int64(BlockSize) - inPage%BlockSize)
+			// Up to the next page boundary; a hole reports no in-page
+			// offset, so take the file offset's own.
+			chunk := int(BlockSize - cur%BlockSize)
 			if int64(chunk) > want-int64(n) {
 				chunk = int(want - int64(n))
 			}
@@ -486,6 +512,74 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 	}()
 }
 
+// wstream is the write-behind state of one open file, the write side of
+// stream: where its writer is expected next and up to where what it
+// wrote has been handed to the flush workers. Four rules move it.
+//
+//   - Continue: a write at next (a new handle expects offset 0) belongs
+//     to the stream.
+//   - Trigger: once the stream has filled whole Petal chunks past the
+//     mark — 64 KB-aligned spans of the file, every page of them written
+//     by this stream — their pages go to FS.flushBehind as one WriteV
+//     batch and the mark moves up. If that many batches are already out
+//     (Config.FlushParallelism, per server) the mark stays and the span
+//     goes with the next one: the writer never waits. Nothing else
+//     starts a flush: a write anywhere else restarts the stream there
+//     and hands off nothing, so random overwrites and files that end
+//     before their first chunk boundary cost no flush and no goroutine.
+//   - Join: a flight claims its pages in fs.flights before the write that
+//     started it returns, and they stay dirty until it lands. Everyone
+//     else who wants them in Petal — fsync on any handle, the sync
+//     demon — waits for the flight instead of sending them again, and a
+//     truncate or remove waits before it frees their blocks.
+//   - Revoke: flushOwner is such a joiner, so the lock is not released
+//     while a flight covering it is out.
+type wstream struct {
+	mu   sync.Mutex
+	next int64          // the offset that continues the stream
+	mark int64          // chunk-aligned: nothing at or past it has been handed off
+	pend []*cache.Entry // the pages of [mark, next), which the stream wrote, in file order
+}
+
+// wrote records a write of [off, end) that dirtied pages, one per 4 KB
+// page it touched, and returns the pages of the whole chunks it
+// completes past the mark, up to hi (or none); handedOff moves the mark
+// there once they are on their way.
+func (s *wstream) wrote(off, end int64, pages []*cache.Entry) (ready []*cache.Entry, hi int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	restart := off != s.next
+	if restart {
+		s.mark = (off + petal.ChunkSize - 1) &^ (petal.ChunkSize - 1)
+		s.pend = s.pend[:0]
+	}
+	s.next = end
+	at := off &^ (BlockSize - 1)
+	for _, pe := range pages {
+		// A write that starts inside the page the last one ended in
+		// brings that page again.
+		if at >= s.mark && (len(s.pend) == 0 || s.pend[len(s.pend)-1] != pe) {
+			s.pend = append(s.pend, pe)
+		}
+		at += BlockSize
+	}
+	hi = end &^ (petal.ChunkSize - 1)
+	n := int((hi - s.mark) / BlockSize)
+	if restart || n <= 0 || n > len(s.pend) {
+		return nil, 0
+	}
+	return slices.Clone(s.pend[:n]), hi
+}
+
+func (s *wstream) handedOff(hi int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := int((hi - s.mark) / BlockSize); n > 0 && n <= len(s.pend) {
+		s.pend = s.pend[:copy(s.pend, s.pend[n:])]
+		s.mark = hi
+	}
+}
+
 // Truncate sets the file's size, freeing (and for the large block,
 // decommitting) storage beyond it.
 func (f *File) Truncate(size int64) error {
@@ -520,6 +614,7 @@ func (f *File) truncate(size int64) error {
 			t.putInode(e, in)
 			return nil
 		}
+		old := in
 		var frees []freeSpec
 		for slot := 0; slot < NumDirect; slot++ {
 			blockStart := int64(slot) * BlockSize
@@ -535,8 +630,17 @@ func (f *File) truncate(size int64) error {
 			largeIdx = in.Large - 1
 			frees = append(frees, freeSpec{classLarge, largeIdx})
 			in.Large = 0
+			// Its dirty pages are dead; written back later they would land
+			// on whoever owns the block by then.
+			base := fs.lay.LargeAddr(largeIdx)
+			for _, pe := range fs.data.DirtyByOwner(lock) {
+				if pe.Addr >= base && pe.Addr < base+fs.lay.LargeBlockSize {
+					fs.data.Invalidate(pe.Addr)
+				}
+			}
 		}
 		if len(frees) > 0 {
+			fs.awaitFlights(old)
 			if err := fs.freeObjs(t, frees); err != nil {
 				return err
 			}
@@ -563,28 +667,16 @@ func (f *File) truncate(size int64) error {
 
 // Sync is fsync: force the log and write back this file's dirty
 // blocks ("a user can get better consistency semantics by calling
-// fsync at suitable checkpoints", §4).
+// fsync at suitable checkpoints", §4), waiting for the write-behind
+// already under way instead of repeating it (see FS.flushLock).
 func (f *File) Sync() error {
 	return f.fs.traced("fsync", f.fsync)
 }
 
 func (f *File) fsync() error {
-	fs := f.fs
-	if err := fs.usable(); err != nil {
+	if err := f.fs.usable(); err != nil {
 		return err
 	}
-	if err := fs.log.Flush(); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	if fs.appended > fs.flushed {
-		fs.flushed = fs.appended
-	}
-	fs.mu.Unlock()
-	lock := InodeLock(f.inum)
-	firstErr := fs.flushRuns(fs.meta, fs.meta.DirtyByOwner(lock))
-	if err := fs.flushRuns(fs.data, fs.data.DirtyByOwner(lock)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	_, err := f.fs.flushLock(InodeLock(f.inum))
+	return err
 }

@@ -3,6 +3,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -213,8 +214,12 @@ type FS struct {
 	fetchMu  sync.Mutex
 	inflight map[int64]chan struct{}
 
-	wbMu   sync.Mutex
-	wbBusy bool // write-behind flush in flight
+	// flights maps each data page some write-back is carrying to Petal
+	// to that write-back (single flight, the write side of inflight);
+	// behind counts the write-behind flights among them.
+	flushMu sync.Mutex
+	flights map[int64]*flight
+	behind  int
 
 	flushInFlight int64 // current write-back dispatches (guarded by mu)
 
@@ -298,6 +303,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		segFull:   make(map[segKey]bool),
 		atimes:    make(map[int64]int64),
 		inflight:  make(map[int64]chan struct{}),
+		flights:   make(map[int64]*flight),
 	}
 	fs.raPages.Store(int64(cfg.ReadAhead))
 	fs.m = newFSMetrics(w.Obs, machine)
@@ -817,7 +823,20 @@ func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
 	if err := fs.ensureLogFlushed(pool.EntrySeq(e)); err != nil {
 		return err
 	}
-	buf := make([]byte, pool.BlockSize())
+	if pool == fs.data {
+		// An older snapshot of the page may be in flight; it must not
+		// land after this one.
+		fs.flushMu.Lock()
+		fl := fs.flights[e.Addr]
+		fs.flushMu.Unlock()
+		if fl != nil {
+			<-fl.done
+		}
+	}
+	// Pooled scratch: petalWrite snapshots the payload before it returns.
+	bufp := bufpool.Get(pool.BlockSize())
+	defer bufpool.Put(bufp)
+	buf := *bufp
 	gens := pool.SnapshotBatch([]*cache.Entry{e}, buf)
 	if err := fs.petalWrite(e.Addr, buf); err != nil {
 		return err
@@ -1019,9 +1038,11 @@ func (fs *FS) sync() error {
 	}
 	fs.mu.Unlock()
 
-	pools := []*cache.Pool{fs.meta, fs.data}
-	err := fs.flushWorkers(len(pools), func(i int) error {
-		return fs.flushRuns(pools[i], pools[i].AllDirty())
+	err := fs.flushWorkers(2, func(i int) error {
+		if i == 0 {
+			return fs.flushRuns(fs.meta, fs.meta.AllDirty())
+		}
+		return fs.flushData(fs.data.AllDirty())
 	})
 	if err == nil {
 		fs.log.Release(target)
@@ -1029,46 +1050,145 @@ func (fs *FS) sync() error {
 	return err
 }
 
-// writeBehind starts (at most one) background flush of dirty data
-// pages once enough accumulate, overlapping Petal transfers with the
-// application's writes the way the paper's kernel write-behind does.
-func (fs *FS) writeBehind() {
-	const threshold = 512 // pages (2 MB)
-	fs.wbMu.Lock()
-	if fs.wbBusy {
-		fs.wbMu.Unlock()
-		return
-	}
-	dirty := fs.data.AllDirty()
-	if len(dirty) < threshold {
-		fs.wbMu.Unlock()
-		return
-	}
-	fs.wbBusy = true
-	fs.wbMu.Unlock()
-	go func() {
-		_ = fs.flushDataBatch(dirty)
-		fs.wbMu.Lock()
-		fs.wbBusy = false
-		fs.wbMu.Unlock()
-	}()
+// flight is one write-back of data pages on its way to Petal. The pages
+// stay claimed in fs.flights, and dirty, until land closes done; err is
+// set before that.
+type flight struct {
+	done chan struct{}
+	err  error
 }
 
-// flushDataBatch writes back dirty data pages, coalescing adjacent
-// pages into large runs — the paper's "clustering writes to Petal
-// into naturally aligned 64 KB blocks" — which the Petal driver
-// transfers chunk-parallel.
-func (fs *FS) flushDataBatch(dirty []*cache.Entry) error {
-	return fs.flushRuns(fs.data, dirty)
+// claimDirty is the single-flight gate every data write-back passes,
+// the write side of claimPages. Of es (which it consumes) it claims, in
+// fs.flights, the pages that are dirty and in no flight (mine, released
+// by land), and returns the flights that carry others. Dirtiness is read
+// after the claim table, under both locks: a flight marks its pages
+// clean before it lets go of them, so a page is never seen as neither
+// claimed nor clean while a write of it is landing, and a page that is
+// claimed stays dirty, and so visible to whoever must wait for it, until
+// it has landed.
+func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, theirs []*flight) {
+	mine = es[:0]
+	fs.flushMu.Lock()
+	defer fs.flushMu.Unlock()
+	fs.data.Mutate(func() {
+		for _, e := range es {
+			if other, busy := fs.flights[e.Addr]; busy {
+				if !slices.Contains(theirs, other) {
+					theirs = append(theirs, other)
+				}
+				continue
+			}
+			if !e.Dirty {
+				continue
+			}
+			if fl == nil {
+				fl = &flight{done: make(chan struct{})}
+			}
+			fs.flights[e.Addr] = fl
+			mine = append(mine, e)
+		}
+	})
+	return mine, fl, theirs
 }
 
-// flushRun is one coalesced write-back unit: contiguous dirty blocks
-// snapshotted into a single buffer with their dirty generations.
+// land ends a flight: its claims go and whoever joined it wakes up.
+func (fs *FS) land(mine []*cache.Entry, fl *flight, err error) {
+	fs.flushMu.Lock()
+	for _, e := range mine {
+		delete(fs.flights, e.Addr)
+	}
+	fs.flushMu.Unlock()
+	fl.err = err
+	close(fl.done)
+}
+
+// flushData writes back the dirty data pages among es that no flight is
+// carrying and joins the flights that carry the rest, so a page goes to
+// Petal once however many flushers want it there. It returns the first
+// error of its own write and of the flights it joined; failed pages stay
+// dirty.
+func (fs *FS) flushData(es []*cache.Entry) error {
+	mine, fl, theirs := fs.claimDirty(es)
+	var err error
+	if len(mine) > 0 {
+		err = fs.flushRuns(fs.data, mine)
+		fs.land(mine, fl, err)
+	}
+	for _, other := range theirs {
+		<-other.done
+		if err == nil {
+			err = other.err
+		}
+	}
+	return err
+}
+
+// flushBehind hands the dirty pages among es (the pages of a span a
+// sequential writer has just filled, see wstream) to the flush workers
+// now, in the background, instead of leaving them for the next fsync.
+// The caller holds the pages' inode lock; the claims made here, before
+// it lets go, are what a revoke, an fsync or a truncate then waits for.
+// With Config.FlushParallelism write-behind flights already under way it
+// starts nothing and reports false: the writer is ahead of Petal and the
+// span goes out with the next one.
+func (fs *FS) flushBehind(es []*cache.Entry) bool {
+	fs.flushMu.Lock()
+	if fs.behind >= max(fs.cfg.FlushParallelism, 1) {
+		fs.flushMu.Unlock()
+		return false
+	}
+	fs.behind++
+	fs.flushMu.Unlock()
+	mine, fl, _ := fs.claimDirty(es)
+	finish := func(err error) {
+		if fl != nil {
+			fs.land(mine, fl, err)
+		}
+		fs.flushMu.Lock()
+		fs.behind--
+		fs.flushMu.Unlock()
+	}
+	if len(mine) == 0 {
+		finish(nil)
+		return true
+	}
+	go func() { finish(fs.flushRuns(fs.data, mine)) }()
+	return true
+}
+
+// awaitFlights waits until no flight carries a page of in's blocks: a
+// block may go back to the allocator, or be decommitted, only when
+// nothing is still on its way to it.
+func (fs *FS) awaitFlights(in Inode) {
+	var wait []*flight
+	fs.flushMu.Lock()
+	for addr, fl := range fs.flights {
+		if fs.inodeHasPage(in, addr) && !slices.Contains(wait, fl) {
+			wait = append(wait, fl)
+		}
+	}
+	fs.flushMu.Unlock()
+	for _, fl := range wait {
+		<-fl.done
+	}
+}
+
+// flushRun is one coalesced write-back unit: contiguous dirty blocks,
+// snapshotted into data with their dirty generations.
 type flushRun struct {
 	addr    int64
-	buf     []byte
 	entries []*cache.Entry
+	data    []byte
 	gens    []int64
+}
+
+// flushBatch is the runs one scatter-gather write carries, snapshotted
+// into one buffer.
+type flushBatch struct {
+	runs  []flushRun
+	bytes int
+	buf   *[]byte
 }
 
 // maxRunBytes caps one coalesced run (matches Petal's large-transfer
@@ -1076,9 +1196,7 @@ type flushRun struct {
 const maxRunBytes = 1 << 20
 
 // coalesceRuns sorts dirty entries by address and groups adjacent
-// blocks into runs, snapshotting generations and data. Generations
-// are taken before the copy so a concurrent re-dirty keeps the entry
-// dirty (MarkCleanIfBatch will skip it).
+// blocks into runs.
 func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 	blockSize := pool.BlockSize()
 	sort.Slice(dirty, func(a, b int) bool { return dirty[a].Addr < dirty[b].Addr })
@@ -1090,17 +1208,32 @@ func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 			(dirty[j].Addr-dirty[i].Addr) < maxRunBytes {
 			j++
 		}
-		run := dirty[i:j]
-		r := flushRun{
-			addr:    run[0].Addr,
-			buf:     make([]byte, len(run)*blockSize),
-			entries: run,
-		}
-		r.gens = pool.SnapshotBatch(run, r.buf)
-		runs = append(runs, r)
+		runs = append(runs, flushRun{addr: dirty[i].Addr, entries: dirty[i:j]})
 		i = j
 	}
 	return runs
+}
+
+// snapshot copies the batch's blocks into one buffer, run by run.
+// Generations are taken with the copy, so a concurrent re-dirty keeps
+// the entry dirty (MarkCleanIfBatch will skip it). A batch of up to a
+// chunk — what a stream of small batches is made of — takes its buffer
+// from the pool; a larger one (the sync demon's, mostly) is rare, and
+// the pool would round it up to the next size class and keep that.
+func (b *flushBatch) snapshot(pool *cache.Pool) {
+	if b.bytes <= petal.ChunkSize {
+		b.buf = bufpool.Get(b.bytes)
+	} else {
+		buf := make([]byte, b.bytes)
+		b.buf = &buf
+	}
+	rest := *b.buf
+	for i := range b.runs {
+		r := &b.runs[i]
+		n := len(r.entries) * pool.BlockSize()
+		r.data, rest = rest[:n], rest[n:]
+		r.gens = pool.SnapshotBatch(r.entries, r.data)
+	}
 }
 
 // maxBatchBytes caps one scatter-gather dispatch; the Petal driver
@@ -1121,44 +1254,58 @@ func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 	if err := fs.ensureLogFlushed(pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
-	var batches [][]flushRun
-	var cur []flushRun
-	bytes := 0
+	batches := make([]flushBatch, 1)
 	for _, r := range coalesceRuns(pool, dirty) {
-		if len(cur) > 0 && bytes+len(r.buf) > maxBatchBytes {
-			batches = append(batches, cur)
-			cur, bytes = nil, 0
+		n := len(r.entries) * pool.BlockSize()
+		if cur := &batches[len(batches)-1]; len(cur.runs) > 0 && cur.bytes+n > maxBatchBytes {
+			batches = append(batches, flushBatch{})
 		}
-		cur = append(cur, r)
-		bytes += len(r.buf)
+		cur := &batches[len(batches)-1]
+		cur.runs = append(cur.runs, r)
+		cur.bytes += n
 	}
-	batches = append(batches, cur)
+	for i := range batches {
+		batches[i].snapshot(pool)
+	}
 	return fs.flushWorkers(len(batches), func(i int) error {
-		return fs.writeBatch(pool, batches[i])
+		return fs.writeBatch(pool, &batches[i])
 	})
 }
 
-// writeBatch sends one batch of runs as a single scatter-gather
-// write and marks the covered entries clean on success.
-func (fs *FS) writeBatch(pool *cache.Pool, batch []flushRun) error {
-	exts := make([]petal.Extent, len(batch))
-	total := 0
-	for i, r := range batch {
-		exts[i] = petal.Extent{Off: r.addr, Data: r.buf}
-		total += len(r.buf)
+// recycleWithin is how long a WriteV may take, in simulated time, and
+// still have had every one of its RPCs answered: the Petal driver gives
+// each several seconds before it fails over. A call that got no answer
+// may still be queued at the carrier with the payload, and a WriteV
+// that failed over past it returns nil all the same.
+const recycleWithin = time.Second
+
+// writeBatch sends one batch of runs as a single scatter-gather write
+// and marks the covered entries clean on success. The batch's buffer
+// goes back to the pool once nothing can reference it any more — WriteV
+// succeeded with every RPC answered — and to the garbage collector
+// otherwise (the rule petal.Client.Write follows for its snapshots).
+func (fs *FS) writeBatch(pool *cache.Pool, b *flushBatch) error {
+	exts := make([]petal.Extent, len(b.runs))
+	for i, r := range b.runs {
+		exts[i] = petal.Extent{Off: r.addr, Data: r.data}
 	}
 	fs.noteFlushInFlight(1)
+	start := fs.w.Clock.Now()
 	err := fs.petalWriteV(exts)
+	answered := fs.w.Clock.Now()-start < sim.Time(recycleWithin)
 	fs.noteFlushInFlight(-1)
 	if err != nil {
 		return err
 	}
-	fs.m.bytesWritten.Add(int64(total))
+	fs.m.bytesWritten.Add(int64(b.bytes))
 	fs.m.flushBatches.Inc()
-	fs.m.flushRuns.Add(int64(len(batch)))
-	for _, r := range batch {
+	fs.m.flushRuns.Add(int64(len(b.runs)))
+	for _, r := range b.runs {
 		pool.MarkCleanIfBatch(r.entries, r.gens)
 		fs.m.flushPages.Add(int64(len(r.entries)))
+	}
+	if answered {
+		bufpool.Put(b.buf) // keeps only what came from the pool
 	}
 	return nil
 }
@@ -1261,28 +1408,50 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 	}
 }
 
-// flushOwner forces the log and writes back the dirty blocks covered
-// by one lock: "a write lock that covers dirty data can change owners
-// only after the dirty data has been written to Petal" (§4). That
-// rule is absolute — a transient Petal failure must delay the lock
-// handoff, not drop the data — so this retries until everything is
-// clean or the lease is definitively lost (in which case the lock
-// service runs recovery from our log instead).
+// flushLock makes durable what one lock covers: it is both fsync and
+// the flush a revoke waits for. The log and the data go out together —
+// user data is not logged, so no write-ahead order binds it — and the
+// lock's metadata sectors follow the log as soon as that is durable.
+// Data pages a flight already carries (write-behind, another fsync, the
+// sync demon) are joined, not sent again; the data side goes round
+// until the lock has no dirty page left, so it also covers pages that
+// were written again while their flight was out. clean reports that
+// nothing was dirty to begin with; err is the first error of log,
+// metadata or data, and what failed stays dirty.
+func (fs *FS) flushLock(lock uint64) (clean bool, err error) {
+	meta, data := fs.meta.DirtyByOwner(lock), fs.data.DirtyByOwner(lock)
+	var jobs []func() error
+	if len(meta) > 0 {
+		jobs = append(jobs, func() error { return fs.flushRuns(fs.meta, meta) })
+	}
+	if len(data) > 0 {
+		jobs = append(jobs, func() error {
+			for len(data) > 0 {
+				if err := fs.flushData(data); err != nil {
+					return err
+				}
+				data = fs.data.DirtyByOwner(lock)
+			}
+			return nil
+		})
+	}
+	return len(jobs) == 0, fs.flushWorkers(len(jobs), func(i int) error { return jobs[i]() })
+}
+
+// flushOwner is flushLock for a lock that is about to change hands: "a
+// write lock that covers dirty data can change owners only after the
+// dirty data has been written to Petal" (§4). That rule is absolute — a
+// transient Petal failure must delay the lock handoff, not drop the
+// data — so this retries until everything is clean or the lease is
+// definitively lost (in which case the lock service runs recovery from
+// our log instead).
 func (fs *FS) flushOwner(lock uint64) {
 	for {
-		dirtyMeta := fs.meta.DirtyByOwner(lock)
-		dirtyData := fs.data.DirtyByOwner(lock)
-		if len(dirtyMeta)+len(dirtyData) == 0 {
+		clean, err := fs.flushLock(lock)
+		if clean {
 			return
 		}
-		ok := true
-		if err := fs.flushRuns(fs.meta, dirtyMeta); err != nil {
-			ok = false
-		}
-		if err := fs.flushRuns(fs.data, dirtyData); err != nil {
-			ok = false
-		}
-		if ok {
+		if err == nil {
 			continue // re-check: all clean now exits above
 		}
 		if fs.clerk.LeaseLost() {

@@ -235,6 +235,49 @@ func TestSparseFileHolesReadZero(t *testing.T) {
 	}
 }
 
+// TestReadStartingInsideHole: a read that starts at an unaligned offset
+// inside a hole zero-fills up to the next page boundary only, and then
+// returns the data of the page that follows.
+func TestReadStartingInsideHole(t *testing.T) {
+	tw := newTestWorld(t)
+	f := tw.mount(t, "ws1", nil)
+	h, err := f.OpenFile("/holey", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Page 0 written, page 1 a hole, page 2 written: the model is the
+	// whole file as it must read back.
+	model := make([]byte, 3*BlockSize)
+	for _, page := range []int{0, 2} {
+		p := model[page*BlockSize : (page+1)*BlockSize]
+		for i := range p {
+			p[i] = byte(i)*7 + byte(page) + 1
+		}
+		if _, err := h.WriteAt(p, int64(page*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct{ off, n int }{
+		{BlockSize + 1000, 2 * BlockSize}, // hole+1000, through the written page to EOF
+		{BlockSize + 1000, BlockSize},     // ends inside the written page
+		{BlockSize - 10, BlockSize + 20},  // data, the whole hole, data
+		{BlockSize + 4095, 2},             // the hole's last byte and the next page's first
+	} {
+		want := model[r.off:min(r.off+r.n, len(model))]
+		got := make([]byte, r.n)
+		for i := range got {
+			got[i] = 0xFF
+		}
+		n, err := h.ReadAt(got, int64(r.off))
+		if err != nil && err != io.EOF {
+			t.Fatalf("read %d at %d: %v", r.n, r.off, err)
+		}
+		if !bytes.Equal(got[:n], want) {
+			t.Errorf("read %d at %d: %d bytes that differ from the model", r.n, r.off, n)
+		}
+	}
+}
+
 func TestRemoveAndSpaceReuse(t *testing.T) {
 	tw := newTestWorld(t)
 	f := tw.mount(t, "ws1", nil)

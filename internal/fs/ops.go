@@ -771,8 +771,10 @@ func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
 		return err
 	}
 	t.putInode(e, Inode{Type: TypeFree})
-	// Drop cached data pages; their contents are dead.
+	// Drop cached data pages; their contents are dead. Those already on
+	// their way to Petal must land before the blocks can be reused.
 	fs.data.InvalidateByOwner(InodeLock(inum))
+	fs.awaitFlights(in)
 	if largeIdx >= 0 {
 		// Release the physical space behind the large block (§3's
 		// decommit primitive).

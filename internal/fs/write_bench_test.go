@@ -1,0 +1,80 @@
+package fs
+
+import (
+	"runtime/debug"
+	"testing"
+)
+
+// BenchmarkWriteAtStreamSync is the host-time cost of one turn of a
+// streaming writer: eight sequential 64 KB WriteAts and the Sync that
+// makes them durable. The modelled CPU is free; Petal's disks and links
+// still take simulated time, so ns/op is mostly waiting and allocs/op
+// is the number to watch.
+func BenchmarkWriteAtStreamSync(b *testing.B) {
+	h := cachedFile(b)
+	rec := make([]byte, 64<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := int64(i%2) * 8 * int64(len(rec))
+		for k := int64(0); k < 8; k++ {
+			if _, err := h.WriteAt(rec, base+k*int64(len(rec))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := h.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// randomWriteAllocs is what a 4 KB overwrite of a cached page allocates:
+// the operation's closures, its transaction, the inode image and the log
+// record. Before handles had a write stream it was these 29 plus the
+// list of all dirty pages the server-wide write-behind check built on
+// every write (8 more with the 256 pages dirty here). The stream must
+// add nothing; raise or lower the number only with a change that means
+// to move it.
+const randomWriteAllocs = 29
+
+// TestWriteAtRandomAllocs: the write stream's bookkeeping allocates
+// nothing on a write that is not part of a stream (the shape of the
+// benchmark's cached_hot workload), and such writes start no flush.
+func TestWriteAtRandomAllocs(t *testing.T) {
+	h := cachedFile(t)
+	if err := h.fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	batches := h.fs.m.flushBatches.Value()
+	buf := make([]byte, BlockSize)
+	// The world's demons allocate in the background and AllocsPerRun
+	// counts the whole process: the least of several rounds is WriteAt's.
+	i, least := 0, -1.0
+	for round := 0; round < 8; round++ {
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := h.WriteAt(buf, randomOffset(i)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if least < 0 || n < least {
+			least = n
+		}
+	}
+	// Under the race detector sync.Pool drops a share of what is put
+	// into it, which shows as one more allocation in some rounds.
+	slack := 0.0
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				slack = 1
+			}
+		}
+	}
+	if least < randomWriteAllocs || least > randomWriteAllocs+slack {
+		t.Fatalf("a cached 4 KB overwrite allocates %v times, want %d", least, randomWriteAllocs)
+	}
+	if n := h.fs.m.flushBatches.Value() - batches; n != 0 {
+		t.Fatalf("%d write-back batches sent by random overwrites", n)
+	}
+}

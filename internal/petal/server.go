@@ -433,9 +433,13 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 }
 
 // onWriteV applies a write: one lease check and one epoch resolution
-// cover every extent, then the extents land on the local store.
-// Replication forwards the extents grouped by partner so a batch
-// stays batched on the replica hop too.
+// cover every extent, then the extents land on the local store while,
+// at the same time, they are forwarded to the partner replicas — Petal's
+// primary sends to the second copy and to its local disk simultaneously.
+// Forwards go grouped by partner, so a batch stays batched on the
+// replica hop too, and the partners are called in parallel. A local
+// failure fails the request, though a forward may by then have been
+// applied: the client's retry at the other replica converges the two.
 func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 	// On TCP, extent data aliases a pooled receive buffer. Once the
 	// store has copied the bytes and any replica forward has completed,
@@ -466,12 +470,27 @@ func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 			return WriteVResp{Err: ErrBounds.Error()}
 		}
 	}
-	if errStr := s.applyExtents(base, ceiling, m.Extents); errStr != "" {
+	var fws []forward
+	if !m.Forwarded && !s.cfg.NoReplicate {
+		fws = s.forwards(st, base, m.Extents)
+	}
+	// Job 0 is the local apply, job i the forward to partner i-1; each
+	// writes only its own result.
+	_ = boundedPar(1+len(fws), 1+len(fws), func(i int) error {
+		if i == 0 {
+			errStr = s.applyExtents(base, ceiling, m.Extents)
+		} else {
+			s.replicate(&fws[i-1], m.VDisk, ceiling, st)
+		}
+		return nil
+	})
+	for _, fw := range fws {
+		leaked = leaked || fw.leaked
+	}
+	if errStr != "" {
 		return WriteVResp{Err: errStr}
 	}
-	if !m.Forwarded && !s.cfg.NoReplicate {
-		leaked = s.replicateV(st, base, ceiling, m)
-	}
+	s.noteMissed(fws, base, ceiling)
 	return WriteVResp{OK: true}
 }
 
@@ -527,16 +546,22 @@ func conflictUnits(exts []WriteVExtent) [][]WriteVExtent {
 	return append(units, exts[start:])
 }
 
-// replicateV forwards a client write to partner replicas, grouped so
-// each partner receives one request covering the extents it
-// replicates. Extents whose partner is down, unreachable or refuses
-// the forward are recorded chunk-by-chunk so rejoin (or anti-entropy)
-// can copy the whole chunk image. The returned leaked flag is true
-// when a forward call errored — the request payload may still be
-// queued at the carrier, so the caller must not recycle its buffer.
-func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVReq) (leaked bool) {
-	byPartner := make(map[string][]WriteVExtent)
-	for _, e := range m.Extents {
+// forward is the share of a client write one partner replicates, and
+// how sending it went: done when the partner applied it, leaked when
+// the call errored — the request payload may still be queued at the
+// carrier, so the receive buffer it aliases must not be recycled.
+type forward struct {
+	partner      string
+	exts         []WriteVExtent
+	done, leaked bool
+}
+
+// forwards groups a client write's extents by the partner that holds
+// their second copy, so each partner receives one request.
+func (s *Server) forwards(st GlobalState, base VDiskID, exts []WriteVExtent) []forward {
+	var fws []forward
+next:
+	for _, e := range exts {
 		p1, p2 := st.replicas(base, e.Chunk)
 		partner := p1
 		if p1 == s.name {
@@ -545,35 +570,55 @@ func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVR
 		if partner == "" || partner == s.name {
 			continue
 		}
-		byPartner[partner] = append(byPartner[partner], e)
-	}
-	for partner, exts := range byPartner {
-		fw := WriteVReq{VDisk: m.VDisk, Extents: exts, Forwarded: true, Epoch: epoch}
-		s.mu.Lock()
-		partnerAlive := st.Alive[partner]
-		s.mu.Unlock()
-		if partnerAlive {
-			resp, err := s.ep.Call(DataAddr(partner), fw, dataTimeout)
-			if err == nil {
-				if wr, ok := resp.(WriteVResp); ok && wr.OK {
-					continue
-				}
-			} else {
-				leaked = true
+		for i := range fws {
+			if fws[i].partner == partner {
+				fws[i].exts = append(fws[i].exts, e)
+				continue next
 			}
 		}
+		fws = append(fws, forward{partner: partner, exts: []WriteVExtent{e}})
+	}
+	return fws
+}
+
+// replicate sends one partner its share of a client write, unless the
+// partner is known to be down.
+func (s *Server) replicate(fw *forward, v VDiskID, epoch int64, st GlobalState) {
+	s.mu.Lock()
+	partnerAlive := st.Alive[fw.partner]
+	s.mu.Unlock()
+	if !partnerAlive {
+		return
+	}
+	req := WriteVReq{VDisk: v, Extents: fw.exts, Forwarded: true, Epoch: epoch}
+	resp, err := s.ep.Call(DataAddr(fw.partner), req, dataTimeout)
+	if err != nil {
+		fw.leaked = true
+		return
+	}
+	wr, ok := resp.(WriteVResp)
+	fw.done = ok && wr.OK
+}
+
+// noteMissed records, chunk by chunk, the extents of a locally applied
+// write whose partner was down, unreachable or refused the forward, so
+// rejoin (or anti-entropy) can copy the whole chunk image.
+func (s *Server) noteMissed(fws []forward, base VDiskID, epoch int64) {
+	for _, fw := range fws {
+		if fw.done {
+			continue
+		}
 		s.mu.Lock()
-		mm := s.missed[partner]
+		mm := s.missed[fw.partner]
 		if mm == nil {
 			mm = make(map[chunkKey]bool)
-			s.missed[partner] = mm
+			s.missed[fw.partner] = mm
 		}
-		for _, e := range exts {
+		for _, e := range fw.exts {
 			mm[chunkKey{base, e.Chunk, epoch}] = true
 		}
 		s.mu.Unlock()
 	}
-	return leaked
 }
 
 func (s *Server) onDecommit(m DecommitReq) AdminResp {

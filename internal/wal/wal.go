@@ -110,6 +110,18 @@ type Log struct {
 	durable   int64         // stream position known durable in the region
 	lastFlush int64         // ns timestamp of the last successful flush
 
+	// part remembers what the last successful region write put into the
+	// log block it left partly filled: that block's payload up to stream
+	// position partEnd. The next write starts there, in that block, and
+	// has to write it whole again; it takes the bytes from here instead
+	// of reading back from Petal what the log itself wrote a moment ago.
+	// Only the flusher touches these (one region write is in flight at a
+	// time, ordered by mu), and a failed write leaves them as they were:
+	// whatever it tore, the retry rewrites the same block from the same
+	// bytes.
+	part    [payloadPerBlock]byte
+	partEnd int64
+
 	appends        *obs.Counter
 	flushes        *obs.Counter
 	wrote          *obs.Counter
@@ -457,11 +469,17 @@ func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
 	defer bufpool.Put(bigp)
 	big := *bigp
 	clear(big)
-	// Preserve the prior payload of a leading partial block.
+	// Preserve the prior payload of a leading partial block: from memory
+	// when the last write ended where this one starts, from
+	// the region otherwise (the first flush of a log opened mid-block).
 	if start%payloadPerBlock != 0 {
-		off := firstBlk % l.blocks * BlockSize
-		if err := l.region.ReadAt(big[blockHdr:BlockSize], off+blockHdr); err != nil {
-			return err
+		if l.partEnd == start {
+			copy(big[blockHdr:], l.part[:start-firstBlk*payloadPerBlock])
+		} else {
+			off := firstBlk % l.blocks * BlockSize
+			if err := l.region.ReadAt(big[blockHdr:BlockSize], off+blockHdr); err != nil {
+				return err
+			}
 		}
 	}
 	for b := firstBlk; b <= lastBlk; b++ {
@@ -483,6 +501,11 @@ func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
 		}
 		written += runLen * BlockSize
 		idx += runLen
+	}
+	if end := start + int64(len(buf)); end%payloadPerBlock != 0 {
+		last := big[(nBlks-1)*BlockSize:]
+		copy(l.part[:], last[blockHdr:blockHdr+end-lastBlk*payloadPerBlock])
+		l.partEnd = end
 	}
 	l.wrote.Add(written)
 	l.maxFlushBlocks.SetMax(nBlks)

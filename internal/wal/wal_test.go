@@ -472,3 +472,104 @@ func TestScanEmptyLog(t *testing.T) {
 		t.Fatalf("empty log scan: %d records, err=%v", len(recs), err)
 	}
 }
+
+// countingRegion counts the reads the log issues against its region.
+type countingRegion struct {
+	*memRegion
+	reads int
+}
+
+func (c *countingRegion) ReadAt(p []byte, off int64) error {
+	c.reads++
+	return c.memRegion.ReadAt(p, off)
+}
+
+// TestFlushMidBlockReadsNothingBack: small records leave the log's last
+// block partly filled, so nearly every flush starts in the middle of the
+// block the one before ended in. The log rewrites that block from what
+// it remembers having put there: it never reads its region — across
+// wraps and reclaims — and a log that crashes after any flush
+// scans back exactly the records flushed so far.
+func TestFlushMidBlockReadsNothingBack(t *testing.T) {
+	const size = 8 << 10 // 16 blocks: the 300 flushes below wrap it several times
+	region := &countingRegion{memRegion: newMemRegion(size)}
+	l := New(region, size)
+	midBlock := 0
+	for i := 1; i <= 300; i++ {
+		l.mu.Lock()
+		if l.head%payloadPerBlock != 0 {
+			midBlock++
+		}
+		l.mu.Unlock()
+		// 1 to 3 records of 40 to 129 bytes: flushes of less and of more
+		// than a block, starting at every kind of offset.
+		for k := 0; k <= i%3; k++ {
+			data := bytes.Repeat([]byte{byte(i)}, 1+(i*37+k*11)%90)
+			if _, err := l.Append([]Update{{Addr: int64(i) * 512, Off: k, Data: data, Ver: uint64(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Reclaim the way the file system does, well ahead of the head:
+		// keep the last 30 records (under half the log), in bursts.
+		if _, hi, ok := l.Pending(); ok && i%7 == 0 {
+			l.Release(hi - 30)
+		}
+		// "Crash": what a recovering server would find in the region now.
+		recs, err := Scan(region.memRegion, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, ok := l.Pending()
+		if !ok {
+			continue
+		}
+		have := make(map[int64]bool, len(recs))
+		for _, r := range recs {
+			have[r.Seq] = true
+		}
+		for seq := lo; seq <= hi; seq++ {
+			if !have[seq] {
+				t.Fatalf("after flush %d the region lacks record %d (unreleased: %d..%d)", i, seq, lo, hi)
+			}
+		}
+	}
+	if midBlock < 250 {
+		t.Fatalf("only %d of 300 flushes started mid-block: the test no longer exercises the case", midBlock)
+	}
+	if region.reads != 0 {
+		t.Fatalf("the log read its region %d times for %d mid-block flushes", region.reads, midBlock)
+	}
+}
+
+// TestFlushMidBlockAfterFailedWrite: a region write that fails leaves
+// the remembered block as it was, so the retry rewrites the block from
+// the same bytes and nothing flushed before is lost.
+func TestFlushMidBlockAfterFailedWrite(t *testing.T) {
+	mem := newMemRegion(DefaultLogSize)
+	fr := &failingRegion{m: mem}
+	l := New(fr, DefaultLogSize)
+	for i := 1; i <= 3; i++ {
+		if _, err := l.Append([]Update{upd(int64(i)*512, 0, uint64(i), byte(i))}); err != nil {
+			t.Fatal(err)
+		}
+		fr.failWrites = i == 2
+		if err := l.Flush(); (err != nil) != fr.failWrites {
+			t.Fatalf("flush %d: %v", i, err)
+		}
+	}
+	recs, err := Scan(mem, DefaultLogSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("scanned %d records after a failed and a retried mid-block flush, want 3", len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != int64(i+1) || r.Updates[0].Data[0] != byte(i+1) {
+			t.Fatalf("record %d came back as %+v", i+1, r)
+		}
+	}
+}
