@@ -527,9 +527,9 @@ func (c *Cluster) Anomalies() *obs.AnomalyWatcher {
 }
 
 // Accounts returns the cluster-wide per-principal account table (nil
-// when the cluster was built with NoObs or NoAccounting). Bind client
-// work with obs.WithPrincipal and every layer attributes its bytes,
-// RPCs, lock waits, and cache misses; Snapshot() is the cluster
+// when the cluster was built with NoObs or NoAccounting). Do client
+// work through an FS.As view and its bytes, RPCs, lock waits and cache
+// misses are attributed to that principal; Snapshot() is the cluster
 // "top", Advance() closes a rate window.
 func (c *Cluster) Accounts() *obs.AccountTable {
 	if c.Obs() == nil {

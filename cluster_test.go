@@ -157,16 +157,14 @@ func TestClusterAccountingKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ws1.OpenFile("/acct.bin", true)
+	h, err := ws1.As("tenant-a").OpenFile("/acct.bin", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 64<<10)
-	obs.WithPrincipal("tenant-a", func() {
-		if _, err := h.WriteAt(payload, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if _, err := h.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
 	stats := c.Accounts().Snapshot()
 	var got *obs.AccountStat
 	for i := range stats {

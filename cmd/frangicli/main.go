@@ -83,14 +83,15 @@ func main() {
                        with the shard and lock server each maps to
   top [json]           per-principal account table: who is moving
                        bytes, issuing RPCs, and waiting on locks;
-                       tag work with obs.WithPrincipal to attribute
+                       do work through an FS.As view to attribute
                        it (unattributed work shows as 'unknown')
   forensics [json]     merged cross-server event timeline (flight
                        recorder); variants:
                          forensics lock <id|inode/N>   one lock's story,
                            including shard-map epochs and handoffs
                            covering its shard
-                         forensics op <traceID-hex>    one operation
+                         forensics op <traceID-hex>    what happened
+                           while one traced operation ran
                          forensics last <dur>          e.g. last 2s
                        append 'json' for a machine-readable dump
   critpath [json]      critical-path profile of recent traces
@@ -386,6 +387,7 @@ func forensics(cluster *frangipani.Cluster, args []string) error {
 	var f obs.Filter
 	var traceOut string
 	var lockID uint64
+	var until int64 // with "op": when the traced operation ended
 	asJSON := false
 	for len(args) > 0 {
 		switch args[0] {
@@ -413,7 +415,14 @@ func forensics(cluster *frangipani.Cluster, args []string) error {
 			if err != nil {
 				return fmt.Errorf("cannot parse trace id %q", args[1])
 			}
-			f.Trace = id
+			// Events carry no trace id: a trace and the timeline join on
+			// time, so show what happened while the operation ran.
+			for _, sp := range cluster.Obs().Tracer().SpansFor(id) {
+				if f.Since == 0 || sp.Start < f.Since {
+					f.Since = sp.Start
+				}
+				until = max(until, sp.End)
+			}
 			traceOut = cluster.Obs().Tracer().RenderTrace(id)
 			args = args[2:]
 		case "last":
@@ -431,6 +440,15 @@ func forensics(cluster *frangipani.Cluster, args []string) error {
 		}
 	}
 	events := cluster.Timeline(f)
+	if until != 0 {
+		kept := events[:0]
+		for _, e := range events {
+			if e.T <= until {
+				kept = append(kept, e)
+			}
+		}
+		events = kept
+	}
 	if lockID != 0 {
 		events = lockEvents(events, lockID)
 	}

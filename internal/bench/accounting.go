@@ -18,8 +18,8 @@ const (
 
 // NoisyNeighborObs is the per-principal accounting gate (run by `make
 // bench-smoke`): a streaming writer and an interactive reader share
-// one file from different servers, each tagged with
-// obs.WithPrincipal. After a few quiet baseline windows the streamer
+// one file from different servers, each through its own FS.As view.
+// After a few quiet baseline windows the streamer
 // floods the file, revoking the reader's locks on every access. The
 // experiment asserts the accounting layer saw all of it:
 //
@@ -70,38 +70,37 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 
 	// Setup, attributed to the streamer: create the shared file and
 	// lay down the region the reader will poll.
-	var serr error
-	obs.WithPrincipal(streamer, func() {
-		var h *frangipani.File
-		if h, serr = ws1.OpenFile("/hot", true); serr != nil {
-			return
+	stream := func(off int64) error {
+		h, err := ws1.As(streamer).OpenFile("/hot", true)
+		if err != nil {
+			return err
 		}
-		_, serr = h.WriteAt(chunk, 0)
-	})
-	if serr != nil {
-		return nil, serr
+		_, err = h.WriteAt(chunk, off)
+		return err
 	}
-	var rh *frangipani.File
-	var rerr error
-	obs.WithPrincipal(reader, func() { rh, rerr = ws2.Open("/hot") })
-	if rerr != nil {
-		return nil, rerr
+	if err := stream(0); err != nil {
+		return nil, err
+	}
+	rh, err := ws2.As(reader).Open("/hot")
+	if err != nil {
+		return nil, err
 	}
 	readN := func(n int) error {
-		var rerr error
-		obs.WithPrincipal(reader, func() {
-			for i := 0; i < n && rerr == nil; i++ {
-				_, rerr = rh.ReadAt(small, int64(i%32)*int64(len(small)))
+		for i := 0; i < n; i++ {
+			if _, err := rh.ReadAt(small, int64(i%32)*int64(len(small))); err != nil {
+				return err
 			}
-		})
-		return rerr
+		}
+		return nil
 	}
 	// Warm read outside the judged windows: pull the data (and the
 	// read lock) over to ws2 so the baseline windows measure the
-	// steady cached-read latency, not the one-time migration.
+	// steady cached-read latency, not the one-time migration (which
+	// the reader's Open, an operation of its own, already paid most of).
 	if err := readN(4); err != nil {
 		return nil, err
 	}
+	acct.Advance() // close the set-up window unjudged
 	closeWindow := func() []obs.NoisyNeighbor {
 		acct.Advance()
 		return watcher.ObserveAccounts(acct.Snapshot(), c.NowNs())
@@ -116,9 +115,13 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 			return nil, o.nnFail(c, acct, fmt.Errorf("verdict fired during warm-up window %d: %+v", w, v))
 		}
 	}
-	// One deliberately unattributed op: it must surface as a visible
-	// "unknown" principal, not vanish.
-	if _, err := rh.ReadAt(small, 0); err != nil {
+	// One deliberately unattributed op, through the server's own view:
+	// it must surface as a visible "unknown" principal, not vanish.
+	uh, err := ws2.Open("/hot")
+	if err != nil {
+		return nil, err
+	}
+	if _, err := uh.ReadAt(small, 0); err != nil {
 		return nil, err
 	}
 	// Spike: the streamer floods the shared file, revoking the
@@ -126,15 +129,8 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 	var verdicts []obs.NoisyNeighbor
 	for w := 0; w < 3; w++ {
 		for i := 0; i < 8; i++ {
-			obs.WithPrincipal(streamer, func() {
-				var h *frangipani.File
-				if h, serr = ws1.OpenFile("/hot", true); serr != nil {
-					return
-				}
-				_, serr = h.WriteAt(chunk, int64(i)*int64(len(chunk)))
-			})
-			if serr != nil {
-				return nil, serr
+			if err := stream(int64(i) * int64(len(chunk))); err != nil {
+				return nil, err
 			}
 			if i%2 == 1 {
 				if err := readN(2); err != nil {

@@ -56,7 +56,6 @@ type Pool struct {
 	byOwner map[uint64]map[int64]*Entry
 
 	hits, misses, evictions *obs.Counter
-	acct                    *obs.AccountTable // per-principal miss attribution
 }
 
 // NewPool creates a cache holding up to capacity blocks of blockSize
@@ -86,7 +85,6 @@ func (p *Pool) SetObs(reg *obs.Registry, instance string) {
 	p.hits = reg.Counter("cache.hits#" + instance)
 	p.misses = reg.Counter("cache.misses#" + instance)
 	p.evictions = reg.Counter("cache.evictions#" + instance)
-	p.acct = reg.Accounts()
 	p.mu.Unlock()
 }
 
@@ -117,6 +115,9 @@ func (p *Pool) Usage() (resident, dirty int) {
 }
 
 // Lookup returns the cached entry for addr, if present, bumping LRU.
+// It is the demand lookup: the hit and miss counters count these calls
+// and nothing else, so their ratio says how often whoever needed a
+// block found it here.
 func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -126,10 +127,18 @@ func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 		p.hits.Inc()
 	} else {
 		p.misses.Inc()
-		// Misses force a backing read; charge the principal whose
-		// operation took the fault.
-		p.acct.CacheMiss(obs.CurrentPrincipal(), 1)
 	}
+	return e, ok
+}
+
+// Peek is Lookup for the owner's checks on its own work — is a block it
+// is about to fetch, or has just fetched, already here? Nobody is
+// waiting for the block, so Peek counts nothing and leaves the LRU order
+// alone.
+func (p *Pool) Peek(addr int64) (*Entry, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.entries[addr]
 	return e, ok
 }
 
@@ -226,27 +235,6 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 		e.Seq = seq
 	}
 	p.mu.Unlock()
-}
-
-// Gen returns the entry's dirty generation; a flusher snapshots it
-// before copying the data out.
-func (p *Pool) Gen(e *Entry) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return e.gen
-}
-
-// GenBatch snapshots the dirty generations of a set of entries with
-// one lock acquisition; batch flushers snapshot before copying data
-// out, then clear with MarkCleanIfBatch.
-func (p *Pool) GenBatch(es []*Entry) []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int64, len(es))
-	for i, e := range es {
-		out[i] = e.gen
-	}
-	return out
 }
 
 // SnapshotBatch copies each entry's block into buf (which must hold

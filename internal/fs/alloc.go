@@ -92,7 +92,7 @@ func (fs *FS) segScan(t *txn, seg int64, c allocClass) (int64, error) {
 func (fs *FS) segScanRange(t *txn, lockID uint64, lo, hi int64) (int64, error) {
 	for b := lo; b < hi; {
 		addr, _, _ := fs.lay.bitLoc(b)
-		e, err := fs.readMeta(addr, lockID)
+		e, err := fs.readMeta(t.op, addr, lockID)
 		if err != nil {
 			return -1, err
 		}
@@ -121,7 +121,7 @@ func (t *txn) lockSeg(seg int64) error {
 			return nil
 		}
 	}
-	if err := t.fs.clerk.Lock(id, lockservice.Exclusive); err != nil {
+	if err := t.fs.lock(t.op, id, lockservice.Exclusive); err != nil {
 		return err
 	}
 	t.segs = append(t.segs, id)
@@ -289,7 +289,7 @@ func (fs *FS) freeObjs(t *txn, items []freeSpec) error {
 			return err
 		}
 		addr, byteOff, mask := fs.lay.bitLoc(bs.bit)
-		e, err := fs.readMeta(addr, SegLock(bs.seg))
+		e, err := fs.readMeta(t.op, addr, SegLock(bs.seg))
 		if err != nil {
 			return err
 		}
@@ -314,12 +314,12 @@ func (fs *FS) freeObjs(t *txn, items []freeSpec) error {
 func (fs *FS) bitState(c allocClass, idx int64) (bool, error) {
 	b := fs.lay.bitFor(c, idx)
 	seg := b / fs.lay.SegBits
-	if err := fs.clerk.Lock(SegLock(seg), lockservice.Shared); err != nil {
+	if err := fs.lock(nil, SegLock(seg), lockservice.Shared); err != nil {
 		return false, err
 	}
 	defer fs.clerk.Unlock(SegLock(seg))
 	addr, byteOff, mask := fs.lay.bitLoc(b)
-	e, err := fs.readMeta(addr, SegLock(seg))
+	e, err := fs.readMeta(nil, addr, SegLock(seg))
 	if err != nil {
 		return false, err
 	}

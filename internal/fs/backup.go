@@ -42,7 +42,7 @@ func (fs *FS) SnapshotWithBarrier(snap petal.VDiskID) error {
 	if err := fs.Sync(); err != nil {
 		return err
 	}
-	if err := fs.clerk.Lock(LockBarrier, lockservice.Exclusive); err != nil {
+	if err := fs.lock(nil, LockBarrier, lockservice.Exclusive); err != nil {
 		return err
 	}
 	defer fs.clerk.Unlock(LockBarrier)

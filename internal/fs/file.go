@@ -7,10 +7,12 @@ import (
 
 	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
+	"frangipani/internal/obs"
 	"frangipani/internal/petal"
 )
 
-// File is an open handle on a regular file.
+// File is an open handle on a regular file. Its operations run for
+// the principal of the view it was opened through.
 type File struct {
 	fs   *FS
 	inum int64
@@ -31,18 +33,23 @@ func (fs *FS) Open(path string) (*File, error) {
 	if err := fs.usable(); err != nil {
 		return nil, err
 	}
-	inum, err := fs.namei(path, true)
-	if err != nil {
-		return nil, err
-	}
-	info, err := fs.statInum(inum)
-	if err != nil {
-		return nil, err
-	}
-	if info.Type == TypeDir {
-		return nil, ErrIsDir
-	}
-	return newFile(fs, inum), nil
+	var f *File
+	err := fs.traced("open", func(op *obs.Span) error {
+		inum, err := fs.namei(op, path, true)
+		if err != nil {
+			return err
+		}
+		info, err := fs.statInum(op, inum)
+		if err != nil {
+			return err
+		}
+		if info.Type == TypeDir {
+			return ErrIsDir
+		}
+		f = newFile(fs, inum)
+		return nil
+	})
+	return f, err
 }
 
 // OpenFile opens path, creating it first if create is set and it
@@ -58,10 +65,10 @@ func (fs *FS) OpenFile(path string, create bool) (*File, error) {
 	return f, err
 }
 
-func (fs *FS) statInum(inum int64) (Info, error) {
+func (fs *FS) statInum(op *obs.Span, inum int64) (Info, error) {
 	var info Info
-	err := fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(inum)
+	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(op, inum)
 		if err != nil {
 			return err
 		}
@@ -82,7 +89,11 @@ func (f *File) Inum() int64 { return f.inum }
 
 // Size returns the file's current size.
 func (f *File) Size() (int64, error) {
-	info, err := f.fs.statInum(f.inum)
+	var info Info
+	err := f.fs.traced("stat", func(op *obs.Span) (err error) {
+		info, err = f.fs.statInum(op, f.inum)
+		return err
+	})
 	return info.Size, err
 }
 
@@ -163,15 +174,15 @@ func (fs *FS) ensureBlock(t *txn, in *Inode, off int64, isDir bool) error {
 // Data is staged in the buffer cache (not logged); metadata changes
 // (allocation, size, mtime) are logged.
 func (f *File) WriteAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.traced("write", func() error {
+	err = f.fs.traced("write", func(op *obs.Span) error {
 		var e error
-		n, e = f.writeAt(p, off)
+		n, e = f.writeAt(op, p, off)
 		return e
 	})
 	return n, err
 }
 
-func (f *File) writeAt(p []byte, off int64) (int, error) {
+func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return 0, err
@@ -183,11 +194,11 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 		return 0, ErrTooBig
 	}
 	fs.chargeOp(len(p))
-	fs.accountBytes(len(p), 0)
+	fs.accountBytes(op, len(p), 0)
 	lock := InodeLock(f.inum)
-	err := fs.withLocks([]lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	err := fs.withLocks(op, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(f.inum)
+		e, in, err := fs.loadInode(op, f.inum)
 		if err != nil {
 			return err
 		}
@@ -218,7 +229,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 				if inPage == 0 && n == BlockSize {
 					pe = fs.data.Insert(pageAddr, make([]byte, BlockSize), lock)
 				} else {
-					pe, err = fs.readData(pageAddr, lock)
+					pe, err = fs.readData(op, pageAddr, lock)
 					if err != nil {
 						return err
 					}
@@ -233,7 +244,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 			// Growing past EOF: bytes in [oldSize, off) within already
 			// allocated blocks must read as zeros, not as stale data
 			// left from before an earlier truncate.
-			fs.zeroRange(in, in.Size, off, lock)
+			fs.zeroRange(op, in, in.Size, off, lock)
 			in.Size = off + int64(len(p))
 		}
 		in.Mtime = int64(fs.w.Clock.Now())
@@ -252,7 +263,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 // zeroRange clears [lo, hi) in every allocated page of the file
 // (holes already read as zeros). Called under the file's exclusive
 // lock when the size grows over a previously truncated region.
-func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
+func (fs *FS) zeroRange(op *obs.Span, in Inode, lo, hi int64, lock uint64) {
 	for cur := lo; cur < hi; {
 		pageAddr, inPage, ok := fs.filePageAddr(in, cur)
 		n := int64(BlockSize) - inPage
@@ -263,7 +274,7 @@ func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
 			pe, cached := fs.data.Lookup(pageAddr)
 			if !cached {
 				var err error
-				pe, err = fs.readData(pageAddr, lock)
+				pe, err = fs.readData(op, pageAddr, lock)
 				if err != nil {
 					return
 				}
@@ -279,15 +290,15 @@ func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
 // reads past EOF return io.EOF. A handle that is read sequentially
 // keeps a window of pages fetched ahead of it (see stream).
 func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.traced("read", func() error {
+	err = f.fs.traced("read", func(op *obs.Span) error {
 		var e error
-		n, e = f.readAt(p, off)
+		n, e = f.readAt(op, p, off)
 		return e
 	})
 	return n, err
 }
 
-func (f *File) readAt(p []byte, off int64) (int, error) {
+func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return 0, err
@@ -296,7 +307,7 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 		return 0, ErrInval
 	}
 	fs.chargeOp(len(p))
-	fs.accountBytes(0, len(p))
+	fs.accountBytes(op, 0, len(p))
 	lock := InodeLock(f.inum)
 	raMax := fs.raPages.Load() * BlockSize
 
@@ -312,8 +323,8 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 
 	n := 0
 	var readErr error
-	err := fs.withLocks([]lockReq{{lock, lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(f.inum)
+	err := fs.withLocks(op, []lockReq{{lock, lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(op, f.inum)
 		if err != nil {
 			return err
 		}
@@ -361,7 +372,7 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 				// write-back).
 				var buf [16]int64 // stack scratch for a 64 KB request; longer ones spill to the heap
 				var own bool
-				pe, own, err = fs.fetchData(fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
+				pe, own, err = fs.fetchData(op, fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
 				if err != nil {
 					return err
 				}
@@ -490,8 +501,9 @@ func (s *stream) drain() {
 }
 
 // prefetch fetches the pages of [lo, hi) that are neither cached nor
-// claimed, in the background and without the lock; nothing to fetch
-// starts no goroutine.
+// claimed, in the background, without the lock and for no operation (it
+// outlives the read that started it); nothing to fetch starts no
+// goroutine.
 func (f *File) prefetch(in Inode, lo, hi int64) {
 	fs := f.fs
 	var buf [64]int64 // stack scratch: a cached stream tops up without allocating
@@ -503,7 +515,7 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 	f.ra.busy++
 	f.ra.mu.Unlock()
 	go func() {
-		_, _ = fs.fillPages(mine, done, InodeLock(f.inum), false)
+		_, _ = fs.fillPages(nil, mine, done, InodeLock(f.inum), false)
 		f.ra.mu.Lock()
 		if f.ra.busy--; f.ra.busy == 0 {
 			f.ra.idle.Broadcast()
@@ -583,10 +595,10 @@ func (s *wstream) handedOff(hi int64) {
 // Truncate sets the file's size, freeing (and for the large block,
 // decommitting) storage beyond it.
 func (f *File) Truncate(size int64) error {
-	return f.fs.traced("truncate", func() error { return f.truncate(size) })
+	return f.fs.traced("truncate", func(op *obs.Span) error { return f.truncate(op, size) })
 }
 
-func (f *File) truncate(size int64) error {
+func (f *File) truncate(op *obs.Span, size int64) error {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return err
@@ -596,9 +608,9 @@ func (f *File) truncate(size int64) error {
 	}
 	fs.chargeOp(0)
 	lock := InodeLock(f.inum)
-	return fs.withLocks([]lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	return fs.withLocks(op, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(f.inum)
+		e, in, err := fs.loadInode(op, f.inum)
 		if err != nil {
 			return err
 		}
@@ -608,7 +620,7 @@ func (f *File) truncate(size int64) error {
 		if size >= in.Size {
 			// Growing: any allocated bytes in the new region are stale
 			// remnants and must read as zeros.
-			fs.zeroRange(in, in.Size, size, lock)
+			fs.zeroRange(op, in, in.Size, size, lock)
 			in.Size = size
 			in.Mtime = int64(fs.w.Clock.Now())
 			t.putInode(e, in)
@@ -649,7 +661,7 @@ func (f *File) truncate(size int64) error {
 		// extension reads zeros.
 		if size%BlockSize != 0 {
 			if pageAddr, inPage, ok := fs.filePageAddr(in, size); ok {
-				if pe, err := fs.readData(pageAddr, lock); err == nil {
+				if pe, err := fs.readData(op, pageAddr, lock); err == nil {
 					fs.data.Mutate(func() { clear(pe.Data[inPage:]) })
 					fs.data.MarkDirty(pe, 0)
 				}
@@ -659,7 +671,7 @@ func (f *File) truncate(size int64) error {
 		in.Mtime = int64(fs.w.Clock.Now())
 		t.putInode(e, in)
 		if largeIdx >= 0 {
-			_ = fs.pc.Decommit(fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
+			_ = fs.pc.For(op).Decommit(fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
 		}
 		return nil
 	})
@@ -673,10 +685,10 @@ func (f *File) Sync() error {
 	return f.fs.traced("fsync", f.fsync)
 }
 
-func (f *File) fsync() error {
+func (f *File) fsync(op *obs.Span) error {
 	if err := f.fs.usable(); err != nil {
 		return err
 	}
-	_, err := f.fs.flushLock(InodeLock(f.inum))
+	_, err := f.fs.flushLock(op, InodeLock(f.inum))
 	return err
 }

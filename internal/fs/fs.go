@@ -176,8 +176,24 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 	return m
 }
 
-// FS is one Frangipani file server instance.
+// FS is one Frangipani file server instance — or rather a view of one:
+// Mount returns the view whose operations are nobody's in particular,
+// As returns views of the same server whose operations are accounted
+// to a principal. All views share the server's whole state.
 type FS struct {
+	*server
+	// who is the principal this view's operations run for; "" is
+	// obs.UnknownPrincipal. Only traced reads it, to stamp the
+	// operation's handle: everything below takes the handle.
+	who string
+}
+
+// As returns a view of the mounted file system whose operations — and
+// those on files opened through it — are accounted to principal.
+func (fs *FS) As(principal string) *FS { return &FS{server: fs.server, who: principal} }
+
+// server is the state all views of one mounted file server share.
+type server struct {
 	w       *sim.World
 	machine string
 	pc      *petal.Client
@@ -286,7 +302,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	if _, err := decodeParams(psec); err != nil {
 		return nil, err
 	}
-	fs := &FS{
+	fs := &FS{server: &server{
 		w:         w,
 		machine:   machine,
 		pc:        pc,
@@ -304,7 +320,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		atimes:    make(map[int64]int64),
 		inflight:  make(map[int64]chan struct{}),
 		flights:   make(map[int64]*flight),
-	}
+	}}
 	fs.raPages.Store(int64(cfg.ReadAhead))
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
@@ -346,7 +362,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	// records from a previous tenancy (already recovered or cleanly
 	// closed) cannot be replayed.
 	zero := make([]byte, lay.LogSize)
-	if err := fs.petalWrite(lay.LogSlotBase(fs.logSlot), zero); err != nil {
+	if err := fs.petalWrite(nil, lay.LogSlotBase(fs.logSlot), zero); err != nil {
 		fs.clerk.Close()
 		return nil, err
 	}
@@ -354,7 +370,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.log.SetObs(w.Obs, machine)
 	fs.log.SetReclaim(fs.reclaimLog)
 
-	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.Sync() })
+	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.sync(nil) })
 	return fs, nil
 }
 
@@ -422,33 +438,52 @@ func (fs *FS) Health() HealthInfo {
 	return hi
 }
 
-// traced wraps one public operation in a root span (joining the
-// caller's trace if the goroutine is already bound to one) and the
-// operation's latency histogram.
-func (fs *FS) traced(op string, fn func() error) error {
-	sp := fs.tr.Start("fs", op)
+// traced is where a public operation gets its handle: a root span for
+// this view's principal, which fn passes down to everything it does
+// that can reach a lock, the log, a cache fill or Petal. It also feeds
+// the operation's latency histogram. Work that runs for no operation
+// (the sync demon, write-behind, prefetch, recovery) passes a nil
+// handle instead: no spans, and the unknown account.
+func (fs *FS) traced(name string, fn func(op *obs.Span) error) error {
+	sp := fs.tr.Start("fs", name)
 	if sp == nil {
-		return fn()
+		return fn(nil)
 	}
-	var err error
-	obs.With(sp, func() { err = fn() })
+	sp.Principal = fs.who
+	err := fn(sp)
 	sp.Done()
-	if h := fs.m.opLat[op]; h != nil {
+	if h := fs.m.opLat[name]; h != nil {
 		h.Record(sp.Duration())
 	}
-	// Attribute the completed op (and its latency) to the caller's
-	// principal; unbound callers land in the unknown account.
-	fs.acct.Op(obs.CurrentPrincipal(), sp.Duration())
+	fs.acct.Op(fs.who, sp.Duration())
 	return err
 }
 
 // accountBytes charges user-level bytes moved (in = written, out =
-// read) to the calling goroutine's principal. Charged at the File API
-// boundary, not the Petal boundary: background write-back and
-// prefetch run on flusher goroutines with no binding and would
-// otherwise dilute attribution into unknown.
-func (fs *FS) accountBytes(in, out int) {
-	fs.acct.Bytes(obs.CurrentPrincipal(), int64(in), int64(out))
+// read) to op's principal. Charged at the File API boundary, not the
+// Petal boundary: background write-back and prefetch run for no
+// operation and would otherwise dilute attribution into unknown.
+func (fs *FS) accountBytes(op *obs.Span, in, out int) {
+	fs.acct.Bytes(op.Ctx().Principal, int64(in), int64(out))
+}
+
+// lock acquires a lock for op. A sticky grant the clerk already holds
+// is taken as it is; an acquire that has to go through the clerk's wait
+// loop gets a lockservice.acquire span under op, and the wait is
+// charged to op's principal.
+func (fs *FS) lock(op *obs.Span, id uint64, mode lockservice.Mode) error {
+	if fs.clerk.TryLock(id, mode) {
+		return nil
+	}
+	if fs.now == nil {
+		return fs.clerk.Lock(id, mode)
+	}
+	sp := op.Child("lockservice", "acquire")
+	start := fs.now()
+	err := fs.clerk.Lock(id, mode)
+	fs.acct.LockWait(op.Ctx().Principal, fs.now()-start)
+	sp.Done()
+	return err
 }
 
 // lat returns a deferred-latency recorder for hot internal paths
@@ -529,27 +564,25 @@ func (fs *FS) chargeOp(bytes int) {
 // than failing, because callers on the revoke path would otherwise
 // silently drop dirty data that the next lock holder depends on.
 // Only a definitively lost lease fails the write.
-func (fs *FS) petalWrite(addr int64, p []byte) error {
-	if err := fs.waitLeaseForWrite(); err != nil {
+func (fs *FS) petalWrite(op *obs.Span, addr int64, p []byte) error {
+	if err := fs.waitLeaseForWrite(op); err != nil {
 		return err
 	}
-	return fs.pc.Write(fs.vd, addr, p)
+	return fs.pc.For(op).Write(fs.vd, addr, p)
 }
 
 // petalWriteV is the scatter-gather variant of petalWrite: one lease
 // check covers the whole batch, which the Petal driver splits by
 // chunk and dispatches with bounded parallelism.
-func (fs *FS) petalWriteV(exts []petal.Extent) error {
-	if err := fs.waitLeaseForWrite(); err != nil {
+func (fs *FS) petalWriteV(op *obs.Span, exts []petal.Extent) error {
+	if err := fs.waitLeaseForWrite(op); err != nil {
 		return err
 	}
-	return fs.pc.WriteV(fs.vd, exts)
+	return fs.pc.For(op).WriteV(fs.vd, exts)
 }
 
-func (fs *FS) waitLeaseForWrite() error {
-	if sp := fs.tr.Child("lockservice", "lease-check"); sp != nil {
-		defer sp.Done()
-	}
+func (fs *FS) waitLeaseForWrite(op *obs.Span) error {
+	defer op.Child("lockservice", "lease-check").Done()
 	deadline := fs.w.Clock.Now() + sim.Time(2*fs.cfg.Lock.LeaseDuration)
 	for !fs.clerk.LeaseValid(fs.cfg.LeaseMargin) {
 		if fs.clerk.LeaseLost() || fs.w.Clock.Now() >= deadline {
@@ -570,8 +603,12 @@ func (r *logRegion) ReadAt(p []byte, off int64) error {
 	return r.fs.pc.Read(r.fs.vd, r.base+off, p)
 }
 
-func (r *logRegion) WriteAt(p []byte, off int64) error {
-	return r.fs.petalWrite(r.base+off, p)
+func (r *logRegion) WriteAt(p []byte, off int64) error { return r.WriteAtOp(nil, p, off) }
+
+// WriteAtOp is what the WAL writes through when an operation forced the
+// flush: the Petal write is part of that operation's trace and account.
+func (r *logRegion) WriteAtOp(op *obs.Span, p []byte, off int64) error {
+	return r.fs.petalWrite(op, r.base+off, p)
 }
 
 // directDev adapts the whole virtual disk for WAL replay during
@@ -583,32 +620,30 @@ func (d *directDev) ReadAt(p []byte, off int64) error {
 }
 
 func (d *directDev) WriteAt(p []byte, off int64) error {
-	return d.fs.petalWrite(off, p)
+	return d.fs.petalWrite(nil, off, p)
 }
 
 // ---- cached block I/O ----
 
 // readMeta returns the cached metadata sector at addr, loading it
-// from Petal on a miss. owner is the covering lock.
-func (fs *FS) readMeta(addr int64, owner uint64) (*cache.Entry, error) {
+// from Petal on a miss, which is charged to op's principal. owner is
+// the covering lock.
+func (fs *FS) readMeta(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := fs.meta.Lookup(addr); ok {
 		return e, nil
 	}
-	sp := fs.tr.Child("cache", "fill")
+	fs.acct.CacheMiss(op.Ctx().Principal, 1)
+	sp := op.Child("cache", "fill")
 	defer sp.Done()
-	var entry *cache.Entry
-	var err error
-	obs.With(sp, func() {
-		// Pooled scratch: Insert copies into the cache's own page, so
-		// the fill buffer recycles immediately.
-		bufp := bufpool.Get(SectorSize)
-		defer bufpool.Put(bufp)
-		buf := *bufp
-		if err = fs.pc.Read(fs.vd, addr, buf); err == nil {
-			entry = fs.meta.Insert(addr, buf, owner)
-		}
-	})
-	return entry, err
+	// Pooled scratch: Insert copies into the cache's own page, so
+	// the fill buffer recycles immediately.
+	bufp := bufpool.Get(SectorSize)
+	defer bufpool.Put(bufp)
+	buf := *bufp
+	if err := fs.pc.For(sp).Read(fs.vd, addr, buf); err != nil {
+		return nil, err
+	}
+	return fs.meta.Insert(addr, buf, owner), nil
 }
 
 // metaFill names one metadata sector and the lock that covers it.
@@ -624,51 +659,49 @@ type metaFill struct {
 // cold scan costs one round trip instead of one per sector. Callers
 // then go through readMeta for the decoded entries; after a
 // successful batch those are hits.
-func (fs *FS) readMetaBatch(fills []metaFill) error {
+func (fs *FS) readMetaBatch(op *obs.Span, fills []metaFill) error {
 	var miss []metaFill
 	for _, f := range fills {
-		if _, ok := fs.meta.Lookup(f.addr); !ok {
+		if _, ok := fs.meta.Peek(f.addr); !ok {
 			miss = append(miss, f)
 		}
 	}
 	if len(miss) == 0 {
 		return nil
 	}
-	sp := fs.tr.Child("cache", "fillv")
+	fs.acct.CacheMiss(op.Ctx().Principal, 1)
+	sp := op.Child("cache", "fillv")
 	defer sp.Done()
-	var err error
-	obs.With(sp, func() {
-		bufsp := bufpool.Get(len(miss) * SectorSize)
-		defer bufpool.Put(bufsp)
-		bufs := *bufsp
-		exts := make([]petal.ReadExtent, len(miss))
-		for i := range miss {
-			exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
+	bufsp := bufpool.Get(len(miss) * SectorSize)
+	defer bufpool.Put(bufsp)
+	bufs := *bufsp
+	exts := make([]petal.ReadExtent, len(miss))
+	for i := range miss {
+		exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
+	}
+	if err := fs.pc.For(sp).ReadV(fs.vd, exts); err != nil {
+		return err
+	}
+	fs.m.metaBatch.Inc()
+	fs.m.metaBatchSectors.Add(int64(len(miss)))
+	for i, f := range miss {
+		// A concurrent reader may have raced the sector in — or a
+		// writer may have dirtied it; keep theirs.
+		if _, hit := fs.meta.Peek(f.addr); hit {
+			continue
 		}
-		if err = fs.pc.ReadV(fs.vd, exts); err != nil {
-			return
-		}
-		fs.m.metaBatch.Inc()
-		fs.m.metaBatchSectors.Add(int64(len(miss)))
-		for i, f := range miss {
-			// A concurrent reader may have raced the sector in — or a
-			// writer may have dirtied it; keep theirs.
-			if _, hit := fs.meta.Lookup(f.addr); hit {
-				continue
-			}
-			fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
-		}
-	})
-	return err
+		fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
+	}
+	return nil
 }
 
 // readData returns the cached 4 KB data page at addr, reading it from
 // Petal on a miss. The caller holds owner, the covering lock.
-func (fs *FS) readData(addr int64, owner uint64) (*cache.Entry, error) {
+func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := fs.data.Lookup(addr); ok {
 		return e, nil
 	}
-	e, _, err := fs.fetchData([]int64{addr}, owner)
+	e, _, err := fs.fetchData(op, []int64{addr}, owner)
 	return e, err
 }
 
@@ -677,14 +710,16 @@ func (fs *FS) readData(addr int64, owner uint64) (*cache.Entry, error) {
 // cached nor on their way come in with it in one Petal read; pages
 // another fetch (a prefetch, usually) has in flight are waited for,
 // not read a second time. own reports that this call itself went to
-// Petal for addrs[0].
-func (fs *FS) fetchData(addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
+// Petal for addrs[0]; each time it does, op's principal is charged the
+// miss.
+func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
 	for {
 		mine, done, theirs := fs.claimPages(addrs)
 		if len(mine) > 0 {
 			fs.m.fills.Inc()
-			sp := fs.tr.Child("cache", "fill")
-			obs.With(sp, func() { e, err = fs.fillPages(mine, done, owner, true) })
+			fs.acct.CacheMiss(op.Ctx().Principal, 1)
+			sp := op.Child("cache", "fill")
+			e, err = fs.fillPages(sp, mine, done, owner, true)
 			sp.Done()
 		}
 		for _, ch := range theirs {
@@ -696,7 +731,7 @@ func (fs *FS) fetchData(addrs []int64, owner uint64) (e *cache.Entry, own bool, 
 		if len(mine) > 0 && mine[0] == addrs[0] {
 			return e, true, nil
 		}
-		if e, ok := fs.data.Lookup(addrs[0]); ok {
+		if e, ok := fs.data.Peek(addrs[0]); ok {
 			return e, false, nil
 		}
 		// The fetch we joined failed, or was discarded at its validity
@@ -721,7 +756,7 @@ func (fs *FS) claimPages(addrs []int64) (mine []int64, done chan struct{}, their
 			}
 			continue
 		}
-		if _, hit := fs.data.Lookup(a); hit {
+		if _, hit := fs.data.Peek(a); hit {
 			continue
 		}
 		if done == nil {
@@ -738,13 +773,14 @@ func (fs *FS) claimPages(addrs []int64) (mine []int64, done chan struct{}, their
 // chunk and fans out over servers and disks), inserts them under
 // owner, and releases the claims. It returns the entry of mine[0].
 //
-// A foreground caller holds owner (locked). A prefetch does not: it
-// ran without the lock, like the paper's UFS-derived read-ahead, and
+// A foreground caller holds owner (locked) and passes its handle. A
+// prefetch has neither: it runs for no operation and without the lock,
+// like the paper's UFS-derived read-ahead, and
 // only touches it here, briefly, as a validity gate — if the lock was
 // revoked meanwhile the data "must be discarded, and the work to read
 // it turns out to have been wasted" (§9.4), so no stale page ever
 // enters the cache.
-func (fs *FS) fillPages(mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
+func (fs *FS) fillPages(op *obs.Span, mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
 	defer func() {
 		fs.fetchMu.Lock()
 		for _, a := range mine {
@@ -766,7 +802,7 @@ func (fs *FS) fillPages(mine []int64, done chan struct{}, owner uint64, locked b
 		exts = append(exts, petal.ReadExtent{Off: mine[i], Dst: buf[i*BlockSize : j*BlockSize]})
 		i = j
 	}
-	if err := fs.pc.ReadV(fs.vd, exts); err != nil {
+	if err := fs.pc.For(op).ReadV(fs.vd, exts); err != nil {
 		return nil, err
 	}
 	fs.m.bytesRead.Add(int64(len(buf)))
@@ -780,7 +816,7 @@ func (fs *FS) fillPages(mine []int64, done chan struct{}, owner uint64, locked b
 	}
 	for i, a := range mine {
 		// A writer may have raced the page in; keep theirs.
-		e, hit := fs.data.Lookup(a)
+		e, hit := fs.data.Peek(a)
 		if !hit {
 			e = fs.data.Insert(a, buf[i*BlockSize:(i+1)*BlockSize], owner)
 		}
@@ -795,7 +831,7 @@ func (fs *FS) fillPages(mine []int64, done chan struct{}, owner uint64, locked b
 // by the record at seq may be written to Petal, the log must be
 // durable through seq. Concurrent callers group-commit inside the
 // WAL, so redundant calls are cheap.
-func (fs *FS) ensureLogFlushed(seq int64) error {
+func (fs *FS) ensureLogFlushed(op *obs.Span, seq int64) error {
 	if seq == 0 {
 		return nil
 	}
@@ -806,7 +842,7 @@ func (fs *FS) ensureLogFlushed(seq int64) error {
 	if !need {
 		return nil
 	}
-	if err := fs.log.Flush(); err != nil {
+	if err := fs.log.FlushOp(op); err != nil {
 		return err
 	}
 	fs.mu.Lock()
@@ -818,9 +854,11 @@ func (fs *FS) ensureLogFlushed(seq int64) error {
 }
 
 // flushEntry makes one dirty entry durable, honoring write-ahead
-// order: the log is forced through the entry's sequence first.
+// order: the log is forced through the entry's sequence first. It is
+// the pools' eviction flusher, and the pools know of no operation: the
+// write is nobody's.
 func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
-	if err := fs.ensureLogFlushed(pool.EntrySeq(e)); err != nil {
+	if err := fs.ensureLogFlushed(nil, pool.EntrySeq(e)); err != nil {
 		return err
 	}
 	if pool == fs.data {
@@ -838,7 +876,7 @@ func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
 	defer bufpool.Put(bufp)
 	buf := *bufp
 	gens := pool.SnapshotBatch([]*cache.Entry{e}, buf)
-	if err := fs.petalWrite(e.Addr, buf); err != nil {
+	if err := fs.petalWrite(nil, e.Addr, buf); err != nil {
 		return err
 	}
 	fs.m.bytesWritten.Add(int64(len(buf)))
@@ -859,6 +897,7 @@ type span struct{ lo, hi int }
 // atomically per block) and marks the touched cache entries dirty.
 type txn struct {
 	fs      *FS
+	op      *obs.Span // the operation the transaction belongs to
 	touched []*cache.Entry
 	spans   map[*cache.Entry][]span
 	segs    []uint64 // bitmap segment locks acquired by the allocator
@@ -867,8 +906,8 @@ type txn struct {
 	pageOwner uint64
 }
 
-func (fs *FS) begin() *txn {
-	return &txn{fs: fs, spans: make(map[*cache.Entry][]span)}
+func (fs *FS) begin(op *obs.Span) *txn {
+	return &txn{fs: fs, op: op, spans: make(map[*cache.Entry][]span)}
 }
 
 // update writes newBytes at off into the entry, recording the
@@ -965,6 +1004,7 @@ func (t *txn) commit() error {
 	if err != nil {
 		return err
 	}
+	t.fs.acct.WAL(t.op.Ctx().Principal, int64(wal.RecordSize(ups)))
 	for _, e := range t.touched {
 		t.fs.meta.MarkDirty(e, seq)
 	}
@@ -974,7 +1014,7 @@ func (t *txn) commit() error {
 	}
 	t.fs.mu.Unlock()
 	if t.fs.cfg.SyncLog {
-		if err := t.fs.log.Flush(); err != nil {
+		if err := t.fs.log.FlushOp(t.op); err != nil {
 			return err
 		}
 		t.fs.mu.Lock()
@@ -990,7 +1030,7 @@ func (t *txn) commit() error {
 // the transaction's locks are released (used for locks discovered
 // mid-operation, like a freshly allocated inode's).
 func (t *txn) lockExtra(id uint64) error {
-	if err := t.fs.clerk.Lock(id, lockExtraMode); err != nil {
+	if err := t.fs.lock(t.op, id, lockExtraMode); err != nil {
 		return err
 	}
 	t.segs = append(t.segs, id)
@@ -1020,7 +1060,7 @@ func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
 
-func (fs *FS) sync() error {
+func (fs *FS) sync(op *obs.Span) error {
 	fs.mu.Lock()
 	if fs.closed && fs.poisoned {
 		fs.mu.Unlock()
@@ -1029,7 +1069,7 @@ func (fs *FS) sync() error {
 	target := fs.appended
 	fs.mu.Unlock()
 
-	if err := fs.log.Flush(); err != nil {
+	if err := fs.log.FlushOp(op); err != nil {
 		return err
 	}
 	fs.mu.Lock()
@@ -1040,9 +1080,9 @@ func (fs *FS) sync() error {
 
 	err := fs.flushWorkers(2, func(i int) error {
 		if i == 0 {
-			return fs.flushRuns(fs.meta, fs.meta.AllDirty())
+			return fs.flushRuns(op, fs.meta, fs.meta.AllDirty())
 		}
-		return fs.flushData(fs.data.AllDirty())
+		return fs.flushData(op, fs.data.AllDirty())
 	})
 	if err == nil {
 		fs.log.Release(target)
@@ -1108,11 +1148,11 @@ func (fs *FS) land(mine []*cache.Entry, fl *flight, err error) {
 // Petal once however many flushers want it there. It returns the first
 // error of its own write and of the flights it joined; failed pages stay
 // dirty.
-func (fs *FS) flushData(es []*cache.Entry) error {
+func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
 	mine, fl, theirs := fs.claimDirty(es)
 	var err error
 	if len(mine) > 0 {
-		err = fs.flushRuns(fs.data, mine)
+		err = fs.flushRuns(op, fs.data, mine)
 		fs.land(mine, fl, err)
 	}
 	for _, other := range theirs {
@@ -1131,7 +1171,8 @@ func (fs *FS) flushData(es []*cache.Entry) error {
 // it lets go, are what a revoke, an fsync or a truncate then waits for.
 // With Config.FlushParallelism write-behind flights already under way it
 // starts nothing and reports false: the writer is ahead of Petal and the
-// span goes out with the next one.
+// span goes out with the next one. The flight outlives the write that
+// started it, so it runs for no operation.
 func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	fs.flushMu.Lock()
 	if fs.behind >= max(fs.cfg.FlushParallelism, 1) {
@@ -1153,7 +1194,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 		finish(nil)
 		return true
 	}
-	go func() { finish(fs.flushRuns(fs.data, mine)) }()
+	go func() { finish(fs.flushRuns(nil, fs.data, mine)) }()
 	return true
 }
 
@@ -1245,13 +1286,13 @@ const maxBatchBytes = 1 << 20
 // and dispatched through the flush workers, so one cache-sync round
 // trip carries many runs and, with FlushParallelism > 1, transfers
 // overlap.
-func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
+func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
 	}
 	// Log-before-data: force the log through the newest record
 	// covering any of these blocks before writing them in place.
-	if err := fs.ensureLogFlushed(pool.MaxSeq(dirty)); err != nil {
+	if err := fs.ensureLogFlushed(op, pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
 	batches := make([]flushBatch, 1)
@@ -1268,7 +1309,7 @@ func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 		batches[i].snapshot(pool)
 	}
 	return fs.flushWorkers(len(batches), func(i int) error {
-		return fs.writeBatch(pool, &batches[i])
+		return fs.writeBatch(op, pool, &batches[i])
 	})
 }
 
@@ -1284,14 +1325,14 @@ const recycleWithin = time.Second
 // goes back to the pool once nothing can reference it any more — WriteV
 // succeeded with every RPC answered — and to the garbage collector
 // otherwise (the rule petal.Client.Write follows for its snapshots).
-func (fs *FS) writeBatch(pool *cache.Pool, b *flushBatch) error {
+func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
 	exts := make([]petal.Extent, len(b.runs))
 	for i, r := range b.runs {
 		exts[i] = petal.Extent{Off: r.addr, Data: r.data}
 	}
 	fs.noteFlushInFlight(1)
 	start := fs.w.Clock.Now()
-	err := fs.petalWriteV(exts)
+	err := fs.petalWriteV(op, exts)
 	answered := fs.w.Clock.Now()-start < sim.Time(recycleWithin)
 	fs.noteFlushInFlight(-1)
 	if err != nil {
@@ -1329,14 +1370,13 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 	}
 	sem := make(chan struct{}, par)
 	errCh := make(chan error, n)
-	cur := obs.Current()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			obs.With(cur, func() { errCh <- fn(i) })
+			errCh <- fn(i)
 			<-sem
 		}(i)
 	}
@@ -1362,7 +1402,9 @@ func (fs *FS) noteFlushInFlight(d int64) {
 }
 
 // reclaimLog is the WAL's space-pressure callback: make records
-// through seq durable so their space can be reused.
+// through seq durable so their space can be reused. Whoever's append
+// tipped the log over, the space is everybody's: it runs for no
+// operation.
 func (fs *FS) reclaimLog(through int64) {
 	_ = fs.log.Flush()
 	fs.mu.Lock()
@@ -1376,7 +1418,7 @@ func (fs *FS) reclaimLog(through int64) {
 			old = append(old, e)
 		}
 	}
-	if err := fs.flushRuns(fs.meta, old); err == nil {
+	if err := fs.flushRuns(nil, fs.meta, old); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1384,19 +1426,23 @@ func (fs *FS) reclaimLog(through int64) {
 // ---- lock service callbacks ----
 
 // onRevoke implements §5's coherence actions when another server
-// wants a conflicting lock.
+// wants a conflicting lock. A revoke is nobody's operation, but it roots
+// a trace of its own: the flush it triggers (wal + petal spans) is
+// followable like any foreground op.
 func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 	fs.trace("onRevoke lock=%x to=%v dirtyMeta=%d dirtyData=%d", lock, to,
 		len(fs.meta.DirtyByOwner(lock)), len(fs.data.DirtyByOwner(lock)))
+	op := fs.tr.Start("lockservice", "revoke")
+	defer op.Done()
 	switch lock & (0xff << 56) {
 	case lockTagInode:
-		fs.flushOwner(lock)
+		fs.flushOwner(op, lock)
 		if to == lockservice.None {
 			fs.meta.InvalidateByOwner(lock)
 			fs.data.InvalidateByOwner(lock)
 		}
 	case lockTagBitmap:
-		fs.flushOwner(lock)
+		fs.flushOwner(op, lock)
 		fs.dropSegment(lock)
 		if to == lockservice.None {
 			fs.meta.InvalidateByOwner(lock)
@@ -1404,7 +1450,7 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 	case LockBarrier:
 		// Backup barrier: clean everything before letting the backup
 		// program take the exclusive lock (§8).
-		_ = fs.Sync()
+		_ = fs.sync(op)
 	}
 }
 
@@ -1418,16 +1464,16 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 // were written again while their flight was out. clean reports that
 // nothing was dirty to begin with; err is the first error of log,
 // metadata or data, and what failed stays dirty.
-func (fs *FS) flushLock(lock uint64) (clean bool, err error) {
+func (fs *FS) flushLock(op *obs.Span, lock uint64) (clean bool, err error) {
 	meta, data := fs.meta.DirtyByOwner(lock), fs.data.DirtyByOwner(lock)
 	var jobs []func() error
 	if len(meta) > 0 {
-		jobs = append(jobs, func() error { return fs.flushRuns(fs.meta, meta) })
+		jobs = append(jobs, func() error { return fs.flushRuns(op, fs.meta, meta) })
 	}
 	if len(data) > 0 {
 		jobs = append(jobs, func() error {
 			for len(data) > 0 {
-				if err := fs.flushData(data); err != nil {
+				if err := fs.flushData(op, data); err != nil {
 					return err
 				}
 				data = fs.data.DirtyByOwner(lock)
@@ -1445,9 +1491,9 @@ func (fs *FS) flushLock(lock uint64) (clean bool, err error) {
 // data — so this retries until everything is clean or the lease is
 // definitively lost (in which case the lock service runs recovery from
 // our log instead).
-func (fs *FS) flushOwner(lock uint64) {
+func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 	for {
-		clean, err := fs.flushLock(lock)
+		clean, err := fs.flushLock(op, lock)
 		if clean {
 			return
 		}

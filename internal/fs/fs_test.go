@@ -42,7 +42,13 @@ func newTestWorld(t testing.TB) *testWorld {
 // tests that need small class ranges (e.g. inode exhaustion).
 func newTestWorldLayout(t testing.TB, lay Layout) *testWorld {
 	t.Helper()
-	w := sim.NewWorld(100, 99)
+	return newTestWorldIn(t, sim.NewWorld(100, 99), lay)
+}
+
+// newTestWorldIn builds the test cluster in a world the caller made
+// (and may have stripped of its registry, for a NoObs cluster).
+func newTestWorldIn(t testing.TB, w *sim.World, lay Layout) *testWorld {
+	t.Helper()
 	tw := &testWorld{w: w, lay: lay, vd: "shared"}
 
 	pcfg := petal.DefaultServerConfig(256 << 20)

@@ -8,9 +8,11 @@ import (
 // cachedFile mounts one server whose modelled CPU is free (so ReadAt
 // never sleeps and only the Go code's own cost is left), writes a 1 MB
 // file and reads it once: every page is then resident.
-func cachedFile(tb testing.TB) *File {
+func cachedFile(tb testing.TB) *File { return cachedFileIn(tb, newTestWorld(tb)) }
+
+func cachedFileIn(tb testing.TB, tw *testWorld) *File {
 	tb.Helper()
-	f := newTestWorld(tb).mount(tb, "ws1", func(c *Config) { c.CPUPerOp, c.CPUPerKB = 0, 0 })
+	f := tw.mount(tb, "ws1", func(c *Config) { c.CPUPerOp, c.CPUPerKB = 0, 0 })
 	h, err := f.OpenFile("/hot", true)
 	if err != nil {
 		tb.Fatal(err)

@@ -100,7 +100,6 @@ type Clerk struct {
 
 	// Observability; set once at construction.
 	now        obs.NowFunc
-	tr         *obs.Tracer
 	acqLat     *obs.Histogram
 	revLat     *obs.Histogram
 	relLat     *obs.Histogram
@@ -111,7 +110,6 @@ type Clerk struct {
 	renewPigC  *obs.Counter       // renewals piggybacked on batches
 	renewElidC *obs.Counter       // per-server standalone calls elided (fresh ack)
 	resTab     *obs.ResourceTable // per-lock contention (hot-lock table)
-	acct       *obs.AccountTable  // per-principal lock-wait attribution
 	jr         *obs.Journal       // flight recorder (nil-safe)
 }
 
@@ -144,7 +142,6 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 	c.sendCond = sync.NewCond(&c.mu)
 	if reg := w.Obs; reg != nil {
 		c.now = reg.Now
-		c.tr = reg.Tracer()
 		c.acqLat = reg.Histogram("lockservice.acquire.latency#" + machine)
 		c.revLat = reg.Histogram("lockservice.revoke.latency#" + machine)
 		c.relLat = reg.Histogram("lockservice.release.latency#" + machine)
@@ -155,7 +152,6 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		c.renewPigC = reg.Counter("lockservice.renew.piggyback#" + machine)
 		c.renewElidC = reg.Counter("lockservice.renew.elided#" + machine)
 		c.resTab = reg.Resources("lockservice.locks")
-		c.acct = reg.Accounts()
 		c.jr = reg.Journal(machine)
 	}
 	c.ep = rpc.NewEndpoint(ClerkAddr(machine), carrier, w.Clock, c.handle)
@@ -376,55 +372,52 @@ func (c *Clerk) shardOfLocked(lock uint64) int {
 }
 
 // Lock acquires the lock in the given mode, blocking until granted.
-// It returns ErrLeaseLost if the clerk's lease expires meanwhile.
+// It returns ErrLeaseLost if the clerk's lease expires meanwhile. On
+// whose behalf the caller waits is the caller's to record: the clerk
+// keeps the per-lock and per-machine figures only.
 func (c *Clerk) Lock(lock uint64, mode Mode) error {
 	if c.now == nil {
-		return c.lockWait(lock, mode)
+		_, err := c.lockWait(lock, mode)
+		return err
 	}
 	start := c.now()
-	var err error
-	if sp := c.tr.Child("lockservice", "acquire"); sp != nil {
-		obs.With(sp, func() { err = c.lockWait(lock, mode) })
-		sp.Done()
-	} else {
-		err = c.lockWait(lock, mode)
-	}
+	blocked, err := c.lockWait(lock, mode)
 	// Per-lock contention: the whole acquire latency counts as wait
 	// (an uncontended sticky hit is ~0, so hot locks dominate).
 	wait := c.now() - start
 	c.resTab.Acquire(lock, wait)
 	c.acqLat.Record(wait)
-	// Lock blocks on the operation's own goroutine, so the caller's
-	// principal binding is in scope to charge the wait.
-	c.acct.LockWait(obs.CurrentPrincipal(), wait)
 	// Journal only acquires that blocked or failed: uncontended sticky
 	// hits are the overwhelming common case and would churn the ring.
 	if err != nil {
 		c.jr.Record("lockservice", "acquire", "fail", lock, wait, err.Error())
-	} else if wait > 0 {
+	} else if blocked {
 		c.jr.Record("lockservice", "acquire", "ok", lock, wait, "")
 	}
 	return err
 }
 
-func (c *Clerk) lockWait(lock uint64, mode Mode) error {
+// lockWait is Lock's wait loop; blocked reports that the caller had to
+// wait for the grant instead of finding it cached.
+func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
 	c.mu.Lock()
 	for {
 		if c.closed {
 			c.mu.Unlock()
-			return ErrClosed
+			return blocked, ErrClosed
 		}
 		if c.leaseLost {
 			c.mu.Unlock()
-			return ErrLeaseLost
+			return blocked, ErrLeaseLost
 		}
 		l := c.lockLocked(lock)
 		if l.mode >= mode && !l.revokePending && !l.revoking {
 			l.users++
 			l.lastUsed = c.w.Clock.Now()
 			c.mu.Unlock()
-			return nil
+			return blocked, nil
 		}
+		blocked = true
 		if l.want < mode {
 			l.want = mode
 		}
@@ -733,16 +726,7 @@ func (c *Clerk) processRevoke(lock uint64) {
 	c.mu.Unlock()
 
 	if cb != nil {
-		// Revokes run on their own goroutine, so this roots a fresh
-		// trace: the flush it triggers (wal + petal spans) is
-		// followable like any foreground op.
-		sp := c.tr.Start("lockservice", "revoke")
-		if sp == nil {
-			cb(lock, target)
-		} else {
-			obs.With(sp, func() { cb(lock, target) })
-			sp.Done()
-		}
+		cb(lock, target)
 	}
 
 	c.mu.Lock()

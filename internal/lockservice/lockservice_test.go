@@ -605,3 +605,48 @@ func TestIdleLocksDiscarded(t *testing.T) {
 	}
 	c.Unlock(1)
 }
+
+// TestJournalSkipsStickyHits: the flight recorder keeps acquires that
+// had to wait and acquires that failed, nothing else. A sticky hit
+// takes a clock tick like everything does; journalling it on that
+// account had the fast path overwrite the ring's failure history within
+// seconds.
+func TestJournalSkipsStickyHits(t *testing.T) {
+	ls := newTestLS(t, 3)
+	acquired := func(machine string) int {
+		n := 0
+		for _, e := range ls.w.Obs.Journal(machine).Events() {
+			if e.Layer == "lockservice" && e.Op == "acquire" && e.Kind == "ok" {
+				n++
+			}
+		}
+		return n
+	}
+	c1 := ls.clerk(t, "ws1")
+	if err := c1.Lock(7, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c1.Unlock(7)
+	if n := acquired("ws1"); n != 1 {
+		t.Fatalf("the cold acquire journalled %d events, want 1", n)
+	}
+	before := ls.w.Obs.Journal("ws1").Seq()
+	for i := 0; i < 1000; i++ {
+		if err := c1.Lock(7, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		c1.Unlock(7)
+	}
+	if n := ls.w.Obs.Journal("ws1").Seq() - before; n != 0 {
+		t.Fatalf("1000 sticky hits journalled %d events, want 0", n)
+	}
+	// One contended acquire: ws2 has to wait for ws1's grant to come back.
+	c2 := ls.clerk(t, "ws2")
+	if err := c2.Lock(7, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c2.Unlock(7)
+	if n := acquired("ws2"); n != 1 {
+		t.Fatalf("one contended acquire journalled %d acquire events, want exactly 1", n)
+	}
+}

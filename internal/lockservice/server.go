@@ -445,9 +445,9 @@ func (s *Server) handle(from string, body any) any {
 	}
 	s.cpu.Use(s.cpuCost(body))
 	s.reqC.Inc()
-	// The rpc layer rebinds the sender's principal around handlers, so
-	// server-side work is charged to the originating client.
-	s.acct.ServerOp(obs.CurrentPrincipal())
+	// Lock traffic is batched by the clerk's sender across whatever
+	// operations wait on it: it is nobody's in particular.
+	s.acct.ServerOp(obs.UnknownPrincipal)
 	switch m := body.(type) {
 	case ReqMsg:
 		s.onAcquireBatch(m.Clerk, m.Table, 0, []BatchReq{{Lock: m.Lock, Mode: m.Mode, Epoch: m.Epoch}})

@@ -9,7 +9,7 @@ import (
 
 func roundTrip(t *testing.T, body any) any {
 	t.Helper()
-	data, err := rpc.AppendMessage(nil, rpc.Envelope{ID: 42, Trace: 7, Span: 9, Body: body})
+	data, err := rpc.AppendMessage(nil, rpc.Envelope{ID: 42, Body: body})
 	if err != nil {
 		t.Fatalf("encode %T: %v", body, err)
 	}
@@ -24,7 +24,7 @@ func roundTrip(t *testing.T, body any) any {
 	if !ok {
 		t.Fatalf("decode returned %T, want Envelope", out)
 	}
-	if env.ID != 42 || env.Trace != 7 || env.Span != 9 {
+	if env.ID != 42 || env.IsReply {
 		t.Fatalf("envelope fields lost: %+v", env)
 	}
 	return env.Body

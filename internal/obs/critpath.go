@@ -51,8 +51,8 @@ func (cp *CritPath) AddTracer(tr *Tracer, max int) {
 }
 
 // AddTrace attributes one completed trace. Spans whose parent is
-// absent from the slice (evicted from the ring, or a remote stub
-// whose local twin was evicted) are skipped: without the parent they
+// absent from the slice (evicted from the ring, or recorded by another
+// process's tracer) are skipped: without the parent they
 // would double-count time the parent's own spans already cover.
 func (cp *CritPath) AddTrace(spans []Span) {
 	if cp == nil || len(spans) == 0 {

@@ -102,10 +102,7 @@ func TestCritPathFromTracer(t *testing.T) {
 	tr := r.Tracer()
 	for i := 0; i < 3; i++ {
 		root := tr.Start("fs", "sync")
-		With(root, func() {
-			child := tr.Start("wal", "flush")
-			child.Done()
-		})
+		root.Child("wal", "flush").Done()
 		root.Done()
 	}
 	cp := NewCritPath()

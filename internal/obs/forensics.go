@@ -10,7 +10,6 @@ import (
 // everything, so Filter{} is "the whole record".
 type Filter struct {
 	Key    uint64 // entity key (lock id, inode, chunk); 0 = any
-	Trace  uint64 // trace ID; 0 = any
 	Since  int64  // only events with T >= Since; 0 = any
 	Layer  string // "lockservice", "wal", ...; "" = any
 	Server string // journal owner; "" = any
@@ -18,9 +17,6 @@ type Filter struct {
 
 func (f Filter) match(e Event) bool {
 	if f.Key != 0 && e.Key != f.Key {
-		return false
-	}
-	if f.Trace != 0 && e.Trace != f.Trace {
 		return false
 	}
 	if f.Since != 0 && e.T < f.Since {
@@ -107,9 +103,6 @@ func RenderTimeline(events []Event, namer Namer) string {
 			} else {
 				detail = fmt.Sprintf("arg=%d", e.Arg)
 			}
-		}
-		if e.Trace != 0 {
-			detail = fmt.Sprintf("%s [trace %x]", detail, e.Trace)
 		}
 		fmt.Fprintf(&b, "%+12.3f %-8s %-24s %-10s %-18s %s\n",
 			float64(e.T-base)/1e6, e.Server, e.Layer+"."+e.Op, e.Kind,

@@ -22,7 +22,6 @@ type Event struct {
 	Kind   string `json:"kind"`             // "wait", "expire", "retry", "crit", ...
 	Key    uint64 `json:"key,omitempty"`    // entity: lock id, inode, WAL seq, chunk
 	Arg    int64  `json:"arg,omitempty"`    // small numeric payload: ns, bytes, count, slot
-	Trace  uint64 `json:"trace,omitempty"`  // trace ID if recorded inside a span
 	Detail string `json:"detail,omitempty"` // short free text ("ws1->petal2", error)
 }
 
@@ -72,17 +71,12 @@ func (j *Journal) Server() string {
 	return j.server
 }
 
-// Record appends one event, stamping the clock and — when called
-// inside an obs.With span — the current trace ID, so timelines can be
-// joined with traces. Copy-in to a preallocated slot: no allocation
+// Record appends one event, stamping the clock; timelines and traces
+// join on (server, time). Copy-in to a preallocated slot: no allocation
 // beyond the strings the caller already holds.
 func (j *Journal) Record(layer, op, kind string, key uint64, arg int64, detail string) {
 	if j == nil {
 		return
-	}
-	var trace uint64
-	if sp := Current(); sp != nil {
-		trace = sp.TraceID
 	}
 	j.mu.Lock()
 	// Stamp inside the lock: ring order and timestamp order agree,
@@ -98,7 +92,6 @@ func (j *Journal) Record(layer, op, kind string, key uint64, arg int64, detail s
 		Kind:   kind,
 		Key:    key,
 		Arg:    arg,
-		Trace:  trace,
 		Detail: detail,
 	}
 	j.pos = (j.pos + 1) % len(j.ring)

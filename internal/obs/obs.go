@@ -157,24 +157,30 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tr
 }
 
+// named returns the collector m (one of r's maps) holds under name,
+// making it with mk on first use.
+func named[V any](r *Registry, m map[string]*V, name string, mk func() *V) *V {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = NewCounter()
-		r.counters[name] = c
-	}
-	return c
+	return named(r, r.counters, name, NewCounter)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -182,19 +188,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = NewGauge()
-		r.gauges[name] = g
-	}
-	return g
+	return named(r, r.gauges, name, NewGauge)
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -202,19 +196,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return named(r, r.hists, name, NewHistogram)
 }
 
 // Resources returns the named per-resource contention table, creating
@@ -223,19 +205,7 @@ func (r *Registry) Resources(name string) *ResourceTable {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	t := r.restabs[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.restabs[name]; t == nil {
-		t = newResourceTable()
-		r.restabs[name] = t
-	}
-	return t
+	return named(r, r.restabs, name, newResourceTable)
 }
 
 // Accounts returns the registry's per-principal account table,

@@ -10,103 +10,25 @@ import (
 
 // Per-principal resource accounting: every byte moved, RPC issued,
 // lock-wait nanosecond, and cache miss is attributed to the client or
-// tenant ("principal") on whose behalf the work ran. The principal tag
-// follows the goroutine exactly like span bindings (trace.go) and
-// rides the rpc envelope across machines, so server-side work done for
+// tenant ("principal") on whose behalf the work ran. The principal is
+// bound where an operation enters the file system (fs.FS.As), travels
+// with the operation's span (Span.Principal), and rides the Petal
+// request headers across machines (Ctx), so server-side work done for
 // a remote client is charged to that client, not to the server.
 //
-// Work that runs outside any binding — background flushers, lease
+// Work that was handed no span — background flushers, prefetch, lease
 // renewals, recovery — lands in the reserved UnknownPrincipal account
 // rather than being dropped: unattributed load stays visible, and the
 // attribution-coverage gate in the noisy-neighbor experiment measures
 // exactly how much of the cluster's work the tags explain.
 
 const (
-	// UnknownPrincipal absorbs work recorded outside any binding.
+	// UnknownPrincipal absorbs work done on behalf of no operation.
 	UnknownPrincipal = "unknown"
 	// OtherPrincipal absorbs accounts folded out of a full table, so
 	// totals are never lost to eviction.
 	OtherPrincipal = "other"
 )
-
-// ---- goroutine-local principal binding --------------------------
-
-// The binding table mirrors the span table in trace.go: sharded by
-// goroutine ID, with a global bound-count so CurrentPrincipal bails
-// with one atomic load when nothing is bound anywhere.
-type plShard struct {
-	mu sync.Mutex
-	m  map[uint64]string
-}
-
-var (
-	plTab   [glShards]plShard
-	plBound atomic.Int64
-)
-
-func init() {
-	for i := range plTab {
-		plTab[i].m = make(map[uint64]string)
-	}
-}
-
-// CurrentPrincipal returns the principal bound to this goroutine, or
-// "" when none is bound.
-func CurrentPrincipal() string {
-	if plBound.Load() == 0 {
-		return ""
-	}
-	g := goid()
-	s := &plTab[g%glShards]
-	s.mu.Lock()
-	p := s.m[g]
-	s.mu.Unlock()
-	return p
-}
-
-// BoundPrincipals returns the number of live goroutine->principal
-// bindings across all shards — the leak-audit counterpart of
-// BoundSpans, expected to drain to zero once every bound operation
-// has returned.
-func BoundPrincipals() int {
-	n := 0
-	for i := range plTab {
-		s := &plTab[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// WithPrincipal binds principal p to the calling goroutine while fn
-// runs, restoring any previous binding afterwards (same defer-restore
-// discipline as With, so panics and early returns unwind the table).
-// An empty p just runs fn.
-func WithPrincipal(p string, fn func()) {
-	if p == "" {
-		fn()
-		return
-	}
-	g := goid()
-	s := &plTab[g%glShards]
-	s.mu.Lock()
-	prev, had := s.m[g]
-	s.m[g] = p
-	s.mu.Unlock()
-	plBound.Add(1)
-	defer func() {
-		s.mu.Lock()
-		if had {
-			s.m[g] = prev
-		} else {
-			delete(s.m, g)
-		}
-		s.mu.Unlock()
-		plBound.Add(-1)
-	}()
-	fn()
-}
 
 // ---- account table ----------------------------------------------
 
@@ -350,7 +272,7 @@ func (t *AccountTable) RPC(p string, n int64) {
 }
 
 // ServerOp records one server-side request handled for principal p
-// (the principal arrives in the rpc envelope).
+// (the principal arrives in the request's header).
 func (t *AccountTable) ServerOp(p string) {
 	if t == nil {
 		return

@@ -7,66 +7,6 @@ import (
 	"testing"
 )
 
-func TestPrincipalBinding(t *testing.T) {
-	if got := CurrentPrincipal(); got != "" {
-		t.Fatalf("unbound goroutine reports %q", got)
-	}
-	WithPrincipal("alice", func() {
-		if got := CurrentPrincipal(); got != "alice" {
-			t.Fatalf("bound = %q, want alice", got)
-		}
-		// Nested bindings shadow and restore.
-		WithPrincipal("bob", func() {
-			if got := CurrentPrincipal(); got != "bob" {
-				t.Fatalf("nested = %q, want bob", got)
-			}
-		})
-		if got := CurrentPrincipal(); got != "alice" {
-			t.Fatalf("after nested = %q, want alice", got)
-		}
-		// A spawned goroutine does NOT inherit the binding — the tag
-		// must be carried explicitly (boundedPar, rpc envelope).
-		done := make(chan string, 1)
-		go func() { done <- CurrentPrincipal() }()
-		if got := <-done; got != "" {
-			t.Fatalf("spawned goroutine inherited %q", got)
-		}
-	})
-	if got := CurrentPrincipal(); got != "" {
-		t.Fatalf("binding leaked: %q", got)
-	}
-}
-
-func TestPrincipalBindingDrains(t *testing.T) {
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			WithPrincipal(fmt.Sprintf("p%d", i), func() {
-				WithPrincipal("inner", func() {})
-			})
-		}(i)
-	}
-	wg.Wait()
-	if n := BoundPrincipals(); n != 0 {
-		t.Fatalf("%d bindings leaked", n)
-	}
-}
-
-func TestPrincipalBindingPanicUnwinds(t *testing.T) {
-	func() {
-		defer func() { recover() }()
-		WithPrincipal("doomed", func() { panic("boom") })
-	}()
-	if got := CurrentPrincipal(); got != "" {
-		t.Fatalf("panic leaked binding %q", got)
-	}
-	if n := BoundPrincipals(); n != 0 {
-		t.Fatalf("%d bindings leaked after panic", n)
-	}
-}
-
 func TestAccountTableUnknownPolicy(t *testing.T) {
 	tab := NewAccountTable((&fakeClock{}).now)
 	// Work recorded outside any binding lands in the visible unknown

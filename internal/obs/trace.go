@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -10,21 +9,54 @@ import (
 	"time"
 )
 
-// Span is one timed region of a trace. A root span has ID ==
-// TraceID; children share the root's TraceID and point at their
-// parent's ID. Spans created by Remote carry context received over
-// the wire and are never recorded themselves — they only parent the
-// receiver's own spans.
+// Span is one timed region of a trace, and the handle of the operation
+// it belongs to: the root is opened where the operation enters the
+// system and passed down explicitly, each layer that times its part
+// opening a Child of what it was handed. Nothing is ambient — work that
+// was handed no span (a nil *Span: background flushing, prefetch, lease
+// renewal) opens none and is accounted to UnknownPrincipal. All methods
+// are safe on a nil receiver.
+//
+// A root span has ID == TraceID; children share the root's TraceID and
+// Principal and point at their parent's ID, which may be a span on
+// another machine (see Remote).
 type Span struct {
-	TraceID uint64
-	ID      uint64
-	Parent  uint64
-	Layer   string
-	Op      string
-	Start   int64 // ns on the tracer's clock
-	End     int64 // ns; 0 until Done
+	TraceID   uint64
+	ID        uint64
+	Parent    uint64
+	Layer     string
+	Op        string
+	Start     int64  // ns on the tracer's clock
+	End       int64  // ns; 0 until Done
+	Principal string // on whose behalf the operation runs; "" is unknown
 
 	tr *Tracer
+}
+
+// Ctx is what a span puts on the wire so the receiving side can join
+// its trace and account its work: the zero value is "no operation".
+type Ctx struct {
+	Trace, Span uint64
+	Principal   string
+}
+
+// Ctx returns the span's wire context.
+func (sp *Span) Ctx() Ctx {
+	if sp == nil {
+		return Ctx{}
+	}
+	return Ctx{Trace: sp.TraceID, Span: sp.ID, Principal: sp.Principal}
+}
+
+// Child begins a span under sp, in its trace and for its principal. A
+// nil sp yields nil: sub-layer work (wal flushes, petal RPCs, lease
+// checks) only produces spans inside a traced operation, so background
+// write-behind traffic does not flood the ring with single-span traces.
+func (sp *Span) Child(layer, op string) *Span {
+	if sp == nil {
+		return nil
+	}
+	return sp.tr.Remote(sp.Ctx(), layer, op)
 }
 
 // Duration is End-Start; valid after Done.
@@ -102,44 +134,26 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 	}
 }
 
-// Start begins a new span. If the calling goroutine has a bound span
-// (see With), the new span joins that trace as a child; otherwise it
-// roots a fresh trace.
+// Start begins a new trace: the returned span is its root. The caller
+// sets Principal before handing the span on.
 func (t *Tracer) Start(layer, op string) *Span {
 	if t == nil {
 		return nil
 	}
 	id := t.ids.Add(1)
-	sp := &Span{ID: id, Layer: layer, Op: op, Start: t.now(), tr: t}
-	if p := Current(); p != nil {
-		sp.TraceID = p.TraceID
-		sp.Parent = p.ID
-	} else {
-		sp.TraceID = id
-	}
-	return sp
+	return &Span{TraceID: id, ID: id, Layer: layer, Op: op, Start: t.now(), tr: t}
 }
 
-// Child is like Start but returns nil when the calling goroutine has
-// no bound span: sub-layer operations (wal flushes, petal RPCs,
-// lease checks) only produce spans inside a traced operation, so
-// background write-behind traffic does not flood the ring with
-// single-span root traces.
-func (t *Tracer) Child(layer, op string) *Span {
-	if t == nil || Current() == nil {
+// Remote begins a span whose parent is known by its context alone — it
+// arrived over the wire — so the receiving side's work joins the
+// sender's trace and runs for the sender's principal. A zero context
+// (the sender was not inside a traced operation) yields nil.
+func (t *Tracer) Remote(parent Ctx, layer, op string) *Span {
+	if t == nil || parent.Trace == 0 {
 		return nil
 	}
-	return t.Start(layer, op)
-}
-
-// Remote reconstructs a parent span stub from trace context received
-// over the wire. The stub is never recorded; bind it with With so
-// spans started on the receiving side join the sender's trace.
-func Remote(traceID, spanID uint64) *Span {
-	if traceID == 0 {
-		return nil
-	}
-	return &Span{TraceID: traceID, ID: spanID}
+	return &Span{TraceID: parent.Trace, ID: t.ids.Add(1), Parent: parent.Span, Layer: layer, Op: op,
+		Start: t.now(), Principal: parent.Principal, tr: t}
 }
 
 // LastRoot returns the trace ID of the most recently completed root
@@ -247,7 +261,7 @@ func (t *Tracer) renderLocked(traceID uint64) string {
 			total = sp.End - base
 		}
 		// A span whose parent is missing from the ring (evicted, or
-		// a wire-level stub) renders as a top-level subtree.
+		// recorded by another process) renders as a top-level subtree.
 		if sp.Parent != 0 && present[sp.Parent] {
 			children[sp.Parent] = append(children[sp.Parent], sp)
 		} else {
@@ -271,112 +285,4 @@ func (t *Tracer) renderLocked(traceID uint64) string {
 		walk(r, 0)
 	}
 	return b.String()
-}
-
-// ---- goroutine-local span binding -------------------------------
-
-// Span context follows the goroutine: With binds a span for the
-// duration of fn, Current reads the binding. The map is sharded by
-// goroutine ID, and a global bound-count lets Current bail with a
-// single atomic load when no spans are bound anywhere — so constant
-// background traffic (heartbeats, lease renewals) pays nearly
-// nothing when nothing is being traced.
-type glShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Span
-}
-
-const glShards = 64
-
-var (
-	glTab   [glShards]glShard
-	glBound atomic.Int64
-)
-
-func init() {
-	for i := range glTab {
-		glTab[i].m = make(map[uint64]*Span)
-	}
-}
-
-// goid parses the current goroutine's ID from its stack header
-// ("goroutine N [...]"). Go offers no public accessor; this is the
-// standard portable fallback and costs ~1µs.
-func goid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// skip "goroutine "
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// Current returns the span bound to this goroutine, or nil.
-func Current() *Span {
-	if glBound.Load() == 0 {
-		return nil
-	}
-	g := goid()
-	s := &glTab[g%glShards]
-	s.mu.Lock()
-	sp := s.m[g]
-	s.mu.Unlock()
-	return sp
-}
-
-// BoundSpans returns the number of live goroutine->span bindings
-// across all shards. After every traced operation has returned, the
-// table must drain to zero — each With removes (or restores) exactly
-// the entry it installed via defer, which runs on normal return,
-// early return, and panic alike. Used by the leak regression test
-// and safe to call anytime.
-func BoundSpans() int {
-	n := 0
-	for i := range glTab {
-		s := &glTab[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// With binds sp to the calling goroutine while fn runs, restoring
-// any previous binding afterwards. A nil sp just runs fn.
-//
-// Leak audit: the binding is removed in a defer registered before fn
-// runs, so a panic inside fn (or any early return) still unwinds the
-// table; nothing between installing the binding and registering the
-// defer can fail. Goroutine IDs are never reused by the runtime, so
-// an exited goroutine cannot alias a stale entry even if one leaked.
-// The glBound counter pairs the same Add(1)/Add(-1) in the same
-// scopes, keeping the Current fast path consistent.
-func With(sp *Span, fn func()) {
-	if sp == nil {
-		fn()
-		return
-	}
-	g := goid()
-	s := &glTab[g%glShards]
-	s.mu.Lock()
-	prev, had := s.m[g]
-	s.m[g] = sp
-	s.mu.Unlock()
-	glBound.Add(1)
-	defer func() {
-		s.mu.Lock()
-		if had {
-			s.m[g] = prev
-		} else {
-			delete(s.m, g)
-		}
-		s.mu.Unlock()
-		glBound.Add(-1)
-	}()
-	fn()
 }

@@ -28,26 +28,20 @@ func TestSpanTreeStructure(t *testing.T) {
 	if root.TraceID != root.ID || root.Parent != 0 {
 		t.Fatalf("root span malformed: %+v", root)
 	}
-	With(root, func() {
-		child := tr.Start("wal", "flush")
-		if child.TraceID != root.TraceID || child.Parent != root.ID {
-			t.Fatalf("child not parented: %+v", child)
-		}
-		With(child, func() {
-			g := tr.Start("petal", "write")
-			if g.Parent != child.ID {
-				t.Fatalf("grandchild not parented: %+v", g)
-			}
-			g.Done()
-		})
-		child.Done()
-		// After the inner With returns, the binding must be restored.
-		if Current() != root {
-			t.Fatal("binding not restored after nested With")
-		}
-	})
-	if Current() != nil {
-		t.Fatal("binding must be cleared after With")
+	child := root.Child("wal", "flush")
+	if child.TraceID != root.TraceID || child.Parent != root.ID {
+		t.Fatalf("child not parented: %+v", child)
+	}
+	g := child.Child("petal", "write")
+	if g.TraceID != root.TraceID || g.Parent != child.ID {
+		t.Fatalf("grandchild not parented: %+v", g)
+	}
+	g.Done()
+	child.Done()
+	// A second child of the root hangs from the root, whatever ran
+	// between: parentage is the receiver's, not the last span's.
+	if sib := root.Child("wal", "flush"); sib.Parent != root.ID {
+		t.Fatalf("sibling parented to %d, want the root %d", sib.Parent, root.ID)
 	}
 	root.Done()
 
@@ -67,38 +61,81 @@ func TestSpanTreeStructure(t *testing.T) {
 	}
 }
 
+// TestChildRequiresBinding: a child needs a span to hang from. Work that
+// was handed none (a nil handle: background flushing, prefetch) opens
+// no spans, all the way down, and every method is safe on the nil.
 func TestChildRequiresBinding(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	if sp := tr.Child("wal", "flush"); sp != nil {
-		t.Fatal("Child outside any trace must return nil")
+	var none *Span
+	sp := none.Child("wal", "flush")
+	if sp != nil || sp.Child("petal", "write") != nil {
+		t.Fatal("Child of no span must be nil")
+	}
+	sp.Done()
+	if sp.Ctx() != (Ctx{}) || sp.Duration() != 0 {
+		t.Fatalf("nil span has context %+v", sp.Ctx())
 	}
 	root := tr.Start("fs", "write")
-	With(root, func() {
-		if sp := tr.Child("wal", "flush"); sp == nil {
-			t.Fatal("Child inside a trace must return a span")
-		} else {
-			sp.Done()
-		}
-	})
+	if sp := root.Child("wal", "flush"); sp == nil {
+		t.Fatal("Child inside a trace must return a span")
+	} else {
+		sp.Done()
+	}
 	root.Done()
+	if n := len(tr.SpansFor(root.TraceID)); n != 2 {
+		t.Fatalf("%d spans recorded, want 2", n)
+	}
 }
 
 func TestRemoteParenting(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	// Simulate the receive side of an rpc carrying trace context.
-	stub := Remote(42, 7)
-	var sp *Span
-	With(stub, func() {
-		sp = tr.Start("petal", "server.write")
-	})
+	// The receive side of a request carrying an operation's context.
+	sp := tr.Remote(Ctx{Trace: 42, Span: 7, Principal: "tenant-a"}, "petal", "server.write")
 	sp.Done()
-	if sp.TraceID != 42 || sp.Parent != 7 {
+	if sp.TraceID != 42 || sp.Parent != 7 || sp.Principal != "tenant-a" {
 		t.Fatalf("remote-parented span: %+v", sp)
 	}
-	if Remote(0, 9) != nil {
+	if got := tr.SpansFor(42); len(got) != 1 || got[0].ID != sp.ID {
+		t.Fatalf("trace 42 holds %+v, want the server span alone", got)
+	}
+	if tr.Remote(Ctx{Span: 9, Principal: "tenant-a"}, "petal", "server.write") != nil {
 		t.Fatal("Remote with zero trace ID must be nil")
+	}
+	var off *Tracer
+	if off.Remote(Ctx{Trace: 1}, "petal", "server.write") != nil {
+		t.Fatal("nil tracer must hand out nil spans")
+	}
+}
+
+// TestPrincipalBinding: a principal is bound to the root span, every
+// descendant carries it, and it crosses the wire in the span's context.
+// Concurrent operations cannot see each other's: there is nothing
+// shared to see it through.
+func TestPrincipalBinding(t *testing.T) {
+	r := NewRegistry((&fakeClock{}).now)
+	tr := r.Tracer()
+	root := tr.Start("fs", "write")
+	if root.Ctx().Principal != "" {
+		t.Fatalf("fresh root runs for %q", root.Principal)
+	}
+	root.Principal = "alice"
+	leaf := root.Child("wal", "flush").Child("petal", "write")
+	if leaf.Principal != "alice" {
+		t.Fatalf("grandchild runs for %q, want alice", leaf.Principal)
+	}
+	want := Ctx{Trace: root.TraceID, Span: leaf.ID, Principal: "alice"}
+	if got := leaf.Ctx(); got != want {
+		t.Fatalf("wire context %+v, want %+v", got, want)
+	}
+	if far := tr.Remote(leaf.Ctx(), "petal", "server.write"); far.Principal != "alice" || far.Parent != leaf.ID {
+		t.Fatalf("far side: %+v", far)
+	}
+	other := tr.Start("fs", "read")
+	other.Principal = "bob"
+	if root.Child("wal", "flush").Principal != "alice" || other.Child("cache", "fill").Principal != "bob" {
+		t.Fatal("principals of two live operations mixed")
 	}
 }
 
@@ -135,20 +172,39 @@ func TestConcurrentTracing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				root := tr.Start("fs", "op")
-				With(root, func() {
-					c := tr.Child("wal", "append")
-					c.Done()
-					if Current() != root {
-						t.Error("cross-goroutine binding leak")
-					}
-				})
+				c := root.Child("wal", "append")
+				c.Done()
+				if c.TraceID != root.TraceID || c.Parent != root.ID {
+					t.Error("child joined another goroutine's trace")
+				}
 				root.Done()
 			}
 		}()
 	}
 	wg.Wait()
-	if Current() != nil {
-		t.Fatal("stale binding after concurrent load")
+}
+
+// Slow-op dumps are individually size-bounded so maxSlowDumps of them
+// cannot pin megabytes of rendered traces.
+func TestSlowDumpTruncated(t *testing.T) {
+	r := NewRegistry((&fakeClock{}).now)
+	tr := r.Tracer()
+	tr.SetSlowThreshold(time.Nanosecond)
+	root := tr.Start("fs", "sync")
+	for i := 0; i < 2000; i++ {
+		root.Child("petal", "write-with-a-rather-long-operation-name").Done()
+	}
+	root.Done()
+	dumps := tr.SlowDumps()
+	if len(dumps) == 0 {
+		t.Fatal("no slow dump captured")
+	}
+	d := dumps[len(dumps)-1]
+	if len(d) > maxDumpBytes+64 {
+		t.Fatalf("dump is %d bytes, cap is %d", len(d), maxDumpBytes)
+	}
+	if !strings.Contains(d, "truncated") {
+		t.Fatal("oversized dump not marked truncated")
 	}
 }
 

@@ -19,7 +19,27 @@ import (
 // layers" (§2.1). It routes chunk operations to replicas, fails over
 // when a server is down, and refreshes its view of the global state
 // when routing goes stale.
+//
+// A Client is a view of one driver: For returns another view of the
+// same driver whose calls are made on behalf of an operation.
 type Client struct {
+	*driver
+	// op is the operation this view's calls are made for: they open
+	// their spans under it, are charged to its principal, and stamp
+	// their requests with its context. Nil for the driver's own view.
+	op *obs.Span
+}
+
+// For returns a view of the client whose calls run on behalf of op.
+func (c *Client) For(op *obs.Span) *Client {
+	if op == c.op {
+		return c
+	}
+	return &Client{driver: c.driver, op: op}
+}
+
+// driver is the state every view of one Client shares.
+type driver struct {
 	name    string
 	ep      *rpc.Endpoint
 	clock   *sim.Clock
@@ -81,7 +101,6 @@ type Client struct {
 
 	// Observability; set once at construction.
 	now    obs.NowFunc
-	tr     *obs.Tracer
 	opLats map[string]*obs.Histogram // read/readv/write/writev latency
 	acct   *obs.AccountTable         // per-principal RPC attribution
 	jr     *obs.Journal              // flight recorder (nil-safe)
@@ -129,7 +148,7 @@ func NewClient(w *sim.World, machine string, servers []string) *Client {
 // NewClientWithCarrier creates a Petal driver on an explicit message
 // carrier (TCP for daemon deployments, sim for tests).
 func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrier rpc.Carrier) *Client {
-	c := &Client{
+	c := &Client{driver: &driver{
 		name:           machine,
 		clock:          w.Clock,
 		servers:        append([]string(nil), servers...),
@@ -148,7 +167,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		refreshFanout:  obs.NewCounter(),
 		refreshUnch:    obs.NewCounter(),
 		infl:           make(map[string]*obs.Gauge, len(servers)),
-	}
+	}}
 	c.balanceReads.Store(1)
 	if reg := w.Obs; reg != nil {
 		c.writeVRPCs = reg.Counter("petal.writev.rpcs#" + machine)
@@ -166,7 +185,6 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 			c.infl[s] = reg.Gauge("petal.client.inflight#" + machine + "." + s)
 		}
 		c.now = reg.Now
-		c.tr = reg.Tracer()
 		c.acct = reg.Accounts()
 		c.jr = reg.Journal(machine)
 		c.opLats = map[string]*obs.Histogram{
@@ -185,21 +203,18 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 }
 
 // instr wraps one client operation in a latency histogram and — when
-// the caller is inside a traced operation — a child span, so the
-// operation appears in cross-layer trace trees and the rpc layer
-// propagates its context to the Petal servers.
-func (c *Client) instr(op string, fn func() error) error {
+// the view is bound to a traced operation — a child span, so the
+// operation appears in cross-layer trace trees; fn gets that span's
+// context to stamp on the requests it sends, which carries the trace to
+// the Petal servers.
+func (c *Client) instr(op string, fn func(ctx obs.Ctx) error) error {
 	if c.now == nil {
-		return fn()
+		return fn(obs.Ctx{})
 	}
 	start := c.now()
-	var err error
-	if sp := c.tr.Child("petal", op); sp != nil {
-		obs.With(sp, func() { err = fn() })
-		sp.Done()
-	} else {
-		err = fn()
-	}
+	sp := c.op.Child("petal", op)
+	err := fn(sp.Ctx())
+	sp.Done()
 	c.opLats[op].Record(c.now() - start)
 	return err
 }
@@ -494,12 +509,12 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 
 // call issues one data-path RPC, tracking the per-server outstanding
 // gauge that read routing balances on.
-func (c *Client) call(srv string, req any, timeout sim.Duration) (any, error) {
+func (c *Client) call(who, srv string, req any, timeout sim.Duration) (any, error) {
 	g := c.infl[srv]
 	g.Add(1)
 	// Every data-path RPC (including retries and failovers) is charged
 	// to the principal whose operation issued it.
-	c.acct.RPC(obs.CurrentPrincipal(), 1)
+	c.acct.RPC(who, 1)
 	resp, err := c.ep.Call(DataAddr(srv), req, timeout)
 	g.Add(-1)
 	return resp, err
@@ -517,20 +532,13 @@ func boundedPar(limit, n int, f func(int) error) error {
 	}
 	sem := make(chan struct{}, limit)
 	errCh := make(chan error, n)
-	// Span and principal bindings are per-goroutine: carry the
-	// caller's trace context and principal into the workers so
-	// fanned-out RPCs stay in the tree and stay attributed.
-	cur := obs.Current()
-	who := obs.CurrentPrincipal()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			obs.With(cur, func() {
-				obs.WithPrincipal(who, func() { errCh <- f(i) })
-			})
+			errCh <- f(i)
 			<-sem
 		}(i)
 	}
@@ -620,8 +628,9 @@ type dataOp interface {
 	name() string
 	// route fills a piece's replica preference list.
 	route(st *GlobalState, v VDiskID, chunk int64, tl *targetList)
-	// request builds the one message that carries a batch.
-	request(st *GlobalState, v VDiskID, ps []piece) any
+	// request builds the one message that carries a batch, stamped
+	// with the context of the operation it is sent for.
+	request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any
 	// settle consumes a batch's reply and returns the pieces it did
 	// not serve and why. An error with nothing left to retry is final:
 	// no replica would answer differently.
@@ -656,8 +665,10 @@ func staleView(err error) bool {
 // for a piece the view itself made fail — refresh the view, back off
 // and go again. timedOut reports that some call got no answer, so
 // its request may still be queued at the carrier, aliasing the
-// pieces' buffers.
-func (c *Client) transfer(v VDiskID, ps []piece, op dataOp) (timedOut bool, err error) {
+// pieces' buffers. ctx is the context of the operation the call is made
+// for: every request carries it and every RPC is charged to its
+// principal.
+func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedOut bool, err error) {
 	deadline := c.clock.Now() + sim.Time(c.opDeadline)
 	// One heap object holds everything a round's concurrent batches
 	// share; mu guards all but st, which they only read.
@@ -683,7 +694,7 @@ func (c *Client) transfer(v VDiskID, ps []piece, op dataOp) (timedOut bool, err 
 				x.next = nil
 				final := boundedPar(c.parallelism, len(batches), func(i int) error {
 					b := batches[i]
-					resp, callErr := c.call(b.srv, op.request(&x.st, v, b.ps), callTimeout(b.bytes))
+					resp, callErr := c.call(ctx.Principal, b.srv, op.request(ctx, &x.st, v, b.ps), callTimeout(b.bytes))
 					unserved, err, verb := b.ps, callErr, "failover"
 					if callErr == nil {
 						unserved, err = op.settle(b.ps, resp)
@@ -743,14 +754,14 @@ func (o readOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
 	o.c.readTargets(st, v, chunk, tl)
 }
 
-func (o readOp) request(_ *GlobalState, v VDiskID, ps []piece) any {
+func (o readOp) request(ctx obs.Ctx, _ *GlobalState, v VDiskID, ps []piece) any {
 	exts := make([]ReadVExtent, len(ps))
 	for i, p := range ps {
 		exts[i] = ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)}
 	}
 	o.c.readVRPCs.Add(1)
 	o.c.readVExtents.Add(int64(len(exts)))
-	return ReadVReq{VDisk: v, Extents: exts}
+	return ReadVReq{Ctx: ctx, VDisk: v, Extents: exts}
 }
 
 func (readOp) settle(ps []piece, resp any) (unserved []piece, err error) {
@@ -812,8 +823,8 @@ func (o writeOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) 
 	o.c.targets(st, v, chunk, tl)
 }
 
-func (o writeOp) request(st *GlobalState, v VDiskID, ps []piece) any {
-	req := WriteVReq{VDisk: v, Extents: make([]WriteVExtent, len(ps)), ExpireAt: o.expireAt, LeaseID: o.leaseID}
+func (o writeOp) request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any {
+	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: make([]WriteVExtent, len(ps)), ExpireAt: o.expireAt, LeaseID: o.leaseID}
 	if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
 		req.Epoch = meta.Epoch
 	}
@@ -849,8 +860,8 @@ func (c *Client) Read(v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
-	return c.instr("read", func() error {
-		_, err := c.transfer(v, appendPieces(nil, off, p), readOp{c})
+	return c.instr("read", func(ctx obs.Ctx) error {
+		_, err := c.transfer(ctx, v, appendPieces(nil, off, p), readOp{c})
 		return err
 	})
 }
@@ -874,8 +885,8 @@ func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
 		}
 		ps = appendPieces(ps, e.Off, e.Dst)
 	}
-	return c.instr("readv", func() error {
-		_, err := c.transfer(v, ps, readOp{c})
+	return c.instr("readv", func(ctx obs.Ctx) error {
+		_, err := c.transfer(ctx, v, ps, readOp{c})
 		return err
 	})
 }
@@ -886,7 +897,7 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
-	return c.instr("write", func() error {
+	return c.instr("write", func(ctx obs.Ctx) error {
 		// The in-memory transport passes payloads by reference and
 		// the caller may keep mutating its buffer (a cache page, the
 		// WAL's flush buffer) after we return; snapshot the bytes here,
@@ -895,7 +906,7 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 		// working set of buffers.
 		bufp := bufpool.Get(len(p))
 		copy(*bufp, p)
-		timedOut, err := c.transfer(v, appendPieces(nil, off, *bufp), c.newWriteOp())
+		timedOut, err := c.transfer(ctx, v, appendPieces(nil, off, *bufp), c.newWriteOp())
 		if !timedOut {
 			// Every call was answered, so no in-flight message can
 			// still reference the snapshot; safe to recycle.
@@ -924,8 +935,8 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 		}
 		ps = appendPieces(ps, e.Off, e.Data)
 	}
-	return c.instr("writev", func() error {
-		_, err := c.transfer(v, ps, c.newWriteOp())
+	return c.instr("writev", func(ctx obs.Ctx) error {
+		_, err := c.transfer(ctx, v, ps, c.newWriteOp())
 		return err
 	})
 }
@@ -987,7 +998,7 @@ func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
 	// request is O(1) on the wire and O(committed) at each server.
 	any := false
 	for _, srv := range c.servers {
-		resp, err := c.ep.Call(DataAddr(srv), DecommitReq{VDisk: v, FirstChunk: first, LastChunk: last}, dataTimeout)
+		resp, err := c.ep.Call(DataAddr(srv), DecommitReq{Ctx: c.op.Ctx(), VDisk: v, FirstChunk: first, LastChunk: last}, dataTimeout)
 		if err != nil {
 			continue
 		}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 )
 
@@ -91,8 +92,11 @@ type (
 	// ReadVReq is the one Petal read message: one or many chunk-local
 	// extents. The server resolves the vdisk once and serves every
 	// extent from its local store, so one round trip carries a whole
-	// run of cache misses or a batch of inode blocks.
+	// run of cache misses or a batch of inode blocks. Ctx names the
+	// operation the read is made for (zero for none): the server joins
+	// its trace and accounts the request to its principal.
 	ReadVReq struct {
+		Ctx     obs.Ctx
 		VDisk   VDiskID
 		Extents []ReadVExtent
 	}
@@ -126,8 +130,10 @@ type (
 	// servers configured with a write guard reject requests whose
 	// lease has expired — the hazard fix proposed at the end of paper
 	// §6. LeaseID optionally identifies the writer's lock-service
-	// lease for the integrated validation variant.
+	// lease for the integrated validation variant. Ctx is as in
+	// ReadVReq; a forward carries the context of the write it replicates.
 	WriteVReq struct {
+		Ctx       obs.Ctx
 		VDisk     VDiskID
 		Extents   []WriteVExtent
 		Forwarded bool
@@ -154,6 +160,7 @@ type (
 	}
 	// DecommitReq frees physical space for a chunk range of a vdisk.
 	DecommitReq struct {
+		Ctx        obs.Ctx
 		VDisk      VDiskID
 		FirstChunk int64
 		LastChunk  int64

@@ -213,16 +213,19 @@ func (s *Server) handle(from string, body any) any {
 		return nil
 	}
 	s.reqC.Inc()
-	// The rpc layer rebinds the sender's principal around handlers, so
-	// server-side work is charged to the originating client.
-	s.acct.ServerOp(obs.CurrentPrincipal())
+	// Requests sent on behalf of an operation say so in their header:
+	// the work is charged to the originating client, not to the server.
 	switch m := body.(type) {
 	case ReadVReq:
-		return s.spanned("server.readv", func() any { return s.onReadV(m) })
+		return s.spanned("server.readv", m.Ctx, func(*obs.Span) any { return s.onReadV(m) })
 	case WriteVReq:
-		return s.spanned("server.writev", func() any { return s.onWriteV(m) })
+		return s.spanned("server.writev", m.Ctx, func(sp *obs.Span) any { return s.onWriteV(sp, m) })
 	case DecommitReq:
+		s.acct.ServerOp(m.Ctx.Principal)
 		return s.onDecommit(m)
+	}
+	s.acct.ServerOp(obs.UnknownPrincipal) // control traffic is nobody's operation
+	switch m := body.(type) {
 	case AdminReq:
 		return s.onAdmin(m)
 	case StateReq:
@@ -274,22 +277,19 @@ func (s *Server) handle(from string, body any) any {
 	return nil
 }
 
-// spanned runs a data-path handler under a server-side child span
-// when the request arrived with trace context (which the rpc layer
-// binds to the handler goroutine), tracking the server's in-flight
-// request count and its high-water mark.
-func (s *Server) spanned(op string, fn func() any) any {
+// spanned runs a data-path handler for the operation its request
+// names: charged to that operation's principal and, when the request
+// arrived with trace context, under a server-side span that joins the
+// sender's trace (fn gets it, to hand on). It tracks the server's
+// in-flight request count and its high-water mark.
+func (s *Server) spanned(op string, ctx obs.Ctx, fn func(sp *obs.Span) any) any {
+	s.acct.ServerOp(ctx.Principal)
 	s.inflight.Add(1)
 	s.depthHi.SetMax(s.inflight.Value())
 	defer s.inflight.Add(-1)
-	sp := s.tr.Child("petal", op)
-	if sp == nil {
-		return fn()
-	}
-	var out any
-	obs.With(sp, func() { out = fn() })
-	sp.Done()
-	return out
+	sp := s.tr.Remote(ctx, "petal", op)
+	defer sp.Done()
+	return fn(sp)
 }
 
 // MissedBacklog reports the number of chunk writes this server's
@@ -440,7 +440,7 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 // replica hop too, and the partners are called in parallel. A local
 // failure fails the request, though a forward may by then have been
 // applied: the client's retry at the other replica converges the two.
-func (s *Server) onWriteV(m WriteVReq) WriteVResp {
+func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 	// On TCP, extent data aliases a pooled receive buffer. Once the
 	// store has copied the bytes and any replica forward has completed,
 	// the buffer is recycled — unless a forward timed out, in which
@@ -480,7 +480,7 @@ func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 		if i == 0 {
 			errStr = s.applyExtents(base, ceiling, m.Extents)
 		} else {
-			s.replicate(&fws[i-1], m.VDisk, ceiling, st)
+			s.replicate(sp.Ctx(), &fws[i-1], m.VDisk, ceiling, st)
 		}
 		return nil
 	})
@@ -582,15 +582,16 @@ next:
 }
 
 // replicate sends one partner its share of a client write, unless the
-// partner is known to be down.
-func (s *Server) replicate(fw *forward, v VDiskID, epoch int64, st GlobalState) {
+// partner is known to be down. ctx is the context of that write here:
+// the partner's span becomes a child of this server's.
+func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st GlobalState) {
 	s.mu.Lock()
 	partnerAlive := st.Alive[fw.partner]
 	s.mu.Unlock()
 	if !partnerAlive {
 		return
 	}
-	req := WriteVReq{VDisk: v, Extents: fw.exts, Forwarded: true, Epoch: epoch}
+	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: fw.exts, Forwarded: true, Epoch: epoch}
 	resp, err := s.ep.Call(DataAddr(fw.partner), req, dataTimeout)
 	if err != nil {
 		fw.leaked = true

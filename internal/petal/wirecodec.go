@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 )
 
@@ -60,6 +61,18 @@ func takeData(hc, pc *rpc.Cursor) []byte {
 	return pc.Take(int(bits >> 1))
 }
 
+// appendCtx appends an operation context: the two requests' headers
+// begin with it.
+func appendCtx(dst []byte, c obs.Ctx) []byte {
+	dst = binary.AppendUvarint(dst, c.Trace)
+	dst = binary.AppendUvarint(dst, c.Span)
+	return rpc.AppendString(dst, c.Principal)
+}
+
+func takeCtx(hc *rpc.Cursor) obs.Ctx {
+	return obs.Ctx{Trace: hc.Uvarint(), Span: hc.Uvarint(), Principal: hc.String()}
+}
+
 // ---- ReadVReq ----
 
 // WireTag implements rpc.WireMessage.
@@ -67,6 +80,7 @@ func (r ReadVReq) WireTag() byte { return TagReadVReq }
 
 // AppendWireHeader implements rpc.WireMessage.
 func (r ReadVReq) AppendWireHeader(dst []byte) []byte {
+	dst = appendCtx(dst, r.Ctx)
 	dst = rpc.AppendString(dst, string(r.VDisk))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Extents)))
 	for _, e := range r.Extents {
@@ -82,7 +96,7 @@ func (r ReadVReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst,
 
 func decodeReadVReq(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
 	hc := rpc.Cursor{Data: header}
-	r := ReadVReq{VDisk: VDiskID(hc.String())}
+	r := ReadVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
 	n := hc.Count(3)
 	if !hc.Bad && n > 0 {
 		r.Extents = make([]ReadVExtent, n)
@@ -162,6 +176,7 @@ func (w WriteVReq) WireTag() byte { return TagWriteVReq }
 
 // AppendWireHeader implements rpc.WireMessage.
 func (w WriteVReq) AppendWireHeader(dst []byte) []byte {
+	dst = appendCtx(dst, w.Ctx)
 	dst = rpc.AppendString(dst, string(w.VDisk))
 	dst = rpc.AppendBool(dst, w.Forwarded)
 	dst = binary.AppendVarint(dst, w.ExpireAt)
@@ -191,7 +206,7 @@ func (w WriteVReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
 func decodeWriteVReq(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
 	hc := rpc.Cursor{Data: header}
 	pc := rpc.Cursor{Data: payload}
-	w := WriteVReq{VDisk: VDiskID(hc.String())}
+	w := WriteVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
 	w.Forwarded = hc.Bool()
 	w.ExpireAt = hc.Varint()
 	w.LeaseID = hc.Uvarint()

@@ -22,10 +22,7 @@ import (
 //	gob     gobMsg{Body}   (self-describing; any registered type)
 //	-- tag != 0 --
 //	uvarint id<<1 | isReply
-//	uvarint trace
-//	uvarint span
-//	string  principal  (uvarint length + bytes; usually empty)
-//	uvarint headerLen
+//	u32     headerLen
 //	[]byte  header     type-specific fields (AppendWireHeader)
 //	[]byte  payload    raw payload bytes, zero-copy on encode
 //
@@ -138,9 +135,6 @@ func AppendMessageHeader(dst []byte, payloads [][]byte, env Envelope) (hdr []byt
 				idBits |= 1
 			}
 			dst = binary.AppendUvarint(dst, idBits)
-			dst = binary.AppendUvarint(dst, env.Trace)
-			dst = binary.AppendUvarint(dst, env.Span)
-			dst = AppendString(dst, env.Principal)
 			mark := len(dst)
 			// Reserve a fixed 4-byte spot for headerLen so the header
 			// can be appended in place, then patch it.
@@ -198,9 +192,6 @@ func DecodeMessage(data []byte, rb *RecvBuf) (body any, retained bool, err error
 	}
 	c := Cursor{Data: data, Off: 1}
 	idBits := c.Uvarint()
-	trace := c.Uvarint()
-	span := c.Uvarint()
-	principal := c.String()
 	if c.Bad || c.Off+4 > len(data) {
 		return nil, false, fmt.Errorf("%w: truncated envelope", ErrBadMessage)
 	}
@@ -215,14 +206,7 @@ func DecodeMessage(data []byte, rb *RecvBuf) (body any, retained bool, err error
 	if err != nil {
 		return nil, false, err
 	}
-	return Envelope{
-		ID:        idBits >> 1,
-		IsReply:   idBits&1 != 0,
-		Trace:     trace,
-		Span:      span,
-		Principal: principal,
-		Body:      inner,
-	}, retained, nil
+	return Envelope{ID: idBits >> 1, IsReply: idBits&1 != 0, Body: inner}, retained, nil
 }
 
 // Cursor is a bounds-checked reader over one message section.

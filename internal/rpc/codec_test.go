@@ -5,10 +5,13 @@
 package rpc_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/petal"
 	"frangipani/internal/rpc"
 )
@@ -18,8 +21,8 @@ import (
 func sampleEnvelopes() []rpc.Envelope {
 	return []rpc.Envelope{
 		// One-extent messages: what every small read and write is.
-		{ID: 1, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
-		{ID: 1, IsReply: true, Trace: 99, Span: 7, Principal: "tenant-7", Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte("hello")}}}},
+		{ID: 1, Body: petal.ReadVReq{Ctx: obs.Ctx{Trace: 99, Span: 7, Principal: "tenant-7"}, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
+		{ID: 1, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte("hello")}}}},
 		{ID: 2, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: nil}}}},      // hole
 		{ID: 3, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte{}}}}}, // present, empty
 		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{Err: "petal: boom"}}}},       // extent error
@@ -31,7 +34,7 @@ func sampleEnvelopes() []rpc.Envelope {
 			{OK: false, Err: "crc"},           // extent-local failure
 			{OK: true, Data: []byte{1, 2, 3}}, // more data after failure
 		}}},
-		{ID: 6, Trace: 1, Span: 2, Body: petal.WriteVReq{VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3, Extents: []petal.WriteVExtent{
+		{ID: 6, Body: petal.WriteVReq{Ctx: obs.Ctx{Trace: 1, Span: 2}, VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3, Extents: []petal.WriteVExtent{
 			{Chunk: 9, Off: 1024, Data: []byte("payload")},
 		}}},
 		{ID: 6, IsReply: true, Body: petal.WriteVResp{OK: true}},
@@ -61,8 +64,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("case %d: decoded %T, want Envelope", i, body)
 		}
-		if got.ID != env.ID || got.IsReply != env.IsReply || got.Trace != env.Trace ||
-			got.Span != env.Span || got.Principal != env.Principal {
+		if got.ID != env.ID || got.IsReply != env.IsReply {
 			t.Fatalf("case %d: envelope mismatch: got %+v want %+v", i, got, env)
 		}
 		if !reflect.DeepEqual(got.Body, env.Body) {
@@ -113,6 +115,93 @@ func TestCodecRetiredTags(t *testing.T) {
 	}
 }
 
+// TestCodecGoldenRequests pins the bytes of the two requests that carry
+// an operation's context: tag, id<<1|reply, a 4-byte header length, then
+// the header — context first (trace, span, principal), the request's own
+// fields after it — then the raw payload. A peer built from another
+// commit must produce exactly these.
+func TestCodecGoldenRequests(t *testing.T) {
+	ctx := obs.Ctx{Trace: 300, Span: 7, Principal: "t-1"}
+	for _, c := range []struct {
+		name string
+		env  rpc.Envelope
+		want []byte
+	}{
+		{"ReadVReq", rpc.Envelope{ID: 5, Body: petal.ReadVReq{Ctx: ctx, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}}, []byte{
+			3, 10, 0, 0, 0, 16, // tag, id 5, header length
+			0xac, 0x02, 7, 3, 't', '-', '1', // trace 300, span 7, principal
+			2, 'v', 'd', 1, // vdisk, one extent
+			14, 0x80, 0x04, 0x80, 0x20, // chunk 7 (zigzag), off 512, len 4096
+		}},
+		{"ReadVReq for no operation", rpc.Envelope{ID: 5, Body: petal.ReadVReq{VDisk: "vd"}}, []byte{
+			3, 10, 0, 0, 0, 7,
+			0, 0, 0, // no trace, no span, no principal
+			2, 'v', 'd', 0,
+		}},
+		{"WriteVReq", rpc.Envelope{ID: 6, Body: petal.WriteVReq{Ctx: ctx, VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3,
+			Extents: []petal.WriteVExtent{{Chunk: 9, Off: 1024, Data: []byte("pay")}}}}, []byte{
+			7, 12, 0, 0, 0, 19,
+			0xac, 0x02, 7, 3, 't', '-', '1',
+			2, 'v', 'd', 1, 9, 42, 6, 1, // vdisk, forwarded, expire -5 (zigzag), lease, epoch 3 (zigzag), one extent
+			18, 0x80, 0x08, 7, // chunk 9 (zigzag), off 1024, len 3<<1|present
+			'p', 'a', 'y',
+		}},
+	} {
+		got, err := rpc.AppendMessage(nil, c.env)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("%s: encoded\n %v\nwant\n %v", c.name, got, c.want)
+		}
+		body, _, err := rpc.DecodeMessage(c.want, nil)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		if env := body.(rpc.Envelope); env.ID != c.env.ID || !reflect.DeepEqual(env.Body, c.env.Body) {
+			t.Fatalf("%s: decoded %#v", c.name, env)
+		}
+	}
+}
+
+// oldLayoutFrame frames body the way the codec did when the envelope
+// carried the context: tag, id, trace, span, principal, header length,
+// then a header that does not begin with a context.
+func oldLayoutFrame(tag byte, id uint64, ctx obs.Ctx, header []byte) []byte {
+	msg := binary.AppendUvarint([]byte{tag}, id<<1)
+	msg = binary.AppendUvarint(msg, ctx.Trace)
+	msg = binary.AppendUvarint(msg, ctx.Span)
+	msg = rpc.AppendString(msg, ctx.Principal)
+	msg = binary.BigEndian.AppendUint32(msg, uint32(len(header)))
+	return append(msg, header...)
+}
+
+// oldLayoutFrames are a ReadVReq and a WriteVReq from a peer that still
+// puts the context in the envelope, each once inside a traced operation
+// and once outside any.
+func oldLayoutFrames() [][]byte {
+	readHdr := []byte{2, 'v', 'd', 1, 14, 0x80, 0x04, 0x80, 0x20}
+	writeHdr := []byte{2, 'v', 'd', 0, 0, 0, 0, 0}
+	var out [][]byte
+	for _, ctx := range []obs.Ctx{{}, {Trace: 300, Span: 7, Principal: "t-1"}, {Trace: 1, Span: 1}} {
+		out = append(out,
+			oldLayoutFrame(petal.TagReadVReq, 5, ctx, readHdr),
+			oldLayoutFrame(petal.TagWriteVReq, 6, ctx, writeHdr))
+	}
+	return out
+}
+
+// TestCodecOldEnvelopeLayout: a frame from a peer that still carries the
+// context in the envelope is refused as malformed — not misread as a
+// request for another vdisk or extent, and never a panic.
+func TestCodecOldEnvelopeLayout(t *testing.T) {
+	for i, msg := range oldLayoutFrames() {
+		if body, _, err := rpc.DecodeMessage(msg, nil); !errors.Is(err, rpc.ErrBadMessage) {
+			t.Fatalf("frame %d: decoded to %#v, err = %v; want ErrBadMessage", i, body, err)
+		}
+	}
+}
+
 // FuzzCodecRoundTrip throws arbitrary bytes at the decoder: malformed
 // input (truncated frames, oversized lengths, unknown type tags) must
 // error, never panic; input that does decode must re-encode and
@@ -132,6 +221,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0xC8, 0xFF, 0xFF})                                              // unknown tag
 	f.Add([]byte{3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // oversized varint
 	f.Add([]byte{7, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})                            // oversized header length
+	f.Add([]byte{3, 10, 0, 0, 0, 5, 0xac, 0x02, 7, 9, 't'})                      // context's principal runs past the header
+	for _, msg := range oldLayoutFrames() {
+		f.Add(msg) // context still in the envelope
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, _, err := rpc.DecodeMessage(data, nil)
 		if err != nil {

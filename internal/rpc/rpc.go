@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"frangipani/internal/obs"
 	"frangipani/internal/sim"
 )
 
@@ -32,20 +31,14 @@ var (
 	ErrClosed  = errors.New("rpc: endpoint closed")
 )
 
-// Envelope frames every message on the wire. Trace and Span carry
-// the sender's active trace context (obs), so one operation can be
-// followed across layers and machines; both are 0 when the sender
-// was not inside a traced operation. Principal carries the sender's
-// bound client/tenant tag the same way, so server-side work is
-// charged to the client it serves. It is exported so the wire codec's
-// tests and benchmarks can drive the exact carrier format.
+// Envelope frames every message on the wire: correlation and nothing
+// else. What a message is sent on behalf of (trace, principal) is the
+// protocol's business and travels in the body. It is exported so the
+// wire codec's tests and benchmarks can drive the exact carrier format.
 type Envelope struct {
-	ID        uint64 // correlation id; 0 for casts
-	IsReply   bool
-	Trace     uint64
-	Span      uint64
-	Principal string
-	Body      any
+	ID      uint64 // correlation id; 0 for casts
+	IsReply bool
+	Body    any
 }
 
 // HandlerFunc serves an incoming message. For messages sent with
@@ -148,32 +141,14 @@ func (e *Endpoint) receive(from string, body any, size int) {
 		// per-pair FIFO network ordering extends to handler execution;
 		// the lock protocol depends on a release sent before a request
 		// being processed before it.
-		withEnvContext(env, func() { h(from, env.Body) })
+		h(from, env.Body)
 		return
 	}
 	go func() {
-		var reply any
-		withEnvContext(env, func() { reply = h(from, env.Body) })
-		if reply != nil {
+		if reply := h(from, env.Body); reply != nil {
 			_ = e.carrier.Send(e.addr, from, Envelope{ID: env.ID, IsReply: true, Body: reply}, sizeOf(reply))
 		}
 	}()
-}
-
-// withEnvContext runs fn under the envelope's remote trace span and
-// principal bindings, skipping whichever is absent, so handler-side
-// spans join the sender's trace and handler-side work is charged to
-// the sender's principal.
-func withEnvContext(env Envelope, fn func()) {
-	if env.Trace != 0 {
-		inner := fn
-		fn = func() { obs.With(obs.Remote(env.Trace, env.Span), inner) }
-	}
-	if env.Principal != "" {
-		inner := fn
-		fn = func() { obs.WithPrincipal(env.Principal, inner) }
-	}
-	fn()
 }
 
 // Cast sends a one-way message. Delivery is best-effort: an error is
@@ -186,12 +161,7 @@ func (e *Endpoint) Cast(to string, body any) error {
 	if closed {
 		return ErrClosed
 	}
-	env := Envelope{Body: body}
-	if sp := obs.Current(); sp != nil {
-		env.Trace, env.Span = sp.TraceID, sp.ID
-	}
-	env.Principal = obs.CurrentPrincipal()
-	return e.carrier.Send(e.addr, to, env, sizeOf(body))
+	return e.carrier.Send(e.addr, to, Envelope{Body: body}, sizeOf(body))
 }
 
 // Call sends a request and waits up to timeout (simulated time) for
@@ -208,12 +178,7 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 	e.pending[id] = ch
 	e.mu.Unlock()
 
-	env := Envelope{ID: id, Body: req}
-	if sp := obs.Current(); sp != nil {
-		env.Trace, env.Span = sp.TraceID, sp.ID
-	}
-	env.Principal = obs.CurrentPrincipal()
-	err := e.carrier.Send(e.addr, to, env, sizeOf(req))
+	err := e.carrier.Send(e.addr, to, Envelope{ID: id, Body: req}, sizeOf(req))
 	if err != nil {
 		e.mu.Lock()
 		delete(e.pending, id)

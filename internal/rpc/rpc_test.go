@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"frangipani/internal/obs"
 	"frangipani/internal/sim"
 )
 
@@ -103,52 +102,6 @@ func TestCast(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cast not delivered")
-	}
-}
-
-// TestPrincipalPropagatesSim checks the sender's bound principal is
-// rebound around the handler for both Call (fresh goroutine) and Cast
-// (delivery goroutine), and absent when the sender was unbound.
-func TestPrincipalPropagatesSim(t *testing.T) {
-	_, a, b := newPair(t)
-	seen := make(chan string, 1)
-	b.Handle(func(from string, body any) any {
-		seen <- obs.CurrentPrincipal()
-		if _, ok := body.(echoReq); ok {
-			return echoResp{}
-		}
-		return nil
-	})
-	obs.WithPrincipal("tenant-a", func() {
-		if _, err := a.Call("b", echoReq{N: 1}, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got := <-seen; got != "tenant-a" {
-		t.Fatalf("call handler saw principal %q, want tenant-a", got)
-	}
-	obs.WithPrincipal("tenant-b", func() {
-		if err := a.Cast("b", "ping"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	select {
-	case got := <-seen:
-		if got != "tenant-b" {
-			t.Fatalf("cast handler saw principal %q, want tenant-b", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cast not delivered")
-	}
-	// Unbound sender: the handler must see no principal.
-	if _, err := a.Call("b", echoReq{N: 2}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-seen; got != "" {
-		t.Fatalf("unbound call leaked principal %q", got)
-	}
-	if n := obs.BoundPrincipals(); n != 0 {
-		t.Fatalf("%d principal bindings leaked", n)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"frangipani/internal/obs"
 	"frangipani/internal/sim"
 )
 
@@ -66,31 +65,6 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// TestTCPPrincipalPropagates checks the principal tag survives the
-// real wire: framed by the codec on send, rebound around the handler
-// on the receiving side.
-func TestTCPPrincipalPropagates(t *testing.T) {
-	a, b, _ := newTCPPair(t)
-	seen := make(chan string, 1)
-	b.Handle(func(from string, body any) any {
-		seen <- obs.CurrentPrincipal()
-		return tcpEchoResp{}
-	})
-	obs.WithPrincipal("tenant-tcp", func() {
-		if _, err := a.Call("b", tcpEcho{N: 1}, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	})
-	select {
-	case got := <-seen:
-		if got != "tenant-tcp" {
-			t.Fatalf("handler saw principal %q, want tenant-tcp", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("call not delivered")
-	}
 }
 
 func TestTCPCast(t *testing.T) {

@@ -64,6 +64,13 @@ type BlockRegion interface {
 // writes to (the whole Petal virtual disk).
 type BlockDev = BlockRegion
 
+// opWriter is a BlockRegion that can write on behalf of an operation,
+// so the log's own device write is traced and accounted as part of the
+// operation that forced the flush. Regions without it get plain WriteAt.
+type opWriter interface {
+	WriteAtOp(op *obs.Span, p []byte, off int64) error
+}
+
 // Update describes one sub-block metadata change.
 type Update struct {
 	Addr int64  // byte address of the 512-byte metadata block
@@ -123,6 +130,7 @@ type Log struct {
 	partEnd int64
 
 	appends        *obs.Counter
+	appendBytes    *obs.Counter // record bytes Append accepted
 	flushes        *obs.Counter
 	wrote          *obs.Counter
 	groupMerges    *obs.Counter
@@ -133,12 +141,10 @@ type Log struct {
 	// Observability; set once by SetObs before concurrent use, or
 	// left nil/standalone for unwired logs.
 	now       obs.NowFunc
-	tr        *obs.Tracer
 	appendLat *obs.Histogram
 	flushLat  *obs.Histogram
 	groupLat  *obs.Histogram
-	jr        *obs.Journal      // flight recorder (nil-safe)
-	acct      *obs.AccountTable // per-principal accounting (nil-safe)
+	jr        *obs.Journal // flight recorder (nil-safe)
 }
 
 type recSpan struct {
@@ -154,6 +160,7 @@ func New(region BlockRegion, size int64) *Log {
 		size:           size,
 		blocks:         size / BlockSize,
 		appends:        obs.NewCounter(),
+		appendBytes:    obs.NewCounter(),
 		flushes:        obs.NewCounter(),
 		wrote:          obs.NewCounter(),
 		groupMerges:    obs.NewCounter(),
@@ -173,6 +180,7 @@ func (l *Log) SetObs(reg *obs.Registry, instance string) {
 	}
 	l.mu.Lock()
 	l.appends = reg.Counter("wal.appends#" + instance)
+	l.appendBytes = reg.Counter("wal.append.bytes#" + instance)
 	l.flushes = reg.Counter("wal.flushes#" + instance)
 	l.wrote = reg.Counter("wal.wrote.bytes#" + instance)
 	l.groupMerges = reg.Counter("wal.groupcommit.merges#" + instance)
@@ -180,12 +188,10 @@ func (l *Log) SetObs(reg *obs.Registry, instance string) {
 	l.stallReclaims = reg.Counter("wal.reclaim.stall#" + instance)
 	l.maxFlushBlocks = reg.Gauge("wal.flush.maxblocks#" + instance)
 	l.now = reg.Now
-	l.tr = reg.Tracer()
 	l.appendLat = reg.Histogram("wal.append.latency#" + instance)
 	l.flushLat = reg.Histogram("wal.flush.latency#" + instance)
 	l.groupLat = reg.Histogram("wal.groupcommit.latency#" + instance)
 	l.jr = reg.Journal(instance)
-	l.acct = reg.Accounts()
 	l.mu.Unlock()
 }
 
@@ -204,30 +210,41 @@ func (l *Log) SetReclaim(f func(throughSeq int64)) {
 // stream.
 func (l *Log) streamCapacity() int64 { return l.blocks * payloadPerBlock }
 
+// updHdrLen is addr(8) + ver(8) + off(2) + len(2), before each update's
+// data.
+const updHdrLen = 20
+
+// RecordSize is the number of log bytes the record describing ups
+// takes: what Append adds to the stream, and what its caller accounts.
+func RecordSize(ups []Update) int {
+	n := recHdrLen + 2
+	for _, u := range ups {
+		n += updHdrLen + len(u.Data)
+	}
+	return n
+}
+
 // encode serializes a record.
 func encodeRecord(seq int64, ups []Update) ([]byte, error) {
-	body := make([]byte, 0, 128)
-	var tmp [10]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(ups)))
-	body = append(body, tmp[:2]...)
+	rec := make([]byte, recHdrLen+2, RecordSize(ups))
+	binary.LittleEndian.PutUint16(rec[recHdrLen:], uint16(len(ups)))
 	for _, u := range ups {
 		if u.Off < 0 || len(u.Data) == 0 || u.Off+len(u.Data) > MaxUpdateOffset {
 			return nil, fmt.Errorf("%w: off=%d len=%d", ErrBadUpdate, u.Off, len(u.Data))
 		}
-		var h [20]byte
+		var h [updHdrLen]byte
 		binary.LittleEndian.PutUint64(h[0:8], uint64(u.Addr))
 		binary.LittleEndian.PutUint64(h[8:16], u.Ver)
 		binary.LittleEndian.PutUint16(h[16:18], uint16(u.Off))
 		binary.LittleEndian.PutUint16(h[18:20], uint16(len(u.Data)))
-		body = append(body, h[:]...)
-		body = append(body, u.Data...)
+		rec = append(rec, h[:]...)
+		rec = append(rec, u.Data...)
 	}
-	rec := make([]byte, recHdrLen+len(body))
+	body := rec[recHdrLen:]
 	binary.LittleEndian.PutUint16(rec[0:2], recMagic)
 	binary.LittleEndian.PutUint32(rec[2:6], uint32(len(body)))
 	binary.LittleEndian.PutUint64(rec[6:14], uint64(seq))
 	binary.LittleEndian.PutUint32(rec[14:18], crc32.ChecksumIEEE(body))
-	copy(rec[recHdrLen:], body)
 	return rec, nil
 }
 
@@ -278,9 +295,7 @@ func (l *Log) Append(ups []Update) (int64, error) {
 	}
 	l.nextSeq = seq
 	l.appends.Inc()
-	// Append runs on the operation's own goroutine, so the caller's
-	// principal binding is in scope to charge the log bytes.
-	l.acct.WAL(obs.CurrentPrincipal(), need)
+	l.appendBytes.Add(need)
 	l.jr.Record("wal", "append", "ok", uint64(seq), need, "")
 	l.pending = append(l.pending, recSpan{seq: seq, start: l.head, end: l.head + need})
 	l.buf = append(l.buf, rec...)
@@ -362,14 +377,21 @@ func (l *Log) Release(throughSeq int64) {
 // there. Concurrent callers merge: while one write is in flight,
 // later callers wait for it and piggyback if it covered their bytes,
 // so N concurrent Flushes cost far fewer than N region writes.
-func (l *Log) Flush() error {
+func (l *Log) Flush() error { return l.FlushOp(nil) }
+
+// FlushOp is Flush on behalf of an operation: if this caller ends up
+// doing the region write, its wal.flush span is a child of op, and so
+// is the write itself (see opWriter) — beside the flush span, not under
+// it, so a critical-path profile charges the log's device time to the
+// log. Flush is FlushOp(nil).
+func (l *Log) FlushOp(op *obs.Span) error {
 	l.mu.Lock()
 	target := l.head
 	l.mu.Unlock()
-	return l.flushTo(target)
+	return l.flushTo(op, target)
 }
 
-func (l *Log) flushTo(target int64) error {
+func (l *Log) flushTo(op *obs.Span, target int64) error {
 	for {
 		l.mu.Lock()
 		if l.durable >= target {
@@ -406,15 +428,15 @@ func (l *Log) flushTo(target int64) error {
 		l.flushDone = make(chan struct{})
 		l.flushes.Inc()
 		pend := append([]recSpan(nil), l.pending...)
-		now, tr := l.now, l.tr
+		now := l.now
 		l.mu.Unlock()
 
-		sp := tr.Child("wal", "flush")
+		sp := op.Child("wal", "flush")
 		var fstart int64
 		if now != nil {
 			fstart = now()
 		}
-		err := l.writeStream(buf, start, pend)
+		err := l.writeStream(op, buf, start, pend)
 		sp.Done()
 		if now != nil {
 			l.flushLat.Record(now() - fstart)
@@ -454,8 +476,9 @@ func (l *Log) flushTo(target int64) error {
 // writeStream makes the stream bytes [start, start+len(buf)) durable.
 // Affected log blocks are assembled in memory — LSN, anchor, payload —
 // and written with one WriteAt per physically contiguous run (at most
-// two when the circular log wraps) instead of per-block I/O.
-func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
+// two when the circular log wraps) instead of per-block I/O. op is the
+// operation the writes are made for, if any.
+func (l *Log) writeStream(op *obs.Span, buf []byte, start int64, pend []recSpan) error {
 	firstBlk := start / payloadPerBlock
 	lastBlk := (start + int64(len(buf)) - 1) / payloadPerBlock
 	nBlks := lastBlk - firstBlk + 1
@@ -496,7 +519,14 @@ func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
 	for idx := int64(0); idx < nBlks; {
 		phys := (firstBlk + idx) % l.blocks
 		runLen := min64(nBlks-idx, l.blocks-phys)
-		if err := l.region.WriteAt(big[idx*BlockSize:(idx+runLen)*BlockSize], phys*BlockSize); err != nil {
+		run, off := big[idx*BlockSize:(idx+runLen)*BlockSize], phys*BlockSize
+		var err error
+		if r, ok := l.region.(opWriter); ok {
+			err = r.WriteAtOp(op, run, off)
+		} else {
+			err = l.region.WriteAt(run, off)
+		}
+		if err != nil {
 			return err
 		}
 		written += runLen * BlockSize
