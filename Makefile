@@ -54,8 +54,12 @@ bench:
 ## (lease renewal rides entirely on lock batches); on failure it dumps
 ## FORENSICS_scale-sweep.json. Its per-N curves are persisted to the
 ## trajectory as BENCH_scale_<utc-timestamp>.json.
-## The final step persists this build's point on the perf
-## trajectory as BENCH_<utc-timestamp>.json (schema frangipani-bench/v1).
+## The final step persists this build's point on the perf trajectory
+## as BENCH_<utc-timestamp>.json: the repository benchmark (BENCHMARK.json,
+## benchmark/README.md) on all four workloads at seed 1 — the eight
+## end-to-end metrics of each, with the host's description. Two such
+## files compare, against the benchmark's bounds, with
+## `bash benchmark/run.sh -compare OLD NEW`.
 bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp obs-smoke
 	$(GO) run ./cmd/frangibench -quick -exp read-scaling
@@ -66,7 +70,7 @@ bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp obs-overhead
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json
-	$(GO) run ./cmd/frangibench -out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
+	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 
 ## bench-codec: raw codec-vs-gob microbenchmarks with allocation counts.
 bench-codec:

@@ -33,6 +33,11 @@ type Entry struct {
 	// block's pending update; the log must be flushed through Seq
 	// before Data may be written to Petal.
 	Seq int64
+	// First is the log sequence of the oldest record whose update to
+	// this block has not reached Petal: records carry only the bytes
+	// they changed, so the log may be released through First only once
+	// Data has been written.
+	First int64
 	// Owner is the lock id covering this block.
 	Owner uint64
 
@@ -229,6 +234,9 @@ func (p *Pool) flushVictims(victims []*Entry) {
 // MarkDirty flags the entry and records the covering log sequence.
 func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	p.mu.Lock()
+	if !e.Dirty {
+		e.First = seq
+	}
 	e.Dirty = true
 	e.gen++
 	if seq > e.Seq {
@@ -312,6 +320,22 @@ func (p *Pool) AllDirty() []*Entry {
 	var out []*Entry
 	for _, e := range p.entries {
 		if e.Dirty {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// DirtyThrough returns the dirty entries that hold an update logged at
+// or before seq: what has to be written back before the log can be
+// released through seq. An entry's newest sequence does not say — a
+// block updated by every record would never qualify.
+func (p *Pool) DirtyThrough(seq int64) []*Entry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []*Entry
+	for _, e := range p.entries {
+		if e.Dirty && e.First <= seq {
 			out = append(out, e)
 		}
 	}

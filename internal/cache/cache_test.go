@@ -111,6 +111,29 @@ func TestMarkCleanAndSeq(t *testing.T) {
 	}
 }
 
+// TestDirtyThrough: an entry counts from the first record that dirtied
+// it since it was last clean, however many newer ones followed, and
+// starts over once it has been written back.
+func TestDirtyThrough(t *testing.T) {
+	p := NewPool(512, 4)
+	hot := p.Insert(0, make([]byte, 512), 1)
+	late := p.Insert(512, make([]byte, 512), 1)
+	p.MarkDirty(hot, 3)
+	p.MarkDirty(hot, 9)
+	p.MarkDirty(late, 8)
+	if got := p.DirtyThrough(5); len(got) != 1 || got[0] != hot {
+		t.Fatalf("DirtyThrough(5) = %d entries, want the one first dirtied by record 3", len(got))
+	}
+	if got := p.DirtyThrough(2); len(got) != 0 {
+		t.Fatalf("DirtyThrough(2) = %d entries, want none", len(got))
+	}
+	p.MarkClean(hot)
+	p.MarkDirty(hot, 12)
+	if got := p.DirtyThrough(9); len(got) != 1 || got[0] != late {
+		t.Fatalf("after a write-back DirtyThrough(9) = %d entries, want only the other one", len(got))
+	}
+}
+
 func TestInvalidateAll(t *testing.T) {
 	p := NewPool(512, 16)
 	for i := int64(0); i < 8; i++ {

@@ -677,18 +677,35 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 	})
 }
 
-// Sync is fsync: force the log and write back this file's dirty
-// blocks ("a user can get better consistency semantics by calling
-// fsync at suitable checkpoints", §4), waiting for the write-behind
-// already under way instead of repeating it (see FS.flushLock).
+// Sync is fsync, the user's way to force the log: "Only after a log
+// record is written to Petal does the server modify the actual metadata
+// in its permanent locations. The permanent locations are updated
+// periodically (roughly every 30 seconds) by the update demon" (§4), so
+// what makes an update durable is its log record, and "a user can get
+// better consistency semantics by calling fsync at suitable
+// checkpoints". Sync forces the log through the newest record that
+// touched the file's dirty sectors (nothing if they are clean or it is
+// durable already) and, beside it, writes back the file's dirty pages,
+// which are not logged — one Petal round trip — and stops. The sectors
+// stay dirty, with their sequence numbers, for whoever writes metadata
+// in place: the update demon, a revoke (FS.flushOwner, the same two jobs
+// plus the sectors), log reclaim, eviction, Unmount. The data side waits
+// for write-behind already under way instead of repeating it, and owes
+// only what was written before the call (see FS.flushData).
 func (f *File) Sync() error {
 	return f.fs.traced("fsync", f.fsync)
 }
 
 func (f *File) fsync(op *obs.Span) error {
-	if err := f.fs.usable(); err != nil {
+	fs := f.fs
+	if err := fs.usable(); err != nil {
 		return err
 	}
-	_, err := f.fs.flushLock(op, InodeLock(f.inum))
-	return err
+	lock := InodeLock(f.inum)
+	return fs.flushWorkers(2, func(i int) error {
+		if i == 0 {
+			return fs.ensureLogFlushed(op, fs.meta.MaxSeq(fs.meta.DirtyByOwner(lock)))
+		}
+		return fs.flushData(op, fs.data.DirtyByOwner(lock))
+	})
 }

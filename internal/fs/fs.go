@@ -251,6 +251,11 @@ type server struct {
 	acct *obs.AccountTable // per-principal accounting (nil-safe)
 
 	syncCancel func()
+
+	// replaying admits one log replay at a time: the lock service asks
+	// again when a replay outlasts its patience, and two replays that
+	// interleave write each other's blocks back to older versions.
+	replaying sync.Mutex
 }
 
 // Mkfs initializes a Frangipani file system on an (empty) Petal
@@ -1101,13 +1106,13 @@ type flight struct {
 // claimDirty is the single-flight gate every data write-back passes,
 // the write side of claimPages. Of es (which it consumes) it claims, in
 // fs.flights, the pages that are dirty and in no flight (mine, released
-// by land), and returns the flights that carry others. Dirtiness is read
-// after the claim table, under both locks: a flight marks its pages
-// clean before it lets go of them, so a page is never seen as neither
-// claimed nor clean while a write of it is landing, and a page that is
-// claimed stays dirty, and so visible to whoever must wait for it, until
-// it has landed.
-func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, theirs []*flight) {
+// by land), and returns the others that some flight carries (joined) with
+// those flights (theirs). Dirtiness is read after the claim table, under
+// both locks: a flight marks its pages clean before it lets go of them,
+// so a page is never seen as neither claimed nor clean while a write of
+// it is landing, and a page that is claimed stays dirty, and so visible
+// to whoever must wait for it, until it has landed.
+func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, theirs []*flight, joined []*cache.Entry) {
 	mine = es[:0]
 	fs.flushMu.Lock()
 	defer fs.flushMu.Unlock()
@@ -1117,6 +1122,7 @@ func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, th
 				if !slices.Contains(theirs, other) {
 					theirs = append(theirs, other)
 				}
+				joined = append(joined, e)
 				continue
 			}
 			if !e.Dirty {
@@ -1129,7 +1135,7 @@ func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, th
 			mine = append(mine, e)
 		}
 	})
-	return mine, fl, theirs
+	return mine, fl, theirs, joined
 }
 
 // land ends a flight: its claims go and whoever joined it wakes up.
@@ -1143,25 +1149,38 @@ func (fs *FS) land(mine []*cache.Entry, fl *flight, err error) {
 	close(fl.done)
 }
 
-// flushData writes back the dirty data pages among es that no flight is
-// carrying and joins the flights that carry the rest, so a page goes to
-// Petal once however many flushers want it there. It returns the first
-// error of its own write and of the flights it joined; failed pages stay
-// dirty.
+// flushData writes back what the data pages es held when it was called,
+// or something newer: it sends the dirty ones that no flight is carrying
+// (snapshots taken now) and joins the flights that carry the rest, so a
+// page goes to Petal once however many flushers want it there. A joined
+// flight may have taken its snapshot before the call; whichever of its
+// pages is still dirty once it has landed was written after that
+// snapshot, and a second pass sends it — or joins a flight that claimed
+// it after the first one landed, and so after the call began. Two passes
+// are therefore all a caller is owed, however fast the pages are being
+// written again; what is written behind a pass is its writer's next
+// flush. It returns the first error of its own writes and of the flights
+// it joined; failed pages stay dirty.
 func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
-	mine, fl, theirs := fs.claimDirty(es)
-	var err error
-	if len(mine) > 0 {
-		err = fs.flushRuns(op, fs.data, mine)
-		fs.land(mine, fl, err)
-	}
-	for _, other := range theirs {
-		<-other.done
-		if err == nil {
-			err = other.err
+	for pass := 0; pass < 2 && len(es) > 0; pass++ {
+		mine, fl, theirs, joined := fs.claimDirty(es)
+		var err error
+		if len(mine) > 0 {
+			err = fs.flushRuns(op, fs.data, mine)
+			fs.land(mine, fl, err)
 		}
+		for _, other := range theirs {
+			<-other.done
+			if err == nil {
+				err = other.err
+			}
+		}
+		if err != nil {
+			return err
+		}
+		es = joined
 	}
-	return err
+	return nil
 }
 
 // flushBehind hands the dirty pages among es (the pages of a span a
@@ -1181,7 +1200,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	}
 	fs.behind++
 	fs.flushMu.Unlock()
-	mine, fl, _ := fs.claimDirty(es)
+	mine, fl, _, _ := fs.claimDirty(es)
 	finish := func(err error) {
 		if fl != nil {
 			fs.land(mine, fl, err)
@@ -1401,24 +1420,12 @@ func (fs *FS) noteFlushInFlight(d int64) {
 	fs.m.flushPeak.SetMax(cur)
 }
 
-// reclaimLog is the WAL's space-pressure callback: make records
-// through seq durable so their space can be reused. Whoever's append
-// tipped the log over, the space is everybody's: it runs for no
-// operation.
+// reclaimLog is the WAL's space-pressure callback: write in place, log
+// first, every sector that still holds an update from a record through
+// seq, so that the records' space can be reused. Whoever's append tipped
+// the log over, the space is everybody's: it runs for no operation.
 func (fs *FS) reclaimLog(through int64) {
-	_ = fs.log.Flush()
-	fs.mu.Lock()
-	if fs.appended > fs.flushed {
-		fs.flushed = fs.appended
-	}
-	fs.mu.Unlock()
-	var old []*cache.Entry
-	for _, e := range fs.meta.AllDirty() {
-		if fs.meta.EntrySeq(e) <= through {
-			old = append(old, e)
-		}
-	}
-	if err := fs.flushRuns(nil, fs.meta, old); err == nil {
+	if err := fs.flushRuns(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1454,51 +1461,32 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 	}
 }
 
-// flushLock makes durable what one lock covers: it is both fsync and
-// the flush a revoke waits for. The log and the data go out together —
-// user data is not logged, so no write-ahead order binds it — and the
-// lock's metadata sectors follow the log as soon as that is durable.
-// Data pages a flight already carries (write-behind, another fsync, the
-// sync demon) are joined, not sent again; the data side goes round
-// until the lock has no dirty page left, so it also covers pages that
-// were written again while their flight was out. clean reports that
-// nothing was dirty to begin with; err is the first error of log,
-// metadata or data, and what failed stays dirty.
-func (fs *FS) flushLock(op *obs.Span, lock uint64) (clean bool, err error) {
-	meta, data := fs.meta.DirtyByOwner(lock), fs.data.DirtyByOwner(lock)
-	var jobs []func() error
-	if len(meta) > 0 {
-		jobs = append(jobs, func() error { return fs.flushRuns(op, fs.meta, meta) })
-	}
-	if len(data) > 0 {
-		jobs = append(jobs, func() error {
-			for len(data) > 0 {
-				if err := fs.flushData(op, data); err != nil {
-					return err
-				}
-				data = fs.data.DirtyByOwner(lock)
-			}
-			return nil
-		})
-	}
-	return len(jobs) == 0, fs.flushWorkers(len(jobs), func(i int) error { return jobs[i]() })
-}
-
-// flushOwner is flushLock for a lock that is about to change hands: "a
+// flushOwner is the flush a lock waits for before it changes hands: "a
 // write lock that covers dirty data can change owners only after the
-// dirty data has been written to Petal" (§4). That rule is absolute — a
-// transient Petal failure must delay the lock handoff, not drop the
-// data — so this retries until everything is clean or the lease is
-// definitively lost (in which case the lock service runs recovery from
-// our log instead).
+// dirty data has been written to Petal" (§4). The lock's metadata (the
+// log forced through its newest record, then the sectors in place) and
+// its data are two jobs for the flush workers — user data is not logged,
+// so no write-ahead order binds it. The clerk has drained the lock's
+// users, so nothing is written behind a pass and clean is reachable. The
+// rule is absolute — a transient Petal failure must delay the handoff,
+// not drop the data — so this goes round until nothing the lock covers
+// is dirty or the lease is definitively lost (in which case the lock
+// service runs recovery from our log instead). fsync is the same two
+// jobs less the sectors, once (see File.Sync).
 func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 	for {
-		clean, err := fs.flushLock(op, lock)
-		if clean {
+		meta, data := fs.meta.DirtyByOwner(lock), fs.data.DirtyByOwner(lock)
+		if len(meta) == 0 && len(data) == 0 {
 			return
 		}
+		err := fs.flushWorkers(2, func(i int) error {
+			if i == 0 {
+				return fs.flushRuns(op, fs.meta, meta)
+			}
+			return fs.flushData(op, data)
+		})
 		if err == nil {
-			continue // re-check: all clean now exits above
+			continue // clean now, unless a joined flight left something
 		}
 		if fs.clerk.LeaseLost() {
 			return // poison path owns the data-loss accounting
@@ -1551,6 +1539,8 @@ func (fs *FS) dropSegHintsLocked(seg int64) {
 // against the shared disk. The lock service has granted us exclusive
 // ownership of the dead server's log and locks.
 func (fs *FS) onRecover(dead string, deadSlot int) error {
+	fs.replaying.Lock()
+	defer fs.replaying.Unlock()
 	fs.jr.Record("fs", "recover", "start", 0, int64(deadSlot), dead)
 	region := &logRegion{fs: fs, base: fs.lay.LogSlotBase(deadSlot)}
 	recs, err := wal.Scan(region, fs.lay.LogSize)

@@ -1,22 +1,25 @@
 package fs
 
 import (
+	"fmt"
 	"runtime/debug"
 	"slices"
 	"testing"
+
+	"frangipani/internal/sim"
 )
 
-// BenchmarkWriteAtStreamSync is the host-time cost of one turn of a
-// streaming writer: eight sequential 64 KB WriteAts and the Sync that
-// makes them durable. The modelled CPU is free; Petal's disks and links
-// still take simulated time, so ns/op is mostly waiting and allocs/op
-// is the number to watch.
 // raceBuild reports whether the test binary was built with -race.
 func raceBuild() bool {
 	bi, _ := debug.ReadBuildInfo()
 	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
+// BenchmarkWriteAtStreamSync is the host-time cost of one turn of a
+// streaming writer: eight sequential 64 KB WriteAts and the Sync that
+// makes them durable. The modelled CPU is free; Petal's disks and links
+// still take simulated time, so ns/op is mostly waiting and allocs/op
+// is the number to watch.
 func BenchmarkWriteAtStreamSync(b *testing.B) {
 	h := cachedFile(b)
 	rec := make([]byte, 64<<10)
@@ -33,6 +36,39 @@ func BenchmarkWriteAtStreamSync(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFsyncSmallFile is one turn of the small-file loop: create, one
+// 4 KB write, fsync. ns/op and allocs/op are the whole turn on the host's
+// clock; sim-ms/fsync is the fsync alone on the simulated one and
+// petal-writes/fsync the Petal write RPCs the server sent meanwhile (the
+// log block and the data run; write-back that happens to overlap an fsync
+// is counted with it).
+func BenchmarkFsyncSmallFile(b *testing.B) {
+	tw := newTestWorld(b)
+	f := tw.mount(b, "ws1", nil)
+	page := pattern(BlockSize, 14)
+	var simTime sim.Time
+	var rpcs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := f.OpenFile(fmt.Sprintf("/b%06d", i), true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.WriteAt(page, 0); err != nil {
+			b.Fatal(err)
+		}
+		t0, r0 := tw.w.Clock.Now(), f.pc.Stats().WriteVRPCs
+		if err := h.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		simTime += tw.w.Clock.Now() - t0
+		rpcs += f.pc.Stats().WriteVRPCs - r0
+	}
+	b.ReportMetric(float64(simTime)/1e6/float64(b.N), "sim-ms/fsync")
+	b.ReportMetric(float64(rpcs)/float64(b.N), "petal-writes/fsync")
 }
 
 // randomWriteAllocs is what a 4 KB overwrite of a cached page allocates:

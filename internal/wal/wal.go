@@ -368,7 +368,6 @@ func (l *Log) Release(throughSeq int64) {
 	if len(l.pending) == 0 {
 		l.tail = l.head
 	}
-	// The flush buffer can shed bytes already released and flushed.
 	l.mu.Unlock()
 }
 
