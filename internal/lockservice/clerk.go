@@ -24,6 +24,24 @@ type clkLock struct {
 	// older epoch answered a request from a previous tenancy of this
 	// lock and must be ignored.
 	epoch int64
+	// waiters counts the callers blocked in lockWait by the mode they
+	// asked for. A grant wakes them through the condition variable; owed
+	// marks a revoke that arrived before any of them had run, and lets
+	// one of them in ahead of it (see onRevokeMsg).
+	waiters [Exclusive + 1]int
+	owed    bool
+}
+
+// wakingWaiter reports whether a caller blocked in lockWait could use
+// the lock as it is granted now. With no revoke pending such a caller
+// has been woken and has not yet run: it would be a user otherwise.
+func (l *clkLock) wakingWaiter() bool {
+	for m := Shared; m <= l.mode; m++ {
+		if l.waiters[m] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // sendOp is one queued outbound lock operation, drained by the sender
@@ -411,7 +429,8 @@ func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
 			return blocked, ErrLeaseLost
 		}
 		l := c.lockLocked(lock)
-		if l.mode >= mode && !l.revokePending && !l.revoking {
+		if l.mode >= mode && !l.revoking && (!l.revokePending || l.owed) {
+			l.owed = false
 			l.users++
 			l.lastUsed = c.w.Clock.Now()
 			c.mu.Unlock()
@@ -427,7 +446,9 @@ func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
 		if !l.revokePending && !l.revoking {
 			c.requestLocked(lock, l)
 		}
+		l.waiters[mode]++
 		c.cond.Wait()
+		l.waiters[mode]--
 	}
 }
 
@@ -854,7 +875,13 @@ func (c *Clerk) onRevokeMsg(m RevokeMsg) {
 	if !l.revoking || m.NewMode < l.revokeTo {
 		l.revokeTo = m.NewMode
 	}
-	start := l.users == 0 && !l.revoking
+	// A grant is used once before it is given back: a waiter it woke
+	// that has not run yet goes in ahead of the revoke, and its Unlock
+	// starts the flush. Otherwise two clerks that both want the lock can
+	// hand it back and forth with neither using it, each grant arriving
+	// with the revoke the other's next request caused right behind it.
+	l.owed = l.users == 0 && !l.revoking && l.wakingWaiter()
+	start := l.users == 0 && !l.revoking && !l.owed
 	if start {
 		l.revoking = true
 	}

@@ -2,6 +2,7 @@ package lockservice
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,6 +239,76 @@ func TestRevokeWaitsForActiveUser(t *testing.T) {
 		t.Fatal("lock never granted after release")
 	}
 	c2.Unlock(3)
+}
+
+// TestGrantUsedBeforeRevoke: a revoke that arrives right behind the
+// grant, before the caller the grant woke has run, waits for that
+// caller's use. (It used to find the lock idle and give it back; two
+// clerks that both wanted a lock then passed it back and forth unused,
+// and on shared_contention one handoff read in ten waited a second
+// turn.)
+func TestGrantUsedBeforeRevoke(t *testing.T) {
+	ls := newTestLS(t, 3)
+	flushed := make(chan Mode, 1)
+	c1 := NewClerk(ls.w, "ws1", "fs", ls.names, ls.cfg)
+	c1.SetCallbacks(func(lock uint64, to Mode) { flushed <- to }, nil, nil)
+	if err := c1.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c2 := ls.clerk(t, "ws2")
+
+	// c2 stays inside the lock, so the service grants c1 nothing and
+	// the test plays the server towards c1.
+	if err := c2.Lock(5, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Unlock(5)
+	done := make(chan error, 1)
+	go func() { done <- c1.Lock(5, Shared) }()
+	waitUntil(t, func() bool {
+		c1.mu.Lock()
+		defer c1.mu.Unlock()
+		l := c1.locks[5]
+		return l != nil && l.waiters[Shared] == 1
+	})
+	// One P while the two messages arrive, so that the woken caller
+	// cannot run between them: without the rule the test fails every
+	// time, not sometimes.
+	procs := runtime.GOMAXPROCS(1)
+	c1.onGrant(GrantMsg{Table: "fs", Lock: 5, Mode: Shared})
+	c1.onRevokeMsg(RevokeMsg{Table: "fs", Lock: 5, NewMode: None})
+	runtime.GOMAXPROCS(procs)
+
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-flushed:
+		t.Fatal("the grant was given back before the caller it woke had used it")
+	case <-time.After(20 * time.Second):
+		t.Fatal("the woken caller never got the lock")
+	}
+	// The revoke is still owed: it runs when the use ends, not before.
+	select {
+	case <-flushed:
+		t.Fatal("revoke ran while the lock was in use")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if c1.TryLock(5, Shared) {
+		t.Fatal("a second caller got in ahead of the pending revoke")
+	}
+	c1.Unlock(5)
+	select {
+	case to := <-flushed:
+		if to != None {
+			t.Fatalf("revoked to %v, want none", to)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the deferred revoke never ran")
+	}
+	waitUntil(t, func() bool { return c1.Held(5) == None })
 }
 
 func TestManyClerksCounter(t *testing.T) {
