@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race benchmark-test bench bench-smoke bench-codec
+.PHONY: check vet build test race benchmark-test bench bench-smoke bench-pairs bench-codec
 
 ## check: the tier-1 gate — vet, build, race-enabled tests, and the
 ## repository benchmark's own smoke test.
@@ -71,6 +71,20 @@ bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
+
+## bench-pairs: what a performance change is judged on. N alternating
+## pairs of benchmark/run.sh on workload W, at BASE (checked out into a
+## git worktree under .bench_build/) and at the working tree, pair i at
+## seed SEED+i; prints per metric each side's median [q1, q3], how much
+## worse the change's median is against BENCHMARK.json's bound, the
+## pairs it won and failed/attempted. TRACE=1: traced runs, the
+## per-layer metrics. About a minute a pair; run nothing else meanwhile.
+BASE ?= HEAD
+N ?= 10
+SEED ?= 1
+TRACE ?= 0
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEED) $(TRACE)
 
 ## bench-codec: raw codec-vs-gob microbenchmarks with allocation counts.
 bench-codec:

@@ -410,15 +410,26 @@ func (fs *FS) pageAddrs(buf []int64, in Inode, lo, hi int64) []int64 {
 
 // stream is the read-ahead state of one open file: where its reader is
 // expected next, how far ahead of it pages have been requested, and
-// how far ahead to stay. Three rules move it.
+// how far ahead to stay. Five rules move it.
 //
 //   - Continue: a read at next (a new handle expects offset 0), or at
 //     offset 0, where every whole-file read begins, belongs to the
-//     stream. Once the reader is within half a window of the mark, the
-//     pages from the mark to one window past the reader are fetched in
-//     the background and the window doubles, from one Petal chunk up to
+//     stream. Before it reads, every whole chunk between the mark and one
+//     window past the reader — or the file's tail — is requested, each
+//     chunk as a fetch of its own. No hysteresis: a reader that pauses,
+//     as every client that alternates reading with other work does,
+//     finds the whole window landed when it returns. No slivers: a
+//     reader of small records asks for the next chunk when all of it
+//     fits under the window, not for 4 KB more of it on each of sixteen
+//     reads.
+//   - Ramp: each top-up doubles the window, from one Petal chunk up to
 //     Config.ReadAhead: a stream has to prove itself before it is
 //     trusted with many chunks, and then keeps that many disks busy.
+//   - Inherit: a read at offset 0 that follows a read up to the end of
+//     the file keeps the window: the handle has just streamed the whole
+//     file, which is all the proof the next pass can give. Any other
+//     read at offset 0 (a new handle, a pass given up half-way) starts
+//     at one chunk.
 //   - Restart: a read anywhere else starts the stream over at one chunk
 //     and prefetches nothing; so does a read that had to go to Petal
 //     itself for a page below the mark, because what was prefetched is
@@ -428,16 +439,17 @@ func (fs *FS) pageAddrs(buf []int64, in Inode, lo, hi int64) []int64 {
 //     the reader drains what is still in flight before it asks for the
 //     lock again (§9.4).
 //
-// Pages are claimed in fs.inflight before they are fetched, so a reader
-// that catches up with a prefetch waits for it instead of reading the
-// same pages again.
+// Pages are claimed in fs.inflight before they are fetched, chunk by
+// chunk (the unit wstream hands off), so a reader that catches up with
+// a prefetch waits for the chunk it needs — not for the window, and not
+// by reading the same pages again.
 type stream struct {
 	mu     sync.Mutex
 	idle   sync.Cond // busy fell to 0; L is &mu
 	next   int64     // the offset that continues the stream
 	ahead  int64     // the mark: every page of [next, ahead) was cached or claimed
 	window int64     // bytes to stay ahead of the reader
-	busy   int       // prefetches in flight
+	busy   int       // chunk fetches in flight
 }
 
 // advance records a read of [off, end) of a file of size bytes and
@@ -447,13 +459,17 @@ func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark = s.ahead
-	restart := off != s.next
+	last := s.next
 	s.next = end
-	if restart || off == 0 {
-		s.ahead, s.window, mark = end, petal.ChunkSize, 0
-		if off != 0 {
-			return 0, 0, 0
+	switch {
+	case off == 0:
+		s.ahead, mark = end, 0
+		if last < size { // the pass before did not run to the end of the file
+			s.window = petal.ChunkSize
 		}
+	case off != last:
+		s.ahead, s.window = end, petal.ChunkSize
+		return 0, 0, 0
 	}
 	if s.window > limit {
 		s.window = limit
@@ -461,25 +477,19 @@ func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
 	if s.ahead < end {
 		s.ahead = end
 	}
-	if s.ahead-end > s.window/2 {
-		return 0, 0, mark
-	}
-	// Up to one window past the reader, ending on a chunk boundary when
-	// that leaves anything to fetch: later fetches are then whole chunks.
+	// Up to one window past the reader in whole fetches: chunks, or
+	// windows where the cap is less than a chunk.
 	lo, hi = s.ahead, end+s.window
-	if aligned := hi &^ (petal.ChunkSize - 1); aligned > lo {
-		hi = aligned
-	}
-	if hi > size {
+	if hi >= size {
 		hi = size
+	} else {
+		hi -= hi % min(s.window, petal.ChunkSize)
 	}
 	if hi <= lo {
 		return 0, 0, mark
 	}
 	s.ahead = hi
-	if s.window *= 2; s.window > limit {
-		s.window = limit
-	}
+	s.window = min(2*s.window, limit)
 	return lo, hi, mark
 }
 
@@ -502,26 +512,32 @@ func (s *stream) drain() {
 
 // prefetch fetches the pages of [lo, hi) that are neither cached nor
 // claimed, in the background, without the lock and for no operation (it
-// outlives the read that started it); nothing to fetch starts no
+// outlives the read that started it): one claim and one fetch per
+// 64 KB-aligned span of the file, so each chunk's pages exist as soon as
+// its own bytes have arrived. A chunk with nothing to fetch starts no
 // goroutine.
 func (f *File) prefetch(in Inode, lo, hi int64) {
 	fs := f.fs
-	var buf [64]int64 // stack scratch: a cached stream tops up without allocating
-	mine, done, _ := fs.claimPages(fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), hi))
-	if len(mine) == 0 {
-		return
-	}
-	f.ra.mu.Lock()
-	f.ra.busy++
-	f.ra.mu.Unlock()
-	go func() {
-		_, _ = fs.fillPages(nil, mine, done, InodeLock(f.inum), false)
-		f.ra.mu.Lock()
-		if f.ra.busy--; f.ra.busy == 0 {
-			f.ra.idle.Broadcast()
+	for lo < hi {
+		end := min(lo&^(petal.ChunkSize-1)+petal.ChunkSize, hi)
+		var buf [petal.ChunkSize / BlockSize]int64 // stack scratch: a cached stream tops up without allocating
+		mine, done, _ := fs.claimPages(fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), end))
+		lo = end
+		if len(mine) == 0 {
+			continue
 		}
+		f.ra.mu.Lock()
+		f.ra.busy++
 		f.ra.mu.Unlock()
-	}()
+		go func() {
+			_, _ = fs.fillPages(nil, mine, done, InodeLock(f.inum), false)
+			f.ra.mu.Lock()
+			if f.ra.busy--; f.ra.busy == 0 {
+				f.ra.idle.Broadcast()
+			}
+			f.ra.mu.Unlock()
+		}()
+	}
 }
 
 // wstream is the write-behind state of one open file, the write side of

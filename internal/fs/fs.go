@@ -102,7 +102,7 @@ type Counters struct {
 	BytesWritten    int64
 	Retries         int64
 	Recoveries      int64
-	ReadAheadHits   int64
+	ReadAheadHits   int64 // prefetches landed, one per chunk
 	ReadAheadWasted int64 // prefetched bytes discarded after revocation
 
 	// Write-back pipeline statistics.
@@ -122,7 +122,8 @@ type Counters struct {
 type fsMetrics struct {
 	ops, bytesRead, bytesWritten *obs.Counter
 	retries, recoveries          *obs.Counter
-	raHits, raWasted, fills      *obs.Counter
+	raHits, raWasted, raJoins    *obs.Counter
+	fills                        *obs.Counter
 	allocSticky, allocResume     *obs.Counter
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
@@ -154,6 +155,7 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		recoveries:       c("recovery.count"),
 		raHits:           c("readahead.hits"),
 		raWasted:         c("readahead.wasted"),
+		raJoins:          c("readahead.joins"),
 		fills:            c("read.fills"),
 		allocSticky:      c("alloc.sticky.hits"),
 		allocResume:      c("alloc.resume.hits"),
@@ -714,9 +716,10 @@ func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 // owner and needs the page now. Whichever pages of addrs are neither
 // cached nor on their way come in with it in one Petal read; pages
 // another fetch (a prefetch, usually) has in flight are waited for,
-// not read a second time. own reports that this call itself went to
-// Petal for addrs[0]; each time it does, op's principal is charged the
-// miss.
+// not read a second time, and the wait is counted in
+// fs.readahead.joins: a stream that is far enough ahead never joins.
+// own reports that this call itself went to Petal for addrs[0]; each
+// time it does, op's principal is charged the miss.
 func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
 	for {
 		mine, done, theirs := fs.claimPages(addrs)
@@ -726,6 +729,9 @@ func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Ent
 			sp := op.Child("cache", "fill")
 			e, err = fs.fillPages(sp, mine, done, owner, true)
 			sp.Done()
+		}
+		if len(theirs) > 0 {
+			fs.m.raJoins.Inc()
 		}
 		for _, ch := range theirs {
 			<-ch
@@ -784,7 +790,9 @@ func (fs *FS) claimPages(addrs []int64) (mine []int64, done chan struct{}, their
 // only touches it here, briefly, as a validity gate — if the lock was
 // revoked meanwhile the data "must be discarded, and the work to read
 // it turns out to have been wasted" (§9.4), so no stale page ever
-// enters the cache.
+// enters the cache. A prefetch is one chunk: fs.readahead.hits counts
+// the chunks that landed, fs.readahead.wasted the bytes of those that
+// did not.
 func (fs *FS) fillPages(op *obs.Span, mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
 	defer func() {
 		fs.fetchMu.Lock()

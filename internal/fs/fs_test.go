@@ -110,7 +110,7 @@ func (tw *testWorld) mount(t testing.TB, machine string, mutate func(*Config)) *
 	return f
 }
 
-func writeFile(t *testing.T, f *FS, path string, data []byte) {
+func writeFile(t testing.TB, f *FS, path string, data []byte) {
 	t.Helper()
 	h, err := f.OpenFile(path, true)
 	if err != nil {

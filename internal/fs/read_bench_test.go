@@ -1,8 +1,12 @@
 package fs
 
 import (
+	"fmt"
 	"io"
 	"testing"
+	"time"
+
+	"frangipani/internal/sim"
 )
 
 // cachedFile mounts one server whose modelled CPU is free (so ReadAt
@@ -55,6 +59,68 @@ func BenchmarkReadAtCachedSeq(b *testing.B) { benchReadAtCached(b, seqOffset) }
 // BenchmarkReadAtCachedRandom is the same call off-stream, the shape of
 // the benchmark's cached_hot workload.
 func BenchmarkReadAtCachedRandom(b *testing.B) { benchReadAtCached(b, randomOffset) }
+
+// BenchmarkReadAtColdPasses is the reader of the repository benchmark's
+// stream_largefile in simulated time: three 2 MB files, together larger
+// than the 4 MB cache, each read front to back on a handle that stays
+// open, in 512 KB turns of 64 KB records with a pause between turns (the
+// client's write turn). An op is one pass over one file. sim-ms/pass is
+// the time spent inside ReadAt; fills/pass the foreground fetches,
+// joins/pass the reads that waited for a prefetch still in flight and
+// readv-rpcs/pass the Petal read RPCs that carried the pass.
+func BenchmarkReadAtColdPasses(b *testing.B) {
+	const files, size, turn, rec = 3, 2 << 20, 512 << 10, 64 << 10
+	const pause = 100 * time.Millisecond // simulated
+	// A slow world: the 2 ms of modelled CPU per record and the 4 ms a
+	// chunk spends on a link must outlast the host's shortest sleep (1.1 ms
+	// where this was written) or every wait costs that sleep; at the
+	// tests' 100x they all do.
+	tw := newTestWorldIn(b, sim.NewWorld(2, 99), DefaultLayout())
+	writer := tw.mount(b, "wsW", nil)
+	reader := tw.mount(b, "wsR", func(c *Config) { c.DataCacheCap = 1024 })
+	var hs [files]*File
+	for i := range hs {
+		writeFile(b, writer, fmt.Sprintf("/src%d", i), make([]byte, size))
+	}
+	if err := writer.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	for i := range hs {
+		var err error
+		if hs[i], err = reader.Open(fmt.Sprintf("/src%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := make([]byte, rec)
+	var inRead sim.Time
+	pass := func(h *File) {
+		for lo := int64(0); lo < size; lo += turn {
+			start := tw.w.Clock.Now()
+			for off := lo; off < lo+turn; off += rec {
+				if _, err := h.ReadAt(buf, off); err != nil && err != io.EOF {
+					b.Fatal(err)
+				}
+			}
+			inRead += tw.w.Clock.Now() - start
+			tw.w.Clock.Sleep(pause)
+		}
+	}
+	for _, h := range hs { // every handle has streamed its file once
+		pass(h)
+	}
+	inRead = 0
+	fills, joins, rpcs := reader.m.fills.Value(), reader.m.raJoins.Value(), reader.pc.Stats().ReadVRPCs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass(hs[i%files])
+	}
+	b.StopTimer()
+	per := func(n int64) float64 { return float64(n) / float64(b.N) }
+	b.ReportMetric(per(int64(inRead))/1e6, "sim-ms/pass")
+	b.ReportMetric(per(reader.m.fills.Value()-fills), "fills/pass")
+	b.ReportMetric(per(reader.m.raJoins.Value()-joins), "joins/pass")
+	b.ReportMetric(per(reader.pc.Stats().ReadVRPCs-rpcs), "readv-rpcs/pass")
+}
 
 // TestReadAtCachedStreamAllocs: on a cache hit the stream bookkeeping
 // allocates nothing, sequential or not: ReadAt costs the same number of

@@ -142,12 +142,13 @@ func TestReadAheadIgnoresNonSequential(t *testing.T) {
 	check("backward reads", int64(len(pages))*BlockSize+size/2)
 }
 
-// TestReadAheadWindowRamp: the window opens at one chunk, doubles each
-// time the reader catches up with half of it, stops at Config.ReadAhead
-// and starts over when the stream restarts.
+// TestReadAheadWindowRamp: the window opens at one chunk, doubles with
+// every top-up up to Config.ReadAhead, from then on every read leaves
+// the mark a full window ahead, and the window starts over when the
+// stream restarts.
 func TestReadAheadWindowRamp(t *testing.T) {
 	const size = 2 << 20
-	_, _, _, h, data := streamFixture(t, size, func(c *Config) { c.ReadAhead = 64 })
+	_, _, _, h, data := streamFixture(t, size, func(c *Config) { c.ReadAhead = 128 })
 	chunksAhead := func(off int64) int64 {
 		t.Helper()
 		readRec(t, h, data, off, raRec)
@@ -157,7 +158,7 @@ func TestReadAheadWindowRamp(t *testing.T) {
 		}
 		return (ahead - next) / petal.ChunkSize
 	}
-	for i, want := range []int64{1, 2, 4, 3, 4} { // 3: the top-up waits for the midpoint
+	for i, want := range []int64{1, 2, 4, 8, 8, 8, 8} {
 		if got := chunksAhead(int64(i) * raRec); got != want {
 			t.Fatalf("sequential read %d: %d chunks requested ahead, want %d", i+1, got, want)
 		}
@@ -181,6 +182,165 @@ func TestReadAheadWindowRamp(t *testing.T) {
 	h.ra.drain()
 }
 
+// claimsByChunk groups the server's page claims by the Petal chunk the
+// page lies in.
+func claimsByChunk(fs *FS) map[int64][]chan struct{} {
+	fs.fetchMu.Lock()
+	defer fs.fetchMu.Unlock()
+	out := map[int64][]chan struct{}{}
+	for addr, ch := range fs.inflight {
+		out[addr/petal.ChunkSize] = append(out[addr/petal.ChunkSize], ch)
+	}
+	return out
+}
+
+// TestReadAheadLandsByChunk: a top-up of several chunks is as many
+// fetches, each behind its own claim, so a reader that catches up waits
+// for the chunk it needs and not for the window.
+func TestReadAheadLandsByChunk(t *testing.T) {
+	const size = 512 << 10
+	tw, _, reader, h, data := streamFixture(t, size, func(c *Config) { c.ReadAhead = 64 })
+	// A finished pass earns the four-chunk window; then only the first
+	// chunk of the file is cached again (a 4 KB read on a new handle
+	// brings the page and prefetches the rest of its chunk), so that the
+	// read that opens the next pass is a hit and everything it asks for
+	// ahead is a fetch.
+	for off := int64(0); off < size; off += raRec {
+		readRec(t, h, data, off, raRec)
+	}
+	h.ra.drain()
+	reader.data.InvalidateAll()
+	h2, err := reader.Open("/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readRec(t, h2, data, 0, BlockSize)
+	h2.ra.drain()
+
+	tw.w.Net.Isolate(petal.ClientAddr("wsR"))
+	readRec(t, h, data, 0, raRec)
+	if _, ahead, _, busy := streamState(h); busy != 4 || ahead != raRec+4*petal.ChunkSize {
+		t.Fatalf("%d fetches in flight up to %d, want 4 up to %d", busy, ahead, raRec+4*petal.ChunkSize)
+	}
+	claims := claimsByChunk(reader)
+	seen := map[chan struct{}]bool{}
+	for chunk, chs := range claims {
+		if len(chs) != petal.ChunkSize/BlockSize {
+			t.Errorf("chunk %d: %d pages claimed, want all %d", chunk, len(chs), petal.ChunkSize/BlockSize)
+		}
+		for _, ch := range chs[1:] {
+			if ch != chs[0] {
+				t.Errorf("chunk %d: its pages sit behind more than one claim", chunk)
+			}
+		}
+		if seen[chs[0]] {
+			t.Errorf("chunk %d shares its claim with another chunk", chunk)
+		}
+		seen[chs[0]] = true
+	}
+	if len(claims) != 4 {
+		t.Errorf("%d chunks claimed, want 4", len(claims))
+	}
+	tw.w.Net.Heal(petal.ClientAddr("wsR"))
+	h.ra.drain()
+	for off := int64(raRec); off < size; off += raRec {
+		readRec(t, h, data, off, raRec)
+	}
+	h.ra.drain()
+}
+
+// TestReadAheadPassInheritsWindow: a pass that ran to the end of the
+// file hands its window to the next one on the same handle, which so
+// starts a full window ahead and goes to Petal in the foreground for its
+// first record only; a new handle and a pass given up half-way have
+// proved nothing and start at one chunk.
+func TestReadAheadPassInheritsWindow(t *testing.T) {
+	const size, limit = 1 << 20, 64 * BlockSize
+	_, _, reader, h, data := streamFixture(t, size, func(c *Config) {
+		c.DataCacheCap = 128 // 512 KB: a pass evicts what the one before cached
+		c.ReadAhead = limit / BlockSize
+	})
+	for pass := 1; pass <= 3; pass++ {
+		fills := reader.m.fills.Value()
+		readRec(t, h, data, 0, raRec)
+		wantAhead, wantWindow := int64(raRec+petal.ChunkSize), int64(2*petal.ChunkSize) // a new handle's ramp
+		if pass > 1 {
+			wantAhead, wantWindow = raRec+limit, limit
+		}
+		if _, ahead, window, _ := streamState(h); ahead != wantAhead || window != wantWindow {
+			t.Fatalf("pass %d opens with the mark at %d and a window of %d, want %d and %d", pass, ahead, window, wantAhead, wantWindow)
+		}
+		for off := int64(raRec); off < size; off += raRec {
+			readRec(t, h, data, off, raRec)
+		}
+		h.ra.drain()
+		if got := reader.m.fills.Value() - fills; got > 1 {
+			t.Errorf("pass %d fetched %d times in the foreground, want its first record at most", pass, got)
+		}
+	}
+	opensAt := func(what string, h *File) {
+		t.Helper()
+		readRec(t, h, data, 0, raRec)
+		if _, ahead, _, _ := streamState(h); ahead != raRec+petal.ChunkSize {
+			t.Errorf("%s opens with the mark at %d, want one chunk ahead (%d)", what, ahead, raRec+petal.ChunkSize)
+		}
+		h.ra.drain()
+	}
+	h2, err := reader.Open("/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opensAt("a second handle", h2)
+	for off := int64(0); off < size/2; off += raRec {
+		readRec(t, h, data, off, raRec)
+	}
+	opensAt("the pass after one given up half-way", h)
+}
+
+// TestReadAheadPausedReaderFindsWindow: a reader that stops between
+// reads — every client that does something with what it read — finds a
+// whole window landed when it comes back: its next window's worth of
+// reads neither go to Petal nor wait for a fetch. (It stops seven records
+// in, where a rule that tops up only once the reader is within half a
+// window of the mark would have left the mark 320 KB ahead, not 512.)
+func TestReadAheadPausedReaderFindsWindow(t *testing.T) {
+	const size, pauseAt, window = 2 << 20, 7 * raRec, 512 << 10 // the default window
+	_, _, reader, h, data := streamFixture(t, size, nil)
+	for off := int64(0); off < pauseAt; off += raRec {
+		readRec(t, h, data, off, raRec)
+	}
+	h.ra.drain() // the pause, however long the fetches take
+	fills, joins := reader.m.fills.Value(), reader.m.raJoins.Value()
+	for off := int64(pauseAt); off < pauseAt+window; off += raRec {
+		readRec(t, h, data, off, raRec)
+	}
+	if fills, joins = reader.m.fills.Value()-fills, reader.m.raJoins.Value()-joins; fills != 0 || joins != 0 {
+		t.Fatalf("the window after the pause took %d foreground fetches and %d waits for a prefetch, want none", fills, joins)
+	}
+	h.ra.drain()
+}
+
+// TestReadAheadSmallRecordsFetchWholeChunks: a reader of 4 KB records
+// moves the mark a chunk at a time, not a record at a time: the file
+// comes over once, in about as many RPCs as it has chunks.
+func TestReadAheadSmallRecordsFetchWholeChunks(t *testing.T) {
+	const size = 1 << 20
+	_, _, reader, h, data := streamFixture(t, size, nil)
+	bytes, rpcs := reader.m.bytesRead.Value(), reader.pc.Stats().ReadVRPCs
+	for off := int64(0); off < size; off += BlockSize {
+		readRec(t, h, data, off, BlockSize)
+	}
+	h.ra.drain()
+	if got := reader.m.bytesRead.Value() - bytes; got != size {
+		t.Errorf("fetched %d bytes of a %d byte file", got, size)
+	}
+	got, chunks := reader.pc.Stats().ReadVRPCs-rpcs, int64(size/petal.ChunkSize)
+	t.Logf("%d 4 KB reads: %d read RPCs for %d chunks", size/BlockSize, got, chunks)
+	if got > chunks+2 {
+		t.Errorf("%d read RPCs for %d chunks", got, chunks)
+	}
+}
+
 // TestReadAheadWasteCounter pins the §9.4 rule: a prefetch that is in
 // flight when the file's lock is revoked inserts none of its pages,
 // and its bytes are counted as wasted.
@@ -195,12 +355,13 @@ func TestReadAheadWasteCounter(t *testing.T) {
 	h.ra.drain()
 	hits, wasted := reader.m.raHits.Value(), reader.m.raWasted.Value()
 
-	// Hold the next prefetch, [128K,256K), in flight: the read that
-	// starts it is a cache hit, and the reader's Petal driver is cut off.
+	// Hold the next two prefetches, [128K,192K) and [192K,256K), in
+	// flight: the read that starts them is a cache hit, and the reader's
+	// Petal driver is cut off.
 	tw.w.Net.Isolate(petal.ClientAddr("wsR"))
 	readRec(t, h, data, raRec, raRec)
-	if _, _, _, busy := streamState(h); busy != 1 {
-		t.Fatalf("%d prefetches in flight, want 1", busy)
+	if _, _, _, busy := streamState(h); busy != 2 {
+		t.Fatalf("%d prefetches in flight, want 2, one per chunk", busy)
 	}
 	if _, err := wh.WriteAt([]byte{0xEE}, 0); err != nil { // revokes the reader's lock
 		t.Fatal(err)

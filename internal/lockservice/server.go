@@ -190,6 +190,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config,
 	s.px = paxos.NewNode(name, peers, carrier, w.Clock, s.applyCmd)
 	s.det = paxos.NewDetector(name, peers, carrier, w.Clock,
 		cfg.HeartbeatEvery, cfg.SuspectAfter, s.onLiveness)
+	s.det.Start() // once s.det is set: onLiveness reads it
 	s.ep = rpc.NewEndpoint(Addr(name), carrier, w.Clock, s.handle)
 	s.cancels = append(s.cancels,
 		w.Clock.Tick(cfg.SweepEvery, s.sweep),

@@ -37,11 +37,13 @@ type beat struct{ From string }
 
 func init() { rpc.RegisterType(beat{}) }
 
-// NewDetector starts a failure detector for id among peers. interval
+// NewDetector builds a failure detector for id among peers. interval
 // is the heartbeat period; a peer is suspected after suspect without
 // a beat (the paper's lease machinery uses 30s leases; detectors run
 // much faster). onChange, if non-nil, is invoked on every liveness
-// transition (never concurrently).
+// transition (never concurrently). The detector neither beats nor
+// sweeps, and so calls nothing, until Start: an owner whose onChange
+// reads the detector back stores it first.
 func NewDetector(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock,
 	interval, suspect sim.Duration, onChange func(peer string, alive bool)) *Detector {
 	d := &Detector{
@@ -60,9 +62,11 @@ func NewDetector(id string, peers []string, carrier rpc.Carrier, clock *sim.Cloc
 		d.alive[p] = true
 	}
 	d.ep = rpc.NewEndpoint(id+".hb", carrier, clock, d.handle)
-	d.cancel = clock.Tick(interval, d.tick)
 	return d
 }
+
+// Start begins heartbeats and sweeps. Call it once, before Stop.
+func (d *Detector) Start() { d.cancel = d.clock.Tick(d.interval, d.tick) }
 
 func (d *Detector) handle(from string, body any) any {
 	b, ok := body.(beat)

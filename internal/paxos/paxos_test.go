@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +221,7 @@ func TestDetectorSeesCrash(t *testing.T) {
 				events[n+"/"+peer] = append(events[n+"/"+peer], alive)
 				mu.Unlock()
 			})
+		d.Start()
 		dets = append(dets, d)
 	}
 	defer func() {
@@ -247,6 +249,32 @@ func TestDetectorSeesCrash(t *testing.T) {
 	if got := events["a/c"]; len(got) < 2 || got[0] != false || got[len(got)-1] != true {
 		t.Fatalf("a's transitions for c = %v, want dead then alive", got)
 	}
+}
+
+// TestDetectorSilentUntilStart: an owner's callback reads the detector
+// back through the field NewDetector's result is stored in (the Petal and
+// lock servers' onLiveness do), so nothing may call it before Start. b
+// never beats: once started, the first sweep reports it dead.
+func TestDetectorSilentUntilStart(t *testing.T) {
+	w := sim.NewWorld(100, 5)
+	defer w.Stop()
+	var calls atomic.Int64
+	var owner struct{ det *Detector }
+	owner.det = NewDetector("a", []string{"a", "b"}, rpc.SimCarrier{Net: w.Net}, w.Clock,
+		100*time.Millisecond, 200*time.Millisecond,
+		func(peer string, alive bool) {
+			if owner.det.Alive(peer) != alive {
+				t.Errorf("callback for %s says alive=%v, the detector the opposite", peer, alive)
+			}
+			calls.Add(1)
+		})
+	w.Clock.Sleep(time.Second) // ten heartbeat periods
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d callbacks before Start", n)
+	}
+	owner.det.Start()
+	defer owner.det.Stop()
+	waitCond(t, 10*time.Second, func() bool { return calls.Load() > 0 })
 }
 
 func waitCond(t *testing.T, d time.Duration, f func() bool) {

@@ -131,6 +131,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg ServerC
 	s.px = paxos.NewNode(name, peers, carrier, w.Clock, s.applyCmd)
 	s.det = paxos.NewDetector(name, peers, carrier, w.Clock,
 		cfg.HeartbeatEvery, cfg.SuspectAfter, s.onLiveness)
+	s.det.Start() // once s.det is set: onLiveness reads it
 	s.ep = rpc.NewEndpoint(DataAddr(name), carrier, w.Clock, s.handle)
 	s.aeCancel = w.Clock.Tick(cfg.SuspectAfter, s.antiEntropy)
 	return s
