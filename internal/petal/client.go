@@ -3,6 +3,7 @@ package petal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -941,7 +942,8 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 	})
 }
 
-// admin submits a global-state command via any answering server.
+// admin submits a global-state command via any answering server, and
+// returns once the command holds everywhere a data call can go.
 func (c *Client) admin(cmd Command) error {
 	var lastErr error = ErrUnavailable
 	for _, s := range c.servers {
@@ -957,18 +959,60 @@ func (c *Client) admin(cmd Command) error {
 		if !ar.OK {
 			return fmt.Errorf("petal admin: %s", ar.Err)
 		}
-		// The command advanced the directory version: refresh past the
-		// view we held going in (skips if a rival refresh already did).
-		c.mu.Lock()
-		cur := int64(-1)
-		if c.stateOK {
-			cur = c.state.Version
-		}
-		c.mu.Unlock()
-		_ = c.refreshSince(cur)
+		c.settle(s)
 		return nil
 	}
 	return lastErr
+}
+
+// settle follows an admin command that server applied has accepted — and
+// so has applied: it adopts that server's view and waits until the other
+// live servers have caught up with it. They apply Paxos decisions
+// asynchronously, and a server that has not heard of a new virtual disk
+// refuses the first write to it — if that write is a primary's forward,
+// the primary acknowledges it all the same and the copy is missing until
+// the next rejoin — while one that has not heard of a deletion still
+// serves the disk. A server that does not answer is skipped; one still
+// behind after dataTimeout is left to catch up on its own.
+func (c *Client) settle(applied string) {
+	c.mu.Lock()
+	have := int64(-1)
+	if c.stateOK {
+		have = c.state.Version
+	}
+	c.mu.Unlock()
+	version := func(srv string, have int64) (StateResp, bool) {
+		c.refreshRPCs.Add(1)
+		resp, err := c.ep.Call(DataAddr(srv), StateReq{HaveVersion: have}, dataTimeout)
+		sr, ok := resp.(StateResp)
+		return sr, err == nil && ok && sr.OK
+	}
+	sr, ok := version(applied, have)
+	if !ok {
+		_ = c.refreshSince(have) // it has gone away since; any newer view will do
+		return
+	}
+	if !sr.Unchanged {
+		c.adoptState(sr.State)
+	}
+	c.mu.Lock()
+	alive := c.state.Alive
+	c.mu.Unlock()
+	deadline := c.clock.Now() + sim.Time(dataTimeout)
+	_ = boundedPar(4, len(c.servers), func(i int) error {
+		srv := c.servers[i]
+		if srv == applied || !alive[srv] {
+			return nil
+		}
+		for c.clock.Now() < deadline {
+			// A version nobody has makes the answer the short one.
+			if r, ok := version(srv, math.MaxInt64); !ok || r.Version >= sr.Version {
+				break
+			}
+			c.clock.Sleep(5 * time.Millisecond)
+		}
+		return nil
+	})
 }
 
 // CreateVDisk creates a new writable virtual disk.

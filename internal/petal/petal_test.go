@@ -209,6 +209,39 @@ func TestVDiskErrors(t *testing.T) {
 	}
 }
 
+// TestAdminSettlesOnEveryLiveServer: servers apply Paxos decisions on
+// their own time, but when an admin call returns none of them is still
+// behind it — or the first write to a new disk finds a replica that
+// refuses it, and a write to a deleted one a server that takes it.
+func TestAdminSettlesOnEveryLiveServer(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	known := func(s *Server, id VDiskID) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, _, _, err := s.state.resolve(id)
+		return err == nil
+	}
+	for round := 0; round < 5; round++ {
+		id := VDiskID(fmt.Sprintf("vol%d", round))
+		if err := tc.client.CreateVDisk(id); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tc.servers {
+			if !known(s, id) {
+				t.Fatalf("round %d: CreateVDisk returned before %s had applied it", round, s.name)
+			}
+		}
+		if err := tc.client.DeleteVDisk(id); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tc.servers {
+			if known(s, id) {
+				t.Fatalf("round %d: DeleteVDisk returned before %s had applied it", round, s.name)
+			}
+		}
+	}
+}
+
 func TestReadFailoverOnCrash(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")

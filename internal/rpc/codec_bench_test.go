@@ -195,10 +195,10 @@ func TestCodecBudget(t *testing.T) {
 		t.Skip("set CODEC_BUDGET=1 to run the codec budget assertions")
 	}
 	type pair struct {
-		name     string
-		fast     func(*testing.B)
-		base     func(*testing.B)
-		zeroEnc  bool
+		name    string
+		fast    func(*testing.B)
+		base    func(*testing.B)
+		zeroEnc bool
 	}
 	pairs := []pair{
 		{"WriteVEncode", BenchmarkCodecWriteVEncode, BenchmarkGobWriteVEncode, true},

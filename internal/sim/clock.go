@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +31,26 @@ type Duration = time.Duration
 // Clock maps simulated time onto the wall clock with a compression
 // factor. With Compression = 20, one simulated second takes 50 ms of
 // real time. A Clock is safe for concurrent use.
+//
+// Every modelled cost ends in Sleep or SleepUntil, and most of them are
+// well under a millisecond, which is what an idle Go runtime rounds
+// time.Sleep up to (it waits in its netpoller, whose timeout is in whole
+// milliseconds). So the clock takes its waits itself (timer.go): the
+// deadline becomes an absolute wall instant once, the sleeper parks on a
+// pooled channel, and one goroutine per clock waits on a kernel timer
+// that counts in nanoseconds and is kept set to the earliest of them.
+// A wake-up through the kernel takes the host tens of microseconds on a
+// good day and several times that on a bad one, so the sleeper has
+// itself woken a margin ahead of its deadline — learned from how late
+// the wake-ups have been coming — and yields the processor until the
+// deadline has come: the wait ends at its instant, whatever the host's
+// mood. No wait returns before its deadline (EXPERIMENTS.md, "Waits
+// that cost what they model"). After and Tick — time-outs and periods,
+// tens of milliseconds and up — stay on runtime timers.
 type Clock struct {
 	compression float64 // simulated seconds per real second
-	start       time.Time
 	stopped     atomic.Bool
+	tm          timers // owns the wall epoch every deadline is measured from
 }
 
 // NewClock returns a clock that runs compression× faster than real
@@ -44,33 +61,38 @@ func NewClock(compression float64) *Clock {
 	if compression <= 0 {
 		panic("sim: clock compression must be > 0")
 	}
-	return &Clock{compression: compression, start: time.Now()}
+	c := &Clock{compression: compression}
+	c.tm.init(time.Now())
+	return c
 }
 
 // Compression reports the configured compression factor.
 func (c *Clock) Compression() float64 { return c.compression }
 
 // Now returns the current simulated time.
-func (c *Clock) Now() Time {
-	real := time.Since(c.start)
-	return Time(float64(real) * c.compression)
-}
+func (c *Clock) Now() Time { return c.simAt(c.tm.now()) }
+
+// simAt is the simulated instant at wall time since the clock started.
+func (c *Clock) simAt(wall time.Duration) Time { return Time(float64(wall) * c.compression) }
 
 // Sleep blocks the calling goroutine for d of simulated time.
 func (c *Clock) Sleep(d Duration) {
 	if d <= 0 {
 		return
 	}
-	time.Sleep(c.real(d))
+	c.SleepUntil(c.Now() + Time(d))
 }
 
-// SleepUntil blocks until the simulated clock reads at least t.
+// SleepUntil blocks until the simulated clock reads at least t. It
+// allocates nothing.
 func (c *Clock) SleepUntil(t Time) {
-	now := c.Now()
-	if t <= now {
-		return
+	// The first wall instant at which Now() reads t or later; the loop
+	// absorbs the rounding of the division.
+	at := time.Duration(math.Ceil(float64(t) / c.compression))
+	for c.simAt(at) < t {
+		at++
 	}
-	c.Sleep(Duration(t - now))
+	c.tm.waitUntil(at)
 }
 
 // After returns a channel that fires once d of simulated time has
@@ -80,9 +102,15 @@ func (c *Clock) After(d Duration) <-chan time.Time {
 }
 
 // Stop marks the clock stopped. Tickers started from this clock exit
-// at their next wakeup. Sleeps are unaffected (they are short under
-// compression).
-func (c *Clock) Stop() { c.stopped.Store(true) }
+// at their next wakeup. Nobody asleep is stranded: every pending wait
+// still ends at its deadline, after which the timer goroutine and its
+// descriptor are gone; a Sleep that starts later takes its time on a
+// runtime timer. A clock that has been slept on and is never stopped
+// keeps both.
+func (c *Clock) Stop() {
+	c.stopped.Store(true)
+	c.tm.stop()
+}
 
 // Stopped reports whether Stop has been called.
 func (c *Clock) Stopped() bool { return c.stopped.Load() }

@@ -196,7 +196,8 @@ func (n *Network) reachableLocked(from, to string) bool {
 // Send transmits payload of modelled wire size bytes from one host to
 // another. It blocks the caller through the sender's egress resource
 // (backpressure), then delivers asynchronously after the receiver's
-// ingress service and link latency. Send returns an error immediately
+// ingress service and both link latencies — two waits a message, the
+// second on the delivery goroutine. Send returns an error immediately
 // if the destination is unknown or unreachable; delivery failures
 // after that point are silent, like a real datagram network.
 func (n *Network) Send(from, to string, payload any, size int) error {
@@ -241,8 +242,13 @@ func (n *Network) Send(from, to string, payload any, size int) error {
 		return nil
 	}
 	go func() {
-		lt.ingress.Use(rxCost)
-		n.clock.Sleep(lf.params.Latency + lt.params.Latency)
+		// The last byte has left the sender, so the message joins the
+		// receiver's queue now, not at send time: a small message must
+		// not queue behind a large one that has not arrived yet. Nothing
+		// observes it between here and its delivery, so ingress service
+		// and both latencies are one wait.
+		arrived := lt.ingress.reserve(rxCost)
+		n.clock.SleepUntil(arrived + Time(lf.params.Latency+lt.params.Latency))
 		n.mu.Lock()
 		for n.pairDone[pair] != seq-1 {
 			n.pairCond.Wait()

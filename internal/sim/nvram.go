@@ -170,14 +170,12 @@ func (n *NVRAM) destager() {
 	}
 }
 
-// Flush blocks until all staged sectors have reached the disk.
+// Flush blocks until all staged sectors have reached the disk. The
+// destager broadcasts after every run it has written.
 func (n *NVRAM) Flush() {
 	n.mu.Lock()
 	for len(n.dirty) > 0 && !n.stopped {
-		n.cond.Broadcast()
-		n.mu.Unlock()
-		n.clock.Sleep(msec)
-		n.mu.Lock()
+		n.cond.Wait()
 	}
 	n.mu.Unlock()
 }

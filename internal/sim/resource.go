@@ -30,8 +30,21 @@ func NewResource(clock *Clock, name string) *Resource {
 
 // Use occupies the resource for cost of simulated time and blocks the
 // caller until its service completes. It returns the virtual time at
-// which service finished.
+// which service finished. The caller is held until that instant and
+// never let go before it: a Use that returned early and kept the
+// difference as a debt on the resource would let a thread that goes on
+// to charge a second resource overlap two costs that are serial.
 func (r *Resource) Use(cost Duration) Time {
+	end := r.reserve(cost)
+	r.clock.SleepUntil(end)
+	return end
+}
+
+// reserve queues a use of cost behind whatever the resource already has
+// to do and returns the virtual time at which it will complete, without
+// waiting for it. Whoever reserves owes the wait: it must not act on the
+// completion before that instant.
+func (r *Resource) reserve(cost Duration) Time {
 	if cost < 0 {
 		cost = 0
 	}
@@ -46,7 +59,6 @@ func (r *Resource) Use(cost Duration) Time {
 	r.busy += cost
 	r.uses++
 	r.mu.Unlock()
-	r.clock.SleepUntil(end)
 	return end
 }
 
