@@ -20,9 +20,9 @@ import (
 //  2. hot-primary: several machines hammering a chunk set that all
 //     shares ONE primary server. Primary-only routing bottlenecks on
 //     that server's link; balanced routing splits each chunk between
-//     its two replicas. ASSERTED: 40-85% of first-choice extents go to
-//     the backup, and balanced >= 1.1x primary-only (see
-//     balanceFloor for why not the ideal 50% and 2x).
+//     its two replicas. ASSERTED: 45-55% of the balanced bytes are
+//     served by the backup, and balanced >= 1.5x primary-only (see
+//     balanceFloor for why not 2x).
 //  3. readdir: a cold machine enumerating a directory. A per-entry
 //     stat scan pays one Petal read per inode sector; ReadDirPlus
 //     batches them into scatter-gather ReadV RPCs. ASSERTED: the
@@ -32,7 +32,7 @@ func (o Options) ReadScaling() (*Table, error) {
 		ID:     "Read scaling",
 		Title:  "Scatter-gather read path: streaming, replica balance, batched metadata",
 		Header: []string{"Workload", "Mode", "Result", "Ratio"},
-		Notes:  fmt.Sprintf("Asserted in-experiment: on a hot-primary chunk set %d-%d%% of first-choice extents are routed to the backup and balanced >= %.2fx primary-only (ideal 50%% and 2x: every backup of the hot set sits on the hot server's ring neighbour, so that link is the next ceiling; the balancer routes a whole ReadV on the in-flight counts of one instant and overshoots half, the shortfall is in the row); ReadDirPlus <= 50%% of the stat scan's Petal read RPCs.", balanceShareLo, balanceShareHi, balanceFloor),
+		Notes:  fmt.Sprintf("Asserted in-experiment: on a hot-primary chunk set %d-%d%% of the bytes of balanced reads are served by the backup and balanced >= %.2fx primary-only. The balancer routes by bytes outstanding, half a chunk at a time, and splits evenly; what is still short of 2x is placement, not routing: it is a ring (petal/state.go replicas: backup = next server), so every backup of the hot set sits on one neighbour and two links carry a set that could be spread over all of them (ROADMAP item 3; the shortfall is in the row). ReadDirPlus <= 50%% of the stat scan's Petal read RPCs.", balanceShareLo, balanceShareHi, balanceFloor),
 	}
 	if err := o.readStreamRows(t); err != nil {
 		return nil, err
@@ -109,17 +109,18 @@ func (o Options) readStreamRows(t *Table) error {
 }
 
 // balanceFloor is the least balanced/primary-only throughput ratio the
-// hot-primary rows accept. Ten -quick runs at PR 20 read 1.26-1.49,
-// median 1.33, spread 0.23, and ten at PR 19 1.35-1.62: the floor is that
-// median less that spread. The former 1.5 sat inside the spread and
-// failed four runs in five at either commit. In the same runs the backup
-// took 56-75% of the first-choice extents, about 10 points of spread at
-// either commit: the accepted band is 40% to the highest reading plus
-// that spread. An even split would give 2x; ROADMAP "Open items" has why
-// the balancer overshoots it.
+// hot-primary rows accept. Ten -quick runs at PR 21 read 1.59-1.92, six
+// of them 1.59-1.64: the excursions are upward (a fixed batch of reads
+// ends on its slowest request), so the floor is the least reading less
+// the spread of that lower cluster, rounded down; the full-size run
+// reads 1.75-1.81. The share is the backup's part of the bytes balanced
+// reads were served (petal.ClientStats), 50% in every one of those runs;
+// the band is what ROADMAP item 3 asked of a balancer that balances. An
+// even split of a set whose two copies sit on two servers can give 2x at
+// most; ROADMAP "Open items" has what is left: the ring.
 const (
-	balanceFloor                   = 1.1
-	balanceShareLo, balanceShareHi = 40, 85 // % of first-choice extents to the backup
+	balanceFloor                   = 1.5
+	balanceShareLo, balanceShareHi = 45, 55 // % of balanced read bytes served by the backup
 )
 
 // readBalanceRows: the asserted split and ratio, on the 3-server 2-way
@@ -127,7 +128,7 @@ const (
 // whose primaries all land on one Petal server, then have several
 // client machines stream it — once with reads pinned to the primary
 // (that server's link is the ceiling), once with the replica balancer
-// splitting every client's extents across both copies.
+// splitting every client's chunks across both copies.
 func (o Options) readBalanceRows(t *Table) error {
 	const chunks, passes = 16, 2
 	readers := 6
@@ -250,7 +251,7 @@ func (o Options) readBalanceRows(t *Table) error {
 			share := 100 * float64(backup) / float64(primary+backup)
 			ratio = fmt.Sprintf("%.2fx (assert >= %.2fx; %.2fx short of 2x), %.0f%% to backup (assert %d-%d%%)", r, balanceFloor, 2-r, share, balanceShareLo, balanceShareHi)
 			if share < balanceShareLo || share > balanceShareHi {
-				return fmt.Errorf("read-scaling: balanced mode routed %.0f%% of %d first-choice extents to the backup; want %d-%d%%", share, primary+backup, balanceShareLo, balanceShareHi)
+				return fmt.Errorf("read-scaling: in balanced mode the backup served %.0f%% of %d bytes; want %d-%d%%", share, primary+backup, balanceShareLo, balanceShareHi)
 			}
 			if r < balanceFloor {
 				return fmt.Errorf("read-scaling: balanced %.1f MB/s vs primary-only %.1f MB/s = %.2fx; want >= %.2fx", agg, base, r, balanceFloor)

@@ -84,9 +84,9 @@ type driver struct {
 	writeVExtents *obs.Counter // extents carried by WriteVReq calls
 	readVRPCs     *obs.Counter // ReadVReq calls issued
 	readVExtents  *obs.Counter // extents carried by ReadVReq calls
-	readPrimary   *obs.Counter // first-choice read routings to the primary
-	readBackup    *obs.Counter // first-choice read routings to the backup
-	balancePct    *obs.Gauge   // percent of first-choice reads sent to the backup
+	readPrimary   *obs.Counter // balanced read bytes the primary served
+	readBackup    *obs.Counter // balanced read bytes the backup served
+	balancePct    *obs.Gauge   // percent of balanced read bytes the backup served
 
 	// Control-plane refresh statistics: at big N the O(N) full-state
 	// sweep was itself a scaling cost, so the incremental path's hit
@@ -96,9 +96,18 @@ type driver struct {
 	refreshFanout  *obs.Counter // probe failures that forced a bounded fan-out
 	refreshUnch    *obs.Counter // probes answered Unchanged (no state shipped)
 
-	// infl tracks this client's outstanding data-path RPCs per server,
-	// the load signal for least-outstanding read routing.
+	// infl is the load signal read routing balances on: per server, the
+	// bytes of this client's reads that have been routed to it and not
+	// yet answered. A piece is charged the moment it picks its first
+	// choice, not when its RPC leaves, so pieces routed in the same
+	// instant (the extents of one ReadV, eight prefetches started
+	// together) see each other; the bytes move to the next preference
+	// when a piece fails over and are given back when the batch that
+	// carries it returns, answered or not. Bytes, not RPCs, because a
+	// server's arm and link are busy for as long as the bytes take.
 	infl map[string]*obs.Gauge
+	// routeMu makes a read piece's choice and its charge one step.
+	routeMu sync.Mutex
 
 	// Observability; set once at construction.
 	now    obs.NowFunc
@@ -119,8 +128,10 @@ type ClientStats struct {
 	ReadVRPCs int64
 	// ReadVExtents is the total extents carried by those calls.
 	ReadVExtents int64
-	// ReadPrimary/ReadBackup split first-choice read routing decisions
-	// between the two replicas of each chunk.
+	// ReadPrimary/ReadBackup are the bytes of balanced reads (both
+	// replicas alive, balancing on) that the chunk's primary and its
+	// backup served. A piece is counted once, when it is served, however
+	// often it was routed.
 	ReadPrimary int64
 	ReadBackup  int64
 }
@@ -389,6 +400,10 @@ func (c *Client) getState() (GlobalState, error) {
 type targetList struct {
 	srv [4]string
 	n   int
+	// primary names the chunk's primary when the order is a balanced
+	// read's choice between two live replicas: the bytes such a piece
+	// is served count towards the balance. Empty otherwise.
+	primary string
 }
 
 func (t *targetList) add(s string, alive map[string]bool, mustBeAlive bool) {
@@ -416,7 +431,7 @@ func (t *targetList) list() []string { return t.srv[:t.n] }
 // targetList so the hot path stays allocation-free.
 func (c *Client) targets(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
 	p1, p2 := st.replicas(v, chunk)
-	tl.n = 0
+	tl.n, tl.primary = 0, ""
 	tl.add(p1, st.Alive, true)
 	tl.add(p2, st.Alive, true)
 	tl.add(p1, st.Alive, false)
@@ -435,16 +450,26 @@ func (c *Client) SetReadBalance(on bool) {
 	c.balanceReads.Store(v)
 }
 
-// readTargets fills tl with replica candidates for a read. When both
-// replicas are alive and balancing is on, the first choice is the
-// replica with fewer of this client's RPCs outstanding (Petal serves
-// reads from either copy); ties alternate round-robin. The losing
-// replica stays second, so per-extent failover still reaches every
-// copy, and writes keep the primary-first order from targets.
+// balanced reports whether reads of a chunk are spread over its two
+// replicas — balancing is on and the view has two different servers,
+// both alive — and names them.
+func (c *Client) balanced(st *GlobalState, v VDiskID, chunk int64) (p1, p2 string, ok bool) {
+	p1, p2 = st.replicas(v, chunk)
+	ok = c.balanceReads.Load() != 0 && p1 != "" && p2 != "" && p1 != p2 && st.Alive[p1] && st.Alive[p2]
+	return p1, p2, ok
+}
+
+// readTargets fills tl with replica candidates for a read. When the
+// chunk is balanced, the first choice is the replica with fewer bytes
+// of this client's reads outstanding (infl; Petal serves reads from
+// either copy) and ties alternate round-robin. The losing replica
+// stays second, so per-extent failover still reaches every copy, and
+// writes keep the primary-first order from targets. It only chooses:
+// readOp.route charges the choice, under routeMu, so the next piece
+// routed — the other half of the same chunk first of all — sees it.
 func (c *Client) readTargets(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
-	p1, p2 := st.replicas(v, chunk)
-	if c.balanceReads.Load() == 0 || p1 == "" || p2 == "" || p1 == p2 ||
-		!st.Alive[p1] || !st.Alive[p2] {
+	p1, p2, ok := c.balanced(st, v, chunk)
+	if !ok {
 		c.targets(st, v, chunk, tl)
 		return
 	}
@@ -453,15 +478,7 @@ func (c *Client) readTargets(st *GlobalState, v VDiskID, chunk int64, tl *target
 	if o2 < o1 || (o1 == o2 && c.rr.Add(1)%2 == 1) {
 		first, second = p2, p1
 	}
-	if first == p1 {
-		c.readPrimary.Add(1)
-	} else {
-		c.readBackup.Add(1)
-	}
-	if p, b := c.readPrimary.Value(), c.readBackup.Value(); p+b > 0 {
-		c.balancePct.Set(b * 100 / (p + b))
-	}
-	tl.n = 0
+	tl.n, tl.primary = 0, p1
 	tl.add(first, st.Alive, false)
 	tl.add(second, st.Alive, false)
 }
@@ -508,17 +525,11 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 	c.clock.Sleep(d)
 }
 
-// call issues one data-path RPC, tracking the per-server outstanding
-// gauge that read routing balances on.
+// call issues one data-path RPC. Every one (including retries and
+// failovers) is charged to the principal whose operation issued it.
 func (c *Client) call(who, srv string, req any, timeout sim.Duration) (any, error) {
-	g := c.infl[srv]
-	g.Add(1)
-	// Every data-path RPC (including retries and failovers) is charged
-	// to the principal whose operation issued it.
 	c.acct.RPC(who, 1)
-	resp, err := c.ep.Call(DataAddr(srv), req, timeout)
-	g.Add(-1)
-	return resp, err
+	return c.ep.Call(DataAddr(srv), req, timeout)
 }
 
 // boundedPar runs f(0..n-1) with at most limit in flight, returning
@@ -563,13 +574,28 @@ type piece struct {
 	tl    targetList // replica preference under the current routing view
 }
 
+// splitAlign is where a read piece may be cut: the file system's block,
+// so no block is ever fetched in two parts.
+const splitAlign = 4096
+
 // appendPieces splits the I/O of buf at byte offset off at chunk
-// boundaries.
-func appendPieces(dst []piece, off int64, buf []byte) []piece {
+// boundaries. A read passes halve, which says whether the view it is
+// about to be routed under balances a chunk (nil for a write): a span
+// of half such a chunk or more is emitted as two halves cut on a
+// splitAlign boundary, so that routing, which charges the first half
+// before it looks at the second, puts them on different replicas — two
+// arms and two links move half the bytes each — while halves that do
+// pick the same server still leave in one request (batchByTarget).
+func appendPieces(dst []piece, off int64, buf []byte, halve func(chunk int64) bool) []piece {
 	for len(buf) > 0 {
-		in := int(off % ChunkSize)
+		chunk, in := off/ChunkSize, int(off%ChunkSize)
 		n := min(ChunkSize-in, len(buf))
-		dst = append(dst, piece{chunk: off / ChunkSize, off: in, buf: buf[:n]})
+		if n >= ChunkSize/2 && halve != nil && halve(chunk) {
+			h := (in+n/2+splitAlign-1)&^(splitAlign-1) - in
+			dst = append(dst, piece{chunk: chunk, off: in, buf: buf[:h]})
+			in, off, buf, n = in+h, off+int64(h), buf[h:], n-h
+		}
+		dst = append(dst, piece{chunk: chunk, off: in, buf: buf[:n]})
 		off += int64(n)
 		buf = buf[n:]
 	}
@@ -627,15 +653,19 @@ func batchByTarget(ps []piece, rank int) (batches []batch, none []piece) {
 type dataOp interface {
 	// name is the journal subject: "read" or "write".
 	name() string
-	// route fills a piece's replica preference list.
-	route(st *GlobalState, v VDiskID, chunk int64, tl *targetList)
+	// route fills a piece's replica preference list; a read charges
+	// the piece's bytes to its first choice as it does.
+	route(st *GlobalState, v VDiskID, p *piece)
+	// charge adds n bytes (negative: gives them back) to the load that
+	// read routing sees on srv. Writes carry none.
+	charge(srv string, n int)
 	// request builds the one message that carries a batch, stamped
 	// with the context of the operation it is sent for.
 	request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any
-	// settle consumes a batch's reply and returns the pieces it did
-	// not serve and why. An error with nothing left to retry is final:
-	// no replica would answer differently.
-	settle(ps []piece, resp any) (unserved []piece, err error)
+	// settle consumes srv's reply to a batch and returns the pieces it
+	// did not serve and why. An error with nothing left to retry is
+	// final: no replica would answer differently.
+	settle(srv string, ps []piece, resp any) (unserved []piece, err error)
 }
 
 // replyErr turns a reply's error string back into the sentinel it
@@ -664,9 +694,13 @@ func staleView(err error) bool {
 // preference, so failover costs one RPC per surviving replica, not
 // one per extent. Once every preference is exhausted — or at once
 // for a piece the view itself made fail — refresh the view, back off
-// and go again. timedOut reports that some call got no answer, so
-// its request may still be queued at the carrier, aliasing the
-// pieces' buffers. ctx is the context of the operation the call is made
+// and go again. A read piece's bytes are charged (dataOp.charge) to
+// the server it waits on and to no other: to its first choice when
+// routed, to a later one when the batch for it is made up, and given
+// back when that batch's call returns, so a piece that is parked, has
+// no candidate left or was never routed holds no charge. timedOut
+// reports that some call got no answer, so its request may still be
+// queued at the carrier, aliasing the pieces' buffers. ctx is the context of the operation the call is made
 // for: every request carries it and every RPC is charged to its
 // principal.
 func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedOut bool, err error) {
@@ -686,19 +720,25 @@ func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedO
 		if x.st, err = c.getState(); err == nil {
 			routedVer = x.st.Version
 			for i := range ps {
-				op.route(&x.st, v, ps[i].chunk, &ps[i].tl)
+				op.route(&x.st, v, &ps[i])
 			}
 			x.parked = nil
 			for rank := 0; len(ps) > 0; rank++ {
 				batches, none := batchByTarget(ps, rank)
 				x.parked = append(x.parked, none...)
 				x.next = nil
+				if rank > 0 { // rank 0 was charged piece by piece as it was routed
+					for _, b := range batches {
+						op.charge(b.srv, b.bytes)
+					}
+				}
 				final := boundedPar(c.parallelism, len(batches), func(i int) error {
 					b := batches[i]
 					resp, callErr := c.call(ctx.Principal, b.srv, op.request(ctx, &x.st, v, b.ps), callTimeout(b.bytes))
+					op.charge(b.srv, -b.bytes)
 					unserved, err, verb := b.ps, callErr, "failover"
 					if callErr == nil {
-						unserved, err = op.settle(b.ps, resp)
+						unserved, err = op.settle(b.srv, b.ps, resp)
 						verb = "replica-fail"
 					}
 					if len(unserved) == 0 {
@@ -751,9 +791,16 @@ type readOp struct{ c *Client }
 
 func (readOp) name() string { return "read" }
 
-func (o readOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
-	o.c.readTargets(st, v, chunk, tl)
+func (o readOp) route(st *GlobalState, v VDiskID, p *piece) {
+	o.c.routeMu.Lock()
+	o.c.readTargets(st, v, p.chunk, &p.tl)
+	if p.tl.n > 0 {
+		o.charge(p.tl.srv[0], len(p.buf))
+	}
+	o.c.routeMu.Unlock()
 }
+
+func (o readOp) charge(srv string, n int) { o.c.infl[srv].Add(int64(n)) }
 
 func (o readOp) request(ctx obs.Ctx, _ *GlobalState, v VDiskID, ps []piece) any {
 	exts := make([]ReadVExtent, len(ps))
@@ -765,7 +812,7 @@ func (o readOp) request(ctx obs.Ctx, _ *GlobalState, v VDiskID, ps []piece) any 
 	return ReadVReq{Ctx: ctx, VDisk: v, Extents: exts}
 }
 
-func (readOp) settle(ps []piece, resp any) (unserved []piece, err error) {
+func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err error) {
 	rr, ok := resp.(ReadVResp)
 	if !ok {
 		return ps, nil
@@ -779,6 +826,7 @@ func (readOp) settle(ps []piece, resp any) (unserved []piece, err error) {
 	if len(rr.Results) != len(ps) {
 		return ps, fmt.Errorf("petal read: %d results for %d extents", len(rr.Results), len(ps))
 	}
+	var primary, backup int64
 	for i, res := range rr.Results {
 		if !res.OK {
 			// Leave the destination untouched; the replica that serves
@@ -791,6 +839,17 @@ func (readOp) settle(ps []piece, resp any) (unserved []piece, err error) {
 		// bytes in the tail of the destination.
 		n := copy(ps[i].buf, res.Data)
 		clear(ps[i].buf[n:])
+		if of := ps[i].tl.primary; of == srv {
+			primary += int64(len(ps[i].buf))
+		} else if of != "" {
+			backup += int64(len(ps[i].buf))
+		}
+	}
+	if primary+backup > 0 {
+		o.c.readPrimary.Add(primary)
+		o.c.readBackup.Add(backup)
+		p, b := o.c.readPrimary.Value(), o.c.readBackup.Value()
+		o.c.balancePct.Set(b * 100 / (p + b))
 	}
 	return unserved, err
 }
@@ -820,9 +879,11 @@ func (c *Client) newWriteOp() writeOp {
 
 func (writeOp) name() string { return "write" }
 
-func (o writeOp) route(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
-	o.c.targets(st, v, chunk, tl)
+func (o writeOp) route(st *GlobalState, v VDiskID, p *piece) {
+	o.c.targets(st, v, p.chunk, &p.tl)
 }
+
+func (writeOp) charge(string, int) {}
 
 func (o writeOp) request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any {
 	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: make([]WriteVExtent, len(ps)), ExpireAt: o.expireAt, LeaseID: o.leaseID}
@@ -837,7 +898,7 @@ func (o writeOp) request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) an
 	return req
 }
 
-func (o writeOp) settle(ps []piece, resp any) ([]piece, error) {
+func (o writeOp) settle(_ string, ps []piece, resp any) ([]piece, error) {
 	wr, ok := resp.(WriteVResp)
 	if !ok {
 		return ps, nil
@@ -858,13 +919,7 @@ func (o writeOp) settle(ps []piece, resp any) ([]piece, error) {
 // Read fills p from the virtual disk at byte offset off. Uncommitted
 // ranges read as zeros.
 func (c *Client) Read(v VDiskID, off int64, p []byte) error {
-	if off < 0 {
-		return ErrBounds
-	}
-	return c.instr("read", func(ctx obs.Ctx) error {
-		_, err := c.transfer(ctx, v, appendPieces(nil, off, p), readOp{c})
-		return err
-	})
+	return c.read("read", v, ReadExtent{Off: off, Dst: p})
 }
 
 // ReadExtent is one destination range of a scatter-gather read: Dst
@@ -879,17 +934,38 @@ type ReadExtent struct {
 // sent one batch of everything routed to it. A failed extent never
 // leaves stale bytes in its destination.
 func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
-	var ps []piece
+	return c.read("readv", v, extents...)
+}
+
+// read is Read and ReadV.
+func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
-		ps = appendPieces(ps, e.Off, e.Dst)
 	}
-	return c.instr("readv", func(ctx obs.Ctx) error {
-		_, err := c.transfer(ctx, v, ps, readOp{c})
+	return c.instr(op, func(ctx obs.Ctx) error {
+		_, err := c.transfer(ctx, v, c.readPieces(v, extents), readOp{c})
 		return err
 	})
+}
+
+// readPieces cuts a read's extents into pieces under the view its
+// first attempt will route them with. With no view to be had nothing
+// is halved, and transfer reports why there is none.
+func (c *Client) readPieces(v VDiskID, extents []ReadExtent) []piece {
+	var halve func(chunk int64) bool
+	if st, err := c.getState(); err == nil {
+		halve = func(chunk int64) bool {
+			_, _, ok := c.balanced(&st, v, chunk)
+			return ok
+		}
+	}
+	var ps []piece
+	for _, e := range extents {
+		ps = appendPieces(ps, e.Off, e.Dst, halve)
+	}
+	return ps
 }
 
 // Write stores p at byte offset off, committing chunks as needed. The
@@ -907,7 +983,7 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 		// working set of buffers.
 		bufp := bufpool.Get(len(p))
 		copy(*bufp, p)
-		timedOut, err := c.transfer(ctx, v, appendPieces(nil, off, *bufp), c.newWriteOp())
+		timedOut, err := c.transfer(ctx, v, appendPieces(nil, off, *bufp, nil), c.newWriteOp())
 		if !timedOut {
 			// Every call was answered, so no in-flight message can
 			// still reference the snapshot; safe to recycle.
@@ -934,7 +1010,7 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 		if e.Off < 0 {
 			return ErrBounds
 		}
-		ps = appendPieces(ps, e.Off, e.Data)
+		ps = appendPieces(ps, e.Off, e.Data, nil)
 	}
 	return c.instr("writev", func(ctx obs.Ctx) error {
 		_, err := c.transfer(ctx, v, ps, c.newWriteOp())

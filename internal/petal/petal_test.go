@@ -49,6 +49,7 @@ func newTestClusterAt(t *testing.T, compression float64, n int, mutate func(*Ser
 	}
 	tc.client = NewClient(w, "ws0", names)
 	t.Cleanup(func() {
+		assertIdle(t, tc.client)
 		tc.client.Close()
 		for _, s := range tc.servers {
 			s.Close()
@@ -532,7 +533,7 @@ type span struct {
 func spans(off int64, length int) []span {
 	whole := make([]byte, length)
 	var out []span
-	for _, p := range appendPieces(nil, off, whole) {
+	for _, p := range appendPieces(nil, off, whole, nil) {
 		out = append(out, span{p.chunk, p.off, len(p.buf), cap(whole) - cap(p.buf)})
 	}
 	return out
