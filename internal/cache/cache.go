@@ -15,7 +15,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 
 	"frangipani/internal/obs"
@@ -41,15 +40,19 @@ type Entry struct {
 	// Owner is the lock id covering this block.
 	Owner uint64
 
-	gen  int64 // bumped on every MarkDirty; guards MarkCleanIf
-	elem *list.Element
+	gen int64 // bumped on every MarkDirty; guards MarkCleanIf
+	// The entry's place in its pool's LRU ring; nil once it has been
+	// dropped. The links live here so that an insert allocates the entry
+	// and its page and nothing else.
+	prev, next *Entry
 }
 
 // Flusher writes a dirty entry to stable storage (log first, then
 // block). It is called with the pool lock NOT held.
 type Flusher func(*Entry) error
 
-// Pool is a fixed-capacity block cache.
+// Pool is a fixed-capacity block cache. Resident entries are on a ring
+// through lru, most recently used first.
 type Pool struct {
 	blockSize int
 	capacity  int
@@ -57,7 +60,7 @@ type Pool struct {
 
 	mu      sync.Mutex
 	entries map[int64]*Entry
-	lru     *list.List // front = most recent
+	lru     Entry // ring sentinel: next = most recent, prev = eviction victim
 	byOwner map[uint64]map[int64]*Entry
 
 	hits, misses, evictions *obs.Counter
@@ -67,16 +70,29 @@ type Pool struct {
 // bytes. Counters start standalone; SetObs repoints them at a
 // registry.
 func NewPool(blockSize, capacity int) *Pool {
-	return &Pool{
+	p := &Pool{
 		blockSize: blockSize,
 		capacity:  capacity,
 		entries:   make(map[int64]*Entry),
-		lru:       list.New(),
 		byOwner:   make(map[uint64]map[int64]*Entry),
 		hits:      obs.NewCounter(),
 		misses:    obs.NewCounter(),
 		evictions: obs.NewCounter(),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// unlinkLocked takes e off the ring.
+func (p *Pool) unlinkLocked(e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFrontLocked makes e, which is off the ring, the most recent.
+func (p *Pool) pushFrontLocked(e *Entry) {
+	e.prev, e.next = &p.lru, p.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // SetObs attaches the pool's counters to a registry under
@@ -128,7 +144,8 @@ func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 	defer p.mu.Unlock()
 	e, ok := p.entries[addr]
 	if ok {
-		p.lru.MoveToFront(e.elem)
+		p.unlinkLocked(e)
+		p.pushFrontLocked(e)
 		p.hits.Inc()
 	} else {
 		p.misses.Inc()
@@ -148,20 +165,26 @@ func (p *Pool) Peek(addr int64) (*Entry, bool) {
 }
 
 // Insert adds (or replaces) the entry for addr with the given data
-// and owner, evicting if needed. It returns the entry.
+// and owner, evicting if needed. It returns the entry. A nil data is a
+// block of zeros.
 func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 	p.mu.Lock()
 	if e, ok := p.entries[addr]; ok {
-		copy(e.Data, data)
+		if data == nil {
+			clear(e.Data)
+		} else {
+			copy(e.Data, data)
+		}
 		p.setOwnerLocked(e, owner)
-		p.lru.MoveToFront(e.elem)
+		p.unlinkLocked(e)
+		p.pushFrontLocked(e)
 		p.mu.Unlock()
 		return e
 	}
 	e := &Entry{Addr: addr, Data: make([]byte, p.blockSize), Owner: owner}
 	copy(e.Data, data)
 	p.entries[addr] = e
-	e.elem = p.lru.PushFront(e)
+	p.pushFrontLocked(e)
 	p.addOwnerLocked(e)
 	victims := p.collectVictimsLocked()
 	p.mu.Unlock()
@@ -201,12 +224,8 @@ func (p *Pool) removeOwnerLocked(e *Entry) {
 func (p *Pool) collectVictimsLocked() []*Entry {
 	var dirty []*Entry
 	for len(p.entries) > p.capacity {
-		elem := p.lru.Back()
-		if elem == nil {
-			break
-		}
-		e := elem.Value.(*Entry)
-		p.lru.Remove(elem)
+		e := p.lru.prev
+		p.unlinkLocked(e)
 		delete(p.entries, e.Addr)
 		p.removeOwnerLocked(e)
 		p.evictions.Inc()
@@ -351,7 +370,7 @@ func (p *Pool) InvalidateByOwner(owner uint64) {
 	defer p.mu.Unlock()
 	for _, e := range p.byOwner[owner] {
 		delete(p.entries, e.Addr)
-		p.lru.Remove(e.elem)
+		p.unlinkLocked(e)
 		e.Dirty = false
 	}
 	delete(p.byOwner, owner)
@@ -363,7 +382,7 @@ func (p *Pool) Invalidate(addr int64) {
 	defer p.mu.Unlock()
 	if e, ok := p.entries[addr]; ok {
 		delete(p.entries, addr)
-		p.lru.Remove(e.elem)
+		p.unlinkLocked(e)
 		p.removeOwnerLocked(e)
 		e.Dirty = false
 	}
@@ -376,7 +395,7 @@ func (p *Pool) InvalidateAll() {
 	defer p.mu.Unlock()
 	p.entries = make(map[int64]*Entry)
 	p.byOwner = make(map[uint64]map[int64]*Entry)
-	p.lru.Init()
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 }
 
 // HasDirty reports whether any entry is dirty.

@@ -188,3 +188,127 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLRUOrderAgainstModel: whatever mix of inserts, lookups and
+// invalidations came before, the pool holds exactly what a list kept in
+// recency order would, and evicts from that list's tail.
+func TestLRUOrderAgainstModel(t *testing.T) {
+	const capacity = 8
+	f := func(ops []uint16) bool {
+		p := NewPool(64, capacity)
+		var model []int64 // most recent first
+		drop := func(keep func(addr int64) bool) {
+			kept := model[:0]
+			for _, a := range model {
+				if keep(a) {
+					kept = append(kept, a)
+				}
+			}
+			model = kept
+		}
+		touch := func(addr int64) {
+			drop(func(a int64) bool { return a != addr })
+			model = append([]int64{addr}, model...)
+		}
+		owner := func(addr int64) uint64 { return uint64(addr / 64 % 3) }
+		for _, op := range ops {
+			addr := int64(op%24) * 64
+			switch op >> 8 % 8 {
+			case 0, 1, 2:
+				p.Insert(addr, nil, owner(addr))
+				touch(addr)
+				if len(model) > capacity {
+					model = model[:capacity]
+				}
+			case 3, 4:
+				if _, ok := p.Lookup(addr); ok {
+					touch(addr)
+				}
+			case 5:
+				p.Invalidate(addr)
+				drop(func(a int64) bool { return a != addr })
+			case 6:
+				p.InvalidateByOwner(owner(addr))
+				drop(func(a int64) bool { return owner(a) != owner(addr) })
+			case 7:
+				if op%16 == 0 {
+					p.InvalidateAll()
+					model = model[:0]
+				}
+			}
+			if p.Len() != len(model) {
+				return false
+			}
+			for _, a := range model {
+				if _, ok := p.Peek(a); !ok {
+					return false
+				}
+			}
+			// The ring is the model, front to back and back to front.
+			e := p.lru.next
+			for _, a := range model {
+				if e.Addr != a || e.next.prev != e {
+					return false
+				}
+				e = e.next
+			}
+			if e != &p.lru {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInsertNilIsZeros: a nil block inserts as zeros, over a resident
+// block's old bytes too.
+func TestInsertNilIsZeros(t *testing.T) {
+	p := NewPool(64, 4)
+	e := p.Insert(0, nil, 1)
+	if len(e.Data) != 64 {
+		t.Fatalf("a nil insert made a block of %d bytes", len(e.Data))
+	}
+	e.Data[5] = 9
+	if again := p.Insert(0, nil, 1); again != e || e.Data[5] != 0 {
+		t.Fatalf("a nil insert over a resident block left byte 5 at %d", e.Data[5])
+	}
+}
+
+// TestInsertEvictAllocs: an insert into a full pool is the entry and
+// its page, nothing for the LRU's bookkeeping (the benchmark's
+// cache.insert_evict_allocs).
+func TestInsertEvictAllocs(t *testing.T) {
+	const capacity = 256
+	p := NewPool(4096, capacity)
+	page := make([]byte, 4096)
+	next := int64(0)
+	insert := func() {
+		p.Insert(next*4096, page, 1)
+		next++
+	}
+	for next < 2*capacity { // warm: the maps have seen their full size
+		insert()
+	}
+	if n := testing.AllocsPerRun(1000, insert); n != 2 {
+		t.Fatalf("Insert with an eviction allocates %v times, want 2", n)
+	}
+}
+
+// BenchmarkInsertEvict is the host-time cost of an insert into a full
+// pool, which evicts the least recently used page.
+func BenchmarkInsertEvict(b *testing.B) {
+	const capacity = 1024
+	p := NewPool(4096, capacity)
+	page := make([]byte, 4096)
+	for i := int64(0); i < capacity; i++ {
+		p.Insert(i*4096, page, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Insert(int64(capacity+i)*4096, page, 1)
+	}
+}

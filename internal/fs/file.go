@@ -67,7 +67,7 @@ func (fs *FS) OpenFile(path string, create bool) (*File, error) {
 
 func (fs *FS) statInum(op *obs.Span, inum int64) (Info, error) {
 	var info Info
-	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
 		_, in, err := fs.loadInode(op, inum)
 		if err != nil {
 			return err
@@ -152,7 +152,7 @@ func (fs *FS) ensureBlock(t *txn, in *Inode, off int64, isDir bool) error {
 			addr := fs.lay.SmallAddr(idx)
 			// Note: the inode lock id is derivable only by the caller;
 			// data pages are owned by the file's inode lock.
-			e := fs.data.Insert(addr, make([]byte, BlockSize), t.pageOwner)
+			e := fs.data.Insert(addr, nil, t.pageOwner)
 			fs.data.MarkDirty(e, 0)
 		}
 		return nil
@@ -196,7 +196,7 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 	fs.chargeOp(len(p))
 	fs.accountBytes(op, len(p), 0)
 	lock := InodeLock(f.inum)
-	err := fs.withLocks(op, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	err := fs.withTxn(op, []lockReq{{lock, lockservice.Exclusive}}, func(t *txn) error {
 		t.pageOwner = lock
 		e, in, err := fs.loadInode(op, f.inum)
 		if err != nil {
@@ -227,7 +227,7 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 			pe, cached := fs.data.Lookup(pageAddr)
 			if !cached {
 				if inPage == 0 && n == BlockSize {
-					pe = fs.data.Insert(pageAddr, make([]byte, BlockSize), lock)
+					pe = fs.data.Insert(pageAddr, nil, lock)
 				} else {
 					pe, err = fs.readData(op, pageAddr, lock)
 					if err != nil {
@@ -323,7 +323,7 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 
 	n := 0
 	var readErr error
-	err := fs.withLocks(op, []lockReq{{lock, lockservice.Shared}}, false, func(t *txn) error {
+	err := fs.withLocks(op, []lockReq{{lock, lockservice.Shared}}, func() error {
 		_, in, err := fs.loadInode(op, f.inum)
 		if err != nil {
 			return err
@@ -624,7 +624,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 	}
 	fs.chargeOp(0)
 	lock := InodeLock(f.inum)
-	return fs.withLocks(op, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	return fs.withTxn(op, []lockReq{{lock, lockservice.Exclusive}}, func(t *txn) error {
 		t.pageOwner = lock
 		e, in, err := fs.loadInode(op, f.inum)
 		if err != nil {

@@ -493,15 +493,20 @@ func (fs *FS) lock(op *obs.Span, id uint64, mode lockservice.Mode) error {
 	return err
 }
 
-// lat returns a deferred-latency recorder for hot internal paths
-// that want a histogram without span overhead.
-func (fs *FS) lat(op string) func() {
-	if fs.now == nil {
-		return func() {}
+// lat records in op's histogram the time since start, which the caller
+// took from latStart: for hot internal paths that want a histogram
+// without span overhead (defer fs.lat("lookup", fs.latStart())).
+func (fs *FS) lat(op string, start int64) {
+	if fs.now != nil {
+		fs.m.opLat[op].Record(fs.now() - start)
 	}
-	h := fs.m.opLat[op]
-	start := fs.now()
-	return func() { h.Record(fs.now() - start) }
+}
+
+func (fs *FS) latStart() int64 {
+	if fs.now == nil {
+		return 0
+	}
+	return fs.now()
 }
 
 // SetReadAhead adjusts the read-ahead window cap at runtime (Figure
@@ -908,19 +913,24 @@ type span struct{ lo, hi int }
 // txn accumulates one operation's metadata changes; commit turns
 // them into a single log record (so the whole operation replays
 // atomically per block) and marks the touched cache entries dirty.
+// withTxn makes one per mutating operation; it holds nothing until the
+// first update, and an operation touches a handful of entries, so they
+// are a slice searched linearly.
 type txn struct {
 	fs      *FS
 	op      *obs.Span // the operation the transaction belongs to
-	touched []*cache.Entry
-	spans   map[*cache.Entry][]span
+	touched []touched
 	segs    []uint64 // bitmap segment locks acquired by the allocator
 	// pageOwner is the inode lock that owns data pages created by
 	// this transaction (set by operations that allocate blocks).
 	pageOwner uint64
 }
 
-func (fs *FS) begin(op *obs.Span) *txn {
-	return &txn{fs: fs, op: op, spans: make(map[*cache.Entry][]span)}
+// touched is one cache entry a transaction has changed and the byte
+// ranges of it to log.
+type touched struct {
+	e     *cache.Entry
+	spans []span
 }
 
 // update writes newBytes at off into the entry, recording the
@@ -935,31 +945,29 @@ func (t *txn) update(e *cache.Entry, off int, newBytes []byte) {
 			runStart = i
 		}
 		if !changed && runStart >= 0 {
-			t.spans[e] = append(t.spans[e], span{off + runStart, off + i})
+			t.addSpan(e, span{off + runStart, off + i})
 			runStart = -1
 		}
 	}
 	t.fs.meta.Mutate(func() { copy(old, newBytes) })
-	if _, seen := t.spans[e]; seen {
-		t.addTouched(e)
-	}
 }
 
 // forceUpdate records a span even if bytes compare equal (used when
 // the semantic state must be re-logged, e.g. allocation bits).
 func (t *txn) forceUpdate(e *cache.Entry, off int, newBytes []byte) {
 	t.fs.meta.Mutate(func() { copy(e.Data[off:], newBytes) })
-	t.spans[e] = append(t.spans[e], span{off, off + len(newBytes)})
-	t.addTouched(e)
+	t.addSpan(e, span{off, off + len(newBytes)})
 }
 
-func (t *txn) addTouched(e *cache.Entry) {
-	for _, x := range t.touched {
-		if x == e {
+// addSpan adds s to what is logged of e, which it makes touched.
+func (t *txn) addSpan(e *cache.Entry, s span) {
+	for i := range t.touched {
+		if t.touched[i].e == e {
+			t.touched[i].spans = append(t.touched[i].spans, s)
 			return
 		}
 	}
-	t.touched = append(t.touched, e)
+	t.touched = append(t.touched, touched{e, []span{s}})
 }
 
 // mergeSpans coalesces overlapping/adjacent spans (gap <= 8 bytes is
@@ -994,14 +1002,11 @@ func (t *txn) commit() error {
 		return nil
 	}
 	var ups []wal.Update
-	for _, e := range t.touched {
-		spans := mergeSpans(t.spans[e])
-		if len(spans) == 0 {
-			continue
-		}
+	for _, x := range t.touched {
+		e := x.e
 		ver := wal.BlockVersion(e.Data) + 1
 		t.fs.meta.Mutate(func() { wal.SetBlockVersion(e.Data, ver) })
-		for _, s := range spans {
+		for _, s := range mergeSpans(x.spans) {
 			ups = append(ups, wal.Update{
 				Addr: e.Addr,
 				Off:  s.lo,
@@ -1010,16 +1015,13 @@ func (t *txn) commit() error {
 			})
 		}
 	}
-	if len(ups) == 0 {
-		return nil
-	}
 	seq, err := t.fs.log.Append(ups)
 	if err != nil {
 		return err
 	}
 	t.fs.acct.WAL(t.op.Ctx().Principal, int64(wal.RecordSize(ups)))
-	for _, e := range t.touched {
-		t.fs.meta.MarkDirty(e, seq)
+	for _, x := range t.touched {
+		t.fs.meta.MarkDirty(x.e, seq)
 	}
 	t.fs.mu.Lock()
 	if seq > t.fs.appended {

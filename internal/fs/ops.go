@@ -1,8 +1,9 @@
 package fs
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 
 	"frangipani/internal/cache"
@@ -34,48 +35,78 @@ type lockReq struct {
 	mode lockservice.Mode
 }
 
-// withLocks implements §5's deadlock-avoidance protocol: the caller
-// has determined (phase one) which locks it needs; withLocks sorts
-// them, acquires each in turn, runs fn (which must re-validate what
-// phase one read and may return ErrRetry), commits the transaction,
-// and releases everything. Mutating operations additionally hold the
-// global backup barrier lock in shared mode (§8).
-func (fs *FS) withLocks(op *obs.Span, reqs []lockReq, mutating bool, fn func(t *txn) error) error {
-	if mutating {
-		reqs = append(reqs, lockReq{LockBarrier, lockservice.Shared})
+// withLocks implements §5's deadlock-avoidance protocol for an
+// operation that changes nothing: the caller has determined (phase one)
+// which locks it needs; withLocks acquires them in order, runs fn (which
+// must re-validate what phase one read and may return ErrRetry) and
+// releases everything. It builds no transaction and allocates nothing:
+// a cached Stat or ReadAt pays for one sticky lock and its own work.
+func (fs *FS) withLocks(op *obs.Span, reqs []lockReq, fn func() error) error {
+	var buf [stackLocks]lockReq
+	held, err := fs.lockAll(op, append(buf[:0], reqs...))
+	if err != nil {
+		return err
 	}
-	sort.Slice(reqs, func(a, b int) bool { return reqs[a].id < reqs[b].id })
-	// Deduplicate, keeping the strongest mode.
-	dedup := reqs[:0]
-	for _, r := range reqs {
-		if len(dedup) > 0 && dedup[len(dedup)-1].id == r.id {
-			if r.mode > dedup[len(dedup)-1].mode {
-				dedup[len(dedup)-1].mode = r.mode
-			}
-			continue
-		}
-		dedup = append(dedup, r)
+	err = fn()
+	fs.unlockAll(held)
+	return err
+}
+
+// withTxn is withLocks for an operation that may log: it additionally
+// holds the global backup barrier lock in shared mode (§8), hands fn
+// the transaction its updates go into and commits it before the locks
+// are released.
+func (fs *FS) withTxn(op *obs.Span, reqs []lockReq, fn func(t *txn) error) error {
+	var buf [stackLocks]lockReq
+	held, err := fs.lockAll(op, append(append(buf[:0], reqs...), lockReq{LockBarrier, lockservice.Shared}))
+	if err != nil {
+		return err
 	}
-	var held []uint64
-	for _, r := range dedup {
-		if err := fs.lock(op, r.id, r.mode); err != nil {
-			for i := len(held) - 1; i >= 0; i-- {
-				fs.clerk.Unlock(held[i])
-			}
-			return err
-		}
-		held = append(held, r.id)
-	}
-	t := fs.begin(op)
-	err := fn(t)
+	t := &txn{fs: fs, op: op}
+	err = fn(t)
 	if err == nil {
 		err = t.commit()
 	}
 	t.releaseSegs()
-	for i := len(held) - 1; i >= 0; i-- {
-		fs.clerk.Unlock(held[i])
-	}
+	fs.unlockAll(held)
 	return err
+}
+
+// stackLocks is how many lock requests withLocks and withTxn order on
+// their own stack; rename, the widest fixed set, takes five with the
+// barrier, and a longer list (ReadDirPlus) spills to the heap.
+const stackLocks = 8
+
+// lockAll sorts reqs (the caller's copy, its to reorder), folds requests for one lock into
+// one at the strongest mode, and acquires each in turn. It returns the
+// locks held, for unlockAll; on an error it has given back what it got.
+func (fs *FS) lockAll(op *obs.Span, reqs []lockReq) ([]lockReq, error) {
+	if len(reqs) > 1 {
+		slices.SortFunc(reqs, func(a, b lockReq) int { return cmp.Compare(a.id, b.id) })
+	}
+	held := reqs[:0]
+	for _, r := range reqs {
+		if n := len(held); n > 0 && held[n-1].id == r.id {
+			held[n-1].mode = max(held[n-1].mode, r.mode)
+			continue
+		}
+		held = append(held, r)
+	}
+	for i, r := range held {
+		if err := fs.lock(op, r.id, r.mode); err != nil {
+			fs.unlockAll(held[:i])
+			return nil, err
+		}
+	}
+	return held, nil
+}
+
+// unlockAll gives locks back in the reverse of the order lockAll took
+// them in (sticky: the grants stay cached at the clerk).
+func (fs *FS) unlockAll(held []lockReq) {
+	for i := len(held) - 1; i >= 0; i-- {
+		fs.clerk.Unlock(held[i].id)
+	}
 }
 
 // retrying runs fn for op until it stops returning ErrRetry.
@@ -149,9 +180,9 @@ func splitPath(path string) ([]string, error) {
 // lookupOnce finds name in directory inum with a shared lock held
 // only for the lookup (phase-one style).
 func (fs *FS) lookupOnce(op *obs.Span, dir int64, name string) (DirEntry, error) {
-	defer fs.lat("lookup")()
+	defer fs.lat("lookup", fs.latStart())
 	var out DirEntry
-	err := fs.withLocks(op, []lockReq{{InodeLock(dir), lockservice.Shared}}, false, func(t *txn) error {
+	err := fs.withLocks(op, []lockReq{{InodeLock(dir), lockservice.Shared}}, func() error {
 		_, in, err := fs.loadInode(op, dir)
 		if err != nil {
 			return err
@@ -228,7 +259,7 @@ func (fs *FS) nameiParent(op *obs.Span, path string) (int64, string, error) {
 
 func (fs *FS) readlinkInum(op *obs.Span, inum int64) (string, error) {
 	var target string
-	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
 		_, in, err := fs.loadInode(op, inum)
 		if err != nil {
 			return err
@@ -409,7 +440,7 @@ func (fs *FS) Stat(path string) (Info, error) {
 		if err != nil {
 			return err
 		}
-		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
 			_, in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
@@ -440,7 +471,7 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 		if err != nil {
 			return err
 		}
-		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
 			_, in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
@@ -478,7 +509,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 		// Phase one: list under the directory lock alone to learn which
 		// inode locks the stat pass needs.
 		var listed []DirEntry
-		err = fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		err = fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
 			_, in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
@@ -500,7 +531,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 		for _, ent := range listed {
 			reqs = append(reqs, lockReq{InodeLock(ent.Inum), lockservice.Shared})
 		}
-		return fs.withLocks(op, reqs, false, func(t *txn) error {
+		return fs.withLocks(op, reqs, func() error {
 			_, in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
@@ -572,7 +603,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 		if err != nil {
 			return err
 		}
-		return fs.withLocks(op, []lockReq{{InodeLock(dir), lockservice.Exclusive}}, true, func(t *txn) error {
+		return fs.withTxn(op, []lockReq{{InodeLock(dir), lockservice.Exclusive}}, func(t *txn) error {
 			dirE, din, err := fs.loadInode(op, dir)
 			if err != nil {
 				return err
@@ -693,7 +724,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			{InodeLock(dir), lockservice.Exclusive},
 			{InodeLock(ent.Inum), lockservice.Exclusive},
 		}
-		return fs.withLocks(op, locks, true, func(t *txn) error {
+		return fs.withTxn(op, locks, func(t *txn) error {
 			dirE, din, err := fs.loadInode(op, dir)
 			if err != nil {
 				return err
@@ -822,7 +853,7 @@ func (fs *FS) Rename(src, dst string) error {
 		if derr == nil {
 			locks = append(locks, lockReq{InodeLock(dent.Inum), lockservice.Exclusive})
 		}
-		return fs.withLocks(op, locks, true, func(t *txn) error {
+		return fs.withTxn(op, locks, func(t *txn) error {
 			sdE, sdin, err := fs.loadInode(op, sdir)
 			if err != nil {
 				return err
@@ -932,7 +963,7 @@ func (fs *FS) Link(existing, newpath string) error {
 			{InodeLock(dir), lockservice.Exclusive},
 			{InodeLock(inum), lockservice.Exclusive},
 		}
-		return fs.withLocks(op, locks, true, func(t *txn) error {
+		return fs.withTxn(op, locks, func(t *txn) error {
 			dirE, din, err := fs.loadInode(op, dir)
 			if err != nil {
 				return err

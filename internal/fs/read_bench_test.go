@@ -122,28 +122,34 @@ func BenchmarkReadAtColdPasses(b *testing.B) {
 	b.ReportMetric(per(reader.pc.Stats().ReadVRPCs-rpcs), "readv-rpcs/pass")
 }
 
+// leastAllocs is what call allocates. The world's demons allocate in the
+// background and AllocsPerRun counts the whole process: the least of
+// several rounds is the call's own.
+func leastAllocs(call func()) float64 {
+	least := -1.0
+	for round := 0; round < 8; round++ {
+		if n := testing.AllocsPerRun(500, call); least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
 // TestReadAtCachedStreamAllocs: on a cache hit the stream bookkeeping
 // allocates nothing, sequential or not: ReadAt costs the same number of
-// allocations with read-ahead on as with it off.
+// allocations with read-ahead on as with it off, and that number is the
+// operation's span and at most one more.
 func TestReadAtCachedStreamAllocs(t *testing.T) {
 	h := cachedFile(t)
 	buf := make([]byte, BlockSize)
-	// The world's demons allocate in the background and AllocsPerRun
-	// counts the whole process: the least of several rounds is ReadAt's.
 	measure := func(offset func(int) int64) float64 {
-		i, least := 0, -1.0
-		for round := 0; round < 8; round++ {
-			n := testing.AllocsPerRun(500, func() {
-				if _, err := h.ReadAt(buf, offset(i)); err != nil && err != io.EOF {
-					t.Fatal(err)
-				}
-				i++
-			})
-			if least < 0 || n < least {
-				least = n
+		i := 0
+		return leastAllocs(func() {
+			if _, err := h.ReadAt(buf, offset(i)); err != nil && err != io.EOF {
+				t.Fatal(err)
 			}
-		}
-		return least
+			i++
+		})
 	}
 	seqOn, randOn := measure(seqOffset), measure(randomOffset)
 	h.fs.SetReadAhead(0)
@@ -152,7 +158,41 @@ func TestReadAtCachedStreamAllocs(t *testing.T) {
 	if seqOn > seqOff || randOn > randOff {
 		t.Fatalf("read-ahead bookkeeping allocates on a cache hit: sequential %v vs %v, random %v vs %v", seqOn, seqOff, randOn, randOff)
 	}
+	if seqOn > 2 || randOn > 2 {
+		t.Fatalf("a cached 4 KB ReadAt allocates %v times sequential, %v random, want <= 2", seqOn, randOn)
+	}
 	if hits := h.fs.Stats().ReadAheadHits; hits != 0 {
 		t.Fatalf("%d prefetches on a fully cached file", hits)
+	}
+}
+
+// statAllocs and openAllocs are what a Stat and an Open of a file whose
+// directory and inode are cached allocate (14 and 15 before PR 22, when
+// each of their lock rounds built a transaction): the span and the
+// path split into its components, and for Open the handle. Raise or
+// lower the numbers only with a change that means to move them.
+const (
+	statAllocs = 3
+	openAllocs = 4
+)
+
+// TestStatOpenCachedAllocs: the calls that take sticky locks and log
+// nothing allocate what they return and what names them, nothing per
+// lock round.
+func TestStatOpenCachedAllocs(t *testing.T) {
+	fs := cachedFile(t).fs
+	stat := leastAllocs(func() {
+		if _, err := fs.Stat("/hot"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	open := leastAllocs(func() {
+		if _, err := fs.Open("/hot"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per cached call: Stat %v, Open %v", stat, open)
+	if stat != statAllocs || open != openAllocs {
+		t.Fatalf("a cached Stat allocates %v times and a cached Open %v, want %d and %d", stat, open, statAllocs, openAllocs)
 	}
 }

@@ -117,3 +117,91 @@ func BenchmarkResourceUseContended(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(usec(cost), "modelled-us")
 }
+
+// The card's host-time budget (EXPERIMENTS.md, "The second clock"): the
+// card is the simulator's, so what it costs the host is overhead on every
+// number that is meant to read the system above it. Each bench steps a
+// card that has no destager, so that what is timed is the call named and
+// nothing running beside it; the modelled waits are compressed away.
+
+func benchCard(b *testing.B) *NVRAM {
+	c := NewClock(1e6)
+	b.Cleanup(c.Stop)
+	d := NewDisk(c, "d", DiskParams{Capacity: 4 << 20, SeekTime: time.Millisecond, TransferRate: 64 << 20})
+	if err := d.WriteAt(make([]byte, 2<<20), 0); err != nil { // the disk's sectors exist: first touch is set-up
+		b.Fatal(err)
+	}
+	return newNVRAM(c, d, 8<<20, 0)
+}
+
+// BenchmarkNVRAMWrite64K stages 64 KB writes — Petal's chunk — over a
+// 1 MB window. fresh: each write finds its sectors destaged since the
+// last one, as a streamed file's rewrite does; rewrite: the window stays
+// staged, a hot block's shape. The destage between fresh writes is not
+// timed.
+func BenchmarkNVRAMWrite64K(b *testing.B) {
+	for _, shape := range []string{"fresh", "rewrite"} {
+		b.Run(shape, func(b *testing.B) {
+			nv := benchCard(b)
+			p := make([]byte, 64<<10)
+			b.SetBytes(int64(len(p)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := nv.WriteAt(p, int64(i%16)*int64(len(p))); err != nil {
+					b.Fatal(err)
+				}
+				if shape == "fresh" {
+					b.StopTimer()
+					if _, _, err := destageOne(b, nv); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNVRAMReadOverlay32K reads 32 KB — half a chunk, what a Petal
+// read piece is — through a card that holds none, half or all of it.
+func BenchmarkNVRAMReadOverlay32K(b *testing.B) {
+	for _, staged := range []int{0, 32, 64} {
+		b.Run(fmt.Sprintf("staged=%d", staged), func(b *testing.B) {
+			nv := benchCard(b)
+			if err := nv.WriteAt(make([]byte, staged*SectorSize), 0); err != nil {
+				b.Fatal(err)
+			}
+			p := make([]byte, 32<<10)
+			b.SetBytes(int64(len(p)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := nv.ReadAt(p, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNVRAMDestage times one turn of the destager over a staged
+// 64 KB run: gathering it, the disk's copy, retiring its sectors. The
+// write that stages the run is not timed.
+func BenchmarkNVRAMDestage(b *testing.B) {
+	nv := benchCard(b)
+	p := make([]byte, 64<<10)
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := nv.WriteAt(p, int64(i%16)*int64(len(p))); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, _, err := destageOne(b, nv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"sync"
+
+	"frangipani/internal/bufpool"
 )
 
 // BlockDev is the interface shared by Disk, NVRAM, and Petal's client
@@ -11,7 +14,13 @@ type BlockDev interface {
 	WriteAt(p []byte, off int64) error
 }
 
-// nvEntry is one staged sector. epoch distinguishes rewrites so the
+// nvEntry is one staged sector. data is SectorSize bytes inside the
+// copy WriteAt made of its payload and is never written again: a
+// rewrite repoints the entry at the new write's copy. That is what lets
+// the entry be a value in the map (no object per sector to keep alive
+// or to share) and lets ReadAt and the destager hold data with the lock
+// released. A payload's copy lives until the last sector pointing into
+// it has been destaged or rewritten. epoch distinguishes rewrites so the
 // destager only evicts an entry if the disk write it completed still
 // reflects the latest staged data.
 type nvEntry struct {
@@ -23,41 +32,57 @@ type nvEntry struct {
 // NVRAM is a battery-backed write buffer placed in front of a disk,
 // modelling the paper's PrestoServe cards (8 MB). Writes complete as
 // soon as they are staged in NVRAM; a background thread destages them
-// to the disk. Reads see the union of NVRAM and disk contents. The
-// paper treats NVRAM failure as equivalent to failure of the Petal
-// server it fronts, and so do we: there is no separate NVRAM fault
-// mode.
+// to the disk. Reads see the union of NVRAM and disk contents, the
+// newest staged write winning. The paper treats NVRAM failure as
+// equivalent to failure of the Petal server it fronts, and so do we:
+// there is no separate NVRAM fault mode.
+//
+// The card is the simulator's, not the file system's: on the host it
+// costs a write one copy of its payload and a map store per sector, a
+// read and a destage no allocation at all (TestNVRAMStagingAllocs), so
+// that the host-time metrics read the code above it.
 type NVRAM struct {
 	disk     *Disk
 	clock    *Clock
-	capacity int
+	capacity int // sectors, at least one
 	latency  Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	dirty   map[int64]*nvEntry // sector index -> staged data
-	order   []int64            // FIFO destage order (queued entries)
+	dirty   map[int64]nvEntry // sector index -> staged data
+	order   []int64           // FIFO destage order (queued entries)
 	epoch   int64
 	stopped bool
+
+	run    *[]byte // the destager's: the run on its way to the disk, from bufpool
+	epochs []int64 // and the epoch of each of its sectors
 }
 
 // NewNVRAM wraps disk with capacity bytes of write buffer. Writes
 // complete after latency (the DMA cost of staging into the card).
 func NewNVRAM(clock *Clock, disk *Disk, capacity int, latency Duration) *NVRAM {
-	n := &NVRAM{
-		disk:     disk,
-		clock:    clock,
-		capacity: capacity / SectorSize,
-		latency:  latency,
-		dirty:    make(map[int64]*nvEntry),
-	}
-	n.cond = sync.NewCond(&n.mu)
+	n := newNVRAM(clock, disk, capacity, latency)
 	go n.destager()
 	return n
 }
 
+// newNVRAM is the card without its destager, for tests that step one
+// by hand (takeRun, the disk write, retire).
+func newNVRAM(clock *Clock, disk *Disk, capacity int, latency Duration) *NVRAM {
+	n := &NVRAM{
+		disk:     disk,
+		clock:    clock,
+		capacity: max(capacity/SectorSize, 1),
+		latency:  latency,
+		dirty:    make(map[int64]nvEntry),
+	}
+	n.cond = sync.NewCond(&n.mu)
+	return n
+}
+
 // WriteAt stages the write into NVRAM, blocking only if the buffer is
-// full (destage backpressure).
+// full (destage backpressure). p is copied once, before WriteAt
+// returns; a write larger than the card is staged in card-sized parts.
 func (n *NVRAM) WriteAt(p []byte, off int64) error {
 	if err := n.disk.checkRange(off, len(p)); err != nil {
 		return err
@@ -65,56 +90,74 @@ func (n *NVRAM) WriteAt(p []byte, off int64) error {
 	if n.disk.Failed() {
 		return ErrDiskFailed
 	}
+	staged := bytes.Clone(p)
+	for card := n.capacity * SectorSize; len(staged) > card; staged, off = staged[card:], off+int64(card) {
+		n.stage(staged[:card], off)
+	}
+	n.stage(staged, off)
+	n.clock.Sleep(n.latency)
+	return nil
+}
+
+// stage points the sectors at off into p, which the card owns from here
+// on and which fits it, once there is room for those of them that are
+// not staged already: a rewrite takes no room.
+func (n *NVRAM) stage(p []byte, off int64) {
 	s := off / SectorSize
 	count := len(p) / SectorSize
 	n.mu.Lock()
-	for len(n.dirty)+count > n.capacity && !n.stopped {
+	// Room for count new sectors is room enough; short of that, see how
+	// many of them are new.
+	for !n.stopped && len(n.dirty)+count > n.capacity && len(n.dirty)+n.unstaged(s, count) > n.capacity {
 		n.cond.Wait()
 	}
 	n.epoch++
 	for i := 0; i < count; i++ {
 		idx := s + int64(i)
 		e := n.dirty[idx]
-		if e == nil {
-			e = &nvEntry{data: make([]byte, SectorSize)}
-			n.dirty[idx] = e
-		}
-		copy(e.data, p[i*SectorSize:(i+1)*SectorSize])
-		e.epoch = n.epoch
 		if !e.queued {
-			e.queued = true
 			n.order = append(n.order, idx)
 		}
+		n.dirty[idx] = nvEntry{data: p[i*SectorSize : (i+1)*SectorSize], epoch: n.epoch, queued: true}
 	}
 	n.cond.Broadcast()
 	n.mu.Unlock()
-	n.clock.Sleep(n.latency)
-	return nil
+}
+
+// unstaged counts the sectors of [s, s+count) the card does not hold.
+func (n *NVRAM) unstaged(s int64, count int) int {
+	fresh := 0
+	for i := 0; i < count; i++ {
+		if _, ok := n.dirty[s+int64(i)]; !ok {
+			fresh++
+		}
+	}
+	return fresh
 }
 
 // ReadAt reads through the NVRAM overlay: staged sectors come from
-// the buffer, the rest from disk. The overlay is snapshotted before
-// the disk read so a concurrent destage (which removes entries after
-// writing them) cannot leave a window where the data is in neither
-// place.
+// the buffer, the rest from disk. The staged sectors are snapshotted
+// before the disk read, by reference since nothing writes to them, so
+// a concurrent destage (which removes entries after writing them)
+// cannot leave a window where the data is in neither place.
 func (n *NVRAM) ReadAt(p []byte, off int64) error {
 	s := off / SectorSize
+	var buf [128][]byte // stack scratch for a 64 KB read; longer ones spill to the heap
 	count := len(p) / SectorSize
-	overlay := make(map[int][]byte)
+	overlay := buf[:min(count, len(buf))]
+	if count > len(buf) {
+		overlay = make([][]byte, count)
+	}
 	n.mu.Lock()
-	for i := 0; i < count; i++ {
-		if e, ok := n.dirty[s+int64(i)]; ok {
-			buf := make([]byte, SectorSize)
-			copy(buf, e.data)
-			overlay[i] = buf
-		}
+	for i := range overlay {
+		overlay[i] = n.dirty[s+int64(i)].data
 	}
 	n.mu.Unlock()
 	if err := n.disk.ReadAt(p, off); err != nil {
 		return err
 	}
-	for i, buf := range overlay {
-		copy(p[i*SectorSize:(i+1)*SectorSize], buf)
+	for i, data := range overlay {
+		copy(p[i*SectorSize:], data)
 	}
 	return nil
 }
@@ -125,49 +168,64 @@ func (n *NVRAM) ReadAt(p []byte, off int64) error {
 // re-dirtied while in flight.
 func (n *NVRAM) destager() {
 	for {
-		n.mu.Lock()
-		for len(n.order) == 0 && !n.stopped {
-			n.cond.Wait()
-		}
-		if len(n.order) == 0 && n.stopped {
-			n.mu.Unlock()
+		start, ok := n.takeRun()
+		if !ok {
 			return
 		}
-		// Take a contiguous run starting at the oldest queued sector.
-		start := n.order[0]
-		var run []byte
-		var epochs []int64
-		taken := 0
-		for taken < len(n.order) && n.order[taken] == start+int64(taken) {
-			e := n.dirty[n.order[taken]]
-			run = append(run, e.data...)
-			epochs = append(epochs, e.epoch)
-			e.queued = false
-			taken++
-		}
-		n.order = n.order[taken:]
-		n.mu.Unlock()
-
-		err := n.disk.WriteAt(run, start*SectorSize)
-
-		n.mu.Lock()
-		for i := 0; i < taken; i++ {
-			idx := start + int64(i)
-			e := n.dirty[idx]
-			if e == nil || e.queued || e.epoch != epochs[i] {
-				continue // re-dirtied while in flight; keep it
-			}
-			if err == nil {
-				delete(n.dirty, idx)
-			} else {
-				// Disk write failed (disk dead): drop anyway; the
-				// machine fronted by this NVRAM is considered failed.
-				delete(n.dirty, idx)
-			}
-		}
-		n.cond.Broadcast()
-		n.mu.Unlock()
+		// A failed write (the disk is dead) drops the run all the same:
+		// the machine fronted by this NVRAM is considered failed.
+		_ = n.disk.WriteAt(*n.run, start*SectorSize)
+		n.retire(start)
 	}
+}
+
+// takeRun waits for a queued sector and gathers the contiguous run that
+// starts at the oldest one into n.run, the epochs it was staged at into
+// n.epochs, and returns the run's first sector; ok is false once the
+// card is stopped and drained. The run's buffer is the shared pool's
+// (Disk.WriteAt copies out of it) and goes back in retire: a buffer per
+// card, kept at the size of its longest run, is resident memory that
+// every idle card holds on to.
+func (n *NVRAM) takeRun() (start int64, ok bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for len(n.order) == 0 && !n.stopped {
+		n.cond.Wait()
+	}
+	if len(n.order) == 0 {
+		return 0, false
+	}
+	start = n.order[0]
+	taken := 1
+	for taken < len(n.order) && n.order[taken] == start+int64(taken) {
+		taken++
+	}
+	n.run, n.epochs = bufpool.Get(taken*SectorSize), n.epochs[:0]
+	for i, idx := range n.order[:taken] {
+		e := n.dirty[idx]
+		copy((*n.run)[i*SectorSize:], e.data)
+		n.epochs = append(n.epochs, e.epoch)
+		e.queued = false
+		n.dirty[idx] = e
+	}
+	n.order = n.order[:copy(n.order, n.order[taken:])] // one backing array for life
+	return start, true
+}
+
+// retire drops the sectors of the run takeRun gathered at start, now on
+// the disk, unless they were re-dirtied while it was in flight.
+func (n *NVRAM) retire(start int64) {
+	bufpool.Put(n.run)
+	n.run = nil
+	n.mu.Lock()
+	for i, epoch := range n.epochs {
+		idx := start + int64(i)
+		if e, ok := n.dirty[idx]; ok && !e.queued && e.epoch == epoch {
+			delete(n.dirty, idx)
+		}
+	}
+	n.cond.Broadcast()
+	n.mu.Unlock()
 }
 
 // Flush blocks until all staged sectors have reached the disk. The

@@ -1,0 +1,365 @@
+package sim
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The card's semantics, held apart from its timing: most of these step
+// a card that has no destager (newNVRAM) through takeRun, the disk write
+// and retire by hand, so every interleaving below is the one written
+// down, on any host.
+
+// steppedCard is a card without a destager over a fast disk whose
+// first 64 KB already hold old data.
+func steppedCard(t testing.TB, capacity int) (*NVRAM, *Disk, []byte) {
+	t.Helper()
+	c := testClock()
+	t.Cleanup(c.Stop)
+	d := NewDisk(c, "d", DiskParams{Capacity: 1 << 20, SeekTime: time.Millisecond, TransferRate: 64 << 20})
+	old := sectors(64<<10/SectorSize, 0xD0)
+	if err := d.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	return newNVRAM(c, d, capacity, 0), d, old
+}
+
+// sectors returns n sectors, every byte of sector i being tag+i.
+func sectors(n int, tag byte) []byte {
+	p := make([]byte, n*SectorSize)
+	for i := range p {
+		p[i] = tag + byte(i/SectorSize)
+	}
+	return p
+}
+
+// destageOne does one turn of the destager and returns the run it wrote.
+func destageOne(t testing.TB, nv *NVRAM) (start int64, count int, err error) {
+	t.Helper()
+	start, ok := nv.takeRun()
+	if !ok {
+		t.Fatal("takeRun: the card is stopped")
+	}
+	err = nv.disk.WriteAt(*nv.run, start*SectorSize)
+	nv.retire(start)
+	return start, len(nv.epochs), err
+}
+
+func staged(nv *NVRAM) int {
+	nv.mu.Lock()
+	defer nv.mu.Unlock()
+	return len(nv.dirty)
+}
+
+func mustRead(t testing.TB, dev BlockDev, off int64, want []byte, what string) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if err := dev.ReadAt(got, off); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !bytes.Equal(got, want) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sector %d reads %#x, want %#x", what, i/SectorSize, got[i], want[i])
+			}
+		}
+	}
+}
+
+// within fails the test unless fn returns before d of simulated time
+// has passed: a bound for calls that a bug makes wait for ever, set far
+// beyond what a stalled host adds to one that returns.
+func within(t *testing.T, c *Clock, d Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { fn(); close(done) }()
+	select {
+	case <-done:
+	case <-c.After(d):
+		t.Fatalf("%s has not returned after %v of simulated time", what, d)
+	}
+}
+
+// TestNVRAMReadIsCardOverDisk walks write -> partial destage -> rewrite
+// -> read: at every step a read is the disk's bytes under the card's,
+// the newest staged write winning, and a sector re-dirtied while its run
+// is on the arm outlives the run's completion and is destaged again.
+func TestNVRAMReadIsCardOverDisk(t *testing.T) {
+	nv, d, old := steppedCard(t, 64<<10)
+	want := bytes.Clone(old[:8*SectorSize])
+	put := func(p []byte, sector int) {
+		t.Helper()
+		if err := nv.WriteAt(p, int64(sector)*SectorSize); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[sector*SectorSize:], p)
+	}
+	check := func(what string) {
+		t.Helper()
+		mustRead(t, nv, 0, want, what)
+	}
+
+	put(sectors(4, 0xA0), 2) // A on 2..5
+	check("A staged")
+
+	start, ok := nv.takeRun() // A is on the arm
+	if !ok || start != 2 || len(*nv.run) != 4*SectorSize {
+		t.Fatalf("first run: start %d, %d bytes, ok %v; want sectors 2..5", start, len(*nv.run), ok)
+	}
+	check("A in flight")
+	put(sectors(2, 0xB0), 3) // B on 3..4, re-dirtied in flight
+	put(sectors(1, 0xC0), 6) // C on 6, new
+	check("B and C staged while A is in flight")
+	if err := d.WriteAt(*nv.run, start*SectorSize); err != nil {
+		t.Fatal(err)
+	}
+	check("A on the disk, not yet retired")
+	nv.retire(start)
+	check("A retired")
+	if n := staged(nv); n != 3 {
+		t.Fatalf("%d sectors staged after the first run, want 3: B's two survive it, A's other two are gone", n)
+	}
+	// The disk has what the run carried: A, not B.
+	mustRead(t, d, 2*SectorSize, sectors(4, 0xA0), "the disk after the first run")
+
+	if start, count, err := destageOne(t, nv); err != nil || start != 3 || count != 2 {
+		t.Fatalf("second run: start %d, %d sectors, %v; want B's 3..4", start, count, err)
+	}
+	check("B destaged")
+	if start, count, err := destageOne(t, nv); err != nil || start != 6 || count != 1 {
+		t.Fatalf("third run: start %d, %d sectors, %v; want C's 6", start, count, err)
+	}
+	if n := staged(nv); n != 0 {
+		t.Fatalf("%d sectors staged after every run", n)
+	}
+	check("card empty")
+	mustRead(t, d, 0, want, "the disk at the end")
+}
+
+// TestNVRAMCopiesItsPayload: one copy means a copy. What the caller
+// does to its buffer after WriteAt returns reaches neither a read nor
+// the disk, also when a later write has repointed some of the sectors.
+func TestNVRAMCopiesItsPayload(t *testing.T) {
+	nv, d, _ := steppedCard(t, 64<<10)
+	p := sectors(8, 0x10)
+	want := bytes.Clone(p)
+	if err := nv.WriteAt(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	q := sectors(2, 0x70)
+	if err := nv.WriteAt(q, 3*SectorSize); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[3*SectorSize:], q)
+	clear(p)
+	clear(q)
+	mustRead(t, nv, 0, want, "a read after the caller cleared its buffers")
+	if _, _, err := destageOne(t, nv); err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, d, 0, want, "the disk after the caller cleared its buffers")
+}
+
+// TestNVRAMRewriteTakesNoRoom: a full card admits a write to sectors it
+// already holds. Nothing destages here, so a WriteAt that waited for
+// room would wait for ever.
+func TestNVRAMRewriteTakesNoRoom(t *testing.T) {
+	nv, _, _ := steppedCard(t, 4<<10)
+	if err := nv.WriteAt(sectors(8, 0x10), 0); err != nil {
+		t.Fatal(err)
+	}
+	within(t, nv.clock, time.Hour, "a rewrite of a full card's own sectors", func() {
+		if err := nv.WriteAt(sectors(8, 0x20), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	mustRead(t, nv, 0, sectors(8, 0x20), "the rewrite")
+	if n := staged(nv); n != 8 {
+		t.Fatalf("%d sectors staged, want the card's 8", n)
+	}
+}
+
+// TestNVRAMWriteLargerThanCard: a 4 KB card takes a 64 KB write — what
+// Petal's store writes — in card-sized parts, each waiting for the
+// destager to make room.
+func TestNVRAMWriteLargerThanCard(t *testing.T) {
+	c := testClock()
+	d := NewDisk(c, "d", DefaultDiskParams(1<<20))
+	nv := NewNVRAM(c, d, 4<<10, 50*time.Microsecond)
+	want := make([]byte, 64<<10)
+	rand.New(rand.NewSource(4)).Read(want)
+	within(t, c, time.Hour, "a 64 KB write to a 4 KB card", func() {
+		if err := nv.WriteAt(want, 8<<10); err != nil {
+			t.Error(err)
+		}
+	})
+	mustRead(t, nv, 8<<10, want, "reading the write back through the card")
+	within(t, c, time.Hour, "Flush", nv.Flush)
+	if n := staged(nv); n != 0 {
+		t.Fatalf("Flush returned with %d sectors staged", n)
+	}
+	mustRead(t, d, 8<<10, want, "the disk after Flush")
+	nv.Close()
+}
+
+// TestNVRAMTornDestage: a power loss in the middle of a run leaves a
+// prefix of it on the disk and the disk dead; the card drops the run
+// (the machine it fronts has failed), so Flush returns, and reads and
+// writes report the failure.
+func TestNVRAMTornDestage(t *testing.T) {
+	c := testClock()
+	d := NewDisk(c, "d", DefaultDiskParams(1<<20))
+	old := sectors(4, 0xD0)
+	if err := d.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	nv := NewNVRAM(c, d, 64<<10, 50*time.Microsecond)
+	d.InjectTornWrite(2)
+	fresh := sectors(4, 0x10)
+	if err := nv.WriteAt(fresh, 0); err != nil {
+		t.Fatal(err)
+	}
+	within(t, c, time.Hour, "Flush over a torn run", nv.Flush)
+	if !d.Failed() {
+		t.Fatal("the disk survived a torn write")
+	}
+	if err := nv.WriteAt(fresh, 0); !errors.Is(err, ErrDiskFailed) {
+		t.Fatalf("WriteAt on a dead disk: %v", err)
+	}
+	if err := nv.ReadAt(make([]byte, SectorSize), 0); !errors.Is(err, ErrDiskFailed) {
+		t.Fatalf("ReadAt on a dead disk: %v", err)
+	}
+	d.Revive()
+	mustRead(t, d, 0, append(bytes.Clone(fresh[:2*SectorSize]), old[2*SectorSize:]...), "the revived disk")
+	nv.Close()
+}
+
+// TestNVRAMDiskFailsMidDestage: a run whose disk write fails is dropped
+// like one that succeeded, except for a sector re-dirtied meanwhile,
+// which stays staged until its own run fails too.
+func TestNVRAMDiskFailsMidDestage(t *testing.T) {
+	nv, d, _ := steppedCard(t, 64<<10)
+	if err := nv.WriteAt(sectors(4, 0x10), 0); err != nil {
+		t.Fatal(err)
+	}
+	start, _ := nv.takeRun()
+	if err := nv.WriteAt(sectors(1, 0x20), SectorSize); err != nil { // re-dirtied in flight
+		t.Fatal(err)
+	}
+	d.Fail()
+	if err := d.WriteAt(*nv.run, start*SectorSize); !errors.Is(err, ErrDiskFailed) {
+		t.Fatalf("the run's write on a dead disk: %v", err)
+	}
+	nv.retire(start)
+	if n := staged(nv); n != 1 {
+		t.Fatalf("%d sectors staged after the failed run, want the re-dirtied one", n)
+	}
+	if _, count, err := destageOne(t, nv); !errors.Is(err, ErrDiskFailed) || count != 1 {
+		t.Fatalf("second run: %d sectors, %v", count, err)
+	}
+	if n := staged(nv); n != 0 {
+		t.Fatalf("%d sectors staged after both runs failed", n)
+	}
+	within(t, nv.clock, time.Hour, "Flush on an empty card", nv.Flush)
+}
+
+// TestNVRAMAgainstModelConcurrently: writers with a region of the disk
+// each, on a card too small for them, so that writes wait for room,
+// rewrite what is staged and catch their own sectors on the arm; every
+// read returns the writer's newest bytes and the disk ends up with them.
+func TestNVRAMAgainstModelConcurrently(t *testing.T) {
+	const (
+		writers = 4
+		region  = 64 // sectors
+		rounds  = 150
+	)
+	c := NewClock(2000)
+	defer c.Stop()
+	d := NewDisk(c, "d", DefaultDiskParams(1<<20))
+	nv := NewNVRAM(c, d, writers*region*SectorSize/4, 50*time.Microsecond)
+	models := make([][]byte, writers)
+	var wg sync.WaitGroup
+	for w := range models {
+		models[w] = make([]byte, region*SectorSize)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			base, model := int64(w*region*SectorSize), models[w]
+			for i := 0; i < rounds; i++ {
+				s := rng.Intn(region)
+				p := make([]byte, (1+rng.Intn(region-s))*SectorSize) // past the card's size at times
+				rng.Read(p)
+				if err := nv.WriteAt(p, base+int64(s*SectorSize)); err != nil {
+					t.Error(err)
+					return
+				}
+				copy(model[s*SectorSize:], p)
+				s = rng.Intn(region)
+				got := make([]byte, (1+rng.Intn(region-s))*SectorSize)
+				if err := nv.ReadAt(got, base+int64(s*SectorSize)); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, model[s*SectorSize:][:len(got)]) {
+					t.Errorf("writer %d, round %d: a read of sectors %d..%d is not the newest write", w, i, s, s+len(got)/SectorSize-1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	nv.Close()
+	for w, model := range models {
+		mustRead(t, d, int64(w*region*SectorSize), model, "the disk after Close")
+	}
+}
+
+// TestNVRAMStagingAllocs is the card's allocation budget: a write costs
+// the one copy of its payload, its destage nothing, a read nothing
+// however much of it is staged.
+func TestNVRAMStagingAllocs(t *testing.T) {
+	nv, _, _ := steppedCard(t, 8<<20)
+	p := sectors(64<<10/SectorSize, 0x10)
+	write := func() {
+		if err := nv.WriteAt(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm: the map and the queue have grown
+	destageOne(t, nv)
+	if n := testing.AllocsPerRun(100, write); n > 2 {
+		t.Errorf("a 64 KB WriteAt on a warm card: %v allocations, want <= 2 (the payload's copy, the map's amortized growth)", n)
+	}
+	written := testing.AllocsPerRun(100, write)
+	cycle := testing.AllocsPerRun(100, func() {
+		write()
+		if _, count, err := destageOne(t, nv); err != nil || count != len(p)/SectorSize {
+			t.Fatalf("destaged %d sectors, %v", count, err)
+		}
+	})
+	if cycle != written {
+		t.Errorf("a 64 KB write and its destage: %v allocations, the write alone %v; the destage should add none", cycle, written)
+	}
+
+	got := make([]byte, 32<<10)
+	read := func() {
+		if err := nv.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{0, 1, 32, 64} { // sectors of the read that are staged
+		if k > 0 {
+			if err := nv.WriteAt(p[:k*SectorSize], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("a 32 KB ReadAt with %d sectors staged: %v allocations, want 0", k, n)
+		}
+	}
+}
