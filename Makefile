@@ -24,10 +24,13 @@ race:
 	$(GO) test -race ./...
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
-## staging, a cached ReadAt, Stat, Open and overwrite, a cache insert,
-## the waits, Petal's routing — once more without the race detector:
-## under it sync.Pool drops a share of what it is given and the counts
-## carry slack, here they are exact.
+## staging, a cached ReadAt, Stat, Open and overwrite, a create, remove,
+## mkdir, rmdir and rename, a path split, a log append with its flush
+## (internal/wal), a cache insert, the waits, Petal's routing and fan-out,
+## an RPC's time-out — once more without the race detector: under it
+## sync.Pool drops a share of what it is given and the counts carry
+## slack, here they are exact. A package that prints "[no tests to run]"
+## pins nothing; fs, wal, petal, rpc, sim and cache must not.
 alloc-budget:
 	$(GO) test -count=1 -run 'Allocs|AllocationFree|AllocateNothing' ./internal/...
 
@@ -103,7 +106,9 @@ bench-compare:
 
 ## bench-pairs: what a performance change is judged on. N alternating
 ## pairs of benchmark/run.sh on workload W, at BASE (checked out into a
-## git worktree under .bench_build/) and at the working tree, pair i at
+## git worktree under .bench_build/; or, with BASE_TREE=<dir>, the
+## checkout of it that already is at <dir>, used as is and not removed —
+## for where `git worktree` is not allowed) and at the working tree, pair i at
 ## seed SEED+i; prints per metric each side's median [q1, q3], how much
 ## worse the change's median is against BENCHMARK.json's bound, the
 ## pairs it won and failed/attempted. TRACE=1: traced runs, the
@@ -112,8 +117,9 @@ BASE ?= HEAD
 N ?= 10
 SEED ?= 1
 TRACE ?= 0
+BASE_TREE ?=
 bench-pairs:
-	bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEED) $(TRACE)
+	BASE_TREE=$(BASE_TREE) bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEED) $(TRACE)
 
 ## bench-codec: raw codec-vs-gob microbenchmarks with allocation counts.
 bench-codec:

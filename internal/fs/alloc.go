@@ -1,7 +1,9 @@
 package fs
 
 import (
+	"cmp"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"frangipani/internal/lockservice"
@@ -278,12 +280,13 @@ func (fs *FS) freeObjs(t *txn, items []freeSpec) error {
 		seg   int64
 		class allocClass
 	}
-	bits := make([]bitSpec, 0, len(items))
+	var room [NumDirect + 2]bitSpec // what destroying an inode frees
+	bits := room[:0]
 	for _, it := range items {
 		b := fs.lay.bitFor(it.class, it.idx)
 		bits = append(bits, bitSpec{bit: b, seg: b / fs.lay.SegBits, class: it.class})
 	}
-	sort.Slice(bits, func(a, b int) bool { return bits[a].bit < bits[b].bit })
+	slices.SortFunc(bits, func(a, b bitSpec) int { return cmp.Compare(a.bit, b.bit) })
 	for _, bs := range bits {
 		if err := t.lockSeg(bs.seg); err != nil {
 			return err

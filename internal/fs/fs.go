@@ -1,10 +1,10 @@
 package fs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -907,31 +907,50 @@ func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
 // lockExtraMode is the mode for mid-operation extra locks.
 const lockExtraMode = lockservice.Exclusive
 
-// span is a modified byte range within a sector.
-type span struct{ lo, hi int }
-
 // txn accumulates one operation's metadata changes; commit turns
 // them into a single log record (so the whole operation replays
 // atomically per block) and marks the touched cache entries dirty.
-// withTxn makes one per mutating operation; it holds nothing until the
-// first update, and an operation touches a handful of entries, so they
-// are a slice searched linearly.
+// withTxn makes one per mutating operation. It carries room of its own
+// for what an operation touches — txnSectors sectors, txnRanges byte
+// ranges of them, txnSegs locks taken on the way — so that filling it
+// allocates nothing; only a wider operation (a rename across
+// directories over an existing file, a truncate freeing many blocks)
+// spills to the heap.
 type txn struct {
 	fs      *FS
-	op      *obs.Span // the operation the transaction belongs to
-	touched []touched
-	segs    []uint64 // bitmap segment locks acquired by the allocator
+	op      *obs.Span      // the operation the transaction belongs to
+	sectors []*cache.Entry // touched, in the order first touched; a handful, searched linearly
+	ranges  []logRange     // what to log of them
+	segs    []uint64       // bitmap segment locks acquired by the allocator
 	// pageOwner is the inode lock that owns data pages created by
 	// this transaction (set by operations that allocate blocks).
 	pageOwner uint64
+
+	sectorRoom [txnSectors]*cache.Entry
+	rangeRoom  [txnRanges]logRange
+	segRoom    [txnSegs]uint64
 }
 
-// touched is one cache entry a transaction has changed and the byte
-// ranges of it to log.
-type touched struct {
-	e     *cache.Entry
-	spans []span
+const (
+	txnSectors = 6
+	txnRanges  = 16
+	txnSegs    = 4
+)
+
+// newTxn returns an empty transaction of fs for op, its lists on its
+// own room.
+func newTxn(fs *FS, op *obs.Span) *txn {
+	t := &txn{fs: fs, op: op}
+	t.sectors, t.ranges, t.segs = t.sectorRoom[:0], t.rangeRoom[:0], t.segRoom[:0]
+	return t
 }
+
+// logRange is a modified byte range [lo, hi) of sectors[sector].
+type logRange struct{ sector, lo, hi int }
+
+// logGap is the most unchanged bytes between two changed runs that is
+// cheaper to log with them as one range than to open a second update.
+const logGap = 8
 
 // update writes newBytes at off into the entry, recording the
 // changed runs (diffed, so records stay small — the paper's are
@@ -945,7 +964,7 @@ func (t *txn) update(e *cache.Entry, off int, newBytes []byte) {
 			runStart = i
 		}
 		if !changed && runStart >= 0 {
-			t.addSpan(e, span{off + runStart, off + i})
+			t.addSpan(e, off+runStart, off+i)
 			runStart = -1
 		}
 	}
@@ -956,72 +975,70 @@ func (t *txn) update(e *cache.Entry, off int, newBytes []byte) {
 // the semantic state must be re-logged, e.g. allocation bits).
 func (t *txn) forceUpdate(e *cache.Entry, off int, newBytes []byte) {
 	t.fs.meta.Mutate(func() { copy(e.Data[off:], newBytes) })
-	t.addSpan(e, span{off, off + len(newBytes)})
+	t.addSpan(e, off, off+len(newBytes))
 }
 
-// addSpan adds s to what is logged of e, which it makes touched.
-func (t *txn) addSpan(e *cache.Entry, s span) {
-	for i := range t.touched {
-		if t.touched[i].e == e {
-			t.touched[i].spans = append(t.touched[i].spans, s)
+// addSpan adds [lo, hi) to what is logged of e, which it makes touched.
+// update reports a sector's runs in ascending order, so most of them
+// extend the range before; commit merges the rest.
+func (t *txn) addSpan(e *cache.Entry, lo, hi int) {
+	sector := slices.Index(t.sectors, e)
+	if sector < 0 {
+		sector = len(t.sectors)
+		t.sectors = append(t.sectors, e)
+	}
+	if n := len(t.ranges); n > 0 {
+		if last := &t.ranges[n-1]; last.sector == sector && lo >= last.lo && lo <= last.hi+logGap {
+			last.hi = max(last.hi, hi)
 			return
 		}
 	}
-	t.touched = append(t.touched, touched{e, []span{s}})
+	t.ranges = append(t.ranges, logRange{sector, lo, hi})
 }
 
-// mergeSpans coalesces overlapping/adjacent spans (gap <= 8 bytes is
-// cheaper to log as one run).
-func mergeSpans(in []span) []span {
-	if len(in) <= 1 {
-		return in
-	}
-	for i := 1; i < len(in); i++ {
-		for j := i; j > 0 && in[j].lo < in[j-1].lo; j-- {
-			in[j], in[j-1] = in[j-1], in[j]
+// mergeRanges sorts rs by sector and offset and coalesces, within a
+// sector, ranges that overlap or lie within logGap of each other.
+func mergeRanges(rs []logRange) []logRange {
+	slices.SortFunc(rs, func(a, b logRange) int {
+		return cmp.Or(cmp.Compare(a.sector, b.sector), cmp.Compare(a.lo, b.lo))
+	})
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 && out[n-1].sector == r.sector && r.lo <= out[n-1].hi+logGap {
+			out[n-1].hi = max(out[n-1].hi, r.hi)
+			continue
 		}
-	}
-	out := in[:1]
-	for _, s := range in[1:] {
-		last := &out[len(out)-1]
-		if s.lo <= last.hi+8 {
-			if s.hi > last.hi {
-				last.hi = s.hi
-			}
-		} else {
-			out = append(out, s)
-		}
+		out = append(out, r)
 	}
 	return out
 }
 
 // commit appends the log record and dirties the touched entries.
-// The caller still holds all covering locks.
+// The caller still holds all covering locks, which is what lets the
+// updates alias the cached sectors: nothing changes them before Append
+// has copied them into the log's buffer.
 func (t *txn) commit() error {
-	if len(t.touched) == 0 {
+	if len(t.sectors) == 0 {
 		return nil
 	}
-	var ups []wal.Update
-	for _, x := range t.touched {
-		e := x.e
-		ver := wal.BlockVersion(e.Data) + 1
-		t.fs.meta.Mutate(func() { wal.SetBlockVersion(e.Data, ver) })
-		for _, s := range mergeSpans(x.spans) {
-			ups = append(ups, wal.Update{
-				Addr: e.Addr,
-				Off:  s.lo,
-				Data: append([]byte(nil), e.Data[s.lo:s.hi]...),
-				Ver:  ver,
-			})
+	t.fs.meta.Mutate(func() {
+		for _, e := range t.sectors {
+			wal.SetBlockVersion(e.Data, wal.BlockVersion(e.Data)+1)
 		}
+	})
+	var room [txnRanges]wal.Update // on the stack; what a transaction has no room for spills here too
+	ups := room[:0]
+	for _, r := range mergeRanges(t.ranges) {
+		e := t.sectors[r.sector]
+		ups = append(ups, wal.Update{Addr: e.Addr, Off: r.lo, Data: e.Data[r.lo:r.hi], Ver: wal.BlockVersion(e.Data)})
 	}
 	seq, err := t.fs.log.Append(ups)
 	if err != nil {
 		return err
 	}
 	t.fs.acct.WAL(t.op.Ctx().Principal, int64(wal.RecordSize(ups)))
-	for _, x := range t.touched {
-		t.fs.meta.MarkDirty(x.e, seq)
+	for _, e := range t.sectors {
+		t.fs.meta.MarkDirty(e, seq)
 	}
 	t.fs.mu.Lock()
 	if seq > t.fs.appended {
@@ -1269,7 +1286,7 @@ const maxRunBytes = 1 << 20
 // blocks into runs.
 func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 	blockSize := pool.BlockSize()
-	sort.Slice(dirty, func(a, b int) bool { return dirty[a].Addr < dirty[b].Addr })
+	slices.SortFunc(dirty, func(a, b *cache.Entry) int { return cmp.Compare(a.Addr, b.Addr) })
 	var runs []flushRun
 	i := 0
 	for i < len(dirty) {
@@ -1380,44 +1397,12 @@ func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
 	return nil
 }
 
-// flushWorkers runs fn(i) for every i in [0, n) on up to
-// FlushParallelism workers. All n run regardless of failures; the
-// first error is returned.
+// flushWorkers runs fn(i) for every i in [0, n) with up to
+// FlushParallelism of them in flight, the caller's goroutine taking
+// part. All n run regardless of failures; the error of the lowest index
+// that failed is returned.
 func (fs *FS) flushWorkers(n int, fn func(int) error) error {
-	par := fs.cfg.FlushParallelism
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	sem := make(chan struct{}, par)
-	errCh := make(chan error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			errCh <- fn(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	var firstErr error
-	for err := range errCh {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return petal.BoundedPar(fs.cfg.FlushParallelism, n, fn)
 }
 
 // noteFlushInFlight tracks write-back batches in flight and their

@@ -62,7 +62,7 @@ func (fs *FS) withTxn(op *obs.Span, reqs []lockReq, fn func(t *txn) error) error
 	if err != nil {
 		return err
 	}
-	t := &txn{fs: fs, op: op}
+	t := newTxn(fs, op)
 	err = fn(t)
 	if err == nil {
 		err = t.commit()
@@ -154,12 +154,21 @@ func (t *txn) putInode(e *cache.Entry, in Inode) {
 
 // ---- path resolution (phase one) ----
 
-func splitPath(path string) ([]string, error) {
+// pathRoom is how many components of a path splitPath cuts on its
+// caller's stack; a deeper path spills to the heap.
+const pathRoom = 16
+
+// splitPath cuts path into the components a walk from the root visits,
+// resolving "." and ".." lexically. They are substrings of path, in room
+// while they fit.
+func splitPath(path string, room *[pathRoom]string) ([]string, error) {
 	if path == "" {
 		return nil, ErrInval
 	}
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
+	parts := room[:0]
+	for path != "" {
+		var p string
+		p, path, _ = strings.Cut(path, "/")
 		switch p {
 		case "", ".":
 		case "..":
@@ -209,10 +218,17 @@ func (fs *FS) nameiDepth(op *obs.Span, path string, followLast bool, depth int) 
 	if depth > maxSymlinkDepth {
 		return -1, ErrInval
 	}
-	parts, err := splitPath(path)
+	var room [pathRoom]string
+	parts, err := splitPath(path, &room)
 	if err != nil {
 		return -1, err
 	}
+	return fs.walk(op, parts, followLast, depth)
+}
+
+// walk resolves a path cut into parts, from the root; depth counts the
+// symlinks followed on the way to it.
+func (fs *FS) walk(op *obs.Span, parts []string, followLast bool, depth int) (int64, error) {
 	cur := int64(RootInum)
 	for i, name := range parts {
 		ent, err := fs.lookupOnce(op, cur, name)
@@ -242,15 +258,15 @@ func (fs *FS) nameiDepth(op *obs.Span, path string, followLast bool, depth int) 
 // nameiParent resolves all but the last component, returning the
 // parent directory inode and the final name.
 func (fs *FS) nameiParent(op *obs.Span, path string) (int64, string, error) {
-	parts, err := splitPath(path)
+	var room [pathRoom]string
+	parts, err := splitPath(path, &room)
 	if err != nil {
 		return -1, "", err
 	}
 	if len(parts) == 0 {
 		return -1, "", ErrInval
 	}
-	dirPath := strings.Join(parts[:len(parts)-1], "/")
-	dir, err := fs.namei(op, "/"+dirPath, true)
+	dir, err := fs.walk(op, parts[:len(parts)-1], true, 0)
 	if err != nil {
 		return -1, "", err
 	}
@@ -354,9 +370,10 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 			return err
 		}
 		if dirSectorSpace(e.Data) >= need {
-			tmp := append([]byte(nil), e.Data[:dirDataEnd]...)
-			dirSectorAppend(tmp, ent)
-			t.update(e, 0, tmp)
+			var tmp [dirDataEnd]byte // the edit's scratch copy, on the stack
+			copy(tmp[:], e.Data)
+			dirSectorAppend(tmp[:], ent)
+			t.update(e, 0, tmp[:])
 			return nil
 		}
 	}
@@ -414,9 +431,10 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 	if err != nil {
 		return err
 	}
-	tmp := append([]byte(nil), e.Data[:dirDataEnd]...)
-	dirSectorRemove(tmp, pos)
-	t.update(e, 0, tmp)
+	var tmp [dirDataEnd]byte
+	copy(tmp[:], e.Data)
+	dirSectorRemove(tmp[:], pos)
+	t.update(e, 0, tmp[:])
 	return nil
 }
 
@@ -789,7 +807,8 @@ func (fs *FS) remove(path string, wantDir bool) error {
 // destroyInode frees an inode and all its blocks (lock held
 // exclusive), and decommits the Petal space backing the large block.
 func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
-	items := []freeSpec{{classInode, inum}}
+	var room [NumDirect + 2]freeSpec // the inode, its small blocks, its large one
+	items := append(room[:0], freeSpec{classInode, inum})
 	blockClass := classDataSmall
 	if in.Type == TypeDir {
 		blockClass = classMetaSmall
@@ -845,11 +864,11 @@ func (fs *FS) Rename(src, dst string) error {
 			return err
 		}
 		dent, derr := fs.lookupOnce(op, ddir, dname)
-		locks := []lockReq{
-			{InodeLock(sdir), lockservice.Exclusive},
-			{InodeLock(ddir), lockservice.Exclusive},
-			{InodeLock(sent.Inum), lockservice.Exclusive},
-		}
+		var room [4]lockReq
+		locks := append(room[:0],
+			lockReq{InodeLock(sdir), lockservice.Exclusive},
+			lockReq{InodeLock(ddir), lockservice.Exclusive},
+			lockReq{InodeLock(sent.Inum), lockservice.Exclusive})
 		if derr == nil {
 			locks = append(locks, lockReq{InodeLock(dent.Inum), lockservice.Exclusive})
 		}

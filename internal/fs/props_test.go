@@ -2,8 +2,11 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"frangipani/internal/cache"
 )
 
 // TestInodeCodecProperty round-trips random inodes through the
@@ -154,38 +157,79 @@ func TestBlockForProperty(t *testing.T) {
 	}
 }
 
-// TestSpanMergeProperty: mergeSpans yields sorted, non-overlapping
-// spans covering at least the inputs.
+// span and mergeSpans are how a transaction coalesced one sector's
+// changed ranges while it kept a list per sector: the reference for what
+// addSpan and mergeRanges log.
+type span struct{ lo, hi int }
+
+func mergeSpans(in []span) []span {
+	if len(in) <= 1 {
+		return in
+	}
+	for i := 1; i < len(in); i++ {
+		for j := i; j > 0 && in[j].lo < in[j-1].lo; j-- {
+			in[j], in[j-1] = in[j-1], in[j]
+		}
+	}
+	out := in[:1]
+	for _, s := range in[1:] {
+		last := &out[len(out)-1]
+		if s.lo <= last.hi+8 {
+			if s.hi > last.hi {
+				last.hi = s.hi
+			}
+		} else {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestSpanMergeProperty: what a transaction logs of the sectors it
+// touched is sorted, disjoint, covers every range added, and is exactly
+// what the per-sector lists of the reference merge to — whether the
+// ranges fit the transaction's own room or spill past it.
 func TestSpanMergeProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		var in []span
-		for i := 0; i+1 < len(raw); i += 2 {
-			lo := int(raw[i] % 400)
-			hi := lo + 1 + int(raw[i+1]%100)
-			in = append(in, span{lo, hi})
+		entries := make([]*cache.Entry, 6)
+		for i := range entries {
+			entries[i] = new(cache.Entry)
 		}
-		orig := append([]span(nil), in...)
-		out := mergeSpans(in)
-		for i := 1; i < len(out); i++ {
-			if out[i].lo <= out[i-1].hi {
-				return false // must be disjoint and ordered
+		tx := newTxn(nil, nil)
+		ref := make(map[*cache.Entry][]span)
+		var order []*cache.Entry
+		for i := 0; i+2 < len(raw); i += 3 {
+			e := entries[int(raw[i])%len(entries)]
+			lo := int(raw[i+1] % 400)
+			hi := lo + 1 + int(raw[i+2]%100)
+			tx.addSpan(e, lo, hi)
+			if _, ok := ref[e]; !ok {
+				order = append(order, e)
 			}
+			ref[e] = append(ref[e], span{lo, hi})
 		}
-		for _, s := range orig {
-			covered := false
-			for _, o := range out {
-				if s.lo >= o.lo && s.hi <= o.hi {
-					covered = true
-					break
+		if !slices.Equal(tx.sectors, order) {
+			return false
+		}
+		var want []logRange
+		for i, e := range order {
+			orig := slices.Clone(ref[e])
+			merged := mergeSpans(ref[e])
+			for j, s := range merged {
+				if j > 0 && s.lo <= merged[j-1].hi {
+					return false // must be disjoint and ordered
+				}
+				want = append(want, logRange{i, s.lo, s.hi})
+			}
+			for _, s := range orig {
+				if !slices.ContainsFunc(merged, func(o span) bool { return s.lo >= o.lo && s.hi <= o.hi }) {
+					return false
 				}
 			}
-			if !covered {
-				return false
-			}
 		}
-		return true
+		return slices.Equal(mergeRanges(tx.ranges), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

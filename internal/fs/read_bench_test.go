@@ -168,12 +168,12 @@ func TestReadAtCachedStreamAllocs(t *testing.T) {
 
 // statAllocs and openAllocs are what a Stat and an Open of a file whose
 // directory and inode are cached allocate (14 and 15 before PR 22, when
-// each of their lock rounds built a transaction): the span and the
-// path split into its components, and for Open the handle. Raise or
-// lower the numbers only with a change that means to move them.
+// each of their lock rounds built a transaction; 3 and 4 while the path
+// was split into two fresh slices): the span, and for Open the handle.
+// Raise or lower the numbers only with a change that means to move them.
 const (
-	statAllocs = 3
-	openAllocs = 4
+	statAllocs = 1
+	openAllocs = 2
 )
 
 // TestStatOpenCachedAllocs: the calls that take sticky locks and log

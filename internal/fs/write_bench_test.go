@@ -72,17 +72,19 @@ func BenchmarkFsyncSmallFile(b *testing.B) {
 }
 
 // randomWriteAllocs is what a 4 KB overwrite of a cached page allocates:
-// the operation's span, its transaction, the transaction's list of
-// touched entries and the inode's list of changed byte ranges, and at
-// commit the updates, the copy of the bytes each carries and the encoded
-// log record. It was 29 while the handle was bound to the goroutine (a
-// stack walk and its buffers per lookup of the binding, and a closure per
-// layer to bind under) and a sticky lock hit opened a span, and 16 while
-// every call built a map of spans, sorted its one lock through
-// reflection and kept a slice of what it held. The write stream must add
-// nothing; raise or lower the number only with a change that means to
-// move it.
-const randomWriteAllocs = 7
+// the operation's span and its transaction. The transaction has room for
+// the inode sector it touches and the range of it that changed, commit
+// hands the log that range of the cached sector itself, and the log
+// encodes the record where it will be flushed from. It was 29 while the
+// handle was bound to the goroutine (a stack walk and its buffers per
+// lookup of the binding, and a closure per layer to bind under) and a
+// sticky lock hit opened a span, 16 while every call built a map of
+// spans, sorted its one lock through reflection and kept a slice of what
+// it held, and 7 while the transaction's two lists, the updates, a copy
+// of the bytes each carried and the encoded record were heap objects of
+// their own. The write stream must add nothing; raise or lower the number
+// only with a change that means to move it.
+const randomWriteAllocs = 2
 
 // TestWriteAtRandomAllocs: the write stream's bookkeeping allocates
 // nothing on a write that is not part of a stream (the shape of the

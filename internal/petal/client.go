@@ -339,7 +339,7 @@ func (c *Client) doRefresh(have int64) error {
 	var rmu sync.Mutex
 	got, gotState := false, false
 	var best GlobalState
-	_ = boundedPar(4, len(rest), func(i int) error {
+	_ = BoundedPar(4, len(rest), func(i int) error {
 		s := rest[i]
 		c.refreshRPCs.Add(1)
 		resp, err := c.ep.Call(DataAddr(s), StateReq{HaveVersion: have}, dataTimeout)
@@ -532,36 +532,67 @@ func (c *Client) call(who, srv string, req any, timeout sim.Duration) (any, erro
 	return c.ep.Call(DataAddr(srv), req, timeout)
 }
 
-// boundedPar runs f(0..n-1) with at most limit in flight, returning
-// the first error. Every index runs regardless of failures; a single
-// index runs inline on the caller's goroutine.
-func boundedPar(limit, n int, f func(int) error) error {
-	if n == 1 {
-		return f(0)
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	sem := make(chan struct{}, limit)
-	errCh := make(chan error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			errCh <- f(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
+// BoundedPar runs f(0..n-1) with at most limit in flight and returns the
+// error of the lowest index that failed. Every index runs regardless of
+// failures. The caller's goroutine takes part: it runs the last index,
+// and all of them, in order, when there is one or the limit is one. It
+// is counted in the limit, which costs a semaphore only when there are
+// more indices than it allows.
+func BoundedPar(limit, n int, f func(int) error) error {
+	if limit <= 1 || n <= 1 {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil && first == nil {
+				first = err
+			}
 		}
+		return first
 	}
-	return nil
+	p := &fanOut{f: f, failed: n}
+	if n > limit {
+		p.slots = make(chan struct{}, limit)
+	}
+	for i := 0; i < n; i++ {
+		if p.slots != nil {
+			p.slots <- struct{}{}
+		}
+		if i == n-1 {
+			p.run(i)
+			break
+		}
+		p.wg.Add(1)
+		go p.spawned(i)
+	}
+	p.wg.Wait()
+	return p.err
+}
+
+// fanOut is one BoundedPar call: what its goroutines share.
+type fanOut struct {
+	f      func(int) error
+	slots  chan struct{} // one taken per index in flight; nil when all may run at once
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	err    error // of index failed, the lowest that has failed
+	failed int
+}
+
+func (p *fanOut) run(i int) {
+	if err := p.f(i); err != nil {
+		p.mu.Lock()
+		if i < p.failed {
+			p.failed, p.err = i, err
+		}
+		p.mu.Unlock()
+	}
+	if p.slots != nil {
+		<-p.slots
+	}
+}
+
+func (p *fanOut) spawned(i int) {
+	defer p.wg.Done()
+	p.run(i)
 }
 
 // piece is one chunk-local span of a data call bound to its share of
@@ -732,7 +763,7 @@ func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedO
 						op.charge(b.srv, b.bytes)
 					}
 				}
-				final := boundedPar(c.parallelism, len(batches), func(i int) error {
+				final := BoundedPar(c.parallelism, len(batches), func(i int) error {
 					b := batches[i]
 					resp, callErr := c.call(ctx.Principal, b.srv, op.request(ctx, &x.st, v, b.ps), callTimeout(b.bytes))
 					op.charge(b.srv, -b.bytes)
@@ -1075,7 +1106,7 @@ func (c *Client) settle(applied string) {
 	alive := c.state.Alive
 	c.mu.Unlock()
 	deadline := c.clock.Now() + sim.Time(dataTimeout)
-	_ = boundedPar(4, len(c.servers), func(i int) error {
+	_ = BoundedPar(4, len(c.servers), func(i int) error {
 		srv := c.servers[i]
 		if srv == applied || !alive[srv] {
 			return nil

@@ -344,14 +344,14 @@ func TestSpansEdgeCases(t *testing.T) {
 // serial limit, limit coercion, and error propagation from a middle
 // item without losing the others' completion.
 func TestBoundedParEdgeCases(t *testing.T) {
-	if err := boundedPar(4, 0, func(int) error { return nil }); err != nil {
+	if err := BoundedPar(4, 0, func(int) error { return nil }); err != nil {
 		t.Fatalf("empty items: %v", err)
 	}
 	// parallelism=1 runs items serially, in order.
 	var mu sync.Mutex
 	var order []int
 	items := []int{0, 1, 2, 3, 4}
-	err := boundedPar(1, len(items), func(i int) error {
+	err := BoundedPar(1, len(items), func(i int) error {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
@@ -371,7 +371,7 @@ func TestBoundedParEdgeCases(t *testing.T) {
 	// A middle item's error propagates; every item still runs.
 	boom := fmt.Errorf("boom")
 	var ran int
-	err = boundedPar(2, len(items), func(i int) error {
+	err = BoundedPar(2, len(items), func(i int) error {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -389,11 +389,11 @@ func TestBoundedParEdgeCases(t *testing.T) {
 	}
 	mu.Unlock()
 	// limit < 1 is coerced, not deadlocked.
-	if err := boundedPar(0, len(items), func(int) error { return nil }); err != nil {
+	if err := BoundedPar(0, len(items), func(int) error { return nil }); err != nil {
 		t.Fatalf("limit 0: %v", err)
 	}
 	// Single-item fast path propagates errors too.
-	if err := boundedPar(8, 1, func(int) error { return boom }); err != boom {
+	if err := BoundedPar(8, 1, func(int) error { return boom }); err != boom {
 		t.Fatalf("single-item error = %v, want boom", err)
 	}
 }
@@ -416,5 +416,58 @@ func TestZeroLengthReadIssuesNoRPCs(t *testing.T) {
 	after := tc.client.Stats()
 	if after.ReadVRPCs != before.ReadVRPCs {
 		t.Fatalf("zero-length reads issued RPCs: %+v -> %+v", before, after)
+	}
+}
+
+// TestBoundedParRunsEverythingWithinLimit: whatever fails, every index
+// runs, once; no more than limit run at a time, the caller's goroutine
+// included; and the error returned is the lowest failing index's.
+func TestBoundedParRunsEverythingWithinLimit(t *testing.T) {
+	for _, c := range []struct{ limit, n int }{{2, 2}, {4, 3}, {3, 3}, {2, 9}, {3, 10}, {1, 4}, {0, 3}, {8, 1}} {
+		var mu sync.Mutex
+		ran := make([]int, c.n)
+		inFlight, peak := 0, 0
+		err := BoundedPar(c.limit, c.n, func(i int) error {
+			mu.Lock()
+			ran[i]++
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(time.Millisecond) // let the others start, if they may
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			if i%2 == 1 || i == c.n-1 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		for i, times := range ran {
+			if times != 1 {
+				t.Fatalf("limit %d, n %d: index %d ran %d times (%v)", c.limit, c.n, i, times, ran)
+			}
+		}
+		if peak > max(c.limit, 1) {
+			t.Fatalf("limit %d, n %d: %d in flight at once", c.limit, c.n, peak)
+		}
+		want := "index 1"
+		if c.n == 1 {
+			want = "index 0"
+		}
+		if err == nil || err.Error() != want {
+			t.Fatalf("limit %d, n %d: error %v, want %s", c.limit, c.n, err, want)
+		}
+	}
+}
+
+// TestBoundedParAllocs: a fan-out of two or three allocates what its
+// goroutines share and one closure for each it starts — no semaphore
+// while the limit covers them, no channel for the errors.
+func TestBoundedParAllocs(t *testing.T) {
+	f := func(int) error { return nil }
+	for n, want := range map[int]float64{1: 0, 2: 2, 3: 3} {
+		if got := testing.AllocsPerRun(200, func() { _ = BoundedPar(4, n, f) }); got != want {
+			t.Errorf("BoundedPar(4, %d) allocates %v times, want %v", n, got, want)
+		}
 	}
 }

@@ -376,7 +376,7 @@ func (s *Server) onReadV(m ReadVReq) ReadVResp {
 		return ReadVResp{Err: err.Error()}
 	}
 	results := make([]ReadVExtentResult, len(m.Extents))
-	_ = boundedPar(readVServePar, len(results), func(i int) error {
+	_ = BoundedPar(readVServePar, len(results), func(i int) error {
 		e := m.Extents[i]
 		if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
 			results[i].Err = ErrBounds.Error()
@@ -477,7 +477,7 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 	}
 	// Job 0 is the local apply, job i the forward to partner i-1; each
 	// writes only its own result.
-	_ = boundedPar(1+len(fws), 1+len(fws), func(i int) error {
+	_ = BoundedPar(1+len(fws), 1+len(fws), func(i int) error {
 		if i == 0 {
 			errStr = s.applyExtents(base, ceiling, m.Extents)
 		} else {
@@ -507,7 +507,7 @@ const writeVApplyPar = 16
 // error string, or "".
 func (s *Server) applyExtents(base VDiskID, ceiling int64, exts []WriteVExtent) string {
 	units := conflictUnits(exts)
-	err := boundedPar(writeVApplyPar, len(units), func(i int) error {
+	err := BoundedPar(writeVApplyPar, len(units), func(i int) error {
 		for _, e := range units[i] {
 			if err := s.st.writeChunk(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
 				return err

@@ -185,10 +185,15 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 		e.mu.Unlock()
 		return nil, err
 	}
+	timer := armTimer(e.clock.Real(timeout))
+	defer timerPool.Put(timer)
 	select {
 	case reply := <-ch:
+		// Stopped, a timer delivers nothing more (go 1.23 timers): the
+		// next call to take it from the pool finds its channel empty.
+		timer.Stop()
 		return reply, nil
-	case <-e.clock.After(timeout):
+	case <-timer.C:
 		e.mu.Lock()
 		delete(e.pending, id)
 		e.mu.Unlock()
@@ -201,6 +206,19 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 		}
 		return nil, fmt.Errorf("%w: %s -> %s", ErrTimeout, e.addr, to)
 	}
+}
+
+// timerPool holds the time-out timers of finished calls, stopped or
+// fired and received from: a call arms one of them, not a new timer and
+// channel of its own.
+var timerPool sync.Pool
+
+func armTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
 }
 
 // Close unregisters the endpoint; outstanding calls time out.

@@ -98,7 +98,7 @@ func (c *Clock) SleepUntil(t Time) {
 // After returns a channel that fires once d of simulated time has
 // elapsed, mirroring time.After.
 func (c *Clock) After(d Duration) <-chan time.Time {
-	return time.After(c.real(d))
+	return time.After(c.Real(d))
 }
 
 // Stop marks the clock stopped. Tickers started from this clock exit
@@ -122,7 +122,7 @@ func (c *Clock) Tick(period Duration, fn func()) (cancel func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		t := time.NewTicker(c.real(period))
+		t := time.NewTicker(c.Real(period))
 		defer t.Stop()
 		for {
 			select {
@@ -139,7 +139,9 @@ func (c *Clock) Tick(period Duration, fn func()) (cancel func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-func (c *Clock) real(d Duration) time.Duration {
+// Real is how long d of simulated time takes on the wall clock: what
+// to set a runtime timer to.
+func (c *Clock) Real(d Duration) time.Duration {
 	r := time.Duration(float64(d) / c.compression)
 	if r <= 0 && d > 0 {
 		r = time.Nanosecond

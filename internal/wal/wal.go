@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,7 +102,8 @@ type Log struct {
 	head     int64 // stream position of next byte to write
 	tail     int64 // stream position of oldest unreleased record
 	buf      []byte
-	bufStart int64 // stream position of buf[0]
+	bufStart int64  // stream position of buf[0]
+	spare    []byte // the buffer the last flush wrote from, for the next to fill
 	pending  []recSpan
 	reclaim  func(throughSeq int64)
 	// reclaiming single-flights the paced background reclaim kicked
@@ -113,7 +115,8 @@ type Log struct {
 	// Flush callers whose bytes it covers piggyback on it instead of
 	// issuing their own.
 	flushing  bool
-	flushDone chan struct{} // closed when the in-flight write completes
+	flushDone chan struct{} // made by the first waiter; closed when the in-flight write completes
+	flushPend []recSpan     // the flusher's snapshot of pending
 	durable   int64         // stream position known durable in the region
 	lastFlush int64         // ns timestamp of the last successful flush
 
@@ -224,51 +227,61 @@ func RecordSize(ups []Update) int {
 	return n
 }
 
-// encode serializes a record.
-func encodeRecord(seq int64, ups []Update) ([]byte, error) {
-	rec := make([]byte, recHdrLen+2, RecordSize(ups))
-	binary.LittleEndian.PutUint16(rec[recHdrLen:], uint16(len(ups)))
+// checkUpdates rejects a record Append cannot log.
+func checkUpdates(ups []Update) error {
 	for _, u := range ups {
 		if u.Off < 0 || len(u.Data) == 0 || u.Off+len(u.Data) > MaxUpdateOffset {
-			return nil, fmt.Errorf("%w: off=%d len=%d", ErrBadUpdate, u.Off, len(u.Data))
+			return fmt.Errorf("%w: off=%d len=%d", ErrBadUpdate, u.Off, len(u.Data))
 		}
-		var h [updHdrLen]byte
-		binary.LittleEndian.PutUint64(h[0:8], uint64(u.Addr))
-		binary.LittleEndian.PutUint64(h[8:16], u.Ver)
-		binary.LittleEndian.PutUint16(h[16:18], uint16(u.Off))
-		binary.LittleEndian.PutUint16(h[18:20], uint16(len(u.Data)))
-		rec = append(rec, h[:]...)
-		rec = append(rec, u.Data...)
+	}
+	return nil
+}
+
+// encodeRecord serializes the record into rec, which is RecordSize(ups)
+// long: the body first, then the header with the body's length and CRC.
+func encodeRecord(rec []byte, seq int64, ups []Update) {
+	binary.LittleEndian.PutUint16(rec[recHdrLen:], uint16(len(ups)))
+	pos := recHdrLen + 2
+	for _, u := range ups {
+		binary.LittleEndian.PutUint64(rec[pos:], uint64(u.Addr))
+		binary.LittleEndian.PutUint64(rec[pos+8:], u.Ver)
+		binary.LittleEndian.PutUint16(rec[pos+16:], uint16(u.Off))
+		binary.LittleEndian.PutUint16(rec[pos+18:], uint16(len(u.Data)))
+		pos += updHdrLen + copy(rec[pos+updHdrLen:], u.Data)
 	}
 	body := rec[recHdrLen:]
 	binary.LittleEndian.PutUint16(rec[0:2], recMagic)
 	binary.LittleEndian.PutUint32(rec[2:6], uint32(len(body)))
 	binary.LittleEndian.PutUint64(rec[6:14], uint64(seq))
 	binary.LittleEndian.PutUint32(rec[14:18], crc32.ChecksumIEEE(body))
-	return rec, nil
 }
 
 // Append buffers a record describing the updates and returns its
 // sequence number. The record is durable only after Flush. If the
 // log is too full, the reclaim callback runs synchronously first.
+//
+// Each update's Data may alias memory the caller goes on to change (the
+// file system passes the cached sector itself): Append reads it only
+// until it returns, encoding the record straight into the log's buffer,
+// so the caller must keep the bytes still — hold the locks that cover
+// them — for the call and owes nothing after it.
 func (l *Log) Append(ups []Update) (int64, error) {
+	if err := checkUpdates(ups); err != nil {
+		return 0, err
+	}
+	need := int64(RecordSize(ups))
+	if need > l.streamCapacity()/2 {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, need)
+	}
 	l.mu.Lock()
 	var start int64
 	if l.now != nil {
 		start = l.now()
 	}
-	seq := l.nextSeq + 1
-	rec, err := encodeRecord(seq, ups)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	need := int64(len(rec))
-	if need > l.streamCapacity()/2 {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, need)
-	}
-	for l.head+need-l.tail > l.streamCapacity() {
+	// A flush replaces whole blocks, and a lap later the block the tail
+	// is in is the head's: what may not be written over starts where that
+	// block does, not at the tail.
+	for l.head+need-(l.tail-l.tail%payloadPerBlock) > l.streamCapacity() {
 		// Log full: reclaim the oldest quarter. This is the stall
 		// backstop — the paced background reclaim below aims to keep
 		// writers from ever reaching it.
@@ -293,12 +306,16 @@ func (l *Log) Append(ups []Update) (int64, error) {
 		cb(through)
 		l.mu.Lock()
 	}
+	// Only now: the loop lets go of mu, and another Append may have run.
+	seq := l.nextSeq + 1
 	l.nextSeq = seq
 	l.appends.Inc()
 	l.appendBytes.Add(need)
 	l.jr.Record("wal", "append", "ok", uint64(seq), need, "")
 	l.pending = append(l.pending, recSpan{seq: seq, start: l.head, end: l.head + need})
-	l.buf = append(l.buf, rec...)
+	at := len(l.buf)
+	l.buf = slices.Grow(l.buf, int(need))[:at+int(need)]
+	encodeRecord(l.buf[at:], seq, ups)
 	l.head += need
 	l.maybeReclaimLocked()
 	if l.now != nil {
@@ -352,19 +369,30 @@ func (l *Log) dropThroughLocked(pos int64) {
 	if pos > l.tail {
 		l.tail = pos
 	}
-	for len(l.pending) > 0 && l.pending[0].end <= l.tail {
-		l.pending = l.pending[1:]
+	n := 0
+	for n < len(l.pending) && l.pending[n].end <= l.tail {
+		n++
 	}
+	l.dropPendingLocked(n)
+}
+
+// dropPendingLocked forgets the n oldest pending records, moving the
+// rest down: slicing them off the front would walk the array's capacity
+// away and have Append allocate a new one every few dozen records.
+func (l *Log) dropPendingLocked(n int) {
+	l.pending = l.pending[:copy(l.pending, l.pending[n:])]
 }
 
 // Release marks all records with seq <= throughSeq as reclaimable:
 // their metadata updates have reached their permanent locations.
 func (l *Log) Release(throughSeq int64) {
 	l.mu.Lock()
-	for len(l.pending) > 0 && l.pending[0].seq <= throughSeq {
-		l.tail = l.pending[0].end
-		l.pending = l.pending[1:]
+	n := 0
+	for n < len(l.pending) && l.pending[n].seq <= throughSeq {
+		l.tail = l.pending[n].end
+		n++
 	}
+	l.dropPendingLocked(n)
 	if len(l.pending) == 0 {
 		l.tail = l.head
 	}
@@ -399,6 +427,9 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 		}
 		if l.flushing {
 			// Piggyback: wait for the in-flight write, then re-check.
+			if l.flushDone == nil {
+				l.flushDone = make(chan struct{})
+			}
 			ch := l.flushDone
 			l.groupMerges.Inc()
 			l.jr.Record("wal", "groupcommit", "merge", 0, target-l.durable, "")
@@ -421,12 +452,13 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 			return nil
 		}
 		buf, start := l.buf, l.bufStart
-		l.buf = nil
+		l.buf, l.spare = l.spare[:0], nil
 		l.bufStart = l.head
 		l.flushing = true
-		l.flushDone = make(chan struct{})
 		l.flushes.Inc()
-		pend := append([]recSpan(nil), l.pending...)
+		// One write is in flight at a time, so the snapshot has one user.
+		l.flushPend = append(l.flushPend[:0], l.pending...)
+		pend := l.flushPend
 		now := l.now
 		l.mu.Unlock()
 
@@ -454,6 +486,7 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 			if l.now != nil {
 				l.lastFlush = l.now()
 			}
+			l.spare = buf
 		} else {
 			// Put the unwritten bytes back so a retry (after a
 			// transient Petal failure) rewrites them; appends during
@@ -462,7 +495,10 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 			l.bufStart = start
 		}
 		l.flushing = false
-		close(l.flushDone)
+		if l.flushDone != nil {
+			close(l.flushDone)
+			l.flushDone = nil
+		}
 		l.mu.Unlock()
 		if err != nil {
 			return err

@@ -450,10 +450,9 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			data = data[:MaxUpdateOffset-o]
 		}
 		u := Update{Addr: addr &^ 511, Off: o, Data: data, Ver: ver}
-		rec, err := encodeRecord(7, []Update{u})
-		if err != nil {
-			return false
-		}
+		ups := []Update{u}
+		rec := make([]byte, RecordSize(ups))
+		encodeRecord(rec, 7, ups)
 		got, err := decodeBody(7, rec[recHdrLen:])
 		if err != nil || len(got.Updates) != 1 {
 			return false

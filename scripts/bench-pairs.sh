@@ -6,7 +6,11 @@
 #   make bench-pairs BASE=<ref> W=<workload> N=<pairs> [SEED=<first>] [TRACE=1]
 #
 # BASE is checked out into a git worktree under .bench_build/ (removed
-# again on exit); the other side is the working tree as it stands. Pair
+# again on exit) — or, with BASE_TREE=<dir> in the environment, is the
+# checkout already at <dir> (a `git clone` or `git archive` of the parent,
+# where `git worktree` is not allowed), which is used as it is and left
+# alone; BASE then only labels the run. The other side is the working
+# tree as it stands. Pair
 # i runs benchmark/run.sh from both checkouts at seed FIRST_SEED+i, the
 # base first in even pairs and the change first in odd ones, never two
 # runs at once. Every run's last line is kept, tagged with its side, in
@@ -26,15 +30,20 @@ command -v jq >/dev/null || { echo "bench-pairs: jq not found" >&2; exit 2; }
 
 spec="$root/BENCHMARK.json"
 seconds=$(jq .run_seconds "$spec")
-tree="$root/.bench_build/base"
 mkdir -p "$root/.bench_build/pairs"
 log="$root/.bench_build/pairs/$workload-$(date -u +%Y%m%dT%H%M%SZ).jsonl"
 
-git -C "$root" worktree remove --force "$tree" 2>/dev/null || true # left by an interrupted run
-git -C "$root" worktree prune
-git -C "$root" worktree add --quiet --detach "$tree" "$base"
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
-echo "base $(git -C "$tree" rev-parse --short HEAD) vs $(git -C "$root" rev-parse --short HEAD) + working tree: $workload, $pairs pairs from seed $seed, ${seconds}s windows, trace=$trace -> $log" >&2
+if [[ -n ${BASE_TREE:-} ]]; then
+	tree=$(cd "$BASE_TREE" && pwd)
+	[[ -f $tree/benchmark/run.sh ]] || { echo "bench-pairs: BASE_TREE=$BASE_TREE has no benchmark/run.sh" >&2; exit 2; }
+else
+	tree="$root/.bench_build/base"
+	git -C "$root" worktree remove --force "$tree" 2>/dev/null || true # left by an interrupted run
+	git -C "$root" worktree prune
+	git -C "$root" worktree add --quiet --detach "$tree" "$base"
+	trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+fi
+echo "base $(git -C "$tree" rev-parse --short HEAD 2>/dev/null || echo "$base") at $tree vs $(git -C "$root" rev-parse --short HEAD) + working tree: $workload, $pairs pairs from seed $seed, ${seconds}s windows, trace=$trace -> $log" >&2
 
 for ((i = 0; i < pairs; i++)); do
 	order="base change"
