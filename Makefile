@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race alloc-budget benchmark-test bench bench-smoke bench-compare bench-pairs bench-codec
+.PHONY: check fmt vet build test race alloc-budget benchmark-test bench bench-smoke bench-compare bench-pairs bench-codec loc
 
 ## check: the tier-1 gate — gofmt, vet, build, race-enabled tests, the
 ## allocation budgets without the race detector, and the repository
@@ -27,10 +27,11 @@ race:
 ## staging, a cached ReadAt, Stat, Open and overwrite, a create, remove,
 ## mkdir, rmdir and rename, a path split, a log append with its flush
 ## (internal/wal), a cache insert, the waits, Petal's routing and fan-out,
-## an RPC's time-out — once more without the race detector: under it
+## an RPC's time-out, a sticky lock's Lock/TryLock and Unlock — once
+## more without the race detector: under it
 ## sync.Pool drops a share of what it is given and the counts carry
 ## slack, here they are exact. A package that prints "[no tests to run]"
-## pins nothing; fs, wal, petal, rpc, sim and cache must not.
+## pins nothing; fs, wal, petal, rpc, sim, cache and lockservice must not.
 alloc-budget:
 	$(GO) test -count=1 -run 'Allocs|AllocationFree|AllocateNothing' ./internal/...
 
@@ -120,6 +121,14 @@ TRACE ?= 0
 BASE_TREE ?=
 bench-pairs:
 	BASE_TREE=$(BASE_TREE) bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEED) $(TRACE)
+
+## loc: non-test Go code lines (no blanks, no comments) per package —
+## and per file for the packages named in DIRS — the count ROADMAP item
+## 7 asks CHANGES.md to record. BASE=<rev> adds that revision's counts
+## (read with git archive, no worktree) and the delta.
+DIRS ?=
+loc:
+	BASE=$(if $(filter command line environment,$(origin BASE)),$(BASE)) bash scripts/loc.sh $(DIRS)
 
 ## bench-codec: raw codec-vs-gob microbenchmarks with allocation counts.
 bench-codec:

@@ -68,9 +68,6 @@ type Config struct {
 	// deployments pass the rpc.TCPCarrier shared with the Petal
 	// client.
 	Carrier rpc.Carrier
-	// Trace, when set, receives debug events from the server and its
-	// clerk.
-	Trace func(format string, args ...any)
 }
 
 // DefaultConfig returns paper-flavored settings.
@@ -85,13 +82,6 @@ func DefaultConfig() Config {
 		CPUPerOp:         150 * time.Microsecond,
 		CPUPerKB:         25 * time.Microsecond,
 		Lock:             lockservice.DefaultConfig(),
-	}
-}
-
-// trace emits a debug event when Config.Trace is set.
-func (fs *FS) trace(format string, args ...any) {
-	if fs.cfg.Trace != nil {
-		fs.cfg.Trace(format, args...)
 	}
 }
 
@@ -349,7 +339,6 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		carrier = rpc.SimCarrier{Net: w.Net}
 	}
 	fs.clerk = lockservice.NewClerkWithCarrier(w, machine, string(vd), lockServers, cfg.Lock, carrier)
-	fs.clerk.Trace = cfg.Trace
 	fs.clerk.SetCallbacks(fs.onRevoke, fs.onRecover, fs.onLeaseLost)
 	if err := fs.clerk.Open(); err != nil {
 		return nil, err
@@ -1432,8 +1421,6 @@ func (fs *FS) reclaimLog(through int64) {
 // a trace of its own: the flush it triggers (wal + petal spans) is
 // followable like any foreground op.
 func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
-	fs.trace("onRevoke lock=%x to=%v dirtyMeta=%d dirtyData=%d", lock, to,
-		len(fs.meta.DirtyByOwner(lock)), len(fs.data.DirtyByOwner(lock)))
 	op := fs.tr.Start("lockservice", "revoke")
 	defer op.Done()
 	switch lock & (0xff << 56) {

@@ -9,41 +9,6 @@ import (
 	"frangipani/internal/sim"
 )
 
-// clkLock is the clerk-side state of one lock.
-type clkLock struct {
-	mode          Mode // granted mode
-	want          Mode // highest mode local waiters need
-	users         int  // FS operations currently inside the lock
-	revokePending bool
-	revokeTo      Mode
-	revoking      bool // flush callback in flight
-	lastReq       sim.Time
-	lastReqMode   Mode // mode of the last transmitted request
-	lastUsed      sim.Time
-	// epoch advances on every release/downgrade; grants echoing an
-	// older epoch answered a request from a previous tenancy of this
-	// lock and must be ignored.
-	epoch int64
-	// waiters counts the callers blocked in lockWait by the mode they
-	// asked for. A grant wakes them through the condition variable; owed
-	// marks a revoke that arrived before any of them had run, and lets
-	// one of them in ahead of it (see onRevokeMsg).
-	waiters [Exclusive + 1]int
-	owed    bool
-}
-
-// wakingWaiter reports whether a caller blocked in lockWait could use
-// the lock as it is granted now. With no revoke pending such a caller
-// has been woken and has not yet run: it would be a user otherwise.
-func (l *clkLock) wakingWaiter() bool {
-	for m := Shared; m <= l.mode; m++ {
-		if l.waiters[m] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // sendOp is one queued outbound lock operation, drained by the sender
 // demon into per-shard-server batches.
 type sendOp struct {
@@ -113,8 +78,11 @@ type Clerk struct {
 	// from user programs to return an error").
 	onLeaseLost func()
 
-	// Trace, when set, receives debug events.
-	Trace func(format string, args ...any)
+	// recovering holds, per dead clerk whose log this clerk is
+	// replaying, the newest RecoverReq seen meanwhile: one replay runs
+	// per dead clerk however often the coordinator asks, and its
+	// RecoveryDone answers the newest ask.
+	recovering map[string]RecoverReq
 
 	// Observability; set once at construction.
 	now        obs.NowFunc
@@ -131,12 +99,6 @@ type Clerk struct {
 	jr         *obs.Journal       // flight recorder (nil-safe)
 }
 
-func (c *Clerk) trace(format string, args ...any) {
-	if c.Trace != nil {
-		c.Trace(format, args...)
-	}
-}
-
 // NewClerk creates a clerk for one machine and lock table on the
 // world's simulated network. Callbacks must be installed before Open.
 func NewClerk(w *sim.World, machine, table string, servers []string, cfg Config) *Clerk {
@@ -146,15 +108,16 @@ func NewClerk(w *sim.World, machine, table string, servers []string, cfg Config)
 // NewClerkWithCarrier creates a clerk on an arbitrary message carrier.
 func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, cfg Config, carrier rpc.Carrier) *Clerk {
 	c := &Clerk{
-		machine:   machine,
-		table:     table,
-		w:         w,
-		cfg:       cfg,
-		servers:   append([]string(nil), servers...),
-		locks:     make(map[uint64]*clkLock),
-		acks:      make(map[string]sim.Time),
-		renewSent: make(map[string]sim.Time),
-		shardVer:  make(map[int]int64),
+		machine:    machine,
+		table:      table,
+		w:          w,
+		cfg:        cfg.resolved(),
+		servers:    append([]string(nil), servers...),
+		locks:      make(map[uint64]*clkLock),
+		acks:       make(map[string]sim.Time),
+		renewSent:  make(map[string]sim.Time),
+		shardVer:   make(map[int]int64),
+		recovering: make(map[string]RecoverReq),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.sendCond = sync.NewCond(&c.mu)
@@ -220,48 +183,25 @@ func (c *Clerk) Open() error {
 	c.mu.Unlock()
 	_ = c.refreshState()
 	go c.sender()
-	idle := c.cfg.IdleDiscard
-	if idle <= 0 {
-		idle = DefaultIdleDiscard
-	}
 	c.cancels = append(c.cancels,
 		c.w.Clock.Tick(c.cfg.LeaseDuration/3, c.renew),
 		c.w.Clock.Tick(c.cfg.RevokeRetry, c.retryRequests),
-		c.w.Clock.Tick(idle/4, func() { c.discardIdle(idle) }),
+		c.w.Clock.Tick(c.cfg.IdleDiscard/4, c.discardIdle),
 	)
 	return nil
 }
 
-// discardIdle releases sticky grants unused for longer than idle,
-// bounding lock memory (§6). Discard runs through the same path as a
-// server revoke, so covered dirty data is flushed first.
-func (c *Clerk) discardIdle(idle sim.Duration) {
+// discardIdle releases sticky grants unused for longer than
+// IdleDiscard and forgets released entries (§6: bounding lock memory).
+func (c *Clerk) discardIdle() {
 	now := c.w.Clock.Now()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed || c.leaseLost {
-		c.mu.Unlock()
 		return
 	}
-	var victims []uint64
 	for id, l := range c.locks {
-		idleLong := sim.Duration(now-l.lastUsed) > idle
-		quiet := l.users == 0 && l.want <= l.mode && !l.revokePending && !l.revoking
-		if l.mode > None && quiet && idleLong {
-			victims = append(victims, id)
-		} else if l.mode == None && quiet && idleLong {
-			// Fully released and forgotten: reclaim the entry itself.
-			delete(c.locks, id)
-		}
-	}
-	for _, id := range victims {
-		l := c.locks[id]
-		l.revokePending = true
-		l.revokeTo = None
-		l.revoking = true
-	}
-	c.mu.Unlock()
-	for _, id := range victims {
-		go c.processRevoke(id)
+		c.apply(id, l.idle(now, c.cfg.IdleDiscard))
 	}
 }
 
@@ -282,17 +222,8 @@ func (c *Clerk) LogSlot() int {
 
 // Close cleanly closes the table (unmount).
 func (c *Clerk) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.stop() {
 		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	c.sendCond.Broadcast()
-	for _, cancel := range c.cancels {
-		cancel()
 	}
 	for _, s := range c.servers {
 		_ = c.ep.Cast(Addr(s), CloseReq{Clerk: c.machine, Table: c.table})
@@ -304,20 +235,29 @@ func (c *Clerk) Close() {
 // the endpoint goes silent WITHOUT closing the session, so the lock
 // service sees the lease expire and initiates recovery.
 func (c *Clerk) Abandon() {
+	if !c.stop() {
+		return
+	}
+	c.jr.Record("lockservice", "session", "abandon", 0, 0, "crash: lease left to expire")
+	c.ep.Close()
+}
+
+// stop marks the clerk closed, wakes its waiters and stops its tickers;
+// it reports false if the clerk was closed already.
+func (c *Clerk) stop() bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.jr.Record("lockservice", "session", "abandon", 0, 0, "crash: lease left to expire")
 	c.cond.Broadcast()
 	c.sendCond.Broadcast()
 	for _, cancel := range c.cancels {
 		cancel()
 	}
-	c.ep.Close()
+	return true
 }
 
 // refreshState fetches the shard map.
@@ -356,25 +296,6 @@ func (c *Clerk) noteNewEpochLocked(epoch int64) {
 	}()
 }
 
-func (c *Clerk) serverFor(lock uint64) string {
-	c.mu.Lock()
-	ok := c.stateOK
-	srv := ""
-	if ok {
-		srv = c.state.ServerFor(lock)
-	}
-	c.mu.Unlock()
-	if !ok {
-		if c.refreshState() != nil {
-			return ""
-		}
-		c.mu.Lock()
-		srv = c.state.ServerFor(lock)
-		c.mu.Unlock()
-	}
-	return srv
-}
-
 // shardOfLocked maps a lock to its shard under the current map (or
 // the default shard count if the map is not yet known — before the
 // first refreshState completes no grants are in flight anyway).
@@ -382,11 +303,7 @@ func (c *Clerk) shardOfLocked(lock uint64) int {
 	if c.stateOK {
 		return c.state.ShardOf(lock)
 	}
-	shards := c.cfg.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	return ShardOf(lock, shards)
+	return ShardOf(lock, c.cfg.Shards)
 }
 
 // Lock acquires the lock in the given mode, blocking until granted.
@@ -428,24 +345,14 @@ func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
 			c.mu.Unlock()
 			return blocked, ErrLeaseLost
 		}
+		now := c.w.Clock.Now()
 		l := c.lockLocked(lock)
-		if l.mode >= mode && !l.revoking && (!l.revokePending || l.owed) {
-			l.owed = false
-			l.users++
-			l.lastUsed = c.w.Clock.Now()
+		if l.admit(mode, now, true) {
 			c.mu.Unlock()
 			return blocked, nil
 		}
 		blocked = true
-		if l.want < mode {
-			l.want = mode
-		}
-		// While a revoke is pending or in flight, no request may be
-		// sent: a request racing ahead of our release would make the
-		// server re-grant from stale holder state.
-		if !l.revokePending && !l.revoking {
-			c.requestLocked(lock, l)
-		}
+		c.apply(lock, l.want(mode, now, c.cfg.RevokeRetry))
 		l.waiters[mode]++
 		c.cond.Wait()
 		l.waiters[mode]--
@@ -457,16 +364,7 @@ func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
 func (c *Clerk) TryLock(lock uint64, mode Mode) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || c.leaseLost {
-		return false
-	}
-	l := c.lockLocked(lock)
-	if l.mode >= mode && !l.revokePending && !l.revoking {
-		l.users++
-		l.lastUsed = c.w.Clock.Now()
-		return true
-	}
-	return false
+	return !c.closed && !c.leaseLost && c.lockLocked(lock).admit(mode, c.w.Clock.Now(), false)
 }
 
 // Unlock releases the caller's use. The grant itself remains cached
@@ -477,21 +375,10 @@ func (c *Clerk) Unlock(lock uint64) {
 		defer func() { c.relLat.Record(c.now() - start) }()
 	}
 	c.mu.Lock()
-	l := c.locks[lock]
-	if l == nil || l.users == 0 {
-		c.mu.Unlock()
-		return
-	}
-	l.users--
-	start := l.users == 0 && l.revokePending && !l.revoking
-	if start {
-		l.revoking = true
+	if l := c.locks[lock]; l != nil {
+		c.apply(lock, l.unlock())
 	}
 	c.mu.Unlock()
-	if start {
-		go c.processRevoke(lock)
-	}
-	c.cond.Broadcast()
 }
 
 // InjectStaleShardMap is a fault-injection hook: it deliberately
@@ -551,35 +438,35 @@ func (c *Clerk) lockLocked(lock uint64) *clkLock {
 	return l
 }
 
-// enqueueLocked appends an outbound op for the sender demon. Queue
-// order is wire order per lock: a release enqueued during a revoke
-// always precedes any request of the next tenancy (which carries a
-// newer epoch), so the server never sees them inverted.
-func (c *Clerk) enqueueLocked(op sendOp) {
-	c.outq = append(c.outq, op)
-	c.sendCond.Signal()
-}
-
-// requestLocked enqueues a (re)send of the lock request, rate-limited.
-func (c *Clerk) requestLocked(lock uint64, l *clkLock) {
-	now := c.w.Clock.Now()
-	// Rate-limit retransmissions — but never suppress the FIRST
-	// request (lastReq == 0 means "never sent") or an UPGRADE (a
-	// request for a stronger mode than the last one transmitted).
-	if l.lastReq != 0 && l.want <= l.lastReqMode &&
-		sim.Duration(now-l.lastReq) < c.cfg.RevokeRetry/2 {
+// apply does what a transition of lock's state asked for. Called with
+// c.mu held, so requests and releases join the sender's FIFO in the
+// order the transitions decided them: queue order is wire order per
+// lock, and a release enqueued by a flush always precedes any request
+// of the next tenancy (which carries a newer epoch), so the server
+// never sees them inverted.
+func (c *Clerk) apply(lock uint64, a clerkAct) {
+	if a.do == 0 {
 		return
 	}
-	l.lastReq = now
-	l.lastReqMode = l.want
-	c.trace("request lock=%x mode=%v enqueued", lock, l.want)
-	c.jr.Record("lockservice", "acquire", "wait", lock, int64(l.want), "")
-	c.enqueueLocked(sendOp{lock: lock, mode: l.want, epoch: l.epoch})
-}
-
-// sendReleaseLocked enqueues a release/downgrade.
-func (c *Clerk) sendReleaseLocked(lock uint64, newMode Mode) {
-	c.enqueueLocked(sendOp{release: true, lock: lock, mode: newMode})
+	if a.has(actRequest) {
+		c.jr.Record("lockservice", "acquire", "wait", lock, int64(a.mode), "")
+		c.outq = append(c.outq, sendOp{lock: lock, mode: a.mode, epoch: a.epoch})
+		c.sendCond.Signal()
+	}
+	if a.has(actRelease) {
+		c.jr.Record("lockservice", "release", "sent", lock, int64(a.mode), "")
+		c.outq = append(c.outq, sendOp{release: true, lock: lock, mode: a.mode})
+		c.sendCond.Signal()
+	}
+	if a.has(actFlush) {
+		go c.processRevoke(lock)
+	}
+	if a.has(actWake) {
+		c.cond.Broadcast()
+	}
+	if a.has(actForget) {
+		delete(c.locks, lock)
+	}
 }
 
 // sender is the clerk's outbound demon: it drains the op queue and
@@ -641,10 +528,10 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 		// Revalidate acquires at flush time: the want may have been
 		// granted, released, or superseded since it was enqueued.
 		l := c.locks[op.lock]
-		if l == nil || l.epoch != op.epoch || l.revokePending || l.revoking || l.want <= l.mode {
+		if l == nil || l.epoch != op.epoch || !l.requestable() {
 			continue
 		}
-		acqBySrv[srv] = append(acqBySrv[srv], BatchReq{Lock: op.lock, Mode: l.want, Epoch: l.epoch})
+		acqBySrv[srv] = append(acqBySrv[srv], BatchReq{Lock: op.lock, Mode: l.wanted, Epoch: l.epoch})
 	}
 	now := c.w.Clock.Now()
 	for _, srv := range order {
@@ -706,7 +593,7 @@ func (c *Clerk) retryRequests() {
 	}
 	anyPending := false
 	for _, l := range c.locks {
-		if l.want > l.mode && !l.revoking && !l.revokePending {
+		if l.requestable() {
 			anyPending = true
 			break
 		}
@@ -717,10 +604,10 @@ func (c *Clerk) retryRequests() {
 	}
 	_ = c.refreshState() // routing may have changed under us
 	c.mu.Lock()
+	now := c.w.Clock.Now()
 	for id, l := range c.locks {
-		if l.want > l.mode && !l.revoking && !l.revokePending {
-			l.lastReq = 0 // force through the rate limit
-			c.requestLocked(id, l)
+		if l.requestable() {
+			c.apply(id, l.request(now, 0)) // forced through the rate limit
 		}
 	}
 	c.mu.Unlock()
@@ -729,11 +616,9 @@ func (c *Clerk) retryRequests() {
 // processRevoke runs the FS flush callback and then complies with the
 // pending revoke.
 func (c *Clerk) processRevoke(lock uint64) {
-	c.trace("processRevoke lock=%x", lock)
 	c.resTab.Event(lock) // count the revoke against the lock
-	var start int64
 	if c.now != nil {
-		start = c.now()
+		start := c.now()
 		defer func() { c.revLat.Record(c.now() - start) }()
 	}
 	c.mu.Lock()
@@ -751,25 +636,9 @@ func (c *Clerk) processRevoke(lock uint64) {
 	}
 
 	c.mu.Lock()
-	c.trace("revoke done lock=%x -> %v", lock, target)
-	l.mode = target
-	l.want = None // local waiters re-establish their wants
-	// New tenancy: grants answering requests from before this
-	// release/downgrade are void, and the retransmission rate limiter
-	// must not throttle the tenancy's first request.
 	c.epochGen++
-	l.epoch = c.epochGen
-	l.lastReq = 0
-	l.lastReqMode = None
-	// Enqueue the release before clearing the revoking flag, with the
-	// clerk lock held: no request of ours can overtake it in the
-	// sender's FIFO.
-	c.jr.Record("lockservice", "release", "sent", lock, int64(target), "")
-	c.sendReleaseLocked(lock, target)
-	l.revokePending = false
-	l.revoking = false
+	c.apply(lock, l.flushed(target, c.epochGen))
 	c.mu.Unlock()
-	c.cond.Broadcast()
 }
 
 // handle serves server-to-clerk messages.
@@ -806,128 +675,64 @@ func (c *Clerk) onGrant(m GrantMsg) {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.leaseLost || c.closed {
-		c.sendReleaseLocked(m.Lock, None)
-		c.mu.Unlock()
+		c.apply(m.Lock, clerkAct{do: actRelease, mode: None})
 		return
 	}
-	c.trace("grant lock=%x mode=%v ver=%d epoch=%d floor=%d", m.Lock, m.Mode, m.Ver, m.Epoch, c.shardVer[c.shardOfLocked(m.Lock)])
 	if m.Ver != 0 && m.Ver < c.shardVer[c.shardOfLocked(m.Lock)] {
 		// Grant from a deposed lock server that has not yet applied
 		// the reassignment; the new server's sync is authoritative.
-		c.mu.Unlock()
 		return
 	}
-	l := c.lockLocked(m.Lock)
-	if m.Epoch != 0 && m.Epoch != l.epoch {
-		// This grant answers a retransmitted request from before our
-		// last release/downgrade; the server's re-grant raced our
-		// release and is void.
-		c.trace("grant lock=%x stale epoch %d != %d, ignored", m.Lock, m.Epoch, l.epoch)
-		c.mu.Unlock()
-		return
+	a := c.lockLocked(m.Lock).grant(m.Mode, m.Epoch)
+	if a.has(actTaken) {
+		c.jr.Record("lockservice", "grant", "recv", m.Lock, int64(m.Mode), "")
 	}
-	if l.revokePending || l.revoking {
-		// A grant crossing our in-progress release is stale; our
-		// release corrects the server's view and the want will be
-		// re-requested afterwards.
-		c.mu.Unlock()
-		return
-	}
-	if m.Mode > l.mode {
-		l.mode = m.Mode
-	}
-	c.jr.Record("lockservice", "grant", "recv", m.Lock, int64(m.Mode), "")
-	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.apply(m.Lock, a)
 }
 
 func (c *Clerk) onRevokeMsg(m RevokeMsg) {
 	if m.Table != c.table {
 		return
 	}
-	c.trace("revokeMsg lock=%x to=%v", m.Lock, m.NewMode)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	l := c.locks[m.Lock]
-	if l == nil || l.mode <= m.NewMode {
-		mode := None
-		wanting := false
-		if l != nil {
-			mode = l.mode
-			wanting = l.want > l.mode || l.revokePending || l.revoking
-		}
-		// Already compliant. Refresh the server's view in case our
-		// release was lost — but never while a request of ours is
-		// outstanding: this release could overtake that request's
-		// grant and cancel it on the server.
-		if !wanting {
-			c.sendReleaseLocked(m.Lock, mode)
-		}
-		c.mu.Unlock()
-		return
+	if l == nil {
+		l = &clkLock{} // holds nothing: the revoke is answered, not kept
 	}
-	if l.revokePending && l.revokeTo <= m.NewMode {
-		c.mu.Unlock()
-		return // already working on an equal-or-stronger revoke
+	a := l.revoke(m.NewMode)
+	if a.has(actTaken) {
+		c.jr.Record("lockservice", "revoke", "recv", m.Lock, int64(m.NewMode), "")
 	}
-	c.jr.Record("lockservice", "revoke", "recv", m.Lock, int64(m.NewMode), "")
-	l.revokePending = true
-	if !l.revoking || m.NewMode < l.revokeTo {
-		l.revokeTo = m.NewMode
-	}
-	// A grant is used once before it is given back: a waiter it woke
-	// that has not run yet goes in ahead of the revoke, and its Unlock
-	// starts the flush. Otherwise two clerks that both want the lock can
-	// hand it back and forth with neither using it, each grant arriving
-	// with the revoke the other's next request caused right behind it.
-	l.owed = l.users == 0 && !l.revoking && l.wakingWaiter()
-	start := l.users == 0 && !l.revoking && !l.owed
-	if start {
-		l.revoking = true
-	}
-	c.mu.Unlock()
-	if start {
-		go c.processRevoke(m.Lock)
-	}
+	c.apply(m.Lock, a)
 }
 
 // onWrongShard handles a stale-routing nack: refetch the shard map,
-// then re-drive every nacked lock against its new owner — re-request
-// if we still want it, or re-send the compliant release if the nacked
-// message was a release (so no acknowledged release is ever lost to a
-// handoff). The refetch runs on its own goroutine: handlers execute
-// on the delivery lane and must not issue blocking Calls.
+// then re-drive every nacked lock against its new owner, so no
+// acknowledged release is ever lost to a handoff. The refetch runs on
+// its own goroutine: handlers execute on the delivery lane and must not
+// issue blocking Calls.
 func (c *Clerk) onWrongShard(m WrongShard) {
 	if m.Table != c.table || len(m.Locks) == 0 {
 		return
 	}
-	c.trace("wrong-shard nack from %s: %d locks, epoch %d", m.Server, len(m.Locks), m.Epoch)
 	c.jr.Record("lockservice", "shard", "wrongshard", m.Locks[0], int64(len(m.Locks)), "nack from "+m.Server)
 	locks := append([]uint64(nil), m.Locks...)
 	go func() {
 		_ = c.refreshState()
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		if c.closed || c.leaseLost {
-			c.mu.Unlock()
 			return
 		}
+		now := c.w.Clock.Now()
 		for _, lk := range locks {
-			l := c.locks[lk]
-			if l == nil {
-				continue
-			}
-			if l.want > l.mode && !l.revokePending && !l.revoking {
-				l.lastReq = 0 // force the retry past the rate limit
-				c.requestLocked(lk, l)
-			} else if l.want <= l.mode && !l.revokePending && !l.revoking {
-				// The nacked message was (or might have been) a release;
-				// refresh the new owner's view of our hold. Guarded by
-				// the same not-wanting rule as the compliant-refresh in
-				// onRevokeMsg.
-				c.sendReleaseLocked(lk, l.mode)
+			if l := c.locks[lk]; l != nil {
+				c.apply(lk, l.redrive(now))
 			}
 		}
-		c.mu.Unlock()
 	}()
 }
 
@@ -939,10 +744,6 @@ func (c *Clerk) onSync(m SyncReq) any {
 	for _, sh := range m.Shards {
 		shards[sh] = true
 	}
-	nshards := m.NumShards
-	if nshards <= 0 {
-		nshards = DefaultShards
-	}
 	c.mu.Lock()
 	for sh := range shards {
 		if m.Ver > c.shardVer[sh] {
@@ -951,7 +752,7 @@ func (c *Clerk) onSync(m SyncReq) any {
 	}
 	var held []HeldLock
 	for id, l := range c.locks {
-		if l.mode > None && shards[ShardOf(id, nshards)] {
+		if l.mode > None && shards[ShardOf(id, m.NumShards)] {
 			held = append(held, HeldLock{Lock: id, Mode: l.mode})
 		}
 	}
@@ -961,24 +762,40 @@ func (c *Clerk) onSync(m SyncReq) any {
 	return nil
 }
 
+// onRecoverReq replays a dead clerk's log, once however often it is
+// asked: the coordinator asks again every few sweeps, and a replay can
+// take longer than that. Asks that arrive while the replay runs only
+// update the one its RecoveryDone answers; a failed replay forgets the
+// dead clerk, so the next ask runs it again.
 func (c *Clerk) onRecoverReq(m RecoverReq) {
 	if m.Table != c.table {
 		return
 	}
+	c.jr.Record("lockservice", "recovery", "asked", 0, int64(m.DeadSlot), m.Dead)
 	c.mu.Lock()
+	_, running := c.recovering[m.Dead]
+	c.recovering[m.Dead] = m
 	cb := c.onRecover
 	c.mu.Unlock()
-	c.jr.Record("lockservice", "recovery", "asked", 0, int64(m.DeadSlot), m.Dead)
+	if running {
+		return
+	}
 	go func() {
+		var err error
 		if cb != nil {
-			if err := cb(m.Dead, m.DeadSlot); err != nil {
-				c.jr.Record("lockservice", "recovery", "fail", 0, int64(m.DeadSlot), m.Dead+": "+err.Error())
-				return // coordinator will retry or reassign
-			}
+			err = cb(m.Dead, m.DeadSlot)
+		}
+		c.mu.Lock()
+		last := c.recovering[m.Dead]
+		delete(c.recovering, m.Dead)
+		c.mu.Unlock()
+		if err != nil {
+			c.jr.Record("lockservice", "recovery", "fail", 0, int64(m.DeadSlot), m.Dead+": "+err.Error())
+			return // coordinator will retry or reassign
 		}
 		c.jr.Record("lockservice", "recovery", "done", 0, int64(m.DeadSlot), m.Dead)
-		_ = c.ep.Cast(Addr(m.Server), RecoveryDone{
-			Clerk: c.machine, Table: c.table, Dead: m.Dead, Seq: m.Seq,
+		_ = c.ep.Cast(Addr(last.Server), RecoveryDone{
+			Clerk: c.machine, Table: c.table, Dead: m.Dead, Seq: last.Seq,
 		})
 	}()
 }
@@ -1102,7 +919,6 @@ func (c *Clerk) renew() {
 	// was expired and recovered while we were stalled: the lease is
 	// gone, whatever our ack arithmetic says.
 	if invalid >= majority {
-		c.trace("lease invalidated by majority")
 		c.jr.Record("lockservice", "lease", "invalid", 0, int64(invalid), "majority disowned session")
 		c.loseLease()
 		return
@@ -1123,23 +939,12 @@ func (c *Clerk) ExpiresAt() int64 {
 }
 
 func (c *Clerk) expiresAtLocked() int64 {
-	n := len(c.servers)
-	times := make([]sim.Time, 0, n)
+	times := make([]int64, 0, len(c.servers))
 	for _, s := range c.servers {
-		times = append(times, c.acks[s])
+		times = append(times, int64(c.acks[s]))
 	}
-	// k-th largest with k = majority: the newest time at which a
-	// majority had acked.
-	for i := 0; i < len(times); i++ {
-		for j := i + 1; j < len(times); j++ {
-			if times[j] > times[i] {
-				times[i], times[j] = times[j], times[i]
-			}
-		}
-	}
-	k := n/2 + 1
-	base := times[k-1]
-	return int64(base) + int64(c.cfg.LeaseDuration)
+	// The newest time at which a majority had acked.
+	return kthNewest(times, len(c.servers)/2+1) + int64(c.cfg.LeaseDuration)
 }
 
 // LeaseValid reports whether the lease will still be valid margin

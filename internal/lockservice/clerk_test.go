@@ -1,0 +1,140 @@
+package lockservice
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"frangipani/internal/rpc"
+	"frangipani/internal/sim"
+)
+
+// TestStickyLockAllocs: taking and dropping a sticky grant allocates
+// nothing, through Lock and through TryLock.
+func TestStickyLockAllocs(t *testing.T) {
+	ls := newTestLS(t, 3)
+	c := ls.clerk(t, "wsA")
+	if err := c.Lock(7, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c.Unlock(7)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c.Lock(7, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		c.Unlock(7)
+	}); n != 0 {
+		t.Errorf("Lock+Unlock of a sticky grant: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !c.TryLock(7, Shared) {
+			t.Fatal("TryLock of a sticky grant failed")
+		}
+		c.Unlock(7)
+	}); n != 0 {
+		t.Errorf("TryLock+Unlock of a sticky grant: %v allocations, want 0", n)
+	}
+}
+
+// recoveryRig is a clerk that is asked to recover a dead clerk's log by
+// a stand-in lock server, which records the RecoveryDones it gets.
+type recoveryRig struct {
+	c       *Clerk
+	done    chan RecoveryDone
+	started chan struct{} // one send per replay begun
+	calls   atomic.Int32
+}
+
+func newRecoveryRig(t *testing.T, replay func(call int32) error) *recoveryRig {
+	t.Helper()
+	w := sim.NewWorld(300, 5)
+	t.Cleanup(w.Stop)
+	r := &recoveryRig{ // buffers: room for more than any test asks, so no send blocks
+		done:    make(chan RecoveryDone, 8),
+		started: make(chan struct{}, 8),
+	}
+	srv := rpc.NewEndpoint(Addr("lsR"), rpc.SimCarrier{Net: w.Net}, w.Clock, func(from string, body any) any {
+		if m, ok := body.(RecoveryDone); ok {
+			r.done <- m
+		}
+		return nil
+	})
+	t.Cleanup(srv.Close)
+	r.c = NewClerk(w, "wsR", "fs", []string{"lsR"}, DefaultConfig())
+	t.Cleanup(r.c.Close)
+	r.c.SetCallbacks(nil, func(dead string, slot int) error {
+		call := r.calls.Add(1)
+		r.started <- struct{}{}
+		return replay(call)
+	}, nil)
+	return r
+}
+
+func (r *recoveryRig) ask(seq uint64) {
+	r.c.handle(Addr("lsR"), RecoverReq{Server: "lsR", Table: "fs", Dead: "ws9", DeadSlot: 3, Seq: seq})
+}
+
+func (r *recoveryRig) awaitDone(t *testing.T) RecoveryDone {
+	t.Helper()
+	select {
+	case m := <-r.done:
+		return m
+	case <-time.After(20 * time.Second):
+		t.Fatal("no RecoveryDone")
+	}
+	return RecoveryDone{}
+}
+
+// TestRecoveryRunsOncePerDeadClerk: asks that arrive while the replay
+// runs do not start another, and the one RecoveryDone answers the
+// newest of them.
+func TestRecoveryRunsOncePerDeadClerk(t *testing.T) {
+	var release sync.WaitGroup
+	release.Add(1)
+	r := newRecoveryRig(t, func(int32) error { release.Wait(); return nil })
+	r.ask(1)
+	<-r.started
+	r.ask(2)
+	r.ask(3)
+	release.Done()
+	if m := r.awaitDone(t); m.Seq != 3 || m.Dead != "ws9" || m.Clerk != "wsR" {
+		t.Fatalf("RecoveryDone = %+v, want Seq 3 for ws9 from wsR", m)
+	}
+	select {
+	case m := <-r.done:
+		t.Fatalf("a second RecoveryDone: %+v", m)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if n := r.calls.Load(); n != 1 {
+		t.Fatalf("the replay ran %d times, want once", n)
+	}
+}
+
+// TestRecoveryRetriedAfterFailure: a failed replay answers nothing and
+// forgets the dead clerk, so the next ask replays again.
+func TestRecoveryRetriedAfterFailure(t *testing.T) {
+	r := newRecoveryRig(t, func(call int32) error {
+		if call == 1 {
+			return errors.New("petal unreachable")
+		}
+		return nil
+	})
+	r.ask(1)
+	waitUntil(t, func() bool { // journalled once the failed replay is forgotten
+		for _, e := range r.c.w.Obs.Journal("wsR").Events() {
+			if e.Op == "recovery" && e.Kind == "fail" {
+				return true
+			}
+		}
+		return false
+	})
+	r.ask(2)
+	if m := r.awaitDone(t); m.Seq != 2 {
+		t.Fatalf("RecoveryDone = %+v, want Seq 2", m)
+	}
+	if n := r.calls.Load(); n != 2 {
+		t.Fatalf("the replay ran %d times, want twice", n)
+	}
+}

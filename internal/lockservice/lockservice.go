@@ -30,6 +30,7 @@ package lockservice
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"frangipani/internal/rpc"
@@ -38,7 +39,7 @@ import (
 // Wire-type registration so the protocol runs over TCP carriers.
 func init() {
 	for _, v := range []any{
-		ReqMsg{}, RelMsg{}, GrantMsg{}, RevokeMsg{},
+		GrantMsg{}, RevokeMsg{},
 		AcquireBatch{}, ReleaseBatch{}, WrongShard{}, BatchReq{}, BatchRel{},
 		OpenReq{}, OpenResp{}, CloseReq{},
 		RenewMsg{}, RenewAck{}, RenewalsReq{}, RenewalsResp{},
@@ -125,34 +126,16 @@ const (
 	ClerkBytesPerLock   = 232
 )
 
-// Wire messages. Clerk -> server: AcquireBatch, ReleaseBatch (and
-// their single-op forms ReqMsg, RelMsg), OpenReq, CloseReq, RenewMsg,
-// SyncResp, RecoveryDone. Server -> clerk: GrantMsg, RevokeMsg,
-// WrongShard, RenewAck, SyncReq, RecoverReq.
+// Wire messages. Clerk -> server: AcquireBatch, ReleaseBatch,
+// OpenReq, CloseReq, RenewMsg, SyncResp, RecoveryDone. Server -> clerk:
+// GrantMsg, RevokeMsg, WrongShard, RenewAck, SyncReq, RecoverReq.
 type (
-	// ReqMsg asks for a lock in the given mode. Clerks retransmit it
-	// until granted. Epoch is the clerk's per-lock request epoch: it
-	// advances every time the clerk releases or downgrades, so a
-	// grant answering an old (retransmitted) request cannot be
-	// mistaken for a grant of the current request after the clerk has
-	// since given the lock up.
-	ReqMsg struct {
-		Clerk string
-		Table string
-		Lock  uint64
-		Mode  Mode
-		Epoch int64
-	}
-	// RelMsg releases (NewMode=None) or downgrades (NewMode=Shared) a
-	// held lock.
-	RelMsg struct {
-		Clerk   string
-		Table   string
-		Lock    uint64
-		NewMode Mode
-	}
-	// BatchReq is one lock request inside an AcquireBatch; fields
-	// mirror ReqMsg.
+	// BatchReq is one lock request inside an AcquireBatch. Clerks
+	// retransmit it until granted. Epoch is the clerk's per-lock
+	// request epoch: it advances every time the clerk releases or
+	// downgrades, so a grant answering an old (retransmitted) request
+	// cannot be mistaken for a grant of the current request after the
+	// clerk has since given the lock up.
 	BatchReq struct {
 		Lock  uint64
 		Mode  Mode
@@ -176,14 +159,14 @@ type (
 		Renew   bool
 		LeaseID uint64
 	}
-	// BatchRel is one release/downgrade inside a ReleaseBatch; fields
-	// mirror RelMsg.
+	// BatchRel is one release (NewMode=None) or downgrade
+	// (NewMode=Shared) inside a ReleaseBatch.
 	BatchRel struct {
 		Lock    uint64
 		NewMode Mode
 	}
-	// ReleaseBatch is the vectored form of RelMsg, grouped per shard
-	// server like AcquireBatch.
+	// ReleaseBatch carries a clerk's releases and downgrades for one
+	// shard server, grouped like AcquireBatch.
 	ReleaseBatch struct {
 		Clerk    string
 		Table    string
@@ -390,6 +373,15 @@ type GState struct {
 }
 
 func sessionKey(clerk, table string) string { return clerk + "/" + table }
+
+// kthNewest returns the k-th largest of times (k from 1), reordering
+// them: the newest instant by which k of the servers had heard from a
+// clerk — the majority-rank rule both the clerk's lease and the
+// coordinator's expiry sweep judge by.
+func kthNewest(times []int64, k int) int64 {
+	slices.Sort(times)
+	return times[len(times)-k]
+}
 
 // NewGState builds the initial state with all servers alive and
 // shards balanced across them. shards <= 0 selects DefaultShards.

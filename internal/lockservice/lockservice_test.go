@@ -642,9 +642,6 @@ func TestIdleLocksDiscarded(t *testing.T) {
 	cfg := ls.cfg
 	cfg.IdleDiscard = 20 * time.Second // short for the test
 	c := NewClerk(ls.w, "wsIdle", "fs", ls.names, cfg)
-	c.Trace = func(format string, args ...any) {
-		t.Logf("[t=%ds] "+format, append([]any{int(ls.w.Clock.Now() / 1e9)}, args...)...)
-	}
 	flushed := make(chan uint64, 16)
 	lost := false
 	c.SetCallbacks(func(lock uint64, to Mode) { flushed <- lock }, nil, func() { lost = true; t.Log("LEASE LOST") })

@@ -2,6 +2,7 @@ package lockservice
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,6 +35,27 @@ type Config struct {
 	CPUPerOp  sim.Duration
 }
 
+// resolved fills in the defaults of zero fields. Servers and clerks
+// resolve their Config once, at construction.
+func (cfg Config) resolved() Config {
+	if cfg.LeaseDuration <= 0 {
+		cfg.LeaseDuration = DefaultLeaseDuration
+	}
+	if cfg.IdleDiscard <= 0 {
+		cfg.IdleDiscard = DefaultIdleDiscard
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = DefaultShards
+	}
+	if cfg.CPUPerMsg == 0 {
+		cfg.CPUPerMsg = cpuPerMsg
+	}
+	if cfg.CPUPerOp == 0 {
+		cfg.CPUPerOp = cpuPerOp
+	}
+	return cfg
+}
+
 // DefaultConfig returns paper-flavored timing (30 s leases).
 func DefaultConfig() Config {
 	return Config{
@@ -56,30 +78,6 @@ const (
 	cpuPerMsg = 60 * time.Microsecond
 	cpuPerOp  = 5 * time.Microsecond
 )
-
-// lockKey names one lock.
-type lockKey struct {
-	Table string
-	Lock  uint64
-}
-
-type waiter struct {
-	clerk string
-	mode  Mode
-	epoch int64
-}
-
-// lockState is the volatile per-lock state on its serving lock
-// server. It is reconstructed from clerks after reassignment.
-type lockState struct {
-	holders map[string]Mode // clerk -> Shared/Exclusive
-	waiters []waiter
-	// revoked says the head conflict's revokes went out at lastRevoke,
-	// so only RevokeRetry later are they due again. Clear (as on a new
-	// lock, a new waiter, a changed holder set) means revoke at once.
-	revoked    bool
-	lastRevoke sim.Time
-}
 
 // shardSync tracks reconstruction of one shard's state from clerks.
 // A shard stays pending until EVERY live clerk has reported its held
@@ -136,15 +134,6 @@ type Server struct {
 	shardC           []*obs.Counter    // lazy per-shard op counters
 	acct             *obs.AccountTable // per-principal server-op attribution
 	jr               *obs.Journal      // flight recorder (nil-safe)
-
-	// Trace, when set, receives debug events.
-	Trace func(format string, args ...any)
-}
-
-func (s *Server) trace(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(format, args...)
-	}
 }
 
 // Addr returns the network name of a lock server's endpoint.
@@ -163,6 +152,7 @@ func NewServer(w *sim.World, name string, peers []string, cfg Config) *Server {
 // carrier (e.g. rpc.NewTCPCarrier() for real cross-process
 // deployment).
 func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config, carrier rpc.Carrier) *Server {
+	cfg = cfg.resolved()
 	s := &Server{
 		name:       name,
 		w:          w,
@@ -373,44 +363,39 @@ func (s *Server) applyCmd(seq int64, cmd paxos.Command) {
 // dropClerkLocked removes a clerk from all lock state (it is dead and
 // recovered, or cleanly closed) and regrants what it held.
 func (s *Server) dropClerkLocked(clerk, table string) {
-	var outs []outMsg
+	var outs []cast
 	for k, ls := range s.locks {
-		if k.Table != table {
-			continue
+		if k.Table == table && ls.dropClerk(clerk) {
+			outs = s.grantLocked(k, ls, outs)
 		}
-		changed := false
-		if _, ok := ls.holders[clerk]; ok {
-			delete(ls.holders, clerk)
-			changed = true
-		}
-		var nw []waiter
-		for _, w := range ls.waiters {
-			if w.clerk != clerk {
-				nw = append(nw, w)
-			} else {
-				changed = true
-			}
-		}
-		ls.waiters = nw
-		if changed {
-			outs = append(outs, s.tryGrantLocked(k, ls)...)
-		}
-		if len(ls.holders) == 0 && len(ls.waiters) == 0 {
+		if ls.idle() {
 			delete(s.locks, k)
 		}
 	}
-	go s.send(outs)
+	go s.send(s.state.Version, outs)
 }
 
-// outMsg is a message to transmit once the state lock is dropped.
-type outMsg struct {
-	to   string
-	body any
+// grantLocked runs the lock's grant rule unless its shard's state is
+// still being recovered from the clerks.
+func (s *Server) grantLocked(k lockKey, ls *lockState, outs []cast) []cast {
+	if s.pendingGrp[s.state.ShardOf(k.Lock)] != nil {
+		return outs
+	}
+	return ls.grant(k, s.w.Clock.Now(), s.cfg.RevokeRetry, func(clerk string) bool { return s.sessionDead(clerk, k.Table) }, outs)
 }
 
-func (s *Server) send(outs []outMsg) {
+// send casts what the lock core decided, grants stamped with the state
+// version ver they were decided at, and journals and counts each one.
+func (s *Server) send(ver int64, outs []cast) {
 	for _, o := range outs {
-		_ = s.ep.Cast(o.to, o.body)
+		if o.revoke {
+			s.revC.Inc()
+			s.jr.Record("lockservice", "revoke", "sent", o.k.Lock, int64(o.mode), o.clerk)
+			_ = s.ep.Cast(ClerkAddr(o.clerk), RevokeMsg{Table: o.k.Table, Lock: o.k.Lock, NewMode: o.mode})
+			continue
+		}
+		s.jr.Record("lockservice", "grant", "sent", o.k.Lock, int64(o.mode), o.clerk)
+		_ = s.ep.Cast(ClerkAddr(o.clerk), GrantMsg{Table: o.k.Table, Lock: o.k.Lock, Mode: o.mode, Ver: ver, Epoch: o.epoch})
 	}
 }
 
@@ -424,19 +409,10 @@ func (s *Server) cpuCost(body any) sim.Duration {
 		ops = len(m.Reqs)
 	case ReleaseBatch:
 		ops = len(m.Rels)
-	case ReqMsg, RelMsg:
-		ops = 1
 	case SyncResp:
 		ops = len(m.Locks)
 	}
-	perMsg, perOp := s.cfg.CPUPerMsg, s.cfg.CPUPerOp
-	if perMsg == 0 {
-		perMsg = cpuPerMsg
-	}
-	if perOp == 0 {
-		perOp = cpuPerOp
-	}
-	return perMsg + sim.Duration(ops)*perOp
+	return s.cfg.CPUPerMsg + sim.Duration(ops)*s.cfg.CPUPerOp
 }
 
 // handle serves the lock protocol.
@@ -450,33 +426,19 @@ func (s *Server) handle(from string, body any) any {
 	// operations wait on it: it is nobody's in particular.
 	s.acct.ServerOp(obs.UnknownPrincipal)
 	switch m := body.(type) {
-	case ReqMsg:
-		s.onAcquireBatch(m.Clerk, m.Table, 0, []BatchReq{{Lock: m.Lock, Mode: m.Mode, Epoch: m.Epoch}})
-	case RelMsg:
-		s.onReleaseBatch(m.Clerk, m.Table, 0, []BatchRel{{Lock: m.Lock, NewMode: m.NewMode}})
 	case AcquireBatch:
 		if m.Renew {
 			s.piggyRenew(m.Clerk, m.LeaseID)
 		}
-		s.onAcquireBatch(m.Clerk, m.Table, m.MapEpoch, m.Reqs)
+		s.onBatch(m.Clerk, m.Table, m.MapEpoch, m.Reqs, nil)
 	case ReleaseBatch:
 		if m.Renew {
 			s.piggyRenew(m.Clerk, m.LeaseID)
 		}
-		s.onReleaseBatch(m.Clerk, m.Table, m.MapEpoch, m.Rels)
+		s.onBatch(m.Clerk, m.Table, m.MapEpoch, nil, m.Rels)
 	case RenewMsg:
 		s.renewStdC.Inc()
-		s.mu.Lock()
-		s.renewals[m.Clerk] = s.w.Clock.Now()
-		valid := false
-		for _, sess := range s.state.Sessions {
-			if sess.Clerk == m.Clerk && sess.LeaseID == m.LeaseID && !sess.Dead {
-				valid = true
-				break
-			}
-		}
-		epoch := s.state.Epoch
-		s.mu.Unlock()
+		valid, epoch := s.renewed(m.Clerk, m.LeaseID, s.w.Clock.Now())
 		return RenewAck{Server: s.name, LeaseID: m.LeaseID, Valid: valid, MapEpoch: epoch}
 	case RenewalsReq:
 		s.mu.Lock()
@@ -506,10 +468,31 @@ func (s *Server) handle(from string, body any) any {
 func (s *Server) lock(k lockKey) *lockState {
 	ls := s.locks[k]
 	if ls == nil {
-		ls = &lockState{holders: make(map[string]Mode)}
+		ls = newLockState()
 		s.locks[k] = ls
 	}
 	return ls
+}
+
+// liveSession returns the clerk's session if it is open and not dead.
+// Called with s.mu held.
+func (s *Server) liveSession(clerk string) (Session, bool) {
+	for _, sess := range s.state.Sessions {
+		if sess.Clerk == clerk && !sess.Dead {
+			return sess, true
+		}
+	}
+	return Session{}, false
+}
+
+// renewed records a lease renewal from clerk and reports whether its
+// lease is a live session's, with the shard-map epoch to piggyback.
+func (s *Server) renewed(clerk string, leaseID uint64, now sim.Time) (valid bool, epoch int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.renewals[clerk] = now
+	sess, ok := s.liveSession(clerk)
+	return ok && sess.LeaseID == leaseID, s.state.Epoch
 }
 
 // piggyRenew serves a lease renewal riding on a batch message: record
@@ -521,24 +504,12 @@ func (s *Server) lock(k lockKey) *lockState {
 // zombie learns its fate without waiting out the limiter.
 func (s *Server) piggyRenew(clerk string, leaseID uint64) {
 	now := s.w.Clock.Now()
+	valid, epoch := s.renewed(clerk, leaseID, now)
 	s.mu.Lock()
-	s.renewals[clerk] = now
-	valid := false
-	for _, sess := range s.state.Sessions {
-		if sess.Clerk == clerk && sess.LeaseID == leaseID && !sess.Dead {
-			valid = true
-			break
-		}
-	}
-	limit := s.cfg.LeaseDuration / 6
-	if limit <= 0 {
-		limit = DefaultLeaseDuration / 6
-	}
-	ack := !valid || sim.Duration(now-s.ackCast[clerk]) >= limit
+	ack := !valid || sim.Duration(now-s.ackCast[clerk]) >= s.cfg.LeaseDuration/6
 	if ack {
 		s.ackCast[clerk] = now
 	}
-	epoch := s.state.Epoch
 	s.mu.Unlock()
 	s.renewPigC.Inc()
 	if ack {
@@ -546,13 +517,15 @@ func (s *Server) piggyRenew(clerk string, leaseID uint64) {
 	}
 }
 
-// onAcquireBatch serves a vectored lock request: every lock we own is
-// processed under one state-lock acquisition; locks we do NOT own are
-// nacked back in a single WrongShard carrying our map epoch, so a
-// clerk that routed with a stale shard map refetches and retries
-// against the new owner instead of waiting forever on a silent drop.
-func (s *Server) onAcquireBatch(clerk, table string, mapEpoch int64, reqs []BatchReq) {
-	var outs []outMsg
+// onBatch serves a vectored request (reqs) or release (rels): every
+// lock we own is processed under one state-lock acquisition; locks we
+// do NOT own are nacked back in a single WrongShard carrying our map
+// epoch, so a clerk that routed with a stale shard map refetches and
+// retries against the new owner instead of waiting forever on a silent
+// drop — for a release, instead of the new owner believing the clerk
+// holds the lock forever.
+func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, rels []BatchRel) {
+	var outs []cast
 	var wrong []uint64
 	s.mu.Lock()
 	if s.crashed {
@@ -562,85 +535,32 @@ func (s *Server) onAcquireBatch(clerk, table string, mapEpoch int64, reqs []Batc
 		s.mu.Unlock()
 		return
 	}
-	epoch := s.state.Epoch
-	for _, r := range reqs {
-		if s.state.ServerFor(r.Lock) != s.name {
-			wrong = append(wrong, r.Lock)
+	epoch, ver := s.state.Epoch, s.state.Version
+	for i := 0; i < len(reqs)+len(rels); i++ {
+		var k lockKey
+		if i < len(reqs) {
+			k = lockKey{table, reqs[i].Lock}
+		} else {
+			k = lockKey{table, rels[i-len(reqs)].Lock}
+		}
+		if s.state.ServerFor(k.Lock) != s.name {
+			wrong = append(wrong, k.Lock)
 			continue
 		}
-		if ctr := s.shardCounter(s.state.ShardOf(r.Lock)); ctr != nil {
+		if ctr := s.shardCounter(s.state.ShardOf(k.Lock)); ctr != nil {
 			ctr.Inc()
 		}
-		k := lockKey{table, r.Lock}
-		ls := s.lock(k)
-		// Refresh or add the waiter (idempotent retransmits).
-		found := false
-		for i := range ls.waiters {
-			if ls.waiters[i].clerk == clerk {
-				ls.waiters[i].mode = r.Mode
-				if r.Epoch > ls.waiters[i].epoch {
-					ls.waiters[i].epoch = r.Epoch
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Already holding at sufficient mode? Re-grant (lost grant).
-			if held, ok := ls.holders[clerk]; ok && held >= r.Mode {
-				outs = append(outs, outMsg{ClerkAddr(clerk), GrantMsg{Table: table, Lock: r.Lock, Mode: held, Ver: s.state.Version, Epoch: r.Epoch}})
-				continue
-			}
-			ls.waiters = append(ls.waiters, waiter{clerk, r.Mode, r.Epoch})
-			// A new conflict deserves an immediate revoke; the rate limit
-			// only applies to retransmissions of the same conflict.
-			ls.revoked = false
-		}
-		outs = append(outs, s.tryGrantLocked(k, ls)...)
-	}
-	s.mu.Unlock()
-	if len(wrong) > 0 {
-		s.nackWrongShard(clerk, table, epoch, mapEpoch, wrong)
-	}
-	s.send(outs)
-}
-
-// onReleaseBatch serves a vectored release/downgrade. Releases for
-// locks we do not own are nacked like acquires: a release lost to a
-// silent drop would leave the new owner believing the clerk holds the
-// lock forever.
-func (s *Server) onReleaseBatch(clerk, table string, mapEpoch int64, rels []BatchRel) {
-	var outs []outMsg
-	var wrong []uint64
-	s.mu.Lock()
-	if s.crashed { // as in onAcquireBatch
-		s.mu.Unlock()
-		return
-	}
-	epoch := s.state.Epoch
-	for _, r := range rels {
-		if s.state.ServerFor(r.Lock) != s.name {
-			wrong = append(wrong, r.Lock)
-			continue
-		}
-		if ctr := s.shardCounter(s.state.ShardOf(r.Lock)); ctr != nil {
-			ctr.Inc()
-		}
-		k := lockKey{table, r.Lock}
 		ls := s.locks[k]
-		if ls == nil {
+		if i < len(reqs) {
+			ls = s.lock(k)
+			outs = ls.acquire(k, clerk, reqs[i].Mode, reqs[i].Epoch, outs)
+		} else if ls != nil {
+			ls.release(clerk, rels[i-len(reqs)].NewMode)
+		} else {
 			continue
 		}
-		if r.NewMode == None {
-			delete(ls.holders, clerk)
-		} else if _, ok := ls.holders[clerk]; ok {
-			ls.holders[clerk] = r.NewMode
-		}
-		// Holder state changed: if a conflict persists, revoke the
-		// remaining holders without waiting out the retransmit limiter.
-		ls.revoked = false
-		outs = append(outs, s.tryGrantLocked(k, ls)...)
-		if len(ls.holders) == 0 && len(ls.waiters) == 0 {
+		outs = s.grantLocked(k, ls, outs)
+		if ls.idle() {
 			delete(s.locks, k)
 		}
 	}
@@ -648,7 +568,7 @@ func (s *Server) onReleaseBatch(clerk, table string, mapEpoch int64, rels []Batc
 	if len(wrong) > 0 {
 		s.nackWrongShard(clerk, table, epoch, mapEpoch, wrong)
 	}
-	s.send(outs)
+	s.send(ver, outs)
 }
 
 // nackWrongShard tells a clerk its routing was stale for the listed
@@ -659,77 +579,7 @@ func (s *Server) nackWrongShard(clerk, table string, epoch, clerkEpoch int64, lo
 		s.jr.Record("lockservice", "shard", "wrongshard", lk, epoch,
 			fmt.Sprintf("%s routed with epoch %d", clerk, clerkEpoch))
 	}
-	s.trace("wrong-shard nack to %s: %d locks (epoch %d, clerk had %d)", clerk, len(locks), epoch, clerkEpoch)
 	_ = s.ep.Cast(ClerkAddr(clerk), WrongShard{Server: s.name, Table: table, Epoch: epoch, Locks: locks})
-}
-
-// tryGrantLocked grants as many head waiters as compatibility allows
-// (strict FIFO for fairness: "Our distributed lock manager has been
-// designed to be fair in granting locks") and emits revokes toward
-// the holders blocking the head waiter.
-func (s *Server) tryGrantLocked(k lockKey, ls *lockState) []outMsg {
-	if s.pendingGrp[s.state.ShardOf(k.Lock)] != nil {
-		return nil // shard state still being recovered from clerks
-	}
-	var outs []outMsg
-	for len(ls.waiters) > 0 {
-		w := ls.waiters[0]
-		if s.sessionDead(w.clerk, k.Table) {
-			ls.waiters = ls.waiters[1:]
-			continue
-		}
-		if !s.compatibleLocked(ls, w) {
-			break
-		}
-		ls.holders[w.clerk] = w.mode
-		ls.waiters = ls.waiters[1:]
-		s.jr.Record("lockservice", "grant", "sent", k.Lock, int64(w.mode), w.clerk)
-		outs = append(outs, outMsg{ClerkAddr(w.clerk), GrantMsg{Table: k.Table, Lock: k.Lock, Mode: w.mode, Ver: s.state.Version, Epoch: w.epoch}})
-	}
-	if len(ls.waiters) > 0 {
-		outs = append(outs, s.revokesFor(k, ls)...)
-	}
-	return outs
-}
-
-func (s *Server) compatibleLocked(ls *lockState, w waiter) bool {
-	for clerk, mode := range ls.holders {
-		if clerk == w.clerk {
-			continue // upgrade/re-grant for the same clerk
-		}
-		if mode == Exclusive || w.mode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// revokesFor emits revocations to the holders conflicting with the
-// head waiter, rate-limited by RevokeRetry. Dead clerks are skipped:
-// their locks stay frozen until recovery releases them.
-func (s *Server) revokesFor(k lockKey, ls *lockState) []outMsg {
-	now := s.w.Clock.Now()
-	if ls.revoked && sim.Duration(now-ls.lastRevoke) < s.cfg.RevokeRetry {
-		return nil
-	}
-	ls.revoked, ls.lastRevoke = true, now
-	w := ls.waiters[0]
-	var outs []outMsg
-	for clerk, mode := range ls.holders {
-		if clerk == w.clerk || s.sessionDead(clerk, k.Table) {
-			continue
-		}
-		target := None
-		if w.mode == Shared && mode == Exclusive {
-			target = Shared // downgrade suffices
-		} else if w.mode == Shared && mode == Shared {
-			continue // not conflicting
-		}
-		s.revC.Inc()
-		s.jr.Record("lockservice", "revoke", "sent", k.Lock, int64(target), clerk)
-		outs = append(outs, outMsg{ClerkAddr(clerk), RevokeMsg{Table: k.Table, Lock: k.Lock, NewMode: target}})
-	}
-	return outs
 }
 
 func (s *Server) sessionDead(clerk, table string) bool {
@@ -743,14 +593,15 @@ func (s *Server) retryRevokes() {
 		return
 	}
 	s.mu.Lock()
-	var outs []outMsg
+	var outs []cast
 	for k, ls := range s.locks {
 		if len(ls.waiters) > 0 {
-			outs = append(outs, s.tryGrantLocked(k, ls)...)
+			outs = s.grantLocked(k, ls, outs)
 		}
 	}
+	ver := s.state.Version
 	s.mu.Unlock()
-	s.send(outs)
+	s.send(ver, outs)
 }
 
 func (s *Server) onOpen(m OpenReq) OpenResp {
@@ -814,17 +665,10 @@ func (s *Server) majorityRenewals() map[string]sim.Time {
 		for _, tab := range tables {
 			times = append(times, tab[c]) // zero = this server never heard c
 		}
-		// Descending selection of the quorum-th freshest among the
-		// RESPONDING servers: a session expires only when at least a
-		// quorum of servers each positively report prolonged silence.
-		for i := 0; i < len(times); i++ {
-			for j := i + 1; j < len(times); j++ {
-				if times[j] > times[i] {
-					times[i], times[j] = times[j], times[i]
-				}
-			}
-		}
-		out[c] = sim.Time(times[quorum-1])
+		// The quorum-th freshest among the RESPONDING servers: a
+		// session expires only when at least a quorum of servers each
+		// positively report prolonged silence.
+		out[c] = sim.Time(kthNewest(times, quorum))
 	}
 	return out
 }
@@ -883,12 +727,10 @@ func (s *Server) sweep() {
 	s.mu.Unlock()
 
 	for _, e := range expired {
-		s.trace("EXPIRE session %s/%s", e.clerk, e.table)
 		s.jr.Record("lockservice", "lease", "expire", 0, 0, e.clerk+"/"+e.table)
 		_ = s.px.Submit(CmdMarkDead{Clerk: e.clerk, Table: e.table}, 120*time.Second)
 	}
 	for _, j := range jobs {
-		s.trace("RECOVER %s by %s", j.dead, j.recoverer)
 		s.jr.Record("lockservice", "recovery", "assign", 0, int64(j.slot), j.dead+" by "+j.recoverer)
 		_ = s.ep.Cast(ClerkAddr(j.recoverer), RecoverReq{
 			Server: s.name, Table: j.table, Dead: j.dead, DeadSlot: j.slot, Seq: j.seq,
@@ -937,36 +779,27 @@ func (s *Server) syncShards(shards []int) {
 	s.mu.Lock()
 	s.nextSeq++
 	seq := s.nextSeq
-	waiting := make(map[string]bool)
+	gs := &shardSync{seq: seq, shards: shards, waiting: make(map[string]bool)}
+	var live []Session
 	for _, sess := range s.state.Sessions {
 		if !sess.Dead {
-			waiting[sess.Clerk] = true
+			gs.waiting[sess.Clerk] = true
+			live = append(live, sess)
 		}
 	}
-	gs := &shardSync{seq: seq, shards: shards, waiting: waiting}
 	for _, sh := range shards {
 		s.pendingGrp[sh] = gs
-	}
-	var clerks []string
-	tables := make(map[string]bool)
-	for _, sess := range s.state.Sessions {
-		if !sess.Dead {
-			clerks = append(clerks, sess.Clerk)
-			tables[sess.Table] = true
-		}
 	}
 	ver := s.state.Version
 	nshards := s.state.Shards
 	s.jr.Record("lockservice", "handoff", "begin", 0, int64(len(shards)),
-		fmt.Sprintf("shards %v seq %d, syncing %d clerks", shards, seq, len(clerks)))
+		fmt.Sprintf("shards %v seq %d, syncing %d clerks", shards, seq, len(live)))
 	s.mu.Unlock()
 
-	for _, clerk := range clerks {
-		for table := range tables {
-			_ = s.ep.Cast(ClerkAddr(clerk), SyncReq{Server: s.name, Table: table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
-		}
+	for _, sess := range live {
+		_ = s.ep.Cast(ClerkAddr(sess.Clerk), SyncReq{Server: s.name, Table: sess.Table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
 	}
-	if len(clerks) == 0 {
+	if len(live) == 0 {
 		s.finishSync(seq)
 	}
 	// Laggards are re-asked by the syncRetry ticker; the shards stay
@@ -998,20 +831,12 @@ func (s *Server) syncRetry() {
 		}
 		seen[gs.seq] = true
 		for clerk := range gs.waiting {
-			alive := false
-			table := ""
-			for _, sess := range s.state.Sessions {
-				if sess.Clerk == clerk && !sess.Dead {
-					alive = true
-					table = sess.Table
-					break
-				}
-			}
+			sess, alive := s.liveSession(clerk)
 			if !alive {
 				delete(gs.waiting, clerk)
 				continue
 			}
-			asks = append(asks, ask{clerk, table, gs.shards, gs.seq, s.state.Version})
+			asks = append(asks, ask{clerk, sess.Table, gs.shards, gs.seq, s.state.Version})
 		}
 		if len(gs.waiting) == 0 {
 			finished = append(finished, gs.seq)
@@ -1040,21 +865,21 @@ func (s *Server) onSyncResp(m SyncResp) {
 		return
 	}
 	delete(gs.waiting, m.Clerk)
+	// The table comes from the session, dead or alive: a clerk that
+	// died since it was asked still holds what it reports until its
+	// recovery releases it.
+	table := ""
+	for _, sess := range s.state.Sessions {
+		if sess.Clerk == m.Clerk {
+			table = sess.Table
+			break
+		}
+	}
 	for _, h := range m.Locks {
-		// Table comes from the session; clerk reports per its table.
-		table := ""
-		for _, sess := range s.state.Sessions {
-			if sess.Clerk == m.Clerk {
-				table = sess.Table
-				break
-			}
-		}
 		if table == "" {
-			continue
+			break
 		}
-		k := lockKey{table, h.Lock}
-		ls := s.lock(k)
-		ls.holders[m.Clerk] = h.Mode
+		s.lock(lockKey{table, h.Lock}).adopt(m.Clerk, h.Mode)
 	}
 	done := len(gs.waiting) == 0
 	s.mu.Unlock()
@@ -1076,22 +901,19 @@ func (s *Server) finishSync(seq uint64) {
 	for _, sh := range ready {
 		delete(s.pendingGrp, sh)
 	}
-	var outs []outMsg
+	var outs []cast
 	if len(ready) > 0 {
 		s.jr.Record("lockservice", "handoff", "end", 0, int64(len(ready)),
 			fmt.Sprintf("shards %v recovered, granting resumes", ready))
 		for k, ls := range s.locks {
-			sh := s.state.ShardOf(k.Lock)
-			for _, r := range ready {
-				if sh == r {
-					outs = append(outs, s.tryGrantLocked(k, ls)...)
-					break
-				}
+			if slices.Contains(ready, s.state.ShardOf(k.Lock)) {
+				outs = s.grantLocked(k, ls, outs)
 			}
 		}
 	}
+	ver := s.state.Version
 	s.mu.Unlock()
-	s.send(outs)
+	s.send(ver, outs)
 }
 
 // Stats reports the paper's lock memory model applied to this

@@ -174,9 +174,7 @@ func TestBatchingCoalescesRequests(t *testing.T) {
 	// all n wants at once and must group them per shard server.
 	c.mu.Lock()
 	for id := uint64(0); id < n; id++ {
-		l := c.lockLocked(id)
-		l.want = Exclusive
-		c.requestLocked(id, l)
+		c.apply(id, c.lockLocked(id).want(Exclusive, c.w.Clock.Now(), c.cfg.RevokeRetry))
 	}
 	c.mu.Unlock()
 	waitUntil(t, func() bool {
