@@ -24,10 +24,13 @@ race:
 	$(GO) test -race ./...
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
-## staging, a cached ReadAt, Stat, Open and overwrite, a create, remove,
-## mkdir, rmdir and rename, a path split, a log append with its flush
-## (internal/wal), a cache insert, the waits, Petal's routing and fan-out,
-## an RPC's time-out, a sticky lock's Lock/TryLock and Unlock — once
+## staging, a cached ReadAt, Stat, Open and overwrite, a cold 64 KB
+## ReadAt, a streaming 64 KB WriteAt with its write-behind flight, a
+## create, remove, mkdir, rmdir and rename, a path split, a log append
+## with its flush (internal/wal), a cache insert (one object), the waits,
+## Petal's routing and fan-out, a replicated 64 KB WriteV and a ReadV
+## round trip (client and servers), an RPC's time-out, a sticky lock's
+## Lock/TryLock and Unlock, a lease check — once
 ## more without the race detector: under it
 ## sync.Pool drops a share of what it is given and the counts carry
 ## slack, here they are exact. A package that prints "[no tests to run]"

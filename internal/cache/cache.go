@@ -42,9 +42,39 @@ type Entry struct {
 
 	gen int64 // bumped on every MarkDirty; guards MarkCleanIf
 	// The entry's place in its pool's LRU ring; nil once it has been
-	// dropped. The links live here so that an insert allocates the entry
-	// and its page and nothing else.
+	// dropped. The links live here so that an insert allocates the entry,
+	// which holds its block, and nothing else.
 	prev, next *Entry
+}
+
+// pageEntry and sectorEntry are an entry and its block in one
+// allocation, for the file system's 4 KB data pages and 512-byte
+// metadata sectors: Data slices the array. The entry comes first, so the
+// collector scans its pointers and not the block. A pool of another
+// block size allocates the two apart.
+type pageEntry struct {
+	Entry
+	block [4096]byte
+}
+
+type sectorEntry struct {
+	Entry
+	block [512]byte
+}
+
+// newEntry returns an entry with a zeroed block of the pool's size.
+func (p *Pool) newEntry() *Entry {
+	switch p.blockSize {
+	case len(pageEntry{}.block):
+		pe := new(pageEntry)
+		pe.Data = pe.block[:]
+		return &pe.Entry
+	case len(sectorEntry{}.block):
+		se := new(sectorEntry)
+		se.Data = se.block[:]
+		return &se.Entry
+	}
+	return &Entry{Data: make([]byte, p.blockSize)}
 }
 
 // Flusher writes a dirty entry to stable storage (log first, then
@@ -181,7 +211,8 @@ func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 		p.mu.Unlock()
 		return e
 	}
-	e := &Entry{Addr: addr, Data: make([]byte, p.blockSize), Owner: owner}
+	e := p.newEntry()
+	e.Addr, e.Owner = addr, owner
 	copy(e.Data, data)
 	p.entries[addr] = e
 	p.pushFrontLocked(e)
@@ -250,7 +281,11 @@ func (p *Pool) flushVictims(victims []*Entry) {
 	}
 }
 
-// MarkDirty flags the entry and records the covering log sequence.
+// MarkDirty flags the entry and records the covering log sequence. An
+// entry evicted since its owner was handed it (by Lookup or Insert) is
+// admitted again, in place of any copy fetched meanwhile: the caller
+// holds the covering lock, so its bytes are the newest, and a dirty
+// entry that no pool holds would never be written back.
 func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	p.mu.Lock()
 	if !e.Dirty {
@@ -261,22 +296,32 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	if seq > e.Seq {
 		e.Seq = seq
 	}
+	var victims []*Entry
+	if e.prev == nil {
+		if old, ok := p.entries[e.Addr]; ok {
+			p.unlinkLocked(old)
+			p.removeOwnerLocked(old)
+		}
+		p.entries[e.Addr] = e
+		p.pushFrontLocked(e)
+		p.addOwnerLocked(e)
+		victims = p.collectVictimsLocked()
+	}
 	p.mu.Unlock()
+	p.flushVictims(victims)
 }
 
 // SnapshotBatch copies each entry's block into buf (which must hold
-// len(es) blocks) and returns the dirty generations, all under one
-// lock acquisition. Owners mutate Data through Mutate, so a flusher
-// snapshot never observes a torn concurrent update.
-func (p *Pool) SnapshotBatch(es []*Entry, buf []byte) []int64 {
+// len(es) blocks) and its dirty generation into gens (which must hold
+// len(es)), all under one lock acquisition. Owners mutate Data through
+// Mutate, so a flusher snapshot never observes a torn concurrent update.
+func (p *Pool) SnapshotBatch(es []*Entry, buf []byte, gens []int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	gens := make([]int64, len(es))
 	for i, e := range es {
 		gens[i] = e.gen
 		copy(buf[i*p.blockSize:], e.Data)
 	}
-	return gens
 }
 
 // Mutate runs fn under the pool lock. Owners use it for in-place
@@ -319,11 +364,21 @@ func (p *Pool) MarkCleanIf(e *Entry, gen int64) {
 	p.mu.Unlock()
 }
 
-// DirtyByOwner returns the dirty entries covered by a lock.
+// DirtyByOwner returns the dirty entries covered by a lock, counted
+// first so that the list is one allocation.
 func (p *Pool) DirtyByOwner(owner uint64) []*Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*Entry
+	n := 0
+	for _, e := range p.byOwner[owner] {
+		if e.Dirty {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Entry, 0, n)
 	for _, e := range p.byOwner[owner] {
 		if e.Dirty {
 			out = append(out, e)

@@ -277,23 +277,63 @@ func TestInsertNilIsZeros(t *testing.T) {
 	}
 }
 
-// TestInsertEvictAllocs: an insert into a full pool is the entry and
-// its page, nothing for the LRU's bookkeeping (the benchmark's
-// cache.insert_evict_allocs).
+// TestInsertEvictAllocs: an insert into a full pool is one object, the
+// entry with its page in it, and nothing for the LRU's bookkeeping (the
+// benchmark's cache.insert_evict_allocs). It was 2 while the page was
+// an allocation of its own. A metadata sector is one object too.
 func TestInsertEvictAllocs(t *testing.T) {
-	const capacity = 256
-	p := NewPool(4096, capacity)
-	page := make([]byte, 4096)
-	next := int64(0)
-	insert := func() {
-		p.Insert(next*4096, page, 1)
-		next++
+	for _, size := range []int64{4096, 512} {
+		const capacity = 256
+		p := NewPool(int(size), capacity)
+		block := make([]byte, size)
+		next := int64(0)
+		insert := func() {
+			p.Insert(next*size, block, 1)
+			next++
+		}
+		for next < 2*capacity { // warm: the maps have seen their full size
+			insert()
+		}
+		if n := testing.AllocsPerRun(1000, insert); n != 1 {
+			t.Fatalf("Insert of a %d-byte block with an eviction allocates %v times, want 1", size, n)
+		}
 	}
-	for next < 2*capacity { // warm: the maps have seen their full size
-		insert()
+}
+
+// TestMarkDirtyReadmitsEvicted: a writer that looked its page up and
+// lost it to an eviction before MarkDirty still has its write kept. The
+// entry comes back into the pool, in place of a copy fetched meanwhile,
+// and is listed for write-back; otherwise the write went into an entry
+// that nothing would ever flush.
+func TestMarkDirtyReadmitsEvicted(t *testing.T) {
+	p := NewPool(64, 2)
+	var flushed []int64
+	p.SetFlusher(func(e *Entry) error { flushed = append(flushed, e.Addr); return nil })
+	mine := p.Insert(0, nil, 7)
+	p.Insert(64, nil, 1)
+	p.Insert(128, nil, 1) // evicts addr 0: the writer's entry is nobody's now
+	if _, ok := p.Peek(0); ok {
+		t.Fatal("addr 0 survived an over-capacity insert")
 	}
-	if n := testing.AllocsPerRun(1000, insert); n != 2 {
-		t.Fatalf("Insert with an eviction allocates %v times, want 2", n)
+	stale := p.Insert(0, nil, 7) // a copy fetched meanwhile, evicting 64
+	mine.Data[3] = 0xAB          // the write, under the covering lock
+	p.MarkDirty(mine, 5)
+
+	got, ok := p.Lookup(0)
+	if !ok || got != mine || got.Data[3] != 0xAB {
+		t.Fatalf("after MarkDirty Lookup(0) = %p (hit %v), want the writer's entry %p with its bytes", got, ok, mine)
+	}
+	if got == stale {
+		t.Fatal("the copy fetched meanwhile was kept over the write")
+	}
+	if d := p.DirtyByOwner(7); len(d) != 1 || d[0] != mine {
+		t.Fatalf("DirtyByOwner(7) = %v, want the writer's entry", d)
+	}
+	if p.Len() > 2 {
+		t.Fatalf("%d entries in a pool of 2", p.Len())
+	}
+	if len(flushed) != 0 {
+		t.Fatalf("flushed %v: nothing but the writer's entry was dirty", flushed)
 	}
 }
 

@@ -205,7 +205,9 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 		if in.Type != TypeFile {
 			return ErrIsDir
 		}
-		var pbuf [16]*cache.Entry // stack scratch for a 64 KB write
+		// Stack scratch for a 64 KB write: the pages it touched, and those
+		// of them the write stream hands off.
+		var pbuf, rbuf [16]*cache.Entry
 		pages := pbuf[:0]
 		pos := 0
 		for pos < len(p) {
@@ -249,7 +251,7 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 		}
 		in.Mtime = int64(fs.w.Clock.Now())
 		t.putInode(e, in)
-		if ready, hi := f.wb.wrote(off, off+int64(len(p)), pages); len(ready) > 0 && fs.flushBehind(ready) {
+		if ready, hi := f.wb.wrote(off, off+int64(len(p)), pages, rbuf[:0]); len(ready) > 0 && fs.flushBehind(ready) {
 			f.wb.handedOff(hi)
 		}
 		return nil
@@ -520,17 +522,21 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 	fs := f.fs
 	for lo < hi {
 		end := min(lo&^(petal.ChunkSize-1)+petal.ChunkSize, hi)
-		var buf [petal.ChunkSize / BlockSize]int64 // stack scratch: a cached stream tops up without allocating
-		mine, done, _ := fs.claimPages(fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), end))
+		// Stack scratch: a cached stream tops up without allocating.
+		var buf [petal.ChunkSize / BlockSize]int64
+		var theirs [4]chan struct{}
+		addrs := fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), end)
+		mine, done, _ := fs.claimPages(addrs, addrs[:0], theirs[:0])
 		lo = end
 		if len(mine) == 0 {
 			continue
 		}
+		fetch := slices.Clone(mine) // the fetch outlives this call and buf
 		f.ra.mu.Lock()
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fillPages(nil, mine, done, InodeLock(f.inum), false)
+			_, _ = fs.fillPages(nil, fetch, done, InodeLock(f.inum), false)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -570,10 +576,10 @@ type wstream struct {
 }
 
 // wrote records a write of [off, end) that dirtied pages, one per 4 KB
-// page it touched, and returns the pages of the whole chunks it
-// completes past the mark, up to hi (or none); handedOff moves the mark
-// there once they are on their way.
-func (s *wstream) wrote(off, end int64, pages []*cache.Entry) (ready []*cache.Entry, hi int64) {
+// page it touched, and appends to ready the pages of the whole chunks
+// it completes past the mark, up to hi (or none); handedOff moves the
+// mark there once they are on their way.
+func (s *wstream) wrote(off, end int64, pages, ready []*cache.Entry) ([]*cache.Entry, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	restart := off != s.next
@@ -591,12 +597,12 @@ func (s *wstream) wrote(off, end int64, pages []*cache.Entry) (ready []*cache.En
 		}
 		at += BlockSize
 	}
-	hi = end &^ (petal.ChunkSize - 1)
+	hi := end &^ (petal.ChunkSize - 1)
 	n := int((hi - s.mark) / BlockSize)
 	if restart || n <= 0 || n > len(s.pend) {
-		return nil, 0
+		return ready, 0
 	}
-	return slices.Clone(s.pend[:n]), hi
+	return append(ready, s.pend[:n]...), hi
 }
 
 func (s *wstream) handedOff(hi int64) {

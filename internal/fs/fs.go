@@ -715,8 +715,11 @@ func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 // own reports that this call itself went to Petal for addrs[0]; each
 // time it does, op's principal is charged the miss.
 func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
+	// Stack scratch for a 64 KB request; longer ones spill to the heap.
+	var mineRoom [petal.ChunkSize / BlockSize]int64
+	var theirsRoom [4]chan struct{}
 	for {
-		mine, done, theirs := fs.claimPages(addrs)
+		mine, done, theirs := fs.claimPages(addrs, mineRoom[:0], theirsRoom[:0])
 		if len(mine) > 0 {
 			fs.m.fills.Inc()
 			fs.acct.CacheMiss(op.Ctx().Principal, 1)
@@ -746,12 +749,14 @@ func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Ent
 
 // claimPages is the single-flight gate every data-page fetch passes.
 // Of addrs it claims, in fs.inflight, the pages that are neither
-// cached nor already claimed (mine, released by fillPages, which
-// closes done), and returns the channels of the fetches that hold the
-// others. The cache is consulted under fetchMu and fillPages inserts
-// before it releases, so a page is never seen as neither cached nor in
-// flight while a fetch of it is landing.
-func (fs *FS) claimPages(addrs []int64) (mine []int64, done chan struct{}, theirs []chan struct{}) {
+// cached nor already claimed (appended to mine, released by fillPages,
+// which closes done), and appends to theirs the channels of the fetches
+// that hold the others. mine may be addrs[:0]: the claimed pages are
+// filtered in place. The cache is consulted under fetchMu and fillPages
+// inserts before it releases, so a page is never seen as neither cached
+// nor in flight while a fetch of it is landing.
+func (fs *FS) claimPages(addrs, mine []int64, theirs []chan struct{}) ([]int64, chan struct{}, []chan struct{}) {
+	var done chan struct{}
 	fs.fetchMu.Lock()
 	defer fs.fetchMu.Unlock()
 	for _, a := range addrs {
@@ -800,7 +805,8 @@ func (fs *FS) fillPages(op *obs.Span, mine []int64, done chan struct{}, owner ui
 	bufp := bufpool.Get(len(mine) * BlockSize)
 	defer bufpool.Put(bufp)
 	buf := *bufp
-	var exts []petal.ReadExtent
+	var extRoom [4]petal.ReadExtent // stack scratch: a fill is a run or a few
+	exts := extRoom[:0]
 	for i := 0; i < len(mine); {
 		j := i + 1
 		for j < len(mine) && mine[j] == mine[j-1]+BlockSize {
@@ -875,19 +881,20 @@ func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
 		fl := fs.flights[e.Addr]
 		fs.flushMu.Unlock()
 		if fl != nil {
-			<-fl.done
+			fl.landed.Wait()
 		}
 	}
 	// Pooled scratch: petalWrite snapshots the payload before it returns.
 	bufp := bufpool.Get(pool.BlockSize())
 	defer bufpool.Put(bufp)
 	buf := *bufp
-	gens := pool.SnapshotBatch([]*cache.Entry{e}, buf)
+	var gen [1]int64
+	pool.SnapshotBatch([]*cache.Entry{e}, buf, gen[:])
 	if err := fs.petalWrite(nil, e.Addr, buf); err != nil {
 		return err
 	}
 	fs.m.bytesWritten.Add(int64(len(buf)))
-	pool.MarkCleanIf(e, gens[0])
+	pool.MarkCleanIf(e, gen[0])
 	return nil
 }
 
@@ -1111,25 +1118,29 @@ func (fs *FS) sync(op *obs.Span) error {
 	return err
 }
 
-// flight is one write-back of data pages on its way to Petal. The pages
-// stay claimed in fs.flights, and dirty, until land closes done; err is
-// set before that.
+// flight is one write-back of data pages on its way to Petal: one
+// allocation, its pages on its own room while they fit a chunk. The
+// pages stay claimed in fs.flights, and dirty, until land ends it; err
+// is set before that.
 type flight struct {
-	done chan struct{}
-	err  error
+	landed sync.WaitGroup // done once it has landed
+	err    error
+	pages  []*cache.Entry
+	room   [petal.ChunkSize / BlockSize]*cache.Entry
 }
 
 // claimDirty is the single-flight gate every data write-back passes,
 // the write side of claimPages. Of es (which it consumes) it claims, in
-// fs.flights, the pages that are dirty and in no flight (mine, released
-// by land), and returns the others that some flight carries (joined) with
-// those flights (theirs). Dirtiness is read after the claim table, under
-// both locks: a flight marks its pages clean before it lets go of them,
-// so a page is never seen as neither claimed nor clean while a write of
-// it is landing, and a page that is claimed stays dirty, and so visible
-// to whoever must wait for it, until it has landed.
-func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, theirs []*flight, joined []*cache.Entry) {
-	mine = es[:0]
+// fs.flights, the pages that are dirty and in no flight, for a new
+// flight (fl, nil if none; released by land), and returns the others
+// that some flight carries (joined, filtered in place in es) with those
+// flights (appended to theirs). Dirtiness is read after the claim table,
+// under both locks: a flight marks its pages clean before it lets go of
+// them, so a page is never seen as neither claimed nor clean while a
+// write of it is landing, and a page that is claimed stays dirty, and so
+// visible to whoever must wait for it, until it has landed.
+func (fs *FS) claimDirty(es []*cache.Entry, theirs []*flight) (fl *flight, _ []*flight, joined []*cache.Entry) {
+	joined = es[:0]
 	fs.flushMu.Lock()
 	defer fs.flushMu.Unlock()
 	fs.data.Mutate(func() {
@@ -1145,24 +1156,26 @@ func (fs *FS) claimDirty(es []*cache.Entry) (mine []*cache.Entry, fl *flight, th
 				continue
 			}
 			if fl == nil {
-				fl = &flight{done: make(chan struct{})}
+				fl = new(flight)
+				fl.landed.Add(1)
+				fl.pages = fl.room[:0]
 			}
 			fs.flights[e.Addr] = fl
-			mine = append(mine, e)
+			fl.pages = append(fl.pages, e)
 		}
 	})
-	return mine, fl, theirs, joined
+	return fl, theirs, joined
 }
 
 // land ends a flight: its claims go and whoever joined it wakes up.
-func (fs *FS) land(mine []*cache.Entry, fl *flight, err error) {
+func (fs *FS) land(fl *flight, err error) {
 	fs.flushMu.Lock()
-	for _, e := range mine {
+	for _, e := range fl.pages {
 		delete(fs.flights, e.Addr)
 	}
 	fs.flushMu.Unlock()
 	fl.err = err
-	close(fl.done)
+	fl.landed.Done()
 }
 
 // flushData writes back what the data pages es held when it was called,
@@ -1178,15 +1191,16 @@ func (fs *FS) land(mine []*cache.Entry, fl *flight, err error) {
 // flush. It returns the first error of its own writes and of the flights
 // it joined; failed pages stay dirty.
 func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
+	var theirsRoom [4]*flight // stack scratch: the flights a pass joins are few
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
-		mine, fl, theirs, joined := fs.claimDirty(es)
+		fl, theirs, joined := fs.claimDirty(es, theirsRoom[:0])
 		var err error
-		if len(mine) > 0 {
-			err = fs.flushRuns(op, fs.data, mine)
-			fs.land(mine, fl, err)
+		if fl != nil {
+			err = fs.flushRuns(op, fs.data, fl.pages)
+			fs.land(fl, err)
 		}
 		for _, other := range theirs {
-			<-other.done
+			other.landed.Wait()
 			if err == nil {
 				err = other.err
 			}
@@ -1216,21 +1230,24 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	}
 	fs.behind++
 	fs.flushMu.Unlock()
-	mine, fl, _, _ := fs.claimDirty(es)
-	finish := func(err error) {
-		if fl != nil {
-			fs.land(mine, fl, err)
-		}
-		fs.flushMu.Lock()
-		fs.behind--
-		fs.flushMu.Unlock()
+	if fl, _, _ := fs.claimDirty(es, nil); fl != nil {
+		go fs.flyBehind(fl)
+	} else {
+		fs.behindLanded()
 	}
-	if len(mine) == 0 {
-		finish(nil)
-		return true
-	}
-	go func() { finish(fs.flushRuns(nil, fs.data, mine)) }()
 	return true
+}
+
+// flyBehind carries a write-behind flight to Petal.
+func (fs *FS) flyBehind(fl *flight) {
+	fs.land(fl, fs.flushRuns(nil, fs.data, fl.pages))
+	fs.behindLanded()
+}
+
+func (fs *FS) behindLanded() {
+	fs.flushMu.Lock()
+	fs.behind--
+	fs.flushMu.Unlock()
 }
 
 // awaitFlights waits until no flight carries a page of in's blocks: a
@@ -1246,23 +1263,23 @@ func (fs *FS) awaitFlights(in Inode) {
 	}
 	fs.flushMu.Unlock()
 	for _, fl := range wait {
-		<-fl.done
+		fl.landed.Wait()
 	}
 }
 
-// flushRun is one coalesced write-back unit: contiguous dirty blocks,
-// snapshotted into data with their dirty generations.
+// flushRun is one coalesced write-back unit: contiguous dirty blocks
+// and the dirty generations their snapshot was taken at.
 type flushRun struct {
-	addr    int64
 	entries []*cache.Entry
-	data    []byte
 	gens    []int64
 }
 
-// flushBatch is the runs one scatter-gather write carries, snapshotted
-// into one buffer.
+// flushBatch is a stretch of a write-back's runs that one scatter-gather
+// write carries, snapshotted into one buffer: exts[i] is runs[i]'s
+// address and its share of the buffer.
 type flushBatch struct {
 	runs  []flushRun
+	exts  []petal.Extent
 	bytes int
 	buf   *[]byte
 }
@@ -1271,23 +1288,71 @@ type flushBatch struct {
 // sweet spot without starving concurrency).
 const maxRunBytes = 1 << 20
 
-// coalesceRuns sorts dirty entries by address and groups adjacent
-// blocks into runs.
-func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
-	blockSize := pool.BlockSize()
+// maxBatchBytes caps one scatter-gather dispatch; the Petal driver
+// further splits batches by replica server.
+const maxBatchBytes = 1 << 20
+
+// writeBack is what one flushRuns call builds: its runs, their
+// generations, its batches and their extents, with the call's
+// arguments for the workers. It comes from writeBacks and goes back when
+// the call returns, so a write-back allocates none of it: WriteV copies
+// what it needs of the extents, and each batch's buffer is recycled, or
+// not, by writeBatch. write is the bound writeBatch the workers run, made
+// once per writeBack rather than once per call.
+type writeBack struct {
+	fs      *FS
+	op      *obs.Span
+	pool    *cache.Pool
+	runs    []flushRun
+	gens    []int64
+	batches []flushBatch
+	exts    []petal.Extent
+	write   func(i int) error
+}
+
+var writeBacks = sync.Pool{New: func() any {
+	w := new(writeBack)
+	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.pool, &w.batches[i]) }
+	return w
+}}
+
+// plan sorts dirty by address, cuts it into runs of adjacent blocks and
+// packs the runs into batches.
+func (w *writeBack) plan(dirty []*cache.Entry) {
+	blockSize := w.pool.BlockSize()
 	slices.SortFunc(dirty, func(a, b *cache.Entry) int { return cmp.Compare(a.Addr, b.Addr) })
-	var runs []flushRun
-	i := 0
-	for i < len(dirty) {
+	w.gens = slices.Grow(w.gens[:0], len(dirty))[:len(dirty)]
+	w.runs = w.runs[:0]
+	for i := 0; i < len(dirty); {
 		j := i + 1
 		for j < len(dirty) && dirty[j].Addr == dirty[j-1].Addr+int64(blockSize) &&
 			(dirty[j].Addr-dirty[i].Addr) < maxRunBytes {
 			j++
 		}
-		runs = append(runs, flushRun{addr: dirty[i].Addr, entries: dirty[i:j]})
+		w.runs = append(w.runs, flushRun{entries: dirty[i:j], gens: w.gens[i:j]})
 		i = j
 	}
-	return runs
+	w.exts = slices.Grow(w.exts[:0], len(w.runs))[:len(w.runs)]
+	w.batches = w.batches[:0]
+	lo, bytes := 0, 0
+	for i, r := range w.runs {
+		n := len(r.entries) * blockSize
+		if i > lo && bytes+n > maxBatchBytes {
+			w.batches = append(w.batches, flushBatch{runs: w.runs[lo:i], exts: w.exts[lo:i], bytes: bytes})
+			lo, bytes = i, 0
+		}
+		bytes += n
+	}
+	w.batches = append(w.batches, flushBatch{runs: w.runs[lo:], exts: w.exts[lo:], bytes: bytes})
+}
+
+// free forgets what the write-back pointed at and pools it again.
+func (w *writeBack) free() {
+	clear(w.runs)
+	clear(w.batches)
+	clear(w.exts)
+	w.fs, w.op, w.pool = nil, nil, nil
+	writeBacks.Put(w)
 }
 
 // snapshot copies the batch's blocks into one buffer, run by run.
@@ -1304,23 +1369,19 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 		b.buf = &buf
 	}
 	rest := *b.buf
-	for i := range b.runs {
-		r := &b.runs[i]
+	for i, r := range b.runs {
 		n := len(r.entries) * pool.BlockSize()
-		r.data, rest = rest[:n], rest[n:]
-		r.gens = pool.SnapshotBatch(r.entries, r.data)
+		pool.SnapshotBatch(r.entries, rest[:n], r.gens)
+		b.exts[i] = petal.Extent{Off: r.entries[0].Addr, Data: rest[:n]}
+		rest = rest[n:]
 	}
 }
-
-// maxBatchBytes caps one scatter-gather dispatch; the Petal driver
-// further splits batches by replica server.
-const maxBatchBytes = 1 << 20
 
 // flushRuns writes back a set of dirty entries from one pool,
 // log-first: coalesced runs are packed into scatter-gather batches
 // and dispatched through the flush workers, so one cache-sync round
 // trip carries many runs and, with FlushParallelism > 1, transfers
-// overlap.
+// overlap. It sorts dirty.
 func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
@@ -1330,22 +1391,14 @@ func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 	if err := fs.ensureLogFlushed(op, pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
-	batches := make([]flushBatch, 1)
-	for _, r := range coalesceRuns(pool, dirty) {
-		n := len(r.entries) * pool.BlockSize()
-		if cur := &batches[len(batches)-1]; len(cur.runs) > 0 && cur.bytes+n > maxBatchBytes {
-			batches = append(batches, flushBatch{})
-		}
-		cur := &batches[len(batches)-1]
-		cur.runs = append(cur.runs, r)
-		cur.bytes += n
+	w := writeBacks.Get().(*writeBack)
+	defer w.free()
+	w.fs, w.op, w.pool = fs, op, pool
+	w.plan(dirty)
+	for i := range w.batches {
+		w.batches[i].snapshot(pool)
 	}
-	for i := range batches {
-		batches[i].snapshot(pool)
-	}
-	return fs.flushWorkers(len(batches), func(i int) error {
-		return fs.writeBatch(op, pool, &batches[i])
-	})
+	return fs.flushWorkers(len(w.batches), w.write)
 }
 
 // recycleWithin is how long a WriteV may take, in simulated time, and
@@ -1361,13 +1414,9 @@ const recycleWithin = time.Second
 // succeeded with every RPC answered — and to the garbage collector
 // otherwise (the rule petal.Client.Write follows for its snapshots).
 func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
-	exts := make([]petal.Extent, len(b.runs))
-	for i, r := range b.runs {
-		exts[i] = petal.Extent{Off: r.addr, Data: r.data}
-	}
 	fs.noteFlushInFlight(1)
 	start := fs.w.Clock.Now()
-	err := fs.petalWriteV(op, exts)
+	err := fs.petalWriteV(op, b.exts)
 	answered := fs.w.Clock.Now()-start < sim.Time(recycleWithin)
 	fs.noteFlushInFlight(-1)
 	if err != nil {

@@ -196,3 +196,51 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 		t.Fatalf("a cached Stat allocates %v times and a cached Open %v, want %d and %d", stat, open, statAllocs, openAllocs)
 	}
 }
+
+// coldReadAllocs is what a 64 KB ReadAt that fills all sixteen of its
+// pages from Petal allocates, read-ahead off: the operation's span, the
+// fill's claim and its Petal view, the sixteen pages — each one object,
+// entry and block — and the Petal round trip of the two halves, client
+// and servers together. That is 2.7 allocations a page filled; it was 85,
+// 5.3 a page, while a page was two objects and the fill, the Petal
+// client, the servers and every RPC's reply channel built their scratch
+// per call. Raise or lower it only with a change that means to move it.
+const coldReadAllocs = 43
+
+// TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
+// through a cache too small to keep it, so every read fills its pages.
+// Under the race detector sync.Pool drops a share of what it is given, so
+// the count is pinned only without it (make alloc-budget).
+func TestColdReadAtAllocs(t *testing.T) {
+	const rec, size = 64 << 10, 1 << 20
+	tw := newTestWorld(t)
+	writer := tw.mount(t, "wsW", nil)
+	writeFile(t, writer, "/cold", make([]byte, size))
+	if err := writer.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	reader := tw.mount(t, "wsR", func(c *Config) {
+		c.DataCacheCap = 4 * rec / BlockSize
+		c.CPUPerOp, c.CPUPerKB = 0, 0
+	})
+	reader.SetReadAhead(0)
+	h, err := reader.Open("/cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, rec)
+	reads, fills := 0, reader.m.fills.Value()
+	n := leastAllocs(func() {
+		if _, err := h.ReadAt(buf, int64(reads%(size/rec))*rec); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		reads++
+	})
+	if got := reader.m.fills.Value() - fills; got != int64(reads) {
+		t.Fatalf("%d fills for %d reads: the reads were not all cold", got, reads)
+	}
+	t.Logf("allocs per cold 64 KB ReadAt: %v, %.2f a page filled", n, n/(rec/BlockSize))
+	if !raceBuild() && n != coldReadAllocs {
+		t.Fatalf("a cold 64 KB ReadAt allocates %v times, want %d", n, coldReadAllocs)
+	}
+}

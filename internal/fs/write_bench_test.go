@@ -124,3 +124,79 @@ func TestWriteAtRandomAllocs(t *testing.T) {
 		t.Fatalf("%d write-back batches sent by random overwrites", n)
 	}
 }
+
+// streamWriteAllocs is what a 64 KB WriteAt of a sequential writer
+// allocates together with the write-behind flight it starts, through a
+// cache too small to keep the file: the operation's span and its
+// transaction, the sixteen pages it overwrites — each one object — the
+// flight and its goroutine, and the replicated Petal write (writeVAllocs
+// in internal/petal), client and servers together. It was 88 while a
+// page was two objects, the write stream cloned its pages, the
+// write-back built its runs, batches and extents, and the Petal client
+// and servers their scratch, per call. Raise or lower it only with a
+// change that means to move it.
+const streamWriteAllocs = 34
+
+// TestStreamWriteAtAllocs pins streamWriteAllocs. Each WriteAt completes
+// a chunk, so it hands one to write-behind, and the measured call waits
+// for that flight to land. The file's blocks are written once before, so
+// the disks' sectors exist, and the sync demon is stopped: its
+// write-back is not the writes'. Under the race detector sync.Pool drops
+// a share of what it is given, so the count is pinned only without it
+// (make alloc-budget).
+func TestStreamWriteAtAllocs(t *testing.T) {
+	const rec, rounds, runs = 64 << 10, 8, 20
+	f := newTestWorld(t).mount(t, "ws1", func(c *Config) {
+		c.DataCacheCap = 4 * rec / BlockSize
+		c.CPUPerOp, c.CPUPerKB = 0, 0
+	})
+	first, err := f.OpenFile("/stream", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := make([]byte, rounds*(runs+1)*rec) // AllocsPerRun calls once more a round
+	if _, err := first.WriteAt(whole, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.syncCancel()
+	h, err := f.Open("/stream") // a new stream, expected at offset 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	// inFlight returns the write-behind flight under way, if any.
+	inFlight := func() *flight {
+		f.flushMu.Lock()
+		defer f.flushMu.Unlock()
+		for _, fl := range f.flights {
+			return fl
+		}
+		return nil
+	}
+	buf := make([]byte, rec)
+	off, batches := int64(0), f.m.flushBatches.Value()
+	least := -1.0
+	for round := 0; round < rounds; round++ {
+		n := testing.AllocsPerRun(runs, func() {
+			if _, err := h.WriteAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+			off += rec
+			if fl := inFlight(); fl != nil {
+				fl.landed.Wait()
+			}
+		})
+		if least < 0 || n < least {
+			least = n
+		}
+	}
+	if n := f.m.flushBatches.Value() - batches; n < off/rec {
+		t.Fatalf("%d write-back batches for %d writes of a chunk each", n, off/rec)
+	}
+	t.Logf("allocs per streaming 64 KB WriteAt with its flight: %v", least)
+	if !raceBuild() && least != streamWriteAllocs {
+		t.Fatalf("a streaming 64 KB WriteAt allocates %v times with its flight, want %d", least, streamWriteAllocs)
+	}
+}

@@ -48,6 +48,9 @@ type Clerk struct {
 	leaseID  uint64
 	logSlot  int
 	acks     map[string]sim.Time
+	// ackTimes is expiresAtLocked's scratch, one slot per server: the
+	// lease is checked before every Petal write.
+	ackTimes []int64
 	// renewSent is the last time a renewal (standalone or piggybacked
 	// on a batch) was transmitted to each server; flushLocked uses it
 	// to stamp Renew on batches no more often than needed.
@@ -115,6 +118,7 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		servers:    append([]string(nil), servers...),
 		locks:      make(map[uint64]*clkLock),
 		acks:       make(map[string]sim.Time),
+		ackTimes:   make([]int64, len(servers)),
 		renewSent:  make(map[string]sim.Time),
 		shardVer:   make(map[int]int64),
 		recovering: make(map[string]RecoverReq),
@@ -939,12 +943,11 @@ func (c *Clerk) ExpiresAt() int64 {
 }
 
 func (c *Clerk) expiresAtLocked() int64 {
-	times := make([]int64, 0, len(c.servers))
-	for _, s := range c.servers {
-		times = append(times, int64(c.acks[s]))
+	for i, s := range c.servers {
+		c.ackTimes[i] = int64(c.acks[s])
 	}
 	// The newest time at which a majority had acked.
-	return kthNewest(times, len(c.servers)/2+1) + int64(c.cfg.LeaseDuration)
+	return kthNewest(c.ackTimes, len(c.servers)/2+1) + int64(c.cfg.LeaseDuration)
 }
 
 // LeaseValid reports whether the lease will still be valid margin

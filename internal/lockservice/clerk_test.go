@@ -38,6 +38,20 @@ func TestStickyLockAllocs(t *testing.T) {
 	}
 }
 
+// TestLeaseValidAllocs: the lease check the file system makes before
+// every Petal write allocates nothing; it sorted a fresh slice of the
+// servers' ack times on every call.
+func TestLeaseValidAllocs(t *testing.T) {
+	ls := newTestLS(t, 3)
+	c := ls.clerk(t, "wsA")
+	if !c.LeaseValid(0) {
+		t.Fatal("a fresh clerk's lease is not valid")
+	}
+	if n := testing.AllocsPerRun(200, func() { c.LeaseValid(time.Second) }); n != 0 {
+		t.Errorf("LeaseValid: %v allocations, want 0", n)
+	}
+}
+
 // recoveryRig is a clerk that is asked to recover a dead clerk's log by
 // a stand-in lock server, which records the RecoveryDones it gets.
 type recoveryRig struct {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,7 @@ type driver struct {
 	ep      *rpc.Endpoint
 	clock   *sim.Clock
 	servers []string
+	addrs   map[string]string // DataAddr of each server, made once
 
 	mu      sync.Mutex
 	state   GlobalState
@@ -164,6 +166,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		name:           machine,
 		clock:          w.Clock,
 		servers:        append([]string(nil), servers...),
+		addrs:          dataAddrs(servers),
 		opDeadline:     30 * time.Second,
 		parallelism:    8,
 		randIntn:       w.RandIntn,
@@ -529,7 +532,7 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 // failovers) is charged to the principal whose operation issued it.
 func (c *Client) call(who, srv string, req any, timeout sim.Duration) (any, error) {
 	c.acct.RPC(who, 1)
-	return c.ep.Call(DataAddr(srv), req, timeout)
+	return c.ep.Call(addrOf(c.addrs, srv), req, timeout)
 }
 
 // BoundedPar runs f(0..n-1) with at most limit in flight and returns the
@@ -649,34 +652,176 @@ func callTimeout(bytes int) sim.Duration {
 	return dataTimeout * sim.Duration(min(max(chunks, 1), 3))
 }
 
-// batch is the pieces one RPC carries to one server.
+// batch is the pieces one RPC carries to one server, and the request
+// that carries them.
 type batch struct {
 	srv   string
 	ps    []piece
+	n     int // pieces, counted before they are laid out in ps
 	bytes int
+	req   any
 }
 
-// batchByTarget groups pieces by their rank-th preferred replica into
-// size-capped batches, in first-appearance order. Pieces with no
-// rank-th candidate come back in none.
-func batchByTarget(ps []piece, rank int) (batches []batch, none []piece) {
-	open := make(map[string]int, 4) // server -> its batch still taking pieces
-	for _, p := range ps {
+// xfer is the scratch of one data call: its pieces, each round's batches
+// and their requests' extent lists, and what the round's concurrent
+// batches share (mu guards next, parked, lastErr and timedOut; the rest
+// they only read). A call takes one from xfers and gives it back when
+// every RPC it made was answered; a request that was not may still be
+// queued at the carrier with its extent list, so its xfer is left to the
+// collector. send is the bound sendBatch the fan-out runs, made once per
+// xfer rather than once per round.
+type xfer struct {
+	c   *Client
+	ctx obs.Ctx
+	v   VDiskID
+	op  dataOp
+	wop writeOp // a write's op, which op points at: boxed by value it would be allocated
+	st  GlobalState
+
+	ps      []piece // the call's pieces
+	sorted  []piece // a round's pieces, batch by batch, the unbatched last
+	slot    []int   // a round's batch of each piece, -1 for none
+	batches []batch
+	rexts   []ReadVExtent
+	wexts   []WriteVExtent
+
+	mu       sync.Mutex
+	next     []piece // unserved at this rank: offered to the next preference
+	parked   []piece // wait for a refreshed view
+	lastErr  error
+	timedOut bool
+
+	send func(i int) error
+}
+
+var xfers = sync.Pool{New: func() any {
+	x := new(xfer)
+	x.send = x.sendBatch
+	return x
+}}
+
+// newXfer takes a scratch for a call on v made for ctx: a read, or a
+// write stamped with the caller's lease (read once per call).
+func (c *Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
+	x := xfers.Get().(*xfer)
+	x.c, x.ctx, x.v = c, ctx, v
+	if !write {
+		x.op = readOp{c}
+		return x
+	}
+	c.mu.Lock()
+	li := c.leaseInfo
+	c.mu.Unlock()
+	x.wop = writeOp{c: c}
+	if li != nil {
+		x.wop.expireAt, x.wop.leaseID = li()
+	}
+	x.op = &x.wop
+	return x
+}
+
+// release gives x back to xfers, pointing at nothing, unless one of its
+// calls went unanswered.
+func (x *xfer) release() {
+	if x.timedOut {
+		return
+	}
+	for _, ps := range [...][]piece{x.ps, x.sorted, x.next, x.parked} {
+		clear(ps[:cap(ps)])
+	}
+	clear(x.batches[:cap(x.batches)])
+	clear(x.wexts[:cap(x.wexts)])
+	x.ps, x.sorted, x.next, x.parked = x.ps[:0], x.sorted[:0], x.next[:0], x.parked[:0]
+	x.batches, x.wexts = x.batches[:0], x.wexts[:0]
+	x.c, x.op, x.wop, x.st, x.ctx, x.lastErr = nil, nil, writeOp{}, GlobalState{}, obs.Ctx{}, nil
+	xfers.Put(x)
+}
+
+// batch groups ps by each piece's rank-th preferred replica into
+// size-capped batches, in first-appearance order, and returns the
+// pieces with no rank-th candidate. It lays every piece out in x.sorted,
+// batch by batch with the unbatched last, so the storage ps came from is
+// free once it returns.
+func (x *xfer) batch(ps []piece, rank int) (none []piece) {
+	x.batches = x.batches[:0]
+	x.slot = slices.Grow(x.slot[:0], len(ps))[:len(ps)]
+	for i, p := range ps {
+		x.slot[i] = -1
 		if rank >= p.tl.n {
-			none = append(none, p)
 			continue
 		}
 		srv := p.tl.srv[rank]
-		i, ok := open[srv]
-		if !ok || batches[i].bytes+len(p.buf) > batchMaxBytes || len(batches[i].ps) >= batchMaxExtents {
-			i = len(batches)
-			batches = append(batches, batch{srv: srv})
-			open[srv] = i
+		b := len(x.batches) - 1 // a server's newest batch is the one still taking pieces
+		for b >= 0 && x.batches[b].srv != srv {
+			b--
 		}
-		batches[i].ps = append(batches[i].ps, p)
-		batches[i].bytes += len(p.buf)
+		if b < 0 || x.batches[b].bytes+len(p.buf) > batchMaxBytes || x.batches[b].n >= batchMaxExtents {
+			b = len(x.batches)
+			x.batches = append(x.batches, batch{srv: srv})
+		}
+		x.batches[b].n++
+		x.batches[b].bytes += len(p.buf)
+		x.slot[i] = b
 	}
-	return batches, none
+	x.sorted = slices.Grow(x.sorted[:0], len(ps))[:len(ps)]
+	at := 0
+	for b := range x.batches {
+		n := x.batches[b].n
+		x.batches[b].ps = x.sorted[at : at : at+n]
+		at += n
+	}
+	none = x.sorted[at:at]
+	for i, p := range ps {
+		if b := x.slot[i]; b >= 0 {
+			x.batches[b].ps = append(x.batches[b].ps, p)
+		} else {
+			none = append(none, p)
+		}
+	}
+	return none
+}
+
+// requests builds every batch's request. The extent lists of a round
+// whose calls were all answered are reused by the next; once a call has
+// gone unanswered its request may still be queued with its list, and
+// later rounds make new ones.
+func (x *xfer) requests() {
+	if x.timedOut {
+		x.rexts, x.wexts = nil, nil
+	}
+	x.rexts, x.wexts = x.rexts[:0], x.wexts[:0]
+	for i := range x.batches {
+		x.batches[i].req = x.op.request(x, x.batches[i].ps)
+	}
+}
+
+// sendBatch sends batch i and files what it did not get served: one
+// index of a round's fan-out.
+func (x *xfer) sendBatch(i int) error {
+	c, op, b := x.c, x.op, &x.batches[i]
+	resp, callErr := c.call(x.ctx.Principal, b.srv, b.req, callTimeout(b.bytes))
+	op.charge(b.srv, -b.bytes)
+	unserved, err, verb := b.ps, callErr, "failover"
+	if callErr == nil {
+		unserved, err = op.settle(b.srv, b.ps, resp)
+		verb = "replica-fail"
+	}
+	if len(unserved) == 0 {
+		return err
+	}
+	c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), b.srv)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.timedOut = x.timedOut || callErr != nil
+	if err != nil {
+		x.lastErr = err
+	}
+	if staleView(err) {
+		x.parked = append(x.parked, unserved...)
+	} else {
+		x.next = append(x.next, unserved...)
+	}
+	return nil
 }
 
 // dataOp is the direction-specific half of a data call; transfer is
@@ -690,9 +835,10 @@ type dataOp interface {
 	// charge adds n bytes (negative: gives them back) to the load that
 	// read routing sees on srv. Writes carry none.
 	charge(srv string, n int)
-	// request builds the one message that carries a batch, stamped
-	// with the context of the operation it is sent for.
-	request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any
+	// request builds the one message that carries a batch of x's,
+	// stamped with the context of the operation it is sent for, its
+	// extent list on x's.
+	request(x *xfer, ps []piece) any
 	// settle consumes srv's reply to a batch and returns the pieces it
 	// did not serve and why. An error with nothing left to retry is
 	// final: no replica would answer differently.
@@ -717,80 +863,48 @@ func staleView(err error) bool {
 	return errors.Is(err, ErrNoSuchVDisk) || errors.Is(err, ErrStaleEpoch)
 }
 
-// transfer is the one engine behind Read, ReadV, Write and WriteV. It
-// loops until the op deadline: take the routing view; send the
-// pending pieces to their first-preference replicas in size-capped
-// batches with bounded parallelism; keep what was served and re-batch
-// what was not (call error, replica-local failure) to the next
-// preference, so failover costs one RPC per surviving replica, not
-// one per extent. Once every preference is exhausted — or at once
-// for a piece the view itself made fail — refresh the view, back off
-// and go again. A read piece's bytes are charged (dataOp.charge) to
-// the server it waits on and to no other: to its first choice when
-// routed, to a later one when the batch for it is made up, and given
-// back when that batch's call returns, so a piece that is parked, has
-// no candidate left or was never routed holds no charge. timedOut
-// reports that some call got no answer, so its request may still be
-// queued at the carrier, aliasing the pieces' buffers. ctx is the context of the operation the call is made
-// for: every request carries it and every RPC is charged to its
+// transfer is the one engine behind Read, ReadV, Write and WriteV: it
+// moves x's pieces. It loops until the op deadline: take the routing
+// view; send the pending pieces to their first-preference replicas in
+// size-capped batches with bounded parallelism; keep what was served and
+// re-batch what was not (call error, replica-local failure) to the next
+// preference, so failover costs one RPC per surviving replica, not one
+// per extent. Once every preference is exhausted — or at once for a
+// piece the view itself made fail — refresh the view, back off and go
+// again. A read piece's bytes are charged (dataOp.charge) to the server
+// it waits on and to no other: to its first choice when routed, to a
+// later one when the batch for it is made up, and given back when that
+// batch's call returns, so a piece that is parked, has no candidate left
+// or was never routed holds no charge. x.timedOut reports that some call
+// got no answer, so its request may still be queued at the carrier,
+// aliasing the pieces' buffers. Every request carries x.ctx, the context
+// of the operation the call is made for, and every RPC is charged to its
 // principal.
-func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedOut bool, err error) {
+func (c *Client) transfer(x *xfer) (err error) {
 	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	// One heap object holds everything a round's concurrent batches
-	// share; mu guards all but st, which they only read.
-	var x struct {
-		st       GlobalState
-		mu       sync.Mutex
-		next     []piece // unserved at this rank: offered to the next preference
-		parked   []piece // wait for a refreshed view
-		lastErr  error
-		timedOut bool
-	}
+	ps := x.ps
 	for attempt := 0; len(ps) > 0; attempt++ {
 		routedVer := int64(-1)
 		if x.st, err = c.getState(); err == nil {
 			routedVer = x.st.Version
 			for i := range ps {
-				op.route(&x.st, v, &ps[i])
+				x.op.route(&x.st, x.v, &ps[i])
 			}
-			x.parked = nil
 			for rank := 0; len(ps) > 0; rank++ {
-				batches, none := batchByTarget(ps, rank)
+				none := x.batch(ps, rank)
+				if rank == 0 {
+					x.parked = x.parked[:0]
+				}
 				x.parked = append(x.parked, none...)
-				x.next = nil
+				x.next = x.next[:0]
 				if rank > 0 { // rank 0 was charged piece by piece as it was routed
-					for _, b := range batches {
-						op.charge(b.srv, b.bytes)
+					for _, b := range x.batches {
+						x.op.charge(b.srv, b.bytes)
 					}
 				}
-				final := BoundedPar(c.parallelism, len(batches), func(i int) error {
-					b := batches[i]
-					resp, callErr := c.call(ctx.Principal, b.srv, op.request(ctx, &x.st, v, b.ps), callTimeout(b.bytes))
-					op.charge(b.srv, -b.bytes)
-					unserved, err, verb := b.ps, callErr, "failover"
-					if callErr == nil {
-						unserved, err = op.settle(b.srv, b.ps, resp)
-						verb = "replica-fail"
-					}
-					if len(unserved) == 0 {
-						return err
-					}
-					c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), b.srv)
-					x.mu.Lock()
-					defer x.mu.Unlock()
-					x.timedOut = x.timedOut || callErr != nil
-					if err != nil {
-						x.lastErr = err
-					}
-					if staleView(err) {
-						x.parked = append(x.parked, unserved...)
-					} else {
-						x.next = append(x.next, unserved...)
-					}
-					return nil
-				})
-				if final != nil {
-					return x.timedOut, final
+				x.requests()
+				if final := BoundedPar(c.parallelism, len(x.batches), x.send); final != nil {
+					return final
 				}
 				ps = x.next
 			}
@@ -801,9 +915,9 @@ func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedO
 		}
 		if c.clock.Now() >= deadline {
 			if x.lastErr != nil {
-				return x.timedOut, fmt.Errorf("%w (last: %v)", ErrUnavailable, x.lastErr)
+				return fmt.Errorf("%w (last: %v)", ErrUnavailable, x.lastErr)
 			}
-			return x.timedOut, ErrUnavailable
+			return ErrUnavailable
 		}
 		// Version-aware: if another caller already refreshed past the
 		// view we routed with, the retry reuses it without touching
@@ -811,7 +925,7 @@ func (c *Client) transfer(ctx obs.Ctx, v VDiskID, ps []piece, op dataOp) (timedO
 		_ = c.refreshSince(routedVer)
 		c.retryPause(attempt, deadline)
 	}
-	return x.timedOut, nil
+	return nil
 }
 
 // readOp is the read direction: balanced routing, ReadVReq, and
@@ -833,14 +947,14 @@ func (o readOp) route(st *GlobalState, v VDiskID, p *piece) {
 
 func (o readOp) charge(srv string, n int) { o.c.infl[srv].Add(int64(n)) }
 
-func (o readOp) request(ctx obs.Ctx, _ *GlobalState, v VDiskID, ps []piece) any {
-	exts := make([]ReadVExtent, len(ps))
-	for i, p := range ps {
-		exts[i] = ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)}
+func (o readOp) request(x *xfer, ps []piece) any {
+	lo := len(x.rexts)
+	for _, p := range ps {
+		x.rexts = append(x.rexts, ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)})
 	}
 	o.c.readVRPCs.Add(1)
-	o.c.readVExtents.Add(int64(len(exts)))
-	return ReadVReq{Ctx: ctx, VDisk: v, Extents: exts}
+	o.c.readVExtents.Add(int64(len(ps)))
+	return ReadVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.rexts[lo:]}
 }
 
 func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err error) {
@@ -850,7 +964,7 @@ func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err 
 	}
 	// On TCP the data aliases a pooled receive buffer; recycle it once
 	// every extent has been copied out.
-	defer rpc.Release(rr)
+	defer rpc.Release(resp)
 	if !rr.OK {
 		return ps, replyErr("read", rr.Err)
 	}
@@ -897,17 +1011,6 @@ type writeOp struct {
 	leaseID  uint64
 }
 
-func (c *Client) newWriteOp() writeOp {
-	c.mu.Lock()
-	li := c.leaseInfo
-	c.mu.Unlock()
-	o := writeOp{c: c}
-	if li != nil {
-		o.expireAt, o.leaseID = li()
-	}
-	return o
-}
-
 func (writeOp) name() string { return "write" }
 
 func (o writeOp) route(st *GlobalState, v VDiskID, p *piece) {
@@ -916,13 +1019,14 @@ func (o writeOp) route(st *GlobalState, v VDiskID, p *piece) {
 
 func (writeOp) charge(string, int) {}
 
-func (o writeOp) request(ctx obs.Ctx, st *GlobalState, v VDiskID, ps []piece) any {
-	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: make([]WriteVExtent, len(ps)), ExpireAt: o.expireAt, LeaseID: o.leaseID}
-	if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
-		req.Epoch = meta.Epoch
+func (o writeOp) request(x *xfer, ps []piece) any {
+	lo := len(x.wexts)
+	for _, p := range ps {
+		x.wexts = append(x.wexts, WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf})
 	}
-	for i, p := range ps {
-		req.Extents[i] = WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf}
+	req := WriteVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.wexts[lo:], ExpireAt: o.expireAt, LeaseID: o.leaseID}
+	if meta, ok := x.st.VDisks[x.v]; ok && !meta.ReadOnly {
+		req.Epoch = meta.Epoch
 	}
 	o.c.writeVRPCs.Add(1)
 	o.c.writeVExtents.Add(int64(len(ps)))
@@ -976,15 +1080,18 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 		}
 	}
 	return c.instr(op, func(ctx obs.Ctx) error {
-		_, err := c.transfer(ctx, v, c.readPieces(v, extents), readOp{c})
+		x := c.newXfer(ctx, v, false)
+		x.ps = c.readPieces(x.ps, v, extents)
+		err := c.transfer(x)
+		x.release()
 		return err
 	})
 }
 
-// readPieces cuts a read's extents into pieces under the view its
-// first attempt will route them with. With no view to be had nothing
-// is halved, and transfer reports why there is none.
-func (c *Client) readPieces(v VDiskID, extents []ReadExtent) []piece {
+// readPieces appends to dst a read's extents cut into pieces under the
+// view its first attempt will route them with. With no view to be had
+// nothing is halved, and transfer reports why there is none.
+func (c *Client) readPieces(dst []piece, v VDiskID, extents []ReadExtent) []piece {
 	var halve func(chunk int64) bool
 	if st, err := c.getState(); err == nil {
 		halve = func(chunk int64) bool {
@@ -992,11 +1099,10 @@ func (c *Client) readPieces(v VDiskID, extents []ReadExtent) []piece {
 			return ok
 		}
 	}
-	var ps []piece
 	for _, e := range extents {
-		ps = appendPieces(ps, e.Off, e.Dst, halve)
+		dst = appendPieces(dst, e.Off, e.Dst, halve)
 	}
-	return ps
+	return dst
 }
 
 // Write stores p at byte offset off, committing chunks as needed. The
@@ -1014,12 +1120,15 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 		// working set of buffers.
 		bufp := bufpool.Get(len(p))
 		copy(*bufp, p)
-		timedOut, err := c.transfer(ctx, v, appendPieces(nil, off, *bufp, nil), c.newWriteOp())
-		if !timedOut {
+		x := c.newXfer(ctx, v, true)
+		x.ps = appendPieces(x.ps, off, *bufp, nil)
+		err := c.transfer(x)
+		if !x.timedOut {
 			// Every call was answered, so no in-flight message can
 			// still reference the snapshot; safe to recycle.
 			bufpool.Put(bufp)
 		}
+		x.release()
 		return err
 	})
 }
@@ -1036,15 +1145,18 @@ type Extent struct {
 // Write it sends the caller's buffers themselves: the caller must not
 // mutate extent data until WriteV returns.
 func (c *Client) WriteV(v VDiskID, extents []Extent) error {
-	var ps []piece
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
-		ps = appendPieces(ps, e.Off, e.Data, nil)
 	}
 	return c.instr("writev", func(ctx obs.Ctx) error {
-		_, err := c.transfer(ctx, v, ps, c.newWriteOp())
+		x := c.newXfer(ctx, v, true)
+		for _, e := range extents {
+			x.ps = appendPieces(x.ps, e.Off, e.Data, nil)
+		}
+		err := c.transfer(x)
+		x.release()
 		return err
 	})
 }

@@ -105,9 +105,10 @@ type (
 	// not be served (e.g. unknown vdisk); extent-local failures (a CRC
 	// error on one chunk) come back in Results so the other extents'
 	// data is not thrown away.
-	// When decoded from the TCP carrier's fast codec, per-extent Data
-	// aliases a pooled receive buffer (wb); the consumer releases it
-	// with rpc.Release after copying the data out. gob ignores the
+	// Per-extent Data aliases a pooled buffer (wb): the one the server
+	// read the extents into or, when decoded from the TCP carrier's fast
+	// codec, the receive buffer. The consumer releases it with
+	// rpc.Release after copying the data out. gob ignores the
 	// unexported field.
 	ReadVResp struct {
 		OK      bool

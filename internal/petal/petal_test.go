@@ -582,11 +582,13 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	if err := st.writeChunk("v", 0, 2, 1, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	old, ok, err := st.readChunk("v", 0, 1, 0, 3)
+	old := make([]byte, 3)
+	ok, err := st.readChunk("v", 0, 1, 0, old)
 	if err != nil || !ok || !bytes.Equal(old, []byte{1, 1, 1}) {
 		t.Fatalf("epoch-1 view = %v ok=%v err=%v", old, ok, err)
 	}
-	cur, ok, err := st.readChunk("v", 0, 2, 0, 3)
+	cur := make([]byte, 3)
+	ok, err = st.readChunk("v", 0, 2, 0, cur)
 	if err != nil || !ok || !bytes.Equal(cur, []byte{1, 2, 1}) {
 		t.Fatalf("epoch-2 view = %v ok=%v err=%v", cur, ok, err)
 	}
@@ -594,10 +596,11 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	// Decommit at epoch 2 hides data from epoch >= 2 but epoch-1 views
 	// still see it.
 	st.decommit("v", 0, 2)
-	if _, ok, _ := st.readChunk("v", 0, 2, 0, 3); ok {
+	if ok, _ := st.readChunk("v", 0, 2, 0, make([]byte, 3)); ok {
 		t.Fatal("decommitted chunk still visible at current epoch")
 	}
-	if got, ok, _ := st.readChunk("v", 0, 1, 0, 3); !ok || !bytes.Equal(got, []byte{1, 1, 1}) {
+	got := make([]byte, 3)
+	if ok, _ := st.readChunk("v", 0, 1, 0, got); !ok || !bytes.Equal(got, []byte{1, 1, 1}) {
 		t.Fatal("snapshot view lost after decommit")
 	}
 
@@ -610,7 +613,7 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	if st.committedBytes() != before-ChunkSize {
 		t.Fatal("simple decommit did not free the chunk")
 	}
-	if _, ok, _ := st.readChunk("w", 5, 1, 0, 1); ok {
+	if ok, _ := st.readChunk("w", 5, 1, 0, make([]byte, 1)); ok {
 		t.Fatal("decommitted chunk still readable")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"frangipani/internal/bufpool"
 	"frangipani/internal/obs"
 	"frangipani/internal/paxos"
 	"frangipani/internal/rpc"
@@ -73,6 +74,8 @@ type Server struct {
 	aeCancel func()
 	nvs      []*sim.NVRAM
 
+	addrs map[string]string // DataAddr of each peer, made once
+
 	tr       *obs.Tracer
 	reqC     *obs.Counter
 	inflight *obs.Gauge        // data-path requests currently being served
@@ -86,6 +89,24 @@ const dataTimeout = 5 * time.Second
 
 // DataAddr returns the network name of a server's data endpoint.
 func DataAddr(name string) string { return name + ".petal" }
+
+// dataAddrs maps each of servers to its DataAddr: the data path looks a
+// server's address up instead of building the string for every call.
+func dataAddrs(servers []string) map[string]string {
+	m := make(map[string]string, len(servers))
+	for _, srv := range servers {
+		m[srv] = DataAddr(srv)
+	}
+	return m
+}
+
+// addrOf is DataAddr through a table from dataAddrs.
+func addrOf(addrs map[string]string, srv string) string {
+	if a, ok := addrs[srv]; ok {
+		return a
+	}
+	return DataAddr(srv)
+}
 
 // NewServer creates (but does not interconnect) one Petal server.
 // peers must list all Petal server names including this one; the set
@@ -104,6 +125,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg ServerC
 		cpu:    w.CPU(name),
 		state:  NewGlobalState(peers),
 		missed: make(map[string]map[chunkKey]bool),
+		addrs:  dataAddrs(peers),
 	}
 	var disks []*sim.Disk
 	var nvs []*sim.NVRAM
@@ -358,15 +380,40 @@ func (s *Server) chargeCPU(bytes int) {
 // read; the disk arms serialize actual media time.
 const readVServePar = 16
 
+// readJob is what one onReadV's concurrent extent reads share. It comes
+// from readJobs and goes back when the read is served; serve is the
+// bound readExtent the fan-out runs, made once per readJob rather than
+// once per read.
+type readJob struct {
+	s       *Server
+	base    VDiskID
+	ceiling int64
+	exts    []ReadVExtent
+	results []ReadVExtentResult
+	serve   func(i int) error
+}
+
+var readJobs = sync.Pool{New: func() any {
+	j := new(readJob)
+	j.serve = j.readExtent
+	return j
+}}
+
 // onReadV serves a read: the vdisk resolves once, then every extent
 // is read from the local store with bounded parallelism. Reads don't
 // modify anything, so unlike applyExtents no conflict chaining is
 // needed. Extent failures (e.g. a CRC error) are reported per extent
-// so the client can fail over only the damaged pieces.
-func (s *Server) onReadV(m ReadVReq) ReadVResp {
-	total := 0
+// so the client can fail over only the damaged pieces. The extents'
+// data lies in one pooled buffer that the reply carries, and whoever
+// consumes the reply gives back (rpc.Release); one that is never
+// consumed leaves it to the collector.
+func (s *Server) onReadV(m ReadVReq) any {
+	total, size := 0, 0
 	for _, e := range m.Extents {
 		total += e.Len
+		if readable(e) {
+			size += e.Len
+		}
 	}
 	s.chargeCPU(total)
 	s.mu.Lock()
@@ -375,26 +422,47 @@ func (s *Server) onReadV(m ReadVReq) ReadVResp {
 	if err != nil {
 		return ReadVResp{Err: err.Error()}
 	}
+	bufp := bufpool.Get(size)
+	buf := *bufp
 	results := make([]ReadVExtentResult, len(m.Extents))
-	_ = BoundedPar(readVServePar, len(results), func(i int) error {
-		e := m.Extents[i]
-		if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
+	for i, e := range m.Extents {
+		if !readable(e) {
 			results[i].Err = ErrBounds.Error()
-			return nil
+			continue
 		}
-		data, committed, err := s.st.readChunk(base, e.Chunk, ceiling, e.Off, e.Len)
-		if err != nil {
-			results[i].Err = err.Error()
-			return nil
-		}
-		// A hole comes back OK with nil Data: it reads as zeros.
-		results[i].OK = true
-		if committed {
-			results[i].Data = data
-		}
+		results[i].Data, buf = buf[:e.Len:e.Len], buf[e.Len:]
+	}
+	j := readJobs.Get().(*readJob)
+	j.s, j.base, j.ceiling, j.exts, j.results = s, base, ceiling, m.Extents, results
+	_ = BoundedPar(readVServePar, len(results), j.serve)
+	*j = readJob{serve: j.serve}
+	readJobs.Put(j)
+	return ReadVResp{OK: true, Results: results, wb: rpc.NewRecvBuf(bufp)}
+}
+
+// readable reports whether a read extent lies within its chunk.
+func readable(e ReadVExtent) bool {
+	return e.Off >= 0 && e.Len >= 0 && e.Off+e.Len <= ChunkSize
+}
+
+// readExtent reads extent i into its result's Data.
+func (j *readJob) readExtent(i int) error {
+	r := &j.results[i]
+	if r.Err != "" {
 		return nil
-	})
-	return ReadVResp{OK: true, Results: results}
+	}
+	e := j.exts[i]
+	committed, err := j.s.st.readChunk(j.base, e.Chunk, j.ceiling, e.Off, r.Data)
+	if err != nil || !committed {
+		// A hole comes back OK with nil Data: it reads as zeros.
+		r.Data = nil
+	}
+	if err != nil {
+		r.Err = err.Error()
+		return nil
+	}
+	r.OK = true
+	return nil
 }
 
 // resolveWriteEpoch maps a vdisk to its writable (base, ceiling)
@@ -433,6 +501,54 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 	return base, ceiling, st, ""
 }
 
+// writeVOK is the reply to every write that succeeds, boxed once.
+var writeVOK any = WriteVResp{OK: true}
+
+// writeJob is one onWriteV's scratch and what its concurrent jobs
+// share: the write's forwards to its partners and the serial units its
+// extents are cut into. It comes from writeJobs and goes back once the
+// write is answered — unless a forward went unanswered, whose request
+// may still be queued at the carrier with an extent list of the job's.
+// run and apply are the bound fan-out functions, made once per writeJob
+// rather than once per write.
+type writeJob struct {
+	s       *Server
+	ctx     obs.Ctx // of the write here: a forward's span is a child of this server's
+	vdisk   VDiskID
+	base    VDiskID
+	ceiling int64
+	st      GlobalState
+	local   string // the local apply's error, or ""
+	fws     []forward
+	sorted  []WriteVExtent // the extents in address order, when they came in another
+	units   [][]WriteVExtent
+
+	run, apply func(i int) error
+}
+
+var writeJobs = sync.Pool{New: func() any {
+	j := new(writeJob)
+	j.run, j.apply = j.runJob, j.applyUnit
+	return j
+}}
+
+// release gives j back to writeJobs, pointing at nothing, unless a
+// forward of it went unanswered.
+func (j *writeJob) release() {
+	for _, fw := range j.fws {
+		if fw.leaked {
+			return
+		}
+	}
+	for _, fw := range j.fws[:cap(j.fws)] {
+		clear(fw.exts[:cap(fw.exts)])
+	}
+	clear(j.sorted[:cap(j.sorted)])
+	clear(j.units[:cap(j.units)])
+	*j = writeJob{fws: j.fws[:0], sorted: j.sorted[:0], units: j.units[:0], run: j.run, apply: j.apply}
+	writeJobs.Put(j)
+}
+
 // onWriteV applies a write: one lease check and one epoch resolution
 // cover every extent, then the extents land on the local store while,
 // at the same time, they are forwarded to the partner replicas — Petal's
@@ -441,7 +557,7 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 // replica hop too, and the partners are called in parallel. A local
 // failure fails the request, though a forward may by then have been
 // applied: the client's retry at the other replica converges the two.
-func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
+func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) any {
 	// On TCP, extent data aliases a pooled receive buffer. Once the
 	// store has copied the bytes and any replica forward has completed,
 	// the buffer is recycled — unless a forward timed out, in which
@@ -450,7 +566,7 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 	leaked := false
 	defer func() {
 		if !leaked {
-			rpc.Release(m)
+			m.ReleaseWire()
 		}
 	}()
 	total := 0
@@ -471,80 +587,90 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 			return WriteVResp{Err: ErrBounds.Error()}
 		}
 	}
-	var fws []forward
+	j := writeJobs.Get().(*writeJob)
+	j.s, j.ctx, j.vdisk, j.base, j.ceiling, j.st = s, sp.Ctx(), m.VDisk, base, ceiling, st
 	if !m.Forwarded && !s.cfg.NoReplicate {
-		fws = s.forwards(st, base, m.Extents)
+		j.forward(m.Extents)
 	}
+	j.cut(m.Extents)
 	// Job 0 is the local apply, job i the forward to partner i-1; each
 	// writes only its own result.
-	_ = BoundedPar(1+len(fws), 1+len(fws), func(i int) error {
-		if i == 0 {
-			errStr = s.applyExtents(base, ceiling, m.Extents)
-		} else {
-			s.replicate(sp.Ctx(), &fws[i-1], m.VDisk, ceiling, st)
-		}
-		return nil
-	})
-	for _, fw := range fws {
+	_ = BoundedPar(1+len(j.fws), 1+len(j.fws), j.run)
+	for _, fw := range j.fws {
 		leaked = leaked || fw.leaked
 	}
+	errStr = j.local
+	if errStr == "" {
+		s.noteMissed(j.fws, j.base, j.ceiling)
+	}
+	j.release()
 	if errStr != "" {
 		return WriteVResp{Err: errStr}
 	}
-	s.noteMissed(fws, base, ceiling)
-	return WriteVResp{OK: true}
+	return writeVOK
+}
+
+// runJob is job i of a write: 0 its local apply, i the forward to its
+// partner i-1.
+func (j *writeJob) runJob(i int) error {
+	if i == 0 {
+		j.local = j.applyExtents()
+	} else {
+		j.s.replicate(j.ctx, &j.fws[i-1], j.vdisk, j.ceiling, &j.st)
+	}
+	return nil
 }
 
 // writeVApplyPar bounds concurrent store writes while applying one
 // batch; the disk arms serialize actual media time.
 const writeVApplyPar = 16
 
-// applyExtents applies a batch's extents to the local store with
-// bounded parallelism — the disk-level half of scatter-gather.
-// Extents whose sector-aligned spans overlap are chained into one
-// serial unit so read-modify-write at a shared edge sector stays
-// ordered; everything else proceeds concurrently. Returns the first
-// error string, or "".
-func (s *Server) applyExtents(base VDiskID, ceiling int64, exts []WriteVExtent) string {
-	units := conflictUnits(exts)
-	err := BoundedPar(writeVApplyPar, len(units), func(i int) error {
-		for _, e := range units[i] {
-			if err := s.st.writeChunk(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+// applyExtents applies the write's units to the local store with
+// bounded parallelism — the disk-level half of scatter-gather. Returns
+// the first error string, or "".
+func (j *writeJob) applyExtents() string {
+	if err := BoundedPar(writeVApplyPar, len(j.units), j.apply); err != nil {
 		return err.Error()
 	}
 	return ""
 }
 
-// conflictUnits orders extents by (chunk, offset) and cuts the
-// sequence into runs whose sector-aligned spans overlap: each run is
-// one serial unit.
-func conflictUnits(exts []WriteVExtent) [][]WriteVExtent {
+// applyUnit writes unit i's extents to the local store, in order.
+func (j *writeJob) applyUnit(i int) error {
+	for _, e := range j.units[i] {
+		if err := j.s.st.writeChunk(j.base, e.Chunk, j.ceiling, e.Off, e.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cut orders exts by (chunk, offset) and cuts the sequence into j.units,
+// runs whose sector-aligned spans overlap: each run is one serial unit,
+// so read-modify-write at a shared edge sector stays ordered while
+// everything else proceeds concurrently.
+func (j *writeJob) cut(exts []WriteVExtent) {
 	byAddr := func(a, b WriteVExtent) int {
 		return cmp.Or(cmp.Compare(a.Chunk, b.Chunk), cmp.Compare(a.Off, b.Off))
 	}
 	if !slices.IsSortedFunc(exts, byAddr) {
 		// The slice belongs to the request; order a copy.
-		exts = slices.Clone(exts)
-		slices.SortStableFunc(exts, byAddr)
+		j.sorted = append(j.sorted[:0], exts...)
+		slices.SortStableFunc(j.sorted, byAddr)
+		exts = j.sorted
 	}
-	var units [][]WriteVExtent
+	j.units = j.units[:0]
 	start, unitHi := 0, int64(0) // current unit's first extent and aligned end
 	for i, e := range exts {
 		lo := int64(e.Off) &^ (sim.SectorSize - 1)
 		hi := (int64(e.Off+len(e.Data)) + sim.SectorSize - 1) &^ (sim.SectorSize - 1)
 		if i > start && (e.Chunk != exts[start].Chunk || lo >= unitHi) {
-			units = append(units, exts[start:i])
+			j.units = append(j.units, exts[start:i])
 			start, unitHi = i, 0
 		}
 		unitHi = max(unitHi, hi)
 	}
-	return append(units, exts[start:])
+	j.units = append(j.units, exts[start:])
 }
 
 // forward is the share of a client write one partner replicates, and
@@ -557,35 +683,36 @@ type forward struct {
 	done, leaked bool
 }
 
-// forwards groups a client write's extents by the partner that holds
-// their second copy, so each partner receives one request.
-func (s *Server) forwards(st GlobalState, base VDiskID, exts []WriteVExtent) []forward {
-	var fws []forward
-next:
+// forward groups a client write's extents into j.fws by the partner
+// that holds their second copy, so each partner receives one request.
+// A pooled job's forwards keep their extent lists' room.
+func (j *writeJob) forward(exts []WriteVExtent) {
+	j.fws = j.fws[:0]
 	for _, e := range exts {
-		p1, p2 := st.replicas(base, e.Chunk)
+		p1, p2 := j.st.replicas(j.base, e.Chunk)
 		partner := p1
-		if p1 == s.name {
+		if p1 == j.s.name {
 			partner = p2
 		}
-		if partner == "" || partner == s.name {
+		if partner == "" || partner == j.s.name {
 			continue
 		}
-		for i := range fws {
-			if fws[i].partner == partner {
-				fws[i].exts = append(fws[i].exts, e)
-				continue next
-			}
+		k := 0
+		for k < len(j.fws) && j.fws[k].partner != partner {
+			k++
 		}
-		fws = append(fws, forward{partner: partner, exts: []WriteVExtent{e}})
+		if k == len(j.fws) {
+			j.fws = slices.Grow(j.fws, 1)[:k+1]
+			j.fws[k] = forward{partner: partner, exts: j.fws[k].exts[:0]}
+		}
+		j.fws[k].exts = append(j.fws[k].exts, e)
 	}
-	return fws
 }
 
 // replicate sends one partner its share of a client write, unless the
 // partner is known to be down. ctx is the context of that write here:
 // the partner's span becomes a child of this server's.
-func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st GlobalState) {
+func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st *GlobalState) {
 	s.mu.Lock()
 	partnerAlive := st.Alive[fw.partner]
 	s.mu.Unlock()
@@ -593,7 +720,7 @@ func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st 
 		return
 	}
 	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: fw.exts, Forwarded: true, Epoch: epoch}
-	resp, err := s.ep.Call(DataAddr(fw.partner), req, dataTimeout)
+	resp, err := s.ep.Call(addrOf(s.addrs, fw.partner), req, dataTimeout)
 	if err != nil {
 		fw.leaked = true
 		return
@@ -725,7 +852,8 @@ func (s *Server) DebugReadChunk(v VDiskID, chunk int64, off, length int) ([]byte
 	if err != nil {
 		return nil, false
 	}
-	data, ok, err := s.st.readChunk(base, chunk, ceiling, off, length)
+	data := make([]byte, length)
+	ok, err := s.st.readChunk(base, chunk, ceiling, off, data)
 	if err != nil {
 		return nil, false
 	}

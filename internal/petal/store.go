@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"frangipani/internal/bufpool"
 	"frangipani/internal/sim"
 )
 
@@ -115,15 +116,16 @@ func (s *store) latestLocked(v VDiskID, chunk, ceiling int64) int64 {
 	return eps[i-1]
 }
 
-// readChunk reads length bytes at off within the chunk visible at
-// epoch ceiling. Missing or decommitted chunks read as zeros (ok is
-// false then, letting the caller skip network payload for holes).
-func (s *store) readChunk(v VDiskID, chunk, ceiling int64, off, length int) (data []byte, committed bool, err error) {
+// readChunk fills dst from off within the chunk visible at epoch
+// ceiling. Missing or decommitted chunks are not read: committed is
+// false then, letting the caller skip network payload for holes, and dst
+// is left as it was.
+func (s *store) readChunk(v VDiskID, chunk, ceiling int64, off int, dst []byte) (committed bool, err error) {
 	s.mu.Lock()
 	e := s.latestLocked(v, chunk, ceiling)
 	if e == 0 {
 		s.mu.Unlock()
-		return nil, false, nil
+		return false, nil
 	}
 	key := chunkKey{v, chunk, e}
 	ext := s.extents[key]
@@ -133,16 +135,22 @@ func (s *store) readChunk(v VDiskID, chunk, ceiling int64, off, length int) (dat
 		wg.Wait() // COW seed copy in progress; read after it lands
 	}
 	if ext.dev == tombstoneDev {
-		return nil, false, nil
+		return false, nil
 	}
-	// Read the covering sector-aligned range, then slice.
+	// The disks read whole sectors: an unaligned range is read through
+	// the covering sector-aligned one.
 	lo := int64(off) &^ (sim.SectorSize - 1)
-	hi := (int64(off+length) + sim.SectorSize - 1) &^ (sim.SectorSize - 1)
-	buf := make([]byte, hi-lo)
-	if err := s.devs[ext.dev].ReadAt(buf, ext.off+lo); err != nil {
-		return nil, false, err
+	hi := (int64(off+len(dst)) + sim.SectorSize - 1) &^ (sim.SectorSize - 1)
+	if lo == int64(off) && hi == int64(off+len(dst)) {
+		return true, s.devs[ext.dev].ReadAt(dst, ext.off+lo)
 	}
-	return buf[int64(off)-lo : int64(off)-lo+int64(length)], true, nil
+	bufp := bufpool.Get(int(hi - lo))
+	defer bufpool.Put(bufp)
+	if err := s.devs[ext.dev].ReadAt(*bufp, ext.off+lo); err != nil {
+		return false, err
+	}
+	copy(dst, (*bufp)[int64(off)-lo:])
+	return true, nil
 }
 
 // writeChunk applies data at off within (v, chunk) at exactly epoch.

@@ -166,7 +166,7 @@ func decodeReadVResp(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error)
 }
 
 // ReleaseWire implements rpc.WireReleaser: it returns the pooled
-// receive buffer the per-extent Data fields alias. Idempotent.
+// buffer the per-extent Data fields alias. Idempotent.
 func (r ReadVResp) ReleaseWire() { r.wb.Release() }
 
 // ---- WriteVReq ----

@@ -2,6 +2,8 @@ package petal
 
 import (
 	"bytes"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -168,9 +170,11 @@ func TestConflictUnits(t *testing.T) {
 		{{2, 0}},
 	}
 	first := in[0]
-	units := conflictUnits(in)
+	j := new(writeJob)
+	j.cut(in)
+	units := j.units
 	if in[0].Chunk != first.Chunk || in[0].Off != first.Off {
-		t.Fatal("conflictUnits reordered the caller's slice")
+		t.Fatal("cut reordered the caller's slice")
 	}
 	if len(units) != len(want) {
 		t.Fatalf("%d units, want %d: %v", len(units), len(want), units)
@@ -185,7 +189,65 @@ func TestConflictUnits(t *testing.T) {
 			}
 		}
 	}
-	if got := conflictUnits(in[:1]); len(got) != 1 || len(got[0]) != 1 {
-		t.Fatalf("one extent -> %v, want one unit of one", got)
+	if j.cut(in[:1]); len(j.units) != 1 || len(j.units[0]) != 1 {
+		t.Fatalf("one extent -> %v, want one unit of one", j.units)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// writeVAllocs and readVAllocs are what a replicated 64 KB WriteV and a
+// 64 KB ReadV, cut in two halves for the two replicas, allocate — the
+// client and both servers together, over the simulated network: each
+// request, its envelope and the network's message, each handler's
+// goroutine and its fan-out, the forward, the reply and the read's
+// buffer hand-off. They were 41 and 40 while every call built its
+// pieces, batches, extent lists and reply channel, and every server its
+// per-request lists, closures and read buffers, anew. Raise or lower them
+// only with a change that means to move them.
+const (
+	writeVAllocs = 14
+	readVAllocs  = 20
+)
+
+// TestWriteVReadVRoundTripAllocs pins writeVAllocs and readVAllocs. The
+// servers' demons allocate in the background and AllocsPerRun counts the
+// whole process: the least of several rounds is the call's own. Under
+// the race detector sync.Pool drops a share of what it is given, so the
+// counts are pinned only without it (make alloc-budget).
+func TestWriteVReadVRoundTripAllocs(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	d := tc.mustCreate(t, "vol")
+	wexts := []Extent{{Off: 5 * ChunkSize, Data: patternBuf(ChunkSize, 3)}}
+	rexts := []ReadExtent{{Off: 5 * ChunkSize, Dst: make([]byte, ChunkSize)}}
+	least := func(call func() error) float64 {
+		l := -1.0
+		for round := 0; round < 8; round++ {
+			n := testing.AllocsPerRun(50, func() {
+				if err := call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if l < 0 || n < l {
+				l = n
+			}
+		}
+		return l
+	}
+	w := least(func() error { return d.WriteV(wexts) })
+	r := least(func() error { return d.ReadV(rexts) })
+	t.Logf("allocations per 64 KB round trip: WriteV %v, ReadV %v", w, r)
+	if !bytes.Equal(rexts[0].Dst, wexts[0].Data) {
+		t.Fatal("the ReadV did not return what the WriteV wrote")
+	}
+	if raceBuild() {
+		return
+	}
+	if w != writeVAllocs || r != readVAllocs {
+		t.Fatalf("a 64 KB WriteV allocates %v times and a ReadV %v, want %d and %d", w, r, writeVAllocs, readVAllocs)
 	}
 }

@@ -76,9 +76,11 @@ func RegisterWireDecoder(tag byte, fn WireDecoderFunc) {
 	wireDecoders[tag].Store(&fn)
 }
 
-// RecvBuf is the pooled buffer one decoded message lives in. Release
-// returns it to the pool; it is idempotent and safe to race, so a
-// stray double release can never hand the same buffer out twice.
+// RecvBuf is the pooled buffer one message's payload lives in: the
+// receive buffer it was decoded from, or the buffer a handler built its
+// reply in. Release returns it to the pool; it is idempotent and safe to
+// race, so a stray double release can never hand the same buffer out
+// twice.
 type RecvBuf struct {
 	p atomic.Pointer[[]byte]
 }

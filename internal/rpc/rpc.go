@@ -117,11 +117,7 @@ func (e *Endpoint) receive(from string, body any, size int) {
 		return
 	}
 	if env.IsReply {
-		e.mu.Lock()
-		ch := e.pending[env.ID]
-		delete(e.pending, env.ID)
-		e.mu.Unlock()
-		if ch != nil {
+		if ch := e.takeCall(env.ID); ch != nil {
 			ch <- env.Body
 		} else {
 			// Caller gave up (timeout): return any pooled payload
@@ -167,22 +163,8 @@ func (e *Endpoint) Cast(to string, body any) error {
 // Call sends a request and waits up to timeout (simulated time) for
 // the reply.
 func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e.nextID++
-	id := e.nextID
-	ch := make(chan any, 1)
-	e.pending[id] = ch
-	e.mu.Unlock()
-
-	err := e.carrier.Send(e.addr, to, Envelope{ID: id, Body: req}, sizeOf(req))
+	id, ch, err := e.send(to, req)
 	if err != nil {
-		e.mu.Lock()
-		delete(e.pending, id)
-		e.mu.Unlock()
 		return nil, err
 	}
 	timer := armTimer(e.clock.Real(timeout))
@@ -192,21 +174,65 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 		// Stopped, a timer delivers nothing more (go 1.23 timers): the
 		// next call to take it from the pool finds its channel empty.
 		timer.Stop()
+		// The reply's sender took the call out of pending before it
+		// sent, so nobody else holds the channel now.
+		replyChans.Put(ch)
 		return reply, nil
 	case <-timer.C:
-		e.mu.Lock()
-		delete(e.pending, id)
-		e.mu.Unlock()
-		// The reply may have been buffered in the same instant the
-		// timer fired; recycle its pooled payload buffer if so.
-		select {
-		case reply := <-ch:
-			Release(reply)
-		default:
-		}
-		return nil, fmt.Errorf("%w: %s -> %s", ErrTimeout, e.addr, to)
+		return nil, e.expire(to, id, ch)
 	}
 }
+
+// send registers a call under a fresh id, with a reply channel from the
+// pool, and sends its request.
+func (e *Endpoint) send(to string, req any) (id uint64, ch chan any, err error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return 0, nil, ErrClosed
+	}
+	e.nextID++
+	id = e.nextID
+	ch = replyChans.Get().(chan any)
+	e.pending[id] = ch
+	e.mu.Unlock()
+	if err := e.carrier.Send(e.addr, to, Envelope{ID: id, Body: req}, sizeOf(req)); err != nil {
+		e.takeCall(id)
+		return 0, nil, err
+	}
+	return id, ch, nil
+}
+
+// takeCall removes the call id from pending and returns its reply
+// channel, or nil if it is no longer pending: whoever takes it is the
+// one party that may send on it.
+func (e *Endpoint) takeCall(id uint64) chan any {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ch := e.pending[id]
+	delete(e.pending, id)
+	return ch
+}
+
+// expire ends a call whose time ran out. Its reply channel is not
+// pooled again: a reply whose delivery took the call out of pending
+// before the time-out did may still be on its way into the channel, and
+// must not reach the next call to use it.
+func (e *Endpoint) expire(to string, id uint64, ch chan any) error {
+	e.takeCall(id)
+	// The reply may have been buffered in the same instant the timer
+	// fired; recycle its pooled payload buffer if so.
+	select {
+	case reply := <-ch:
+		Release(reply)
+	default:
+	}
+	return fmt.Errorf("%w: %s -> %s", ErrTimeout, e.addr, to)
+}
+
+// replyChans holds the reply channels of answered calls, empty and
+// pending nowhere: a call takes one of them, not a new channel.
+var replyChans = sync.Pool{New: func() any { return make(chan any, 1) }}
 
 // timerPool holds the time-out timers of finished calls, stopped or
 // fired and received from: a call arms one of them, not a new timer and

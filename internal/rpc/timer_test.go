@@ -18,15 +18,20 @@ func (p *pooledReply) ReleaseWire() { p.released.Add(1) }
 // answering is a carrier with one endpoint on it: a request sent is
 // answered with reply, delay later, on the sender's own goroutine when
 // delay is zero — the reply is then buffered before Call starts to wait.
+// A holding carrier answers nothing: the test delivers by hand.
 type answering struct {
 	recv  func(from string, body any, size int)
 	reply func() any
 	delay time.Duration
+	hold  bool
 }
 
 func (c *answering) Register(_ string, recv func(string, any, int)) { c.recv = recv }
 func (c *answering) Unregister(string)                              {}
 func (c *answering) Send(from, to string, body any, size int) error {
+	if c.hold {
+		return nil
+	}
 	env := Envelope{ID: body.(Envelope).ID, IsReply: true, Body: c.reply()}
 	if c.delay == 0 {
 		c.recv(to, env, size)
@@ -36,37 +41,97 @@ func (c *answering) Send(from, to string, body any, size int) error {
 	return nil
 }
 
-// TestCallReplyAndTimerRace: a call whose reply is already buffered when
-// its timer has already run out takes either, and is right both ways —
-// the reply goes to the caller unreleased, or the call times out and
-// gives the reply's pooled buffer back, once.
+// TestCallReplyAndTimerRace: a call whose reply and time-out come
+// together is right whichever its select takes and whichever order the
+// reply's delivery and the time-out's clean-up run in — the reply goes
+// to the caller unreleased, or the call times out and the reply's pooled
+// buffer is given back, once. Each order is stepped by hand (send, the
+// reply's delivery, expire), so every one runs on any host.
 func TestCallReplyAndTimerRace(t *testing.T) {
-	var last *pooledReply
-	c := &answering{reply: func() any { last = new(pooledReply); return last }}
+	c := &answering{hold: true}
 	e := NewEndpoint("a", c, sim.NewClock(1), nil)
-	var replied, timedOut int
-	for i := 0; i < 400; i++ {
-		got, err := e.Call("b", echoReq{}, time.Nanosecond)
-		switch {
-		case err == nil:
-			replied++
-			if got != any(last) || last.released.Load() != 0 {
-				t.Fatalf("call %d: reply %v, released %d times while the caller holds it", i, got, last.released.Load())
-			}
-		case errors.Is(err, ErrTimeout):
-			timedOut++
-			if n := last.released.Load(); n != 1 {
-				t.Fatalf("call %d timed out and released the buffered reply %d times, want 1", i, n)
-			}
-		default:
-			t.Fatal(err)
+	deliver := func(id uint64, r *pooledReply) { e.receive("b", Envelope{ID: id, IsReply: true, Body: r}, 0) }
+	send := func(what string) (uint64, chan any) {
+		t.Helper()
+		id, ch, err := e.send("b", echoReq{})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return id, ch
+	}
+	expire := func(what string, id uint64, ch chan any) {
+		t.Helper()
+		if err := e.expire("b", id, ch); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("%s: expire returned %v", what, err)
 		}
 		if n := len(e.pending); n != 0 {
-			t.Fatalf("call %d left %d calls pending", i, n)
+			t.Fatalf("%s: %d calls left pending", what, n)
 		}
 	}
-	if replied == 0 || timedOut == 0 {
-		t.Fatalf("%d calls got their reply and %d timed out: one order of the race never ran", replied, timedOut)
+
+	// The reply is buffered before the call waits and its time is long:
+	// the select takes the reply.
+	r := new(pooledReply)
+	c.hold, c.reply = false, func() any { return r }
+	got, err := e.Call("b", echoReq{}, time.Hour)
+	if err != nil || got != any(r) || r.released.Load() != 0 {
+		t.Fatalf("reply taken: got %v, %v, released %d times while the caller holds it", got, err, r.released.Load())
+	}
+	c.hold = true
+
+	// The reply is buffered and the select takes the timer.
+	r = new(pooledReply)
+	id, ch := send("timer taken over a buffered reply")
+	deliver(id, r)
+	expire("timer taken over a buffered reply", id, ch)
+	if n := r.released.Load(); n != 1 {
+		t.Fatalf("timer taken over a buffered reply: released %d times, want 1", n)
+	}
+
+	// The time-out is cleaned up before the reply arrives: its delivery
+	// finds no call and gives the buffer back.
+	r = new(pooledReply)
+	id, ch = send("reply after the time-out")
+	expire("reply after the time-out", id, ch)
+	deliver(id, r)
+	if n := r.released.Load(); n != 1 {
+		t.Fatalf("reply after the time-out: released %d times, want 1", n)
+	}
+	if len(ch) != 0 {
+		t.Fatal("reply after the time-out reached the expired call's channel")
+	}
+}
+
+// TestExpiredReplyReachesNoLaterCall: a reply whose delivery took its
+// call out of pending just before the call timed out lands in the
+// channel after expire has looked; that channel must never serve another
+// call, or the next call to draw it would return the stale reply as its
+// own.
+func TestExpiredReplyReachesNoLaterCall(t *testing.T) {
+	c := &answering{hold: true}
+	e := NewEndpoint("a", c, sim.NewClock(1), nil)
+	for round := 0; round < 16; round++ { // under -race the pool drops a share of what it is given
+		c.hold = true
+		id, ch, err := e.send("b", echoReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := e.takeCall(id) // the delivery's first half
+		if err := e.expire("b", id, ch); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("round %d: expire returned %v", round, err)
+		}
+		stale := new(pooledReply)
+		taken <- stale // its second half, after expire has looked
+
+		// The next call's reply comes a moment later, from another
+		// goroutine: a call handed the stale channel returns at once
+		// with what it holds, rather than wait for ever to deliver into it.
+		fresh := new(pooledReply)
+		c.hold, c.delay, c.reply = false, time.Millisecond, func() any { return fresh }
+		got, err := e.Call("b", echoReq{}, time.Hour)
+		if err != nil || got != any(fresh) {
+			t.Fatalf("round %d: the next call got %v, %v; want its own reply", round, got, err)
+		}
 	}
 }
 
@@ -88,15 +153,15 @@ func TestCallTimerIsStoppedAndReused(t *testing.T) {
 	}
 }
 
-// callAllocs is what a call allocates on this carrier: its reply channel
-// (two objects, a buffered channel of pointers), the envelope boxed for
-// the carrier and the reply envelope the test's carrier boxes in turn.
-// It was 7 while every call armed a timer and channel of its own for
-// its time-out.
-const callAllocs = 4
+// callAllocs is what a call allocates on this carrier: the envelope
+// boxed for the carrier and the reply envelope the test's carrier boxes
+// in turn. It was 7 while every call armed a timer and channel of its
+// own for its time-out, and 4 while it made its reply channel (two
+// objects, a buffered channel of pointers).
+const callAllocs = 2
 
 // TestCallAllocs: the time-out of a call allocates nothing, its timer
-// comes from the pool.
+// comes from the pool, and so does its reply channel.
 func TestCallAllocs(t *testing.T) {
 	c := &answering{reply: func() any { return nil }}
 	e := NewEndpoint("a", c, sim.NewClock(1), nil)
