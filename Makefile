@@ -30,11 +30,13 @@ race:
 ## with its flush (internal/wal), a cache insert (one object), the waits,
 ## Petal's routing and fan-out, a replicated 64 KB WriteV and a ReadV
 ## round trip (client and servers), an RPC's time-out, a sticky lock's
-## Lock/TryLock and Unlock, a lease check — once
+## Lock/TryLock and Unlock, a lease check, a flight-recorder record (an
+## event or a finished span: nothing, into a slot of <= 128 B) — once
 ## more without the race detector: under it
 ## sync.Pool drops a share of what it is given and the counts carry
 ## slack, here they are exact. A package that prints "[no tests to run]"
-## pins nothing; fs, wal, petal, rpc, sim, cache and lockservice must not.
+## pins nothing; fs, wal, petal, rpc, sim, cache, lockservice and obs
+## must not.
 alloc-budget:
 	$(GO) test -count=1 -run 'Allocs|AllocationFree|AllocateNothing' ./internal/...
 
@@ -61,7 +63,9 @@ bench:
 ## forensics-smoke kills a lock holder mid-write and asserts the merged
 ## flight-recorder timeline shows expiry -> recovery -> replay in causal
 ## order; obs-overhead asserts the recorder and the per-principal
-## account table each add <= 1% serial Sync latency. lock-scaling
+## account table each add <= 1% serial Sync latency (the recorder row
+## turns the rings off, so it ablates span records and events together;
+## spans are still opened and charged). lock-scaling
 ## asserts contended acquire p99 improves >= 1.8x — what ten -quick runs
 ## at PR 22 hold (2.05-2.31) less their range; the 2.0 it replaces read
 ## 2.06-2.46 at every commit and tripped on the host's mood —

@@ -6,76 +6,29 @@ import (
 	"frangipani/internal/bench"
 )
 
-// Each testing.B benchmark regenerates one table or figure of the
-// paper's evaluation (§9). The measured quantity is simulated time,
-// so b.N iterations simply repeat the experiment; the interesting
-// output is the table itself, logged once per run. `go run
-// ./cmd/frangibench` prints the full-size versions; these use the
-// Quick sizing so `go test -bench=.` stays tractable.
-
-func benchOptions() bench.Options {
+// BenchmarkExperiments runs the experiment table (bench.Experiments),
+// one sub-benchmark per entry: `go test -run '^$' -bench
+// 'Experiments/table1$'` regenerates Table 1 of the paper's evaluation
+// (§9). The measured quantity is simulated time, so b.N iterations
+// simply repeat the experiment; the interesting output is the table
+// itself, logged once per run. `go run ./cmd/frangibench` prints the
+// full-size versions; these use the Quick sizing.
+func BenchmarkExperiments(b *testing.B) {
 	o := bench.DefaultOptions()
 	o.Quick = true
 	o.MaxMachines = 4
 	o.PetalServers = 5
-	return o
-}
-
-func runExperiment(b *testing.B, name string) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		tb, err := o.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + tb.Render())
-		}
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := e.Run(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + tb.Render())
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable1MAB regenerates Table 1: Modified Andrew Benchmark
-// latencies for AdvFS and Frangipani, raw and NVRAM.
-func BenchmarkTable1MAB(b *testing.B) { runExperiment(b, "table1") }
-
-// BenchmarkTable2Connectathon regenerates Table 2: the
-// Connectathon-style operation suite.
-func BenchmarkTable2Connectathon(b *testing.B) { runExperiment(b, "table2") }
-
-// BenchmarkTable3Throughput regenerates Table 3: large-file
-// throughput and CPU utilization.
-func BenchmarkTable3Throughput(b *testing.B) { runExperiment(b, "table3") }
-
-// BenchmarkFig5ScalingMAB regenerates Figure 5: MAB latency vs
-// machines.
-func BenchmarkFig5ScalingMAB(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkFig6ReadScaling regenerates Figure 6: uncached read
-// scaling.
-func BenchmarkFig6ReadScaling(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7WriteScaling regenerates Figure 7: write scaling with
-// replication.
-func BenchmarkFig7WriteScaling(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig7NoReplication is the replication ablation of Figure 7.
-func BenchmarkFig7NoReplication(b *testing.B) { runExperiment(b, "fig7-norepl") }
-
-// BenchmarkFig8Contention regenerates Figure 8: reader/writer
-// contention with and without read-ahead.
-func BenchmarkFig8Contention(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9SharedSize regenerates Figure 9: contention vs shared
-// region size.
-func BenchmarkFig9SharedSize(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkWriteSharing regenerates the third §9.4 experiment:
-// write/write sharing.
-func BenchmarkWriteSharing(b *testing.B) { runExperiment(b, "wshare") }
-
-// BenchmarkSmallReads regenerates §9.2's 30-process 8 KB read
-// experiment.
-func BenchmarkSmallReads(b *testing.B) { runExperiment(b, "smallreads") }
-
-// BenchmarkAblationSyncLog measures §4's synchronous-logging option.
-func BenchmarkAblationSyncLog(b *testing.B) { runExperiment(b, "ablation-synclog") }

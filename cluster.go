@@ -116,9 +116,9 @@ type ClusterConfig struct {
 	// DefaultClusterConfig sets it to obs.DefaultJournalCap;
 	// non-positive values are rejected by NewCluster.
 	JournalCap int
-	// SlowOpThreshold, if > 0, makes the tracer keep a rendered span
-	// tree for every root operation at least this slow (simulated
-	// time); retrieve them with Obs().Tracer().SlowDumps().
+	// SlowOpThreshold, if > 0, makes Obs().Tracer().SlowDumps() render
+	// the span tree of every root operation still in the rings that took
+	// at least this long (simulated time).
 	SlowOpThreshold time.Duration
 }
 
@@ -196,6 +196,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			w.Obs.Tracer().SetSlowThreshold(cfg.SlowOpThreshold)
 		}
 		w.Obs.SetJournalCap(cfg.JournalCap)
+		w.Obs.SetNamer(entityName)
 		w.Obs.SetAccounting(!cfg.NoAccounting)
 	}
 	c := &Cluster{
@@ -373,71 +374,79 @@ func (c *Cluster) Windows() *obs.WindowRing {
 //   - petal: a Petal server's partners have missed replicated writes
 //     that anti-entropy has not yet repaired (replica lag).
 func (c *Cluster) Health() obs.HealthReport {
-	h := obs.NewHealth()
 	now := int64(c.World.Clock.Now())
-	lease := c.cfg.FSConfig.Lock.LeaseDuration
+	var probes []obs.ProbeResult
+	probe := func(name string, st obs.ProbeStatus, detail string) {
+		probes = append(probes, obs.ProbeResult{Name: name, Status: st, Detail: detail})
+	}
 	names, fss := c.fileServers()
 	for i, name := range names {
-		f := fss[i]
-		hi := f.Health()
-		h.Register("lease/"+name, func() (obs.ProbeStatus, string) {
-			if hi.Poisoned {
-				return obs.StatusCrit, "lease lost; server poisoned"
-			}
-			left := time.Duration(hi.LeaseExpiresAt - now)
-			if left <= 0 {
-				return obs.StatusCrit, "lease expired"
-			}
-			if lease > 0 && left < lease/4 {
-				return obs.StatusWarn, fmt.Sprintf("lease expires in %v (< 25%% of %v)", left, lease)
-			}
-			return obs.StatusOK, fmt.Sprintf("lease valid for %v", left)
-		})
-		h.Register("wal/"+name, func() (obs.ProbeStatus, string) {
-			if hi.WALBacklogBytes == 0 {
-				return obs.StatusOK, "no unflushed log bytes"
-			}
-			if hi.WALLastFlush != 0 && time.Duration(now-hi.WALLastFlush) > time.Minute {
-				return obs.StatusWarn, fmt.Sprintf("%d B unflushed, last flush %v ago",
-					hi.WALBacklogBytes, time.Duration(now-hi.WALLastFlush))
-			}
-			return obs.StatusOK, fmt.Sprintf("%d B in flight", hi.WALBacklogBytes)
-		})
-		h.Register("cache/"+name, func() (obs.ProbeStatus, string) {
-			worst, detail := obs.StatusOK, "pools healthy"
-			check := func(kind string, dirty, capacity int) {
-				if capacity == 0 {
-					return
-				}
-				frac := float64(dirty) / float64(capacity)
-				st := obs.StatusOK
-				if frac >= 0.90 {
-					st = obs.StatusCrit
-				} else if frac >= 0.75 {
-					st = obs.StatusWarn
-				}
-				if st > worst {
-					worst = st
-					detail = fmt.Sprintf("%s pool %.0f%% dirty (%d/%d)", kind, frac*100, dirty, capacity)
-				}
-			}
-			check("data", hi.DataDirty, hi.DataCapacity)
-			check("meta", hi.MetaDirty, hi.MetaCapacity)
-			return worst, detail
-		})
+		hi := fss[i].Health()
+		st, detail := leaseProbe(hi, now, c.cfg.FSConfig.Lock.LeaseDuration)
+		probe("lease/"+name, st, detail)
+		st, detail = walProbe(hi, now)
+		probe("wal/"+name, st, detail)
+		st, detail = cacheProbe(hi)
+		probe("cache/"+name, st, detail)
 	}
 	for _, p := range c.Petals {
-		p := p
-		h.Register("petal/"+p.Name(), func() (obs.ProbeStatus, string) {
-			if n := p.MissedBacklog(); n > 0 {
-				return obs.StatusWarn, fmt.Sprintf("%d replicated chunks awaiting anti-entropy", n)
-			}
-			return obs.StatusOK, "replicas in sync"
-		})
+		if n := p.MissedBacklog(); n > 0 {
+			probe("petal/"+p.Name(), obs.StatusWarn, fmt.Sprintf("%d replicated chunks awaiting anti-entropy", n))
+		} else {
+			probe("petal/"+p.Name(), obs.StatusOK, "replicas in sync")
+		}
 	}
-	rep := h.Evaluate()
+	rep := obs.NewHealthReport(probes)
 	c.journalHealthTransitions(rep)
 	return rep
+}
+
+func leaseProbe(hi fs.HealthInfo, now int64, lease time.Duration) (obs.ProbeStatus, string) {
+	if hi.Poisoned {
+		return obs.StatusCrit, "lease lost; server poisoned"
+	}
+	left := time.Duration(hi.LeaseExpiresAt - now)
+	if left <= 0 {
+		return obs.StatusCrit, "lease expired"
+	}
+	if lease > 0 && left < lease/4 {
+		return obs.StatusWarn, fmt.Sprintf("lease expires in %v (< 25%% of %v)", left, lease)
+	}
+	return obs.StatusOK, fmt.Sprintf("lease valid for %v", left)
+}
+
+func walProbe(hi fs.HealthInfo, now int64) (obs.ProbeStatus, string) {
+	if hi.WALBacklogBytes == 0 {
+		return obs.StatusOK, "no unflushed log bytes"
+	}
+	if hi.WALLastFlush != 0 && time.Duration(now-hi.WALLastFlush) > time.Minute {
+		return obs.StatusWarn, fmt.Sprintf("%d B unflushed, last flush %v ago",
+			hi.WALBacklogBytes, time.Duration(now-hi.WALLastFlush))
+	}
+	return obs.StatusOK, fmt.Sprintf("%d B in flight", hi.WALBacklogBytes)
+}
+
+func cacheProbe(hi fs.HealthInfo) (obs.ProbeStatus, string) {
+	worst, detail := obs.StatusOK, "pools healthy"
+	check := func(kind string, dirty, capacity int) {
+		if capacity == 0 {
+			return
+		}
+		frac := float64(dirty) / float64(capacity)
+		st := obs.StatusOK
+		if frac >= 0.90 {
+			st = obs.StatusCrit
+		} else if frac >= 0.75 {
+			st = obs.StatusWarn
+		}
+		if st > worst {
+			worst = st
+			detail = fmt.Sprintf("%s pool %.0f%% dirty (%d/%d)", kind, frac*100, dirty, capacity)
+		}
+	}
+	check("data", hi.DataDirty, hi.DataCapacity)
+	check("meta", hi.MetaDirty, hi.MetaCapacity)
+	return worst, detail
 }
 
 // journalHealthTransitions records probe status *changes* into the
@@ -506,14 +515,15 @@ func (c *Cluster) NowNs() int64 {
 }
 
 // EntityNamer renders journal entity keys for humans: lock ids decode
-// through the FS lock-name scheme ("inode/7"), anything else in hex.
-func (c *Cluster) EntityNamer() obs.Namer {
-	return func(layer string, key uint64) string {
-		if layer == "lockservice" {
-			return fs.LockName(key)
-		}
-		return fmt.Sprintf("%#x", key)
+// through the FS lock-name scheme ("inode/7"), anything else in hex. The
+// registry names its hot locks with the same function.
+func (c *Cluster) EntityNamer() obs.Namer { return entityName }
+
+func entityName(layer string, key uint64) string {
+	if layer == "lockservice" {
+		return fs.LockName(key)
 	}
+	return fmt.Sprintf("%#x", key)
 }
 
 // Anomalies returns the cluster's anomaly watcher (created on first

@@ -26,15 +26,6 @@ import (
 	"frangipani/internal/obs"
 )
 
-var names = []string{
-	"table1", "table2", "table3",
-	"fig5", "fig6", "fig7", "fig7-norepl", "fig8", "fig9",
-	"wshare", "smallreads", "ablation-synclog", "writeback-pipeline",
-	"read-scaling", "obs-overhead", "obs-smoke", "contention-profile",
-	"codec-mux", "lock-scaling", "scale-sweep", "forensics-smoke",
-	"noisy-neighbor-obs",
-}
-
 func main() {
 	var (
 		exp         = flag.String("exp", "", "experiment to run (default: all)")
@@ -50,8 +41,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, n := range names {
-			fmt.Println(n)
+		for _, e := range bench.Experiments {
+			fmt.Println(e.Name)
 		}
 		return
 	}
@@ -116,7 +107,8 @@ func main() {
 	if err != nil {
 		self = ""
 	}
-	for _, n := range names {
+	for _, e := range bench.Experiments {
+		n := e.Name
 		if self != "" {
 			cmd := exec.Command(self,
 				"-exp", n,
@@ -131,7 +123,7 @@ func main() {
 				os.Exit(1)
 			}
 		} else {
-			tb, err := o.ByName(n)
+			tb, err := e.Run(o)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "frangibench:", n, err)
 				os.Exit(1)

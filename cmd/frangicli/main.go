@@ -80,7 +80,8 @@ func main() {
                        and the hot-lock table
   health [json]        evaluate the cluster health probes
   hotlocks [json]      top contended locks (acquire wait + revokes)
-                       with the shard and lock server each maps to
+                       over the recorders' window, with the shard
+                       and lock server each maps to
   top [json]           per-principal account table: who is moving
                        bytes, issuing RPCs, and waiting on locks;
                        do work through an FS.As view to attribute
@@ -223,7 +224,7 @@ func main() {
 					}
 				}
 				fmt.Println()
-				if top := reg.Resources("lockservice.locks").TopK(5); len(top) > 0 {
+				if top := reg.HotLocks(5); len(top) > 0 {
 					fmt.Print(obs.RenderResources("hot locks", top))
 				}
 				for _, a := range cluster.Anomalies().Observe(win) {
@@ -242,7 +243,7 @@ func main() {
 				fmt.Println("observability disabled")
 				break
 			}
-			top := reg.Resources("lockservice.locks").TopK(10)
+			top := reg.HotLocks(10)
 			if arg(args, 1) == "json" {
 				type hotLock struct {
 					obs.ResourceStat
@@ -264,13 +265,9 @@ func main() {
 			fmt.Printf("hot locks:\n  %-28s %10s %12s %8s  %-6s %s\n",
 				"resource", "acquires", "wait (ms)", "revokes", "shard", "owner")
 			for _, st := range top {
-				name := st.Name
-				if name == "" {
-					name = fmt.Sprintf("%#x", st.ID)
-				}
 				sh, owner := cluster.LockShardFor(st.ID)
 				fmt.Printf("  %-28s %10d %12.3f %8d  s%03d   %s\n",
-					name, st.Acquires, float64(st.WaitNs)/1e6, st.Events, sh, owner)
+					st.Name, st.Acquires, float64(st.WaitNs)/1e6, st.Events, sh, owner)
 			}
 		case "top":
 			acct := cluster.Accounts()
@@ -415,8 +412,9 @@ func forensics(cluster *frangipani.Cluster, args []string) error {
 			if err != nil {
 				return fmt.Errorf("cannot parse trace id %q", args[1])
 			}
-			// Events carry no trace id: a trace and the timeline join on
-			// time, so show what happened while the operation ran.
+			// The trace's spans are records of the timeline; the events
+			// beside them join on time: show what happened while the
+			// operation ran.
 			for _, sp := range cluster.Obs().Tracer().SpansFor(id) {
 				if f.Since == 0 || sp.Start < f.Since {
 					f.Since = sp.Start

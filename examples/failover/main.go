@@ -47,7 +47,7 @@ func main() {
 		ents, err := ws2.ReadDir("/")
 		if err == nil && len(ents) == 5 {
 			fmt.Printf("ws2 sees all %d files after %.1fs real (recoveries on ws2: %d)\n",
-				len(ents), time.Since(start).Seconds(), ws2.Stats().Recoveries)
+				len(ents), time.Since(start).Seconds(), cluster.Obs().Counter("fs.recovery.count#ws2").Value())
 			break
 		}
 		if time.Since(start) > 2*time.Minute {

@@ -75,7 +75,7 @@ func (o Options) ContentionProfile() (*Table, error) {
 		return nil, fmt.Errorf("contention-profile: only %.1f%% of %s attributed (want >= 90%%)", cov*100, dom)
 	}
 
-	top := reg.Resources("lockservice.locks").TopK(5)
+	top := reg.HotLocks(5)
 	if len(top) == 0 {
 		return nil, fmt.Errorf("contention-profile: hot-lock table is empty")
 	}

@@ -435,7 +435,7 @@ func (o Options) WritebackPipeline() (*Table, error) {
 		}
 		dur := sim.Duration(c.World.Clock.Now() - start)
 		after := f.PetalStats()
-		st := f.Stats()
+		runs := c.Obs().Counter("fs.flush.runs#" + f.Machine()).Value()
 		c.Close()
 		rpcs := after.WriteVRPCs - before.WriteVRPCs
 		t.Rows = append(t.Rows, []string{
@@ -443,7 +443,7 @@ func (o Options) WritebackPipeline() (*Table, error) {
 			ms(dur),
 			fmt.Sprintf("%d", rpcs),
 			fmt.Sprintf("%.1f", float64(after.WriteVExtents-before.WriteVExtents)/float64(max(rpcs, 1))),
-			fmt.Sprintf("%d", st.FlushRuns),
+			fmt.Sprintf("%d", runs),
 		})
 	}
 	return t, nil
@@ -487,93 +487,46 @@ func (o Options) SmallReads() (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in order.
-func (o Options) All() ([]*Table, error) {
-	type exp struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	exps := []exp{
-		{"table1", o.Table1MAB},
-		{"table2", o.Table2Connectathon},
-		{"table3", o.Table3Throughput},
-		{"fig5", o.Fig5ScalingMAB},
-		{"fig6", o.Fig6ReadScaling},
-		{"fig7", func() (*Table, error) { return o.Fig7WriteScaling(false) }},
-		{"fig7-norepl", func() (*Table, error) { return o.Fig7WriteScaling(true) }},
-		{"fig8", o.Fig8Contention},
-		{"fig9", o.Fig9SharedSize},
-		{"wshare", o.WriteSharing},
-		{"smallreads", o.SmallReads},
-		{"ablation-synclog", o.AblationSyncLog},
-		{"writeback-pipeline", o.WritebackPipeline},
-		{"read-scaling", o.ReadScaling},
-		{"obs-overhead", o.ObsOverhead},
-		{"obs-smoke", o.ObsSmoke},
-		{"codec-mux", o.CodecMux},
-		{"lock-scaling", o.LockScaling},
-		{"scale-sweep", o.ScaleSweep},
-		{"forensics-smoke", o.ForensicsSmoke},
-		{"noisy-neighbor-obs", o.NoisyNeighborObs},
-	}
-	var out []*Table
-	for _, e := range exps {
-		tb, err := e.fn()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
-		}
-		out = append(out, tb)
-	}
-	return out, nil
+// Experiment is one entry of the experiment table: its short name and
+// what runs it.
+type Experiment struct {
+	Name string
+	Run  func(Options) (*Table, error)
 }
 
-// ByName runs one experiment by its short name.
+// Experiments is the experiment table, in the order frangibench runs
+// and lists them.
+var Experiments = []Experiment{
+	{"table1", Options.Table1MAB},
+	{"table2", Options.Table2Connectathon},
+	{"table3", Options.Table3Throughput},
+	{"fig5", Options.Fig5ScalingMAB},
+	{"fig6", Options.Fig6ReadScaling},
+	{"fig7", func(o Options) (*Table, error) { return o.Fig7WriteScaling(false) }},
+	{"fig7-norepl", func(o Options) (*Table, error) { return o.Fig7WriteScaling(true) }},
+	{"fig8", Options.Fig8Contention},
+	{"fig9", Options.Fig9SharedSize},
+	{"wshare", Options.WriteSharing},
+	{"smallreads", Options.SmallReads},
+	{"ablation-synclog", Options.AblationSyncLog},
+	{"writeback-pipeline", Options.WritebackPipeline},
+	{"read-scaling", Options.ReadScaling},
+	{"obs-overhead", Options.ObsOverhead},
+	{"obs-smoke", Options.ObsSmoke},
+	{"contention-profile", Options.ContentionProfile},
+	{"codec-mux", Options.CodecMux},
+	{"lock-scaling", Options.LockScaling},
+	{"scale-sweep", Options.ScaleSweep},
+	{"forensics-smoke", Options.ForensicsSmoke},
+	{"noisy-neighbor-obs", Options.NoisyNeighborObs},
+}
+
+// ByName runs one experiment of the table by its short name.
 func (o Options) ByName(name string) (*Table, error) {
-	switch name {
-	case "table1":
-		return o.Table1MAB()
-	case "table2":
-		return o.Table2Connectathon()
-	case "table3":
-		return o.Table3Throughput()
-	case "fig5":
-		return o.Fig5ScalingMAB()
-	case "fig6":
-		return o.Fig6ReadScaling()
-	case "fig7":
-		return o.Fig7WriteScaling(false)
-	case "fig7-norepl":
-		return o.Fig7WriteScaling(true)
-	case "fig8":
-		return o.Fig8Contention()
-	case "fig9":
-		return o.Fig9SharedSize()
-	case "wshare":
-		return o.WriteSharing()
-	case "smallreads":
-		return o.SmallReads()
-	case "ablation-synclog":
-		return o.AblationSyncLog()
-	case "writeback-pipeline":
-		return o.WritebackPipeline()
-	case "read-scaling":
-		return o.ReadScaling()
-	case "obs-overhead":
-		return o.ObsOverhead()
-	case "obs-smoke":
-		return o.ObsSmoke()
-	case "contention-profile":
-		return o.ContentionProfile()
-	case "codec-mux":
-		return o.CodecMux()
-	case "lock-scaling":
-		return o.LockScaling()
-	case "scale-sweep":
-		return o.ScaleSweep()
-	case "forensics-smoke":
-		return o.ForensicsSmoke()
-	case "noisy-neighbor-obs":
-		return o.NoisyNeighborObs()
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Run(o)
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", name)
 }

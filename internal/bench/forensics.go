@@ -76,7 +76,7 @@ func (o Options) ForensicsSmoke() (*Table, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if got := ws2.Stats().Recoveries; got < 1 {
+	if got := c.Obs().Counter("fs.recovery.count#" + ws2.Machine()).Value(); got < 1 {
 		return nil, o.forensicsFail(c, fmt.Errorf("ws2 replayed no logs (Recoveries=%d)", got))
 	}
 	// Assert the merged timeline contains the recovery chain in order.

@@ -91,12 +91,12 @@ func TestSyncConcurrentWithWrites(t *testing.T) {
 			}
 		}
 	}
-	st := f.Stats()
-	if st.FlushRuns == 0 || st.FlushPages == 0 {
-		t.Fatalf("pipeline counters empty: %+v", st)
+	m := f.m
+	if m.flushRuns.Value() == 0 || m.flushPages.Value() == 0 {
+		t.Fatalf("pipeline counters empty: runs=%d pages=%d", m.flushRuns.Value(), m.flushPages.Value())
 	}
 	t.Logf("batches=%d runs=%d pages=%d peak=%d",
-		st.FlushBatches, st.FlushRuns, st.FlushPages, st.FlushPeakInFlight)
+		m.flushBatches.Value(), m.flushRuns.Value(), m.flushPages.Value(), m.flushPeak.Value())
 
 	// A fresh server must see the same bytes (write-back actually
 	// reached Petal, not just the cache).
@@ -131,7 +131,7 @@ func TestFlushParallelismEquivalence(t *testing.T) {
 			if err := f.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if par > 1 && f.Stats().FlushBatches == 0 {
+			if par > 1 && f.m.flushBatches.Value() == 0 {
 				t.Fatal("pipelined path never dispatched a batch")
 			}
 			if err := f.Unmount(); err != nil {

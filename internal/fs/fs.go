@@ -85,30 +85,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Counters aggregates per-server statistics for the benchmarks.
-type Counters struct {
-	Ops             int64
-	BytesRead       int64
-	BytesWritten    int64
-	Retries         int64
-	Recoveries      int64
-	ReadAheadHits   int64 // prefetches landed, one per chunk
-	ReadAheadWasted int64 // prefetched bytes discarded after revocation
-
-	// Write-back pipeline statistics.
-	FlushBatches      int64 // scatter-gather batches dispatched
-	FlushRuns         int64 // coalesced runs written back
-	FlushPages        int64 // blocks written back
-	FlushPeakInFlight int64 // max concurrent write-back dispatches seen
-
-	// Read-path batching statistics.
-	MetaBatchFetches int64 // scatter-gather metadata fetches issued
-	MetaBatchSectors int64 // sectors carried by those fetches
-}
-
 // fsMetrics is the registry-backed home of the server's counters
-// (standalone collectors when observability is unwired). The old
-// Counters accessor reads these, so benchmarks keep working.
+// (standalone collectors when observability is unwired), named
+// "fs.<name>#machine".
 type fsMetrics struct {
 	ops, bytesRead, bytesWritten *obs.Counter
 	retries, recoveries          *obs.Counter
@@ -325,9 +304,6 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		fs.tr = w.Obs.Tracer()
 		fs.jr = w.Obs.Journal(machine)
 		fs.acct = w.Obs.Accounts()
-		// Hot-lock table entries decode to human-readable lock names
-		// ("inode/7") in snapshots and exposition.
-		w.Obs.Resources("lockservice.locks").SetNamer(LockName)
 	}
 	fs.meta.SetObs(w.Obs, machine+".meta")
 	fs.data.SetObs(w.Obs, machine+".data")
@@ -383,27 +359,6 @@ func (fs *FS) Clerk() *lockservice.Clerk { return fs.clerk }
 // counters (benchmarks compare serial vs scatter-gather write-back).
 func (fs *FS) PetalStats() petal.ClientStats { return fs.pc.Stats() }
 
-// Stats returns a snapshot of the server's counters (a compatibility
-// view over the registry-backed metrics; each field is individually
-// race-safe).
-func (fs *FS) Stats() Counters {
-	return Counters{
-		Ops:               fs.m.ops.Value(),
-		BytesRead:         fs.m.bytesRead.Value(),
-		BytesWritten:      fs.m.bytesWritten.Value(),
-		Retries:           fs.m.retries.Value(),
-		Recoveries:        fs.m.recoveries.Value(),
-		ReadAheadHits:     fs.m.raHits.Value(),
-		ReadAheadWasted:   fs.m.raWasted.Value(),
-		FlushBatches:      fs.m.flushBatches.Value(),
-		FlushRuns:         fs.m.flushRuns.Value(),
-		FlushPages:        fs.m.flushPages.Value(),
-		FlushPeakInFlight: fs.m.flushPeak.Value(),
-		MetaBatchFetches:  fs.m.metaBatch.Value(),
-		MetaBatchSectors:  fs.m.metaBatchSectors.Value(),
-	}
-}
-
 // HealthInfo aggregates one server's live health signals for the
 // cluster health probes.
 type HealthInfo struct {
@@ -441,7 +396,7 @@ func (fs *FS) Health() HealthInfo {
 // (the sync demon, write-behind, prefetch, recovery) passes a nil
 // handle instead: no spans, and the unknown account.
 func (fs *FS) traced(name string, fn func(op *obs.Span) error) error {
-	sp := fs.tr.Start("fs", name)
+	sp := fs.tr.Start(fs.jr, "fs", name)
 	if sp == nil {
 		return fn(nil)
 	}
@@ -1470,7 +1425,7 @@ func (fs *FS) reclaimLog(through int64) {
 // a trace of its own: the flush it triggers (wal + petal spans) is
 // followable like any foreground op.
 func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
-	op := fs.tr.Start("lockservice", "revoke")
+	op := fs.tr.Start(fs.jr, "lockservice", "revoke")
 	defer op.Done()
 	switch lock & (0xff << 56) {
 	case lockTagInode:

@@ -81,7 +81,7 @@ func TestSetReadAheadToggle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hits := f.Stats().ReadAheadHits; hits != 0 {
+	if hits := f.m.raHits.Value(); hits != 0 {
 		t.Fatalf("read-ahead ran while disabled (hits=%d)", hits)
 	}
 	f.SetReadAhead(16)

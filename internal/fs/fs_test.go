@@ -586,7 +586,7 @@ func TestCrashRecoveryReplaysLog(t *testing.T) {
 			t.Fatalf("crash%d missing after recovery: %v", i, err)
 		}
 	}
-	if f2.Stats().Recoveries == 0 {
+	if f2.m.recoveries.Value() == 0 {
 		t.Fatal("no recovery ran on ws2")
 	}
 	// The recovered state passes the consistency check.

@@ -201,6 +201,31 @@ func TestSyncFanOutStaysInTrace(t *testing.T) {
 	fsckClean(t, tw)
 }
 
+// TestCreateSpanFollowsItsLogAppend: a create's log append and its span
+// land in the server's one ring, in the order they happened — the
+// append's event before the create's span record, which ends the
+// operation — so the server's stream reads as it ran.
+func TestCreateSpanFollowsItsLogAppend(t *testing.T) {
+	tw := newTestWorld(t)
+	f := tw.mount(t, "ws1", func(c *Config) { c.SyncEvery = time.Hour })
+	if err := f.Create("/a"); err != nil {
+		t.Fatal(err)
+	}
+	appendAt, createAt := -1, -1
+	for i, e := range tw.w.Obs.Journal("ws1").Events() {
+		switch {
+		case e.Layer == "wal" && e.Op == "append" && e.Kind == "ok":
+			appendAt = i
+		case e.Layer == "fs" && e.Op == "create" && e.Kind == obs.SpanKind:
+			createAt = i
+		}
+	}
+	if appendAt < 0 || createAt < appendAt {
+		t.Fatalf("ring order: wal append ok at %d, fs.create span at %d", appendAt, createAt)
+	}
+	fsckClean(t, tw)
+}
+
 // TestCacheCountersCountDemand: the pools' hit and miss counters count
 // the lookups of whoever needed a block, not the fetch path's own
 // probes, so the ratio can say that read-ahead works: a sequential
@@ -245,7 +270,7 @@ func TestCacheCountersCountDemand(t *testing.T) {
 	hits, misses, metaMisses, fills := counters()
 	ratio := float64(hits) / float64(hits+misses)
 	t.Logf("uncached sequential pass: %d hits, %d misses (ratio %.3f), %d foreground fetches, %d prefetches",
-		hits, misses, ratio, fills, reader.Stats().ReadAheadHits)
+		hits, misses, ratio, fills, reader.m.raHits.Value())
 	if ratio < 0.9 {
 		t.Errorf("data-pool hit ratio of a prefetched sequential pass is %.3f, want >= 0.9", ratio)
 	}

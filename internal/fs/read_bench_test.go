@@ -161,7 +161,7 @@ func TestReadAtCachedStreamAllocs(t *testing.T) {
 	if seqOn > 2 || randOn > 2 {
 		t.Fatalf("a cached 4 KB ReadAt allocates %v times sequential, %v random, want <= 2", seqOn, randOn)
 	}
-	if hits := h.fs.Stats().ReadAheadHits; hits != 0 {
+	if hits := h.fs.m.raHits.Value(); hits != 0 {
 		t.Fatalf("%d prefetches on a fully cached file", hits)
 	}
 }

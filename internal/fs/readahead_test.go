@@ -121,12 +121,11 @@ func TestReadAheadIgnoresNonSequential(t *testing.T) {
 		if _, _, _, busy := streamState(h); busy != 0 {
 			t.Fatalf("%s: %d prefetches in flight", what, busy)
 		}
-		st := reader.Stats()
-		if st.ReadAheadHits != 0 || st.ReadAheadWasted != 0 {
-			t.Fatalf("%s: prefetched (landed %d, wasted %d bytes)", what, st.ReadAheadHits, st.ReadAheadWasted)
+		if hits, wasted := reader.m.raHits.Value(), reader.m.raWasted.Value(); hits != 0 || wasted != 0 {
+			t.Fatalf("%s: prefetched (landed %d, wasted %d bytes)", what, hits, wasted)
 		}
-		if st.BytesRead != wantBytes {
-			t.Fatalf("%s: fetched %d bytes from Petal, the reads cover %d", what, st.BytesRead, wantBytes)
+		if got := reader.m.bytesRead.Value(); got != wantBytes {
+			t.Fatalf("%s: fetched %d bytes from Petal, the reads cover %d", what, got, wantBytes)
 		}
 	}
 	// Random 4 KB reads in the upper half: no two adjacent in order.

@@ -96,8 +96,8 @@ func TestReadDirPlusBatchesColdReads(t *testing.T) {
 	if batched*2 > baseline {
 		t.Fatalf("ReadDirPlus used %d read RPCs vs baseline %d; want <= 50%%", batched, baseline)
 	}
-	if st := cold2.Stats(); st.MetaBatchFetches == 0 || st.MetaBatchSectors < files {
-		t.Fatalf("batched metadata fetch unused: %+v", st)
+	if fetches, sectors := cold2.m.metaBatch.Value(), cold2.m.metaBatchSectors.Value(); fetches == 0 || sectors < files {
+		t.Fatalf("batched metadata fetch unused: %d fetches, %d sectors", fetches, sectors)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestReadDirColdUsesBatchFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws2 := tw.mount(t, "ws2", nil)
-	before := ws2.Stats()
+	before := ws2.m.metaBatch.Value()
 	ents, err := ws2.ReadDir("/big")
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +127,7 @@ func TestReadDirColdUsesBatchFetch(t *testing.T) {
 	if len(ents) != 60 {
 		t.Fatalf("got %d entries, want 60", len(ents))
 	}
-	after := ws2.Stats()
-	if after.MetaBatchFetches == before.MetaBatchFetches {
+	if ws2.m.metaBatch.Value() == before {
 		t.Fatal("cold ReadDir did not use the batched metadata fetch")
 	}
 }

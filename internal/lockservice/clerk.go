@@ -92,14 +92,15 @@ type Clerk struct {
 	acqLat     *obs.Histogram
 	revLat     *obs.Histogram
 	relLat     *obs.Histogram
-	batchC     *obs.Counter       // outbound batch messages
-	batchOpsC  *obs.Counter       // lock ops carried in those batches
-	renewSkipC *obs.Counter       // renew ticks skipped (predecessor in flight)
-	renewStdC  *obs.Counter       // standalone RenewMsg calls issued
-	renewPigC  *obs.Counter       // renewals piggybacked on batches
-	renewElidC *obs.Counter       // per-server standalone calls elided (fresh ack)
-	resTab     *obs.ResourceTable // per-lock contention (hot-lock table)
-	jr         *obs.Journal       // flight recorder (nil-safe)
+	batchC     *obs.Counter // outbound batch messages
+	batchOpsC  *obs.Counter // lock ops carried in those batches
+	renewSkipC *obs.Counter // renew ticks skipped (predecessor in flight)
+	renewStdC  *obs.Counter // standalone RenewMsg calls issued
+	renewPigC  *obs.Counter // renewals piggybacked on batches
+	renewElidC *obs.Counter // per-server standalone calls elided (fresh ack)
+	// jr is the flight recorder (nil-safe). Its acquire ok|fail and
+	// revoke recv records are also what the hot-lock ranking reads.
+	jr *obs.Journal
 }
 
 // NewClerk creates a clerk for one machine and lock table on the
@@ -136,7 +137,6 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		c.renewStdC = reg.Counter("lockservice.renew.standalone#" + machine)
 		c.renewPigC = reg.Counter("lockservice.renew.piggyback#" + machine)
 		c.renewElidC = reg.Counter("lockservice.renew.elided#" + machine)
-		c.resTab = reg.Resources("lockservice.locks")
 		c.jr = reg.Journal(machine)
 	}
 	c.ep = rpc.NewEndpoint(ClerkAddr(machine), carrier, w.Clock, c.handle)
@@ -321,13 +321,12 @@ func (c *Clerk) Lock(lock uint64, mode Mode) error {
 	}
 	start := c.now()
 	blocked, err := c.lockWait(lock, mode)
-	// Per-lock contention: the whole acquire latency counts as wait
-	// (an uncontended sticky hit is ~0, so hot locks dominate).
 	wait := c.now() - start
-	c.resTab.Acquire(lock, wait)
 	c.acqLat.Record(wait)
 	// Journal only acquires that blocked or failed: uncontended sticky
 	// hits are the overwhelming common case and would churn the ring.
+	// These records, with the whole acquire latency as the wait, are
+	// the hot-lock ranking's input (obs.Registry.HotLocks).
 	if err != nil {
 		c.jr.Record("lockservice", "acquire", "fail", lock, wait, err.Error())
 	} else if blocked {
@@ -620,7 +619,6 @@ func (c *Clerk) retryRequests() {
 // processRevoke runs the FS flush callback and then complies with the
 // pending revoke.
 func (c *Clerk) processRevoke(lock uint64) {
-	c.resTab.Event(lock) // count the revoke against the lock
 	if c.now != nil {
 		start := c.now()
 		defer func() { c.revLat.Record(c.now() - start) }()

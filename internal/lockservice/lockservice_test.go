@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/sim"
 )
 
@@ -63,6 +64,59 @@ func waitUntil(t *testing.T, f func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+// TestHotLockRanking: two clerks take one lock in turn beside a lock
+// one of them takes once. The registry's ranking, read from the clerks'
+// records in the rings, puts the shared lock first, with the acquires,
+// wait and revokes the clerks recorded for it — and, since every Lock
+// here had to wait, the wait the clerks' acquire histograms hold.
+func TestHotLockRanking(t *testing.T) {
+	ls := newTestLS(t, 3)
+	c1, c2 := ls.clerk(t, "ws1"), ls.clerk(t, "ws2")
+	const hot, quiet, rounds = 7, 8, 5
+	for i := 0; i < rounds; i++ {
+		for _, c := range []*Clerk{c1, c2} {
+			if err := c.Lock(hot, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			c.Unlock(hot)
+		}
+	}
+	if err := c1.Lock(quiet, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	c1.Unlock(quiet)
+
+	var want obs.ResourceStat
+	for _, m := range []string{"ws1", "ws2"} {
+		for _, e := range ls.w.Obs.Journal(m).Events() {
+			switch {
+			case e.Key != hot || e.Layer != "lockservice":
+			case e.Op == "acquire" && e.Kind == "ok":
+				want.Acquires++
+				want.WaitNs += e.Arg
+			case e.Op == "revoke" && e.Kind == "recv":
+				want.Events++
+			}
+		}
+	}
+	top := ls.w.Obs.HotLocks(10)
+	if len(top) != 2 || top[0].ID != hot || top[1].ID != quiet {
+		t.Fatalf("ranking %+v, want lock %d then lock %d", top, hot, quiet)
+	}
+	got := top[0]
+	got.ID, got.Name = 0, ""
+	if got != want || want.Acquires != 2*rounds || want.Events < 2*rounds-1 {
+		t.Fatalf("hot lock ranked as %+v; the clerks recorded %+v over %d handoffs", got, want, 2*rounds)
+	}
+	var histWait int64
+	for _, m := range []string{"ws1", "ws2"} {
+		histWait += ls.w.Obs.Histogram("lockservice.acquire.latency#" + m).Sum()
+	}
+	if sum := top[0].WaitNs + top[1].WaitNs; sum != histWait {
+		t.Fatalf("ranked wait %d ns, the acquire histograms hold %d ns", sum, histWait)
+	}
 }
 
 func TestLockAcquireRelease(t *testing.T) {

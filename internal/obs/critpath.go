@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,12 +20,10 @@ type CritPath struct {
 }
 
 type rootProfile struct {
-	count    int64
-	totalNs  int64
-	attrNs   int64
-	self     map[string]*Histogram // per "layer.op" self-time per trace
-	selfTot  map[string]int64
-	selfOnce map[string]int64 // scratch: self-time within the current trace
+	count   int64
+	totalNs int64
+	attrNs  int64
+	self    map[string]*Histogram // per "layer.op" self-time per trace; Sum is the total
 }
 
 // NewCritPath returns an empty profile.
@@ -42,16 +41,21 @@ type PathEntry struct {
 	P99     int64   `json:"p99_ns"`
 }
 
-// AddTracer feeds the profile from the tracer's ring: the up-to-max
-// most recently completed root traces (0 means all resident).
+// AddTracer feeds the profile from the span records resident in the
+// tracer's registry's rings: the up-to-max most recently finished root
+// traces (0 means all resident), read in one pass over the rings.
 func (cp *CritPath) AddTracer(tr *Tracer, max int) {
-	for _, id := range tr.Roots(max) {
-		cp.AddTrace(tr.SpansFor(id))
+	byTrace, roots := tr.traces()
+	if max > 0 && len(roots) > max {
+		roots = roots[:max]
+	}
+	for _, r := range roots {
+		cp.AddTrace(byTrace[r.TraceID])
 	}
 }
 
 // AddTrace attributes one completed trace. Spans whose parent is
-// absent from the slice (evicted from the ring, or recorded by another
+// absent from the slice (evicted from its ring, or recorded by another
 // process's tracer) are skipped: without the parent they
 // would double-count time the parent's own spans already cover.
 func (cp *CritPath) AddTrace(spans []Span) {
@@ -74,28 +78,19 @@ func (cp *CritPath) AddTrace(spans []Span) {
 	rootOp := root.Layer + "." + root.Op
 	rp := cp.roots[rootOp]
 	if rp == nil {
-		rp = &rootProfile{
-			self:    make(map[string]*Histogram),
-			selfTot: make(map[string]int64),
-		}
+		rp = &rootProfile{self: make(map[string]*Histogram)}
 		cp.roots[rootOp] = rp
 	}
 	rp.count++
 	rp.totalNs += root.Duration()
-	rp.selfOnce = make(map[string]int64)
+	selfOnce := make(map[string]int64) // self-time within this trace
 
 	var walk func(sp *Span, lo, hi int64)
 	walk = func(sp *Span, lo, hi int64) {
 		// Clip the span to its parent's window so time outside the
 		// parent (a child outliving a background-completed parent)
 		// never inflates attribution past the root's duration.
-		s, e := sp.Start, sp.End
-		if s < lo {
-			s = lo
-		}
-		if e > hi {
-			e = hi
-		}
+		s, e := max(sp.Start, lo), min(sp.End, hi)
 		if e <= s {
 			return
 		}
@@ -105,25 +100,13 @@ func (cp *CritPath) AddTrace(spans []Span) {
 		// child's effective window begins where its predecessors' claims
 		// end. A child fully shadowed by an earlier sibling contributes
 		// nothing (its time is already that sibling's).
-		sort.Slice(kids, func(i, j int) bool {
-			if kids[i].Start != kids[j].Start {
-				return kids[i].Start < kids[j].Start
-			}
-			return kids[i].End < kids[j].End
+		slices.SortFunc(kids, func(a, b *Span) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 		})
 		covered := int64(0)
 		claimed := s // high-water mark of sibling claims
 		for _, k := range kids {
-			ks, ke := k.Start, k.End
-			if ks < s {
-				ks = s
-			}
-			if ke > e {
-				ke = e
-			}
-			if ks < claimed {
-				ks = claimed
-			}
+			ks, ke := max(k.Start, claimed), min(k.End, e)
 			if ke <= ks {
 				continue
 			}
@@ -133,14 +116,13 @@ func (cp *CritPath) AddTrace(spans []Span) {
 		}
 		self := (e - s) - covered
 		if self > 0 {
-			rp.selfOnce[sp.Layer+"."+sp.Op] += self
+			selfOnce[sp.Layer+"."+sp.Op] += self
 			rp.attrNs += self
 		}
 	}
 	walk(root, root.Start, root.End)
 
-	for name, ns := range rp.selfOnce {
-		rp.selfTot[name] += ns
+	for name, ns := range selfOnce {
 		h := rp.self[name]
 		if h == nil {
 			h = NewHistogram()
@@ -148,7 +130,6 @@ func (cp *CritPath) AddTrace(spans []Span) {
 		}
 		h.Record(ns)
 	}
-	rp.selfOnce = nil
 }
 
 // RootOps returns the root operations seen, sorted by accumulated
@@ -161,12 +142,8 @@ func (cp *CritPath) RootOps() []string {
 	for op := range cp.roots {
 		ops = append(ops, op)
 	}
-	sort.Slice(ops, func(i, j int) bool {
-		a, b := cp.roots[ops[i]], cp.roots[ops[j]]
-		if a.totalNs != b.totalNs {
-			return a.totalNs > b.totalNs
-		}
-		return ops[i] < ops[j]
+	slices.SortFunc(ops, func(a, b string) int {
+		return cmp.Or(cmp.Compare(cp.roots[b].totalNs, cp.roots[a].totalNs), cmp.Compare(a, b))
 	})
 	return ops
 }
@@ -182,23 +159,16 @@ func (cp *CritPath) Profile(rootOp string) []PathEntry {
 	if rp == nil {
 		return nil
 	}
-	out := make([]PathEntry, 0, len(rp.selfTot))
-	for name, ns := range rp.selfTot {
-		e := PathEntry{Name: name, SelfNs: ns}
+	out := make([]PathEntry, 0, len(rp.self))
+	for name, h := range rp.self {
+		e := PathEntry{Name: name, SelfNs: h.Sum(), P50: h.Quantile(0.5), P99: h.Quantile(0.99)}
 		if rp.totalNs > 0 {
-			e.Percent = float64(ns) / float64(rp.totalNs) * 100
-		}
-		if h := rp.self[name]; h != nil {
-			e.P50 = h.Quantile(0.5)
-			e.P99 = h.Quantile(0.99)
+			e.Percent = float64(e.SelfNs) / float64(rp.totalNs) * 100
 		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SelfNs != out[j].SelfNs {
-			return out[i].SelfNs > out[j].SelfNs
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b PathEntry) int {
+		return cmp.Or(cmp.Compare(b.SelfNs, a.SelfNs), cmp.Compare(a.Name, b.Name))
 	})
 	return out
 }

@@ -101,14 +101,24 @@ func TestCritPathFromTracer(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	for i := 0; i < 3; i++ {
-		root := tr.Start("fs", "sync")
-		root.Child("wal", "flush").Done()
+		root := tr.Start(r.Journal("ws1"), "fs", "sync")
+		flush := root.Child("wal", "flush")
+		// The flush's Petal work runs on the server, into its ring.
+		tr.Remote(r.Journal("petal0"), flush.Ctx(), "petal", "server.writev").Done()
+		flush.Done()
 		root.Done()
 	}
 	cp := NewCritPath()
 	cp.AddTracer(tr, 0)
 	if got := cp.Count("fs.sync"); got != 3 {
 		t.Fatalf("count = %d, want 3", got)
+	}
+	self := map[string]int64{}
+	for _, e := range cp.Profile("fs.sync") {
+		self[e.Name] = e.SelfNs
+	}
+	if self["petal.server.writev"] <= 0 || self["wal.flush"] <= 0 {
+		t.Fatalf("a trace's spans in two rings were not joined: %+v", self)
 	}
 	ops := cp.RootOps()
 	if len(ops) != 1 || ops[0] != "fs.sync" {

@@ -126,11 +126,7 @@ func (s Snapshot) Prometheus() string {
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", fam.name)
 			for _, table := range sortedKeys(s.Resources) {
 				for _, st := range s.Resources[table] {
-					name := st.Name
-					if name == "" {
-						name = fmt.Sprintf("%#x", st.ID)
-					}
-					lb := promLabels("table", table, "resource", name)
+					lb := promLabels("table", table, "resource", st.Name)
 					fmt.Fprintf(&b, "%s%s %d\n", fam.name, lb, fam.get(st))
 				}
 			}

@@ -19,10 +19,10 @@ func expoRegistry() *Registry {
 	for i := 0; i < 20; i++ {
 		h.Record(int64(i+1) * 1e6)
 	}
-	tab := reg.Resources("lockservice.locks")
-	tab.SetNamer(func(id uint64) string { return fmt.Sprintf("inode/%d", id) })
-	tab.Acquire(7, 5e6)
-	tab.Event(7)
+	reg.SetNamer(func(_ string, id uint64) string { return fmt.Sprintf("inode/%d", id) })
+	jr := reg.Journal("ws1")
+	jr.Record("lockservice", "acquire", "ok", 7, 5e6, "")
+	jr.Record("lockservice", "revoke", "recv", 7, 0, "")
 	return reg
 }
 

@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // ProbeStatus grades one health probe's finding.
@@ -73,78 +73,16 @@ func (r HealthReport) Text() string {
 	return b.String()
 }
 
-// Health is a registry of named probes evaluated on demand. Probes
-// are closures over live system state (a clerk's lease clock, a WAL's
-// backlog), so every Evaluate sees current conditions.
-type Health struct {
-	mu     sync.Mutex
-	probes []healthProbe
-}
-
-type healthProbe struct {
-	name  string
-	check func() (ProbeStatus, string)
-}
-
-// NewHealth returns an empty probe set.
-func NewHealth() *Health { return &Health{} }
-
-// Register adds a probe. check returns the current status and a
-// human-readable detail line. Re-registering a name replaces the
-// previous probe (servers remount, probes follow).
-func (h *Health) Register(name string, check func() (ProbeStatus, string)) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.probes {
-		if h.probes[i].name == name {
-			h.probes[i].check = check
-			return
-		}
-	}
-	h.probes = append(h.probes, healthProbe{name, check})
-}
-
-// Unregister removes a probe (e.g. when a server is removed).
-func (h *Health) Unregister(name string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.probes {
-		if h.probes[i].name == name {
-			h.probes = append(h.probes[:i], h.probes[i+1:]...)
-			return
-		}
-	}
-}
-
-// Evaluate runs every probe and aggregates the verdict. Results are
-// ordered worst first, then by name, so the top line of the report is
-// always the most urgent finding.
-func (h *Health) Evaluate() HealthReport {
-	var rep HealthReport
-	if h == nil {
-		return rep
-	}
-	h.mu.Lock()
-	probes := append([]healthProbe(nil), h.probes...)
-	h.mu.Unlock()
+// NewHealthReport rolls probe findings into a report: the verdict is
+// the worst status, and the probes are ordered worst first, then by
+// name, so the top line is always the most urgent finding.
+func NewHealthReport(probes []ProbeResult) HealthReport {
+	rep := HealthReport{Probes: probes}
 	for _, p := range probes {
-		st, detail := p.check()
-		rep.Probes = append(rep.Probes, ProbeResult{Name: p.name, Status: st, Detail: detail})
-		if st > rep.Verdict {
-			rep.Verdict = st
-		}
+		rep.Verdict = max(rep.Verdict, p.Status)
 	}
-	sort.Slice(rep.Probes, func(i, j int) bool {
-		if rep.Probes[i].Status != rep.Probes[j].Status {
-			return rep.Probes[i].Status > rep.Probes[j].Status
-		}
-		return rep.Probes[i].Name < rep.Probes[j].Name
+	slices.SortFunc(rep.Probes, func(a, b ProbeResult) int {
+		return cmp.Or(cmp.Compare(b.Status, a.Status), cmp.Compare(a.Name, b.Name))
 	})
 	return rep
 }

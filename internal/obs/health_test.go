@@ -6,15 +6,16 @@ import (
 )
 
 func TestHealthVerdictIsWorstProbe(t *testing.T) {
-	h := NewHealth()
-	h.Register("b-ok", func() (ProbeStatus, string) { return StatusOK, "fine" })
-	h.Register("a-warn", func() (ProbeStatus, string) { return StatusWarn, "close to limit" })
-	rep := h.Evaluate()
+	probes := []ProbeResult{
+		{Name: "b-ok", Status: StatusOK, Detail: "fine"},
+		{Name: "a-warn", Status: StatusWarn, Detail: "close to limit"},
+	}
+	rep := NewHealthReport(probes)
 	if rep.Verdict != StatusWarn {
 		t.Fatalf("verdict = %v, want warn", rep.Verdict)
 	}
-	h.Register("c-crit", func() (ProbeStatus, string) { return StatusCrit, "expired" })
-	rep = h.Evaluate()
+	probes = append(probes, ProbeResult{Name: "c-crit", Status: StatusCrit, Detail: "expired"})
+	rep = NewHealthReport(probes)
 	if rep.Verdict != StatusCrit {
 		t.Fatalf("verdict = %v, want crit", rep.Verdict)
 	}
@@ -31,26 +32,9 @@ func TestHealthVerdictIsWorstProbe(t *testing.T) {
 	}
 }
 
-func TestHealthReplaceAndUnregister(t *testing.T) {
-	h := NewHealth()
-	h.Register("lease", func() (ProbeStatus, string) { return StatusCrit, "" })
-	h.Register("lease", func() (ProbeStatus, string) { return StatusOK, "renewed" })
-	rep := h.Evaluate()
-	if rep.Verdict != StatusOK || len(rep.Probes) != 1 {
-		t.Fatalf("replace failed: %+v", rep)
-	}
-	h.Unregister("lease")
-	if rep := h.Evaluate(); len(rep.Probes) != 0 || rep.Verdict != StatusOK {
-		t.Fatalf("unregister failed: %+v", rep)
-	}
-}
-
 func TestHealthNil(t *testing.T) {
-	var h *Health
-	h.Register("x", nil)
-	h.Unregister("x")
-	if rep := h.Evaluate(); rep.Verdict != StatusOK {
-		t.Fatal("nil Health must evaluate ok")
+	if rep := NewHealthReport(nil); rep.Verdict != StatusOK {
+		t.Fatal("a report of no probes must be ok")
 	}
 }
 

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestJournalWraparound drives a small ring far past capacity from
@@ -258,5 +261,98 @@ func TestRenderTimeline(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestJournalMixesSpansInOrder: spans and events written into one ring
+// from concurrent writers (run under -race) are stamped inside the
+// ring's lock, so the ring stays non-decreasing in T whatever the mix —
+// the per-server order MergeTimeline relies on.
+func TestJournalMixesSpansInOrder(t *testing.T) {
+	var clock atomic.Int64
+	r := NewRegistry(func() int64 { return clock.Add(1) })
+	r.SetJournalCap(256)
+	tr := r.Tracer()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			jr := r.Journal(fmt.Sprintf("ws%d", w%2))
+			for i := 0; i < 300; i++ {
+				root := tr.Start(jr, "fs", "create")
+				jr.Record("wal", "append", "ok", uint64(i), 64, "")
+				root.Child("wal", "flush").Done()
+				root.Done()
+			}
+		}(w)
+	}
+	wg.Wait()
+	spans := 0
+	for _, j := range r.Journals() {
+		evs := j.Events()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].T < evs[i-1].T || evs[i].Seq != evs[i-1].Seq+1 {
+				t.Fatalf("%s: record %d (%+v) out of order after %+v", j.Server(), i, evs[i], evs[i-1])
+			}
+		}
+		for _, e := range evs {
+			if e.Kind == SpanKind {
+				spans++
+			}
+		}
+	}
+	merged := MergeTimeline(r.Journals(), Filter{})
+	last := map[string]uint64{}
+	for _, e := range merged {
+		if e.Seq <= last[e.Server] {
+			t.Fatalf("merge reordered %s: seq %d after %d", e.Server, e.Seq, last[e.Server])
+		}
+		last[e.Server] = e.Seq
+	}
+	if spans == 0 || spans == len(merged) {
+		t.Fatalf("%d of %d records are spans; the rings do not mix them", spans, len(merged))
+	}
+}
+
+// TestForensicsJSONGolden: an event's v1 fields are what they were
+// before spans shared the ring, and a span record adds only trace and
+// parent, both omitted when zero.
+func TestForensicsJSONGolden(t *testing.T) {
+	var clock atomic.Int64
+	r := NewRegistry(func() int64 { return clock.Add(10) })
+	jr := r.Journal("ws1")
+	root := r.Tracer().Start(jr, "fs", "create") // T=10
+	root.Principal = "alice"
+	jr.Record("lockservice", "lease", "expire", 7, 3, "ws2/fs0") // T=20
+	root.Child("wal", "flush").Done()                            // 30..40
+	root.Done()                                                  // T=50
+	b, err := json.Marshal(ForensicsDump{Schema: ForensicsSchema, Events: jr.Events()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"schema":"frangipani-forensics/v1","taken_at_ns":0,"events":[` +
+		`{"seq":1,"t_ns":20,"server":"ws1","layer":"lockservice","op":"lease","kind":"expire","key":7,"arg":3,"detail":"ws2/fs0"},` +
+		`{"seq":2,"t_ns":40,"server":"ws1","layer":"wal","op":"flush","kind":"span","key":2,"arg":10,"detail":"alice","trace":1,"parent":1},` +
+		`{"seq":3,"t_ns":50,"server":"ws1","layer":"fs","op":"create","kind":"span","key":1,"arg":40,"detail":"alice","trace":1}]}`
+	if string(b) != want {
+		t.Fatalf("forensics JSON\n got %s\nwant %s", b, want)
+	}
+}
+
+// TestRingRecordsAllocateNothing: a record is a copy into a
+// preallocated slot of at most 128 bytes — an event, or a finished span.
+func TestRingRecordsAllocateNothing(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 128 {
+		t.Fatalf("an Event is %d bytes, the budget is 128", n)
+	}
+	r := NewRegistry(nil)
+	jr := r.Journal("ws1")
+	if n := testing.AllocsPerRun(1000, func() { jr.Record("wal", "append", "ok", 7, 64, "") }); n != 0 {
+		t.Errorf("Journal.Record allocates %.1f times", n)
+	}
+	sp := r.Tracer().Start(jr, "fs", "create")
+	if n := testing.AllocsPerRun(1000, sp.Done); n != 0 {
+		t.Errorf("Span.Done allocates %.1f times", n)
 	}
 }

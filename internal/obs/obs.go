@@ -2,11 +2,14 @@
 // by every Frangipani subsystem.
 //
 // It provides a Registry of race-safe named counters, gauges, and
-// log-bucketed latency histograms, plus a Tracer whose spans are
-// propagated through rpc message headers so a single file-system
-// operation can be followed fs -> wal -> lockservice -> petal across
-// machines. The registry is clock-agnostic: simulated runs plug in
-// sim.Clock time, TCP deployments use wall time.
+// log-bucketed latency histograms, one flight-recorder ring (Journal)
+// per server, and a Tracer whose spans are propagated through rpc
+// message headers so a single file-system operation can be followed
+// fs -> wal -> lockservice -> petal across machines. A finished span is
+// one record in the ring of the server it ran on, beside that server's
+// events; traces, the critical path and the hot locks are read back
+// from the rings. The registry is clock-agnostic: simulated runs plug
+// in sim.Clock time, TCP deployments use wall time.
 //
 // Metric names follow the convention "layer.op.metric", with a
 // "#instance" suffix when several servers share one registry, e.g.
@@ -115,8 +118,8 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	restabs    map[string]*ResourceTable
 	journals   map[string]*Journal
+	namer      Namer
 	journalOff bool
 	journalCap int
 	accounts   *AccountTable
@@ -129,15 +132,15 @@ func NewRegistry(now NowFunc) *Registry {
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
 	}
-	return &Registry{
+	r := &Registry{
 		now:      now,
-		tr:       newTracer(now),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		restabs:  make(map[string]*ResourceTable),
 		journals: make(map[string]*Journal),
 	}
+	r.tr = &Tracer{reg: r}
+	return r
 }
 
 // Now returns the registry's notion of current time in nanoseconds.
@@ -199,13 +202,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return named(r, r.hists, name, NewHistogram)
 }
 
-// Resources returns the named per-resource contention table, creating
-// it on first use (e.g. "lockservice.locks" for the hot-lock table).
-func (r *Registry) Resources(name string) *ResourceTable {
+// SetNamer installs the function that renders entity keys for humans
+// in the registry's reports (the hot-lock table: "inode/7").
+func (r *Registry) SetNamer(n Namer) {
 	if r == nil {
-		return nil
+		return
 	}
-	return named(r, r.restabs, name, newResourceTable)
+	r.mu.Lock()
+	r.namer = n
+	r.mu.Unlock()
 }
 
 // Accounts returns the registry's per-principal account table,

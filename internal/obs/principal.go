@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,29 +39,38 @@ const (
 // the table is bounded but cluster totals stay exact.
 const maxAccounts = 64
 
+// The charges an account sums, indexes into account.n.
+const (
+	cOps      = iota
+	cBytesIn  // written by the principal
+	cBytesOut // read by the principal
+	cWAL
+	cRPCs
+	cServerOps
+	cLockWait
+	cMisses
+	numCharges
+)
+
 type account struct {
-	ops         atomic.Int64
-	bytesIn     atomic.Int64 // written by the principal
-	bytesOut    atomic.Int64 // read by the principal
-	walBytes    atomic.Int64
-	rpcs        atomic.Int64
-	serverOps   atomic.Int64
-	lockWaitNs  atomic.Int64
-	cacheMisses atomic.Int64
-	lat         *Histogram
+	n   [numCharges]atomic.Int64
+	lat *Histogram
 }
 
 func (a *account) total() int64 {
-	return a.bytesIn.Load() + a.bytesOut.Load() + a.ops.Load()
+	return a.n[cBytesIn].Load() + a.n[cBytesOut].Load() + a.n[cOps].Load()
 }
 
 // idle reports whether nothing has ever been charged to the account.
 // Only the pre-created unknown account can be idle: every other
 // account exists because some charge created it.
 func (a *account) idle() bool {
-	return a.ops.Load() == 0 && a.bytesIn.Load() == 0 && a.bytesOut.Load() == 0 &&
-		a.walBytes.Load() == 0 && a.rpcs.Load() == 0 && a.serverOps.Load() == 0 &&
-		a.lockWaitNs.Load() == 0 && a.cacheMisses.Load() == 0
+	for i := range a.n {
+		if a.n[i].Load() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // AccountStat is the exported per-principal summary: cumulative
@@ -96,14 +106,14 @@ func (st AccountStat) WinBytes() int64 { return st.WinBytesIn + st.WinBytesOut }
 
 // acctMark is one account's counter state at a window boundary.
 type acctMark struct {
-	ops, bytesIn, bytesOut, lockWaitNs int64
-	hist                               histCounts
+	n    [numCharges]int64
+	hist histCounts
 }
 
 type acctWin struct {
-	seconds                            float64
-	ops, bytesIn, bytesOut, lockWaitNs int64
-	p99                                int64
+	seconds float64
+	n       [numCharges]int64 // deltas over the window
+	p99     int64
 }
 
 // AccountTable is the bounded per-principal accounting table. All
@@ -195,14 +205,9 @@ func (t *AccountTable) foldColdestLocked() bool {
 		other = &account{lat: NewHistogram()}
 		t.m[OtherPrincipal] = other
 	}
-	other.ops.Add(va.ops.Load())
-	other.bytesIn.Add(va.bytesIn.Load())
-	other.bytesOut.Add(va.bytesOut.Load())
-	other.walBytes.Add(va.walBytes.Load())
-	other.rpcs.Add(va.rpcs.Load())
-	other.serverOps.Add(va.serverOps.Load())
-	other.lockWaitNs.Add(va.lockWaitNs.Load())
-	other.cacheMisses.Add(va.cacheMisses.Load())
+	for i := range va.n {
+		other.n[i].Add(va.n[i].Load())
+	}
 	other.lat.absorb(va.lat)
 	delete(t.m, victim)
 	delete(t.prev, victim)
@@ -237,64 +242,39 @@ func (t *AccountTable) Op(p string, durNs int64) {
 		return
 	}
 	a := t.get(p)
-	a.ops.Add(1)
+	a.n[cOps].Add(1)
 	a.lat.Record(durNs)
+}
+
+// charge adds n of charge c to principal p's account; n <= 0 is no
+// charge.
+func (t *AccountTable) charge(p string, c int, n int64) {
+	if t != nil && n > 0 {
+		t.get(p).n[c].Add(n)
+	}
 }
 
 // Bytes records bytes written (in) and read (out) by principal p.
 func (t *AccountTable) Bytes(p string, in, out int64) {
-	if t == nil || (in <= 0 && out <= 0) {
-		return
-	}
-	a := t.get(p)
-	if in > 0 {
-		a.bytesIn.Add(in)
-	}
-	if out > 0 {
-		a.bytesOut.Add(out)
-	}
+	t.charge(p, cBytesIn, in)
+	t.charge(p, cBytesOut, out)
 }
 
 // WAL records n log bytes appended on behalf of principal p.
-func (t *AccountTable) WAL(p string, n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.get(p).walBytes.Add(n)
-}
+func (t *AccountTable) WAL(p string, n int64) { t.charge(p, cWAL, n) }
 
 // RPC records n RPCs issued on behalf of principal p.
-func (t *AccountTable) RPC(p string, n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.get(p).rpcs.Add(n)
-}
+func (t *AccountTable) RPC(p string, n int64) { t.charge(p, cRPCs, n) }
 
 // ServerOp records one server-side request handled for principal p
 // (the principal arrives in the request's header).
-func (t *AccountTable) ServerOp(p string) {
-	if t == nil {
-		return
-	}
-	t.get(p).serverOps.Add(1)
-}
+func (t *AccountTable) ServerOp(p string) { t.charge(p, cServerOps, 1) }
 
 // LockWait records ns spent waiting for a lock on behalf of p.
-func (t *AccountTable) LockWait(p string, ns int64) {
-	if t == nil || ns <= 0 {
-		return
-	}
-	t.get(p).lockWaitNs.Add(ns)
-}
+func (t *AccountTable) LockWait(p string, ns int64) { t.charge(p, cLockWait, ns) }
 
 // CacheMiss records n cache misses charged to principal p.
-func (t *AccountTable) CacheMiss(p string, n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.get(p).cacheMisses.Add(n)
-}
+func (t *AccountTable) CacheMiss(p string, n int64) { t.charge(p, cMisses, n) }
 
 // Len returns the number of tracked principals.
 func (t *AccountTable) Len() int {
@@ -307,9 +287,9 @@ func (t *AccountTable) Len() int {
 }
 
 // Advance closes the window since the previous Advance (or since
-// construction): per-principal deltas and a per-window op p99 via
-// histogram bucket deltas, the same math WindowRing applies to named
-// metrics. The results ride the next Snapshot's Win* fields.
+// construction): per-principal deltas and a per-window op p99 from
+// windowStat, the function WindowRing applies to named metrics. The
+// results ride the next Snapshot's Win* fields.
 func (t *AccountTable) Advance() {
 	if t == nil {
 		return
@@ -320,34 +300,15 @@ func (t *AccountTable) Advance() {
 	secs := float64(now-t.prevT) / 1e9
 	for p, a := range t.m {
 		var cur acctMark
-		cur.ops = a.ops.Load()
-		cur.bytesIn = a.bytesIn.Load()
-		cur.bytesOut = a.bytesOut.Load()
-		cur.lockWaitNs = a.lockWaitNs.Load()
-		cur.hist.buckets, cur.hist.count, cur.hist.sum = a.lat.counts()
 		prev := t.prev[p]
-		win := acctWin{
-			seconds:    secs,
-			ops:        cur.ops - prev.ops,
-			bytesIn:    cur.bytesIn - prev.bytesIn,
-			bytesOut:   cur.bytesOut - prev.bytesOut,
-			lockWaitNs: cur.lockWaitNs - prev.lockWaitNs,
+		win := acctWin{seconds: secs}
+		for i := range a.n {
+			cur.n[i] = a.n[i].Load()
+			win.n[i] = cur.n[i] - prev.n[i]
 		}
-		if dcount := cur.hist.count - prev.hist.count; dcount > 0 {
-			var delta [numBuckets]int64
-			var maxB int
-			for i := range cur.hist.buckets {
-				if d := cur.hist.buckets[i] - prev.hist.buckets[i]; d > 0 {
-					delta[i] = d
-					maxB = i
-				}
-			}
-			_, hi := BucketBounds(maxB)
-			wmax := hi - 1
-			if cm := a.lat.Max(); wmax > cm {
-				wmax = cm
-			}
-			win.p99 = quantileOf(delta[:], dcount, 0.99, wmax)
+		cur.hist.buckets, cur.hist.count, cur.hist.sum = a.lat.counts()
+		if st, ok := windowStat(&prev.hist, &cur.hist, a.lat.Max()); ok {
+			win.p99 = st.P99
 		}
 		t.prev[p] = cur
 		t.wins[p] = win
@@ -370,37 +331,30 @@ func (t *AccountTable) Snapshot() []AccountStat {
 		}
 		st := AccountStat{
 			Principal:   p,
-			Ops:         a.ops.Load(),
-			BytesIn:     a.bytesIn.Load(),
-			BytesOut:    a.bytesOut.Load(),
-			WALBytes:    a.walBytes.Load(),
-			RPCs:        a.rpcs.Load(),
-			ServerOps:   a.serverOps.Load(),
-			LockWaitNs:  a.lockWaitNs.Load(),
-			CacheMisses: a.cacheMisses.Load(),
+			Ops:         a.n[cOps].Load(),
+			BytesIn:     a.n[cBytesIn].Load(),
+			BytesOut:    a.n[cBytesOut].Load(),
+			WALBytes:    a.n[cWAL].Load(),
+			RPCs:        a.n[cRPCs].Load(),
+			ServerOps:   a.n[cServerOps].Load(),
+			LockWaitNs:  a.n[cLockWait].Load(),
+			CacheMisses: a.n[cMisses].Load(),
 			OpP50Ns:     a.lat.Quantile(0.50),
 			OpP99Ns:     a.lat.Quantile(0.99),
 		}
 		if w, ok := t.wins[p]; ok {
 			st.WinSeconds = w.seconds
-			st.WinOps = w.ops
-			st.WinBytesIn = w.bytesIn
-			st.WinBytesOut = w.bytesOut
-			st.WinLockWaitNs = w.lockWaitNs
+			st.WinOps = w.n[cOps]
+			st.WinBytesIn = w.n[cBytesIn]
+			st.WinBytesOut = w.n[cBytesOut]
+			st.WinLockWaitNs = w.n[cLockWait]
 			st.WinOpP99Ns = w.p99
 		}
 		out = append(out, st)
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Bytes() != b.Bytes() {
-			return a.Bytes() > b.Bytes()
-		}
-		if a.Ops != b.Ops {
-			return a.Ops > b.Ops
-		}
-		return a.Principal < b.Principal
+	slices.SortFunc(out, func(a, b AccountStat) int {
+		return cmp.Or(cmp.Compare(b.Bytes(), a.Bytes()), cmp.Compare(b.Ops, a.Ops), cmp.Compare(a.Principal, b.Principal))
 	})
 	return out
 }

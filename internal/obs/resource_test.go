@@ -6,18 +6,25 @@ import (
 	"testing"
 )
 
+// The hot-lock ranking reads the clerks' records and nothing else: an
+// acquire that waited, a revoke received. Other lockservice records —
+// the wait that opens an acquire, a server's grant, an acquire span —
+// are not contention.
 func TestResourceTopKOrdering(t *testing.T) {
 	reg := NewRegistry(nil)
-	tab := reg.Resources("locks")
-	tab.Acquire(1, 100)
-	tab.Acquire(2, 500)
-	tab.Acquire(2, 500)
-	tab.Acquire(3, 200)
-	tab.Event(3)
+	jr := reg.Journal("ws1")
+	jr.Record("lockservice", "acquire", "ok", 1, 100, "")
+	jr.Record("lockservice", "acquire", "ok", 2, 500, "")
+	reg.Journal("ws2").Record("lockservice", "acquire", "fail", 2, 500, "lease lost")
+	jr.Record("lockservice", "acquire", "ok", 3, 200, "")
+	jr.Record("lockservice", "revoke", "recv", 3, 0, "")
+	jr.Record("lockservice", "acquire", "wait", 1, 1e9, "")
+	reg.Journal("lock0").Record("lockservice", "grant", "sent", 1, 1e9, "ws1")
+	reg.Tracer().Start(jr, "lockservice", "acquire").Done()
 
-	top := tab.TopK(2)
+	top := reg.HotLocks(2)
 	if len(top) != 2 {
-		t.Fatalf("TopK(2) returned %d entries", len(top))
+		t.Fatalf("HotLocks(2) returned %d entries", len(top))
 	}
 	if top[0].ID != 2 || top[0].WaitNs != 1000 || top[0].Acquires != 2 {
 		t.Fatalf("hottest = %+v, want id 2", top[0])
@@ -25,21 +32,20 @@ func TestResourceTopKOrdering(t *testing.T) {
 	if top[1].ID != 3 || top[1].Events != 1 {
 		t.Fatalf("second = %+v, want id 3", top[1])
 	}
-	if all := tab.TopK(10); len(all) != 3 {
-		t.Fatalf("TopK(10) = %d entries, want all 3", len(all))
+	if all := reg.HotLocks(10); len(all) != 3 {
+		t.Fatalf("HotLocks(10) = %+v, want the 3 locks", all)
 	}
-	if tab.TopK(0) != nil {
-		t.Fatal("TopK(0) must return nil")
+	if reg.HotLocks(0) != nil {
+		t.Fatal("HotLocks(0) must return nil")
 	}
 }
 
 func TestResourceNamerAndRender(t *testing.T) {
 	reg := NewRegistry(nil)
-	tab := reg.Resources("locks")
-	tab.SetNamer(func(id uint64) string { return fmt.Sprintf("inode/%d", id) })
-	tab.Acquire(7, 3e6)
-	top := tab.TopK(1)
-	if top[0].Name != "inode/7" {
+	reg.SetNamer(func(layer string, id uint64) string { return fmt.Sprintf("%s inode/%d", layer, id) })
+	reg.Journal("ws1").Record("lockservice", "acquire", "ok", 7, 3e6, "")
+	top := reg.HotLocks(1)
+	if top[0].Name != "lockservice inode/7" {
 		t.Fatalf("name = %q", top[0].Name)
 	}
 	out := RenderResources("hot locks", top)
@@ -50,40 +56,36 @@ func TestResourceNamerAndRender(t *testing.T) {
 	}
 }
 
-// The table is bounded: cold entries are evicted, hot entries
-// survive arbitrary cardinality.
+// The ranking is bounded by the rings: what a ring has overwritten is
+// forgotten, and a busy ring's churn does not push out what a quieter
+// ring still holds.
 func TestResourceEvictionKeepsHot(t *testing.T) {
 	reg := NewRegistry(nil)
-	tab := reg.Resources("locks")
+	reg.SetJournalCap(64)
 	const hot = uint64(42)
-	tab.Acquire(hot, 1e9)
-	for id := uint64(1000); id < 1000+maxResourceEntries+100; id++ {
-		tab.Acquire(id, 1)
+	reg.Journal("ws1").Record("lockservice", "acquire", "ok", hot, 1e9, "")
+	busy := reg.Journal("ws2")
+	for id := uint64(1000); id < 1000+64+100; id++ {
+		busy.Record("lockservice", "acquire", "ok", id, 1, "")
 	}
-	if n := tab.Len(); n > maxResourceEntries {
-		t.Fatalf("table grew to %d entries (cap %d)", n, maxResourceEntries)
+	all := reg.HotLocks(1 << 10)
+	if len(all) != 1+64 {
+		t.Fatalf("ranked %d locks, want the hot one and the busy ring's last 64", len(all))
 	}
-	top := tab.TopK(1)
-	if len(top) == 0 || top[0].ID != hot {
-		t.Fatalf("hot entry evicted: top = %+v", top)
+	if all[0].ID != hot {
+		t.Fatalf("hot entry lost: top = %+v", all[0])
 	}
 }
 
 func TestResourceNilAndClamp(t *testing.T) {
-	var tab *ResourceTable
-	tab.Acquire(1, 10)
-	tab.Event(1)
-	tab.SetNamer(nil)
-	if tab.TopK(5) != nil || tab.Len() != 0 {
-		t.Fatal("nil table must be inert")
+	var nilReg *Registry
+	if nilReg.HotLocks(5) != nil {
+		t.Fatal("nil registry must rank nothing")
 	}
+	nilReg.SetNamer(nil)
 	reg := NewRegistry(nil)
-	tb := reg.Resources("x")
-	tb.Acquire(1, -50) // negative wait clamps to zero
-	if top := tb.TopK(1); top[0].WaitNs != 0 || top[0].Acquires != 1 {
+	reg.Journal("ws1").Record("lockservice", "acquire", "ok", 1, -50, "") // negative wait clamps to zero
+	if top := reg.HotLocks(1); top[0].WaitNs != 0 || top[0].Acquires != 1 {
 		t.Fatalf("clamp failed: %+v", top[0])
-	}
-	if reg.Resources("x") != tb {
-		t.Fatal("Resources must return the same table per name")
 	}
 }

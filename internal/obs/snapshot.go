@@ -27,11 +27,12 @@ type Snapshot struct {
 	SlowOps    []string                  `json:"slow_ops,omitempty"`
 }
 
-// snapshotTopK bounds the per-resource entries carried in a snapshot.
+// snapshotTopK bounds the hot locks carried in a snapshot.
 const snapshotTopK = 10
 
-// Snapshot captures the current value of every registered metric
-// plus any retained slow-op dumps.
+// Snapshot captures the current value of every registered metric,
+// plus what the rings hold that reports want: the hot locks and the
+// slow operations' traces.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -57,16 +58,11 @@ func (r *Registry) Snapshot() Snapshot {
 			Sum:   h.Sum(),
 		}
 	}
-	if len(r.restabs) > 0 {
-		s.Resources = make(map[string][]ResourceStat, len(r.restabs))
-		for name, t := range r.restabs {
-			if top := t.TopK(snapshotTopK); len(top) > 0 {
-				s.Resources[name] = top
-			}
-		}
-	}
 	accounts := r.accounts
 	r.mu.RUnlock()
+	if top := r.HotLocks(snapshotTopK); len(top) > 0 {
+		s.Resources = map[string][]ResourceStat{"lockservice.locks": top}
+	}
 	s.Accounts = accounts.Snapshot()
 	s.SlowOps = r.tr.SlowDumps()
 	return s

@@ -15,10 +15,10 @@ func goldenRegistry() *Registry {
 	reg.Gauge("g.depth#w").Set(3)
 	reg.Histogram("z.lat#w").Record(0)
 	reg.Histogram("z.lat#w").Record(0)
-	tab := reg.Resources("locks")
-	tab.SetNamer(func(id uint64) string { return fmt.Sprintf("inode/%d", id) })
-	tab.Acquire(7, 2e6)
-	tab.Acquire(3, 1e6)
+	reg.SetNamer(func(_ string, id uint64) string { return fmt.Sprintf("inode/%d", id) })
+	jr := reg.Journal("ws1")
+	jr.Record("lockservice", "acquire", "ok", 3, 1e6, "")
+	jr.Record("lockservice", "acquire", "ok", 7, 2e6, "")
 	return reg
 }
 
@@ -36,7 +36,7 @@ func TestSnapshotTextGolden(t *testing.T) {
 		"g.depth#w",
 		"histograms (ms):",
 		"z.lat#w",
-		"hot resources (locks):",
+		"hot resources (lockservice.locks):",
 		"inode/7", // hotter first
 		"inode/3",
 	}
@@ -76,7 +76,7 @@ func TestSnapshotJSONGolden(t *testing.T) {
 	if back.Histograms["z.lat#w"].Count != 2 {
 		t.Fatalf("histograms lost: %+v", back.Histograms)
 	}
-	rs := back.Resources["locks"]
+	rs := back.Resources["lockservice.locks"]
 	if len(rs) != 2 || rs[0].Name != "inode/7" || rs[0].WaitNs != 2e6 {
 		t.Fatalf("resources lost or reordered: %+v", rs)
 	}

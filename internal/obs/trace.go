@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -19,7 +19,8 @@ import (
 //
 // A root span has ID == TraceID; children share the root's TraceID and
 // Principal and point at their parent's ID, which may be a span on
-// another machine (see Remote).
+// another machine (see Remote). A finished span is one record in the
+// journal of the server that opened it.
 type Span struct {
 	TraceID   uint64
 	ID        uint64
@@ -31,6 +32,7 @@ type Span struct {
 	Principal string // on whose behalf the operation runs; "" is unknown
 
 	tr *Tracer
+	jr *Journal // where Done records the span; nil records nothing
 }
 
 // Ctx is what a span puts on the wire so the receiving side can join
@@ -48,15 +50,16 @@ func (sp *Span) Ctx() Ctx {
 	return Ctx{Trace: sp.TraceID, Span: sp.ID, Principal: sp.Principal}
 }
 
-// Child begins a span under sp, in its trace and for its principal. A
-// nil sp yields nil: sub-layer work (wal flushes, petal RPCs, lease
-// checks) only produces spans inside a traced operation, so background
-// write-behind traffic does not flood the ring with single-span traces.
+// Child begins a span under sp, in its trace, for its principal and on
+// its server. A nil sp yields nil: sub-layer work (wal flushes, petal
+// RPCs, lease checks) only produces spans inside a traced operation, so
+// background write-behind traffic does not flood the rings with
+// single-span traces.
 func (sp *Span) Child(layer, op string) *Span {
 	if sp == nil {
 		return nil
 	}
-	return sp.tr.Remote(sp.Ctx(), layer, op)
+	return sp.tr.Remote(sp.jr, sp.Ctx(), layer, op)
 }
 
 // Duration is End-Start; valid after Done.
@@ -67,155 +70,148 @@ func (sp *Span) Duration() int64 {
 	return sp.End - sp.Start
 }
 
-// Done stamps the end time and records the span into the tracer's
-// ring. If the span is a trace root and the whole trace took at
-// least the slow-op threshold, a rendered dump of the tree is kept.
+// Done stamps the end time and writes the span's record into its
+// server's journal, stamped inside the ring's lock like every record.
 func (sp *Span) Done() {
 	if sp == nil || sp.tr == nil {
 		return
 	}
-	t := sp.tr
-	sp.End = t.now()
-	t.mu.Lock()
-	t.ring[t.pos] = *sp
-	t.pos = (t.pos + 1) % len(t.ring)
-	if t.size < len(t.ring) {
-		t.size++
+	if sp.jr == nil {
+		sp.End = sp.tr.reg.now()
+		return
 	}
-	if sp.ID == sp.TraceID {
-		t.lastRoot = sp.TraceID
-		if thr := t.slow.Load(); thr > 0 && sp.Duration() >= thr {
-			dump := t.renderLocked(sp.TraceID)
-			// Bound each retained dump: a pathological trace can have
-			// thousands of ring-resident spans, and maxSlowDumps of
-			// those must not pin megabytes.
-			if len(dump) > maxDumpBytes {
-				dump = dump[:maxDumpBytes] + "\n  ... (dump truncated)\n"
-			}
-			t.dumps = append(t.dumps, dump)
-			if len(t.dumps) > maxSlowDumps {
-				t.dumps = t.dumps[len(t.dumps)-maxSlowDumps:]
-			}
-		}
-	}
-	t.mu.Unlock()
+	sp.End = sp.jr.recordSpan(sp)
 }
 
 const (
-	ringSpans    = 8192
 	maxSlowDumps = 16
 	maxDumpBytes = 16 << 10 // per-dump cap; total dump memory <= 16*16 KB
 )
 
-// Tracer allocates span IDs and collects completed spans in a ring
-// buffer for rendering.
+// Tracer hands out span IDs; the spans it opens land in the journals
+// of the servers that open them, and its readers reassemble traces from
+// the registry's journals.
 type Tracer struct {
-	now  NowFunc
+	reg  *Registry
 	ids  atomic.Uint64
 	slow atomic.Int64 // ns threshold for slow-op dumps; 0 = off
-
-	mu       sync.Mutex
-	ring     []Span
-	pos      int
-	size     int
-	lastRoot uint64
-	dumps    []string
 }
 
-func newTracer(now NowFunc) *Tracer {
-	return &Tracer{now: now, ring: make([]Span, ringSpans)}
-}
-
-// SetSlowThreshold enables slow-op dumps for root spans lasting at
-// least d (0 disables).
+// SetSlowThreshold makes SlowDumps render every resident root span
+// lasting at least d (0 disables).
 func (t *Tracer) SetSlowThreshold(d time.Duration) {
 	if t != nil {
 		t.slow.Store(int64(d))
 	}
 }
 
-// Start begins a new trace: the returned span is its root. The caller
-// sets Principal before handing the span on.
-func (t *Tracer) Start(layer, op string) *Span {
+// Start begins a new trace whose root lands in jr (nil: the span exists,
+// only its record is skipped). The caller sets Principal before handing
+// the span on.
+func (t *Tracer) Start(jr *Journal, layer, op string) *Span {
 	if t == nil {
 		return nil
 	}
 	id := t.ids.Add(1)
-	return &Span{TraceID: id, ID: id, Layer: layer, Op: op, Start: t.now(), tr: t}
+	return &Span{TraceID: id, ID: id, Layer: layer, Op: op, Start: t.reg.now(), tr: t, jr: jr}
 }
 
-// Remote begins a span whose parent is known by its context alone — it
-// arrived over the wire — so the receiving side's work joins the
-// sender's trace and runs for the sender's principal. A zero context
-// (the sender was not inside a traced operation) yields nil.
-func (t *Tracer) Remote(parent Ctx, layer, op string) *Span {
+// Remote begins a span, landing in jr, whose parent is known by its
+// context alone — it arrived over the wire — so the receiving side's
+// work joins the sender's trace and runs for the sender's principal. A
+// zero context (the sender was not inside a traced operation) yields nil.
+func (t *Tracer) Remote(jr *Journal, parent Ctx, layer, op string) *Span {
 	if t == nil || parent.Trace == 0 {
 		return nil
 	}
 	return &Span{TraceID: parent.Trace, ID: t.ids.Add(1), Parent: parent.Span, Layer: layer, Op: op,
-		Start: t.now(), Principal: parent.Principal, tr: t}
+		Start: t.reg.now(), Principal: parent.Principal, tr: t, jr: jr}
 }
 
-// LastRoot returns the trace ID of the most recently completed root
-// span, or 0.
-func (t *Tracer) LastRoot() uint64 {
+// traces reads every span record resident in the registry's journals in
+// one pass: the spans grouped by trace, and the root spans, most
+// recently finished first.
+func (t *Tracer) traces() (byTrace map[uint64][]Span, roots []Span) {
+	byTrace = make(map[uint64][]Span)
 	if t == nil {
-		return 0
+		return byTrace, nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastRoot
+	for _, j := range t.reg.Journals() {
+		j.scan(func(e *Event) {
+			if e.Kind != SpanKind {
+				return
+			}
+			sp := e.span()
+			byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
+			if sp.ID == sp.TraceID {
+				roots = append(roots, sp)
+			}
+		})
+	}
+	slices.SortFunc(roots, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(b.End, a.End), cmp.Compare(b.ID, a.ID))
+	})
+	return byTrace, roots
+}
+
+// LastRoot returns the trace ID of the most recently finished resident
+// root span, or 0.
+func (t *Tracer) LastRoot() uint64 {
+	if _, roots := t.traces(); len(roots) > 0 {
+		return roots[0].TraceID
+	}
+	return 0
 }
 
 // SpansFor returns copies of all ring-resident spans of one trace.
 func (t *Tracer) SpansFor(traceID uint64) []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Span
-	for i := 0; i < t.size; i++ {
-		if t.ring[i].TraceID == traceID {
-			out = append(out, t.ring[i])
-		}
-	}
-	return out
+	byTrace, _ := t.traces()
+	return byTrace[traceID]
 }
 
-// Roots returns the trace IDs of completed root spans resident in
-// the ring, most recent first, at most max of them (0 means all).
-// It feeds the critical-path analyzer: every returned trace has its
-// root's full interval available for attribution.
+// Roots returns the trace IDs of finished root spans resident in the
+// rings, most recent first, at most max of them (0 means all).
 func (t *Tracer) Roots(max int) []uint64 {
-	if t == nil {
-		return nil
+	_, roots := t.traces()
+	if max > 0 && len(roots) > max {
+		roots = roots[:max]
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []uint64
-	// Walk the ring newest to oldest: pos-1 is the most recent write.
-	for i := 0; i < t.size; i++ {
-		idx := (t.pos - 1 - i + len(t.ring)) % len(t.ring)
-		sp := t.ring[idx]
-		if sp.ID == sp.TraceID && sp.ID != 0 {
-			out = append(out, sp.TraceID)
-			if max > 0 && len(out) >= max {
-				break
-			}
-		}
+	out := make([]uint64, len(roots))
+	for i, r := range roots {
+		out[i] = r.TraceID
 	}
 	return out
 }
 
-// SlowDumps returns the retained slow-op trace dumps, oldest first.
+// SlowDumps renders the trace of every resident root span at least the
+// slow-op threshold long, oldest first, at most maxSlowDumps of them.
 func (t *Tracer) SlowDumps() []string {
-	if t == nil {
+	if t == nil || t.slow.Load() <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.dumps...)
+	thr := t.slow.Load()
+	byTrace, roots := t.traces()
+	var out []string
+	for _, r := range roots {
+		if r.Duration() < thr {
+			continue
+		}
+		// Bound each dump: a pathological trace can have thousands of
+		// ring-resident spans, and maxSlowDumps of those must not make
+		// megabytes.
+		dump := renderTrace(r.TraceID, byTrace[r.TraceID])
+		if len(dump) > maxDumpBytes {
+			dump = dump[:maxDumpBytes] + "\n  ... (dump truncated)\n"
+		}
+		out = append(out, dump)
+		if len(out) == maxSlowDumps {
+			break
+		}
+	}
+	for i, k := 0, len(out)-1; i < k; i, k = i+1, k-1 {
+		out[i], out[k] = out[k], out[i]
+	}
+	return out
 }
 
 // RenderTrace renders one trace's span tree as indented text:
@@ -229,22 +225,14 @@ func (t *Tracer) RenderTrace(traceID uint64) string {
 	if t == nil {
 		return ""
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.renderLocked(traceID)
+	return renderTrace(traceID, t.SpansFor(traceID))
 }
 
-func (t *Tracer) renderLocked(traceID uint64) string {
-	var spans []Span
-	for i := 0; i < t.size; i++ {
-		if t.ring[i].TraceID == traceID {
-			spans = append(spans, t.ring[i])
-		}
-	}
+func renderTrace(traceID uint64, spans []Span) string {
 	if len(spans) == 0 {
 		return fmt.Sprintf("trace %d: no spans\n", traceID)
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	slices.SortFunc(spans, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	present := make(map[uint64]bool, len(spans))
 	for _, sp := range spans {
 		present[sp.ID] = true
@@ -254,13 +242,10 @@ func (t *Tracer) renderLocked(traceID uint64) string {
 	base := spans[0].Start
 	var total int64
 	for _, sp := range spans {
-		if sp.Start < base {
-			base = sp.Start
-		}
 		if sp.End-base > total {
 			total = sp.End - base
 		}
-		// A span whose parent is missing from the ring (evicted, or
+		// A span whose parent is missing from the rings (evicted, or
 		// recorded by another process) renders as a top-level subtree.
 		if sp.Parent != 0 && present[sp.Parent] {
 			children[sp.Parent] = append(children[sp.Parent], sp)

@@ -24,7 +24,7 @@ func TestSpanTreeStructure(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 
-	root := tr.Start("fs", "sync")
+	root := tr.Start(r.Journal("ws1"), "fs", "sync")
 	if root.TraceID != root.ID || root.Parent != 0 {
 		t.Fatalf("root span malformed: %+v", root)
 	}
@@ -76,7 +76,7 @@ func TestChildRequiresBinding(t *testing.T) {
 	if sp.Ctx() != (Ctx{}) || sp.Duration() != 0 {
 		t.Fatalf("nil span has context %+v", sp.Ctx())
 	}
-	root := tr.Start("fs", "write")
+	root := tr.Start(r.Journal("ws1"), "fs", "write")
 	if sp := root.Child("wal", "flush"); sp == nil {
 		t.Fatal("Child inside a trace must return a span")
 	} else {
@@ -92,7 +92,7 @@ func TestRemoteParenting(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	// The receive side of a request carrying an operation's context.
-	sp := tr.Remote(Ctx{Trace: 42, Span: 7, Principal: "tenant-a"}, "petal", "server.write")
+	sp := tr.Remote(r.Journal("petal0"), Ctx{Trace: 42, Span: 7, Principal: "tenant-a"}, "petal", "server.write")
 	sp.Done()
 	if sp.TraceID != 42 || sp.Parent != 7 || sp.Principal != "tenant-a" {
 		t.Fatalf("remote-parented span: %+v", sp)
@@ -100,11 +100,11 @@ func TestRemoteParenting(t *testing.T) {
 	if got := tr.SpansFor(42); len(got) != 1 || got[0].ID != sp.ID {
 		t.Fatalf("trace 42 holds %+v, want the server span alone", got)
 	}
-	if tr.Remote(Ctx{Span: 9, Principal: "tenant-a"}, "petal", "server.write") != nil {
+	if tr.Remote(r.Journal("petal0"), Ctx{Span: 9, Principal: "tenant-a"}, "petal", "server.write") != nil {
 		t.Fatal("Remote with zero trace ID must be nil")
 	}
 	var off *Tracer
-	if off.Remote(Ctx{Trace: 1}, "petal", "server.write") != nil {
+	if off.Remote(nil, Ctx{Trace: 1}, "petal", "server.write") != nil {
 		t.Fatal("nil tracer must hand out nil spans")
 	}
 }
@@ -116,7 +116,7 @@ func TestRemoteParenting(t *testing.T) {
 func TestPrincipalBinding(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	root := tr.Start("fs", "write")
+	root := tr.Start(r.Journal("ws1"), "fs", "write")
 	if root.Ctx().Principal != "" {
 		t.Fatalf("fresh root runs for %q", root.Principal)
 	}
@@ -129,10 +129,10 @@ func TestPrincipalBinding(t *testing.T) {
 	if got := leaf.Ctx(); got != want {
 		t.Fatalf("wire context %+v, want %+v", got, want)
 	}
-	if far := tr.Remote(leaf.Ctx(), "petal", "server.write"); far.Principal != "alice" || far.Parent != leaf.ID {
+	if far := tr.Remote(r.Journal("petal0"), leaf.Ctx(), "petal", "server.write"); far.Principal != "alice" || far.Parent != leaf.ID {
 		t.Fatalf("far side: %+v", far)
 	}
-	other := tr.Start("fs", "read")
+	other := tr.Start(r.Journal("ws1"), "fs", "read")
 	other.Principal = "bob"
 	if root.Child("wal", "flush").Principal != "alice" || other.Child("cache", "fill").Principal != "bob" {
 		t.Fatal("principals of two live operations mixed")
@@ -143,7 +143,7 @@ func TestSlowDumps(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	tr.SetSlowThreshold(500 * time.Microsecond) // every op is "slow" on the fake clock
-	sp := tr.Start("fs", "create")
+	sp := tr.Start(r.Journal("ws1"), "fs", "create")
 	sp.Done()
 	dumps := tr.SlowDumps()
 	if len(dumps) != 1 || !strings.Contains(dumps[0], "fs.create") {
@@ -154,7 +154,7 @@ func TestSlowDumps(t *testing.T) {
 	}
 	// Dumps ring must stay bounded.
 	for i := 0; i < 3*maxSlowDumps; i++ {
-		s := tr.Start("fs", "create")
+		s := tr.Start(r.Journal("ws1"), "fs", "create")
 		s.Done()
 	}
 	if n := len(tr.SlowDumps()); n > maxSlowDumps {
@@ -171,7 +171,7 @@ func TestConcurrentTracing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				root := tr.Start("fs", "op")
+				root := tr.Start(r.Journal("ws1"), "fs", "op")
 				c := root.Child("wal", "append")
 				c.Done()
 				if c.TraceID != root.TraceID || c.Parent != root.ID {
@@ -190,7 +190,7 @@ func TestSlowDumpTruncated(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	tr.SetSlowThreshold(time.Nanosecond)
-	root := tr.Start("fs", "sync")
+	root := tr.Start(r.Journal("ws1"), "fs", "sync")
 	for i := 0; i < 2000; i++ {
 		root.Child("petal", "write-with-a-rather-long-operation-name").Done()
 	}
@@ -208,16 +208,72 @@ func TestSlowDumpTruncated(t *testing.T) {
 	}
 }
 
+// A span's record leaves with its ring's oldest records: the spans of
+// a busy server's ring turn over, another server's ring keeps its own.
 func TestRingEviction(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	first := tr.Start("fs", "op")
+	quiet := tr.Start(r.Journal("ws2"), "fs", "op")
+	quiet.Done()
+	first := tr.Start(r.Journal("ws1"), "fs", "op")
 	first.Done()
-	for i := 0; i < ringSpans+10; i++ {
-		sp := tr.Start("fs", "op")
+	for i := 0; i < DefaultJournalCap+10; i++ {
+		sp := tr.Start(r.Journal("ws1"), "fs", "op")
 		sp.Done()
 	}
 	if got := tr.SpansFor(first.TraceID); len(got) != 0 {
 		t.Fatalf("evicted span still visible: %v", got)
+	}
+	if got := tr.SpansFor(quiet.TraceID); len(got) != 1 {
+		t.Fatalf("the quiet ring lost its span: %v", got)
+	}
+}
+
+// TestSpanWithRingOff: with the recorder off (a nil journal) a span
+// still exists — it is timed, carries its context and principal, and
+// parents children — only its record is skipped.
+func TestSpanWithRingOff(t *testing.T) {
+	r := NewRegistry((&fakeClock{}).now)
+	r.SetJournal(false)
+	tr := r.Tracer()
+	root := tr.Start(r.Journal("ws1"), "fs", "write")
+	root.Principal = "alice"
+	child := root.Child("wal", "flush")
+	child.Done()
+	root.Done()
+	if child == nil || child.Ctx() != (Ctx{Trace: root.TraceID, Span: child.ID, Principal: "alice"}) {
+		t.Fatalf("child of an unrecorded span: %+v", child)
+	}
+	if root.Duration() <= 0 || child.Duration() <= 0 {
+		t.Fatalf("unrecorded spans untimed: %d, %d", root.Duration(), child.Duration())
+	}
+	if tr.LastRoot() != 0 || len(r.Journals()) != 0 {
+		t.Fatal("a span was recorded with the ring off")
+	}
+}
+
+// TestSpanRecord: a finished span is one record in its server's ring,
+// beside that server's events: Kind "span", Key its ID, Arg its
+// duration, Detail its principal, T its end, and its trace and parent.
+func TestSpanRecord(t *testing.T) {
+	r := NewRegistry((&fakeClock{}).now)
+	jr := r.Journal("ws1")
+	root := r.Tracer().Start(jr, "fs", "create")
+	root.Principal = "alice"
+	child := root.Child("wal", "append")
+	jr.Record("wal", "append", "ok", 9, 128, "")
+	child.Done()
+	root.Done()
+	evs := jr.Events()
+	if len(evs) != 3 || evs[0].Kind != "ok" || evs[1].Op != "append" || evs[2].Op != "create" {
+		t.Fatalf("ring holds %+v", evs)
+	}
+	want := Event{Seq: 3, T: root.End, Server: "ws1", Layer: "fs", Op: "create", Kind: SpanKind,
+		Key: root.ID, Arg: root.Duration(), Detail: "alice", Trace: root.TraceID}
+	if evs[2] != want {
+		t.Fatalf("root record %+v, want %+v", evs[2], want)
+	}
+	if c := evs[1]; c.Trace != root.TraceID || c.Parent != root.ID || c.Key != child.ID || c.T != child.End {
+		t.Fatalf("child record %+v", c)
 	}
 }

@@ -34,6 +34,35 @@ type histCounts struct {
 	sum     int64
 }
 
+// windowStat summarizes what a histogram recorded between two copies of
+// its counts, from the bucket deltas. The window's max is the upper
+// bound of its highest occupied bucket, clamped to cumMax, the
+// histogram's cumulative max. ok is false for an empty window.
+func windowStat(prev, cur *histCounts, cumMax int64) (st HistStat, ok bool) {
+	dcount := cur.count - prev.count
+	if dcount <= 0 {
+		return st, false
+	}
+	var delta [numBuckets]int64
+	var maxB int
+	for i := range cur.buckets {
+		if d := cur.buckets[i] - prev.buckets[i]; d > 0 {
+			delta[i] = d
+			maxB = i
+		}
+	}
+	_, hi := BucketBounds(maxB)
+	wmax := min(hi-1, cumMax)
+	return HistStat{
+		Count: dcount,
+		P50:   quantileOf(delta[:], dcount, 0.50, wmax),
+		P90:   quantileOf(delta[:], dcount, 0.90, wmax),
+		P99:   quantileOf(delta[:], dcount, 0.99, wmax),
+		Max:   wmax,
+		Sum:   cur.sum - prev.sum,
+	}, true
+}
+
 // WindowRing turns a registry's cumulative metrics into a bounded
 // ring of interval windows. Call Advance at the cadence you want
 // (1 s for a live watch, one tick per benchmark phase, ...); each
@@ -111,31 +140,8 @@ func (w *WindowRing) Advance() Window {
 	win.Hists = make(map[string]HistStat)
 	for name, cur := range hs {
 		prev := w.prevH[name]
-		dcount := cur.count - prev.count
-		if dcount <= 0 {
-			continue
-		}
-		var delta [numBuckets]int64
-		var maxB int
-		for i := range cur.buckets {
-			d := cur.buckets[i] - prev.buckets[i]
-			if d > 0 {
-				delta[i] = d
-				maxB = i
-			}
-		}
-		_, hi := BucketBounds(maxB)
-		wmax := hi - 1
-		if cm := w.reg.Histogram(name).Max(); wmax > cm {
-			wmax = cm
-		}
-		win.Hists[name] = HistStat{
-			Count: dcount,
-			P50:   quantileOf(delta[:], dcount, 0.50, wmax),
-			P90:   quantileOf(delta[:], dcount, 0.90, wmax),
-			P99:   quantileOf(delta[:], dcount, 0.99, wmax),
-			Max:   wmax,
-			Sum:   cur.sum - prev.sum,
+		if st, ok := windowStat(&prev, &cur, w.reg.Histogram(name).Max()); ok {
+			win.Hists[name] = st
 		}
 	}
 	win.Gauges = make(map[string]int64)

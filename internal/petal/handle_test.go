@@ -44,7 +44,7 @@ func TestPrincipalReachesServer(t *testing.T) {
 	}
 	unknown0, reqs0, rpcs0 := account(obs.UnknownPrincipal), serverRequests(), tc.client.Stats()
 
-	op := reg.Tracer().Start("fs", "fsync")
+	op := reg.Tracer().Start(reg.Journal("ws0"), "fs", "fsync")
 	op.Principal = "tenant-a"
 	view := tc.client.For(op)
 	if err := view.WriteV("vol", []Extent{{Off: 0, Data: data}}); err != nil {

@@ -310,7 +310,7 @@ func (s *Server) spanned(op string, ctx obs.Ctx, fn func(sp *obs.Span) any) any 
 	s.inflight.Add(1)
 	s.depthHi.SetMax(s.inflight.Value())
 	defer s.inflight.Add(-1)
-	sp := s.tr.Remote(ctx, "petal", op)
+	sp := s.tr.Remote(s.jr, ctx, "petal", op)
 	defer sp.Done()
 	return fn(sp)
 }

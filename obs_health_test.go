@@ -83,7 +83,7 @@ func TestClusterHealthAndWindows(t *testing.T) {
 	}
 
 	// The hot-lock table must name locks via the fs decoder.
-	top := c.Obs().Resources("lockservice.locks").TopK(5)
+	top := c.Obs().HotLocks(5)
 	if len(top) == 0 {
 		t.Fatal("hot-lock table empty after contended workload")
 	}
