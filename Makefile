@@ -29,9 +29,11 @@ race:
 ## create, remove, mkdir, rmdir and rename, a path split, a log append
 ## with its flush (internal/wal), a cache insert (one object), the waits,
 ## Petal's routing and fan-out, a replicated 64 KB WriteV and a ReadV
-## round trip (client and servers), an RPC's time-out, a sticky lock's
-## Lock/TryLock and Unlock, a lease check, a flight-recorder record (an
-## event or a finished span: nothing, into a slot of <= 128 B) — once
+## round trip (client and servers), an RPC's time-out, a network Send of
+## a boxed payload (nothing), a sticky lock's Lock/TryLock and Unlock, a
+## lease check, a flight-recorder record (an event or a finished span:
+## nothing, into a slot of <= 128 B), a span's Start/Child/Done (nothing:
+## spans are pooled) — once
 ## more without the race detector: under it
 ## sync.Pool drops a share of what it is given and the counts carry
 ## slack, here they are exact. A package that prints "[no tests to run]"

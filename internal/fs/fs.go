@@ -402,11 +402,11 @@ func (fs *FS) traced(name string, fn func(op *obs.Span) error) error {
 	}
 	sp.Principal = fs.who
 	err := fn(sp)
-	sp.Done()
+	d := sp.Done()
 	if h := fs.m.opLat[name]; h != nil {
-		h.Record(sp.Duration())
+		h.Record(d)
 	}
-	fs.acct.Op(fs.who, sp.Duration())
+	fs.acct.Op(fs.who, d)
 	return err
 }
 

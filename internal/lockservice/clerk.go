@@ -37,6 +37,7 @@ type Clerk struct {
 	cfg     Config
 	ep      *rpc.Endpoint
 	servers []string
+	addrs   map[string]string // Addr of each server, made once
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -117,12 +118,16 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		w:          w,
 		cfg:        cfg.resolved(),
 		servers:    append([]string(nil), servers...),
+		addrs:      make(map[string]string, len(servers)),
 		locks:      make(map[uint64]*clkLock),
 		acks:       make(map[string]sim.Time),
 		ackTimes:   make([]int64, len(servers)),
 		renewSent:  make(map[string]sim.Time),
 		shardVer:   make(map[int]int64),
 		recovering: make(map[string]RecoverReq),
+	}
+	for _, s := range servers {
+		c.addrs[s] = Addr(s)
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.sendCond = sync.NewCond(&c.mu)
@@ -141,6 +146,15 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 	}
 	c.ep = rpc.NewEndpoint(ClerkAddr(machine), carrier, w.Clock, c.handle)
 	return c
+}
+
+// addr is lock server srv's Addr, looked up rather than built for every
+// message.
+func (c *Clerk) addr(srv string) string {
+	if a, ok := c.addrs[srv]; ok {
+		return a
+	}
+	return Addr(srv)
 }
 
 // SetCallbacks installs the FS integration hooks.
@@ -163,7 +177,7 @@ func (c *Clerk) Open() error {
 	var resp OpenResp
 	ok := false
 	for _, s := range c.servers {
-		r, err := c.ep.Call(Addr(s), OpenReq{Clerk: c.machine, Table: c.table}, 180*time.Second)
+		r, err := c.ep.Call(c.addr(s), OpenReq{Clerk: c.machine, Table: c.table}, 180*time.Second)
 		if err != nil {
 			continue
 		}
@@ -230,7 +244,7 @@ func (c *Clerk) Close() {
 		return
 	}
 	for _, s := range c.servers {
-		_ = c.ep.Cast(Addr(s), CloseReq{Clerk: c.machine, Table: c.table})
+		_ = c.ep.Cast(c.addr(s), CloseReq{Clerk: c.machine, Table: c.table})
 	}
 	c.ep.Close()
 }
@@ -267,7 +281,7 @@ func (c *Clerk) stop() bool {
 // refreshState fetches the shard map.
 func (c *Clerk) refreshState() error {
 	for _, s := range c.servers {
-		r, err := c.ep.Call(Addr(s), StateReq{}, 60*time.Second)
+		r, err := c.ep.Call(c.addr(s), StateReq{}, 60*time.Second)
 		if err != nil {
 			continue
 		}
@@ -552,7 +566,7 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 				c.noteRenewSentLocked(srv, now, true)
 				renew = false
 			}
-			_ = c.ep.Cast(Addr(srv), m)
+			_ = c.ep.Cast(c.addr(srv), m)
 		}
 		if reqs := acqBySrv[srv]; len(reqs) > 0 {
 			c.batchC.Inc()
@@ -562,7 +576,7 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 				m.Renew, m.LeaseID = true, c.leaseID
 				c.noteRenewSentLocked(srv, now, true)
 			}
-			_ = c.ep.Cast(Addr(srv), m)
+			_ = c.ep.Cast(c.addr(srv), m)
 		}
 	}
 }
@@ -760,7 +774,7 @@ func (c *Clerk) onSync(m SyncReq) any {
 	}
 	c.mu.Unlock()
 	go func() { _ = c.refreshState() }() // assignment changed; relearn routing
-	_ = c.ep.Cast(Addr(m.Server), SyncResp{Clerk: c.machine, Seq: m.Seq, Locks: held})
+	_ = c.ep.Cast(c.addr(m.Server), SyncResp{Clerk: c.machine, Seq: m.Seq, Locks: held})
 	return nil
 }
 
@@ -796,7 +810,7 @@ func (c *Clerk) onRecoverReq(m RecoverReq) {
 			return // coordinator will retry or reassign
 		}
 		c.jr.Record("lockservice", "recovery", "done", 0, int64(m.DeadSlot), m.Dead)
-		_ = c.ep.Cast(Addr(last.Server), RecoveryDone{
+		_ = c.ep.Cast(c.addr(last.Server), RecoveryDone{
 			Clerk: c.machine, Table: c.table, Dead: m.Dead, Seq: last.Seq,
 		})
 	}()
@@ -884,7 +898,7 @@ func (c *Clerk) renew() {
 	results := make(chan result, len(stale))
 	for _, s := range stale {
 		go func(s string) {
-			r, err := c.ep.Call(Addr(s), RenewMsg{Clerk: c.machine, LeaseID: lease, MapEpoch: mapEpoch}, c.cfg.LeaseDuration/3)
+			r, err := c.ep.Call(c.addr(s), RenewMsg{Clerk: c.machine, LeaseID: lease, MapEpoch: mapEpoch}, c.cfg.LeaseDuration/3)
 			if err != nil {
 				results <- result{}
 				return

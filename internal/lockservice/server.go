@@ -125,6 +125,11 @@ type Server struct {
 	closed     bool
 	cancels    []func()
 
+	// clerkAddrs holds the ClerkAddr of every clerk this server has
+	// sent to, so a message does not build its destination's name.
+	addrMu     sync.Mutex
+	clerkAddrs map[string]string
+
 	reqC             *obs.Counter
 	revC             *obs.Counter
 	wrongC           *obs.Counter
@@ -163,6 +168,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config,
 		renewals:   make(map[string]sim.Time),
 		ackCast:    make(map[string]sim.Time),
 		recoveries: make(map[string]*recoveryJob),
+		clerkAddrs: make(map[string]string),
 		cpu:        sim.NewResource(w.Clock, name+".lockcpu"),
 	}
 	s.shardC = make([]*obs.Counter, s.state.Shards)
@@ -188,6 +194,18 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config,
 		w.Clock.Tick(cfg.SyncTimeout, s.syncRetry),
 	)
 	return s
+}
+
+// clerkAddr is clerk's ClerkAddr, built on the first message to it.
+func (s *Server) clerkAddr(clerk string) string {
+	s.addrMu.Lock()
+	defer s.addrMu.Unlock()
+	a, ok := s.clerkAddrs[clerk]
+	if !ok {
+		a = ClerkAddr(clerk)
+		s.clerkAddrs[clerk] = a
+	}
+	return a
 }
 
 // shardCounter returns the shared per-shard operation counter,
@@ -391,11 +409,11 @@ func (s *Server) send(ver int64, outs []cast) {
 		if o.revoke {
 			s.revC.Inc()
 			s.jr.Record("lockservice", "revoke", "sent", o.k.Lock, int64(o.mode), o.clerk)
-			_ = s.ep.Cast(ClerkAddr(o.clerk), RevokeMsg{Table: o.k.Table, Lock: o.k.Lock, NewMode: o.mode})
+			_ = s.ep.Cast(s.clerkAddr(o.clerk), RevokeMsg{Table: o.k.Table, Lock: o.k.Lock, NewMode: o.mode})
 			continue
 		}
 		s.jr.Record("lockservice", "grant", "sent", o.k.Lock, int64(o.mode), o.clerk)
-		_ = s.ep.Cast(ClerkAddr(o.clerk), GrantMsg{Table: o.k.Table, Lock: o.k.Lock, Mode: o.mode, Ver: ver, Epoch: o.epoch})
+		_ = s.ep.Cast(s.clerkAddr(o.clerk), GrantMsg{Table: o.k.Table, Lock: o.k.Lock, Mode: o.mode, Ver: ver, Epoch: o.epoch})
 	}
 }
 
@@ -513,7 +531,7 @@ func (s *Server) piggyRenew(clerk string, leaseID uint64) {
 	s.mu.Unlock()
 	s.renewPigC.Inc()
 	if ack {
-		_ = s.ep.Cast(ClerkAddr(clerk), RenewAck{Server: s.name, LeaseID: leaseID, Valid: valid, MapEpoch: epoch})
+		_ = s.ep.Cast(s.clerkAddr(clerk), RenewAck{Server: s.name, LeaseID: leaseID, Valid: valid, MapEpoch: epoch})
 	}
 }
 
@@ -579,7 +597,7 @@ func (s *Server) nackWrongShard(clerk, table string, epoch, clerkEpoch int64, lo
 		s.jr.Record("lockservice", "shard", "wrongshard", lk, epoch,
 			fmt.Sprintf("%s routed with epoch %d", clerk, clerkEpoch))
 	}
-	_ = s.ep.Cast(ClerkAddr(clerk), WrongShard{Server: s.name, Table: table, Epoch: epoch, Locks: locks})
+	_ = s.ep.Cast(s.clerkAddr(clerk), WrongShard{Server: s.name, Table: table, Epoch: epoch, Locks: locks})
 }
 
 func (s *Server) sessionDead(clerk, table string) bool {
@@ -732,7 +750,7 @@ func (s *Server) sweep() {
 	}
 	for _, j := range jobs {
 		s.jr.Record("lockservice", "recovery", "assign", 0, int64(j.slot), j.dead+" by "+j.recoverer)
-		_ = s.ep.Cast(ClerkAddr(j.recoverer), RecoverReq{
+		_ = s.ep.Cast(s.clerkAddr(j.recoverer), RecoverReq{
 			Server: s.name, Table: j.table, Dead: j.dead, DeadSlot: j.slot, Seq: j.seq,
 		})
 	}
@@ -797,7 +815,7 @@ func (s *Server) syncShards(shards []int) {
 	s.mu.Unlock()
 
 	for _, sess := range live {
-		_ = s.ep.Cast(ClerkAddr(sess.Clerk), SyncReq{Server: s.name, Table: sess.Table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
+		_ = s.ep.Cast(s.clerkAddr(sess.Clerk), SyncReq{Server: s.name, Table: sess.Table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
 	}
 	if len(live) == 0 {
 		s.finishSync(seq)
@@ -844,7 +862,7 @@ func (s *Server) syncRetry() {
 	}
 	s.mu.Unlock()
 	for _, a := range asks {
-		_ = s.ep.Cast(ClerkAddr(a.clerk), SyncReq{Server: s.name, Table: a.table, Shards: a.shards, NumShards: nshards, Seq: a.seq, Ver: a.ver})
+		_ = s.ep.Cast(s.clerkAddr(a.clerk), SyncReq{Server: s.name, Table: a.table, Shards: a.shards, NumShards: nshards, Seq: a.seq, Ver: a.ver})
 	}
 	for _, seq := range finished {
 		s.finishSync(seq)

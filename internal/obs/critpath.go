@@ -82,7 +82,7 @@ func (cp *CritPath) AddTrace(spans []Span) {
 		cp.roots[rootOp] = rp
 	}
 	rp.count++
-	rp.totalNs += root.Duration()
+	rp.totalNs += root.End - root.Start
 	selfOnce := make(map[string]int64) // self-time within this trace
 
 	var walk func(sp *Span, lo, hi int64)

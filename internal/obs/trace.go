@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,6 +22,11 @@ import (
 // Principal and point at their parent's ID, which may be a span on
 // another machine (see Remote). A finished span is one record in the
 // journal of the server that opened it.
+//
+// A live span comes from a pool and goes back to it in Done: whoever
+// opened it must not touch it after Done, and nothing else may hold it
+// past then. What outlives the span is its record, read back as a Span
+// value (End set) by the tracer's readers.
 type Span struct {
 	TraceID   uint64
 	ID        uint64
@@ -28,7 +34,7 @@ type Span struct {
 	Layer     string
 	Op        string
 	Start     int64  // ns on the tracer's clock
-	End       int64  // ns; 0 until Done
+	End       int64  // ns; set only in a span read back from its record
 	Principal string // on whose behalf the operation runs; "" is unknown
 
 	tr *Tracer
@@ -62,25 +68,36 @@ func (sp *Span) Child(layer, op string) *Span {
 	return sp.tr.Remote(sp.jr, sp.Ctx(), layer, op)
 }
 
-// Duration is End-Start; valid after Done.
-func (sp *Span) Duration() int64 {
-	if sp == nil {
+// Done ends the span: it writes the span's record into its server's
+// journal, stamped inside the ring's lock like every record, zeroes the
+// span and gives it back to the pool, and returns how long it lasted. It
+// is the last use of sp.
+func (sp *Span) Done() int64 {
+	if sp == nil || sp.tr == nil {
 		return 0
 	}
-	return sp.End - sp.Start
+	var end int64
+	if sp.jr == nil {
+		end = sp.tr.reg.now()
+	} else {
+		end = sp.jr.recordSpan(sp)
+	}
+	d := end - sp.Start
+	*sp = Span{}
+	spanPool.Put(sp)
+	return d
 }
 
-// Done stamps the end time and writes the span's record into its
-// server's journal, stamped inside the ring's lock like every record.
-func (sp *Span) Done() {
-	if sp == nil || sp.tr == nil {
-		return
-	}
-	if sp.jr == nil {
-		sp.End = sp.tr.reg.now()
-		return
-	}
-	sp.End = sp.jr.recordSpan(sp)
+// spanPool holds finished spans, zeroed: Start and Remote take one of
+// them, not a new span.
+var spanPool = sync.Pool{New: func() any { return new(Span) }}
+
+// open takes a span from the pool and fills it in.
+func (t *Tracer) open(jr *Journal, trace, id, parent uint64, layer, op, principal string) *Span {
+	sp := spanPool.Get().(*Span)
+	*sp = Span{TraceID: trace, ID: id, Parent: parent, Layer: layer, Op: op,
+		Start: t.reg.now(), Principal: principal, tr: t, jr: jr}
+	return sp
 }
 
 const (
@@ -113,7 +130,7 @@ func (t *Tracer) Start(jr *Journal, layer, op string) *Span {
 		return nil
 	}
 	id := t.ids.Add(1)
-	return &Span{TraceID: id, ID: id, Layer: layer, Op: op, Start: t.reg.now(), tr: t, jr: jr}
+	return t.open(jr, id, id, 0, layer, op, "")
 }
 
 // Remote begins a span, landing in jr, whose parent is known by its
@@ -124,8 +141,7 @@ func (t *Tracer) Remote(jr *Journal, parent Ctx, layer, op string) *Span {
 	if t == nil || parent.Trace == 0 {
 		return nil
 	}
-	return &Span{TraceID: parent.Trace, ID: t.ids.Add(1), Parent: parent.Span, Layer: layer, Op: op,
-		Start: t.reg.now(), Principal: parent.Principal, tr: t, jr: jr}
+	return t.open(jr, parent.Trace, t.ids.Add(1), parent.Span, layer, op, parent.Principal)
 }
 
 // traces reads every span record resident in the registry's journals in
@@ -193,7 +209,7 @@ func (t *Tracer) SlowDumps() []string {
 	byTrace, roots := t.traces()
 	var out []string
 	for _, r := range roots {
-		if r.Duration() < thr {
+		if r.End-r.Start < thr {
 			continue
 		}
 		// Bound each dump: a pathological trace can have thousands of
@@ -261,7 +277,7 @@ func renderTrace(traceID uint64, spans []Span) string {
 		name := sp.Layer + "." + sp.Op
 		fmt.Fprintf(&b, "  %s%-*s +%.3fms  %.3fms\n",
 			strings.Repeat("  ", depth), 28-2*depth, name,
-			float64(sp.Start-base)/1e6, float64(sp.Duration())/1e6)
+			float64(sp.Start-base)/1e6, float64(sp.End-sp.Start)/1e6)
 		for _, ch := range children[sp.ID] {
 			walk(ch, depth+1)
 		}

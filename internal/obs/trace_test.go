@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -43,13 +44,14 @@ func TestSpanTreeStructure(t *testing.T) {
 	if sib := root.Child("wal", "flush"); sib.Parent != root.ID {
 		t.Fatalf("sibling parented to %d, want the root %d", sib.Parent, root.ID)
 	}
+	trace := root.TraceID
 	root.Done()
 
-	spans := tr.SpansFor(root.TraceID)
+	spans := tr.SpansFor(trace)
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	out := tr.RenderTrace(root.TraceID)
+	out := tr.RenderTrace(trace)
 	for _, want := range []string{"fs.sync", "wal.flush", "petal.write"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -72,9 +74,8 @@ func TestChildRequiresBinding(t *testing.T) {
 	if sp != nil || sp.Child("petal", "write") != nil {
 		t.Fatal("Child of no span must be nil")
 	}
-	sp.Done()
-	if sp.Ctx() != (Ctx{}) || sp.Duration() != 0 {
-		t.Fatalf("nil span has context %+v", sp.Ctx())
+	if d := sp.Done(); sp.Ctx() != (Ctx{}) || d != 0 {
+		t.Fatalf("nil span has context %+v and lasted %d", sp.Ctx(), d)
 	}
 	root := tr.Start(r.Journal("ws1"), "fs", "write")
 	if sp := root.Child("wal", "flush"); sp == nil {
@@ -82,8 +83,9 @@ func TestChildRequiresBinding(t *testing.T) {
 	} else {
 		sp.Done()
 	}
+	trace := root.TraceID
 	root.Done()
-	if n := len(tr.SpansFor(root.TraceID)); n != 2 {
+	if n := len(tr.SpansFor(trace)); n != 2 {
 		t.Fatalf("%d spans recorded, want 2", n)
 	}
 }
@@ -93,11 +95,12 @@ func TestRemoteParenting(t *testing.T) {
 	tr := r.Tracer()
 	// The receive side of a request carrying an operation's context.
 	sp := tr.Remote(r.Journal("petal0"), Ctx{Trace: 42, Span: 7, Principal: "tenant-a"}, "petal", "server.write")
-	sp.Done()
 	if sp.TraceID != 42 || sp.Parent != 7 || sp.Principal != "tenant-a" {
 		t.Fatalf("remote-parented span: %+v", sp)
 	}
-	if got := tr.SpansFor(42); len(got) != 1 || got[0].ID != sp.ID {
+	id := sp.ID
+	sp.Done()
+	if got := tr.SpansFor(42); len(got) != 1 || got[0].ID != id {
 		t.Fatalf("trace 42 holds %+v, want the server span alone", got)
 	}
 	if tr.Remote(r.Journal("petal0"), Ctx{Span: 9, Principal: "tenant-a"}, "petal", "server.write") != nil {
@@ -144,13 +147,14 @@ func TestSlowDumps(t *testing.T) {
 	tr := r.Tracer()
 	tr.SetSlowThreshold(500 * time.Microsecond) // every op is "slow" on the fake clock
 	sp := tr.Start(r.Journal("ws1"), "fs", "create")
+	trace := sp.TraceID
 	sp.Done()
 	dumps := tr.SlowDumps()
 	if len(dumps) != 1 || !strings.Contains(dumps[0], "fs.create") {
 		t.Fatalf("slow dump not captured: %q", dumps)
 	}
-	if tr.LastRoot() != sp.TraceID {
-		t.Fatalf("LastRoot %d, want %d", tr.LastRoot(), sp.TraceID)
+	if tr.LastRoot() != trace {
+		t.Fatalf("LastRoot %d, want %d", tr.LastRoot(), trace)
 	}
 	// Dumps ring must stay bounded.
 	for i := 0; i < 3*maxSlowDumps; i++ {
@@ -173,15 +177,84 @@ func TestConcurrentTracing(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				root := tr.Start(r.Journal("ws1"), "fs", "op")
 				c := root.Child("wal", "append")
-				c.Done()
 				if c.TraceID != root.TraceID || c.Parent != root.ID {
 					t.Error("child joined another goroutine's trace")
 				}
+				c.Done()
 				root.Done()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSpanLifecycleConcurrent: goroutines open roots, children and
+// remote spans and end them at once (run under -race), so spans go back
+// to the pool and out again while others are live. Every record keeps
+// the trace, parent and principal of its place in the tree, and a span
+// is zero after Done.
+func TestSpanLifecycleConcurrent(t *testing.T) {
+	r := NewRegistry(nil)
+	tr := r.Tracer()
+	type opened struct {
+		trace, parent uint64
+		principal     string
+	}
+	const workers, rounds = 8, 150 // 3600 records, one ring's worth at most
+	want := make([]map[uint64]opened, workers)
+	var wg sync.WaitGroup
+	for w := range want {
+		want[w] = make(map[uint64]opened)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jr, far := r.Journal(fmt.Sprintf("ws%d", w%2)), r.Journal(fmt.Sprintf("petal%d", w%2))
+			for i := 0; i < rounds; i++ {
+				who := fmt.Sprintf("p%d", w)
+				root := tr.Start(jr, "fs", "write")
+				root.Principal = who
+				child := root.Child("wal", "flush")
+				remote := tr.Remote(far, child.Ctx(), "petal", "server.writev")
+				want[w][root.ID] = opened{root.ID, 0, who}
+				want[w][child.ID] = opened{root.ID, root.ID, who}
+				want[w][remote.ID] = opened{root.ID, child.ID, who}
+				remote.Done()
+				child.Done()
+				root.Done()
+			}
+		}()
+	}
+	wg.Wait()
+	all := make(map[uint64]opened)
+	for _, m := range want {
+		for id, o := range m {
+			all[id] = o
+		}
+	}
+	records := 0
+	for _, j := range r.Journals() {
+		for _, e := range j.Events() {
+			if e.Kind != SpanKind {
+				continue
+			}
+			records++
+			if o, ok := all[e.Key]; !ok || o != (opened{e.Trace, e.Parent, e.Detail}) {
+				t.Fatalf("%s: record %+v, span opened as %+v (known: %v)", j.Server(), e, o, ok)
+			}
+		}
+	}
+	if records != len(all) {
+		t.Fatalf("%d span records for %d spans", records, len(all))
+	}
+
+	// Read after Done on purpose, with nothing else running: the span
+	// went back to the pool zeroed.
+	sp := tr.Start(r.Journal("ws0"), "fs", "read")
+	sp.Principal = "alice"
+	sp.Done()
+	if *sp != (Span{}) {
+		t.Fatalf("span after Done: %+v", *sp)
+	}
 }
 
 // Slow-op dumps are individually size-bounded so maxSlowDumps of them
@@ -214,17 +287,19 @@ func TestRingEviction(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	quiet := tr.Start(r.Journal("ws2"), "fs", "op")
+	quietTrace := quiet.TraceID
 	quiet.Done()
 	first := tr.Start(r.Journal("ws1"), "fs", "op")
+	firstTrace := first.TraceID
 	first.Done()
 	for i := 0; i < DefaultJournalCap+10; i++ {
 		sp := tr.Start(r.Journal("ws1"), "fs", "op")
 		sp.Done()
 	}
-	if got := tr.SpansFor(first.TraceID); len(got) != 0 {
+	if got := tr.SpansFor(firstTrace); len(got) != 0 {
 		t.Fatalf("evicted span still visible: %v", got)
 	}
-	if got := tr.SpansFor(quiet.TraceID); len(got) != 1 {
+	if got := tr.SpansFor(quietTrace); len(got) != 1 {
 		t.Fatalf("the quiet ring lost its span: %v", got)
 	}
 }
@@ -239,13 +314,13 @@ func TestSpanWithRingOff(t *testing.T) {
 	root := tr.Start(r.Journal("ws1"), "fs", "write")
 	root.Principal = "alice"
 	child := root.Child("wal", "flush")
-	child.Done()
-	root.Done()
 	if child == nil || child.Ctx() != (Ctx{Trace: root.TraceID, Span: child.ID, Principal: "alice"}) {
 		t.Fatalf("child of an unrecorded span: %+v", child)
 	}
-	if root.Duration() <= 0 || child.Duration() <= 0 {
-		t.Fatalf("unrecorded spans untimed: %d, %d", root.Duration(), child.Duration())
+	childD := child.Done()
+	rootD := root.Done()
+	if rootD <= 0 || childD <= 0 {
+		t.Fatalf("unrecorded spans untimed: %d, %d", rootD, childD)
 	}
 	if tr.LastRoot() != 0 || len(r.Journals()) != 0 {
 		t.Fatal("a span was recorded with the ring off")
@@ -261,19 +336,20 @@ func TestSpanRecord(t *testing.T) {
 	root := r.Tracer().Start(jr, "fs", "create")
 	root.Principal = "alice"
 	child := root.Child("wal", "append")
+	rootSp, childSp := *root, *child // what the records must say, read before Done
 	jr.Record("wal", "append", "ok", 9, 128, "")
-	child.Done()
-	root.Done()
+	childD := child.Done()
+	rootD := root.Done()
 	evs := jr.Events()
 	if len(evs) != 3 || evs[0].Kind != "ok" || evs[1].Op != "append" || evs[2].Op != "create" {
 		t.Fatalf("ring holds %+v", evs)
 	}
-	want := Event{Seq: 3, T: root.End, Server: "ws1", Layer: "fs", Op: "create", Kind: SpanKind,
-		Key: root.ID, Arg: root.Duration(), Detail: "alice", Trace: root.TraceID}
+	want := Event{Seq: 3, T: rootSp.Start + rootD, Server: "ws1", Layer: "fs", Op: "create", Kind: SpanKind,
+		Key: rootSp.ID, Arg: rootD, Detail: "alice", Trace: rootSp.TraceID}
 	if evs[2] != want {
 		t.Fatalf("root record %+v, want %+v", evs[2], want)
 	}
-	if c := evs[1]; c.Trace != root.TraceID || c.Parent != root.ID || c.Key != child.ID || c.T != child.End {
+	if c := evs[1]; c.Trace != rootSp.TraceID || c.Parent != rootSp.ID || c.Key != childSp.ID || c.T != childSp.Start+childD {
 		t.Fatalf("child record %+v", c)
 	}
 }

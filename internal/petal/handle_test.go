@@ -57,6 +57,7 @@ func TestPrincipalReachesServer(t *testing.T) {
 	if err := view.Decommit("vol", 4*ChunkSize, 2*ChunkSize); err != nil {
 		t.Fatal(err)
 	}
+	trace, rootID := op.TraceID, op.ID // the span is not ours to read after Done
 	op.Done()
 
 	st, rpcs := account("tenant-a"), tc.client.Stats()
@@ -72,14 +73,14 @@ func TestPrincipalReachesServer(t *testing.T) {
 
 	// One trace: client spans under the root, server spans under client
 	// spans, a forward's server span under the primary's.
-	spans := reg.Tracer().SpansFor(op.TraceID)
+	spans := reg.Tracer().SpansFor(trace)
 	byID := map[uint64]obs.Span{}
 	for _, sp := range spans {
 		byID[sp.ID] = sp
 	}
 	forwards := 0
 	for _, sp := range spans {
-		if sp.ID == op.ID {
+		if sp.ID == rootID {
 			continue
 		}
 		parent, ok := byID[sp.Parent]
@@ -91,7 +92,7 @@ func TestPrincipalReachesServer(t *testing.T) {
 		}
 	}
 	if forwards == 0 || len(spans) < 6 {
-		t.Errorf("trace has %d spans, %d of them replica forwards:\n%s", len(spans), forwards, reg.Tracer().RenderTrace(op.TraceID))
+		t.Errorf("trace has %d spans, %d of them replica forwards:\n%s", len(spans), forwards, reg.Tracer().RenderTrace(trace))
 	}
 	if n := len(reg.Tracer().Roots(0)); n != 1 {
 		t.Errorf("%d traces recorded, want the one operation's", n)

@@ -203,15 +203,17 @@ func raceBuild() bool {
 // writeVAllocs and readVAllocs are what a replicated 64 KB WriteV and a
 // 64 KB ReadV, cut in two halves for the two replicas, allocate — the
 // client and both servers together, over the simulated network: each
-// request, its envelope and the network's message, each handler's
-// goroutine and its fan-out, the forward, the reply and the read's
-// buffer hand-off. They were 41 and 40 while every call built its
-// pieces, batches, extent lists and reply channel, and every server its
-// per-request lists, closures and read buffers, anew. Raise or lower them
-// only with a change that means to move them.
+// request and reply boxed for the network, each handler's goroutine and
+// its fan-out, the forward and the read's buffer hand-off. They were 41
+// and 40 while every call built its pieces, batches, extent lists and
+// reply channel, and every server its per-request lists, closures and
+// read buffers, anew; then 14 and 20 while every message had a delivery
+// goroutine of its own, every envelope was boxed and every server span
+// was a new object. Raise or lower them only with a change that means to
+// move them.
 const (
-	writeVAllocs = 14
-	readVAllocs  = 20
+	writeVAllocs = 6
+	readVAllocs  = 12
 )
 
 // TestWriteVReadVRoundTripAllocs pins writeVAllocs and readVAllocs. The

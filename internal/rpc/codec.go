@@ -132,11 +132,7 @@ func AppendMessageHeader(dst []byte, payloads [][]byte, env Envelope) (hdr []byt
 	if wm, ok := env.Body.(WireMessage); ok {
 		if tag := wm.WireTag(); tag != TagGob {
 			dst = append(dst, tag)
-			idBits := env.ID << 1
-			if env.IsReply {
-				idBits |= 1
-			}
-			dst = binary.AppendUvarint(dst, idBits)
+			dst = binary.AppendUvarint(dst, env.word())
 			mark := len(dst)
 			// Reserve a fixed 4-byte spot for headerLen so the header
 			// can be appended in place, then patch it.
@@ -208,7 +204,7 @@ func DecodeMessage(data []byte, rb *RecvBuf) (body any, retained bool, err error
 	if err != nil {
 		return nil, false, err
 	}
-	return Envelope{ID: idBits >> 1, IsReply: idBits&1 != 0, Body: inner}, retained, nil
+	return envelope(idBits, inner), retained, nil
 }
 
 // Cursor is a bounds-checked reader over one message section.

@@ -41,6 +41,22 @@ type Envelope struct {
 	Body    any
 }
 
+// word is the envelope's correlation — ID and reply bit — in one word:
+// what the wire codec writes as a uvarint and sim.Message carries as
+// Corr, so the envelope itself is never boxed.
+func (e Envelope) word() uint64 {
+	w := e.ID << 1
+	if e.IsReply {
+		w |= 1
+	}
+	return w
+}
+
+// envelope rebuilds the envelope of body from its correlation word.
+func envelope(word uint64, body any) Envelope {
+	return Envelope{ID: word >> 1, IsReply: word&1 != 0, Body: body}
+}
+
 // HandlerFunc serves an incoming message. For messages sent with
 // Call, the returned value (if non-nil) is sent back as the reply.
 // For casts the return value is ignored. Handlers run on dedicated
@@ -48,28 +64,29 @@ type Envelope struct {
 type HandlerFunc func(from string, body any) (reply any)
 
 // Carrier abstracts the underlying datagram network so Endpoint works
-// over both sim.Network and TCP.
+// over both sim.Network and TCP. Envelopes travel by value.
 type Carrier interface {
-	// Send transmits body (already enveloped) to the named host,
-	// charging the modelled wire size.
-	Send(from, to string, body any, size int) error
+	// Send transmits env to the named host, charging the modelled wire
+	// size.
+	Send(from, to string, env Envelope, size int) error
 	// Register installs the receive function for a host.
-	Register(name string, recv func(from string, body any, size int))
+	Register(name string, recv func(from string, env Envelope, size int))
 	// Unregister removes the host.
 	Unregister(name string)
 }
 
-// SimCarrier adapts sim.Network to the Carrier interface.
+// SimCarrier adapts sim.Network to the Carrier interface: the body is
+// the message's payload and the correlation word rides beside it.
 type SimCarrier struct{ Net *sim.Network }
 
 // Send implements Carrier.
-func (c SimCarrier) Send(from, to string, body any, size int) error {
-	return c.Net.Send(from, to, body, size)
+func (c SimCarrier) Send(from, to string, env Envelope, size int) error {
+	return c.Net.SendMessage(sim.Message{From: from, To: to, Payload: env.Body, Size: size, Corr: env.word()})
 }
 
 // Register implements Carrier.
-func (c SimCarrier) Register(name string, recv func(from string, body any, size int)) {
-	c.Net.Register(name, func(m sim.Message) { recv(m.From, m.Payload, m.Size) })
+func (c SimCarrier) Register(name string, recv func(from string, env Envelope, size int)) {
+	c.Net.Register(name, func(m sim.Message) { recv(m.From, envelope(m.Corr, m.Payload), m.Size) })
 }
 
 // Unregister implements Carrier.
@@ -111,11 +128,7 @@ func (e *Endpoint) Addr() string { return e.addr }
 // Handle replaces the request handler.
 func (e *Endpoint) Handle(h HandlerFunc) { e.handler.Store(h) }
 
-func (e *Endpoint) receive(from string, body any, size int) {
-	env, ok := body.(Envelope)
-	if !ok {
-		return
-	}
+func (e *Endpoint) receive(from string, env Envelope, size int) {
 	if env.IsReply {
 		if ch := e.takeCall(env.ID); ch != nil {
 			ch <- env.Body

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -48,7 +47,7 @@ type TCPCarrier struct {
 	mu        sync.Mutex
 	dir       map[string]string // logical name -> host:port
 	listeners map[string]net.Listener
-	recvs     map[string]func(from string, body any, size int)
+	recvs     map[string]func(from string, env Envelope, size int)
 	conns     map[string]*muxConn // from|to -> connection
 	closed    bool
 
@@ -179,7 +178,7 @@ func NewTCPCarrier() *TCPCarrier {
 	t := &TCPCarrier{
 		dir:       make(map[string]string),
 		listeners: make(map[string]net.Listener),
-		recvs:     make(map[string]func(string, any, int)),
+		recvs:     make(map[string]func(string, Envelope, int)),
 		conns:     make(map[string]*muxConn),
 	}
 	t.obsv.Store(&tcpObs{
@@ -212,7 +211,7 @@ func (t *TCPCarrier) Addr(name string) string {
 
 // Register implements Carrier: it opens a listener for the host and
 // serves incoming frames to recv.
-func (t *TCPCarrier) Register(name string, recv func(from string, body any, size int)) {
+func (t *TCPCarrier) Register(name string, recv func(from string, env Envelope, size int)) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(fmt.Sprintf("rpc: tcp listen: %v", err))
@@ -320,7 +319,8 @@ func (t *TCPCarrier) serveConn(name string, conn net.Conn) {
 		if !retained {
 			rb.Release()
 		}
-		if err != nil {
+		env, isEnv := body.(Envelope) // a gob body of another type is no message
+		if err != nil || !isEnv {
 			o.decodeErrs.Inc()
 			continue
 		}
@@ -328,19 +328,11 @@ func (t *TCPCarrier) serveConn(name string, conn net.Conn) {
 		recv := t.recvs[name]
 		t.mu.Unlock()
 		if recv != nil {
-			recv(from, body, st.off)
+			recv(from, env, st.off)
 		} else {
-			Release(envBody(body))
+			Release(env.Body)
 		}
 	}
-}
-
-// envBody unwraps an Envelope so Release reaches the payload body.
-func envBody(body any) any {
-	if env, ok := body.(Envelope); ok {
-		return env.Body
-	}
-	return body
 }
 
 // Unregister implements Carrier.
@@ -386,8 +378,8 @@ func (mc *muxConn) kill() {
 // returned only for immediately detectable failures (unknown host,
 // dial refused) — a message accepted into the queue is best-effort,
 // exactly like the simulated network after its Send returns.
-func (t *TCPCarrier) Send(from, to string, body any, size int) error {
-	m, err := encodeOut(body)
+func (t *TCPCarrier) Send(from, to string, env Envelope, size int) error {
+	m, err := encodeOut(env)
 	if err != nil {
 		return err
 	}
@@ -414,24 +406,11 @@ func (t *TCPCarrier) Send(from, to string, body any, size int) error {
 	}
 }
 
-// encodeOut serializes body into an outMsg: the message prefix in a
-// pooled buffer, payload slices zero-copy. Casts (and raw bodies)
-// are marked ordered so the writer preserves their FIFO order.
-func encodeOut(body any) (outMsg, error) {
+// encodeOut serializes env into an outMsg: the message prefix in a
+// pooled buffer, payload slices zero-copy. Casts are marked ordered so
+// the writer preserves their FIFO order.
+func encodeOut(env Envelope) (outMsg, error) {
 	hdrp := bufpool.Get(512)
-	env, isEnv := body.(Envelope)
-	if !isEnv {
-		// Raw non-envelope body (direct carrier use in tests): gob it
-		// and deliver as-is on the far side.
-		hdr := append((*hdrp)[:0], TagGob)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobMsg{Body: body}); err != nil {
-			bufpool.Put(hdrp)
-			return outMsg{}, fmt.Errorf("rpc: gob encode: %w", err)
-		}
-		hdr = append(hdr, buf.Bytes()...)
-		return outMsg{hdrp: hdrp, hdr: hdr, total: len(hdr), ordered: true}, nil
-	}
 	hdr, payloads, _, err := AppendMessageHeader((*hdrp)[:0], nil, env)
 	if err != nil {
 		bufpool.Put(hdrp)
@@ -644,7 +623,7 @@ func (t *TCPCarrier) Close() {
 	conns := t.conns
 	t.listeners = make(map[string]net.Listener)
 	t.conns = make(map[string]*muxConn)
-	t.recvs = make(map[string]func(string, any, int))
+	t.recvs = make(map[string]func(string, Envelope, int))
 	t.mu.Unlock()
 	for _, ln := range lns {
 		ln.Close()

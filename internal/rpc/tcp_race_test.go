@@ -20,12 +20,12 @@ func TestTCPReconnectRace(t *testing.T) {
 	defer carrier.Close()
 	var delivered atomic.Int64
 	register := func() {
-		carrier.Register("rx", func(from string, body any, size int) {
+		carrier.Register("rx", func(from string, env Envelope, size int) {
 			if size <= 0 {
 				t.Errorf("recv reported size %d, want > 0", size)
 			}
 			delivered.Add(1)
-			Release(envBody(body))
+			Release(env.Body)
 		})
 	}
 	register()

@@ -39,12 +39,15 @@ type link struct {
 }
 
 // Message is what a registered handler receives. Payload is the Go
-// value sent; Size is the modelled wire size in bytes.
+// value sent; Size is the modelled wire size in bytes. Corr is a word
+// the sender's transport puts beside the payload — the rpc layer's call
+// ID and reply bit — which the network carries and never reads.
 type Message struct {
 	From    string
 	To      string
 	Payload any
 	Size    int
+	Corr    uint64
 }
 
 // Handler consumes delivered messages. Handlers run on the delivering
@@ -57,17 +60,25 @@ type Handler func(Message)
 // and is then delivered asynchronously to the destination handler.
 // Partitions are expressed as a set of unreachable (from,to) pairs or
 // whole-host isolation.
+//
+// Messages between one (from, to) pair wait in that pair's FIFO queue
+// (pairQ), in send order. A delivery worker drains a pair whose head has
+// left its sender; when the pair is empty, or its head is still on the
+// sender's egress, the worker parks in the network's idle pool until
+// another pair needs one. So the goroutines are as many as the pairs
+// busy at once, not one per message in flight; stop ends the parked ones
+// and lets the busy ones end when their pairs are drained.
 type Network struct {
 	clock *Clock
 
 	mu        sync.Mutex
-	pairCond  *sync.Cond
 	links     map[string]*link
 	handlers  map[string]Handler
 	isolated  map[string]bool
 	cut       map[[2]string]bool
-	pairSeq   map[[2]string]uint64 // FIFO sequencing per (from,to)
-	pairDone  map[[2]string]uint64
+	pairs     map[[2]string]*pairQ
+	idle      []chan *pairQ // parked delivery workers; a nil pair ends one
+	stopped   bool
 	dropEvery int64 // drop one message in N (0 = never); deterministic
 	sent      int64
 	delivered int64
@@ -76,17 +87,66 @@ type Network struct {
 
 // NewNetwork returns an empty network on the given clock.
 func NewNetwork(clock *Clock) *Network {
-	n := &Network{
+	return &Network{
 		clock:    clock,
 		links:    make(map[string]*link),
 		handlers: make(map[string]Handler),
 		isolated: make(map[string]bool),
 		cut:      make(map[[2]string]bool),
-		pairSeq:  make(map[[2]string]uint64),
-		pairDone: make(map[[2]string]uint64),
+		pairs:    make(map[[2]string]*pairQ),
 	}
-	n.pairCond = sync.NewCond(&n.mu)
-	return n
+}
+
+// pairQ is one (from, to) pair's queue: the messages sent on it and not
+// yet delivered, in send order, in a ring that grows to the most that
+// were ever in flight at once and is reused from then on. Send takes its
+// slot when it is called and marks it ready once the message has left
+// the sender, with the instant it is due at the receiver. busy is set
+// while a worker drains the pair; the worker keeps the head until its
+// handler has returned. All fields are guarded by Network.mu.
+type pairQ struct {
+	from, to string
+	ring     []delivery
+	head, n  int
+	base     uint64 // the sequence number of the head
+	busy     bool
+}
+
+// delivery is one slot of a pair's queue.
+type delivery struct {
+	msg   Message
+	at    Time // due at the receiver: arrival plus both latencies
+	ready bool // the message has left the sender and at is set
+}
+
+// push takes the next slot for m and returns its sequence number.
+func (q *pairQ) push(m Message) uint64 {
+	if q.n == len(q.ring) {
+		ring := make([]delivery, max(4, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)%len(q.ring)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = delivery{msg: m}
+	q.n++
+	return q.base + uint64(q.n-1)
+}
+
+// slot is the delivery of sequence number seq, which is still queued.
+func (q *pairQ) slot(seq uint64) *delivery {
+	return &q.ring[(q.head+int(seq-q.base))%len(q.ring)]
+}
+
+// headReady reports whether the pair has a message that can be delivered.
+func (q *pairQ) headReady() bool { return q.n > 0 && q.ring[q.head].ready }
+
+// pop drops the head, which has been delivered.
+func (q *pairQ) pop() {
+	q.ring[q.head] = delivery{} // the payload is the handler's now
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	q.base++
 }
 
 // AddHost attaches a host with the given link parameters. Adding an
@@ -194,82 +254,166 @@ func (n *Network) reachableLocked(from, to string) bool {
 }
 
 // Send transmits payload of modelled wire size bytes from one host to
-// another. It blocks the caller through the sender's egress resource
-// (backpressure), then delivers asynchronously after the receiver's
-// ingress service and both link latencies — two waits a message, the
-// second on the delivery goroutine. Send returns an error immediately
-// if the destination is unknown or unreachable; delivery failures
-// after that point are silent, like a real datagram network.
+// another; see SendMessage.
 func (n *Network) Send(from, to string, payload any, size int) error {
-	if size < 0 {
-		size = 0
+	return n.SendMessage(Message{From: from, To: to, Payload: payload, Size: size})
+}
+
+// SendMessage transmits m from m.From to m.To. It blocks the caller
+// through the sender's egress resource (backpressure), then delivers
+// asynchronously after the receiver's ingress service and both link
+// latencies — two waits a message, the second on the pair's delivery
+// worker. It returns an error immediately if the destination is unknown
+// or unreachable; delivery failures after that point are silent, like a
+// real datagram network. A payload that is already boxed travels
+// without an allocation.
+func (n *Network) SendMessage(m Message) error {
+	if m.Size < 0 {
+		m.Size = 0
 	}
+	lf, lt, q, seq, err := n.enqueue(m)
+	if err != nil {
+		return err
+	}
+	txCost := Duration(float64(m.Size) / float64(lf.params.Bandwidth) * 1e9)
+	rxCost := Duration(float64(m.Size) / float64(lt.params.Bandwidth) * 1e9)
+	lf.egress.Use(txCost)
+	if q == nil {
+		return nil // dropped
+	}
+	// The last byte has left the sender, so the message joins the
+	// receiver's queue now, not at send time: a small message must not
+	// queue behind a large one that has not arrived yet. Nothing observes
+	// it between here and its delivery, so ingress service and both
+	// latencies are one wait, the worker's.
+	arrived := lt.ingress.reserve(rxCost)
+	n.ready(q, seq, arrived+Time(lf.params.Latency+lt.params.Latency))
+	return nil
+}
+
+// enqueue admits m: it checks that the pair can be reached, counts the
+// message and, unless the message is to be dropped, gives it its place
+// in the pair's queue — seq of q; q is nil for a dropped message. lf and
+// lt are the sender's and the receiver's links.
+func (n *Network) enqueue(m Message) (lf, lt *link, q *pairQ, seq uint64, err error) {
 	n.mu.Lock()
-	lf, ok := n.links[from]
+	defer n.mu.Unlock()
+	lf, ok := n.links[m.From]
 	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchHost, from)
+		return nil, nil, nil, 0, fmt.Errorf("%w: %q", ErrNoSuchHost, m.From)
 	}
-	lt, ok := n.links[to]
+	lt, ok = n.links[m.To]
 	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchHost, to)
+		return nil, nil, nil, 0, fmt.Errorf("%w: %q", ErrNoSuchHost, m.To)
 	}
-	if !n.reachableLocked(from, to) {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+	if !n.reachableLocked(m.From, m.To) {
+		return nil, nil, nil, 0, fmt.Errorf("%w: %s -> %s", ErrUnreachable, m.From, m.To)
 	}
 	n.sent++
-	n.bytes += int64(size)
-	drop := n.dropEvery > 0 && n.sent%n.dropEvery == 0
-	pair := [2]string{from, to}
-	var seq uint64
-	if !drop {
-		// Messages between one (from,to) pair are delivered in send
-		// order, like a switched network with per-flow FIFO queues.
-		// Drops are allowed (handlers are idempotent) but reordering
-		// between a release and a subsequent request would break the
-		// lock protocol's state machine.
-		n.pairSeq[pair]++
-		seq = n.pairSeq[pair]
+	n.bytes += int64(m.Size)
+	if n.dropEvery > 0 && n.sent%n.dropEvery == 0 {
+		return lf, lt, nil, 0, nil
 	}
-	n.mu.Unlock()
+	// Messages between one (from,to) pair are delivered in send order,
+	// like a switched network with per-flow FIFO queues, and the order is
+	// taken here: a later Send that leaves the sender first still waits
+	// behind this one. Drops are allowed (handlers are idempotent) but
+	// reordering between a release and a subsequent request would break
+	// the lock protocol's state machine.
+	q = n.pairLocked(m.From, m.To)
+	return lf, lt, q, q.push(m), nil
+}
 
-	txCost := Duration(float64(size) / float64(lf.params.Bandwidth) * 1e9)
-	rxCost := Duration(float64(size) / float64(lt.params.Bandwidth) * 1e9)
-	lf.egress.Use(txCost)
-	if drop {
-		return nil
+// ready marks message seq of q as having left its sender, due at the
+// receiver at at, and hands the pair to a worker if its head can go now
+// and no worker drains it.
+func (n *Network) ready(q *pairQ, seq uint64, at Time) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	d := q.slot(seq)
+	d.at, d.ready = at, true
+	if !q.busy && q.headReady() {
+		q.busy = true
+		n.dispatchLocked(q)
 	}
-	go func() {
-		// The last byte has left the sender, so the message joins the
-		// receiver's queue now, not at send time: a small message must
-		// not queue behind a large one that has not arrived yet. Nothing
-		// observes it between here and its delivery, so ingress service
-		// and both latencies are one wait.
-		arrived := lt.ingress.reserve(rxCost)
-		n.clock.SleepUntil(arrived + Time(lf.params.Latency+lt.params.Latency))
+}
+
+// pairLocked returns the queue of the pair from->to, making it on the
+// pair's first message.
+func (n *Network) pairLocked(from, to string) *pairQ {
+	key := [2]string{from, to}
+	q := n.pairs[key]
+	if q == nil {
+		q = &pairQ{from: from, to: to}
+		n.pairs[key] = q
+	}
+	return q
+}
+
+// dispatchLocked hands q, whose head is ready and which no worker
+// drains, to a parked worker, or to a new one if none is parked.
+func (n *Network) dispatchLocked(q *pairQ) {
+	if k := len(n.idle); k > 0 {
+		w := n.idle[k-1]
+		n.idle[k-1] = nil
+		n.idle = n.idle[:k-1]
+		w <- q // one slot, and the worker parked with it empty: never blocks
+		return
+	}
+	go n.deliver(q)
+}
+
+// deliver is a delivery worker: it drains q, parks, and drains whatever
+// pair it is handed next, until stop.
+func (n *Network) deliver(q *pairQ) {
+	var park chan *pairQ
+	for q != nil {
 		n.mu.Lock()
-		for n.pairDone[pair] != seq-1 {
-			n.pairCond.Wait()
+		for q.headReady() {
+			d := q.ring[q.head]
+			n.mu.Unlock()
+			n.clock.SleepUntil(d.at)
+			n.mu.Lock()
+			// Re-check reachability at delivery time so a partition that
+			// forms while the message is in flight loses it.
+			h := n.handlers[q.to]
+			ok := h != nil && n.reachableLocked(q.from, q.to)
+			if ok {
+				n.delivered++
+			}
+			n.mu.Unlock()
+			if ok {
+				h(d.msg)
+			}
+			n.mu.Lock()
+			q.pop()
 		}
-		// Re-check reachability at delivery time so a partition that
-		// forms while the message is in flight loses it.
-		h := n.handlers[to]
-		ok := n.reachableLocked(from, to)
-		if ok && h != nil {
-			n.delivered++
+		// Empty, or its head is still on the sender's egress: that
+		// sender dispatches the pair again when it is done.
+		q.busy = false
+		if n.stopped {
+			n.mu.Unlock()
+			return
 		}
+		if park == nil {
+			park = make(chan *pairQ, 1)
+		}
+		n.idle = append(n.idle, park)
 		n.mu.Unlock()
-		if ok && h != nil {
-			h(Message{From: from, To: to, Payload: payload, Size: size})
-		}
-		n.mu.Lock()
-		n.pairDone[pair] = seq
-		n.pairCond.Broadcast()
-		n.mu.Unlock()
-	}()
-	return nil
+		q = <-park
+	}
+}
+
+// stop ends the parked delivery workers; a busy one ends when its pair
+// is drained. Messages still in flight are delivered.
+func (n *Network) stop() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stopped = true
+	for _, w := range n.idle {
+		w <- nil
+	}
+	n.idle = nil
 }
 
 // LinkUtilization reports the busy fraction of a host's egress and

@@ -76,8 +76,12 @@ func (w *World) RandIntn(n int) int {
 	return w.rng.Intn(n)
 }
 
-// Stop halts the clock, which winds down tickers across the stack.
-func (w *World) Stop() { w.Clock.Stop() }
+// Stop halts the clock, which winds down tickers across the stack, and
+// ends the network's delivery workers once their pairs are drained.
+func (w *World) Stop() {
+	w.Clock.Stop()
+	w.Net.stop()
+}
 
 // String summarizes the world for diagnostics.
 func (w *World) String() string {
