@@ -75,9 +75,6 @@ type ClusterConfig struct {
 	// testbed ran 7 Petal servers; lock servers can share machines).
 	PetalServers int
 	LockServers  int
-	// LockShards overrides the number of lock-table shards hashed
-	// across the lock servers (0 = the lock service default).
-	LockShards int
 	// DisksPerServer and DiskCapacity size each Petal server's local
 	// storage (the paper: 9 RZ29 disks per server).
 	DisksPerServer int
@@ -89,13 +86,9 @@ type ClusterConfig struct {
 	// deterministic RNG.
 	Compression float64
 	Seed        int64
-	// HeartbeatEvery / SuspectAfter tune failure detection.
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	// FSConfig is the template for servers mounted via AddServer.
+	// FSConfig is the template for servers mounted via AddServer. Its
+	// lock timing also sets the Petal servers' failure detector.
 	FSConfig Config
-	// VDisk names the shared virtual disk.
-	VDisk VDiskID
 	// GuardWrites enables the §6 lease-expiration write guard at the
 	// Petal servers.
 	GuardWrites bool
@@ -112,22 +105,11 @@ type ClusterConfig struct {
 	// their account-table pointer at construction, so this only takes
 	// effect for clusters built with it set.
 	NoAccounting bool
-	// JournalCap sizes each server's flight-recorder ring.
-	// DefaultClusterConfig sets it to obs.DefaultJournalCap;
-	// non-positive values are rejected by NewCluster.
-	JournalCap int
-	// SlowOpThreshold, if > 0, makes Obs().Tracer().SlowDumps() render
-	// the span tree of every root operation still in the rings that took
-	// at least this long (simulated time).
-	SlowOpThreshold time.Duration
 }
 
 // DefaultClusterConfig mirrors a small version of the paper's
 // testbed: 3 Petal servers with 3 disks each, 3 lock servers.
 func DefaultClusterConfig() ClusterConfig {
-	fscfg := fs.DefaultConfig()
-	fscfg.Lock.HeartbeatEvery = 2 * time.Second
-	fscfg.Lock.SuspectAfter = 10 * time.Second
 	return ClusterConfig{
 		PetalServers:   3,
 		LockServers:    3,
@@ -135,13 +117,12 @@ func DefaultClusterConfig() ClusterConfig {
 		DiskCapacity:   256 << 20,
 		Compression:    100,
 		Seed:           1,
-		HeartbeatEvery: 2 * time.Second,
-		SuspectAfter:   10 * time.Second,
-		FSConfig:       fscfg,
-		VDisk:          "fs0",
-		JournalCap:     obs.DefaultJournalCap,
+		FSConfig:       fs.DefaultConfig(),
 	}
 }
+
+// sharedVDisk names the virtual disk every server of a Cluster mounts.
+const sharedVDisk VDiskID = "fs0"
 
 // Cluster is a fully assembled Frangipani installation.
 type Cluster struct {
@@ -160,7 +141,6 @@ type Cluster struct {
 	servers map[string]*FS
 	clients []*petal.Client
 
-	winOnce sync.Once
 	windows *obs.WindowRing
 
 	anomOnce sync.Once
@@ -182,9 +162,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.PetalServers < 1 || cfg.LockServers < 1 {
 		return nil, fmt.Errorf("frangipani: need at least one petal and one lock server")
 	}
-	if cfg.JournalCap <= 0 {
-		return nil, fmt.Errorf("frangipani: JournalCap must be positive (got %d)", cfg.JournalCap)
-	}
 	w := sim.NewWorld(cfg.Compression, cfg.Seed)
 	if cfg.NoObs {
 		w.Obs = nil
@@ -192,10 +169,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Registry knobs must be set before any server is built:
 		// components capture their journal and account-table pointers
 		// once at construction.
-		if cfg.SlowOpThreshold > 0 {
-			w.Obs.Tracer().SetSlowThreshold(cfg.SlowOpThreshold)
-		}
-		w.Obs.SetJournalCap(cfg.JournalCap)
 		w.Obs.SetNamer(entityName)
 		w.Obs.SetAccounting(!cfg.NoAccounting)
 	}
@@ -204,14 +177,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg:     cfg,
 		lay:     fs.DefaultLayout(),
 		servers: make(map[string]*FS),
+		windows: obs.NewWindowRing(w.Obs, 64),
 	}
 	pcfg := petal.DefaultServerConfig(cfg.DiskCapacity)
 	pcfg.NumDisks = cfg.DisksPerServer
 	pcfg.NVRAM = cfg.NVRAM
-	pcfg.HeartbeatEvery = cfg.HeartbeatEvery
-	pcfg.SuspectAfter = cfg.SuspectAfter
+	lcfg := cfg.FSConfig.Lock
+	pcfg.HeartbeatEvery, pcfg.SuspectAfter = lcfg.HeartbeatEvery, lcfg.SuspectAfter
 	if cfg.GuardWrites {
-		pcfg.WriteGuard = func(expireAt int64, _ uint64, now int64) bool {
+		pcfg.WriteGuard = func(expireAt, now int64) bool {
 			return expireAt == 0 || expireAt > now
 		}
 	}
@@ -222,10 +196,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for _, n := range c.petalNames {
 		c.Petals = append(c.Petals, petal.NewServer(w, n, c.petalNames, pcfg))
 	}
-	lcfg := cfg.FSConfig.Lock
-	if cfg.LockShards > 0 {
-		lcfg.Shards = cfg.LockShards
-	}
 	for i := 0; i < cfg.LockServers; i++ {
 		c.lockNames = append(c.lockNames, fmt.Sprintf("lock%d", i))
 	}
@@ -233,11 +203,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Locks = append(c.Locks, lockservice.NewServer(w, n, c.lockNames, lcfg))
 	}
 	admin := c.Client("admin")
-	if err := admin.CreateVDisk(cfg.VDisk); err != nil {
+	if err := admin.CreateVDisk(sharedVDisk); err != nil {
 		c.Close()
 		return nil, err
 	}
-	if err := fs.Mkfs(admin, cfg.VDisk, c.lay); err != nil {
+	if err := fs.Mkfs(admin, sharedVDisk, c.lay); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -307,7 +277,7 @@ func (c *Cluster) AddServerWithConfig(machine string, fscfg Config) (*FS, error)
 	if dup {
 		return nil, fmt.Errorf("frangipani: machine %q already has a server", machine)
 	}
-	f, err := fs.Mount(c.World, machine, c.Client(machine), c.cfg.VDisk, c.lockNames, c.lay, fscfg)
+	f, err := fs.Mount(c.World, machine, c.Client(machine), sharedVDisk, c.lockNames, c.lay, fscfg)
 	if err != nil {
 		return nil, err
 	}
@@ -352,15 +322,10 @@ func (c *Cluster) fileServers() (names []string, fss []*FS) {
 }
 
 // Windows returns the cluster's windowed-metrics ring (capacity 64),
-// created on first use. Call its Advance at whatever cadence the
-// caller wants windows at; frangicli's watch mode does this once per
-// refresh.
-func (c *Cluster) Windows() *obs.WindowRing {
-	c.winOnce.Do(func() {
-		c.windows = obs.NewWindowRing(c.Obs(), 64)
-	})
-	return c.windows
-}
+// whose first window opens with the cluster. Call its Advance at
+// whatever cadence the caller wants windows at; frangicli's watch mode
+// does this once per refresh, and its top once per call.
+func (c *Cluster) Windows() *obs.WindowRing { return c.windows }
 
 // Health evaluates the cluster's health probes and rolls them into a
 // single verdict:
@@ -372,7 +337,7 @@ func (c *Cluster) Windows() *obs.WindowRing {
 //   - cache: a server's data or metadata pool is nearly all dirty
 //     (write-back cannot keep up; warn at 75%, crit at 90%);
 //   - petal: a Petal server's partners have missed replicated writes
-//     that anti-entropy has not yet repaired (replica lag).
+//     that repair has not yet pushed (replica lag).
 func (c *Cluster) Health() obs.HealthReport {
 	now := int64(c.World.Clock.Now())
 	var probes []obs.ProbeResult
@@ -391,7 +356,7 @@ func (c *Cluster) Health() obs.HealthReport {
 	}
 	for _, p := range c.Petals {
 		if n := p.MissedBacklog(); n > 0 {
-			probe("petal/"+p.Name(), obs.StatusWarn, fmt.Sprintf("%d replicated chunks awaiting anti-entropy", n))
+			probe("petal/"+p.Name(), obs.StatusWarn, fmt.Sprintf("%d replicated chunks awaiting repair", n))
 		} else {
 			probe("petal/"+p.Name(), obs.StatusOK, "replicas in sync")
 		}
@@ -527,11 +492,11 @@ func entityName(layer string, key uint64) string {
 }
 
 // Anomalies returns the cluster's anomaly watcher (created on first
-// use with default thresholds), annotating the cluster journal. Feed
+// use, with an 8-window baseline), annotating the cluster journal. Feed
 // it windows: c.Anomalies().Observe(c.Windows().Advance()).
 func (c *Cluster) Anomalies() *obs.AnomalyWatcher {
 	c.anomOnce.Do(func() {
-		c.anoms = obs.NewAnomalyWatcher(c.Obs().Journal("cluster"), obs.AnomalyConfig{})
+		c.anoms = obs.NewAnomalyWatcher(c.Obs().Journal("cluster"), 8)
 	})
 	return c.anoms
 }
@@ -540,7 +505,8 @@ func (c *Cluster) Anomalies() *obs.AnomalyWatcher {
 // when the cluster was built with NoObs or NoAccounting). Do client
 // work through an FS.As view and its bytes, RPCs, lock waits and cache
 // misses are attributed to that principal; Snapshot() is the cluster
-// "top", Advance() closes a rate window.
+// "top", and each window Windows() closes holds what every principal
+// was charged in it.
 func (c *Cluster) Accounts() *obs.AccountTable {
 	if c.Obs() == nil {
 		return nil
@@ -599,7 +565,7 @@ func (c *Cluster) ServeMetrics(addr string) (*obs.MetricsServer, error) {
 // Fsck runs the offline consistency checker against the shared disk;
 // quiesce (Sync) the servers first for a meaningful answer.
 func (c *Cluster) Fsck() (*Report, error) {
-	return fs.Check(c.Client("fsck"), c.cfg.VDisk, c.lay)
+	return fs.Check(c.Client("fsck"), sharedVDisk, c.lay)
 }
 
 // Close tears the whole cluster down.

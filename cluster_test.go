@@ -4,9 +4,11 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"frangipani"
 	"frangipani/internal/obs"
+	"frangipani/internal/petal"
 )
 
 func newTestCluster(t *testing.T) *frangipani.Cluster {
@@ -106,35 +108,32 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := frangipani.NewCluster(cfg); err == nil {
 		t.Fatal("zero petal servers accepted")
 	}
-	for _, cap := range []int{0, -4096} {
-		cfg := frangipani.DefaultClusterConfig()
-		cfg.JournalCap = cap
-		if _, err := frangipani.NewCluster(cfg); err == nil {
-			t.Fatalf("JournalCap=%d accepted", cap)
-		}
-	}
 }
 
-// TestClusterJournalCap checks a custom flight-recorder ring size
-// actually bounds the per-server journals.
-func TestClusterJournalCap(t *testing.T) {
-	cfg := frangipani.DefaultClusterConfig()
-	cfg.JournalCap = 8
-	c, err := frangipani.NewCluster(cfg)
-	if err != nil {
+// TestGuardedWritesRejectExpiredLease drives the write guard the
+// cluster installs under GuardWrites (§6's hazard fix) through a Petal
+// client of its own, on a virtual disk of its own: a write stamped with
+// an expired lease is refused, one stamped with a live lease or not
+// stamped at all lands.
+func TestGuardedWritesRejectExpiredLease(t *testing.T) {
+	c := newTestCluster(t)
+	pc := c.Client("zombie")
+	if err := pc.CreateVDisk("guarded"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	jr := c.Obs().Journal("captest")
-	for i := 0; i < 50; i++ {
-		jr.Record("test", "fill", "ok", uint64(i), 0, "")
+	write := func() error { return pc.Write("guarded", 0, make([]byte, 512)) }
+
+	pc.SetLeaseInfo(func() int64 { return 1 }) // expired eons ago
+	if err := write(); !errors.Is(err, petal.ErrLeaseExpired) {
+		t.Fatalf("write stamped with an expired lease: err = %v, want ErrLeaseExpired", err)
 	}
-	if n := jr.Len(); n != 8 {
-		t.Fatalf("journal holds %d events, want ring cap 8", n)
+	pc.SetLeaseInfo(func() int64 { return c.NowNs() + int64(time.Hour) })
+	if err := write(); err != nil {
+		t.Fatalf("write stamped with a live lease: %v", err)
 	}
-	evs := jr.Events()
-	if first := evs[0].Key; first != 42 {
-		t.Fatalf("oldest surviving event key %d, want 42 (ring of 8)", first)
+	pc.SetLeaseInfo(nil)
+	if err := write(); err != nil {
+		t.Fatalf("unstamped write: %v", err)
 	}
 }
 

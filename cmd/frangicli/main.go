@@ -69,10 +69,9 @@ func main() {
   ln -s <tgt> <path>   symlink
   stat <path>          show metadata
   sync                 flush this server
-  stats [json|trace|slow|shards]
+  stats [json|trace|shards]
                        cluster metrics snapshot; 'trace' renders the
                        span tree of the last completed operation,
-                       'slow' dumps recorded slow operations,
                        'shards' shows the lock shard map (epoch,
                        per-shard op counts, owners)
   watch [n]            render n windowed refreshes (default 5, 1/s):
@@ -176,14 +175,6 @@ func main() {
 				} else {
 					fmt.Println("no completed trace yet")
 				}
-			case "slow":
-				dumps := reg.Tracer().SlowDumps()
-				if len(dumps) == 0 {
-					fmt.Println("no slow operations recorded (set ClusterConfig.SlowOpThreshold)")
-				}
-				for _, d := range dumps {
-					fmt.Print(d)
-				}
 			case "shards":
 				epoch, owners := cluster.LockShardMap()
 				counters := reg.Snapshot().Counters
@@ -227,7 +218,8 @@ func main() {
 				if top := reg.HotLocks(5); len(top) > 0 {
 					fmt.Print(obs.RenderResources("hot locks", top))
 				}
-				for _, a := range cluster.Anomalies().Observe(win) {
+				anoms, _ := cluster.Anomalies().Observe(win)
+				for _, a := range anoms {
 					fmt.Printf("ANOMALY %s: %s %.1f (baseline %.1f)\n", a.Kind, a.Metric, a.Value, a.Baseline)
 				}
 			}
@@ -275,16 +267,21 @@ func main() {
 				fmt.Println("accounting disabled")
 				break
 			}
-			// Each invocation closes a rate window, so the "now"
-			// column reads as activity since the previous `top`.
-			acct.Advance()
+			// Each invocation closes a window of the cluster's ring,
+			// so the "now" column reads as activity since the window
+			// before it (the previous `top` or watch refresh).
+			win := cluster.Windows().Advance()
 			stats := acct.Snapshot()
 			if arg(args, 1) == "json" {
-				printJSON(stats)
+				printJSON(struct {
+					Accounts      []obs.AccountStat `json:"accounts"`
+					WindowSeconds float64           `json:"window_seconds"`
+					Window        []obs.AccountStat `json:"window"`
+				}{stats, win.Seconds(), win.Accounts})
 			} else if len(stats) == 0 {
 				fmt.Println("no attributed work yet")
 			} else {
-				fmt.Print(obs.RenderAccounts(stats))
+				fmt.Print(obs.RenderAccounts(stats, win))
 			}
 		case "forensics":
 			if cluster.Obs() == nil {

@@ -54,9 +54,7 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 	// A dedicated watcher with a short warm-up; it journals into the
 	// cluster journal, which MergeTimeline folds into the forensics
 	// timeline.
-	watcher := obs.NewAnomalyWatcher(c.Obs().Journal("cluster"), obs.AnomalyConfig{
-		BaselineWindows: 3,
-	})
+	watcher := obs.NewAnomalyWatcher(c.Obs().Journal("cluster"), 3)
 
 	const (
 		streamer = "streamer"
@@ -100,10 +98,11 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 	if err := readN(4); err != nil {
 		return nil, err
 	}
-	acct.Advance() // close the set-up window unjudged
+	ring := c.Windows()
+	ring.Advance() // close the set-up window unjudged
 	closeWindow := func() []obs.NoisyNeighbor {
-		acct.Advance()
-		return watcher.ObserveAccounts(acct.Snapshot(), c.NowNs())
+		_, nn := watcher.Observe(ring.Advance())
+		return nn
 	}
 	// Baseline: the reader alone, fast cached reads. These windows
 	// are the watcher's warm-up; nothing may fire.

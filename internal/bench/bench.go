@@ -11,7 +11,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"frangipani"
 	"frangipani/internal/fs"
@@ -148,8 +147,6 @@ func mountN(c *frangipani.Cluster, n int, mutate func(*frangipani.Config)) ([]*f
 	var out []*fs.FS
 	for i := 1; i <= n; i++ {
 		cfg := frangipani.DefaultFSConfig()
-		cfg.Lock.HeartbeatEvery = 2 * time.Second
-		cfg.Lock.SuspectAfter = 10 * time.Second
 		if mutate != nil {
 			mutate(&cfg)
 		}

@@ -246,8 +246,6 @@ func (o Options) contentionRun(readers, readAhead, writeBytes int) (float64, err
 func contentionFSConfig(readAhead int) frangipani.Config {
 	cfg := frangipani.DefaultFSConfig()
 	cfg.ReadAhead = readAhead
-	cfg.Lock.HeartbeatEvery = 2 * time.Second
-	cfg.Lock.SuspectAfter = 10 * time.Second
 	// Faster revoke turnaround keeps the rig in the lock-handoff
 	// regime the paper measures rather than waiting on retry ticks.
 	cfg.Lock.RevokeRetry = 500 * time.Millisecond

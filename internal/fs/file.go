@@ -311,7 +311,7 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 	fs.chargeOp(len(p))
 	fs.accountBytes(op, 0, len(p))
 	lock := InodeLock(f.inum)
-	raMax := fs.raPages.Load() * BlockSize
+	raMax := int64(fs.cfg.ReadAhead) * BlockSize
 
 	// If our lock was revoked while a prefetch is still in flight, the
 	// in-flight I/O is already wasted — and, as in the paper's UFS-

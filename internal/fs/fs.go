@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"frangipani/internal/bufpool"
@@ -55,8 +54,7 @@ type Config struct {
 	// are in flight at once, overlapping Petal transfers. Values <= 1
 	// mean one batch at a time.
 	FlushParallelism int
-	// Cache capacities, in blocks.
-	MetaCacheCap int
+	// DataCacheCap is the data cache's capacity in 4 KB pages.
 	DataCacheCap int
 	// CPU cost model for the server code path.
 	CPUPerOp sim.Duration
@@ -75,15 +73,18 @@ func DefaultConfig() Config {
 	return Config{
 		SyncEvery:        30 * time.Second,
 		LeaseMargin:      lockservice.DefaultLeaseMargin,
-		ReadAhead:        128,   // 512 KB window: up to eight Petal chunks in flight for one stream
-		FlushParallelism: 8,     // pipelined write-back, 8 batches in flight
-		MetaCacheCap:     16384, // 8 MB of sectors
-		DataCacheCap:     8192,  // 32 MB of pages
+		ReadAhead:        128,  // 512 KB window: up to eight Petal chunks in flight for one stream
+		FlushParallelism: 8,    // pipelined write-back, 8 batches in flight
+		DataCacheCap:     8192, // 32 MB of pages
 		CPUPerOp:         150 * time.Microsecond,
 		CPUPerKB:         25 * time.Microsecond,
 		Lock:             lockservice.DefaultConfig(),
 	}
 }
+
+// metaCacheCap is the metadata cache's capacity in 512-byte sectors:
+// 8 MB.
+const metaCacheCap = 16384
 
 // fsMetrics is the registry-backed home of the server's counters
 // (standalone collectors when observability is unwired), named
@@ -194,8 +195,6 @@ type server struct {
 	closed    bool
 	logSlot   int
 
-	raPages atomic.Int64 // read-ahead window cap in pages (SetReadAhead)
-
 	// inflight maps each data page some fetch is bringing in from Petal
 	// to the channel that fetch closes when it is over (single flight).
 	fetchMu  sync.Mutex
@@ -286,7 +285,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		lay:       lay,
 		cfg:       cfg,
 		cpu:       w.CPU(machine),
-		meta:      cache.NewPool(SectorSize, cfg.MetaCacheCap),
+		meta:      cache.NewPool(SectorSize, metaCacheCap),
 		data:      cache.NewPool(BlockSize, cfg.DataCacheCap),
 		owned:     make(map[allocClass][]int64),
 		probeOff:  make(map[allocClass]int64),
@@ -297,7 +296,6 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		inflight:  make(map[int64]chan struct{}),
 		flights:   make(map[int64]*flight),
 	}}
-	fs.raPages.Store(int64(cfg.ReadAhead))
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
 		fs.now = w.Obs.Now
@@ -326,9 +324,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	}
 	// Stamp Petal writes with our lease so guarded Petal servers can
 	// reject expired writers (§6 hazard fix).
-	pc.SetLeaseInfo(func() (int64, uint64) {
-		return fs.clerk.ExpiresAt() - int64(cfg.LeaseMargin), fs.clerk.LeaseID()
-	})
+	pc.SetLeaseInfo(func() int64 { return fs.clerk.ExpiresAt() - int64(cfg.LeaseMargin) })
 
 	// A fresh mount starts with an empty log: zero the slot so stale
 	// records from a previous tenancy (already recovered or cleanly
@@ -452,10 +448,6 @@ func (fs *FS) latStart() int64 {
 	}
 	return fs.now()
 }
-
-// SetReadAhead adjusts the read-ahead window cap at runtime (Figure
-// 8's experiment toggles it); 0 turns read-ahead off.
-func (fs *FS) SetReadAhead(pages int) { fs.raPages.Store(int64(pages)) }
 
 // Unmount cleanly detaches: flush everything, close the lock table.
 func (fs *FS) Unmount() error {

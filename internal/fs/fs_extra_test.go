@@ -52,29 +52,21 @@ func TestCrashConsistentSnapshotNeedsReplay(t *testing.T) {
 	}
 }
 
-// TestGuardedWritesRejectExpiredLease wires the §6 hazard fix end to
-// end: Petal servers reject writes stamped with an expired lease.
-func TestGuardedWritesRejectExpiredLease(t *testing.T) {
-	w := newTestWorld(t)
-	// Rebuild petal servers' guard by mounting a cluster-level guard:
-	// the default test world has no guard, so exercise the petal
-	// client directly with a poisoned-lease stamp.
-	pc := w.client("zombie")
-	pc.SetLeaseInfo(func() (int64, uint64) { return 1, 99 }) // expired eons ago
-	// Without a guard configured the write passes; this documents the
-	// knob rather than the default.
-	if err := pc.Write(w.vd, w.lay.ParamsBase+512, make([]byte, 512)); err != nil {
-		t.Fatalf("unguarded write: %v", err)
-	}
-}
-
-// TestSetReadAheadToggle verifies runtime toggling (Figure 8's knob).
-func TestSetReadAheadToggle(t *testing.T) {
+// TestReadAheadOffPrefetchesNothing: with Config.ReadAhead 0 (Figure
+// 8's knob) a sequential reader of a file another server wrote fetches
+// what it reads and nothing ahead of it.
+func TestReadAheadOffPrefetchesNothing(t *testing.T) {
 	tw := newTestWorld(t)
-	f := tw.mount(t, "ws1", nil)
-	writeFile(t, f, "/seq", bytes.Repeat([]byte{9}, 256<<10))
-	f.SetReadAhead(0)
-	h, _ := f.Open("/seq")
+	w := tw.mount(t, "ws1", nil)
+	writeFile(t, w, "/seq", bytes.Repeat([]byte{9}, 256<<10))
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f := tw.mount(t, "ws2", func(c *Config) { c.ReadAhead = 0 })
+	h, err := f.Open("/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 64<<10)
 	for off := int64(0); off < 256<<10; off += 64 << 10 {
 		if _, err := h.ReadAt(buf, off); err != nil {
@@ -84,8 +76,9 @@ func TestSetReadAheadToggle(t *testing.T) {
 	if hits := f.m.raHits.Value(); hits != 0 {
 		t.Fatalf("read-ahead ran while disabled (hits=%d)", hits)
 	}
-	f.SetReadAhead(16)
-	// Re-reading is all cache hits; just ensure the toggle holds.
+	if fills := f.m.fills.Value(); fills == 0 {
+		t.Fatal("the reader filled nothing: the test read from a warm cache")
+	}
 }
 
 // TestRenameReplacesFileFreesBlocks: the replaced file's storage is

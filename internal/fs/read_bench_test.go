@@ -152,7 +152,7 @@ func TestReadAtCachedStreamAllocs(t *testing.T) {
 		})
 	}
 	seqOn, randOn := measure(seqOffset), measure(randomOffset)
-	h.fs.SetReadAhead(0)
+	h.fs.cfg.ReadAhead = 0 // nothing else runs: every page is resident, no prefetch is out
 	seqOff, randOff := measure(seqOffset), measure(randomOffset)
 	t.Logf("allocs per cached 4 KB ReadAt: sequential %v (read-ahead off %v), random %v (off %v)", seqOn, seqOff, randOn, randOff)
 	if seqOn > seqOff || randOn > randOff {
@@ -225,8 +225,8 @@ func TestColdReadAtAllocs(t *testing.T) {
 	reader := tw.mount(t, "wsR", func(c *Config) {
 		c.DataCacheCap = 4 * rec / BlockSize
 		c.CPUPerOp, c.CPUPerKB = 0, 0
+		c.ReadAhead = 0
 	})
-	reader.SetReadAhead(0)
 	h, err := reader.Open("/cold")
 	if err != nil {
 		t.Fatal(err)

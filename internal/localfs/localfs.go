@@ -136,7 +136,6 @@ type FS struct {
 	lruTick  int64
 	lruStamp map[pageKey]int64
 	raNext   map[int64]int64
-	raOn     bool
 
 	cancel func()
 }
@@ -153,7 +152,6 @@ func New(w *sim.World, machine string, cfg Config) *FS {
 		cache:    make(map[pageKey]*page),
 		lruStamp: make(map[pageKey]int64),
 		raNext:   make(map[int64]int64),
-		raOn:     cfg.ReadAhead > 0,
 	}
 	for i := 0; i < cfg.Controllers; i++ {
 		f.ctrl = append(f.ctrl, sim.NewResource(w.Clock, machine+"/scsi"))
@@ -229,14 +227,6 @@ func (f *FS) logMeta(desc string) {
 	if f.cfg.SyncLog {
 		_ = f.log.Flush()
 	}
-}
-
-// SetReadAhead toggles prefetching.
-func (f *FS) SetReadAhead(pages int) {
-	f.mu.Lock()
-	f.cfg.ReadAhead = pages
-	f.raOn = pages > 0
-	f.mu.Unlock()
 }
 
 // ---- namespace ----
@@ -673,7 +663,7 @@ func (h *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	// Synchronous read-ahead of the next pages (the single-node
 	// baseline has no locks to lose; prefetching just fills cache).
-	if sequential && f.raOn {
+	if sequential {
 		last := (off + int64(n)) / PageSize
 		for i := int64(1); i <= int64(f.cfg.ReadAhead); i++ {
 			if (last+i)*PageSize >= in.size {

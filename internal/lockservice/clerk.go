@@ -223,13 +223,6 @@ func (c *Clerk) discardIdle() {
 	}
 }
 
-// LeaseID returns the lease identifier from Open.
-func (c *Clerk) LeaseID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.leaseID
-}
-
 // LogSlot returns the private log slot assigned at Open; Frangipani
 // derives its log location from it (§7).
 func (c *Clerk) LogSlot() int {

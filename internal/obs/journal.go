@@ -174,22 +174,6 @@ func (j *Journal) Events() []Event {
 	return out
 }
 
-// SetJournalCap sets the ring capacity used for journals created
-// after the call (existing rings keep their size — components capture
-// the journal pointer once at construction, so set the cap before
-// wiring). Values < 1 reset to DefaultJournalCap.
-func (r *Registry) SetJournalCap(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = 0
-	}
-	r.mu.Lock()
-	r.journalCap = n
-	r.mu.Unlock()
-}
-
 // SetJournal enables or disables flight-recorder journals on this
 // registry. Disabling makes Journal return nil, and since every
 // Journal method is nil-safe the recorder then costs nothing: no
@@ -224,7 +208,7 @@ func (r *Registry) Journal(server string) *Journal {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if j = r.journals[server]; j == nil {
-		j = NewJournal(server, r.journalCap, r.now)
+		j = NewJournal(server, DefaultJournalCap, r.now)
 		r.journals[server] = j
 	}
 	return j

@@ -275,11 +275,11 @@ func TestRenderTimeline(t *testing.T) {
 // TestJournalMixesSpansInOrder: spans and events written into one ring
 // from concurrent writers (run under -race) are stamped inside the
 // ring's lock, so the ring stays non-decreasing in T whatever the mix —
-// the per-server order MergeTimeline relies on.
+// the per-server order MergeTimeline relies on. Each ring is written
+// past its capacity, so the order holds across the wrap too.
 func TestJournalMixesSpansInOrder(t *testing.T) {
 	var clock atomic.Int64
 	r := NewRegistry(func() int64 { return clock.Add(1) })
-	r.SetJournalCap(256)
 	tr := r.Tracer()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -287,7 +287,7 @@ func TestJournalMixesSpansInOrder(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			jr := r.Journal(fmt.Sprintf("ws%d", w%2))
-			for i := 0; i < 300; i++ {
+			for i := 0; i < 400; i++ { // 4 writers x 400 x 3 records > DefaultJournalCap
 				root := tr.Start(jr, "fs", "create")
 				jr.Record("wal", "append", "ok", uint64(i), 64, "")
 				root.Child("wal", "flush").Done()

@@ -121,7 +121,6 @@ type Registry struct {
 	journals   map[string]*Journal
 	namer      Namer
 	journalOff bool
-	journalCap int
 	accounts   *AccountTable
 	acctOff    bool
 }
@@ -214,7 +213,7 @@ func (r *Registry) SetNamer(n Namer) {
 }
 
 // Accounts returns the registry's per-principal account table,
-// creating it on first use on the registry's clock. Returns nil when
+// creating it on first use. Returns nil when
 // accounting is disabled (SetAccounting) — every AccountTable method
 // is nil-safe, so the ablation knob costs callers nothing.
 func (r *Registry) Accounts() *AccountTable {
@@ -233,7 +232,7 @@ func (r *Registry) Accounts() *AccountTable {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.accounts == nil {
-		r.accounts = NewAccountTable(r.now)
+		r.accounts = NewAccountTable()
 	}
 	return r.accounts
 }

@@ -73,9 +73,9 @@ func (a *account) idle() bool {
 	return true
 }
 
-// AccountStat is the exported per-principal summary: cumulative
-// totals plus, after an Advance, the last closed window's deltas (the
-// "right now" view a top display wants).
+// AccountStat is the exported per-principal summary: the cumulative
+// totals in a Snapshot, the charges over one window in a Window's
+// Accounts (there the quantiles are the window's).
 type AccountStat struct {
 	Principal   string `json:"principal"`
 	Ops         int64  `json:"ops"`
@@ -88,32 +88,28 @@ type AccountStat struct {
 	CacheMisses int64  `json:"cache_misses"`
 	OpP50Ns     int64  `json:"op_p50_ns"`
 	OpP99Ns     int64  `json:"op_p99_ns"`
-
-	// Last closed window (zero until the first Advance).
-	WinSeconds    float64 `json:"win_seconds,omitempty"`
-	WinOps        int64   `json:"win_ops,omitempty"`
-	WinBytesIn    int64   `json:"win_bytes_in,omitempty"`
-	WinBytesOut   int64   `json:"win_bytes_out,omitempty"`
-	WinLockWaitNs int64   `json:"win_lock_wait_ns,omitempty"`
-	WinOpP99Ns    int64   `json:"win_op_p99_ns,omitempty"`
 }
 
-// Bytes returns the cumulative bytes moved either direction.
+// Bytes returns the bytes moved either direction.
 func (st AccountStat) Bytes() int64 { return st.BytesIn + st.BytesOut }
 
-// WinBytes returns the last window's bytes moved either direction.
-func (st AccountStat) WinBytes() int64 { return st.WinBytesIn + st.WinBytesOut }
-
-// acctMark is one account's counter state at a window boundary.
+// acctMark is one account's charges at a window boundary.
 type acctMark struct {
+	p    string
 	n    [numCharges]int64
 	hist histCounts
 }
 
-type acctWin struct {
-	seconds float64
-	n       [numCharges]int64 // deltas over the window
-	p99     int64
+// add adds m's charges and latency counts to k.
+func (k *acctMark) add(m acctMark) {
+	for i := range m.n {
+		k.n[i] += m.n[i]
+	}
+	for i := range m.hist.buckets {
+		k.hist.buckets[i] += m.hist.buckets[i]
+	}
+	k.hist.count += m.hist.count
+	k.hist.sum += m.hist.sum
 }
 
 // AccountTable is the bounded per-principal accounting table. All
@@ -121,36 +117,24 @@ type acctWin struct {
 // a nil table), normalize an empty principal to UnknownPrincipal, and
 // take only a short read lock on the hot path.
 type AccountTable struct {
-	now NowFunc
-
 	// unknown is the reserved account for unattributed work. It is
 	// never folded, so the pointer is stable for the table's lifetime;
 	// caching it lets the common unbound charge skip the lock and map
 	// lookup entirely.
 	unknown *account
 
-	mu    sync.RWMutex
-	m     map[string]*account
-	prevT int64
-	prev  map[string]acctMark
-	wins  map[string]acctWin
+	mu sync.RWMutex
+	m  map[string]*account
 }
 
 // NewAccountTable returns a standalone table (see NewCounter for the
-// standalone-collector idiom). A nil now means wall time.
-func NewAccountTable(now NowFunc) *AccountTable {
-	if now == nil {
-		now = wallNow
-	}
+// standalone-collector idiom).
+func NewAccountTable() *AccountTable {
 	t := &AccountTable{
-		now:     now,
 		unknown: &account{lat: NewHistogram()},
 		m:       make(map[string]*account),
-		prev:    make(map[string]acctMark),
-		wins:    make(map[string]acctWin),
 	}
 	t.m[UnknownPrincipal] = t.unknown
-	t.prevT = now()
 	return t
 }
 
@@ -185,7 +169,9 @@ func (t *AccountTable) get(p string) *account {
 // OtherPrincipal: counters are summed and the latency histogram
 // merged, so nothing the cluster did disappears from the totals —
 // only its fine-grained identity is given up. The reserved unknown
-// and other accounts are never folded.
+// and other accounts are never folded. (A window ring that marked the
+// victim carries the mark into other's, so other's next window holds
+// only what the victim did in it.)
 func (t *AccountTable) foldColdestLocked() bool {
 	var victim string
 	var va *account
@@ -210,8 +196,6 @@ func (t *AccountTable) foldColdestLocked() bool {
 	}
 	other.lat.absorb(va.lat)
 	delete(t.m, victim)
-	delete(t.prev, victim)
-	delete(t.wins, victim)
 	return true
 }
 
@@ -286,73 +270,70 @@ func (t *AccountTable) Len() int {
 	return len(t.m)
 }
 
-// Advance closes the window since the previous Advance (or since
-// construction): per-principal deltas and a per-window op p99 from
-// windowStat, the function WindowRing applies to named metrics. The
-// results ride the next Snapshot's Win* fields.
-func (t *AccountTable) Advance() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	secs := float64(now-t.prevT) / 1e9
-	for p, a := range t.m {
-		var cur acctMark
-		prev := t.prev[p]
-		win := acctWin{seconds: secs}
-		for i := range a.n {
-			cur.n[i] = a.n[i].Load()
-			win.n[i] = cur.n[i] - prev.n[i]
-		}
-		cur.hist.buckets, cur.hist.count, cur.hist.sum = a.lat.counts()
-		if st, ok := windowStat(&prev.hist, &cur.hist, a.lat.Max()); ok {
-			win.p99 = st.P99
-		}
-		t.prev[p] = cur
-		t.wins[p] = win
-	}
-	t.prevT = now
-}
-
-// Snapshot returns every account's cumulative totals plus the last
-// closed window, sorted by total bytes moved (desc), ties by ops then
-// principal name for determinism.
-func (t *AccountTable) Snapshot() []AccountStat {
+// marks copies every account's charges and latency counts, keyed by
+// the account: a principal folded away and charged again is a new
+// account, and an account missing from a later copy was folded into
+// OtherPrincipal. Idle accounts are skipped.
+func (t *AccountTable) marks() map[*account]acctMark {
 	if t == nil {
 		return nil
 	}
 	t.mu.RLock()
-	out := make([]AccountStat, 0, len(t.m))
+	defer t.mu.RUnlock()
+	out := make(map[*account]acctMark, len(t.m))
 	for p, a := range t.m {
 		if a.idle() {
 			continue
 		}
-		st := AccountStat{
-			Principal:   p,
-			Ops:         a.n[cOps].Load(),
-			BytesIn:     a.n[cBytesIn].Load(),
-			BytesOut:    a.n[cBytesOut].Load(),
-			WALBytes:    a.n[cWAL].Load(),
-			RPCs:        a.n[cRPCs].Load(),
-			ServerOps:   a.n[cServerOps].Load(),
-			LockWaitNs:  a.n[cLockWait].Load(),
-			CacheMisses: a.n[cMisses].Load(),
-			OpP50Ns:     a.lat.Quantile(0.50),
-			OpP99Ns:     a.lat.Quantile(0.99),
+		m := acctMark{p: p}
+		for i := range a.n {
+			m.n[i] = a.n[i].Load()
 		}
-		if w, ok := t.wins[p]; ok {
-			st.WinSeconds = w.seconds
-			st.WinOps = w.n[cOps]
-			st.WinBytesIn = w.n[cBytesIn]
-			st.WinBytesOut = w.n[cBytesOut]
-			st.WinLockWaitNs = w.n[cLockWait]
-			st.WinOpP99Ns = w.p99
+		m.hist.buckets, m.hist.count, m.hist.sum = a.lat.counts()
+		out[a] = m
+	}
+	return out
+}
+
+// Snapshot returns every account's cumulative totals: its window since
+// the table began.
+func (t *AccountTable) Snapshot() []AccountStat {
+	if t == nil {
+		return nil
+	}
+	return accountWindow(nil, t.marks())
+}
+
+// accountWindow is each principal's charges between two marks of the
+// table, with the window's op latency quantiles, sorted by bytes moved
+// (desc), ties by ops then principal name for determinism. An account
+// in prev but not in cur was folded into OtherPrincipal, totals and
+// all: its mark moves into other's, so other's window holds only what
+// the victim did in it.
+func accountWindow(prev, cur map[*account]acctMark) []AccountStat {
+	var folded acctMark
+	for a, m := range prev {
+		if _, ok := cur[a]; !ok {
+			folded.add(m)
+		}
+	}
+	out := make([]AccountStat, 0, len(cur))
+	for a, m := range cur {
+		base := prev[a]
+		if m.p == OtherPrincipal {
+			base.add(folded)
+		}
+		var d [numCharges]int64
+		for i := range d {
+			d[i] = m.n[i] - base.n[i]
+		}
+		st := AccountStat{Principal: m.p, Ops: d[cOps], BytesIn: d[cBytesIn], BytesOut: d[cBytesOut],
+			WALBytes: d[cWAL], RPCs: d[cRPCs], ServerOps: d[cServerOps], LockWaitNs: d[cLockWait], CacheMisses: d[cMisses]}
+		if hs, ok := windowStat(&base.hist, &m.hist, a.lat.Max()); ok {
+			st.OpP50Ns, st.OpP99Ns = hs.P50, hs.P99
 		}
 		out = append(out, st)
 	}
-	t.mu.RUnlock()
 	slices.SortFunc(out, func(a, b AccountStat) int {
 		return cmp.Or(cmp.Compare(b.Bytes(), a.Bytes()), cmp.Compare(b.Ops, a.Ops), cmp.Compare(a.Principal, b.Principal))
 	})
@@ -360,11 +341,16 @@ func (t *AccountTable) Snapshot() []AccountStat {
 }
 
 // RenderAccounts renders the per-principal table, top style: one row
-// per principal, cumulative totals with the last window's rates when
-// a window has been closed.
-func RenderAccounts(stats []AccountStat) string {
+// per principal of stats, its cumulative totals and its rate over win,
+// the window just closed ("-" for a principal win does not hold, and
+// for every principal when win is the zero Window).
+func RenderAccounts(stats []AccountStat, win Window) string {
 	if len(stats) == 0 {
 		return ""
+	}
+	now := make(map[string]int64, len(win.Accounts))
+	for _, st := range win.Accounts {
+		now[st.Principal] = st.Bytes()
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "principals (%d):\n  %-16s %10s %12s %12s %10s %12s %9s %9s %12s\n",
@@ -372,8 +358,8 @@ func RenderAccounts(stats []AccountStat) string {
 		"lockwait ms", "p99 ms", "misses", "now MB/s")
 	for _, st := range stats {
 		rate := "-"
-		if st.WinSeconds > 0 {
-			rate = fmt.Sprintf("%.2f", float64(st.WinBytes())/1e6/st.WinSeconds)
+		if n, ok := now[st.Principal]; ok && win.Seconds() > 0 {
+			rate = fmt.Sprintf("%.2f", float64(n)/1e6/win.Seconds())
 		}
 		fmt.Fprintf(&b, "  %-16s %10d %12.2f %12.2f %10d %12.3f %9.3f %9d %12s\n",
 			st.Principal, st.Ops,

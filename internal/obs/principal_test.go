@@ -2,13 +2,14 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
 func TestAccountTableUnknownPolicy(t *testing.T) {
-	tab := NewAccountTable((&fakeClock{}).now)
+	tab := NewAccountTable()
 	// Work recorded outside any binding lands in the visible unknown
 	// account, never dropped.
 	tab.Bytes("", 100, 50)
@@ -23,7 +24,7 @@ func TestAccountTableUnknownPolicy(t *testing.T) {
 }
 
 func TestAccountTableCountersAndSort(t *testing.T) {
-	tab := NewAccountTable((&fakeClock{}).now)
+	tab := NewAccountTable()
 	tab.Bytes("streamer", 1<<20, 0)
 	tab.Op("streamer", 2e6)
 	tab.RPC("streamer", 5)
@@ -52,7 +53,7 @@ func TestAccountTableCountersAndSort(t *testing.T) {
 	if s.OpP99Ns <= 0 || r.OpP50Ns <= 0 {
 		t.Fatalf("latency quantiles missing: %+v %+v", s, r)
 	}
-	out := RenderAccounts(stats)
+	out := RenderAccounts(stats, Window{})
 	for _, want := range []string{"streamer", "reader", "principals (2)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -64,7 +65,7 @@ func TestAccountTableCountersAndSort(t *testing.T) {
 // checks the coldest identity is folded into "other" — bounded table,
 // exact totals.
 func TestAccountTableFoldsColdest(t *testing.T) {
-	tab := NewAccountTable((&fakeClock{}).now)
+	tab := NewAccountTable()
 	tab.Bytes(UnknownPrincipal, 1, 0) // reserved, never folded
 	for i := 0; i < maxAccounts-1; i++ {
 		tab.Bytes(fmt.Sprintf("p%03d", i), int64(1000+i), 0)
@@ -106,41 +107,86 @@ func TestAccountTableFoldsColdest(t *testing.T) {
 	}
 }
 
+// TestAccountTableAdvanceWindows: each window the ring closes holds what
+// every principal was charged in it, with the window's own op p99.
 func TestAccountTableAdvanceWindows(t *testing.T) {
-	clk := &fakeClock{}
-	tab := NewAccountTable(clk.now)
+	reg := NewRegistry((&fakeClock{}).now)
+	ring := NewWindowRing(reg, 4)
+	tab := reg.Accounts()
 	tab.Bytes("w", 1000, 0)
 	tab.Op("w", 5e6)
 	tab.LockWait("w", 2e6)
-	tab.Advance()
-	stats := tab.Snapshot()
-	if len(stats) != 1 {
-		t.Fatalf("accounts: %d", len(stats))
+	win := ring.Advance()
+	if len(win.Accounts) != 1 {
+		t.Fatalf("window accounts: %+v", win.Accounts)
 	}
-	st := stats[0]
-	if st.WinBytesIn != 1000 || st.WinOps != 1 || st.WinLockWaitNs != 2e6 {
-		t.Fatalf("first window deltas: %+v", st)
+	st := win.Accounts[0]
+	if st.Principal != "w" || st.BytesIn != 1000 || st.Ops != 1 || st.LockWaitNs != 2e6 {
+		t.Fatalf("first window: %+v", st)
 	}
-	if st.WinSeconds <= 0 {
-		t.Fatalf("window seconds: %v", st.WinSeconds)
+	if win.Seconds() <= 0 {
+		t.Fatalf("window seconds: %v", win.Seconds())
 	}
-	if st.WinOpP99Ns <= 0 {
+	if st.OpP99Ns <= 0 {
 		t.Fatalf("window p99 missing: %+v", st)
 	}
 	// Second window sees only the new activity, cumulative keeps all.
 	tab.Bytes("w", 500, 0)
-	tab.Advance()
-	st = tab.Snapshot()[0]
-	if st.WinBytesIn != 500 || st.WinOps != 0 {
-		t.Fatalf("second window deltas: %+v", st)
+	if st = ring.Advance().Accounts[0]; st.BytesIn != 500 || st.Ops != 0 {
+		t.Fatalf("second window: %+v", st)
 	}
-	if st.BytesIn != 1500 {
-		t.Fatalf("cumulative lost: %+v", st)
+	if cum := tab.Snapshot()[0]; cum.BytesIn != 1500 {
+		t.Fatalf("cumulative lost: %+v", cum)
 	}
 	// An idle window reports zero p99, not the stale one.
-	tab.Advance()
-	if st = tab.Snapshot()[0]; st.WinOpP99Ns != 0 || st.WinBytesIn != 0 {
+	if st = ring.Advance().Accounts[0]; st.OpP99Ns != 0 || st.BytesIn != 0 {
 		t.Fatalf("idle window not zeroed: %+v", st)
+	}
+	// top's "now" column: the rate over the window just closed, "-"
+	// without one.
+	for _, c := range []struct {
+		win  Window
+		want string
+	}{{Window{}, "-"}, {ring.Advance(), "0.00"}} {
+		lines := strings.Split(strings.TrimSpace(RenderAccounts(tab.Snapshot(), c.win)), "\n")
+		if f := strings.Fields(lines[len(lines)-1]); f[0] != "w" || f[len(f)-1] != c.want {
+			t.Fatalf("row %q, want now MB/s %q", lines[len(lines)-1], c.want)
+		}
+	}
+}
+
+// TestWindowFoldChargesOtherOnlyTheWindow: when a newcomer folds the
+// coldest accounts into other, other's next window holds what the
+// victims did in that window (nothing here), not their whole history.
+func TestWindowFoldChargesOtherOnlyTheWindow(t *testing.T) {
+	reg := NewRegistry((&fakeClock{}).now)
+	ring := NewWindowRing(reg, 4)
+	tab := reg.Accounts()
+	for i := 0; i < maxAccounts-1; i++ {
+		tab.Bytes(fmt.Sprintf("p%03d", i), 1<<20, 0)
+	}
+	ring.Advance()
+	tab.Bytes("newcomer", 1, 0) // folds two: the first makes other
+	win := ring.Advance()
+	got := map[string]AccountStat{}
+	for _, st := range win.Accounts {
+		got[st.Principal] = st
+	}
+	other, ok := got[OtherPrincipal]
+	if !ok {
+		t.Fatalf("no fold happened: %+v", win.Accounts)
+	}
+	if other.BytesIn != 0 {
+		t.Fatalf("other moved %d bytes in a window its victims were idle in", other.BytesIn)
+	}
+	if got["newcomer"].BytesIn != 1 {
+		t.Fatalf("newcomer's window: %+v", got["newcomer"])
+	}
+	// Charges after the fold still reach other's next window.
+	tab.Bytes(OtherPrincipal, 7, 0)
+	next := ring.Advance().Accounts
+	if i := slices.IndexFunc(next, func(st AccountStat) bool { return st.Principal == OtherPrincipal }); i < 0 || next[i].BytesIn != 7 {
+		t.Fatalf("other's next window: %+v", next)
 	}
 }
 
@@ -153,8 +199,7 @@ func TestAccountTableNilSafe(t *testing.T) {
 	tab.ServerOp("x")
 	tab.LockWait("x", 1)
 	tab.CacheMiss("x", 1)
-	tab.Advance()
-	if tab.Snapshot() != nil || tab.Len() != 0 {
+	if tab.Snapshot() != nil || tab.marks() != nil || tab.Len() != 0 {
 		t.Fatal("nil table must be inert")
 	}
 	var r *Registry
@@ -186,7 +231,9 @@ func TestRegistryAccountingKnob(t *testing.T) {
 }
 
 func TestAccountTableConcurrent(t *testing.T) {
-	tab := NewAccountTable(nil)
+	reg := NewRegistry(nil)
+	ring := NewWindowRing(reg, 4)
+	tab := reg.Accounts()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -198,7 +245,7 @@ func TestAccountTableConcurrent(t *testing.T) {
 				tab.Bytes(p, 10, 5)
 				tab.LockWait(p, 1)
 				if i%50 == 0 {
-					tab.Advance()
+					ring.Advance()
 					tab.Snapshot()
 				}
 			}

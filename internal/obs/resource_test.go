@@ -61,16 +61,15 @@ func TestResourceNamerAndRender(t *testing.T) {
 // ring still holds.
 func TestResourceEvictionKeepsHot(t *testing.T) {
 	reg := NewRegistry(nil)
-	reg.SetJournalCap(64)
 	const hot = uint64(42)
 	reg.Journal("ws1").Record("lockservice", "acquire", "ok", hot, 1e9, "")
 	busy := reg.Journal("ws2")
-	for id := uint64(1000); id < 1000+64+100; id++ {
+	for id := uint64(1000); id < 1000+DefaultJournalCap+100; id++ {
 		busy.Record("lockservice", "acquire", "ok", id, 1, "")
 	}
-	all := reg.HotLocks(1 << 10)
-	if len(all) != 1+64 {
-		t.Fatalf("ranked %d locks, want the hot one and the busy ring's last 64", len(all))
+	all := reg.HotLocks(1 << 13)
+	if len(all) != 1+DefaultJournalCap {
+		t.Fatalf("ranked %d locks, want the hot one and the busy ring's last %d", len(all), DefaultJournalCap)
 	}
 	if all[0].ID != hot {
 		t.Fatalf("hot entry lost: top = %+v", all[0])

@@ -24,15 +24,13 @@ type Snapshot struct {
 	Histograms map[string]HistStat       `json:"histograms,omitempty"`
 	Resources  map[string][]ResourceStat `json:"resources,omitempty"`
 	Accounts   []AccountStat             `json:"accounts,omitempty"`
-	SlowOps    []string                  `json:"slow_ops,omitempty"`
 }
 
 // snapshotTopK bounds the hot locks carried in a snapshot.
 const snapshotTopK = 10
 
 // Snapshot captures the current value of every registered metric,
-// plus what the rings hold that reports want: the hot locks and the
-// slow operations' traces.
+// plus the hot locks the rings hold.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -64,7 +62,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Resources = map[string][]ResourceStat{"lockservice.locks": top}
 	}
 	s.Accounts = accounts.Snapshot()
-	s.SlowOps = r.tr.SlowDumps()
 	return s
 }
 
@@ -124,12 +121,6 @@ func (s Snapshot) Text() string {
 	for _, name := range sortedKeys(s.Resources) {
 		b.WriteString(RenderResources("hot resources ("+name+")", s.Resources[name]))
 	}
-	b.WriteString(RenderAccounts(s.Accounts))
-	if len(s.SlowOps) > 0 {
-		fmt.Fprintf(&b, "slow ops (%d):\n", len(s.SlowOps))
-		for _, d := range s.SlowOps {
-			b.WriteString(d)
-		}
-	}
+	b.WriteString(RenderAccounts(s.Accounts, Window{}))
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Span is one timed region of a trace, and the handle of the operation
@@ -100,26 +99,12 @@ func (t *Tracer) open(jr *Journal, trace, id, parent uint64, layer, op, principa
 	return sp
 }
 
-const (
-	maxSlowDumps = 16
-	maxDumpBytes = 16 << 10 // per-dump cap; total dump memory <= 16*16 KB
-)
-
 // Tracer hands out span IDs; the spans it opens land in the journals
 // of the servers that open them, and its readers reassemble traces from
 // the registry's journals.
 type Tracer struct {
-	reg  *Registry
-	ids  atomic.Uint64
-	slow atomic.Int64 // ns threshold for slow-op dumps; 0 = off
-}
-
-// SetSlowThreshold makes SlowDumps render every resident root span
-// lasting at least d (0 disables).
-func (t *Tracer) SetSlowThreshold(d time.Duration) {
-	if t != nil {
-		t.slow.Store(int64(d))
-	}
+	reg *Registry
+	ids atomic.Uint64
 }
 
 // Start begins a new trace whose root lands in jr (nil: the span exists,
@@ -199,37 +184,6 @@ func (t *Tracer) Roots(max int) []uint64 {
 	return out
 }
 
-// SlowDumps renders the trace of every resident root span at least the
-// slow-op threshold long, oldest first, at most maxSlowDumps of them.
-func (t *Tracer) SlowDumps() []string {
-	if t == nil || t.slow.Load() <= 0 {
-		return nil
-	}
-	thr := t.slow.Load()
-	byTrace, roots := t.traces()
-	var out []string
-	for _, r := range roots {
-		if r.End-r.Start < thr {
-			continue
-		}
-		// Bound each dump: a pathological trace can have thousands of
-		// ring-resident spans, and maxSlowDumps of those must not make
-		// megabytes.
-		dump := renderTrace(r.TraceID, byTrace[r.TraceID])
-		if len(dump) > maxDumpBytes {
-			dump = dump[:maxDumpBytes] + "\n  ... (dump truncated)\n"
-		}
-		out = append(out, dump)
-		if len(out) == maxSlowDumps {
-			break
-		}
-	}
-	for i, k := 0, len(out)-1; i < k; i, k = i+1, k-1 {
-		out[i], out[k] = out[k], out[i]
-	}
-	return out
-}
-
 // RenderTrace renders one trace's span tree as indented text:
 //
 //	trace 42 (total 12.3ms)
@@ -241,10 +195,7 @@ func (t *Tracer) RenderTrace(traceID uint64) string {
 	if t == nil {
 		return ""
 	}
-	return renderTrace(traceID, t.SpansFor(traceID))
-}
-
-func renderTrace(traceID uint64, spans []Span) string {
+	spans := t.SpansFor(traceID)
 	if len(spans) == 0 {
 		return fmt.Sprintf("trace %d: no spans\n", traceID)
 	}

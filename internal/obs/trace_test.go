@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fakeClock is a deterministic NowFunc for trace tests.
@@ -46,6 +45,9 @@ func TestSpanTreeStructure(t *testing.T) {
 	}
 	trace := root.TraceID
 	root.Done()
+	if tr.LastRoot() != trace {
+		t.Fatalf("LastRoot %d, want %d", tr.LastRoot(), trace)
+	}
 
 	spans := tr.SpansFor(trace)
 	if len(spans) != 3 {
@@ -142,30 +144,6 @@ func TestPrincipalBinding(t *testing.T) {
 	}
 }
 
-func TestSlowDumps(t *testing.T) {
-	r := NewRegistry((&fakeClock{}).now)
-	tr := r.Tracer()
-	tr.SetSlowThreshold(500 * time.Microsecond) // every op is "slow" on the fake clock
-	sp := tr.Start(r.Journal("ws1"), "fs", "create")
-	trace := sp.TraceID
-	sp.Done()
-	dumps := tr.SlowDumps()
-	if len(dumps) != 1 || !strings.Contains(dumps[0], "fs.create") {
-		t.Fatalf("slow dump not captured: %q", dumps)
-	}
-	if tr.LastRoot() != trace {
-		t.Fatalf("LastRoot %d, want %d", tr.LastRoot(), trace)
-	}
-	// Dumps ring must stay bounded.
-	for i := 0; i < 3*maxSlowDumps; i++ {
-		s := tr.Start(r.Journal("ws1"), "fs", "create")
-		s.Done()
-	}
-	if n := len(tr.SlowDumps()); n > maxSlowDumps {
-		t.Fatalf("%d dumps retained, cap is %d", n, maxSlowDumps)
-	}
-}
-
 func TestConcurrentTracing(t *testing.T) {
 	r := NewRegistry(nil) // wall clock
 	tr := r.Tracer()
@@ -254,30 +232,6 @@ func TestSpanLifecycleConcurrent(t *testing.T) {
 	sp.Done()
 	if *sp != (Span{}) {
 		t.Fatalf("span after Done: %+v", *sp)
-	}
-}
-
-// Slow-op dumps are individually size-bounded so maxSlowDumps of them
-// cannot pin megabytes of rendered traces.
-func TestSlowDumpTruncated(t *testing.T) {
-	r := NewRegistry((&fakeClock{}).now)
-	tr := r.Tracer()
-	tr.SetSlowThreshold(time.Nanosecond)
-	root := tr.Start(r.Journal("ws1"), "fs", "sync")
-	for i := 0; i < 2000; i++ {
-		root.Child("petal", "write-with-a-rather-long-operation-name").Done()
-	}
-	root.Done()
-	dumps := tr.SlowDumps()
-	if len(dumps) == 0 {
-		t.Fatal("no slow dump captured")
-	}
-	d := dumps[len(dumps)-1]
-	if len(d) > maxDumpBytes+64 {
-		t.Fatalf("dump is %d bytes, cap is %d", len(d), maxDumpBytes)
-	}
-	if !strings.Contains(d, "truncated") {
-		t.Fatal("oversized dump not marked truncated")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Window is one interval's worth of activity, computed as the delta
 // between two registry snapshots: counter rates instead of cumulative
-// totals, and per-window histogram stats (the p99 of the last second,
-// not of all time).
+// totals, per-window histogram stats (the p99 of the last second, not
+// of all time), and each principal's charges.
 type Window struct {
 	Start int64 `json:"start_ns"`
 	End   int64 `json:"end_ns"`
@@ -22,6 +22,9 @@ type Window struct {
 	Hists map[string]HistStat `json:"histograms,omitempty"`
 	// Gauges are instantaneous values at the window's end.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
+	// Accounts holds what each principal was charged over the window,
+	// with the window's op latency quantiles, in Snapshot's order.
+	Accounts []AccountStat `json:"accounts,omitempty"`
 }
 
 // Seconds returns the window length in seconds.
@@ -72,11 +75,17 @@ type WindowRing struct {
 	reg *Registry
 	cap int
 
-	mu    sync.Mutex
-	prevT int64
-	prevC map[string]int64
-	prevH map[string]histCounts
-	wins  []Window
+	mu   sync.Mutex
+	prev mark
+	wins []Window
+}
+
+// mark is the registry's cumulative state at a window boundary.
+type mark struct {
+	t     int64
+	c     map[string]int64
+	h     map[string]histCounts
+	accts map[*account]acctMark
 }
 
 // NewWindowRing starts a ring over reg holding up to capacity
@@ -88,28 +97,27 @@ func NewWindowRing(reg *Registry, capacity int) *WindowRing {
 	}
 	w := &WindowRing{reg: reg, cap: capacity}
 	w.mu.Lock()
-	w.prevT, w.prevC, w.prevH = w.captureLocked()
+	w.prev = w.captureLocked()
 	w.mu.Unlock()
 	return w
 }
 
-func (w *WindowRing) captureLocked() (int64, map[string]int64, map[string]histCounts) {
-	now := w.reg.Now()
-	cs := make(map[string]int64)
-	hs := make(map[string]histCounts)
+func (w *WindowRing) captureLocked() mark {
+	m := mark{t: w.reg.Now(), c: make(map[string]int64), h: make(map[string]histCounts)}
 	if w.reg != nil {
 		w.reg.mu.RLock()
 		for name, c := range w.reg.counters {
-			cs[name] = c.Value()
+			m.c[name] = c.Value()
 		}
 		for name, h := range w.reg.hists {
 			var hc histCounts
 			hc.buckets, hc.count, hc.sum = h.counts()
-			hs[name] = hc
+			m.h[name] = hc
 		}
 		w.reg.mu.RUnlock()
+		m.accts = w.reg.Accounts().marks()
 	}
-	return now, cs, hs
+	return m
 }
 
 // Advance closes the interval since the previous Advance (or since
@@ -122,12 +130,12 @@ func (w *WindowRing) Advance() Window {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	now, cs, hs := w.captureLocked()
-	win := Window{Start: w.prevT, End: now}
+	cur := w.captureLocked()
+	win := Window{Start: w.prev.t, End: cur.t}
 	secs := win.Seconds()
 	win.Rates = make(map[string]float64)
-	for name, v := range cs {
-		d := v - w.prevC[name]
+	for name, v := range cur.c {
+		d := v - w.prev.c[name]
 		if d < 0 {
 			d = 0 // counter recreated; treat as fresh
 		}
@@ -138,12 +146,13 @@ func (w *WindowRing) Advance() Window {
 		}
 	}
 	win.Hists = make(map[string]HistStat)
-	for name, cur := range hs {
-		prev := w.prevH[name]
-		if st, ok := windowStat(&prev, &cur, w.reg.Histogram(name).Max()); ok {
+	for name, hc := range cur.h {
+		prev := w.prev.h[name]
+		if st, ok := windowStat(&prev, &hc, w.reg.Histogram(name).Max()); ok {
 			win.Hists[name] = st
 		}
 	}
+	win.Accounts = accountWindow(w.prev.accts, cur.accts)
 	win.Gauges = make(map[string]int64)
 	if w.reg != nil {
 		w.reg.mu.RLock()
@@ -152,7 +161,7 @@ func (w *WindowRing) Advance() Window {
 		}
 		w.reg.mu.RUnlock()
 	}
-	w.prevT, w.prevC, w.prevH = now, cs, hs
+	w.prev = cur
 	w.wins = append(w.wins, win)
 	if len(w.wins) > w.cap {
 		w.wins = w.wins[len(w.wins)-w.cap:]

@@ -60,9 +60,9 @@ type driver struct {
 	refreshRR atomic.Uint64
 
 	// leaseInfo, when set, stamps writes with the holder's lease
-	// expiration and id so guarded Petal servers can reject writes
-	// from expired leases (§6's hazard fix).
-	leaseInfo func() (expireAt int64, leaseID uint64)
+	// expiration so guarded Petal servers can reject writes from
+	// expired leases (§6's hazard fix).
+	leaseInfo func() (expireAt int64)
 
 	// opDeadline bounds one data call including retries.
 	opDeadline sim.Duration
@@ -234,9 +234,9 @@ func (c *Client) instr(op string, fn func(ctx obs.Ctx) error) error {
 	return err
 }
 
-// SetLeaseInfo installs the callback used to stamp writes with lease
-// information. Pass nil to disable stamping.
-func (c *Client) SetLeaseInfo(f func() (expireAt int64, leaseID uint64)) {
+// SetLeaseInfo installs the callback used to stamp writes with the
+// writer's lease expiry. Pass nil to disable stamping.
+func (c *Client) SetLeaseInfo(f func() (expireAt int64)) {
 	c.mu.Lock()
 	c.leaseInfo = f
 	c.mu.Unlock()
@@ -714,7 +714,7 @@ func (c *Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
 	c.mu.Unlock()
 	x.wop = writeOp{c: c}
 	if li != nil {
-		x.wop.expireAt, x.wop.leaseID = li()
+		x.wop.expireAt = li()
 	}
 	x.op = &x.wop
 	return x
@@ -1008,7 +1008,6 @@ func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err 
 type writeOp struct {
 	c        *Client
 	expireAt int64
-	leaseID  uint64
 }
 
 func (writeOp) name() string { return "write" }
@@ -1024,7 +1023,7 @@ func (o writeOp) request(x *xfer, ps []piece) any {
 	for _, p := range ps {
 		x.wexts = append(x.wexts, WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf})
 	}
-	req := WriteVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.wexts[lo:], ExpireAt: o.expireAt, LeaseID: o.leaseID}
+	req := WriteVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.wexts[lo:], ExpireAt: o.expireAt}
 	if meta, ok := x.st.VDisks[x.v]; ok && !meta.ReadOnly {
 		req.Epoch = meta.Epoch
 	}
@@ -1190,7 +1189,7 @@ func (c *Client) admin(cmd Command) error {
 // asynchronously, and a server that has not heard of a new virtual disk
 // refuses the first write to it — if that write is a primary's forward,
 // the primary acknowledges it all the same and the copy is missing until
-// the next rejoin — while one that has not heard of a deletion still
+// the primary's repair pushes it — while one that has not heard of a deletion still
 // serves the disk. A server that does not answer is skipped; one still
 // behind after dataTimeout is left to catch up on its own.
 func (c *Client) settle(applied string) {

@@ -39,7 +39,7 @@ func TestDegradedOutcomesOneVsManyExtents(t *testing.T) {
 	onP1 := func(p1, _ string) bool { return p1 == "p1" }
 	deadPair := func(p1, p2 string) bool { return p1 != "p0" && p2 != "p0" }
 	expired := func(_ *testing.T, tc *testCluster) {
-		tc.client.SetLeaseInfo(func() (int64, uint64) { return 1, 42 })
+		tc.client.SetLeaseInfo(func() int64 { return 1 })
 	}
 	scenarios := []struct {
 		name   string

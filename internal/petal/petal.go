@@ -4,8 +4,8 @@
 // physical space is committed in 64 KB chunks on first write and can
 // be decommitted. Data is replicated on two servers chosen by a fixed
 // placement function; reads and writes fail over when a replica is
-// down, and a recovering server copies the writes it missed from its
-// partners before rejoining. Copy-on-write epochs provide the
+// down, and the partners of a recovering server push it the writes it
+// missed before it rejoins. Copy-on-write epochs provide the
 // crash-consistent snapshots that Frangipani's backup mechanism
 // (paper §8) relies on.
 //
@@ -130,16 +130,14 @@ type (
 	// optionally carries the writer's lease expiration (simulated ns);
 	// servers configured with a write guard reject requests whose
 	// lease has expired — the hazard fix proposed at the end of paper
-	// §6. LeaseID optionally identifies the writer's lock-service
-	// lease for the integrated validation variant. Ctx is as in
-	// ReadVReq; a forward carries the context of the write it replicates.
+	// §6. Ctx is as in ReadVReq; a forward carries the context of the
+	// write it replicates.
 	WriteVReq struct {
 		Ctx       obs.Ctx
 		VDisk     VDiskID
 		Extents   []WriteVExtent
 		Forwarded bool
 		ExpireAt  int64
-		LeaseID   uint64
 		// Epoch, when non-zero, is the vdisk epoch the writer intends
 		// to write at. A server lagging behind waits for its Paxos
 		// apply loop to catch up; a writer lagging behind a snapshot
@@ -188,27 +186,11 @@ type (
 		Version   int64
 		State     GlobalState
 	}
-	// MissedListReq asks a partner which chunks the named server
-	// missed while it was down.
-	MissedListReq struct{ For string }
-	// MissedListResp lists the missed chunk keys.
-	MissedListResp struct{ Keys []chunkKey }
-	// ChunkFetchReq pulls a whole raw chunk during rejoin sync.
-	ChunkFetchReq struct{ Key chunkKey }
-	// ChunkFetchResp returns the chunk (nil if unknown).
-	ChunkFetchResp struct {
-		OK   bool
-		Data []byte
-	}
-	// MissedAckReq tells a partner the named keys were resynced and
-	// can be dropped from its missed set.
-	MissedAckReq struct {
-		For  string
-		Keys []chunkKey
-	}
-	// PushChunkReq installs a whole raw chunk on the receiver; the
-	// anti-entropy path uses it to repair replicas that missed
-	// forwarded writes.
+	// RepairReq asks a partner to push the named server, restarting,
+	// every chunk it missed; the partner answers when it is done.
+	RepairReq struct{ For string }
+	// PushChunkReq installs a whole raw chunk on the receiver: the
+	// repair of a replica that missed forwarded writes.
 	PushChunkReq struct {
 		Key  chunkKey
 		Data []byte
@@ -245,9 +227,6 @@ func (w WriteVReq) WireSize() int {
 	}
 	return n
 }
-
-// WireSize reports the payload size of a chunk fetch.
-func (c ChunkFetchResp) WireSize() int { return len(c.Data) }
 
 // WireSize reports the payload size of a chunk push.
 func (p PushChunkReq) WireSize() int { return len(p.Data) }

@@ -423,7 +423,7 @@ func TestSnapshotOfSnapshotAndChain(t *testing.T) {
 // guardByExpiry is the write guard the cluster installs under
 // GuardWrites: unstamped writes pass, stamped ones need a live lease.
 func guardByExpiry(cfg *ServerConfig) {
-	cfg.WriteGuard = func(expireAt int64, _ uint64, now int64) bool {
+	cfg.WriteGuard = func(expireAt, now int64) bool {
 		return expireAt == 0 || expireAt > now
 	}
 }
@@ -436,14 +436,14 @@ func TestWriteGuardRejectsExpiredLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expired lease is rejected.
-	tc.client.SetLeaseInfo(func() (int64, uint64) { return 1, 42 }) // ancient
+	tc.client.SetLeaseInfo(func() int64 { return 1 }) // ancient
 	err := d.WriteAt([]byte{2}, 0)
 	if !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("err = %v, want ErrLeaseExpired", err)
 	}
 	// Valid lease passes.
-	tc.client.SetLeaseInfo(func() (int64, uint64) {
-		return int64(tc.w.Clock.Now()) + int64(time.Hour), 42
+	tc.client.SetLeaseInfo(func() int64 {
+		return int64(tc.w.Clock.Now()) + int64(time.Hour)
 	})
 	if err := d.WriteAt([]byte{3}, 0); err != nil {
 		t.Fatal(err)

@@ -127,6 +127,35 @@ func TestReplicateWhileWriting(t *testing.T) {
 	}
 }
 
+// TestCutReplicaRepairedByPush: with the link between a chunk's two
+// replicas cut both ways, a write to the chunk still succeeds and the
+// primary records the backup as behind. Once the link is back, the
+// primary's periodic repair pushes the chunk within a few SuspectAfter
+// ticks, and the backup holds the written bytes.
+func TestCutReplicaRepairedByPush(t *testing.T) {
+	const suspectAfter = 10 * time.Second // newTestCluster's
+	tc := newTestCluster(t, 3, nil)
+	d := tc.mustCreate(t, "vol")
+	chunk := chunksWhere(t, tc, 0, 1, func(p1, p2 string) bool { return p1 == "p1" && p2 == "p2" })[0]
+	tc.w.Net.CutBoth(DataAddr("p1"), DataAddr("p2"))
+	data := patternBuf(ChunkSize, 0x33)
+	if err := d.WriteAt(data, chunk*ChunkSize); err != nil {
+		t.Fatalf("write with the replica link cut: %v", err)
+	}
+	if n := tc.servers[1].MissedBacklog(); n == 0 {
+		t.Fatal("the primary recorded nothing as missed by its cut-off backup")
+	}
+	tc.w.Net.Reconnect(DataAddr("p1"), DataAddr("p2"))
+	start := tc.w.Clock.Now()
+	waitUntil(t, 3*suspectAfter, func() bool { return tc.servers[1].MissedBacklog() == 0 })
+	if took := time.Duration(tc.w.Clock.Now() - start); took > 3*suspectAfter {
+		t.Fatalf("backlog drained after %v, want within %v", took, 3*suspectAfter)
+	}
+	if got, ok := tc.servers[2].DebugReadChunk("vol", chunk, 0, ChunkSize); !ok || !bytes.Equal(got, data) {
+		t.Fatal("the backup does not hold the written bytes after repair")
+	}
+}
+
 // TestLocalMediaErrorFailsWrite: the forwards no longer wait for the
 // local apply, so when the primary's disks refuse a write the partner
 // may have applied it all the same. The request still fails, the

@@ -22,16 +22,13 @@ type ServerConfig struct {
 	// NVRAM, if > 0, places a PrestoServe-like write buffer of this
 	// many bytes in front of every disk.
 	NVRAM int
-	// CPU cost model for the data path.
-	CPUPerOp sim.Duration
-	CPUPerKB sim.Duration
 	// Heartbeat timing for the failure detector.
 	HeartbeatEvery sim.Duration
 	SuspectAfter   sim.Duration
 	// WriteGuard, if non-nil, can reject writes (lease validation).
-	// It receives the lease stamp a client write carries and the
-	// current simulated time in ns.
-	WriteGuard func(expireAt int64, leaseID uint64, now int64) bool
+	// It receives the lease expiry a client write is stamped with and
+	// the current simulated time in ns.
+	WriteGuard func(expireAt, now int64) bool
 	// NoReplicate disables write forwarding to the partner replica —
 	// an ablation knob for the Figure 7 replication-cost study. Only
 	// safe in failure-free runs.
@@ -44,8 +41,6 @@ func DefaultServerConfig(diskCapacity int64) ServerConfig {
 	return ServerConfig{
 		NumDisks:       9,
 		DiskParams:     sim.DefaultDiskParams(diskCapacity),
-		CPUPerOp:       30 * time.Microsecond,
-		CPUPerKB:       1 * time.Microsecond,
 		HeartbeatEvery: 250 * time.Millisecond,
 		SuspectAfter:   1500 * time.Millisecond,
 	}
@@ -263,23 +258,8 @@ func (s *Server) handle(from string, body any) any {
 		st := s.state.Clone()
 		s.mu.Unlock()
 		return StateResp{OK: true, Version: st.Version, State: st}
-	case MissedListReq:
-		s.mu.Lock()
-		var keys []chunkKey
-		for k := range s.missed[m.For] {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-		return MissedListResp{Keys: keys}
-	case ChunkFetchReq:
-		data, ok, _ := s.st.getRaw(m.Key)
-		return ChunkFetchResp{OK: ok, Data: data}
-	case MissedAckReq:
-		s.mu.Lock()
-		for _, k := range m.Keys {
-			delete(s.missed[m.For], k)
-		}
-		s.mu.Unlock()
+	case RepairReq:
+		s.repair(m.For)
 		return AdminResp{OK: true}
 	case PushChunkReq:
 		if err := s.st.putRaw(m.Key, m.Data); err != nil {
@@ -316,7 +296,7 @@ func (s *Server) spanned(op string, ctx obs.Ctx, fn func(sp *obs.Span) any) any 
 }
 
 // MissedBacklog reports the number of chunk writes this server's
-// partners have missed and not yet received via anti-entropy — the
+// partners have missed and not yet received via repair — the
 // replica-lag signal for health probing. The mirror gauge
 // "petal.server.missed#name" is refreshed as a side effect.
 func (s *Server) MissedBacklog() int {
@@ -330,10 +310,10 @@ func (s *Server) MissedBacklog() int {
 	return n
 }
 
-// antiEntropy pushes missed chunks to partners that are reachable
-// again, repairing replication broken by transient forward failures.
-// It runs periodically; rejoin after a declared crash uses the pull
-// path instead.
+// antiEntropy repairs, every SuspectAfter, the partners alive in the
+// global state that missed writes: replication broken by transient
+// forward failures. A partner restarting after a declared crash asks
+// for its repair itself (rejoin).
 func (s *Server) antiEntropy() {
 	if s.isDown() {
 		return
@@ -347,33 +327,48 @@ func (s *Server) antiEntropy() {
 	}
 	s.mu.Unlock()
 	for _, p := range partners {
-		s.mu.Lock()
-		var keys []chunkKey
-		for k := range s.missed[p] {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
+		s.repair(p)
+	}
+}
+
+// repair pushes partner p every chunk it missed, whole, dropping each
+// from the missed set once p has stored it. It stops at the first push
+// p does not answer.
+func (s *Server) repair(p string) {
+	s.mu.Lock()
+	keys := make([]chunkKey, 0, len(s.missed[p]))
+	for k := range s.missed[p] {
+		keys = append(keys, k)
+	}
+	s.mu.Unlock()
+	if len(keys) > 0 {
 		s.jr.Record("petal", "replica", "resync", 0, int64(len(keys)), p)
-		for _, key := range keys {
-			data, ok, err := s.st.getRaw(key)
-			if err != nil || !ok {
-				continue
-			}
-			resp, err := s.ep.Call(DataAddr(p), PushChunkReq{Key: key, Data: data}, dataTimeout)
-			if err != nil {
-				break // partner still unreachable; try next period
-			}
-			if ar, ok := resp.(AdminResp); ok && ar.OK {
-				s.mu.Lock()
-				delete(s.missed[p], key)
-				s.mu.Unlock()
-			}
+	}
+	for _, key := range keys {
+		data, ok, err := s.st.getRaw(key)
+		if err != nil || !ok {
+			continue
+		}
+		resp, err := s.ep.Call(addrOf(s.addrs, p), PushChunkReq{Key: key, Data: data}, dataTimeout)
+		if err != nil {
+			return // p still unreachable; try next period
+		}
+		if ar, ok := resp.(AdminResp); ok && ar.OK {
+			s.mu.Lock()
+			delete(s.missed[p], key)
+			s.mu.Unlock()
 		}
 	}
 }
 
+// The data path's modelled CPU cost: per request, and per KB carried.
+const (
+	cpuPerOp = 30 * time.Microsecond
+	cpuPerKB = 1 * time.Microsecond
+)
+
 func (s *Server) chargeCPU(bytes int) {
-	s.cpu.Use(s.cfg.CPUPerOp + sim.Duration(bytes/1024)*s.cfg.CPUPerKB)
+	s.cpu.Use(cpuPerOp + sim.Duration(bytes/1024)*cpuPerKB)
 }
 
 // readVServePar bounds concurrent store reads while serving one
@@ -575,7 +570,7 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) any {
 	}
 	s.chargeCPU(total)
 	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded &&
-		!g(m.ExpireAt, m.LeaseID, int64(s.w.Clock.Now())) {
+		!g(m.ExpireAt, int64(s.w.Clock.Now())) {
 		return WriteVResp{Err: ErrLeaseExpired.Error()}
 	}
 	base, ceiling, st, errStr := s.resolveWriteEpoch(m.VDisk, m.Epoch)
@@ -731,7 +726,7 @@ func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st 
 
 // noteMissed records, chunk by chunk, the extents of a locally applied
 // write whose partner was down, unreachable or refused the forward, so
-// rejoin (or anti-entropy) can copy the whole chunk image.
+// repair can push the whole chunk image.
 func (s *Server) noteMissed(fws []forward, base VDiskID, epoch int64) {
 	for _, fw := range fws {
 		if fw.done {
@@ -791,9 +786,9 @@ func (s *Server) Crash() {
 	s.det.Crash()
 }
 
-// Restart revives a crashed server. It resynchronizes the writes it
-// missed from its partners and then proposes itself alive; clients
-// route reads back to it only after that point.
+// Restart revives a crashed server. Its partners push it the writes it
+// missed and then it proposes itself alive; clients route reads back to
+// it only after that point.
 func (s *Server) Restart() {
 	s.mu.Lock()
 	s.crashed = false
@@ -804,8 +799,12 @@ func (s *Server) Restart() {
 	go s.rejoin()
 }
 
-// rejoin pulls missed chunks from every partner, then proposes
-// aliveness.
+// repairTimeout bounds rejoin's wait for one partner's repair: the
+// partner answers once it has pushed every chunk the server missed.
+const repairTimeout = 60 * time.Second
+
+// rejoin asks every partner to repair this server, one partner at a
+// time, then proposes aliveness.
 func (s *Server) rejoin() {
 	s.rejoinMu.Lock()
 	defer s.rejoinMu.Unlock()
@@ -813,31 +812,7 @@ func (s *Server) rejoin() {
 		if p == s.name || s.isDown() {
 			continue
 		}
-		resp, err := s.ep.Call(DataAddr(p), MissedListReq{For: s.name}, dataTimeout)
-		if err != nil {
-			continue
-		}
-		ml, ok := resp.(MissedListResp)
-		if !ok {
-			continue
-		}
-		var synced []chunkKey
-		for _, key := range ml.Keys {
-			fr, err := s.ep.Call(DataAddr(p), ChunkFetchReq{Key: key}, dataTimeout)
-			if err != nil {
-				continue
-			}
-			cf, ok := fr.(ChunkFetchResp)
-			if !ok || !cf.OK {
-				continue
-			}
-			if err := s.st.putRaw(key, cf.Data); err == nil {
-				synced = append(synced, key)
-			}
-		}
-		if len(synced) > 0 {
-			_, _ = s.ep.Call(DataAddr(p), MissedAckReq{For: s.name, Keys: synced}, dataTimeout)
-		}
+		_, _ = s.ep.Call(addrOf(s.addrs, p), RepairReq{For: s.name}, repairTimeout)
 	}
 	_ = s.px.Submit(CmdSetAlive{Server: s.name, Alive: true}, 60*time.Second)
 }

@@ -221,8 +221,8 @@ func (s *store) writeChunk(v VDiskID, chunk, epoch int64, off int, data []byte) 
 	return s.devs[ext.dev].WriteAt(buf, ext.off+lo)
 }
 
-// putRaw installs a whole chunk image at an exact key, used by rejoin
-// resynchronization.
+// putRaw installs a whole chunk image at an exact key: a partner's
+// repair push (PushChunkReq).
 func (s *store) putRaw(key chunkKey, data []byte) error {
 	s.mu.Lock()
 	ext, ok := s.extents[key]

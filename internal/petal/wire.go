@@ -13,9 +13,7 @@ func init() {
 		DecommitReq{},
 		AdminReq{}, AdminResp{},
 		StateReq{}, StateResp{},
-		MissedListReq{}, MissedListResp{},
-		ChunkFetchReq{}, ChunkFetchResp{},
-		MissedAckReq{}, PushChunkReq{},
+		RepairReq{}, PushChunkReq{},
 		ListChunksReq{}, ListChunksResp{},
 		UsageReq{}, UsageResp{},
 		CmdCreateVDisk{}, CmdDeleteVDisk{}, CmdSnapshot{}, CmdSetAlive{},

@@ -15,7 +15,7 @@ import (
 // into a small pooled buffer, payload []byte fields are handed to the
 // carrier as the caller's own slices (zero-copy encode), and decode
 // slices them back out of the single pooled receive buffer
-// (zero-copy decode). Everything else (admin, rejoin, Paxos) stays on
+// (zero-copy decode). Everything else (admin, repair, Paxos) stays on
 // the gob escape hatch.
 //
 // Data fields encode their length as uvarint(len<<1 | present) so a
@@ -180,7 +180,6 @@ func (w WriteVReq) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendString(dst, string(w.VDisk))
 	dst = rpc.AppendBool(dst, w.Forwarded)
 	dst = binary.AppendVarint(dst, w.ExpireAt)
-	dst = binary.AppendUvarint(dst, w.LeaseID)
 	dst = binary.AppendVarint(dst, w.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(len(w.Extents)))
 	for _, e := range w.Extents {
@@ -209,7 +208,6 @@ func decodeWriteVReq(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error)
 	w := WriteVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
 	w.Forwarded = hc.Bool()
 	w.ExpireAt = hc.Varint()
-	w.LeaseID = hc.Uvarint()
 	w.Epoch = hc.Varint()
 	n := hc.Count(3)
 	if !hc.Bad && n > 0 {

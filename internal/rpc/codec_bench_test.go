@@ -23,7 +23,7 @@ func benchWriteVReq() petal.WriteVReq {
 		}
 		exts[i] = petal.WriteVExtent{Chunk: int64(i), Data: data}
 	}
-	return petal.WriteVReq{VDisk: "bench", Extents: exts, ExpireAt: 12345, LeaseID: 7, Epoch: 3}
+	return petal.WriteVReq{VDisk: "bench", Extents: exts, ExpireAt: 12345, Epoch: 3}
 }
 
 func benchReadVResp() petal.ReadVResp {

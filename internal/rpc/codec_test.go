@@ -34,11 +34,11 @@ func sampleEnvelopes() []rpc.Envelope {
 			{OK: false, Err: "crc"},           // extent-local failure
 			{OK: true, Data: []byte{1, 2, 3}}, // more data after failure
 		}}},
-		{ID: 6, Body: petal.WriteVReq{Ctx: obs.Ctx{Trace: 1, Span: 2}, VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3, Extents: []petal.WriteVExtent{
+		{ID: 6, Body: petal.WriteVReq{Ctx: obs.Ctx{Trace: 1, Span: 2}, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3, Extents: []petal.WriteVExtent{
 			{Chunk: 9, Off: 1024, Data: []byte("payload")},
 		}}},
 		{ID: 6, IsReply: true, Body: petal.WriteVResp{OK: true}},
-		{ID: 7, Body: petal.WriteVReq{VDisk: "vd", ExpireAt: 11, LeaseID: 5, Epoch: 2, Extents: []petal.WriteVExtent{
+		{ID: 7, Body: petal.WriteVReq{VDisk: "vd", ExpireAt: 11, Epoch: 2, Extents: []petal.WriteVExtent{
 			{Chunk: 0, Off: 0, Data: []byte("aa")},
 			{Chunk: 1, Off: 512, Data: nil},
 			{Chunk: 1, Off: 600, Data: []byte{9}},
@@ -138,11 +138,11 @@ func TestCodecGoldenRequests(t *testing.T) {
 			0, 0, 0, // no trace, no span, no principal
 			2, 'v', 'd', 0,
 		}},
-		{"WriteVReq", rpc.Envelope{ID: 6, Body: petal.WriteVReq{Ctx: ctx, VDisk: "vd", Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3,
+		{"WriteVReq", rpc.Envelope{ID: 6, Body: petal.WriteVReq{Ctx: ctx, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3,
 			Extents: []petal.WriteVExtent{{Chunk: 9, Off: 1024, Data: []byte("pay")}}}}, []byte{
-			7, 12, 0, 0, 0, 19,
+			7, 12, 0, 0, 0, 18,
 			0xac, 0x02, 7, 3, 't', '-', '1',
-			2, 'v', 'd', 1, 9, 42, 6, 1, // vdisk, forwarded, expire -5 (zigzag), lease, epoch 3 (zigzag), one extent
+			2, 'v', 'd', 1, 9, 6, 1, // vdisk, forwarded, expire -5 (zigzag), epoch 3 (zigzag), one extent
 			18, 0x80, 0x08, 7, // chunk 9 (zigzag), off 1024, len 3<<1|present
 			'p', 'a', 'y',
 		}},
