@@ -39,24 +39,16 @@ type Clerk struct {
 	servers []string
 	addrs   map[string]string // Addr of each server, made once
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	locks    map[uint64]*clkLock
-	epochGen int64         // source of per-lock request epochs
-	shardVer map[int]int64 // fencing floor per lock shard
-	state    GState
-	stateOK  bool
-	leaseID  uint64
-	logSlot  int
-	acks     map[string]sim.Time
-	// ackTimes is expiresAtLocked's scratch, one slot per server: the
-	// lease is checked before every Petal write.
-	ackTimes []int64
-	// renewSent is the last time a renewal (standalone or piggybacked
-	// on a batch) was transmitted to each server; flushLocked uses it
-	// to stamp Renew on batches no more often than needed.
-	renewSent map[string]sim.Time
-	opened    bool
+	mu        sync.Mutex
+	cond      *sync.Cond
+	locks     map[uint64]*clkLock
+	epochGen  int64         // source of per-lock request epochs
+	shardVer  map[int]int64 // fencing floor per lock shard
+	state     GState
+	stateOK   bool
+	leaseID   uint64
+	logSlot   int
+	lease     lease
 	closed    bool
 	leaseLost bool
 	cancels   []func()
@@ -64,9 +56,6 @@ type Clerk struct {
 	// Outbound op queue, drained by the sender demon.
 	outq     []sendOp
 	sendCond *sync.Cond
-	// renewing guards against renewal-tick pileup: a slow shard server
-	// must not consume the whole renewal window by stacking ticks.
-	renewing bool
 	// refreshing single-flights shard-map refetches triggered by
 	// wrong-shard nacks and epoch piggybacks.
 	refreshing bool
@@ -95,10 +84,9 @@ type Clerk struct {
 	relLat     *obs.Histogram
 	batchC     *obs.Counter // outbound batch messages
 	batchOpsC  *obs.Counter // lock ops carried in those batches
-	renewSkipC *obs.Counter // renew ticks skipped (predecessor in flight)
-	renewStdC  *obs.Counter // standalone RenewMsg calls issued
+	renewStdC  *obs.Counter // standalone RenewMsgs cast
 	renewPigC  *obs.Counter // renewals piggybacked on batches
-	renewElidC *obs.Counter // per-server standalone calls elided (fresh ack)
+	renewElidC *obs.Counter // per-server standalone renewals a tick left out
 	// jr is the flight recorder (nil-safe). Its acquire ok|fail and
 	// revoke recv records are also what the hot-lock ranking reads.
 	jr *obs.Journal
@@ -120,12 +108,10 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		servers:    append([]string(nil), servers...),
 		addrs:      make(map[string]string, len(servers)),
 		locks:      make(map[uint64]*clkLock),
-		acks:       make(map[string]sim.Time),
-		ackTimes:   make([]int64, len(servers)),
-		renewSent:  make(map[string]sim.Time),
 		shardVer:   make(map[int]int64),
 		recovering: make(map[string]RecoverReq),
 	}
+	c.lease = newLease(c.servers, c.cfg.LeaseDuration)
 	for _, s := range servers {
 		c.addrs[s] = Addr(s)
 	}
@@ -138,7 +124,6 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		c.relLat = reg.Histogram("lockservice.release.latency#" + machine)
 		c.batchC = reg.Counter("lockservice.clerk.batches#" + machine)
 		c.batchOpsC = reg.Counter("lockservice.clerk.batched_ops#" + machine)
-		c.renewSkipC = reg.Counter("lockservice.renew.skipped#" + machine)
 		c.renewStdC = reg.Counter("lockservice.renew.standalone#" + machine)
 		c.renewPigC = reg.Counter("lockservice.renew.piggyback#" + machine)
 		c.renewElidC = reg.Counter("lockservice.renew.elided#" + machine)
@@ -194,15 +179,14 @@ func (c *Clerk) Open() error {
 	c.mu.Lock()
 	c.leaseID = resp.LeaseID
 	c.logSlot = resp.LogSlot
-	c.opened = true
 	for _, s := range c.servers {
-		c.acks[s] = now
+		c.lease.ack(s, true, now) // the open session is every server's first ack
 	}
 	c.mu.Unlock()
 	_ = c.refreshState()
 	go c.sender()
 	c.cancels = append(c.cancels,
-		c.w.Clock.Tick(c.cfg.LeaseDuration/3, c.renew),
+		c.w.Clock.Tick(renewTick(c.cfg.LeaseDuration), c.renew),
 		c.w.Clock.Tick(c.cfg.RevokeRetry, c.retryRequests),
 		c.w.Clock.Tick(c.cfg.IdleDiscard/4, c.discardIdle),
 	)
@@ -545,51 +529,29 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 	}
 	now := c.w.Clock.Now()
 	for _, srv := range order {
-		// Piggyback a lease renewal on the first batch of this drain
-		// when one is due for srv: busy clerks renew as a side effect
-		// of traffic they send anyway, keeping their standalone
-		// RenewMsg rate at zero (O(1)-in-N control chatter).
-		renew := c.opened && !c.leaseLost && c.renewDueLocked(srv, now)
-		if rels := relBySrv[srv]; len(rels) > 0 {
+		rels, reqs := relBySrv[srv], acqBySrv[srv]
+		if len(rels)+len(reqs) == 0 {
+			continue
+		}
+		// The first batch to srv carries a lease renewal when one is
+		// due: busy clerks renew as a side effect of traffic they send
+		// anyway, and their ticks send none (O(1)-in-N control chatter).
+		var renew uint64
+		if !c.leaseLost && c.lease.carry(srv, now) {
+			renew = c.leaseID
+			c.renewPigC.Inc()
+		}
+		if len(rels) > 0 {
 			c.batchC.Inc()
 			c.batchOpsC.Add(int64(len(rels)))
-			m := ReleaseBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Rels: rels}
-			if renew {
-				m.Renew, m.LeaseID = true, c.leaseID
-				c.noteRenewSentLocked(srv, now, true)
-				renew = false
-			}
-			_ = c.ep.Cast(c.addr(srv), m)
+			_ = c.ep.Cast(c.addr(srv), ReleaseBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Rels: rels, Renew: renew})
+			renew = 0
 		}
-		if reqs := acqBySrv[srv]; len(reqs) > 0 {
+		if len(reqs) > 0 {
 			c.batchC.Inc()
 			c.batchOpsC.Add(int64(len(reqs)))
-			m := AcquireBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Reqs: reqs}
-			if renew {
-				m.Renew, m.LeaseID = true, c.leaseID
-				c.noteRenewSentLocked(srv, now, true)
-			}
-			_ = c.ep.Cast(c.addr(srv), m)
+			_ = c.ep.Cast(c.addr(srv), AcquireBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Reqs: reqs, Renew: renew})
 		}
-	}
-}
-
-// renewDueLocked reports whether a renewal should ride on a batch to
-// srv: the last renewal we transmitted to it (standalone or
-// piggybacked) is at least half a renewal tick old. Piggybacking at
-// ~2x the standalone cadence keeps the server's ack fresh enough that
-// the renew() tick never needs a standalone call while traffic flows.
-func (c *Clerk) renewDueLocked(srv string, now sim.Time) bool {
-	return sim.Duration(now-c.renewSent[srv]) >= c.cfg.LeaseDuration/6
-}
-
-// noteRenewSentLocked records a transmitted renewal to srv.
-func (c *Clerk) noteRenewSentLocked(srv string, now sim.Time, piggyback bool) {
-	c.renewSent[srv] = now
-	if piggyback {
-		c.renewPigC.Inc()
-	} else {
-		c.renewStdC.Inc()
 	}
 }
 
@@ -664,14 +626,11 @@ func (c *Clerk) handle(from string, body any) any {
 	case RecoverReq:
 		c.onRecoverReq(m)
 	case RenewAck:
-		// Piggyback ack cast back by a lock server that saw our
-		// Renew-stamped batch. An ack for a dead session (Valid false)
-		// must NOT advance the lease arithmetic: the acks age out,
-		// standalone renewals resume, and the majority-invalid check
-		// there delivers the zombie verdict.
+		// The one place an ack enters the lease, whether it answers a
+		// tick's RenewMsg or a batch's Renew.
 		c.mu.Lock()
-		if m.Valid && m.LeaseID == c.leaseID {
-			c.acks[m.Server] = c.w.Clock.Now()
+		if m.LeaseID == c.leaseID {
+			c.lease.ack(m.Server, m.Valid, c.w.Clock.Now())
 		}
 		c.noteNewEpochLocked(m.MapEpoch)
 		c.mu.Unlock()
@@ -809,134 +768,35 @@ func (c *Clerk) onRecoverReq(m RecoverReq) {
 	}()
 }
 
-// renew broadcasts lease renewals and checks expiry. The lease is
-// considered valid while a majority of lock servers acknowledged a
-// renewal within the lease window, which keeps the clerk's view
-// conservative across partitions. One renewal is ever in flight: a
-// tick arriving while its predecessor still waits on a slow server is
-// skipped (and journaled), so a straggler cannot stack renewal rounds
-// and consume the whole window.
+// renew is the lease's tick. It casts a RenewMsg to each server the
+// lease's schedule picks and loses the lease when the acks say so; the
+// acks land in handle, whichever renewal they answer. The lease is valid
+// while a majority of lock servers acked within its duration, which keeps
+// the clerk's view conservative across partitions.
 func (c *Clerk) renew() {
 	c.mu.Lock()
-	if c.closed || c.leaseLost || !c.opened {
+	if c.closed || c.leaseLost {
 		c.mu.Unlock()
 		return
 	}
-	if c.renewing {
-		c.renewSkipC.Inc()
-		c.jr.Record("lockservice", "lease", "renew.skipped", 0, 0, "previous renewal still in flight")
-		c.mu.Unlock()
-		return
-	}
-	c.renewing = true
-	lease := c.leaseID
-	mapEpoch := int64(0)
-	if c.stateOK {
-		mapEpoch = c.state.Epoch
-	}
-	// Elide the standalone call to every server whose ack is fresh —
-	// a piggybacked renewal on recent batch traffic already advanced
-	// its slot in the lease arithmetic. A fresh ack is one younger
-	// than the renewal tick (LeaseDuration/3): even if it stops being
-	// refreshed the moment we skip, two more ticks fire before the
-	// lease can lapse, so safety is untouched. A fully busy clerk
-	// therefore sends ZERO standalone RenewMsg RPCs, and renewal load
-	// per lock server is O(1) in cluster size.
-	now := c.w.Clock.Now()
-	majority := len(c.servers)/2 + 1
-	var stale []string
-	freshCnt := 0
-	for _, s := range c.servers {
-		if sim.Duration(now-c.acks[s]) < c.cfg.LeaseDuration/3 {
-			freshCnt++
-			c.renewElidC.Inc()
-			continue
-		}
-		stale = append(stale, s)
-	}
-	// A stale minority does not make renewal urgent: expiry is the
-	// majority-rank ack, so while a majority is piggyback-fresh and
-	// more than half the lease window remains, the stragglers can
-	// wait for batch traffic to reach them — or for the majority
-	// itself to sag, which fans out on a later tick with two full
-	// ticks of headroom. Without this, one quiet machine-to-server
-	// pairing (a clerk that happens to send no batch to one server
-	// for a few seconds) costs a standalone RPC per tick, adding back
-	// a slice of the O(N) renewal fan-out piggybacking removes.
-	if len(stale) > 0 && freshCnt >= majority &&
-		c.expiresAtLocked() > int64(now)+int64(c.cfg.LeaseDuration/2) {
-		for range stale {
-			c.renewElidC.Inc()
-		}
-		stale = nil
-	}
-	for _, s := range stale {
-		c.noteRenewSentLocked(s, now, false)
-	}
+	renew, verdict := c.lease.tick(c.w.Clock.Now())
+	id := c.leaseID
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.renewing = false
-		c.mu.Unlock()
-	}()
-
-	// Fan out to every server concurrently and settle as soon as the
-	// outcome is decided at majority rank: ExpiresAt is fixed once a
-	// majority of fresh acks has landed, whatever the stragglers do,
-	// so one slow or dead server no longer holds the renewal loop for
-	// its full timeout. Stragglers keep running in the background and
-	// still record their acks (each goroutine updates c.acks before
-	// reporting, so acks counted here are visible to ExpiresAt below).
-	type result struct{ acked, invalid bool }
-	results := make(chan result, len(stale))
-	for _, s := range stale {
-		go func(s string) {
-			r, err := c.ep.Call(c.addr(s), RenewMsg{Clerk: c.machine, LeaseID: lease, MapEpoch: mapEpoch}, c.cfg.LeaseDuration/3)
-			if err != nil {
-				results <- result{}
-				return
-			}
-			if ack, ok := r.(RenewAck); ok && ack.LeaseID == lease {
-				if !ack.Valid {
-					results <- result{invalid: true}
-					return
-				}
-				c.mu.Lock()
-				c.acks[ack.Server] = c.w.Clock.Now()
-				c.noteNewEpochLocked(ack.MapEpoch)
-				c.mu.Unlock()
-				results <- result{acked: true}
-				return
-			}
-			results <- result{}
-		}(s)
+	if verdict == leaseDisowned {
+		// Expired and recovered while we were stalled: the lease is
+		// gone, whatever the ack arithmetic says.
+		c.jr.Record("lockservice", "lease", "invalid", 0, 0, "majority disowned session")
 	}
-	// Fresh (elided) servers count as acked: their renewal evidence
-	// is the piggyback ack already recorded in c.acks.
-	acked, invalid := freshCnt, 0
-	for done := 0; done < len(stale) && acked < majority && invalid < majority; done++ {
-		r := <-results
-		if r.acked {
-			acked++
-		}
-		if r.invalid {
-			invalid++
-		}
-	}
-
-	// A majority of servers positively disowning the session means it
-	// was expired and recovered while we were stalled: the lease is
-	// gone, whatever our ack arithmetic says.
-	if invalid >= majority {
-		c.jr.Record("lockservice", "lease", "invalid", 0, int64(invalid), "majority disowned session")
+	if verdict != leaseHeld {
 		c.loseLease()
 		return
 	}
-	if c.ExpiresAt() <= int64(c.w.Clock.Now()) {
-		c.loseLease()
-		return
+	c.renewElidC.Add(int64(len(c.servers) - len(renew)))
+	c.renewStdC.Add(int64(len(renew)))
+	for _, s := range renew {
+		_ = c.ep.Cast(c.addr(s), RenewMsg{Clerk: c.machine, LeaseID: id})
 	}
-	c.jr.Record("lockservice", "lease", "renew", 0, int64(acked), "")
+	c.jr.Record("lockservice", "lease", "renew", 0, int64(len(renew)), "")
 }
 
 // ExpiresAt returns the simulated time (ns) at which the lease
@@ -944,15 +804,7 @@ func (c *Clerk) renew() {
 func (c *Clerk) ExpiresAt() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.expiresAtLocked()
-}
-
-func (c *Clerk) expiresAtLocked() int64 {
-	for i, s := range c.servers {
-		c.ackTimes[i] = int64(c.acks[s])
-	}
-	// The newest time at which a majority had acked.
-	return kthNewest(c.ackTimes, len(c.servers)/2+1) + int64(c.cfg.LeaseDuration)
+	return c.lease.expiresAt()
 }
 
 // LeaseValid reports whether the lease will still be valid margin
@@ -960,12 +812,8 @@ func (c *Clerk) expiresAtLocked() int64 {
 // Petal" (§6).
 func (c *Clerk) LeaseValid(margin sim.Duration) bool {
 	c.mu.Lock()
-	lost := c.leaseLost
-	c.mu.Unlock()
-	if lost {
-		return false
-	}
-	return c.ExpiresAt() > int64(c.w.Clock.Now())+int64(margin)
+	defer c.mu.Unlock()
+	return !c.leaseLost && c.lease.expiresAt() > int64(c.w.Clock.Now())+int64(margin)
 }
 
 // loseLease discards all lock and triggers the FS poison callback.

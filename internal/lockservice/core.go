@@ -3,12 +3,13 @@ package lockservice
 import "frangipani/internal/sim"
 
 // The lock protocol's per-lock rules, one side each, as transitions on
-// the lock's own state: every method takes what it reads from outside
-// (the time, the server's revoke interval, which clerks are dead) as
-// arguments and returns what must be sent. Nothing here locks, sleeps,
-// sends or records; Clerk and Server hold their mutex, call these and do
-// the I/O, and the explorer in core_test.go drives them through every
-// interleaving of two clerks. DESIGN §3.5 has both transition tables.
+// the lock's own state, and the clerk's lease: every method takes what it
+// reads from outside (the time, the server's revoke interval, which
+// clerks are dead) as arguments and returns what must be sent. Nothing
+// here locks, sleeps, sends or records; Clerk and Server hold their
+// mutex, call these and do the I/O, and the explorer in explore_test.go
+// drives the lock rules through every interleaving of two clerks.
+// DESIGN §3.5 has the transition tables.
 
 // ---- server side ----
 
@@ -357,4 +358,122 @@ func (l *clkLock) idle(now sim.Time, after sim.Duration) clerkAct {
 	}
 	l.revokePending, l.revokeTo, l.revoking = true, None, true
 	return clerkAct{do: actFlush}
+}
+
+// ---- clerk lease ----
+
+// The renewal schedule, every interval a fraction of the lease duration
+// d. A tick every d/3 renews each server whose ack is older than d/6, so
+// an idle clerk's acks are about d/3 old at worst and the lease keeps the
+// paper's d/2 margin (§6: a 30 s lease checked 15 s ahead). A batch to a
+// server carries a renewal d/12 after the last one a batch carried there,
+// and a server acks a clerk at most every d/12, so a busy clerk's acks
+// stay younger than d/6 and its ticks send nothing.
+func renewTick(d sim.Duration) sim.Duration    { return d / 3 }
+func ackFresh(d sim.Duration) sim.Duration     { return d / 6 }
+func renewSpacing(d sim.Duration) sim.Duration { return d / 12 }
+
+// leaseVerdict is what a renewal tick concludes.
+type leaseVerdict uint8
+
+const (
+	leaseHeld     leaseVerdict = iota
+	leaseDisowned              // a majority of servers knows no live session for it
+	leaseExpired               // the last tick's renewals did not bring it back
+)
+
+// lease is a clerk's view of its lease, one slot per lock server: when
+// the server's last valid RenewAck arrived, when a batch last carried it
+// a renewal, and whether its last ack disowned the session. The lease
+// runs to the newest time by which a majority had acked, plus the
+// duration.
+type lease struct {
+	dur      sim.Duration
+	servers  []string
+	acked    []sim.Time
+	sent     []sim.Time
+	disowned []bool
+	ticked   sim.Time // the previous tick
+	// times is expiresAt's scratch: the lease is checked before every
+	// Petal write.
+	times []int64
+}
+
+func newLease(servers []string, dur sim.Duration) lease {
+	n := len(servers)
+	return lease{dur: dur, servers: servers, acked: make([]sim.Time, n), sent: make([]sim.Time, n),
+		disowned: make([]bool, n), times: make([]int64, n)}
+}
+
+func (l *lease) slot(server string) int {
+	for i, s := range l.servers {
+		if s == server {
+			return i
+		}
+	}
+	return -1
+}
+
+// ack takes a server's RenewAck. A valid one renews its slot and clears
+// its disown mark; an invalid one — the session expired and was
+// recovered while the clerk stalled — marks it and leaves the slot to
+// age.
+func (l *lease) ack(server string, valid bool, now sim.Time) {
+	if i := l.slot(server); i >= 0 {
+		l.disowned[i] = !valid
+		if valid {
+			l.acked[i] = now
+		}
+	}
+}
+
+// carry reports whether a batch to server carries a renewal, and notes
+// it if so.
+func (l *lease) carry(server string, now sim.Time) bool {
+	i := l.slot(server)
+	if i < 0 || sim.Duration(now-l.sent[i]) < renewSpacing(l.dur) {
+		return false
+	}
+	l.sent[i] = now
+	return true
+}
+
+// tick judges the lease and picks the servers to renew. A majority
+// disowning the session ends it at once. An expired lease ends when the
+// previous tick's renewals have had their chance: it had expired by
+// then and no majority has acked since. Otherwise every server whose ack
+// is older than ackFresh is renewed — unless a majority's is fresher:
+// expiry is the majority-rank ack, so a stale minority can wait for
+// batch traffic to reach it.
+func (l *lease) tick(now sim.Time) (renew []string, v leaseVerdict) {
+	disowned := 0
+	for i, s := range l.servers {
+		if l.disowned[i] {
+			disowned++
+		}
+		if sim.Duration(now-l.acked[i]) >= ackFresh(l.dur) {
+			renew = append(renew, s)
+		}
+	}
+	majority := len(l.servers)/2 + 1
+	prev := l.ticked
+	l.ticked = now
+	switch {
+	case disowned >= majority:
+		return nil, leaseDisowned
+	case l.expiresAt() <= int64(prev):
+		return nil, leaseExpired
+	case len(l.servers)-len(renew) >= majority:
+		return nil, leaseHeld
+	}
+	return renew, leaseHeld
+}
+
+// expiresAt is when the lease lapses (ns): the newest time by which a
+// majority had acked, plus the duration.
+func (l *lease) expiresAt() int64 {
+	for i, t := range l.acked {
+		l.times[i] = int64(t)
+	}
+	return kthNewest(l.times, len(l.times)/2+1) + int64(l.dur)
 }

@@ -20,12 +20,12 @@
 // paper prescribes; every handler is idempotent so the protocol
 // tolerates message loss. The clerk->server direction is vectored:
 // per-shard-server AcquireBatch/ReleaseBatch messages carry many lock
-// operations in one network message, and lease renewal is one
-// RenewMsg per server (never per lock) with the shard-map epoch
-// piggybacked both ways. Busy clerks go further: renewals ride on the
-// batches themselves (AcquireBatch/ReleaseBatch.Renew), so a clerk
-// with traffic in flight sends zero standalone RenewMsg RPCs and the
-// per-server renewal load stays O(1) as the cluster grows.
+// operations in one network message. A lease renewal is a cast too:
+// it rides on a batch (AcquireBatch/ReleaseBatch.Renew) or, for a
+// server no batch has renewed lately, goes as one RenewMsg (never per
+// lock). Either way the server casts a RenewAck back, with its
+// shard-map epoch. A clerk with traffic in flight sends no RenewMsg,
+// so the per-server renewal load stays O(1) as the cluster grows.
 package lockservice
 
 import (
@@ -151,13 +151,11 @@ type (
 		Table    string
 		MapEpoch int64
 		Reqs     []BatchReq
-		// Renew, when set, doubles the batch as a lease renewal for
-		// LeaseID: a busy clerk rides its renewals on batch traffic it
-		// is sending anyway, so its standalone RenewMsg rate is O(1)
-		// in cluster size (zero while traffic flows). The server
-		// answers with a rate-limited RenewAck cast.
-		Renew   bool
-		LeaseID uint64
+		// Renew, when not 0, doubles the batch as a renewal of that
+		// lease: a busy clerk rides its renewals on batch traffic it is
+		// sending anyway, so its ticks send no RenewMsg. The server
+		// answers it as it answers a RenewMsg.
+		Renew uint64
 	}
 	// BatchRel is one release (NewMode=None) or downgrade
 	// (NewMode=Shared) inside a ReleaseBatch.
@@ -172,9 +170,7 @@ type (
 		Table    string
 		MapEpoch int64
 		Rels     []BatchRel
-		// Renew/LeaseID piggyback a lease renewal; see AcquireBatch.
-		Renew   bool
-		LeaseID uint64
+		Renew    uint64 // a lease renewal; see AcquireBatch
 	}
 	// WrongShard rejects operations on locks the receiving server does
 	// not own: the clerk routed with a stale shard map. Epoch is the
@@ -228,15 +224,14 @@ type (
 		Clerk string
 		Table string
 	}
-	// RenewMsg renews a lease; one per lock server (never per lock),
-	// with the clerk's shard-map epoch piggybacked so the renewal
-	// round doubles as a map-staleness probe.
+	// RenewMsg renews a lease at one lock server (never per lock); a
+	// clerk's tick casts it to the servers batch traffic has not
+	// renewed lately.
 	RenewMsg struct {
-		Clerk    string
-		LeaseID  uint64
-		MapEpoch int64
+		Clerk   string
+		LeaseID uint64
 	}
-	// RenewAck confirms a renewal from one server. Valid is false
+	// RenewAck answers a renewal, cast from one server. Valid is false
 	// when the server knows of no live session with that lease — the
 	// session expired and was recovered — so a zombie clerk that was
 	// stalled past its lease learns its fate at the next renewal

@@ -21,12 +21,12 @@ type testLS struct {
 
 func newTestLS(t *testing.T, nServers int) *testLS {
 	t.Helper()
-	return newTestLSConfig(t, nServers, DefaultConfig())
+	return newTestLSConfig(t, nServers, DefaultConfig(), 300)
 }
 
-func newTestLSConfig(t *testing.T, nServers int, cfg Config) *testLS {
+func newTestLSConfig(t *testing.T, nServers int, cfg Config, compression float64) *testLS {
 	t.Helper()
-	w := sim.NewWorld(300, 17)
+	w := sim.NewWorld(compression, 17)
 	ls := &testLS{w: w, cfg: cfg}
 	for i := 0; i < nServers; i++ {
 		ls.names = append(ls.names, fmt.Sprintf("ls%d", i))
@@ -247,7 +247,7 @@ func TestRevokeDowngradesWriter(t *testing.T) {
 func TestFirstRevokeNotRateLimited(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RevokeRetry = 10 * time.Minute // 2 s of wall time: a tick cannot be mistaken for the request
-	ls := newTestLSConfig(t, 3, cfg)
+	ls := newTestLSConfig(t, 3, cfg, 300)
 	c1 := ls.clerk(t, "ws1")
 	c2 := ls.clerk(t, "ws2")
 	if err := c1.Lock(5, Exclusive); err != nil {

@@ -115,10 +115,7 @@ type Server struct {
 	locks      map[lockKey]*lockState
 	pendingGrp map[int]*shardSync // shard -> in-progress handoff sync
 	renewals   map[string]sim.Time
-	// ackCast is the last time a piggyback RenewAck was cast to each
-	// clerk; acks are rate-limited so a clerk streaming batches gets
-	// O(1) ack traffic per lease window, not one ack per batch.
-	ackCast    map[string]sim.Time
+	ackCast    map[string]sim.Time     // the last RenewAck cast to each clerk
 	recoveries map[string]*recoveryJob // session key -> job
 	nextSeq    uint64
 	crashed    bool
@@ -133,8 +130,7 @@ type Server struct {
 	reqC             *obs.Counter
 	revC             *obs.Counter
 	wrongC           *obs.Counter
-	renewPigC        *obs.Counter // piggybacked renewals accepted
-	renewStdC        *obs.Counter // standalone RenewMsg served
+	ackC             *obs.Counter // RenewAcks cast
 	locksG, memBytes *obs.Gauge
 	shardC           []*obs.Counter    // lazy per-shard op counters
 	acct             *obs.AccountTable // per-principal server-op attribution
@@ -176,8 +172,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config,
 		s.reqC = reg.Counter("lockservice.server.requests#" + name)
 		s.revC = reg.Counter("lockservice.server.revokes#" + name)
 		s.wrongC = reg.Counter("lockservice.server.wrongshard#" + name)
-		s.renewPigC = reg.Counter("lockservice.server.renew.piggyback#" + name)
-		s.renewStdC = reg.Counter("lockservice.server.renew.standalone#" + name)
+		s.ackC = reg.Counter("lockservice.server.renew.acks#" + name)
 		s.locksG = reg.Gauge("lockservice.server.locks#" + name)
 		s.memBytes = reg.Gauge("lockservice.server.bytes#" + name)
 		s.acct = reg.Accounts()
@@ -445,19 +440,17 @@ func (s *Server) handle(from string, body any) any {
 	s.acct.ServerOp(obs.UnknownPrincipal)
 	switch m := body.(type) {
 	case AcquireBatch:
-		if m.Renew {
-			s.piggyRenew(m.Clerk, m.LeaseID)
+		if m.Renew != 0 {
+			s.renew(m.Clerk, m.Renew)
 		}
 		s.onBatch(m.Clerk, m.Table, m.MapEpoch, m.Reqs, nil)
 	case ReleaseBatch:
-		if m.Renew {
-			s.piggyRenew(m.Clerk, m.LeaseID)
+		if m.Renew != 0 {
+			s.renew(m.Clerk, m.Renew)
 		}
 		s.onBatch(m.Clerk, m.Table, m.MapEpoch, nil, m.Rels)
 	case RenewMsg:
-		s.renewStdC.Inc()
-		valid, epoch := s.renewed(m.Clerk, m.LeaseID, s.w.Clock.Now())
-		return RenewAck{Server: s.name, LeaseID: m.LeaseID, Valid: valid, MapEpoch: epoch}
+		s.renew(m.Clerk, m.LeaseID)
 	case RenewalsReq:
 		s.mu.Lock()
 		times := make(map[string]int64, len(s.renewals))
@@ -503,34 +496,25 @@ func (s *Server) liveSession(clerk string) (Session, bool) {
 	return Session{}, false
 }
 
-// renewed records a lease renewal from clerk and reports whether its
-// lease is a live session's, with the shard-map epoch to piggyback.
-func (s *Server) renewed(clerk string, leaseID uint64, now sim.Time) (valid bool, epoch int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.renewals[clerk] = now
-	sess, ok := s.liveSession(clerk)
-	return ok && sess.LeaseID == leaseID, s.state.Epoch
-}
-
-// piggyRenew serves a lease renewal riding on a batch message: record
-// the renewal exactly as a standalone RenewMsg would, then cast a
-// RenewAck back — rate-limited per clerk, so a clerk streaming
-// batches costs O(1) ack messages per lease window instead of one
-// per batch. An invalid session (expired and recovered while the
-// clerk was stalled) is acked immediately and with Valid=false so the
-// zombie learns its fate without waiting out the limiter.
-func (s *Server) piggyRenew(clerk string, leaseID uint64) {
+// renew records a lease renewal from clerk, carried by a RenewMsg or a
+// batch's Renew, and casts a RenewAck back: at most one per clerk every
+// renewSpacing, so a clerk streaming batches costs O(1) acks per lease,
+// but at once when the session is not live (expired and recovered while
+// the clerk stalled), so the zombie learns its fate.
+func (s *Server) renew(clerk string, leaseID uint64) {
 	now := s.w.Clock.Now()
-	valid, epoch := s.renewed(clerk, leaseID, now)
 	s.mu.Lock()
-	ack := !valid || sim.Duration(now-s.ackCast[clerk]) >= s.cfg.LeaseDuration/6
+	s.renewals[clerk] = now
+	sess, live := s.liveSession(clerk)
+	valid := live && sess.LeaseID == leaseID
+	ack := !valid || sim.Duration(now-s.ackCast[clerk]) >= renewSpacing(s.cfg.LeaseDuration)
 	if ack {
 		s.ackCast[clerk] = now
 	}
+	epoch := s.state.Epoch
 	s.mu.Unlock()
-	s.renewPigC.Inc()
 	if ack {
+		s.ackC.Inc()
 		_ = s.ep.Cast(s.clerkAddr(clerk), RenewAck{Server: s.name, LeaseID: leaseID, Valid: valid, MapEpoch: epoch})
 	}
 }

@@ -127,41 +127,6 @@ func TestWrongShardNack(t *testing.T) {
 	}
 }
 
-// TestRenewTickSkipsWhenInFlight asserts the renewal loop coalesces:
-// a tick that fires while its predecessor is still waiting on a slow
-// server is skipped and journaled, never stacked.
-func TestRenewTickSkipsWhenInFlight(t *testing.T) {
-	ls := newTestLS(t, 3)
-	c := ls.clerk(t, "wsS")
-
-	c.mu.Lock()
-	c.renewing = true // simulate a predecessor stuck on a slow server
-	c.mu.Unlock()
-	c.renew()
-	c.mu.Lock()
-	c.renewing = false
-	c.mu.Unlock()
-
-	if got := ls.w.Obs.Counter("lockservice.renew.skipped#wsS").Value(); got != 1 {
-		t.Fatalf("renew.skipped counter = %d, want 1", got)
-	}
-	found := false
-	for _, e := range ls.w.Obs.Journal("wsS").Events() {
-		if e.Op == "lease" && e.Kind == "renew.skipped" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no lease renew.skipped journal event recorded")
-	}
-	// A normal tick still renews.
-	c.renew()
-	if got := ls.w.Obs.Counter("lockservice.renew.skipped#wsS").Value(); got != 1 {
-		t.Fatalf("unblocked renew was skipped (counter = %d)", got)
-	}
-}
-
 // TestBatchingCoalescesRequests asserts the sender demon actually
 // vectors: a burst of acquires enqueued together reaches the servers
 // as one AcquireBatch per owning server, not one message per lock.

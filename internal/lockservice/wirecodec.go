@@ -36,6 +36,7 @@ func (m AcquireBatch) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendString(dst, m.Clerk)
 	dst = rpc.AppendString(dst, m.Table)
 	dst = binary.AppendVarint(dst, m.MapEpoch)
+	dst = binary.AppendUvarint(dst, m.Renew)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Reqs)))
 	for _, r := range m.Reqs {
 		dst = binary.AppendUvarint(dst, r.Lock)
@@ -67,7 +68,7 @@ func varintLen(v int64) int {
 // a batch for its real bytes: vectoring N requests into one message
 // costs one base-message overhead, not N.
 func (m AcquireBatch) WireSize() int {
-	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(uint64(len(m.Reqs)))
+	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(m.Renew) + uvarintLen(uint64(len(m.Reqs)))
 	for _, r := range m.Reqs {
 		n += uvarintLen(r.Lock) + 1 + varintLen(r.Epoch)
 	}
@@ -80,6 +81,7 @@ func decodeAcquireBatch(header, payload []byte, rb *rpc.RecvBuf) (any, bool, err
 		Clerk:    hc.String(),
 		Table:    hc.String(),
 		MapEpoch: hc.Varint(),
+		Renew:    hc.Uvarint(),
 	}
 	n := hc.Count(3) // lock uvarint + mode byte + epoch varint
 	if n > 0 {
@@ -106,6 +108,7 @@ func (m ReleaseBatch) AppendWireHeader(dst []byte) []byte {
 	dst = rpc.AppendString(dst, m.Clerk)
 	dst = rpc.AppendString(dst, m.Table)
 	dst = binary.AppendVarint(dst, m.MapEpoch)
+	dst = binary.AppendUvarint(dst, m.Renew)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Rels)))
 	for _, r := range m.Rels {
 		dst = binary.AppendUvarint(dst, r.Lock)
@@ -119,7 +122,7 @@ func (m ReleaseBatch) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return 
 
 // WireSize reports the encoded size (see AcquireBatch).
 func (m ReleaseBatch) WireSize() int {
-	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(uint64(len(m.Rels)))
+	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(m.Renew) + uvarintLen(uint64(len(m.Rels)))
 	for _, r := range m.Rels {
 		n += uvarintLen(r.Lock) + 1
 	}
@@ -132,6 +135,7 @@ func decodeReleaseBatch(header, payload []byte, rb *rpc.RecvBuf) (any, bool, err
 		Clerk:    hc.String(),
 		Table:    hc.String(),
 		MapEpoch: hc.Varint(),
+		Renew:    hc.Uvarint(),
 	}
 	n := hc.Count(2) // lock uvarint + mode byte
 	if n > 0 {

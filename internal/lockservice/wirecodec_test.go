@@ -35,7 +35,7 @@ func TestWireCodecAcquireBatch(t *testing.T) {
 		{Clerk: "ws1", Table: "fs", MapEpoch: 3, Reqs: []BatchReq{
 			{Lock: 7, Mode: Exclusive, Epoch: 12},
 			{Lock: 1 << 60, Mode: Shared, Epoch: -4},
-		}},
+		}, Renew: 5},
 		{Clerk: "", Table: "", MapEpoch: 0},
 	} {
 		got := roundTrip(t, m).(AcquireBatch)
@@ -50,7 +50,7 @@ func TestWireCodecReleaseBatch(t *testing.T) {
 		{Clerk: "ws2", Table: "fs", MapEpoch: 9, Rels: []BatchRel{
 			{Lock: 1, NewMode: None},
 			{Lock: 2, NewMode: Shared},
-		}},
+		}, Renew: 1 << 40},
 		{Clerk: "c", Table: "t"},
 	} {
 		got := roundTrip(t, m).(ReleaseBatch)

@@ -92,12 +92,6 @@ type (
 		Known bool
 		Value entry
 	}
-	// Heartbeat announces liveness; also carries the sender's applied
-	// frontier so laggards can catch up.
-	Heartbeat struct {
-		From    string
-		Applied int64
-	}
 )
 
 type instance struct {
@@ -132,7 +126,7 @@ type Node struct {
 func init() {
 	for _, v := range []any{
 		PrepareReq{}, PrepareResp{}, AcceptReq{}, AcceptResp{},
-		DecideMsg{}, LearnReq{}, LearnResp{}, Heartbeat{}, entry{},
+		DecideMsg{}, LearnReq{}, LearnResp{}, entry{},
 	} {
 		rpc.RegisterType(v)
 	}
