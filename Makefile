@@ -50,51 +50,52 @@ benchmark-test:
 bench:
 	$(GO) run ./cmd/frangibench -quick
 
-## bench-smoke: fails if the observability stack goes dark — the
-## obs-smoke experiment errors out when the metrics snapshot is empty
-## or the Sync trace does not cover all four layers — or if the
-## read-scaling experiment's in-experiment assertions (on a hot-primary
-## chunk set the backup serves 45-55% of the bytes of balanced reads and
-## balanced reads are >= 1.5x primary-only — what ten -quick runs at
-## PR 21 hold (1.59-1.92) with margin; what is short of 2x is ring
-## placement, ROADMAP item 3; ReadDirPlus <= 50% of the stat scan's read RPCs) fail.
-## The codec-budget test additionally asserts the wire codec beats the
-## gob baseline by >= 5x allocs/op and >= 2x ns/op on 1 MB WriteV/ReadV
-## (encode must be 0 allocs/op), and codec-mux asserts >= 2 concurrent
-## in-flight RPC streams share one TCP connection.
-## forensics-smoke kills a lock holder mid-write and asserts the merged
-## flight-recorder timeline shows expiry -> recovery -> replay in causal
-## order; obs-overhead asserts the recorder and the per-principal
-## account table each add <= 1% serial Sync latency (the recorder row
-## turns the rings off, so it ablates span records and events together;
-## spans are still opened and charged). lock-scaling
-## asserts contended acquire p99 improves >= 1.8x — what ten -quick runs
-## at PR 22 hold (2.05-2.31) less their range; the 2.0 it replaces read
-## 2.06-2.46 at every commit and tripped on the host's mood —
-## and throughput >= 1.5x from 1 to 4 lock-server shards, with the
-## stale-map nack/refetch path and a mid-run shard handoff exercised;
-## its curves are persisted as lock-scaling-trajectory.json.
-## noisy-neighbor-obs pits a principal-tagged streaming writer against
-## an interactive reader and asserts >= 95% of bytes and lock-wait are
-## attributed, the writer ranks first by bytes, and the watcher's
-## obs.noisyneighbor verdict lands in the merged forensics timeline.
-## scale-sweep runs the big-N experiment (8/16/32 machines in -quick)
-## and asserts read AND write throughput stay >= 0.7x linear from 8 to
-## 32 servers, and that busy clerks sent ZERO standalone renew RPCs
-## (lease renewal rides entirely on lock batches); on failure it dumps
-## FORENSICS_scale-sweep.json. Its per-N curves are persisted to the
-## trajectory as BENCH_scale_<utc-timestamp>.json.
-## The final step persists this build's point on the perf trajectory
-## as BENCH_<utc-timestamp>.json: the repository benchmark (BENCHMARK.json,
-## benchmark/README.md) on all four workloads at seed 1 — the eight
-## end-to-end metrics of each, with the host's description — and
-## bench-compare then holds it against the point before it.
+## bench-smoke: the gate list — every experiment below fails on its own
+## in-experiment assertions, so one run of this target is the gate:
+##   read-scaling: on a hot-primary chunk set the backup serves 45-55% of
+##     the bytes of balanced reads, balanced reads are >= 1.5x
+##     primary-only (ten -quick runs held 1.59-1.92; what is
+##     short of 2x is ring placement, ROADMAP item 3), and ReadDirPlus
+##     needs <= 50% of the stat scan's read RPCs;
+##   TestCodecBudget (CODEC_BUDGET=1): the wire codec beats the gob
+##     baseline by >= 5x allocs/op and >= 2x ns/op on 1 MB WriteV/ReadV,
+##     with encode at 0 allocs/op;
+##   codec-mux: >= 2 concurrent in-flight RPC streams share one TCP
+##     connection;
+##   forensics-smoke: a lock holder killed mid-write leaves a merged
+##     flight-recorder timeline with expiry -> recovery -> replay in
+##     causal order;
+##   contention-profile: the critical path names >= 90% of the shared
+##     write's latency and the shared file's inode lock tops the hot-lock
+##     table;
+##   lock-scaling: contended acquire p99 improves >= 1.8x (ten -quick
+##     runs held 2.05-2.31) and throughput >= 1.5x from 1 to 4
+##     lock-server shards, with the stale-map nack/refetch path and a
+##     mid-run shard handoff exercised; its curves go to
+##     lock-scaling-trajectory.json;
+##   obs-overhead: the flight recorder and the per-principal account
+##     table each add <= 1% serial Sync latency (the recorder row turns
+##     the rings off, so it ablates span records and events together);
+##   noisy-neighbor-obs: >= 95% of a principal-tagged streaming writer's
+##     bytes and lock-wait are attributed, the writer ranks first by
+##     bytes, and the watcher's verdict lands in the merged timeline;
+##   scale-sweep: read and write throughput stay >= 0.7x linear from 8 to
+##     32 servers (8/16/32 machines in -quick) and busy clerks send zero
+##     standalone renew RPCs; on failure it dumps
+##     FORENSICS_scale-sweep.json, and its per-N curves go to
+##     BENCH_scale_<utc-timestamp>.json.
+## The Sync trace's layer coverage is TestSyncTraceCoversLayers, in
+## `make check`. The final step persists this build's point on the perf
+## trajectory as BENCH_<utc-timestamp>.json: the repository benchmark
+## (BENCHMARK.json, benchmark/README.md) on all four workloads at seed 1
+## — the eight end-to-end metrics of each, with the host's description —
+## and bench-compare then holds it against the point before it.
 bench-smoke:
-	$(GO) run ./cmd/frangibench -quick -exp obs-smoke
 	$(GO) run ./cmd/frangibench -quick -exp read-scaling
 	CODEC_BUDGET=1 $(GO) test -run TestCodecBudget -count=1 ./internal/rpc/
 	$(GO) run ./cmd/frangibench -quick -exp codec-mux
 	$(GO) run ./cmd/frangibench -quick -exp forensics-smoke
+	$(GO) run ./cmd/frangibench -quick -exp contention-profile
 	$(GO) run ./cmd/frangibench -quick -exp lock-scaling -out lock-scaling-trajectory.json
 	$(GO) run ./cmd/frangibench -quick -exp obs-overhead
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs

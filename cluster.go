@@ -22,8 +22,6 @@ package frangipani
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -135,8 +133,8 @@ type Cluster struct {
 	petalNames []string
 	lockNames  []string
 
-	// mu guards servers and clients: Health() and the metrics
-	// endpoint read them from other goroutines.
+	// mu guards servers and clients: Health() reads them from other
+	// goroutines.
 	mu      sync.Mutex
 	servers map[string]*FS
 	clients []*petal.Client
@@ -146,14 +144,10 @@ type Cluster struct {
 	anomOnce sync.Once
 	anoms    *obs.AnomalyWatcher
 
-	// healthMu guards the probe-transition memory behind health-crit
-	// journaling and dump-on-failure.
-	healthMu     sync.Mutex
-	lastProbe    map[string]obs.ProbeStatus
-	critDumpPath string
-	critDumped   bool
-
-	metrics *obs.MetricsServer
+	// healthMu guards the probe-transition memory behind health
+	// journaling.
+	healthMu  sync.Mutex
+	lastProbe map[string]obs.ProbeStatus
 }
 
 // NewCluster builds the stack and initializes the shared file
@@ -177,7 +171,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg:     cfg,
 		lay:     fs.DefaultLayout(),
 		servers: make(map[string]*FS),
-		windows: obs.NewWindowRing(w.Obs, 64),
+		windows: obs.NewWindowRing(w.Obs),
 	}
 	pcfg := petal.DefaultServerConfig(cfg.DiskCapacity)
 	pcfg.NumDisks = cfg.DisksPerServer
@@ -300,13 +294,6 @@ func (c *Cluster) RemoveServer(machine string) error {
 	return f.Unmount()
 }
 
-// Server returns the file server mounted on a machine.
-func (c *Cluster) Server(machine string) *FS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.servers[machine]
-}
-
 // fileServers returns a stable-ordered copy of the mounted servers.
 func (c *Cluster) fileServers() (names []string, fss []*FS) {
 	c.mu.Lock()
@@ -321,10 +308,10 @@ func (c *Cluster) fileServers() (names []string, fss []*FS) {
 	return names, fss
 }
 
-// Windows returns the cluster's windowed-metrics ring (capacity 64),
-// whose first window opens with the cluster. Call its Advance at
-// whatever cadence the caller wants windows at; frangicli's watch mode
-// does this once per refresh, and its top once per call.
+// Windows returns the cluster's windowed-metrics ring, whose first
+// window opens with the cluster. Call its Advance at whatever cadence
+// the caller wants windows at; frangicli's watch mode does this once
+// per refresh, and its top once per call.
 func (c *Cluster) Windows() *obs.WindowRing { return c.windows }
 
 // Health evaluates the cluster's health probes and rolls them into a
@@ -415,9 +402,7 @@ func cacheProbe(hi fs.HealthInfo) (obs.ProbeStatus, string) {
 }
 
 // journalHealthTransitions records probe status *changes* into the
-// cluster journal (re-evaluating an unchanged crit stays silent) and
-// triggers the dump-on-failure artifact the first time any probe
-// flips to crit while AutoDumpForensics is armed.
+// cluster journal (re-evaluating an unchanged crit stays silent).
 func (c *Cluster) journalHealthTransitions(rep obs.HealthReport) {
 	if c.Obs() == nil {
 		return
@@ -427,7 +412,6 @@ func (c *Cluster) journalHealthTransitions(rep obs.HealthReport) {
 	if c.lastProbe == nil {
 		c.lastProbe = make(map[string]obs.ProbeStatus)
 	}
-	newCrit := false
 	for _, pr := range rep.Probes {
 		prev, seen := c.lastProbe[pr.Name]
 		c.lastProbe[pr.Name] = pr.Status
@@ -437,33 +421,12 @@ func (c *Cluster) journalHealthTransitions(rep obs.HealthReport) {
 		switch {
 		case pr.Status == obs.StatusCrit:
 			jr.Record("obs", "health", "crit", 0, 0, pr.Name+": "+pr.Detail)
-			newCrit = true
 		case pr.Status == obs.StatusWarn:
 			jr.Record("obs", "health", "warn", 0, 0, pr.Name+": "+pr.Detail)
 		case seen && prev != obs.StatusOK:
 			jr.Record("obs", "health", "recovered", 0, 0, pr.Name)
 		}
 	}
-	path, armed := c.critDumpPath, !c.critDumped
-	if newCrit && path != "" && armed {
-		c.critDumped = true
-	}
-	c.healthMu.Unlock()
-	if newCrit && path != "" && armed {
-		if f, err := os.Create(path); err == nil {
-			_, _ = io.WriteString(f, c.Forensics("health probe flipped to crit").JSON())
-			_ = f.Close()
-		}
-	}
-}
-
-// AutoDumpForensics arms dump-on-failure: the first time a health
-// probe flips to crit, the merged forensics timeline is written to
-// path (once per cluster; re-arm by calling again with a new path).
-func (c *Cluster) AutoDumpForensics(path string) {
-	c.healthMu.Lock()
-	c.critDumpPath = path
-	c.critDumped = false
 	c.healthMu.Unlock()
 }
 
@@ -533,35 +496,6 @@ func (c *Cluster) Forensics(reason string) obs.ForensicsDump {
 	return d
 }
 
-// DumpForensics writes the forensics snapshot as JSON to w — the
-// explicit flavor of dump-on-failure for tests and operators.
-func (c *Cluster) DumpForensics(w io.Writer) error {
-	_, err := io.WriteString(w, c.Forensics("explicit dump").JSON())
-	return err
-}
-
-// ServeMetrics starts an HTTP exposition endpoint on addr (":0"
-// picks a free port; read it back with the returned server's Addr).
-// It serves /metrics (Prometheus text), /snapshot.json, and /health,
-// and is shut down by Cluster.Close. Opt-in: nothing listens unless
-// this is called. Returns an error when observability is disabled.
-func (c *Cluster) ServeMetrics(addr string) (*obs.MetricsServer, error) {
-	if c.Obs() == nil {
-		return nil, fmt.Errorf("frangipani: cluster built with NoObs; no metrics to serve")
-	}
-	ms, err := obs.Serve(addr, c.Obs(), c.Health)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.metrics != nil {
-		_ = c.metrics.Close()
-	}
-	c.metrics = ms
-	c.mu.Unlock()
-	return ms, nil
-}
-
 // Fsck runs the offline consistency checker against the shared disk;
 // quiesce (Sync) the servers first for a meaningful answer.
 func (c *Cluster) Fsck() (*Report, error) {
@@ -571,10 +505,6 @@ func (c *Cluster) Fsck() (*Report, error) {
 // Close tears the whole cluster down.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	if c.metrics != nil {
-		_ = c.metrics.Close()
-		c.metrics = nil
-	}
 	servers := make(map[string]*FS, len(c.servers))
 	for name, f := range c.servers {
 		servers[name] = f

@@ -7,6 +7,9 @@
 //	frangibench -exp table1     # one experiment
 //	frangibench -quick          # smaller workloads (smoke run)
 //	frangibench -list           # list experiment names
+//	frangibench -exp lock-scaling -out f.json  # also write the table as a record
+//	frangibench -snapshot text  # run the small workload, print the registry
+//	frangibench -json f.json    # run the small workload, write a report
 //
 // See EXPERIMENTS.md for the paper-vs-measured comparison.
 package main
@@ -34,9 +37,9 @@ func main() {
 		compression = flag.Float64("compression", 1, "simulated seconds per real second")
 		machines    = flag.Int("machines", 6, "maximum Frangipani machines in scaling sweeps")
 		petals      = flag.Int("petals", 7, "number of Petal servers")
-		snapshot    = flag.String("snapshot", "", "run a small workload and dump the metrics registry (text|json)")
+		snapshot    = flag.String("snapshot", "", "run the small workload and dump the metrics registry (text|json)")
 		jsonOut     = flag.String("json", "", "run the small workload and write a machine-readable report to this path")
-		out         = flag.String("out", "", "append a perf-trajectory record (experiment tables, metrics, git SHA) to this path")
+		out         = flag.String("out", "", "with -exp: write the experiment's table, git SHA and host as a JSON record to this path")
 	)
 	flag.Parse()
 
@@ -77,7 +80,7 @@ func main() {
 		}
 		fmt.Print(tb.Render())
 		if *out != "" {
-			if err := writeTrajectory(*out, *exp, tb, nil); err != nil {
+			if err := writeTrajectory(*out, *exp, tb); err != nil {
 				fmt.Fprintln(os.Stderr, "frangibench:", err)
 				os.Exit(1)
 			}
@@ -86,19 +89,8 @@ func main() {
 	}
 
 	if *out != "" {
-		// Bare -out: persist the small-workload report as this
-		// build's point on the perf trajectory.
-		rep, err := collectJSONReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "frangibench:", err)
-			os.Exit(1)
-		}
-		if err := writeTrajectory(*out, "small-workload", nil, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "frangibench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
+		fmt.Fprintln(os.Stderr, "frangibench: -out needs -exp")
+		os.Exit(2)
 	}
 	// Run each experiment in a fresh child process: at clock
 	// compression 1, heap retained from earlier experiments would
@@ -154,8 +146,8 @@ type critEntry struct {
 	Layers   []obs.PathEntry `json:"layers"`
 }
 
-// writeJSONReport runs the same small workload as -snapshot and
-// writes a benchReport to path.
+// writeJSONReport runs the small workload and writes a benchReport to
+// path.
 func writeJSONReport(path string) error {
 	rep, err := collectJSONReport()
 	if err != nil {
@@ -214,8 +206,8 @@ func collectJSONReport() (*benchReport, error) {
 // trend tooling can evolve without guessing at shapes.
 const trajectorySchema = "frangipani-bench/v1"
 
-// trajectoryRecord is one persisted point on the perf trajectory:
-// which experiment ran, on which commit, when, and its metrics.
+// trajectoryRecord is one experiment's persisted table: which
+// experiment ran, on which commit, when, and what it measured.
 type trajectoryRecord struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -228,12 +220,10 @@ type trajectoryRecord struct {
 	GoMaxProcs int          `json:"gomaxprocs"`
 	NumCPU     int          `json:"num_cpu"`
 	Table      *bench.Table `json:"table,omitempty"`
-	Report     *benchReport `json:"report,omitempty"`
 }
 
-// writeTrajectory writes one trajectoryRecord to path. Exactly one of
-// tb / rep is non-nil depending on whether -exp was given.
-func writeTrajectory(path, experiment string, tb *bench.Table, rep *benchReport) error {
+// writeTrajectory writes one trajectoryRecord to path.
+func writeTrajectory(path, experiment string, tb *bench.Table) error {
 	rec := trajectoryRecord{
 		Schema:     trajectorySchema,
 		Experiment: experiment,
@@ -242,7 +232,6 @@ func writeTrajectory(path, experiment string, tb *bench.Table, rep *benchReport)
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Table:      tb,
-		Report:     rep,
 	}
 	b, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -300,30 +289,16 @@ func smallWorkload(c *frangipani.Cluster) error {
 	return f2.Sync()
 }
 
-// dumpSnapshot runs a tiny workload on a default cluster and prints
-// the full metrics registry plus the span tree of the final Sync —
-// a quick way to see what the observability layer records.
+// dumpSnapshot runs the small workload on a default cluster and prints
+// the full metrics registry plus the span tree of the final Sync — a
+// quick way to see what the observability layer records.
 func dumpSnapshot(format string) error {
 	c, err := frangipani.NewCluster(frangipani.DefaultClusterConfig())
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	f, err := c.AddServer("ws1")
-	if err != nil {
-		return err
-	}
-	if err := f.Mkdir("/demo"); err != nil {
-		return err
-	}
-	h, err := f.OpenFile("/demo/a", true)
-	if err != nil {
-		return err
-	}
-	if _, err := h.WriteAt(make([]byte, 64<<10), 0); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
+	if err := smallWorkload(c); err != nil {
 		return err
 	}
 	reg := c.Obs()

@@ -385,10 +385,6 @@ func (o Options) WritebackPipeline() (*Table, error) {
 		Header: []string{"Mode", "Sync (ms)", "write RPCs", "extents per RPC", "flush runs"},
 		Notes:  "Same dirty set and same batching both rows (runs packed into WriteV batches, split per primary and chunk), so the RPC count is the same; with eight batches in flight metadata and data flush concurrently and the transfers overlap, so latency drops.",
 	}
-	files := 24
-	if o.Quick {
-		files = 12
-	}
 	for _, mode := range []struct {
 		name string
 		par  int
@@ -396,52 +392,16 @@ func (o Options) WritebackPipeline() (*Table, error) {
 		{"serial (par=1)", 1},
 		{"pipelined (par=8)", 8},
 	} {
-		c, err := o.newCluster(true, nil)
+		r, err := o.wbSync(mode.par, false, false, false)
 		if err != nil {
 			return nil, err
 		}
-		fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.FlushParallelism = mode.par })
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		f := fss[0]
-		if err := f.Mkdir("/wb"); err != nil {
-			c.Close()
-			return nil, err
-		}
-		buf := make([]byte, 32<<10)
-		for i := range buf {
-			buf[i] = byte(i * 31)
-		}
-		for i := 0; i < files; i++ {
-			h, err := f.OpenFile(fmt.Sprintf("/wb/f%d", i), true)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			if _, err := h.WriteAt(buf, 0); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		before := f.PetalStats()
-		start := c.World.Clock.Now()
-		if err := f.Sync(); err != nil {
-			c.Close()
-			return nil, err
-		}
-		dur := sim.Duration(c.World.Clock.Now() - start)
-		after := f.PetalStats()
-		runs := c.Obs().Counter("fs.flush.runs#" + f.Machine()).Value()
-		c.Close()
-		rpcs := after.WriteVRPCs - before.WriteVRPCs
 		t.Rows = append(t.Rows, []string{
 			mode.name,
-			ms(dur),
-			fmt.Sprintf("%d", rpcs),
-			fmt.Sprintf("%.1f", float64(after.WriteVExtents-before.WriteVExtents)/float64(max(rpcs, 1))),
-			fmt.Sprintf("%d", runs),
+			ms(r.sync),
+			fmt.Sprintf("%d", r.rpcs),
+			fmt.Sprintf("%.1f", float64(r.extents)/float64(max(r.rpcs, 1))),
+			fmt.Sprintf("%d", r.runs),
 		})
 	}
 	return t, nil
@@ -510,7 +470,6 @@ var Experiments = []Experiment{
 	{"writeback-pipeline", Options.WritebackPipeline},
 	{"read-scaling", Options.ReadScaling},
 	{"obs-overhead", Options.ObsOverhead},
-	{"obs-smoke", Options.ObsSmoke},
 	{"contention-profile", Options.ContentionProfile},
 	{"codec-mux", Options.CodecMux},
 	{"lock-scaling", Options.LockScaling},

@@ -2,27 +2,32 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"frangipani"
 	"frangipani/internal/sim"
 )
 
-// wbSyncLatency runs the write-back pipeline workload (the PR 1
-// benchmark: 24 files x 32 KB dirtied, then one update-demon Sync)
-// and returns the Sync latency. noObs disables the metrics registry
-// and tracer so the difference between the two runs is pure
+// wbRun is what one run of the write-back workload measured.
+type wbRun struct {
+	sync          sim.Duration
+	rpcs, extents int64 // the Petal WriteV calls the Sync sent and the extents they carried
+	runs          int64 // the flush runs the Sync made (0 under NoObs)
+}
+
+// wbSync runs the write-back pipeline workload (24 files x 32 KB, 12
+// under Quick, dirtied, then one update-demon Sync with par write-back
+// batches in flight) and measures the Sync. noObs disables the metrics
+// registry and tracer so the difference between the two runs is pure
 // instrumentation overhead; noJournal keeps metrics and tracing but
 // turns off just the flight recorder, isolating the recorder's cost;
 // noAcct likewise isolates the per-principal account table.
-func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Duration, error) {
+func (o Options) wbSync(par int, noObs, noJournal, noAcct bool) (wbRun, error) {
 	c, err := o.newCluster(true, func(cc *frangipani.ClusterConfig) {
 		cc.NoObs = noObs
 		cc.NoAccounting = noAcct
 	})
 	if err != nil {
-		return 0, err
+		return wbRun{}, err
 	}
 	defer c.Close()
 	if noJournal {
@@ -30,11 +35,11 @@ func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Dura
 	}
 	fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.FlushParallelism = par })
 	if err != nil {
-		return 0, err
+		return wbRun{}, err
 	}
 	f := fss[0]
 	if err := f.Mkdir("/wb"); err != nil {
-		return 0, err
+		return wbRun{}, err
 	}
 	files := 24
 	if o.Quick {
@@ -47,17 +52,25 @@ func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Dura
 	for i := 0; i < files; i++ {
 		h, err := f.OpenFile(fmt.Sprintf("/wb/f%d", i), true)
 		if err != nil {
-			return 0, err
+			return wbRun{}, err
 		}
 		if _, err := h.WriteAt(buf, 0); err != nil {
-			return 0, err
+			return wbRun{}, err
 		}
 	}
+	before := f.PetalStats()
 	start := c.World.Clock.Now()
 	if err := f.Sync(); err != nil {
-		return 0, err
+		return wbRun{}, err
 	}
-	return sim.Duration(c.World.Clock.Now() - start), nil
+	dur := sim.Duration(c.World.Clock.Now() - start)
+	after := f.PetalStats()
+	return wbRun{
+		sync:    dur,
+		rpcs:    after.WriteVRPCs - before.WriteVRPCs,
+		extents: after.WriteVExtents - before.WriteVExtents,
+		runs:    c.Obs().Counter("fs.flush.runs#" + f.Machine()).Value(),
+	}, nil
 }
 
 // ObsOverhead measures the cost of the observability layer: the
@@ -84,12 +97,12 @@ func (o Options) ObsOverhead() (*Table, error) {
 	best := func(par, trials int, noObs, noJournal bool) (sim.Duration, error) {
 		var min sim.Duration
 		for i := 0; i < trials; i++ {
-			d, err := o.wbSyncLatency(par, noObs, noJournal, false)
+			r, err := o.wbSync(par, noObs, noJournal, false)
 			if err != nil {
 				return 0, err
 			}
-			if i == 0 || d < min {
-				min = d
+			if i == 0 || r.sync < min {
+				min = r.sync
 			}
 		}
 		return min, nil
@@ -136,22 +149,22 @@ func (o Options) ObsOverhead() (*Table, error) {
 	// across rounds — a transient host stall that contaminated the
 	// first round's minimum gets replaced by a cleaner sample, while a
 	// genuine systematic overhead persists and still fails.
-	gated := func(with, without func() (sim.Duration, error)) (on, off sim.Duration, overhead float64, err error) {
+	gated := func(with, without func() (wbRun, error)) (on, off sim.Duration, overhead float64, err error) {
 		first := true
 		for round := 0; round < 2; round++ {
 			for i := 0; i < 5; i++ {
-				var w, n sim.Duration
+				var w, n wbRun
 				if w, err = with(); err != nil {
 					return
 				}
 				if n, err = without(); err != nil {
 					return
 				}
-				if first || w < on {
-					on = w
+				if first || w.sync < on {
+					on = w.sync
 				}
-				if first || n < off {
-					off = n
+				if first || n.sync < off {
+					off = n.sync
 				}
 				first = false
 			}
@@ -166,8 +179,8 @@ func (o Options) ObsOverhead() (*Table, error) {
 		return
 	}
 	withJr, noJr, jrOverhead, err := gated(
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, false) },
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, true, false) },
+		func() (wbRun, error) { return oj.wbSync(1, false, false, false) },
+		func() (wbRun, error) { return oj.wbSync(1, false, true, false) },
 	)
 	if err != nil {
 		return nil, err
@@ -184,8 +197,8 @@ func (o Options) ObsOverhead() (*Table, error) {
 	// charge-to-"unknown" work). Same CI gate and noise isolation as
 	// the recorder row.
 	withAcct, noAcct, acctOverhead, err := gated(
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, false) },
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, true) },
+		func() (wbRun, error) { return oj.wbSync(1, false, false, false) },
+		func() (wbRun, error) { return oj.wbSync(1, false, false, true) },
 	)
 	if err != nil {
 		return nil, err
@@ -196,64 +209,5 @@ func (o Options) ObsOverhead() (*Table, error) {
 	if acctOverhead > 1.0 {
 		return nil, fmt.Errorf("obs-overhead: accounting adds %.1f%% to serial Sync latency (budget 1%%)", acctOverhead)
 	}
-	return t, nil
-}
-
-// ObsSmoke exercises the observability stack end to end on a tiny
-// workload and fails if it is dark: the registry snapshot must be
-// non-empty and the span tree of a Sync must cover the fs, wal,
-// lockservice, and petal layers. Run by `make bench-smoke` in CI.
-func (o Options) ObsSmoke() (*Table, error) {
-	t := &Table{
-		ID:     "Observability smoke",
-		Title:  "Metrics snapshot and cross-layer trace after a small workload",
-		Header: []string{"Check", "Result"},
-	}
-	c, err := o.newCluster(true, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	fss, err := mountN(c, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	f := fss[0]
-	if err := f.Mkdir("/smoke"); err != nil {
-		return nil, err
-	}
-	h, err := f.OpenFile("/smoke/a", true)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h.WriteAt(make([]byte, 8<<10), 0); err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	reg := c.Obs()
-	snap := reg.Snapshot()
-	if snap.Empty() {
-		return nil, fmt.Errorf("obs-smoke: metrics snapshot is empty after workload")
-	}
-	tr := reg.Tracer()
-	layers := map[string]bool{}
-	for _, sp := range tr.SpansFor(tr.LastRoot()) {
-		layers[sp.Layer] = true
-	}
-	for _, want := range []string{"fs", "wal", "lockservice", "petal"} {
-		if !layers[want] {
-			return nil, fmt.Errorf("obs-smoke: Sync trace has no %q span (got %v)", want, layers)
-		}
-	}
-	var names []string
-	for l := range layers {
-		names = append(names, l)
-	}
-	sort.Strings(names)
-	t.Rows = append(t.Rows, []string{"counters", fmt.Sprintf("%d", len(snap.Counters))})
-	t.Rows = append(t.Rows, []string{"histograms", fmt.Sprintf("%d", len(snap.Histograms))})
-	t.Rows = append(t.Rows, []string{"sync trace layers", strings.Join(names, " ")})
 	return t, nil
 }

@@ -191,10 +191,10 @@ func RenderResources(title string, stats []ResourceStat) string {
 	return b.String()
 }
 
-// ForensicsDump is the JSON artifact written on failure (health crit,
-// failed experiment assertion, explicit Cluster.DumpForensics): the
-// merged timeline plus whatever state the caller attaches. Schema is
-// versioned so CI consumers can evolve.
+// ForensicsDump is the JSON artifact a failed experiment assertion
+// writes and frangicli's `forensics json` prints: the merged timeline
+// plus whatever state the caller attaches. Schema is versioned so CI
+// consumers can evolve.
 type ForensicsDump struct {
 	Schema    string        `json:"schema"` // "frangipani-forensics/v1"
 	TakenAtNs int64         `json:"taken_at_ns"`

@@ -33,21 +33,6 @@ func (s ProbeStatus) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }
 
-// UnmarshalJSON decodes the string form back.
-func (s *ProbeStatus) UnmarshalJSON(b []byte) error {
-	switch strings.Trim(string(b), `"`) {
-	case "ok":
-		*s = StatusOK
-	case "warn":
-		*s = StatusWarn
-	case "crit":
-		*s = StatusCrit
-	default:
-		return fmt.Errorf("obs: unknown probe status %s", b)
-	}
-	return nil
-}
-
 // ProbeResult is one probe's evaluated finding.
 type ProbeResult struct {
 	Name   string      `json:"name"`

@@ -111,7 +111,7 @@ func TestAccountTableFoldsColdest(t *testing.T) {
 // every principal was charged in it, with the window's own op p99.
 func TestAccountTableAdvanceWindows(t *testing.T) {
 	reg := NewRegistry((&fakeClock{}).now)
-	ring := NewWindowRing(reg, 4)
+	ring := NewWindowRing(reg)
 	tab := reg.Accounts()
 	tab.Bytes("w", 1000, 0)
 	tab.Op("w", 5e6)
@@ -160,7 +160,7 @@ func TestAccountTableAdvanceWindows(t *testing.T) {
 // victims did in that window (nothing here), not their whole history.
 func TestWindowFoldChargesOtherOnlyTheWindow(t *testing.T) {
 	reg := NewRegistry((&fakeClock{}).now)
-	ring := NewWindowRing(reg, 4)
+	ring := NewWindowRing(reg)
 	tab := reg.Accounts()
 	for i := 0; i < maxAccounts-1; i++ {
 		tab.Bytes(fmt.Sprintf("p%03d", i), 1<<20, 0)
@@ -232,7 +232,7 @@ func TestRegistryAccountingKnob(t *testing.T) {
 
 func TestAccountTableConcurrent(t *testing.T) {
 	reg := NewRegistry(nil)
-	ring := NewWindowRing(reg, 4)
+	ring := NewWindowRing(reg)
 	tab := reg.Accounts()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

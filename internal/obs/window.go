@@ -66,18 +66,16 @@ func windowStat(prev, cur *histCounts, cumMax int64) (st HistStat, ok bool) {
 	}, true
 }
 
-// WindowRing turns a registry's cumulative metrics into a bounded
-// ring of interval windows. Call Advance at the cadence you want
-// (1 s for a live watch, one tick per benchmark phase, ...); each
-// call closes the interval since the previous one. The ring keeps
-// the newest capacity windows.
+// WindowRing turns a registry's cumulative metrics into interval
+// windows. Call Advance at the cadence you want (1 s for a live watch,
+// one tick per benchmark phase, ...); each call closes the interval
+// since the previous one and hands it back. The ring keeps only the
+// boundary it closes the next window from.
 type WindowRing struct {
 	reg *Registry
-	cap int
 
 	mu   sync.Mutex
 	prev mark
-	wins []Window
 }
 
 // mark is the registry's cumulative state at a window boundary.
@@ -88,14 +86,10 @@ type mark struct {
 	accts map[*account]acctMark
 }
 
-// NewWindowRing starts a ring over reg holding up to capacity
-// windows. The interval clock starts now; the first Advance closes
-// the first window.
-func NewWindowRing(reg *Registry, capacity int) *WindowRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	w := &WindowRing{reg: reg, cap: capacity}
+// NewWindowRing starts a ring over reg. The interval clock starts now;
+// the first Advance closes the first window.
+func NewWindowRing(reg *Registry) *WindowRing {
+	w := &WindowRing{reg: reg}
 	w.mu.Lock()
 	w.prev = w.captureLocked()
 	w.mu.Unlock()
@@ -121,9 +115,8 @@ func (w *WindowRing) captureLocked() mark {
 }
 
 // Advance closes the interval since the previous Advance (or since
-// construction), appends the resulting window to the ring, and
-// returns it. Zero-length intervals yield zero rates rather than
-// dividing by zero.
+// construction) and returns it. Zero-length intervals yield zero rates
+// rather than dividing by zero.
 func (w *WindowRing) Advance() Window {
 	if w == nil {
 		return Window{}
@@ -162,34 +155,7 @@ func (w *WindowRing) Advance() Window {
 		w.reg.mu.RUnlock()
 	}
 	w.prev = cur
-	w.wins = append(w.wins, win)
-	if len(w.wins) > w.cap {
-		w.wins = w.wins[len(w.wins)-w.cap:]
-	}
 	return win
-}
-
-// Last returns the most recently closed window.
-func (w *WindowRing) Last() (Window, bool) {
-	if w == nil {
-		return Window{}, false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.wins) == 0 {
-		return Window{}, false
-	}
-	return w.wins[len(w.wins)-1], true
-}
-
-// Windows returns the retained windows, oldest first.
-func (w *WindowRing) Windows() []Window {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Window(nil), w.wins...)
 }
 
 // Text renders one window as aligned rate/latency tables, skipping

@@ -27,7 +27,7 @@ func (c *manualClock) advance(d int64) {
 func TestWindowRatesAndQuantiles(t *testing.T) {
 	clk := &manualClock{}
 	reg := NewRegistry(clk.now)
-	ring := NewWindowRing(reg, 4)
+	ring := NewWindowRing(reg)
 
 	c := reg.Counter("fs.ops.count#ws1")
 	h := reg.Histogram("fs.write.latency#ws1")
@@ -67,6 +67,9 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 	// An idle window: rates zero, no histogram rows.
 	clk.advance(1e9)
 	idle := ring.Advance()
+	if idle.Start != win.End {
+		t.Fatalf("windows not contiguous: %d after %d", idle.Start, win.End)
+	}
 	if got := idle.Rates["fs.ops.count#ws1"]; got != 0 {
 		t.Fatalf("idle rate = %v, want 0", got)
 	}
@@ -87,34 +90,10 @@ func TestWindowRatesAndQuantiles(t *testing.T) {
 	}
 }
 
-func TestWindowRingCapacity(t *testing.T) {
-	clk := &manualClock{}
-	reg := NewRegistry(clk.now)
-	ring := NewWindowRing(reg, 3)
-	for i := 0; i < 7; i++ {
-		clk.advance(1e9)
-		ring.Advance()
-	}
-	wins := ring.Windows()
-	if len(wins) != 3 {
-		t.Fatalf("retained %d windows, want 3", len(wins))
-	}
-	// Oldest first, contiguous.
-	for i := 1; i < len(wins); i++ {
-		if wins[i].Start != wins[i-1].End {
-			t.Fatalf("windows not contiguous: %+v", wins)
-		}
-	}
-	last, ok := ring.Last()
-	if !ok || last.Start != wins[2].Start || last.End != wins[2].End {
-		t.Fatal("Last() disagrees with Windows()")
-	}
-}
-
 func TestWindowText(t *testing.T) {
 	clk := &manualClock{}
 	reg := NewRegistry(clk.now)
-	ring := NewWindowRing(reg, 2)
+	ring := NewWindowRing(reg)
 	reg.Counter("fs.ops.count#ws1").Inc()
 	reg.Counter("idle.counter#ws1") // zero: must be skipped
 	reg.Histogram("fs.sync.latency#ws1").Record(5e6)
@@ -135,7 +114,7 @@ func TestWindowText(t *testing.T) {
 func TestWindowRingConcurrent(t *testing.T) {
 	clk := &manualClock{}
 	reg := NewRegistry(clk.now)
-	ring := NewWindowRing(reg, 8)
+	ring := NewWindowRing(reg)
 	c := reg.Counter("ops#x")
 	h := reg.Histogram("lat#x")
 
@@ -173,8 +152,7 @@ func TestWindowRingConcurrent(t *testing.T) {
 	}
 	_ = final
 	var nilRing *WindowRing
-	nilRing.Advance()
-	if _, ok := nilRing.Last(); ok {
+	if win := nilRing.Advance(); win.Rates != nil {
 		t.Fatal("nil ring must be inert")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
 
@@ -153,6 +154,46 @@ func TestCutReplicaRepairedByPush(t *testing.T) {
 	}
 	if got, ok := tc.servers[2].DebugReadChunk("vol", chunk, 0, ChunkSize); !ok || !bytes.Equal(got, data) {
 		t.Fatal("the backup does not hold the written bytes after repair")
+	}
+}
+
+// TestRepairKeepsAMissDuringItsPush: repair reads a chunk, pushes it,
+// and only then drops the chunk from the partner's missed set. A write
+// that misses the partner while the push is out leaves bytes the push
+// did not carry, so the chunk must stay missed. The fake partner here
+// records such a miss from inside its push handler.
+func TestRepairKeepsAMissDuringItsPush(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	d := tc.mustCreate(t, "vol")
+	chunk := chunksWhere(t, tc, 0, 1, func(p1, p2 string) bool { return p1 == "p1" })[0]
+	if err := d.WriteAt(patternBuf(ChunkSize, 0x44), chunk*ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	s := tc.servers[1]
+	var key chunkKey
+	s.st.mu.Lock()
+	for k := range s.st.extents {
+		if k.Chunk == chunk {
+			key = k
+		}
+	}
+	s.st.mu.Unlock()
+	miss := []forward{{partner: "fake", exts: []WriteVExtent{{Chunk: chunk}}}}
+	fake := rpc.NewEndpoint(DataAddr("fake"), rpc.SimCarrier{Net: tc.w.Net}, tc.w.Clock, func(_ string, body any) any {
+		if _, ok := body.(PushChunkReq); ok {
+			s.noteMissed(miss, key.VDisk, key.Epoch)
+		}
+		return AdminResp{OK: true}
+	})
+	defer fake.Close()
+
+	s.noteMissed(miss, key.VDisk, key.Epoch)
+	s.repair("fake")
+	s.mu.Lock()
+	_, still := s.missed["fake"][key]
+	s.mu.Unlock()
+	if !still {
+		t.Fatal("repair dropped a chunk the partner missed again while its push was out")
 	}
 }
 

@@ -2,6 +2,7 @@ package petal
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -61,7 +62,8 @@ type Server struct {
 
 	mu      sync.Mutex
 	state   GlobalState
-	missed  map[string]map[chunkKey]bool // partner -> keys it missed
+	missed  map[string]map[chunkKey]uint64 // partner -> keys it missed -> missSeq of the latest miss
+	missSeq uint64
 	crashed bool
 	closed  bool
 
@@ -119,7 +121,7 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg ServerC
 		cfg:    cfg,
 		cpu:    w.CPU(name),
 		state:  NewGlobalState(peers),
-		missed: make(map[string]map[chunkKey]bool),
+		missed: make(map[string]map[chunkKey]uint64),
 		addrs:  dataAddrs(peers),
 	}
 	var disks []*sim.Disk
@@ -332,19 +334,17 @@ func (s *Server) antiEntropy() {
 }
 
 // repair pushes partner p every chunk it missed, whole, dropping each
-// from the missed set once p has stored it. It stops at the first push
-// p does not answer.
+// from the missed set once p has stored it — unless p missed the chunk
+// again while the push was out, which the push may not carry. It stops
+// at the first push p does not answer.
 func (s *Server) repair(p string) {
 	s.mu.Lock()
-	keys := make([]chunkKey, 0, len(s.missed[p]))
-	for k := range s.missed[p] {
-		keys = append(keys, k)
-	}
+	keys := maps.Clone(s.missed[p])
 	s.mu.Unlock()
 	if len(keys) > 0 {
 		s.jr.Record("petal", "replica", "resync", 0, int64(len(keys)), p)
 	}
-	for _, key := range keys {
+	for key, seq := range keys {
 		data, ok, err := s.st.getRaw(key)
 		if err != nil || !ok {
 			continue
@@ -355,7 +355,9 @@ func (s *Server) repair(p string) {
 		}
 		if ar, ok := resp.(AdminResp); ok && ar.OK {
 			s.mu.Lock()
-			delete(s.missed[p], key)
+			if s.missed[p][key] == seq {
+				delete(s.missed[p], key)
+			}
 			s.mu.Unlock()
 		}
 	}
@@ -735,11 +737,12 @@ func (s *Server) noteMissed(fws []forward, base VDiskID, epoch int64) {
 		s.mu.Lock()
 		mm := s.missed[fw.partner]
 		if mm == nil {
-			mm = make(map[chunkKey]bool)
+			mm = make(map[chunkKey]uint64)
 			s.missed[fw.partner] = mm
 		}
+		s.missSeq++
 		for _, e := range fw.exts {
-			mm[chunkKey{base, e.Chunk, epoch}] = true
+			mm[chunkKey{base, e.Chunk, epoch}] = s.missSeq
 		}
 		s.mu.Unlock()
 	}

@@ -118,7 +118,7 @@ func census(t *testing.T, kind string, got []string, table map[string]string) {
 	for _, name := range got {
 		seen[name] = true
 		if table[name] == "" {
-			t.Errorf("%s %s is in no census entry: name the non-test caller that sets it, or the test that needs it", kind, name)
+			t.Errorf("%s %s is in no census entry: name what reaches it outside the tests, or the test that needs it", kind, name)
 		}
 	}
 	var stale []string

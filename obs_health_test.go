@@ -1,9 +1,7 @@
 package frangipani_test
 
 import (
-	"encoding/json"
 	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -97,76 +95,4 @@ func TestClusterHealthAndWindows(t *testing.T) {
 	if !named {
 		t.Fatalf("no decoded lock names in %+v", top)
 	}
-}
-
-// TestClusterServeMetrics exercises the opt-in HTTP endpoint against
-// a live cluster: Prometheus text on /metrics, JSON on /snapshot.json,
-// and the health verdict on /health.
-func TestClusterServeMetrics(t *testing.T) {
-	c := newTestCluster(t)
-	f, err := c.AddServer("ws1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Mkdir("/m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := c.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + ms.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(b)
-	}
-	code, body := get("/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "# TYPE frangipani_fs_ops_count_total counter") {
-		t.Fatalf("/metrics code %d body:\n%.400s", code, body)
-	}
-	code, body = get("/snapshot.json")
-	var snap obs.Snapshot
-	if code != http.StatusOK || json.Unmarshal([]byte(body), &snap) != nil {
-		t.Fatalf("/snapshot.json code %d, body %.200s", code, body)
-	}
-	if snap.Counters["fs.ops.count#ws1"] == 0 {
-		t.Fatal("snapshot shows no ops")
-	}
-	code, body = get("/health")
-	var hrep obs.HealthReport
-	if code != http.StatusOK || json.Unmarshal([]byte(body), &hrep) != nil {
-		t.Fatalf("/health code %d, body %.200s", code, body)
-	}
-	if hrep.Verdict != obs.StatusOK || len(hrep.Probes) == 0 {
-		t.Fatalf("health report %+v", hrep)
-	}
-	// Replacing the endpoint closes the old listener.
-	ms2, err := c.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + ms.Addr() + "/health"); err == nil {
-		t.Fatal("old endpoint still serving after replacement")
-	}
-	if code, _ := func() (int, string) {
-		resp, err := http.Get("http://" + ms2.Addr() + "/health")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode, ""
-	}(); code != http.StatusOK {
-		t.Fatalf("replacement endpoint code %d", code)
-	}
-	// Cluster.Close (via t.Cleanup) shuts the endpoint down.
 }
