@@ -25,11 +25,14 @@ race:
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
 ## staging, a cached ReadAt, Stat, Open and overwrite, a cold 64 KB
-## ReadAt, a streaming 64 KB WriteAt with its write-behind flight, a
-## create, remove, mkdir, rmdir and rename, a path split, a log append
-## with its flush (internal/wal), a cache insert (one object), the waits,
-## Petal's routing and fan-out, a replicated 64 KB WriteV and a ReadV
-## round trip (client and servers), an RPC's time-out, a network Send of
+## ReadAt (a lone read: four requests), a 64 KB ReadAt right after a lock
+## handoff (a bound: the speculative fill and its lone ReadV, the lock
+## traffic around it), a streaming 64 KB WriteAt with its write-behind
+## flight, a create, remove, mkdir, rmdir and rename, a path split, a log
+## append with its flush (internal/wal), a cache insert (one object), the
+## waits, Petal's routing and fan-out, a replicated 64 KB WriteV and a
+## ReadV round trip (client and servers), halved and lone, an RPC's
+## time-out, a network Send of
 ## a boxed payload (nothing), a sticky lock's Lock/TryLock and Unlock, a
 ## lease check, a flight-recorder record (an event or a finished span:
 ## nothing, into a slot of <= 128 B), a span's Start/Child/Done (nothing:
@@ -85,11 +88,13 @@ bench:
 ##     FORENSICS_scale-sweep.json, and its per-N curves go to
 ##     BENCH_scale_<utc-timestamp>.json.
 ## The Sync trace's layer coverage is TestSyncTraceCoversLayers, in
-## `make check`. The final step persists this build's point on the perf
+## `make check`. The final steps persist this build's point on the perf
 ## trajectory as BENCH_<utc-timestamp>.json: the repository benchmark
 ## (BENCHMARK.json, benchmark/README.md) on all four workloads at seed 1
 ## — the eight end-to-end metrics of each, with the host's description —
-## and bench-compare then holds it against the point before it.
+## then the same run traced, with the per-layer metrics and critical-path
+## self times, as BENCH_layers_<utc-timestamp>.json; and bench-compare
+## holds the untraced point against the one before it.
 bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp read-scaling
 	CODEC_BUDGET=1 $(GO) test -run TestCodecBudget -count=1 ./internal/rpc/
@@ -101,11 +106,14 @@ bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
+	bash benchmark/run.sh --workload all --seed 1 --trace 1 --out BENCH_layers_$$(date -u +%Y%m%dT%H%M%SZ).json
 	$(MAKE) bench-compare
 
 ## bench-compare: the newest two points of the perf trajectory — the
 ## BENCH_<utc>.json files in this checkout: the committed ones and, at
-## the end of bench-smoke, the one just written — through
+## the end of bench-smoke, the one just written. The glob BENCH_[0-9]*
+## leaves out BENCH_scale_* and the traced BENCH_layers_*, whose metrics
+## an untraced point does not have — through
 ## `bash benchmark/run.sh -compare OLD NEW`. Fails if a metric of the
 ## newer point is worse than the older by more than its BENCHMARK.json
 ## bound ("regressed"), or a run failed its oracle.

@@ -223,6 +223,31 @@ func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 	return e
 }
 
+// Fill is the insert of a block just read from storage: it adds the
+// entry for addr with a copy of data and owner unless one is resident,
+// and then returns the resident entry untouched — whoever put it there
+// (a concurrent fill of the same block, or a writer that has dirtied it)
+// may be reading or changing it, and its bytes are at least as new.
+// inserted reports which. A fill is not a demand lookup: it counts
+// nothing and leaves a resident entry's place in the LRU order alone.
+func (p *Pool) Fill(addr int64, data []byte, owner uint64) (e *Entry, inserted bool) {
+	p.mu.Lock()
+	if e, ok := p.entries[addr]; ok {
+		p.mu.Unlock()
+		return e, false
+	}
+	e = p.newEntry()
+	e.Addr, e.Owner = addr, owner
+	copy(e.Data, data)
+	p.entries[addr] = e
+	p.pushFrontLocked(e)
+	p.addOwnerLocked(e)
+	victims := p.collectVictimsLocked()
+	p.mu.Unlock()
+	p.flushVictims(victims)
+	return e, true
+}
+
 func (p *Pool) setOwnerLocked(e *Entry, owner uint64) {
 	if e.Owner == owner {
 		return

@@ -24,6 +24,29 @@ func TestLookupInsert(t *testing.T) {
 	}
 }
 
+// TestFillKeepsResident: a fill inserts a missing block, and leaves a
+// resident one — its bytes, its dirty state and its owner — as it is.
+func TestFillKeepsResident(t *testing.T) {
+	p := NewPool(512, 16)
+	data := make([]byte, 512)
+	data[0] = 1
+	e, inserted := p.Fill(1024, data, 7)
+	if !inserted || e.Data[0] != 1 || e.Owner != 7 {
+		t.Fatalf("fill of a missing block: inserted=%v data[0]=%d owner=%d", inserted, e.Data[0], e.Owner)
+	}
+	p.Mutate(func() { e.Data[0] = 2 })
+	p.MarkDirty(e, 3)
+	data[0] = 9
+	again, inserted := p.Fill(1024, data, 8)
+	if inserted || again != e || e.Data[0] != 2 || !e.Dirty || e.Owner != 7 {
+		t.Fatalf("fill over a resident block: inserted=%v same=%v data[0]=%d dirty=%v owner=%d",
+			inserted, again == e, e.Data[0], e.Dirty, e.Owner)
+	}
+	if hits, misses := p.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("fills counted %d hits and %d misses, want none", hits, misses)
+	}
+}
+
 func TestLRUEvictionPrefersOld(t *testing.T) {
 	p := NewPool(512, 4)
 	buf := make([]byte, 512)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"frangipani/internal/bufpool"
 	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
@@ -326,7 +327,7 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 	n := 0
 	var readErr error
 	err := fs.withLocks(op, []lockReq{{lock, lockservice.Shared}}, func() error {
-		_, in, err := fs.loadInode(op, f.inum)
+		in, err := fs.loadForRead(op, f.inum, off, int64(len(p)))
 		if err != nil {
 			return err
 		}
@@ -374,7 +375,7 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 				// write-back).
 				var buf [16]int64 // stack scratch for a 64 KB request; longer ones spill to the heap
 				var own bool
-				pe, own, err = fs.fetchData(op, fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
+				pe, own, err = fs.fetchData(op, f.ra.via(fs), fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
 				if err != nil {
 					return err
 				}
@@ -397,6 +398,110 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 		return n, err
 	}
 	return n, readErr
+}
+
+// loadForRead is loadInode for a read of [off, off+n). A miss on the
+// inode sector of a file whose lock a revoke took away from this server
+// — the read after a handoff — goes to specFill.
+func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
+	addr := fs.lay.InodeAddr(inum)
+	e, ok := fs.meta.Lookup(addr)
+	if !ok {
+		if h, hinted := fs.takeHint(inum); hinted {
+			return fs.specFill(op, inum, h, off, n)
+		}
+		var err error
+		if e, err = fs.fillMeta(op, addr, InodeLock(inum)); err != nil {
+			return Inode{}, err
+		}
+	}
+	return decodeInode(e.Data)
+}
+
+// specFill fetches the inode sector of file inum and, in the same ReadV,
+// the pages of [off, off+n) that h — the block map the inode had when a
+// revoke took the file's lock from this server — maps, those of them
+// that are neither cached nor claimed (claimPages). It returns the inode
+// as read. The caller holds the file's lock and has held it since before
+// the read went out. So if the inode still maps the blocks h does, they
+// have been the file's since the grant: only a holder of the file's lock
+// could have written them, and the last writer flushed before it let go.
+// The pages read are the file's current data and are kept. If the map
+// changed, a block may be another file's now, written under another
+// lock: the pages are dropped, and the read fetches what the inode maps,
+// as any miss does.
+func (fs *FS) specFill(op *obs.Span, inum int64, h Inode, off, n int64) (Inode, error) {
+	owner, addr := InodeLock(inum), fs.lay.InodeAddr(inum)
+	var room [petal.ChunkSize / BlockSize]int64 // stack scratch for a 64 KB read
+	var theirs [4]chan struct{}
+	addrs := fs.pageAddrs(room[:0], h, off&^(BlockSize-1), min(off+n, h.Size))
+	mine, done, _ := fs.claimPages(addrs, addrs[:0], theirs[:0])
+	if len(mine) == 0 {
+		e, err := fs.fillMeta(op, addr, owner)
+		if err != nil {
+			return Inode{}, err
+		}
+		return decodeInode(e.Data)
+	}
+	defer fs.unclaim(mine, done)
+	fs.m.specFills.Inc()
+	fs.acct.CacheMiss(op.Ctx().Principal, 1)
+	sp := op.Child("cache", "fill")
+	defer sp.Done()
+	// Pooled scratch: Fill copies into the caches' own blocks.
+	secp, bufp := bufpool.Get(SectorSize), bufpool.Get(len(mine)*BlockSize)
+	defer bufpool.Put(secp)
+	defer bufpool.Put(bufp)
+	var extRoom [5]petal.ReadExtent // the sector and a run or a few
+	exts := pageRuns(append(extRoom[:0], petal.ReadExtent{Off: addr, Dst: *secp}), mine, *bufp)
+	if err := fs.pc.For(sp).ReadV(fs.vd, exts); err != nil {
+		return Inode{}, err
+	}
+	fs.m.bytesRead.Add(int64(len(*bufp)))
+	e, _ := fs.meta.Fill(addr, *secp, owner)
+	in, err := decodeInode(e.Data)
+	if err != nil {
+		return Inode{}, err
+	}
+	if in.Small != h.Small || in.Large != h.Large {
+		fs.m.specDropped.Inc()
+		return in, nil
+	}
+	fs.fillCache(mine, *bufp, owner)
+	return in, nil
+}
+
+// keepHint records, as a revoke takes file inum's lock from this server,
+// the file's block map while its inode sector is still cached. A hint is
+// dropped when a read takes it, when this server frees the inode, and
+// when there are metaCacheCap others.
+func (fs *FS) keepHint(inum int64) {
+	e, ok := fs.meta.Peek(fs.lay.InodeAddr(inum))
+	if !ok {
+		return
+	}
+	in, err := decodeInode(e.Data)
+	if err != nil || in.Type != TypeFile || in.Size == 0 {
+		return
+	}
+	fs.mu.Lock()
+	if _, ok := fs.hints[inum]; !ok && len(fs.hints) >= metaCacheCap {
+		for k := range fs.hints {
+			delete(fs.hints, k)
+			break
+		}
+	}
+	fs.hints[inum] = Inode{Small: in.Small, Large: in.Large, Size: in.Size}
+	fs.mu.Unlock()
+}
+
+// takeHint removes and returns file inum's hint, if it has one.
+func (fs *FS) takeHint(inum int64) (Inode, bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	h, ok := fs.hints[inum]
+	delete(fs.hints, inum)
+	return h, ok
 }
 
 // pageAddrs appends to buf the Petal addresses of the file's pages in
@@ -503,6 +608,19 @@ func (s *stream) restart(end int64) {
 	s.mu.Unlock()
 }
 
+// via is the Petal view the reader's own fetches go through: fs.ahead
+// while prefetches of the stream are under way — they may not have
+// reached the Petal client yet, and the fetch is not alone beside them —
+// and fs.pc otherwise.
+func (s *stream) via(fs *FS) *petal.Client {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.busy > 0 {
+		return fs.ahead
+	}
+	return fs.pc
+}
+
 // drain waits until no prefetch of this handle is in flight.
 func (s *stream) drain() {
 	s.mu.Lock()
@@ -536,7 +654,7 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fillPages(nil, fetch, done, InodeLock(f.inum), false)
+			_, _ = fs.fillPages(fs.ahead, fetch, done, InodeLock(f.inum), false)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()

@@ -94,6 +94,7 @@ type fsMetrics struct {
 	retries, recoveries          *obs.Counter
 	raHits, raWasted, raJoins    *obs.Counter
 	fills                        *obs.Counter
+	specFills, specDropped       *obs.Counter
 	allocSticky, allocResume     *obs.Counter
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
@@ -127,6 +128,8 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		raWasted:         c("readahead.wasted"),
 		raJoins:          c("readahead.joins"),
 		fills:            c("read.fills"),
+		specFills:        c("read.spec.fills"),
+		specDropped:      c("read.spec.dropped"),
 		allocSticky:      c("alloc.sticky.hits"),
 		allocResume:      c("alloc.resume.hits"),
 		allocRescan:      c("alloc.rescan"),
@@ -169,6 +172,7 @@ type server struct {
 	w       *sim.World
 	machine string
 	pc      *petal.Client
+	ahead   *petal.Client // pc's view for read-ahead (petal.Client.Ahead)
 	vd      petal.VDiskID
 	lay     Layout
 	cfg     Config
@@ -212,6 +216,12 @@ type server struct {
 	// atimes holds in-memory approximate access times (§2.1), folded
 	// into inodes when they are next logged. Guarded by mu.
 	atimes map[int64]int64
+
+	// hints holds, for files whose inode lock a revoke took away, the
+	// block map (Small, Large, Size) the inode had then: where the next
+	// read of the file will probably find its pages (File.specFill).
+	// Guarded by mu; at most metaCacheCap of them.
+	hints map[int64]Inode
 
 	// Observability; set once in Mount.
 	m    fsMetrics
@@ -281,6 +291,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		w:         w,
 		machine:   machine,
 		pc:        pc,
+		ahead:     pc.Ahead(),
 		vd:        vd,
 		lay:       lay,
 		cfg:       cfg,
@@ -293,6 +304,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		segResume: make(map[segKey]int64),
 		segFull:   make(map[segKey]bool),
 		atimes:    make(map[int64]int64),
+		hints:     make(map[int64]Inode),
 		inflight:  make(map[int64]chan struct{}),
 		flights:   make(map[int64]*flight),
 	}}
@@ -580,18 +592,26 @@ func (fs *FS) readMeta(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 	if e, ok := fs.meta.Lookup(addr); ok {
 		return e, nil
 	}
+	return fs.fillMeta(op, addr, owner)
+}
+
+// fillMeta is readMeta's miss: the sector comes from Petal.
+func (fs *FS) fillMeta(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
 	fs.acct.CacheMiss(op.Ctx().Principal, 1)
 	sp := op.Child("cache", "fill")
 	defer sp.Done()
-	// Pooled scratch: Insert copies into the cache's own page, so
-	// the fill buffer recycles immediately.
+	// Pooled scratch: Fill copies into the cache's own page, so the
+	// fill buffer recycles immediately.
 	bufp := bufpool.Get(SectorSize)
 	defer bufpool.Put(bufp)
 	buf := *bufp
 	if err := fs.pc.For(sp).Read(fs.vd, addr, buf); err != nil {
 		return nil, err
 	}
-	return fs.meta.Insert(addr, buf, owner), nil
+	// A concurrent lookup may have filled the sector meanwhile, or a
+	// writer dirtied it: Fill keeps theirs.
+	e, _ := fs.meta.Fill(addr, buf, owner)
+	return e, nil
 }
 
 // metaFill names one metadata sector and the lock that covers it.
@@ -633,12 +653,7 @@ func (fs *FS) readMetaBatch(op *obs.Span, fills []metaFill) error {
 	fs.m.metaBatch.Inc()
 	fs.m.metaBatchSectors.Add(int64(len(miss)))
 	for i, f := range miss {
-		// A concurrent reader may have raced the sector in — or a
-		// writer may have dirtied it; keep theirs.
-		if _, hit := fs.meta.Peek(f.addr); hit {
-			continue
-		}
-		fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
+		fs.meta.Fill(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
 	}
 	return nil
 }
@@ -649,7 +664,7 @@ func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 	if e, ok := fs.data.Lookup(addr); ok {
 		return e, nil
 	}
-	e, _, err := fs.fetchData(op, []int64{addr}, owner)
+	e, _, err := fs.fetchData(op, fs.pc, []int64{addr}, owner)
 	return e, err
 }
 
@@ -660,8 +675,9 @@ func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 // not read a second time, and the wait is counted in
 // fs.readahead.joins: a stream that is far enough ahead never joins.
 // own reports that this call itself went to Petal for addrs[0]; each
-// time it does, op's principal is charged the miss.
-func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
+// time it does, op's principal is charged the miss. It reads through
+// via: fs.pc, or fs.ahead for a read beside its stream's prefetches.
+func (fs *FS) fetchData(op *obs.Span, via *petal.Client, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
 	// Stack scratch for a 64 KB request; longer ones spill to the heap.
 	var mineRoom [petal.ChunkSize / BlockSize]int64
 	var theirsRoom [4]chan struct{}
@@ -671,7 +687,7 @@ func (fs *FS) fetchData(op *obs.Span, addrs []int64, owner uint64) (e *cache.Ent
 			fs.m.fills.Inc()
 			fs.acct.CacheMiss(op.Ctx().Principal, 1)
 			sp := op.Child("cache", "fill")
-			e, err = fs.fillPages(sp, mine, done, owner, true)
+			e, err = fs.fillPages(via.For(sp), mine, done, owner, true)
 			sp.Done()
 		}
 		if len(theirs) > 0 {
@@ -725,44 +741,29 @@ func (fs *FS) claimPages(addrs, mine []int64, theirs []chan struct{}) ([]int64, 
 	return mine, done, theirs
 }
 
-// fillPages reads the claimed pages with one scatter-gather Petal read
-// (one extent per contiguous run, which the Petal driver splits by
-// chunk and fans out over servers and disks), inserts them under
-// owner, and releases the claims. It returns the entry of mine[0].
+// fillPages reads the claimed pages through pc with one scatter-gather
+// Petal read (one extent per contiguous run, which the Petal driver
+// splits by chunk and fans out over servers and disks), inserts them
+// under owner, and releases the claims. It returns the entry of mine[0].
 //
-// A foreground caller holds owner (locked) and passes its handle. A
-// prefetch has neither: it runs for no operation and without the lock,
-// like the paper's UFS-derived read-ahead, and
+// A foreground caller holds owner (locked) and passes the view of its
+// operation. A prefetch has neither: it runs for no operation, through
+// fs.ahead, and without the lock, like the paper's UFS-derived
+// read-ahead, and
 // only touches it here, briefly, as a validity gate — if the lock was
 // revoked meanwhile the data "must be discarded, and the work to read
 // it turns out to have been wasted" (§9.4), so no stale page ever
 // enters the cache. A prefetch is one chunk: fs.readahead.hits counts
 // the chunks that landed, fs.readahead.wasted the bytes of those that
 // did not.
-func (fs *FS) fillPages(op *obs.Span, mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
-	defer func() {
-		fs.fetchMu.Lock()
-		for _, a := range mine {
-			delete(fs.inflight, a)
-		}
-		fs.fetchMu.Unlock()
-		close(done)
-	}()
-	// Pooled scratch: Insert copies into the cache's own page.
+func (fs *FS) fillPages(pc *petal.Client, mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
+	defer fs.unclaim(mine, done)
+	// Pooled scratch: Fill copies into the cache's own page.
 	bufp := bufpool.Get(len(mine) * BlockSize)
 	defer bufpool.Put(bufp)
 	buf := *bufp
 	var extRoom [4]petal.ReadExtent // stack scratch: a fill is a run or a few
-	exts := extRoom[:0]
-	for i := 0; i < len(mine); {
-		j := i + 1
-		for j < len(mine) && mine[j] == mine[j-1]+BlockSize {
-			j++
-		}
-		exts = append(exts, petal.ReadExtent{Off: mine[i], Dst: buf[i*BlockSize : j*BlockSize]})
-		i = j
-	}
-	if err := fs.pc.For(op).ReadV(fs.vd, exts); err != nil {
+	if err := pc.ReadV(fs.vd, pageRuns(extRoom[:0], mine, buf)); err != nil {
 		return nil, err
 	}
 	fs.m.bytesRead.Add(int64(len(buf)))
@@ -774,17 +775,45 @@ func (fs *FS) fillPages(op *obs.Span, mine []int64, done chan struct{}, owner ui
 		defer fs.clerk.Unlock(owner)
 		fs.m.raHits.Inc()
 	}
-	for i, a := range mine {
-		// A writer may have raced the page in; keep theirs.
-		e, hit := fs.data.Peek(a)
-		if !hit {
-			e = fs.data.Insert(a, buf[i*BlockSize:(i+1)*BlockSize], owner)
+	return fs.fillCache(mine, buf, owner), nil
+}
+
+// pageRuns appends to exts one extent per run of contiguous pages of
+// mine, each reading into its share of buf, which holds a page for each.
+func pageRuns(exts []petal.ReadExtent, mine []int64, buf []byte) []petal.ReadExtent {
+	for i := 0; i < len(mine); {
+		j := i + 1
+		for j < len(mine) && mine[j] == mine[j-1]+BlockSize {
+			j++
 		}
+		exts = append(exts, petal.ReadExtent{Off: mine[i], Dst: buf[i*BlockSize : j*BlockSize]})
+		i = j
+	}
+	return exts
+}
+
+// fillCache enters the pages mine, read into buf, under owner, and
+// returns the entry of mine[0]. A writer may have raced a page in: Fill
+// keeps theirs.
+func (fs *FS) fillCache(mine []int64, buf []byte, owner uint64) (first *cache.Entry) {
+	for i, a := range mine {
+		e, _ := fs.data.Fill(a, buf[i*BlockSize:(i+1)*BlockSize], owner)
 		if i == 0 {
 			first = e
 		}
 	}
-	return first, nil
+	return first
+}
+
+// unclaim ends a fetch's claims: its pages leave fs.inflight, and
+// whoever waits for them wakes up.
+func (fs *FS) unclaim(mine []int64, done chan struct{}) {
+	fs.fetchMu.Lock()
+	for _, a := range mine {
+		delete(fs.inflight, a)
+	}
+	fs.fetchMu.Unlock()
+	close(done)
 }
 
 // ensureLogFlushed enforces write-ahead order: before a block dirtied
@@ -1423,6 +1452,7 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 	case lockTagInode:
 		fs.flushOwner(op, lock)
 		if to == lockservice.None {
+			fs.keepHint(int64(lock &^ (0xff << 56)))
 			fs.meta.InvalidateByOwner(lock)
 			fs.data.InvalidateByOwner(lock)
 		}
@@ -1557,5 +1587,6 @@ func (fs *FS) onLeaseLost() {
 	fs.stickySeg = make(map[allocClass]int64)
 	fs.segResume = make(map[segKey]int64)
 	fs.segFull = make(map[segKey]bool)
+	clear(fs.hints)
 	fs.mu.Unlock()
 }

@@ -1,0 +1,206 @@
+package fs
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// handoffFixture is a file of one chunk that server "wsB" wrote and
+// server "wsA" has read, so A holds the file's lock shared and its inode
+// cached: the next write of B's takes the lock from A.
+func handoffFixture(t *testing.T) (tw *testWorld, a, b *FS, fa, fb *File, data []byte) {
+	t.Helper()
+	tw = newTestWorld(t)
+	b = tw.mount(t, "wsB", nil)
+	a = tw.mount(t, "wsA", nil)
+	data = bytes.Repeat([]byte("frangipani v1 "), 5000)[:64<<10]
+	writeFile(t, b, "/f", data)
+	var err error
+	if fb, err = b.Open("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if fa, err = a.Open("/f"); err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, fa, data)
+	return tw, a, b, fa, fb, data
+}
+
+// readAll reads f whole and checks it holds want.
+func readAll(t *testing.T, f *File, want []byte) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if n, err := f.ReadAt(got, 0); (err != nil && err != io.EOF) || n != len(want) {
+		t.Fatalf("read %d of %d bytes: %v", n, len(want), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read the wrong bytes")
+	}
+}
+
+// TestHandoffReReadIsOneReadV: once another server's write has taken a
+// file's lock away, the reader's next read of it fetches the inode and
+// the pages the inode mapped when the lock went in one Petal ReadV —
+// no Read of the inode sector before it — and the pages it keeps are
+// the writer's.
+func TestHandoffReReadIsOneReadV(t *testing.T) {
+	tw, a, _, fa, fb, data := handoffFixture(t)
+	rec := bytes.Repeat([]byte{0x5a}, BlockSize)
+	if _, err := fb.WriteAt(rec, 8*BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	copy(data[8*BlockSize:], rec)
+	reads := tw.w.Obs.Histogram("petal.read.latency#wsA")
+	readvs := tw.w.Obs.Histogram("petal.readv.latency#wsA")
+	r0, v0, spec, fills := reads.Count(), readvs.Count(), a.m.specFills.Value(), a.m.fills.Value()
+	readAll(t, fa, data)
+	if r, v := reads.Count()-r0, readvs.Count()-v0; r != 0 || v != 1 {
+		t.Errorf("the re-read made %d Reads and %d ReadVs of Petal, want 0 and 1", r, v)
+	}
+	if n := a.m.specFills.Value() - spec; n != 1 {
+		t.Errorf("%d speculative fills, want 1", n)
+	}
+	if n := a.m.fills.Value() - fills; n != 0 {
+		t.Errorf("%d page fills after the speculative one, want none", n)
+	}
+	if n := a.m.specDropped.Value(); n != 0 {
+		t.Errorf("%d speculative fills dropped, want none: the blocks did not move", n)
+	}
+}
+
+// TestHandoffHintStaleAfterRewrite: the writer truncates the file and
+// writes it again, and a file it makes in between takes the first
+// block, so the rewritten file's blocks are not where the reader's hint
+// says. The reader drops what it fetched on the hint's word and returns
+// the new bytes.
+func TestHandoffHintStaleAfterRewrite(t *testing.T) {
+	_, a, b, fa, fb, _ := handoffFixture(t)
+	if err := fb.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, b, "/h", bytes.Repeat([]byte{0x11}, BlockSize))
+	v2 := bytes.Repeat([]byte("frangipani v2 "), 5000)[:64<<10]
+	if _, err := fb.WriteAt(v2, 0); err != nil {
+		t.Fatal(err)
+	}
+	dropped := a.m.specDropped.Value()
+	readAll(t, fa, v2)
+	if n := a.m.specDropped.Value() - dropped; n != 1 {
+		t.Errorf("%d speculative fills dropped, want 1: the blocks moved", n)
+	}
+}
+
+// TestHandoffHintBlocksReusedElsewhere: the blocks the reader's hint
+// names become another file's, which the writer keeps writing under that
+// file's lock. Nothing the reader fetched on the hint's word may stay in
+// its cache: a read of the other file returns that file's newest bytes,
+// and a read of the first file never returns the other's. (Planting a
+// speculative fill that keeps its pages without comparing block maps
+// fails here.)
+func TestHandoffHintBlocksReusedElsewhere(t *testing.T) {
+	_, a, b, fa, fb, _ := handoffFixture(t)
+	if err := fb.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	g1 := bytes.Repeat([]byte("other file g1 "), 5000)[:64<<10]
+	writeFile(t, b, "/g", g1) // takes the blocks /f gave back
+	v2 := bytes.Repeat([]byte("frangipani v2 "), 5000)[:64<<10]
+	if _, err := fb.WriteAt(v2, 0); err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, fa, v2)
+	gb, err := b.Open("/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := bytes.Repeat([]byte("other file g2 "), 5000)[:64<<10]
+	if _, err := gb.WriteAt(g2, 0); err != nil {
+		t.Fatal(err)
+	}
+	ga, err := a.Open("/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, ga, g2)
+}
+
+// TestConcurrentOpensFillOnce: two lookups of one path on a server that
+// has cached nothing both miss the same directory and inode sectors, and
+// fill them at once. Neither fill may copy over the entry the other is
+// already reading (the race detector watches).
+func TestConcurrentOpensFillOnce(t *testing.T) {
+	tw := newTestWorld(t)
+	w := tw.mount(t, "wsW", nil)
+	if err := w.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, w, "/d/f", []byte("x"))
+	for i := 0; i < 4; i++ {
+		fresh := tw.mount(t, "wsR"+string(rune('0'+i)), nil)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for j := 0; j < 2; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := fresh.Open("/d/f"); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// handoffReadAllocs bounds what a 64 KB read right after another
+// server's write took the file's lock allocates, the whole process
+// counted: the lock request and its grant, the writer's flush as its
+// lock is downgraded, the speculative fill's claim and Petal view, the
+// sixteen pages and the inode sector, and the lone ReadV's requests —
+// here five, two per replica of the pages' chunk and one to the inode
+// sector's server, at five objects each. It counts 94 to 97, where a
+// Read of the inode and a ReadV of the pages in two halves counted 84
+// to 85: two requests more, one Petal view fewer. A bound, not a pin:
+// the lock traffic around a handoff moves the count by a few. Lower it
+// with a change that means to.
+const handoffReadAllocs = 100
+
+// TestHandoffReadAllocs holds a handoff read to handoffReadAllocs. The
+// writer's write, and the revoke it causes, run before each count
+// starts; what the world's demons allocate meanwhile is not the read's,
+// so the least of several rounds is the read's own. Checked only without
+// the race detector.
+func TestHandoffReadAllocs(t *testing.T) {
+	_, a, _, fa, fb, data := handoffFixture(t)
+	rec := make([]byte, BlockSize)
+	buf := make([]byte, len(data))
+	least := int64(-1)
+	spec := a.m.specFills.Value()
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		if _, err := fb.WriteAt(rec, int64(i%16)*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := fa.ReadAt(buf, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if n := int64(m1.Mallocs - m0.Mallocs); least < 0 || n < least {
+			least = n
+		}
+	}
+	if n := a.m.specFills.Value() - spec; n != rounds {
+		t.Fatalf("%d speculative fills in %d handoff reads", n, rounds)
+	}
+	t.Logf("allocs per handoff 64 KB ReadAt: %d", least)
+	if !raceBuild() && least > handoffReadAllocs {
+		t.Fatalf("a handoff 64 KB ReadAt allocates %d times, want at most %d", least, handoffReadAllocs)
+	}
+}

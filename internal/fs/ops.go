@@ -827,6 +827,7 @@ func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
 		return err
 	}
 	t.putInode(e, Inode{Type: TypeFree})
+	fs.takeHint(inum) // its blocks are free now
 	// Drop cached data pages; their contents are dead. Those already on
 	// their way to Petal must land before the blocks can be reused.
 	fs.data.InvalidateByOwner(InodeLock(inum))

@@ -201,14 +201,17 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 // coldReadAllocs is what a 64 KB ReadAt that fills all sixteen of its
 // pages from Petal allocates, read-ahead off: the fill's claim and its
 // Petal view, the sixteen pages — each one object, entry and block — and
-// the Petal round trip of the two halves, client and servers together.
-// That is 1.9 allocations a page filled. It was 85, 5.3 a page, while a
-// page was two objects and the fill, the Petal client, the servers and
-// every RPC's reply channel built their scratch per call; then 43 while
-// the spans were new objects, every message had a goroutine of its own
-// in the network and every envelope was boxed. Raise or lower it only
-// with a change that means to move it.
-const coldReadAllocs = 30
+// the Petal round trip, client and servers together. The read is lone, so
+// it leaves as four requests, two per replica, at five objects each: the
+// boxed request, the handler's goroutine, the server's result list, its
+// boxed reply and its buffer's hand-off. That is 2.5 allocations a page
+// filled. It was 30 while the read left as two halves; 85, 5.3 a page,
+// while a page was two objects and the fill, the Petal client, the
+// servers and every RPC's reply channel built their scratch per call;
+// then 43 while the spans were new objects, every message had a goroutine
+// of its own in the network and every envelope was boxed. Raise or lower
+// it only with a change that means to move it.
+const coldReadAllocs = 40
 
 // TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
 // through a cache too small to keep it, so every read fills its pages.

@@ -30,6 +30,9 @@ type Client struct {
 	// their spans under it, are charged to its principal, and stamp
 	// their requests with its context. Nil for the driver's own view.
 	op *obs.Span
+	// ahead marks a view whose reads are read-ahead: nobody waits for
+	// them, so none of them is lone (readPieces).
+	ahead bool
 }
 
 // For returns a view of the client whose calls run on behalf of op.
@@ -37,7 +40,13 @@ func (c *Client) For(op *obs.Span) *Client {
 	if op == c.op {
 		return c
 	}
-	return &Client{driver: c.driver, op: op}
+	return &Client{driver: c.driver, op: op, ahead: c.ahead}
+}
+
+// Ahead returns a view of the client for read-ahead: its reads count
+// as in flight, as any read does, but are never lone themselves.
+func (c *Client) Ahead() *Client {
+	return &Client{driver: c.driver, op: c.op, ahead: true}
 }
 
 // driver is the state every view of one Client shares.
@@ -89,6 +98,11 @@ type driver struct {
 	readPrimary   *obs.Counter // balanced read bytes the primary served
 	readBackup    *obs.Counter // balanced read bytes the backup served
 	balancePct    *obs.Gauge   // percent of balanced read bytes the backup served
+	readLone      *obs.Counter // lone reads, each replica's half cut in two (readPieces)
+
+	// reads counts this client's read calls in flight: a read that finds
+	// no other is lone.
+	reads atomic.Int32
 
 	// Control-plane refresh statistics: at big N the O(N) full-state
 	// sweep was itself a scaling cost, so the incremental path's hit
@@ -177,6 +191,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		readPrimary:    obs.NewCounter(),
 		readBackup:     obs.NewCounter(),
 		balancePct:     obs.NewGauge(),
+		readLone:       obs.NewCounter(),
 		refreshRPCs:    obs.NewCounter(),
 		refreshSkipped: obs.NewCounter(),
 		refreshFanout:  obs.NewCounter(),
@@ -192,6 +207,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		c.readPrimary = reg.Counter("petal.read.primary#" + machine)
 		c.readBackup = reg.Counter("petal.read.backup#" + machine)
 		c.balancePct = reg.Gauge("petal.read.balance.pct#" + machine)
+		c.readLone = reg.Counter("petal.read.lone#" + machine)
 		c.refreshRPCs = reg.Counter("petal.refresh.rpcs#" + machine)
 		c.refreshSkipped = reg.Counter("petal.refresh.skipped#" + machine)
 		c.refreshFanout = reg.Counter("petal.refresh.fanout#" + machine)
@@ -528,11 +544,20 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 	c.clock.Sleep(d)
 }
 
-// call issues one data-path RPC. Every one (including retries and
-// failovers) is charged to the principal whose operation issued it.
-func (c *Client) call(who, srv string, req any, timeout sim.Duration) (any, error) {
+// start sends one data-path RPC; wait collects its reply. Every one
+// (including retries and failovers) is charged to the principal whose
+// operation issued it.
+func (c *Client) start(who, srv string, req any) (rpc.Pending, error) {
 	c.acct.RPC(who, 1)
-	return c.ep.Call(addrOf(c.addrs, srv), req, timeout)
+	return c.ep.Go(addrOf(c.addrs, srv), req)
+}
+
+// wait collects the reply to a call start made, err being start's.
+func wait(p rpc.Pending, err error, timeout sim.Duration) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait(timeout)
 }
 
 // BoundedPar runs f(0..n-1) with at most limit in flight and returns the
@@ -606,6 +631,10 @@ type piece struct {
 	off   int
 	buf   []byte
 	tl    targetList // replica preference under the current routing view
+	// tail marks the second part of one replica's share of a lone read:
+	// routed wherever the piece before it goes, and sent in a request of
+	// its own right behind that piece's.
+	tail bool
 }
 
 // splitAlign is where a read piece may be cut: the file system's block,
@@ -613,23 +642,30 @@ type piece struct {
 const splitAlign = 4096
 
 // appendPieces splits the I/O of buf at byte offset off at chunk
-// boundaries. A read passes halve, which says whether the view it is
-// about to be routed under balances a chunk (nil for a write): a span
-// of half such a chunk or more is emitted as two halves cut on a
-// splitAlign boundary, so that routing, which charges the first half
-// before it looks at the second, puts them on different replicas — two
-// arms and two links move half the bytes each — while halves that do
-// pick the same server still leave in one request (batchByTarget).
-func appendPieces(dst []piece, off int64, buf []byte, halve func(chunk int64) bool) []piece {
+// boundaries. A read passes cut, which says into how many pieces — one,
+// two or four — the view it is about to be routed under cuts a span of
+// half a chunk or more (nil for a write: one). The cuts fall on
+// splitAlign boundaries. Halves go to different replicas: routing
+// charges the first before it looks at the second, so two arms and two
+// links move half the bytes each, while halves that do pick the same
+// server still leave in one request (batchByTarget). Quarters are a lone
+// read's halves cut in two: the second and fourth are tails.
+func appendPieces(dst []piece, off int64, buf []byte, cut func(chunk int64) int) []piece {
 	for len(buf) > 0 {
 		chunk, in := off/ChunkSize, int(off%ChunkSize)
 		n := min(ChunkSize-in, len(buf))
-		if n >= ChunkSize/2 && halve != nil && halve(chunk) {
-			h := (in+n/2+splitAlign-1)&^(splitAlign-1) - in
-			dst = append(dst, piece{chunk: chunk, off: in, buf: buf[:h]})
-			in, off, buf, n = in+h, off+int64(h), buf[h:], n-h
+		k := 1
+		if n >= ChunkSize/2 && cut != nil {
+			k = cut(chunk)
 		}
-		dst = append(dst, piece{chunk: chunk, off: in, buf: buf[:n]})
+		for i, at := 1, 0; i <= k; i++ {
+			end := n
+			if i < k {
+				end = (in+n*i/k+splitAlign-1)&^(splitAlign-1) - in
+			}
+			dst = append(dst, piece{chunk: chunk, off: in + at, buf: buf[at:end], tail: k == 4 && i%2 == 0})
+			at = end
+		}
 		off += int64(n)
 		buf = buf[n:]
 	}
@@ -658,8 +694,12 @@ type batch struct {
 	srv   string
 	ps    []piece
 	n     int // pieces, counted before they are laid out in ps
+	tails int // of them, tail pieces: laid out last
 	bytes int
 	req   any
+	// tail is the request for the tail pieces, sent right behind req; nil
+	// when the batch is sent as one request.
+	tail any
 }
 
 // xfer is the scratch of one data call: its pieces, each round's batches
@@ -760,6 +800,9 @@ func (x *xfer) batch(ps []piece, rank int) (none []piece) {
 			x.batches = append(x.batches, batch{srv: srv})
 		}
 		x.batches[b].n++
+		if p.tail {
+			x.batches[b].tails++
+		}
 		x.batches[b].bytes += len(p.buf)
 		x.slot[i] = b
 	}
@@ -771,11 +814,16 @@ func (x *xfer) batch(ps []piece, rank int) (none []piece) {
 		at += n
 	}
 	none = x.sorted[at:at]
-	for i, p := range ps {
-		if b := x.slot[i]; b >= 0 {
-			x.batches[b].ps = append(x.batches[b].ps, p)
-		} else {
-			none = append(none, p)
+	for _, tails := range [...]bool{false, true} { // a batch's tails last
+		for i, p := range ps {
+			if p.tail != tails {
+				continue
+			}
+			if b := x.slot[i]; b >= 0 {
+				x.batches[b].ps = append(x.batches[b].ps, p)
+			} else {
+				none = append(none, p)
+			}
 		}
 	}
 	return none
@@ -791,25 +839,67 @@ func (x *xfer) requests() {
 	}
 	x.rexts, x.wexts = x.rexts[:0], x.wexts[:0]
 	for i := range x.batches {
-		x.batches[i].req = x.op.request(x, x.batches[i].ps)
+		b := &x.batches[i]
+		head, tail := b.split()
+		b.req, b.tail = x.op.request(x, head), nil
+		if len(tail) > 0 {
+			b.tail = x.op.request(x, tail)
+		}
 	}
 }
 
+// split returns the pieces of b's request and those of its tail
+// request: a batch of tails alone, or of no tails, is one request.
+func (b *batch) split() (head, tail []piece) {
+	if b.tails == len(b.ps) {
+		return b.ps, nil
+	}
+	cut := len(b.ps) - b.tails
+	return b.ps[:cut], b.ps[cut:]
+}
+
 // sendBatch sends batch i and files what it did not get served: one
-// index of a round's fan-out.
+// index of a round's fan-out. A batch with a tail request sends it right
+// behind the first, before either reply is in: the server reads the
+// tail off its disk while the first reply is on the wire.
 func (x *xfer) sendBatch(i int) error {
-	c, op, b := x.c, x.op, &x.batches[i]
-	resp, callErr := c.call(x.ctx.Principal, b.srv, b.req, callTimeout(b.bytes))
-	op.charge(b.srv, -b.bytes)
-	unserved, err, verb := b.ps, callErr, "failover"
+	b := &x.batches[i]
+	timeout := callTimeout(b.bytes)
+	p, err := x.c.start(x.ctx.Principal, b.srv, b.req)
+	if b.tail == nil {
+		resp, err := wait(p, err, timeout)
+		return x.finish(b.srv, b.ps, b.bytes, resp, err)
+	}
+	head, tail := b.split()
+	tp, terr := x.c.start(x.ctx.Principal, b.srv, b.tail)
+	tb := 0
+	for _, p := range tail {
+		tb += len(p.buf)
+	}
+	resp, err := wait(p, err, timeout)
+	first := x.finish(b.srv, head, b.bytes-tb, resp, err)
+	resp, err = wait(tp, terr, timeout)
+	if err := x.finish(b.srv, tail, tb, resp, err); first == nil {
+		first = err
+	}
+	return first
+}
+
+// finish gives back the bytes of the pieces ps that one call to srv
+// carried and files what the call — resp, or callErr — did not get
+// served.
+func (x *xfer) finish(srv string, ps []piece, bytes int, resp any, callErr error) error {
+	c, op := x.c, x.op
+	op.charge(srv, -bytes)
+	unserved, err, verb := ps, callErr, "failover"
 	if callErr == nil {
-		unserved, err = op.settle(b.srv, b.ps, resp)
+		unserved, err = op.settle(srv, ps, resp)
 		verb = "replica-fail"
 	}
 	if len(unserved) == 0 {
 		return err
 	}
-	c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), b.srv)
+	c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), srv)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.timedOut = x.timedOut || callErr != nil
@@ -822,6 +912,23 @@ func (x *xfer) sendBatch(i int) error {
 		x.next = append(x.next, unserved...)
 	}
 	return nil
+}
+
+// route fills the replica preferences of ps under x's view. A tail goes
+// where the piece before it, the other part of its replica's share,
+// went, and is charged there.
+func (x *xfer) route(ps []piece) {
+	for i := range ps {
+		p := &ps[i]
+		if p.tail && i > 0 && ps[i-1].chunk == p.chunk && !ps[i-1].tail {
+			p.tl = ps[i-1].tl
+			if p.tl.n > 0 {
+				x.op.charge(p.tl.srv[0], len(p.buf))
+			}
+			continue
+		}
+		x.op.route(&x.st, x.v, p)
+	}
 }
 
 // dataOp is the direction-specific half of a data call; transfer is
@@ -887,9 +994,7 @@ func (c *Client) transfer(x *xfer) (err error) {
 		routedVer := int64(-1)
 		if x.st, err = c.getState(); err == nil {
 			routedVer = x.st.Version
-			for i := range ps {
-				x.op.route(&x.st, x.v, &ps[i])
-			}
+			x.route(ps)
 			for rank := 0; len(ps) > 0; rank++ {
 				none := x.batch(ps, rank)
 				if rank == 0 {
@@ -1079,27 +1184,50 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 		}
 	}
 	return c.instr(op, func(ctx obs.Ctx) error {
+		lone := c.reads.Add(1) == 1 && !c.ahead
 		x := c.newXfer(ctx, v, false)
-		x.ps = c.readPieces(x.ps, v, extents)
+		x.ps = c.readPieces(x.ps, v, extents, lone)
 		err := c.transfer(x)
+		c.reads.Add(-1)
 		x.release()
 		return err
 	})
 }
 
 // readPieces appends to dst a read's extents cut into pieces under the
-// view its first attempt will route them with. With no view to be had
-// nothing is halved, and transfer reports why there is none.
-func (c *Client) readPieces(dst []piece, v VDiskID, extents []ReadExtent) []piece {
-	var halve func(chunk int64) bool
+// view its first attempt will route them with (appendPieces): every
+// span of half a chunk or more that the view balances is halved. A read
+// that is lone — no other read of this client in flight — and halves
+// one span, whatever small pieces come beside it, has that span
+// quartered instead: each replica's half leaves as two requests, one
+// right behind the other, so the replica's reply to the first part is
+// on the wire while its disk reads the second. Reads with others in
+// flight keep their halves: the others already overlap their disks and
+// links. So does read-ahead (Ahead), even alone: nobody waits for it,
+// and two more requests would buy no one any time. With no view to be
+// had nothing is cut, and transfer reports why there is none.
+func (c *Client) readPieces(dst []piece, v VDiskID, extents []ReadExtent, lone bool) []piece {
+	var cut func(chunk int64) int
+	halved, parts := 0, 2
 	if st, err := c.getState(); err == nil {
-		halve = func(chunk int64) bool {
-			_, _, ok := c.balanced(&st, v, chunk)
-			return ok
+		cut = func(chunk int64) int {
+			if _, _, ok := c.balanced(&st, v, chunk); !ok {
+				return 1
+			}
+			halved++
+			return parts
 		}
 	}
+	start := len(dst)
 	for _, e := range extents {
-		dst = appendPieces(dst, e.Off, e.Dst, halve)
+		dst = appendPieces(dst, e.Off, e.Dst, cut)
+	}
+	if lone && halved == 1 {
+		c.readLone.Inc()
+		dst, parts = dst[:start], 4
+		for _, e := range extents {
+			dst = appendPieces(dst, e.Off, e.Dst, cut)
+		}
 	}
 	return dst
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"frangipani/internal/obs"
+	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
 
@@ -45,9 +47,9 @@ func readDelta(t *testing.T, c *Client, f func() error) (rpcs, extents int64) {
 
 // TestLoneReadUsesBothReplicas pins the routing rule on two servers,
 // where every chunk has the same replica pair: a lone read of a whole
-// chunk is two requests, half a chunk off each server's arm; a read
-// under half a chunk is one; reads started together spread by the
-// bytes already routed, not by the RPCs already sent.
+// chunk is four requests, half a chunk off each server's arm in two
+// parts; a read under half a chunk is one; reads started together
+// spread by the bytes already routed, not by the RPCs already sent.
 func TestLoneReadUsesBothReplicas(t *testing.T) {
 	// A slow clock: the reads started together must all be routed
 	// before the first is answered.
@@ -66,15 +68,16 @@ func TestLoneReadUsesBothReplicas(t *testing.T) {
 	rpcs, exts := readDelta(t, tc.client, func() error { return d.ReadAt(got, 0) })
 	took := time.Duration(tc.w.Clock.Now() - began)
 	s1 := served()
-	if rpcs != 2 || exts != 2 {
-		t.Errorf("a lone 64 KB read issued %d requests carrying %d extents, want 2 and 2", rpcs, exts)
+	if rpcs != 4 || exts != 4 {
+		t.Errorf("a lone 64 KB read issued %d requests carrying %d extents, want 4 and 4", rpcs, exts)
 	}
-	// No modelled cost went missing: half a chunk comes off an arm, leaves
-	// over that server's link, and the two halves enter the client's link
-	// one behind the other.
-	const half = ChunkSize / 2
-	arm := time.Duration(half * int64(time.Second) / tc.servers[0].Disks()[0].Params().TransferRate)
-	wire := time.Duration(half * int64(time.Second) / sim.DefaultLinkParams().Bandwidth)
+	// No modelled cost went missing: each server's half comes off its arm
+	// a quarter behind the other, the second quarter leaves over that
+	// server's link, and the two servers' second quarters enter the
+	// client's link one behind the other.
+	const quarter = ChunkSize / 4
+	arm := time.Duration(2 * quarter * int64(time.Second) / tc.servers[0].Disks()[0].Params().TransferRate)
+	wire := time.Duration(quarter * int64(time.Second) / sim.DefaultLinkParams().Bandwidth)
 	t.Logf("a lone 64 KB read took %v of simulated time; its arm and links alone %v", took, arm+3*wire)
 	if took < arm+3*wire {
 		t.Errorf("a lone 64 KB read took %v, less than the %v its arm and links take", took, arm+3*wire)
@@ -85,7 +88,7 @@ func TestLoneReadUsesBothReplicas(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(got, data[:ChunkSize]) {
-		t.Error("the two halves do not add up to the chunk")
+		t.Error("the four parts do not add up to the chunk")
 	}
 
 	rpcs, exts = readDelta(t, tc.client, func() error { return d.ReadAt(got[:16<<10], 4096) })
@@ -121,6 +124,111 @@ func TestLoneReadUsesBothReplicas(t *testing.T) {
 		if !bytes.Equal(b, data[i*ChunkSize:(i+1)*ChunkSize]) {
 			t.Errorf("concurrent read %d returned the wrong bytes", i)
 		}
+	}
+}
+
+// sendLog is a carrier that records the read requests sent over it, in
+// the order they leave.
+type sendLog struct {
+	rpc.Carrier
+	mu   sync.Mutex
+	sent []sentRead
+}
+
+type sentRead struct {
+	to   string
+	exts []ReadVExtent
+}
+
+func (l *sendLog) Send(from, to string, env rpc.Envelope, size int) error {
+	if r, ok := env.Body.(ReadVReq); ok {
+		l.mu.Lock()
+		l.sent = append(l.sent, sentRead{to, slices.Clone(r.Extents)})
+		l.mu.Unlock()
+	}
+	return l.Carrier.Send(from, to, env, size)
+}
+
+// TestLoneReadIsPipelined: a lone 64 KB read leaves as four requests,
+// two per replica. A replica's two are contiguous and the first part's
+// goes first, so a disk that serves them as they arrive moves its arm
+// once for the read, and reads the second part while its reply to the
+// first is on the wire. A 64 KB read made while another read is in
+// flight — a prefetch — keeps its two halves.
+func TestLoneReadIsPipelined(t *testing.T) {
+	tc := newTestClusterAt(t, 10, 2, nil)
+	d := tc.mustCreate(t, "vol")
+	data := patternBuf(2*ChunkSize, 37)
+	if err := d.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	log := &sendLog{Carrier: rpc.SimCarrier{Net: tc.w.Net}}
+	c := NewClientWithCarrier(tc.w, "ws1", []string{"p0", "p1"}, log)
+	defer c.Close()
+	got := make([]byte, ChunkSize)
+	if err := c.Read("vol", 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[:ChunkSize]) {
+		t.Fatal("wrong bytes from a lone read")
+	}
+	if len(log.sent) != 4 {
+		t.Fatalf("a lone 64 KB read sent %d requests, want 4", len(log.sent))
+	}
+	if n := c.readLone.Value(); n != 1 {
+		t.Errorf("petal.read.lone counted %d, want 1", n)
+	}
+	bySrv := map[string][]ReadVExtent{}
+	for _, r := range log.sent {
+		if len(r.exts) != 1 {
+			t.Fatalf("a request to %s carried %d extents, want 1", r.to, len(r.exts))
+		}
+		bySrv[r.to] = append(bySrv[r.to], r.exts[0])
+	}
+	if len(bySrv) != 2 {
+		t.Fatalf("the requests went to %d servers, want 2", len(bySrv))
+	}
+	for srv, es := range bySrv {
+		if len(es) != 2 || es[1].Chunk != es[0].Chunk || es[1].Off != es[0].Off+es[0].Len || es[0].Len+es[1].Len != ChunkSize/2 {
+			t.Errorf("%s was sent %+v: want half a chunk in two contiguous parts, the first first", srv, es)
+		}
+	}
+
+	// Hold the client's ingress busy so a read stays in flight, and read
+	// the other chunk beside it.
+	tc.w.Net.AddHost("flood", sim.LinkParams{Bandwidth: 1 << 50})
+	if err := tc.w.Net.Send("flood", ClientAddr("ws1"), nil, int(sim.DefaultLinkParams().Bandwidth/2)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Read("vol", 0, make([]byte, ChunkSize)) }()
+	waitUntil(t, time.Minute, func() bool { return c.reads.Load() > 0 })
+	log.mu.Lock()
+	log.sent = log.sent[:0]
+	log.mu.Unlock()
+	if err := c.Read("vol", ChunkSize, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[ChunkSize:]) {
+		t.Fatal("wrong bytes from a read beside another")
+	}
+	halves := 0
+	for _, r := range log.sent {
+		if r.exts[0].Chunk != 1 {
+			continue
+		}
+		if halves++; r.exts[0].Len != ChunkSize/2 {
+			t.Errorf("a 64 KB read beside another sent %s %+v, want its two halves as they were", r.to, r.exts)
+		}
+	}
+	if halves != 2 {
+		t.Errorf("a 64 KB read beside another sent %d requests, want 2", halves)
+	}
+	if n := c.readLone.Value(); n != 2 {
+		t.Errorf("petal.read.lone counted %d, want 2: the read held in flight was lone, the one beside it not", n)
 	}
 }
 
@@ -301,10 +409,10 @@ func splitFixture(t *testing.T) (tc *testCluster, d *VDisk, data []byte, primary
 	return tc, d, data, primary, backup, func() { tc.client.infl[p1].Add(-1) }
 }
 
-// TestSplitReadCorruptHalf: a CRC error inside one half sends that
-// half, and only it, to the other replica — three requests, three
-// extents — and the bytes served count once towards the balance, where
-// they were served.
+// TestSplitReadCorruptHalf: a CRC error inside one part of a lone read
+// sends that part, and only it, to the other replica — four requests,
+// then one, each of one extent — and the bytes served count once
+// towards the balance, where they were served.
 func TestSplitReadCorruptHalf(t *testing.T) {
 	tc, d, data, primary, _, unpin := splitFixture(t)
 	defer unpin()
@@ -315,20 +423,22 @@ func TestSplitReadCorruptHalf(t *testing.T) {
 	before := tc.client.Stats()
 	rpcs, exts := readDelta(t, tc.client, func() error { return d.ReadAt(got, 0) })
 	after := tc.client.Stats()
-	if rpcs != 3 || exts != 3 {
-		t.Errorf("%d requests carrying %d extents, want 3 and 3: only the damaged half goes again", rpcs, exts)
+	if rpcs != 5 || exts != 5 {
+		t.Errorf("%d requests carrying %d extents, want 5 and 5: only the damaged part goes again", rpcs, exts)
 	}
 	if !bytes.Equal(got, data) {
-		t.Error("wrong bytes after the damaged half failed over")
+		t.Error("wrong bytes after the damaged part failed over")
 	}
-	if p, b := after.ReadPrimary-before.ReadPrimary, after.ReadBackup-before.ReadBackup; p != 0 || b != ChunkSize {
-		t.Errorf("balance counted %d bytes at the primary and %d at the backup, want 0 and %d: each half once, where it was served", p, b, ChunkSize)
+	if p, b := after.ReadPrimary-before.ReadPrimary, after.ReadBackup-before.ReadBackup; p != ChunkSize/4 || b != 3*ChunkSize/4 {
+		t.Errorf("balance counted %d bytes at the primary and %d at the backup, want %d and %d: each part once, where it was served",
+			p, b, ChunkSize/4, 3*ChunkSize/4)
 	}
 }
 
 // TestSplitReadDeadReplica: a replica the view knows is dead gets no
 // half — one request, one extent; one the view still believes in gets
-// its half, which times out and fails over, and is counted once.
+// its half of a lone read, whose two parts time out and fail over, and
+// is counted once.
 func TestSplitReadDeadReplica(t *testing.T) {
 	t.Run("view stale", func(t *testing.T) {
 		tc, d, data, primary, _, unpin := splitFixture(t)
@@ -338,8 +448,8 @@ func TestSplitReadDeadReplica(t *testing.T) {
 		before := tc.client.Stats()
 		rpcs, _ := readDelta(t, tc.client, func() error { return d.ReadAt(got, 0) })
 		after := tc.client.Stats()
-		if rpcs != 3 {
-			t.Errorf("%d requests, want 3: a half each, and the dead replica's again", rpcs)
+		if rpcs != 6 {
+			t.Errorf("%d requests, want 6: two parts each, and the dead replica's two again", rpcs)
 		}
 		if !bytes.Equal(got, data) {
 			t.Error("wrong bytes after the half on the dead replica failed over")
@@ -391,9 +501,9 @@ func TestBalanceCountsRetriedReadOnce(t *testing.T) {
 	got := make([]byte, ChunkSize)
 	done := make(chan error, 1)
 	go func() { done <- d.ReadAt(got, 0) }()
-	// Both preferences of both halves have been tried once the second
+	// Both preferences of the four parts have been tried once the second
 	// round of requests is out; the attempt after the refresh gets through.
-	waitUntil(t, time.Minute, func() bool { return tc.client.Stats().ReadVRPCs-before.ReadVRPCs >= 4 })
+	waitUntil(t, time.Minute, func() bool { return tc.client.Stats().ReadVRPCs-before.ReadVRPCs >= 8 })
 	tc.w.Net.Heal(ClientAddr("ws0"))
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -427,7 +537,7 @@ func routeFixture(tb testing.TB) *Client {
 func routeBatch(c *Client, st *GlobalState, exts []ReadExtent) int {
 	x := c.newXfer(obs.Ctx{}, "vol", false)
 	defer x.release()
-	ps := c.readPieces(x.ps, "vol", exts)
+	ps := c.readPieces(x.ps, "vol", exts, false)
 	for i := range ps {
 		x.op.route(st, "vol", &ps[i])
 	}

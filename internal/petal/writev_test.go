@@ -209,18 +209,23 @@ func raceBuild() bool {
 // reply channel, and every server its per-request lists, closures and
 // read buffers, anew; then 14 and 20 while every message had a delivery
 // goroutine of its own, every envelope was boxed and every server span
-// was a new object. Raise or lower them only with a change that means to
-// move them.
+// was a new object. loneReadVAllocs is the same ReadV made while no other
+// read is in flight: four requests, not two, and each request is five
+// objects — the boxed request, the handler's goroutine, the server's
+// result list, its boxed reply and the hand-off of its buffer. Raise or
+// lower them only with a change that means to move them.
 const (
-	writeVAllocs = 6
-	readVAllocs  = 12
+	writeVAllocs    = 6
+	readVAllocs     = 12
+	loneReadVAllocs = readVAllocs + 2*5
 )
 
-// TestWriteVReadVRoundTripAllocs pins writeVAllocs and readVAllocs. The
-// servers' demons allocate in the background and AllocsPerRun counts the
-// whole process: the least of several rounds is the call's own. Under
-// the race detector sync.Pool drops a share of what it is given, so the
-// counts are pinned only without it (make alloc-budget).
+// TestWriteVReadVRoundTripAllocs pins writeVAllocs, readVAllocs and
+// loneReadVAllocs. The servers' demons allocate in the background and
+// AllocsPerRun counts the whole process: the least of several rounds is
+// the call's own. Under the race detector sync.Pool drops a share of
+// what it is given, so the counts are pinned only without it (make
+// alloc-budget).
 func TestWriteVReadVRoundTripAllocs(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
@@ -241,15 +246,19 @@ func TestWriteVReadVRoundTripAllocs(t *testing.T) {
 		return l
 	}
 	w := least(func() error { return d.WriteV(wexts) })
+	lone := least(func() error { return d.ReadV(rexts) })
+	tc.client.reads.Add(1) // as if another read were in flight
 	r := least(func() error { return d.ReadV(rexts) })
-	t.Logf("allocations per 64 KB round trip: WriteV %v, ReadV %v", w, r)
+	tc.client.reads.Add(-1)
+	t.Logf("allocations per 64 KB round trip: WriteV %v, ReadV %v, lone ReadV %v", w, r, lone)
 	if !bytes.Equal(rexts[0].Dst, wexts[0].Data) {
 		t.Fatal("the ReadV did not return what the WriteV wrote")
 	}
 	if raceBuild() {
 		return
 	}
-	if w != writeVAllocs || r != readVAllocs {
-		t.Fatalf("a 64 KB WriteV allocates %v times and a ReadV %v, want %d and %d", w, r, writeVAllocs, readVAllocs)
+	if w != writeVAllocs || r != readVAllocs || lone != loneReadVAllocs {
+		t.Fatalf("a 64 KB WriteV allocates %v times, a ReadV %v and a lone ReadV %v, want %d, %d and %d",
+			w, r, lone, writeVAllocs, readVAllocs, loneReadVAllocs)
 	}
 }

@@ -176,23 +176,47 @@ func (e *Endpoint) Cast(to string, body any) error {
 // Call sends a request and waits up to timeout (simulated time) for
 // the reply.
 func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) {
-	id, ch, err := e.send(to, req)
+	p, err := e.Go(to, req)
 	if err != nil {
 		return nil, err
 	}
-	timer := armTimer(e.clock.Real(timeout))
+	return p.Wait(timeout)
+}
+
+// Pending is a call whose request has been sent: Wait collects its
+// reply.
+type Pending struct {
+	e  *Endpoint
+	to string
+	id uint64
+	ch chan any
+}
+
+// Go sends a request and returns without waiting for the reply. Two
+// calls to one destination started one after the other from one
+// goroutine reach it in that order: the carrier keeps the order of each
+// pair's sends.
+func (e *Endpoint) Go(to string, req any) (Pending, error) {
+	id, ch, err := e.send(to, req)
+	return Pending{e: e, to: to, id: id, ch: ch}, err
+}
+
+// Wait waits up to timeout (simulated time), counted from now, for the
+// reply to p. Call it once.
+func (p Pending) Wait(timeout time.Duration) (any, error) {
+	timer := armTimer(p.e.clock.Real(timeout))
 	defer timerPool.Put(timer)
 	select {
-	case reply := <-ch:
+	case reply := <-p.ch:
 		// Stopped, a timer delivers nothing more (go 1.23 timers): the
 		// next call to take it from the pool finds its channel empty.
 		timer.Stop()
 		// The reply's sender took the call out of pending before it
 		// sent, so nobody else holds the channel now.
-		replyChans.Put(ch)
+		replyChans.Put(p.ch)
 		return reply, nil
 	case <-timer.C:
-		return nil, e.expire(to, id, ch)
+		return nil, p.e.expire(p.to, p.id, p.ch)
 	}
 }
 
