@@ -63,8 +63,6 @@ bench:
 ##   TestCodecBudget (CODEC_BUDGET=1): the wire codec beats the gob
 ##     baseline by >= 5x allocs/op and >= 2x ns/op on 1 MB WriteV/ReadV,
 ##     with encode at 0 allocs/op;
-##   codec-mux: >= 2 concurrent in-flight RPC streams share one TCP
-##     connection;
 ##   forensics-smoke: a lock holder killed mid-write leaves a merged
 ##     flight-recorder timeline with expiry -> recovery -> replay in
 ##     causal order;
@@ -98,7 +96,6 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp read-scaling
 	CODEC_BUDGET=1 $(GO) test -run TestCodecBudget -count=1 ./internal/rpc/
-	$(GO) run ./cmd/frangibench -quick -exp codec-mux
 	$(GO) run ./cmd/frangibench -quick -exp forensics-smoke
 	$(GO) run ./cmd/frangibench -quick -exp contention-profile
 	$(GO) run ./cmd/frangibench -quick -exp lock-scaling -out lock-scaling-trajectory.json

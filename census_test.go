@@ -46,7 +46,6 @@ var experiments = map[string]string{
 	"read-scaling":       "make bench-smoke",
 	"obs-overhead":       "make bench-smoke",
 	"contention-profile": "make bench-smoke",
-	"codec-mux":          "make bench-smoke",
 	"lock-scaling":       "make bench-smoke",
 	"scale-sweep":        "make bench-smoke",
 	"forensics-smoke":    "make bench-smoke",
@@ -77,6 +76,155 @@ var clusterMethods = map[string]string{
 	"RemoveServer":        "§7, removing a server: TestClusterLifecycle",
 	"Timeline":            "cmd/frangicli/main.go",
 	"Windows":             "cmd/frangicli/main.go",
+}
+
+// exported names, for every exported function of internal/rpc,
+// internal/obs and internal/cache and every exported method of their
+// exported types, a non-test file that calls it, or the test that needs
+// it. A method called through an interface names the file that makes
+// the interface call.
+var exported = map[string]string{
+	"rpc.AppendBool":               "internal/petal/wirecodec.go",
+	"rpc.AppendMessage":            "TestCodecGoldenRequests",
+	"rpc.AppendMessageHeader":      "internal/rpc/tcp.go",
+	"rpc.AppendString":             "internal/petal/wirecodec.go, internal/lockservice/wirecodec.go",
+	"rpc.Cursor.Bool":              "internal/petal/wirecodec.go",
+	"rpc.Cursor.Byte":              "internal/lockservice/wirecodec.go",
+	"rpc.Cursor.Count":             "internal/petal/wirecodec.go",
+	"rpc.Cursor.Done":              "internal/petal/wirecodec.go",
+	"rpc.Cursor.Len":               "internal/rpc/codec.go",
+	"rpc.Cursor.String":            "internal/petal/wirecodec.go",
+	"rpc.Cursor.Take":              "internal/petal/wirecodec.go",
+	"rpc.Cursor.Uvarint":           "internal/petal/wirecodec.go",
+	"rpc.Cursor.Varint":            "internal/lockservice/wirecodec.go",
+	"rpc.DecodeMessage":            "internal/rpc/tcp.go",
+	"rpc.Endpoint.Call":            "internal/lockservice/clerk.go, benchmark/drives.go",
+	"rpc.Endpoint.Cast":            "internal/lockservice/clerk.go",
+	"rpc.Endpoint.Close":           "internal/lockservice/server.go, benchmark/drives.go",
+	"rpc.Endpoint.Go":              "internal/petal/client.go",
+	"rpc.NewEndpoint":              "internal/lockservice/server.go, benchmark/drives.go",
+	"rpc.NewRecvBuf":               "internal/petal/server.go, internal/rpc/tcp.go",
+	"rpc.NewTCPCarrier":            "benchmark/drives.go",
+	"rpc.Pending.Wait":             "internal/petal/client.go",
+	"rpc.RecvBuf.Release":          "internal/petal/wirecodec.go",
+	"rpc.RegisterType":             "internal/paxos/paxos.go",
+	"rpc.RegisterWireDecoder":      "internal/petal/wirecodec.go",
+	"rpc.Release":                  "internal/petal/server.go, benchmark/drives.go",
+	"rpc.SimCarrier.Register":      "internal/rpc/rpc.go",
+	"rpc.SimCarrier.Send":          "internal/rpc/rpc.go",
+	"rpc.SimCarrier.Unregister":    "internal/rpc/rpc.go",
+	"rpc.TCPCarrier.Close":         "benchmark/drives.go",
+	"rpc.TCPCarrier.Register":      "internal/rpc/rpc.go",
+	"rpc.TCPCarrier.Send":          "internal/rpc/rpc.go",
+	"rpc.TCPCarrier.SetAddr":       "TestTCPUnknownHost",
+	"rpc.TCPCarrier.Unregister":    "internal/rpc/rpc.go",
+	"obs.AccountStat.Bytes":        "internal/bench/accounting.go",
+	"obs.AccountTable.Bytes":       "internal/fs/fs.go",
+	"obs.AccountTable.CacheMiss":   "internal/fs/file.go",
+	"obs.AccountTable.Len":         "TestAccountTableFoldsColdest",
+	"obs.AccountTable.LockWait":    "internal/fs/fs.go",
+	"obs.AccountTable.Op":          "internal/fs/fs.go",
+	"obs.AccountTable.RPC":         "internal/petal/client.go",
+	"obs.AccountTable.ServerOp":    "internal/petal/server.go",
+	"obs.AccountTable.Snapshot":    "internal/bench/accounting.go",
+	"obs.AccountTable.WAL":         "internal/fs/fs.go",
+	"obs.AnomalyWatcher.Observe":   "cmd/frangicli/main.go",
+	"obs.BucketBounds":             "internal/obs/window.go",
+	"obs.Counter.Add":              "internal/fs/fs.go",
+	"obs.Counter.Inc":              "internal/cache/cache.go",
+	"obs.Counter.Value":            "examples/failover/main.go",
+	"obs.CritPath.AddTrace":        "internal/obs/critpath.go",
+	"obs.CritPath.AddTracer":       "cmd/frangibench/main.go, benchmark/layers.go",
+	"obs.CritPath.Count":           "cmd/frangibench/main.go",
+	"obs.CritPath.Coverage":        "cmd/frangibench/main.go, benchmark/layers.go",
+	"obs.CritPath.MeanNs":          "cmd/frangibench/main.go",
+	"obs.CritPath.Profile":         "cmd/frangibench/main.go, benchmark/layers.go",
+	"obs.CritPath.Report":          "cmd/frangicli/main.go",
+	"obs.CritPath.RootOps":         "cmd/frangibench/main.go",
+	"obs.ForensicsDump.JSON":       "cmd/frangicli/main.go",
+	"obs.Gauge.Add":                "internal/petal/client.go",
+	"obs.Gauge.Set":                "internal/lockservice/server.go",
+	"obs.Gauge.SetMax":             "internal/wal/wal.go",
+	"obs.Gauge.Value":              "internal/obs/snapshot.go",
+	"obs.HealthReport.Text":        "cmd/frangicli/main.go",
+	"obs.Histogram.Count":          "internal/obs/snapshot.go",
+	"obs.Histogram.Max":            "internal/obs/snapshot.go",
+	"obs.Histogram.Quantile":       "internal/obs/snapshot.go",
+	"obs.Histogram.Record":         "internal/lockservice/clerk.go",
+	"obs.Histogram.Sum":            "internal/obs/snapshot.go",
+	"obs.Journal.Events":           "internal/obs/forensics.go",
+	"obs.Journal.Len":              "internal/obs/journal.go",
+	"obs.Journal.Record":           "cluster.go",
+	"obs.Journal.Seq":              "TestJournalSkipsStickyHits",
+	"obs.Journal.Server":           "cluster.go",
+	"obs.MergeTimeline":            "cluster.go",
+	"obs.NewAccountTable":          "internal/obs/obs.go",
+	"obs.NewAnomalyWatcher":        "cluster.go",
+	"obs.NewCounter":               "internal/cache/cache.go",
+	"obs.NewCritPath":              "cmd/frangibench/main.go",
+	"obs.NewGauge":                 "internal/petal/client.go",
+	"obs.NewHealthReport":          "cluster.go",
+	"obs.NewHistogram":             "internal/obs/principal.go",
+	"obs.NewJournal":               "internal/obs/journal.go",
+	"obs.NewRegistry":              "internal/sim/world.go",
+	"obs.NewWindowRing":            "cluster.go",
+	"obs.ProbeStatus.MarshalJSON":  "TestProbeStatusJSON",
+	"obs.ProbeStatus.String":       "internal/obs/health.go",
+	"obs.Registry.Accounts":        "cluster.go",
+	"obs.Registry.Counter":         "internal/bench/forensics.go",
+	"obs.Registry.Gauge":           "internal/lockservice/server.go",
+	"obs.Registry.Histogram":       "internal/lockservice/clerk.go",
+	"obs.Registry.HotLocks":        "cmd/frangicli/main.go",
+	"obs.Registry.Journal":         "cluster.go",
+	"obs.Registry.Journals":        "cluster.go",
+	"obs.Registry.Now":             "internal/lockservice/clerk.go",
+	"obs.Registry.SetAccounting":   "cluster.go",
+	"obs.Registry.SetJournal":      "internal/bench/obs.go",
+	"obs.Registry.SetNamer":        "cluster.go",
+	"obs.Registry.Snapshot":        "cmd/frangibench/main.go",
+	"obs.Registry.Tracer":          "cmd/frangibench/main.go",
+	"obs.RenderAccounts":           "cmd/frangicli/main.go",
+	"obs.RenderResources":          "cmd/frangicli/main.go",
+	"obs.RenderTimeline":           "cmd/frangicli/main.go",
+	"obs.Snapshot.JSON":            "cmd/frangibench/main.go",
+	"obs.Snapshot.Text":            "cmd/frangicli/main.go",
+	"obs.Span.Child":               "internal/petal/client.go",
+	"obs.Span.Ctx":                 "internal/fs/file.go",
+	"obs.Span.Done":                "internal/petal/client.go",
+	"obs.Tracer.LastRoot":          "cmd/frangibench/main.go",
+	"obs.Tracer.Remote":            "internal/petal/server.go",
+	"obs.Tracer.RenderTrace":       "cmd/frangicli/main.go",
+	"obs.Tracer.Roots":             "TestSyncFanOutStaysInTrace, TestPrincipalReachesServer",
+	"obs.Tracer.SpansFor":          "cmd/frangicli/main.go",
+	"obs.Tracer.Start":             "internal/fs/fs.go",
+	"obs.Window.Seconds":           "cmd/frangicli/main.go",
+	"obs.Window.Text":              "cmd/frangicli/main.go",
+	"obs.WindowRing.Advance":       "internal/bench/accounting.go",
+	"cache.NewPool":                "internal/fs/fs.go, benchmark/drives.go",
+	"cache.Pool.AllDirty":          "internal/fs/fs.go",
+	"cache.Pool.BlockSize":         "internal/fs/fs.go",
+	"cache.Pool.Capacity":          "internal/fs/fs.go",
+	"cache.Pool.DirtyByOwner":      "internal/fs/fs.go",
+	"cache.Pool.DirtyThrough":      "internal/fs/fs.go",
+	"cache.Pool.EntrySeq":          "internal/fs/fs.go",
+	"cache.Pool.Fill":              "internal/fs/file.go",
+	"cache.Pool.HasDirty":          "internal/fs/fs.go",
+	"cache.Pool.Insert":            "internal/fs/file.go, benchmark/drives.go",
+	"cache.Pool.Invalidate":        "internal/fs/file.go",
+	"cache.Pool.InvalidateAll":     "internal/fs/fs.go",
+	"cache.Pool.InvalidateByOwner": "internal/fs/ops.go",
+	"cache.Pool.Len":               "TestLRUOrderAgainstModel",
+	"cache.Pool.Lookup":            "internal/fs/file.go, benchmark/drives.go",
+	"cache.Pool.MarkCleanIf":       "internal/fs/fs.go",
+	"cache.Pool.MarkCleanIfBatch":  "internal/fs/fs.go",
+	"cache.Pool.MarkDirty":         "internal/fs/file.go",
+	"cache.Pool.MaxSeq":            "internal/fs/file.go",
+	"cache.Pool.Mutate":            "internal/fs/file.go",
+	"cache.Pool.Peek":              "internal/fs/file.go",
+	"cache.Pool.SetFlusher":        "internal/fs/fs.go",
+	"cache.Pool.SetObs":            "internal/fs/fs.go",
+	"cache.Pool.SnapshotBatch":     "internal/fs/fs.go",
+	"cache.Pool.Usage":             "internal/fs/fs.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -113,7 +261,7 @@ func TestPackageCensus(t *testing.T) {
 		case len(importers[pkg]) > 0 && why != "":
 			t.Errorf("%s is imported by %v: drop its unimported entry", pkg, sortedSet(importers[pkg]))
 		case why != "":
-			checkRefs(t, pkg, why, strconv.Quote("frangipani/"+pkg))
+			checkRefs(t, pkg, why, strconv.Quote("frangipani/"+pkg), false)
 		}
 	}
 	for pkg := range unimported {
@@ -183,13 +331,44 @@ func TestClusterMethodCensus(t *testing.T) {
 		if !strings.Contains(why, ".go") && !strings.HasPrefix(why, "§") {
 			t.Errorf("Cluster.%s: %q names no non-test caller and no paper section", m, why)
 		}
-		checkRefs(t, "Cluster."+m, why, "."+m+"(")
+		checkRefs(t, "Cluster."+m, why, "."+m+"(", false)
 	}
 }
 
-// checkRefs requires why to name at least one file or root test, and
-// every file and test it names to exist and contain call.
-func checkRefs(t *testing.T, subject, why, call string) {
+// TestExportedCensus holds every exported function of internal/rpc,
+// internal/obs and internal/cache, and every exported method of their
+// exported types, to exported, and each entry to a file or test that
+// calls it.
+func TestExportedCensus(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)\) )?([A-Z]\w*)\(`)
+	var got []string
+	for _, path := range goFiles(t, false) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		switch dir {
+		case "internal/rpc", "internal/obs", "internal/cache":
+		default:
+			continue
+		}
+		pkg := filepath.Base(dir)
+		for _, m := range decl.FindAllStringSubmatch(readFile(t, path), -1) {
+			name, call := pkg+"."+m[2], m[2]+"("
+			if m[1] != "" {
+				name, call = pkg+"."+m[1]+"."+m[2], "."+m[2]+"("
+			}
+			got = append(got, name)
+			if why := exported[name]; why != "" {
+				checkRefs(t, name, why, call, true)
+			}
+		}
+	}
+	census(t, "exported function or method", got, exported)
+}
+
+// checkRefs requires why to name at least one file or test, and every
+// file and test it names to exist and contain call outside the
+// declaration of what it calls. A test it names must be a root test,
+// or, with anyPkg, a test of any one package.
+func checkRefs(t *testing.T, subject, why, call string, anyPkg bool) {
 	t.Helper()
 	refs := 0
 	for _, word := range strings.FieldsFunc(why, func(r rune) bool { return r == ' ' || r == ',' || r == ':' }) {
@@ -198,12 +377,12 @@ func checkRefs(t *testing.T, subject, why, call string) {
 		case strings.HasSuffix(word, ".go"):
 			src = readFile(t, word)
 		case strings.HasPrefix(word, "Test"):
-			src = rootTestDefining(t, word)
+			src = testDefining(t, word, anyPkg)
 		default:
 			continue
 		}
 		refs++
-		if !strings.Contains(src, call) {
+		if !strings.Contains(strings.ReplaceAll(src, "func "+call, ""), call) {
 			t.Errorf("%s: %s does not contain %s", subject, word, call)
 		}
 	}
@@ -212,18 +391,31 @@ func checkRefs(t *testing.T, subject, why, call string) {
 	}
 }
 
-// rootTestDefining returns the root-package test file that defines test.
-func rootTestDefining(t *testing.T, test string) string {
+// testDefining returns the test file that defines test: a root test
+// file, or, with anyPkg, a test file of any package. A test that more
+// than one package defines is an error, not the first one found.
+func testDefining(t *testing.T, test string, anyPkg bool) string {
 	t.Helper()
+	var found []string
+	var src string
 	for _, path := range goFiles(t, true) {
-		if filepath.Dir(path) == "." {
-			if src := readFile(t, path); strings.Contains(src, "func "+test+"(t *testing.T)") {
-				return src
-			}
+		if !anyPkg && filepath.Dir(path) != "." {
+			continue
+		}
+		if s := readFile(t, path); strings.Contains(s, "func "+test+"(t *testing.T)") {
+			found, src = append(found, path), s
 		}
 	}
-	t.Errorf("no root test %s", test)
-	return ""
+	switch {
+	case len(found) == 0 && anyPkg:
+		t.Errorf("no test %s", test)
+	case len(found) == 0:
+		t.Errorf("no root test %s", test)
+	case len(found) > 1:
+		t.Errorf("test %s is defined in %v: name it in one package only", test, found)
+		return ""
+	}
+	return src
 }
 
 // goFiles lists the repository's Go files, test files or the rest, but

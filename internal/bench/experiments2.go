@@ -471,7 +471,6 @@ var Experiments = []Experiment{
 	{"read-scaling", Options.ReadScaling},
 	{"obs-overhead", Options.ObsOverhead},
 	{"contention-profile", Options.ContentionProfile},
-	{"codec-mux", Options.CodecMux},
 	{"lock-scaling", Options.LockScaling},
 	{"scale-sweep", Options.ScaleSweep},
 	{"forensics-smoke", Options.ForensicsSmoke},

@@ -371,13 +371,6 @@ func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
 	}
 }
 
-// MarkClean clears the dirty flag (after a successful write-back).
-func (p *Pool) MarkClean(e *Entry) {
-	p.mu.Lock()
-	e.Dirty = false
-	p.mu.Unlock()
-}
-
 // MarkCleanIf clears the dirty flag only if the entry has not been
 // re-dirtied since the flusher snapshotted generation gen — otherwise
 // the newer update would silently lose its write-back.
@@ -495,20 +488,6 @@ func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.entries)
-}
-
-// Stats reports hit/miss counters.
-func (p *Pool) Stats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits.Value(), p.misses.Value()
-}
-
-// Evictions reports the number of capacity evictions.
-func (p *Pool) Evictions() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evictions.Value()
 }
 
 // EntrySeq reads the entry's covering log sequence under the pool

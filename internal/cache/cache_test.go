@@ -18,7 +18,7 @@ func TestLookupInsert(t *testing.T) {
 	if !ok || got != e || got.Data[0] != 42 {
 		t.Fatal("insert/lookup mismatch")
 	}
-	hits, misses := p.Stats()
+	hits, misses := p.hits.Value(), p.misses.Value()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
@@ -42,7 +42,7 @@ func TestFillKeepsResident(t *testing.T) {
 		t.Fatalf("fill over a resident block: inserted=%v same=%v data[0]=%d dirty=%v owner=%d",
 			inserted, again == e, e.Data[0], e.Dirty, e.Owner)
 	}
-	if hits, misses := p.Stats(); hits != 0 || misses != 0 {
+	if hits, misses := p.hits.Value(), p.misses.Value(); hits != 0 || misses != 0 {
 		t.Fatalf("fills counted %d hits and %d misses, want none", hits, misses)
 	}
 }
@@ -128,7 +128,7 @@ func TestMarkCleanAndSeq(t *testing.T) {
 	if !p.HasDirty() {
 		t.Fatal("HasDirty false with dirty entry")
 	}
-	p.MarkClean(e)
+	p.MarkCleanIf(e, e.gen)
 	if p.HasDirty() {
 		t.Fatal("HasDirty true after clean")
 	}
@@ -150,7 +150,7 @@ func TestDirtyThrough(t *testing.T) {
 	if got := p.DirtyThrough(2); len(got) != 0 {
 		t.Fatalf("DirtyThrough(2) = %d entries, want none", len(got))
 	}
-	p.MarkClean(hot)
+	p.MarkCleanIf(hot, hot.gen)
 	p.MarkDirty(hot, 12)
 	if got := p.DirtyThrough(9); len(got) != 1 || got[0] != late {
 		t.Fatalf("after a write-back DirtyThrough(9) = %d entries, want only the other one", len(got))

@@ -16,7 +16,9 @@ import (
 // violation — a server acting on stale metadata or data — shows up as
 // a model divergence. This is the paper's §2.1 guarantee ("changes
 // made to a file or directory on one machine are immediately visible
-// on all others") tested mechanically.
+// on all others") tested mechanically. The root package's
+// TestTwoServerModelOverTCP runs a copy of this operation loop over
+// TCP: a change to one is made to both.
 func TestRandomOpsTwoServersAgainstModel(t *testing.T) {
 	tw := newTestWorld(t)
 	servers := []*FS{tw.mount(t, "ws1", nil), tw.mount(t, "ws2", nil)}

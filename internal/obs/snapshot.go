@@ -65,22 +65,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Empty reports whether the snapshot recorded no activity at all:
-// every counter zero and every histogram empty.
-func (s Snapshot) Empty() bool {
-	for _, v := range s.Counters {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, h := range s.Histograms {
-		if h.Count != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() string {
 	b, err := json.MarshalIndent(s, "", "  ")

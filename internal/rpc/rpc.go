@@ -11,15 +11,14 @@
 //
 // The default carrier is the in-memory simulated network
 // (sim.Network), which charges link bandwidth and latency; a TCP
-// carrier with the same interface lives in tcp.go for the daemon
-// binaries.
+// carrier with the same interface and the same per-pair order lives in
+// tcp.go, to run the protocols over real sockets.
 package rpc
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"frangipani/internal/sim"
@@ -64,7 +63,9 @@ func envelope(word uint64, body any) Envelope {
 type HandlerFunc func(from string, body any) (reply any)
 
 // Carrier abstracts the underlying datagram network so Endpoint works
-// over both sim.Network and TCP. Envelopes travel by value.
+// over both sim.Network and TCP. Envelopes travel by value. Each
+// (from, to) pair is one FIFO on both carriers: the messages one host
+// sends another, casts and calls alike, are delivered in send order.
 type Carrier interface {
 	// Send transmits env to the named host, charging the modelled wire
 	// size.
@@ -98,7 +99,7 @@ type Endpoint struct {
 	addr    string
 	carrier Carrier
 	clock   *sim.Clock
-	handler atomic.Value // HandlerFunc
+	handler HandlerFunc // nil: requests are dropped
 
 	mu      sync.Mutex
 	pending map[uint64]chan any
@@ -107,26 +108,18 @@ type Endpoint struct {
 }
 
 // NewEndpoint registers addr on the carrier and returns the endpoint.
-// The handler may be nil initially and installed later with Handle.
+// An endpoint with a nil handler only makes calls and casts.
 func NewEndpoint(addr string, carrier Carrier, clock *sim.Clock, h HandlerFunc) *Endpoint {
 	e := &Endpoint{
 		addr:    addr,
 		carrier: carrier,
 		clock:   clock,
+		handler: h,
 		pending: make(map[uint64]chan any),
-	}
-	if h != nil {
-		e.handler.Store(h)
 	}
 	carrier.Register(addr, e.receive)
 	return e
 }
-
-// Addr returns this endpoint's network name.
-func (e *Endpoint) Addr() string { return e.addr }
-
-// Handle replaces the request handler.
-func (e *Endpoint) Handle(h HandlerFunc) { e.handler.Store(h) }
 
 func (e *Endpoint) receive(from string, env Envelope, size int) {
 	if env.IsReply {
@@ -139,12 +132,11 @@ func (e *Endpoint) receive(from string, env Envelope, size int) {
 		}
 		return
 	}
-	hv := e.handler.Load()
-	if hv == nil {
+	h := e.handler
+	if h == nil {
 		Release(env.Body)
 		return
 	}
-	h := hv.(HandlerFunc)
 	if env.ID == 0 {
 		// Casts run synchronously on the delivery goroutine so that
 		// per-pair FIFO network ordering extends to handler execution;
@@ -194,8 +186,8 @@ type Pending struct {
 
 // Go sends a request and returns without waiting for the reply. Two
 // calls to one destination started one after the other from one
-// goroutine reach it in that order: the carrier keeps the order of each
-// pair's sends.
+// goroutine reach it in that order, whatever their sizes: each pair's
+// messages are delivered in send order, on both carriers.
 func (e *Endpoint) Go(to string, req any) (Pending, error) {
 	id, ch, err := e.send(to, req)
 	return Pending{e: e, to: to, id: id, ch: ch}, err

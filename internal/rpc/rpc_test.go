@@ -16,25 +16,30 @@ type bigMsg struct{ bytes int }
 
 func (b bigMsg) WireSize() int { return b.bytes }
 
-func newPair(t *testing.T) (*sim.World, *Endpoint, *Endpoint) {
+// newPair connects endpoint a to endpoint b, which serves h, or echoes
+// an echoReq when h is nil.
+func newPair(t *testing.T, h HandlerFunc) (*sim.World, *Endpoint, *Endpoint) {
 	t.Helper()
+	if h == nil {
+		h = func(from string, body any) any {
+			if r, ok := body.(echoReq); ok {
+				return echoResp{N: r.N + 1}
+			}
+			return nil
+		}
+	}
 	w := sim.NewWorld(2000, 7)
 	w.AddMachine("a", sim.DefaultLinkParams())
 	w.AddMachine("b", sim.DefaultLinkParams())
 	carrier := SimCarrier{Net: w.Net}
 	a := NewEndpoint("a", carrier, w.Clock, nil)
-	b := NewEndpoint("b", carrier, w.Clock, func(from string, body any) any {
-		if r, ok := body.(echoReq); ok {
-			return echoResp{N: r.N + 1}
-		}
-		return nil
-	})
+	b := NewEndpoint("b", carrier, w.Clock, h)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return w, a, b
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	_, a, _ := newPair(t)
+	_, a, _ := newPair(t, nil)
 	got, err := a.Call("b", echoReq{N: 41}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +50,7 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentCallsCorrelate(t *testing.T) {
-	_, a, _ := newPair(t)
+	_, a, _ := newPair(t, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -65,9 +70,10 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	w, a, b := newPair(t)
-	b.Handle(func(from string, body any) any {
-		w.Clock.Sleep(time.Hour) // never answer in time
+	never := make(chan struct{})
+	defer close(never)
+	_, a, _ := newPair(t, func(from string, body any) any {
+		<-never // never answer in time
 		return echoResp{}
 	})
 	_, err := a.Call("b", echoReq{}, 200*time.Millisecond)
@@ -77,7 +83,7 @@ func TestCallTimeout(t *testing.T) {
 }
 
 func TestCallUnreachable(t *testing.T) {
-	w, a, _ := newPair(t)
+	w, a, _ := newPair(t, nil)
 	w.Net.Isolate("b")
 	_, err := a.Call("b", echoReq{}, time.Second)
 	if !errors.Is(err, sim.ErrUnreachable) {
@@ -86,9 +92,8 @@ func TestCallUnreachable(t *testing.T) {
 }
 
 func TestCast(t *testing.T) {
-	_, a, b := newPair(t)
 	got := make(chan any, 1)
-	b.Handle(func(from string, body any) any {
+	_, a, _ := newPair(t, func(from string, body any) any {
 		got <- body
 		return nil
 	})
@@ -106,7 +111,7 @@ func TestCast(t *testing.T) {
 }
 
 func TestClosedEndpoint(t *testing.T) {
-	_, a, _ := newPair(t)
+	_, a, _ := newPair(t, nil)
 	a.Close()
 	if err := a.Cast("b", "x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("cast after close: %v", err)
@@ -117,9 +122,8 @@ func TestClosedEndpoint(t *testing.T) {
 }
 
 func TestReplyToClosedCallerDoesNotBlock(t *testing.T) {
-	w, a, b := newPair(t)
 	release := make(chan struct{})
-	b.Handle(func(from string, body any) any {
+	w, a, _ := newPair(t, func(from string, body any) any {
 		<-release
 		return echoResp{N: 1}
 	})

@@ -42,7 +42,7 @@ var knobs = map[string]string{
 	"fs.Config.CPUPerOp":         "test only: the host-time pins (read_bench_test.go, write_bench_test.go) zero the modelled CPU so no call sleeps",
 	"fs.Config.CPUPerKB":         "test only: as CPUPerOp",
 	"fs.Config.Lock":             "fig8/fig9 (RevokeRetry); scale-sweep (LeaseDuration); examples/contention",
-	"fs.Config.Carrier":          "test only: obs_trace_test.go and obs_principal_test.go run the clerk over TCP",
+	"fs.Config.Carrier":          "test only: tcp_test.go's tcpStack runs the clerk over TCP",
 
 	"lockservice.Config.LeaseDuration":  "scale-sweep",
 	"lockservice.Config.HeartbeatEvery": "lock-scaling; NewCluster hands it to Petal's detector",

@@ -3,14 +3,9 @@ package frangipani_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"frangipani/internal/fs"
-	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
-	"frangipani/internal/petal"
-	"frangipani/internal/rpc"
-	"frangipani/internal/sim"
 )
 
 // TestTenantServerOpsOverTCP runs the full stack over real TCP sockets
@@ -20,43 +15,8 @@ import (
 // have carried the name there — the envelope has no field for it and
 // the servers share no goroutine with the caller.
 func TestTenantServerOpsOverTCP(t *testing.T) {
-	carrier := rpc.NewTCPCarrier()
-	defer carrier.Close()
-	w := sim.NewWorld(1, 11) // real time: TCP is real
-	defer w.Stop()
-
-	pcfg := petal.DefaultServerConfig(256 << 20)
-	pcfg.NumDisks = 2
-	petalNames := []string{"ap0", "ap1", "ap2"}
-	for _, n := range petalNames {
-		defer petal.NewServerWithCarrier(w, n, petalNames, pcfg, carrier).Close()
-	}
-	lcfg := lockservice.DefaultConfig()
-	lcfg.HeartbeatEvery = 200 * time.Millisecond
-	lcfg.SuspectAfter = 2 * time.Second
-	lockNames := []string{"al0", "al1", "al2"}
-	for _, n := range lockNames {
-		defer lockservice.NewServerWithCarrier(w, n, lockNames, lcfg, carrier).Close()
-	}
-	admin := petal.NewClientWithCarrier(w, "aadmin", petalNames, carrier)
-	defer admin.Close()
-	if err := admin.CreateVDisk("acctfs"); err != nil {
-		t.Fatal(err)
-	}
-	lay := fs.DefaultLayout()
-	if err := fs.Mkfs(admin, "acctfs", lay); err != nil {
-		t.Fatal(err)
-	}
-	fcfg := fs.DefaultConfig()
-	fcfg.Lock = lcfg
-	fcfg.Carrier = carrier
-	pc := petal.NewClientWithCarrier(w, "aws1", petalNames, carrier)
-	defer pc.Close()
-	f, err := fs.Mount(w, "aws1", pc, "acctfs", lockNames, lay, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Unmount()
+	s := newTCPStack(t, "a")
+	w, admin, f := s.w, s.admin, s.mount(t, "aws1")
 
 	tenant := func() obs.AccountStat {
 		for _, st := range w.Obs.Accounts().Snapshot() {
@@ -105,7 +65,7 @@ func TestTenantServerOpsOverTCP(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := fs.Check(admin, "acctfs", lay); err != nil || !rep.OK() {
+	if rep, err := fs.Check(admin, s.vd, s.lay); err != nil || !rep.OK() {
 		t.Fatalf("fsck: %v %+v", err, rep)
 	}
 }
