@@ -608,7 +608,7 @@ func (s *stream) restart(end int64) {
 	s.mu.Unlock()
 }
 
-// via is the Petal view the reader's own fetches go through: fs.ahead
+// via is the Petal view the reader's own fetches go through: fs.overlapped
 // while prefetches of the stream are under way — they may not have
 // reached the Petal client yet, and the fetch is not alone beside them —
 // and fs.pc otherwise.
@@ -616,7 +616,7 @@ func (s *stream) via(fs *FS) *petal.Client {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.busy > 0 {
-		return fs.ahead
+		return fs.overlapped
 	}
 	return fs.pc
 }
@@ -654,7 +654,7 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fillPages(fs.ahead, fetch, done, InodeLock(f.inum), false)
+			_, _ = fs.fillPages(fs.overlapped, fetch, done, InodeLock(f.inum), false)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -846,6 +846,6 @@ func (f *File) fsync(op *obs.Span) error {
 		if i == 0 {
 			return fs.ensureLogFlushed(op, fs.meta.MaxSeq(fs.meta.DirtyByOwner(lock)))
 		}
-		return fs.flushData(op, fs.data.DirtyByOwner(lock))
+		return fs.flushData(op, fs.pc, fs.data.DirtyByOwner(lock))
 	})
 }

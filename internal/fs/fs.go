@@ -169,18 +169,18 @@ func (fs *FS) As(principal string) *FS { return &FS{server: fs.server, who: prin
 
 // server is the state all views of one mounted file server share.
 type server struct {
-	w       *sim.World
-	machine string
-	pc      *petal.Client
-	ahead   *petal.Client // pc's view for read-ahead (petal.Client.Ahead)
-	vd      petal.VDiskID
-	lay     Layout
-	cfg     Config
-	clerk   *lockservice.Clerk
-	log     *wal.Log
-	meta    *cache.Pool
-	data    *cache.Pool
-	cpu     *sim.CPU
+	w          *sim.World
+	machine    string
+	pc         *petal.Client
+	overlapped *petal.Client // pc's view for read-ahead and write-behind (petal.Client.Overlapped)
+	vd         petal.VDiskID
+	lay        Layout
+	cfg        Config
+	clerk      *lockservice.Clerk
+	log        *wal.Log
+	meta       *cache.Pool
+	data       *cache.Pool
+	cpu        *sim.CPU
 
 	mu       sync.Mutex
 	owned    map[allocClass][]int64
@@ -288,25 +288,25 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		return nil, err
 	}
 	fs := &FS{server: &server{
-		w:         w,
-		machine:   machine,
-		pc:        pc,
-		ahead:     pc.Ahead(),
-		vd:        vd,
-		lay:       lay,
-		cfg:       cfg,
-		cpu:       w.CPU(machine),
-		meta:      cache.NewPool(SectorSize, metaCacheCap),
-		data:      cache.NewPool(BlockSize, cfg.DataCacheCap),
-		owned:     make(map[allocClass][]int64),
-		probeOff:  make(map[allocClass]int64),
-		stickySeg: make(map[allocClass]int64),
-		segResume: make(map[segKey]int64),
-		segFull:   make(map[segKey]bool),
-		atimes:    make(map[int64]int64),
-		hints:     make(map[int64]Inode),
-		inflight:  make(map[int64]chan struct{}),
-		flights:   make(map[int64]*flight),
+		w:          w,
+		machine:    machine,
+		pc:         pc,
+		overlapped: pc.Overlapped(),
+		vd:         vd,
+		lay:        lay,
+		cfg:        cfg,
+		cpu:        w.CPU(machine),
+		meta:       cache.NewPool(SectorSize, metaCacheCap),
+		data:       cache.NewPool(BlockSize, cfg.DataCacheCap),
+		owned:      make(map[allocClass][]int64),
+		probeOff:   make(map[allocClass]int64),
+		stickySeg:  make(map[allocClass]int64),
+		segResume:  make(map[segKey]int64),
+		segFull:    make(map[segKey]bool),
+		atimes:     make(map[int64]int64),
+		hints:      make(map[int64]Inode),
+		inflight:   make(map[int64]chan struct{}),
+		flights:    make(map[int64]*flight),
 	}}
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
@@ -350,7 +350,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.log.SetObs(w.Obs, machine)
 	fs.log.SetReclaim(fs.reclaimLog)
 
-	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.sync(nil) })
+	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.syncVia(nil, fs.overlapped) })
 	return fs, nil
 }
 
@@ -533,12 +533,13 @@ func (fs *FS) petalWrite(op *obs.Span, addr int64, p []byte) error {
 
 // petalWriteV is the scatter-gather variant of petalWrite: one lease
 // check covers the whole batch, which the Petal driver splits by
-// chunk and dispatches with bounded parallelism.
-func (fs *FS) petalWriteV(op *obs.Span, exts []petal.Extent) error {
+// chunk and dispatches with bounded parallelism. It writes through via:
+// fs.pc, or fs.overlapped for write-behind.
+func (fs *FS) petalWriteV(op *obs.Span, via *petal.Client, exts []petal.Extent) error {
 	if err := fs.waitLeaseForWrite(op); err != nil {
 		return err
 	}
-	return fs.pc.For(op).WriteV(fs.vd, exts)
+	return via.For(op).WriteV(fs.vd, exts)
 }
 
 func (fs *FS) waitLeaseForWrite(op *obs.Span) error {
@@ -676,7 +677,7 @@ func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 // fs.readahead.joins: a stream that is far enough ahead never joins.
 // own reports that this call itself went to Petal for addrs[0]; each
 // time it does, op's principal is charged the miss. It reads through
-// via: fs.pc, or fs.ahead for a read beside its stream's prefetches.
+// via: fs.pc, or fs.overlapped for a read beside its stream's prefetches.
 func (fs *FS) fetchData(op *obs.Span, via *petal.Client, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
 	// Stack scratch for a 64 KB request; longer ones spill to the heap.
 	var mineRoom [petal.ChunkSize / BlockSize]int64
@@ -748,9 +749,8 @@ func (fs *FS) claimPages(addrs, mine []int64, theirs []chan struct{}) ([]int64, 
 //
 // A foreground caller holds owner (locked) and passes the view of its
 // operation. A prefetch has neither: it runs for no operation, through
-// fs.ahead, and without the lock, like the paper's UFS-derived
-// read-ahead, and
-// only touches it here, briefly, as a validity gate — if the lock was
+// fs.overlapped, and without the lock, like the paper's UFS-derived
+// read-ahead, and only touches it here, briefly, as a validity gate — if the lock was
 // revoked meanwhile the data "must be discarded, and the work to read
 // it turns out to have been wasted" (§9.4), so no stale page ever
 // enters the cache. A prefetch is one chunk: fs.readahead.hits counts
@@ -1059,12 +1059,17 @@ func (t *txn) releaseSegs() {
 // the update demon", §4). Metadata and data write-back are two jobs
 // for the flush workers, so with FlushParallelism > 1 they proceed
 // concurrently; each batch still honors the per-entry log-before-data
-// rule.
+// rule. The demon writes through fs.overlapped: nobody waits for it,
+// and its batches overlap one another, so none is parted.
 func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
 
-func (fs *FS) sync(op *obs.Span) error {
+// sync is Sync for op, which waits for it: through fs.pc.
+func (fs *FS) sync(op *obs.Span) error { return fs.syncVia(op, fs.pc) }
+
+// syncVia forces the log and writes every dirty block back through via.
+func (fs *FS) syncVia(op *obs.Span, via *petal.Client) error {
 	fs.mu.Lock()
 	if fs.closed && fs.poisoned {
 		fs.mu.Unlock()
@@ -1084,9 +1089,9 @@ func (fs *FS) sync(op *obs.Span) error {
 
 	err := fs.flushWorkers(2, func(i int) error {
 		if i == 0 {
-			return fs.flushRuns(op, fs.meta, fs.meta.AllDirty())
+			return fs.flushRuns(op, via, fs.meta, fs.meta.AllDirty())
 		}
-		return fs.flushData(op, fs.data.AllDirty())
+		return fs.flushData(op, via, fs.data.AllDirty())
 	})
 	if err == nil {
 		fs.log.Release(target)
@@ -1165,14 +1170,14 @@ func (fs *FS) land(fl *flight, err error) {
 // are therefore all a caller is owed, however fast the pages are being
 // written again; what is written behind a pass is its writer's next
 // flush. It returns the first error of its own writes and of the flights
-// it joined; failed pages stay dirty.
-func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
+// it joined; failed pages stay dirty. It writes through via.
+func (fs *FS) flushData(op *obs.Span, via *petal.Client, es []*cache.Entry) error {
 	var theirsRoom [4]*flight // stack scratch: the flights a pass joins are few
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
 		fl, theirs, joined := fs.claimDirty(es, theirsRoom[:0])
 		var err error
 		if fl != nil {
-			err = fs.flushRuns(op, fs.data, fl.pages)
+			err = fs.flushRuns(op, via, fs.data, fl.pages)
 			fs.land(fl, err)
 		}
 		for _, other := range theirs {
@@ -1197,7 +1202,8 @@ func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
 // With Config.FlushParallelism write-behind flights already under way it
 // starts nothing and reports false: the writer is ahead of Petal and the
 // span goes out with the next one. The flight outlives the write that
-// started it, so it runs for no operation.
+// started it, so it runs for no operation, through fs.overlapped: the
+// flights overlap one another already, so none is parted.
 func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	fs.flushMu.Lock()
 	if fs.behind >= max(fs.cfg.FlushParallelism, 1) {
@@ -1216,7 +1222,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 
 // flyBehind carries a write-behind flight to Petal.
 func (fs *FS) flyBehind(fl *flight) {
-	fs.land(fl, fs.flushRuns(nil, fs.data, fl.pages))
+	fs.land(fl, fs.flushRuns(nil, fs.overlapped, fs.data, fl.pages))
 	fs.behindLanded()
 }
 
@@ -1278,6 +1284,7 @@ const maxBatchBytes = 1 << 20
 type writeBack struct {
 	fs      *FS
 	op      *obs.Span
+	via     *petal.Client
 	pool    *cache.Pool
 	runs    []flushRun
 	gens    []int64
@@ -1288,7 +1295,7 @@ type writeBack struct {
 
 var writeBacks = sync.Pool{New: func() any {
 	w := new(writeBack)
-	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.pool, &w.batches[i]) }
+	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.via, w.pool, &w.batches[i]) }
 	return w
 }}
 
@@ -1327,7 +1334,7 @@ func (w *writeBack) free() {
 	clear(w.runs)
 	clear(w.batches)
 	clear(w.exts)
-	w.fs, w.op, w.pool = nil, nil, nil
+	w.fs, w.op, w.via, w.pool = nil, nil, nil, nil
 	writeBacks.Put(w)
 }
 
@@ -1357,8 +1364,8 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 // log-first: coalesced runs are packed into scatter-gather batches
 // and dispatched through the flush workers, so one cache-sync round
 // trip carries many runs and, with FlushParallelism > 1, transfers
-// overlap. It sorts dirty.
-func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
+// overlap. It writes through via (petalWriteV) and sorts dirty.
+func (fs *FS) flushRuns(op *obs.Span, via *petal.Client, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
 	}
@@ -1369,7 +1376,7 @@ func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 	}
 	w := writeBacks.Get().(*writeBack)
 	defer w.free()
-	w.fs, w.op, w.pool = fs, op, pool
+	w.fs, w.op, w.via, w.pool = fs, op, via, pool
 	w.plan(dirty)
 	for i := range w.batches {
 		w.batches[i].snapshot(pool)
@@ -1389,10 +1396,10 @@ const recycleWithin = time.Second
 // goes back to the pool once nothing can reference it any more — WriteV
 // succeeded with every RPC answered — and to the garbage collector
 // otherwise (the rule petal.Client.Write follows for its snapshots).
-func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
+func (fs *FS) writeBatch(op *obs.Span, via *petal.Client, pool *cache.Pool, b *flushBatch) error {
 	fs.noteFlushInFlight(1)
 	start := fs.w.Clock.Now()
-	err := fs.petalWriteV(op, b.exts)
+	err := fs.petalWriteV(op, via, b.exts)
 	answered := fs.w.Clock.Now()-start < sim.Time(recycleWithin)
 	fs.noteFlushInFlight(-1)
 	if err != nil {
@@ -1434,7 +1441,7 @@ func (fs *FS) noteFlushInFlight(d int64) {
 // seq, so that the records' space can be reused. Whoever's append tipped
 // the log over, the space is everybody's: it runs for no operation.
 func (fs *FS) reclaimLog(through int64) {
-	if err := fs.flushRuns(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
+	if err := fs.flushRuns(nil, fs.pc, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1489,9 +1496,9 @@ func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 		}
 		err := fs.flushWorkers(2, func(i int) error {
 			if i == 0 {
-				return fs.flushRuns(op, fs.meta, meta)
+				return fs.flushRuns(op, fs.pc, fs.meta, meta)
 			}
-			return fs.flushData(op, data)
+			return fs.flushData(op, fs.pc, data)
 		})
 		if err == nil {
 			continue // clean now, unless a joined flight left something

@@ -10,6 +10,7 @@ import (
 
 	"frangipani/internal/lockservice"
 	"frangipani/internal/petal"
+	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
 
@@ -97,12 +98,19 @@ func (tw *testWorld) client(machine string) *petal.Client {
 
 func (tw *testWorld) mount(t testing.TB, machine string, mutate func(*Config)) *FS {
 	t.Helper()
+	return tw.mountVia(t, machine, rpc.SimCarrier{Net: tw.w.Net}, mutate)
+}
+
+// mountVia is mount with the server's Petal driver on carrier.
+func (tw *testWorld) mountVia(t testing.TB, machine string, carrier rpc.Carrier, mutate func(*Config)) *FS {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Lock = lockCfg()
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	f, err := Mount(tw.w, machine, tw.client(machine), tw.vd, tw.lockNames, tw.lay, cfg)
+	pc := petal.NewClientWithCarrier(tw.w, machine, tw.petalNames, carrier)
+	f, err := Mount(tw.w, machine, pc, tw.vd, tw.lockNames, tw.lay, cfg)
 	if err != nil {
 		t.Fatalf("mount %s: %v", machine, err)
 	}

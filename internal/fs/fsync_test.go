@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/petal"
+	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
 
@@ -63,6 +65,58 @@ func smallFileSynced(t *testing.T, f *FS) (h *File, data []byte) {
 		t.Fatalf("%d data pages dirty after fsync", dirty)
 	}
 	return h, data
+}
+
+// dataLog is a carrier that records, in the order they leave, the
+// extents of the write requests that carry file data: those at or past
+// from, the first user data block.
+type dataLog struct {
+	rpc.Carrier
+	from int64
+	mu   sync.Mutex
+	reqs [][2]int64 // per request: the address and length of its data
+}
+
+func (l *dataLog) Send(from, to string, env rpc.Envelope, size int) error {
+	if r, ok := env.Body.(petal.WriteVReq); ok && !r.Forwarded {
+		for _, e := range r.Extents {
+			if at := e.Chunk*petal.ChunkSize + int64(e.Off); at >= l.from {
+				l.mu.Lock()
+				l.reqs = append(l.reqs, [2]int64{at, int64(len(e.Data))})
+				l.mu.Unlock()
+			}
+		}
+	}
+	return l.Carrier.Send(from, to, env, size)
+}
+
+// TestFsyncSendsDataInTwoParts: the fsync of a 16 KB file waits for its
+// one run of four pages, so the run leaves in two requests, contiguous
+// and the first part first — with observability on and off alike, where
+// no operation has a span.
+func TestFsyncSendsDataInTwoParts(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("obs=%v", on), func(t *testing.T) {
+			w := sim.NewWorld(100, 99)
+			if !on {
+				w.Obs = nil
+			}
+			tw := newTestWorldIn(t, w, DefaultLayout())
+			log := &dataLog{Carrier: rpc.SimCarrier{Net: w.Net}, from: tw.lay.SmallAddr(tw.lay.MetaSmallBoundary)}
+			f := tw.mountVia(t, "ws1", log, noDemon)
+			smallFileSynced(t, f)
+			log.mu.Lock()
+			reqs := log.reqs
+			log.mu.Unlock()
+			if len(reqs) != 2 {
+				t.Fatalf("the fsync of a 16 KB file sent %d data requests %v, want 2", len(reqs), reqs)
+			}
+			if a, b := reqs[0], reqs[1]; a[0]+a[1] != b[0] || a[1]+b[1] != 16<<10 {
+				t.Errorf("the fsync sent %v then %v: want the 16 KB in two contiguous parts, the first first", a, b)
+			}
+			fsckClean(t, tw)
+		})
+	}
 }
 
 // TestFsyncCrashBeforeDemon: fsync forces the log and the data and

@@ -201,9 +201,10 @@ func TestSyncFanOutStaysInTrace(t *testing.T) {
 	fsckClean(t, tw)
 }
 
-// TestCreateSpanFollowsItsLogAppend: a create's log append and its span
-// land in the server's one ring, in the order they happened — the
-// append's event before the create's span record, which ends the
+// TestCreateSpanFollowsItsLogAppend: a create's work and its span land
+// in the server's one ring in the order they happened — the records of
+// the create's own child spans, each written when that step of the
+// create ended, before the create's span record, which ends the
 // operation — so the server's stream reads as it ran.
 func TestCreateSpanFollowsItsLogAppend(t *testing.T) {
 	tw := newTestWorld(t)
@@ -211,17 +212,27 @@ func TestCreateSpanFollowsItsLogAppend(t *testing.T) {
 	if err := f.Create("/a"); err != nil {
 		t.Fatal(err)
 	}
-	appendAt, createAt := -1, -1
-	for i, e := range tw.w.Obs.Journal("ws1").Events() {
-		switch {
-		case e.Layer == "wal" && e.Op == "append" && e.Kind == "ok":
-			appendAt = i
-		case e.Layer == "fs" && e.Op == "create" && e.Kind == obs.SpanKind:
+	evs := tw.w.Obs.Journal("ws1").Events()
+	createAt := -1
+	for i, e := range evs {
+		if e.Layer == "fs" && e.Op == "create" && e.Kind == obs.SpanKind {
 			createAt = i
 		}
 	}
-	if appendAt < 0 || createAt < appendAt {
-		t.Fatalf("ring order: wal append ok at %d, fs.create span at %d", appendAt, createAt)
+	if createAt < 0 {
+		t.Fatal("no fs.create span in the ring")
+	}
+	children := 0
+	for i, e := range evs {
+		if e.Kind != obs.SpanKind || e.Parent != evs[createAt].Key {
+			continue
+		}
+		if children++; i > createAt {
+			t.Errorf("ring order: the create's child %s.%s at %d, after the fs.create span at %d", e.Layer, e.Op, i, createAt)
+		}
+	}
+	if children == 0 {
+		t.Fatal("the fs.create span has no child span in the ring")
 	}
 	fsckClean(t, tw)
 }

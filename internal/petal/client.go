@@ -30,9 +30,10 @@ type Client struct {
 	// their spans under it, are charged to its principal, and stamp
 	// their requests with its context. Nil for the driver's own view.
 	op *obs.Span
-	// ahead marks a view whose reads are read-ahead: nobody waits for
-	// them, so none of them is lone (readPieces).
-	ahead bool
+	// overlapped marks a view whose calls nobody waits for — read-ahead,
+	// write-behind — and which overlap one another already: none of its
+	// reads is lone and none of its writes is parted (writePieces).
+	overlapped bool
 }
 
 // For returns a view of the client whose calls run on behalf of op.
@@ -40,13 +41,15 @@ func (c *Client) For(op *obs.Span) *Client {
 	if op == c.op {
 		return c
 	}
-	return &Client{driver: c.driver, op: op, ahead: c.ahead}
+	return &Client{driver: c.driver, op: op, overlapped: c.overlapped}
 }
 
-// Ahead returns a view of the client for read-ahead: its reads count
-// as in flight, as any read does, but are never lone themselves.
-func (c *Client) Ahead() *Client {
-	return &Client{driver: c.driver, op: c.op, ahead: true}
+// Overlapped returns a view of the client for calls nobody waits for
+// and which overlap one another already — read-ahead, write-behind, the
+// update demon's write-back: never lone, never parted. Its reads count
+// as in flight, as any read does.
+func (c *Client) Overlapped() *Client {
+	return &Client{driver: c.driver, op: c.op, overlapped: true}
 }
 
 // driver is the state every view of one Client shares.
@@ -99,6 +102,7 @@ type driver struct {
 	readBackup    *obs.Counter // balanced read bytes the backup served
 	balancePct    *obs.Gauge   // percent of balanced read bytes the backup served
 	readLone      *obs.Counter // lone reads, each replica's half cut in two (readPieces)
+	writeParted   *obs.Counter // parted writes, a chunk span cut in two (writePieces)
 
 	// reads counts this client's read calls in flight: a read that finds
 	// no other is lone.
@@ -192,6 +196,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		readBackup:     obs.NewCounter(),
 		balancePct:     obs.NewGauge(),
 		readLone:       obs.NewCounter(),
+		writeParted:    obs.NewCounter(),
 		refreshRPCs:    obs.NewCounter(),
 		refreshSkipped: obs.NewCounter(),
 		refreshFanout:  obs.NewCounter(),
@@ -208,6 +213,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		c.readBackup = reg.Counter("petal.read.backup#" + machine)
 		c.balancePct = reg.Gauge("petal.read.balance.pct#" + machine)
 		c.readLone = reg.Counter("petal.read.lone#" + machine)
+		c.writeParted = reg.Counter("petal.write.parted#" + machine)
 		c.refreshRPCs = reg.Counter("petal.refresh.rpcs#" + machine)
 		c.refreshSkipped = reg.Counter("petal.refresh.skipped#" + machine)
 		c.refreshFanout = reg.Counter("petal.refresh.fanout#" + machine)
@@ -631,39 +637,42 @@ type piece struct {
 	off   int
 	buf   []byte
 	tl    targetList // replica preference under the current routing view
-	// tail marks the second part of one replica's share of a lone read:
-	// routed wherever the piece before it goes, and sent in a request of
-	// its own right behind that piece's.
+	// tail marks the second part of one replica's share of a span cut in
+	// parts (appendPieces): routed wherever the piece before it goes, and
+	// sent in a request of its own right behind that piece's.
 	tail bool
 }
 
-// splitAlign is where a read piece may be cut: the file system's block,
-// so no block is ever fetched in two parts.
-const splitAlign = 4096
+// page is where a piece may be cut: the file system's block, so no block
+// is ever fetched or stored in two parts.
+const page = 4096
 
 // appendPieces splits the I/O of buf at byte offset off at chunk
-// boundaries. A read passes cut, which says into how many pieces — one,
-// two or four — the view it is about to be routed under cuts a span of
-// half a chunk or more (nil for a write: one). The cuts fall on
-// splitAlign boundaries. Halves go to different replicas: routing
-// charges the first before it looks at the second, so two arms and two
-// links move half the bytes each, while halves that do pick the same
-// server still leave in one request (batchByTarget). Quarters are a lone
-// read's halves cut in two: the second and fourth are tails.
-func appendPieces(dst []piece, off int64, buf []byte, cut func(chunk int64) int) []piece {
+// boundaries and cuts each chunk span, of n bytes, as cut says, at page
+// boundaries: into shares, one for each replica that serves it, and each
+// share into one or two parts, the requests it leaves in (nil, or
+// (1, 1): whole).
+// Shares go to different replicas: routing charges the first
+// before it looks at the second, so two arms and two links move half the
+// bytes each, while shares that do pick the same server still leave in
+// one request (batch). A share's second part is a tail: it leaves right
+// behind the first, so the server works on the first while the second is
+// on the wire.
+func appendPieces(dst []piece, off int64, buf []byte, cut func(chunk int64, n int) (shares, parts int)) []piece {
 	for len(buf) > 0 {
 		chunk, in := off/ChunkSize, int(off%ChunkSize)
 		n := min(ChunkSize-in, len(buf))
-		k := 1
-		if n >= ChunkSize/2 && cut != nil {
-			k = cut(chunk)
+		shares, parts := 1, 1
+		if cut != nil {
+			shares, parts = cut(chunk, n)
 		}
+		k := shares * parts
 		for i, at := 1, 0; i <= k; i++ {
 			end := n
 			if i < k {
-				end = (in+n*i/k+splitAlign-1)&^(splitAlign-1) - in
+				end = (in+n*i/k+page-1)&^(page-1) - in
 			}
-			dst = append(dst, piece{chunk: chunk, off: in + at, buf: buf[at:end], tail: k == 4 && i%2 == 0})
+			dst = append(dst, piece{chunk: chunk, off: in + at, buf: buf[at:end], tail: parts == 2 && i%2 == 0})
 			at = end
 		}
 		off += int64(n)
@@ -860,8 +869,9 @@ func (b *batch) split() (head, tail []piece) {
 
 // sendBatch sends batch i and files what it did not get served: one
 // index of a round's fan-out. A batch with a tail request sends it right
-// behind the first, before either reply is in: the server reads the
-// tail off its disk while the first reply is on the wire.
+// behind the first, before either reply is in: a read's server reads the
+// tail off its disk while the first reply is on the wire, and a write's
+// primary applies and forwards the first while the tail is.
 func (x *xfer) sendBatch(i int) error {
 	b := &x.batches[i]
 	timeout := callTimeout(b.bytes)
@@ -1184,7 +1194,7 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 		}
 	}
 	return c.instr(op, func(ctx obs.Ctx) error {
-		lone := c.reads.Add(1) == 1 && !c.ahead
+		lone := c.reads.Add(1) == 1 && !c.overlapped
 		x := c.newXfer(ctx, v, false)
 		x.ps = c.readPieces(x.ps, v, extents, lone)
 		err := c.transfer(x)
@@ -1196,38 +1206,71 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 
 // readPieces appends to dst a read's extents cut into pieces under the
 // view its first attempt will route them with (appendPieces): every
-// span of half a chunk or more that the view balances is halved. A read
-// that is lone — no other read of this client in flight — and halves
-// one span, whatever small pieces come beside it, has that span
-// quartered instead: each replica's half leaves as two requests, one
-// right behind the other, so the replica's reply to the first part is
-// on the wire while its disk reads the second. Reads with others in
-// flight keep their halves: the others already overlap their disks and
-// links. So does read-ahead (Ahead), even alone: nobody waits for it,
-// and two more requests would buy no one any time. With no view to be
-// had nothing is cut, and transfer reports why there is none.
+// span of half a chunk or more that the view balances is shared between
+// its two replicas. A read that is lone — no other read of this client
+// in flight — and shares one span, whatever small pieces come beside
+// it, has each share of that span cut in two parts instead, so the
+// replica's reply to the first part is on the wire while its disk reads
+// the second. Reads with others in flight keep their shares whole: the
+// others already overlap their disks and links. So do the reads of an
+// Overlapped view, even alone: nobody waits for them, and two more
+// requests would buy no one any time. With no view to be had nothing is
+// cut, and transfer reports why there is none.
 func (c *Client) readPieces(dst []piece, v VDiskID, extents []ReadExtent, lone bool) []piece {
-	var cut func(chunk int64) int
-	halved, parts := 0, 2
+	var cut func(chunk int64, n int) (shares, parts int)
+	shared, parts := 0, 1
 	if st, err := c.getState(); err == nil {
-		cut = func(chunk int64) int {
-			if _, _, ok := c.balanced(&st, v, chunk); !ok {
-				return 1
+		cut = func(chunk int64, n int) (int, int) {
+			if n < ChunkSize/2 {
+				return 1, 1
 			}
-			halved++
-			return parts
+			if _, _, ok := c.balanced(&st, v, chunk); !ok {
+				return 1, 1
+			}
+			shared++
+			return 2, parts
 		}
 	}
 	start := len(dst)
 	for _, e := range extents {
 		dst = appendPieces(dst, e.Off, e.Dst, cut)
 	}
-	if lone && halved == 1 {
+	if lone && shared == 1 {
 		c.readLone.Inc()
-		dst, parts = dst[:start], 4
+		dst, parts = dst[:start], 2
 		for _, e := range extents {
 			dst = appendPieces(dst, e.Off, e.Dst, cut)
 		}
+	}
+	return dst
+}
+
+// parted is how a write someone waits for cuts a chunk span: one of two
+// pages or more leaves in two parts, the second a tail (appendPieces).
+// The primary applies and forwards the first part while the second is
+// still arriving, so the backup's copy is not held up by the whole
+// request crossing the client's link first.
+func parted(_ int64, n int) (shares, parts int) {
+	if n < 2*page {
+		return 1, 1
+	}
+	return 1, 2
+}
+
+// writePieces appends to dst a write's extents cut into pieces
+// (appendPieces): parted, unless the view is Overlapped — write-behind,
+// whose flights already overlap one another and which nobody waits for.
+func (c *Client) writePieces(dst []piece, extents []Extent) []piece {
+	var cut func(chunk int64, n int) (shares, parts int)
+	if !c.overlapped {
+		cut = parted
+	}
+	start := len(dst)
+	for _, e := range extents {
+		dst = appendPieces(dst, e.Off, e.Data, cut)
+	}
+	if slices.ContainsFunc(dst[start:], func(p piece) bool { return p.tail }) {
+		c.writeParted.Inc()
 	}
 	return dst
 }
@@ -1248,7 +1291,7 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 		bufp := bufpool.Get(len(p))
 		copy(*bufp, p)
 		x := c.newXfer(ctx, v, true)
-		x.ps = appendPieces(x.ps, off, *bufp, nil)
+		x.ps = c.writePieces(x.ps, []Extent{{Off: off, Data: *bufp}})
 		err := c.transfer(x)
 		if !x.timedOut {
 			// Every call was answered, so no in-flight message can
@@ -1279,9 +1322,7 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 	}
 	return c.instr("writev", func(ctx obs.Ctx) error {
 		x := c.newXfer(ctx, v, true)
-		for _, e := range extents {
-			x.ps = appendPieces(x.ps, e.Off, e.Data, nil)
-		}
+		x.ps = c.writePieces(x.ps, extents)
 		err := c.transfer(x)
 		x.release()
 		return err

@@ -1,6 +1,7 @@
 package petal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -13,8 +14,14 @@ import (
 // requests — the replica forwards too — to the same principal and hang
 // their spans in the operation's trace. The same call on the driver's
 // own view is nobody's: "unknown", and no spans.
+//
+// The operation's window comes first, on servers that have stored
+// nothing yet: a write made before it could owe a partner a repair push
+// (PushChunkReq, from a forward that timed out on a busy host), which
+// is nobody's and would land in the window. A slow clock keeps the
+// failure detector from taking a busy host's stall for a dead server.
 func TestPrincipalReachesServer(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
+	tc := newTestClusterAt(t, 20, 3, nil)
 	d := tc.mustCreate(t, "vol")
 	reg := tc.w.Obs
 	account := func(p string) obs.AccountStat {
@@ -34,14 +41,6 @@ func TestPrincipalReachesServer(t *testing.T) {
 		return n
 	}
 	data := patternBuf(2*ChunkSize, 5)
-
-	// Nobody's write first: commits the chunks and settles routing.
-	if err := d.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st := account("tenant-a"); st != (obs.AccountStat{}) {
-		t.Fatalf("tenant-a charged before it did anything: %+v", st)
-	}
 	unknown0, reqs0, rpcs0 := account(obs.UnknownPrincipal), serverRequests(), tc.client.Stats()
 
 	op := reg.Tracer().Start(reg.Journal("ws0"), "fs", "fsync")
@@ -70,6 +69,9 @@ func TestPrincipalReachesServer(t *testing.T) {
 	if u := account(obs.UnknownPrincipal); u.RPCs != unknown0.RPCs || u.ServerOps != unknown0.ServerOps {
 		t.Errorf("tenant-a's calls leaked to unknown: %+v -> %+v", unknown0, u)
 	}
+	if !bytes.Equal(got, data) {
+		t.Error("tenant-a read back the wrong bytes")
+	}
 
 	// One trace: client spans under the root, server spans under client
 	// spans, a forward's server span under the primary's.
@@ -93,6 +95,18 @@ func TestPrincipalReachesServer(t *testing.T) {
 	}
 	if forwards == 0 || len(spans) < 6 {
 		t.Errorf("trace has %d spans, %d of them replica forwards:\n%s", len(spans), forwards, reg.Tracer().RenderTrace(trace))
+	}
+
+	// Nobody's write: charged to unknown, not to tenant-a, and traced
+	// nowhere.
+	if err := d.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if after := account("tenant-a"); after != st {
+		t.Errorf("tenant-a charged for the driver's own write: %+v -> %+v", st, after)
+	}
+	if u := account(obs.UnknownPrincipal); u.RPCs == unknown0.RPCs {
+		t.Error("the driver's own write was charged to no one")
 	}
 	if n := len(reg.Tracer().Roots(0)); n != 1 {
 		t.Errorf("%d traces recorded, want the one operation's", n)

@@ -127,26 +127,52 @@ func TestLoneReadUsesBothReplicas(t *testing.T) {
 	}
 }
 
-// sendLog is a carrier that records the read requests sent over it, in
-// the order they leave.
+// sendLog is a carrier that records the data requests sent over it, in
+// the order they leave: reads in sent, writes in wrote. beforeWrite, if
+// set, runs before a write request leaves.
 type sendLog struct {
 	rpc.Carrier
-	mu   sync.Mutex
-	sent []sentRead
+	mu          sync.Mutex
+	sent        []sentReq
+	wrote       []sentReq
+	beforeWrite func(to string, r WriteVReq)
 }
 
-type sentRead struct {
+// sentReq is one request: where it went, and the chunk, offset and
+// length of each of its extents.
+type sentReq struct {
 	to   string
 	exts []ReadVExtent
 }
 
 func (l *sendLog) Send(from, to string, env rpc.Envelope, size int) error {
-	if r, ok := env.Body.(ReadVReq); ok {
+	switch r := env.Body.(type) {
+	case ReadVReq:
 		l.mu.Lock()
-		l.sent = append(l.sent, sentRead{to, slices.Clone(r.Extents)})
+		l.sent = append(l.sent, sentReq{to, slices.Clone(r.Extents)})
+		l.mu.Unlock()
+	case WriteVReq:
+		if l.beforeWrite != nil {
+			l.beforeWrite(to, r)
+		}
+		req := sentReq{to: to}
+		for _, e := range r.Extents {
+			req.exts = append(req.exts, ReadVExtent{Chunk: e.Chunk, Off: e.Off, Len: len(e.Data)})
+		}
+		l.mu.Lock()
+		l.wrote = append(l.wrote, req)
 		l.mu.Unlock()
 	}
 	return l.Carrier.Send(from, to, env, size)
+}
+
+// writes returns what l has recorded of write requests and forgets it.
+func (l *sendLog) writes() []sentReq {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	w := l.wrote
+	l.wrote = nil
+	return w
 }
 
 // TestLoneReadIsPipelined: a lone 64 KB read leaves as four requests,

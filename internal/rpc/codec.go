@@ -15,7 +15,7 @@ import (
 // high-volume message types, with gob kept as an escape hatch for
 // rare control and bootstrap traffic.
 //
-// One message (the reassembled bytes of one mux stream) looks like:
+// One message (the bytes of one frame) looks like:
 //
 //	u8      tag        type tag; 0 = gob escape hatch
 //	-- tag 0 --

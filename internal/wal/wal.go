@@ -311,7 +311,6 @@ func (l *Log) Append(ups []Update) (int64, error) {
 	l.nextSeq = seq
 	l.appends.Inc()
 	l.appendBytes.Add(need)
-	l.jr.Record("wal", "append", "ok", uint64(seq), need, "")
 	l.pending = append(l.pending, recSpan{seq: seq, start: l.head, end: l.head + need})
 	at := len(l.buf)
 	l.buf = slices.Grow(l.buf, int(need))[:at+int(need)]
