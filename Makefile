@@ -30,7 +30,8 @@ race:
 ## traffic around it), a streaming 64 KB WriteAt with its write-behind
 ## flight, a create, remove, mkdir, rmdir and rename, a path split, a log
 ## append with its flush (internal/wal), a cache insert (one object), the
-## waits, Petal's routing and fan-out, a replicated 64 KB WriteV (a
+## waits, Petal's routing (a round of the planner in plan.go:
+## nothing, TestTargetsAllocationFree) and fan-out, a replicated 64 KB WriteV (a
 ## write-behind flight: whole) and a ReadV round trip (client and
 ## servers), halved and lone, a 16 KB WriteV someone waits for, in two
 ## parts (partedWriteVAllocs), an RPC's time-out, a network Send of

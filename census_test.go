@@ -79,8 +79,8 @@ var clusterMethods = map[string]string{
 }
 
 // exported names, for every exported function of internal/rpc,
-// internal/obs and internal/cache and every exported method of their
-// exported types, a non-test file that calls it, or the test that needs
+// internal/obs, internal/cache and internal/petal and every exported
+// method of their exported types, a non-test file that calls it, or the test that needs
 // it. A method called through an interface names the file that makes
 // the interface call.
 var exported = map[string]string{
@@ -225,6 +225,61 @@ var exported = map[string]string{
 	"cache.Pool.SetObs":            "internal/fs/fs.go",
 	"cache.Pool.SnapshotBatch":     "internal/fs/fs.go",
 	"cache.Pool.Usage":             "internal/fs/fs.go",
+
+	"petal.BoundedPar":                    "internal/fs/fs.go",
+	"petal.Client.Close":                  "cluster.go, benchmark/drives.go",
+	"petal.Client.CreateVDisk":            "cluster.go, benchmark/drives.go",
+	"petal.Client.Decommit":               "internal/fs/file.go",
+	"petal.Client.DeleteVDisk":            "TestVDiskErrors",
+	"petal.Client.For":                    "internal/fs/file.go",
+	"petal.Client.ListChunks":             "internal/fs/backup.go",
+	"petal.Client.Overlapped":             "internal/fs/fs.go",
+	"petal.Client.Read":                   "internal/fs/backup.go, cmd/frangick/main.go",
+	"petal.Client.ReadV":                  "internal/fs/file.go, benchmark/drives.go",
+	"petal.Client.SetLeaseInfo":           "internal/fs/fs.go",
+	"petal.Client.SetReadBalance":         "cluster.go, internal/bench/readpath.go",
+	"petal.Client.Snapshot":               "cluster.go",
+	"petal.Client.State":                  "internal/bench/readpath.go",
+	"petal.Client.Stats":                  "internal/fs/fs.go",
+	"petal.Client.Write":                  "internal/fs/backup.go, cmd/frangick/main.go",
+	"petal.Client.WriteV":                 "internal/fs/fs.go, benchmark/drives.go",
+	"petal.ClientAddr":                    "benchmark/layers.go",
+	"petal.DataAddr":                      "internal/petal/client.go, benchmark/layers.go",
+	"petal.DefaultServerConfig":           "cluster.go, benchmark/drives.go",
+	"petal.GlobalState.Apply":             "internal/petal/server.go",
+	"petal.GlobalState.Clone":             "internal/petal/server.go",
+	"petal.GlobalState.Replicas":          "internal/petal/plan.go, internal/bench/readpath.go",
+	"petal.NewClient":                     "cluster.go, benchmark/drives.go",
+	"petal.NewClientWithCarrier":          "internal/petal/client.go",
+	"petal.NewGlobalState":                "internal/petal/server.go",
+	"petal.NewServer":                     "cluster.go, benchmark/drives.go",
+	"petal.NewServerWithCarrier":          "internal/petal/server.go",
+	"petal.PushChunkReq.WireSize":         "internal/rpc/rpc.go",
+	"petal.ReadVReq.AppendWireHeader":     "internal/rpc/codec.go",
+	"petal.ReadVReq.AppendWirePayloads":   "internal/rpc/codec.go",
+	"petal.ReadVReq.WireTag":              "internal/rpc/codec.go",
+	"petal.ReadVResp.AppendWireHeader":    "internal/rpc/codec.go",
+	"petal.ReadVResp.AppendWirePayloads":  "internal/rpc/codec.go",
+	"petal.ReadVResp.ReleaseWire":         "internal/rpc/codec.go",
+	"petal.ReadVResp.WireSize":            "internal/rpc/rpc.go",
+	"petal.ReadVResp.WireTag":             "internal/rpc/codec.go",
+	"petal.Server.Close":                  "cluster.go, benchmark/drives.go",
+	"petal.Server.CommittedBytes":         "TestSparseCommitAccounting, TestDecommitFreesSpace",
+	"petal.Server.Crash":                  "examples/failover/main.go",
+	"petal.Server.DebugReadChunk":         "TestPartedWriteFailsOver",
+	"petal.Server.Disks":                  "benchmark/layers.go",
+	"petal.Server.MissedBacklog":          "cluster.go",
+	"petal.Server.Name":                   "cluster.go",
+	"petal.Server.Restart":                "examples/failover/main.go",
+	"petal.Server.State":                  "TestSplitReadCorruptHalf",
+	"petal.WriteVReq.AppendWireHeader":    "internal/rpc/codec.go",
+	"petal.WriteVReq.AppendWirePayloads":  "internal/rpc/codec.go",
+	"petal.WriteVReq.ReleaseWire":         "internal/rpc/codec.go",
+	"petal.WriteVReq.WireSize":            "internal/rpc/rpc.go",
+	"petal.WriteVReq.WireTag":             "internal/rpc/codec.go",
+	"petal.WriteVResp.AppendWireHeader":   "internal/rpc/codec.go",
+	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
+	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -336,8 +391,8 @@ func TestClusterMethodCensus(t *testing.T) {
 }
 
 // TestExportedCensus holds every exported function of internal/rpc,
-// internal/obs and internal/cache, and every exported method of their
-// exported types, to exported, and each entry to a file or test that
+// internal/obs, internal/cache and internal/petal, and every exported
+// method of their exported types, to exported, and each entry to a file or test that
 // calls it.
 func TestExportedCensus(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)\) )?([A-Z]\w*)\(`)
@@ -345,7 +400,7 @@ func TestExportedCensus(t *testing.T) {
 	for _, path := range goFiles(t, false) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
-		case "internal/rpc", "internal/obs", "internal/cache":
+		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal":
 		default:
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ type Client struct {
 	op *obs.Span
 	// overlapped marks a view whose calls nobody waits for — read-ahead,
 	// write-behind — and which overlap one another already: none of its
-	// reads is lone and none of its writes is parted (writePieces).
+	// reads is lone and none of its writes is parted (plan.go).
 	overlapped bool
 }
 
@@ -84,11 +83,8 @@ type driver struct {
 	// balanceReads spreads first-choice read routing across both alive
 	// replicas (Petal serves reads from either copy, §4 of the Petal
 	// paper). Benchmarks switch it off to measure the primary-only
-	// baseline. 0 = off, 1 = on.
-	balanceReads atomic.Int32
-	// rr breaks least-outstanding ties round-robin so equally loaded
-	// replicas alternate instead of sticking to the primary.
-	rr atomic.Uint64
+	// baseline.
+	balanceReads atomic.Bool
 	// randIntn supplies deterministic jitter for retry backoff.
 	randIntn func(int) int
 
@@ -101,8 +97,8 @@ type driver struct {
 	readPrimary   *obs.Counter // balanced read bytes the primary served
 	readBackup    *obs.Counter // balanced read bytes the backup served
 	balancePct    *obs.Gauge   // percent of balanced read bytes the backup served
-	readLone      *obs.Counter // lone reads, each replica's half cut in two (readPieces)
-	writeParted   *obs.Counter // parted writes, a chunk span cut in two (writePieces)
+	readLone      *obs.Counter // lone reads, each replica's half cut in two (plan.go)
+	writeParted   *obs.Counter // parted writes, a chunk span cut in two (plan.go)
 
 	// reads counts this client's read calls in flight: a read that finds
 	// no other is lone.
@@ -118,16 +114,19 @@ type driver struct {
 
 	// infl is the load signal read routing balances on: per server, the
 	// bytes of this client's reads that have been routed to it and not
-	// yet answered. A piece is charged the moment it picks its first
-	// choice, not when its RPC leaves, so pieces routed in the same
-	// instant (the extents of one ReadV, eight prefetches started
-	// together) see each other; the bytes move to the next preference
-	// when a piece fails over and are given back when the batch that
-	// carries it returns, answered or not. Bytes, not RPCs, because a
-	// server's arm and link are busy for as long as the bytes take.
+	// yet answered. A round's pieces are charged as the round is planned,
+	// not when its RPCs leave, so pieces planned in the same instant (the
+	// extents of one ReadV, eight prefetches started together) see each
+	// other; the bytes are given back when the batch that carries them
+	// returns, answered or not, and charged again wherever a piece fails
+	// over to. Bytes, not RPCs, because a server's arm and link are busy
+	// for as long as the bytes take.
 	infl map[string]*obs.Gauge
-	// routeMu makes a read piece's choice and its charge one step.
+	// routeMu makes a read round's plan and its charges one step, and
+	// guards rr, the planner's round-robin tie-break between equally
+	// loaded replicas.
 	routeMu sync.Mutex
+	rr      uint64
 
 	// Observability; set once at construction.
 	now    obs.NowFunc
@@ -180,6 +179,19 @@ func NewClient(w *sim.World, machine string, servers []string) *Client {
 // NewClientWithCarrier creates a Petal driver on an explicit message
 // carrier (TCP for daemon deployments, sim for tests).
 func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrier rpc.Carrier) *Client {
+	reg := w.Obs
+	counter := func(name string) *obs.Counter {
+		if reg == nil {
+			return obs.NewCounter() // Stats still counts
+		}
+		return reg.Counter("petal." + name + "#" + machine)
+	}
+	gauge := func(name, key string) *obs.Gauge {
+		if reg == nil {
+			return obs.NewGauge()
+		}
+		return reg.Gauge("petal." + name + "#" + key)
+	}
 	c := &Client{driver: &driver{
 		name:           machine,
 		clock:          w.Clock,
@@ -188,39 +200,26 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		opDeadline:     30 * time.Second,
 		parallelism:    8,
 		randIntn:       w.RandIntn,
-		writeVRPCs:     obs.NewCounter(),
-		writeVExtents:  obs.NewCounter(),
-		readVRPCs:      obs.NewCounter(),
-		readVExtents:   obs.NewCounter(),
-		readPrimary:    obs.NewCounter(),
-		readBackup:     obs.NewCounter(),
-		balancePct:     obs.NewGauge(),
-		readLone:       obs.NewCounter(),
-		writeParted:    obs.NewCounter(),
-		refreshRPCs:    obs.NewCounter(),
-		refreshSkipped: obs.NewCounter(),
-		refreshFanout:  obs.NewCounter(),
-		refreshUnch:    obs.NewCounter(),
+		writeVRPCs:     counter("writev.rpcs"),
+		writeVExtents:  counter("writev.extents"),
+		readVRPCs:      counter("readv.rpcs"),
+		readVExtents:   counter("readv.extents"),
+		readPrimary:    counter("read.primary"),
+		readBackup:     counter("read.backup"),
+		balancePct:     gauge("read.balance.pct", machine),
+		readLone:       counter("read.lone"),
+		writeParted:    counter("write.parted"),
+		refreshRPCs:    counter("refresh.rpcs"),
+		refreshSkipped: counter("refresh.skipped"),
+		refreshFanout:  counter("refresh.fanout"),
+		refreshUnch:    counter("refresh.unchanged"),
 		infl:           make(map[string]*obs.Gauge, len(servers)),
 	}}
-	c.balanceReads.Store(1)
-	if reg := w.Obs; reg != nil {
-		c.writeVRPCs = reg.Counter("petal.writev.rpcs#" + machine)
-		c.writeVExtents = reg.Counter("petal.writev.extents#" + machine)
-		c.readVRPCs = reg.Counter("petal.readv.rpcs#" + machine)
-		c.readVExtents = reg.Counter("petal.readv.extents#" + machine)
-		c.readPrimary = reg.Counter("petal.read.primary#" + machine)
-		c.readBackup = reg.Counter("petal.read.backup#" + machine)
-		c.balancePct = reg.Gauge("petal.read.balance.pct#" + machine)
-		c.readLone = reg.Counter("petal.read.lone#" + machine)
-		c.writeParted = reg.Counter("petal.write.parted#" + machine)
-		c.refreshRPCs = reg.Counter("petal.refresh.rpcs#" + machine)
-		c.refreshSkipped = reg.Counter("petal.refresh.skipped#" + machine)
-		c.refreshFanout = reg.Counter("petal.refresh.fanout#" + machine)
-		c.refreshUnch = reg.Counter("petal.refresh.unchanged#" + machine)
-		for _, s := range servers {
-			c.infl[s] = reg.Gauge("petal.client.inflight#" + machine + "." + s)
-		}
+	c.balanceReads.Store(true)
+	for _, s := range servers {
+		c.infl[s] = gauge("client.inflight", machine+"."+s)
+	}
+	if reg != nil {
 		c.now = reg.Now
 		c.acct = reg.Accounts()
 		c.jr = reg.Journal(machine)
@@ -229,10 +228,6 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 			"readv":  reg.Histogram("petal.readv.latency#" + machine),
 			"write":  reg.Histogram("petal.write.latency#" + machine),
 			"writev": reg.Histogram("petal.writev.latency#" + machine),
-		}
-	} else {
-		for _, s := range servers {
-			c.infl[s] = obs.NewGauge()
 		}
 	}
 	c.ep = rpc.NewEndpoint(ClientAddr(machine), carrier, w.Clock, nil)
@@ -278,10 +273,6 @@ func (c *Client) Close() { c.ep.Close() }
 //     HaveVersion, so the common answer is a tiny Unchanged reply;
 //     only a failed or unusable probe falls back to a bounded
 //     parallel fan-out over the remaining servers.
-//
-// The old implementation swept every server sequentially on every
-// refresh — an O(N) wall-clock and message cost per failover that
-// dominated control traffic at big N.
 func (c *Client) refreshSince(usedVersion int64) error {
 	c.mu.Lock()
 	for {
@@ -333,46 +324,30 @@ func (c *Client) doRefresh(have int64) error {
 		return ErrUnavailable
 	}
 	probe := c.servers[int(c.refreshRR.Add(1)-1)%n]
-	c.refreshRPCs.Add(1)
-	resp, err := c.ep.Call(DataAddr(probe), StateReq{HaveVersion: have}, dataTimeout)
-	if err == nil {
-		if sr, ok := resp.(StateResp); ok && sr.OK {
-			if sr.Unchanged {
-				// Server is no newer than us; nothing to adopt. Retry
-				// loops that still fail will rotate to other servers.
-				c.refreshUnch.Add(1)
-				return nil
-			}
-			c.adoptState(sr.State)
+	if sr, ok := c.askState(probe, have); ok {
+		if sr.Unchanged {
+			// Server is no newer than us; nothing to adopt. Retry
+			// loops that still fail will rotate to other servers.
+			c.refreshUnch.Add(1)
 			return nil
 		}
+		c.adoptState(sr.State)
+		return nil
 	}
 	// Probe failed: bounded parallel fan-out over the remaining
 	// servers, adopting the best view any of them returns. Servers
 	// apply Paxos decisions asynchronously, so keeping the highest
 	// version guards against a lagging straggler.
 	c.refreshFanout.Add(1)
-	rest := make([]string, 0, n-1)
-	for _, s := range c.servers {
-		if s != probe {
-			rest = append(rest, s)
-		}
-	}
-	if len(rest) == 0 {
-		return ErrUnavailable
-	}
 	var rmu sync.Mutex
 	got, gotState := false, false
 	var best GlobalState
-	_ = BoundedPar(4, len(rest), func(i int) error {
-		s := rest[i]
-		c.refreshRPCs.Add(1)
-		resp, err := c.ep.Call(DataAddr(s), StateReq{HaveVersion: have}, dataTimeout)
-		if err != nil {
+	_ = BoundedPar(4, n, func(i int) error {
+		if c.servers[i] == probe {
 			return nil
 		}
-		sr, ok := resp.(StateResp)
-		if !ok || !sr.OK {
+		sr, ok := c.askState(c.servers[i], have)
+		if !ok {
 			return nil
 		}
 		rmu.Lock()
@@ -393,6 +368,16 @@ func (c *Client) doRefresh(have int64) error {
 	return nil
 }
 
+// askState asks srv for the global state, telling it the version the
+// caller has: a server no newer answers Unchanged, without the state.
+// ok reports an answer.
+func (c *Client) askState(srv string, have int64) (sr StateResp, ok bool) {
+	c.refreshRPCs.Add(1)
+	resp, err := c.ep.Call(DataAddr(srv), StateReq{HaveVersion: have}, dataTimeout)
+	sr, ok = resp.(StateResp)
+	return sr, err == nil && ok && sr.OK
+}
+
 // adoptState installs a fetched view unless the cached one is newer.
 func (c *Client) adoptState(st GlobalState) {
 	c.mu.Lock()
@@ -403,7 +388,9 @@ func (c *Client) adoptState(st GlobalState) {
 	c.mu.Unlock()
 }
 
-func (c *Client) getState() (GlobalState, error) {
+// State returns the client's view of the global state, refreshed first
+// when it has none.
+func (c *Client) State() (GlobalState, error) {
 	c.mu.Lock()
 	ok := c.stateOK
 	st := c.state
@@ -419,94 +406,11 @@ func (c *Client) getState() (GlobalState, error) {
 	return c.state, nil
 }
 
-// targetList holds replica routing candidates without heap
-// allocation: a chunk has at most two replicas, each of which can
-// appear once alive-filtered and once unconditionally.
-type targetList struct {
-	srv [4]string
-	n   int
-	// primary names the chunk's primary when the order is a balanced
-	// read's choice between two live replicas: the bytes such a piece
-	// is served count towards the balance. Empty otherwise.
-	primary string
-}
-
-func (t *targetList) add(s string, alive map[string]bool, mustBeAlive bool) {
-	if s == "" {
-		return
-	}
-	if mustBeAlive && !alive[s] {
-		return
-	}
-	for i := 0; i < t.n; i++ {
-		if t.srv[i] == s {
-			return
-		}
-	}
-	t.srv[t.n] = s
-	t.n++
-}
-
-// list returns the candidates in preference order.
-func (t *targetList) list() []string { return t.srv[:t.n] }
-
-// targets fills tl with the replica servers for a chunk in write and
-// failover preference order: alive primary, then alive backup, then
-// both regardless (the state may be stale). The caller supplies the
-// targetList so the hot path stays allocation-free.
-func (c *Client) targets(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
-	p1, p2 := st.replicas(v, chunk)
-	tl.n, tl.primary = 0, ""
-	tl.add(p1, st.Alive, true)
-	tl.add(p2, st.Alive, true)
-	tl.add(p1, st.Alive, false)
-	tl.add(p2, st.Alive, false)
-}
-
 // SetReadBalance toggles read load balancing across replicas. On (the
 // default), first-choice read routing spreads over both alive copies;
 // off, reads always prefer the primary — the pre-optimization
 // behaviour, kept as a benchmark baseline.
-func (c *Client) SetReadBalance(on bool) {
-	var v int32
-	if on {
-		v = 1
-	}
-	c.balanceReads.Store(v)
-}
-
-// balanced reports whether reads of a chunk are spread over its two
-// replicas — balancing is on and the view has two different servers,
-// both alive — and names them.
-func (c *Client) balanced(st *GlobalState, v VDiskID, chunk int64) (p1, p2 string, ok bool) {
-	p1, p2 = st.replicas(v, chunk)
-	ok = c.balanceReads.Load() != 0 && p1 != "" && p2 != "" && p1 != p2 && st.Alive[p1] && st.Alive[p2]
-	return p1, p2, ok
-}
-
-// readTargets fills tl with replica candidates for a read. When the
-// chunk is balanced, the first choice is the replica with fewer bytes
-// of this client's reads outstanding (infl; Petal serves reads from
-// either copy) and ties alternate round-robin. The losing replica
-// stays second, so per-extent failover still reaches every copy, and
-// writes keep the primary-first order from targets. It only chooses:
-// readOp.route charges the choice, under routeMu, so the next piece
-// routed — the other half of the same chunk first of all — sees it.
-func (c *Client) readTargets(st *GlobalState, v VDiskID, chunk int64, tl *targetList) {
-	p1, p2, ok := c.balanced(st, v, chunk)
-	if !ok {
-		c.targets(st, v, chunk, tl)
-		return
-	}
-	first, second := p1, p2
-	o1, o2 := c.infl[p1].Value(), c.infl[p2].Value()
-	if o2 < o1 || (o1 == o2 && c.rr.Add(1)%2 == 1) {
-		first, second = p2, p1
-	}
-	tl.n, tl.primary = 0, p1
-	tl.add(first, st.Alive, false)
-	tl.add(second, st.Alive, false)
-}
+func (c *Client) SetReadBalance(on bool) { c.balanceReads.Store(on) }
 
 // Retry backoff for chunk operations: exponential from retryBase,
 // capped at retryCap, with jitter in [d/2, d) so clients hammering a
@@ -629,66 +533,6 @@ func (p *fanOut) spawned(i int) {
 	p.run(i)
 }
 
-// piece is one chunk-local span of a data call bound to its share of
-// the caller's buffer: the destination of a read, the source of a
-// write.
-type piece struct {
-	chunk int64
-	off   int
-	buf   []byte
-	tl    targetList // replica preference under the current routing view
-	// tail marks the second part of one replica's share of a span cut in
-	// parts (appendPieces): routed wherever the piece before it goes, and
-	// sent in a request of its own right behind that piece's.
-	tail bool
-}
-
-// page is where a piece may be cut: the file system's block, so no block
-// is ever fetched or stored in two parts.
-const page = 4096
-
-// appendPieces splits the I/O of buf at byte offset off at chunk
-// boundaries and cuts each chunk span, of n bytes, as cut says, at page
-// boundaries: into shares, one for each replica that serves it, and each
-// share into one or two parts, the requests it leaves in (nil, or
-// (1, 1): whole).
-// Shares go to different replicas: routing charges the first
-// before it looks at the second, so two arms and two links move half the
-// bytes each, while shares that do pick the same server still leave in
-// one request (batch). A share's second part is a tail: it leaves right
-// behind the first, so the server works on the first while the second is
-// on the wire.
-func appendPieces(dst []piece, off int64, buf []byte, cut func(chunk int64, n int) (shares, parts int)) []piece {
-	for len(buf) > 0 {
-		chunk, in := off/ChunkSize, int(off%ChunkSize)
-		n := min(ChunkSize-in, len(buf))
-		shares, parts := 1, 1
-		if cut != nil {
-			shares, parts = cut(chunk, n)
-		}
-		k := shares * parts
-		for i, at := 1, 0; i <= k; i++ {
-			end := n
-			if i < k {
-				end = (in+n*i/k+page-1)&^(page-1) - in
-			}
-			dst = append(dst, piece{chunk: chunk, off: in + at, buf: buf[at:end], tail: parts == 2 && i%2 == 0})
-			at = end
-		}
-		off += int64(n)
-		buf = buf[n:]
-	}
-	return dst
-}
-
-// Per-request caps: bound one RPC's simulated transfer time (network
-// ~17 MB/s, disks ~6 MB/s) well under its timeout and keep message
-// sizes sane.
-const (
-	batchMaxBytes   = 1 << 20
-	batchMaxExtents = 256
-)
-
 // callTimeout is how long one data RPC may take before the client
 // fails over: dataTimeout per chunk's worth of bytes it carries,
 // at most three of them.
@@ -697,45 +541,28 @@ func callTimeout(bytes int) sim.Duration {
 	return dataTimeout * sim.Duration(min(max(chunks, 1), 3))
 }
 
-// batch is the pieces one RPC carries to one server, and the request
-// that carries them.
-type batch struct {
-	srv   string
-	ps    []piece
-	n     int // pieces, counted before they are laid out in ps
-	tails int // of them, tail pieces: laid out last
-	bytes int
-	req   any
-	// tail is the request for the tail pieces, sent right behind req; nil
-	// when the batch is sent as one request.
-	tail any
-}
-
-// xfer is the scratch of one data call: its pieces, each round's batches
-// and their requests' extent lists, and what the round's concurrent
-// batches share (mu guards next, parked, lastErr and timedOut; the rest
-// they only read). A call takes one from xfers and gives it back when
-// every RPC it made was answered; a request that was not may still be
-// queued at the carrier with its extent list, so its xfer is left to the
-// collector. send is the bound sendBatch the fan-out runs, made once per
-// xfer rather than once per round.
+// xfer is the scratch of one data call: the planner's input and its
+// current round's plan, the extent lists of that round's requests, and
+// what the round's concurrent batches share (mu guards next, parked,
+// lastErr and timedOut; the rest they only read). A call takes one from
+// xfers and gives it back when every RPC it made was answered; a request
+// that was not may still be queued at the carrier with its extent list,
+// so its xfer is left to the collector. send is the bound sendBatch the
+// fan-out runs, made once per xfer rather than once per round.
 type xfer struct {
-	c   *Client
-	ctx obs.Ctx
-	v   VDiskID
-	op  dataOp
-	wop writeOp // a write's op, which op points at: boxed by value it would be allocated
-	st  GlobalState
+	c        *Client
+	ctx      obs.Ctx
+	in       planIn
+	st       GlobalState // the view in.view points at
+	expireAt int64       // a write's lease stamp
+	pl       plan
 
-	ps      []piece // the call's pieces
-	sorted  []piece // a round's pieces, batch by batch, the unbatched last
-	slot    []int   // a round's batch of each piece, -1 for none
-	batches []batch
-	rexts   []ReadVExtent
-	wexts   []WriteVExtent
+	exts  []Extent // a read's extents, as the planner takes them
+	rexts []ReadVExtent
+	wexts []WriteVExtent
 
 	mu       sync.Mutex
-	next     []piece // unserved at this rank: offered to the next preference
+	next     []piece // unserved: offered to the replicas not yet tried
 	parked   []piece // wait for a refreshed view
 	lastErr  error
 	timedOut bool
@@ -753,19 +580,16 @@ var xfers = sync.Pool{New: func() any {
 // write stamped with the caller's lease (read once per call).
 func (c *Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
 	x := xfers.Get().(*xfer)
-	x.c, x.ctx, x.v = c, ctx, v
-	if !write {
-		x.op = readOp{c}
-		return x
+	x.c, x.ctx = c, ctx
+	x.in = planIn{v: v, write: write, overlapped: c.overlapped, balance: c.balanceReads.Load(), load: c.driver}
+	if write {
+		c.mu.Lock()
+		li := c.leaseInfo
+		c.mu.Unlock()
+		if li != nil {
+			x.expireAt = li()
+		}
 	}
-	c.mu.Lock()
-	li := c.leaseInfo
-	c.mu.Unlock()
-	x.wop = writeOp{c: c}
-	if li != nil {
-		x.wop.expireAt = li()
-	}
-	x.op = &x.wop
 	return x
 }
 
@@ -775,70 +599,117 @@ func (x *xfer) release() {
 	if x.timedOut {
 		return
 	}
-	for _, ps := range [...][]piece{x.ps, x.sorted, x.next, x.parked} {
-		clear(ps[:cap(ps)])
+	bs := x.pl.batches[:cap(x.pl.batches)]
+	for i := range bs {
+		reset(&bs[i].ps)
+		reset(&bs[i].tails)
+		bs[i].req, bs[i].tail = nil, nil
 	}
-	clear(x.batches[:cap(x.batches)])
-	clear(x.wexts[:cap(x.wexts)])
-	x.ps, x.sorted, x.next, x.parked = x.ps[:0], x.sorted[:0], x.next[:0], x.parked[:0]
-	x.batches, x.wexts = x.batches[:0], x.wexts[:0]
-	x.c, x.op, x.wop, x.st, x.ctx, x.lastErr = nil, nil, writeOp{}, GlobalState{}, obs.Ctx{}, nil
+	for _, ps := range [...]*[]piece{&x.pl.cut, &x.pl.none, &x.next, &x.parked} {
+		reset(ps)
+	}
+	reset(&x.exts)
+	reset(&x.wexts)
+	x.pl.batches = x.pl.batches[:0]
+	x.c, x.in, x.st, x.ctx, x.lastErr, x.expireAt = nil, planIn{}, GlobalState{}, obs.Ctx{}, nil, 0
 	xfers.Put(x)
 }
 
-// batch groups ps by each piece's rank-th preferred replica into
-// size-capped batches, in first-appearance order, and returns the
-// pieces with no rank-th candidate. It lays every piece out in x.sorted,
-// batch by batch with the unbatched last, so the storage ps came from is
-// free once it returns.
-func (x *xfer) batch(ps []piece, rank int) (none []piece) {
-	x.batches = x.batches[:0]
-	x.slot = slices.Grow(x.slot[:0], len(ps))[:len(ps)]
-	for i, p := range ps {
-		x.slot[i] = -1
-		if rank >= p.tl.n {
-			continue
-		}
-		srv := p.tl.srv[rank]
-		b := len(x.batches) - 1 // a server's newest batch is the one still taking pieces
-		for b >= 0 && x.batches[b].srv != srv {
-			b--
-		}
-		if b < 0 || x.batches[b].bytes+len(p.buf) > batchMaxBytes || x.batches[b].n >= batchMaxExtents {
-			b = len(x.batches)
-			x.batches = append(x.batches, batch{srv: srv})
-		}
-		x.batches[b].n++
-		if p.tail {
-			x.batches[b].tails++
-		}
-		x.batches[b].bytes += len(p.buf)
-		x.slot[i] = b
-	}
-	x.sorted = slices.Grow(x.sorted[:0], len(ps))[:len(ps)]
-	at := 0
-	for b := range x.batches {
-		n := x.batches[b].n
-		x.batches[b].ps = x.sorted[at : at : at+n]
-		at += n
-	}
-	none = x.sorted[at:at]
-	for _, tails := range [...]bool{false, true} { // a batch's tails last
-		for i, p := range ps {
-			if p.tail != tails {
-				continue
-			}
-			if b := x.slot[i]; b >= 0 {
-				x.batches[b].ps = append(x.batches[b].ps, p)
-			} else {
-				none = append(none, p)
-			}
-		}
-	}
-	return none
+// reset empties *s, zeroing its storage so that a pooled xfer holds no
+// caller's buffer.
+func reset[T any](s *[]T) {
+	clear((*s)[:cap(*s)])
+	*s = (*s)[:0]
 }
 
-// requests builds every batch's request. The extent lists of a round
+// outstanding is the bytes of this client's reads routed to srv and not
+// yet answered: what the planner balances reads on.
+func (d *driver) outstanding(srv string) int64 { return d.infl[srv].Value() }
+
+// transfer is the one engine behind Read, ReadV, Write and WriteV: it
+// moves exts, failing over what is not served, until the op deadline.
+// Each attempt takes the routing view and runs rounds: plan them
+// (plan.go), send every batch with bounded parallelism, keep what was
+// served and plan again for what was not — a call error, a
+// replica-local failure — on the replicas it has not tried, so failover
+// costs one RPC per surviving replica, not one per extent. What has no
+// replica left, or was refused for the view itself, waits for the next
+// attempt, which refreshes the view and backs off first. A read's bytes
+// are charged to the server a batch carries them to as the round is
+// planned and given back when the batch's call returns, so a piece that
+// is parked, has no candidate left or was never routed holds no charge.
+// x.timedOut reports that some call got no answer, so its request may
+// still be queued at the carrier, aliasing the pieces' buffers. Every
+// request carries x.ctx, the context of the operation the call is made
+// for, and every RPC is charged to its principal.
+func (c *Client) transfer(x *xfer, exts []Extent) (err error) {
+	deadline := c.clock.Now() + sim.Time(c.opDeadline)
+	var ps []piece
+	for attempt := 0; ; attempt++ {
+		routedVer := int64(-1)
+		x.in.view = nil
+		if x.st, err = c.State(); err == nil {
+			x.in.view, routedVer = &x.st, x.st.Version
+		}
+		for i := range ps { // a new view: every replica may be tried again
+			ps[i].tried, ps[i].primary = 0, ""
+		}
+		for round := 0; round == 0 || len(ps) > 0; round++ {
+			x.plan(exts, ps)
+			exts = nil
+			if round == 0 {
+				x.parked = x.parked[:0]
+			}
+			x.parked = append(x.parked, x.pl.none...)
+			x.next = x.next[:0]
+			x.requests()
+			if final := BoundedPar(c.parallelism, len(x.pl.batches), x.send); final != nil {
+				return final
+			}
+			ps = x.next
+		}
+		if ps = x.parked; len(ps) == 0 {
+			return nil
+		}
+		if c.clock.Now() >= deadline {
+			if x.lastErr != nil {
+				return fmt.Errorf("%w (last: %v)", ErrUnavailable, x.lastErr)
+			}
+			return ErrUnavailable
+		}
+		// Version-aware: if another caller already refreshed past the
+		// view we routed with, the retry reuses it without touching
+		// the network (petal.refresh.skipped counts these).
+		_ = c.refreshSince(routedVer)
+		c.retryPause(attempt, deadline)
+	}
+}
+
+// plan plans a round. A read's round is planned and its bytes charged in
+// one step under routeMu, so the next read planned sees them.
+func (x *xfer) plan(exts []Extent, ps []piece) {
+	c := x.c
+	if x.in.write {
+		x.pl.build(&x.in, exts, ps)
+		if x.pl.parted {
+			c.writeParted.Inc()
+		}
+		return
+	}
+	c.routeMu.Lock()
+	x.in.rr = c.rr
+	x.pl.build(&x.in, exts, ps)
+	c.rr = x.pl.rr
+	for _, b := range x.pl.batches {
+		c.infl[b.srv].Add(int64(b.bytes))
+	}
+	c.routeMu.Unlock()
+	if x.pl.parted {
+		c.readLone.Inc()
+	}
+}
+
+// requests builds every batch's requests. The extent lists of a round
 // whose calls were all answered are reused by the next; once a call has
 // gone unanswered its request may still be queued with its list, and
 // later rounds make new ones.
@@ -847,24 +718,42 @@ func (x *xfer) requests() {
 		x.rexts, x.wexts = nil, nil
 	}
 	x.rexts, x.wexts = x.rexts[:0], x.wexts[:0]
-	for i := range x.batches {
-		b := &x.batches[i]
-		head, tail := b.split()
-		b.req, b.tail = x.op.request(x, head), nil
-		if len(tail) > 0 {
-			b.tail = x.op.request(x, tail)
+	for i := range x.pl.batches {
+		b := &x.pl.batches[i]
+		b.req, b.tail = x.request(b.ps), nil
+		if len(b.tails) > 0 {
+			b.tail = x.request(b.tails)
 		}
 	}
 }
 
-// split returns the pieces of b's request and those of its tail
-// request: a batch of tails alone, or of no tails, is one request.
-func (b *batch) split() (head, tail []piece) {
-	if b.tails == len(b.ps) {
-		return b.ps, nil
+// request builds the one message that carries ps, stamped with the
+// context of the operation it is sent for, its extent list on x's. A
+// write's carries the caller's lease and the vdisk epoch of the view the
+// round was planned with, so replicas lagging a snapshot wait for Paxos
+// catch-up instead of writing into the frozen epoch.
+func (x *xfer) request(ps []piece) any {
+	c := x.c
+	if !x.in.write {
+		lo := len(x.rexts)
+		for _, p := range ps {
+			x.rexts = append(x.rexts, ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)})
+		}
+		c.readVRPCs.Add(1)
+		c.readVExtents.Add(int64(len(ps)))
+		return ReadVReq{Ctx: x.ctx, VDisk: x.in.v, Extents: x.rexts[lo:]}
 	}
-	cut := len(b.ps) - b.tails
-	return b.ps[:cut], b.ps[cut:]
+	lo := len(x.wexts)
+	for _, p := range ps {
+		x.wexts = append(x.wexts, WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf})
+	}
+	req := WriteVReq{Ctx: x.ctx, VDisk: x.in.v, Extents: x.wexts[lo:], ExpireAt: x.expireAt}
+	if meta, ok := x.st.VDisks[x.in.v]; ok && !meta.ReadOnly {
+		req.Epoch = meta.Epoch
+	}
+	c.writeVRPCs.Add(1)
+	c.writeVExtents.Add(int64(len(ps)))
+	return req
 }
 
 // sendBatch sends batch i and files what it did not get served: one
@@ -873,43 +762,50 @@ func (b *batch) split() (head, tail []piece) {
 // tail off its disk while the first reply is on the wire, and a write's
 // primary applies and forwards the first while the tail is.
 func (x *xfer) sendBatch(i int) error {
-	b := &x.batches[i]
+	b := &x.pl.batches[i]
 	timeout := callTimeout(b.bytes)
 	p, err := x.c.start(x.ctx.Principal, b.srv, b.req)
 	if b.tail == nil {
 		resp, err := wait(p, err, timeout)
-		return x.finish(b.srv, b.ps, b.bytes, resp, err)
+		return x.finish(b.srv, b.ps, resp, err)
 	}
-	head, tail := b.split()
 	tp, terr := x.c.start(x.ctx.Principal, b.srv, b.tail)
-	tb := 0
-	for _, p := range tail {
-		tb += len(p.buf)
-	}
 	resp, err := wait(p, err, timeout)
-	first := x.finish(b.srv, head, b.bytes-tb, resp, err)
+	first := x.finish(b.srv, b.ps, resp, err)
 	resp, err = wait(tp, terr, timeout)
-	if err := x.finish(b.srv, tail, tb, resp, err); first == nil {
+	if err := x.finish(b.srv, b.tails, resp, err); first == nil {
 		first = err
 	}
 	return first
 }
 
-// finish gives back the bytes of the pieces ps that one call to srv
-// carried and files what the call — resp, or callErr — did not get
-// served.
-func (x *xfer) finish(srv string, ps []piece, bytes int, resp any, callErr error) error {
-	c, op := x.c, x.op
-	op.charge(srv, -bytes)
+// finish gives back the read bytes of the pieces ps that one call to srv
+// carried, settles the call's reply — resp, or callErr — and files what
+// it did not get served: to the next round, or, when the view itself was
+// refused, to the next attempt.
+func (x *xfer) finish(srv string, ps []piece, resp any, callErr error) error {
+	c, name := x.c, "write"
+	if !x.in.write {
+		name = "read"
+		n := 0
+		for _, p := range ps {
+			n += len(p.buf)
+		}
+		c.infl[srv].Add(int64(-n))
+	}
 	unserved, err, verb := ps, callErr, "failover"
 	if callErr == nil {
-		unserved, err = op.settle(srv, ps, resp)
 		verb = "replica-fail"
+		if x.in.write {
+			unserved, err = x.settleWrite(ps, resp)
+		} else {
+			unserved, err = x.settleRead(srv, ps, resp)
+		}
 	}
 	if len(unserved) == 0 {
 		return err
 	}
-	c.jr.Record("petal", op.name(), verb, uint64(unserved[0].chunk), int64(len(unserved)), srv)
+	c.jr.Record("petal", name, verb, uint64(unserved[0].chunk), int64(len(unserved)), srv)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.timedOut = x.timedOut || callErr != nil
@@ -922,44 +818,6 @@ func (x *xfer) finish(srv string, ps []piece, bytes int, resp any, callErr error
 		x.next = append(x.next, unserved...)
 	}
 	return nil
-}
-
-// route fills the replica preferences of ps under x's view. A tail goes
-// where the piece before it, the other part of its replica's share,
-// went, and is charged there.
-func (x *xfer) route(ps []piece) {
-	for i := range ps {
-		p := &ps[i]
-		if p.tail && i > 0 && ps[i-1].chunk == p.chunk && !ps[i-1].tail {
-			p.tl = ps[i-1].tl
-			if p.tl.n > 0 {
-				x.op.charge(p.tl.srv[0], len(p.buf))
-			}
-			continue
-		}
-		x.op.route(&x.st, x.v, p)
-	}
-}
-
-// dataOp is the direction-specific half of a data call; transfer is
-// the shared half.
-type dataOp interface {
-	// name is the journal subject: "read" or "write".
-	name() string
-	// route fills a piece's replica preference list; a read charges
-	// the piece's bytes to its first choice as it does.
-	route(st *GlobalState, v VDiskID, p *piece)
-	// charge adds n bytes (negative: gives them back) to the load that
-	// read routing sees on srv. Writes carry none.
-	charge(srv string, n int)
-	// request builds the one message that carries a batch of x's,
-	// stamped with the context of the operation it is sent for, its
-	// extent list on x's.
-	request(x *xfer, ps []piece) any
-	// settle consumes srv's reply to a batch and returns the pieces it
-	// did not serve and why. An error with nothing left to retry is
-	// final: no replica would answer differently.
-	settle(srv string, ps []piece, resp any) (unserved []piece, err error)
 }
 
 // replyErr turns a reply's error string back into the sentinel it
@@ -980,99 +838,12 @@ func staleView(err error) bool {
 	return errors.Is(err, ErrNoSuchVDisk) || errors.Is(err, ErrStaleEpoch)
 }
 
-// transfer is the one engine behind Read, ReadV, Write and WriteV: it
-// moves x's pieces. It loops until the op deadline: take the routing
-// view; send the pending pieces to their first-preference replicas in
-// size-capped batches with bounded parallelism; keep what was served and
-// re-batch what was not (call error, replica-local failure) to the next
-// preference, so failover costs one RPC per surviving replica, not one
-// per extent. Once every preference is exhausted — or at once for a
-// piece the view itself made fail — refresh the view, back off and go
-// again. A read piece's bytes are charged (dataOp.charge) to the server
-// it waits on and to no other: to its first choice when routed, to a
-// later one when the batch for it is made up, and given back when that
-// batch's call returns, so a piece that is parked, has no candidate left
-// or was never routed holds no charge. x.timedOut reports that some call
-// got no answer, so its request may still be queued at the carrier,
-// aliasing the pieces' buffers. Every request carries x.ctx, the context
-// of the operation the call is made for, and every RPC is charged to its
-// principal.
-func (c *Client) transfer(x *xfer) (err error) {
-	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	ps := x.ps
-	for attempt := 0; len(ps) > 0; attempt++ {
-		routedVer := int64(-1)
-		if x.st, err = c.getState(); err == nil {
-			routedVer = x.st.Version
-			x.route(ps)
-			for rank := 0; len(ps) > 0; rank++ {
-				none := x.batch(ps, rank)
-				if rank == 0 {
-					x.parked = x.parked[:0]
-				}
-				x.parked = append(x.parked, none...)
-				x.next = x.next[:0]
-				if rank > 0 { // rank 0 was charged piece by piece as it was routed
-					for _, b := range x.batches {
-						x.op.charge(b.srv, b.bytes)
-					}
-				}
-				x.requests()
-				if final := BoundedPar(c.parallelism, len(x.batches), x.send); final != nil {
-					return final
-				}
-				ps = x.next
-			}
-			ps = x.parked
-		}
-		if len(ps) == 0 {
-			break
-		}
-		if c.clock.Now() >= deadline {
-			if x.lastErr != nil {
-				return fmt.Errorf("%w (last: %v)", ErrUnavailable, x.lastErr)
-			}
-			return ErrUnavailable
-		}
-		// Version-aware: if another caller already refreshed past the
-		// view we routed with, the retry reuses it without touching
-		// the network (petal.refresh.skipped counts these).
-		_ = c.refreshSince(routedVer)
-		c.retryPause(attempt, deadline)
-	}
-	return nil
-}
-
-// readOp is the read direction: balanced routing, ReadVReq, and
-// per-extent results, so a replica-local failure (e.g. a CRC error)
-// fails over only the damaged extents — the other replica "can
-// ordinarily recover it" (§4) — and served data is kept.
-type readOp struct{ c *Client }
-
-func (readOp) name() string { return "read" }
-
-func (o readOp) route(st *GlobalState, v VDiskID, p *piece) {
-	o.c.routeMu.Lock()
-	o.c.readTargets(st, v, p.chunk, &p.tl)
-	if p.tl.n > 0 {
-		o.charge(p.tl.srv[0], len(p.buf))
-	}
-	o.c.routeMu.Unlock()
-}
-
-func (o readOp) charge(srv string, n int) { o.c.infl[srv].Add(int64(n)) }
-
-func (o readOp) request(x *xfer, ps []piece) any {
-	lo := len(x.rexts)
-	for _, p := range ps {
-		x.rexts = append(x.rexts, ReadVExtent{Chunk: p.chunk, Off: p.off, Len: len(p.buf)})
-	}
-	o.c.readVRPCs.Add(1)
-	o.c.readVExtents.Add(int64(len(ps)))
-	return ReadVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.rexts[lo:]}
-}
-
-func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err error) {
+// settleRead consumes srv's reply to a read request and returns the
+// pieces it did not serve and why. Results are per extent, so a
+// replica-local failure (e.g. a CRC error) fails over only the damaged
+// extents — the other replica "can ordinarily recover it" (§4) — and
+// served data is kept.
+func (x *xfer) settleRead(srv string, ps []piece, resp any) (unserved []piece, err error) {
 	rr, ok := resp.(ReadVResp)
 	if !ok {
 		return ps, nil
@@ -1099,55 +870,26 @@ func (o readOp) settle(srv string, ps []piece, resp any) (unserved []piece, err 
 		// bytes in the tail of the destination.
 		n := copy(ps[i].buf, res.Data)
 		clear(ps[i].buf[n:])
-		if of := ps[i].tl.primary; of == srv {
+		if of := ps[i].primary; of == srv {
 			primary += int64(len(ps[i].buf))
 		} else if of != "" {
 			backup += int64(len(ps[i].buf))
 		}
 	}
-	if primary+backup > 0 {
-		o.c.readPrimary.Add(primary)
-		o.c.readBackup.Add(backup)
-		p, b := o.c.readPrimary.Value(), o.c.readBackup.Value()
-		o.c.balancePct.Set(b * 100 / (p + b))
+	if c := x.c; primary+backup > 0 {
+		c.readPrimary.Add(primary)
+		c.readBackup.Add(backup)
+		p, b := c.readPrimary.Value(), c.readBackup.Value()
+		c.balancePct.Set(b * 100 / (p + b))
 	}
 	return unserved, err
 }
 
-// writeOp is the write direction: primary-first routing and
-// WriteVReq, stamped with the caller's lease (read once per call) and
-// with the vdisk epoch of the view each attempt routes with, so
-// replicas lagging a snapshot wait for Paxos catch-up instead of
-// writing into the frozen epoch. A batch is applied or rejected
-// whole; replays are idempotent at the store.
-type writeOp struct {
-	c        *Client
-	expireAt int64
-}
-
-func (writeOp) name() string { return "write" }
-
-func (o writeOp) route(st *GlobalState, v VDiskID, p *piece) {
-	o.c.targets(st, v, p.chunk, &p.tl)
-}
-
-func (writeOp) charge(string, int) {}
-
-func (o writeOp) request(x *xfer, ps []piece) any {
-	lo := len(x.wexts)
-	for _, p := range ps {
-		x.wexts = append(x.wexts, WriteVExtent{Chunk: p.chunk, Off: p.off, Data: p.buf})
-	}
-	req := WriteVReq{Ctx: x.ctx, VDisk: x.v, Extents: x.wexts[lo:], ExpireAt: o.expireAt}
-	if meta, ok := x.st.VDisks[x.v]; ok && !meta.ReadOnly {
-		req.Epoch = meta.Epoch
-	}
-	o.c.writeVRPCs.Add(1)
-	o.c.writeVExtents.Add(int64(len(ps)))
-	return req
-}
-
-func (o writeOp) settle(_ string, ps []piece, resp any) ([]piece, error) {
+// settleWrite consumes the reply to a write request, which is applied or
+// refused whole (replays are idempotent at the store), and returns the
+// pieces it did not serve and why. An error with nothing left to retry
+// is final: no replica would answer differently.
+func (x *xfer) settleWrite(ps []piece, resp any) ([]piece, error) {
 	wr, ok := resp.(WriteVResp)
 	if !ok {
 		return ps, nil
@@ -1160,7 +902,7 @@ func (o writeOp) settle(_ string, ps []piece, resp any) ([]piece, error) {
 		return ps, err
 	}
 	if errors.Is(err, ErrLeaseExpired) {
-		o.c.jr.Record("petal", "write", "lease-rejected", uint64(ps[0].chunk), 0, "")
+		x.c.jr.Record("petal", "write", "lease-rejected", uint64(ps[0].chunk), 0, "")
 	}
 	return nil, err
 }
@@ -1186,7 +928,8 @@ func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
 	return c.read("readv", v, extents...)
 }
 
-// read is Read and ReadV.
+// read is Read and ReadV. A read is lone when no other read of this
+// client is in flight (plan.go cuts it in parts).
 func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
@@ -1194,85 +937,16 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 		}
 	}
 	return c.instr(op, func(ctx obs.Ctx) error {
-		lone := c.reads.Add(1) == 1 && !c.overlapped
 		x := c.newXfer(ctx, v, false)
-		x.ps = c.readPieces(x.ps, v, extents, lone)
-		err := c.transfer(x)
+		x.in.lone = c.reads.Add(1) == 1
+		for _, e := range extents {
+			x.exts = append(x.exts, Extent{Off: e.Off, Data: e.Dst})
+		}
+		err := c.transfer(x, x.exts)
 		c.reads.Add(-1)
 		x.release()
 		return err
 	})
-}
-
-// readPieces appends to dst a read's extents cut into pieces under the
-// view its first attempt will route them with (appendPieces): every
-// span of half a chunk or more that the view balances is shared between
-// its two replicas. A read that is lone — no other read of this client
-// in flight — and shares one span, whatever small pieces come beside
-// it, has each share of that span cut in two parts instead, so the
-// replica's reply to the first part is on the wire while its disk reads
-// the second. Reads with others in flight keep their shares whole: the
-// others already overlap their disks and links. So do the reads of an
-// Overlapped view, even alone: nobody waits for them, and two more
-// requests would buy no one any time. With no view to be had nothing is
-// cut, and transfer reports why there is none.
-func (c *Client) readPieces(dst []piece, v VDiskID, extents []ReadExtent, lone bool) []piece {
-	var cut func(chunk int64, n int) (shares, parts int)
-	shared, parts := 0, 1
-	if st, err := c.getState(); err == nil {
-		cut = func(chunk int64, n int) (int, int) {
-			if n < ChunkSize/2 {
-				return 1, 1
-			}
-			if _, _, ok := c.balanced(&st, v, chunk); !ok {
-				return 1, 1
-			}
-			shared++
-			return 2, parts
-		}
-	}
-	start := len(dst)
-	for _, e := range extents {
-		dst = appendPieces(dst, e.Off, e.Dst, cut)
-	}
-	if lone && shared == 1 {
-		c.readLone.Inc()
-		dst, parts = dst[:start], 2
-		for _, e := range extents {
-			dst = appendPieces(dst, e.Off, e.Dst, cut)
-		}
-	}
-	return dst
-}
-
-// parted is how a write someone waits for cuts a chunk span: one of two
-// pages or more leaves in two parts, the second a tail (appendPieces).
-// The primary applies and forwards the first part while the second is
-// still arriving, so the backup's copy is not held up by the whole
-// request crossing the client's link first.
-func parted(_ int64, n int) (shares, parts int) {
-	if n < 2*page {
-		return 1, 1
-	}
-	return 1, 2
-}
-
-// writePieces appends to dst a write's extents cut into pieces
-// (appendPieces): parted, unless the view is Overlapped — write-behind,
-// whose flights already overlap one another and which nobody waits for.
-func (c *Client) writePieces(dst []piece, extents []Extent) []piece {
-	var cut func(chunk int64, n int) (shares, parts int)
-	if !c.overlapped {
-		cut = parted
-	}
-	start := len(dst)
-	for _, e := range extents {
-		dst = appendPieces(dst, e.Off, e.Data, cut)
-	}
-	if slices.ContainsFunc(dst[start:], func(p piece) bool { return p.tail }) {
-		c.writeParted.Inc()
-	}
-	return dst
 }
 
 // Write stores p at byte offset off, committing chunks as needed. The
@@ -1291,8 +965,7 @@ func (c *Client) Write(v VDiskID, off int64, p []byte) error {
 		bufp := bufpool.Get(len(p))
 		copy(*bufp, p)
 		x := c.newXfer(ctx, v, true)
-		x.ps = c.writePieces(x.ps, []Extent{{Off: off, Data: *bufp}})
-		err := c.transfer(x)
+		err := c.transfer(x, []Extent{{Off: off, Data: *bufp}})
 		if !x.timedOut {
 			// Every call was answered, so no in-flight message can
 			// still reference the snapshot; safe to recycle.
@@ -1322,8 +995,7 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 	}
 	return c.instr("writev", func(ctx obs.Ctx) error {
 		x := c.newXfer(ctx, v, true)
-		x.ps = c.writePieces(x.ps, extents)
-		err := c.transfer(x)
+		err := c.transfer(x, extents)
 		x.release()
 		return err
 	})
@@ -1368,13 +1040,7 @@ func (c *Client) settle(applied string) {
 		have = c.state.Version
 	}
 	c.mu.Unlock()
-	version := func(srv string, have int64) (StateResp, bool) {
-		c.refreshRPCs.Add(1)
-		resp, err := c.ep.Call(DataAddr(srv), StateReq{HaveVersion: have}, dataTimeout)
-		sr, ok := resp.(StateResp)
-		return sr, err == nil && ok && sr.OK
-	}
-	sr, ok := version(applied, have)
+	sr, ok := c.askState(applied, have)
 	if !ok {
 		_ = c.refreshSince(have) // it has gone away since; any newer view will do
 		return
@@ -1393,7 +1059,7 @@ func (c *Client) settle(applied string) {
 		}
 		for c.clock.Now() < deadline {
 			// A version nobody has makes the answer the short one.
-			if r, ok := version(srv, math.MaxInt64); !ok || r.Version >= sr.Version {
+			if r, ok := c.askState(srv, math.MaxInt64); !ok || r.Version >= sr.Version {
 				break
 			}
 			c.clock.Sleep(5 * time.Millisecond)
@@ -1450,56 +1116,18 @@ func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
 // querying every server; restore tooling uses it to copy only
 // committed space.
 func (c *Client) ListChunks(v VDiskID) ([]int64, error) {
-	seen := make(map[int64]bool)
+	var out []int64
 	any := false
 	for _, s := range c.servers {
-		resp, err := c.ep.Call(DataAddr(s), ListChunksReq{VDisk: v}, dataTimeout)
-		if err != nil {
-			continue
-		}
+		resp, _ := c.ep.Call(DataAddr(s), ListChunksReq{VDisk: v}, dataTimeout)
 		if lr, ok := resp.(ListChunksResp); ok {
 			any = true
-			for _, ch := range lr.Chunks {
-				seen[ch] = true
-			}
+			out = append(out, lr.Chunks...)
 		}
 	}
 	if !any {
 		return nil, ErrUnavailable
 	}
-	out := make([]int64, 0, len(seen))
-	for ch := range seen {
-		out = append(out, ch)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
-
-// State returns the client's (possibly refreshed) view of the global
-// state.
-func (c *Client) State() (GlobalState, error) { return c.getState() }
-
-// VDisk binds a client and a disk id into a handle with a local-disk
-// feel.
-type VDisk struct {
-	c  *Client
-	id VDiskID
-}
-
-// Open returns a handle for the named virtual disk.
-func (c *Client) Open(id VDiskID) *VDisk { return &VDisk{c: c, id: id} }
-
-// ID returns the vdisk name.
-func (d *VDisk) ID() VDiskID { return d.id }
-
-// ReadAt fills p at byte offset off.
-func (d *VDisk) ReadAt(p []byte, off int64) error { return d.c.Read(d.id, off, p) }
-
-// WriteAt stores p at byte offset off.
-func (d *VDisk) WriteAt(p []byte, off int64) error { return d.c.Write(d.id, off, p) }
-
-// WriteV stores a set of extents with one scatter-gather call.
-func (d *VDisk) WriteV(extents []Extent) error { return d.c.WriteV(d.id, extents) }
-
-// ReadV fills a set of extents with one scatter-gather call.
-func (d *VDisk) ReadV(extents []ReadExtent) error { return d.c.ReadV(d.id, extents) }

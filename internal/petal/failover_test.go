@@ -17,7 +17,7 @@ func chunksWhere(t *testing.T, tc *testCluster, from int64, n int, keep func(p1,
 	st := tc.servers[0].State()
 	var out []int64
 	for c := from; c < from+4096 && len(out) < n; c++ {
-		if p1, p2 := st.replicas("vol", c); keep(p1, p2) {
+		if p1, p2 := st.Replicas("vol", c); keep(p1, p2) {
 			out = append(out, c)
 		}
 	}
@@ -268,11 +268,14 @@ func TestWriteSnapshotOutlivesTimedOutAttempt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The write leaves in two parts, and p1 may apply the second first:
+	// wait until neither half reads as the zeros of a part not yet there.
 	var stored []byte
+	zeros := make([]byte, ChunkSize/2)
 	waitUntil(t, 60*time.Second, func() bool {
 		var ok bool
 		stored, ok = tc.servers[1].DebugReadChunk("vol", chunk, 0, ChunkSize)
-		return ok
+		return ok && !bytes.Equal(stored[:ChunkSize/2], zeros) && !bytes.Equal(stored[ChunkSize/2:], zeros)
 	})
 	if !bytes.Equal(stored, want) {
 		t.Fatalf("the delayed request stored byte 0x%02x..., want the bytes as they were when Write was called (0x%02x...)", stored[0], want[0])

@@ -201,10 +201,6 @@ type (
 	// ListChunksResp lists committed chunk indexes at the current
 	// epoch view.
 	ListChunksResp struct{ Chunks []int64 }
-	// UsageReq asks for committed physical bytes on a server.
-	UsageReq struct{}
-	// UsageResp reports committed bytes.
-	UsageResp struct{ Bytes int64 }
 )
 
 // WireSize implementations so the simulated network charges the data

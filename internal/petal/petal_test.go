@@ -59,13 +59,24 @@ func newTestClusterAt(t *testing.T, compression float64, n int, mutate func(*Ser
 	return tc
 }
 
-func (tc *testCluster) mustCreate(t *testing.T, id VDiskID) *VDisk {
+func (tc *testCluster) mustCreate(t *testing.T, id VDiskID) vdisk {
 	t.Helper()
 	if err := tc.client.CreateVDisk(id); err != nil {
 		t.Fatalf("create vdisk: %v", err)
 	}
-	return tc.client.Open(id)
+	return vdisk{tc.client, id}
 }
+
+// vdisk is a client bound to one virtual disk, for brevity.
+type vdisk struct {
+	c  *Client
+	id VDiskID
+}
+
+func (d vdisk) ReadAt(p []byte, off int64) error  { return d.c.Read(d.id, off, p) }
+func (d vdisk) WriteAt(p []byte, off int64) error { return d.c.Write(d.id, off, p) }
+func (d vdisk) ReadV(exts []ReadExtent) error     { return d.c.ReadV(d.id, exts) }
+func (d vdisk) WriteV(exts []Extent) error        { return d.c.WriteV(d.id, exts) }
 
 func patternBuf(n int, seed byte) []byte {
 	b := make([]byte, n)
@@ -297,7 +308,7 @@ func TestWriteFailoverAndRejoinSync(t *testing.T) {
 	tc.servers[2].Crash()
 	sawOnP1 := 0
 	for c := int64(0); c < 8; c++ {
-		r1, r2 := st.replicas("vol", c)
+		r1, r2 := st.Replicas("vol", c)
 		got := make([]byte, ChunkSize)
 		err := d.ReadAt(got, c*ChunkSize)
 		if r1 == "p1" || r2 == "p1" {
@@ -327,7 +338,7 @@ func TestCRCErrorMaskedByReplication(t *testing.T) {
 	// Corrupt every sector of every disk on the primary replica of
 	// chunk 0.
 	st := tc.servers[0].State()
-	primary, _ := st.replicas("vol", 0)
+	primary, _ := st.Replicas("vol", 0)
 	for _, s := range tc.servers {
 		if s.Name() != primary {
 			continue
@@ -370,7 +381,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if !bytes.Equal(got, v2) {
 		t.Fatal("parent does not see new data")
 	}
-	snap := tc.client.Open("snap1")
+	snap := vdisk{tc.client, "snap1"}
 	if err := snap.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +418,7 @@ func TestSnapshotOfSnapshotAndChain(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		got := make([]byte, 1000)
-		if err := tc.client.Open(VDiskID(fmt.Sprintf("s%d", i))).ReadAt(got, 0); err != nil {
+		if err := tc.client.Read(VDiskID(fmt.Sprintf("s%d", i)), 0, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, patternBuf(1000, byte(i))) {
@@ -492,8 +503,8 @@ func TestReplicasStableAndDistinct(t *testing.T) {
 	g.Apply(CmdCreateVDisk{ID: "v"})
 	counts := make(map[string]int)
 	for c := int64(0); c < 1000; c++ {
-		p1a, p2a := g.replicas("v", c)
-		p1b, p2b := g.replicas("v", c)
+		p1a, p2a := g.Replicas("v", c)
+		p1b, p2b := g.Replicas("v", c)
 		if p1a != p1b || p2a != p2b {
 			t.Fatal("placement not deterministic")
 		}
@@ -511,8 +522,8 @@ func TestReplicasStableAndDistinct(t *testing.T) {
 	// Snapshot chunks co-locate with the parent's.
 	g.Apply(CmdSnapshot{Parent: "v", Snap: "s"})
 	for c := int64(0); c < 50; c++ {
-		pv, _ := g.replicas("v", c)
-		ps, _ := g.replicas("s", c)
+		pv, _ := g.Replicas("v", c)
+		ps, _ := g.Replicas("s", c)
 		if pv != ps {
 			t.Fatal("snapshot placement differs from parent")
 		}
@@ -529,11 +540,13 @@ type span struct {
 	bufOff int
 }
 
-// spans runs appendPieces over a length-byte I/O at off.
+// spans runs the planner's cut over a length-byte I/O at off that is
+// neither shared nor parted.
 func spans(off int64, length int) []span {
 	whole := make([]byte, length)
 	var out []span
-	for _, p := range appendPieces(nil, off, whole, nil) {
+	ps, _ := (&planIn{}).cutAll(nil, []Extent{{Off: off, Data: whole}})
+	for _, p := range ps {
 		out = append(out, span{p.chunk, p.off, len(p.buf), cap(whole) - cap(p.buf)})
 	}
 	return out

@@ -266,7 +266,7 @@ func TestLoneReadIsPipelined(t *testing.T) {
 func TestReadChargeGivenBack(t *testing.T) {
 	onP1 := func(p1, _ string) bool { return p1 == "p1" }
 	// fill writes n chunks whose primary is p1 and returns them.
-	fill := func(t *testing.T, tc *testCluster, n int) (*VDisk, []int64) {
+	fill := func(t *testing.T, tc *testCluster, n int) (vdisk, []int64) {
 		d := tc.mustCreate(t, "vol")
 		chunks := chunksWhere(t, tc, 0, n, onP1)
 		for _, c := range chunks {
@@ -276,7 +276,7 @@ func TestReadChargeGivenBack(t *testing.T) {
 		}
 		return d, chunks
 	}
-	readAll := func(d *VDisk, chunks []int64) error {
+	readAll := func(d vdisk, chunks []int64) error {
 		exts := make([]ReadExtent, len(chunks))
 		for i, c := range chunks {
 			exts[i] = ReadExtent{Off: c * ChunkSize, Dst: make([]byte, ChunkSize)}
@@ -417,7 +417,7 @@ func TestSplitReadSameBytes(t *testing.T) {
 // splitFixture is a two-server cluster holding one written chunk, with
 // a byte pinned on the chunk's primary so that a lone read's first half
 // goes to the backup and its second to the primary. unpin undoes it.
-func splitFixture(t *testing.T) (tc *testCluster, d *VDisk, data []byte, primary, backup *Server, unpin func()) {
+func splitFixture(t *testing.T) (tc *testCluster, d vdisk, data []byte, primary, backup *Server, unpin func()) {
 	t.Helper()
 	tc = newTestCluster(t, 2, nil)
 	d = tc.mustCreate(t, "vol")
@@ -426,7 +426,7 @@ func splitFixture(t *testing.T) (tc *testCluster, d *VDisk, data []byte, primary
 		t.Fatal(err)
 	}
 	st := tc.servers[0].State()
-	p1, _ := st.replicas("vol", 0)
+	p1, _ := st.Replicas("vol", 0)
 	primary, backup = tc.servers[0], tc.servers[1]
 	if p1 != primary.Name() {
 		primary, backup = backup, primary
@@ -494,7 +494,7 @@ func TestSplitReadDeadReplica(t *testing.T) {
 		}
 		tc.servers[2].Crash()
 		waitUntil(t, time.Minute, func() bool {
-			st, err := tc.client.getState()
+			st, err := tc.client.State()
 			if err != nil || st.Alive["p2"] {
 				_ = tc.client.refreshSince(st.Version) // not yet: ask for a newer view
 				return false
@@ -558,20 +558,21 @@ func routeFixture(tb testing.TB) *Client {
 }
 
 // routeBatch does what a read does before its first request leaves —
-// cut the extents, route every piece (charging it), group by server —
-// and gives the charges back. It returns the requests it would send.
+// plan its round: cut the extents, route every piece (charging it),
+// group by server — and gives the charges back. It returns the requests
+// it would send.
 func routeBatch(c *Client, st *GlobalState, exts []ReadExtent) int {
 	x := c.newXfer(obs.Ctx{}, "vol", false)
 	defer x.release()
-	ps := c.readPieces(x.ps, "vol", exts, false)
-	for i := range ps {
-		x.op.route(st, "vol", &ps[i])
+	x.in.view = st
+	for _, e := range exts {
+		x.exts = append(x.exts, Extent{Off: e.Off, Data: e.Dst})
 	}
-	x.batch(ps, 0)
-	for _, b := range x.batches {
-		x.op.charge(b.srv, -b.bytes)
+	x.plan(x.exts, nil)
+	for _, b := range x.pl.batches {
+		c.infl[b.srv].Add(-int64(b.bytes))
 	}
-	return len(x.batches)
+	return len(x.pl.batches)
 }
 
 // routeShapes are the reads BenchmarkReadRoute and the allocation
@@ -602,7 +603,7 @@ func routeShapes() []struct {
 // average below that — and a whole chunk leaves as two requests.
 func TestSmallReadRoutesAsBefore(t *testing.T) {
 	c := routeFixture(t)
-	st, _ := c.getState()
+	st, _ := c.State()
 	shapes := routeShapes()
 	if allocs := testing.AllocsPerRun(200, func() { routeBatch(c, &st, shapes[0].exts) }); allocs > 3 {
 		t.Fatalf("routing a 4 KB read allocates %.1f objects, 3 before reads were split", allocs)
@@ -617,7 +618,7 @@ func TestSmallReadRoutesAsBefore(t *testing.T) {
 // and batch one read, nothing sent.
 func BenchmarkReadRoute(b *testing.B) {
 	c := routeFixture(b)
-	st, _ := c.getState()
+	st, _ := c.State()
 	for _, sh := range routeShapes() {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -182,12 +182,22 @@ func TestReadBalanceSplitsAcrossReplicas(t *testing.T) {
 	}
 }
 
+// firstChoice is the replica the planner picks for a fresh 4 KB read of
+// chunk under st, with c's loads and tie-break; it charges nothing.
+func firstChoice(c *Client, st *GlobalState, chunk int64) string {
+	var pl plan
+	in := planIn{view: st, v: "vol", balance: true, load: c.driver, rr: c.rr}
+	pl.build(&in, []Extent{{Off: chunk * ChunkSize, Data: make([]byte, 4096)}}, nil)
+	c.rr = pl.rr
+	return pl.batches[0].srv
+}
+
 // TestReadBalancePrefersLessLoadedReplica: with one replica's
 // outstanding gauge pinned high, least-outstanding routing sends
 // first-choice reads to the other copy.
 func TestReadBalancePrefersLessLoadedReplica(t *testing.T) {
 	tc := newTestCluster(t, 2, nil)
-	st, err := tc.client.getState()
+	st, err := tc.client.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,18 +206,15 @@ func TestReadBalancePrefersLessLoadedReplica(t *testing.T) {
 		t.Fatalf("placement gave (%q, %q)", p1, p2)
 	}
 	tc.client.infl[p1].Set(10) // p1 looks busy
-	var tl targetList
 	for i := 0; i < 4; i++ {
-		tc.client.readTargets(&st, "vol", 0, &tl)
-		if tl.srv[0] != p2 {
-			t.Fatalf("round %d routed to loaded replica %q, want %q", i, tl.srv[0], p2)
+		if got := firstChoice(tc.client, &st, 0); got != p2 {
+			t.Fatalf("round %d routed to loaded replica %q, want %q", i, got, p2)
 		}
 	}
 	tc.client.infl[p1].Set(0)
 	firsts := map[string]int{}
 	for i := 0; i < 10; i++ {
-		tc.client.readTargets(&st, "vol", 0, &tl)
-		firsts[tl.srv[0]]++
+		firsts[firstChoice(tc.client, &st, 0)]++
 	}
 	if len(firsts) != 2 {
 		t.Fatalf("tied replicas should alternate round-robin, got %v", firsts)
@@ -215,38 +222,26 @@ func TestReadBalancePrefersLessLoadedReplica(t *testing.T) {
 }
 
 // TestTargetsAllocationFree verifies the routing hot path does not
-// allocate (satellite: targets used to build a fresh slice per chunk
-// read).
+// allocate: planning a write's round and a read's, once the plan's
+// scratch is warm, takes no object from the heap.
 func TestTargetsAllocationFree(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	tc.mustCreate(t, "vol")
-	st, err := tc.client.getState()
+	st, err := tc.client.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tl targetList
+	var pl plan
+	write := planIn{view: &st, v: "vol", write: true}
+	read := planIn{view: &st, v: "vol", balance: true, load: tc.client.driver}
+	wexts := []Extent{{Off: 7 * ChunkSize, Data: make([]byte, 16<<10)}}
+	rexts := []Extent{{Off: 11 * ChunkSize, Data: make([]byte, ChunkSize)}}
 	allocs := testing.AllocsPerRun(200, func() {
-		tc.client.targets(&st, "vol", 7, &tl)
-		tc.client.readTargets(&st, "vol", 11, &tl)
+		pl.build(&write, wexts, nil)
+		pl.build(&read, rexts, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("targets/readTargets allocate %.1f objects per call, want 0", allocs)
-	}
-}
-
-// BenchmarkReadTargets measures the routing decision on the chunk
-// read hot path; run with -benchmem to confirm 0 allocs/op.
-func BenchmarkReadTargets(b *testing.B) {
-	w := sim.NewWorld(200, 3)
-	defer w.Stop()
-	names := []string{"p0", "p1", "p2"}
-	c := NewClient(w, "ws0", names)
-	defer c.Close()
-	st := NewGlobalState(names)
-	var tl targetList
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.readTargets(&st, "vol", int64(i), &tl)
+		t.Fatalf("planning allocates %.1f objects per round, want 0", allocs)
 	}
 }
 

@@ -276,8 +276,6 @@ func (s *Server) handle(from string, body any) any {
 			return ListChunksResp{}
 		}
 		return ListChunksResp{Chunks: s.st.visibleChunks(base, ceiling)}
-	case UsageReq:
-		return UsageResp{Bytes: s.st.committedBytes()}
 	}
 	return nil
 }
@@ -686,7 +684,7 @@ type forward struct {
 func (j *writeJob) forward(exts []WriteVExtent) {
 	j.fws = j.fws[:0]
 	for _, e := range exts {
-		p1, p2 := j.st.replicas(j.base, e.Chunk)
+		p1, p2 := j.st.Replicas(j.base, e.Chunk)
 		partner := p1
 		if p1 == j.s.name {
 			partner = p2

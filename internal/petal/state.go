@@ -130,11 +130,11 @@ func (g *GlobalState) Apply(cmd Command) error {
 	return nil
 }
 
-// replicas returns the two servers holding a chunk, by rendezvous of
+// Replicas returns the two servers holding a chunk, by rendezvous of
 // a fixed hash over the fixed server list. Placement is independent
 // of liveness so that it never silently changes under failures; the
 // missed-write sets handle divergence instead.
-func (g *GlobalState) replicas(v VDiskID, chunk int64) (primary, backup string) {
+func (g *GlobalState) Replicas(v VDiskID, chunk int64) (primary, backup string) {
 	n := len(g.Servers)
 	if n == 0 {
 		return "", ""
@@ -149,14 +149,6 @@ func (g *GlobalState) replicas(v VDiskID, chunk int64) (primary, backup string) 
 		return g.Servers[i], ""
 	}
 	return g.Servers[i], g.Servers[(i+1)%n]
-}
-
-// Replicas exposes the placement function: the (primary, backup)
-// pair holding a chunk. Placement-aware tooling and benchmarks (e.g.
-// crafting a worst-case hot-primary chunk set) use it; the data path
-// goes through the unexported form.
-func (g *GlobalState) Replicas(v VDiskID, chunk int64) (primary, backup string) {
-	return g.replicas(v, chunk)
 }
 
 // resolve maps a vdisk to the (base vdisk, epoch ceiling, writable)

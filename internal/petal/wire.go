@@ -15,7 +15,6 @@ func init() {
 		StateReq{}, StateResp{},
 		RepairReq{}, PushChunkReq{},
 		ListChunksReq{}, ListChunksResp{},
-		UsageReq{}, UsageResp{},
 		CmdCreateVDisk{}, CmdDeleteVDisk{}, CmdSnapshot{}, CmdSetAlive{},
 	} {
 		rpc.RegisterType(v)

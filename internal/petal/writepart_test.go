@@ -33,7 +33,7 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary, _ := st.replicas("vol", 0)
+	primary, _ := st.Replicas("vol", 0)
 	log.writes()
 
 	const n = 16 << 10

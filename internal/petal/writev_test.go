@@ -234,7 +234,7 @@ const (
 func TestWriteVReadVRoundTripAllocs(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
-	flight := tc.client.Overlapped().Open("vol")
+	flight := vdisk{tc.client.Overlapped(), "vol"}
 	wexts := []Extent{{Off: 5 * ChunkSize, Data: patternBuf(ChunkSize, 3)}}
 	pexts := []Extent{{Off: 6*ChunkSize + 16<<10, Data: patternBuf(16<<10, 4)}}
 	rexts := []ReadExtent{{Off: 5 * ChunkSize, Dst: make([]byte, ChunkSize)}}
