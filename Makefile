@@ -32,9 +32,9 @@ race:
 ## append with its flush (internal/wal), a cache insert (one object), the
 ## waits, Petal's routing (a round of the planner in plan.go:
 ## nothing, TestTargetsAllocationFree) and fan-out, a replicated 64 KB WriteV (a
-## write-behind flight: whole) and a ReadV round trip (client and
-## servers), halved and lone, a 16 KB WriteV someone waits for, in two
-## parts (partedWriteVAllocs), an RPC's time-out, a network Send of
+## write-behind flight: two parts, nothing) and a ReadV round trip (client
+## and servers), halved and lone, a 16 KB WriteV someone waits for, in two
+## parts (partedWriteVAllocs: nothing), an RPC's time-out, a network Send of
 ## a boxed payload (nothing), a sticky lock's Lock/TryLock and Unlock, a
 ## lease check, a flight-recorder record (an event or a finished span:
 ## nothing, into a slot of <= 128 B), a span's Start/Child/Done (nothing:

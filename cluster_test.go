@@ -23,6 +23,17 @@ func newTestCluster(t *testing.T) *frangipani.Cluster {
 	return c
 }
 
+// addServer mounts a server on machine, and fails the test with
+// AddServer's error if it cannot.
+func addServer(t *testing.T, c *frangipani.Cluster, machine string) *frangipani.FS {
+	t.Helper()
+	f, err := c.AddServer(machine)
+	if err != nil {
+		t.Fatalf("AddServer(%q): %v", machine, err)
+	}
+	return f
+}
+
 func TestClusterLifecycle(t *testing.T) {
 	c := newTestCluster(t)
 	ws1, err := c.AddServer("ws1")
@@ -53,8 +64,8 @@ func TestClusterLifecycle(t *testing.T) {
 
 func TestClusterSharedNamespace(t *testing.T) {
 	c := newTestCluster(t)
-	ws1, _ := c.AddServer("ws1")
-	ws2, _ := c.AddServer("ws2")
+	ws1 := addServer(t, c, "ws1")
+	ws2 := addServer(t, c, "ws2")
 	h, err := ws1.OpenFile("/data.bin", true)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +89,7 @@ func TestClusterSharedNamespace(t *testing.T) {
 
 func TestClusterFsckOnIdle(t *testing.T) {
 	c := newTestCluster(t)
-	ws1, _ := c.AddServer("ws1")
+	ws1 := addServer(t, c, "ws1")
 	for _, p := range []string{"/x", "/y", "/z"} {
 		if err := ws1.Create(p); err != nil {
 			t.Fatal(err)
@@ -181,7 +192,7 @@ func TestClusterAccountingKnob(t *testing.T) {
 
 func TestErrorsSurfaceThroughFacade(t *testing.T) {
 	c := newTestCluster(t)
-	ws1, _ := c.AddServer("ws1")
+	ws1 := addServer(t, c, "ws1")
 	if _, err := ws1.Stat("/missing"); !errors.Is(err, errNotExist(ws1)) {
 		// fs.ErrNotExist is internal; just assert an error came back.
 		if err == nil {

@@ -846,6 +846,6 @@ func (f *File) fsync(op *obs.Span) error {
 		if i == 0 {
 			return fs.ensureLogFlushed(op, fs.meta.MaxSeq(fs.meta.DirtyByOwner(lock)))
 		}
-		return fs.flushData(op, fs.pc, fs.data.DirtyByOwner(lock))
+		return fs.flushData(op, fs.data.DirtyByOwner(lock))
 	})
 }

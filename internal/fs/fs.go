@@ -172,7 +172,7 @@ type server struct {
 	w          *sim.World
 	machine    string
 	pc         *petal.Client
-	overlapped *petal.Client // pc's view for read-ahead and write-behind (petal.Client.Overlapped)
+	overlapped *petal.Client // pc's view for read-ahead (petal.Client.Overlapped)
 	vd         petal.VDiskID
 	lay        Layout
 	cfg        Config
@@ -350,7 +350,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.log.SetObs(w.Obs, machine)
 	fs.log.SetReclaim(fs.reclaimLog)
 
-	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.syncVia(nil, fs.overlapped) })
+	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.sync(nil) })
 	return fs, nil
 }
 
@@ -533,13 +533,12 @@ func (fs *FS) petalWrite(op *obs.Span, addr int64, p []byte) error {
 
 // petalWriteV is the scatter-gather variant of petalWrite: one lease
 // check covers the whole batch, which the Petal driver splits by
-// chunk and dispatches with bounded parallelism. It writes through via:
-// fs.pc, or fs.overlapped for write-behind.
-func (fs *FS) petalWriteV(op *obs.Span, via *petal.Client, exts []petal.Extent) error {
+// chunk and dispatches with bounded parallelism.
+func (fs *FS) petalWriteV(op *obs.Span, exts []petal.Extent) error {
 	if err := fs.waitLeaseForWrite(op); err != nil {
 		return err
 	}
-	return via.For(op).WriteV(fs.vd, exts)
+	return fs.pc.For(op).WriteV(fs.vd, exts)
 }
 
 func (fs *FS) waitLeaseForWrite(op *obs.Span) error {
@@ -1059,17 +1058,14 @@ func (t *txn) releaseSegs() {
 // the update demon", §4). Metadata and data write-back are two jobs
 // for the flush workers, so with FlushParallelism > 1 they proceed
 // concurrently; each batch still honors the per-entry log-before-data
-// rule. The demon writes through fs.overlapped: nobody waits for it,
-// and its batches overlap one another, so none is parted.
+// rule. The demon runs it for no operation.
 func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
 
-// sync is Sync for op, which waits for it: through fs.pc.
-func (fs *FS) sync(op *obs.Span) error { return fs.syncVia(op, fs.pc) }
-
-// syncVia forces the log and writes every dirty block back through via.
-func (fs *FS) syncVia(op *obs.Span, via *petal.Client) error {
+// sync is Sync for op: it forces the log and writes every dirty block
+// back.
+func (fs *FS) sync(op *obs.Span) error {
 	fs.mu.Lock()
 	if fs.closed && fs.poisoned {
 		fs.mu.Unlock()
@@ -1089,9 +1085,9 @@ func (fs *FS) syncVia(op *obs.Span, via *petal.Client) error {
 
 	err := fs.flushWorkers(2, func(i int) error {
 		if i == 0 {
-			return fs.flushRuns(op, via, fs.meta, fs.meta.AllDirty())
+			return fs.flushRuns(op, fs.meta, fs.meta.AllDirty())
 		}
-		return fs.flushData(op, via, fs.data.AllDirty())
+		return fs.flushData(op, fs.data.AllDirty())
 	})
 	if err == nil {
 		fs.log.Release(target)
@@ -1170,14 +1166,14 @@ func (fs *FS) land(fl *flight, err error) {
 // are therefore all a caller is owed, however fast the pages are being
 // written again; what is written behind a pass is its writer's next
 // flush. It returns the first error of its own writes and of the flights
-// it joined; failed pages stay dirty. It writes through via.
-func (fs *FS) flushData(op *obs.Span, via *petal.Client, es []*cache.Entry) error {
+// it joined; failed pages stay dirty.
+func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
 	var theirsRoom [4]*flight // stack scratch: the flights a pass joins are few
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
 		fl, theirs, joined := fs.claimDirty(es, theirsRoom[:0])
 		var err error
 		if fl != nil {
-			err = fs.flushRuns(op, via, fs.data, fl.pages)
+			err = fs.flushRuns(op, fs.data, fl.pages)
 			fs.land(fl, err)
 		}
 		for _, other := range theirs {
@@ -1202,8 +1198,9 @@ func (fs *FS) flushData(op *obs.Span, via *petal.Client, es []*cache.Entry) erro
 // With Config.FlushParallelism write-behind flights already under way it
 // starts nothing and reports false: the writer is ahead of Petal and the
 // span goes out with the next one. The flight outlives the write that
-// started it, so it runs for no operation, through fs.overlapped: the
-// flights overlap one another already, so none is parted.
+// started it, so it runs for no operation. Petal sends it in two halves,
+// as it sends any write: the primary forwards the first while the second
+// is still arriving.
 func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	fs.flushMu.Lock()
 	if fs.behind >= max(fs.cfg.FlushParallelism, 1) {
@@ -1220,10 +1217,12 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	return true
 }
 
-// flyBehind carries a write-behind flight to Petal.
+// flyBehind carries a write-behind flight to Petal. The flight stops
+// counting as out before it lands, so whoever joined it finds it gone.
 func (fs *FS) flyBehind(fl *flight) {
-	fs.land(fl, fs.flushRuns(nil, fs.overlapped, fs.data, fl.pages))
+	err := fs.flushRuns(nil, fs.data, fl.pages)
 	fs.behindLanded()
+	fs.land(fl, err)
 }
 
 func (fs *FS) behindLanded() {
@@ -1284,7 +1283,6 @@ const maxBatchBytes = 1 << 20
 type writeBack struct {
 	fs      *FS
 	op      *obs.Span
-	via     *petal.Client
 	pool    *cache.Pool
 	runs    []flushRun
 	gens    []int64
@@ -1295,7 +1293,7 @@ type writeBack struct {
 
 var writeBacks = sync.Pool{New: func() any {
 	w := new(writeBack)
-	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.via, w.pool, &w.batches[i]) }
+	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.pool, &w.batches[i]) }
 	return w
 }}
 
@@ -1334,7 +1332,7 @@ func (w *writeBack) free() {
 	clear(w.runs)
 	clear(w.batches)
 	clear(w.exts)
-	w.fs, w.op, w.via, w.pool = nil, nil, nil, nil
+	w.fs, w.op, w.pool = nil, nil, nil
 	writeBacks.Put(w)
 }
 
@@ -1364,8 +1362,8 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 // log-first: coalesced runs are packed into scatter-gather batches
 // and dispatched through the flush workers, so one cache-sync round
 // trip carries many runs and, with FlushParallelism > 1, transfers
-// overlap. It writes through via (petalWriteV) and sorts dirty.
-func (fs *FS) flushRuns(op *obs.Span, via *petal.Client, pool *cache.Pool, dirty []*cache.Entry) error {
+// overlap. It sorts dirty.
+func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
 	}
@@ -1376,7 +1374,7 @@ func (fs *FS) flushRuns(op *obs.Span, via *petal.Client, pool *cache.Pool, dirty
 	}
 	w := writeBacks.Get().(*writeBack)
 	defer w.free()
-	w.fs, w.op, w.via, w.pool = fs, op, via, pool
+	w.fs, w.op, w.pool = fs, op, pool
 	w.plan(dirty)
 	for i := range w.batches {
 		w.batches[i].snapshot(pool)
@@ -1396,10 +1394,10 @@ const recycleWithin = time.Second
 // goes back to the pool once nothing can reference it any more — WriteV
 // succeeded with every RPC answered — and to the garbage collector
 // otherwise (the rule petal.Client.Write follows for its snapshots).
-func (fs *FS) writeBatch(op *obs.Span, via *petal.Client, pool *cache.Pool, b *flushBatch) error {
+func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
 	fs.noteFlushInFlight(1)
 	start := fs.w.Clock.Now()
-	err := fs.petalWriteV(op, via, b.exts)
+	err := fs.petalWriteV(op, b.exts)
 	answered := fs.w.Clock.Now()-start < sim.Time(recycleWithin)
 	fs.noteFlushInFlight(-1)
 	if err != nil {
@@ -1441,7 +1439,7 @@ func (fs *FS) noteFlushInFlight(d int64) {
 // seq, so that the records' space can be reused. Whoever's append tipped
 // the log over, the space is everybody's: it runs for no operation.
 func (fs *FS) reclaimLog(through int64) {
-	if err := fs.flushRuns(nil, fs.pc, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
+	if err := fs.flushRuns(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1496,9 +1494,9 @@ func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 		}
 		err := fs.flushWorkers(2, func(i int) error {
 			if i == 0 {
-				return fs.flushRuns(op, fs.pc, fs.meta, meta)
+				return fs.flushRuns(op, fs.meta, meta)
 			}
-			return fs.flushData(op, fs.pc, data)
+			return fs.flushData(op, data)
 		})
 		if err == nil {
 			continue // clean now, unless a joined flight left something

@@ -78,7 +78,7 @@ type dataLog struct {
 }
 
 func (l *dataLog) Send(from, to string, env rpc.Envelope, size int) error {
-	if r, ok := env.Body.(petal.WriteVReq); ok && !r.Forwarded {
+	if r, ok := env.Body.(*petal.WriteVReq); ok && !r.Forwarded {
 		for _, e := range r.Extents {
 			if at := e.Chunk*petal.ChunkSize + int64(e.Off); at >= l.from {
 				l.mu.Lock()

@@ -130,15 +130,16 @@ func TestWriteAtRandomAllocs(t *testing.T) {
 // allocates together with the write-behind flight it starts, through a
 // cache too small to keep the file: the operation's transaction, the
 // sixteen pages it overwrites — each one object — the flight and its
-// goroutine, and the replicated Petal write (writeVAllocs in
-// internal/petal), client and servers together. It was 88 while a page
-// was two objects, the write stream cloned its pages, the write-back
-// built its runs, batches and extents, and the Petal client and servers
-// their scratch, per call; then 34 while the spans were new objects,
-// every message had a goroutine of its own in the network and every
-// envelope was boxed. Raise or lower it only with a change that means to
-// move it.
-const streamWriteAllocs = 25
+// goroutine, and the replicated Petal write in two parts (writeVAllocs
+// in internal/petal: nothing), client and servers together. It was 88
+// while a page was two objects, the write stream cloned its pages, the
+// write-back built its runs, batches and extents, and the Petal client
+// and servers their scratch, per call; then 34 while the spans were new
+// objects, every message had a goroutine of its own in the network and
+// every envelope was boxed; then 25 while the flight was one request,
+// boxed, with a handler goroutine and a fan-out at the primary. Raise or
+// lower it only with a change that means to move it.
+const streamWriteAllocs = 19
 
 // TestStreamWriteAtAllocs pins streamWriteAllocs. Each WriteAt completes
 // a chunk, so it hands one to write-behind, and the measured call waits

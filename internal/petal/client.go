@@ -29,9 +29,9 @@ type Client struct {
 	// their spans under it, are charged to its principal, and stamp
 	// their requests with its context. Nil for the driver's own view.
 	op *obs.Span
-	// overlapped marks a view whose calls nobody waits for — read-ahead,
-	// write-behind — and which overlap one another already: none of its
-	// reads is lone and none of its writes is parted (plan.go).
+	// overlapped marks a view whose reads nobody waits for — read-ahead —
+	// and which overlap one another already: none of them is lone
+	// (plan.go).
 	overlapped bool
 }
 
@@ -43,10 +43,10 @@ func (c *Client) For(op *obs.Span) *Client {
 	return &Client{driver: c.driver, op: op, overlapped: c.overlapped}
 }
 
-// Overlapped returns a view of the client for calls nobody waits for
-// and which overlap one another already — read-ahead, write-behind, the
-// update demon's write-back: never lone, never parted. Its reads count
-// as in flight, as any read does.
+// Overlapped returns a view of the client for reads nobody waits for
+// and which overlap one another already — read-ahead: they are never
+// lone, and count as in flight, as any read does. Its writes are any
+// view's.
 func (c *Client) Overlapped() *Client {
 	return &Client{driver: c.driver, op: c.op, overlapped: true}
 }
@@ -542,13 +542,15 @@ func callTimeout(bytes int) sim.Duration {
 }
 
 // xfer is the scratch of one data call: the planner's input and its
-// current round's plan, the extent lists of that round's requests, and
-// what the round's concurrent batches share (mu guards next, parked,
-// lastErr and timedOut; the rest they only read). A call takes one from
-// xfers and gives it back when every RPC it made was answered; a request
-// that was not may still be queued at the carrier with its extent list,
-// so its xfer is left to the collector. send is the bound sendBatch the
-// fan-out runs, made once per xfer rather than once per round.
+// current round's plan, that round's requests and their extent lists,
+// and what the round's concurrent batches share (mu guards next, parked,
+// lastErr and timedOut; the rest they only read). The requests are sent
+// by pointer into rreqs or wreqs, so a request costs no allocation of its
+// own. A call takes one from xfers and gives it back when every RPC it
+// made was answered; a request that was not may still be queued at the
+// carrier, so its xfer is left to the collector. send is the bound
+// sendBatch the fan-out runs, made once per xfer rather than once per
+// round.
 type xfer struct {
 	c        *Client
 	ctx      obs.Ctx
@@ -560,6 +562,8 @@ type xfer struct {
 	exts  []Extent // a read's extents, as the planner takes them
 	rexts []ReadVExtent
 	wexts []WriteVExtent
+	rreqs []ReadVReq
+	wreqs []WriteVReq
 
 	mu       sync.Mutex
 	next     []piece // unserved: offered to the replicas not yet tried
@@ -581,7 +585,7 @@ var xfers = sync.Pool{New: func() any {
 func (c *Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
 	x := xfers.Get().(*xfer)
 	x.c, x.ctx = c, ctx
-	x.in = planIn{v: v, write: write, overlapped: c.overlapped, balance: c.balanceReads.Load(), load: c.driver}
+	x.in = planIn{v: v, write: write, balance: c.balanceReads.Load(), load: c.driver}
 	if write {
 		c.mu.Lock()
 		li := c.leaseInfo
@@ -610,6 +614,8 @@ func (x *xfer) release() {
 	}
 	reset(&x.exts)
 	reset(&x.wexts)
+	reset(&x.rreqs)
+	reset(&x.wreqs)
 	x.pl.batches = x.pl.batches[:0]
 	x.c, x.in, x.st, x.ctx, x.lastErr, x.expireAt = nil, planIn{}, GlobalState{}, obs.Ctx{}, nil, 0
 	xfers.Put(x)
@@ -709,15 +715,19 @@ func (x *xfer) plan(exts []Extent, ps []piece) {
 	}
 }
 
-// requests builds every batch's requests. The extent lists of a round
-// whose calls were all answered are reused by the next; once a call has
-// gone unanswered its request may still be queued with its list, and
-// later rounds make new ones.
+// requests builds every batch's requests. The requests and extent lists
+// of a round whose calls were all answered are reused by the next; once a
+// call has gone unanswered its request may still be queued, and later
+// rounds make new ones.
 func (x *xfer) requests() {
 	if x.timedOut {
-		x.rexts, x.wexts = nil, nil
+		x.rexts, x.wexts, x.rreqs, x.wreqs = nil, nil, nil, nil
 	}
 	x.rexts, x.wexts = x.rexts[:0], x.wexts[:0]
+	// Room for a head and a tail request a batch, so that no append moves
+	// a request sent by pointer.
+	x.rreqs = slices.Grow(x.rreqs[:0], 2*len(x.pl.batches))
+	x.wreqs = slices.Grow(x.wreqs[:0], 2*len(x.pl.batches))
 	for i := range x.pl.batches {
 		b := &x.pl.batches[i]
 		b.req, b.tail = x.request(b.ps), nil
@@ -728,10 +738,11 @@ func (x *xfer) requests() {
 }
 
 // request builds the one message that carries ps, stamped with the
-// context of the operation it is sent for, its extent list on x's. A
-// write's carries the caller's lease and the vdisk epoch of the view the
-// round was planned with, so replicas lagging a snapshot wait for Paxos
-// catch-up instead of writing into the frozen epoch.
+// context of the operation it is sent for, in x's requests and its extent
+// list on x's, and returns it by pointer. A write's carries the caller's
+// lease and the vdisk epoch of the view the round was planned with, so
+// replicas lagging a snapshot wait for Paxos catch-up instead of writing
+// into the frozen epoch.
 func (x *xfer) request(ps []piece) any {
 	c := x.c
 	if !x.in.write {
@@ -741,7 +752,8 @@ func (x *xfer) request(ps []piece) any {
 		}
 		c.readVRPCs.Add(1)
 		c.readVExtents.Add(int64(len(ps)))
-		return ReadVReq{Ctx: x.ctx, VDisk: x.in.v, Extents: x.rexts[lo:]}
+		x.rreqs = append(x.rreqs, ReadVReq{Ctx: x.ctx, VDisk: x.in.v, Extents: x.rexts[lo:]})
+		return &x.rreqs[len(x.rreqs)-1]
 	}
 	lo := len(x.wexts)
 	for _, p := range ps {
@@ -753,7 +765,8 @@ func (x *xfer) request(ps []piece) any {
 	}
 	c.writeVRPCs.Add(1)
 	c.writeVExtents.Add(int64(len(ps)))
-	return req
+	x.wreqs = append(x.wreqs, req)
+	return &x.wreqs[len(x.wreqs)-1]
 }
 
 // sendBatch sends batch i and files what it did not get served: one
@@ -929,7 +942,8 @@ func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
 }
 
 // read is Read and ReadV. A read is lone when no other read of this
-// client is in flight (plan.go cuts it in parts).
+// client is in flight and the view is not Overlapped (plan.go cuts it in
+// parts).
 func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
@@ -938,7 +952,7 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 	}
 	return c.instr(op, func(ctx obs.Ctx) error {
 		x := c.newXfer(ctx, v, false)
-		x.in.lone = c.reads.Add(1) == 1
+		x.in.lone = c.reads.Add(1) == 1 && !c.overlapped
 		for _, e := range extents {
 			x.exts = append(x.exts, Extent{Off: e.Off, Data: e.Dst})
 		}

@@ -28,9 +28,10 @@ type piece struct {
 	chunk int64
 	off   int
 	buf   []byte
-	// tail marks the second part of one replica's share of a span cut in
-	// parts: routed wherever the piece before it goes, and sent in a
-	// request of its own right behind that piece's.
+	// tail marks the second part of what is cut in parts — one replica's
+	// share of a lone read's span, or a write's second half: routed
+	// wherever the piece before it goes when that piece is of its chunk,
+	// and sent in a request of its own right behind that piece's.
 	tail bool
 	// tried is the replicas the piece has been sent to under the view it
 	// is routed with: bit 0 the chunk's primary, bit 1 its backup. Zero
@@ -48,11 +49,8 @@ type planIn struct {
 	v     VDiskID
 	write bool
 	// lone marks a read made while no other read of the client is in
-	// flight.
+	// flight, and not through an Overlapped view.
 	lone bool
-	// overlapped marks a call made through an Overlapped view, which
-	// nobody waits for: it is never cut in parts.
-	overlapped bool
 	// balance spreads reads over both live replicas of a chunk.
 	balance bool
 	// load is the read bytes outstanding per server, before this plan's.
@@ -81,14 +79,15 @@ type plan struct {
 	batches []batch // in the order their first piece was routed
 	none    []piece // no replica left to try under the view
 	rr      uint64  // the tie-break after this round
-	// parted reports that the cut made parts: a lone read, or a write
-	// someone waits for.
+	// parted reports that the round made parts: a lone read, or a write
+	// of two pages or more to a server.
 	parted bool
 	cut    []piece
 }
 
 // build plans one round. On the call's first round exts are its extents,
-// cut here into pieces; on later rounds ps are the pieces not yet served.
+// cut here into pieces, and each write batch is halved; on later rounds
+// ps are the pieces not yet served, as they were cut.
 // A piece not yet tried under in.view goes to its first preference: for
 // a read of a chunk whose two replicas are alive, with balancing on, the
 // one with fewer read bytes outstanding, this plan's own included, ties
@@ -101,7 +100,8 @@ type plan struct {
 // returns.
 func (pl *plan) build(in *planIn, exts []Extent, ps []piece) {
 	pl.parted = false
-	if exts != nil {
+	first := exts != nil
+	if first {
 		pl.cut, pl.parted = in.cutAll(pl.cut[:0], exts)
 		ps = pl.cut
 	}
@@ -127,10 +127,51 @@ func (pl *plan) build(in *planIn, exts []Extent, ps []piece) {
 		b.bytes += len(p.buf)
 	}
 	for i := range pl.batches {
-		if b := &pl.batches[i]; len(b.ps) == 0 {
+		b := &pl.batches[i]
+		if first && in.write && b.halve() {
+			pl.parted = true
+		}
+		if len(b.ps) == 0 {
 			b.ps, b.tails = b.tails, b.ps
 		}
 	}
+}
+
+// halve cuts a write batch of two pages or more in two parts, at the page
+// nearest past the middle of its bytes: the pieces after the cut are its
+// tails, and the piece across it is cut in two. The primary applies and
+// forwards the first part while the second is still arriving, and a
+// batch of many pieces gains one piece, not one a piece. It reports
+// whether it cut.
+func (b *batch) halve() bool {
+	if b.bytes < 2*page {
+		return false
+	}
+	n, half := 0, b.bytes/2
+	for j, p := range b.ps {
+		if n+len(p.buf) <= half {
+			n += len(p.buf)
+			continue
+		}
+		k := min((p.off+half-n+page-1)&^(page-1)-p.off, len(p.buf)) // p's bytes in the first part
+		rest := b.ps[j+1:]
+		switch {
+		case k == 0:
+			rest = b.ps[j:]
+		case k < len(p.buf):
+			t := p
+			t.off, t.buf, t.tail = p.off+k, p.buf[k:], true
+			b.tails = append(b.tails, t)
+			b.ps[j].buf = p.buf[:k]
+		}
+		for _, q := range rest {
+			q.tail = true
+			b.tails = append(b.tails, q)
+		}
+		b.ps = b.ps[:len(b.ps)-len(rest)]
+		return len(b.tails) > 0
+	}
+	return false
 }
 
 // pick chooses the replica p goes to next and marks it tried there.
@@ -209,30 +250,26 @@ func (in *planIn) shared(chunk int64, n int) bool {
 // read's shared span has two shares; each is cut in two parts when the
 // read is lone and shares this one span alone, whatever small pieces
 // ride beside it: the replica's reply to the first part is on the wire
-// while its disk reads the second. A write's span of two pages or more
-// is cut in two parts: the primary applies and forwards the first while
-// the second is still arriving. Nothing of an overlapped call is cut in
-// parts. It reports whether anything was.
+// while its disk reads the second. A write is cut in parts per server,
+// once it is routed (batch.halve). It reports whether anything was cut
+// in parts.
 func (in *planIn) cutAll(dst []piece, exts []Extent) ([]piece, bool) {
 	shared := 0
-	if in.lone && !in.overlapped {
+	if in.lone {
 		eachSpan(exts, func(chunk int64, _ int, buf []byte) {
 			if in.shared(chunk, len(buf)) {
 				shared++
 			}
 		})
 	}
-	parts := 1
-	if !in.overlapped && (in.write || shared == 1) {
-		parts = 2
-	}
 	parted := false
 	eachSpan(exts, func(chunk int64, at int, buf []byte) {
 		shares, k := 1, 1
-		if in.write && len(buf) >= 2*page {
-			k = parts
-		} else if in.shared(chunk, len(buf)) {
-			shares, k = 2, parts
+		if in.shared(chunk, len(buf)) {
+			shares = 2
+			if shared == 1 {
+				k = 2
+			}
 		}
 		parted = parted || k == 2
 		for i, lo := 1, 0; i <= shares*k; i++ {

@@ -143,28 +143,31 @@ func TestPlanRequests(t *testing.T) {
 		parted:  true,
 		rr:      2,
 	}, {
-		name:    "Overlapped read, alone: halves, never parts",
-		in:      func() planIn { in := read(); in.lone, in.overlapped = true, true; return in }(),
-		exts:    []Extent{{Off: at(a, 0), Data: buf(ChunkSize)}},
-		want:    []string{s("p1: %d:0+32768", a), s("p0: %d:32768+32768", a)},
-		charges: map[string]int{"p0": 32768, "p1": 32768},
-		rr:      1,
-	}, {
 		name:   "16 KB write someone waits for: two parts to the primary",
 		in:     write(),
 		exts:   []Extent{{Off: at(a, 16384), Data: buf(16384)}},
 		want:   []string{s("p0: %d:16384+8192", a), s("p0 tail: %d:24576+8192", a)},
 		parted: true,
 	}, {
-		name: "whole Overlapped write flight: one request a primary",
-		in:   func() planIn { in := write(); in.overlapped = true; return in }(),
-		exts: []Extent{{Off: at(a, 0), Data: buf(2 * ChunkSize)}},
-		want: func() []string {
-			if p, _ := st.Replicas("vol", a+1); p == "p0" {
-				return []string{s("p0: %d:0+65536 %d:0+65536", a, a+1)}
-			}
-			return []string{s("p0: %d:0+65536", a), s("p1: %d:0+65536", a+1)}
-		}(),
+		name:   "128 KB write, both chunks on one primary: halved between them",
+		in:     write(),
+		exts:   []Extent{{Off: at(a, 0), Data: buf(ChunkSize)}, {Off: at(ch[1], 0), Data: buf(ChunkSize)}},
+		want:   []string{s("p0: %d:0+65536", a), s("p0 tail: %d:0+65536", ch[1])},
+		parted: true,
+	}, {
+		name: "three 12 KB runs to one primary: halved at the page past the middle",
+		in:   write(),
+		exts: []Extent{{Off: at(a, 0), Data: buf(12288)}, {Off: at(a, 32768), Data: buf(12288)}, {Off: at(ch[1], 0), Data: buf(12288)}},
+		want: []string{
+			s("p0: %d:0+12288 %d:32768+8192", a, a),
+			s("p0 tail: %d:40960+4096 %d:0+12288", a, ch[1]),
+		},
+		parted: true,
+	}, {
+		name: "a write of a page and a half: whole",
+		in:   write(),
+		exts: []Extent{{Off: at(a, 512), Data: buf(6144)}},
+		want: []string{s("p0: %d:512+6144", a)},
 	}, {
 		name:    "1 MB ReadV: sixteen halves a replica, one request each",
 		in:      read(),

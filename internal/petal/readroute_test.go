@@ -147,13 +147,13 @@ type sentReq struct {
 
 func (l *sendLog) Send(from, to string, env rpc.Envelope, size int) error {
 	switch r := env.Body.(type) {
-	case ReadVReq:
+	case *ReadVReq:
 		l.mu.Lock()
 		l.sent = append(l.sent, sentReq{to, slices.Clone(r.Extents)})
 		l.mu.Unlock()
-	case WriteVReq:
+	case *WriteVReq:
 		if l.beforeWrite != nil {
-			l.beforeWrite(to, r)
+			l.beforeWrite(to, *r)
 		}
 		req := sentReq{to: to}
 		for _, e := range r.Extents {
@@ -180,7 +180,8 @@ func (l *sendLog) writes() []sentReq {
 // goes first, so a disk that serves them as they arrive moves its arm
 // once for the read, and reads the second part while its reply to the
 // first is on the wire. A 64 KB read made while another read is in
-// flight — a prefetch — keeps its two halves.
+// flight — a prefetch — keeps its two halves, and so does one made
+// through an Overlapped view.
 func TestLoneReadIsPipelined(t *testing.T) {
 	tc := newTestClusterAt(t, 10, 2, nil)
 	d := tc.mustCreate(t, "vol")
@@ -255,6 +256,24 @@ func TestLoneReadIsPipelined(t *testing.T) {
 	}
 	if n := c.readLone.Value(); n != 2 {
 		t.Errorf("petal.read.lone counted %d, want 2: the read held in flight was lone, the one beside it not", n)
+	}
+
+	// A read through an Overlapped view — read-ahead — is never lone,
+	// though no other read is in flight: it keeps its two halves.
+	log.mu.Lock()
+	log.sent = log.sent[:0]
+	log.mu.Unlock()
+	if err := c.Overlapped().Read("vol", 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[:ChunkSize]) {
+		t.Fatal("wrong bytes from an Overlapped read")
+	}
+	if len(log.sent) != 2 || log.sent[0].exts[0].Len != ChunkSize/2 || log.sent[1].exts[0].Len != ChunkSize/2 {
+		t.Errorf("a 64 KB read through an Overlapped view sent %+v, want its two halves", log.sent)
+	}
+	if n := c.readLone.Value(); n != 2 {
+		t.Errorf("petal.read.lone counted %d after an Overlapped read, want 2", n)
 	}
 }
 

@@ -178,7 +178,7 @@ func TestRepairKeepsAMissDuringItsPush(t *testing.T) {
 		}
 	}
 	s.st.mu.Unlock()
-	miss := []forward{{partner: "fake", exts: []WriteVExtent{{Chunk: chunk}}}}
+	miss := []forward{{partner: "fake", req: WriteVReq{Extents: []WriteVExtent{{Chunk: chunk}}}}}
 	fake := rpc.NewEndpoint(DataAddr("fake"), rpc.SimCarrier{Net: tc.w.Net}, tc.w.Clock, func(_ string, body any) any {
 		if _, ok := body.(PushChunkReq); ok {
 			s.noteMissed(miss, key.VDisk, key.Epoch)

@@ -235,11 +235,17 @@ func (s *Server) handle(from string, body any) any {
 	s.reqC.Inc()
 	// Requests sent on behalf of an operation say so in their header:
 	// the work is charged to the originating client, not to the server.
+	// The data path sends its requests by pointer; the TCP codec decodes
+	// them as values.
 	switch m := body.(type) {
+	case *ReadVReq:
+		return s.readV(m)
 	case ReadVReq:
-		return s.spanned("server.readv", m.Ctx, func(*obs.Span) any { return s.onReadV(m) })
+		return s.readV(&m)
+	case *WriteVReq:
+		return s.writeV(m)
 	case WriteVReq:
-		return s.spanned("server.writev", m.Ctx, func(sp *obs.Span) any { return s.onWriteV(sp, m) })
+		return s.writeV(&m)
 	case DecommitReq:
 		s.acct.ServerOp(m.Ctx.Principal)
 		return s.onDecommit(m)
@@ -278,6 +284,14 @@ func (s *Server) handle(from string, body any) any {
 		return ListChunksResp{Chunks: s.st.visibleChunks(base, ceiling)}
 	}
 	return nil
+}
+
+func (s *Server) readV(m *ReadVReq) any {
+	return s.spanned("server.readv", m.Ctx, func(*obs.Span) any { return s.onReadV(m) })
+}
+
+func (s *Server) writeV(m *WriteVReq) any {
+	return s.spanned("server.writev", m.Ctx, func(sp *obs.Span) any { return s.onWriteV(sp, m) })
 }
 
 // spanned runs a data-path handler for the operation its request
@@ -402,7 +416,7 @@ var readJobs = sync.Pool{New: func() any {
 // data lies in one pooled buffer that the reply carries, and whoever
 // consumes the reply gives back (rpc.Release); one that is never
 // consumed leaves it to the collector.
-func (s *Server) onReadV(m ReadVReq) any {
+func (s *Server) onReadV(m *ReadVReq) any {
 	total, size := 0, 0
 	for _, e := range m.Extents {
 		total += e.Len
@@ -499,31 +513,27 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 // writeVOK is the reply to every write that succeeds, boxed once.
 var writeVOK any = WriteVResp{OK: true}
 
-// writeJob is one onWriteV's scratch and what its concurrent jobs
-// share: the write's forwards to its partners and the serial units its
-// extents are cut into. It comes from writeJobs and goes back once the
-// write is answered — unless a forward went unanswered, whose request
-// may still be queued at the carrier with an extent list of the job's.
-// run and apply are the bound fan-out functions, made once per writeJob
-// rather than once per write.
+// writeJob is one onWriteV's scratch: the write's forwards to its
+// partners, requests sent by pointer, and the serial units its extents
+// are cut into. It comes from writeJobs and goes back once the write is
+// answered — unless a forward went unanswered, whose request may still be
+// queued at the carrier. apply is the bound applyUnit the fan-out runs,
+// made once per writeJob rather than once per write.
 type writeJob struct {
 	s       *Server
-	ctx     obs.Ctx // of the write here: a forward's span is a child of this server's
-	vdisk   VDiskID
 	base    VDiskID
 	ceiling int64
 	st      GlobalState
-	local   string // the local apply's error, or ""
 	fws     []forward
 	sorted  []WriteVExtent // the extents in address order, when they came in another
 	units   [][]WriteVExtent
 
-	run, apply func(i int) error
+	apply func(i int) error
 }
 
 var writeJobs = sync.Pool{New: func() any {
 	j := new(writeJob)
-	j.run, j.apply = j.runJob, j.applyUnit
+	j.apply = j.applyUnit
 	return j
 }}
 
@@ -535,24 +545,29 @@ func (j *writeJob) release() {
 			return
 		}
 	}
-	for _, fw := range j.fws[:cap(j.fws)] {
-		clear(fw.exts[:cap(fw.exts)])
+	fws := j.fws[:cap(j.fws)]
+	for i := range fws {
+		exts := fws[i].req.Extents
+		clear(exts[:cap(exts)])
+		fws[i] = forward{req: WriteVReq{Extents: exts[:0]}}
 	}
 	clear(j.sorted[:cap(j.sorted)])
 	clear(j.units[:cap(j.units)])
-	*j = writeJob{fws: j.fws[:0], sorted: j.sorted[:0], units: j.units[:0], run: j.run, apply: j.apply}
+	*j = writeJob{fws: j.fws[:0], sorted: j.sorted[:0], units: j.units[:0], apply: j.apply}
 	writeJobs.Put(j)
 }
 
 // onWriteV applies a write: one lease check and one epoch resolution
-// cover every extent, then the extents land on the local store while,
-// at the same time, they are forwarded to the partner replicas — Petal's
-// primary sends to the second copy and to its local disk simultaneously.
-// Forwards go grouped by partner, so a batch stays batched on the
-// replica hop too, and the partners are called in parallel. A local
-// failure fails the request, though a forward may by then have been
-// applied: the client's retry at the other replica converges the two.
-func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) any {
+// cover every extent, then the extents are forwarded to the partner
+// replicas and land on the local store while the forwards are on their
+// way — Petal's primary sends to the second copy and to its local disk
+// simultaneously. Forwards go grouped by partner, so a batch stays
+// batched on the replica hop too; each leaves as soon as this server's
+// link has carried the one before, and the answers are collected once the
+// local apply is done. A local failure fails the request, though a
+// forward may by then have been applied: the client's retry at the other
+// replica converges the two.
+func (s *Server) onWriteV(sp *obs.Span, m *WriteVReq) any {
 	// On TCP, extent data aliases a pooled receive buffer. Once the
 	// store has copied the bytes and any replica forward has completed,
 	// the buffer is recycled — unless a forward timed out, in which
@@ -583,18 +598,20 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) any {
 		}
 	}
 	j := writeJobs.Get().(*writeJob)
-	j.s, j.ctx, j.vdisk, j.base, j.ceiling, j.st = s, sp.Ctx(), m.VDisk, base, ceiling, st
+	j.s, j.base, j.ceiling, j.st = s, base, ceiling, st
 	if !m.Forwarded && !s.cfg.NoReplicate {
-		j.forward(m.Extents)
+		j.forward(sp.Ctx(), m)
 	}
 	j.cut(m.Extents)
-	// Job 0 is the local apply, job i the forward to partner i-1; each
-	// writes only its own result.
-	_ = BoundedPar(1+len(j.fws), 1+len(j.fws), j.run)
-	for _, fw := range j.fws {
+	for i := range j.fws {
+		s.replicate(&j.fws[i], &j.st)
+	}
+	errStr = j.applyExtents()
+	for i := range j.fws {
+		fw := &j.fws[i]
+		fw.settle()
 		leaked = leaked || fw.leaked
 	}
-	errStr = j.local
 	if errStr == "" {
 		s.noteMissed(j.fws, j.base, j.ceiling)
 	}
@@ -603,17 +620,6 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) any {
 		return WriteVResp{Err: errStr}
 	}
 	return writeVOK
-}
-
-// runJob is job i of a write: 0 its local apply, i the forward to its
-// partner i-1.
-func (j *writeJob) runJob(i int) error {
-	if i == 0 {
-		j.local = j.applyExtents()
-	} else {
-		j.s.replicate(j.ctx, &j.fws[i-1], j.vdisk, j.ceiling, &j.st)
-	}
-	return nil
 }
 
 // writeVApplyPar bounds concurrent store writes while applying one
@@ -668,22 +674,27 @@ func (j *writeJob) cut(exts []WriteVExtent) {
 	j.units = append(j.units, exts[start:])
 }
 
-// forward is the share of a client write one partner replicates, and
-// how sending it went: done when the partner applied it, leaked when
-// the call errored — the request payload may still be queued at the
-// carrier, so the receive buffer it aliases must not be recycled.
+// forward is the share of a client write one partner replicates, the
+// request that carries it, and how sending it went: call is the request
+// in flight, done when the partner applied it, leaked when the call got
+// no answer — the request may still be queued at the carrier, so neither
+// it nor the receive buffer it aliases may be recycled.
 type forward struct {
 	partner      string
-	exts         []WriteVExtent
+	req          WriteVReq
+	call         rpc.Pending
+	sent         bool
 	done, leaked bool
 }
 
-// forward groups a client write's extents into j.fws by the partner
-// that holds their second copy, so each partner receives one request.
-// A pooled job's forwards keep their extent lists' room.
-func (j *writeJob) forward(exts []WriteVExtent) {
+// forward groups the extents of m into j.fws by the partner that holds
+// their second copy, so each partner receives one request, stamped with
+// ctx, the context of the write here: the partner's span becomes a child
+// of this server's. A pooled job's forwards keep their extent lists'
+// room.
+func (j *writeJob) forward(ctx obs.Ctx, m *WriteVReq) {
 	j.fws = j.fws[:0]
-	for _, e := range exts {
+	for _, e := range m.Extents {
 		p1, p2 := j.st.Replicas(j.base, e.Chunk)
 		partner := p1
 		if p1 == j.s.name {
@@ -698,24 +709,33 @@ func (j *writeJob) forward(exts []WriteVExtent) {
 		}
 		if k == len(j.fws) {
 			j.fws = slices.Grow(j.fws, 1)[:k+1]
-			j.fws[k] = forward{partner: partner, exts: j.fws[k].exts[:0]}
+			j.fws[k].partner = partner
+			j.fws[k].req = WriteVReq{Ctx: ctx, VDisk: m.VDisk, Extents: j.fws[k].req.Extents[:0], Forwarded: true, Epoch: j.ceiling}
 		}
-		j.fws[k].exts = append(j.fws[k].exts, e)
+		j.fws[k].req.Extents = append(j.fws[k].req.Extents, e)
 	}
 }
 
 // replicate sends one partner its share of a client write, unless the
-// partner is known to be down. ctx is the context of that write here:
-// the partner's span becomes a child of this server's.
-func (s *Server) replicate(ctx obs.Ctx, fw *forward, v VDiskID, epoch int64, st *GlobalState) {
+// partner is known to be down in st; settle collects the answer.
+func (s *Server) replicate(fw *forward, st *GlobalState) {
 	s.mu.Lock()
 	partnerAlive := st.Alive[fw.partner]
 	s.mu.Unlock()
 	if !partnerAlive {
 		return
 	}
-	req := WriteVReq{Ctx: ctx, VDisk: v, Extents: fw.exts, Forwarded: true, Epoch: epoch}
-	resp, err := s.ep.Call(addrOf(s.addrs, fw.partner), req, dataTimeout)
+	var err error
+	fw.call, err = s.ep.Go(addrOf(s.addrs, fw.partner), &fw.req)
+	fw.sent = err == nil
+}
+
+// settle waits for the answer to a forward that replicate sent.
+func (fw *forward) settle() {
+	if !fw.sent {
+		return
+	}
+	resp, err := fw.call.Wait(dataTimeout)
 	if err != nil {
 		fw.leaked = true
 		return
@@ -739,7 +759,7 @@ func (s *Server) noteMissed(fws []forward, base VDiskID, epoch int64) {
 			s.missed[fw.partner] = mm
 		}
 		s.missSeq++
-		for _, e := range fw.exts {
+		for _, e := range fw.req.Extents {
 			mm[chunkKey{base, e.Chunk, epoch}] = s.missSeq
 		}
 		s.mu.Unlock()

@@ -13,9 +13,10 @@ import (
 // two requests to the chunk's primary, contiguous, the first part first,
 // so the primary applies and forwards the first while the second is
 // still on the wire. Its modelled time is under the floor of the same
-// write sent whole: both hops' links carrying all of it one after the
-// other, the backup's arm writing it, and the four messages' latencies —
-// without the race detector, whose own cost the clock would count.
+// write sent whole, as one request made by hand: both hops' links
+// carrying all of it one after the other, the backup's arm writing it,
+// and the four messages' latencies — without the race detector, whose
+// own cost the clock would count.
 func TestWaitedWriteIsPipelined(t *testing.T) {
 	// The margin is a millisecond and a half of modelled time; at a
 	// quarter of wall speed a host stall of a few milliseconds, which a
@@ -25,8 +26,7 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 	log := &sendLog{Carrier: rpc.SimCarrier{Net: tc.w.Net}}
 	c := NewClientWithCarrier(tc.w, "ws1", []string{"p0", "p1"}, log)
 	defer c.Close()
-	whole := c.Overlapped()
-	if err := whole.Write("vol", 0, make([]byte, ChunkSize)); err != nil { // commits the chunk
+	if err := c.Write("vol", 0, make([]byte, ChunkSize)); err != nil { // commits the chunk
 		t.Fatal(err)
 	}
 	st, err := c.State()
@@ -35,13 +35,19 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 	}
 	primary, _ := st.Replicas("vol", 0)
 	log.writes()
+	parts := c.writeParted.Value()
 
 	const n = 16 << 10
-	timed := func(via *Client, off int64, seed byte) (time.Duration, []sentReq) {
+	timed := func(whole bool, off int64, seed byte) (time.Duration, []sentReq) {
 		t.Helper()
 		data := patternBuf(n, seed)
 		start := tc.w.Clock.Now()
-		if err := via.WriteV("vol", []Extent{{Off: off, Data: data}}); err != nil {
+		if whole {
+			req := &WriteVReq{VDisk: "vol", Extents: []WriteVExtent{{Off: int(off), Data: data}}}
+			if resp, err := c.ep.Call(DataAddr(primary), req, dataTimeout); err != nil || !resp.(WriteVResp).OK {
+				t.Fatalf("a whole write: %v %+v", err, resp)
+			}
+		} else if err := c.WriteV("vol", []Extent{{Off: off, Data: data}}); err != nil {
 			t.Fatal(err)
 		}
 		took := time.Duration(tc.w.Clock.Now() - start)
@@ -59,9 +65,9 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 	// timed. The least of four rounds of each shape, against host stalls.
 	var parted, sentWhole time.Duration
 	for round := 0; round < 4; round++ {
-		timed(whole, 0, byte(round))
+		timed(true, 0, byte(round))
 		for _, off := range []int64{n, 3 * n} {
-			took, sent := timed(c, off, byte(round+int(off/n)))
+			took, sent := timed(false, off, byte(round+int(off/n)))
 			if parted == 0 || took < parted {
 				parted = took
 			}
@@ -76,15 +82,12 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 				t.Errorf("a 16 KB write at %d sent %+v then %+v: want it in two contiguous parts cut at a page, the first first", off, x, y)
 			}
 		}
-		took, sent := timed(whole, 2*n, byte(round+2))
+		took, _ := timed(true, 2*n, byte(round+2))
 		if sentWhole == 0 || took < sentWhole {
 			sentWhole = took
 		}
-		if len(sent) != 1 {
-			t.Fatalf("a 16 KB write through an Overlapped view sent %d requests, want 1", len(sent))
-		}
 	}
-	if got := c.writeParted.Value(); got != 8 {
+	if got := c.writeParted.Value() - parts; got != 8 {
 		t.Errorf("petal.write.parted counted %d, want the 8 writes made in parts", got)
 	}
 	link, disk := sim.DefaultLinkParams(), tc.servers[0].Disks()[0].Params()
@@ -103,26 +106,38 @@ func TestWaitedWriteIsPipelined(t *testing.T) {
 	}
 }
 
-// TestFlightWriteIsWhole: a write through an Overlapped view — a
-// write-behind flight — is one request, however large its chunk span,
-// and is not counted as parted.
-func TestFlightWriteIsWhole(t *testing.T) {
+// TestFlightWriteIsParted: a write through an Overlapped view — a
+// write-behind flight, which nobody waits for — is cut like any other: a
+// 64 KB flight leaves as two requests of one half each to the chunk's
+// primary, the first half first, and is counted as parted.
+func TestFlightWriteIsParted(t *testing.T) {
 	tc := newTestCluster(t, 2, nil)
 	tc.mustCreate(t, "vol")
 	log := &sendLog{Carrier: rpc.SimCarrier{Net: tc.w.Net}}
 	c := NewClientWithCarrier(tc.w, "ws1", []string{"p0", "p1"}, log)
 	defer c.Close()
 	flight := c.Overlapped()
-	for _, n := range []int{16 << 10, ChunkSize} {
-		if err := flight.WriteV("vol", []Extent{{Off: 0, Data: patternBuf(n, 3)}}); err != nil {
-			t.Fatal(err)
-		}
-		if sent := log.writes(); len(sent) != 1 || len(sent[0].exts) != 1 || sent[0].exts[0].Len != n {
-			t.Errorf("a %d-byte flight sent %+v, want one request of one extent", n, sent)
-		}
+	if err := flight.WriteV("vol", []Extent{{Off: 0, Data: patternBuf(ChunkSize, 3)}}); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.writeParted.Value(); got != 0 {
-		t.Errorf("petal.write.parted counted %d flights, want 0", got)
+	st, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, _ := st.Replicas("vol", 0)
+	half := ReadVExtent{Len: ChunkSize / 2}
+	sent := log.writes()
+	if len(sent) != 2 || sent[0].to != DataAddr(primary) || sent[1].to != sent[0].to ||
+		len(sent[0].exts) != 1 || len(sent[1].exts) != 1 || sent[0].exts[0] != half ||
+		sent[1].exts[0] != (ReadVExtent{Off: ChunkSize / 2, Len: ChunkSize / 2}) {
+		t.Errorf("a 64 KB flight sent %+v, want its two halves, the first first, to the primary %s", sent, primary)
+	}
+	if got := c.writeParted.Value(); got != 1 {
+		t.Errorf("petal.write.parted counted %d flights, want 1", got)
+	}
+	got := make([]byte, ChunkSize)
+	if err := c.Read("vol", 0, got); err != nil || !bytes.Equal(got, patternBuf(ChunkSize, 3)) {
+		t.Fatalf("the flight did not land: %v", err)
 	}
 }
 

@@ -202,27 +202,30 @@ func raceBuild() bool {
 
 // writeVAllocs and readVAllocs are what a replicated 64 KB WriteV and a
 // 64 KB ReadV, cut in two halves for the two replicas, allocate — the
-// client and both servers together, over the simulated network: each
-// request and reply boxed for the network, each handler's goroutine and
-// its fan-out, the forward and the read's buffer hand-off. They were 41
-// and 40 while every call built its pieces, batches, extent lists and
+// client and both servers together, over the simulated network. They were
+// 41 and 40 while every call built its pieces, batches, extent lists and
 // reply channel, and every server its per-request lists, closures and
 // read buffers, anew; then 14 and 20 while every message had a delivery
 // goroutine of its own, every envelope was boxed and every server span
-// was a new object. The 64 KB WriteV goes through an Overlapped view, as
-// write-behind's flights do: one request. loneReadVAllocs is the same
-// ReadV made while no other read is in flight: four requests, not two,
-// and each request is five objects — the boxed request, the handler's
-// goroutine, the server's result list, its boxed reply and the hand-off
-// of its buffer. partedWriteVAllocs is a 16 KB WriteV someone waits for:
-// two requests to the primary, each forwarded, and each costs what the
-// whole write's one does. Raise or lower them only with a change that
-// means to move them.
+// was a new object; then 6 and 12 while every request was boxed, its
+// handler had a goroutine of its own and the primary fanned the local
+// apply and the forward out over two. Now a request and a forward are
+// built in pooled scratch and sent by pointer, a handler runs on a parked
+// worker and the primary sends the forward before it applies, so a write
+// allocates nothing, in any number of parts. The 64 KB WriteV goes
+// through an Overlapped view, as write-behind's flights do, and leaves in
+// two parts like any other. What a ReadV still allocates is the client's
+// fan-out over the two replicas (its state and one goroutine) and, per
+// request, the server's result list, its boxed reply and the hand-off of
+// its buffer. loneReadVAllocs is the same ReadV made while no other read
+// is in flight: four requests, not two. partedWriteVAllocs is a 16 KB
+// WriteV someone waits for: two requests to the primary, each forwarded.
+// Raise or lower them only with a change that means to move them.
 const (
-	writeVAllocs       = 6
-	readVAllocs        = 12
-	loneReadVAllocs    = readVAllocs + 2*5
-	partedWriteVAllocs = 2 * writeVAllocs
+	writeVAllocs       = 0
+	readVAllocs        = 2 + 2*3
+	loneReadVAllocs    = readVAllocs + 2*3
+	partedWriteVAllocs = 0
 )
 
 // TestWriteVReadVRoundTripAllocs pins writeVAllocs, readVAllocs,

@@ -58,8 +58,9 @@ func envelope(word uint64, body any) Envelope {
 
 // HandlerFunc serves an incoming message. For messages sent with
 // Call, the returned value (if non-nil) is sent back as the reply.
-// For casts the return value is ignored. Handlers run on dedicated
-// goroutines; they may block.
+// For casts the return value is ignored. A call's handler runs on one of
+// the endpoint's handler workers and may block; a cast's runs on the
+// delivery goroutine.
 type HandlerFunc func(from string, body any) (reply any)
 
 // Carrier abstracts the underlying datagram network so Endpoint works
@@ -95,6 +96,13 @@ func (c SimCarrier) Unregister(name string) { c.Net.Unregister(name) }
 
 // Endpoint is one named party on the network. It dispatches incoming
 // requests to its handler and routes replies back to waiting callers.
+//
+// A call's handler runs on a handler worker: one that is parked in idle
+// takes it, or a new one if none is. A worker serves the call, sends its
+// reply, parks and serves whatever call it is handed next, so the workers
+// are as many as the calls ever served at once, not one per call. Close
+// ends the parked ones and lets the busy ones end when their call is
+// answered.
 type Endpoint struct {
 	addr    string
 	carrier Carrier
@@ -105,6 +113,14 @@ type Endpoint struct {
 	pending map[uint64]chan any
 	nextID  uint64
 	closed  bool
+	idle    []chan request // parked handler workers; Close closes them
+}
+
+// request is an incoming call, as a handler worker is handed it.
+type request struct {
+	from string
+	id   uint64
+	body any
 }
 
 // NewEndpoint registers addr on the carrier and returns the endpoint.
@@ -145,11 +161,54 @@ func (e *Endpoint) receive(from string, env Envelope, size int) {
 		h(from, env.Body)
 		return
 	}
-	go func() {
-		if reply := h(from, env.Body); reply != nil {
-			_ = e.carrier.Send(e.addr, from, Envelope{ID: env.ID, IsReply: true, Body: reply}, sizeOf(reply))
+	e.dispatch(request{from: from, id: env.ID, body: env.Body})
+}
+
+// dispatch hands r to a parked handler worker, or to a new one if none is
+// parked. A closed endpoint serves nothing.
+func (e *Endpoint) dispatch(r request) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		Release(r.body)
+		return
+	}
+	if k := len(e.idle); k > 0 {
+		w := e.idle[k-1]
+		e.idle[k-1] = nil
+		e.idle = e.idle[:k-1]
+		e.mu.Unlock()
+		w <- r // one slot, and the worker parked with it empty: never blocks
+		return
+	}
+	e.mu.Unlock()
+	go e.serve(r)
+}
+
+// serve is a handler worker: it answers r, parks, and answers whatever
+// call it is handed next, until Close.
+func (e *Endpoint) serve(r request) {
+	var park chan request
+	for {
+		if reply := e.handler(r.from, r.body); reply != nil {
+			_ = e.carrier.Send(e.addr, r.from, Envelope{ID: r.id, IsReply: true, Body: reply}, sizeOf(reply))
 		}
-	}()
+		r = request{} // hold nothing of the call while parked
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			return
+		}
+		if park == nil {
+			park = make(chan request, 1)
+		}
+		e.idle = append(e.idle, park)
+		e.mu.Unlock()
+		var ok bool
+		if r, ok = <-park; !ok {
+			return
+		}
+	}
 }
 
 // Cast sends a one-way message. Delivery is best-effort: an error is
@@ -276,10 +335,15 @@ func armTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-// Close unregisters the endpoint; outstanding calls time out.
+// Close unregisters the endpoint and ends its parked handler workers; a
+// busy one ends once its call is answered. Outstanding calls time out.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	e.closed = true
+	for _, w := range e.idle {
+		close(w)
+	}
+	e.idle = nil
 	e.mu.Unlock()
 	e.carrier.Unregister(e.addr)
 }

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,4 +161,104 @@ func TestSizerChargesBandwidth(t *testing.T) {
 	if elapsed < 400*time.Millisecond {
 		t.Fatalf("512KB over 1MB/s took %v simulated, want >= ~0.5s", elapsed)
 	}
+}
+
+// TestHandlerWorkersEndOnClose: calls served at once leave as many
+// handler workers parked, later calls are served by those, casts still
+// run in send order on the delivery goroutine, not on a worker, and Close
+// ends every worker.
+func TestHandlerWorkersEndOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := sim.NewWorld(2000, 7)
+	w.AddMachine("a", sim.DefaultLinkParams())
+	w.AddMachine("b", sim.DefaultLinkParams())
+	const calls = 8
+	var entered sync.WaitGroup
+	entered.Add(calls)
+	hold := make(chan struct{})
+	var casts []int
+	var inCast atomic.Bool
+	h := func(from string, body any) any {
+		switch m := body.(type) {
+		case int: // a cast: the delivery goroutine runs it, one at a time
+			if inCast.Swap(true) {
+				t.Error("two casts of one pair ran at once")
+			}
+			casts = append(casts, m)
+			inCast.Store(false)
+			return nil
+		case echoReq:
+			if m.N < 0 {
+				entered.Done()
+				<-hold
+			}
+			return echoResp{N: m.N + 1}
+		}
+		return nil
+	}
+	carrier := SimCarrier{Net: w.Net}
+	a := NewEndpoint("a", carrier, w.Clock, nil)
+	b := NewEndpoint("b", carrier, w.Clock, h)
+	parked := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.idle)
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: never", what)
+			}
+		}
+	}
+
+	var done sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if _, err := a.Call("b", echoReq{N: -1}, 10*time.Second); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	entered.Wait()
+	close(hold)
+	done.Wait()
+	waitFor("every worker parked", func() bool { return parked() == calls })
+
+	for i := 0; i < 100; i++ {
+		if i%10 == 0 {
+			if _, err := a.Call("b", echoReq{N: i}, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Cast("b", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Call("b", echoReq{N: 1}, 10*time.Second); err != nil { // behind every cast
+		t.Fatal(err)
+	}
+	for i, n := range casts {
+		if i != n {
+			t.Fatalf("casts ran in the order %v", casts)
+		}
+	}
+	if len(casts) != 100 {
+		t.Fatalf("%d casts ran, want 100", len(casts))
+	}
+	waitFor("the workers parked again", func() bool { return parked() == calls })
+	if n := parked(); n != calls {
+		t.Fatalf("%d workers after serving one call at a time, want the %d there were", n, calls)
+	}
+
+	b.Close()
+	a.Close()
+	if n := parked(); n != 0 {
+		t.Fatalf("%d workers parked after Close", n)
+	}
+	w.Stop()
+	waitFor("no goroutine left after Close and Stop", func() bool { return runtime.NumGoroutine() <= before })
 }
