@@ -79,8 +79,8 @@ var clusterMethods = map[string]string{
 }
 
 // exported names, for every exported function of internal/rpc,
-// internal/obs, internal/cache and internal/petal and every exported
-// method of their exported types, a non-test file that calls it, or the test that needs
+// internal/obs, internal/cache, internal/petal, internal/paxos and
+// internal/wal and every exported method of their exported types, a non-test file that calls it, or the test that needs
 // it. A method called through an interface names the file that makes
 // the interface call.
 var exported = map[string]string{
@@ -206,7 +206,6 @@ var exported = map[string]string{
 	"cache.Pool.Capacity":          "internal/fs/fs.go",
 	"cache.Pool.DirtyByOwner":      "internal/fs/fs.go",
 	"cache.Pool.DirtyThrough":      "internal/fs/fs.go",
-	"cache.Pool.EntrySeq":          "internal/fs/fs.go",
 	"cache.Pool.Fill":              "internal/fs/file.go",
 	"cache.Pool.HasDirty":          "internal/fs/fs.go",
 	"cache.Pool.Insert":            "internal/fs/file.go, benchmark/drives.go",
@@ -215,7 +214,6 @@ var exported = map[string]string{
 	"cache.Pool.InvalidateByOwner": "internal/fs/ops.go",
 	"cache.Pool.Len":               "TestLRUOrderAgainstModel",
 	"cache.Pool.Lookup":            "internal/fs/file.go, benchmark/drives.go",
-	"cache.Pool.MarkCleanIf":       "internal/fs/fs.go",
 	"cache.Pool.MarkCleanIfBatch":  "internal/fs/fs.go",
 	"cache.Pool.MarkDirty":         "internal/fs/file.go",
 	"cache.Pool.MaxSeq":            "internal/fs/file.go",
@@ -280,6 +278,37 @@ var exported = map[string]string{
 	"petal.WriteVResp.AppendWireHeader":   "internal/rpc/codec.go",
 	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
 	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
+
+	"paxos.Detector.Alive":       "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.AliveCount":  "internal/paxos/detector.go",
+	"paxos.Detector.Crash":       "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.Members":     "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.QuorumAlive": "internal/lockservice/server.go",
+	"paxos.Detector.Recover":     "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.Start":       "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.Stop":        "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.NewDetector":          "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.NewNode":              "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Close":           "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Crash":           "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Quorum":          "internal/paxos/paxos.go",
+	"paxos.Node.Recover":         "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Submit":          "internal/lockservice/server.go, internal/petal/server.go",
+
+	"wal.BlockVersion":    "internal/fs/fs.go",
+	"wal.Log.Append":      "internal/fs/fs.go, internal/localfs/localfs.go",
+	"wal.Log.Flush":       "internal/localfs/localfs.go",
+	"wal.Log.FlushHealth": "internal/fs/fs.go",
+	"wal.Log.FlushOp":     "internal/fs/fs.go",
+	"wal.Log.Release":     "internal/fs/fs.go, internal/localfs/localfs.go",
+	"wal.Log.SetObs":      "internal/fs/fs.go",
+	"wal.Log.SetReclaim":  "internal/fs/fs.go, internal/localfs/localfs.go",
+	"wal.Log.Stats":       "TestGroupCommit",
+	"wal.New":             "internal/fs/fs.go, internal/localfs/localfs.go",
+	"wal.RecordSize":      "internal/fs/fs.go",
+	"wal.Replay":          "internal/fs/fs.go, internal/fs/backup.go",
+	"wal.Scan":            "internal/fs/fs.go, internal/fs/backup.go",
+	"wal.SetBlockVersion": "internal/fs/fs.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -391,8 +420,9 @@ func TestClusterMethodCensus(t *testing.T) {
 }
 
 // TestExportedCensus holds every exported function of internal/rpc,
-// internal/obs, internal/cache and internal/petal, and every exported
-// method of their exported types, to exported, and each entry to a file or test that
+// internal/obs, internal/cache, internal/petal, internal/paxos and
+// internal/wal, and every exported method of their exported types, to
+// exported, and each entry to a file or test that
 // calls it.
 func TestExportedCensus(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)\) )?([A-Z]\w*)\(`)
@@ -400,7 +430,7 @@ func TestExportedCensus(t *testing.T) {
 	for _, path := range goFiles(t, false) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
-		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal":
+		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal":
 		default:
 			continue
 		}

@@ -1,0 +1,224 @@
+package frangipani_test
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+	"time"
+
+	"frangipani"
+	"frangipani/internal/petal"
+	"frangipani/internal/rpc"
+)
+
+// holdWrite is a carrier under one file server's Petal client. Once
+// armed, it holds the first write request that carries a page of want —
+// the write-back of that page when the pool evicts it — until release is
+// called, and records where in Petal the page goes.
+type holdWrite struct {
+	rpc.Carrier
+	want     []byte
+	mu       sync.Mutex
+	armed    bool
+	chunk    int64
+	off      int
+	held     chan struct{} // closed once the write is held
+	released chan struct{}
+	once     sync.Once
+}
+
+func (h *holdWrite) Send(from, to string, env rpc.Envelope, size int) error {
+	if r, ok := env.Body.(*petal.WriteVReq); ok && !r.Forwarded && h.take(r) {
+		close(h.held)
+		<-h.released
+	}
+	return h.Carrier.Send(from, to, env, size)
+}
+
+// take reports whether r is the write to hold, and disarms if so.
+func (h *holdWrite) take(r *petal.WriteVReq) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.armed {
+		return false
+	}
+	for _, e := range r.Extents {
+		if i := bytes.Index(e.Data, h.want); i >= 0 {
+			h.armed, h.chunk, h.off = false, e.Chunk, e.Off+i
+			return true
+		}
+	}
+	return false
+}
+
+func (h *holdWrite) release() { h.once.Do(func() { close(h.released) }) }
+
+// evictRig is two file servers on one cluster. ws1 has a data cache of
+// four pages and reaches Petal through hold; its update demon never runs
+// during a test, so a dirty page of it reaches Petal only when someone
+// writes it back.
+type evictRig struct {
+	c        *frangipani.Cluster
+	pc       *petal.Client
+	hold     *holdWrite
+	ws1, ws2 *frangipani.FS
+}
+
+func newEvictRig(t *testing.T) *evictRig {
+	t.Helper()
+	cfg := frangipani.DefaultClusterConfig()
+	cfg.Compression = 25 // a held write in a slower world: host stalls are not timeouts
+	cfg.FSConfig.SyncEvery = time.Hour
+	c, err := frangipani.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	r := &evictRig{c: c, hold: &holdWrite{Carrier: rpc.SimCarrier{Net: c.World.Net},
+		held: make(chan struct{}), released: make(chan struct{})}}
+	t.Cleanup(r.hold.release)
+	r.pc = petal.NewClientWithCarrier(c.World, "ws1", c.PetalServerNames(), r.hold)
+	t.Cleanup(r.pc.Close)
+	fscfg := cfg.FSConfig
+	fscfg.DataCacheCap = 4
+	if r.ws1, err = frangipani.Mount(c.World, "ws1", r.pc, "fs0", c.LockServerNames(), c.Layout(), fscfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.ws1.Unmount() })
+	r.ws2 = addServer(t, c, "ws2")
+	return r
+}
+
+// evictHeld dirties the one page of /p on ws1 with page, then writes
+// four pages of another file, which evict it, and holds the eviction's
+// write of page at the carrier. It returns /p's handle and a channel
+// that delivers the other write's error once that write has returned.
+func (r *evictRig) evictHeld(t *testing.T, page []byte) (*frangipani.File, chan error) {
+	t.Helper()
+	h, err := r.ws1.OpenFile("/p", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	q, err := r.ws1.OpenFile("/q", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.hold.mu.Lock()
+	r.hold.want, r.hold.armed = page, true
+	r.hold.mu.Unlock()
+	evicted := make(chan error, 1)
+	go func() {
+		_, err := q.WriteAt(pattern(16<<10, 9), 0)
+		evicted <- err
+	}()
+	select {
+	case <-r.hold.held:
+	case err := <-evicted:
+		t.Fatalf("filling the cache sent no write of the dirty page (write: %v)", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("filling the cache sent no write of the dirty page")
+	}
+	return h, evicted
+}
+
+// onPrimary reports whether the primary of the held write's chunk holds
+// page where the held write would put it.
+func (r *evictRig) onPrimary(t *testing.T, page []byte) bool {
+	st, err := r.pc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, _ := st.Replicas("fs0", r.hold.chunk)
+	for _, s := range r.c.Petals {
+		if s.Name() == primary {
+			got, ok := s.DebugReadChunk("fs0", r.hold.chunk, r.hold.off, len(page))
+			return ok && bytes.Equal(got, page)
+		}
+	}
+	t.Fatalf("no Petal server is named %q", primary)
+	return false
+}
+
+// check reads /p through ws2, which must see want, and runs fsck once
+// both servers have written everything back.
+func (r *evictRig) check(t *testing.T, want []byte, what string) {
+	t.Helper()
+	h, err := r.ws2.Open("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := h.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the other server reads %s", what)
+	}
+	for _, f := range []*frangipani.FS{r.ws1, r.ws2} {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := r.c.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck problems: %+v", rep.Problems)
+	}
+}
+
+// TestEvictionJoinsTheFlightGate: the pool evicts a dirty page and its
+// write-back is held on the way to Petal. The page is overwritten whole
+// and the file synced. Eviction writes back through the flight gate, so
+// the fsync joins its flight and sends the newer bytes only once that
+// has landed. Were the eviction's write outside the gate, the fsync
+// would send the newer page beside it, and the older write, released
+// once the newer one is on the primary, would land last.
+func TestEvictionJoinsTheFlightGate(t *testing.T) {
+	r := newEvictRig(t)
+	old, newest := pattern(4096, 1), pattern(4096, 2)
+	h, evicted := r.evictHeld(t, old)
+	if _, err := h.WriteAt(newest, 0); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- h.Sync() }()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline) && !r.onPrimary(t, newest); {
+		time.Sleep(time.Millisecond)
+	}
+	r.hold.release()
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-evicted; err != nil {
+		t.Fatal(err)
+	}
+	r.check(t, newest, "the evicted bytes, which landed after the newer ones")
+}
+
+// TestReadOfPageBeingEvicted: while the write-back of an evicted dirty
+// page is held on its way to Petal, the server that evicted it reads the
+// page. It must read the bytes being written back, not the older ones
+// Petal still holds.
+func TestReadOfPageBeingEvicted(t *testing.T) {
+	r := newEvictRig(t)
+	page := pattern(4096, 3)
+	h, evicted := r.evictHeld(t, page)
+	got := make([]byte, len(page))
+	if _, err := h.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.hold.release()
+	if err := <-evicted; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Fatalf("the page read while its write-back was out is not the one being written (zeros: %v)",
+			bytes.Equal(got, make([]byte, len(got))))
+	}
+	r.check(t, page, "something other than the evicted page")
+}

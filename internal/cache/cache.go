@@ -11,10 +11,12 @@
 //
 // The pool evicts clean entries LRU-first; dirty victims are handed
 // to the registered flusher (which must write the log record before
-// the block, per the WAL rule).
+// the block, per the WAL rule) and leave only once it has written them
+// back.
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"frangipani/internal/obs"
@@ -40,10 +42,11 @@ type Entry struct {
 	// Owner is the lock id covering this block.
 	Owner uint64
 
-	gen int64 // bumped on every MarkDirty; guards MarkCleanIf
+	gen int64 // bumped on every MarkDirty; guards MarkCleanIfBatch
 	// The entry's place in its pool's LRU ring; nil once it has been
-	// dropped. The links live here so that an insert allocates the entry,
-	// which holds its block, and nothing else.
+	// dropped, or while it is a victim being written back. The links live
+	// here so that an insert allocates the entry, which holds its block,
+	// and nothing else.
 	prev, next *Entry
 }
 
@@ -77,12 +80,14 @@ func (p *Pool) newEntry() *Entry {
 	return &Entry{Data: make([]byte, p.blockSize)}
 }
 
-// Flusher writes a dirty entry to stable storage (log first, then
-// block). It is called with the pool lock NOT held.
-type Flusher func(*Entry) error
+// Flusher writes the dirty victims of one insert to stable storage
+// (log first, then blocks) and marks clean what it wrote. It is called
+// with the pool lock NOT held, and may reorder or overwrite its slice.
+type Flusher func([]*Entry) error
 
 // Pool is a fixed-capacity block cache. Resident entries are on a ring
-// through lru, most recently used first.
+// through lru, most recently used first; a dirty victim stays in
+// entries, off the ring, until its flusher has returned.
 type Pool struct {
 	blockSize int
 	capacity  int
@@ -91,6 +96,7 @@ type Pool struct {
 	mu      sync.Mutex
 	entries map[int64]*Entry
 	lru     Entry // ring sentinel: next = most recent, prev = eviction victim
+	onRing  int   // entries on the ring: what capacity bounds
 	byOwner map[uint64]map[int64]*Entry
 
 	hits, misses, evictions *obs.Counter
@@ -113,16 +119,21 @@ func NewPool(blockSize, capacity int) *Pool {
 	return p
 }
 
-// unlinkLocked takes e off the ring.
+// unlinkLocked takes e off the ring, if it is on it.
 func (p *Pool) unlinkLocked(e *Entry) {
+	if e.prev == nil {
+		return
+	}
 	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
+	p.onRing--
 }
 
 // pushFrontLocked makes e, which is off the ring, the most recent.
 func (p *Pool) pushFrontLocked(e *Entry) {
 	e.prev, e.next = &p.lru, p.lru.next
 	e.prev.next, e.next.prev = e, e
+	p.onRing++
 }
 
 // SetObs attaches the pool's counters to a registry under
@@ -139,7 +150,7 @@ func (p *Pool) SetObs(reg *obs.Registry, instance string) {
 	p.mu.Unlock()
 }
 
-// SetFlusher installs the dirty-eviction callback.
+// SetFlusher installs the dirty-eviction write-back.
 func (p *Pool) SetFlusher(f Flusher) {
 	p.mu.Lock()
 	p.flusher = f
@@ -275,23 +286,35 @@ func (p *Pool) removeOwnerLocked(e *Entry) {
 	}
 }
 
-// collectVictimsLocked trims over-capacity entries, removing clean
-// ones immediately and returning dirty ones for flushing.
+// collectVictimsLocked trims the ring to capacity, dropping clean
+// victims and returning dirty ones, which stay resident off the ring —
+// a lookup still finds their bytes, the newest there are, and the lock
+// that covers them still counts them dirty — until they are written.
 func (p *Pool) collectVictimsLocked() []*Entry {
 	var dirty []*Entry
-	for len(p.entries) > p.capacity {
+	for p.onRing > p.capacity {
 		e := p.lru.prev
 		p.unlinkLocked(e)
-		delete(p.entries, e.Addr)
-		p.removeOwnerLocked(e)
-		p.evictions.Inc()
 		if e.Dirty {
 			dirty = append(dirty, e)
+			continue
 		}
+		p.dropLocked(e)
 	}
 	return dirty
 }
 
+// dropLocked evicts e, which is off the ring.
+func (p *Pool) dropLocked(e *Entry) {
+	delete(p.entries, e.Addr)
+	p.removeOwnerLocked(e)
+	p.evictions.Inc()
+}
+
+// flushVictims writes the dirty victims back with one flusher call and
+// then drops those that are clean and nobody touched meanwhile. One
+// that is still dirty (its write-back failed) goes back on the ring: a
+// dirty block leaves only by being written.
 func (p *Pool) flushVictims(victims []*Entry) {
 	if len(victims) == 0 {
 		return
@@ -299,9 +322,18 @@ func (p *Pool) flushVictims(victims []*Entry) {
 	p.mu.Lock()
 	f := p.flusher
 	p.mu.Unlock()
+	if f != nil {
+		_ = f(slices.Clone(victims))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, e := range victims {
-		if f != nil {
-			_ = f(e)
+		switch {
+		case e.prev != nil || p.entries[e.Addr] != e: // used again, or invalidated
+		case e.Dirty:
+			p.pushFrontLocked(e)
+		default:
+			p.dropLocked(e)
 		}
 	}
 }
@@ -310,7 +342,8 @@ func (p *Pool) flushVictims(victims []*Entry) {
 // entry evicted since its owner was handed it (by Lookup or Insert) is
 // admitted again, in place of any copy fetched meanwhile: the caller
 // holds the covering lock, so its bytes are the newest, and a dirty
-// entry that no pool holds would never be written back.
+// entry that no pool holds would never be written back. A victim on its
+// way out is in use again, and back on the ring.
 func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	p.mu.Lock()
 	if !e.Dirty {
@@ -323,7 +356,7 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	}
 	var victims []*Entry
 	if e.prev == nil {
-		if old, ok := p.entries[e.Addr]; ok {
+		if old, ok := p.entries[e.Addr]; ok && old != e {
 			p.unlinkLocked(old)
 			p.removeOwnerLocked(old)
 		}
@@ -369,17 +402,6 @@ func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
 			e.Dirty = false
 		}
 	}
-}
-
-// MarkCleanIf clears the dirty flag only if the entry has not been
-// re-dirtied since the flusher snapshotted generation gen — otherwise
-// the newer update would silently lose its write-back.
-func (p *Pool) MarkCleanIf(e *Entry, gen int64) {
-	p.mu.Lock()
-	if e.gen == gen {
-		e.Dirty = false
-	}
-	p.mu.Unlock()
 }
 
 // DirtyByOwner returns the dirty entries covered by a lock, counted
@@ -469,6 +491,7 @@ func (p *Pool) InvalidateAll() {
 	p.entries = make(map[int64]*Entry)
 	p.byOwner = make(map[uint64]map[int64]*Entry)
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p.onRing = 0
 }
 
 // HasDirty reports whether any entry is dirty.
@@ -488,15 +511,6 @@ func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.entries)
-}
-
-// EntrySeq reads the entry's covering log sequence under the pool
-// lock (Seq is written under it by MarkDirty, so unsynchronized
-// reads would race).
-func (p *Pool) EntrySeq(e *Entry) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return e.Seq
 }
 
 // MaxSeq returns the highest covering log sequence across the

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -70,9 +71,11 @@ func TestDirtyEvictionFlushes(t *testing.T) {
 	p := NewPool(512, 2)
 	var mu sync.Mutex
 	var flushed []int64
-	p.SetFlusher(func(e *Entry) error {
+	p.SetFlusher(func(es []*Entry) error {
 		mu.Lock()
-		flushed = append(flushed, e.Addr)
+		for _, e := range es {
+			flushed = append(flushed, e.Addr)
+		}
 		mu.Unlock()
 		return nil
 	})
@@ -128,7 +131,7 @@ func TestMarkCleanAndSeq(t *testing.T) {
 	if !p.HasDirty() {
 		t.Fatal("HasDirty false with dirty entry")
 	}
-	p.MarkCleanIf(e, e.gen)
+	p.MarkCleanIfBatch([]*Entry{e}, []int64{e.gen})
 	if p.HasDirty() {
 		t.Fatal("HasDirty true after clean")
 	}
@@ -150,7 +153,7 @@ func TestDirtyThrough(t *testing.T) {
 	if got := p.DirtyThrough(2); len(got) != 0 {
 		t.Fatalf("DirtyThrough(2) = %d entries, want none", len(got))
 	}
-	p.MarkCleanIf(hot, hot.gen)
+	p.MarkCleanIfBatch([]*Entry{hot}, []int64{hot.gen})
 	p.MarkDirty(hot, 12)
 	if got := p.DirtyThrough(9); len(got) != 1 || got[0] != late {
 		t.Fatalf("after a write-back DirtyThrough(9) = %d entries, want only the other one", len(got))
@@ -187,28 +190,95 @@ func TestReInsertChangesOwner(t *testing.T) {
 	}
 }
 
+// TestCapacityInvariantProperty: with a flusher that writes its victims
+// back, the pool never holds more than its capacity once a call has
+// returned. With one that fails, no dirty block is ever dropped, and the
+// clean ones still fit in the capacity beside them.
 func TestCapacityInvariantProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		p := NewPool(64, 8)
-		buf := make([]byte, 64)
-		for _, op := range ops {
-			addr := int64(op%32) * 64
-			switch op % 3 {
-			case 0, 1:
-				p.Insert(addr, buf, uint64(op%4))
-			case 2:
-				if e, ok := p.Lookup(addr); ok {
-					p.MarkDirty(e, int64(op))
+	for _, writes := range []bool{true, false} {
+		f := func(ops []uint16) bool {
+			p := NewPool(64, 8)
+			p.SetFlusher(func(es []*Entry) error {
+				if !writes {
+					return errors.New("write-back failed")
+				}
+				for _, e := range es {
+					p.MarkCleanIfBatch([]*Entry{e}, []int64{e.gen})
+				}
+				return nil
+			})
+			buf := make([]byte, 64)
+			dirty := map[int64]bool{} // what nothing could write back
+			for _, op := range ops {
+				addr := int64(op%32) * 64
+				switch op % 3 {
+				case 0, 1:
+					p.Insert(addr, buf, uint64(op%4))
+				case 2:
+					if e, ok := p.Lookup(addr); ok {
+						p.MarkDirty(e, int64(op))
+						if !writes {
+							dirty[addr] = true
+						}
+					}
+				}
+				for a := range dirty {
+					if e, ok := p.Peek(a); !ok || !e.Dirty {
+						return false
+					}
+				}
+				if p.Len()-len(dirty) > 8 {
+					return false
 				}
 			}
-			if p.Len() > 8 {
-				return false
-			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("write-back succeeds=%v: %v", writes, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+}
+
+// TestVictimStaysUntilWritten: a dirty victim is still found — by a
+// lookup, and among its lock's dirty entries — while its write-back is
+// out, and leaves once that is done; touched meanwhile, it stays.
+func TestVictimStaysUntilWritten(t *testing.T) {
+	p := NewPool(64, 2)
+	var during func()
+	p.SetFlusher(func(es []*Entry) error {
+		during()
+		for _, e := range es {
+			p.MarkCleanIfBatch([]*Entry{e}, []int64{e.gen})
+		}
+		return nil
+	})
+	victim := p.Insert(0, nil, 7)
+	p.MarkDirty(victim, 1)
+	p.Insert(64, nil, 1)
+	during = func() {
+		if e, ok := p.Peek(0); !ok || e != victim {
+			t.Error("a victim being written back is not found")
+		}
+		if d := p.DirtyByOwner(7); len(d) != 1 || d[0] != victim {
+			t.Errorf("DirtyByOwner(7) = %v while its write-back is out, want the victim", d)
+		}
+	}
+	p.Insert(128, nil, 1) // evicts addr 0
+	if _, ok := p.Peek(0); ok || p.Len() != 2 {
+		t.Fatalf("after its write-back the victim is still resident (%d entries)", p.Len())
+	}
+
+	again := p.Insert(0, nil, 7) // evicts 64, which is clean
+	p.MarkDirty(again, 2)
+	p.Insert(192, nil, 1) // evicts 128
+	during = func() {
+		if e, ok := p.Lookup(0); !ok || e != again {
+			t.Error("a victim being written back is not found")
+		}
+	}
+	p.Insert(256, nil, 1) // evicts addr 0, which the lookup uses again
+	if e, ok := p.Peek(0); !ok || e != again {
+		t.Fatal("a victim used again during its write-back was dropped")
 	}
 }
 
@@ -331,7 +401,12 @@ func TestInsertEvictAllocs(t *testing.T) {
 func TestMarkDirtyReadmitsEvicted(t *testing.T) {
 	p := NewPool(64, 2)
 	var flushed []int64
-	p.SetFlusher(func(e *Entry) error { flushed = append(flushed, e.Addr); return nil })
+	p.SetFlusher(func(es []*Entry) error {
+		for _, e := range es {
+			flushed = append(flushed, e.Addr)
+		}
+		return nil
+	})
 	mine := p.Insert(0, nil, 7)
 	p.Insert(64, nil, 1)
 	p.Insert(128, nil, 1) // evicts addr 0: the writer's entry is nobody's now

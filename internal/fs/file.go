@@ -682,8 +682,8 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 //   - Join: a flight claims its pages in fs.flights before the write that
 //     started it returns, and they stay dirty until it lands. Everyone
 //     else who wants them in Petal — fsync on any handle, the sync
-//     demon — waits for the flight instead of sending them again, and a
-//     truncate or remove waits before it frees their blocks.
+//     demon, eviction — waits for the flight instead of sending them
+//     again, and a truncate or remove waits before it frees their blocks.
 //   - Revoke: flushOwner is such a joiner, so the lock is not released
 //     while a flight covering it is out.
 type wstream struct {

@@ -317,8 +317,10 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	}
 	fs.meta.SetObs(w.Obs, machine+".meta")
 	fs.data.SetObs(w.Obs, machine+".data")
-	fs.meta.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(fs.meta, e) })
-	fs.data.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(fs.data, e) })
+	// Eviction writes its dirty victims back as every flusher does, for no
+	// operation: log first, and a data page through the flight gate.
+	fs.meta.SetFlusher(func(es []*cache.Entry) error { return fs.flushRuns(nil, fs.meta, es) })
+	fs.data.SetFlusher(func(es []*cache.Entry) error { return fs.flushData(nil, es) })
 
 	carrier := cfg.Carrier
 	if carrier == nil {
@@ -838,38 +840,6 @@ func (fs *FS) ensureLogFlushed(op *obs.Span, seq int64) error {
 		fs.flushed = target
 	}
 	fs.mu.Unlock()
-	return nil
-}
-
-// flushEntry makes one dirty entry durable, honoring write-ahead
-// order: the log is forced through the entry's sequence first. It is
-// the pools' eviction flusher, and the pools know of no operation: the
-// write is nobody's.
-func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
-	if err := fs.ensureLogFlushed(nil, pool.EntrySeq(e)); err != nil {
-		return err
-	}
-	if pool == fs.data {
-		// An older snapshot of the page may be in flight; it must not
-		// land after this one.
-		fs.flushMu.Lock()
-		fl := fs.flights[e.Addr]
-		fs.flushMu.Unlock()
-		if fl != nil {
-			fl.landed.Wait()
-		}
-	}
-	// Pooled scratch: petalWrite snapshots the payload before it returns.
-	bufp := bufpool.Get(pool.BlockSize())
-	defer bufpool.Put(bufp)
-	buf := *bufp
-	var gen [1]int64
-	pool.SnapshotBatch([]*cache.Entry{e}, buf, gen[:])
-	if err := fs.petalWrite(nil, e.Addr, buf); err != nil {
-		return err
-	}
-	fs.m.bytesWritten.Add(int64(len(buf)))
-	pool.MarkCleanIf(e, gen[0])
 	return nil
 }
 

@@ -160,9 +160,6 @@ func NewNode(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock, a
 // Quorum returns the majority size of the group.
 func (n *Node) Quorum() int { return len(n.peers)/2 + 1 }
 
-// ID returns the node's name.
-func (n *Node) ID() string { return n.id }
-
 // Crash makes the node stop responding to and sending messages,
 // simulating a process crash. Its acceptor state is retained, as if
 // durably stored, so Recover models a restart.
@@ -524,32 +521,5 @@ func (n *Node) broadcastDecide(seq int64, v entry) {
 			continue
 		}
 		_ = n.ep.Cast(p+".px", DecideMsg{Seq: seq, Value: v})
-	}
-}
-
-// AppliedThrough returns the number of commands applied so far.
-func (n *Node) AppliedThrough() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.applied
-}
-
-// WaitApplied blocks until at least count commands have been applied
-// or the deadline passes; it reports whether the target was reached.
-func (n *Node) WaitApplied(count int64, deadline time.Duration) bool {
-	limit := n.clock.After(deadline)
-	for {
-		n.mu.Lock()
-		ok := n.applied >= count
-		n.mu.Unlock()
-		if ok {
-			return true
-		}
-		select {
-		case <-limit:
-			return false
-		default:
-			n.clock.Sleep(5 * time.Millisecond)
-		}
 	}
 }

@@ -41,7 +41,7 @@ func TestReplicateWhileWriting(t *testing.T) {
 	call := func(srv string, req WriteVReq) time.Duration {
 		t.Helper()
 		start := tc.w.Clock.Now()
-		resp, err := tc.client.ep.Call(DataAddr(srv), req, 20*time.Second)
+		resp, err := tc.client.ep.Call(DataAddr(srv), &req, 20*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,17 +235,11 @@ func (s *Server) handle(from string, body any) any {
 	s.reqC.Inc()
 	// Requests sent on behalf of an operation say so in their header:
 	// the work is charged to the originating client, not to the server.
-	// The data path sends its requests by pointer; the TCP codec decodes
-	// them as values.
 	switch m := body.(type) {
 	case *ReadVReq:
 		return s.readV(m)
-	case ReadVReq:
-		return s.readV(&m)
 	case *WriteVReq:
 		return s.writeV(m)
-	case WriteVReq:
-		return s.writeV(&m)
 	case DecommitReq:
 		s.acct.ServerOp(m.Ctx.Principal)
 		return s.onDecommit(m)

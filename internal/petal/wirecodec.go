@@ -96,7 +96,7 @@ func (r ReadVReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst,
 
 func decodeReadVReq(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
 	hc := rpc.Cursor{Data: header}
-	r := ReadVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
+	r := &ReadVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
 	n := hc.Count(3)
 	if !hc.Bad && n > 0 {
 		r.Extents = make([]ReadVExtent, n)
@@ -205,7 +205,7 @@ func (w WriteVReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
 func decodeWriteVReq(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
 	hc := rpc.Cursor{Data: header}
 	pc := rpc.Cursor{Data: payload}
-	w := WriteVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
+	w := &WriteVReq{Ctx: takeCtx(&hc), VDisk: VDiskID(hc.String())}
 	w.Forwarded = hc.Bool()
 	w.ExpireAt = hc.Varint()
 	w.Epoch = hc.Varint()

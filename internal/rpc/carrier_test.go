@@ -37,7 +37,7 @@ func TestCarrierKeepsPairOrder(t *testing.T) {
 			const n = 12
 			arrived := make(chan int64, n)
 			carrier.Register("rx", func(from string, env rpc.Envelope, size int) {
-				if m, ok := env.Body.(petal.WriteVReq); ok {
+				if m, ok := env.Body.(*petal.WriteVReq); ok {
 					arrived <- m.Extents[0].Chunk
 				}
 				rpc.Release(env.Body)
@@ -50,7 +50,7 @@ func TestCarrierKeepsPairOrder(t *testing.T) {
 				if i%2 == 0 {
 					data = big // each 1 MB message is followed by a 64 B one
 				}
-				m := petal.WriteVReq{VDisk: "order", Extents: []petal.WriteVExtent{{Chunk: i, Data: data}}}
+				m := &petal.WriteVReq{VDisk: "order", Extents: []petal.WriteVExtent{{Chunk: i, Data: data}}}
 				var err error
 				if i%3 == 0 {
 					err = tx.Cast("rx", m)
@@ -89,7 +89,7 @@ func TestTCPCarriesConcurrentBulkIntact(t *testing.T) {
 	carrier, clock := rpc.NewTCPCarrier(), sim.NewClock(1)
 	var bad atomic.Int64
 	srv := rpc.NewEndpoint("srv", carrier, clock, func(from string, body any) any {
-		m, ok := body.(petal.WriteVReq)
+		m, ok := body.(*petal.WriteVReq)
 		if !ok {
 			return nil
 		}

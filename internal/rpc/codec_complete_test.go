@@ -16,9 +16,9 @@ import (
 // registered decoder that is missing here, so a new hand codec arrives
 // with its round trip.
 var handCodecs = map[byte]rpc.WireMessage{
-	petal.TagReadVReq:           petal.ReadVReq{},
+	petal.TagReadVReq:           &petal.ReadVReq{}, // requests travel by pointer
 	petal.TagReadVResp:          petal.ReadVResp{},
-	petal.TagWriteVReq:          petal.WriteVReq{},
+	petal.TagWriteVReq:          &petal.WriteVReq{},
 	petal.TagWriteVResp:         petal.WriteVResp{},
 	lockservice.TagAcquireBatch: lockservice.AcquireBatch{},
 	lockservice.TagReleaseBatch: lockservice.ReleaseBatch{},
@@ -73,6 +73,9 @@ func TestHandCodecsCarryEveryField(t *testing.T) {
 // the numbers and strings handed out, so no two fields share one.
 func fill(v reflect.Value, n *int) {
 	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(v.Elem(), n)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
@@ -107,6 +110,8 @@ func diffExported(a, b reflect.Value, path string) string {
 		return fmt.Sprintf("%s: sent a %s, decoded a %s", path, a.Type(), b.Type())
 	}
 	switch a.Kind() {
+	case reflect.Pointer:
+		return diffExported(a.Elem(), b.Elem(), path)
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			if f := a.Type().Field(i); f.IsExported() {

@@ -21,24 +21,24 @@ import (
 func sampleEnvelopes() []rpc.Envelope {
 	return []rpc.Envelope{
 		// One-extent messages: what every small read and write is.
-		{ID: 1, Body: petal.ReadVReq{Ctx: obs.Ctx{Trace: 99, Span: 7, Principal: "tenant-7"}, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
+		{ID: 1, Body: &petal.ReadVReq{Ctx: obs.Ctx{Trace: 99, Span: 7, Principal: "tenant-7"}, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
 		{ID: 1, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte("hello")}}}},
 		{ID: 2, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: nil}}}},      // hole
 		{ID: 3, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte{}}}}}, // present, empty
 		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{Err: "petal: boom"}}}},       // extent error
 		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: false, Err: "petal: no such virtual disk"}},                            // batch error
-		{ID: 5, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 1, Off: 0, Len: 8}, {Chunk: 2, Off: 100, Len: 9}}}},
+		{ID: 5, Body: &petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 1, Off: 0, Len: 8}, {Chunk: 2, Off: 100, Len: 9}}}},
 		{ID: 5, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{
 			{OK: true, Data: []byte("abc")},
 			{OK: true},                        // hole
 			{OK: false, Err: "crc"},           // extent-local failure
 			{OK: true, Data: []byte{1, 2, 3}}, // more data after failure
 		}}},
-		{ID: 6, Body: petal.WriteVReq{Ctx: obs.Ctx{Trace: 1, Span: 2}, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3, Extents: []petal.WriteVExtent{
+		{ID: 6, Body: &petal.WriteVReq{Ctx: obs.Ctx{Trace: 1, Span: 2}, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3, Extents: []petal.WriteVExtent{
 			{Chunk: 9, Off: 1024, Data: []byte("payload")},
 		}}},
 		{ID: 6, IsReply: true, Body: petal.WriteVResp{OK: true}},
-		{ID: 7, Body: petal.WriteVReq{VDisk: "vd", ExpireAt: 11, Epoch: 2, Extents: []petal.WriteVExtent{
+		{ID: 7, Body: &petal.WriteVReq{VDisk: "vd", ExpireAt: 11, Epoch: 2, Extents: []petal.WriteVExtent{
 			{Chunk: 0, Off: 0, Data: []byte("aa")},
 			{Chunk: 1, Off: 512, Data: nil},
 			{Chunk: 1, Off: 600, Data: []byte{9}},
@@ -127,18 +127,18 @@ func TestCodecGoldenRequests(t *testing.T) {
 		env  rpc.Envelope
 		want []byte
 	}{
-		{"ReadVReq", rpc.Envelope{ID: 5, Body: petal.ReadVReq{Ctx: ctx, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}}, []byte{
+		{"ReadVReq", rpc.Envelope{ID: 5, Body: &petal.ReadVReq{Ctx: ctx, VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}}, []byte{
 			3, 10, 0, 0, 0, 16, // tag, id 5, header length
 			0xac, 0x02, 7, 3, 't', '-', '1', // trace 300, span 7, principal
 			2, 'v', 'd', 1, // vdisk, one extent
 			14, 0x80, 0x04, 0x80, 0x20, // chunk 7 (zigzag), off 512, len 4096
 		}},
-		{"ReadVReq for no operation", rpc.Envelope{ID: 5, Body: petal.ReadVReq{VDisk: "vd"}}, []byte{
+		{"ReadVReq for no operation", rpc.Envelope{ID: 5, Body: &petal.ReadVReq{VDisk: "vd"}}, []byte{
 			3, 10, 0, 0, 0, 7,
 			0, 0, 0, // no trace, no span, no principal
 			2, 'v', 'd', 0,
 		}},
-		{"WriteVReq", rpc.Envelope{ID: 6, Body: petal.WriteVReq{Ctx: ctx, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3,
+		{"WriteVReq", rpc.Envelope{ID: 6, Body: &petal.WriteVReq{Ctx: ctx, VDisk: "vd", Forwarded: true, ExpireAt: -5, Epoch: 3,
 			Extents: []petal.WriteVExtent{{Chunk: 9, Off: 1024, Data: []byte("pay")}}}}, []byte{
 			7, 12, 0, 0, 0, 18,
 			0xac, 0x02, 7, 3, 't', '-', '1',

@@ -639,17 +639,6 @@ func (l *Log) FlushHealth() (backlogBytes int64, lastFlushNs int64) {
 	return l.head - l.durable, l.lastFlush
 }
 
-// Pending returns the sequence range of records not yet released,
-// and whether any exist.
-func (l *Log) Pending() (low, high int64, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.pending) == 0 {
-		return 0, 0, false
-	}
-	return l.pending[0].seq, l.pending[len(l.pending)-1].seq, true
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

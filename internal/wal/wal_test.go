@@ -513,7 +513,7 @@ func TestFlushMidBlockReadsNothingBack(t *testing.T) {
 		}
 		// Reclaim the way the file system does, well ahead of the head:
 		// keep the last 30 records (under half the log), in bursts.
-		if _, hi, ok := l.Pending(); ok && i%7 == 0 {
+		if _, hi, ok := unreleased(l); ok && i%7 == 0 {
 			l.Release(hi - 30)
 		}
 		// "Crash": what a recovering server would find in the region now.
@@ -521,7 +521,7 @@ func TestFlushMidBlockReadsNothingBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi, ok := l.Pending()
+		lo, hi, ok := unreleased(l)
 		if !ok {
 			continue
 		}
@@ -541,6 +541,17 @@ func TestFlushMidBlockReadsNothingBack(t *testing.T) {
 	if region.reads != 0 {
 		t.Fatalf("the log read its region %d times for %d mid-block flushes", region.reads, midBlock)
 	}
+}
+
+// unreleased returns the sequence range of l's records not yet
+// released, and whether any exist.
+func unreleased(l *Log) (low, high int64, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.pending) == 0 {
+		return 0, 0, false
+	}
+	return l.pending[0].seq, l.pending[len(l.pending)-1].seq, true
 }
 
 // TestFlushMidBlockAfterFailedWrite: a region write that fails leaves

@@ -41,6 +41,7 @@ if [ -z "${BASE:-}" ]; then
 	{
 		echo "package lines"
 		echo "$now" | bypkg
+		echo "$now" | awk '{ n += $2 } END { print "total", n + 0 }'
 		if [ $# -gt 0 ]; then echo; echo "file lines"; echo "$now"; fi
 	} | align
 	exit 0
