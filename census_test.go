@@ -79,10 +79,12 @@ var clusterMethods = map[string]string{
 }
 
 // exported names, for every exported function of internal/rpc,
-// internal/obs, internal/cache, internal/petal, internal/paxos and
-// internal/wal and every exported method of their exported types, a non-test file that calls it, or the test that needs
-// it. A method called through an interface names the file that makes
-// the interface call.
+// internal/obs, internal/cache, internal/petal, internal/paxos,
+// internal/wal, internal/lockservice and internal/localfs and every
+// exported method of their exported types, a non-test file that calls
+// it, or the test that needs it. A method called through an interface
+// names the file that makes the interface call, and a String method
+// that only fmt calls the test that formats its type.
 var exported = map[string]string{
 	"rpc.AppendBool":               "internal/petal/wirecodec.go",
 	"rpc.AppendMessage":            "TestCodecGoldenRequests",
@@ -309,6 +311,74 @@ var exported = map[string]string{
 	"wal.Replay":          "internal/fs/fs.go, internal/fs/backup.go",
 	"wal.Scan":            "internal/fs/fs.go, internal/fs/backup.go",
 	"wal.SetBlockVersion": "internal/fs/fs.go",
+
+	"lockservice.AcquireBatch.AppendWireHeader":   "internal/rpc/codec.go",
+	"lockservice.AcquireBatch.AppendWirePayloads": "internal/rpc/codec.go",
+	"lockservice.AcquireBatch.WireSize":           "internal/rpc/rpc.go",
+	"lockservice.AcquireBatch.WireTag":            "internal/rpc/codec.go",
+	"lockservice.Addr":                            "benchmark/layers.go",
+	"lockservice.Clerk.Abandon":                   "internal/fs/fs.go",
+	"lockservice.Clerk.Close":                     "internal/fs/fs.go",
+	"lockservice.Clerk.ExpiresAt":                 "internal/fs/fs.go",
+	"lockservice.Clerk.Held":                      "internal/fs/file.go",
+	"lockservice.Clerk.HeldCount":                 "TestIdleLocksDiscarded",
+	"lockservice.Clerk.InjectStaleShardMap":       "internal/bench/lockscale.go",
+	"lockservice.Clerk.LeaseLost":                 "internal/fs/fs.go",
+	"lockservice.Clerk.LeaseValid":                "internal/fs/fs.go",
+	"lockservice.Clerk.Lock":                      "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.LogSlot":                   "internal/fs/fs.go",
+	"lockservice.Clerk.MemoryBytes":               "TestClerkMemoryAccounting, TestIdleLocksDiscarded",
+	"lockservice.Clerk.Open":                      "internal/fs/fs.go",
+	"lockservice.Clerk.SetCallbacks":              "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.TryLock":                   "internal/fs/fs.go",
+	"lockservice.Clerk.Unlock":                    "internal/fs/fs.go",
+	"lockservice.ClerkAddr":                       "benchmark/layers.go",
+	"lockservice.DefaultConfig":                   "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.GState.Apply":                    "internal/lockservice/server.go",
+	"lockservice.GState.Clone":                    "internal/lockservice/server.go",
+	"lockservice.GState.ServerFor":                "internal/lockservice/clerk.go",
+	"lockservice.GState.ShardOf":                  "internal/lockservice/clerk.go",
+	"lockservice.Mode.String":                     "TestExploreTwoClerks: its traces print modes through fmt",
+	"lockservice.NewClerk":                        "internal/bench/lockscale.go, benchmark/drives.go",
+	"lockservice.NewClerkWithCarrier":             "internal/fs/fs.go",
+	"lockservice.NewGState":                       "internal/lockservice/server.go",
+	"lockservice.NewServer":                       "cluster.go, benchmark/drives.go",
+	"lockservice.NewServerWithCarrier":            "internal/lockservice/server.go",
+	"lockservice.ReleaseBatch.AppendWireHeader":   "internal/rpc/codec.go",
+	"lockservice.ReleaseBatch.AppendWirePayloads": "internal/rpc/codec.go",
+	"lockservice.ReleaseBatch.WireSize":           "internal/rpc/rpc.go",
+	"lockservice.ReleaseBatch.WireTag":            "internal/rpc/codec.go",
+	"lockservice.Server.Close":                    "cluster.go",
+	"lockservice.Server.Crash":                    "internal/bench/lockscale.go",
+	"lockservice.Server.Restart":                  "internal/bench/lockscale.go",
+	"lockservice.Server.State":                    "internal/bench/lockscale.go",
+	"lockservice.Server.Stats":                    "TestClerkMemoryAccounting",
+	"lockservice.ShardOf":                         "cluster.go",
+	"lockservice.WrongShard.AppendWireHeader":     "internal/rpc/codec.go",
+	"lockservice.WrongShard.AppendWirePayloads":   "internal/rpc/codec.go",
+	"lockservice.WrongShard.WireSize":             "internal/rpc/rpc.go",
+	"lockservice.WrongShard.WireTag":              "internal/rpc/codec.go",
+
+	"localfs.DefaultConfig": "internal/bench/bench.go",
+	"localfs.FS.Close":      "internal/bench/experiments.go",
+	"localfs.FS.Create":     "internal/workload/workload.go",
+	"localfs.FS.Mkdir":      "internal/workload/workload.go",
+	"localfs.FS.Open":       "internal/localfs/localfs.go",
+	"localfs.FS.OpenFile":   "internal/workload/workload.go",
+	"localfs.FS.ReadDir":    "internal/workload/workload.go",
+	"localfs.FS.Readlink":   "internal/workload/workload.go",
+	"localfs.FS.Remove":     "internal/workload/workload.go",
+	"localfs.FS.Rename":     "internal/workload/workload.go",
+	"localfs.FS.Rmdir":      "internal/workload/workload.go",
+	"localfs.FS.Stat":       "internal/workload/workload.go",
+	"localfs.FS.Symlink":    "internal/workload/workload.go",
+	"localfs.FS.Sync":       "internal/workload/workload.go",
+	"localfs.File.ReadAt":   "internal/workload/workload.go",
+	"localfs.File.Size":     "internal/workload/workload.go",
+	"localfs.File.Sync":     "internal/workload/suites.go",
+	"localfs.File.Truncate": "internal/workload/suites.go",
+	"localfs.File.WriteAt":  "internal/workload/workload.go",
+	"localfs.New":           "internal/bench/bench.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -420,17 +490,18 @@ func TestClusterMethodCensus(t *testing.T) {
 }
 
 // TestExportedCensus holds every exported function of internal/rpc,
-// internal/obs, internal/cache, internal/petal, internal/paxos and
-// internal/wal, and every exported method of their exported types, to
-// exported, and each entry to a file or test that
-// calls it.
+// internal/obs, internal/cache, internal/petal, internal/paxos,
+// internal/wal, internal/lockservice and internal/localfs, and every
+// exported method of their exported types, to exported, and each entry
+// to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)\) )?([A-Z]\w*)\(`)
 	var got []string
 	for _, path := range goFiles(t, false) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
-		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal":
+		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal",
+			"internal/lockservice", "internal/localfs":
 		default:
 			continue
 		}

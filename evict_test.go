@@ -2,6 +2,7 @@ package frangipani_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,4 +222,77 @@ func TestReadOfPageBeingEvicted(t *testing.T) {
 			bytes.Equal(got, make([]byte, len(got))))
 	}
 	r.check(t, page, "something other than the evicted page")
+}
+
+// TestMetadataJoinsTheFlightGate: the update demon's write of a
+// directory sector is held on its way to Petal, the directory gets a
+// second entry, and another server's lookup of it revokes the
+// directory's lock. Metadata sectors pass the flight gate too, so the
+// revoke joins the held flight and sends the newer sector only once that
+// has landed. Were the sector's write-back outside the gate, the revoke
+// would send the newer sector beside the held one, the lookup would
+// return at once, and the older sector, released after it, would land
+// last: a third server would find no second entry.
+func TestMetadataJoinsTheFlightGate(t *testing.T) {
+	r := newEvictRig(t)
+	first, second := "/d/"+strings.Repeat("a", 40), "/d/"+strings.Repeat("b", 40)
+	if err := r.ws1.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.ws1.OpenFile(first, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Sync(); err != nil { // the log is forced; only the sector still carries the name
+		t.Fatal(err)
+	}
+	r.hold.mu.Lock()
+	r.hold.want, r.hold.armed = []byte(strings.Repeat("a", 40)), true
+	r.hold.mu.Unlock()
+	synced := make(chan error, 1)
+	go func() { synced <- r.ws1.Sync() }()
+	select {
+	case <-r.hold.held:
+	case err := <-synced:
+		t.Fatalf("the sync sent no write of the directory sector (sync: %v)", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the sync sent no write of the directory sector")
+	}
+	if err := r.ws1.Create(second); err != nil {
+		t.Fatal(err)
+	}
+	stat := make(chan error, 1)
+	go func() {
+		_, err := r.ws2.Stat(second)
+		stat <- err
+	}()
+	var statErr error
+	select {
+	case statErr = <-stat:
+		r.hold.release()
+	case <-time.After(2 * time.Second):
+		r.hold.release()
+		statErr = <-stat
+	}
+	if statErr != nil {
+		t.Fatal(statErr)
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*frangipani.FS{r.ws1, r.ws2} {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := addServer(t, r.c, "ws3").Stat(second); err != nil {
+		t.Fatalf("a third server finds no second entry, which the older sector overwrote: %v", err)
+	}
+	rep, err := r.c.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck problems: %+v", rep.Problems)
+	}
 }

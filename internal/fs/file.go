@@ -85,9 +85,6 @@ func (fs *FS) statInum(op *obs.Span, inum int64) (Info, error) {
 	return info, err
 }
 
-// Inum returns the file's inode number.
-func (f *File) Inum() int64 { return f.inum }
-
 // Size returns the file's current size.
 func (f *File) Size() (int64, error) {
 	var info Info
@@ -831,7 +828,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 // in place: the update demon, a revoke (FS.flushOwner, the same two jobs
 // plus the sectors), log reclaim, eviction, Unmount. The data side waits
 // for write-behind already under way instead of repeating it, and owes
-// only what was written before the call (see FS.flushData).
+// only what was written before the call (see FS.flush).
 func (f *File) Sync() error {
 	return f.fs.traced("fsync", f.fsync)
 }
@@ -846,6 +843,6 @@ func (f *File) fsync(op *obs.Span) error {
 		if i == 0 {
 			return fs.ensureLogFlushed(op, fs.meta.MaxSeq(fs.meta.DirtyByOwner(lock)))
 		}
-		return fs.flushData(op, fs.data.DirtyByOwner(lock))
+		return fs.flush(op, fs.data, fs.data.DirtyByOwner(lock))
 	})
 }

@@ -204,9 +204,12 @@ type server struct {
 	fetchMu  sync.Mutex
 	inflight map[int64]chan struct{}
 
-	// flights maps each data page some write-back is carrying to Petal
-	// to that write-back (single flight, the write side of inflight);
-	// behind counts the write-behind flights among them.
+	// flights maps each block, metadata sector or data page, some
+	// write-back is carrying to Petal to that write-back (single flight,
+	// the write side of inflight); behind counts the write-behind flights
+	// among them. One table serves both pools: a sector and a page never
+	// share an address, since Layout.MetaSmallBoundary keeps directory
+	// blocks apart from file blocks.
 	flushMu sync.Mutex
 	flights map[int64]*flight
 	behind  int
@@ -318,9 +321,9 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.meta.SetObs(w.Obs, machine+".meta")
 	fs.data.SetObs(w.Obs, machine+".data")
 	// Eviction writes its dirty victims back as every flusher does, for no
-	// operation: log first, and a data page through the flight gate.
-	fs.meta.SetFlusher(func(es []*cache.Entry) error { return fs.flushRuns(nil, fs.meta, es) })
-	fs.data.SetFlusher(func(es []*cache.Entry) error { return fs.flushData(nil, es) })
+	// operation: through the flight gate, log first.
+	fs.meta.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.meta, es) })
+	fs.data.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.data, es) })
 
 	carrier := cfg.Carrier
 	if carrier == nil {
@@ -361,9 +364,6 @@ func (fs *FS) Machine() string { return fs.machine }
 
 // LogSlot returns the server's private log slot.
 func (fs *FS) LogSlot() int { return fs.logSlot }
-
-// Clerk exposes the lock clerk (tests and the backup tool use it).
-func (fs *FS) Clerk() *lockservice.Clerk { return fs.clerk }
 
 // PetalStats snapshots the underlying Petal driver's write-path RPC
 // counters (benchmarks compare serial vs scatter-gather write-back).
@@ -1053,44 +1053,51 @@ func (fs *FS) sync(op *obs.Span) error {
 	}
 	fs.mu.Unlock()
 
-	err := fs.flushWorkers(2, func(i int) error {
-		if i == 0 {
-			return fs.flushRuns(op, fs.meta, fs.meta.AllDirty())
-		}
-		return fs.flushData(op, fs.data.AllDirty())
-	})
+	err := fs.flushPools(op, fs.meta.AllDirty(), fs.data.AllDirty())
 	if err == nil {
 		fs.log.Release(target)
 	}
 	return err
 }
 
-// flight is one write-back of data pages on its way to Petal: one
-// allocation, its pages on its own room while they fit a chunk. The
-// pages stay claimed in fs.flights, and dirty, until land ends it; err
-// is set before that.
+// flushPools writes back meta and data, the dirty blocks of the two
+// pools, as two jobs for the flush workers: user data is not logged, so
+// no write-ahead order binds it to the sectors.
+func (fs *FS) flushPools(op *obs.Span, meta, data []*cache.Entry) error {
+	return fs.flushWorkers(2, func(i int) error {
+		if i == 0 {
+			return fs.flush(op, fs.meta, meta)
+		}
+		return fs.flush(op, fs.data, data)
+	})
+}
+
+// flight is one write-back of one pool's blocks on its way to Petal: one
+// allocation, its blocks in its own room while they are no more than a
+// chunk's pages. The blocks stay claimed in fs.flights, and dirty, until
+// land ends it; err is set before that.
 type flight struct {
 	landed sync.WaitGroup // done once it has landed
 	err    error
-	pages  []*cache.Entry
+	blocks []*cache.Entry
 	room   [petal.ChunkSize / BlockSize]*cache.Entry
 }
 
-// claimDirty is the single-flight gate every data write-back passes,
-// the write side of claimPages. Of es (which it consumes) it claims, in
-// fs.flights, the pages that are dirty and in no flight, for a new
-// flight (fl, nil if none; released by land), and returns the others
-// that some flight carries (joined, filtered in place in es) with those
-// flights (appended to theirs). Dirtiness is read after the claim table,
-// under both locks: a flight marks its pages clean before it lets go of
-// them, so a page is never seen as neither claimed nor clean while a
-// write of it is landing, and a page that is claimed stays dirty, and so
-// visible to whoever must wait for it, until it has landed.
-func (fs *FS) claimDirty(es []*cache.Entry, theirs []*flight) (fl *flight, _ []*flight, joined []*cache.Entry) {
+// claimDirty is the single-flight gate every write-back passes, the
+// write side of claimPages. Of es, blocks of pool (which it consumes),
+// it claims, in fs.flights, the ones that are dirty and in no flight,
+// for a new flight (fl, nil if none; released by land), and returns the
+// others that some flight carries (joined, filtered in place in es) with
+// those flights (appended to theirs). Dirtiness is read after the claim
+// table, under both locks: a flight marks its blocks clean before it
+// lets go of them, so a block is never seen as neither claimed nor clean
+// while a write of it is landing, and a block that is claimed stays
+// dirty, and so visible to whoever must wait for it, until it has landed.
+func (fs *FS) claimDirty(pool *cache.Pool, es []*cache.Entry, theirs []*flight) (fl *flight, _ []*flight, joined []*cache.Entry) {
 	joined = es[:0]
 	fs.flushMu.Lock()
 	defer fs.flushMu.Unlock()
-	fs.data.Mutate(func() {
+	pool.Mutate(func() {
 		for _, e := range es {
 			if other, busy := fs.flights[e.Addr]; busy {
 				if !slices.Contains(theirs, other) {
@@ -1105,10 +1112,10 @@ func (fs *FS) claimDirty(es []*cache.Entry, theirs []*flight) (fl *flight, _ []*
 			if fl == nil {
 				fl = new(flight)
 				fl.landed.Add(1)
-				fl.pages = fl.room[:0]
+				fl.blocks = fl.room[:0]
 			}
 			fs.flights[e.Addr] = fl
-			fl.pages = append(fl.pages, e)
+			fl.blocks = append(fl.blocks, e)
 		}
 	})
 	return fl, theirs, joined
@@ -1117,7 +1124,7 @@ func (fs *FS) claimDirty(es []*cache.Entry, theirs []*flight) (fl *flight, _ []*
 // land ends a flight: its claims go and whoever joined it wakes up.
 func (fs *FS) land(fl *flight, err error) {
 	fs.flushMu.Lock()
-	for _, e := range fl.pages {
+	for _, e := range fl.blocks {
 		delete(fs.flights, e.Addr)
 	}
 	fs.flushMu.Unlock()
@@ -1125,25 +1132,25 @@ func (fs *FS) land(fl *flight, err error) {
 	fl.landed.Done()
 }
 
-// flushData writes back what the data pages es held when it was called,
+// flush writes back what the blocks es of pool held when it was called,
 // or something newer: it sends the dirty ones that no flight is carrying
 // (snapshots taken now) and joins the flights that carry the rest, so a
-// page goes to Petal once however many flushers want it there. A joined
+// block goes to Petal once however many flushers want it there. A joined
 // flight may have taken its snapshot before the call; whichever of its
-// pages is still dirty once it has landed was written after that
+// blocks is still dirty once it has landed was written after that
 // snapshot, and a second pass sends it — or joins a flight that claimed
 // it after the first one landed, and so after the call began. Two passes
-// are therefore all a caller is owed, however fast the pages are being
+// are therefore all a caller is owed, however fast the blocks are being
 // written again; what is written behind a pass is its writer's next
 // flush. It returns the first error of its own writes and of the flights
-// it joined; failed pages stay dirty.
-func (fs *FS) flushData(op *obs.Span, es []*cache.Entry) error {
+// it joined; failed blocks stay dirty.
+func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
 	var theirsRoom [4]*flight // stack scratch: the flights a pass joins are few
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
-		fl, theirs, joined := fs.claimDirty(es, theirsRoom[:0])
+		fl, theirs, joined := fs.claimDirty(pool, es, theirsRoom[:0])
 		var err error
 		if fl != nil {
-			err = fs.flushRuns(op, fs.data, fl.pages)
+			err = fs.flushRuns(op, pool, fl.blocks)
 			fs.land(fl, err)
 		}
 		for _, other := range theirs {
@@ -1179,7 +1186,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 	}
 	fs.behind++
 	fs.flushMu.Unlock()
-	if fl, _, _ := fs.claimDirty(es, nil); fl != nil {
+	if fl, _, _ := fs.claimDirty(fs.data, es, nil); fl != nil {
 		go fs.flyBehind(fl)
 	} else {
 		fs.behindLanded()
@@ -1190,7 +1197,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 // flyBehind carries a write-behind flight to Petal. The flight stops
 // counting as out before it lands, so whoever joined it finds it gone.
 func (fs *FS) flyBehind(fl *flight) {
-	err := fs.flushRuns(nil, fs.data, fl.pages)
+	err := fs.flushRuns(nil, fs.data, fl.blocks)
 	fs.behindLanded()
 	fs.land(fl, err)
 }
@@ -1328,11 +1335,11 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 	}
 }
 
-// flushRuns writes back a set of dirty entries from one pool,
-// log-first: coalesced runs are packed into scatter-gather batches
-// and dispatched through the flush workers, so one cache-sync round
-// trip carries many runs and, with FlushParallelism > 1, transfers
-// overlap. It sorts dirty.
+// flushRuns is the body of a flight (flush, flyBehind): it writes back
+// the flight's claimed entries of one pool, log-first: coalesced runs
+// are packed into scatter-gather batches and dispatched through the
+// flush workers, so one cache-sync round trip carries many runs and,
+// with FlushParallelism > 1, transfers overlap. It sorts dirty.
 func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
@@ -1409,7 +1416,7 @@ func (fs *FS) noteFlushInFlight(d int64) {
 // seq, so that the records' space can be reused. Whoever's append tipped
 // the log over, the space is everybody's: it runs for no operation.
 func (fs *FS) reclaimLog(through int64) {
-	if err := fs.flushRuns(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
+	if err := fs.flush(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1462,12 +1469,7 @@ func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 		if len(meta) == 0 && len(data) == 0 {
 			return
 		}
-		err := fs.flushWorkers(2, func(i int) error {
-			if i == 0 {
-				return fs.flushRuns(op, fs.meta, meta)
-			}
-			return fs.flushData(op, data)
-		})
+		err := fs.flushPools(op, meta, data)
 		if err == nil {
 			continue // clean now, unless a joined flight left something
 		}

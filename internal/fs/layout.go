@@ -140,12 +140,6 @@ func (l *Layout) bitLoc(b int64) (sectorAddr int64, byteOff int, mask byte) {
 	return l.BitmapBase + sector*SectorSize, int(rem / 8), 1 << (rem % 8)
 }
 
-// BitmapAddr returns the Petal sector address holding bit b.
-func (l *Layout) BitmapAddr(b int64) int64 {
-	addr, _, _ := l.bitLoc(b)
-	return addr
-}
-
 // Allocation classes. The bitmap maps bits to objects with a fixed
 // rule (§3: "The mapping between bits in the allocation bitmap and
 // inodes is fixed").

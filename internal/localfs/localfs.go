@@ -782,6 +782,3 @@ func (f *FS) Sync() error {
 	f.log.Release(1 << 62)
 	return nil
 }
-
-// CPUUtilization reports the busy fraction of the machine's CPU.
-func (f *FS) CPUUtilization() float64 { return f.cpu.Utilization() }

@@ -152,10 +152,6 @@ func (c *Clerk) SetCallbacks(onRevoke func(lock uint64, to Mode),
 	c.mu.Unlock()
 }
 
-// Machine returns the clerk's machine name (its identity to the lock
-// service).
-func (c *Clerk) Machine() string { return c.machine }
-
 // Open contacts the lock service, opens the table, and starts lease
 // renewal. It returns the assigned log slot.
 func (c *Clerk) Open() error {

@@ -217,9 +217,6 @@ func (s *Server) shardCounter(shard int) *obs.Counter {
 	return s.shardC[shard]
 }
 
-// Name returns the server's name.
-func (s *Server) Name() string { return s.name }
-
 // State returns a copy of this server's view of the global state.
 func (s *Server) State() GState {
 	s.mu.Lock()

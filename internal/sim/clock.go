@@ -112,9 +112,6 @@ func (c *Clock) Stop() {
 	c.tm.stop()
 }
 
-// Stopped reports whether Stop has been called.
-func (c *Clock) Stopped() bool { return c.stopped.Load() }
-
 // Tick calls fn every period of simulated time until either the clock
 // is stopped or the returned cancel function is invoked. fn runs on a
 // dedicated goroutine; overlapping invocations never occur.

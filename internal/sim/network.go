@@ -235,14 +235,6 @@ func (n *Network) SetDropEvery(k int64) {
 	n.dropEvery = k
 }
 
-// Reachable reports whether a message from->to would currently be
-// deliverable.
-func (n *Network) Reachable(from, to string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.reachableLocked(from, to)
-}
-
 func (n *Network) reachableLocked(from, to string) bool {
 	if n.isolated[from] || n.isolated[to] {
 		return false

@@ -321,7 +321,10 @@ func TestNVRAMAgainstModelConcurrently(t *testing.T) {
 
 // TestNVRAMStagingAllocs is the card's allocation budget: a write costs
 // the one copy of its payload, its destage nothing, a read nothing
-// however much of it is staged.
+// however much of it is staged. AllocsPerRun counts the whole process:
+// the least of several rounds is the call's own. Under the race detector
+// sync.Pool drops a share of what it is given, so the destage's count
+// is held to the write's only without it (make alloc-budget).
 func TestNVRAMStagingAllocs(t *testing.T) {
 	nv, _, _ := steppedCard(t, 8<<20)
 	p := sectors(64<<10/SectorSize, 0x10)
@@ -330,19 +333,28 @@ func TestNVRAMStagingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	least := func(f func()) float64 {
+		l := -1.0
+		for round := 0; round < 4; round++ {
+			if n := testing.AllocsPerRun(100, f); l < 0 || n < l {
+				l = n
+			}
+		}
+		return l
+	}
 	write() // warm: the map and the queue have grown
 	destageOne(t, nv)
-	if n := testing.AllocsPerRun(100, write); n > 2 {
-		t.Errorf("a 64 KB WriteAt on a warm card: %v allocations, want <= 2 (the payload's copy, the map's amortized growth)", n)
+	written := least(write)
+	if written > 2 {
+		t.Errorf("a 64 KB WriteAt on a warm card: %v allocations, want <= 2 (the payload's copy, the map's amortized growth)", written)
 	}
-	written := testing.AllocsPerRun(100, write)
-	cycle := testing.AllocsPerRun(100, func() {
+	cycle := least(func() {
 		write()
 		if _, count, err := destageOne(t, nv); err != nil || count != len(p)/SectorSize {
 			t.Fatalf("destaged %d sectors, %v", count, err)
 		}
 	})
-	if cycle != written {
+	if cycle != written && !raceBuild() {
 		t.Errorf("a 64 KB write and its destage: %v allocations, the write alone %v; the destage should add none", cycle, written)
 	}
 
