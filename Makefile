@@ -11,8 +11,12 @@ check: fmt vet build race alloc-budget benchmark-test
 fmt:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
+## vet: benchmark/ is a module of its own, so ./... stops short of it;
+## it is vetted in its own directory (not built: its main package would
+## overwrite the tracked benchmark/benchmark binary).
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -27,7 +31,9 @@ race:
 ## staging, a cached ReadAt, Stat, Open and overwrite, a cold 64 KB
 ## ReadAt (a lone read: four requests), a 64 KB ReadAt right after a lock
 ## handoff (a bound: the speculative fill and its lone ReadV, the lock
-## traffic around it), a streaming 64 KB WriteAt with its write-behind
+## traffic around it), a cold Stat (a bound: the inode sector's fetch
+## through the gate, the cold lock acquire around it), a streaming 64 KB
+## WriteAt with its write-behind
 ## flight, a create, remove, mkdir, rmdir and rename, a path split, a log
 ## append with its flush (internal/wal), a cache insert (one object), the
 ## waits, Petal's routing (a round of the planner in plan.go:

@@ -80,7 +80,7 @@ var clusterMethods = map[string]string{
 
 // exported names, for every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice and internal/localfs and every
+// internal/wal, internal/lockservice, internal/localfs and internal/fs and every
 // exported method of their exported types, a non-test file that calls
 // it, or the test that needs it. A method called through an interface
 // names the file that makes the interface call, and a String method
@@ -379,6 +379,52 @@ var exported = map[string]string{
 	"localfs.File.Truncate": "internal/workload/suites.go",
 	"localfs.File.WriteAt":  "internal/workload/workload.go",
 	"localfs.New":           "internal/bench/bench.go",
+
+	"fs.Check":                      "cluster.go",
+	"fs.DefaultConfig":              "cluster.go",
+	"fs.DefaultLayout":              "cluster.go",
+	"fs.FS.As":                      "internal/bench/accounting.go",
+	"fs.FS.Crash":                   "examples/failover/main.go, internal/bench/forensics.go",
+	"fs.FS.Create":                  "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Health":                  "cluster.go",
+	"fs.FS.Link":                    "§2.1, UNIX semantics, hard links (Nlink, which fsck checks): TestHardLinks",
+	"fs.FS.Machine":                 "internal/export/export.go",
+	"fs.FS.Mkdir":                   "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Open":                    "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.OpenFile":                "examples/quickstart/main.go",
+	"fs.FS.PetalStats":              "internal/bench/readpath.go",
+	"fs.FS.Poisoned":                "cluster.go",
+	"fs.FS.ReadDir":                 "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.ReadDirPlus":             "internal/bench/readpath.go",
+	"fs.FS.Readlink":                "internal/workload/workload.go",
+	"fs.FS.Remove":                  "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Rename":                  "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Rmdir":                   "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.SnapshotCrashConsistent": "§8, a crash-consistent snapshot: TestCrashConsistentSnapshotNeedsReplay",
+	"fs.FS.SnapshotWithBarrier":     "examples/backup/main.go",
+	"fs.FS.Stat":                    "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Symlink":                 "cmd/frangicli/main.go",
+	"fs.FS.Sync":                    "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FS.Unmount":                 "cluster.go",
+	"fs.File.ReadAt":                "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.File.Size":                  "cmd/frangicli/main.go, internal/workload/workload.go",
+	"fs.File.Sync":                  "benchmark/harness.go",
+	"fs.File.Truncate":              "internal/workload/suites.go",
+	"fs.File.WriteAt":               "cmd/frangicli/main.go, benchmark/harness.go",
+	"fs.FileType.String":            "TestCreateStatReadDir: listings print types through fmt",
+	"fs.InodeLock":                  "internal/bench/analytics.go",
+	"fs.Layout.InodeAddr":           "cmd/frangick/main.go",
+	"fs.Layout.LargeAddr":           "internal/fs/check.go",
+	"fs.Layout.LogSlotBase":         "internal/fs/backup.go",
+	"fs.Layout.SmallAddr":           "internal/fs/check.go",
+	"fs.Layout.Validate":            "internal/fs/fs.go",
+	"fs.LockName":                   "cluster.go, internal/bench/analytics.go",
+	"fs.Mkfs":                       "cluster.go",
+	"fs.Mount":                      "cluster.go",
+	"fs.ParseLockName":              "cmd/frangicli/main.go",
+	"fs.Report.OK":                  "cmd/frangick/main.go",
+	"fs.Restore":                    "examples/backup/main.go",
+	"fs.SegLock":                    "internal/fs/alloc.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -491,7 +537,7 @@ func TestClusterMethodCensus(t *testing.T) {
 
 // TestExportedCensus holds every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice and internal/localfs, and every
+// internal/wal, internal/lockservice, internal/localfs and internal/fs, and every
 // exported method of their exported types, to exported, and each entry
 // to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
@@ -501,7 +547,7 @@ func TestExportedCensus(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
 		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal",
-			"internal/lockservice", "internal/localfs":
+			"internal/lockservice", "internal/localfs", "internal/fs":
 		default:
 			continue
 		}

@@ -390,7 +390,7 @@ func forensics(cluster *frangipani.Cluster, args []string) error {
 			args = args[1:]
 		case "lock":
 			if len(args) < 2 {
-				return fmt.Errorf("usage: forensics lock <id|inode/N|bitmap-seg/N|log-slot/N>")
+				return fmt.Errorf("usage: forensics lock <id|inode/N|bitmap-seg/N>")
 			}
 			id, ok := fslayout.ParseLockName(args[1])
 			if !ok {

@@ -12,24 +12,35 @@ import (
 	"frangipani/internal/rpc"
 )
 
-// holdWrite is a carrier under one file server's Petal client. Once
-// armed, it holds the first write request that carries a page of want —
-// the write-back of that page when the pool evicts it — until release is
-// called, and records where in Petal the page goes.
-type holdWrite struct {
+// holder is a carrier under one file server's Petal client. Once armed,
+// it holds the first write request that carries a page of want — the
+// write-back of that page when the pool evicts it — or, with want nil,
+// the first read request of the sector at Petal address sector, until
+// release is called. It records where in Petal the held write's page
+// goes, and counts the read requests of sector.
+type holder struct {
 	rpc.Carrier
 	want     []byte
+	sector   int64
 	mu       sync.Mutex
 	armed    bool
 	chunk    int64
 	off      int
-	held     chan struct{} // closed once the write is held
+	reads    int
+	held     chan struct{} // closed once the request is held
 	released chan struct{}
 	once     sync.Once
 }
 
-func (h *holdWrite) Send(from, to string, env rpc.Envelope, size int) error {
-	if r, ok := env.Body.(*petal.WriteVReq); ok && !r.Forwarded && h.take(r) {
+func (h *holder) Send(from, to string, env rpc.Envelope, size int) error {
+	hold := false
+	switch r := env.Body.(type) {
+	case *petal.WriteVReq:
+		hold = !r.Forwarded && h.take(r)
+	case *petal.ReadVReq:
+		hold = h.takeRead(r)
+	}
+	if hold {
 		close(h.held)
 		<-h.released
 	}
@@ -37,10 +48,10 @@ func (h *holdWrite) Send(from, to string, env rpc.Envelope, size int) error {
 }
 
 // take reports whether r is the write to hold, and disarms if so.
-func (h *holdWrite) take(r *petal.WriteVReq) bool {
+func (h *holder) take(r *petal.WriteVReq) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.armed {
+	if !h.armed || h.want == nil {
 		return false
 	}
 	for _, e := range r.Extents {
@@ -52,7 +63,26 @@ func (h *holdWrite) take(r *petal.WriteVReq) bool {
 	return false
 }
 
-func (h *holdWrite) release() { h.once.Do(func() { close(h.released) }) }
+// takeRead counts r if it reads sector, and reports whether it is the
+// read to hold, disarming if so.
+func (h *holder) takeRead(r *petal.ReadVReq) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	chunk, off := h.sector/petal.ChunkSize, int(h.sector%petal.ChunkSize)
+	for _, e := range r.Extents {
+		if e.Chunk == chunk && e.Off <= off && off < e.Off+e.Len {
+			h.reads++
+			if h.armed && h.want == nil {
+				h.armed = false
+				return true
+			}
+			return false
+		}
+	}
+	return false
+}
+
+func (h *holder) release() { h.once.Do(func() { close(h.released) }) }
 
 // evictRig is two file servers on one cluster. ws1 has a data cache of
 // four pages and reaches Petal through hold; its update demon never runs
@@ -61,7 +91,7 @@ func (h *holdWrite) release() { h.once.Do(func() { close(h.released) }) }
 type evictRig struct {
 	c        *frangipani.Cluster
 	pc       *petal.Client
-	hold     *holdWrite
+	hold     *holder
 	ws1, ws2 *frangipani.FS
 }
 
@@ -75,7 +105,7 @@ func newEvictRig(t *testing.T) *evictRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	r := &evictRig{c: c, hold: &holdWrite{Carrier: rpc.SimCarrier{Net: c.World.Net},
+	r := &evictRig{c: c, hold: &holder{Carrier: rpc.SimCarrier{Net: c.World.Net},
 		held: make(chan struct{}), released: make(chan struct{})}}
 	t.Cleanup(r.hold.release)
 	r.pc = petal.NewClientWithCarrier(c.World, "ws1", c.PetalServerNames(), r.hold)
@@ -294,5 +324,67 @@ func TestMetadataJoinsTheFlightGate(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("fsck problems: %+v", rep.Problems)
+	}
+}
+
+// TestConcurrentMissesReadOnce: two Stats on one server miss one inode
+// sector at once; the first one's read of it is held on its way to
+// Petal. Metadata sectors enter the cache through the fetch gate like
+// data pages, so the second Stat joins the first one's fetch and no
+// second read of the sector is sent. Were the sector read outside the
+// gate, the second Stat would send a read of its own and return while
+// the first was still held.
+func TestConcurrentMissesReadOnce(t *testing.T) {
+	r := newEvictRig(t)
+	if err := r.ws2.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ws2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := r.ws2.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := r.c.Layout()
+	r.hold.mu.Lock()
+	r.hold.sector, r.hold.reads, r.hold.armed = lay.InodeAddr(info.Inum), 0, true
+	r.hold.mu.Unlock()
+	stat := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.ws1.Stat("/f")
+			done <- err
+		}()
+		return done
+	}
+	first := stat()
+	select {
+	case <-r.hold.held:
+	case err := <-first:
+		t.Fatalf("the stat sent no read of the inode sector (stat: %v)", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the stat sent no read of the inode sector")
+	}
+	second := stat()
+	var secondErr error
+	select {
+	case secondErr = <-second:
+		r.hold.release()
+	case <-time.After(time.Second):
+		r.hold.release()
+		secondErr = <-second
+	}
+	if secondErr != nil {
+		t.Fatal(secondErr)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	r.hold.mu.Lock()
+	reads := r.hold.reads
+	r.hold.mu.Unlock()
+	if reads != 1 {
+		t.Fatalf("two misses of one inode sector sent %d reads of it, want 1", reads)
 	}
 }

@@ -94,7 +94,7 @@ func (fs *FS) segScan(t *txn, seg int64, c allocClass) (int64, error) {
 func (fs *FS) segScanRange(t *txn, lockID uint64, lo, hi int64) (int64, error) {
 	for b := lo; b < hi; {
 		addr, _, _ := fs.lay.bitLoc(b)
-		e, err := fs.readMeta(t.op, addr, lockID)
+		e, err := fs.read(t.op, fs.meta, addr, lockID)
 		if err != nil {
 			return -1, err
 		}
@@ -292,7 +292,7 @@ func (fs *FS) freeObjs(t *txn, items []freeSpec) error {
 			return err
 		}
 		addr, byteOff, mask := fs.lay.bitLoc(bs.bit)
-		e, err := fs.readMeta(t.op, addr, SegLock(bs.seg))
+		e, err := fs.read(t.op, fs.meta, addr, SegLock(bs.seg))
 		if err != nil {
 			return err
 		}
@@ -322,7 +322,7 @@ func (fs *FS) bitState(c allocClass, idx int64) (bool, error) {
 	}
 	defer fs.clerk.Unlock(SegLock(seg))
 	addr, byteOff, mask := fs.lay.bitLoc(b)
-	e, err := fs.readMeta(nil, addr, SegLock(seg))
+	e, err := fs.read(nil, fs.meta, addr, SegLock(seg))
 	if err != nil {
 		return false, err
 	}

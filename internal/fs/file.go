@@ -229,7 +229,7 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 				if inPage == 0 && n == BlockSize {
 					pe = fs.data.Insert(pageAddr, nil, lock)
 				} else {
-					pe, err = fs.readData(op, pageAddr, lock)
+					pe, err = fs.read(op, fs.data, pageAddr, lock)
 					if err != nil {
 						return err
 					}
@@ -274,7 +274,7 @@ func (fs *FS) zeroRange(op *obs.Span, in Inode, lo, hi int64, lock uint64) {
 			pe, cached := fs.data.Lookup(pageAddr)
 			if !cached {
 				var err error
-				pe, err = fs.readData(op, pageAddr, lock)
+				pe, err = fs.read(op, fs.data, pageAddr, lock)
 				if err != nil {
 					return
 				}
@@ -370,9 +370,9 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 				// Cluster the miss: the rest of this request comes in
 				// with the page (the mirror image of clustered
 				// write-back).
-				var buf [16]int64 // stack scratch for a 64 KB request; longer ones spill to the heap
+				var buf [16]block // stack scratch for a 64 KB request; longer ones spill to the heap
 				var own bool
-				pe, own, err = fs.fetchData(op, f.ra.via(fs), fs.pageAddrs(buf[:0], in, cur-inPage, off+want), lock)
+				pe, own, err = fs.fetch(op, f.ra.via(fs), fs.data, fs.filePages(buf[:0], in, cur-inPage, off+want, lock))
 				if err != nil {
 					return err
 				}
@@ -408,7 +408,7 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 			return fs.specFill(op, inum, h, off, n)
 		}
 		var err error
-		if e, err = fs.fillMeta(op, addr, InodeLock(inum)); err != nil {
+		if e, _, err = fs.fetch(op, fs.pc, fs.meta, []block{{addr, InodeLock(inum)}}); err != nil {
 			return Inode{}, err
 		}
 	}
@@ -429,12 +429,12 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 // as any miss does.
 func (fs *FS) specFill(op *obs.Span, inum int64, h Inode, off, n int64) (Inode, error) {
 	owner, addr := InodeLock(inum), fs.lay.InodeAddr(inum)
-	var room [petal.ChunkSize / BlockSize]int64 // stack scratch for a 64 KB read
+	var room [petal.ChunkSize / BlockSize]block // stack scratch for a 64 KB read
 	var theirs [4]chan struct{}
-	addrs := fs.pageAddrs(room[:0], h, off&^(BlockSize-1), min(off+n, h.Size))
-	mine, done, _ := fs.claimPages(addrs, addrs[:0], theirs[:0])
+	pages := fs.filePages(room[:0], h, off&^(BlockSize-1), min(off+n, h.Size), owner)
+	mine, done, _ := fs.claimPages(fs.data, pages, pages[:0], theirs[:0])
 	if len(mine) == 0 {
-		e, err := fs.fillMeta(op, addr, owner)
+		e, _, err := fs.fetch(op, fs.pc, fs.meta, []block{{addr, owner}})
 		if err != nil {
 			return Inode{}, err
 		}
@@ -450,7 +450,7 @@ func (fs *FS) specFill(op *obs.Span, inum int64, h Inode, off, n int64) (Inode, 
 	defer bufpool.Put(secp)
 	defer bufpool.Put(bufp)
 	var extRoom [5]petal.ReadExtent // the sector and a run or a few
-	exts := pageRuns(append(extRoom[:0], petal.ReadExtent{Off: addr, Dst: *secp}), mine, *bufp)
+	exts := pageRuns(append(extRoom[:0], petal.ReadExtent{Off: addr, Dst: *secp}), mine, *bufp, BlockSize)
 	if err := fs.pc.For(sp).ReadV(fs.vd, exts); err != nil {
 		return Inode{}, err
 	}
@@ -464,7 +464,7 @@ func (fs *FS) specFill(op *obs.Span, inum int64, h Inode, off, n int64) (Inode, 
 		fs.m.specDropped.Inc()
 		return in, nil
 	}
-	fs.fillCache(mine, *bufp, owner)
+	fs.fillCache(fs.data, mine, *bufp)
 	return in, nil
 }
 
@@ -501,12 +501,12 @@ func (fs *FS) takeHint(inum int64) (Inode, bool) {
 	return h, ok
 }
 
-// pageAddrs appends to buf the Petal addresses of the file's pages in
-// [lo, hi), holes left out. lo is page-aligned.
-func (fs *FS) pageAddrs(buf []int64, in Inode, lo, hi int64) []int64 {
+// filePages appends to buf the file's pages in [lo, hi), holes left
+// out, under owner, the file's lock. lo is page-aligned.
+func (fs *FS) filePages(buf []block, in Inode, lo, hi int64, owner uint64) []block {
 	for off := lo; off < hi; off += BlockSize {
 		if a, _, ok := fs.filePageAddr(in, off); ok {
-			buf = append(buf, a)
+			buf = append(buf, block{a, owner})
 		}
 	}
 	return buf
@@ -543,7 +543,8 @@ func (fs *FS) pageAddrs(buf []int64, in Inode, lo, hi int64) []int64 {
 //     the reader drains what is still in flight before it asks for the
 //     lock again (§9.4).
 //
-// Pages are claimed in fs.inflight before they are fetched, chunk by
+// A prefetch passes the fetch gate every block passes (claimPages): its
+// pages are claimed in fs.inflight before they are fetched, chunk by
 // chunk (the unit wstream hands off), so a reader that catches up with
 // a prefetch waits for the chunk it needs — not for the window, and not
 // by reading the same pages again.
@@ -638,20 +639,20 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 	for lo < hi {
 		end := min(lo&^(petal.ChunkSize-1)+petal.ChunkSize, hi)
 		// Stack scratch: a cached stream tops up without allocating.
-		var buf [petal.ChunkSize / BlockSize]int64
+		var buf [petal.ChunkSize / BlockSize]block
 		var theirs [4]chan struct{}
-		addrs := fs.pageAddrs(buf[:0], in, lo&^(BlockSize-1), end)
-		mine, done, _ := fs.claimPages(addrs, addrs[:0], theirs[:0])
+		pages := fs.filePages(buf[:0], in, lo&^(BlockSize-1), end, InodeLock(f.inum))
+		mine, done, _ := fs.claimPages(fs.data, pages, pages[:0], theirs[:0])
 		lo = end
 		if len(mine) == 0 {
 			continue
 		}
-		fetch := slices.Clone(mine) // the fetch outlives this call and buf
+		claimed := slices.Clone(mine) // the fetch outlives this call and buf
 		f.ra.mu.Lock()
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fillPages(fs.overlapped, fetch, done, InodeLock(f.inum), false)
+			_, _ = fs.fillPages(fs.overlapped, fs.data, claimed, done, false)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -798,7 +799,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 		// extension reads zeros.
 		if size%BlockSize != 0 {
 			if pageAddr, inPage, ok := fs.filePageAddr(in, size); ok {
-				if pe, err := fs.readData(op, pageAddr, lock); err == nil {
+				if pe, err := fs.read(op, fs.data, pageAddr, lock); err == nil {
 					fs.data.Mutate(func() { clear(pe.Data[inPage:]) })
 					fs.data.MarkDirty(pe, 0)
 				}

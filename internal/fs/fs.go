@@ -99,7 +99,6 @@ type fsMetrics struct {
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
 	flushPages                   *obs.Counter
-	metaBatch, metaBatchSectors  *obs.Counter
 	flushPeak                    *obs.Gauge
 	opLat                        map[string]*obs.Histogram
 }
@@ -119,27 +118,25 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		return reg.Counter("fs." + name + "#" + machine)
 	}
 	m := fsMetrics{
-		ops:              c("ops.count"),
-		bytesRead:        c("read.bytes"),
-		bytesWritten:     c("write.bytes"),
-		retries:          c("retry.count"),
-		recoveries:       c("recovery.count"),
-		raHits:           c("readahead.hits"),
-		raWasted:         c("readahead.wasted"),
-		raJoins:          c("readahead.joins"),
-		fills:            c("read.fills"),
-		specFills:        c("read.spec.fills"),
-		specDropped:      c("read.spec.dropped"),
-		allocSticky:      c("alloc.sticky.hits"),
-		allocResume:      c("alloc.resume.hits"),
-		allocRescan:      c("alloc.rescan"),
-		allocSkipFull:    c("alloc.skip.full"),
-		flushBatches:     c("flush.batches"),
-		flushRuns:        c("flush.runs"),
-		flushPages:       c("flush.pages"),
-		metaBatch:        c("meta.batch.fetches"),
-		metaBatchSectors: c("meta.batch.sectors"),
-		flushPeak:        obs.NewGauge(),
+		ops:           c("ops.count"),
+		bytesRead:     c("read.bytes"),
+		bytesWritten:  c("write.bytes"),
+		retries:       c("retry.count"),
+		recoveries:    c("recovery.count"),
+		raHits:        c("readahead.hits"),
+		raWasted:      c("readahead.wasted"),
+		raJoins:       c("readahead.joins"),
+		fills:         c("read.fills"),
+		specFills:     c("read.spec.fills"),
+		specDropped:   c("read.spec.dropped"),
+		allocSticky:   c("alloc.sticky.hits"),
+		allocResume:   c("alloc.resume.hits"),
+		allocRescan:   c("alloc.rescan"),
+		allocSkipFull: c("alloc.skip.full"),
+		flushBatches:  c("flush.batches"),
+		flushRuns:     c("flush.runs"),
+		flushPages:    c("flush.pages"),
+		flushPeak:     obs.NewGauge(),
 	}
 	if reg != nil {
 		m.flushPeak = reg.Gauge("fs.flush.peak#" + machine)
@@ -199,15 +196,16 @@ type server struct {
 	closed    bool
 	logSlot   int
 
-	// inflight maps each data page some fetch is bringing in from Petal
-	// to the channel that fetch closes when it is over (single flight).
+	// inflight maps each block, metadata sector or data page, some fetch
+	// is bringing in from Petal to the channel that fetch closes when it
+	// is over (single flight). Like flights, one table serves both pools.
 	fetchMu  sync.Mutex
 	inflight map[int64]chan struct{}
 
-	// flights maps each block, metadata sector or data page, some
-	// write-back is carrying to Petal to that write-back (single flight,
-	// the write side of inflight); behind counts the write-behind flights
-	// among them. One table serves both pools: a sector and a page never
+	// flights maps each block some write-back is carrying to Petal to
+	// that write-back (single flight, the write side of inflight); behind
+	// counts the write-behind flights among them. One table serves both
+	// pools: a sector and a page never
 	// share an address, since Layout.MetaSmallBoundary keeps directory
 	// blocks apart from file blocks.
 	flushMu sync.Mutex
@@ -361,9 +359,6 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 
 // Machine returns the server's machine name.
 func (fs *FS) Machine() string { return fs.machine }
-
-// LogSlot returns the server's private log slot.
-func (fs *FS) LogSlot() int { return fs.logSlot }
 
 // PetalStats snapshots the underlying Petal driver's write-path RPC
 // counters (benchmarks compare serial vs scatter-gather write-back).
@@ -587,112 +582,63 @@ func (d *directDev) WriteAt(p []byte, off int64) error {
 
 // ---- cached block I/O ----
 
-// readMeta returns the cached metadata sector at addr, loading it
-// from Petal on a miss, which is charged to op's principal. owner is
-// the covering lock.
-func (fs *FS) readMeta(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
-	if e, ok := fs.meta.Lookup(addr); ok {
-		return e, nil
-	}
-	return fs.fillMeta(op, addr, owner)
-}
-
-// fillMeta is readMeta's miss: the sector comes from Petal.
-func (fs *FS) fillMeta(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
-	fs.acct.CacheMiss(op.Ctx().Principal, 1)
-	sp := op.Child("cache", "fill")
-	defer sp.Done()
-	// Pooled scratch: Fill copies into the cache's own page, so the
-	// fill buffer recycles immediately.
-	bufp := bufpool.Get(SectorSize)
-	defer bufpool.Put(bufp)
-	buf := *bufp
-	if err := fs.pc.For(sp).Read(fs.vd, addr, buf); err != nil {
-		return nil, err
-	}
-	// A concurrent lookup may have filled the sector meanwhile, or a
-	// writer dirtied it: Fill keeps theirs.
-	e, _ := fs.meta.Fill(addr, buf, owner)
-	return e, nil
-}
-
-// metaFill names one metadata sector and the lock that covers it.
-type metaFill struct {
+// block is what the fetch gate is asked for: a metadata sector or a
+// data page, by address, and the lock that covers it. The block is
+// cached under that lock, and a revoke of the lock invalidates it.
+type block struct {
 	addr  int64
 	owner uint64
 }
 
-// readMetaBatch warms the metadata cache for every named sector with
-// one scatter-gather read: the sectors still missing are fetched in a
-// single petal ReadV and inserted. Directory scans and batched stat
-// paths collect their sector addresses up front and call this, so a
-// cold scan costs one round trip instead of one per sector. Callers
-// then go through readMeta for the decoded entries; after a
-// successful batch those are hits.
-func (fs *FS) readMetaBatch(op *obs.Span, fills []metaFill) error {
-	var miss []metaFill
-	for _, f := range fills {
-		if _, ok := fs.meta.Peek(f.addr); !ok {
-			miss = append(miss, f)
-		}
-	}
-	if len(miss) == 0 {
-		return nil
-	}
-	fs.acct.CacheMiss(op.Ctx().Principal, 1)
-	sp := op.Child("cache", "fillv")
-	defer sp.Done()
-	bufsp := bufpool.Get(len(miss) * SectorSize)
-	defer bufpool.Put(bufsp)
-	bufs := *bufsp
-	exts := make([]petal.ReadExtent, len(miss))
-	for i := range miss {
-		exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
-	}
-	if err := fs.pc.For(sp).ReadV(fs.vd, exts); err != nil {
-		return err
-	}
-	fs.m.metaBatch.Inc()
-	fs.m.metaBatchSectors.Add(int64(len(miss)))
-	for i, f := range miss {
-		fs.meta.Fill(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
-	}
-	return nil
-}
-
-// readData returns the cached 4 KB data page at addr, reading it from
-// Petal on a miss. The caller holds owner, the covering lock.
-func (fs *FS) readData(op *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
-	if e, ok := fs.data.Lookup(addr); ok {
+// read returns the cached block of pool at addr, fetching it from Petal
+// on a miss. The caller holds owner, the covering lock.
+func (fs *FS) read(op *obs.Span, pool *cache.Pool, addr int64, owner uint64) (*cache.Entry, error) {
+	if e, ok := pool.Lookup(addr); ok {
 		return e, nil
 	}
-	e, _, err := fs.fetchData(op, fs.pc, []int64{addr}, owner)
+	e, _, err := fs.fetch(op, fs.pc, pool, []block{{addr, owner}})
 	return e, err
 }
 
-// fetchData returns the data page at addrs[0] for a caller that holds
-// owner and needs the page now. Whichever pages of addrs are neither
-// cached nor on their way come in with it in one Petal read; pages
-// another fetch (a prefetch, usually) has in flight are waited for,
-// not read a second time, and the wait is counted in
-// fs.readahead.joins: a stream that is far enough ahead never joins.
-// own reports that this call itself went to Petal for addrs[0]; each
-// time it does, op's principal is charged the miss. It reads through
-// via: fs.pc, or fs.overlapped for a read beside its stream's prefetches.
-func (fs *FS) fetchData(op *obs.Span, via *petal.Client, addrs []int64, owner uint64) (e *cache.Entry, own bool, err error) {
+// warm brings into pool with one fetch every block of blocks that is
+// neither cached nor on its way, and waits for those on their way, so a
+// scan that collects its addresses up front costs one Petal round trip,
+// not one per block. The caller holds the blocks' locks.
+func (fs *FS) warm(op *obs.Span, pool *cache.Pool, blocks []block) error {
+	if len(blocks) == 0 {
+		return nil
+	}
+	_, _, err := fs.fetch(op, fs.pc, pool, blocks)
+	return err
+}
+
+// fetch returns the block of pool at blocks[0] for a caller that holds
+// the locks of blocks and needs the block now. Whichever blocks are
+// neither cached nor on their way come in with it in one Petal read;
+// blocks another fetch (a prefetch, or another operation's miss) has in
+// flight are waited for, not read a second time. A data fetch counts
+// itself in fs.read.fills and its waits in fs.readahead.joins: a stream
+// that is far enough ahead never joins. own reports that this call
+// itself went to Petal for blocks[0]; each time it does, op's principal
+// is charged the miss. It reads through via: fs.pc, or fs.overlapped
+// for a read beside its stream's prefetches.
+func (fs *FS) fetch(op *obs.Span, via *petal.Client, pool *cache.Pool, blocks []block) (e *cache.Entry, own bool, err error) {
+	data := pool == fs.data
 	// Stack scratch for a 64 KB request; longer ones spill to the heap.
-	var mineRoom [petal.ChunkSize / BlockSize]int64
+	var mineRoom [petal.ChunkSize / BlockSize]block
 	var theirsRoom [4]chan struct{}
 	for {
-		mine, done, theirs := fs.claimPages(addrs, mineRoom[:0], theirsRoom[:0])
+		mine, done, theirs := fs.claimPages(pool, blocks, mineRoom[:0], theirsRoom[:0])
 		if len(mine) > 0 {
-			fs.m.fills.Inc()
+			if data {
+				fs.m.fills.Inc()
+			}
 			fs.acct.CacheMiss(op.Ctx().Principal, 1)
 			sp := op.Child("cache", "fill")
-			e, err = fs.fillPages(via.For(sp), mine, done, owner, true)
+			e, err = fs.fillPages(via.For(sp), pool, mine, done, true)
 			sp.Done()
 		}
-		if len(theirs) > 0 {
+		if len(theirs) > 0 && data {
 			fs.m.raJoins.Inc()
 		}
 		for _, ch := range theirs {
@@ -701,74 +647,80 @@ func (fs *FS) fetchData(op *obs.Span, via *petal.Client, addrs []int64, owner ui
 		if err != nil {
 			return nil, false, err
 		}
-		if len(mine) > 0 && mine[0] == addrs[0] {
+		if len(mine) > 0 && mine[0].addr == blocks[0].addr {
 			return e, true, nil
 		}
-		if e, ok := fs.data.Peek(addrs[0]); ok {
+		if e, ok := pool.Peek(blocks[0].addr); ok {
 			return e, false, nil
 		}
 		// The fetch we joined failed, or was discarded at its validity
-		// gate: fetch the page ourselves.
+		// gate: fetch the block ourselves.
 	}
 }
 
-// claimPages is the single-flight gate every data-page fetch passes.
-// Of addrs it claims, in fs.inflight, the pages that are neither
-// cached nor already claimed (appended to mine, released by fillPages,
-// which closes done), and appends to theirs the channels of the fetches
-// that hold the others. mine may be addrs[:0]: the claimed pages are
-// filtered in place. The cache is consulted under fetchMu and fillPages
-// inserts before it releases, so a page is never seen as neither cached
-// nor in flight while a fetch of it is landing.
-func (fs *FS) claimPages(addrs, mine []int64, theirs []chan struct{}) ([]int64, chan struct{}, []chan struct{}) {
+// claimPages is the single-flight gate every fetch passes, of a data
+// page or a metadata sector alike. Of blocks it claims, in fs.inflight,
+// those that are neither cached in pool nor already claimed (appended
+// to mine, released by fillPages, which closes done), and appends to
+// theirs the channels of the fetches that hold the others. mine may be
+// blocks[:0]: the claimed blocks are filtered in place. The cache is
+// consulted under fetchMu and fillPages inserts before it releases, so
+// a block is never seen as neither cached nor in flight while a fetch
+// of it is landing.
+func (fs *FS) claimPages(pool *cache.Pool, blocks, mine []block, theirs []chan struct{}) ([]block, chan struct{}, []chan struct{}) {
 	var done chan struct{}
 	fs.fetchMu.Lock()
 	defer fs.fetchMu.Unlock()
-	for _, a := range addrs {
-		if ch, busy := fs.inflight[a]; busy {
+	for _, b := range blocks {
+		if ch, busy := fs.inflight[b.addr]; busy {
 			if len(theirs) == 0 || theirs[len(theirs)-1] != ch {
 				theirs = append(theirs, ch)
 			}
 			continue
 		}
-		if _, hit := fs.data.Peek(a); hit {
+		if _, hit := pool.Peek(b.addr); hit {
 			continue
 		}
 		if done == nil {
 			done = make(chan struct{})
 		}
-		fs.inflight[a] = done
-		mine = append(mine, a)
+		fs.inflight[b.addr] = done
+		mine = append(mine, b)
 	}
 	return mine, done, theirs
 }
 
-// fillPages reads the claimed pages through pc with one scatter-gather
-// Petal read (one extent per contiguous run, which the Petal driver
-// splits by chunk and fans out over servers and disks), inserts them
-// under owner, and releases the claims. It returns the entry of mine[0].
+// fillPages reads the claimed blocks of pool through pc with one
+// scatter-gather Petal read (one extent per contiguous run, which the
+// Petal driver splits by chunk and fans out over servers and disks),
+// inserts each under its owner, and releases the claims. It returns the
+// entry of mine[0].
 //
-// A foreground caller holds owner (locked) and passes the view of its
-// operation. A prefetch has neither: it runs for no operation, through
-// fs.overlapped, and without the lock, like the paper's UFS-derived
-// read-ahead, and only touches it here, briefly, as a validity gate — if the lock was
-// revoked meanwhile the data "must be discarded, and the work to read
-// it turns out to have been wasted" (§9.4), so no stale page ever
-// enters the cache. A prefetch is one chunk: fs.readahead.hits counts
-// the chunks that landed, fs.readahead.wasted the bytes of those that
-// did not.
-func (fs *FS) fillPages(pc *petal.Client, mine []int64, done chan struct{}, owner uint64, locked bool) (first *cache.Entry, err error) {
+// A foreground caller holds the owners (locked) and passes the view of
+// its operation. A prefetch has neither: it runs for no operation,
+// through fs.overlapped, and without the lock of its file's pages, like
+// the paper's UFS-derived read-ahead, and only touches it here, briefly,
+// as a validity gate — if the lock was revoked meanwhile the data "must
+// be discarded, and the work to read it turns out to have been wasted"
+// (§9.4), so no stale page ever enters the cache. A prefetch is one
+// chunk: fs.readahead.hits counts the chunks that landed,
+// fs.readahead.wasted the bytes of those that did not.
+func (fs *FS) fillPages(pc *petal.Client, pool *cache.Pool, mine []block, done chan struct{}, locked bool) (first *cache.Entry, err error) {
 	defer fs.unclaim(mine, done)
-	// Pooled scratch: Fill copies into the cache's own page.
-	bufp := bufpool.Get(len(mine) * BlockSize)
+	bs := pool.BlockSize()
+	// Pooled scratch: Fill copies into the cache's own block.
+	bufp := bufpool.Get(len(mine) * bs)
 	defer bufpool.Put(bufp)
 	buf := *bufp
 	var extRoom [4]petal.ReadExtent // stack scratch: a fill is a run or a few
-	if err := pc.ReadV(fs.vd, pageRuns(extRoom[:0], mine, buf)); err != nil {
+	if err := pc.ReadV(fs.vd, pageRuns(extRoom[:0], mine, buf, bs)); err != nil {
 		return nil, err
 	}
-	fs.m.bytesRead.Add(int64(len(buf)))
+	if pool == fs.data {
+		fs.m.bytesRead.Add(int64(len(buf)))
+	}
 	if !locked {
+		owner := mine[0].owner
 		if !fs.clerk.TryLock(owner, lockservice.Shared) {
 			fs.m.raWasted.Add(int64(len(buf)))
 			return nil, nil
@@ -776,29 +728,31 @@ func (fs *FS) fillPages(pc *petal.Client, mine []int64, done chan struct{}, owne
 		defer fs.clerk.Unlock(owner)
 		fs.m.raHits.Inc()
 	}
-	return fs.fillCache(mine, buf, owner), nil
+	return fs.fillCache(pool, mine, buf), nil
 }
 
-// pageRuns appends to exts one extent per run of contiguous pages of
-// mine, each reading into its share of buf, which holds a page for each.
-func pageRuns(exts []petal.ReadExtent, mine []int64, buf []byte) []petal.ReadExtent {
+// pageRuns appends to exts one extent per run of contiguous blocks of
+// mine, bs bytes each, each reading into its share of buf, which holds
+// a block for each.
+func pageRuns(exts []petal.ReadExtent, mine []block, buf []byte, bs int) []petal.ReadExtent {
 	for i := 0; i < len(mine); {
 		j := i + 1
-		for j < len(mine) && mine[j] == mine[j-1]+BlockSize {
+		for j < len(mine) && mine[j].addr == mine[j-1].addr+int64(bs) {
 			j++
 		}
-		exts = append(exts, petal.ReadExtent{Off: mine[i], Dst: buf[i*BlockSize : j*BlockSize]})
+		exts = append(exts, petal.ReadExtent{Off: mine[i].addr, Dst: buf[i*bs : j*bs]})
 		i = j
 	}
 	return exts
 }
 
-// fillCache enters the pages mine, read into buf, under owner, and
-// returns the entry of mine[0]. A writer may have raced a page in: Fill
-// keeps theirs.
-func (fs *FS) fillCache(mine []int64, buf []byte, owner uint64) (first *cache.Entry) {
-	for i, a := range mine {
-		e, _ := fs.data.Fill(a, buf[i*BlockSize:(i+1)*BlockSize], owner)
+// fillCache enters the blocks mine of pool, read into buf, each under
+// its owner, and returns the entry of mine[0]. A writer may have raced
+// a block in: Fill keeps theirs.
+func (fs *FS) fillCache(pool *cache.Pool, mine []block, buf []byte) (first *cache.Entry) {
+	bs := pool.BlockSize()
+	for i, b := range mine {
+		e, _ := pool.Fill(b.addr, buf[i*bs:(i+1)*bs], b.owner)
 		if i == 0 {
 			first = e
 		}
@@ -806,12 +760,12 @@ func (fs *FS) fillCache(mine []int64, buf []byte, owner uint64) (first *cache.En
 	return first
 }
 
-// unclaim ends a fetch's claims: its pages leave fs.inflight, and
+// unclaim ends a fetch's claims: its blocks leave fs.inflight, and
 // whoever waits for them wakes up.
-func (fs *FS) unclaim(mine []int64, done chan struct{}) {
+func (fs *FS) unclaim(mine []block, done chan struct{}) {
 	fs.fetchMu.Lock()
-	for _, a := range mine {
-		delete(fs.inflight, a)
+	for _, b := range mine {
+		delete(fs.inflight, b.addr)
 	}
 	fs.fetchMu.Unlock()
 	close(done)

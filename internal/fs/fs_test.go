@@ -174,6 +174,11 @@ func TestCreateStatReadDir(t *testing.T) {
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("readdir / = %v err=%v", ents, err)
 	}
+	for _, e := range ents { // what a listing prints for each entry's type
+		if want := map[string]string{"a.txt": "file", "dir": "dir"}[e.Name]; e.Type.String() != want {
+			t.Fatalf("%s lists as a %s, want %s", e.Name, e.Type, want)
+		}
+	}
 	if _, err := f.Stat("/ghost"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("stat ghost: %v", err)
 	}
@@ -641,7 +646,7 @@ func TestServerAdditionIsTransparent(t *testing.T) {
 	if got := readFile(t, f1, "/post"); string(got) != "after" {
 		t.Fatalf("old server reads %q", got)
 	}
-	if f1.LogSlot() == f3.LogSlot() {
+	if f1.logSlot == f3.logSlot {
 		t.Fatal("two live servers share a log slot")
 	}
 }

@@ -232,7 +232,6 @@ func (l *Layout) segRange(c allocClass) (lo, hi int64) {
 const (
 	lockTagInode  = uint64(1) << 56
 	lockTagBitmap = uint64(2) << 56
-	lockTagLog    = uint64(3) << 56
 	// LockBarrier is the single global lock used by the backup
 	// barrier (§8): servers hold it shared for every modification,
 	// the backup program requests it exclusive.
@@ -245,10 +244,6 @@ func InodeLock(i int64) uint64 { return lockTagInode | uint64(i) }
 // SegLock returns the lock covering allocation-bitmap segment s.
 func SegLock(s int64) uint64 { return lockTagBitmap | uint64(s) }
 
-// LogLock returns the lock covering log slot s (held exclusively by
-// a recovery demon while it replays that log).
-func LogLock(slot int) uint64 { return lockTagLog | uint64(slot) }
-
 // LockName decodes a lock id into a human-readable name for the
 // hot-lock contention table ("inode/7", "bitmap-seg/3", ...).
 func LockName(id uint64) string {
@@ -258,8 +253,6 @@ func LockName(id uint64) string {
 		return fmt.Sprintf("inode/%d", n)
 	case lockTagBitmap:
 		return fmt.Sprintf("bitmap-seg/%d", n)
-	case lockTagLog:
-		return fmt.Sprintf("log-slot/%d", n)
 	case LockBarrier:
 		return "backup-barrier"
 	}
@@ -267,7 +260,7 @@ func LockName(id uint64) string {
 }
 
 // ParseLockName is the inverse of LockName: it accepts the rendered
-// forms ("inode/7", "bitmap-seg/3", "log-slot/0", "backup-barrier")
+// forms ("inode/7", "bitmap-seg/3", "backup-barrier")
 // as well as a raw decimal or 0x-hex lock id.
 func ParseLockName(s string) (uint64, bool) {
 	if s == "backup-barrier" {
@@ -279,7 +272,6 @@ func ParseLockName(s string) (uint64, bool) {
 	}{
 		{"inode/", lockTagInode},
 		{"bitmap-seg/", lockTagBitmap},
-		{"log-slot/", lockTagLog},
 	} {
 		if strings.HasPrefix(s, p.prefix) {
 			n, err := strconv.ParseUint(s[len(p.prefix):], 10, 64)

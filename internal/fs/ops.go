@@ -126,7 +126,7 @@ func (fs *FS) retrying(op *obs.Span, fn func(op *obs.Span) error) error {
 // loadInode reads and decodes an inode under its (already held)
 // lock.
 func (fs *FS) loadInode(op *obs.Span, inum int64) (*cache.Entry, Inode, error) {
-	e, err := fs.readMeta(op, fs.lay.InodeAddr(inum), InodeLock(inum))
+	e, err := fs.read(op, fs.meta, fs.lay.InodeAddr(inum), InodeLock(inum))
 	if err != nil {
 		return nil, Inode{}, err
 	}
@@ -310,7 +310,7 @@ func (fs *FS) dirFind(op *obs.Span, dirInum int64, in Inode, name string) (DirEn
 		if !ok {
 			return DirEntry{}, 0, 0, ErrBadDir
 		}
-		e, err := fs.readMeta(op, addr, InodeLock(dirInum))
+		e, err := fs.read(op, fs.meta, addr, InodeLock(dirInum))
 		if err != nil {
 			return DirEntry{}, 0, 0, err
 		}
@@ -322,25 +322,24 @@ func (fs *FS) dirFind(op *obs.Span, dirInum int64, in Inode, name string) (DirEn
 }
 
 // dirEntries lists a directory's entries (dir lock held). The content
-// sector addresses are collected up front and any misses fetched with
-// one scatter-gather read, so a cold scan costs one Petal round trip
-// instead of one per sector.
+// sector addresses are collected up front and warmed with one fetch, so
+// a cold scan costs one Petal round trip instead of one per sector.
 func (fs *FS) dirEntries(op *obs.Span, dirInum int64, in Inode) ([]DirEntry, error) {
 	lockID := InodeLock(dirInum)
-	var fills []metaFill
+	var sectors []block
 	for off := int64(0); off < in.Size; off += SectorSize {
 		addr, ok := fs.dirSectorAddr(in, off)
 		if !ok {
 			return nil, ErrBadDir
 		}
-		fills = append(fills, metaFill{addr: addr, owner: lockID})
+		sectors = append(sectors, block{addr, lockID})
 	}
-	if err := fs.readMetaBatch(op, fills); err != nil {
+	if err := fs.warm(op, fs.meta, sectors); err != nil {
 		return nil, err
 	}
 	var out []DirEntry
-	for _, f := range fills {
-		e, err := fs.readMeta(op, f.addr, lockID)
+	for _, b := range sectors {
+		e, err := fs.read(op, fs.meta, b.addr, lockID)
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +364,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 		if !ok {
 			return ErrBadDir
 		}
-		e, err := fs.readMeta(t.op, addr, lockID)
+		e, err := fs.read(t.op, fs.meta, addr, lockID)
 		if err != nil {
 			return err
 		}
@@ -389,7 +388,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 	if !ok {
 		return ErrBadDir
 	}
-	e, err := fs.readMeta(t.op, addr, lockID)
+	e, err := fs.read(t.op, fs.meta, addr, lockID)
 	if err != nil {
 		return err
 	}
@@ -415,7 +414,7 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 		if !ok {
 			return ErrBadDir
 		}
-		e, err := fs.readMeta(t.op, a, lockID)
+		e, err := fs.read(t.op, fs.meta, a, lockID)
 		if err != nil {
 			return err
 		}
@@ -427,7 +426,7 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 	if !found {
 		return ErrNotExist
 	}
-	e, err := fs.readMeta(t.op, addr, lockID)
+	e, err := fs.read(t.op, fs.meta, addr, lockID)
 	if err != nil {
 		return err
 	}
@@ -564,11 +563,11 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			if !sameEntries(ents, listed) {
 				return ErrRetry // directory changed; lock set is stale
 			}
-			fills := make([]metaFill, len(ents))
+			inodes := make([]block, len(ents))
 			for i, ent := range ents {
-				fills[i] = metaFill{addr: fs.lay.InodeAddr(ent.Inum), owner: InodeLock(ent.Inum)}
+				inodes[i] = block{fs.lay.InodeAddr(ent.Inum), InodeLock(ent.Inum)}
 			}
-			if err := fs.readMetaBatch(op, fills); err != nil {
+			if err := fs.warm(op, fs.meta, inodes); err != nil {
 				return err
 			}
 			infos = infos[:0]
@@ -656,7 +655,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			if ftype == TypeDir {
 				nin.Nlink = 2
 			}
-			ie, err := fs.readMeta(op, fs.lay.InodeAddr(inum), InodeLock(inum))
+			ie, err := fs.read(op, fs.meta, fs.lay.InodeAddr(inum), InodeLock(inum))
 			if err != nil {
 				return err
 			}

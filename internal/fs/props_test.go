@@ -136,7 +136,7 @@ func TestLayoutBitMappingProperty(t *testing.T) {
 		t.Fatal("layout regions out of order")
 	}
 	// Lock id spaces are distinct.
-	if InodeLock(5) == SegLock(5) || SegLock(5) == LogLock(5) {
+	if InodeLock(5) == SegLock(5) || SegLock(5) == LockBarrier {
 		t.Fatal("lock id namespaces collide")
 	}
 }

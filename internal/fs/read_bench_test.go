@@ -251,3 +251,41 @@ func TestColdReadAtAllocs(t *testing.T) {
 		t.Fatalf("a cold 64 KB ReadAt allocates %v times, want %d", n, coldReadAllocs)
 	}
 }
+
+// coldStatAllocs bounds what a Stat allocates on a server that holds
+// the file's lock but has dropped its inode sector, the whole process
+// counted: the sector's fetch through the fetch gate (its claim, its
+// cache entry) and the Petal round trip, client and servers together. It
+// was 7 while a sector came in through a read of its own that claimed
+// nothing. The lock is sticky, so no lock traffic is counted; a Stat
+// that must also acquire it cold allocates more, by a few that vary. A
+// bound, like handoffReadAllocs: lower it with a change that means to.
+const coldStatAllocs = 8
+
+// TestColdStatAllocs holds a Stat of a file another server wrote, on a
+// server that drops the file's inode sector before each Stat, to
+// coldStatAllocs. Checked only without the race detector.
+func TestColdStatAllocs(t *testing.T) {
+	tw := newTestWorld(t)
+	writer := tw.mount(t, "wsW", nil)
+	writeFile(t, writer, "/cold", []byte("x"))
+	if err := writer.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	reader := tw.mount(t, "wsR", func(c *Config) { c.CPUPerOp, c.CPUPerKB = 0, 0 })
+	info, err := reader.Stat("/cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := reader.lay.InodeAddr(info.Inum)
+	n := leastAllocs(func() {
+		reader.meta.Invalidate(addr)
+		if _, err := reader.Stat("/cold"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per Stat with its inode sector dropped: %v", n)
+	if !raceBuild() && n > coldStatAllocs {
+		t.Fatalf("a Stat whose inode sector is not cached allocates %v times, want at most %d", n, coldStatAllocs)
+	}
+}

@@ -29,7 +29,7 @@ var knobs = map[string]string{
 	"frangipani.ClusterConfig.Seed":           "benchmark/harness.go (--seed)",
 	"frangipani.ClusterConfig.FSConfig":       "benchmark/harness.go (SyncEvery, DataCacheCap); scale-sweep (lease)",
 	"frangipani.ClusterConfig.GuardWrites":    "benchmark/harness.go; bench.Options.newCluster",
-	"frangipani.ClusterConfig.NoReplicate":    "fig7's replication-cost ablation (experiments2.go)",
+	"frangipani.ClusterConfig.NoReplicate":    "fig7's replication-cost ablation (experiments.go)",
 	"frangipani.ClusterConfig.NoObs":          "benchmark/harness.go (obs.cpu_overhead_pct)",
 	"frangipani.ClusterConfig.NoAccounting":   "obs-overhead (bench/obs.go)",
 

@@ -87,8 +87,7 @@ func TestClusterHealthAndWindows(t *testing.T) {
 	}
 	named := false
 	for _, st := range top {
-		if strings.HasPrefix(st.Name, "inode/") || strings.HasPrefix(st.Name, "bitmap-seg/") ||
-			strings.HasPrefix(st.Name, "log-slot/") {
+		if strings.HasPrefix(st.Name, "inode/") || strings.HasPrefix(st.Name, "bitmap-seg/") {
 			named = true
 		}
 	}
