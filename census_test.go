@@ -80,7 +80,8 @@ var clusterMethods = map[string]string{
 
 // exported names, for every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice, internal/localfs and internal/fs and every
+// internal/wal, internal/lockservice, internal/localfs, internal/fs and
+// internal/workload and every
 // exported method of their exported types, a non-test file that calls
 // it, or the test that needs it. A method called through an interface
 // names the file that makes the interface call, and a String method
@@ -122,7 +123,7 @@ var exported = map[string]string{
 	"rpc.TCPCarrier.Unregister":    "internal/rpc/rpc.go",
 	"obs.AccountStat.Bytes":        "internal/bench/accounting.go",
 	"obs.AccountTable.Bytes":       "internal/fs/fs.go",
-	"obs.AccountTable.CacheMiss":   "internal/fs/file.go",
+	"obs.AccountTable.CacheMiss":   "internal/fs/fs.go",
 	"obs.AccountTable.Len":         "TestAccountTableFoldsColdest",
 	"obs.AccountTable.LockWait":    "internal/fs/fs.go",
 	"obs.AccountTable.Op":          "internal/fs/fs.go",
@@ -191,7 +192,7 @@ var exported = map[string]string{
 	"obs.Snapshot.JSON":            "cmd/frangibench/main.go",
 	"obs.Snapshot.Text":            "cmd/frangicli/main.go",
 	"obs.Span.Child":               "internal/petal/client.go",
-	"obs.Span.Ctx":                 "internal/fs/file.go",
+	"obs.Span.Ctx":                 "internal/fs/fs.go",
 	"obs.Span.Done":                "internal/petal/client.go",
 	"obs.Tracer.LastRoot":          "cmd/frangibench/main.go",
 	"obs.Tracer.Remote":            "internal/petal/server.go",
@@ -208,7 +209,7 @@ var exported = map[string]string{
 	"cache.Pool.Capacity":          "internal/fs/fs.go",
 	"cache.Pool.DirtyByOwner":      "internal/fs/fs.go",
 	"cache.Pool.DirtyThrough":      "internal/fs/fs.go",
-	"cache.Pool.Fill":              "internal/fs/file.go",
+	"cache.Pool.Fill":              "internal/fs/fs.go",
 	"cache.Pool.HasDirty":          "internal/fs/fs.go",
 	"cache.Pool.Insert":            "internal/fs/file.go, benchmark/drives.go",
 	"cache.Pool.Invalidate":        "internal/fs/file.go",
@@ -235,7 +236,7 @@ var exported = map[string]string{
 	"petal.Client.ListChunks":             "internal/fs/backup.go",
 	"petal.Client.Overlapped":             "internal/fs/fs.go",
 	"petal.Client.Read":                   "internal/fs/backup.go, cmd/frangick/main.go",
-	"petal.Client.ReadV":                  "internal/fs/file.go, benchmark/drives.go",
+	"petal.Client.ReadV":                  "internal/fs/fs.go, benchmark/drives.go",
 	"petal.Client.SetLeaseInfo":           "internal/fs/fs.go",
 	"petal.Client.SetReadBalance":         "cluster.go, internal/bench/readpath.go",
 	"petal.Client.Snapshot":               "cluster.go",
@@ -425,6 +426,39 @@ var exported = map[string]string{
 	"fs.Report.OK":                  "cmd/frangick/main.go",
 	"fs.Restore":                    "examples/backup/main.go",
 	"fs.SegLock":                    "internal/fs/alloc.go",
+	// The adapters' methods are called through workload.FS.
+	"workload.Connectathon.Run":          "internal/bench/experiments.go",
+	"workload.ContentionResult.ReadMBps": "internal/bench/experiments.go, examples/contention/main.go",
+	"workload.DefaultConnectathon":       "internal/bench/bench.go",
+	"workload.DefaultMAB":                "internal/bench/bench.go",
+	"workload.Frangipani.Create":         "internal/workload/suites.go",
+	"workload.Frangipani.Mkdir":          "internal/workload/mab.go",
+	"workload.Frangipani.Open":           "internal/workload/contention.go",
+	"workload.Frangipani.ReadDirNames":   "internal/workload/suites.go",
+	"workload.Frangipani.Readlink":       "internal/workload/suites.go",
+	"workload.Frangipani.Remove":         "internal/workload/suites.go",
+	"workload.Frangipani.Rename":         "internal/workload/suites.go",
+	"workload.Frangipani.Rmdir":          "internal/workload/suites.go",
+	"workload.Frangipani.Stat":           "internal/workload/mab.go",
+	"workload.Frangipani.Symlink":        "internal/workload/suites.go",
+	"workload.Frangipani.Sync":           "internal/workload/suites.go",
+	"workload.Local.Create":              "internal/workload/suites.go",
+	"workload.Local.Mkdir":               "internal/workload/mab.go",
+	"workload.Local.Open":                "internal/workload/contention.go",
+	"workload.Local.ReadDirNames":        "internal/workload/suites.go",
+	"workload.Local.Readlink":            "internal/workload/suites.go",
+	"workload.Local.Remove":              "internal/workload/suites.go",
+	"workload.Local.Rename":              "internal/workload/suites.go",
+	"workload.Local.Rmdir":               "internal/workload/suites.go",
+	"workload.Local.Stat":                "internal/workload/mab.go",
+	"workload.Local.Symlink":             "internal/workload/suites.go",
+	"workload.Local.Sync":                "internal/workload/suites.go",
+	"workload.MAB.Run":                   "internal/bench/experiments.go",
+	"workload.ReaderWriterContention":    "internal/bench/experiments.go, examples/contention/main.go",
+	"workload.SeqRead":                   "internal/bench/experiments.go, internal/bench/readpath.go",
+	"workload.SeqWrite":                  "internal/bench/experiments.go, internal/bench/scalesweep.go",
+	"workload.SmallReadSwarm":            "internal/bench/experiments.go",
+	"workload.WriteSharing":              "internal/bench/experiments.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -537,7 +571,8 @@ func TestClusterMethodCensus(t *testing.T) {
 
 // TestExportedCensus holds every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice, internal/localfs and internal/fs, and every
+// internal/wal, internal/lockservice, internal/localfs, internal/fs and
+// internal/workload, and every
 // exported method of their exported types, to exported, and each entry
 // to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
@@ -547,7 +582,7 @@ func TestExportedCensus(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
 		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal",
-			"internal/lockservice", "internal/localfs", "internal/fs":
+			"internal/lockservice", "internal/localfs", "internal/fs", "internal/workload":
 		default:
 			continue
 		}

@@ -2,6 +2,7 @@ package frangipani_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -386,5 +387,88 @@ func TestConcurrentMissesReadOnce(t *testing.T) {
 	r.hold.mu.Unlock()
 	if reads != 1 {
 		t.Fatalf("two misses of one inode sector sent %d reads of it, want 1", reads)
+	}
+}
+
+// TestHandoffMissesReadOnce: ws2's write takes a small file's lock from
+// ws1, which keeps a hint of the file's block map. Two reads of the file
+// on ws1 then miss its inode sector at once. The first goes to the
+// speculative fill, which reads the sector and the hinted pages in one
+// ReadV, and that read is held on its way to Petal. The fill claims the
+// sector at the fetch gate together with the pages, so the second read
+// joins it and sends no read of the sector. Were the fill's sector
+// outside the gate, the second read would send a read of its own and
+// return while the first was still held.
+func TestHandoffMissesReadOnce(t *testing.T) {
+	r := newEvictRig(t)
+	data := pattern(8<<10, 4)
+	h1, err := r.ws1.OpenFile("/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h1.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := r.ws2.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := pattern(4096, 5)
+	if _, err := h2.WriteAt(rec, 0); err != nil { // revokes ws1's lock: ws1 keeps a hint
+		t.Fatal(err)
+	}
+	copy(data, rec)
+	info, err := r.ws2.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, spec := r.c.Layout(), r.c.Obs().Counter("fs.read.spec.fills#ws1")
+	spec0 := spec.Value()
+	r.hold.mu.Lock()
+	r.hold.sector, r.hold.reads, r.hold.armed = lay.InodeAddr(info.Inum), 0, true
+	r.hold.mu.Unlock()
+	read := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			got := make([]byte, len(data))
+			_, err := h1.ReadAt(got, 0)
+			if err == nil && !bytes.Equal(got, data) {
+				err = errors.New("read the wrong bytes")
+			}
+			done <- err
+		}()
+		return done
+	}
+	first := read()
+	select {
+	case <-r.hold.held:
+	case err := <-first:
+		t.Fatalf("the read sent no read of the inode sector (read: %v)", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the read sent no read of the inode sector")
+	}
+	second := read()
+	var secondErr error
+	select {
+	case secondErr = <-second:
+		r.hold.release()
+	case <-time.After(time.Second):
+		r.hold.release()
+		secondErr = <-second
+	}
+	if secondErr != nil {
+		t.Fatal(secondErr)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	r.hold.mu.Lock()
+	reads := r.hold.reads
+	r.hold.mu.Unlock()
+	if reads != 1 {
+		t.Fatalf("two misses of one inode sector after a handoff sent %d reads of it, want 1", reads)
+	}
+	if n := spec.Value() - spec0; n != 1 {
+		t.Fatalf("%d speculative fills, want the first read's", n)
 	}
 }

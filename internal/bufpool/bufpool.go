@@ -18,9 +18,11 @@ import "sync"
 
 // classes are the pooled buffer capacities, chosen for the repo's
 // traffic: sector/inode metadata (512 B), small control frames (4 KB),
-// one Petal chunk (64 KB), a coalesced flush run (256 KB), and a
-// size-capped scatter-gather batch (1 MB, plus header slack).
-var classes = [...]int{512, 4 << 10, 64 << 10, 256 << 10, (1 << 20) + (64 << 10)}
+// one Petal chunk (64 KB), a chunk and a page of slack (a file server's
+// fill of a chunk's pages with the inode sector read beside them), a
+// coalesced flush run (256 KB), and a size-capped scatter-gather batch
+// (1 MB, plus header slack).
+var classes = [...]int{512, 4 << 10, 64 << 10, (64 << 10) + (4 << 10), 256 << 10, (1 << 20) + (64 << 10)}
 
 var pools [len(classes)]sync.Pool
 

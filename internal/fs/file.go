@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"frangipani/internal/bufpool"
 	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
@@ -111,22 +110,6 @@ func (fs *FS) filePageAddr(in Inode, off int64) (pageAddr, inPage int64, ok bool
 	}
 	base := fs.lay.LargeAddr(in.Large - 1)
 	return base + (inBlock &^ (BlockSize - 1)), inBlock & (BlockSize - 1), true
-}
-
-// inodeHasPage reports whether the page at Petal address addr lies in
-// one of in's blocks.
-func (fs *FS) inodeHasPage(in Inode, addr int64) bool {
-	if in.Large != 0 {
-		if base := fs.lay.LargeAddr(in.Large - 1); addr >= base && addr < base+fs.lay.LargeBlockSize {
-			return true
-		}
-	}
-	for _, s := range in.Small {
-		if s != 0 && fs.lay.SmallAddr(s-1) == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // ensureBlock allocates the block backing offset off. New small
@@ -370,9 +353,9 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 				// Cluster the miss: the rest of this request comes in
 				// with the page (the mirror image of clustered
 				// write-back).
-				var buf [16]block // stack scratch for a 64 KB request; longer ones spill to the heap
+				var buf [chunkPages]block // stack scratch for a 64 KB request; longer ones spill to the heap
 				var own bool
-				pe, own, err = fs.fetch(op, f.ra.via(fs), fs.data, fs.filePages(buf[:0], in, cur-inPage, off+want, lock))
+				pe, own, err = fs.fetch(op, f.ra.via(fs), fs.filePages(buf[:0], in, cur-inPage, off+want, lock), nil)
 				if err != nil {
 					return err
 				}
@@ -399,73 +382,47 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 
 // loadForRead is loadInode for a read of [off, off+n). A miss on the
 // inode sector of a file whose lock a revoke took away from this server
-// — the read after a handoff — goes to specFill.
+// — the read after a handoff — is a speculative fill: the sector comes in
+// with the pages of [off, off+n) that the hint maps, in one claim and one
+// ReadV, and specFill judges the pages by it.
 func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 	addr := fs.lay.InodeAddr(inum)
 	e, ok := fs.meta.Lookup(addr)
 	if !ok {
+		owner := InodeLock(inum)
+		var room [1 + chunkPages]block // stack scratch for the sector and a 64 KB read
+		blocks := append(room[:0], block{addr, owner, fs.meta})
+		var keep func(sector []byte) bool
 		if h, hinted := fs.takeHint(inum); hinted {
-			return fs.specFill(op, inum, h, off, n)
+			blocks = fs.filePages(blocks, h, off&^(BlockSize-1), min(off+n, h.Size), owner)
+			keep = func(sector []byte) bool { return fs.specFill(h, sector) }
 		}
 		var err error
-		if e, _, err = fs.fetch(op, fs.pc, fs.meta, []block{{addr, InodeLock(inum)}}); err != nil {
+		if e, _, err = fs.fetch(op, fs.pc, blocks, keep); err != nil {
 			return Inode{}, err
 		}
 	}
 	return decodeInode(e.Data)
 }
 
-// specFill fetches the inode sector of file inum and, in the same ReadV,
-// the pages of [off, off+n) that h — the block map the inode had when a
-// revoke took the file's lock from this server — maps, those of them
-// that are neither cached nor claimed (claimPages). It returns the inode
-// as read. The caller holds the file's lock and has held it since before
-// the read went out. So if the inode still maps the blocks h does, they
-// have been the file's since the grant: only a holder of the file's lock
-// could have written them, and the last writer flushed before it let go.
-// The pages read are the file's current data and are kept. If the map
-// changed, a block may be another file's now, written under another
-// lock: the pages are dropped, and the read fetches what the inode maps,
-// as any miss does.
-func (fs *FS) specFill(op *obs.Span, inum int64, h Inode, off, n int64) (Inode, error) {
-	owner, addr := InodeLock(inum), fs.lay.InodeAddr(inum)
-	var room [petal.ChunkSize / BlockSize]block // stack scratch for a 64 KB read
-	var theirs [4]chan struct{}
-	pages := fs.filePages(room[:0], h, off&^(BlockSize-1), min(off+n, h.Size), owner)
-	mine, done, _ := fs.claimPages(fs.data, pages, pages[:0], theirs[:0])
-	if len(mine) == 0 {
-		e, _, err := fs.fetch(op, fs.pc, fs.meta, []block{{addr, owner}})
-		if err != nil {
-			return Inode{}, err
-		}
-		return decodeInode(e.Data)
-	}
-	defer fs.unclaim(mine, done)
+// specFill judges the pages of a speculative fill of a file by its inode
+// sector, read with them; h is the block map the inode had when a revoke
+// took the file's lock from this server. The caller holds the file's lock
+// and has held it since before the read went out. So if the inode still
+// maps the blocks h does, they have been the file's since the grant: only
+// a holder of the file's lock could have written them, and the last
+// writer flushed before it let go. The pages read are the file's current
+// data and are kept. If the map changed, a block may be another file's
+// now, written under another lock: the pages are dropped, and the read
+// fetches what the inode maps, as any miss does.
+func (fs *FS) specFill(h Inode, sector []byte) bool {
 	fs.m.specFills.Inc()
-	fs.acct.CacheMiss(op.Ctx().Principal, 1)
-	sp := op.Child("cache", "fill")
-	defer sp.Done()
-	// Pooled scratch: Fill copies into the caches' own blocks.
-	secp, bufp := bufpool.Get(SectorSize), bufpool.Get(len(mine)*BlockSize)
-	defer bufpool.Put(secp)
-	defer bufpool.Put(bufp)
-	var extRoom [5]petal.ReadExtent // the sector and a run or a few
-	exts := pageRuns(append(extRoom[:0], petal.ReadExtent{Off: addr, Dst: *secp}), mine, *bufp, BlockSize)
-	if err := fs.pc.For(sp).ReadV(fs.vd, exts); err != nil {
-		return Inode{}, err
-	}
-	fs.m.bytesRead.Add(int64(len(*bufp)))
-	e, _ := fs.meta.Fill(addr, *secp, owner)
-	in, err := decodeInode(e.Data)
-	if err != nil {
-		return Inode{}, err
-	}
-	if in.Small != h.Small || in.Large != h.Large {
+	in, err := decodeInode(sector)
+	if err == nil && (in.Small != h.Small || in.Large != h.Large) {
 		fs.m.specDropped.Inc()
-		return in, nil
+		return false
 	}
-	fs.fillCache(fs.data, mine, *bufp)
-	return in, nil
+	return err == nil
 }
 
 // keepHint records, as a revoke takes file inum's lock from this server,
@@ -506,7 +463,7 @@ func (fs *FS) takeHint(inum int64) (Inode, bool) {
 func (fs *FS) filePages(buf []block, in Inode, lo, hi int64, owner uint64) []block {
 	for off := lo; off < hi; off += BlockSize {
 		if a, _, ok := fs.filePageAddr(in, off); ok {
-			buf = append(buf, block{a, owner})
+			buf = append(buf, block{a, owner, fs.data})
 		}
 	}
 	return buf
@@ -539,15 +496,15 @@ func (fs *FS) filePages(buf []block, in Inode, lo, hi int64, owner uint64) []blo
 //     itself for a page below the mark, because what was prefetched is
 //     gone (evicted, invalidated by a revoke, or discarded by one).
 //   - Discard: a prefetch runs without the file's lock; if the lock is
-//     gone when its data arrives, the data is dropped (fillPages) and
+//     gone when its data arrives, the data is dropped (FS.fill) and
 //     the reader drains what is still in flight before it asks for the
 //     lock again (§9.4).
 //
-// A prefetch passes the fetch gate every block passes (claimPages): its
-// pages are claimed in fs.inflight before they are fetched, chunk by
-// chunk (the unit wstream hands off), so a reader that catches up with
-// a prefetch waits for the chunk it needs — not for the window, and not
-// by reading the same pages again.
+// A prefetch passes the block gate every block passes (gate.claimFetch):
+// its pages are claimed, one claim a chunk (the unit wstream hands off),
+// before they are fetched, so a reader that catches up with a prefetch
+// waits for the chunk it needs — not for the window, and not by reading
+// the same pages again.
 type stream struct {
 	mu     sync.Mutex
 	idle   sync.Cond // busy fell to 0; L is &mu
@@ -639,12 +596,12 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 	for lo < hi {
 		end := min(lo&^(petal.ChunkSize-1)+petal.ChunkSize, hi)
 		// Stack scratch: a cached stream tops up without allocating.
-		var buf [petal.ChunkSize / BlockSize]block
-		var theirs [4]chan struct{}
+		var buf [chunkPages]block
+		var theirs [4]*claim
 		pages := fs.filePages(buf[:0], in, lo&^(BlockSize-1), end, InodeLock(f.inum))
-		mine, done, _ := fs.claimPages(fs.data, pages, pages[:0], theirs[:0])
+		c, mine, _ := fs.gate.claimFetch(pages, pages[:0], theirs[:0])
 		lo = end
-		if len(mine) == 0 {
+		if c == nil {
 			continue
 		}
 		claimed := slices.Clone(mine) // the fetch outlives this call and buf
@@ -652,7 +609,7 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fillPages(fs.overlapped, fs.data, claimed, done, false)
+			_, _ = fs.fill(fs.overlapped, c, claimed, false, nil)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -677,8 +634,8 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 //     starts a flush: a write anywhere else restarts the stream there
 //     and hands off nothing, so random overwrites and files that end
 //     before their first chunk boundary cost no flush and no goroutine.
-//   - Join: a flight claims its pages in fs.flights before the write that
-//     started it returns, and they stay dirty until it lands. Everyone
+//   - Join: a flight claims its pages at the block gate before the write
+//     that started it returns, and they stay dirty until it lands. Everyone
 //     else who wants them in Petal — fsync on any handle, the sync
 //     demon, eviction — waits for the flight instead of sending them
 //     again, and a truncate or remove waits before it frees their blocks.

@@ -196,21 +196,9 @@ type server struct {
 	closed    bool
 	logSlot   int
 
-	// inflight maps each block, metadata sector or data page, some fetch
-	// is bringing in from Petal to the channel that fetch closes when it
-	// is over (single flight). Like flights, one table serves both pools.
-	fetchMu  sync.Mutex
-	inflight map[int64]chan struct{}
-
-	// flights maps each block some write-back is carrying to Petal to
-	// that write-back (single flight, the write side of inflight); behind
-	// counts the write-behind flights among them. One table serves both
-	// pools: a sector and a page never
-	// share an address, since Layout.MetaSmallBoundary keeps directory
-	// blocks apart from file blocks.
-	flushMu sync.Mutex
-	flights map[int64]*flight
-	behind  int
+	// gate holds the claim of every block some fetch is bringing in from
+	// Petal or some flight is carrying to it, of both pools.
+	gate gate
 
 	flushInFlight int64 // current write-back dispatches (guarded by mu)
 
@@ -220,7 +208,7 @@ type server struct {
 
 	// hints holds, for files whose inode lock a revoke took away, the
 	// block map (Small, Large, Size) the inode had then: where the next
-	// read of the file will probably find its pages (File.specFill).
+	// read of the file will probably find its pages (loadForRead).
 	// Guarded by mu; at most metaCacheCap of them.
 	hints map[int64]Inode
 
@@ -306,8 +294,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		segFull:    make(map[segKey]bool),
 		atimes:     make(map[int64]int64),
 		hints:      make(map[int64]Inode),
-		inflight:   make(map[int64]chan struct{}),
-		flights:    make(map[int64]*flight),
+		gate:       gate{claims: make(map[int64]*claim)},
 	}}
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
@@ -582,13 +569,8 @@ func (d *directDev) WriteAt(p []byte, off int64) error {
 
 // ---- cached block I/O ----
 
-// block is what the fetch gate is asked for: a metadata sector or a
-// data page, by address, and the lock that covers it. The block is
-// cached under that lock, and a revoke of the lock invalidates it.
-type block struct {
-	addr  int64
-	owner uint64
-}
+// chunkPages is how many data pages a Petal chunk holds.
+const chunkPages = petal.ChunkSize / BlockSize
 
 // read returns the cached block of pool at addr, fetching it from Petal
 // on a miss. The caller holds owner, the covering lock.
@@ -596,105 +578,86 @@ func (fs *FS) read(op *obs.Span, pool *cache.Pool, addr int64, owner uint64) (*c
 	if e, ok := pool.Lookup(addr); ok {
 		return e, nil
 	}
-	e, _, err := fs.fetch(op, fs.pc, pool, []block{{addr, owner}})
+	e, _, err := fs.fetch(op, fs.pc, []block{{addr, owner, pool}}, nil)
 	return e, err
 }
 
-// warm brings into pool with one fetch every block of blocks that is
-// neither cached nor on its way, and waits for those on their way, so a
-// scan that collects its addresses up front costs one Petal round trip,
+// warm brings into their pools with one fetch every block of blocks that
+// is neither cached nor on its way, and waits for those on their way, so
+// a scan that collects its addresses up front costs one Petal round trip,
 // not one per block. The caller holds the blocks' locks.
-func (fs *FS) warm(op *obs.Span, pool *cache.Pool, blocks []block) error {
+func (fs *FS) warm(op *obs.Span, blocks []block) error {
 	if len(blocks) == 0 {
 		return nil
 	}
-	_, _, err := fs.fetch(op, fs.pc, pool, blocks)
+	_, _, err := fs.fetch(op, fs.pc, blocks, nil)
 	return err
 }
 
-// fetch returns the block of pool at blocks[0] for a caller that holds
-// the locks of blocks and needs the block now. Whichever blocks are
-// neither cached nor on their way come in with it in one Petal read;
-// blocks another fetch (a prefetch, or another operation's miss) has in
-// flight are waited for, not read a second time. A data fetch counts
-// itself in fs.read.fills and its waits in fs.readahead.joins: a stream
-// that is far enough ahead never joins. own reports that this call
+// fetch returns the block at blocks[0] for a caller that holds the locks
+// of blocks and needs the block now. Whichever blocks are neither cached
+// nor on their way come in with it in one Petal read, whatever their
+// pools; blocks another fetch (a prefetch, or another operation's miss)
+// has in flight are waited for, not read a second time. A data fetch
+// counts itself in fs.read.fills and its waits in fs.readahead.joins: a
+// stream that is far enough ahead never joins. own reports that this call
 // itself went to Petal for blocks[0]; each time it does, op's principal
-// is charged the miss. It reads through via: fs.pc, or fs.overlapped
-// for a read beside its stream's prefetches.
-func (fs *FS) fetch(op *obs.Span, via *petal.Client, pool *cache.Pool, blocks []block) (e *cache.Entry, own bool, err error) {
-	data := pool == fs.data
-	// Stack scratch for a 64 KB request; longer ones spill to the heap.
-	var mineRoom [petal.ChunkSize / BlockSize]block
-	var theirsRoom [4]chan struct{}
+// is charged the miss. It reads through via: fs.pc, or fs.overlapped for
+// a read beside its stream's prefetches. keep, if not nil, judges the
+// blocks after the first by the first as read with them (see fill); when
+// this call would read some of them but not blocks[0], there is nothing to
+// judge them by, and it fetches blocks[0] alone.
+func (fs *FS) fetch(op *obs.Span, via *petal.Client, blocks []block, keep func(first []byte) bool) (e *cache.Entry, own bool, err error) {
+	data := blocks[0].pool == fs.data
+	// Stack scratch for a 64 KB request and an inode sector; longer ones
+	// spill to the heap.
+	var mineRoom [1 + chunkPages]block
+	var theirsRoom [4]*claim
 	for {
-		mine, done, theirs := fs.claimPages(pool, blocks, mineRoom[:0], theirsRoom[:0])
-		if len(mine) > 0 {
+		c, mine, theirs := fs.gate.claimFetch(blocks, mineRoom[:0], theirsRoom[:0])
+		if keep != nil && c != nil && mine[0] != blocks[0] {
+			fs.gate.release(c, mine, nil)
+			blocks, keep = blocks[:1], nil
+			continue
+		}
+		if c != nil {
 			if data {
 				fs.m.fills.Inc()
 			}
 			fs.acct.CacheMiss(op.Ctx().Principal, 1)
 			sp := op.Child("cache", "fill")
-			e, err = fs.fillPages(via.For(sp), pool, mine, done, true)
+			e, err = fs.fill(via.For(sp), c, mine, true, keep)
 			sp.Done()
 		}
 		if len(theirs) > 0 && data {
 			fs.m.raJoins.Inc()
 		}
-		for _, ch := range theirs {
-			<-ch
+		for _, other := range theirs {
+			_ = other.wait()
 		}
 		if err != nil {
 			return nil, false, err
 		}
-		if len(mine) > 0 && mine[0].addr == blocks[0].addr {
+		if c != nil && mine[0] == blocks[0] {
 			return e, true, nil
 		}
-		if e, ok := pool.Peek(blocks[0].addr); ok {
+		if e, ok := blocks[0].pool.Peek(blocks[0].addr); ok {
 			return e, false, nil
 		}
 		// The fetch we joined failed, or was discarded at its validity
-		// gate: fetch the block ourselves.
+		// gate, or the flight we waited for carried a block invalidated
+		// since: fetch the block ourselves.
 	}
 }
 
-// claimPages is the single-flight gate every fetch passes, of a data
-// page or a metadata sector alike. Of blocks it claims, in fs.inflight,
-// those that are neither cached in pool nor already claimed (appended
-// to mine, released by fillPages, which closes done), and appends to
-// theirs the channels of the fetches that hold the others. mine may be
-// blocks[:0]: the claimed blocks are filtered in place. The cache is
-// consulted under fetchMu and fillPages inserts before it releases, so
-// a block is never seen as neither cached nor in flight while a fetch
-// of it is landing.
-func (fs *FS) claimPages(pool *cache.Pool, blocks, mine []block, theirs []chan struct{}) ([]block, chan struct{}, []chan struct{}) {
-	var done chan struct{}
-	fs.fetchMu.Lock()
-	defer fs.fetchMu.Unlock()
-	for _, b := range blocks {
-		if ch, busy := fs.inflight[b.addr]; busy {
-			if len(theirs) == 0 || theirs[len(theirs)-1] != ch {
-				theirs = append(theirs, ch)
-			}
-			continue
-		}
-		if _, hit := pool.Peek(b.addr); hit {
-			continue
-		}
-		if done == nil {
-			done = make(chan struct{})
-		}
-		fs.inflight[b.addr] = done
-		mine = append(mine, b)
-	}
-	return mine, done, theirs
-}
-
-// fillPages reads the claimed blocks of pool through pc with one
-// scatter-gather Petal read (one extent per contiguous run, which the
-// Petal driver splits by chunk and fans out over servers and disks),
-// inserts each under its owner, and releases the claims. It returns the
-// entry of mine[0].
+// fill reads the blocks mine, claimed by c, through pc with one
+// scatter-gather Petal read (one extent per run of contiguous blocks of a
+// pool, which the Petal driver splits by chunk and fans out over servers
+// and disks), enters each into its pool under its owner, and releases c.
+// It returns the entry of mine[0]. keep, if not nil, is shown the bytes
+// of mine[0] as cached before the others are entered, and says whether
+// they are: a speculative fill (loadForRead) judges its pages by the
+// inode sector read with them.
 //
 // A foreground caller holds the owners (locked) and passes the view of
 // its operation. A prefetch has neither: it runs for no operation,
@@ -705,20 +668,24 @@ func (fs *FS) claimPages(pool *cache.Pool, blocks, mine []block, theirs []chan s
 // (§9.4), so no stale page ever enters the cache. A prefetch is one
 // chunk: fs.readahead.hits counts the chunks that landed,
 // fs.readahead.wasted the bytes of those that did not.
-func (fs *FS) fillPages(pc *petal.Client, pool *cache.Pool, mine []block, done chan struct{}, locked bool) (first *cache.Entry, err error) {
-	defer fs.unclaim(mine, done)
-	bs := pool.BlockSize()
-	// Pooled scratch: Fill copies into the cache's own block.
-	bufp := bufpool.Get(len(mine) * bs)
+func (fs *FS) fill(pc *petal.Client, c *claim, mine []block, locked bool, keep func(first []byte) bool) (first *cache.Entry, err error) {
+	defer func() { fs.gate.release(c, mine, err) }()
+	n, pages := 0, 0
+	for _, b := range mine {
+		n += b.pool.BlockSize()
+		if b.pool == fs.data {
+			pages++
+		}
+	}
+	// Pooled scratch: Fill copies into the caches' own blocks.
+	bufp := bufpool.Get(n)
 	defer bufpool.Put(bufp)
 	buf := *bufp
-	var extRoom [4]petal.ReadExtent // stack scratch: a fill is a run or a few
-	if err := pc.ReadV(fs.vd, pageRuns(extRoom[:0], mine, buf, bs)); err != nil {
+	var extRoom [5]petal.ReadExtent // stack scratch: a fill is a run or a few
+	if err := pc.ReadV(fs.vd, blockRuns(extRoom[:0], mine, buf)); err != nil {
 		return nil, err
 	}
-	if pool == fs.data {
-		fs.m.bytesRead.Add(int64(len(buf)))
-	}
+	fs.m.bytesRead.Add(int64(pages * BlockSize))
 	if !locked {
 		owner := mine[0].owner
 		if !fs.clerk.TryLock(owner, lockservice.Shared) {
@@ -728,47 +695,37 @@ func (fs *FS) fillPages(pc *petal.Client, pool *cache.Pool, mine []block, done c
 		defer fs.clerk.Unlock(owner)
 		fs.m.raHits.Inc()
 	}
-	return fs.fillCache(pool, mine, buf), nil
-}
-
-// pageRuns appends to exts one extent per run of contiguous blocks of
-// mine, bs bytes each, each reading into its share of buf, which holds
-// a block for each.
-func pageRuns(exts []petal.ReadExtent, mine []block, buf []byte, bs int) []petal.ReadExtent {
-	for i := 0; i < len(mine); {
-		j := i + 1
-		for j < len(mine) && mine[j].addr == mine[j-1].addr+int64(bs) {
-			j++
-		}
-		exts = append(exts, petal.ReadExtent{Off: mine[i].addr, Dst: buf[i*bs : j*bs]})
-		i = j
-	}
-	return exts
-}
-
-// fillCache enters the blocks mine of pool, read into buf, each under
-// its owner, and returns the entry of mine[0]. A writer may have raced
-// a block in: Fill keeps theirs.
-func (fs *FS) fillCache(pool *cache.Pool, mine []block, buf []byte) (first *cache.Entry) {
-	bs := pool.BlockSize()
+	// A writer may have raced a block in: Fill keeps theirs.
 	for i, b := range mine {
-		e, _ := pool.Fill(b.addr, buf[i*bs:(i+1)*bs], b.owner)
+		if i == 1 && keep != nil && !keep(first.Data) {
+			break
+		}
+		bs := b.pool.BlockSize()
+		e, _ := b.pool.Fill(b.addr, buf[:bs], b.owner)
+		buf = buf[bs:]
 		if i == 0 {
 			first = e
 		}
 	}
-	return first
+	return first, nil
 }
 
-// unclaim ends a fetch's claims: its blocks leave fs.inflight, and
-// whoever waits for them wakes up.
-func (fs *FS) unclaim(mine []block, done chan struct{}) {
-	fs.fetchMu.Lock()
-	for _, b := range mine {
-		delete(fs.inflight, b.addr)
+// blockRuns appends to exts one extent per run of blocks of mine that are
+// contiguous in one pool, each reading into its share of buf, which holds
+// the blocks one after another.
+func blockRuns(exts []petal.ReadExtent, mine []block, buf []byte) []petal.ReadExtent {
+	for i := 0; i < len(mine); {
+		bs := mine[i].pool.BlockSize()
+		j := i + 1
+		for j < len(mine) && mine[j].pool == mine[i].pool && mine[j].addr == mine[j-1].addr+int64(bs) {
+			j++
+		}
+		n := (j - i) * bs
+		exts = append(exts, petal.ReadExtent{Off: mine[i].addr, Dst: buf[:n]})
+		buf = buf[n:]
+		i = j
 	}
-	fs.fetchMu.Unlock()
-	close(done)
+	return exts
 }
 
 // ensureLogFlushed enforces write-ahead order: before a block dirtied
@@ -1026,66 +983,6 @@ func (fs *FS) flushPools(op *obs.Span, meta, data []*cache.Entry) error {
 	})
 }
 
-// flight is one write-back of one pool's blocks on its way to Petal: one
-// allocation, its blocks in its own room while they are no more than a
-// chunk's pages. The blocks stay claimed in fs.flights, and dirty, until
-// land ends it; err is set before that.
-type flight struct {
-	landed sync.WaitGroup // done once it has landed
-	err    error
-	blocks []*cache.Entry
-	room   [petal.ChunkSize / BlockSize]*cache.Entry
-}
-
-// claimDirty is the single-flight gate every write-back passes, the
-// write side of claimPages. Of es, blocks of pool (which it consumes),
-// it claims, in fs.flights, the ones that are dirty and in no flight,
-// for a new flight (fl, nil if none; released by land), and returns the
-// others that some flight carries (joined, filtered in place in es) with
-// those flights (appended to theirs). Dirtiness is read after the claim
-// table, under both locks: a flight marks its blocks clean before it
-// lets go of them, so a block is never seen as neither claimed nor clean
-// while a write of it is landing, and a block that is claimed stays
-// dirty, and so visible to whoever must wait for it, until it has landed.
-func (fs *FS) claimDirty(pool *cache.Pool, es []*cache.Entry, theirs []*flight) (fl *flight, _ []*flight, joined []*cache.Entry) {
-	joined = es[:0]
-	fs.flushMu.Lock()
-	defer fs.flushMu.Unlock()
-	pool.Mutate(func() {
-		for _, e := range es {
-			if other, busy := fs.flights[e.Addr]; busy {
-				if !slices.Contains(theirs, other) {
-					theirs = append(theirs, other)
-				}
-				joined = append(joined, e)
-				continue
-			}
-			if !e.Dirty {
-				continue
-			}
-			if fl == nil {
-				fl = new(flight)
-				fl.landed.Add(1)
-				fl.blocks = fl.room[:0]
-			}
-			fs.flights[e.Addr] = fl
-			fl.blocks = append(fl.blocks, e)
-		}
-	})
-	return fl, theirs, joined
-}
-
-// land ends a flight: its claims go and whoever joined it wakes up.
-func (fs *FS) land(fl *flight, err error) {
-	fs.flushMu.Lock()
-	for _, e := range fl.blocks {
-		delete(fs.flights, e.Addr)
-	}
-	fs.flushMu.Unlock()
-	fl.err = err
-	fl.landed.Done()
-}
-
 // flush writes back what the blocks es of pool held when it was called,
 // or something newer: it sends the dirty ones that no flight is carrying
 // (snapshots taken now) and joins the flights that carry the rest, so a
@@ -1099,18 +996,17 @@ func (fs *FS) land(fl *flight, err error) {
 // flush. It returns the first error of its own writes and of the flights
 // it joined; failed blocks stay dirty.
 func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
-	var theirsRoom [4]*flight // stack scratch: the flights a pass joins are few
+	var theirsRoom [4]*claim // stack scratch: the flights a pass joins are few
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
-		fl, theirs, joined := fs.claimDirty(pool, es, theirsRoom[:0])
+		fl, theirs, joined, _ := fs.gate.claimFlight(pool, es, theirsRoom[:0], 0)
 		var err error
 		if fl != nil {
-			err = fs.flushRuns(op, pool, fl.blocks)
-			fs.land(fl, err)
+			err = fs.flushRuns(op, pool, fl.entries)
+			fs.gate.release(fl, nil, err)
 		}
 		for _, other := range theirs {
-			other.landed.Wait()
-			if err == nil {
-				err = other.err
+			if werr := other.wait(); err == nil {
+				err = werr
 			}
 		}
 		if err != nil {
@@ -1133,50 +1029,30 @@ func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
 // as it sends any write: the primary forwards the first while the second
 // is still arriving.
 func (fs *FS) flushBehind(es []*cache.Entry) bool {
-	fs.flushMu.Lock()
-	if fs.behind >= max(fs.cfg.FlushParallelism, 1) {
-		fs.flushMu.Unlock()
-		return false
+	fl, _, _, ok := fs.gate.claimFlight(fs.data, es, nil, max(fs.cfg.FlushParallelism, 1))
+	if fl != nil {
+		go func() { fs.gate.release(fl, nil, fs.flushRuns(nil, fs.data, fl.entries)) }()
 	}
-	fs.behind++
-	fs.flushMu.Unlock()
-	if fl, _, _ := fs.claimDirty(fs.data, es, nil); fl != nil {
-		go fs.flyBehind(fl)
-	} else {
-		fs.behindLanded()
-	}
-	return true
-}
-
-// flyBehind carries a write-behind flight to Petal. The flight stops
-// counting as out before it lands, so whoever joined it finds it gone.
-func (fs *FS) flyBehind(fl *flight) {
-	err := fs.flushRuns(nil, fs.data, fl.blocks)
-	fs.behindLanded()
-	fs.land(fl, err)
-}
-
-func (fs *FS) behindLanded() {
-	fs.flushMu.Lock()
-	fs.behind--
-	fs.flushMu.Unlock()
+	return ok
 }
 
 // awaitFlights waits until no flight carries a page of in's blocks: a
 // block may go back to the allocator, or be decommitted, only when
 // nothing is still on its way to it.
 func (fs *FS) awaitFlights(in Inode) {
-	var wait []*flight
-	fs.flushMu.Lock()
-	for addr, fl := range fs.flights {
-		if fs.inodeHasPage(in, addr) && !slices.Contains(wait, fl) {
-			wait = append(wait, fl)
+	fs.gate.awaitFlights(func(addr int64) bool {
+		if in.Large != 0 {
+			if base := fs.lay.LargeAddr(in.Large - 1); addr >= base && addr < base+fs.lay.LargeBlockSize {
+				return true
+			}
 		}
-	}
-	fs.flushMu.Unlock()
-	for _, fl := range wait {
-		fl.landed.Wait()
-	}
+		for _, s := range in.Small {
+			if s != 0 && fs.lay.SmallAddr(s-1) == addr {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // flushRun is one coalesced write-back unit: contiguous dirty blocks
@@ -1289,7 +1165,7 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 	}
 }
 
-// flushRuns is the body of a flight (flush, flyBehind): it writes back
+// flushRuns is the body of a flight (flush, flushBehind): it writes back
 // the flight's claimed entries of one pool, log-first: coalesced runs
 // are packed into scatter-gather batches and dispatched through the
 // flush workers, so one cache-sync round trip carries many runs and,

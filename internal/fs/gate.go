@@ -1,0 +1,186 @@
+package fs
+
+import (
+	"sync"
+
+	"frangipani/internal/cache"
+)
+
+// block is what the gate is asked to fetch: a metadata sector or a data
+// page, by address, with the pool it is cached in and the lock that
+// covers it. The block is cached under that lock, and a revoke of the
+// lock invalidates it.
+type block struct {
+	addr  int64
+	owner uint64
+	pool  *cache.Pool
+}
+
+// claim is one fetch of blocks from Petal or one flight of blocks to it
+// (a write-back), from the gate's grant to its release: one allocation,
+// with room for a flight of a chunk's pages.
+type claim struct {
+	flight bool           // a write-back, not a fetch
+	behind bool           // a write-behind flight, counted in gate.behind
+	done   sync.WaitGroup // the latch: done once the claim has ended
+	err    error          // how it ended; set before done
+	// entries are a flight's blocks, which stay dirty until it has ended.
+	entries []*cache.Entry
+	room    [chunkPages]*cache.Entry
+}
+
+func newClaim(flight bool) *claim {
+	c := &claim{flight: flight}
+	c.entries = c.room[:0]
+	c.done.Add(1)
+	return c
+}
+
+// wait blocks until c has ended and returns its error.
+func (c *claim) wait() error {
+	c.done.Wait()
+	return c.err
+}
+
+// gate is the single-flight gate every block of both pools passes, on its
+// way in from Petal (a fetch) and out to it (a flight): one table, keyed
+// by address, of the claim each block is under. A sector and a page never
+// share an address, since Layout.MetaSmallBoundary keeps directory blocks
+// apart from file blocks. When two claims meet on a block:
+//
+//   - Fetch meets fetch: the second joins the first.
+//   - Fetch meets flight: a flight claims only a resident dirty block,
+//     and the block stays resident until the flight has ended (a pool
+//     keeps its dirty victims until they are written), so it counts as
+//     cached and the fetch does not wait. If it was invalidated since —
+//     destroyInode and Truncate invalidate before they await the
+//     flights — the fetch waits for the flight, then fetches: a fetch
+//     never goes out beside a write of the same block.
+//   - Flight meets flight: the second joins the first.
+//   - Flight meets fetch: the flight takes the entry over. A whole-page
+//     write can dirty a page that a prefetch, which runs without the
+//     lock, still has claimed; the fetch's Fill keeps the written page,
+//     and its release leaves the flight's entry alone.
+//
+// The gate has no clock and does no I/O: FS makes the Petal calls.
+type gate struct {
+	mu     sync.Mutex
+	claims map[int64]*claim
+	behind int // write-behind flights out
+}
+
+// claimFetch claims, for one fetch, the blocks of blocks that are neither
+// cached nor claimed, appended to mine (which may be blocks[:0]: they are
+// filtered in place), and appends to theirs, once each, the claims that
+// hold the others and must be waited for. c is nil if it claimed nothing.
+// The cache is consulted under the gate's lock, and a fetch enters its
+// blocks before it releases them, so a block is never seen as neither
+// cached nor claimed while a fetch of it is landing.
+func (g *gate) claimFetch(blocks, mine []block, theirs []*claim) (c *claim, _ []block, _ []*claim) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, b := range blocks {
+		other, busy := g.claims[b.addr]
+		_, hit := b.pool.Peek(b.addr)
+		switch {
+		case busy && (!other.flight || !hit):
+			theirs = joinOnce(theirs, other)
+		case !busy && !hit:
+			if c == nil {
+				c = newClaim(false)
+			}
+			g.claims[b.addr] = c
+			mine = append(mine, b)
+		}
+	}
+	return c, mine, theirs
+}
+
+// claimFlight claims, for one flight, those of es, blocks of pool (which
+// it consumes), that are dirty and in no flight, and returns the others
+// that some flight carries (joined, filtered in place in es) with those
+// flights (appended to theirs, once each). fl is nil if it claimed
+// nothing. Dirtiness is read under the gate's lock: a flight marks its
+// blocks clean before it is released, so a block is never seen as
+// neither claimed nor clean while a write of it is landing, and a block
+// that is claimed stays dirty, and so visible to whoever must wait for
+// it, until it has landed. With limit > 0 the flight is a write-behind
+// flight, which counts as out until it is released, and while limit of
+// them are out nothing is claimed (ok false).
+func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim, limit int) (fl *claim, _ []*claim, joined []*cache.Entry, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	joined = es[:0]
+	if limit > 0 && g.behind >= limit {
+		return nil, theirs, joined, false
+	}
+	pool.Mutate(func() {
+		for _, e := range es {
+			if other, busy := g.claims[e.Addr]; busy && other.flight {
+				theirs = joinOnce(theirs, other)
+				joined = append(joined, e)
+			} else if e.Dirty {
+				if fl == nil {
+					fl = newClaim(true)
+				}
+				g.claims[e.Addr] = fl
+				fl.entries = append(fl.entries, e)
+			}
+		}
+	})
+	if fl != nil && limit > 0 {
+		fl.behind = true
+		g.behind++
+	}
+	return fl, theirs, joined, true
+}
+
+// release ends c, the claim of a fetch of mine or of a flight of its
+// entries: each of those blocks whose entry is still c leaves the table
+// (a flight may have taken a fetch's over), c takes err, and whoever
+// waits for c wakes up.
+func (g *gate) release(c *claim, mine []block, err error) {
+	g.mu.Lock()
+	for _, b := range mine {
+		if g.claims[b.addr] == c {
+			delete(g.claims, b.addr)
+		}
+	}
+	for _, e := range c.entries {
+		if g.claims[e.Addr] == c {
+			delete(g.claims, e.Addr)
+		}
+	}
+	if c.behind {
+		g.behind--
+	}
+	g.mu.Unlock()
+	c.err = err
+	c.done.Done()
+}
+
+// awaitFlights waits until every flight that carries a block at an
+// address carries reports, of those out when it is called, has landed.
+func (g *gate) awaitFlights(carries func(addr int64) bool) {
+	var wait []*claim
+	g.mu.Lock()
+	for addr, c := range g.claims {
+		if c.flight && carries(addr) {
+			wait = joinOnce(wait, c)
+		}
+	}
+	g.mu.Unlock()
+	for _, c := range wait {
+		c.done.Wait()
+	}
+}
+
+// joinOnce appends c to cs unless it is there already.
+func joinOnce(cs []*claim, c *claim) []*claim {
+	for _, have := range cs {
+		if have == c {
+			return cs
+		}
+	}
+	return append(cs, c)
+}

@@ -332,9 +332,9 @@ func (fs *FS) dirEntries(op *obs.Span, dirInum int64, in Inode) ([]DirEntry, err
 		if !ok {
 			return nil, ErrBadDir
 		}
-		sectors = append(sectors, block{addr, lockID})
+		sectors = append(sectors, block{addr, lockID, fs.meta})
 	}
-	if err := fs.warm(op, fs.meta, sectors); err != nil {
+	if err := fs.warm(op, sectors); err != nil {
 		return nil, err
 	}
 	var out []DirEntry
@@ -565,9 +565,9 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			}
 			inodes := make([]block, len(ents))
 			for i, ent := range ents {
-				inodes[i] = block{fs.lay.InodeAddr(ent.Inum), InodeLock(ent.Inum)}
+				inodes[i] = block{fs.lay.InodeAddr(ent.Inum), InodeLock(ent.Inum), fs.meta}
 			}
-			if err := fs.warm(op, fs.meta, inodes); err != nil {
+			if err := fs.warm(op, inodes); err != nil {
 				return err
 			}
 			infos = infos[:0]

@@ -102,11 +102,8 @@ func TestReadAheadSingleFlight(t *testing.T) {
 	if window := int64(64 * BlockSize); got < size || got > size+window {
 		t.Fatalf("cold sequential read of %d bytes fetched %d from Petal", size, got)
 	}
-	reader.fetchMu.Lock()
-	claims := len(reader.inflight)
-	reader.fetchMu.Unlock()
-	if claims != 0 {
-		t.Fatalf("%d page claims left behind", claims)
+	if fetches, _, _ := reader.gate.snapshot(nil); fetches != 0 {
+		t.Fatalf("%d page claims left behind", fetches)
 	}
 }
 
@@ -183,13 +180,13 @@ func TestReadAheadWindowRamp(t *testing.T) {
 
 // claimsByChunk groups the server's page claims by the Petal chunk the
 // page lies in.
-func claimsByChunk(fs *FS) map[int64][]chan struct{} {
-	fs.fetchMu.Lock()
-	defer fs.fetchMu.Unlock()
-	out := map[int64][]chan struct{}{}
-	for addr, ch := range fs.inflight {
-		out[addr/petal.ChunkSize] = append(out[addr/petal.ChunkSize], ch)
-	}
+func claimsByChunk(fs *FS) map[int64][]*claim {
+	out := map[int64][]*claim{}
+	fs.gate.snapshot(func(addr int64, c *claim) {
+		if !c.flight {
+			out[addr/petal.ChunkSize] = append(out[addr/petal.ChunkSize], c)
+		}
+	})
 	return out
 }
 
@@ -222,7 +219,7 @@ func TestReadAheadLandsByChunk(t *testing.T) {
 		t.Fatalf("%d fetches in flight up to %d, want 4 up to %d", busy, ahead, raRec+4*petal.ChunkSize)
 	}
 	claims := claimsByChunk(reader)
-	seen := map[chan struct{}]bool{}
+	seen := map[*claim]bool{}
 	for chunk, chs := range claims {
 		if len(chs) != petal.ChunkSize/BlockSize {
 			t.Errorf("chunk %d: %d pages claimed, want all %d", chunk, len(chs), petal.ChunkSize/BlockSize)
@@ -412,10 +409,8 @@ func TestNoPerInodeReadStateLeft(t *testing.T) {
 	f.mu.Lock()
 	atimes := len(f.atimes)
 	f.mu.Unlock()
-	f.fetchMu.Lock()
-	claims := len(f.inflight)
-	f.fetchMu.Unlock()
-	if atimes != 0 || claims != 0 {
-		t.Fatalf("after 1000 create/read/remove: %d pending atimes, %d page claims", atimes, claims)
+	fetches, _, _ := f.gate.snapshot(nil)
+	if atimes != 0 || fetches != 0 {
+		t.Fatalf("after 1000 create/read/remove: %d pending atimes, %d page claims", atimes, fetches)
 	}
 }

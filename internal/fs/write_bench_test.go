@@ -171,13 +171,13 @@ func TestStreamWriteAtAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// inFlight returns the write-behind flight under way, if any.
-	inFlight := func() *flight {
-		f.flushMu.Lock()
-		defer f.flushMu.Unlock()
-		for _, fl := range f.flights {
-			return fl
-		}
-		return nil
+	inFlight := func() (fl *claim) {
+		f.gate.snapshot(func(_ int64, c *claim) {
+			if c.flight {
+				fl = c
+			}
+		})
+		return fl
 	}
 	buf := make([]byte, rec)
 	off, batches := int64(0), f.m.flushBatches.Value()
@@ -189,7 +189,7 @@ func TestStreamWriteAtAllocs(t *testing.T) {
 			}
 			off += rec
 			if fl := inFlight(); fl != nil {
-				fl.landed.Wait()
+				_ = fl.wait()
 			}
 		})
 		if least < 0 || n < least {

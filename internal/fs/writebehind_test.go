@@ -47,12 +47,11 @@ func streamFile(t *testing.T, f *FS, path string, size int) *File {
 	return h
 }
 
-// flightState snapshots the claim table: pages claimed and write-behind
-// flights out.
+// flightState snapshots the gate: pages claimed by flights and
+// write-behind flights out.
 func flightState(f *FS) (pages, behind int) {
-	f.flushMu.Lock()
-	defer f.flushMu.Unlock()
-	return len(f.flights), f.behind
+	_, pages, behind = f.gate.snapshot(nil)
+	return pages, behind
 }
 
 // fsckClean syncs every live server and checks the disk.

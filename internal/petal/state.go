@@ -130,10 +130,12 @@ func (g *GlobalState) Apply(cmd Command) error {
 	return nil
 }
 
-// Replicas returns the two servers holding a chunk, by rendezvous of
-// a fixed hash over the fixed server list. Placement is independent
-// of liveness so that it never silently changes under failures; the
-// missed-write sets handle divergence instead.
+// Replicas returns the two servers holding a chunk: the primary is the
+// server an FNV hash of the (base) virtual disk and chunk picks, mod the
+// size of the fixed server list, and the backup is the next server in
+// the list. Placement is independent of liveness so that it never
+// silently changes under failures; the missed-write sets handle
+// divergence instead.
 func (g *GlobalState) Replicas(v VDiskID, chunk int64) (primary, backup string) {
 	n := len(g.Servers)
 	if n == 0 {

@@ -105,30 +105,3 @@ func (m MAB) Run(f FS, clock *sim.Clock, root string) ([5]sim.Duration, error) {
 	phases[4] = sim.Duration(clock.Now() - start)
 	return phases, nil
 }
-
-// Cleanup removes the benchmark tree.
-func (m MAB) Cleanup(f FS, root string) error {
-	return removeTree(f, root)
-}
-
-func removeTree(f FS, root string) error {
-	names, err := f.ReadDirNames(root)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		p := root + "/" + name
-		_, isDir, err := f.Stat(p)
-		if err != nil {
-			return err
-		}
-		if isDir {
-			if err := removeTree(f, p); err != nil {
-				return err
-			}
-		} else if err := f.Remove(p); err != nil {
-			return err
-		}
-	}
-	return f.Rmdir(root)
-}
