@@ -37,11 +37,13 @@ race:
 ## flight, a create, remove, mkdir, rmdir and rename, a path split, a log
 ## append with its flush (internal/wal), a cache insert (one object), the
 ## waits, Petal's routing (a round of the planner in plan.go:
-## nothing, TestTargetsAllocationFree) and fan-out, a replicated 64 KB WriteV (a
+## nothing, TestTargetsAllocationFree) and a fan-out on parked workers
+## (nothing), a replicated 64 KB WriteV (a
 ## write-behind flight: two parts, nothing) and a ReadV round trip (client
-## and servers), halved and lone, a 16 KB WriteV someone waits for, in two
+## and servers: one object a reply), halved and lone, a 16 KB WriteV someone waits for, in two
 ## parts (partedWriteVAllocs: nothing), an RPC's time-out, a network Send of
 ## a boxed payload (nothing), a sticky lock's Lock/TryLock and Unlock, a
+## lock handoff on a bare world (a bound: one object a message, four), a
 ## lease check, a flight-recorder record (an event or a finished span:
 ## nothing, into a slot of <= 128 B), a span's Start/Child/Done (nothing:
 ## spans are pooled) — once

@@ -106,7 +106,8 @@ var exported = map[string]string{
 	"rpc.Endpoint.Close":           "internal/lockservice/server.go, benchmark/drives.go",
 	"rpc.Endpoint.Go":              "internal/petal/client.go",
 	"rpc.NewEndpoint":              "internal/lockservice/server.go, benchmark/drives.go",
-	"rpc.NewRecvBuf":               "internal/petal/server.go, internal/rpc/tcp.go",
+	"rpc.NewRecvBuf":               "internal/rpc/tcp.go",
+	"rpc.RecvBuf.Hold":             "internal/petal/server.go",
 	"rpc.NewTCPCarrier":            "benchmark/drives.go",
 	"rpc.Pending.Wait":             "internal/petal/client.go",
 	"rpc.RecvBuf.Release":          "internal/petal/wirecodec.go",
@@ -219,7 +220,7 @@ var exported = map[string]string{
 	"cache.Pool.Lookup":            "internal/fs/file.go, benchmark/drives.go",
 	"cache.Pool.MarkCleanIfBatch":  "internal/fs/fs.go",
 	"cache.Pool.MarkDirty":         "internal/fs/file.go",
-	"cache.Pool.MaxSeq":            "internal/fs/file.go",
+	"cache.Pool.MaxSeq":            "internal/fs/fs.go",
 	"cache.Pool.Mutate":            "internal/fs/file.go",
 	"cache.Pool.Peek":              "internal/fs/file.go",
 	"cache.Pool.SetFlusher":        "internal/fs/fs.go",
@@ -227,7 +228,6 @@ var exported = map[string]string{
 	"cache.Pool.SnapshotBatch":     "internal/fs/fs.go",
 	"cache.Pool.Usage":             "internal/fs/fs.go",
 
-	"petal.BoundedPar":                    "internal/fs/fs.go",
 	"petal.Client.Close":                  "cluster.go, benchmark/drives.go",
 	"petal.Client.CreateVDisk":            "cluster.go, benchmark/drives.go",
 	"petal.Client.Decommit":               "internal/fs/file.go",
@@ -281,6 +281,8 @@ var exported = map[string]string{
 	"petal.WriteVResp.AppendWireHeader":   "internal/rpc/codec.go",
 	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
 	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
+	"petal.Workers.Close":                 "internal/fs/fs.go",
+	"petal.Workers.Run":                   "internal/fs/fs.go",
 
 	"paxos.Detector.Alive":       "internal/lockservice/server.go, internal/petal/server.go",
 	"paxos.Detector.AliveCount":  "internal/paxos/detector.go",

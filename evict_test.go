@@ -472,3 +472,86 @@ func TestHandoffMissesReadOnce(t *testing.T) {
 		t.Fatalf("%d speculative fills, want the first read's", n)
 	}
 }
+
+// TestRevokesFlushConcurrently: ws1 dirties files A and B. ws2's Stat of
+// A revokes A's lock, and the write of A's page, the revoke's flush, is
+// held on its way to Petal. ws2's Stat of B, whose revoke flushes B's
+// page, returns all the same: ws1's clerk hands each revoke to a worker
+// of its own, parked or new, so a held flush holds no other lock's. Once
+// the write is released, both pages land and fsck is clean.
+func TestRevokesFlushConcurrently(t *testing.T) {
+	r := newEvictRig(t)
+	pa, pb := pattern(4096, 3), pattern(4096, 4)
+	for name, page := range map[string][]byte{"/a": pa, "/b": pb} {
+		h, err := r.ws1.OpenFile(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt(page, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.hold.mu.Lock()
+	r.hold.want, r.hold.armed = pa, true
+	r.hold.mu.Unlock()
+	statA := make(chan error, 1)
+	go func() {
+		_, err := r.ws2.Stat("/a")
+		statA <- err
+	}()
+	select {
+	case <-r.hold.held:
+	case err := <-statA:
+		t.Fatalf("the revoke of A's lock sent no write of its page (stat: %v)", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the revoke of A's lock sent no write of its page")
+	}
+	statB := make(chan error, 1)
+	go func() {
+		_, err := r.ws2.Stat("/b")
+		statB <- err
+	}()
+	select {
+	case err := <-statB:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		r.hold.release()
+		t.Fatal("the Stat of B waited for the held flush of A's revoke")
+	}
+	select {
+	case err := <-statA:
+		t.Fatalf("the Stat of A returned while its revoke's write was held (%v)", err)
+	default:
+	}
+	r.hold.release()
+	if err := <-statA; err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"/a": pa, "/b": pb} {
+		h, err := r.ws2.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := h.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ws2 reads %s without ws1's bytes", name)
+		}
+	}
+	for _, f := range []*frangipani.FS{r.ws1, r.ws2} {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := r.c.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck problems: %+v", rep.Problems)
+	}
+}

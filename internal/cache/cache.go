@@ -48,6 +48,10 @@ type Entry struct {
 	// here so that an insert allocates the entry, which holds its block,
 	// and nothing else.
 	prev, next *Entry
+	// The entry's place in its owner's list (Pool.byOwner), while
+	// indexed: the owner index costs nothing per entry either.
+	ownPrev, ownNext *Entry
+	indexed          bool
 }
 
 // pageEntry and sectorEntry are an entry and its block in one
@@ -97,7 +101,10 @@ type Pool struct {
 	entries map[int64]*Entry
 	lru     Entry // ring sentinel: next = most recent, prev = eviction victim
 	onRing  int   // entries on the ring: what capacity bounds
-	byOwner map[uint64]map[int64]*Entry
+	// byOwner holds, per lock, the head of the list of the entries it
+	// covers, linked through the entries themselves; an owner leaves the
+	// map with its last entry.
+	byOwner map[uint64]*Entry
 
 	hits, misses, evictions *obs.Counter
 }
@@ -110,7 +117,7 @@ func NewPool(blockSize, capacity int) *Pool {
 		blockSize: blockSize,
 		capacity:  capacity,
 		entries:   make(map[int64]*Entry),
-		byOwner:   make(map[uint64]map[int64]*Entry),
+		byOwner:   make(map[uint64]*Entry),
 		hits:      obs.NewCounter(),
 		misses:    obs.NewCounter(),
 		evictions: obs.NewCounter(),
@@ -268,22 +275,37 @@ func (p *Pool) setOwnerLocked(e *Entry, owner uint64) {
 	p.addOwnerLocked(e)
 }
 
+// addOwnerLocked puts e at the head of its owner's list, unless it is on
+// it already.
 func (p *Pool) addOwnerLocked(e *Entry) {
-	m := p.byOwner[e.Owner]
-	if m == nil {
-		m = make(map[int64]*Entry)
-		p.byOwner[e.Owner] = m
+	if e.indexed {
+		return
 	}
-	m[e.Addr] = e
+	head := p.byOwner[e.Owner]
+	e.ownPrev, e.ownNext, e.indexed = nil, head, true
+	if head != nil {
+		head.ownPrev = e
+	}
+	p.byOwner[e.Owner] = e
 }
 
+// removeOwnerLocked takes e off its owner's list, if it is on it.
 func (p *Pool) removeOwnerLocked(e *Entry) {
-	if m := p.byOwner[e.Owner]; m != nil {
-		delete(m, e.Addr)
-		if len(m) == 0 {
-			delete(p.byOwner, e.Owner)
-		}
+	if !e.indexed {
+		return
 	}
+	if e.ownNext != nil {
+		e.ownNext.ownPrev = e.ownPrev
+	}
+	switch {
+	case e.ownPrev != nil:
+		e.ownPrev.ownNext = e.ownNext
+	case e.ownNext != nil:
+		p.byOwner[e.Owner] = e.ownNext
+	default:
+		delete(p.byOwner, e.Owner)
+	}
+	e.ownPrev, e.ownNext, e.indexed = nil, nil, false
 }
 
 // collectVictimsLocked trims the ring to capacity, dropping clean
@@ -404,27 +426,18 @@ func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
 	}
 }
 
-// DirtyByOwner returns the dirty entries covered by a lock, counted
-// first so that the list is one allocation.
-func (p *Pool) DirtyByOwner(owner uint64) []*Entry {
+// DirtyByOwner appends to dst the dirty entries covered by a lock and
+// returns it: a caller that keeps its list from call to call allocates
+// nothing.
+func (p *Pool) DirtyByOwner(dst []*Entry, owner uint64) []*Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.byOwner[owner] {
+	for e := p.byOwner[owner]; e != nil; e = e.ownNext {
 		if e.Dirty {
-			n++
+			dst = append(dst, e)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*Entry, 0, n)
-	for _, e := range p.byOwner[owner] {
-		if e.Dirty {
-			out = append(out, e)
-		}
-	}
-	return out
+	return dst
 }
 
 // AllDirty returns every dirty entry (sync demon sweep).
@@ -463,10 +476,15 @@ func (p *Pool) DirtyThrough(seq int64) []*Entry {
 func (p *Pool) InvalidateByOwner(owner uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, e := range p.byOwner[owner] {
-		delete(p.entries, e.Addr)
+	for e := p.byOwner[owner]; e != nil; {
+		next := e.ownNext
+		if p.entries[e.Addr] == e {
+			delete(p.entries, e.Addr)
+		}
 		p.unlinkLocked(e)
 		e.Dirty = false
+		e.ownPrev, e.ownNext, e.indexed = nil, nil, false
+		e = next
 	}
 	delete(p.byOwner, owner)
 }
@@ -488,8 +506,11 @@ func (p *Pool) Invalidate(addr int64) {
 func (p *Pool) InvalidateAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for _, e := range p.entries {
+		e.ownPrev, e.ownNext, e.indexed = nil, nil, false
+	}
 	p.entries = make(map[int64]*Entry)
-	p.byOwner = make(map[uint64]map[int64]*Entry)
+	p.byOwner = make(map[uint64]*Entry)
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.onRing = 0
 }

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -101,11 +103,11 @@ func TestOwnerIndex(t *testing.T) {
 			p.MarkDirty(e, i)
 		}
 	}
-	d0 := p.DirtyByOwner(0) // addrs 0 (i=0) dirty? i=0 owner 0 dirty; i=3 owner 1 dirty
+	d0 := p.DirtyByOwner(nil, 0) // addrs 0 (i=0) dirty? i=0 owner 0 dirty; i=3 owner 1 dirty
 	if len(d0) != 1 || d0[0].Addr != 0 {
 		t.Fatalf("owner 0 dirty = %v", d0)
 	}
-	d1 := p.DirtyByOwner(1)
+	d1 := p.DirtyByOwner(nil, 1)
 	if len(d1) != 1 || d1[0].Addr != 3*512 {
 		t.Fatalf("owner 1 dirty = %v", d1)
 	}
@@ -180,12 +182,12 @@ func TestReInsertChangesOwner(t *testing.T) {
 	p := NewPool(512, 8)
 	p.Insert(0, make([]byte, 512), 1)
 	p.Insert(0, make([]byte, 512), 2)
-	if got := p.DirtyByOwner(1); len(got) != 0 {
+	if got := p.DirtyByOwner(nil, 1); len(got) != 0 {
 		t.Fatal("old owner still indexed")
 	}
 	e, _ := p.Lookup(0)
 	p.MarkDirty(e, 1)
-	if got := p.DirtyByOwner(2); len(got) != 1 {
+	if got := p.DirtyByOwner(nil, 2); len(got) != 1 {
 		t.Fatal("new owner not indexed")
 	}
 }
@@ -259,8 +261,8 @@ func TestVictimStaysUntilWritten(t *testing.T) {
 		if e, ok := p.Peek(0); !ok || e != victim {
 			t.Error("a victim being written back is not found")
 		}
-		if d := p.DirtyByOwner(7); len(d) != 1 || d[0] != victim {
-			t.Errorf("DirtyByOwner(7) = %v while its write-back is out, want the victim", d)
+		if d := p.DirtyByOwner(nil, 7); len(d) != 1 || d[0] != victim {
+			t.Errorf("DirtyByOwner(nil, 7) = %v while its write-back is out, want the victim", d)
 		}
 	}
 	p.Insert(128, nil, 1) // evicts addr 0
@@ -424,8 +426,8 @@ func TestMarkDirtyReadmitsEvicted(t *testing.T) {
 	if got == stale {
 		t.Fatal("the copy fetched meanwhile was kept over the write")
 	}
-	if d := p.DirtyByOwner(7); len(d) != 1 || d[0] != mine {
-		t.Fatalf("DirtyByOwner(7) = %v, want the writer's entry", d)
+	if d := p.DirtyByOwner(nil, 7); len(d) != 1 || d[0] != mine {
+		t.Fatalf("DirtyByOwner(nil, 7) = %v, want the writer's entry", d)
 	}
 	if p.Len() > 2 {
 		t.Fatalf("%d entries in a pool of 2", p.Len())
@@ -449,4 +451,115 @@ func BenchmarkInsertEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Insert(int64(capacity+i)*4096, page, 1)
 	}
+}
+
+// TestOwnerIndexMatchesScan: a seeded random run of inserts, fills,
+// MarkDirty calls (on resident entries, on evicted ones, which they admit
+// again, and on victims whose write-back is out), owner changes, evictions, Invalidate, InvalidateByOwner
+// and InvalidateAll, with a flusher that writes back some of its victims.
+// After every step each owner's list holds exactly the resident entries
+// it covers, linked both ways, and DirtyByOwner returns exactly the dirty
+// ones — what a scan of all the entries finds.
+func TestOwnerIndexMatchesScan(t *testing.T) {
+	const owners, addrs = 4, 16
+	p := NewPool(512, 6)
+	rng := rand.New(rand.NewSource(1))
+	seq := int64(0)
+	// The flusher writes back some victims and has others written again
+	// while their write-back is out, as a writer holding the lock would.
+	p.SetFlusher(func(es []*Entry) error {
+		for _, e := range es {
+			switch rng.Intn(3) {
+			case 0:
+				p.MarkCleanIfBatch([]*Entry{e}, []int64{e.gen})
+			case 1:
+				seq++
+				p.MarkDirty(e, seq)
+			}
+		}
+		return nil
+	})
+	var handed []*Entry // the entries the pool handed out lately
+	for step := 0; step < 20000; step++ {
+		addr, owner := int64(rng.Intn(addrs))*512, uint64(rng.Intn(owners))
+		what := rng.Intn(20)
+		switch {
+		case what < 6:
+			handed = append(handed, p.Insert(addr, nil, owner))
+		case what < 10:
+			e, _ := p.Fill(addr, nil, owner)
+			handed = append(handed, e)
+		case what < 16:
+			if len(handed) > 0 {
+				seq++
+				p.MarkDirty(handed[rng.Intn(len(handed))], seq)
+			}
+		case what < 18:
+			p.Invalidate(addr)
+		case what < 19:
+			p.InvalidateByOwner(owner)
+		default:
+			if rng.Intn(10) == 0 {
+				p.InvalidateAll()
+			}
+		}
+		if len(handed) > 64 {
+			handed = handed[len(handed)-64:]
+		}
+		for o := uint64(0); o < owners; o++ {
+			if err := checkOwnerIndex(p, o); err != "" {
+				t.Fatalf("step %d (op %d, addr %d, owner %d): owner %d: %s", step, what, addr, owner, o, err)
+			}
+		}
+	}
+}
+
+// checkOwnerIndex compares owner's list and DirtyByOwner with a scan of
+// p's entries and returns what differs, or "".
+func checkOwnerIndex(p *Pool, owner uint64) string {
+	p.mu.Lock()
+	want := map[*Entry]bool{}
+	for _, e := range p.entries {
+		if e.Owner == owner {
+			want[e] = e.Dirty
+		}
+	}
+	got := map[*Entry]bool{}
+	var prev *Entry
+	for e := p.byOwner[owner]; e != nil; prev, e = e, e.ownNext {
+		if e.ownPrev != prev || !e.indexed || e.Owner != owner || got[e] {
+			p.mu.Unlock()
+			return "the list is not linked both ways through distinct entries of the owner"
+		}
+		got[e] = e.Dirty
+	}
+	_, keyed := p.byOwner[owner]
+	p.mu.Unlock()
+	if len(got) != len(want) {
+		return fmt.Sprintf("the list holds %d entries, the scan finds %d", len(got), len(want))
+	}
+	for e := range want {
+		if _, ok := got[e]; !ok {
+			return fmt.Sprintf("the entry at %d is missing from the list", e.Addr)
+		}
+	}
+	if keyed && len(want) == 0 {
+		return "an owner with no entries stays in the index"
+	}
+	dirty := p.DirtyByOwner(nil, owner)
+	n := 0
+	for _, d := range want {
+		if d {
+			n++
+		}
+	}
+	if len(dirty) != n {
+		return fmt.Sprintf("DirtyByOwner returns %d entries, the scan finds %d dirty", len(dirty), n)
+	}
+	for _, e := range dirty {
+		if d, ok := want[e]; !ok || !d {
+			return fmt.Sprintf("DirtyByOwner returns the entry at %d, which the scan does not find dirty", e.Addr)
+		}
+	}
+	return ""
 }

@@ -609,7 +609,7 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fill(fs.overlapped, c, claimed, false, nil)
+			_, _ = fs.fill(*fs.overlapped, c, claimed, false, nil)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -740,7 +740,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 			// Its dirty pages are dead; written back later they would land
 			// on whoever owns the block by then.
 			base := fs.lay.LargeAddr(largeIdx)
-			for _, pe := range fs.data.DirtyByOwner(lock) {
+			for _, pe := range fs.data.DirtyByOwner(nil, lock) {
 				if pe.Addr >= base && pe.Addr < base+fs.lay.LargeBlockSize {
 					fs.data.Invalidate(pe.Addr)
 				}
@@ -797,10 +797,9 @@ func (f *File) fsync(op *obs.Span) error {
 		return err
 	}
 	lock := InodeLock(f.inum)
-	return fs.flushWorkers(2, func(i int) error {
-		if i == 0 {
-			return fs.ensureLogFlushed(op, fs.meta.MaxSeq(fs.meta.DirtyByOwner(lock)))
-		}
-		return fs.flush(op, fs.data, fs.data.DirtyByOwner(lock))
-	})
+	p := fs.newPoolFlush(op)
+	defer p.free()
+	p.meta, p.data = fs.meta.DirtyByOwner(p.meta[:0], lock), fs.data.DirtyByOwner(p.data[:0], lock)
+	p.logOnly = true
+	return p.run()
 }

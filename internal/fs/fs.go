@@ -201,6 +201,9 @@ type server struct {
 	gate gate
 
 	flushInFlight int64 // current write-back dispatches (guarded by mu)
+	// workers run the write-back jobs and batches (flushWorkers);
+	// Unmount and Crash end them.
+	workers petal.Workers
 
 	// atimes holds in-memory approximate access times (§2.1), folded
 	// into inodes when they are next logged. Guarded by mu.
@@ -455,6 +458,7 @@ func (fs *FS) Unmount() error {
 		fs.syncCancel()
 	}
 	fs.clerk.Close()
+	fs.workers.Close()
 	return err
 }
 
@@ -473,6 +477,7 @@ func (fs *FS) Crash() {
 		fs.syncCancel()
 	}
 	fs.clerk.Abandon()
+	fs.workers.Close()
 }
 
 // Poisoned reports whether the server has shut itself off after
@@ -668,7 +673,7 @@ func (fs *FS) fetch(op *obs.Span, via *petal.Client, blocks []block, keep func(f
 // (§9.4), so no stale page ever enters the cache. A prefetch is one
 // chunk: fs.readahead.hits counts the chunks that landed,
 // fs.readahead.wasted the bytes of those that did not.
-func (fs *FS) fill(pc *petal.Client, c *claim, mine []block, locked bool, keep func(first []byte) bool) (first *cache.Entry, err error) {
+func (fs *FS) fill(pc petal.Client, c *claim, mine []block, locked bool, keep func(first []byte) bool) (first *cache.Entry, err error) {
 	defer func() { fs.gate.release(c, mine, err) }()
 	n, pages := 0, 0
 	for _, b := range mine {
@@ -964,23 +969,68 @@ func (fs *FS) sync(op *obs.Span) error {
 	}
 	fs.mu.Unlock()
 
-	err := fs.flushPools(op, fs.meta.AllDirty(), fs.data.AllDirty())
+	p := fs.newPoolFlush(op)
+	p.meta, p.data = fs.meta.AllDirty(), fs.data.AllDirty()
+	err := p.run()
+	p.free()
 	if err == nil {
 		fs.log.Release(target)
 	}
 	return err
 }
 
-// flushPools writes back meta and data, the dirty blocks of the two
-// pools, as two jobs for the flush workers: user data is not logged, so
-// no write-ahead order binds it to the sectors.
-func (fs *FS) flushPools(op *obs.Span, meta, data []*cache.Entry) error {
-	return fs.flushWorkers(2, func(i int) error {
-		if i == 0 {
-			return fs.flush(op, fs.meta, meta)
-		}
-		return fs.flush(op, fs.data, data)
-	})
+// poolFlush is a write-back of the two pools as two jobs for the flush
+// workers (sync, flushOwner, File.fsync): user data is not logged, so no
+// write-ahead order binds it to the sectors. It holds the dirty lists,
+// which flushOwner and fsync fill from call to call, the call's arguments
+// for the workers and what they share. It comes from poolFlushes and
+// goes back when the jobs are done; job is the bound flushJob the
+// workers run, made once per poolFlush rather than once per call.
+type poolFlush struct {
+	fs         *FS
+	op         *obs.Span
+	meta, data []*cache.Entry
+	// logOnly forces the log through the sectors' newest records and
+	// leaves them dirty (fsync), instead of writing them back.
+	logOnly bool
+	job     func(i int) error
+	fan     petal.FanOut
+}
+
+var poolFlushes = sync.Pool{New: func() any {
+	p := new(poolFlush)
+	p.job = p.flushJob
+	return p
+}}
+
+// newPoolFlush takes a two-job write-back for op from poolFlushes.
+func (fs *FS) newPoolFlush(op *obs.Span) *poolFlush {
+	p := poolFlushes.Get().(*poolFlush)
+	p.fs, p.op = fs, op
+	return p
+}
+
+// run runs the two jobs on the flush workers.
+func (p *poolFlush) run() error { return p.fs.flushWorkers(&p.fan, 2, p.job) }
+
+// flushJob is job i: the sectors (0) or the pages (1).
+func (p *poolFlush) flushJob(i int) error {
+	fs := p.fs
+	switch {
+	case i == 1:
+		return fs.flush(p.op, fs.data, p.data)
+	case p.logOnly:
+		return fs.ensureLogFlushed(p.op, fs.meta.MaxSeq(p.meta))
+	}
+	return fs.flush(p.op, fs.meta, p.meta)
+}
+
+// free forgets what the write-back pointed at and pools it again.
+func (p *poolFlush) free() {
+	clear(p.meta)
+	clear(p.data)
+	p.fs, p.op, p.meta, p.data, p.logOnly = nil, nil, p.meta[:0], p.data[:0], false
+	poolFlushes.Put(p)
 }
 
 // flush writes back what the blocks es of pool held when it was called,
@@ -1082,11 +1132,11 @@ const maxBatchBytes = 1 << 20
 
 // writeBack is what one flushRuns call builds: its runs, their
 // generations, its batches and their extents, with the call's
-// arguments for the workers. It comes from writeBacks and goes back when
-// the call returns, so a write-back allocates none of it: WriteV copies
-// what it needs of the extents, and each batch's buffer is recycled, or
-// not, by writeBatch. write is the bound writeBatch the workers run, made
-// once per writeBack rather than once per call.
+// arguments for the workers and what they share. It comes from writeBacks
+// and goes back when the call returns, so a write-back allocates none of
+// it: WriteV copies what it needs of the extents, and each batch's buffer
+// is recycled, or not, by writeBatch. write is the bound writeBatch the
+// workers run, made once per writeBack rather than once per call.
 type writeBack struct {
 	fs      *FS
 	op      *obs.Span
@@ -1096,6 +1146,7 @@ type writeBack struct {
 	batches []flushBatch
 	exts    []petal.Extent
 	write   func(i int) error
+	fan     petal.FanOut
 }
 
 var writeBacks = sync.Pool{New: func() any {
@@ -1186,7 +1237,7 @@ func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 	for i := range w.batches {
 		w.batches[i].snapshot(pool)
 	}
-	return fs.flushWorkers(len(w.batches), w.write)
+	return fs.flushWorkers(&w.fan, len(w.batches), w.write)
 }
 
 // recycleWithin is how long a WriteV may take, in simulated time, and
@@ -1224,11 +1275,12 @@ func (fs *FS) writeBatch(op *obs.Span, pool *cache.Pool, b *flushBatch) error {
 }
 
 // flushWorkers runs fn(i) for every i in [0, n) with up to
-// FlushParallelism of them in flight, the caller's goroutine taking
-// part. All n run regardless of failures; the error of the lowest index
+// FlushParallelism of them in flight on fs's workers, the caller's
+// goroutine taking part; fo, from the caller's scratch, is what they
+// share. All n run regardless of failures; the error of the lowest index
 // that failed is returned.
-func (fs *FS) flushWorkers(n int, fn func(int) error) error {
-	return petal.BoundedPar(fs.cfg.FlushParallelism, n, fn)
+func (fs *FS) flushWorkers(fo *petal.FanOut, n int, fn func(int) error) error {
+	return fs.workers.Run(fo, fs.cfg.FlushParallelism, n, fn)
 }
 
 // noteFlushInFlight tracks write-back batches in flight and their
@@ -1294,12 +1346,14 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 // service runs recovery from our log instead). fsync is the same two
 // jobs less the sectors, once (see File.Sync).
 func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
+	p := fs.newPoolFlush(op)
+	defer p.free()
 	for {
-		meta, data := fs.meta.DirtyByOwner(lock), fs.data.DirtyByOwner(lock)
-		if len(meta) == 0 && len(data) == 0 {
+		p.meta, p.data = fs.meta.DirtyByOwner(p.meta[:0], lock), fs.data.DirtyByOwner(p.data[:0], lock)
+		if len(p.meta) == 0 && len(p.data) == 0 {
 			return
 		}
-		err := fs.flushPools(op, meta, data)
+		err := p.run()
 		if err == nil {
 			continue // clean now, unless a joined flight left something
 		}

@@ -199,20 +199,21 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 }
 
 // coldReadAllocs is what a 64 KB ReadAt that fills all sixteen of its
-// pages from Petal allocates, read-ahead off: the fill's claim and its
-// Petal view, the sixteen pages — each one object, entry and block — and
-// the Petal round trip, client and servers together. The read is lone, so
-// it leaves as four requests, two per replica, at three objects each: the
-// server's result list, its boxed reply and its buffer's hand-off; the
-// client's fan-out over the two replicas is two more. That is two
-// allocations a page filled. It was 30 while the read left as two halves;
-// 85, 5.3 a page, while a page was two objects and the fill, the Petal
-// client, the servers and every RPC's reply channel built their scratch
-// per call; then 43 while the spans were new objects, every message had a
-// goroutine of its own in the network and every envelope was boxed; then
-// 40 while every request was boxed and its handler had a goroutine of its
-// own. Raise or lower it only with a change that means to move it.
-const coldReadAllocs = 32
+// pages from Petal allocates, read-ahead off: the fill's claim, the
+// sixteen pages — each one object, entry and block — and the Petal round
+// trip, client and servers together. The read is lone, so it leaves as
+// four requests, two per replica, and each reply is one object: its
+// results, its buffer's hand-off and itself. It was 30 while the read
+// left as two halves; 85, 5.3 a page, while a page was two objects and
+// the fill, the Petal client, the servers and every RPC's reply channel
+// built their scratch per call; then 43 while the spans were new
+// objects, every message had a goroutine of its own in the network and
+// every envelope was boxed; then 40 while every request was boxed and
+// its handler had a goroutine of its own; then 32 while the fill made a
+// Petal view, the client's fan-out had its state and a goroutine of its
+// own, and every reply was three objects. Raise or lower it only with a
+// change that means to move it.
+const coldReadAllocs = 21
 
 // TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
 // through a cache too small to keep it, so every read fills its pages.

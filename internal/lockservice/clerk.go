@@ -53,9 +53,13 @@ type Clerk struct {
 	leaseLost bool
 	cancels   []func()
 
-	// Outbound op queue, drained by the sender demon.
+	// Outbound op queue, drained by the sender demon, and the drain's
+	// per-server batches; both keep their room from drain to drain.
 	outq     []sendOp
+	batches  []outBatch
 	sendCond *sync.Cond
+	// revokers are the parked revoke workers (see revoke); stop ends them.
+	revokers []chan uint64
 	// refreshing single-flights shard-map refetches triggered by
 	// wrong-shard nacks and epoch piggybacks.
 	refreshing bool
@@ -242,6 +246,10 @@ func (c *Clerk) stop() bool {
 		return false
 	}
 	c.closed = true
+	for _, w := range c.revokers {
+		close(w)
+	}
+	c.revokers = nil
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	c.sendCond.Broadcast()
@@ -449,7 +457,7 @@ func (c *Clerk) apply(lock uint64, a clerkAct) {
 		c.sendCond.Signal()
 	}
 	if a.has(actFlush) {
-		go c.processRevoke(lock)
+		c.revoke(lock)
 	}
 	if a.has(actWake) {
 		c.cond.Broadcast()
@@ -479,14 +487,52 @@ func (c *Clerk) sender() {
 				// Routing unknown: drop the drain. Pending wants are
 				// re-enqueued by the retry ticker and lost releases are
 				// re-asked-for by the server's revoke retry.
-				c.outq = nil
+				c.outq = c.outq[:0]
 				continue
 			}
 		}
-		ops := c.outq
-		c.outq = nil
-		c.flushLocked(ops)
+		// The drain sends with c.mu held, so nothing joins the queue
+		// until it is done with it.
+		c.flushLocked(c.outq)
+		c.outq = c.outq[:0]
 	}
+}
+
+// batchRoom is how many operations a batch message carries in its own
+// object; a drain with more for one server grows the list apart.
+const batchRoom = 4
+
+// acquireMsg and releaseMsg are batch messages with room for their lists
+// beside them, so a batch is one allocation. They are sent by pointer
+// (&m.AcquireBatch): the server takes a pointer from the simulated
+// carrier and a value from TCP.
+type acquireMsg struct {
+	AcquireBatch
+	room [batchRoom]BatchReq
+}
+
+type releaseMsg struct {
+	ReleaseBatch
+	room [batchRoom]BatchRel
+}
+
+// outBatch is what one drain sends one server.
+type outBatch struct {
+	srv string
+	rel *releaseMsg
+	acq *acquireMsg
+}
+
+// batchLocked returns the drain's batches for srv, adding them in the
+// order their servers first come up.
+func (c *Clerk) batchLocked(srv string) *outBatch {
+	for i := range c.batches {
+		if c.batches[i].srv == srv {
+			return &c.batches[i]
+		}
+	}
+	c.batches = append(c.batches, outBatch{srv: srv})
+	return &c.batches[len(c.batches)-1]
 }
 
 // flushLocked groups a drain of the op queue into per-server batches
@@ -501,18 +547,14 @@ func (c *Clerk) sender() {
 // release-then-reacquire — exactly the order the batches transmit.
 func (c *Clerk) flushLocked(ops []sendOp) {
 	mapEpoch := c.state.Epoch
-	relBySrv := make(map[string][]BatchRel)
-	acqBySrv := make(map[string][]BatchReq)
-	var order []string
-	seen := make(map[string]bool)
 	for _, op := range ops {
-		srv := c.state.ServerFor(op.lock)
-		if !seen[srv] {
-			seen[srv] = true
-			order = append(order, srv)
-		}
+		b := c.batchLocked(c.state.ServerFor(op.lock))
 		if op.release {
-			relBySrv[srv] = append(relBySrv[srv], BatchRel{Lock: op.lock, NewMode: op.mode})
+			if b.rel == nil {
+				b.rel = &releaseMsg{ReleaseBatch: ReleaseBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch}}
+				b.rel.Rels = b.rel.room[:0]
+			}
+			b.rel.Rels = append(b.rel.Rels, BatchRel{Lock: op.lock, NewMode: op.mode})
 			continue
 		}
 		// Revalidate acquires at flush time: the want may have been
@@ -521,34 +563,40 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 		if l == nil || l.epoch != op.epoch || !l.requestable() {
 			continue
 		}
-		acqBySrv[srv] = append(acqBySrv[srv], BatchReq{Lock: op.lock, Mode: l.wanted, Epoch: l.epoch})
+		if b.acq == nil {
+			b.acq = &acquireMsg{AcquireBatch: AcquireBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch}}
+			b.acq.Reqs = b.acq.room[:0]
+		}
+		b.acq.Reqs = append(b.acq.Reqs, BatchReq{Lock: op.lock, Mode: l.wanted, Epoch: l.epoch})
 	}
 	now := c.w.Clock.Now()
-	for _, srv := range order {
-		rels, reqs := relBySrv[srv], acqBySrv[srv]
-		if len(rels)+len(reqs) == 0 {
+	for _, b := range c.batches {
+		if b.rel == nil && b.acq == nil {
 			continue
 		}
 		// The first batch to srv carries a lease renewal when one is
 		// due: busy clerks renew as a side effect of traffic they send
 		// anyway, and their ticks send none (O(1)-in-N control chatter).
 		var renew uint64
-		if !c.leaseLost && c.lease.carry(srv, now) {
+		if !c.leaseLost && c.lease.carry(b.srv, now) {
 			renew = c.leaseID
 			c.renewPigC.Inc()
 		}
-		if len(rels) > 0 {
+		if m := b.rel; m != nil {
 			c.batchC.Inc()
-			c.batchOpsC.Add(int64(len(rels)))
-			_ = c.ep.Cast(c.addr(srv), ReleaseBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Rels: rels, Renew: renew})
-			renew = 0
+			c.batchOpsC.Add(int64(len(m.Rels)))
+			m.Renew, renew = renew, 0
+			_ = c.ep.Cast(c.addr(b.srv), &m.ReleaseBatch)
 		}
-		if len(reqs) > 0 {
+		if m := b.acq; m != nil {
 			c.batchC.Inc()
-			c.batchOpsC.Add(int64(len(reqs)))
-			_ = c.ep.Cast(c.addr(srv), AcquireBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch, Reqs: reqs, Renew: renew})
+			c.batchOpsC.Add(int64(len(m.Reqs)))
+			m.Renew = renew
+			_ = c.ep.Cast(c.addr(b.srv), &m.AcquireBatch)
 		}
 	}
+	clear(c.batches)
+	c.batches = c.batches[:0]
 }
 
 // retryRequests retransmits wants that have not been granted and
@@ -579,6 +627,44 @@ func (c *Clerk) retryRequests() {
 		}
 	}
 	c.mu.Unlock()
+}
+
+// revoke hands lock's flush to a parked revoke worker, or to a new one if
+// none is parked, as rpc.Endpoint hands calls to its handler workers: the
+// workers are as many as the revokes ever in flight at once, and revokes
+// of different locks flush at the same time. Called with c.mu held.
+func (c *Clerk) revoke(lock uint64) {
+	if k := len(c.revokers); k > 0 {
+		w := c.revokers[k-1]
+		c.revokers[k-1] = nil
+		c.revokers = c.revokers[:k-1]
+		w <- lock // one slot, and the worker parked with it empty: never blocks
+		return
+	}
+	go c.revoker(lock)
+}
+
+// revoker is a revoke worker: it runs lock's revoke, parks, and runs
+// whatever revoke it is handed next, until the clerk stops.
+func (c *Clerk) revoker(lock uint64) {
+	var park chan uint64
+	for {
+		c.processRevoke(lock)
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
+		if park == nil {
+			park = make(chan uint64, 1)
+		}
+		c.revokers = append(c.revokers, park)
+		c.mu.Unlock()
+		var ok bool
+		if lock, ok = <-park; !ok {
+			return
+		}
+	}
 }
 
 // processRevoke runs the FS flush callback and then complies with the

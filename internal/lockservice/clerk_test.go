@@ -2,6 +2,8 @@ package lockservice
 
 import (
 	"errors"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,5 +152,51 @@ func TestRecoveryRetriedAfterFailure(t *testing.T) {
 	}
 	if n := r.calls.Load(); n != 2 {
 		t.Fatalf("the replay ran %d times, want twice", n)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, under
+// which the allocation counts carry slack.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// handoffRoundAllocs bounds what one lock handoff allocates, every
+// goroutine of the process counted: a Lock of an id the other clerk holds
+// sticky costs four messages — the revoke, the release batch, the acquire
+// batch and the grant — and each message is one object, its box.
+const handoffRoundAllocs = 4
+
+// TestHandoffRoundAllocs: a Lock of an id the other clerk holds sticky
+// allocates one object per message it takes and nothing else: not the
+// clerk's queue, not its batches' lists, not the revoke's goroutine, not
+// the server's waiter queue or cast list. It runs on a bare world at
+// compression 1, as the benchmark's revoke round trip does, and takes the
+// least of several rounds: the servers' heartbeats and the clerks' lease
+// renewals allocate on their own schedule.
+func TestHandoffRoundAllocs(t *testing.T) {
+	ls := newTestLSConfig(t, 3, DefaultConfig(), 1)
+	a, b := ls.clerk(t, "wsA"), ls.clerk(t, "wsB")
+	holder, other := a, b
+	round := func() {
+		holder, other = other, holder
+		if err := holder.Lock(1, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		holder.Unlock(1)
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	least := -1.0
+	for i := 0; i < 5; i++ {
+		if n := testing.AllocsPerRun(20, round); least < 0 || n < least {
+			least = n
+		}
+	}
+	t.Logf("a lock handoff: %.1f allocations", least)
+	if !raceBuild() && least > handoffRoundAllocs {
+		t.Errorf("a lock handoff allocates %.1f objects, want at most %d (one a message)", least, handoffRoundAllocs)
 	}
 }

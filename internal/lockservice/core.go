@@ -23,7 +23,7 @@ type waiter struct {
 // server. It is reconstructed from clerks after reassignment.
 type lockState struct {
 	holders map[string]Mode // clerk -> Shared/Exclusive
-	waiters []waiter
+	waiters []waiter        // FIFO; popWaiter keeps its room
 	// revoked says the head conflict's revokes went out at lastRevoke,
 	// so only RevokeRetry later are they due again. Clear (as on a new
 	// lock, a new waiter, a changed holder set) means revoke at once.
@@ -88,7 +88,7 @@ func (ls *lockState) dropClerk(clerk string) bool {
 	delete(ls.holders, clerk)
 	for i, w := range ls.waiters {
 		if w.clerk == clerk {
-			ls.waiters = append(ls.waiters[:i], ls.waiters[i+1:]...)
+			ls.dropWaiter(i)
 			return true
 		}
 	}
@@ -112,14 +112,14 @@ func (ls *lockState) grant(k lockKey, now sim.Time, retry sim.Duration, dead fun
 	for len(ls.waiters) > 0 {
 		w := ls.waiters[0]
 		if dead(w.clerk) {
-			ls.waiters = ls.waiters[1:]
+			ls.popWaiter()
 			continue
 		}
 		if !ls.compatible(w) {
 			break
 		}
 		ls.holders[w.clerk] = w.mode
-		ls.waiters = ls.waiters[1:]
+		ls.popWaiter()
 		out = append(out, cast{clerk: w.clerk, k: k, mode: w.mode, epoch: w.epoch})
 	}
 	if len(ls.waiters) == 0 || ls.revoked && sim.Duration(now-ls.lastRevoke) < retry {
@@ -138,6 +138,18 @@ func (ls *lockState) grant(k lockKey, now sim.Time, retry sim.Duration, dead fun
 		out = append(out, cast{clerk: clerk, k: k, revoke: true, mode: to})
 	}
 	return out
+}
+
+// popWaiter drops the head of the queue.
+func (ls *lockState) popWaiter() { ls.dropWaiter(0) }
+
+// dropWaiter drops waiter i. The ones behind it move up, so the queue
+// keeps its room and the next waiter joins it without an allocation.
+func (ls *lockState) dropWaiter(i int) {
+	n := len(ls.waiters) - 1
+	copy(ls.waiters[i:], ls.waiters[i+1:])
+	ls.waiters[n] = waiter{}
+	ls.waiters = ls.waiters[:n]
 }
 
 func (ls *lockState) compatible(w waiter) bool {

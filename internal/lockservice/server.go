@@ -121,6 +121,11 @@ type Server struct {
 	crashed    bool
 	closed     bool
 	cancels    []func()
+	// casts are empty cast lists for the handlers: one takes a list
+	// under mu, fills it, sends what it holds after letting go of mu,
+	// and gives it back (sendCasts), so a handler's casts need no list of
+	// their own.
+	casts [][]cast
 
 	// clerkAddrs holds the ClerkAddr of every clerk this server has
 	// sent to, so a message does not build its destination's name.
@@ -409,12 +414,42 @@ func (s *Server) send(ver int64, outs []cast) {
 	}
 }
 
+// takeCastsLocked returns an empty cast list from the spares. Called with
+// s.mu held.
+func (s *Server) takeCastsLocked() []cast {
+	k := len(s.casts)
+	if k == 0 {
+		return nil
+	}
+	outs := s.casts[k-1]
+	s.casts[k-1] = nil
+	s.casts = s.casts[:k-1]
+	return outs
+}
+
+// sendCasts sends outs, as send does, and gives the list back to the
+// spares.
+func (s *Server) sendCasts(ver int64, outs []cast) {
+	s.send(ver, outs)
+	if cap(outs) == 0 {
+		return
+	}
+	clear(outs)
+	s.mu.Lock()
+	s.casts = append(s.casts, outs[:0])
+	s.mu.Unlock()
+}
+
 // cpuCost models the protocol-processing time of one inbound message:
 // a fixed per-message cost plus a per-lock-operation cost for the
 // vectored types (which is what makes batching pay).
 func (s *Server) cpuCost(body any) sim.Duration {
 	ops := 0
 	switch m := body.(type) {
+	case *AcquireBatch:
+		ops = len(m.Reqs)
+	case *ReleaseBatch:
+		ops = len(m.Rels)
 	case AcquireBatch:
 		ops = len(m.Reqs)
 	case ReleaseBatch:
@@ -436,16 +471,14 @@ func (s *Server) handle(from string, body any) any {
 	// operations wait on it: it is nobody's in particular.
 	s.acct.ServerOp(obs.UnknownPrincipal)
 	switch m := body.(type) {
-	case AcquireBatch:
-		if m.Renew != 0 {
-			s.renew(m.Clerk, m.Renew)
-		}
-		s.onBatch(m.Clerk, m.Table, m.MapEpoch, m.Reqs, nil)
+	case *AcquireBatch: // from the simulated carrier
+		s.onAcquireBatch(m)
+	case AcquireBatch: // decoded from TCP
+		s.onAcquireBatch(&m)
+	case *ReleaseBatch:
+		s.onReleaseBatch(m)
 	case ReleaseBatch:
-		if m.Renew != 0 {
-			s.renew(m.Clerk, m.Renew)
-		}
-		s.onBatch(m.Clerk, m.Table, m.MapEpoch, nil, m.Rels)
+		s.onReleaseBatch(&m)
 	case RenewMsg:
 		s.renew(m.Clerk, m.LeaseID)
 	case RenewalsReq:
@@ -516,6 +549,20 @@ func (s *Server) renew(clerk string, leaseID uint64) {
 	}
 }
 
+func (s *Server) onAcquireBatch(m *AcquireBatch) {
+	if m.Renew != 0 {
+		s.renew(m.Clerk, m.Renew)
+	}
+	s.onBatch(m.Clerk, m.Table, m.MapEpoch, m.Reqs, nil)
+}
+
+func (s *Server) onReleaseBatch(m *ReleaseBatch) {
+	if m.Renew != 0 {
+		s.renew(m.Clerk, m.Renew)
+	}
+	s.onBatch(m.Clerk, m.Table, m.MapEpoch, nil, m.Rels)
+}
+
 // onBatch serves a vectored request (reqs) or release (rels): every
 // lock we own is processed under one state-lock acquisition; locks we
 // do NOT own are nacked back in a single WrongShard carrying our map
@@ -524,7 +571,6 @@ func (s *Server) renew(clerk string, leaseID uint64) {
 // drop — for a release, instead of the new owner believing the clerk
 // holds the lock forever.
 func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, rels []BatchRel) {
-	var outs []cast
 	var wrong []uint64
 	s.mu.Lock()
 	if s.crashed {
@@ -534,6 +580,7 @@ func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, r
 		s.mu.Unlock()
 		return
 	}
+	outs := s.takeCastsLocked()
 	epoch, ver := s.state.Epoch, s.state.Version
 	for i := 0; i < len(reqs)+len(rels); i++ {
 		var k lockKey
@@ -567,7 +614,7 @@ func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, r
 	if len(wrong) > 0 {
 		s.nackWrongShard(clerk, table, epoch, mapEpoch, wrong)
 	}
-	s.send(ver, outs)
+	s.sendCasts(ver, outs)
 }
 
 // nackWrongShard tells a clerk its routing was stale for the listed
@@ -592,7 +639,7 @@ func (s *Server) retryRevokes() {
 		return
 	}
 	s.mu.Lock()
-	var outs []cast
+	outs := s.takeCastsLocked()
 	for k, ls := range s.locks {
 		if len(ls.waiters) > 0 {
 			outs = s.grantLocked(k, ls, outs)
@@ -600,7 +647,7 @@ func (s *Server) retryRevokes() {
 	}
 	ver := s.state.Version
 	s.mu.Unlock()
-	s.send(ver, outs)
+	s.sendCasts(ver, outs)
 }
 
 func (s *Server) onOpen(m OpenReq) OpenResp {

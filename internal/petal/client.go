@@ -22,7 +22,9 @@ import (
 // when routing goes stale.
 //
 // A Client is a view of one driver: For returns another view of the
-// same driver whose calls are made on behalf of an operation.
+// same driver whose calls are made on behalf of an operation. A view is
+// a value of three words, and its methods take it by value, so a view
+// made for one call costs nothing on the heap.
 type Client struct {
 	*driver
 	// op is the operation this view's calls are made for: they open
@@ -36,18 +38,16 @@ type Client struct {
 }
 
 // For returns a view of the client whose calls run on behalf of op.
-func (c *Client) For(op *obs.Span) *Client {
-	if op == c.op {
-		return c
-	}
-	return &Client{driver: c.driver, op: op, overlapped: c.overlapped}
+func (c Client) For(op *obs.Span) Client {
+	c.op = op
+	return c
 }
 
 // Overlapped returns a view of the client for reads nobody waits for
 // and which overlap one another already — read-ahead: they are never
 // lone, and count as in flight, as any read does. Its writes are any
 // view's.
-func (c *Client) Overlapped() *Client {
+func (c Client) Overlapped() *Client {
 	return &Client{driver: c.driver, op: c.op, overlapped: true}
 }
 
@@ -77,8 +77,10 @@ type driver struct {
 
 	// opDeadline bounds one data call including retries.
 	opDeadline sim.Duration
-	// parallelism bounds one data call's concurrent RPCs.
+	// parallelism bounds one data call's concurrent RPCs, which run on
+	// workers; Close ends them.
 	parallelism int
+	workers     Workers
 
 	// balanceReads spreads first-choice read routing across both alive
 	// replicas (Petal serves reads from either copy, §4 of the Petal
@@ -156,7 +158,7 @@ type ClientStats struct {
 }
 
 // Stats snapshots the client's data-path counters.
-func (c *Client) Stats() ClientStats {
+func (c Client) Stats() ClientStats {
 	return ClientStats{
 		WriteVRPCs:    c.writeVRPCs.Value(),
 		WriteVExtents: c.writeVExtents.Value(),
@@ -239,7 +241,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 // operation appears in cross-layer trace trees; fn gets that span's
 // context to stamp on the requests it sends, which carries the trace to
 // the Petal servers.
-func (c *Client) instr(op string, fn func(ctx obs.Ctx) error) error {
+func (c Client) instr(op string, fn func(ctx obs.Ctx) error) error {
 	if c.now == nil {
 		return fn(obs.Ctx{})
 	}
@@ -253,14 +255,17 @@ func (c *Client) instr(op string, fn func(ctx obs.Ctx) error) error {
 
 // SetLeaseInfo installs the callback used to stamp writes with the
 // writer's lease expiry. Pass nil to disable stamping.
-func (c *Client) SetLeaseInfo(f func() (expireAt int64)) {
+func (c Client) SetLeaseInfo(f func() (expireAt int64)) {
 	c.mu.Lock()
 	c.leaseInfo = f
 	c.mu.Unlock()
 }
 
-// Close releases the client's endpoint.
-func (c *Client) Close() { c.ep.Close() }
+// Close releases the client's endpoint and ends its fan-out workers.
+func (c Client) Close() {
+	c.ep.Close()
+	c.workers.Close()
+}
 
 // refreshSince refreshes the global-state view, version-aware and
 // incremental. usedVersion is the version the caller routed with when
@@ -273,7 +278,7 @@ func (c *Client) Close() { c.ep.Close() }
 //     HaveVersion, so the common answer is a tiny Unchanged reply;
 //     only a failed or unusable probe falls back to a bounded
 //     parallel fan-out over the remaining servers.
-func (c *Client) refreshSince(usedVersion int64) error {
+func (c Client) refreshSince(usedVersion int64) error {
 	c.mu.Lock()
 	for {
 		if c.stateOK && c.state.Version > usedVersion {
@@ -318,7 +323,7 @@ func (c *Client) refreshSince(usedVersion int64) error {
 
 // doRefresh runs one refresh: a single version-aware probe, then a
 // bounded fan-out only if the probe fails.
-func (c *Client) doRefresh(have int64) error {
+func (c Client) doRefresh(have int64) error {
 	n := len(c.servers)
 	if n == 0 {
 		return ErrUnavailable
@@ -342,7 +347,8 @@ func (c *Client) doRefresh(have int64) error {
 	var rmu sync.Mutex
 	got, gotState := false, false
 	var best GlobalState
-	_ = BoundedPar(4, n, func(i int) error {
+	var fo FanOut
+	_ = c.workers.Run(&fo, 4, n, func(i int) error {
 		if c.servers[i] == probe {
 			return nil
 		}
@@ -371,7 +377,7 @@ func (c *Client) doRefresh(have int64) error {
 // askState asks srv for the global state, telling it the version the
 // caller has: a server no newer answers Unchanged, without the state.
 // ok reports an answer.
-func (c *Client) askState(srv string, have int64) (sr StateResp, ok bool) {
+func (c Client) askState(srv string, have int64) (sr StateResp, ok bool) {
 	c.refreshRPCs.Add(1)
 	resp, err := c.ep.Call(DataAddr(srv), StateReq{HaveVersion: have}, dataTimeout)
 	sr, ok = resp.(StateResp)
@@ -379,7 +385,7 @@ func (c *Client) askState(srv string, have int64) (sr StateResp, ok bool) {
 }
 
 // adoptState installs a fetched view unless the cached one is newer.
-func (c *Client) adoptState(st GlobalState) {
+func (c Client) adoptState(st GlobalState) {
 	c.mu.Lock()
 	if !c.stateOK || st.Version >= c.state.Version {
 		c.state = st
@@ -390,7 +396,7 @@ func (c *Client) adoptState(st GlobalState) {
 
 // State returns the client's view of the global state, refreshed first
 // when it has none.
-func (c *Client) State() (GlobalState, error) {
+func (c Client) State() (GlobalState, error) {
 	c.mu.Lock()
 	ok := c.stateOK
 	st := c.state
@@ -410,7 +416,7 @@ func (c *Client) State() (GlobalState, error) {
 // default), first-choice read routing spreads over both alive copies;
 // off, reads always prefer the primary — the pre-optimization
 // behaviour, kept as a benchmark baseline.
-func (c *Client) SetReadBalance(on bool) { c.balanceReads.Store(on) }
+func (c Client) SetReadBalance(on bool) { c.balanceReads.Store(on) }
 
 // Retry backoff for chunk operations: exponential from retryBase,
 // capped at retryCap, with jitter in [d/2, d) so clients hammering a
@@ -441,7 +447,7 @@ func backoffDelay(attempt int, randIntn func(int) int) sim.Duration {
 }
 
 // retryPause sleeps before retry number attempt, never past deadline.
-func (c *Client) retryPause(attempt int, deadline sim.Time) {
+func (c Client) retryPause(attempt int, deadline sim.Time) {
 	d := backoffDelay(attempt, c.randIntn)
 	left := sim.Duration(deadline - c.clock.Now())
 	if left <= 0 {
@@ -457,7 +463,7 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 // start sends one data-path RPC; wait collects its reply. Every one
 // (including retries and failovers) is charged to the principal whose
 // operation issued it.
-func (c *Client) start(who, srv string, req any) (rpc.Pending, error) {
+func (c Client) start(who, srv string, req any) (rpc.Pending, error) {
 	c.acct.RPC(who, 1)
 	return c.ep.Go(addrOf(c.addrs, srv), req)
 }
@@ -468,69 +474,6 @@ func wait(p rpc.Pending, err error, timeout sim.Duration) (any, error) {
 		return nil, err
 	}
 	return p.Wait(timeout)
-}
-
-// BoundedPar runs f(0..n-1) with at most limit in flight and returns the
-// error of the lowest index that failed. Every index runs regardless of
-// failures. The caller's goroutine takes part: it runs the last index,
-// and all of them, in order, when there is one or the limit is one. It
-// is counted in the limit, which costs a semaphore only when there are
-// more indices than it allows.
-func BoundedPar(limit, n int, f func(int) error) error {
-	if limit <= 1 || n <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	p := &fanOut{f: f, failed: n}
-	if n > limit {
-		p.slots = make(chan struct{}, limit)
-	}
-	for i := 0; i < n; i++ {
-		if p.slots != nil {
-			p.slots <- struct{}{}
-		}
-		if i == n-1 {
-			p.run(i)
-			break
-		}
-		p.wg.Add(1)
-		go p.spawned(i)
-	}
-	p.wg.Wait()
-	return p.err
-}
-
-// fanOut is one BoundedPar call: what its goroutines share.
-type fanOut struct {
-	f      func(int) error
-	slots  chan struct{} // one taken per index in flight; nil when all may run at once
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	err    error // of index failed, the lowest that has failed
-	failed int
-}
-
-func (p *fanOut) run(i int) {
-	if err := p.f(i); err != nil {
-		p.mu.Lock()
-		if i < p.failed {
-			p.failed, p.err = i, err
-		}
-		p.mu.Unlock()
-	}
-	if p.slots != nil {
-		<-p.slots
-	}
-}
-
-func (p *fanOut) spawned(i int) {
-	defer p.wg.Done()
-	p.run(i)
 }
 
 // callTimeout is how long one data RPC may take before the client
@@ -550,9 +493,9 @@ func callTimeout(bytes int) sim.Duration {
 // made was answered; a request that was not may still be queued at the
 // carrier, so its xfer is left to the collector. send is the bound
 // sendBatch the fan-out runs, made once per xfer rather than once per
-// round.
+// round, and fan is what the fan-out's workers share.
 type xfer struct {
-	c        *Client
+	c        Client
 	ctx      obs.Ctx
 	in       planIn
 	st       GlobalState // the view in.view points at
@@ -572,6 +515,7 @@ type xfer struct {
 	timedOut bool
 
 	send func(i int) error
+	fan  FanOut
 }
 
 var xfers = sync.Pool{New: func() any {
@@ -582,7 +526,7 @@ var xfers = sync.Pool{New: func() any {
 
 // newXfer takes a scratch for a call on v made for ctx: a read, or a
 // write stamped with the caller's lease (read once per call).
-func (c *Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
+func (c Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
 	x := xfers.Get().(*xfer)
 	x.c, x.ctx = c, ctx
 	x.in = planIn{v: v, write: write, balance: c.balanceReads.Load(), load: c.driver}
@@ -617,7 +561,7 @@ func (x *xfer) release() {
 	reset(&x.rreqs)
 	reset(&x.wreqs)
 	x.pl.batches = x.pl.batches[:0]
-	x.c, x.in, x.st, x.ctx, x.lastErr, x.expireAt = nil, planIn{}, GlobalState{}, obs.Ctx{}, nil, 0
+	x.c, x.in, x.st, x.ctx, x.lastErr, x.expireAt = Client{}, planIn{}, GlobalState{}, obs.Ctx{}, nil, 0
 	xfers.Put(x)
 }
 
@@ -648,7 +592,7 @@ func (d *driver) outstanding(srv string) int64 { return d.infl[srv].Value() }
 // still be queued at the carrier, aliasing the pieces' buffers. Every
 // request carries x.ctx, the context of the operation the call is made
 // for, and every RPC is charged to its principal.
-func (c *Client) transfer(x *xfer, exts []Extent) (err error) {
+func (c Client) transfer(x *xfer, exts []Extent) (err error) {
 	deadline := c.clock.Now() + sim.Time(c.opDeadline)
 	var ps []piece
 	for attempt := 0; ; attempt++ {
@@ -669,7 +613,7 @@ func (c *Client) transfer(x *xfer, exts []Extent) (err error) {
 			x.parked = append(x.parked, x.pl.none...)
 			x.next = x.next[:0]
 			x.requests()
-			if final := BoundedPar(c.parallelism, len(x.pl.batches), x.send); final != nil {
+			if final := c.workers.Run(&x.fan, c.parallelism, len(x.pl.batches), x.send); final != nil {
 				return final
 			}
 			ps = x.next
@@ -857,8 +801,13 @@ func staleView(err error) bool {
 // extents — the other replica "can ordinarily recover it" (§4) — and
 // served data is kept.
 func (x *xfer) settleRead(srv string, ps []piece, resp any) (unserved []piece, err error) {
-	rr, ok := resp.(ReadVResp)
-	if !ok {
+	var rr *ReadVResp
+	switch r := resp.(type) {
+	case *ReadVResp: // from the simulated carrier
+		rr = r
+	case ReadVResp: // decoded from TCP
+		rr = &r
+	default:
 		return ps, nil
 	}
 	// On TCP the data aliases a pooled receive buffer; recycle it once
@@ -922,7 +871,7 @@ func (x *xfer) settleWrite(ps []piece, resp any) ([]piece, error) {
 
 // Read fills p from the virtual disk at byte offset off. Uncommitted
 // ranges read as zeros.
-func (c *Client) Read(v VDiskID, off int64, p []byte) error {
+func (c Client) Read(v VDiskID, off int64, p []byte) error {
 	return c.read("read", v, ReadExtent{Off: off, Dst: p})
 }
 
@@ -937,14 +886,14 @@ type ReadExtent struct {
 // possible: extents are split at chunk boundaries and each server is
 // sent one batch of everything routed to it. A failed extent never
 // leaves stale bytes in its destination.
-func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
+func (c Client) ReadV(v VDiskID, extents []ReadExtent) error {
 	return c.read("readv", v, extents...)
 }
 
 // read is Read and ReadV. A read is lone when no other read of this
 // client is in flight and the view is not Overlapped (plan.go cuts it in
 // parts).
-func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
+func (c Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
@@ -965,7 +914,7 @@ func (c *Client) read(op string, v VDiskID, extents ...ReadExtent) error {
 
 // Write stores p at byte offset off, committing chunks as needed. The
 // caller may reuse p as soon as Write returns.
-func (c *Client) Write(v VDiskID, off int64, p []byte) error {
+func (c Client) Write(v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
@@ -1001,7 +950,7 @@ type Extent struct {
 // sent one batch, applied under a single lease/epoch check. Unlike
 // Write it sends the caller's buffers themselves: the caller must not
 // mutate extent data until WriteV returns.
-func (c *Client) WriteV(v VDiskID, extents []Extent) error {
+func (c Client) WriteV(v VDiskID, extents []Extent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
@@ -1017,7 +966,7 @@ func (c *Client) WriteV(v VDiskID, extents []Extent) error {
 
 // admin submits a global-state command via any answering server, and
 // returns once the command holds everywhere a data call can go.
-func (c *Client) admin(cmd Command) error {
+func (c Client) admin(cmd Command) error {
 	var lastErr error = ErrUnavailable
 	for _, s := range c.servers {
 		resp, err := c.ep.Call(DataAddr(s), AdminReq{Cmd: cmd}, 120*time.Second)
@@ -1047,7 +996,7 @@ func (c *Client) admin(cmd Command) error {
 // the primary's repair pushes it — while one that has not heard of a deletion still
 // serves the disk. A server that does not answer is skipped; one still
 // behind after dataTimeout is left to catch up on its own.
-func (c *Client) settle(applied string) {
+func (c Client) settle(applied string) {
 	c.mu.Lock()
 	have := int64(-1)
 	if c.stateOK {
@@ -1066,7 +1015,8 @@ func (c *Client) settle(applied string) {
 	alive := c.state.Alive
 	c.mu.Unlock()
 	deadline := c.clock.Now() + sim.Time(dataTimeout)
-	_ = BoundedPar(4, len(c.servers), func(i int) error {
+	var fo FanOut
+	_ = c.workers.Run(&fo, 4, len(c.servers), func(i int) error {
 		srv := c.servers[i]
 		if srv == applied || !alive[srv] {
 			return nil
@@ -1083,23 +1033,23 @@ func (c *Client) settle(applied string) {
 }
 
 // CreateVDisk creates a new writable virtual disk.
-func (c *Client) CreateVDisk(id VDiskID) error { return c.admin(CmdCreateVDisk{ID: id}) }
+func (c Client) CreateVDisk(id VDiskID) error { return c.admin(CmdCreateVDisk{ID: id}) }
 
 // DeleteVDisk removes a virtual disk.
-func (c *Client) DeleteVDisk(id VDiskID) error { return c.admin(CmdDeleteVDisk{ID: id}) }
+func (c Client) DeleteVDisk(id VDiskID) error { return c.admin(CmdDeleteVDisk{ID: id}) }
 
 // Snapshot creates a read-only, crash-consistent snapshot of parent
 // named snap: "Petal allows a client to create an exact copy of a
 // virtual disk at any point in time ... using copy-on-write
 // techniques" (§8).
-func (c *Client) Snapshot(parent, snap VDiskID) error {
+func (c Client) Snapshot(parent, snap VDiskID) error {
 	return c.admin(CmdSnapshot{Parent: parent, Snap: snap})
 }
 
 // Decommit frees physical storage backing [off, off+length) of the
 // virtual disk. Only whole chunks fully inside the range are freed,
 // matching Petal's 64 KB decommit granularity.
-func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
+func (c Client) Decommit(v VDiskID, off int64, length int64) error {
 	first := (off + ChunkSize - 1) / ChunkSize
 	last := (off+length)/ChunkSize - 1
 	if last < first {
@@ -1129,7 +1079,7 @@ func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
 // ListChunks enumerates the committed chunk indexes of a vdisk by
 // querying every server; restore tooling uses it to copy only
 // committed space.
-func (c *Client) ListChunks(v VDiskID) ([]int64, error) {
+func (c Client) ListChunks(v VDiskID) ([]int64, error) {
 	var out []int64
 	any := false
 	for _, s := range c.servers {

@@ -1,0 +1,135 @@
+package petal
+
+import "sync"
+
+// Workers runs fan-outs on parked goroutines that belong to it: the Petal
+// client, the Petal server and the file system each own one. A fan-out
+// hands its helpers to workers parked in idle, or to new ones if none is,
+// and a worker that is done parks again, so the workers are as many as
+// the helpers ever busy at once, not one goroutine per index. Close ends
+// the parked ones and lets the busy ones end when their fan-out is done.
+// The zero value is ready to use.
+type Workers struct {
+	mu     sync.Mutex
+	idle   []chan *FanOut
+	closed bool
+}
+
+// FanOut is what the goroutines of one fan-out share. It lives in the
+// caller's scratch and serves one Run at a time.
+type FanOut struct {
+	f      func(int) error
+	mu     sync.Mutex
+	next   int // the next index a participant takes
+	n      int // the indices the participants share: [0, n)
+	wg     sync.WaitGroup
+	err    error // of index failed, the lowest that has failed
+	failed int
+}
+
+// Run runs f(0..n-1) with at most limit in flight and returns the error
+// of the lowest index that failed; every index runs regardless of
+// failures. The caller's goroutine takes part, counted in the limit: it
+// runs the last index while the helpers start on the first ones, and
+// then takes whatever index is left, as they do. With one index, or a
+// limit of one, the caller runs them all, in order. fo is the fan-out's
+// shared state, from the caller's scratch.
+func (w *Workers) Run(fo *FanOut, limit, n int, f func(int) error) error {
+	if limit <= 1 || n <= 1 {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	fo.f, fo.next, fo.n, fo.err, fo.failed = f, 0, n-1, nil, n
+	helpers := min(limit, n) - 1
+	fo.wg.Add(helpers)
+	for k := 0; k < helpers; k++ {
+		w.hand(fo)
+	}
+	fo.run(n - 1)
+	fo.drain()
+	fo.wg.Wait()
+	err := fo.err
+	fo.f, fo.err = nil, nil
+	return err
+}
+
+// hand gives fo to a parked worker, or to a new one if none is parked.
+func (w *Workers) hand(fo *FanOut) {
+	w.mu.Lock()
+	if k := len(w.idle); k > 0 {
+		p := w.idle[k-1]
+		w.idle[k-1] = nil
+		w.idle = w.idle[:k-1]
+		w.mu.Unlock()
+		p <- fo // one slot, and the worker parked with it empty: never blocks
+		return
+	}
+	w.mu.Unlock()
+	go w.work(fo)
+}
+
+// work is a worker: it helps with fo, parks, and helps with whatever
+// fan-out it is handed next, until Close.
+func (w *Workers) work(fo *FanOut) {
+	var park chan *FanOut
+	for {
+		fo.drain()
+		fo.wg.Done() // fo is its caller's again from here
+		w.mu.Lock()
+		if w.closed {
+			w.mu.Unlock()
+			return
+		}
+		if park == nil {
+			park = make(chan *FanOut, 1)
+		}
+		w.idle = append(w.idle, park)
+		w.mu.Unlock()
+		var ok bool
+		if fo, ok = <-park; !ok {
+			return
+		}
+	}
+}
+
+// Close ends the parked workers; a busy one ends once its fan-out is
+// done. A Run after Close still runs, on workers that end with it.
+func (w *Workers) Close() {
+	w.mu.Lock()
+	w.closed = true
+	for _, p := range w.idle {
+		close(p)
+	}
+	w.idle = nil
+	w.mu.Unlock()
+}
+
+// drain runs the indices nobody has taken until none is left.
+func (fo *FanOut) drain() {
+	for {
+		fo.mu.Lock()
+		i := fo.next
+		if i >= fo.n {
+			fo.mu.Unlock()
+			return
+		}
+		fo.next++
+		fo.mu.Unlock()
+		fo.run(i)
+	}
+}
+
+func (fo *FanOut) run(i int) {
+	if err := fo.f(i); err != nil {
+		fo.mu.Lock()
+		if i < fo.failed {
+			fo.failed, fo.err = i, err
+		}
+		fo.mu.Unlock()
+	}
+}

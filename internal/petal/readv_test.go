@@ -3,6 +3,7 @@ package petal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -335,18 +336,21 @@ func TestSpansEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBoundedParEdgeCases covers the fan-out helper: empty input,
-// serial limit, limit coercion, and error propagation from a middle
-// item without losing the others' completion.
-func TestBoundedParEdgeCases(t *testing.T) {
-	if err := BoundedPar(4, 0, func(int) error { return nil }); err != nil {
+// TestFanOutEdgeCases covers the fan-out: empty input, serial limit,
+// limit coercion, and error propagation from a middle item without
+// losing the others' completion.
+func TestFanOutEdgeCases(t *testing.T) {
+	var w Workers
+	defer w.Close()
+	var fo FanOut
+	if err := w.Run(&fo, 4, 0, func(int) error { return nil }); err != nil {
 		t.Fatalf("empty items: %v", err)
 	}
 	// parallelism=1 runs items serially, in order.
 	var mu sync.Mutex
 	var order []int
 	items := []int{0, 1, 2, 3, 4}
-	err := BoundedPar(1, len(items), func(i int) error {
+	err := w.Run(&fo, 1, len(items), func(i int) error {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
@@ -366,7 +370,7 @@ func TestBoundedParEdgeCases(t *testing.T) {
 	// A middle item's error propagates; every item still runs.
 	boom := fmt.Errorf("boom")
 	var ran int
-	err = BoundedPar(2, len(items), func(i int) error {
+	err = w.Run(&fo, 2, len(items), func(i int) error {
 		mu.Lock()
 		ran++
 		mu.Unlock()
@@ -384,11 +388,11 @@ func TestBoundedParEdgeCases(t *testing.T) {
 	}
 	mu.Unlock()
 	// limit < 1 is coerced, not deadlocked.
-	if err := BoundedPar(0, len(items), func(int) error { return nil }); err != nil {
+	if err := w.Run(&fo, 0, len(items), func(int) error { return nil }); err != nil {
 		t.Fatalf("limit 0: %v", err)
 	}
 	// Single-item fast path propagates errors too.
-	if err := BoundedPar(8, 1, func(int) error { return boom }); err != boom {
+	if err := w.Run(&fo, 8, 1, func(int) error { return boom }); err != boom {
 		t.Fatalf("single-item error = %v, want boom", err)
 	}
 }
@@ -414,15 +418,19 @@ func TestZeroLengthReadIssuesNoRPCs(t *testing.T) {
 	}
 }
 
-// TestBoundedParRunsEverythingWithinLimit: whatever fails, every index
+// TestFanOutRunsEverythingWithinLimit: whatever fails, every index
 // runs, once; no more than limit run at a time, the caller's goroutine
-// included; and the error returned is the lowest failing index's.
-func TestBoundedParRunsEverythingWithinLimit(t *testing.T) {
+// included; and the error returned is the lowest failing index's. One
+// FanOut serves every run in turn, on the same workers.
+func TestFanOutRunsEverythingWithinLimit(t *testing.T) {
+	var w Workers
+	defer w.Close()
+	var fo FanOut
 	for _, c := range []struct{ limit, n int }{{2, 2}, {4, 3}, {3, 3}, {2, 9}, {3, 10}, {1, 4}, {0, 3}, {8, 1}} {
 		var mu sync.Mutex
 		ran := make([]int, c.n)
 		inFlight, peak := 0, 0
-		err := BoundedPar(c.limit, c.n, func(i int) error {
+		err := w.Run(&fo, c.limit, c.n, func(i int) error {
 			mu.Lock()
 			ran[i]++
 			inFlight++
@@ -455,14 +463,25 @@ func TestBoundedParRunsEverythingWithinLimit(t *testing.T) {
 	}
 }
 
-// TestBoundedParAllocs: a fan-out of two or three allocates what its
-// goroutines share and one closure for each it starts — no semaphore
-// while the limit covers them, no channel for the errors.
-func TestBoundedParAllocs(t *testing.T) {
+// TestFanOutAllocs: a fan-out allocates nothing once its workers exist:
+// what they share is the caller's, and a worker that is done parks for
+// the next fan-out instead of ending. Close ends the parked workers.
+func TestFanOutAllocs(t *testing.T) {
+	var w Workers
+	var fo FanOut
 	f := func(int) error { return nil }
-	for n, want := range map[int]float64{1: 0, 2: 2, 3: 3} {
-		if got := testing.AllocsPerRun(200, func() { _ = BoundedPar(4, n, f) }); got != want {
-			t.Errorf("BoundedPar(4, %d) allocates %v times, want %v", n, got, want)
+	for _, n := range []int{1, 2, 3, 9} {
+		if got := testing.AllocsPerRun(200, func() { _ = w.Run(&fo, 4, n, f) }); got != 0 {
+			t.Errorf("a fan-out of %d on parked workers allocates %v times, want 0", n, got)
 		}
+	}
+	before := runtime.NumGoroutine()
+	w.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() >= before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if runtime.NumGoroutine() >= before {
+		t.Errorf("Close left %d goroutines running, as many as before", runtime.NumGoroutine())
 	}
 }

@@ -73,6 +73,10 @@ type Server struct {
 
 	addrs map[string]string // DataAddr of each peer, made once
 
+	// workers run the fan-outs of reads and writes over the disks;
+	// Close ends them.
+	workers Workers
+
 	tr       *obs.Tracer
 	reqC     *obs.Counter
 	inflight *obs.Gauge        // data-path requests currently being served
@@ -386,7 +390,7 @@ const readVServePar = 16
 // readJob is what one onReadV's concurrent extent reads share. It comes
 // from readJobs and goes back when the read is served; serve is the
 // bound readExtent the fan-out runs, made once per readJob rather than
-// once per read.
+// once per read, and fan is what the fan-out's workers share.
 type readJob struct {
 	s       *Server
 	base    VDiskID
@@ -394,6 +398,23 @@ type readJob struct {
 	exts    []ReadVExtent
 	results []ReadVExtentResult
 	serve   func(i int) error
+	fan     FanOut
+}
+
+// readReplyRoom is how many extent results a read reply holds in its own
+// object; a read of more extents has its list apart.
+const readReplyRoom = 4
+
+// readReply is a read's reply in one object: the ReadVResp, room for its
+// results, and the RecvBuf through which its data buffer goes back to the
+// pool. It is sent by pointer (&r.ReadVResp) and never reused: only its
+// data buffer is, once, whoever releases it first — the client that has
+// copied the data out, or the endpoint that got the reply after its call
+// gave up — so a late reply stays harmless.
+type readReply struct {
+	ReadVResp
+	room [readReplyRoom]ReadVExtentResult
+	rb   rpc.RecvBuf
 }
 
 var readJobs = sync.Pool{New: func() any {
@@ -425,9 +446,12 @@ func (s *Server) onReadV(m *ReadVReq) any {
 	if err != nil {
 		return ReadVResp{Err: err.Error()}
 	}
+	r := new(readReply)
 	bufp := bufpool.Get(size)
+	r.rb.Hold(bufp)
+	r.wb = &r.rb
 	buf := *bufp
-	results := make([]ReadVExtentResult, len(m.Extents))
+	results := slices.Grow(r.room[:0], len(m.Extents))[:len(m.Extents)]
 	for i, e := range m.Extents {
 		if !readable(e) {
 			results[i].Err = ErrBounds.Error()
@@ -437,10 +461,11 @@ func (s *Server) onReadV(m *ReadVReq) any {
 	}
 	j := readJobs.Get().(*readJob)
 	j.s, j.base, j.ceiling, j.exts, j.results = s, base, ceiling, m.Extents, results
-	_ = BoundedPar(readVServePar, len(results), j.serve)
-	*j = readJob{serve: j.serve}
+	_ = s.workers.Run(&j.fan, readVServePar, len(results), j.serve)
+	j.s, j.base, j.ceiling, j.exts, j.results = nil, "", 0, nil, nil
 	readJobs.Put(j)
-	return ReadVResp{OK: true, Results: results, wb: rpc.NewRecvBuf(bufp)}
+	r.OK, r.Results = true, results
+	return &r.ReadVResp
 }
 
 // readable reports whether a read extent lies within its chunk.
@@ -523,6 +548,7 @@ type writeJob struct {
 	units   [][]WriteVExtent
 
 	apply func(i int) error
+	fan   FanOut
 }
 
 var writeJobs = sync.Pool{New: func() any {
@@ -547,7 +573,8 @@ func (j *writeJob) release() {
 	}
 	clear(j.sorted[:cap(j.sorted)])
 	clear(j.units[:cap(j.units)])
-	*j = writeJob{fws: j.fws[:0], sorted: j.sorted[:0], units: j.units[:0], apply: j.apply}
+	j.s, j.base, j.ceiling, j.st = nil, "", 0, GlobalState{}
+	j.fws, j.sorted, j.units = j.fws[:0], j.sorted[:0], j.units[:0]
 	writeJobs.Put(j)
 }
 
@@ -624,7 +651,7 @@ const writeVApplyPar = 16
 // bounded parallelism — the disk-level half of scatter-gather. Returns
 // the first error string, or "".
 func (j *writeJob) applyExtents() string {
-	if err := BoundedPar(writeVApplyPar, len(j.units), j.apply); err != nil {
+	if err := j.s.workers.Run(&j.fan, writeVApplyPar, len(j.units), j.apply); err != nil {
 		return err.Error()
 	}
 	return ""
@@ -859,6 +886,7 @@ func (s *Server) Close() {
 	s.det.Stop()
 	s.px.Close()
 	s.ep.Close()
+	s.workers.Close()
 	for _, nv := range s.nvs {
 		if nv != nil {
 			go nv.Close() // drains asynchronously; the disks are dead anyway

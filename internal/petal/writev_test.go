@@ -214,17 +214,21 @@ func raceBuild() bool {
 // worker and the primary sends the forward before it applies, so a write
 // allocates nothing, in any number of parts. The 64 KB WriteV goes
 // through an Overlapped view, as write-behind's flights do, and leaves in
-// two parts like any other. What a ReadV still allocates is the client's
-// fan-out over the two replicas (its state and one goroutine) and, per
-// request, the server's result list, its boxed reply and the hand-off of
-// its buffer. loneReadVAllocs is the same ReadV made while no other read
-// is in flight: four requests, not two. partedWriteVAllocs is a 16 KB
-// WriteV someone waits for: two requests to the primary, each forwarded.
-// Raise or lower them only with a change that means to move them.
+// two parts like any other. A ReadV allocated 8 and a lone one 14 while
+// the client's fan-out over the replicas had its state and a goroutine
+// of its own and every reply its result list, its boxed value and the
+// hand-off of its buffer apart. Now the fan-out runs on the client's
+// parked workers, and a reply is one object with room for its results
+// and its buffer's hand-off, sent by pointer: a ReadV allocates one
+// object per request. loneReadVAllocs is the same ReadV made while no
+// other read is in flight: four requests, not two. partedWriteVAllocs is
+// a 16 KB WriteV someone waits for: two requests to the primary, each
+// forwarded. Raise or lower them only with a change that means to move
+// them.
 const (
 	writeVAllocs       = 0
-	readVAllocs        = 2 + 2*3
-	loneReadVAllocs    = readVAllocs + 2*3
+	readVAllocs        = 2
+	loneReadVAllocs    = 4
 	partedWriteVAllocs = 0
 )
 

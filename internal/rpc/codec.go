@@ -89,9 +89,13 @@ type RecvBuf struct {
 // tracking.
 func NewRecvBuf(p *[]byte) *RecvBuf {
 	rb := &RecvBuf{}
-	rb.p.Store(p)
+	rb.Hold(p)
 	return rb
 }
+
+// Hold makes b the holder of p, a pooled buffer: for a RecvBuf that lives
+// in the message whose payload it holds, not apart from it.
+func (b *RecvBuf) Hold(p *[]byte) { b.p.Store(p) }
 
 // Release returns the buffer to the pool. Only the first call acts;
 // nil receivers are no-ops so value copies of undecoded messages are
