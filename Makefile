@@ -29,13 +29,17 @@ race:
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
 ## staging, a cached ReadAt, Stat, Open and overwrite, a cold 64 KB
-## ReadAt (a lone read: four requests), a 64 KB ReadAt right after a lock
+## ReadAt (a lone read: four requests; its pages take the entries their
+## evictions drop, 21 before), a 64 KB ReadAt right after a lock
 ## handoff (a bound: the speculative fill and its lone ReadV, the lock
-## traffic around it), a cold Stat (a bound: the inode sector's fetch
+## traffic around it; 29 before its pages and sector took the entries
+## the revoke dropped), a cold Stat (a bound: the inode sector's fetch
 ## through the gate, the cold lock acquire around it), a streaming 64 KB
 ## WriteAt with its write-behind
-## flight, a create, remove, mkdir, rmdir and rename, a path split, a log
-## append with its flush (internal/wal), a cache insert (one object), the
+## flight (its pages reused, 19 before), a create, remove, mkdir, rmdir
+## and rename, a path split, a log append with its flush (internal/wal),
+## a cache insert (nothing once its victim is unpinned, one object while
+## a holder pins it), the
 ## waits, Petal's routing (a round of the planner in plan.go:
 ## nothing, TestTargetsAllocationFree) and a fan-out on parked workers
 ## (nothing), a replicated 64 KB WriteV (a

@@ -208,6 +208,7 @@ var exported = map[string]string{
 	"cache.Pool.AllDirty":          "internal/fs/fs.go",
 	"cache.Pool.BlockSize":         "internal/fs/fs.go",
 	"cache.Pool.Capacity":          "internal/fs/fs.go",
+	"cache.Pool.Contains":          "internal/fs/gate.go",
 	"cache.Pool.DirtyByOwner":      "internal/fs/fs.go",
 	"cache.Pool.DirtyThrough":      "internal/fs/fs.go",
 	"cache.Pool.Fill":              "internal/fs/fs.go",
@@ -223,9 +224,12 @@ var exported = map[string]string{
 	"cache.Pool.MaxSeq":            "internal/fs/fs.go",
 	"cache.Pool.Mutate":            "internal/fs/file.go",
 	"cache.Pool.Peek":              "internal/fs/file.go",
+	"cache.Pool.Pin":               "internal/fs/gate.go",
+	"cache.Pool.Pinned":            "TestPinnedEntriesAreNeverReused",
 	"cache.Pool.SetFlusher":        "internal/fs/fs.go",
 	"cache.Pool.SetObs":            "internal/fs/fs.go",
 	"cache.Pool.SnapshotBatch":     "internal/fs/fs.go",
+	"cache.Pool.Unpin":             "internal/fs/file.go, internal/fs/fs.go",
 	"cache.Pool.Usage":             "internal/fs/fs.go",
 
 	"petal.Client.Close":                  "cluster.go, benchmark/drives.go",

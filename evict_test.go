@@ -86,9 +86,9 @@ func (h *holder) takeRead(r *petal.ReadVReq) bool {
 func (h *holder) release() { h.once.Do(func() { close(h.released) }) }
 
 // evictRig is two file servers on one cluster. ws1 has a data cache of
-// four pages and reaches Petal through hold; its update demon never runs
-// during a test, so a dirty page of it reaches Petal only when someone
-// writes it back.
+// four pages (newEvictRigCap: as many as it is given) and reaches Petal
+// through hold; its update demon never runs during a test, so a dirty
+// page of it reaches Petal only when someone writes it back.
 type evictRig struct {
 	c        *frangipani.Cluster
 	pc       *petal.Client
@@ -97,6 +97,11 @@ type evictRig struct {
 }
 
 func newEvictRig(t *testing.T) *evictRig {
+	t.Helper()
+	return newEvictRigCap(t, 4)
+}
+
+func newEvictRigCap(t *testing.T, pages int) *evictRig {
 	t.Helper()
 	cfg := frangipani.DefaultClusterConfig()
 	cfg.Compression = 25 // a held write in a slower world: host stalls are not timeouts
@@ -112,7 +117,7 @@ func newEvictRig(t *testing.T) *evictRig {
 	r.pc = petal.NewClientWithCarrier(c.World, "ws1", c.PetalServerNames(), r.hold)
 	t.Cleanup(r.pc.Close)
 	fscfg := cfg.FSConfig
-	fscfg.DataCacheCap = 4
+	fscfg.DataCacheCap = pages
 	if r.ws1, err = frangipani.Mount(c.World, "ws1", r.pc, "fs0", c.LockServerNames(), c.Layout(), fscfg); err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +235,104 @@ func TestEvictionJoinsTheFlightGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.check(t, newest, "the evicted bytes, which landed after the newer ones")
+}
+
+// TestReleasedFlightLeavesNoClaim: ws1 writes a 2 MB file in one call,
+// which hands all of it to one write-behind flight, sent in three batches
+// (the 64 KB of small blocks, then the large block in runs of at most
+// 1 MB), and the batch that carries the last page is held on its way to
+// Petal. The other two land and their pages are clean, but the flight
+// holds their claims until it is released. A flood of fills (a file ws2
+// wrote) then evicts most of them. The flight pins its entries, so the
+// fills cannot take them; were one reused for another block before
+// release read its address, the finished claim would stay in the gate at
+// the old address, and every later fetch of that page would wait on it,
+// find nothing cached and go round again. Once the flight is released, a
+// read of the evicted pages must return, with the file's bytes.
+func TestReleasedFlightLeavesNoClaim(t *testing.T) {
+	const size = 2 << 20
+	const capacity = 600 // pages: the file's 512 and room
+	r := newEvictRigCap(t, capacity)
+	data := pattern(size, 6)
+	// Every fill past the cache's room evicts one of the file's oldest
+	// pages: 212 of the 272 clean ones, none of the held batch's.
+	flood := pattern((capacity-300)*4096, 7)
+	fl, err := r.ws2.OpenFile("/flood", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.WriteAt(flood, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ws2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.ws1.OpenFile("/big", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := r.c.Obs().Counter("fs.flush.pages#ws1")
+	before := flushed.Value()
+	r.hold.mu.Lock()
+	r.hold.want, r.hold.armed = data[size-4096:], true
+	r.hold.mu.Unlock()
+	if _, err := h.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-r.hold.held:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the write-behind flight sent no write of the last page")
+	}
+	for deadline := time.Now().Add(20 * time.Second); flushed.Value()-before < 272; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pages of the flight landed, want the 272 of its first two batches", flushed.Value()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g, err := r.ws1.Open("/flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(flood))
+	if _, err := g.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, flood) {
+		t.Fatal("the flood read the wrong bytes")
+	}
+	r.hold.release()
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		got := make([]byte, size/2)
+		_, err := h.ReadAt(got, 0)
+		if err == nil && !bytes.Equal(got, data[:size/2]) {
+			err = errors.New("read the wrong bytes")
+		}
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a read of the evicted pages never returned: a claim outlived its flight at their old addresses")
+	}
+	other, err := r.ws2.Open("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, size)
+	if _, err := other.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("the other server reads the wrong bytes")
+	}
 }
 
 // TestReadOfPageBeingEvicted: while the write-back of an evicted dirty

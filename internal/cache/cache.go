@@ -13,10 +13,23 @@
 // to the registered flusher (which must write the log record before
 // the block, per the WAL rule) and leave only once it has written them
 // back.
+//
+// An entry is pinned while somebody holds it. Every call that hands one
+// out — Lookup, Peek, Insert, Fill and the dirty lists — pins it, the
+// victims it gives the flusher are pinned until the flusher returns, and
+// the holder calls Unpin when it is done with the entry's bytes. A pin
+// does not keep an entry resident: eviction and invalidation drop pinned
+// entries like any other. It keeps the entry's memory its holder's: a
+// dropped entry goes on the pool's spare list, to be the block of a later
+// insert, only once nobody holds it, so a pool reuses the frame a drop
+// frees the way a unified buffer cache does, and never under a reader or
+// a writer. Insert and Fill evict before they take an entry, so an insert
+// into a full pool takes its own clean victim. A pin that is never
+// released costs that entry's reuse and nothing else: the collector still
+// owns the memory.
 package cache
 
 import (
-	"slices"
 	"sync"
 
 	"frangipani/internal/obs"
@@ -43,6 +56,11 @@ type Entry struct {
 	Owner uint64
 
 	gen int64 // bumped on every MarkDirty; guards MarkCleanIfBatch
+	// pins counts the holders the entry was handed to and that have not
+	// unpinned it; resident says the pool's map holds it. An entry that
+	// is neither is free to be reused.
+	pins     int32
+	resident bool
 	// The entry's place in its pool's LRU ring; nil once it has been
 	// dropped, or while it is a victim being written back. The links live
 	// here so that an insert allocates the entry, which holds its block,
@@ -69,6 +87,29 @@ type sectorEntry struct {
 	block [512]byte
 }
 
+// takeLocked enters an entry for addr under owner, pinned once for the
+// caller, and returns it: a spare one if the pool has one, its block
+// still holding its old bytes for the caller to overwrite, else a new one
+// with a zeroed block.
+func (p *Pool) takeLocked(addr int64, owner uint64) *Entry {
+	var e *Entry
+	if n := len(p.spare); n > 0 {
+		e = p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		gen := e.gen
+		*e = Entry{Data: e.Data, gen: gen}
+	} else {
+		e = p.newEntry()
+	}
+	e.Addr, e.Owner, e.resident = addr, owner, true
+	p.pinLocked(e)
+	p.entries[addr] = e
+	p.pushFrontLocked(e)
+	p.addOwnerLocked(e)
+	return e
+}
+
 // newEntry returns an entry with a zeroed block of the pool's size.
 func (p *Pool) newEntry() *Entry {
 	switch p.blockSize {
@@ -86,7 +127,8 @@ func (p *Pool) newEntry() *Entry {
 
 // Flusher writes the dirty victims of one insert to stable storage
 // (log first, then blocks) and marks clean what it wrote. It is called
-// with the pool lock NOT held, and may reorder or overwrite its slice.
+// with the pool lock NOT held, and may reorder its slice but not
+// overwrite it: the pool unpins what the slice holds once it returns.
 type Flusher func([]*Entry) error
 
 // Pool is a fixed-capacity block cache. Resident entries are on a ring
@@ -105,6 +147,10 @@ type Pool struct {
 	// covers, linked through the entries themselves; an owner leaves the
 	// map with its last entry.
 	byOwner map[uint64]*Entry
+	// spare holds dropped entries that nobody holds, for inserts to take
+	// before they allocate; at most capacity of them.
+	spare  []*Entry
+	pinned int // pins held on the pool's entries, resident or not
 
 	hits, misses, evictions *obs.Counter
 }
@@ -183,10 +229,10 @@ func (p *Pool) Usage() (resident, dirty int) {
 	return len(p.entries), dirty
 }
 
-// Lookup returns the cached entry for addr, if present, bumping LRU.
-// It is the demand lookup: the hit and miss counters count these calls
-// and nothing else, so their ratio says how often whoever needed a
-// block found it here.
+// Lookup returns the cached entry for addr, if present, pinned and
+// bumped in the LRU order. It is the demand lookup: the hit and miss
+// counters count these calls and nothing else, so their ratio says how
+// often whoever needed a block found it here.
 func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -194,6 +240,7 @@ func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 	if ok {
 		p.unlinkLocked(e)
 		p.pushFrontLocked(e)
+		p.pinLocked(e)
 		p.hits.Inc()
 	} else {
 		p.misses.Inc()
@@ -204,16 +251,90 @@ func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 // Peek is Lookup for the owner's checks on its own work — is a block it
 // is about to fetch, or has just fetched, already here? Nobody is
 // waiting for the block, so Peek counts nothing and leaves the LRU order
-// alone.
+// alone. A hit is pinned, as Lookup's is.
 func (p *Pool) Peek(addr int64) (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[addr]
+	if ok {
+		p.pinLocked(e)
+	}
 	return e, ok
 }
 
+// Contains reports whether a block is cached at addr, and hands nothing
+// out: for a predicate that only asks whether to fetch it.
+func (p *Pool) Contains(addr int64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.entries[addr]
+	return ok
+}
+
+// Pin pins entries the caller holds pinned already, for a holder that
+// outlives the caller's own hold (a write-back flight).
+func (p *Pool) Pin(es ...*Entry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range es {
+		p.pinLocked(e)
+	}
+}
+
+// Unpin releases one pin on each of es that is not nil. An entry that
+// the pool has dropped goes on the spare list once its last pin is gone.
+// Unpinning an entry nobody holds is a bug that would hand a block to two
+// addresses, and panics.
+func (p *Pool) Unpin(es ...*Entry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range es {
+		if e == nil {
+			continue
+		}
+		if e.pins <= 0 {
+			panic("cache: Unpin of an entry nobody holds")
+		}
+		e.pins--
+		p.pinned--
+		if e.pins == 0 && !e.resident {
+			p.spareLocked(e)
+		}
+	}
+}
+
+// Pinned returns the pins held on the pool's entries: what a holder
+// that forgot to unpin leaves behind.
+func (p *Pool) Pinned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pinned
+}
+
+func (p *Pool) pinLocked(e *Entry) {
+	e.pins++
+	p.pinned++
+}
+
+// spareLocked keeps e, which nobody holds and the pool has dropped, for
+// a later insert, unless the spare list is full.
+func (p *Pool) spareLocked(e *Entry) {
+	if len(p.spare) < p.capacity {
+		p.spare = append(p.spare, e)
+	}
+}
+
+// forgetLocked marks e, which the pool has just taken out of its map,
+// dropped, and spares it if nobody holds it.
+func (p *Pool) forgetLocked(e *Entry) {
+	e.resident = false
+	if e.pins == 0 {
+		p.spareLocked(e)
+	}
+}
+
 // Insert adds (or replaces) the entry for addr with the given data
-// and owner, evicting if needed. It returns the entry. A nil data is a
+// and owner, evicting if needed, and returns it pinned. A nil data is a
 // block of zeros.
 func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 	p.mu.Lock()
@@ -226,16 +347,13 @@ func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 		p.setOwnerLocked(e, owner)
 		p.unlinkLocked(e)
 		p.pushFrontLocked(e)
+		p.pinLocked(e)
 		p.mu.Unlock()
 		return e
 	}
-	e := p.newEntry()
-	e.Addr, e.Owner = addr, owner
-	copy(e.Data, data)
-	p.entries[addr] = e
-	p.pushFrontLocked(e)
-	p.addOwnerLocked(e)
-	victims := p.collectVictimsLocked()
+	victims := p.collectVictimsLocked(p.capacity - 1)
+	e := p.takeLocked(addr, owner)
+	clear(e.Data[copy(e.Data, data):])
 	p.mu.Unlock()
 	p.flushVictims(victims)
 	return e
@@ -248,19 +366,17 @@ func (p *Pool) Insert(addr int64, data []byte, owner uint64) *Entry {
 // may be reading or changing it, and its bytes are at least as new.
 // inserted reports which. A fill is not a demand lookup: it counts
 // nothing and leaves a resident entry's place in the LRU order alone.
+// Either way the entry it returns is pinned.
 func (p *Pool) Fill(addr int64, data []byte, owner uint64) (e *Entry, inserted bool) {
 	p.mu.Lock()
 	if e, ok := p.entries[addr]; ok {
+		p.pinLocked(e)
 		p.mu.Unlock()
 		return e, false
 	}
-	e = p.newEntry()
-	e.Addr, e.Owner = addr, owner
-	copy(e.Data, data)
-	p.entries[addr] = e
-	p.pushFrontLocked(e)
-	p.addOwnerLocked(e)
-	victims := p.collectVictimsLocked()
+	victims := p.collectVictimsLocked(p.capacity - 1)
+	e = p.takeLocked(addr, owner)
+	clear(e.Data[copy(e.Data, data):])
 	p.mu.Unlock()
 	p.flushVictims(victims)
 	return e, true
@@ -308,16 +424,19 @@ func (p *Pool) removeOwnerLocked(e *Entry) {
 	e.ownPrev, e.ownNext, e.indexed = nil, nil, false
 }
 
-// collectVictimsLocked trims the ring to capacity, dropping clean
-// victims and returning dirty ones, which stay resident off the ring —
-// a lookup still finds their bytes, the newest there are, and the lock
-// that covers them still counts them dirty — until they are written.
-func (p *Pool) collectVictimsLocked() []*Entry {
+// collectVictimsLocked trims the ring to limit entries (capacity, or
+// one less before an insert takes an entry), dropping clean victims —
+// onto the spare list, unless someone holds them — and returning dirty
+// ones, pinned, which stay resident off the ring — a lookup still finds
+// their bytes, the newest there are, and the lock that covers them still
+// counts them dirty — until they are written.
+func (p *Pool) collectVictimsLocked(limit int) []*Entry {
 	var dirty []*Entry
-	for p.onRing > p.capacity {
+	for p.onRing > limit && p.onRing > 0 {
 		e := p.lru.prev
 		p.unlinkLocked(e)
 		if e.Dirty {
+			p.pinLocked(e)
 			dirty = append(dirty, e)
 			continue
 		}
@@ -330,13 +449,14 @@ func (p *Pool) collectVictimsLocked() []*Entry {
 func (p *Pool) dropLocked(e *Entry) {
 	delete(p.entries, e.Addr)
 	p.removeOwnerLocked(e)
+	p.forgetLocked(e)
 	p.evictions.Inc()
 }
 
 // flushVictims writes the dirty victims back with one flusher call and
-// then drops those that are clean and nobody touched meanwhile. One
-// that is still dirty (its write-back failed) goes back on the ring: a
-// dirty block leaves only by being written.
+// then drops those that are clean and nobody touched meanwhile, and
+// unpins them all. One that is still dirty (its write-back failed) goes
+// back on the ring: a dirty block leaves only by being written.
 func (p *Pool) flushVictims(victims []*Entry) {
 	if len(victims) == 0 {
 		return
@@ -345,10 +465,9 @@ func (p *Pool) flushVictims(victims []*Entry) {
 	f := p.flusher
 	p.mu.Unlock()
 	if f != nil {
-		_ = f(slices.Clone(victims))
+		_ = f(victims)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, e := range victims {
 		switch {
 		case e.prev != nil || p.entries[e.Addr] != e: // used again, or invalidated
@@ -358,6 +477,8 @@ func (p *Pool) flushVictims(victims []*Entry) {
 			p.dropLocked(e)
 		}
 	}
+	p.mu.Unlock()
+	p.Unpin(victims...)
 }
 
 // MarkDirty flags the entry and records the covering log sequence. An
@@ -365,9 +486,15 @@ func (p *Pool) flushVictims(victims []*Entry) {
 // admitted again, in place of any copy fetched meanwhile: the caller
 // holds the covering lock, so its bytes are the newest, and a dirty
 // entry that no pool holds would never be written back. A victim on its
-// way out is in use again, and back on the ring.
+// way out is in use again, and back on the ring. The caller must hold e
+// pinned: an entry nobody holds may be another block's already, and
+// MarkDirty of one panics.
 func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	p.mu.Lock()
+	if e.pins <= 0 {
+		p.mu.Unlock()
+		panic("cache: MarkDirty of an entry nobody holds")
+	}
 	if !e.Dirty {
 		e.First = seq
 	}
@@ -381,11 +508,13 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 		if old, ok := p.entries[e.Addr]; ok && old != e {
 			p.unlinkLocked(old)
 			p.removeOwnerLocked(old)
+			p.forgetLocked(old)
 		}
 		p.entries[e.Addr] = e
+		e.resident = true
 		p.pushFrontLocked(e)
 		p.addOwnerLocked(e)
-		victims = p.collectVictimsLocked()
+		victims = p.collectVictimsLocked(p.capacity)
 	}
 	p.mu.Unlock()
 	p.flushVictims(victims)
@@ -426,27 +555,29 @@ func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
 	}
 }
 
-// DirtyByOwner appends to dst the dirty entries covered by a lock and
-// returns it: a caller that keeps its list from call to call allocates
-// nothing.
+// DirtyByOwner appends to dst the dirty entries covered by a lock,
+// pinned, and returns it: a caller that keeps its list from call to call
+// allocates nothing.
 func (p *Pool) DirtyByOwner(dst []*Entry, owner uint64) []*Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for e := p.byOwner[owner]; e != nil; e = e.ownNext {
 		if e.Dirty {
+			p.pinLocked(e)
 			dst = append(dst, e)
 		}
 	}
 	return dst
 }
 
-// AllDirty returns every dirty entry (sync demon sweep).
+// AllDirty returns every dirty entry, pinned (sync demon sweep).
 func (p *Pool) AllDirty() []*Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []*Entry
 	for _, e := range p.entries {
 		if e.Dirty {
+			p.pinLocked(e)
 			out = append(out, e)
 		}
 	}
@@ -454,8 +585,8 @@ func (p *Pool) AllDirty() []*Entry {
 }
 
 // DirtyThrough returns the dirty entries that hold an update logged at
-// or before seq: what has to be written back before the log can be
-// released through seq. An entry's newest sequence does not say — a
+// or before seq, pinned: what has to be written back before the log can
+// be released through seq. An entry's newest sequence does not say — a
 // block updated by every record would never qualify.
 func (p *Pool) DirtyThrough(seq int64) []*Entry {
 	p.mu.Lock()
@@ -463,6 +594,7 @@ func (p *Pool) DirtyThrough(seq int64) []*Entry {
 	var out []*Entry
 	for _, e := range p.entries {
 		if e.Dirty && e.First <= seq {
+			p.pinLocked(e)
 			out = append(out, e)
 		}
 	}
@@ -478,12 +610,13 @@ func (p *Pool) InvalidateByOwner(owner uint64) {
 	defer p.mu.Unlock()
 	for e := p.byOwner[owner]; e != nil; {
 		next := e.ownNext
-		if p.entries[e.Addr] == e {
-			delete(p.entries, e.Addr)
-		}
 		p.unlinkLocked(e)
 		e.Dirty = false
 		e.ownPrev, e.ownNext, e.indexed = nil, nil, false
+		if p.entries[e.Addr] == e {
+			delete(p.entries, e.Addr)
+			p.forgetLocked(e)
+		}
 		e = next
 	}
 	delete(p.byOwner, owner)
@@ -498,6 +631,7 @@ func (p *Pool) Invalidate(addr int64) {
 		p.unlinkLocked(e)
 		p.removeOwnerLocked(e)
 		e.Dirty = false
+		p.forgetLocked(e)
 	}
 }
 
@@ -508,6 +642,7 @@ func (p *Pool) InvalidateAll() {
 	defer p.mu.Unlock()
 	for _, e := range p.entries {
 		e.ownPrev, e.ownNext, e.indexed = nil, nil, false
+		p.forgetLocked(e)
 	}
 	p.entries = make(map[int64]*Entry)
 	p.byOwner = make(map[uint64]*Entry)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -372,25 +373,36 @@ func TestInsertNilIsZeros(t *testing.T) {
 	}
 }
 
-// TestInsertEvictAllocs: an insert into a full pool is one object, the
-// entry with its page in it, and nothing for the LRU's bookkeeping (the
-// benchmark's cache.insert_evict_allocs). It was 2 while the page was
-// an allocation of its own. A metadata sector is one object too.
+// TestInsertEvictAllocs: an insert into a full pool whose victim nobody
+// holds allocates nothing: it takes the entry it evicted. While a holder
+// pins the victim it is one object, the entry with its page in it, and
+// nothing for the LRU's bookkeeping (the benchmark's drive,
+// cache.insert_evict_allocs, never unpins). It was 1 for every insert
+// while an evicted entry was left to the collector, and 2 while the page
+// was an allocation of its own. A metadata sector counts the same.
 func TestInsertEvictAllocs(t *testing.T) {
 	for _, size := range []int64{4096, 512} {
-		const capacity = 256
-		p := NewPool(int(size), capacity)
-		block := make([]byte, size)
-		next := int64(0)
-		insert := func() {
-			p.Insert(next*size, block, 1)
-			next++
-		}
-		for next < 2*capacity { // warm: the maps have seen their full size
-			insert()
-		}
-		if n := testing.AllocsPerRun(1000, insert); n != 1 {
-			t.Fatalf("Insert of a %d-byte block with an eviction allocates %v times, want 1", size, n)
+		for _, c := range []struct {
+			unpin bool
+			want  float64
+		}{{true, 0}, {false, 1}} {
+			const capacity = 256
+			p := NewPool(int(size), capacity)
+			block := make([]byte, size)
+			next := int64(0)
+			insert := func() {
+				e := p.Insert(next*size, block, 1)
+				if c.unpin {
+					p.Unpin(e)
+				}
+				next++
+			}
+			for next < 2*capacity { // warm: the maps have seen their full size
+				insert()
+			}
+			if n := testing.AllocsPerRun(1000, insert); n != c.want {
+				t.Fatalf("Insert of a %d-byte block with an eviction (unpinned: %v) allocates %v times, want %v", size, c.unpin, n, c.want)
+			}
 		}
 	}
 }
@@ -560,6 +572,177 @@ func checkOwnerIndex(p *Pool, owner uint64) string {
 		if d, ok := want[e]; !ok || !d {
 			return fmt.Sprintf("DirtyByOwner returns the entry at %d, which the scan does not find dirty", e.Addr)
 		}
+	}
+	return ""
+}
+
+// TestPinnedEntriesAreNeverReused: a seeded random run of inserts,
+// fills, lookups, peeks, dirty lists, pins and unpins, MarkDirty calls
+// (some on evicted entries, which they admit again), evictions, Invalidate,
+// InvalidateByOwner and InvalidateAll, with a flusher that writes back
+// some of its victims and has others written again. The test holds what
+// it is handed, as a reader or writer would, and lets go of it at random.
+// After every step:
+//   - an entry the test holds still stands for the address it was handed
+//     for, with the bytes written there: a pinned entry is never handed
+//     out for another address;
+//   - every pin the pool counts is one the test holds, and none is negative;
+//   - the spare list holds distinct entries that are neither resident nor
+//     pinned, at most the pool's capacity of them.
+//
+// Entries are reused all along: the run fails if none ever is.
+func TestPinnedEntriesAreNeverReused(t *testing.T) {
+	const owners, addrs, capacity, size = 3, 24, 6, 64
+	p := NewPool(size, capacity)
+	rng := rand.New(rand.NewSource(2))
+	seq := int64(0)
+	p.SetFlusher(func(es []*Entry) error {
+		for _, e := range es {
+			switch rng.Intn(3) {
+			case 0:
+				p.MarkCleanIfBatch([]*Entry{e}, []int64{e.gen})
+			case 1:
+				seq++
+				p.MarkDirty(e, seq)
+			}
+		}
+		return nil
+	})
+	var held []pin            // one per pin the test holds
+	was := map[*Entry]int64{} // the address each entry was last handed out for
+	reused := 0
+	take := func(step int, what string, e *Entry, addr int64) {
+		if e.Addr != addr {
+			t.Fatalf("step %d: %s of %d handed out the entry of %d", step, what, addr, e.Addr)
+		}
+		for _, h := range held {
+			if h.e == e && h.addr != addr {
+				t.Fatalf("step %d: %s of %d handed out an entry held for %d", step, what, addr, h.addr)
+			}
+		}
+		if a, ok := was[e]; ok && a != addr {
+			reused++
+		}
+		was[e] = addr
+		held = append(held, pin{e, addr})
+	}
+	unpin := func() {
+		i := rng.Intn(len(held))
+		p.Unpin(held[i].e)
+		held[i] = held[len(held)-1]
+		held = held[:len(held)-1]
+	}
+	for step := 0; step < 20000; step++ {
+		addr, owner := int64(rng.Intn(addrs))*size, uint64(rng.Intn(owners))
+		what := rng.Intn(24)
+		switch {
+		case what < 4:
+			take(step, "Insert", p.Insert(addr, stamp(addr, size), owner), addr)
+		case what < 8:
+			e, _ := p.Fill(addr, stamp(addr, size), owner)
+			take(step, "Fill", e, addr)
+		case what < 10:
+			if e, ok := p.Lookup(addr); ok {
+				take(step, "Lookup", e, addr)
+			}
+		case what < 11:
+			if e, ok := p.Peek(addr); ok {
+				take(step, "Peek", e, addr)
+			}
+		case what < 12:
+			for _, e := range p.DirtyByOwner(nil, owner) {
+				take(step, "DirtyByOwner", e, e.Addr)
+			}
+		case what < 13 && len(held) > 0:
+			h := held[rng.Intn(len(held))]
+			p.Pin(h.e)
+			held = append(held, h)
+		case what < 18:
+			for n := rng.Intn(3) + 1; n > 0 && len(held) > 0; n-- {
+				unpin()
+			}
+		case what < 21 && len(held) > 0:
+			seq++
+			p.MarkDirty(held[rng.Intn(len(held))].e, seq)
+		case what < 22:
+			p.Invalidate(addr)
+		case what < 23:
+			p.InvalidateByOwner(owner)
+		case rng.Intn(20) == 0:
+			p.InvalidateAll()
+		}
+		for len(held) > 32 {
+			unpin()
+		}
+		if err := checkPins(p, held); err != "" {
+			t.Fatalf("step %d (op %d, addr %d, owner %d): %s", step, what, addr, owner, err)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no entry was ever reused")
+	}
+	for len(held) > 0 {
+		unpin()
+	}
+	if n := p.Pinned(); n != 0 {
+		t.Fatalf("%d pins left once the test let go of all it held", n)
+	}
+	t.Logf("%d entries handed out again for another address", reused)
+}
+
+// pin is one pin a test holds on e, taken for addr.
+type pin struct {
+	e    *Entry
+	addr int64
+}
+
+// stamp is the block the tests write at addr: every byte names it.
+func stamp(addr int64, size int) []byte {
+	return bytes.Repeat([]byte{byte(addr/int64(size)) + 1}, size)
+}
+
+// checkPins checks the pool against the pins a test holds and returns
+// what is wrong, or "".
+func checkPins(p *Pool, held []pin) string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pins := map[*Entry]int32{}
+	for _, h := range held {
+		pins[h.e]++
+		switch {
+		case h.e.Addr != h.addr:
+			return fmt.Sprintf("an entry held for %d stands for %d", h.addr, h.e.Addr)
+		case !bytes.Equal(h.e.Data, stamp(h.addr, p.blockSize)):
+			return fmt.Sprintf("an entry held for %d holds another block's bytes", h.addr)
+		}
+	}
+	if p.pinned != len(held) {
+		return fmt.Sprintf("the pool counts %d pins, the test holds %d", p.pinned, len(held))
+	}
+	for e, n := range pins {
+		if e.pins != n {
+			return fmt.Sprintf("the entry at %d has %d pins, the test holds %d", e.Addr, e.pins, n)
+		}
+	}
+	for addr, e := range p.entries {
+		if e.pins < 0 || !e.resident || e.Addr != addr {
+			return fmt.Sprintf("the entry at %d is mapped at %d with %d pins, resident %v", e.Addr, addr, e.pins, e.resident)
+		}
+	}
+	if len(p.spare) > p.capacity {
+		return fmt.Sprintf("%d spare entries in a pool of %d", len(p.spare), p.capacity)
+	}
+	seen := map[*Entry]bool{}
+	for _, e := range p.spare {
+		switch {
+		case seen[e]:
+			return fmt.Sprintf("the entry of %d is spare twice", e.Addr)
+		case e.resident || p.entries[e.Addr] == e:
+			return fmt.Sprintf("the spare entry of %d is resident", e.Addr)
+		case e.pins != 0:
+			return fmt.Sprintf("the spare entry of %d has %d pins", e.Addr, e.pins)
+		}
+		seen[e] = true
 	}
 	return ""
 }

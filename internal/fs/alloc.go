@@ -105,11 +105,13 @@ func (fs *FS) segScanRange(t *txn, lockID uint64, lo, hi int64) (int64, error) {
 			}
 			if e.Data[byteOff2]&mask == 0 {
 				// Claim it.
+				t.hold(e)
 				nb := []byte{e.Data[byteOff2] | mask}
 				t.forceUpdate(e, byteOff2, nb)
 				return b, nil
 			}
 		}
+		fs.meta.Unpin(e)
 	}
 	return -1, nil
 }
@@ -292,7 +294,7 @@ func (fs *FS) freeObjs(t *txn, items []freeSpec) error {
 			return err
 		}
 		addr, byteOff, mask := fs.lay.bitLoc(bs.bit)
-		e, err := fs.read(t.op, fs.meta, addr, SegLock(bs.seg))
+		e, err := t.read(addr, SegLock(bs.seg))
 		if err != nil {
 			return err
 		}
@@ -326,5 +328,6 @@ func (fs *FS) bitState(c allocClass, idx int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	defer fs.meta.Unpin(e)
 	return e.Data[byteOff]&mask != 0, nil
 }

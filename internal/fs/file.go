@@ -2,7 +2,6 @@ package fs
 
 import (
 	"io"
-	"slices"
 	"sync"
 
 	"frangipani/internal/cache"
@@ -68,7 +67,7 @@ func (fs *FS) OpenFile(path string, create bool) (*File, error) {
 func (fs *FS) statInum(op *obs.Span, inum int64) (Info, error) {
 	var info Info
 	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
-		_, in, err := fs.loadInode(op, inum)
+		in, err := fs.loadInode(op, inum)
 		if err != nil {
 			return err
 		}
@@ -135,6 +134,7 @@ func (fs *FS) ensureBlock(t *txn, in *Inode, off int64, isDir bool) error {
 			// data pages are owned by the file's inode lock.
 			e := fs.data.Insert(addr, nil, t.pageOwner)
 			fs.data.MarkDirty(e, 0)
+			fs.data.Unpin(e)
 		}
 		return nil
 	}
@@ -179,17 +179,18 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 	lock := InodeLock(f.inum)
 	err := fs.withTxn(op, []lockReq{{lock, lockservice.Exclusive}}, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(op, f.inum)
+		e, in, err := t.loadInode(f.inum)
 		if err != nil {
 			return err
 		}
 		if in.Type != TypeFile {
 			return ErrIsDir
 		}
-		// Stack scratch for a 64 KB write: the pages it touched, and those
-		// of them the write stream hands off.
+		// Stack scratch for a 64 KB write: the pages it touched, pinned
+		// until it returns, and those of the stream's pages it hands off.
 		var pbuf, rbuf [16]*cache.Entry
 		pages := pbuf[:0]
+		defer func() { fs.data.Unpin(pages...) }()
 		pos := 0
 		for pos < len(p) {
 			cur := off + int64(pos)
@@ -232,8 +233,12 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 		}
 		in.Mtime = int64(fs.w.Clock.Now())
 		t.putInode(e, in)
-		if ready, hi := f.wb.wrote(off, off+int64(len(p)), pages, rbuf[:0]); len(ready) > 0 && fs.flushBehind(ready) {
-			f.wb.handedOff(hi)
+		if hi := f.wb.wrote(off, off+int64(len(p)), pages); hi > 0 {
+			ready := f.wb.ready(fs.data, hi, rbuf[:0])
+			if fs.flushBehind(ready) {
+				f.wb.handedOff(hi)
+			}
+			fs.data.Unpin(ready...)
 		}
 		return nil
 	})
@@ -264,6 +269,7 @@ func (fs *FS) zeroRange(op *obs.Span, in Inode, lo, hi int64, lock uint64) {
 			}
 			fs.data.Mutate(func() { clear(pe.Data[inPage : inPage+n]) })
 			fs.data.MarkDirty(pe, 0)
+			fs.data.Unpin(pe)
 		}
 		cur += n
 	}
@@ -333,6 +339,11 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 				f.prefetch(in, lo, hi)
 			}
 		}
+		// The pages copied out of stay pinned until the read is done and
+		// go back together: one trip through the pool's lock a 64 KB read.
+		var held [chunkPages]*cache.Entry
+		copied := held[:0]
+		defer func() { fs.data.Unpin(copied...) }()
 		for int64(n) < want {
 			cur := off + int64(n)
 			pageAddr, inPage, ok := fs.filePageAddr(in, cur)
@@ -364,6 +375,10 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 				}
 			}
 			copy(p[n:n+chunk], pe.Data[inPage:])
+			if copied = append(copied, pe); len(copied) == len(held) {
+				fs.data.Unpin(copied...)
+				copied = copied[:0]
+			}
 			n += chunk
 		}
 		// Approximate atime (§2.1): remembered in memory only and
@@ -402,7 +417,9 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 			return Inode{}, err
 		}
 	}
-	return decodeInode(e.Data)
+	in, err := decodeInode(e.Data)
+	fs.meta.Unpin(e)
+	return in, err
 }
 
 // specFill judges the pages of a speculative fill of a file by its inode
@@ -435,6 +452,7 @@ func (fs *FS) keepHint(inum int64) {
 		return
 	}
 	in, err := decodeInode(e.Data)
+	fs.meta.Unpin(e)
 	if err != nil || in.Type != TypeFile || in.Size == 0 {
 		return
 	}
@@ -604,12 +622,13 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		if c == nil {
 			continue
 		}
-		claimed := slices.Clone(mine) // the fetch outlives this call and buf
+		claimed := append(c.fetched[:0], mine...) // the fetch outlives this call and buf
 		f.ra.mu.Lock()
 		f.ra.busy++
 		f.ra.mu.Unlock()
 		go func() {
-			_, _ = fs.fill(*fs.overlapped, c, claimed, false, nil)
+			first, _ := fs.fill(*fs.overlapped, c, claimed, false, nil)
+			fs.data.Unpin(first)
 			f.ra.mu.Lock()
 			if f.ra.busy--; f.ra.busy == 0 {
 				f.ra.idle.Broadcast()
@@ -641,18 +660,23 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 //     again, and a truncate or remove waits before it frees their blocks.
 //   - Revoke: flushOwner is such a joiner, so the lock is not released
 //     while a flight covering it is out.
+//
+// The stream keeps the addresses of the pages it wrote, not their
+// entries: it holds them across writes, without the lock, and a page the
+// pool drops meanwhile (a revoke writes it back first) has nothing left
+// to hand off.
 type wstream struct {
 	mu   sync.Mutex
-	next int64          // the offset that continues the stream
-	mark int64          // chunk-aligned: nothing at or past it has been handed off
-	pend []*cache.Entry // the pages of [mark, next), which the stream wrote, in file order
+	next int64   // the offset that continues the stream
+	mark int64   // chunk-aligned: nothing at or past it has been handed off
+	pend []int64 // the addresses of the pages of [mark, next), which the stream wrote, in file order
 }
 
 // wrote records a write of [off, end) that dirtied pages, one per 4 KB
-// page it touched, and appends to ready the pages of the whole chunks
-// it completes past the mark, up to hi (or none); handedOff moves the
-// mark there once they are on their way.
-func (s *wstream) wrote(off, end int64, pages, ready []*cache.Entry) ([]*cache.Entry, int64) {
+// page it touched, and returns the end hi of the whole chunks it
+// completes past the mark (or 0): ready lists their pages, and handedOff
+// moves the mark there once they are on their way.
+func (s *wstream) wrote(off, end int64, pages []*cache.Entry) (hi int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	restart := off != s.next
@@ -665,17 +689,34 @@ func (s *wstream) wrote(off, end int64, pages, ready []*cache.Entry) ([]*cache.E
 	for _, pe := range pages {
 		// A write that starts inside the page the last one ended in
 		// brings that page again.
-		if at >= s.mark && (len(s.pend) == 0 || s.pend[len(s.pend)-1] != pe) {
-			s.pend = append(s.pend, pe)
+		if at >= s.mark && (len(s.pend) == 0 || s.pend[len(s.pend)-1] != pe.Addr) {
+			s.pend = append(s.pend, pe.Addr)
 		}
 		at += BlockSize
 	}
-	hi := end &^ (petal.ChunkSize - 1)
+	hi = end &^ (petal.ChunkSize - 1)
 	n := int((hi - s.mark) / BlockSize)
 	if restart || n <= 0 || n > len(s.pend) {
-		return ready, 0
+		return 0
 	}
-	return append(ready, s.pend[:n]...), hi
+	return hi
+}
+
+// ready appends to es the resident pages of pool among those the stream
+// wrote below hi, pinned, for the caller to unpin.
+func (s *wstream) ready(pool *cache.Pool, hi int64, es []*cache.Entry) []*cache.Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := int((hi - s.mark) / BlockSize)
+	if n <= 0 || n > len(s.pend) {
+		return es
+	}
+	for _, addr := range s.pend[:n] {
+		if e, ok := pool.Peek(addr); ok {
+			es = append(es, e)
+		}
+	}
+	return es
 }
 
 func (s *wstream) handedOff(hi int64) {
@@ -705,7 +746,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 	lock := InodeLock(f.inum)
 	return fs.withTxn(op, []lockReq{{lock, lockservice.Exclusive}}, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(op, f.inum)
+		e, in, err := t.loadInode(f.inum)
 		if err != nil {
 			return err
 		}
@@ -740,11 +781,13 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 			// Its dirty pages are dead; written back later they would land
 			// on whoever owns the block by then.
 			base := fs.lay.LargeAddr(largeIdx)
-			for _, pe := range fs.data.DirtyByOwner(nil, lock) {
+			dirty := fs.data.DirtyByOwner(nil, lock)
+			for _, pe := range dirty {
 				if pe.Addr >= base && pe.Addr < base+fs.lay.LargeBlockSize {
 					fs.data.Invalidate(pe.Addr)
 				}
 			}
+			fs.data.Unpin(dirty...)
 		}
 		if len(frees) > 0 {
 			fs.awaitFlights(old)
@@ -759,6 +802,7 @@ func (f *File) truncate(op *obs.Span, size int64) error {
 				if pe, err := fs.read(op, fs.data, pageAddr, lock); err == nil {
 					fs.data.Mutate(func() { clear(pe.Data[inPage:]) })
 					fs.data.MarkDirty(pe, 0)
+					fs.data.Unpin(pe)
 				}
 			}
 		}

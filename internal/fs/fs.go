@@ -578,7 +578,8 @@ func (d *directDev) WriteAt(p []byte, off int64) error {
 const chunkPages = petal.ChunkSize / BlockSize
 
 // read returns the cached block of pool at addr, fetching it from Petal
-// on a miss. The caller holds owner, the covering lock.
+// on a miss, pinned: the caller unpins it once it is done with its bytes.
+// The caller holds owner, the covering lock.
 func (fs *FS) read(op *obs.Span, pool *cache.Pool, addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := pool.Lookup(addr); ok {
 		return e, nil
@@ -595,14 +596,15 @@ func (fs *FS) warm(op *obs.Span, blocks []block) error {
 	if len(blocks) == 0 {
 		return nil
 	}
-	_, _, err := fs.fetch(op, fs.pc, blocks, nil)
+	e, _, err := fs.fetch(op, fs.pc, blocks, nil)
+	blocks[0].pool.Unpin(e)
 	return err
 }
 
-// fetch returns the block at blocks[0] for a caller that holds the locks
-// of blocks and needs the block now. Whichever blocks are neither cached
-// nor on their way come in with it in one Petal read, whatever their
-// pools; blocks another fetch (a prefetch, or another operation's miss)
+// fetch returns the block at blocks[0], pinned, for a caller that holds
+// the locks of blocks and needs the block now. Whichever blocks are
+// neither cached nor on their way come in with it in one Petal read,
+// whatever their pools; blocks another fetch (a prefetch, or another operation's miss)
 // has in flight are waited for, not read a second time. A data fetch
 // counts itself in fs.read.fills and its waits in fs.readahead.joins: a
 // stream that is far enough ahead never joins. own reports that this call
@@ -646,6 +648,10 @@ func (fs *FS) fetch(op *obs.Span, via *petal.Client, blocks []block, keep func(f
 		if c != nil && mine[0] == blocks[0] {
 			return e, true, nil
 		}
+		if e != nil { // mine[0], which the caller did not ask for first
+			mine[0].pool.Unpin(e)
+			e = nil
+		}
 		if e, ok := blocks[0].pool.Peek(blocks[0].addr); ok {
 			return e, false, nil
 		}
@@ -659,10 +665,10 @@ func (fs *FS) fetch(op *obs.Span, via *petal.Client, blocks []block, keep func(f
 // scatter-gather Petal read (one extent per run of contiguous blocks of a
 // pool, which the Petal driver splits by chunk and fans out over servers
 // and disks), enters each into its pool under its owner, and releases c.
-// It returns the entry of mine[0]. keep, if not nil, is shown the bytes
-// of mine[0] as cached before the others are entered, and says whether
-// they are: a speculative fill (loadForRead) judges its pages by the
-// inode sector read with them.
+// It returns the entry of mine[0], pinned, and unpins the others. keep,
+// if not nil, is shown the bytes of mine[0] as cached before the others
+// are entered, and says whether they are: a speculative fill
+// (loadForRead) judges its pages by the inode sector read with them.
 //
 // A foreground caller holds the owners (locked) and passes the view of
 // its operation. A prefetch has neither: it runs for no operation,
@@ -700,7 +706,11 @@ func (fs *FS) fill(pc petal.Client, c *claim, mine []block, locked bool, keep fu
 		defer fs.clerk.Unlock(owner)
 		fs.m.raHits.Inc()
 	}
-	// A writer may have raced a block in: Fill keeps theirs.
+	// A writer may have raced a block in: Fill keeps theirs. The blocks
+	// after the first go back to their pool together: they are one pool's
+	// (a speculative fill's sector is the first, its pages the rest).
+	var room [chunkPages]*cache.Entry
+	rest := room[:0]
 	for i, b := range mine {
 		if i == 1 && keep != nil && !keep(first.Data) {
 			break
@@ -708,9 +718,17 @@ func (fs *FS) fill(pc petal.Client, c *claim, mine []block, locked bool, keep fu
 		bs := b.pool.BlockSize()
 		e, _ := b.pool.Fill(b.addr, buf[:bs], b.owner)
 		buf = buf[bs:]
-		if i == 0 {
+		switch {
+		case i == 0:
 			first = e
+		case b.pool == mine[1].pool && len(rest) < len(room):
+			rest = append(rest, e)
+		default:
+			b.pool.Unpin(e)
 		}
+	}
+	if len(rest) > 0 {
+		mine[1].pool.Unpin(rest...)
 	}
 	return first, nil
 }
@@ -767,18 +785,20 @@ const lockExtraMode = lockservice.Exclusive
 // txn accumulates one operation's metadata changes; commit turns
 // them into a single log record (so the whole operation replays
 // atomically per block) and marks the touched cache entries dirty.
-// withTxn makes one per mutating operation. It carries room of its own
-// for what an operation touches — txnSectors sectors, txnRanges byte
-// ranges of them, txnSegs locks taken on the way — so that filling it
-// allocates nothing; only a wider operation (a rename across
-// directories over an existing file, a truncate freeing many blocks)
-// spills to the heap.
+// withTxn makes one per mutating operation, and unpins the sectors it
+// holds (held: those the operation may change) once it has committed or
+// given up. It carries room of its own for what an operation touches —
+// txnSectors sectors, txnRanges byte ranges of them, txnSegs locks taken
+// on the way, txnHeld sectors held — so that filling it allocates
+// nothing; only a wider operation (a rename across directories over an
+// existing file, a truncate freeing many blocks) spills to the heap.
 type txn struct {
 	fs      *FS
 	op      *obs.Span      // the operation the transaction belongs to
 	sectors []*cache.Entry // touched, in the order first touched; a handful, searched linearly
 	ranges  []logRange     // what to log of them
 	segs    []uint64       // bitmap segment locks acquired by the allocator
+	held    []*cache.Entry // pinned metadata sectors the operation may change
 	// pageOwner is the inode lock that owns data pages created by
 	// this transaction (set by operations that allocate blocks).
 	pageOwner uint64
@@ -786,20 +806,35 @@ type txn struct {
 	sectorRoom [txnSectors]*cache.Entry
 	rangeRoom  [txnRanges]logRange
 	segRoom    [txnSegs]uint64
+	heldRoom   [txnHeld]*cache.Entry
 }
 
 const (
 	txnSectors = 6
 	txnRanges  = 16
 	txnSegs    = 4
+	txnHeld    = 12
 )
 
 // newTxn returns an empty transaction of fs for op, its lists on its
 // own room.
 func newTxn(fs *FS, op *obs.Span) *txn {
 	t := &txn{fs: fs, op: op}
-	t.sectors, t.ranges, t.segs = t.sectorRoom[:0], t.rangeRoom[:0], t.segRoom[:0]
+	t.sectors, t.ranges, t.segs, t.held = t.sectorRoom[:0], t.rangeRoom[:0], t.segRoom[:0], t.heldRoom[:0]
 	return t
+}
+
+// hold takes over the caller's pin of e, a metadata sector the
+// transaction may change.
+func (t *txn) hold(e *cache.Entry) { t.held = append(t.held, e) }
+
+// read is fs.read of a metadata sector the transaction may change, held.
+func (t *txn) read(addr int64, owner uint64) (*cache.Entry, error) {
+	e, err := t.fs.read(t.op, t.fs.meta, addr, owner)
+	if err == nil {
+		t.hold(e)
+	}
+	return e, err
 }
 
 // logRange is a modified byte range [lo, hi) of sectors[sector].
@@ -809,8 +844,8 @@ type logRange struct{ sector, lo, hi int }
 // cheaper to log with them as one range than to open a second update.
 const logGap = 8
 
-// update writes newBytes at off into the entry, recording the
-// changed runs (diffed, so records stay small — the paper's are
+// update writes newBytes at off into the entry, which the transaction
+// holds, recording the changed runs (diffed, so records stay small — the paper's are
 // 80-128 bytes).
 func (t *txn) update(e *cache.Entry, off int, newBytes []byte) {
 	old := e.Data[off : off+len(newBytes)]
@@ -1025,15 +1060,26 @@ func (p *poolFlush) flushJob(i int) error {
 	return fs.flush(p.op, fs.meta, p.meta)
 }
 
-// free forgets what the write-back pointed at and pools it again.
-func (p *poolFlush) free() {
+// unpin lets go of the dirty lists, which their pools pinned, and empties
+// them.
+func (p *poolFlush) unpin() {
+	p.fs.meta.Unpin(p.meta...)
+	p.fs.data.Unpin(p.data...)
 	clear(p.meta)
 	clear(p.data)
-	p.fs, p.op, p.meta, p.data, p.logOnly = nil, nil, p.meta[:0], p.data[:0], false
+	p.meta, p.data = p.meta[:0], p.data[:0]
+}
+
+// free lets go of the lists, forgets what the write-back pointed at and
+// pools it again.
+func (p *poolFlush) free() {
+	p.unpin()
+	p.fs, p.op, p.logOnly = nil, nil, false
 	poolFlushes.Put(p)
 }
 
-// flush writes back what the blocks es of pool held when it was called,
+// flush writes back what the blocks es of pool, which the caller holds
+// pinned (and flush may reorder), held when it was called,
 // or something newer: it sends the dirty ones that no flight is carrying
 // (snapshots taken now) and joins the flights that carry the rest, so a
 // block goes to Petal once however many flushers want it there. A joined
@@ -1298,7 +1344,10 @@ func (fs *FS) noteFlushInFlight(d int64) {
 // seq, so that the records' space can be reused. Whoever's append tipped
 // the log over, the space is everybody's: it runs for no operation.
 func (fs *FS) reclaimLog(through int64) {
-	if err := fs.flush(nil, fs.meta, fs.meta.DirtyThrough(through)); err == nil {
+	dirty := fs.meta.DirtyThrough(through)
+	err := fs.flush(nil, fs.meta, dirty)
+	fs.meta.Unpin(dirty...)
+	if err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1349,7 +1398,8 @@ func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 	p := fs.newPoolFlush(op)
 	defer p.free()
 	for {
-		p.meta, p.data = fs.meta.DirtyByOwner(p.meta[:0], lock), fs.data.DirtyByOwner(p.data[:0], lock)
+		p.unpin()
+		p.meta, p.data = fs.meta.DirtyByOwner(p.meta, lock), fs.data.DirtyByOwner(p.data, lock)
 		if len(p.meta) == 0 && len(p.data) == 0 {
 			return
 		}

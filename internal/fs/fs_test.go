@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
 	"frangipani/internal/petal"
 	"frangipani/internal/rpc"
@@ -79,6 +80,9 @@ func newTestWorldIn(t testing.TB, w *sim.World, lay Layout) *testWorld {
 		for _, f := range tw.mounts {
 			if !f.Poisoned() {
 				_ = f.Unmount()
+				if meta, data := pinsLeft(f); meta+data != 0 {
+					t.Errorf("%s: %d sector pins and %d page pins still held after Unmount", f.machine, meta, data)
+				}
 			}
 		}
 		for _, s := range tw.locks {
@@ -90,6 +94,31 @@ func newTestWorldIn(t testing.TB, w *sim.World, lay Layout) *testWorld {
 		w.Stop()
 	})
 	return tw
+}
+
+// pinsLeft returns the pins still held on f's pools once the prefetches
+// that outlive their reads have landed (a second of host time at most).
+// Every holder unpins what it was handed — an operation before it
+// returns, a flight once it is released, a write stream keeps addresses —
+// so after Unmount any pin left is one that a holder forgot, and the
+// entry it pins is never reused.
+func pinsLeft(f *FS) (meta, data int) {
+	deadline := time.Now().Add(time.Second)
+	for {
+		meta, data = f.meta.Pinned(), f.data.Pinned()
+		if meta+data == 0 || time.Now().After(deadline) {
+			return meta, data
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// dirtyCount returns how many of pool's entries under lock are dirty; the
+// list it counts is let go of.
+func dirtyCount(pool *cache.Pool, lock uint64) int {
+	es := pool.DirtyByOwner(nil, lock)
+	pool.Unpin(es...)
+	return len(es)
 }
 
 func (tw *testWorld) client(machine string) *petal.Client {

@@ -58,10 +58,10 @@ func smallFileSynced(t *testing.T, f *FS) (h *File, data []byte) {
 	if pages, sent := f.m.flushPages.Value()-pages0, f.m.bytesWritten.Value()-bytes0; pages != 4 || sent != 16<<10 {
 		t.Fatalf("fsync of four data pages wrote back %d blocks, %d bytes: metadata went in place", pages, sent)
 	}
-	if len(f.meta.DirtyByOwner(nil, InodeLock(h.inum))) == 0 {
+	if dirtyCount(f.meta, InodeLock(h.inum)) == 0 {
 		t.Fatal("the inode sector is clean after fsync")
 	}
-	if dirty := len(f.data.DirtyByOwner(nil, InodeLock(h.inum))); dirty != 0 {
+	if dirty := dirtyCount(f.data, InodeLock(h.inum)); dirty != 0 {
 		t.Fatalf("%d data pages dirty after fsync", dirty)
 	}
 	return h, data
@@ -149,7 +149,7 @@ func TestRevokeAfterFsyncWritesInode(t *testing.T) {
 	if got := readFile(t, f2, "/kept"); !bytes.Equal(got, data) {
 		t.Fatalf("ws2 reads %d bytes, wrong or short", len(got))
 	}
-	if dirty := len(f1.meta.DirtyByOwner(nil, InodeLock(h.inum))); dirty != 0 {
+	if dirty := dirtyCount(f1.meta, InodeLock(h.inum)); dirty != 0 {
 		t.Fatalf("%d of the inode's sectors still dirty on ws1 after ws2 took the lock", dirty)
 	}
 	fsckClean(t, tw)
@@ -260,7 +260,7 @@ func TestFsyncReturnsUnderConcurrentWriter(t *testing.T) {
 		}
 		hs[i] = h
 	}
-	_, in, err := f.loadInode(nil, hs[0].inum)
+	in, err := f.loadInode(nil, hs[0].inum)
 	if err != nil {
 		t.Fatal(err)
 	}

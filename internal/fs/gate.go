@@ -18,15 +18,21 @@ type block struct {
 
 // claim is one fetch of blocks from Petal or one flight of blocks to it
 // (a write-back), from the gate's grant to its release: one allocation,
-// with room for a flight of a chunk's pages.
+// with room for a flight of a chunk's pages or a prefetch of a chunk's
+// blocks.
 type claim struct {
 	flight bool           // a write-back, not a fetch
 	behind bool           // a write-behind flight, counted in gate.behind
 	done   sync.WaitGroup // the latch: done once the claim has ended
 	err    error          // how it ended; set before done
-	// entries are a flight's blocks, which stay dirty until it has ended.
+	// entries are a flight's blocks of pool, which stay dirty until it has
+	// ended and pinned until release has read their addresses.
 	entries []*cache.Entry
+	pool    *cache.Pool
 	room    [chunkPages]*cache.Entry
+	// fetched is room for the blocks of a fetch that outlives the call
+	// that claimed them (File.prefetch).
+	fetched [chunkPages]block
 }
 
 func newClaim(flight bool) *claim {
@@ -81,7 +87,7 @@ func (g *gate) claimFetch(blocks, mine []block, theirs []*claim) (c *claim, _ []
 	defer g.mu.Unlock()
 	for _, b := range blocks {
 		other, busy := g.claims[b.addr]
-		_, hit := b.pool.Peek(b.addr)
+		hit := b.pool.Contains(b.addr)
 		switch {
 		case busy && (!other.flight || !hit):
 			theirs = joinOnce(theirs, other)
@@ -96,15 +102,17 @@ func (g *gate) claimFetch(blocks, mine []block, theirs []*claim) (c *claim, _ []
 	return c, mine, theirs
 }
 
-// claimFlight claims, for one flight, those of es, blocks of pool (which
-// it consumes), that are dirty and in no flight, and returns the others
-// that some flight carries (joined, filtered in place in es) with those
+// claimFlight claims, for one flight, those of es, blocks of pool, that
+// are dirty and in no flight, and returns the others that some flight
+// carries (joined, moved to the front of es, which it reorders) with those
 // flights (appended to theirs, once each). fl is nil if it claimed
 // nothing. Dirtiness is read under the gate's lock: a flight marks its
 // blocks clean before it is released, so a block is never seen as
 // neither claimed nor clean while a write of it is landing, and a block
 // that is claimed stays dirty, and so visible to whoever must wait for
-// it, until it has landed. With limit > 0 the flight is a write-behind
+// it, until it has landed. The caller holds es pinned; the flight pins
+// what it claims for itself, since it may outlive the caller's hold, and
+// release unpins it. With limit > 0 the flight is a write-behind
 // flight, which counts as out until it is released, and while limit of
 // them are out nothing is claimed (ok false).
 func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim, limit int) (fl *claim, _ []*claim, joined []*cache.Entry, ok bool) {
@@ -115,10 +123,13 @@ func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim,
 		return nil, theirs, joined, false
 	}
 	pool.Mutate(func() {
-		for _, e := range es {
+		for i, e := range es {
 			if other, busy := g.claims[e.Addr]; busy && other.flight {
 				theirs = joinOnce(theirs, other)
-				joined = append(joined, e)
+				// Moved to the front, not copied over it: es keeps every
+				// entry the caller has to unpin.
+				es[i], es[len(joined)] = es[len(joined)], e
+				joined = joined[:len(joined)+1]
 			} else if e.Dirty {
 				if fl == nil {
 					fl = newClaim(true)
@@ -128,9 +139,13 @@ func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim,
 			}
 		}
 	})
-	if fl != nil && limit > 0 {
-		fl.behind = true
-		g.behind++
+	if fl != nil {
+		fl.pool = pool
+		pool.Pin(fl.entries...)
+		if limit > 0 {
+			fl.behind = true
+			g.behind++
+		}
 	}
 	return fl, theirs, joined, true
 }
@@ -138,7 +153,9 @@ func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim,
 // release ends c, the claim of a fetch of mine or of a flight of its
 // entries: each of those blocks whose entry is still c leaves the table
 // (a flight may have taken a fetch's over), c takes err, and whoever
-// waits for c wakes up.
+// waits for c wakes up. A flight's entries are unpinned only once their
+// addresses have been read: an entry reused for another block before
+// that would leave the claim in the table at an address nobody releases.
 func (g *gate) release(c *claim, mine []block, err error) {
 	g.mu.Lock()
 	for _, b := range mine {
@@ -155,6 +172,9 @@ func (g *gate) release(c *claim, mine []block, err error) {
 		g.behind--
 	}
 	g.mu.Unlock()
+	if c.pool != nil {
+		c.pool.Unpin(c.entries...)
+	}
 	c.err = err
 	c.done.Done()
 }

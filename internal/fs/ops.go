@@ -67,6 +67,7 @@ func (fs *FS) withTxn(op *obs.Span, reqs []lockReq, fn func(t *txn) error) error
 	if err == nil {
 		err = t.commit()
 	}
+	fs.meta.Unpin(t.held...) // committed or given up, the sectors are let go of
 	t.releaseSegs()
 	fs.unlockAll(held)
 	return err
@@ -125,8 +126,20 @@ func (fs *FS) retrying(op *obs.Span, fn func(op *obs.Span) error) error {
 
 // loadInode reads and decodes an inode under its (already held)
 // lock.
-func (fs *FS) loadInode(op *obs.Span, inum int64) (*cache.Entry, Inode, error) {
+func (fs *FS) loadInode(op *obs.Span, inum int64) (Inode, error) {
 	e, err := fs.read(op, fs.meta, fs.lay.InodeAddr(inum), InodeLock(inum))
+	if err != nil {
+		return Inode{}, err
+	}
+	in, err := decodeInode(e.Data)
+	fs.meta.Unpin(e)
+	return in, err
+}
+
+// loadInode is fs.loadInode for an inode the transaction may change: its
+// sector comes with it, held.
+func (t *txn) loadInode(inum int64) (*cache.Entry, Inode, error) {
+	e, err := t.read(t.fs.lay.InodeAddr(inum), InodeLock(inum))
 	if err != nil {
 		return nil, Inode{}, err
 	}
@@ -192,7 +205,7 @@ func (fs *FS) lookupOnce(op *obs.Span, dir int64, name string) (DirEntry, error)
 	defer fs.lat("lookup", fs.latStart())
 	var out DirEntry
 	err := fs.withLocks(op, []lockReq{{InodeLock(dir), lockservice.Shared}}, func() error {
-		_, in, err := fs.loadInode(op, dir)
+		in, err := fs.loadInode(op, dir)
 		if err != nil {
 			return err
 		}
@@ -276,7 +289,7 @@ func (fs *FS) nameiParent(op *obs.Span, path string) (int64, string, error) {
 func (fs *FS) readlinkInum(op *obs.Span, inum int64) (string, error) {
 	var target string
 	err := fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
-		_, in, err := fs.loadInode(op, inum)
+		in, err := fs.loadInode(op, inum)
 		if err != nil {
 			return err
 		}
@@ -314,7 +327,9 @@ func (fs *FS) dirFind(op *obs.Span, dirInum int64, in Inode, name string) (DirEn
 		if err != nil {
 			return DirEntry{}, 0, 0, err
 		}
-		if ent, pos, found := dirSectorFind(e.Data, name); found {
+		ent, pos, found := dirSectorFind(e.Data, name)
+		fs.meta.Unpin(e)
+		if found {
 			return ent, addr, pos, nil
 		}
 	}
@@ -344,6 +359,7 @@ func (fs *FS) dirEntries(op *obs.Span, dirInum int64, in Inode) ([]DirEntry, err
 			return nil, err
 		}
 		es, err := dirSectorEntries(e.Data)
+		fs.meta.Unpin(e)
 		if err != nil {
 			return nil, err
 		}
@@ -369,12 +385,14 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 			return err
 		}
 		if dirSectorSpace(e.Data) >= need {
+			t.hold(e)
 			var tmp [dirDataEnd]byte // the edit's scratch copy, on the stack
 			copy(tmp[:], e.Data)
 			dirSectorAppend(tmp[:], ent)
 			t.update(e, 0, tmp[:])
 			return nil
 		}
+		fs.meta.Unpin(e)
 	}
 	// Extend by one sector, allocating a block when crossing a 4 KB
 	// boundary.
@@ -388,7 +406,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 	if !ok {
 		return ErrBadDir
 	}
-	e, err := fs.read(t.op, fs.meta, addr, lockID)
+	e, err := t.read(addr, lockID)
 	if err != nil {
 		return err
 	}
@@ -405,9 +423,6 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 
 // dirRemove deletes name from the directory (lock held exclusive).
 func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
-	addr := int64(0)
-	pos := 0
-	found := false
 	lockID := InodeLock(dirInum)
 	for off := int64(0); off < in.Size; off += SectorSize {
 		a, ok := fs.dirSectorAddr(in, off)
@@ -418,23 +433,17 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 		if err != nil {
 			return err
 		}
-		if _, p, f := dirSectorFind(e.Data, name); f {
-			addr, pos, found = a, p, true
-			break
+		if _, pos, found := dirSectorFind(e.Data, name); found {
+			t.hold(e)
+			var tmp [dirDataEnd]byte
+			copy(tmp[:], e.Data)
+			dirSectorRemove(tmp[:], pos)
+			t.update(e, 0, tmp[:])
+			return nil
 		}
+		fs.meta.Unpin(e)
 	}
-	if !found {
-		return ErrNotExist
-	}
-	e, err := fs.read(t.op, fs.meta, addr, lockID)
-	if err != nil {
-		return err
-	}
-	var tmp [dirDataEnd]byte
-	copy(tmp[:], e.Data)
-	dirSectorRemove(tmp[:], pos)
-	t.update(e, 0, tmp[:])
-	return nil
+	return ErrNotExist
 }
 
 // dirEmpty reports whether a directory has no entries.
@@ -458,7 +467,7 @@ func (fs *FS) Stat(path string) (Info, error) {
 			return err
 		}
 		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
-			_, in, err := fs.loadInode(op, inum)
+			in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
 			}
@@ -489,7 +498,7 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 			return err
 		}
 		return fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
-			_, in, err := fs.loadInode(op, inum)
+			in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
 			}
@@ -527,7 +536,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 		// inode locks the stat pass needs.
 		var listed []DirEntry
 		err = fs.withLocks(op, []lockReq{{InodeLock(inum), lockservice.Shared}}, func() error {
-			_, in, err := fs.loadInode(op, inum)
+			in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
 			}
@@ -549,7 +558,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			reqs = append(reqs, lockReq{InodeLock(ent.Inum), lockservice.Shared})
 		}
 		return fs.withLocks(op, reqs, func() error {
-			_, in, err := fs.loadInode(op, inum)
+			in, err := fs.loadInode(op, inum)
 			if err != nil {
 				return err
 			}
@@ -572,7 +581,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			}
 			infos = infos[:0]
 			for _, ent := range ents {
-				_, ein, err := fs.loadInode(op, ent.Inum)
+				ein, err := fs.loadInode(op, ent.Inum)
 				if err != nil {
 					return err
 				}
@@ -621,7 +630,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			return err
 		}
 		return fs.withTxn(op, []lockReq{{InodeLock(dir), lockservice.Exclusive}}, func(t *txn) error {
-			dirE, din, err := fs.loadInode(op, dir)
+			dirE, din, err := t.loadInode(dir)
 			if err != nil {
 				return err
 			}
@@ -655,7 +664,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			if ftype == TypeDir {
 				nin.Nlink = 2
 			}
-			ie, err := fs.read(op, fs.meta, fs.lay.InodeAddr(inum), InodeLock(inum))
+			ie, err := t.read(fs.lay.InodeAddr(inum), InodeLock(inum))
 			if err != nil {
 				return err
 			}
@@ -742,7 +751,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			{InodeLock(ent.Inum), lockservice.Exclusive},
 		}
 		return fs.withTxn(op, locks, func(t *txn) error {
-			dirE, din, err := fs.loadInode(op, dir)
+			dirE, din, err := t.loadInode(dir)
 			if err != nil {
 				return err
 			}
@@ -762,7 +771,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			if cur.Inum != ent.Inum {
 				return ErrRetry
 			}
-			tgtE, tin, err := fs.loadInode(op, ent.Inum)
+			tgtE, tin, err := t.loadInode(ent.Inum)
 			if err != nil {
 				return err
 			}
@@ -873,7 +882,7 @@ func (fs *FS) Rename(src, dst string) error {
 			locks = append(locks, lockReq{InodeLock(dent.Inum), lockservice.Exclusive})
 		}
 		return fs.withTxn(op, locks, func(t *txn) error {
-			sdE, sdin, err := fs.loadInode(op, sdir)
+			sdE, sdin, err := t.loadInode(sdir)
 			if err != nil {
 				return err
 			}
@@ -883,7 +892,7 @@ func (fs *FS) Rename(src, dst string) error {
 			var ddinStore Inode
 			if sdir != ddir {
 				var e2 *cache.Entry
-				e2, ddinStore, err = fs.loadInode(op, ddir)
+				e2, ddinStore, err = t.loadInode(ddir)
 				if err != nil {
 					return err
 				}
@@ -906,14 +915,14 @@ func (fs *FS) Rename(src, dst string) error {
 			if derrNow == nil && curD.Inum != dent.Inum {
 				return ErrRetry
 			}
-			_, sin, err := fs.loadInode(op, sent.Inum)
+			sin, err := fs.loadInode(op, sent.Inum)
 			if err != nil {
 				return err
 			}
 			now := int64(fs.w.Clock.Now())
 			// Replace an existing destination.
 			if derrNow == nil {
-				dtE, dtin, err := fs.loadInode(op, dent.Inum)
+				dtE, dtin, err := t.loadInode(dent.Inum)
 				if err != nil {
 					return err
 				}
@@ -983,7 +992,7 @@ func (fs *FS) Link(existing, newpath string) error {
 			{InodeLock(inum), lockservice.Exclusive},
 		}
 		return fs.withTxn(op, locks, func(t *txn) error {
-			dirE, din, err := fs.loadInode(op, dir)
+			dirE, din, err := t.loadInode(dir)
 			if err != nil {
 				return err
 			}
@@ -993,7 +1002,7 @@ func (fs *FS) Link(existing, newpath string) error {
 			if din.Type != TypeDir {
 				return ErrNotDir
 			}
-			tE, tin, err := fs.loadInode(op, inum)
+			tE, tin, err := t.loadInode(inum)
 			if err != nil {
 				return err
 			}

@@ -199,11 +199,13 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 }
 
 // coldReadAllocs is what a 64 KB ReadAt that fills all sixteen of its
-// pages from Petal allocates, read-ahead off: the fill's claim, the
-// sixteen pages — each one object, entry and block — and the Petal round
-// trip, client and servers together. The read is lone, so it leaves as
-// four requests, two per replica, and each reply is one object: its
-// results, its buffer's hand-off and itself. It was 30 while the read
+// pages from Petal allocates, read-ahead off: the fill's claim and the
+// Petal round trip, client and servers together. The sixteen pages cost
+// nothing: the cache is full, and each fill takes the entry its own
+// eviction dropped. The read is lone, so it leaves as four requests, two
+// per replica, and each reply is one object: its results, its buffer's
+// hand-off and itself. It was 21 while every fill allocated its page, one
+// object, entry and block, and left the victim to the collector; 30 while the read
 // left as two halves; 85, 5.3 a page, while a page was two objects and
 // the fill, the Petal client, the servers and every RPC's reply channel
 // built their scratch per call; then 43 while the spans were new
@@ -213,7 +215,7 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 // Petal view, the client's fan-out had its state and a goroutine of its
 // own, and every reply was three objects. Raise or lower it only with a
 // change that means to move it.
-const coldReadAllocs = 21
+const coldReadAllocs = 5
 
 // TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
 // through a cache too small to keep it, so every read fills its pages.
@@ -255,10 +257,11 @@ func TestColdReadAtAllocs(t *testing.T) {
 
 // coldStatAllocs bounds what a Stat allocates on a server that holds
 // the file's lock but has dropped its inode sector, the whole process
-// counted: the sector's fetch through the fetch gate (its claim, its
-// cache entry) and the Petal round trip, client and servers together. It
-// was 7 while a sector came in through a read of its own that claimed
-// nothing. The lock is sticky, so no lock traffic is counted; a Stat
+// counted: the sector's fetch through the fetch gate (its claim; its
+// cache entry is the one the drop freed) and the Petal round trip, client
+// and servers together. It counts 2, and 3 while every fill allocated its
+// entry. It was 7 while a sector came in through a read of its own that
+// claimed nothing. The lock is sticky, so no lock traffic is counted; a Stat
 // that must also acquire it cold allocates more, by a few that vary. A
 // bound, like handoffReadAllocs: lower it with a change that means to.
 const coldStatAllocs = 8

@@ -118,7 +118,7 @@ func TestWriteBehindStartsBeforeSync(t *testing.T) {
 	if sectors < 0 || sectors > 4 || sent != size+sectors*SectorSize {
 		t.Fatalf("a %d-page stream and its fsync wrote back %d blocks, %d bytes: some page went twice, or not at all", size/BlockSize, pages, sent)
 	}
-	if dirty := len(f.data.DirtyByOwner(nil, InodeLock(h.inum))); dirty != 0 {
+	if dirty := dirtyCount(f.data, InodeLock(h.inum)); dirty != 0 {
 		t.Fatalf("%d pages dirty after Sync", dirty)
 	}
 	if got := readFile(t, tw.mount(t, "ws2", nil), "/stream"); !bytes.Equal(got, data) {
@@ -320,10 +320,10 @@ func TestFsyncErrorLeavesPagesDirty(t *testing.T) {
 	if err := h.Sync(); err == nil {
 		t.Fatal("Sync succeeded with Petal unreachable")
 	}
-	if dirty := len(f.data.DirtyByOwner(nil, lock)); dirty != size/BlockSize+1 {
+	if dirty := dirtyCount(f.data, lock); dirty != size/BlockSize+1 {
 		t.Fatalf("%d data pages dirty after the failed Sync, want all %d", dirty, size/BlockSize+1)
 	}
-	if dirty := len(f.meta.DirtyByOwner(nil, lock)); dirty == 0 {
+	if dirty := dirtyCount(f.meta, lock); dirty == 0 {
 		t.Fatal("the inode is clean after the failed Sync")
 	}
 	if claimed, behind := flightState(f); claimed != 0 || behind != 0 {

@@ -135,11 +135,17 @@ func (n *NVRAM) unstaged(s int64, count int) int {
 	return fresh
 }
 
-// ReadAt reads through the NVRAM overlay: staged sectors come from
-// the buffer, the rest from disk. The staged sectors are snapshotted
-// before the disk read, by reference since nothing writes to them, so
-// a concurrent destage (which removes entries after writing them)
-// cannot leave a window where the data is in neither place.
+// ReadAt reads through the NVRAM overlay. The disk is read, and
+// charged, for the whole range, staged sectors included; the staged
+// sectors then overlay their bytes on what the disk returned, so a read
+// sees what was written, not what has been destaged. A staged sector
+// saves the read no arm time: serving it from the card would be a read
+// hit, which the modelled PrestoServe card is not used for here, and a
+// change to the modelled hardware (DESIGN §3.4, "Rejected"). The staged
+// sectors are snapshotted before the disk read, by reference since
+// nothing writes to them, so a concurrent destage (which removes entries
+// after writing them) cannot leave a window where the data is in neither
+// place.
 func (n *NVRAM) ReadAt(p []byte, off int64) error {
 	s := off / SectorSize
 	var buf [128][]byte // stack scratch for a 64 KB read; longer ones spill to the heap
