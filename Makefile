@@ -28,16 +28,21 @@ race:
 	$(GO) test -race ./...
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
-## staging, a cached ReadAt, Stat, Open and overwrite, a cold 64 KB
-## ReadAt (a lone read: four requests; its pages take the entries their
-## evictions drop, 21 before), a 64 KB ReadAt right after a lock
-## handoff (a bound: the speculative fill and its lone ReadV, the lock
-## traffic around it; 29 before its pages and sector took the entries
-## the revoke dropped), a cold Stat (a bound: the inode sector's fetch
-## through the gate, the cold lock acquire around it), a streaming 64 KB
-## WriteAt with its write-behind
-## flight (its pages reused, 19 before), a create, remove, mkdir, rmdir
-## and rename, a path split, a log append with its flush (internal/wal),
+## staging (a warm card's 64 KB write: nothing, its sectors staged in
+## slots from the card's free list), a cached ReadAt, Stat, Open and
+## overwrite, a cold 64 KB ReadAt (a lone read: its four replies and
+## nothing else; 5 while every claim was new, 21 before its pages took
+## the entries their evictions drop), a 64 KB ReadAt right after a lock
+## handoff (a bound: the lock messages and the speculative fill's lone
+## ReadV replies, 9; 12 while claims and transactions were new, 29 before
+## its pages and sector took the entries the revoke dropped), a cold
+## Stat (a bound: the inode sector's read reply, 1), a streaming 64 KB
+## WriteAt with its write-behind flight (nothing: its transaction and
+## claim come from free lists, the flight runs on a parked worker; 3
+## before, 19 before its pages were reused), a gate's claim (nothing on
+## a warm gate), a create, remove, mkdir, rmdir and rename (nothing: the
+## transaction is reused; the rename that spills, 1), a path split, a
+## log append with its flush (internal/wal),
 ## a cache insert (nothing once its victim is unpinned, one object while
 ## a holder pins it), the
 ## waits, Petal's routing (a round of the planner in plan.go:

@@ -80,10 +80,12 @@ var clusterMethods = map[string]string{
 
 // exported names, for every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice, internal/localfs, internal/fs and
-// internal/workload and every
+// internal/wal, internal/lockservice, internal/localfs, internal/fs,
+// internal/workload and internal/sim and every
 // exported method of their exported types, a non-test file that calls
-// it, or the test that needs it. A method called through an interface
+// it, or the test that needs it (sim's fault injection and seeded
+// randomness: the test that checks it, until ROADMAP item 2's fault
+// schedules call it). A method called through an interface
 // names the file that makes the interface call, and a String method
 // that only fmt calls the test that formats its type.
 var exported = map[string]string{
@@ -209,6 +211,7 @@ var exported = map[string]string{
 	"cache.Pool.BlockSize":         "internal/fs/fs.go",
 	"cache.Pool.Capacity":          "internal/fs/fs.go",
 	"cache.Pool.Contains":          "internal/fs/gate.go",
+	"cache.Pool.CopyOut":           "internal/fs/file.go",
 	"cache.Pool.DirtyByOwner":      "internal/fs/fs.go",
 	"cache.Pool.DirtyThrough":      "internal/fs/fs.go",
 	"cache.Pool.Fill":              "internal/fs/fs.go",
@@ -230,6 +233,7 @@ var exported = map[string]string{
 	"cache.Pool.SetObs":            "internal/fs/fs.go",
 	"cache.Pool.SnapshotBatch":     "internal/fs/fs.go",
 	"cache.Pool.Unpin":             "internal/fs/file.go, internal/fs/fs.go",
+	"cache.Pool.UnpinBehind":       "internal/fs/file.go",
 	"cache.Pool.Usage":             "internal/fs/fs.go",
 
 	"petal.Client.Close":                  "cluster.go, benchmark/drives.go",
@@ -286,6 +290,7 @@ var exported = map[string]string{
 	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
 	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
 	"petal.Workers.Close":                 "internal/fs/fs.go",
+	"petal.Workers.Go":                    "internal/fs/fs.go, internal/fs/file.go",
 	"petal.Workers.Run":                   "internal/fs/fs.go",
 
 	"paxos.Detector.Alive":       "internal/lockservice/server.go, internal/petal/server.go",
@@ -465,6 +470,62 @@ var exported = map[string]string{
 	"workload.SeqWrite":                  "internal/bench/experiments.go, internal/bench/scalesweep.go",
 	"workload.SmallReadSwarm":            "internal/bench/experiments.go",
 	"workload.WriteSharing":              "internal/bench/experiments.go",
+	"sim.CPU.BusyTime":                   "internal/bench/experiments.go",
+	"sim.CPU.ResetStats":                 "benchmark/layers.go",
+	"sim.CPU.Use":                        "internal/fs/fs.go",
+	"sim.CPU.Utilization":                "benchmark/layers.go",
+	"sim.Clock.After":                    "internal/paxos/paxos.go",
+	"sim.Clock.Now":                      "internal/fs/fs.go",
+	"sim.Clock.Real":                     "internal/rpc/rpc.go",
+	"sim.Clock.Sleep":                    "internal/fs/fs.go",
+	"sim.Clock.SleepUntil":               "internal/sim/network.go",
+	"sim.Clock.Stop":                     "internal/sim/world.go",
+	"sim.Clock.Tick":                     "internal/fs/fs.go",
+	"sim.DefaultDiskParams":              "internal/petal/server.go",
+	"sim.DefaultLinkParams":              "internal/sim/world.go",
+	"sim.Disk.CorruptSector":             "fault injection for ROADMAP item 2's schedules: TestDiskCorruptSector",
+	"sim.Disk.Fail":                      "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
+	"sim.Disk.Failed":                    "internal/sim/nvram.go",
+	"sim.Disk.InjectTornWrite":           "fault injection for ROADMAP item 2's schedules: TestDiskTornWrite, TestNVRAMTornDestage",
+	"sim.Disk.Params":                    "internal/petal/store.go",
+	"sim.Disk.ReadAt":                    "internal/sim/nvram.go, internal/petal/store.go",
+	"sim.Disk.Revive":                    "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
+	"sim.Disk.Stats":                     "benchmark/layers.go",
+	"sim.Disk.WriteAt":                   "internal/sim/nvram.go",
+	"sim.NVRAM.Close":                    "internal/petal/server.go",
+	"sim.NVRAM.Flush":                    "internal/sim/nvram.go",
+	"sim.NVRAM.ReadAt":                   "internal/petal/store.go",
+	"sim.NVRAM.WriteAt":                  "internal/petal/store.go",
+	"sim.Network.AddHost":                "internal/sim/world.go",
+	"sim.Network.Cut":                    "fault injection for ROADMAP item 2's schedules: TestNetworkDirectedCut",
+	"sim.Network.CutBoth":                "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Heal":                   "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Isolate":                "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.LinkUtilization":        "benchmark/layers.go",
+	"sim.Network.Reconnect":              "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Register":               "internal/rpc/rpc.go",
+	"sim.Network.ResetStats":             "benchmark/layers.go",
+	"sim.Network.Send":                   "TestNetworkSendAllocs",
+	"sim.Network.SendMessage":            "internal/rpc/rpc.go",
+	"sim.Network.SetDropEvery":           "fault injection for ROADMAP item 2's schedules: TestNetworkDropEvery",
+	"sim.Network.Stats":                  "benchmark/layers.go",
+	"sim.Network.Unregister":             "internal/rpc/rpc.go",
+	"sim.NewCPU":                         "internal/sim/world.go",
+	"sim.NewClock":                       "internal/sim/world.go, benchmark/drives.go",
+	"sim.NewDisk":                        "internal/petal/server.go",
+	"sim.NewNVRAM":                       "internal/petal/server.go",
+	"sim.NewNetwork":                     "internal/sim/world.go",
+	"sim.NewResource":                    "internal/sim/disk.go, internal/lockservice/server.go",
+	"sim.NewWorld":                       "cluster.go",
+	"sim.Resource.BusyTime":              "internal/sim/resource.go",
+	"sim.Resource.ResetStats":            "internal/sim/resource.go",
+	"sim.Resource.Use":                   "internal/sim/disk.go",
+	"sim.Resource.Utilization":           "internal/sim/resource.go",
+	"sim.World.AddMachine":               "internal/sim/world.go",
+	"sim.World.CPU":                      "internal/fs/fs.go",
+	"sim.World.Rand":                     "seeded randomness for ROADMAP item 2's schedules: TestWorldDeterministicRand",
+	"sim.World.RandIntn":                 "petal's Client holds it as a method value: TestWorldDeterministicRand",
+	"sim.World.Stop":                     "cluster.go",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -577,8 +638,8 @@ func TestClusterMethodCensus(t *testing.T) {
 
 // TestExportedCensus holds every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
-// internal/wal, internal/lockservice, internal/localfs, internal/fs and
-// internal/workload, and every
+// internal/wal, internal/lockservice, internal/localfs, internal/fs,
+// internal/workload and internal/sim, and every
 // exported method of their exported types, to exported, and each entry
 // to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
@@ -588,7 +649,7 @@ func TestExportedCensus(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
 		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal",
-			"internal/lockservice", "internal/localfs", "internal/fs", "internal/workload":
+			"internal/lockservice", "internal/localfs", "internal/fs", "internal/workload", "internal/sim":
 		default:
 			continue
 		}

@@ -189,6 +189,14 @@ func (p *Pool) pushFrontLocked(e *Entry) {
 	p.onRing++
 }
 
+// pushBackLocked makes e, which is off the ring, the least recent: the
+// next victim.
+func (p *Pool) pushBackLocked(e *Entry) {
+	e.prev, e.next = p.lru.prev, &p.lru
+	e.prev.next, e.next.prev = e, e
+	p.onRing++
+}
+
 // SetObs attaches the pool's counters to a registry under
 // "cache.<metric>#<instance>". Call before concurrent use; a nil
 // registry keeps the standalone counters.
@@ -288,6 +296,27 @@ func (p *Pool) Pin(es ...*Entry) {
 func (p *Pool) Unpin(es ...*Entry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.unpinLocked(es)
+}
+
+// UnpinBehind is Unpin for a sequential reader that has read es, in file
+// order, and gone past them: each on the LRU ring moves to its tail, so
+// they are evicted before every page the reader has not come to yet
+// (drop-behind). Within one call they go in file order, the first of es
+// first; a later call's pages go before an earlier one's.
+func (p *Pool) UnpinBehind(es ...*Entry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(es) - 1; i >= 0; i-- {
+		if e := es[i]; e != nil && e.prev != nil {
+			p.unlinkLocked(e)
+			p.pushBackLocked(e)
+		}
+	}
+	p.unpinLocked(es)
+}
+
+func (p *Pool) unpinLocked(es []*Entry) {
 	for _, e := range es {
 		if e == nil {
 			continue
@@ -540,6 +569,17 @@ func (p *Pool) Mutate(fn func()) {
 	p.mu.Lock()
 	fn()
 	p.mu.Unlock()
+}
+
+// CopyOut copies into dst the bytes of e, which the caller holds, from
+// off on, under the pool lock: a reader that shares a block with a writer
+// on its server sees each Mutate of it whole or not at all. It returns
+// the bytes copied.
+func (p *Pool) CopyOut(dst []byte, e *Entry, off int) int {
+	p.mu.Lock()
+	n := copy(dst, e.Data[off:])
+	p.mu.Unlock()
+	return n
 }
 
 // MarkCleanIfBatch clears the dirty flag of every entry whose

@@ -70,6 +70,32 @@ func TestLRUEvictionPrefersOld(t *testing.T) {
 	}
 }
 
+// TestUnpinBehindMakesNextVictims: the pages a sequential reader lets go
+// of with UnpinBehind are the next victims, however recently they were
+// looked up: one call's in the order it read them, the later call's
+// before the earlier's, and then the others in their LRU order.
+func TestUnpinBehindMakesNextVictims(t *testing.T) {
+	p := NewPool(512, 6)
+	buf := make([]byte, 512)
+	for i := int64(0); i < 6; i++ {
+		p.Unpin(p.Insert(i*512, buf, 1))
+	}
+	a, _ := p.Lookup(2 * 512)
+	b, _ := p.Lookup(3 * 512)
+	p.UnpinBehind(a, b)
+	c, _ := p.Lookup(5 * 512)
+	p.UnpinBehind(c)
+	if n := p.Pinned(); n != 0 {
+		t.Fatalf("%d pins left, want 0", n)
+	}
+	for i, want := range []int64{5, 2, 3, 0, 1, 4} {
+		p.Unpin(p.Insert(int64(10+i)*512, buf, 1))
+		if p.Contains(want * 512) {
+			t.Fatalf("insert %d: block %d survived, want it evicted next", i, want)
+		}
+	}
+}
+
 func TestDirtyEvictionFlushes(t *testing.T) {
 	p := NewPool(512, 2)
 	var mu sync.Mutex

@@ -23,6 +23,7 @@ func newFile(fs *FS, inum int64) *File {
 	f := &File{fs: fs, inum: inum}
 	f.ra.window = petal.ChunkSize
 	f.ra.idle.L = &f.ra.mu
+	f.wb.pend = f.wb.pendRoom[:0]
 	return f
 }
 
@@ -207,19 +208,22 @@ func (f *File) writeAt(op *obs.Span, p []byte, off int64) (int, error) {
 			if n > len(p)-pos {
 				n = len(p) - pos
 			}
-			// A page entirely overwritten needs no read from Petal.
 			pe, cached := fs.data.Lookup(pageAddr)
-			if !cached {
-				if inPage == 0 && n == BlockSize {
-					pe = fs.data.Insert(pageAddr, nil, lock)
-				} else {
-					pe, err = fs.read(op, fs.data, pageAddr, lock)
-					if err != nil {
-						return err
-					}
+			switch {
+			case !cached && inPage == 0 && n == BlockSize:
+				// A page entirely overwritten needs no read from Petal, and
+				// enters the cache with its bytes: a reader on this server,
+				// which the lock does not keep out, never sees it without.
+				pe = fs.data.Insert(pageAddr, p[pos:pos+n], lock)
+			case !cached:
+				pe, err = fs.read(op, fs.data, pageAddr, lock)
+				if err != nil {
+					return err
 				}
+				fallthrough
+			default:
+				fs.data.Mutate(func() { copy(pe.Data[inPage:], p[pos:pos+n]) })
 			}
-			fs.data.Mutate(func() { copy(pe.Data[inPage:], p[pos:pos+n]) })
 			fs.data.MarkDirty(pe, 0)
 			pages = append(pages, pe)
 			pos += n
@@ -332,9 +336,10 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 		// Top the window up before reading, so the prefetch overlaps
 		// whatever this read has to wait for.
 		var mark int64
+		var behind bool
 		if raMax > 0 {
 			var lo, hi int64
-			lo, hi, mark = f.ra.advance(off, off+want, in.Size, raMax)
+			lo, hi, mark, behind = f.ra.advance(off, off+want, in.Size, raMax)
 			if lo < hi {
 				f.prefetch(in, lo, hi)
 			}
@@ -343,7 +348,7 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 		// go back together: one trip through the pool's lock a 64 KB read.
 		var held [chunkPages]*cache.Entry
 		copied := held[:0]
-		defer func() { fs.data.Unpin(copied...) }()
+		defer func() { fs.passed(copied, behind) }()
 		for int64(n) < want {
 			cur := off + int64(n)
 			pageAddr, inPage, ok := fs.filePageAddr(in, cur)
@@ -374,9 +379,9 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 					f.ra.restart(off + want)
 				}
 			}
-			copy(p[n:n+chunk], pe.Data[inPage:])
+			fs.data.CopyOut(p[n:n+chunk], pe, int(inPage))
 			if copied = append(copied, pe); len(copied) == len(held) {
-				fs.data.Unpin(copied...)
+				fs.passed(copied, behind)
 				copied = copied[:0]
 			}
 			n += chunk
@@ -393,6 +398,17 @@ func (f *File) readAt(op *obs.Span, p []byte, off int64) (int, error) {
 		return n, err
 	}
 	return n, readErr
+}
+
+// passed lets go of the pages a read has copied out of; a read that
+// passes by (stream, "Pass by") leaves them behind it, the pool's next
+// victims.
+func (fs *FS) passed(pages []*cache.Entry, behind bool) {
+	if behind {
+		fs.data.UnpinBehind(pages...)
+	} else {
+		fs.data.Unpin(pages...)
+	}
 }
 
 // loadForRead is loadInode for a read of [off, off+n). A miss on the
@@ -417,9 +433,7 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 			return Inode{}, err
 		}
 	}
-	in, err := decodeInode(e.Data)
-	fs.meta.Unpin(e)
-	return in, err
+	return fs.inodeOf(e)
 }
 
 // specFill judges the pages of a speculative fill of a file by its inode
@@ -517,6 +531,16 @@ func (fs *FS) filePages(buf []block, in Inode, lo, hi int64, owner uint64) []blo
 //     gone when its data arrives, the data is dropped (FS.fill) and
 //     the reader drains what is still in flight before it asks for the
 //     lock again (§9.4).
+//   - Pass by: a read below the mark, in a pass whose prefetches have
+//     gone to Petal, leaves the pages it copied at the tail of the
+//     cache's LRU order, the next victims (cache.Pool.UnpinBehind), so
+//     what the reader has gone past is evicted before the chunks ahead
+//     of it. Left where a read puts a page, at the front, a page read a
+//     moment ago would outlive a prefetched chunk that landed before it,
+//     and a window of half the cache would lose chunks before their
+//     reader came to them. Any other read keeps the LRU order: one at
+//     offset 0, which a whole-file read is, and every read of a pass
+//     over a cached file, which prefetches nothing.
 //
 // A prefetch passes the block gate every block passes (gate.claimFetch):
 // its pages are claimed, one claim a chunk (the unit wstream hands off),
@@ -530,12 +554,14 @@ type stream struct {
 	ahead  int64     // the mark: every page of [next, ahead) was cached or claimed
 	window int64     // bytes to stay ahead of the reader
 	busy   int       // chunk fetches in flight
+	cold   bool      // a prefetch of this pass went to Petal
 }
 
 // advance records a read of [off, end) of a file of size bytes and
 // returns the range to prefetch now (lo < hi, or none), with the mark
-// as the read found it. limit caps the window.
-func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
+// as the read found it and whether the read passes by (stream, "Pass
+// by"). limit caps the window.
+func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64, behind bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark = s.ahead
@@ -543,17 +569,18 @@ func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
 	s.next = end
 	switch {
 	case off == 0:
-		s.ahead, mark = end, 0
+		s.ahead, mark, s.cold = end, 0, false
 		if last < size { // the pass before did not run to the end of the file
 			s.window = petal.ChunkSize
 		}
 	case off != last:
-		s.ahead, s.window = end, petal.ChunkSize
-		return 0, 0, 0
+		s.ahead, s.window, s.cold = end, petal.ChunkSize, false
+		return 0, 0, 0, false
 	}
 	if s.window > limit {
 		s.window = limit
 	}
+	behind = s.cold && mark > end
 	if s.ahead < end {
 		s.ahead = end
 	}
@@ -566,11 +593,11 @@ func (s *stream) advance(off, end, size, limit int64) (lo, hi, mark int64) {
 		hi -= hi % min(s.window, petal.ChunkSize)
 	}
 	if hi <= lo {
-		return 0, 0, mark
+		return 0, 0, mark, behind
 	}
 	s.ahead = hi
 	s.window = min(2*s.window, limit)
-	return lo, hi, mark
+	return lo, hi, mark, behind
 }
 
 // restart records that the reader fetched below the mark itself: from
@@ -606,9 +633,9 @@ func (s *stream) drain() {
 // prefetch fetches the pages of [lo, hi) that are neither cached nor
 // claimed, in the background, without the lock and for no operation (it
 // outlives the read that started it): one claim and one fetch per
-// 64 KB-aligned span of the file, so each chunk's pages exist as soon as
-// its own bytes have arrived. A chunk with nothing to fetch starts no
-// goroutine.
+// 64 KB-aligned span of the file, each a job for the server's workers
+// (claim.Run), so each chunk's pages exist as soon as its own bytes have
+// arrived. A chunk with nothing to fetch starts no job.
 func (f *File) prefetch(in Inode, lo, hi int64) {
 	fs := f.fs
 	for lo < hi {
@@ -617,25 +644,29 @@ func (f *File) prefetch(in Inode, lo, hi int64) {
 		var buf [chunkPages]block
 		var theirs [4]*claim
 		pages := fs.filePages(buf[:0], in, lo&^(BlockSize-1), end, InodeLock(f.inum))
-		c, mine, _ := fs.gate.claimFetch(pages, pages[:0], theirs[:0])
+		c, mine, joined := fs.gate.claimFetch(pages, pages[:0], theirs[:0])
+		fs.gate.leave(joined)
 		lo = end
 		if c == nil {
 			continue
 		}
-		claimed := append(c.fetched[:0], mine...) // the fetch outlives this call and buf
+		c.fs, c.ra = fs, &f.ra
+		c.fetched = append(c.fetchRoom[:0], mine...) // the fetch outlives this call and buf
 		f.ra.mu.Lock()
 		f.ra.busy++
+		f.ra.cold = true
 		f.ra.mu.Unlock()
-		go func() {
-			first, _ := fs.fill(*fs.overlapped, c, claimed, false, nil)
-			fs.data.Unpin(first)
-			f.ra.mu.Lock()
-			if f.ra.busy--; f.ra.busy == 0 {
-				f.ra.idle.Broadcast()
-			}
-			f.ra.mu.Unlock()
-		}()
+		fs.workers.Go(c)
 	}
+}
+
+// landed records that a prefetch of the stream is no longer in flight.
+func (s *stream) landed() {
+	s.mu.Lock()
+	if s.busy--; s.busy == 0 {
+		s.idle.Broadcast()
+	}
+	s.mu.Unlock()
 }
 
 // wstream is the write-behind state of one open file, the write side of
@@ -670,6 +701,9 @@ type wstream struct {
 	next int64   // the offset that continues the stream
 	mark int64   // chunk-aligned: nothing at or past it has been handed off
 	pend []int64 // the addresses of the pages of [mark, next), which the stream wrote, in file order
+	// pendRoom is pend's room for a chunk's pages, what a stream hands off
+	// at a time; one that falls behind its flights spills to the heap.
+	pendRoom [chunkPages]int64
 }
 
 // wrote records a write of [off, end) that dirtied pages, one per 4 KB

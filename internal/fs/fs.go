@@ -196,6 +196,11 @@ type server struct {
 	closed    bool
 	logSlot   int
 
+	// txns are the transactions no operation is using, for withTxn to take
+	// again; under txnMu.
+	txnMu sync.Mutex
+	txns  []*txn
+
 	// gate holds the claim of every block some fetch is bringing in from
 	// Petal or some flight is carrying to it, of both pools.
 	gate gate
@@ -624,6 +629,7 @@ func (fs *FS) fetch(op *obs.Span, via *petal.Client, blocks []block, keep func(f
 		c, mine, theirs := fs.gate.claimFetch(blocks, mineRoom[:0], theirsRoom[:0])
 		if keep != nil && c != nil && mine[0] != blocks[0] {
 			fs.gate.release(c, mine, nil)
+			fs.gate.leave(theirs)
 			blocks, keep = blocks[:1], nil
 			continue
 		}
@@ -785,9 +791,9 @@ const lockExtraMode = lockservice.Exclusive
 // txn accumulates one operation's metadata changes; commit turns
 // them into a single log record (so the whole operation replays
 // atomically per block) and marks the touched cache entries dirty.
-// withTxn makes one per mutating operation, and unpins the sectors it
-// holds (held: those the operation may change) once it has committed or
-// given up. It carries room of its own for what an operation touches —
+// withTxn takes one from the server's free list per mutating operation,
+// and unpins the sectors it holds (held: those the operation may change)
+// once it has committed or given up, before it puts it back. It carries room of its own for what an operation touches —
 // txnSectors sectors, txnRanges byte ranges of them, txnSegs locks taken
 // on the way, txnHeld sectors held — so that filling it allocates
 // nothing; only a wider operation (a rename across directories over an
@@ -816,12 +822,42 @@ const (
 	txnHeld    = 12
 )
 
-// newTxn returns an empty transaction of fs for op, its lists on its
-// own room.
-func newTxn(fs *FS, op *obs.Span) *txn {
-	t := &txn{fs: fs, op: op}
-	t.sectors, t.ranges, t.segs, t.held = t.sectorRoom[:0], t.rangeRoom[:0], t.segRoom[:0], t.heldRoom[:0]
+// takeTxn returns an empty transaction of fs for op, its lists on its
+// own room: one from the server's free list, or a new one.
+func (fs *FS) takeTxn(op *obs.Span) *txn {
+	fs.txnMu.Lock()
+	var t *txn
+	if n := len(fs.txns); n > 0 {
+		t, fs.txns[n-1] = fs.txns[n-1], nil
+		fs.txns = fs.txns[:n-1]
+	}
+	fs.txnMu.Unlock()
+	if t == nil {
+		t = new(txn)
+		t.reset()
+	}
+	t.fs, t.op = fs, op
 	return t
+}
+
+// putTxn empties t, whose sectors withTxn has unpinned and whose extra
+// locks it has released, and puts it on the free list: a transaction
+// taken again holds no entry, range or lock of the one before. The log
+// holds nothing of it either: Append copies the updates, which point into
+// the sectors, not into t.
+func (fs *FS) putTxn(t *txn) {
+	t.reset()
+	fs.txnMu.Lock()
+	fs.txns = append(fs.txns, t)
+	fs.txnMu.Unlock()
+}
+
+// reset empties t onto its own room.
+func (t *txn) reset() {
+	clear(t.sectorRoom[:])
+	clear(t.heldRoom[:])
+	t.fs, t.op, t.pageOwner = nil, nil, 0
+	t.sectors, t.ranges, t.segs, t.held = t.sectorRoom[:0], t.rangeRoom[:0], t.segRoom[:0], t.heldRoom[:0]
 }
 
 // hold takes over the caller's pin of e, a metadata sector the
@@ -968,7 +1004,7 @@ func (t *txn) releaseSegs() {
 	for _, id := range t.segs {
 		t.fs.clerk.Unlock(id)
 	}
-	t.segs = nil
+	t.segs = t.segs[:0]
 }
 
 // ---- sync demon and write-back ----
@@ -1092,7 +1128,7 @@ func (p *poolFlush) free() {
 // flush. It returns the first error of its own writes and of the flights
 // it joined; failed blocks stay dirty.
 func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
-	var theirsRoom [4]*claim // stack scratch: the flights a pass joins are few
+	var theirsRoom [8]*claim // stack scratch: a pass joins at most the write-behind flights out, FlushParallelism (8) by default
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
 		fl, theirs, joined, _ := fs.gate.claimFlight(pool, es, theirsRoom[:0], 0)
 		var err error
@@ -1125,11 +1161,30 @@ func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
 // as it sends any write: the primary forwards the first while the second
 // is still arriving.
 func (fs *FS) flushBehind(es []*cache.Entry) bool {
-	fl, _, _, ok := fs.gate.claimFlight(fs.data, es, nil, max(fs.cfg.FlushParallelism, 1))
+	var room [4]*claim // stack scratch: flights that carry some of es already, which need no second
+	fl, theirs, _, ok := fs.gate.claimFlight(fs.data, es, room[:0], max(fs.cfg.FlushParallelism, 1))
+	fs.gate.leave(theirs)
 	if fl != nil {
-		go func() { fs.gate.release(fl, nil, fs.flushRuns(nil, fs.data, fl.entries)) }()
+		fl.fs = fs
+		fs.workers.Go(fl)
 	}
 	return ok
+}
+
+// Run is the background job of a claim that outlives the call that made
+// it, on a worker of the server's: a write-behind flight's write-back
+// (flushBehind) or a prefetch's fill (File.prefetch). Both run for no
+// operation. The claim is not the job's to read once it is released.
+func (c *claim) Run() {
+	fs := c.fs
+	if c.flight {
+		fs.gate.release(c, nil, fs.flushRuns(nil, fs.data, c.entries))
+		return
+	}
+	ra := c.ra
+	first, _ := fs.fill(*fs.overlapped, c, c.fetched, false, nil)
+	fs.data.Unpin(first)
+	ra.landed()
 }
 
 // awaitFlights waits until no flight carries a page of in's blocks: a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,6 +84,9 @@ func newTestWorldIn(t testing.TB, w *sim.World, lay Layout) *testWorld {
 				if meta, data := pinsLeft(f); meta+data != 0 {
 					t.Errorf("%s: %d sector pins and %d page pins still held after Unmount", f.machine, meta, data)
 				}
+				if txns, claims := freeHolding(f); txns+claims != 0 {
+					t.Errorf("%s: %d free transactions and %d free claims still hold something", f.machine, txns, claims)
+				}
 			}
 		}
 		for _, s := range tw.locks {
@@ -112,6 +116,34 @@ func pinsLeft(f *FS) (meta, data int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// freeHolding counts the transactions on f's free list and the claims on
+// its gate's that still hold something: a transaction an entry (a pin
+// that putTxn would have to have let go of), a range, a lock or an
+// operation; a claim a holder, an entry, a block or a job's state. What
+// is on a free list is taken again by the next operation or fetch, which
+// must find it empty.
+func freeHolding(f *FS) (txns, claims int) {
+	f.txnMu.Lock()
+	for _, t := range f.txns {
+		if t.fs != nil || t.op != nil || len(t.sectors)+len(t.ranges)+len(t.segs)+len(t.held) != 0 ||
+			slices.ContainsFunc(t.heldRoom[:], notNil) || slices.ContainsFunc(t.sectorRoom[:], notNil) {
+			txns++
+		}
+	}
+	f.txnMu.Unlock()
+	f.gate.mu.Lock()
+	for _, c := range f.gate.free {
+		if c.holders != 0 || len(c.entries)+len(c.fetched) != 0 || c.pool != nil || c.fs != nil || c.ra != nil ||
+			slices.ContainsFunc(c.room[:], notNil) || c.fetchRoom != [chunkPages]block{} {
+			claims++
+		}
+	}
+	f.gate.mu.Unlock()
+	return txns, claims
+}
+
+func notNil(e *cache.Entry) bool { return e != nil }
 
 // dirtyCount returns how many of pool's entries under lock are dirty; the
 // list it counts is let go of.

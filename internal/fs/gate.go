@@ -17,35 +17,104 @@ type block struct {
 }
 
 // claim is one fetch of blocks from Petal or one flight of blocks to it
-// (a write-back), from the gate's grant to its release: one allocation,
-// with room for a flight of a chunk's pages or a prefetch of a chunk's
-// blocks.
+// (a write-back), from the gate's grant to its release, with room for a
+// flight of a chunk's pages or a prefetch of a chunk's blocks. Claims come
+// from the gate's free list and go back to it once nobody holds them:
+// the claimer holds its claim until release, and each joiner (a fetch or
+// a flight that waits for it, awaitFlights) from the join until its wait
+// has returned and read the error. Until then the latch is not re-armed
+// and the error not overwritten, so a joiner never waits for, or reads
+// the error of, a later use of the claim.
 type claim struct {
 	flight bool           // a write-back, not a fetch
 	behind bool           // a write-behind flight, counted in gate.behind
 	done   sync.WaitGroup // the latch: done once the claim has ended
 	err    error          // how it ended; set before done
+	g      *gate          // whose free list it goes back to
+	// holders counts the claimer, until release, and the joiners, until
+	// their wait has returned; under g.mu.
+	holders int
 	// entries are a flight's blocks of pool, which stay dirty until it has
 	// ended and pinned until release has read their addresses.
 	entries []*cache.Entry
 	pool    *cache.Pool
 	room    [chunkPages]*cache.Entry
-	// fetched is room for the blocks of a fetch that outlives the call
-	// that claimed them (File.prefetch).
-	fetched [chunkPages]block
+	// A claim that outlives the call that made it — a write-behind flight
+	// (FS.flushBehind), a prefetch (File.prefetch) — is a background job on
+	// the server's workers (claim.Run), and these are its state: the view
+	// that runs it, a prefetch's stream and its blocks, in fetchRoom.
+	fs        *FS
+	ra        *stream
+	fetched   []block
+	fetchRoom [chunkPages]block
 }
 
-func newClaim(flight bool) *claim {
-	c := &claim{flight: flight}
-	c.entries = c.room[:0]
+// newClaimLocked takes a claim from the free list, or makes one, armed
+// and held by its claimer.
+func (g *gate) newClaimLocked(flight bool) *claim {
+	var c *claim
+	if n := len(g.free); n > 0 {
+		c, g.free[n-1] = g.free[n-1], nil
+		g.free = g.free[:n-1]
+	} else {
+		c = &claim{g: g}
+		c.entries = c.room[:0]
+	}
+	c.flight, c.holders = flight, 1
 	c.done.Add(1)
 	return c
 }
 
-// wait blocks until c has ended and returns its error.
+// joinLocked appends c to cs, as a claim its caller will wait for, unless
+// it is there already.
+func (g *gate) joinLocked(cs []*claim, c *claim) []*claim {
+	for _, have := range cs {
+		if have == c {
+			return cs
+		}
+	}
+	c.holders++
+	return append(cs, c)
+}
+
+// dropLocked lets go of one hold of c; the last one puts it back on the
+// free list, emptied. Every wait on its latch has returned by then.
+func (g *gate) dropLocked(c *claim) {
+	if c.holders--; c.holders > 0 {
+		return
+	}
+	clear(c.room[:])
+	clear(c.fetchRoom[:])
+	c.flight, c.behind, c.err, c.pool, c.fs, c.ra = false, false, nil, nil, nil, nil
+	c.entries, c.fetched = c.room[:0], nil
+	g.free = append(g.free, c)
+}
+
+// wait blocks until c has ended and returns its error. It lets go of the
+// caller's hold, taken when it joined c: c is not the caller's to read
+// after.
 func (c *claim) wait() error {
 	c.done.Wait()
-	return c.err
+	err := c.err
+	g := c.g
+	g.mu.Lock()
+	g.dropLocked(c)
+	g.mu.Unlock()
+	return err
+}
+
+// leave lets go of the holds on cs of a caller that joined them and will
+// not wait (a prefetch: a chunk another fetch has claimed is not its
+// business).
+func (g *gate) leave(cs []*claim) {
+	if len(cs) == 0 {
+		return
+	}
+	g.mu.Lock()
+	for _, c := range cs {
+		g.dropLocked(c)
+	}
+	g.mu.Unlock()
 }
 
 // gate is the single-flight gate every block of both pools passes, on its
@@ -72,7 +141,8 @@ func (c *claim) wait() error {
 type gate struct {
 	mu     sync.Mutex
 	claims map[int64]*claim
-	behind int // write-behind flights out
+	behind int      // write-behind flights out
+	free   []*claim // claims nobody holds, to be taken again
 }
 
 // claimFetch claims, for one fetch, the blocks of blocks that are neither
@@ -90,10 +160,10 @@ func (g *gate) claimFetch(blocks, mine []block, theirs []*claim) (c *claim, _ []
 		hit := b.pool.Contains(b.addr)
 		switch {
 		case busy && (!other.flight || !hit):
-			theirs = joinOnce(theirs, other)
+			theirs = g.joinLocked(theirs, other)
 		case !busy && !hit:
 			if c == nil {
-				c = newClaim(false)
+				c = g.newClaimLocked(false)
 			}
 			g.claims[b.addr] = c
 			mine = append(mine, b)
@@ -125,14 +195,14 @@ func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim,
 	pool.Mutate(func() {
 		for i, e := range es {
 			if other, busy := g.claims[e.Addr]; busy && other.flight {
-				theirs = joinOnce(theirs, other)
+				theirs = g.joinLocked(theirs, other)
 				// Moved to the front, not copied over it: es keeps every
 				// entry the caller has to unpin.
 				es[i], es[len(joined)] = es[len(joined)], e
 				joined = joined[:len(joined)+1]
 			} else if e.Dirty {
 				if fl == nil {
-					fl = newClaim(true)
+					fl = g.newClaimLocked(true)
 				}
 				g.claims[e.Addr] = fl
 				fl.entries = append(fl.entries, e)
@@ -152,12 +222,15 @@ func (g *gate) claimFlight(pool *cache.Pool, es []*cache.Entry, theirs []*claim,
 
 // release ends c, the claim of a fetch of mine or of a flight of its
 // entries: each of those blocks whose entry is still c leaves the table
-// (a flight may have taken a fetch's over), c takes err, and whoever
-// waits for c wakes up. A flight's entries are unpinned only once their
-// addresses have been read: an entry reused for another block before
-// that would leave the claim in the table at an address nobody releases.
+// (a flight may have taken a fetch's over), c takes err, whoever waits
+// for c wakes up, and the claimer's hold is let go of: c is not the
+// caller's to read after. A flight's entries are unpinned only once
+// their addresses have been read: an entry reused for another block
+// before that would leave the claim in the table at an address nobody
+// releases.
 func (g *gate) release(c *claim, mine []block, err error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, b := range mine {
 		if g.claims[b.addr] == c {
 			delete(g.claims, b.addr)
@@ -171,36 +244,27 @@ func (g *gate) release(c *claim, mine []block, err error) {
 	if c.behind {
 		g.behind--
 	}
-	g.mu.Unlock()
 	if c.pool != nil {
 		c.pool.Unpin(c.entries...)
 	}
 	c.err = err
 	c.done.Done()
+	g.dropLocked(c)
 }
 
 // awaitFlights waits until every flight that carries a block at an
 // address carries reports, of those out when it is called, has landed.
 func (g *gate) awaitFlights(carries func(addr int64) bool) {
-	var wait []*claim
+	var room [4]*claim // stack scratch: the flights of one file are few
+	wait := room[:0]
 	g.mu.Lock()
 	for addr, c := range g.claims {
 		if c.flight && carries(addr) {
-			wait = joinOnce(wait, c)
+			wait = g.joinLocked(wait, c)
 		}
 	}
 	g.mu.Unlock()
 	for _, c := range wait {
-		c.done.Wait()
+		_ = c.wait()
 	}
-}
-
-// joinOnce appends c to cs unless it is there already.
-func joinOnce(cs []*claim, c *claim) []*claim {
-	for _, have := range cs {
-		if have == c {
-			return cs
-		}
-	}
-	return append(cs, c)
 }

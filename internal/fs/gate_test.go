@@ -2,10 +2,13 @@ package fs
 
 import (
 	"errors"
+	"fmt"
 	"go/parser"
 	"go/token"
+	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"frangipani/internal/cache"
 )
@@ -202,7 +205,212 @@ func TestGateBehindLimit(t *testing.T) {
 	}
 }
 
-// TestGateClaimAllocs: a claim, of a fetch or a flight, is one object.
+// TestGateReusedClaimsAgainstModel: seeded steps of fetches, flights,
+// joins, awaitFlights and releases on a gate whose claims are reused. The
+// joiners are held: each calls wait only some steps after it joined —
+// often after its claim was released and other claims were taken and
+// released meanwhile — and must get the error of the use it joined,
+// never wait for a later one. An awaitFlights returns only once the
+// flights it found have landed. At the end every claim is back on the
+// free list, held by nobody, and no entry is pinned.
+func TestGateReusedClaimsAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		gateModelRun(t, seed, 400)
+	}
+}
+
+// gateUse is one use of a claim, from its grant to its release.
+type gateUse struct {
+	c        *claim
+	mine     []block
+	err      error
+	released bool // under the gate's mu
+}
+
+// gateWaiter is a joiner held until start is closed.
+type gateWaiter struct {
+	use     int
+	c       *claim
+	start   chan struct{}
+	started bool
+}
+
+func gateModelRun(t *testing.T, seed int64, steps int) {
+	const addrs = 8
+	rng := rand.New(rand.NewSource(seed))
+	r := newGateRig()
+	r.pool = cache.NewPool(BlockSize, 4*addrs)
+	g := r.g
+	var uses []*gateUse
+	claimOf := map[*claim]int{} // the use each claim serves now; under g.mu
+	var waiters []*gateWaiter
+	type result struct {
+		w   *gateWaiter
+		err error
+	}
+	got := make(chan result, 4*steps)
+	awaited := make(chan error, steps)
+	awaiters := 0
+
+	pick := func() []int64 {
+		var as []int64
+		for _, k := range rng.Perm(addrs)[:1+rng.Intn(3)] {
+			as = append(as, int64(k)*BlockSize)
+		}
+		return as
+	}
+	grant := func(c *claim, mine []block) {
+		if c == nil {
+			return
+		}
+		g.mu.Lock()
+		claimOf[c] = len(uses)
+		uses = append(uses, &gateUse{c: c, mine: mine, err: fmt.Errorf("use %d", len(uses))})
+		g.mu.Unlock()
+	}
+	join := func(theirs []*claim) {
+		for _, c := range theirs {
+			w := &gateWaiter{use: claimOf[c], c: c, start: make(chan struct{})}
+			waiters = append(waiters, w)
+			go func() {
+				<-w.start
+				got <- result{w, w.c.wait()}
+			}()
+		}
+	}
+	release := func(u *gateUse) {
+		for _, b := range u.mine { // a fetch enters its blocks before it lets them go
+			e, _ := r.pool.Fill(b.addr, nil, 1)
+			r.pool.Unpin(e)
+		}
+		g.mu.Lock()
+		u.released = true
+		g.mu.Unlock()
+		g.release(u.c, u.mine, u.err)
+	}
+	startWaiters := func(all bool) {
+		for _, w := range waiters {
+			if !w.started && (all || rng.Intn(2) == 0) {
+				w.started = true
+				close(w.start)
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		switch rng.Intn(8) {
+		case 0, 1: // a fetch
+			var blocks []block
+			for _, a := range pick() {
+				blocks = append(blocks, block{a, 1, r.pool})
+			}
+			c, mine, theirs := g.claimFetch(blocks, nil, nil)
+			grant(c, mine)
+			join(theirs)
+		case 2: // a flight of dirty blocks
+			var es []*cache.Entry
+			for _, a := range pick() {
+				e, ok := r.pool.Peek(a)
+				if !ok {
+					e = r.pool.Insert(a, nil, 1)
+				}
+				r.pool.MarkDirty(e, 0)
+				es = append(es, e)
+			}
+			fl, theirs, _, _ := g.claimFlight(r.pool, es, nil, 0)
+			r.pool.Unpin(es...)
+			grant(fl, nil)
+			join(theirs)
+		case 3, 4: // a release
+			var out []*gateUse
+			for _, u := range uses {
+				if !u.released {
+					out = append(out, u)
+				}
+			}
+			if len(out) > 0 {
+				release(out[rng.Intn(len(out))])
+			}
+		case 5: // some held joiners call wait
+			startWaiters(false)
+		case 6: // a block leaves the cache
+			r.pool.Invalidate(int64(rng.Intn(addrs)) * BlockSize)
+		case 7: // an awaitFlights of every block
+			awaiters++
+			go func() {
+				var found []int
+				g.awaitFlights(func(addr int64) bool {
+					// A claim the model has not granted yet (its flight was
+					// claimed a moment ago) serves no use the model knows.
+					if id, ok := claimOf[g.claims[addr]]; ok && !uses[id].released {
+						found = append(found, id)
+					}
+					return true
+				})
+				g.mu.Lock()
+				defer g.mu.Unlock()
+				for _, id := range found {
+					if !uses[id].released {
+						awaited <- fmt.Errorf("awaitFlights returned before use %d, a flight it found, landed", id)
+						return
+					}
+				}
+				awaited <- nil
+			}()
+		}
+	}
+	for _, u := range uses {
+		if !u.released {
+			release(u)
+		}
+	}
+	startWaiters(true)
+	timeout := time.After(10 * time.Second)
+	for range waiters {
+		select {
+		case res := <-got:
+			if res.err != uses[res.w.use].err {
+				t.Fatalf("seed %d: a joiner of use %d got %v: it waited for a later use of its claim", seed, res.w.use, res.err)
+			}
+		case <-timeout:
+			t.Fatalf("seed %d: a joiner still waits after every use was released: it waits for a later use of its claim", seed)
+		}
+	}
+	for ; awaiters > 0; awaiters-- {
+		select {
+		case err := <-awaited:
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		case <-timeout:
+			t.Fatalf("seed %d: an awaitFlights still waits after every flight landed", seed)
+		}
+	}
+	if fetches, flights, behind := g.snapshot(nil); fetches+flights+behind != 0 {
+		t.Fatalf("seed %d: %d fetch and %d flight entries, %d write-behind flights left", seed, fetches, flights, behind)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	seen := map[*claim]bool{}
+	for _, c := range g.free {
+		if seen[c] || c.holders != 0 {
+			t.Fatalf("seed %d: a claim on the free list twice or still held (%d holders)", seed, c.holders)
+		}
+		seen[c] = true
+	}
+	for c := range claimOf {
+		if !seen[c] {
+			t.Fatalf("seed %d: a claim never came back to the free list", seed)
+		}
+	}
+	if n := r.pool.Pinned(); n != 0 {
+		t.Fatalf("seed %d: %d pins left on the pool", seed, n)
+	}
+}
+
+// TestGateClaimAllocs: a claim, of a fetch or a flight, costs a warm gate
+// nothing: it is taken from the gate's free list, and goes back to it at
+// release (it was one object a claim before the gate kept a free list).
 // Under the race detector the count carries slack, so it is checked only
 // without it (make alloc-budget).
 func TestGateClaimAllocs(t *testing.T) {
@@ -219,8 +427,8 @@ func TestGateClaimAllocs(t *testing.T) {
 		r.g.release(fl, nil, nil)
 	})
 	t.Logf("allocs per claim: fetch %v, flight %v", fetch, flight)
-	if !raceBuild() && (fetch != 1 || flight != 1) {
-		t.Fatalf("a fetch's claim allocates %v times, a flight's %v, want 1 each", fetch, flight)
+	if !raceBuild() && (fetch != 0 || flight != 0) {
+		t.Fatalf("a fetch's claim allocates %v times, a flight's %v, want 0 each", fetch, flight)
 	}
 }
 

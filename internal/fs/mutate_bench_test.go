@@ -26,24 +26,25 @@ func warmDir(tb testing.TB) *FS {
 	return f
 }
 
-// What the calls that change metadata allocate in a warm directory: the
-// operation's transaction, which has room for what such a call touches
-// and logs. They were 32, 35, 36, 37 and 30 while a transaction's lists
+// What the calls that change metadata allocate in a warm directory:
+// nothing. The operation's transaction comes from the server's free list
+// and has room for what such a call touches and logs. They were 1 each
+// while every operation's transaction was a new object, and 32, 35, 36, 37 and 30 while a transaction's lists
 // grew on the heap, commit copied every range and built the record in a
 // buffer of its own, each lookup split its path into two fresh slices
 // and an edit of a directory sector worked on a heap copy of it, and 2
 // each while the operation's span was a new object. The last is a rename
 // onto a file with data in another directory: seven sectors, one more
 // than a transaction has room for, so its list of sectors moves to the
-// heap (59, then 3, before). Raise or lower the numbers only with a
-// change that means to move them.
+// heap (59, then 3, then 2 while the transaction was new, before).
+// Raise or lower the numbers only with a change that means to move them.
 const (
-	createAllocs      = 1
-	removeAllocs      = 1
-	mkdirAllocs       = 1
-	rmdirAllocs       = 1
-	renameAllocs      = 1
-	renameSpillAllocs = 2
+	createAllocs      = 0
+	removeAllocs      = 0
+	mkdirAllocs       = 0
+	rmdirAllocs       = 0
+	renameAllocs      = 0
+	renameSpillAllocs = 1
 )
 
 // TestMutatingOpAllocs pins them.

@@ -62,13 +62,14 @@ func (fs *FS) withTxn(op *obs.Span, reqs []lockReq, fn func(t *txn) error) error
 	if err != nil {
 		return err
 	}
-	t := newTxn(fs, op)
+	t := fs.takeTxn(op)
 	err = fn(t)
 	if err == nil {
 		err = t.commit()
 	}
 	fs.meta.Unpin(t.held...) // committed or given up, the sectors are let go of
 	t.releaseSegs()
+	fs.putTxn(t)
 	fs.unlockAll(held)
 	return err
 }
@@ -131,9 +132,17 @@ func (fs *FS) loadInode(op *obs.Span, inum int64) (Inode, error) {
 	if err != nil {
 		return Inode{}, err
 	}
-	in, err := decodeInode(e.Data)
+	return fs.inodeOf(e)
+}
+
+// inodeOf decodes the inode sector e and lets go of it. It decodes a copy
+// taken under the pool's lock: a writer of the file on this server, which
+// the file's lock does not keep out, may be changing the sector.
+func (fs *FS) inodeOf(e *cache.Entry) (Inode, error) {
+	var sec [InodeSize]byte
+	fs.meta.CopyOut(sec[:], e, 0)
 	fs.meta.Unpin(e)
-	return in, err
+	return decodeInode(sec[:])
 }
 
 // loadInode is fs.loadInode for an inode the transaction may change: its

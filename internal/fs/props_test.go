@@ -195,7 +195,8 @@ func TestSpanMergeProperty(t *testing.T) {
 		for i := range entries {
 			entries[i] = new(cache.Entry)
 		}
-		tx := newTxn(nil, nil)
+		tx := new(txn)
+		tx.reset()
 		ref := make(map[*cache.Entry][]span)
 		var order []*cache.Entry
 		for i := 0; i+2 < len(raw); i += 3 {

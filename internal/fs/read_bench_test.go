@@ -199,12 +199,13 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 }
 
 // coldReadAllocs is what a 64 KB ReadAt that fills all sixteen of its
-// pages from Petal allocates, read-ahead off: the fill's claim and the
-// Petal round trip, client and servers together. The sixteen pages cost
-// nothing: the cache is full, and each fill takes the entry its own
-// eviction dropped. The read is lone, so it leaves as four requests, two
-// per replica, and each reply is one object: its results, its buffer's
-// hand-off and itself. It was 21 while every fill allocated its page, one
+// pages from Petal allocates, read-ahead off: the Petal round trip,
+// client and servers together. The sixteen pages cost nothing: the cache
+// is full, and each fill takes the entry its own eviction dropped; nor
+// does the fill's claim, from the gate's free list. The read is lone, so
+// it leaves as four requests, two per replica, and each reply is one
+// object: its results, its buffer's hand-off and itself. It was 5 while
+// every claim was a new object, 21 while every fill allocated its page, one
 // object, entry and block, and left the victim to the collector; 30 while the read
 // left as two halves; 85, 5.3 a page, while a page was two objects and
 // the fill, the Petal client, the servers and every RPC's reply channel
@@ -215,7 +216,7 @@ func TestStatOpenCachedAllocs(t *testing.T) {
 // Petal view, the client's fan-out had its state and a goroutine of its
 // own, and every reply was three objects. Raise or lower it only with a
 // change that means to move it.
-const coldReadAllocs = 5
+const coldReadAllocs = 4
 
 // TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
 // through a cache too small to keep it, so every read fills its pages.
@@ -257,14 +258,15 @@ func TestColdReadAtAllocs(t *testing.T) {
 
 // coldStatAllocs bounds what a Stat allocates on a server that holds
 // the file's lock but has dropped its inode sector, the whole process
-// counted: the sector's fetch through the fetch gate (its claim; its
-// cache entry is the one the drop freed) and the Petal round trip, client
-// and servers together. It counts 2, and 3 while every fill allocated its
-// entry. It was 7 while a sector came in through a read of its own that
+// counted: the sector's fetch through the fetch gate and the Petal round
+// trip, client and servers together. Its claim comes from the gate's free
+// list and its cache entry is the one the drop freed, so it counts 1, the
+// read's reply; 2 while every claim was a new object, and 3 while every
+// fill allocated its entry. It was 7 while a sector came in through a read of its own that
 // claimed nothing. The lock is sticky, so no lock traffic is counted; a Stat
 // that must also acquire it cold allocates more, by a few that vary. A
 // bound, like handoffReadAllocs: lower it with a change that means to.
-const coldStatAllocs = 8
+const coldStatAllocs = 1
 
 // TestColdStatAllocs holds a Stat of a file another server wrote, on a
 // server that drops the file's inode sector before each Stat, to

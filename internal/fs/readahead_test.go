@@ -67,12 +67,20 @@ func TestReadAheadEveryPass(t *testing.T) {
 	var firstFills int64
 	for pass := 1; pass <= 3; pass++ {
 		hits, fills := reader.m.raHits.Value(), reader.m.fills.Value()
+		wasted, joins := reader.m.raWasted.Value(), reader.m.raJoins.Value()
+		var where []string // the foreground fetches, each with the mark the read found
 		for off := int64(0); off < size; off += raRec {
+			_, mark, _, busy := streamState(h)
+			before := reader.m.fills.Value()
 			readRec(t, h, data, off, raRec)
+			if reader.m.fills.Value() > before {
+				where = append(where, fmt.Sprintf("at %d KB, mark %d KB, %d prefetches out", off>>10, mark>>10, busy))
+			}
 		}
 		h.ra.drain()
 		hits, fills = reader.m.raHits.Value()-hits, reader.m.fills.Value()-fills
-		t.Logf("pass %d: %d prefetches landed, %d foreground fetches", pass, hits, fills)
+		wasted, joins = reader.m.raWasted.Value()-wasted, reader.m.raJoins.Value()-joins
+		t.Logf("pass %d: %d prefetches landed (%d bytes wasted, %d joins), %d foreground fetches: %v", pass, hits, wasted, joins, fills, where)
 		if hits == 0 {
 			t.Errorf("pass %d landed no prefetch", pass)
 		}

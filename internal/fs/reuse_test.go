@@ -43,13 +43,15 @@ func checkPage(page []byte, want, lo, hi uint64) error {
 // it in 64 KB records all the while, from different chunks, so every
 // write revokes the readers' server's lock and every read revokes the
 // writer's, and every fill, prefetch and write evicts pages and takes
-// their entries again. Every page read is checked against a model of the
-// writes: it holds its own block's bytes, whole, never another block's,
-// and a version no older than the newest write acknowledged before the
-// read began and no newer than the newest begun before it returned. (The
-// readers are on the other server: a server admits its own users of a
-// lock side by side, so a read beside a write of the same page on one
-// server is not ordered with it.)
+// their entries again. A third reader runs on the writer's server, which
+// admits its own users of a lock side by side, so its reads are not
+// ordered with the writes: a page a whole-page write brings into the
+// cache must arrive with its bytes, and a read must copy a page whole,
+// under the pool's lock, never half way through a write into it. Every
+// page read is checked against a model of the writes: it holds its own
+// block's bytes, whole, never another block's, and a version no older
+// than the newest write acknowledged before the read began and no newer
+// than the newest begun before it returned.
 func TestReusedPagesKeepTheirBlocks(t *testing.T) {
 	const pages, rec, records = 4 * chunkPages, chunkPages * BlockSize, 96
 	tw := newTestWorld(t)
@@ -69,8 +71,8 @@ func TestReusedPagesKeepTheirBlocks(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	var reads atomic.Int64
-	for start := range 2 {
-		h, err := reader.Open("/shared")
+	for start, on := range []*FS{reader, reader, writer} {
+		h, err := on.Open("/shared")
 		if err != nil {
 			t.Fatal(err)
 		}

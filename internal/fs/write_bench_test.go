@@ -82,10 +82,11 @@ func BenchmarkFsyncSmallFile(b *testing.B) {
 // spans, sorted its one lock through reflection and kept a slice of what
 // it held, and 7 while the transaction's two lists, the updates, a copy
 // of the bytes each carried and the encoded record were heap objects of
-// their own, and 2 while the span was a new object. The write stream
-// must add nothing; raise or lower the number only with a change that
-// means to move it.
-const randomWriteAllocs = 1
+// their own, 2 while the span was a new object, and 1 while the
+// transaction was, before it came from the server's free list. The write
+// stream must add nothing; raise or lower the number only with a change
+// that means to move it.
+const randomWriteAllocs = 0
 
 // TestWriteAtRandomAllocs: the write stream's bookkeeping allocates
 // nothing on a write that is not part of a stream (the shape of the
@@ -128,11 +129,14 @@ func TestWriteAtRandomAllocs(t *testing.T) {
 
 // streamWriteAllocs is what a 64 KB WriteAt of a sequential writer
 // allocates together with the write-behind flight it starts, through a
-// cache too small to keep the file: the operation's transaction, the
-// flight and its goroutine, and the replicated Petal write in two parts
-// (writeVAllocs in internal/petal: nothing), client and servers together.
-// The sixteen pages it overwrites cost nothing: each takes the entry of a
-// page the pool dropped once its flight had landed. It was 19 while each
+// cache too small to keep the file: nothing. The operation's transaction
+// comes from the server's free list, the flight's claim from the gate's,
+// the flight runs as a job on a parked worker, the replicated Petal write
+// in two parts costs nothing (writeVAllocs in internal/petal), client and
+// servers together. The sixteen pages it overwrites cost nothing: each
+// takes the entry of a page the pool dropped once its flight had landed.
+// It was 3 while the transaction, the claim and the flight's goroutine
+// were new objects, 19 while each
 // of those pages was a new object and its victim garbage; 88
 // while a page was two objects, the write stream cloned its pages, the
 // write-back built its runs, batches and extents, and the Petal client
@@ -141,7 +145,7 @@ func TestWriteAtRandomAllocs(t *testing.T) {
 // every envelope was boxed; then 25 while the flight was one request,
 // boxed, with a handler goroutine and a fan-out at the primary. Raise or
 // lower it only with a change that means to move it.
-const streamWriteAllocs = 3
+const streamWriteAllocs = 0
 
 // TestStreamWriteAtAllocs pins streamWriteAllocs. Each WriteAt completes
 // a chunk, so it hands one to write-behind, and the measured call waits
@@ -172,15 +176,9 @@ func TestStreamWriteAtAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// inFlight returns the write-behind flight under way, if any.
-	inFlight := func() (fl *claim) {
-		f.gate.snapshot(func(_ int64, c *claim) {
-			if c.flight {
-				fl = c
-			}
-		})
-		return fl
-	}
+	// landed waits for the write-behind flight under way, if any; joining
+	// it through the gate holds the claim until the wait is over.
+	landed := func() { f.gate.awaitFlights(func(int64) bool { return true }) }
 	buf := make([]byte, rec)
 	off, batches := int64(0), f.m.flushBatches.Value()
 	least := -1.0
@@ -190,9 +188,7 @@ func TestStreamWriteAtAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			off += rec
-			if fl := inFlight(); fl != nil {
-				_ = fl.wait()
-			}
+			landed()
 		})
 		if least < 0 || n < least {
 			least = n

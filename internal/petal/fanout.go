@@ -2,17 +2,38 @@ package petal
 
 import "sync"
 
-// Workers runs fan-outs on parked goroutines that belong to it: the Petal
-// client, the Petal server and the file system each own one. A fan-out
-// hands its helpers to workers parked in idle, or to new ones if none is,
-// and a worker that is done parks again, so the workers are as many as
-// the helpers ever busy at once, not one goroutine per index. Close ends
-// the parked ones and lets the busy ones end when their fan-out is done.
-// The zero value is ready to use.
+// Workers runs fan-outs and background jobs on parked goroutines that
+// belong to it: the Petal client, the Petal server and the file system
+// each own one. A fan-out hands its helpers, and Go its job, to workers
+// parked in idle, or to new ones if none is, and a worker that is done
+// parks again, so the workers are as many as the helpers and jobs ever
+// busy at once, not one goroutine per index or job. Close ends the
+// parked ones and lets the busy ones end when their fan-out or job is
+// done. The zero value is ready to use.
 type Workers struct {
 	mu     sync.Mutex
-	idle   []chan *FanOut
+	idle   []chan task
 	closed bool
+}
+
+// Job is a background job for Go: its state is whatever Run is a method
+// of, so handing it over allocates nothing.
+type Job interface{ Run() }
+
+// task is what a worker is handed: a fan-out to help with, or a job.
+type task struct {
+	fo  *FanOut
+	job Job
+}
+
+// run does t: the indices of its fan-out nobody has taken, or its job.
+func (t task) run() {
+	if t.fo == nil {
+		t.job.Run()
+		return
+	}
+	t.fo.drain()
+	t.fo.wg.Done() // fo is its caller's again from here
 }
 
 // FanOut is what the goroutines of one fan-out share. It lives in the
@@ -48,7 +69,7 @@ func (w *Workers) Run(fo *FanOut, limit, n int, f func(int) error) error {
 	helpers := min(limit, n) - 1
 	fo.wg.Add(helpers)
 	for k := 0; k < helpers; k++ {
-		w.hand(fo)
+		w.hand(task{fo: fo})
 	}
 	fo.run(n - 1)
 	fo.drain()
@@ -58,47 +79,52 @@ func (w *Workers) Run(fo *FanOut, limit, n int, f func(int) error) error {
 	return err
 }
 
-// hand gives fo to a parked worker, or to a new one if none is parked.
-func (w *Workers) hand(fo *FanOut) {
+// Go runs j on a parked worker, or on a new one if none is parked, and
+// returns at once; nobody waits for it but whoever j's own state tells. A
+// job started after Close still runs, on a worker that then ends.
+func (w *Workers) Go(j Job) { w.hand(task{job: j}) }
+
+// hand gives t to a parked worker, or to a new one if none is parked.
+func (w *Workers) hand(t task) {
 	w.mu.Lock()
 	if k := len(w.idle); k > 0 {
 		p := w.idle[k-1]
 		w.idle[k-1] = nil
 		w.idle = w.idle[:k-1]
 		w.mu.Unlock()
-		p <- fo // one slot, and the worker parked with it empty: never blocks
+		p <- t // one slot, and the worker parked with it empty: never blocks
 		return
 	}
 	w.mu.Unlock()
-	go w.work(fo)
+	go w.work(t)
 }
 
-// work is a worker: it helps with fo, parks, and helps with whatever
-// fan-out it is handed next, until Close.
-func (w *Workers) work(fo *FanOut) {
-	var park chan *FanOut
+// work is a worker: it does t, parks, and does whatever it is handed
+// next, until Close.
+func (w *Workers) work(t task) {
+	var park chan task
 	for {
-		fo.drain()
-		fo.wg.Done() // fo is its caller's again from here
+		t.run()
 		w.mu.Lock()
 		if w.closed {
 			w.mu.Unlock()
 			return
 		}
 		if park == nil {
-			park = make(chan *FanOut, 1)
+			park = make(chan task, 1)
 		}
 		w.idle = append(w.idle, park)
 		w.mu.Unlock()
 		var ok bool
-		if fo, ok = <-park; !ok {
+		if t, ok = <-park; !ok {
 			return
 		}
 	}
 }
 
-// Close ends the parked workers; a busy one ends once its fan-out is
-// done. A Run after Close still runs, on workers that end with it.
+// Close ends the parked workers; a busy one ends once its fan-out or job
+// is done. A Run or Go after Close still runs, on workers that end with
+// it.
 func (w *Workers) Close() {
 	w.mu.Lock()
 	w.closed = true

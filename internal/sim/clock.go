@@ -66,9 +66,6 @@ func NewClock(compression float64) *Clock {
 	return c
 }
 
-// Compression reports the configured compression factor.
-func (c *Clock) Compression() float64 { return c.compression }
-
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.simAt(c.tm.now()) }
 

@@ -234,13 +234,6 @@ func (d *Disk) CorruptSector(idx int64) {
 	d.mu.Unlock()
 }
 
-// RepairSector clears an injected CRC error.
-func (d *Disk) RepairSector(idx int64) {
-	d.mu.Lock()
-	delete(d.badSector, idx)
-	d.mu.Unlock()
-}
-
 // Stats reports cumulative I/O counters.
 func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 	d.mu.Lock()

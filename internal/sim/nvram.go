@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"sync"
 
 	"frangipani/internal/bufpool"
@@ -14,20 +13,32 @@ type BlockDev interface {
 	WriteAt(p []byte, off int64) error
 }
 
-// nvEntry is one staged sector. data is SectorSize bytes inside the
-// copy WriteAt made of its payload and is never written again: a
-// rewrite repoints the entry at the new write's copy. That is what lets
-// the entry be a value in the map (no object per sector to keep alive
-// or to share) and lets ReadAt and the destager hold data with the lock
-// released. A payload's copy lives until the last sector pointing into
-// it has been destaged or rewritten. epoch distinguishes rewrites so the
-// destager only evicts an entry if the disk write it completed still
-// reflects the latest staged data.
+// nvEntry is one staged sector: its bytes are slot, the card's copy of
+// them, which is never written again while anybody points at it: a
+// rewrite repoints the entry at a slot of its own. That is what lets the
+// entry be a value in the map (no object per sector to keep alive or to
+// share) and lets ReadAt hold the bytes with the lock released. epoch
+// distinguishes rewrites so the destager only evicts an entry if the
+// disk write it completed still reflects the latest staged data.
 type nvEntry struct {
-	data   []byte
+	slot   *nvSlot
 	epoch  int64
 	queued bool // present in the destage order queue
 }
+
+// nvSlot holds one staged sector's bytes. refs counts who points at it,
+// under the card's lock: the entry that stages it, until the sector is
+// rewritten or destaged, and each read that snapshotted it, until it has
+// overlaid it. A slot nobody points at goes back to the card's free list,
+// so staging a sector takes one and allocates nothing.
+type nvSlot struct {
+	data [SectorSize]byte
+	refs int
+}
+
+// slabSlots is how many slots the card makes at once when its free list
+// is empty: 64 KB of sectors, one object.
+const slabSlots = 128
 
 // NVRAM is a battery-backed write buffer placed in front of a disk,
 // modelling the paper's PrestoServe cards (8 MB). Writes complete as
@@ -38,9 +49,12 @@ type nvEntry struct {
 // there is no separate NVRAM fault mode.
 //
 // The card is the simulator's, not the file system's: on the host it
-// costs a write one copy of its payload and a map store per sector, a
-// read and a destage no allocation at all (TestNVRAMStagingAllocs), so
-// that the host-time metrics read the code above it.
+// costs a write one copy of its payload into slots from the card's free
+// list and a map store per sector, and a write, a read and a destage no
+// allocation at all once the card has made slots for what it stages at
+// its fullest (TestNVRAMStagingAllocs), so that the host-time metrics read
+// the code above it. The card keeps those slots: its staged memory is its
+// high-water mark of staged sectors, 512 bytes each, not rounded up.
 type NVRAM struct {
 	disk     *Disk
 	clock    *Clock
@@ -53,6 +67,7 @@ type NVRAM struct {
 	order   []int64           // FIFO destage order (queued entries)
 	epoch   int64
 	stopped bool
+	free    []*nvSlot // slots nobody points at
 
 	run    *[]byte // the destager's: the run on its way to the disk, from bufpool
 	epochs []int64 // and the epoch of each of its sectors
@@ -81,8 +96,9 @@ func newNVRAM(clock *Clock, disk *Disk, capacity int, latency Duration) *NVRAM {
 }
 
 // WriteAt stages the write into NVRAM, blocking only if the buffer is
-// full (destage backpressure). p is copied once, before WriteAt
-// returns; a write larger than the card is staged in card-sized parts.
+// full (destage backpressure). p is copied once, into the card's slots,
+// before WriteAt returns; a write larger than the card is staged in
+// card-sized parts.
 func (n *NVRAM) WriteAt(p []byte, off int64) error {
 	if err := n.disk.checkRange(off, len(p)); err != nil {
 		return err
@@ -90,17 +106,16 @@ func (n *NVRAM) WriteAt(p []byte, off int64) error {
 	if n.disk.Failed() {
 		return ErrDiskFailed
 	}
-	staged := bytes.Clone(p)
-	for card := n.capacity * SectorSize; len(staged) > card; staged, off = staged[card:], off+int64(card) {
-		n.stage(staged[:card], off)
+	for card := n.capacity * SectorSize; len(p) > card; p, off = p[card:], off+int64(card) {
+		n.stage(p[:card], off)
 	}
-	n.stage(staged, off)
+	n.stage(p, off)
 	n.clock.Sleep(n.latency)
 	return nil
 }
 
-// stage points the sectors at off into p, which the card owns from here
-// on and which fits it, once there is room for those of them that are
+// stage copies p, which fits the card, into slots for the sectors at off
+// and points them there, once there is room for those of them that are
 // not staged already: a rewrite takes no room.
 func (n *NVRAM) stage(p []byte, off int64) {
 	s := off / SectorSize
@@ -114,14 +129,44 @@ func (n *NVRAM) stage(p []byte, off int64) {
 	n.epoch++
 	for i := 0; i < count; i++ {
 		idx := s + int64(i)
-		e := n.dirty[idx]
+		e, ok := n.dirty[idx]
+		if ok {
+			n.unrefLocked(e.slot)
+		}
 		if !e.queued {
 			n.order = append(n.order, idx)
 		}
-		n.dirty[idx] = nvEntry{data: p[i*SectorSize : (i+1)*SectorSize], epoch: n.epoch, queued: true}
+		slot := n.slotLocked()
+		copy(slot.data[:], p[i*SectorSize:])
+		n.dirty[idx] = nvEntry{slot: slot, epoch: n.epoch, queued: true}
 	}
 	n.cond.Broadcast()
 	n.mu.Unlock()
+}
+
+// slotLocked takes a slot from the free list, making a slab of them if it
+// is empty, pointed at once.
+func (n *NVRAM) slotLocked() *nvSlot {
+	if len(n.free) == 0 {
+		slab := make([]nvSlot, min(slabSlots, n.capacity))
+		for i := range slab {
+			n.free = append(n.free, &slab[i])
+		}
+	}
+	k := len(n.free) - 1
+	slot := n.free[k]
+	n.free[k] = nil
+	n.free = n.free[:k]
+	slot.refs = 1
+	return slot
+}
+
+// unrefLocked lets go of one pointer at slot; the last puts it back on
+// the free list.
+func (n *NVRAM) unrefLocked(slot *nvSlot) {
+	if slot.refs--; slot.refs == 0 {
+		n.free = append(n.free, slot)
+	}
 }
 
 // unstaged counts the sectors of [s, s+count) the card does not hold.
@@ -142,30 +187,55 @@ func (n *NVRAM) unstaged(s int64, count int) int {
 // saves the read no arm time: serving it from the card would be a read
 // hit, which the modelled PrestoServe card is not used for here, and a
 // change to the modelled hardware (DESIGN §3.4, "Rejected"). The staged
-// sectors are snapshotted before the disk read, by reference since
-// nothing writes to them, so a concurrent destage (which removes entries
-// after writing them) cannot leave a window where the data is in neither
-// place.
+// sectors are snapshotted before the disk read, by reference — each slot
+// counts the read among its holders until the overlay is done, so a
+// rewrite or a destage meanwhile cannot recycle it — and a concurrent
+// destage (which removes entries after writing them) cannot leave a
+// window where the data is in neither place.
 func (n *NVRAM) ReadAt(p []byte, off int64) error {
-	s := off / SectorSize
-	var buf [128][]byte // stack scratch for a 64 KB read; longer ones spill to the heap
-	count := len(p) / SectorSize
-	overlay := buf[:min(count, len(buf))]
-	if count > len(buf) {
-		overlay = make([][]byte, count)
+	var buf [128]*nvSlot // stack scratch for a 64 KB read; longer ones spill to the heap
+	overlay := buf[:min(len(p)/SectorSize, len(buf))]
+	if len(p)/SectorSize > len(buf) {
+		overlay = make([]*nvSlot, len(p)/SectorSize)
+	}
+	held := n.hold(overlay, off/SectorSize)
+	err := n.disk.ReadAt(p, off)
+	if held {
+		n.overlay(p, overlay, err == nil)
+	}
+	return err
+}
+
+// hold points overlay[i] at the slot of sector s+i if it is staged, nil
+// if not, each held for the read, and reports whether any is.
+func (n *NVRAM) hold(overlay []*nvSlot, s int64) (held bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range overlay {
+		overlay[i] = nil
+		if e, ok := n.dirty[s+int64(i)]; ok {
+			e.slot.refs++
+			overlay[i], held = e.slot, true
+		}
+	}
+	return held
+}
+
+// overlay copies the held slots over p's sectors, if apply, and lets go
+// of them.
+func (n *NVRAM) overlay(p []byte, overlay []*nvSlot, apply bool) {
+	for i, slot := range overlay {
+		if slot != nil && apply {
+			copy(p[i*SectorSize:], slot.data[:])
+		}
 	}
 	n.mu.Lock()
-	for i := range overlay {
-		overlay[i] = n.dirty[s+int64(i)].data
+	defer n.mu.Unlock()
+	for _, slot := range overlay {
+		if slot != nil {
+			n.unrefLocked(slot)
+		}
 	}
-	n.mu.Unlock()
-	if err := n.disk.ReadAt(p, off); err != nil {
-		return err
-	}
-	for i, data := range overlay {
-		copy(p[i*SectorSize:], data)
-	}
-	return nil
 }
 
 // destager drains staged sectors to the disk in FIFO order, batching
@@ -209,7 +279,7 @@ func (n *NVRAM) takeRun() (start int64, ok bool) {
 	n.run, n.epochs = bufpool.Get(taken*SectorSize), n.epochs[:0]
 	for i, idx := range n.order[:taken] {
 		e := n.dirty[idx]
-		copy((*n.run)[i*SectorSize:], e.data)
+		copy((*n.run)[i*SectorSize:], e.slot.data[:])
 		n.epochs = append(n.epochs, e.epoch)
 		e.queued = false
 		n.dirty[idx] = e
@@ -227,6 +297,7 @@ func (n *NVRAM) retire(start int64) {
 	for i, epoch := range n.epochs {
 		idx := start + int64(i)
 		if e, ok := n.dirty[idx]; ok && !e.queued && e.epoch == epoch {
+			n.unrefLocked(e.slot)
 			delete(n.dirty, idx)
 		}
 	}

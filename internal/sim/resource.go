@@ -62,25 +62,6 @@ func (r *Resource) reserve(cost Duration) Time {
 	return end
 }
 
-// TryUse occupies the resource only if it is currently idle; it
-// reports whether the use was admitted. Used by background scrubbers
-// that must not delay foreground traffic.
-func (r *Resource) TryUse(cost Duration) bool {
-	now := r.clock.Now()
-	r.mu.Lock()
-	if r.free > now {
-		r.mu.Unlock()
-		return false
-	}
-	end := now + Time(cost)
-	r.free = end
-	r.busy += cost
-	r.uses++
-	r.mu.Unlock()
-	r.clock.SleepUntil(end)
-	return true
-}
-
 // Utilization reports the fraction of virtual time this resource has
 // been busy since the last call to ResetStats (or creation), along
 // with the number of uses.
@@ -114,9 +95,6 @@ func (r *Resource) ResetStats() {
 	r.uses = 0
 	r.since = r.clock.Now()
 }
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // CPU models a machine's processor as a Resource plus convenience
 // accounting in "CPU seconds". Operations charge a cost; utilization

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -81,11 +80,4 @@ func (w *World) RandIntn(n int) int {
 func (w *World) Stop() {
 	w.Clock.Stop()
 	w.Net.stop()
-}
-
-// String summarizes the world for diagnostics.
-func (w *World) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return fmt.Sprintf("sim.World{machines=%d, t=%v}", len(w.cpus), Duration(w.Clock.Now()))
 }
