@@ -55,10 +55,11 @@ race:
 ## lock handoff on a bare world (a bound: one object a message, four), a
 ## lease check, a flight-recorder record (an event or a finished span:
 ## nothing, into a slot of <= 128 B), a span's Start/Child/Done (nothing:
-## spans are pooled) — once
-## more without the race detector: under it
-## sync.Pool drops a share of what it is given and the counts carry
-## slack, here they are exact. A package that prints "[no tests to run]"
+## spans come from the tracer's free list), a hand to a parked worker and
+## a warm free list's Take and Put (nothing, internal/reuse) — once
+## more without the race detector: under it bufpool's
+## sync.Pool drops a share of what it is given, so a count whose path
+## takes a bufpool buffer is pinned only without it; here they are exact. A package that prints "[no tests to run]"
 ## pins nothing; fs, wal, petal, rpc, sim, cache, lockservice and obs
 ## must not.
 alloc-budget:

@@ -289,7 +289,6 @@ var exported = map[string]string{
 	"petal.WriteVResp.AppendWireHeader":   "internal/rpc/codec.go",
 	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
 	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
-	"petal.Workers.Close":                 "internal/fs/fs.go",
 	"petal.Workers.Go":                    "internal/fs/fs.go, internal/fs/file.go",
 	"petal.Workers.Run":                   "internal/fs/fs.go",
 
@@ -526,6 +525,13 @@ var exported = map[string]string{
 	"sim.World.Rand":                     "seeded randomness for ROADMAP item 2's schedules: TestWorldDeterministicRand",
 	"sim.World.RandIntn":                 "petal's Client holds it as a method value: TestWorldDeterministicRand",
 	"sim.World.Stop":                     "cluster.go",
+
+	"reuse.List.Len":       "internal/cache/cache.go",
+	"reuse.List.Put":       "internal/fs/fs.go, internal/obs/trace.go, internal/sim/nvram.go",
+	"reuse.List.Take":      "internal/fs/fs.go, internal/obs/trace.go, internal/sim/nvram.go",
+	"reuse.Workers.Close":  "internal/fs/fs.go, internal/rpc/rpc.go, internal/lockservice/clerk.go",
+	"reuse.Workers.Go":     "internal/petal/fanout.go, internal/rpc/rpc.go, internal/sim/network.go",
+	"reuse.Workers.Parked": "TestWorkersParkAndEnd",
 }
 
 // TestPackageCensus fails for an internal package that no non-test code
@@ -639,17 +645,17 @@ func TestClusterMethodCensus(t *testing.T) {
 // TestExportedCensus holds every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
 // internal/wal, internal/lockservice, internal/localfs, internal/fs,
-// internal/workload and internal/sim, and every
-// exported method of their exported types, to exported, and each entry
-// to a file or test that calls it.
+// internal/workload, internal/sim and internal/reuse, and every
+// exported method of their exported types, generic ones included, to
+// exported, and each entry to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
-	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)\) )?([A-Z]\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)(?:\[\w+\])?\) )?([A-Z]\w*)\(`)
 	var got []string
 	for _, path := range goFiles(t, false) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		switch dir {
 		case "internal/rpc", "internal/obs", "internal/cache", "internal/petal", "internal/paxos", "internal/wal",
-			"internal/lockservice", "internal/localfs", "internal/fs", "internal/workload", "internal/sim":
+			"internal/lockservice", "internal/localfs", "internal/fs", "internal/workload", "internal/sim", "internal/reuse":
 		default:
 			continue
 		}

@@ -15,7 +15,8 @@ import (
 // process runs no more goroutines than it did before NewCluster. Every
 // worker a cluster starts — the clerks' revoke workers, the Petal client
 // and servers' and the file servers' fan-out workers, the endpoints'
-// handler workers — belongs to an object whose Close ends it.
+// handler workers, the network's delivery workers — belongs to an object
+// whose Close (or, for the network, the world's Stop) ends it.
 func TestCloseEndsEveryWorker(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c, err := frangipani.NewCluster(frangipani.DefaultClusterConfig())

@@ -100,7 +100,7 @@ func (tc *tailCrash) Send(from, to string, env rpc.Envelope, size int) error {
 // unanswered (fs's writeBatch); and once the primary is back and repaired, the file read
 // through the other server holds the newest bytes and fsck is clean.
 func TestFlightTailFailsOverAfterPrimaryCrash(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one sync.Pool shard, all of it in reach of a Get
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one shard of bufpool's sync.Pool, all of it in reach of a Get
 	cfg := frangipani.DefaultClusterConfig()
 	cfg.Compression = 25 // a crash and a failover in a slower world: host stalls are not timeouts
 	c, err := frangipani.NewCluster(cfg)

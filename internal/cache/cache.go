@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"frangipani/internal/obs"
+	"frangipani/internal/reuse"
 )
 
 // Entry is one cached block. Data is mutated in place by the owner
@@ -92,13 +93,9 @@ type sectorEntry struct {
 // still holding its old bytes for the caller to overwrite, else a new one
 // with a zeroed block.
 func (p *Pool) takeLocked(addr int64, owner uint64) *Entry {
-	var e *Entry
-	if n := len(p.spare); n > 0 {
-		e = p.spare[n-1]
-		p.spare[n-1] = nil
-		p.spare = p.spare[:n-1]
-		gen := e.gen
-		*e = Entry{Data: e.Data, gen: gen}
+	e, ok := p.spare.Take()
+	if ok {
+		*e = Entry{Data: e.Data, gen: e.gen}
 	} else {
 		e = p.newEntry()
 	}
@@ -149,7 +146,7 @@ type Pool struct {
 	byOwner map[uint64]*Entry
 	// spare holds dropped entries that nobody holds, for inserts to take
 	// before they allocate; at most capacity of them.
-	spare  []*Entry
+	spare  reuse.List[*Entry]
 	pinned int // pins held on the pool's entries, resident or not
 
 	hits, misses, evictions *obs.Counter
@@ -348,8 +345,8 @@ func (p *Pool) pinLocked(e *Entry) {
 // spareLocked keeps e, which nobody holds and the pool has dropped, for
 // a later insert, unless the spare list is full.
 func (p *Pool) spareLocked(e *Entry) {
-	if len(p.spare) < p.capacity {
-		p.spare = append(p.spare, e)
+	if p.spare.Len() < p.capacity {
+		p.spare.Put(e)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"frangipani/internal/reuse"
 )
 
 func TestLookupInsert(t *testing.T) {
@@ -755,11 +757,12 @@ func checkPins(p *Pool, held []pin) string {
 			return fmt.Sprintf("the entry at %d is mapped at %d with %d pins, resident %v", e.Addr, addr, e.pins, e.resident)
 		}
 	}
-	if len(p.spare) > p.capacity {
-		return fmt.Sprintf("%d spare entries in a pool of %d", len(p.spare), p.capacity)
+	spare := listed(&p.spare)
+	if len(spare) > p.capacity {
+		return fmt.Sprintf("%d spare entries in a pool of %d", len(spare), p.capacity)
 	}
 	seen := map[*Entry]bool{}
-	for _, e := range p.spare {
+	for _, e := range spare {
 		switch {
 		case seen[e]:
 			return fmt.Sprintf("the entry of %d is spare twice", e.Addr)
@@ -771,4 +774,17 @@ func checkPins(p *Pool, held []pin) string {
 		seen[e] = true
 	}
 	return ""
+}
+
+// listed returns what l holds, the next to be taken first, and leaves l
+// as it was.
+func listed[T any](l *reuse.List[T]) []T {
+	var xs []T
+	for x, ok := l.Take(); ok; x, ok = l.Take() {
+		xs = append(xs, x)
+	}
+	for i := len(xs) - 1; i >= 0; i-- {
+		l.Put(xs[i])
+	}
+	return xs
 }

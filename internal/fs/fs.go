@@ -13,6 +13,7 @@ import (
 	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
 	"frangipani/internal/petal"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 	"frangipani/internal/wal"
@@ -196,10 +197,12 @@ type server struct {
 	closed    bool
 	logSlot   int
 
-	// txns are the transactions no operation is using, for withTxn to take
-	// again; under txnMu.
-	txnMu sync.Mutex
-	txns  []*txn
+	// txns are the transactions no operation is using, for withTxn to
+	// take again; flushes and writeBacks are the scratches of finished
+	// write-backs (poolFlush, flushRuns).
+	txns       reuse.List[*txn]
+	flushes    reuse.List[*poolFlush]
+	writeBacks reuse.List[*writeBack]
 
 	// gate holds the claim of every block some fetch is bringing in from
 	// Petal or some flight is carrying to it, of both pools.
@@ -822,36 +825,6 @@ const (
 	txnHeld    = 12
 )
 
-// takeTxn returns an empty transaction of fs for op, its lists on its
-// own room: one from the server's free list, or a new one.
-func (fs *FS) takeTxn(op *obs.Span) *txn {
-	fs.txnMu.Lock()
-	var t *txn
-	if n := len(fs.txns); n > 0 {
-		t, fs.txns[n-1] = fs.txns[n-1], nil
-		fs.txns = fs.txns[:n-1]
-	}
-	fs.txnMu.Unlock()
-	if t == nil {
-		t = new(txn)
-		t.reset()
-	}
-	t.fs, t.op = fs, op
-	return t
-}
-
-// putTxn empties t, whose sectors withTxn has unpinned and whose extra
-// locks it has released, and puts it on the free list: a transaction
-// taken again holds no entry, range or lock of the one before. The log
-// holds nothing of it either: Append copies the updates, which point into
-// the sectors, not into t.
-func (fs *FS) putTxn(t *txn) {
-	t.reset()
-	fs.txnMu.Lock()
-	fs.txns = append(fs.txns, t)
-	fs.txnMu.Unlock()
-}
-
 // reset empties t onto its own room.
 func (t *txn) reset() {
 	clear(t.sectorRoom[:])
@@ -1054,9 +1027,9 @@ func (fs *FS) sync(op *obs.Span) error {
 // workers (sync, flushOwner, File.fsync): user data is not logged, so no
 // write-ahead order binds it to the sectors. It holds the dirty lists,
 // which flushOwner and fsync fill from call to call, the call's arguments
-// for the workers and what they share. It comes from poolFlushes and
-// goes back when the jobs are done; job is the bound flushJob the
-// workers run, made once per poolFlush rather than once per call.
+// for the workers and what they share. It comes from the server's
+// flushes and goes back when the jobs are done; job is the bound flushJob
+// the workers run, made once per poolFlush rather than once per call.
 type poolFlush struct {
 	fs         *FS
 	op         *obs.Span
@@ -1068,16 +1041,15 @@ type poolFlush struct {
 	fan     petal.FanOut
 }
 
-var poolFlushes = sync.Pool{New: func() any {
-	p := new(poolFlush)
-	p.job = p.flushJob
-	return p
-}}
-
-// newPoolFlush takes a two-job write-back for op from poolFlushes.
+// newPoolFlush takes a two-job write-back for op from the server's
+// flushes.
 func (fs *FS) newPoolFlush(op *obs.Span) *poolFlush {
-	p := poolFlushes.Get().(*poolFlush)
-	p.fs, p.op = fs, op
+	p, ok := fs.flushes.Take()
+	if !ok {
+		p = &poolFlush{fs: fs}
+		p.job = p.flushJob
+	}
+	p.op = op
 	return p
 }
 
@@ -1107,11 +1079,11 @@ func (p *poolFlush) unpin() {
 }
 
 // free lets go of the lists, forgets what the write-back pointed at and
-// pools it again.
+// gives it back to its server.
 func (p *poolFlush) free() {
 	p.unpin()
-	p.fs, p.op, p.logOnly = nil, nil, false
-	poolFlushes.Put(p)
+	p.op, p.logOnly = nil, false
+	p.fs.flushes.Put(p)
 }
 
 // flush writes back what the blocks es of pool, which the caller holds
@@ -1233,9 +1205,9 @@ const maxBatchBytes = 1 << 20
 
 // writeBack is what one flushRuns call builds: its runs, their
 // generations, its batches and their extents, with the call's
-// arguments for the workers and what they share. It comes from writeBacks
-// and goes back when the call returns, so a write-back allocates none of
-// it: WriteV copies what it needs of the extents, and each batch's buffer
+// arguments for the workers and what they share. It comes from the
+// server's writeBacks and goes back when the call returns, so a
+// write-back allocates none of it: WriteV copies what it needs of the extents, and each batch's buffer
 // is recycled, or not, by writeBatch. write is the bound writeBatch the
 // workers run, made once per writeBack rather than once per call.
 type writeBack struct {
@@ -1249,12 +1221,6 @@ type writeBack struct {
 	write   func(i int) error
 	fan     petal.FanOut
 }
-
-var writeBacks = sync.Pool{New: func() any {
-	w := new(writeBack)
-	w.write = func(i int) error { return w.fs.writeBatch(w.op, w.pool, &w.batches[i]) }
-	return w
-}}
 
 // plan sorts dirty by address, cuts it into runs of adjacent blocks and
 // packs the runs into batches.
@@ -1286,13 +1252,14 @@ func (w *writeBack) plan(dirty []*cache.Entry) {
 	w.batches = append(w.batches, flushBatch{runs: w.runs[lo:], exts: w.exts[lo:], bytes: bytes})
 }
 
-// free forgets what the write-back pointed at and pools it again.
+// free forgets what the write-back pointed at and gives it back to its
+// server.
 func (w *writeBack) free() {
 	clear(w.runs)
 	clear(w.batches)
 	clear(w.exts)
-	w.fs, w.op, w.pool = nil, nil, nil
-	writeBacks.Put(w)
+	w.op, w.pool = nil, nil
+	w.fs.writeBacks.Put(w)
 }
 
 // snapshot copies the batch's blocks into one buffer, run by run.
@@ -1331,9 +1298,13 @@ func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 	if err := fs.ensureLogFlushed(op, pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
-	w := writeBacks.Get().(*writeBack)
+	w, ok := fs.writeBacks.Take()
+	if !ok {
+		w = &writeBack{fs: fs}
+		w.write = func(i int) error { return w.fs.writeBatch(w.op, w.pool, &w.batches[i]) }
+	}
 	defer w.free()
-	w.fs, w.op, w.pool = fs, op, pool
+	w.op, w.pool = op, pool
 	w.plan(dirty)
 	for i := range w.batches {
 		w.batches[i].snapshot(pool)

@@ -12,6 +12,7 @@ import (
 	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
 	"frangipani/internal/petal"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -119,21 +120,19 @@ func pinsLeft(f *FS) (meta, data int) {
 
 // freeHolding counts the transactions on f's free list and the claims on
 // its gate's that still hold something: a transaction an entry (a pin
-// that putTxn would have to have let go of), a range, a lock or an
+// that withTxn would have to have let go of), a range, a lock or an
 // operation; a claim a holder, an entry, a block or a job's state. What
 // is on a free list is taken again by the next operation or fetch, which
 // must find it empty.
 func freeHolding(f *FS) (txns, claims int) {
-	f.txnMu.Lock()
-	for _, t := range f.txns {
+	for _, t := range listed(&f.txns) {
 		if t.fs != nil || t.op != nil || len(t.sectors)+len(t.ranges)+len(t.segs)+len(t.held) != 0 ||
 			slices.ContainsFunc(t.heldRoom[:], notNil) || slices.ContainsFunc(t.sectorRoom[:], notNil) {
 			txns++
 		}
 	}
-	f.txnMu.Unlock()
 	f.gate.mu.Lock()
-	for _, c := range f.gate.free {
+	for _, c := range listed(&f.gate.free) {
 		if c.holders != 0 || len(c.entries)+len(c.fetched) != 0 || c.pool != nil || c.fs != nil || c.ra != nil ||
 			slices.ContainsFunc(c.room[:], notNil) || c.fetchRoom != [chunkPages]block{} {
 			claims++
@@ -144,6 +143,19 @@ func freeHolding(f *FS) (txns, claims int) {
 }
 
 func notNil(e *cache.Entry) bool { return e != nil }
+
+// listed returns what l holds, the next to be taken first, and leaves l
+// as it was.
+func listed[T any](l *reuse.List[T]) []T {
+	var xs []T
+	for x, ok := l.Take(); ok; x, ok = l.Take() {
+		xs = append(xs, x)
+	}
+	for i := len(xs) - 1; i >= 0; i-- {
+		l.Put(xs[i])
+	}
+	return xs
+}
 
 // dirtyCount returns how many of pool's entries under lock are dirty; the
 // list it counts is let go of.

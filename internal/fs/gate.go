@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"frangipani/internal/cache"
+	"frangipani/internal/reuse"
 )
 
 // block is what the gate is asked to fetch: a metadata sector or a data
@@ -52,11 +53,8 @@ type claim struct {
 // newClaimLocked takes a claim from the free list, or makes one, armed
 // and held by its claimer.
 func (g *gate) newClaimLocked(flight bool) *claim {
-	var c *claim
-	if n := len(g.free); n > 0 {
-		c, g.free[n-1] = g.free[n-1], nil
-		g.free = g.free[:n-1]
-	} else {
+	c, ok := g.free.Take()
+	if !ok {
 		c = &claim{g: g}
 		c.entries = c.room[:0]
 	}
@@ -87,7 +85,7 @@ func (g *gate) dropLocked(c *claim) {
 	clear(c.fetchRoom[:])
 	c.flight, c.behind, c.err, c.pool, c.fs, c.ra = false, false, nil, nil, nil, nil
 	c.entries, c.fetched = c.room[:0], nil
-	g.free = append(g.free, c)
+	g.free.Put(c)
 }
 
 // wait blocks until c has ended and returns its error. It lets go of the
@@ -141,8 +139,8 @@ func (g *gate) leave(cs []*claim) {
 type gate struct {
 	mu     sync.Mutex
 	claims map[int64]*claim
-	behind int      // write-behind flights out
-	free   []*claim // claims nobody holds, to be taken again
+	behind int                // write-behind flights out
+	free   reuse.List[*claim] // claims nobody holds, to be taken again
 }
 
 // claimFetch claims, for one fetch, the blocks of blocks that are neither

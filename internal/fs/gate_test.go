@@ -392,7 +392,7 @@ func gateModelRun(t *testing.T, seed int64, steps int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	seen := map[*claim]bool{}
-	for _, c := range g.free {
+	for _, c := range listed(&g.free) {
 		if seen[c] || c.holders != 0 {
 			t.Fatalf("seed %d: a claim on the free list twice or still held (%d holders)", seed, c.holders)
 		}
@@ -410,9 +410,8 @@ func gateModelRun(t *testing.T, seed int64, steps int) {
 
 // TestGateClaimAllocs: a claim, of a fetch or a flight, costs a warm gate
 // nothing: it is taken from the gate's free list, and goes back to it at
-// release (it was one object a claim before the gate kept a free list).
-// Under the race detector the count carries slack, so it is checked only
-// without it (make alloc-budget).
+// release (it was one object a claim before the gate kept a free list),
+// under the race detector too.
 func TestGateClaimAllocs(t *testing.T) {
 	r := newGateRig()
 	e := r.dirty(0)
@@ -427,15 +426,16 @@ func TestGateClaimAllocs(t *testing.T) {
 		r.g.release(fl, nil, nil)
 	})
 	t.Logf("allocs per claim: fetch %v, flight %v", fetch, flight)
-	if !raceBuild() && (fetch != 0 || flight != 0) {
+	if fetch != 0 || flight != 0 {
 		t.Fatalf("a fetch's claim allocates %v times, a flight's %v, want 0 each", fetch, flight)
 	}
 }
 
 // TestGateImportsNoIO: the gate stays pure — of the module only the
-// cache, of the standard library only sync: no Petal, network, clock,
-// locks or observability in the file that holds it (the twin of
-// petal's TestPlanImportsNoIO).
+// cache and the free list (internal/reuse, which imports sync alone), of
+// the standard library only sync: no Petal, network, clock, locks or
+// observability in the file that holds it (the twin of petal's
+// TestPlanImportsNoIO).
 func TestGateImportsNoIO(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "gate.go", nil, parser.ImportsOnly)
 	if err != nil {
@@ -443,7 +443,7 @@ func TestGateImportsNoIO(t *testing.T) {
 	}
 	for _, imp := range f.Imports {
 		switch path, _ := strconv.Unquote(imp.Path.Value); path {
-		case "sync", "frangipani/internal/cache":
+		case "sync", "frangipani/internal/cache", "frangipani/internal/reuse":
 		default:
 			t.Errorf("gate.go imports %q", path)
 		}

@@ -97,17 +97,13 @@ func TestMutatingOpAllocs(t *testing.T) {
 		func() error { return f.Rename("/w/moved", "/w/k0") })
 	got["rename that spills"] = least(func() error { return f.Rename("/w/src", "/x/dst") }, refill)
 	t.Logf("allocs per call: %v", got)
-	// Under the race detector sync.Pool drops a share of what is put
-	// into it, which shows as more allocations in some calls.
-	slack := 0.0
-	if raceBuild() {
-		slack = 2
-	}
+	// Exact under the race detector too: nothing on these paths comes
+	// from a sync.Pool.
 	for name, want := range map[string]float64{
 		"create": createAllocs, "remove": removeAllocs, "mkdir": mkdirAllocs, "rmdir": rmdirAllocs,
 		"rename": renameAllocs, "rename that spills": renameSpillAllocs,
 	} {
-		if got[name] < want || got[name] > want+slack {
+		if got[name] != want {
 			t.Errorf("%s allocates %v times, want %v", name, got[name], want)
 		}
 	}

@@ -55,21 +55,31 @@ func (fs *FS) withLocks(op *obs.Span, reqs []lockReq, fn func() error) error {
 // withTxn is withLocks for an operation that may log: it additionally
 // holds the global backup barrier lock in shared mode (§8), hands fn
 // the transaction its updates go into and commits it before the locks
-// are released.
+// are released. The transaction comes from the server's free list, or is
+// new, and goes back to it emptied once its sectors are unpinned and its
+// extra locks released: a transaction taken again holds no entry, range
+// or lock of the one before. The log holds nothing of it either: Append
+// copies the updates, which point into the sectors, not into t.
 func (fs *FS) withTxn(op *obs.Span, reqs []lockReq, fn func(t *txn) error) error {
 	var buf [stackLocks]lockReq
 	held, err := fs.lockAll(op, append(append(buf[:0], reqs...), lockReq{LockBarrier, lockservice.Shared}))
 	if err != nil {
 		return err
 	}
-	t := fs.takeTxn(op)
+	t, ok := fs.txns.Take()
+	if !ok {
+		t = new(txn)
+		t.reset()
+	}
+	t.fs, t.op = fs, op
 	err = fn(t)
 	if err == nil {
 		err = t.commit()
 	}
 	fs.meta.Unpin(t.held...) // committed or given up, the sectors are let go of
 	t.releaseSegs()
-	fs.putTxn(t)
+	t.reset()
+	fs.txns.Put(t)
 	fs.unlockAll(held)
 	return err
 }

@@ -220,8 +220,9 @@ const coldReadAllocs = 4
 
 // TestColdReadAtAllocs: a 64 KB read of a file another server wrote,
 // through a cache too small to keep it, so every read fills its pages.
-// Under the race detector sync.Pool drops a share of what it is given, so
-// the count is pinned only without it (make alloc-budget).
+// The fill's buffer is bufpool's, whose sync.Pool drops a share of what
+// it is given under the race detector, so the count is pinned only
+// without it (make alloc-budget).
 func TestColdReadAtAllocs(t *testing.T) {
 	const rec, size = 64 << 10, 1 << 20
 	tw := newTestWorld(t)

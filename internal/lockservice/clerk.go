@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"frangipani/internal/obs"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -58,8 +59,8 @@ type Clerk struct {
 	outq     []sendOp
 	batches  []outBatch
 	sendCond *sync.Cond
-	// revokers are the parked revoke workers (see revoke); stop ends them.
-	revokers []chan uint64
+	// revokers run the revokes (see revoke); stop ends them.
+	revokers reuse.Workers[revokeJob]
 	// refreshing single-flights shard-map refetches triggered by
 	// wrong-shard nacks and epoch piggybacks.
 	refreshing bool
@@ -246,11 +247,8 @@ func (c *Clerk) stop() bool {
 		return false
 	}
 	c.closed = true
-	for _, w := range c.revokers {
-		close(w)
-	}
-	c.revokers = nil
 	c.mu.Unlock()
+	c.revokers.Close()
 	c.cond.Broadcast()
 	c.sendCond.Broadcast()
 	for _, cancel := range c.cancels {
@@ -629,43 +627,20 @@ func (c *Clerk) retryRequests() {
 	c.mu.Unlock()
 }
 
-// revoke hands lock's flush to a parked revoke worker, or to a new one if
-// none is parked, as rpc.Endpoint hands calls to its handler workers: the
-// workers are as many as the revokes ever in flight at once, and revokes
-// of different locks flush at the same time. Called with c.mu held.
-func (c *Clerk) revoke(lock uint64) {
-	if k := len(c.revokers); k > 0 {
-		w := c.revokers[k-1]
-		c.revokers[k-1] = nil
-		c.revokers = c.revokers[:k-1]
-		w <- lock // one slot, and the worker parked with it empty: never blocks
-		return
-	}
-	go c.revoker(lock)
+// revoke hands lock's flush to a revoke worker, as rpc.Endpoint hands
+// calls to its handler workers: the workers are as many as the revokes
+// ever in flight at once, and revokes of different locks flush at the
+// same time. Called with c.mu held.
+func (c *Clerk) revoke(lock uint64) { c.revokers.Go(revokeJob{c, lock}) }
+
+// revokeJob is a revoke, as a revoke worker is handed it.
+type revokeJob struct {
+	c    *Clerk
+	lock uint64
 }
 
-// revoker is a revoke worker: it runs lock's revoke, parks, and runs
-// whatever revoke it is handed next, until the clerk stops.
-func (c *Clerk) revoker(lock uint64) {
-	var park chan uint64
-	for {
-		c.processRevoke(lock)
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		if park == nil {
-			park = make(chan uint64, 1)
-		}
-		c.revokers = append(c.revokers, park)
-		c.mu.Unlock()
-		var ok bool
-		if lock, ok = <-park; !ok {
-			return
-		}
-	}
-}
+// Run runs the revoke.
+func (j revokeJob) Run() { j.c.processRevoke(j.lock) }
 
 // processRevoke runs the FS flush callback and then complies with the
 // pending revoke.

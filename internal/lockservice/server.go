@@ -8,6 +8,7 @@ import (
 
 	"frangipani/internal/obs"
 	"frangipani/internal/paxos"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -121,11 +122,11 @@ type Server struct {
 	crashed    bool
 	closed     bool
 	cancels    []func()
-	// casts are empty cast lists for the handlers: one takes a list
-	// under mu, fills it, sends what it holds after letting go of mu,
-	// and gives it back (sendCasts), so a handler's casts need no list of
+	// casts are empty cast lists for the handlers: one takes a list,
+	// fills it under mu, sends what it holds after letting go of mu, and
+	// gives it back (sendCasts), so a handler's casts need no list of
 	// their own.
-	casts [][]cast
+	casts reuse.List[[]cast]
 
 	// clerkAddrs holds the ClerkAddr of every clerk this server has
 	// sent to, so a message does not build its destination's name.
@@ -414,19 +415,6 @@ func (s *Server) send(ver int64, outs []cast) {
 	}
 }
 
-// takeCastsLocked returns an empty cast list from the spares. Called with
-// s.mu held.
-func (s *Server) takeCastsLocked() []cast {
-	k := len(s.casts)
-	if k == 0 {
-		return nil
-	}
-	outs := s.casts[k-1]
-	s.casts[k-1] = nil
-	s.casts = s.casts[:k-1]
-	return outs
-}
-
 // sendCasts sends outs, as send does, and gives the list back to the
 // spares.
 func (s *Server) sendCasts(ver int64, outs []cast) {
@@ -435,9 +423,7 @@ func (s *Server) sendCasts(ver int64, outs []cast) {
 		return
 	}
 	clear(outs)
-	s.mu.Lock()
-	s.casts = append(s.casts, outs[:0])
-	s.mu.Unlock()
+	s.casts.Put(outs[:0])
 }
 
 // cpuCost models the protocol-processing time of one inbound message:
@@ -580,7 +566,7 @@ func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, r
 		s.mu.Unlock()
 		return
 	}
-	outs := s.takeCastsLocked()
+	outs, _ := s.casts.Take()
 	epoch, ver := s.state.Epoch, s.state.Version
 	for i := 0; i < len(reqs)+len(rels); i++ {
 		var k lockKey
@@ -639,7 +625,7 @@ func (s *Server) retryRevokes() {
 		return
 	}
 	s.mu.Lock()
-	outs := s.takeCastsLocked()
+	outs, _ := s.casts.Take()
 	for k, ls := range s.locks {
 		if len(ls.waiters) > 0 {
 			outs = s.grantLocked(k, ls, outs)

@@ -3,20 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 )
-
-// raceBuild reports whether the test binary was built with -race.
-func raceBuild() bool {
-	bi, _ := debug.ReadBuildInfo()
-	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
-}
 
 // TestJournalWraparound drives a small ring far past capacity from
 // concurrent writers (run under -race) and checks the retained tail
@@ -351,9 +343,8 @@ func TestForensicsJSONGolden(t *testing.T) {
 // TestRingRecordsAllocateNothing: a record is a copy into a
 // preallocated slot of at most 128 bytes — an event, or a finished span
 // — and a span's whole life, Start, Child and Done, takes spans from the
-// pool and gives them back: once warm, nothing is allocated. Under the
-// race detector sync.Pool drops a share of what it is given, so the
-// span's count is checked without it only.
+// tracer's free list and gives them back: once warm, nothing is
+// allocated, under the race detector too.
 func TestRingRecordsAllocateNothing(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n > 128 {
 		t.Fatalf("an Event is %d bytes, the budget is 128", n)
@@ -369,7 +360,7 @@ func TestRingRecordsAllocateNothing(t *testing.T) {
 		root.Child("wal", "flush").Done()
 		root.Done()
 	})
-	if n != 0 && !raceBuild() {
+	if n != 0 {
 		t.Errorf("a span with a child, Start to Done, allocates %.1f times", n)
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"frangipani/internal/reuse"
 )
 
 // Span is one timed region of a trace, and the handle of the operation
@@ -22,7 +23,8 @@ import (
 // another machine (see Remote). A finished span is one record in the
 // journal of the server that opened it.
 //
-// A live span comes from a pool and goes back to it in Done: whoever
+// A live span comes from its tracer's free list and goes back to it in
+// Done: whoever
 // opened it must not touch it after Done, and nothing else may hold it
 // past then. What outlives the span is its record, read back as a Span
 // value (End set) by the tracer's readers.
@@ -69,8 +71,8 @@ func (sp *Span) Child(layer, op string) *Span {
 
 // Done ends the span: it writes the span's record into its server's
 // journal, stamped inside the ring's lock like every record, zeroes the
-// span and gives it back to the pool, and returns how long it lasted. It
-// is the last use of sp.
+// span and gives it back to its tracer, and returns how long it lasted.
+// It is the last use of sp.
 func (sp *Span) Done() int64 {
 	if sp == nil || sp.tr == nil {
 		return 0
@@ -81,19 +83,18 @@ func (sp *Span) Done() int64 {
 	} else {
 		end = sp.jr.recordSpan(sp)
 	}
-	d := end - sp.Start
+	d, t := end-sp.Start, sp.tr
 	*sp = Span{}
-	spanPool.Put(sp)
+	t.spans.Put(sp)
 	return d
 }
 
-// spanPool holds finished spans, zeroed: Start and Remote take one of
-// them, not a new span.
-var spanPool = sync.Pool{New: func() any { return new(Span) }}
-
-// open takes a span from the pool and fills it in.
+// open takes a span from the free list, or a new one, and fills it in.
 func (t *Tracer) open(jr *Journal, trace, id, parent uint64, layer, op, principal string) *Span {
-	sp := spanPool.Get().(*Span)
+	sp, ok := t.spans.Take()
+	if !ok {
+		sp = new(Span)
+	}
 	*sp = Span{TraceID: trace, ID: id, Parent: parent, Layer: layer, Op: op,
 		Start: t.reg.now(), Principal: principal, tr: t, jr: jr}
 	return sp
@@ -103,8 +104,9 @@ func (t *Tracer) open(jr *Journal, trace, id, parent uint64, layer, op, principa
 // of the servers that open them, and its readers reassemble traces from
 // the registry's journals.
 type Tracer struct {
-	reg *Registry
-	ids atomic.Uint64
+	reg   *Registry
+	ids   atomic.Uint64
+	spans reuse.List[*Span] // finished spans, zeroed: Start and Remote take one of them
 }
 
 // Start begins a new trace whose root lands in jr (nil: the span exists,

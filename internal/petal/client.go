@@ -11,6 +11,7 @@ import (
 
 	"frangipani/internal/bufpool"
 	"frangipani/internal/obs"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -81,6 +82,8 @@ type driver struct {
 	// workers; Close ends them.
 	parallelism int
 	workers     Workers
+	// xfers are the scratches of finished calls, for newXfer to take.
+	xfers reuse.List[*xfer]
 
 	// balanceReads spreads first-choice read routing across both alive
 	// replicas (Petal serves reads from either copy, §4 of the Petal
@@ -489,8 +492,8 @@ func callTimeout(bytes int) sim.Duration {
 // and what the round's concurrent batches share (mu guards next, parked,
 // lastErr and timedOut; the rest they only read). The requests are sent
 // by pointer into rreqs or wreqs, so a request costs no allocation of its
-// own. A call takes one from xfers and gives it back when every RPC it
-// made was answered; a request that was not may still be queued at the
+// own. A call takes one from its driver's xfers and gives it back when
+// every RPC it made was answered; a request that was not may still be queued at the
 // carrier, so its xfer is left to the collector. send is the bound
 // sendBatch the fan-out runs, made once per xfer rather than once per
 // round, and fan is what the fan-out's workers share.
@@ -518,16 +521,14 @@ type xfer struct {
 	fan  FanOut
 }
 
-var xfers = sync.Pool{New: func() any {
-	x := new(xfer)
-	x.send = x.sendBatch
-	return x
-}}
-
 // newXfer takes a scratch for a call on v made for ctx: a read, or a
 // write stamped with the caller's lease (read once per call).
 func (c Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
-	x := xfers.Get().(*xfer)
+	x, ok := c.xfers.Take()
+	if !ok {
+		x = new(xfer)
+		x.send = x.sendBatch
+	}
 	x.c, x.ctx = c, ctx
 	x.in = planIn{v: v, write: write, balance: c.balanceReads.Load(), load: c.driver}
 	if write {
@@ -541,8 +542,8 @@ func (c Client) newXfer(ctx obs.Ctx, v VDiskID, write bool) *xfer {
 	return x
 }
 
-// release gives x back to xfers, pointing at nothing, unless one of its
-// calls went unanswered.
+// release gives x back to its driver's xfers, pointing at nothing,
+// unless one of its calls went unanswered.
 func (x *xfer) release() {
 	if x.timedOut {
 		return
@@ -561,8 +562,9 @@ func (x *xfer) release() {
 	reset(&x.rreqs)
 	reset(&x.wreqs)
 	x.pl.batches = x.pl.batches[:0]
+	d := x.c.driver
 	x.c, x.in, x.st, x.ctx, x.lastErr, x.expireAt = Client{}, planIn{}, GlobalState{}, obs.Ctx{}, nil, 0
-	xfers.Put(x)
+	d.xfers.Put(x)
 }
 
 // reset empties *s, zeroing its storage so that a pooled xfer holds no

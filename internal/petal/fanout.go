@@ -1,20 +1,19 @@
 package petal
 
-import "sync"
+import (
+	"sync"
+
+	"frangipani/internal/reuse"
+)
 
 // Workers runs fan-outs and background jobs on parked goroutines that
 // belong to it: the Petal client, the Petal server and the file system
-// each own one. A fan-out hands its helpers, and Go its job, to workers
-// parked in idle, or to new ones if none is, and a worker that is done
-// parks again, so the workers are as many as the helpers and jobs ever
-// busy at once, not one goroutine per index or job. Close ends the
+// each own one. A fan-out hands its helpers, and Go its job, to the
+// workers (reuse.Workers), so they are as many as the helpers and jobs
+// ever busy at once, not one goroutine per index or job. Close ends the
 // parked ones and lets the busy ones end when their fan-out or job is
 // done. The zero value is ready to use.
-type Workers struct {
-	mu     sync.Mutex
-	idle   []chan task
-	closed bool
-}
+type Workers struct{ reuse.Workers[task] }
 
 // Job is a background job for Go: its state is whatever Run is a method
 // of, so handing it over allocates nothing.
@@ -26,8 +25,8 @@ type task struct {
 	job Job
 }
 
-// run does t: the indices of its fan-out nobody has taken, or its job.
-func (t task) run() {
+// Run does t: the indices of its fan-out nobody has taken, or its job.
+func (t task) Run() {
 	if t.fo == nil {
 		t.job.Run()
 		return
@@ -69,7 +68,7 @@ func (w *Workers) Run(fo *FanOut, limit, n int, f func(int) error) error {
 	helpers := min(limit, n) - 1
 	fo.wg.Add(helpers)
 	for k := 0; k < helpers; k++ {
-		w.hand(task{fo: fo})
+		w.Workers.Go(task{fo: fo})
 	}
 	fo.run(n - 1)
 	fo.drain()
@@ -82,58 +81,7 @@ func (w *Workers) Run(fo *FanOut, limit, n int, f func(int) error) error {
 // Go runs j on a parked worker, or on a new one if none is parked, and
 // returns at once; nobody waits for it but whoever j's own state tells. A
 // job started after Close still runs, on a worker that then ends.
-func (w *Workers) Go(j Job) { w.hand(task{job: j}) }
-
-// hand gives t to a parked worker, or to a new one if none is parked.
-func (w *Workers) hand(t task) {
-	w.mu.Lock()
-	if k := len(w.idle); k > 0 {
-		p := w.idle[k-1]
-		w.idle[k-1] = nil
-		w.idle = w.idle[:k-1]
-		w.mu.Unlock()
-		p <- t // one slot, and the worker parked with it empty: never blocks
-		return
-	}
-	w.mu.Unlock()
-	go w.work(t)
-}
-
-// work is a worker: it does t, parks, and does whatever it is handed
-// next, until Close.
-func (w *Workers) work(t task) {
-	var park chan task
-	for {
-		t.run()
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			return
-		}
-		if park == nil {
-			park = make(chan task, 1)
-		}
-		w.idle = append(w.idle, park)
-		w.mu.Unlock()
-		var ok bool
-		if t, ok = <-park; !ok {
-			return
-		}
-	}
-}
-
-// Close ends the parked workers; a busy one ends once its fan-out or job
-// is done. A Run or Go after Close still runs, on workers that end with
-// it.
-func (w *Workers) Close() {
-	w.mu.Lock()
-	w.closed = true
-	for _, p := range w.idle {
-		close(p)
-	}
-	w.idle = nil
-	w.mu.Unlock()
-}
+func (w *Workers) Go(j Job) { w.Workers.Go(task{job: j}) }
 
 // drain runs the indices nobody has taken until none is left.
 func (fo *FanOut) drain() {

@@ -10,6 +10,7 @@ import (
 	"frangipani/internal/bufpool"
 	"frangipani/internal/obs"
 	"frangipani/internal/paxos"
+	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -76,6 +77,10 @@ type Server struct {
 	// workers run the fan-outs of reads and writes over the disks;
 	// Close ends them.
 	workers Workers
+	// readJobs and writeJobs are the scratches of served reads and
+	// writes, for the next to take.
+	readJobs  reuse.List[*readJob]
+	writeJobs reuse.List[*writeJob]
 
 	tr       *obs.Tracer
 	reqC     *obs.Counter
@@ -388,9 +393,9 @@ func (s *Server) chargeCPU(bytes int) {
 const readVServePar = 16
 
 // readJob is what one onReadV's concurrent extent reads share. It comes
-// from readJobs and goes back when the read is served; serve is the
-// bound readExtent the fan-out runs, made once per readJob rather than
-// once per read, and fan is what the fan-out's workers share.
+// from the server's readJobs and goes back when the read is served;
+// serve is the bound readExtent the fan-out runs, made once per readJob
+// rather than once per read, and fan is what the fan-out's workers share.
 type readJob struct {
 	s       *Server
 	base    VDiskID
@@ -416,12 +421,6 @@ type readReply struct {
 	room [readReplyRoom]ReadVExtentResult
 	rb   rpc.RecvBuf
 }
-
-var readJobs = sync.Pool{New: func() any {
-	j := new(readJob)
-	j.serve = j.readExtent
-	return j
-}}
 
 // onReadV serves a read: the vdisk resolves once, then every extent
 // is read from the local store with bounded parallelism. Reads don't
@@ -459,11 +458,15 @@ func (s *Server) onReadV(m *ReadVReq) any {
 		}
 		results[i].Data, buf = buf[:e.Len:e.Len], buf[e.Len:]
 	}
-	j := readJobs.Get().(*readJob)
-	j.s, j.base, j.ceiling, j.exts, j.results = s, base, ceiling, m.Extents, results
+	j, ok := s.readJobs.Take()
+	if !ok {
+		j = &readJob{s: s}
+		j.serve = j.readExtent
+	}
+	j.base, j.ceiling, j.exts, j.results = base, ceiling, m.Extents, results
 	_ = s.workers.Run(&j.fan, readVServePar, len(results), j.serve)
-	j.s, j.base, j.ceiling, j.exts, j.results = nil, "", 0, nil, nil
-	readJobs.Put(j)
+	j.base, j.ceiling, j.exts, j.results = "", 0, nil, nil
+	s.readJobs.Put(j)
 	r.OK, r.Results = true, results
 	return &r.ReadVResp
 }
@@ -534,9 +537,9 @@ var writeVOK any = WriteVResp{OK: true}
 
 // writeJob is one onWriteV's scratch: the write's forwards to its
 // partners, requests sent by pointer, and the serial units its extents
-// are cut into. It comes from writeJobs and goes back once the write is
-// answered — unless a forward went unanswered, whose request may still be
-// queued at the carrier. apply is the bound applyUnit the fan-out runs,
+// are cut into. It comes from the server's writeJobs and goes back once
+// the write is answered — unless a forward went unanswered, whose request
+// may still be queued at the carrier. apply is the bound applyUnit the fan-out runs,
 // made once per writeJob rather than once per write.
 type writeJob struct {
 	s       *Server
@@ -551,14 +554,8 @@ type writeJob struct {
 	fan   FanOut
 }
 
-var writeJobs = sync.Pool{New: func() any {
-	j := new(writeJob)
-	j.apply = j.applyUnit
-	return j
-}}
-
-// release gives j back to writeJobs, pointing at nothing, unless a
-// forward of it went unanswered.
+// release gives j back to its server's writeJobs, pointing at nothing,
+// unless a forward of it went unanswered.
 func (j *writeJob) release() {
 	for _, fw := range j.fws {
 		if fw.leaked {
@@ -573,9 +570,9 @@ func (j *writeJob) release() {
 	}
 	clear(j.sorted[:cap(j.sorted)])
 	clear(j.units[:cap(j.units)])
-	j.s, j.base, j.ceiling, j.st = nil, "", 0, GlobalState{}
+	j.base, j.ceiling, j.st = "", 0, GlobalState{}
 	j.fws, j.sorted, j.units = j.fws[:0], j.sorted[:0], j.units[:0]
-	writeJobs.Put(j)
+	j.s.writeJobs.Put(j)
 }
 
 // onWriteV applies a write: one lease check and one epoch resolution
@@ -618,8 +615,12 @@ func (s *Server) onWriteV(sp *obs.Span, m *WriteVReq) any {
 			return WriteVResp{Err: ErrBounds.Error()}
 		}
 	}
-	j := writeJobs.Get().(*writeJob)
-	j.s, j.base, j.ceiling, j.st = s, base, ceiling, st
+	j, ok := s.writeJobs.Take()
+	if !ok {
+		j = &writeJob{s: s}
+		j.apply = j.applyUnit
+	}
+	j.base, j.ceiling, j.st = base, ceiling, st
 	if !m.Forwarded && !s.cfg.NoReplicate {
 		j.forward(sp.Ctx(), m)
 	}

@@ -235,9 +235,10 @@ const (
 // TestWriteVReadVRoundTripAllocs pins writeVAllocs, readVAllocs,
 // loneReadVAllocs and partedWriteVAllocs. The servers' demons allocate in
 // the background and AllocsPerRun counts the whole process: the least of
-// several rounds is the call's own. Under the race detector sync.Pool
-// drops a share of what it is given, so the counts are pinned only
-// without it (make alloc-budget).
+// several rounds is the call's own. The payload and reply buffers are
+// bufpool's, whose sync.Pool drops a share of what it is given under the
+// race detector, so the counts are pinned only without it (make
+// alloc-budget).
 func TestWriteVReadVRoundTripAllocs(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")

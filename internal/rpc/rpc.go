@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"frangipani/internal/reuse"
 	"frangipani/internal/sim"
 )
 
@@ -97,12 +98,11 @@ func (c SimCarrier) Unregister(name string) { c.Net.Unregister(name) }
 // Endpoint is one named party on the network. It dispatches incoming
 // requests to its handler and routes replies back to waiting callers.
 //
-// A call's handler runs on a handler worker: one that is parked in idle
-// takes it, or a new one if none is. A worker serves the call, sends its
-// reply, parks and serves whatever call it is handed next, so the workers
-// are as many as the calls ever served at once, not one per call. Close
-// ends the parked ones and lets the busy ones end when their call is
-// answered.
+// A call's handler runs on one of the endpoint's handler workers: a
+// worker serves the call, sends its reply, parks and serves whatever call
+// it is handed next, so the workers are as many as the calls ever served
+// at once, not one per call. Close ends the parked ones and lets the busy
+// ones end when their call is answered.
 type Endpoint struct {
 	addr    string
 	carrier Carrier
@@ -113,14 +113,29 @@ type Endpoint struct {
 	pending map[uint64]chan any
 	nextID  uint64
 	closed  bool
-	idle    []chan request // parked handler workers; Close closes them
+
+	workers reuse.Workers[request]
+	calls   reuse.List[*call] // the slots of calls answered in time
 }
 
 // request is an incoming call, as a handler worker is handed it.
 type request struct {
+	e    *Endpoint
 	from string
 	id   uint64
 	body any
+}
+
+// call is a call's slot: the channel its reply is delivered on and the
+// timer of its time-out. A call takes one from its endpoint's calls, not
+// a new channel and timer, and gives it back once its reply has come in
+// time. The slot of a call that timed out is left to the collector: a
+// reply whose delivery took the call out of pending before the time-out
+// did may still be on its way into the channel, and must not reach the
+// next call to use it.
+type call struct {
+	reply chan any
+	timer *time.Timer
 }
 
 // NewEndpoint registers addr on the carrier and returns the endpoint.
@@ -161,53 +176,22 @@ func (e *Endpoint) receive(from string, env Envelope, size int) {
 		h(from, env.Body)
 		return
 	}
-	e.dispatch(request{from: from, id: env.ID, body: env.Body})
-}
-
-// dispatch hands r to a parked handler worker, or to a new one if none is
-// parked. A closed endpoint serves nothing.
-func (e *Endpoint) dispatch(r request) {
+	// A closed endpoint serves nothing.
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		Release(r.body)
-		return
-	}
-	if k := len(e.idle); k > 0 {
-		w := e.idle[k-1]
-		e.idle[k-1] = nil
-		e.idle = e.idle[:k-1]
-		e.mu.Unlock()
-		w <- r // one slot, and the worker parked with it empty: never blocks
-		return
-	}
+	closed := e.closed
 	e.mu.Unlock()
-	go e.serve(r)
+	if closed {
+		Release(env.Body)
+		return
+	}
+	e.workers.Go(request{e: e, from: from, id: env.ID, body: env.Body})
 }
 
-// serve is a handler worker: it answers r, parks, and answers whatever
-// call it is handed next, until Close.
-func (e *Endpoint) serve(r request) {
-	var park chan request
-	for {
-		if reply := e.handler(r.from, r.body); reply != nil {
-			_ = e.carrier.Send(e.addr, r.from, Envelope{ID: r.id, IsReply: true, Body: reply}, sizeOf(reply))
-		}
-		r = request{} // hold nothing of the call while parked
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		if park == nil {
-			park = make(chan request, 1)
-		}
-		e.idle = append(e.idle, park)
-		e.mu.Unlock()
-		var ok bool
-		if r, ok = <-park; !ok {
-			return
-		}
+// Run serves r on a handler worker: it answers the call.
+func (r request) Run() {
+	e := r.e
+	if reply := e.handler(r.from, r.body); reply != nil {
+		_ = e.carrier.Send(e.addr, r.from, Envelope{ID: r.id, IsReply: true, Body: reply}, sizeOf(reply))
 	}
 }
 
@@ -237,10 +221,10 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 // Pending is a call whose request has been sent: Wait collects its
 // reply.
 type Pending struct {
-	e  *Endpoint
-	to string
-	id uint64
-	ch chan any
+	e    *Endpoint
+	to   string
+	id   uint64
+	call *call
 }
 
 // Go sends a request and returns without waiting for the reply. Two
@@ -248,32 +232,36 @@ type Pending struct {
 // goroutine reach it in that order, whatever their sizes: each pair's
 // messages are delivered in send order, on both carriers.
 func (e *Endpoint) Go(to string, req any) (Pending, error) {
-	id, ch, err := e.send(to, req)
-	return Pending{e: e, to: to, id: id, ch: ch}, err
+	id, c, err := e.send(to, req)
+	return Pending{e: e, to: to, id: id, call: c}, err
 }
 
 // Wait waits up to timeout (simulated time), counted from now, for the
 // reply to p. Call it once.
 func (p Pending) Wait(timeout time.Duration) (any, error) {
-	timer := armTimer(p.e.clock.Real(timeout))
-	defer timerPool.Put(timer)
+	c, d := p.call, p.e.clock.Real(timeout)
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
 	select {
-	case reply := <-p.ch:
+	case reply := <-c.reply:
 		// Stopped, a timer delivers nothing more (go 1.23 timers): the
-		// next call to take it from the pool finds its channel empty.
-		timer.Stop()
+		// next call to take the slot finds its channel empty.
+		c.timer.Stop()
 		// The reply's sender took the call out of pending before it
 		// sent, so nobody else holds the channel now.
-		replyChans.Put(p.ch)
+		p.e.calls.Put(c)
 		return reply, nil
-	case <-timer.C:
-		return nil, p.e.expire(p.to, p.id, p.ch)
+	case <-c.timer.C:
+		return nil, p.e.expire(p.to, p.id, c)
 	}
 }
 
-// send registers a call under a fresh id, with a reply channel from the
-// pool, and sends its request.
-func (e *Endpoint) send(to string, req any) (id uint64, ch chan any, err error) {
+// send registers a call under a fresh id, in a slot from the endpoint's
+// calls, and sends its request.
+func (e *Endpoint) send(to string, req any) (id uint64, c *call, err error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -281,14 +269,17 @@ func (e *Endpoint) send(to string, req any) (id uint64, ch chan any, err error) 
 	}
 	e.nextID++
 	id = e.nextID
-	ch = replyChans.Get().(chan any)
-	e.pending[id] = ch
+	c, ok := e.calls.Take()
+	if !ok {
+		c = &call{reply: make(chan any, 1)}
+	}
+	e.pending[id] = c.reply
 	e.mu.Unlock()
 	if err := e.carrier.Send(e.addr, to, Envelope{ID: id, Body: req}, sizeOf(req)); err != nil {
 		e.takeCall(id)
 		return 0, nil, err
 	}
-	return id, ch, nil
+	return id, c, nil
 }
 
 // takeCall removes the call id from pending and returns its reply
@@ -302,37 +293,18 @@ func (e *Endpoint) takeCall(id uint64) chan any {
 	return ch
 }
 
-// expire ends a call whose time ran out. Its reply channel is not
-// pooled again: a reply whose delivery took the call out of pending
-// before the time-out did may still be on its way into the channel, and
-// must not reach the next call to use it.
-func (e *Endpoint) expire(to string, id uint64, ch chan any) error {
+// expire ends a call whose time ran out. Its slot is not given back (see
+// call).
+func (e *Endpoint) expire(to string, id uint64, c *call) error {
 	e.takeCall(id)
 	// The reply may have been buffered in the same instant the timer
 	// fired; recycle its pooled payload buffer if so.
 	select {
-	case reply := <-ch:
+	case reply := <-c.reply:
 		Release(reply)
 	default:
 	}
 	return fmt.Errorf("%w: %s -> %s", ErrTimeout, e.addr, to)
-}
-
-// replyChans holds the reply channels of answered calls, empty and
-// pending nowhere: a call takes one of them, not a new channel.
-var replyChans = sync.Pool{New: func() any { return make(chan any, 1) }}
-
-// timerPool holds the time-out timers of finished calls, stopped or
-// fired and received from: a call arms one of them, not a new timer and
-// channel of its own.
-var timerPool sync.Pool
-
-func armTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
 }
 
 // Close unregisters the endpoint and ends its parked handler workers; a
@@ -340,11 +312,8 @@ func armTimer(d time.Duration) *time.Timer {
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	e.closed = true
-	for _, w := range e.idle {
-		close(w)
-	}
-	e.idle = nil
 	e.mu.Unlock()
+	e.workers.Close()
 	e.carrier.Unregister(e.addr)
 }
 

@@ -199,11 +199,7 @@ func TestHandlerWorkersEndOnClose(t *testing.T) {
 	carrier := SimCarrier{Net: w.Net}
 	a := NewEndpoint("a", carrier, w.Clock, nil)
 	b := NewEndpoint("b", carrier, w.Clock, h)
-	parked := func() int {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.idle)
-	}
+	parked := b.workers.Parked
 	waitFor := func(what string, ok func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"frangipani/internal/reuse"
 )
 
 // Errors returned by the network.
@@ -64,7 +66,7 @@ type Handler func(Message)
 // Messages between one (from, to) pair wait in that pair's FIFO queue
 // (pairQ), in send order. A delivery worker drains a pair whose head has
 // left its sender; when the pair is empty, or its head is still on the
-// sender's egress, the worker parks in the network's idle pool until
+// sender's egress, the worker parks among the network's workers until
 // another pair needs one. So the goroutines are as many as the pairs
 // busy at once, not one per message in flight; stop ends the parked ones
 // and lets the busy ones end when their pairs are drained.
@@ -77,12 +79,12 @@ type Network struct {
 	isolated  map[string]bool
 	cut       map[[2]string]bool
 	pairs     map[[2]string]*pairQ
-	idle      []chan *pairQ // parked delivery workers; a nil pair ends one
-	stopped   bool
 	dropEvery int64 // drop one message in N (0 = never); deterministic
 	sent      int64
 	delivered int64
 	bytes     int64
+
+	workers reuse.Workers[*pairQ] // the delivery workers
 }
 
 // NewNetwork returns an empty network on the given clock.
@@ -105,6 +107,7 @@ func NewNetwork(clock *Clock) *Network {
 // while a worker drains the pair; the worker keeps the head until its
 // handler has returned. All fields are guarded by Network.mu.
 type pairQ struct {
+	net      *Network
 	from, to string
 	ring     []delivery
 	head, n  int
@@ -326,7 +329,7 @@ func (n *Network) ready(q *pairQ, seq uint64, at Time) {
 	d.at, d.ready = at, true
 	if !q.busy && q.headReady() {
 		q.busy = true
-		n.dispatchLocked(q)
+		n.workers.Go(q)
 	}
 }
 
@@ -336,77 +339,45 @@ func (n *Network) pairLocked(from, to string) *pairQ {
 	key := [2]string{from, to}
 	q := n.pairs[key]
 	if q == nil {
-		q = &pairQ{from: from, to: to}
+		q = &pairQ{net: n, from: from, to: to}
 		n.pairs[key] = q
 	}
 	return q
 }
 
-// dispatchLocked hands q, whose head is ready and which no worker
-// drains, to a parked worker, or to a new one if none is parked.
-func (n *Network) dispatchLocked(q *pairQ) {
-	if k := len(n.idle); k > 0 {
-		w := n.idle[k-1]
-		n.idle[k-1] = nil
-		n.idle = n.idle[:k-1]
-		w <- q // one slot, and the worker parked with it empty: never blocks
-		return
-	}
-	go n.deliver(q)
-}
-
-// deliver is a delivery worker: it drains q, parks, and drains whatever
-// pair it is handed next, until stop.
-func (n *Network) deliver(q *pairQ) {
-	var park chan *pairQ
-	for q != nil {
-		n.mu.Lock()
-		for q.headReady() {
-			d := q.ring[q.head]
-			n.mu.Unlock()
-			n.clock.SleepUntil(d.at)
-			n.mu.Lock()
-			// Re-check reachability at delivery time so a partition that
-			// forms while the message is in flight loses it.
-			h := n.handlers[q.to]
-			ok := h != nil && n.reachableLocked(q.from, q.to)
-			if ok {
-				n.delivered++
-			}
-			n.mu.Unlock()
-			if ok {
-				h(d.msg)
-			}
-			n.mu.Lock()
-			q.pop()
-		}
-		// Empty, or its head is still on the sender's egress: that
-		// sender dispatches the pair again when it is done.
-		q.busy = false
-		if n.stopped {
-			n.mu.Unlock()
-			return
-		}
-		if park == nil {
-			park = make(chan *pairQ, 1)
-		}
-		n.idle = append(n.idle, park)
+// Run is a delivery worker's turn with q, whose head is ready: it
+// delivers q's messages, each at its instant, until q is empty or its
+// head is still on the sender's egress; that sender hands the pair to a
+// worker again when it is done.
+func (q *pairQ) Run() {
+	n := q.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for q.headReady() {
+		d := q.ring[q.head]
 		n.mu.Unlock()
-		q = <-park
+		n.clock.SleepUntil(d.at)
+		n.mu.Lock()
+		// Re-check reachability at delivery time so a partition that
+		// forms while the message is in flight loses it.
+		h := n.handlers[q.to]
+		ok := h != nil && n.reachableLocked(q.from, q.to)
+		if ok {
+			n.delivered++
+		}
+		n.mu.Unlock()
+		if ok {
+			h(d.msg)
+		}
+		n.mu.Lock()
+		q.pop()
 	}
+	q.busy = false
 }
 
 // stop ends the parked delivery workers; a busy one ends when its pair
 // is drained. Messages still in flight are delivered.
-func (n *Network) stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stopped = true
-	for _, w := range n.idle {
-		w <- nil
-	}
-	n.idle = nil
-}
+func (n *Network) stop() { n.workers.Close() }
 
 // LinkUtilization reports the busy fraction of a host's egress and
 // ingress since the last ResetStats.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"frangipani/internal/bufpool"
+	"frangipani/internal/reuse"
 )
 
 // BlockDev is the interface shared by Disk, NVRAM, and Petal's client
@@ -14,10 +15,9 @@ type BlockDev interface {
 }
 
 // nvEntry is one staged sector: its bytes are slot, the card's copy of
-// them, which is never written again while anybody points at it: a
-// rewrite repoints the entry at a slot of its own. That is what lets the
-// entry be a value in the map (no object per sector to keep alive or to
-// share) and lets ReadAt hold the bytes with the lock released. epoch
+// them, which only the entry points at — a rewrite copies its bytes into
+// the same slot, and a read and a destage copy out of it, all under the
+// card's lock — so the entry can be a value in the map. epoch
 // distinguishes rewrites so the destager only evicts an entry if the
 // disk write it completed still reflects the latest staged data.
 type nvEntry struct {
@@ -26,14 +26,17 @@ type nvEntry struct {
 	queued bool // present in the destage order queue
 }
 
-// nvSlot holds one staged sector's bytes. refs counts who points at it,
-// under the card's lock: the entry that stages it, until the sector is
-// rewritten or destaged, and each read that snapshotted it, until it has
-// overlaid it. A slot nobody points at goes back to the card's free list,
-// so staging a sector takes one and allocates nothing.
-type nvSlot struct {
-	data [SectorSize]byte
-	refs int
+// nvSlot holds one staged sector's bytes. Its one owner is the entry
+// that stages it; once the sector is destaged it goes back to the card's
+// free list, so staging a sector takes one and allocates nothing.
+type nvSlot [SectorSize]byte
+
+// nvScratch is a read's copy of the staged sectors it covers, taken
+// before its disk read: their bytes, in order, and the index of each
+// sector in the read.
+type nvScratch struct {
+	data []byte
+	at   []int
 }
 
 // slabSlots is how many slots the card makes at once when its free list
@@ -50,10 +53,12 @@ const slabSlots = 128
 //
 // The card is the simulator's, not the file system's: on the host it
 // costs a write one copy of its payload into slots from the card's free
-// list and a map store per sector, and a write, a read and a destage no
-// allocation at all once the card has made slots for what it stages at
-// its fullest (TestNVRAMStagingAllocs), so that the host-time metrics read
-// the code above it. The card keeps those slots: its staged memory is its
+// list and a map store per sector, a read one copy of the staged sectors
+// it covers into scratch from the card's list and one back, and a write,
+// a read and a destage no allocation at all once the card has made slots
+// and scratch for what it stages and reads at its fullest
+// (TestNVRAMStagingAllocs), so that the host-time metrics read the code
+// above it. The card keeps those slots: its staged memory is its
 // high-water mark of staged sectors, 512 bytes each, not rounded up.
 type NVRAM struct {
 	disk     *Disk
@@ -67,7 +72,8 @@ type NVRAM struct {
 	order   []int64           // FIFO destage order (queued entries)
 	epoch   int64
 	stopped bool
-	free    []*nvSlot // slots nobody points at
+	free    reuse.List[*nvSlot]    // slots no entry stages
+	scratch reuse.List[*nvScratch] // of reads that are done
 
 	run    *[]byte // the destager's: the run on its way to the disk, from bufpool
 	epochs []int64 // and the epoch of each of its sectors
@@ -114,9 +120,10 @@ func (n *NVRAM) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// stage copies p, which fits the card, into slots for the sectors at off
-// and points them there, once there is room for those of them that are
-// not staged already: a rewrite takes no room.
+// stage copies p, which fits the card, into the slots of the sectors at
+// off — a staged sector's own, a new one's from the free list — once
+// there is room for those of them that are not staged already: a rewrite
+// takes no room.
 func (n *NVRAM) stage(p []byte, off int64) {
 	s := off / SectorSize
 	count := len(p) / SectorSize
@@ -130,43 +137,30 @@ func (n *NVRAM) stage(p []byte, off int64) {
 	for i := 0; i < count; i++ {
 		idx := s + int64(i)
 		e, ok := n.dirty[idx]
-		if ok {
-			n.unrefLocked(e.slot)
+		if !ok {
+			e.slot = n.slot()
 		}
 		if !e.queued {
 			n.order = append(n.order, idx)
 		}
-		slot := n.slotLocked()
-		copy(slot.data[:], p[i*SectorSize:])
-		n.dirty[idx] = nvEntry{slot: slot, epoch: n.epoch, queued: true}
+		copy(e.slot[:], p[i*SectorSize:])
+		n.dirty[idx] = nvEntry{slot: e.slot, epoch: n.epoch, queued: true}
 	}
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
 
-// slotLocked takes a slot from the free list, making a slab of them if it
-// is empty, pointed at once.
-func (n *NVRAM) slotLocked() *nvSlot {
-	if len(n.free) == 0 {
-		slab := make([]nvSlot, min(slabSlots, n.capacity))
-		for i := range slab {
-			n.free = append(n.free, &slab[i])
-		}
+// slot takes a slot from the free list, making a slab of them if it is
+// empty.
+func (n *NVRAM) slot() *nvSlot {
+	if slot, ok := n.free.Take(); ok {
+		return slot
 	}
-	k := len(n.free) - 1
-	slot := n.free[k]
-	n.free[k] = nil
-	n.free = n.free[:k]
-	slot.refs = 1
-	return slot
-}
-
-// unrefLocked lets go of one pointer at slot; the last puts it back on
-// the free list.
-func (n *NVRAM) unrefLocked(slot *nvSlot) {
-	if slot.refs--; slot.refs == 0 {
-		n.free = append(n.free, slot)
+	slab := make([]nvSlot, min(slabSlots, n.capacity))
+	for i := range slab[1:] {
+		n.free.Put(&slab[1+i])
 	}
+	return &slab[0]
 }
 
 // unstaged counts the sectors of [s, s+count) the card does not hold.
@@ -187,55 +181,43 @@ func (n *NVRAM) unstaged(s int64, count int) int {
 // saves the read no arm time: serving it from the card would be a read
 // hit, which the modelled PrestoServe card is not used for here, and a
 // change to the modelled hardware (DESIGN §3.4, "Rejected"). The staged
-// sectors are snapshotted before the disk read, by reference — each slot
-// counts the read among its holders until the overlay is done, so a
-// rewrite or a destage meanwhile cannot recycle it — and a concurrent
-// destage (which removes entries after writing them) cannot leave a
-// window where the data is in neither place.
+// sectors are copied out under the card's lock before the disk read
+// (snapshot), so a concurrent destage (which removes entries after
+// writing them) cannot leave a window where the data is in neither
+// place, and a rewrite meanwhile changes nothing the read holds.
 func (n *NVRAM) ReadAt(p []byte, off int64) error {
-	var buf [128]*nvSlot // stack scratch for a 64 KB read; longer ones spill to the heap
-	overlay := buf[:min(len(p)/SectorSize, len(buf))]
-	if len(p)/SectorSize > len(buf) {
-		overlay = make([]*nvSlot, len(p)/SectorSize)
-	}
-	held := n.hold(overlay, off/SectorSize)
+	sc := n.snapshot(off/SectorSize, len(p)/SectorSize)
 	err := n.disk.ReadAt(p, off)
-	if held {
-		n.overlay(p, overlay, err == nil)
-	}
+	n.apply(p, sc)
 	return err
 }
 
-// hold points overlay[i] at the slot of sector s+i if it is staged, nil
-// if not, each held for the read, and reports whether any is.
-func (n *NVRAM) hold(overlay []*nvSlot, s int64) (held bool) {
+// snapshot copies the staged sectors of [s, s+count) into scratch from
+// the card's list.
+func (n *NVRAM) snapshot(s int64, count int) *nvScratch {
+	sc, ok := n.scratch.Take()
+	if !ok {
+		sc = new(nvScratch)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range overlay {
-		overlay[i] = nil
+	for i := 0; i < count; i++ {
 		if e, ok := n.dirty[s+int64(i)]; ok {
-			e.slot.refs++
-			overlay[i], held = e.slot, true
+			sc.data = append(sc.data, e.slot[:]...)
+			sc.at = append(sc.at, i)
 		}
 	}
-	return held
+	return sc
 }
 
-// overlay copies the held slots over p's sectors, if apply, and lets go
-// of them.
-func (n *NVRAM) overlay(p []byte, overlay []*nvSlot, apply bool) {
-	for i, slot := range overlay {
-		if slot != nil && apply {
-			copy(p[i*SectorSize:], slot.data[:])
-		}
+// apply lays the sectors snapshot copied into sc over p, the bytes the
+// disk returned, and gives sc back.
+func (n *NVRAM) apply(p []byte, sc *nvScratch) {
+	for k, i := range sc.at {
+		copy(p[i*SectorSize:], sc.data[k*SectorSize:(k+1)*SectorSize])
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, slot := range overlay {
-		if slot != nil {
-			n.unrefLocked(slot)
-		}
-	}
+	sc.data, sc.at = sc.data[:0], sc.at[:0]
+	n.scratch.Put(sc)
 }
 
 // destager drains staged sectors to the disk in FIFO order, batching
@@ -279,7 +261,7 @@ func (n *NVRAM) takeRun() (start int64, ok bool) {
 	n.run, n.epochs = bufpool.Get(taken*SectorSize), n.epochs[:0]
 	for i, idx := range n.order[:taken] {
 		e := n.dirty[idx]
-		copy((*n.run)[i*SectorSize:], e.slot.data[:])
+		copy((*n.run)[i*SectorSize:], e.slot[:])
 		n.epochs = append(n.epochs, e.epoch)
 		e.queued = false
 		n.dirty[idx] = e
@@ -297,7 +279,7 @@ func (n *NVRAM) retire(start int64) {
 	for i, epoch := range n.epochs {
 		idx := start + int64(i)
 		if e, ok := n.dirty[idx]; ok && !e.queued && e.epoch == epoch {
-			n.unrefLocked(e.slot)
+			n.free.Put(e.slot)
 			delete(n.dirty, idx)
 		}
 	}

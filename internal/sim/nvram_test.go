@@ -321,14 +321,15 @@ func TestNVRAMAgainstModelConcurrently(t *testing.T) {
 
 // TestNVRAMHeldReadsAgainstModel: seeded writes, rewrites, reads and
 // destages of a stepped card against a byte model, with reads held across
-// their disk read. A held read snapshots the staged sectors (hold); the
-// steps go on — rewriting and destaging those very sectors, which lets go
-// of their slots, and staging new bytes into slots from the free list —
-// and only then does the read read the disk and overlay what it
-// snapshotted. Each such read returns, sector by sector, what was staged
-// when it snapshotted, or, where nothing was, what the disk holds when it
-// reads it; a plain read returns the newest write. At the end the disk
-// holds every newest write and every slot is free.
+// their disk read. A held read copies out the staged sectors (snapshot);
+// the steps go on — rewriting those very sectors in their slots,
+// destaging them, which frees their slots, and staging new bytes into
+// slots from the free list — and only then does the read read the disk
+// and lay over it what it copied (apply). Each such read returns, sector
+// by sector, what was staged when it snapshotted, or, where nothing was,
+// what the disk holds when it reads it; a plain read returns the newest
+// write. At the end the disk holds every newest write and no slot is on
+// the free list twice.
 func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 	const region = 64 // sectors: the card's capacity, so a write never waits for room
 	for seed := int64(1); seed <= 20; seed++ {
@@ -337,9 +338,10 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 		model := bytes.Clone(old[:region*SectorSize]) // the newest write of each sector
 		onDisk := bytes.Clone(model)
 		type heldRead struct {
-			s, k    int
-			overlay []*nvSlot
-			want    []byte // the staged bytes the read snapshotted; nil where nothing was staged
+			s, k   int
+			sc     *nvScratch
+			staged []bool // the sectors the card staged when the read snapshotted
+			want   []byte // the newest write of each sector then
 		}
 		var reads []*heldRead
 		runOut, runStart := false, int64(0)
@@ -362,14 +364,14 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 			if err := d.ReadAt(got, int64(r.s*SectorSize)); err != nil {
 				t.Fatal(err)
 			}
-			nv.overlay(got, r.overlay, true)
+			nv.apply(got, r.sc)
 			for j := 0; j < r.k; j++ {
 				want := r.want[j*SectorSize : (j+1)*SectorSize]
-				if r.overlay[j] == nil {
+				if !r.staged[j] {
 					want = onDisk[(r.s+j)*SectorSize:][:SectorSize]
 				}
 				if !bytes.Equal(got[j*SectorSize:(j+1)*SectorSize], want) {
-					t.Fatalf("seed %d: a held read of sector %d returned bytes nobody staged or destaged there when it read (staged when it snapshotted: %v)", seed, r.s+j, r.overlay[j] != nil)
+					t.Fatalf("seed %d: a held read of sector %d returned bytes nobody staged or destaged there when it read (staged when it snapshotted: %v)", seed, r.s+j, r.staged[j])
 				}
 			}
 		}
@@ -388,8 +390,13 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 				mustRead(t, nv, int64(s*SectorSize), model[s*SectorSize:(s+k)*SectorSize], "a plain read")
 			case 3: // a read that snapshots and holds
 				s, k := span()
-				r := &heldRead{s: s, k: k, overlay: make([]*nvSlot, k), want: make([]byte, k*SectorSize)}
-				nv.hold(r.overlay, int64(s))
+				r := &heldRead{s: s, k: k, staged: make([]bool, k), want: make([]byte, k*SectorSize)}
+				nv.mu.Lock()
+				for j := range r.staged {
+					_, r.staged[j] = nv.dirty[int64(s+j)]
+				}
+				nv.mu.Unlock()
+				r.sc = nv.snapshot(int64(s), k)
 				copy(r.want, model[s*SectorSize:(s+k)*SectorSize])
 				reads = append(reads, r)
 			case 4: // a held read reads the disk and overlays
@@ -420,9 +427,9 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 		}
 		mustRead(t, d, 0, model, "the disk once the card is drained")
 		seen := map[*nvSlot]bool{}
-		for _, slot := range nv.free {
-			if seen[slot] || slot.refs != 0 {
-				t.Fatalf("seed %d: a slot on the free list twice, or still held (%d refs)", seed, slot.refs)
+		for slot, ok := nv.free.Take(); ok; slot, ok = nv.free.Take() {
+			if seen[slot] {
+				t.Fatalf("seed %d: a slot on the free list twice", seed)
 			}
 			seen[slot] = true
 		}
@@ -433,10 +440,12 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 // one whose free list has slots for what it stages, a write costs
 // nothing (it was one copy of its payload, and the map's amortized
 // growth, before the card kept slots), its destage nothing, a read
-// nothing however much of it is staged. AllocsPerRun counts the whole process:
-// the least of several rounds is the call's own. Under the race detector
-// sync.Pool drops a share of what it is given, so the destage's count
-// is held to the write's only without it (make alloc-budget).
+// nothing however much of it is staged (its copy of the staged sectors is
+// scratch from the card's list). AllocsPerRun counts the whole process:
+// the least of several rounds is the call's own. The destage's run buffer
+// is bufpool's, whose sync.Pool drops a share of what it is given under
+// the race detector, so the destage's count is held to the write's only
+// without it (make alloc-budget).
 func TestNVRAMStagingAllocs(t *testing.T) {
 	nv, _, _ := steppedCard(t, 8<<20)
 	p := sectors(64<<10/SectorSize, 0x10)

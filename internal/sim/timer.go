@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"frangipani/internal/reuse"
 )
 
 // forever is the deadline of a timer that has nothing to wait for.
@@ -29,10 +31,6 @@ type sleeper struct {
 	at time.Duration
 	ch chan struct{}
 }
-
-// parkPool holds the one-slot channels sleepers park on, so that a wait
-// allocates nothing in steady state.
-var parkPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // timers is the clock's own timer service: a min-heap of absolute wall
 // instants at which parked sleepers are to be woken, one kernel timer
@@ -60,6 +58,9 @@ type timers struct {
 	running bool          // kw is open and the goroutine exists
 	stopped bool          // no new sleeper is accepted; the goroutine ends once the heap is empty
 	kw      kwait
+	// parks are the one-slot channels of woken sleepers, for the next
+	// to park on: a wait allocates nothing in steady state.
+	parks reuse.List[chan struct{}]
 
 	due    atomic.Int64 // next, for those who look without mu
 	margin atomic.Int64 // how far ahead of its deadline a sleeper has itself woken
@@ -123,7 +124,10 @@ func (tm *timers) park(at time.Duration) bool {
 		tm.mu.Unlock()
 		return false
 	}
-	ch := parkPool.Get().(chan struct{})
+	ch, ok := tm.parks.Take()
+	if !ok {
+		ch = make(chan struct{}, 1)
+	}
 	tm.push(sleeper{at, ch})
 	if at < tm.next {
 		tm.setNext(at)
@@ -131,7 +135,7 @@ func (tm *timers) park(at time.Duration) bool {
 	}
 	tm.mu.Unlock()
 	<-ch
-	parkPool.Put(ch)
+	tm.parks.Put(ch)
 	return true
 }
 

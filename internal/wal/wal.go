@@ -115,10 +115,10 @@ type Log struct {
 	// Flush callers whose bytes it covers piggyback on it instead of
 	// issuing their own.
 	flushing  bool
-	flushDone chan struct{} // made by the first waiter; closed when the in-flight write completes
-	flushPend []recSpan     // the flusher's snapshot of pending
-	durable   int64         // stream position known durable in the region
-	lastFlush int64         // ns timestamp of the last successful flush
+	flushDone sync.Cond // on mu; broadcast when the in-flight write completes
+	flushPend []recSpan // the flusher's snapshot of pending
+	durable   int64     // stream position known durable in the region
+	lastFlush int64     // ns timestamp of the last successful flush
 
 	// part remembers what the last successful region write put into the
 	// log block it left partly filled: that block's payload up to stream
@@ -158,7 +158,7 @@ type recSpan struct {
 // New opens a fresh (logically empty) log over the region. The
 // region is not zeroed; sequence numbers distinguish old blocks.
 func New(region BlockRegion, size int64) *Log {
-	return &Log{
+	l := &Log{
 		region:         region,
 		size:           size,
 		blocks:         size / BlockSize,
@@ -171,6 +171,8 @@ func New(region BlockRegion, size int64) *Log {
 		stallReclaims:  obs.NewCounter(),
 		maxFlushBlocks: obs.NewGauge(),
 	}
+	l.flushDone.L = &l.mu
+	return l
 }
 
 // SetObs attaches the log's metrics to a registry under
@@ -426,19 +428,15 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 		}
 		if l.flushing {
 			// Piggyback: wait for the in-flight write, then re-check.
-			if l.flushDone == nil {
-				l.flushDone = make(chan struct{})
-			}
-			ch := l.flushDone
 			l.groupMerges.Inc()
 			l.jr.Record("wal", "groupcommit", "merge", 0, target-l.durable, "")
 			now := l.now
-			l.mu.Unlock()
 			var gstart int64
 			if now != nil {
 				gstart = now()
 			}
-			<-ch
+			l.flushDone.Wait()
+			l.mu.Unlock()
 			if now != nil {
 				l.groupLat.Record(now() - gstart)
 			}
@@ -494,10 +492,7 @@ func (l *Log) flushTo(op *obs.Span, target int64) error {
 			l.bufStart = start
 		}
 		l.flushing = false
-		if l.flushDone != nil {
-			close(l.flushDone)
-			l.flushDone = nil
-		}
+		l.flushDone.Broadcast()
 		l.mu.Unlock()
 		if err != nil {
 			return err
