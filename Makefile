@@ -29,7 +29,9 @@ race:
 
 ## alloc-budget: the tests that pin what a call allocates — the card's
 ## staging (a warm card's 64 KB write: nothing, its sectors staged in
-## slots from the card's free list), a cached ReadAt, Stat, Open and
+## slots from the card's free list), a disk's first 64 KB write to
+## sectors it never held (one 64 KB slab; a buffer a sector, 128, before
+## TestDiskFirstTouchAllocs), a cached ReadAt, Stat, Open and
 ## overwrite, a cold 64 KB ReadAt (a lone read: its four replies and
 ## nothing else; 5 while every claim was new, 21 before its pages took
 ## the entries their evictions drop), a 64 KB ReadAt right after a lock

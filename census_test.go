@@ -317,10 +317,12 @@ var exported = map[string]string{
 	"wal.Log.SetObs":      "internal/fs/fs.go",
 	"wal.Log.SetReclaim":  "internal/fs/fs.go, internal/localfs/localfs.go",
 	"wal.Log.Stats":       "TestGroupCommit",
-	"wal.New":             "internal/fs/fs.go, internal/localfs/localfs.go",
+	"wal.New":             "internal/localfs/localfs.go",
+	"wal.NewTenancy":      "internal/fs/fs.go",
 	"wal.RecordSize":      "internal/fs/fs.go",
 	"wal.Replay":          "internal/fs/fs.go, internal/fs/backup.go",
-	"wal.Scan":            "internal/fs/fs.go, internal/fs/backup.go",
+	"wal.Scan":            "internal/fs/backup.go",
+	"wal.ScanTenancy":     "internal/fs/fs.go",
 	"wal.SetBlockVersion": "internal/fs/fs.go",
 
 	"lockservice.AcquireBatch.AppendWireHeader":   "internal/rpc/codec.go",
@@ -335,12 +337,14 @@ var exported = map[string]string{
 	"lockservice.Clerk.HeldCount":                 "TestIdleLocksDiscarded",
 	"lockservice.Clerk.InjectStaleShardMap":       "internal/bench/lockscale.go",
 	"lockservice.Clerk.LeaseLost":                 "internal/fs/fs.go",
+	"lockservice.Clerk.LeaseID":                   "internal/fs/fs.go",
 	"lockservice.Clerk.LeaseValid":                "internal/fs/fs.go",
 	"lockservice.Clerk.Lock":                      "internal/fs/fs.go, benchmark/drives.go",
 	"lockservice.Clerk.LogSlot":                   "internal/fs/fs.go",
 	"lockservice.Clerk.MemoryBytes":               "TestClerkMemoryAccounting, TestIdleLocksDiscarded",
 	"lockservice.Clerk.Open":                      "internal/fs/fs.go",
 	"lockservice.Clerk.SetCallbacks":              "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.SetRecover":                "internal/fs/fs.go",
 	"lockservice.Clerk.TryLock":                   "internal/fs/fs.go",
 	"lockservice.Clerk.Unlock":                    "internal/fs/fs.go",
 	"lockservice.ClerkAddr":                       "benchmark/layers.go",

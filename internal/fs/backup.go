@@ -56,7 +56,9 @@ func (fs *FS) SnapshotWithBarrier(snap petal.VDiskID) error {
 // every log found in it, producing a writable disk equal to the
 // snapshot's post-recovery state ("it can be restored by copying it
 // back to a new Petal virtual disk and running recovery on each
-// log", §8).
+// log", §8). Each slot's log is its newest tenancy: a slot is handed
+// out again only once its tenant unmounted cleanly or was recovered, so
+// no older tenancy there holds an update the disk lacks.
 func Restore(pc *petal.Client, snap, dest petal.VDiskID, lay Layout) error {
 	if err := pc.CreateVDisk(dest); err != nil {
 		return err
@@ -89,11 +91,8 @@ func Restore(pc *petal.Client, snap, dest petal.VDiskID, lay Layout) error {
 		if _, err := wal.Replay(recs, dev); err != nil {
 			return err
 		}
-		// Clear the replayed log so a future mount of this slot starts
-		// clean.
-		if err := pc.Write(dest, lay.LogSlotBase(slot), make([]byte, lay.LogSize)); err != nil {
-			return err
-		}
+		// The replayed log stays: a later mount of this slot writes under
+		// a newer lease, which outranks it.
 	}
 	return nil
 }

@@ -238,55 +238,41 @@ type server struct {
 	replaying sync.Mutex
 }
 
-// Mkfs initializes a Frangipani file system on an (empty) Petal
-// virtual disk: the params sector, the root directory inode, and its
-// allocation bit. It runs without locks; the disk must not be
-// mounted anywhere.
+// Mkfs initializes a Frangipani file system on an empty Petal virtual
+// disk — one just created: the params sector, the root directory inode,
+// and its allocation bit, in one WriteV. The bitmap sector is built, not
+// read: on an empty disk the root's bit is the only one set. It runs
+// without locks; the disk must not be mounted anywhere.
 func Mkfs(pc *petal.Client, vd petal.VDiskID, lay Layout) error {
 	if err := lay.Validate(); err != nil {
 		return err
 	}
-	if err := pc.Write(vd, lay.ParamsBase, encodeParams(params{
-		Magic:   paramsMagic,
-		Version: 1,
-		Root:    RootInum,
-	})); err != nil {
-		return err
-	}
-	// Root inode.
-	sec := make([]byte, SectorSize)
-	encodeInode(Inode{Type: TypeDir, Nlink: 2}, sec)
-	wal.SetBlockVersion(sec, 1)
-	if err := pc.Write(vd, lay.InodeAddr(RootInum), sec); err != nil {
-		return err
-	}
-	// Allocation bit for the root inode.
-	bit := lay.bitFor(classInode, RootInum)
-	addr, byteOff, mask := lay.bitLoc(bit)
+	isec := make([]byte, SectorSize)
+	encodeInode(Inode{Type: TypeDir, Nlink: 2}, isec)
+	wal.SetBlockVersion(isec, 1)
+	addr, byteOff, mask := lay.bitLoc(lay.bitFor(classInode, RootInum))
 	bsec := make([]byte, SectorSize)
-	if err := pc.Read(vd, addr, bsec); err != nil {
-		return err
-	}
 	bsec[byteOff] |= mask
 	wal.SetBlockVersion(bsec, 1)
-	return pc.Write(vd, addr, bsec)
+	return pc.WriteV(vd, []petal.Extent{
+		{Off: lay.ParamsBase, Data: encodeParams(params{Magic: paramsMagic, Version: 1, Root: RootInum})},
+		{Off: lay.InodeAddr(RootInum), Data: isec},
+		{Off: addr, Data: bsec},
+	})
 }
 
 // Mount attaches a new Frangipani server to a shared virtual disk.
 // machine is this server's identity; lockServers lists the lock
-// service members.
+// service members. As §7 has it, the server obtains a lease, takes its
+// log slot and tenancy from it, and goes into operation: the params
+// sector is read while the lease is sought, and nothing is written.
 func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	lockServers []string, lay Layout, cfg Config) (*FS, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}
-	psec := make([]byte, SectorSize)
-	if err := pc.Read(vd, lay.ParamsBase, psec); err != nil {
-		return nil, fmt.Errorf("fs: reading params: %w", err)
-	}
-	if _, err := decodeParams(psec); err != nil {
-		return nil, err
-	}
+	formatted := make(chan error, 1)
+	go func() { formatted <- readParams(pc, vd, lay) }()
 	fs := &FS{server: &server{
 		w:          w,
 		machine:    machine,
@@ -326,9 +312,17 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		carrier = rpc.SimCarrier{Net: w.Net}
 	}
 	fs.clerk = lockservice.NewClerkWithCarrier(w, machine, string(vd), lockServers, cfg.Lock, carrier)
-	fs.clerk.SetCallbacks(fs.onRevoke, fs.onRecover, fs.onLeaseLost)
-	if err := fs.clerk.Open(); err != nil {
+	fs.clerk.SetCallbacks(fs.onRevoke, nil, fs.onLeaseLost)
+	fs.clerk.SetRecover(fs.onRecover)
+	opened := fs.clerk.Open()
+	if err := <-formatted; err != nil {
+		if opened == nil {
+			fs.clerk.Close()
+		}
 		return nil, err
+	}
+	if opened != nil {
+		return nil, opened
 	}
 	fs.logSlot = fs.clerk.LogSlot()
 	if fs.logSlot >= lay.LogSlots {
@@ -339,20 +333,26 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	// reject expired writers (§6 hazard fix).
 	pc.SetLeaseInfo(func() int64 { return fs.clerk.ExpiresAt() - int64(cfg.LeaseMargin) })
 
-	// A fresh mount starts with an empty log: zero the slot so stale
-	// records from a previous tenancy (already recovered or cleanly
-	// closed) cannot be replayed.
-	zero := make([]byte, lay.LogSize)
-	if err := fs.petalWrite(nil, lay.LogSlotBase(fs.logSlot), zero); err != nil {
-		fs.clerk.Close()
-		return nil, err
-	}
-	fs.log = wal.New(&logRegion{fs: fs, base: fs.lay.LogSlotBase(fs.logSlot)}, lay.LogSize)
+	// The slot's previous tenant unmounted cleanly or was recovered:
+	// what it left is stale, and the lease ID in this log's LSNs
+	// outranks it, so the slot needs no clearing.
+	fs.log = wal.NewTenancy(&logRegion{fs: fs, base: fs.lay.LogSlotBase(fs.logSlot)}, lay.LogSize, fs.clerk.LeaseID())
 	fs.log.SetObs(w.Obs, machine)
 	fs.log.SetReclaim(fs.reclaimLog)
 
 	fs.syncCancel = w.Clock.Tick(cfg.SyncEvery, func() { _ = fs.sync(nil) })
 	return fs, nil
+}
+
+// readParams reads and checks the params sector: what tells Mount the
+// disk holds a file system.
+func readParams(pc *petal.Client, vd petal.VDiskID, lay Layout) error {
+	psec := make([]byte, SectorSize)
+	if err := pc.Read(vd, lay.ParamsBase, psec); err != nil {
+		return fmt.Errorf("fs: reading params: %w", err)
+	}
+	_, err := decodeParams(psec)
+	return err
 }
 
 // Machine returns the server's machine name.
@@ -1482,13 +1482,15 @@ func (fs *FS) dropSegHintsLocked(seg int64) {
 
 // onRecover is the recovery demon (§4): replay the dead server's log
 // against the shared disk. The lock service has granted us exclusive
-// ownership of the dead server's log and locks.
-func (fs *FS) onRecover(dead string, deadSlot int) error {
+// ownership of the dead server's log and locks. The log is the blocks
+// of the dead session's tenancy (deadLease): what an earlier tenant of
+// the slot left is not the dead server's to replay.
+func (fs *FS) onRecover(dead string, deadSlot int, deadLease uint64) error {
 	fs.replaying.Lock()
 	defer fs.replaying.Unlock()
 	fs.jr.Record("fs", "recover", "start", 0, int64(deadSlot), dead)
 	region := &logRegion{fs: fs, base: fs.lay.LogSlotBase(deadSlot)}
-	recs, err := wal.Scan(region, fs.lay.LogSize)
+	recs, err := wal.ScanTenancy(region, fs.lay.LogSize, deadLease)
 	if err != nil {
 		fs.jr.Record("fs", "recover", "fail", 0, int64(deadSlot), "scan: "+err.Error())
 		return err

@@ -221,7 +221,7 @@ func TestReplaysDoNotInterleave(t *testing.T) {
 	f1.Crash()
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { done <- f2.onRecover("ws1", f1.logSlot) }()
+		go func() { done <- f2.onRecover("ws1", f1.logSlot, f1.clerk.LeaseID()) }()
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {

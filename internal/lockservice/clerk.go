@@ -69,8 +69,9 @@ type Clerk struct {
 	// released (to None): flush dirty data, then invalidate on full
 	// release. It must not call back into the clerk for this lock.
 	onRevoke func(lock uint64, to Mode)
-	// onRecover replays a dead server's log; see paper §4.
-	onRecover func(dead string, deadSlot int) error
+	// onRecover replays a dead server's log, the blocks its session's
+	// lease wrote in its slot; see paper §4.
+	onRecover func(dead string, deadSlot int, deadLease uint64) error
 	// onLeaseLost poisons the file system (paper §6: "Frangipani
 	// turns on an internal flag that causes all subsequent requests
 	// from user programs to return an error").
@@ -152,8 +153,22 @@ func (c *Clerk) SetCallbacks(onRevoke func(lock uint64, to Mode),
 	onRecover func(dead string, deadSlot int) error, onLeaseLost func()) {
 	c.mu.Lock()
 	c.onRevoke = onRevoke
-	c.onRecover = onRecover
+	c.onRecover = nil
+	if onRecover != nil {
+		c.onRecover = func(dead string, deadSlot int, _ uint64) error { return onRecover(dead, deadSlot) }
+	}
 	c.onLeaseLost = onLeaseLost
+	c.mu.Unlock()
+}
+
+// SetRecover installs the recovery hook in place of SetCallbacks'
+// onRecover, for a log that needs to know whose it is: deadLease is
+// the dead session's lease ID, which a log stamped on its blocks (§7: a
+// server "determines which portion of the log space to use from the
+// lease identifier").
+func (c *Clerk) SetRecover(onRecover func(dead string, deadSlot int, deadLease uint64) error) {
+	c.mu.Lock()
+	c.onRecover = onRecover
 	c.mu.Unlock()
 }
 
@@ -214,6 +229,15 @@ func (c *Clerk) LogSlot() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.logSlot
+}
+
+// LeaseID returns the lease ID of the session Open opened. The lock
+// service hands them out in increasing order and never hands one out
+// twice, so a later session's ID is the larger.
+func (c *Clerk) LeaseID() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.leaseID
 }
 
 // Close cleanly closes the table (unmount).
@@ -808,7 +832,7 @@ func (c *Clerk) onRecoverReq(m RecoverReq) {
 	go func() {
 		var err error
 		if cb != nil {
-			err = cb(m.Dead, m.DeadSlot)
+			err = cb(m.Dead, m.DeadSlot, m.LeaseID)
 		}
 		c.mu.Lock()
 		last := c.recovering[m.Dead]

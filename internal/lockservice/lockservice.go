@@ -289,12 +289,14 @@ type (
 	}
 	// RecoverReq asks a live clerk to run crash recovery for a dead
 	// one. The receiving clerk is implicitly granted ownership of the
-	// dead clerk's log and locks for the duration.
+	// dead clerk's log and locks for the duration. LeaseID is the dead
+	// session's lease: the tenancy whose blocks in the slot are its log.
 	RecoverReq struct {
 		Server   string
 		Table    string
 		Dead     string
 		DeadSlot int
+		LeaseID  uint64
 		Seq      uint64
 	}
 	// RecoveryDone reports that log replay finished; the lock service

@@ -452,6 +452,42 @@ func TestLeaseExpiryTriggersRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoverReqCarriesDeadLease: the recoverer's SetRecover hook gets
+// the dead session's lease ID along with its slot, and two sessions'
+// IDs grow in the order they were opened.
+func TestRecoverReqCarriesDeadLease(t *testing.T) {
+	ls := newTestLS(t, 3)
+	c1 := ls.clerk(t, "ws1")
+	type asked struct {
+		dead  string
+		slot  int
+		lease uint64
+	}
+	got := make(chan asked, 4)
+	c2 := NewClerk(ls.w, "ws2", "fs", ls.names, ls.cfg)
+	c2.SetCallbacks(func(uint64, Mode) {}, nil, nil)
+	c2.SetRecover(func(dead string, slot int, lease uint64) error {
+		got <- asked{dead, slot, lease}
+		return nil
+	})
+	if err := c2.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if c1.LeaseID() == 0 || c2.LeaseID() <= c1.LeaseID() {
+		t.Fatalf("lease IDs %d then %d, want nonzero and increasing", c1.LeaseID(), c2.LeaseID())
+	}
+	ls.w.Net.Isolate(ClerkAddr("ws1"))
+	select {
+	case a := <-got:
+		if a.dead != "ws1" || a.slot != c1.LogSlot() || a.lease != c1.LeaseID() {
+			t.Fatalf("recovery asked for %+v, want ws1 slot %d lease %d", a, c1.LogSlot(), c1.LeaseID())
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("no recovery of ws1 asked")
+	}
+}
+
 func TestLockServerCrashReassignsAndRecovers(t *testing.T) {
 	ls := newTestLS(t, 3)
 	c1 := ls.clerk(t, "ws1")

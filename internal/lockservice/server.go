@@ -96,6 +96,7 @@ type recoveryJob struct {
 	dead      string
 	table     string
 	slot      int
+	lease     uint64
 	recoverer string
 	seq       uint64
 	lastSent  sim.Time
@@ -737,7 +738,7 @@ func (s *Server) sweep() {
 		if sess.Dead {
 			job := s.recoveries[key]
 			if job == nil {
-				job = &recoveryJob{dead: sess.Clerk, table: sess.Table, slot: sess.LogSlot}
+				job = &recoveryJob{dead: sess.Clerk, table: sess.Table, slot: sess.LogSlot, lease: sess.LeaseID}
 				s.recoveries[key] = job
 			}
 			// (Re)assign a recoverer if missing or itself expired.
@@ -765,7 +766,7 @@ func (s *Server) sweep() {
 	for _, j := range jobs {
 		s.jr.Record("lockservice", "recovery", "assign", 0, int64(j.slot), j.dead+" by "+j.recoverer)
 		_ = s.ep.Cast(s.clerkAddr(j.recoverer), RecoverReq{
-			Server: s.name, Table: j.table, Dead: j.dead, DeadSlot: j.slot, Seq: j.seq,
+			Server: s.name, Table: j.table, Dead: j.dead, DeadSlot: j.slot, LeaseID: j.lease, Seq: j.seq,
 		})
 	}
 }

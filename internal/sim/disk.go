@@ -40,6 +40,11 @@ func DefaultDiskParams(capacity int64) DiskParams {
 
 const msec = Duration(1e6)
 
+// diskSlab is how many bytes of sectors the disk makes at once when a
+// write touches sectors it has never held: a 64 KB write to fresh space
+// is one allocation, not 128.
+const diskSlab = 64 << 10
+
 // Disk is a simulated physical drive: a sparse sector store behind a
 // single arm (a Resource). Sequential I/O pays only transfer time;
 // an I/O that moves the arm pays a seek. Writes are atomic per
@@ -53,6 +58,7 @@ type Disk struct {
 
 	mu        sync.Mutex
 	sectors   map[int64][]byte // sector index -> 512 bytes
+	slab      []byte           // what is left of the slab first-written sectors are cut from
 	head      int64            // sector index under the arm
 	failed    bool
 	badSector map[int64]bool // sectors that return CRC errors
@@ -179,7 +185,10 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 		idx := s + int64(i)
 		sec := d.sectors[idx]
 		if sec == nil {
-			sec = make([]byte, SectorSize)
+			if len(d.slab) == 0 {
+				d.slab = make([]byte, diskSlab)
+			}
+			sec, d.slab = d.slab[:SectorSize:SectorSize], d.slab[SectorSize:]
 			d.sectors[idx] = sec
 		}
 		copy(sec, p[i*SectorSize:(i+1)*SectorSize])

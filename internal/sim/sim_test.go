@@ -239,6 +239,36 @@ func TestDiskSectorAtomicityProperty(t *testing.T) {
 	}
 }
 
+// TestDiskFirstTouchAllocs: a 64 KB write to sectors the disk has never
+// held cuts them from one 64 KB slab — one allocation, where a buffer per
+// sector was 128. The map is sized beforehand: its growth is the map's,
+// amortized, and not what this pins. The least of several rounds is the
+// write's own (AllocsPerRun counts the whole process).
+func TestDiskFirstTouchAllocs(t *testing.T) {
+	const runs, rounds = 20, 4
+	c := NewClock(1e6)
+	t.Cleanup(c.Stop)
+	d := NewDisk(c, "d", DiskParams{Capacity: 32 << 20, SeekTime: time.Millisecond, TransferRate: 64 << 20})
+	p := make([]byte, 64<<10)
+	d.sectors = make(map[int64][]byte, rounds*(runs+1)*len(p)/SectorSize)
+	var off int64
+	least := -1.0
+	for r := 0; r < rounds; r++ {
+		n := testing.AllocsPerRun(runs, func() {
+			if err := d.WriteAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			off += int64(len(p))
+		})
+		if least < 0 || n < least {
+			least = n
+		}
+	}
+	if least != 1 && !raceBuild() {
+		t.Errorf("a 64 KB write to fresh sectors: %v allocations, want 1 (its slab)", least)
+	}
+}
+
 func TestNetworkDelivery(t *testing.T) {
 	w := NewWorld(1000, 1)
 	w.AddMachine("a", DefaultLinkParams())

@@ -86,3 +86,58 @@ func TestPacedAsyncReclaim(t *testing.T) {
 		t.Fatalf("async reclaims = %d, want >= 2 under sustained load", st.AsyncReclaims)
 	}
 }
+
+// TestReclaimKickAfterHeldReclaim: Appends that cross the high-water
+// mark while a paced reclaim runs find it running and kick nothing. When
+// that reclaim ends with the log still above the mark, the log starts
+// the next one itself, with no further Append to prompt it.
+func TestReclaimKickAfterHeldReclaim(t *testing.T) {
+	l := New(newMemRegion(DefaultLogSize), DefaultLogSize)
+	started := make(chan int64, 4)
+	proceed := make(chan struct{})
+	calls := 0
+	l.SetReclaim(func(through int64) {
+		calls++
+		started <- through
+		if calls == 1 {
+			<-proceed
+			l.Release(1) // a partial reclaim: the oldest record only
+			return
+		}
+		l.Release(through)
+	})
+	data := make([]byte, 400)
+	appendOne := func(i int) {
+		t.Helper()
+		if _, err := l.Append([]Update{{Addr: int64(i) * 512, Data: data, Ver: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	for ; l.Stats().AsyncReclaims == 0; i++ {
+		appendOne(i)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first paced reclaim never ran")
+	}
+	// Further past three quarters while the first reclaim is held: far
+	// enough that releasing one record leaves the log above the mark,
+	// short of the stall wall.
+	for end := i + 20; i < end; i++ {
+		appendOne(i)
+	}
+	if st := l.Stats(); st.AsyncReclaims != 1 || st.StallReclaims != 0 {
+		t.Fatalf("while the first reclaim ran: %d paced and %d stall reclaims, want 1 and 0", st.AsyncReclaims, st.StallReclaims)
+	}
+	close(proceed)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		l.mu.Lock()
+		occ, cap34 := l.head-l.tail, l.streamCapacity()*3/4
+		l.mu.Unlock()
+		t.Fatalf("no second reclaim after the first ended at %d of %d bytes past the mark", occ-cap34, cap34)
+	}
+}

@@ -8,9 +8,12 @@
 //
 // Recovery reads the log, finds its end by the monotonically
 // increasing sequence number attached to each 512-byte log block, and
-// replays records in order. A change is applied only if the on-disk
-// block's version is older than the record's ("recovery never replays
-// a log record describing an update that has already been
+// replays records in order. A block's sequence number carries the
+// tenancy that wrote it in its high half (see NewTenancy), so a log slot
+// that a new server takes over needs no clearing: its blocks outrank
+// every block an earlier tenant left there. A change is applied only if
+// the on-disk block's version is older than the record's ("recovery
+// never replays a log record describing an update that has already been
 // completed"). Records are protected by a CRC so a torn or
 // half-reclaimed region is skipped rather than misapplied.
 package wal
@@ -94,8 +97,9 @@ func SetBlockVersion(block []byte, v uint64) {
 // Log is one server's in-memory view of its private log region.
 type Log struct {
 	region BlockRegion
-	size   int64 // bytes
-	blocks int64 // log blocks
+	size   int64  // bytes
+	blocks int64  // log blocks
+	lsn0   uint64 // the tenancy in the high half of every block's LSN
 
 	mu       sync.Mutex
 	nextSeq  int64
@@ -155,13 +159,26 @@ type recSpan struct {
 	start, end int64 // stream positions
 }
 
-// New opens a fresh (logically empty) log over the region. The
-// region is not zeroed; sequence numbers distinguish old blocks.
-func New(region BlockRegion, size int64) *Log {
+// New opens a fresh (logically empty) log of tenancy 0 over the region.
+// Its blocks' LSNs start at 1, so the region must hold no blocks of an
+// earlier log: New is for a region that no log has written, or one
+// nothing will scan. A region a new owner takes over is NewTenancy's.
+func New(region BlockRegion, size int64) *Log { return NewTenancy(region, size, 0) }
+
+// NewTenancy opens a fresh (logically empty) log over the region for
+// one tenancy: the LSN of the n-th log block it writes (from 1) is
+// tenancy<<32 | n. The region is not zeroed. Blocks of an earlier
+// tenancy stay where the new one has not written yet, and Scan tells
+// them apart by the high half: a later tenancy (a larger ID) outranks
+// them, whatever their n. n stays below 2^32 — 2 TB of log per tenancy,
+// more than a tenancy writes — and tenancy below 2^31, so an LSN stays
+// a positive int64.
+func NewTenancy(region BlockRegion, size int64, tenancy uint64) *Log {
 	l := &Log{
 		region:         region,
 		size:           size,
 		blocks:         size / BlockSize,
+		lsn0:           tenancy << 32,
 		appends:        obs.NewCounter(),
 		appendBytes:    obs.NewCounter(),
 		flushes:        obs.NewCounter(),
@@ -354,11 +371,19 @@ func (l *Log) maybeReclaimLocked() {
 	l.reclaiming = true
 	l.asyncReclaims.Inc()
 	l.jr.Record("wal", "reclaim", "async", uint64(through), l.head-l.tail, "")
-	cb := l.reclaim
+	cb, tail := l.reclaim, l.tail
 	go func() {
 		cb(through)
 		l.mu.Lock()
 		l.reclaiming = false
+		// An Append that crossed the mark while cb ran found reclaiming
+		// set and kicked nothing: look again, or the log runs on to the
+		// stall wall. Only after progress, though — a reclaim that
+		// released nothing (its write-back failed) is tried again by the
+		// next Append, not in a loop here.
+		if l.tail != tail {
+			l.maybeReclaimLocked()
+		}
 		l.mu.Unlock()
 	}()
 }
@@ -538,7 +563,7 @@ func (l *Log) writeStream(op *obs.Span, buf []byte, start int64, pend []recSpan)
 		blk := big[(b-firstBlk)*BlockSize : (b-firstBlk+1)*BlockSize]
 		blkStart := b * payloadPerBlock
 		blkEnd := blkStart + payloadPerBlock
-		binary.LittleEndian.PutUint64(blk[0:8], uint64(b+1)) // LSN, monotone
+		binary.LittleEndian.PutUint64(blk[0:8], l.lsn0|uint64(b+1)) // LSN, monotone
 		binary.LittleEndian.PutUint16(blk[8:10], anchorIn(pend, blkStart, blkEnd))
 		lo := max64(blkStart, start)
 		hi := min64(blkEnd, start+int64(len(buf)))
@@ -654,12 +679,26 @@ type RecoveredRecord struct {
 	Updates []Update
 }
 
-// Scan reads a log region and returns the valid records found, in
-// sequence order. It tolerates torn and wrapped logs: blocks are
-// ordered by LSN, the end of the log is where the LSN sequence
-// breaks, parsing starts at record anchors, and CRC-invalid records
-// are skipped with a re-anchor at the next block.
+// Scan reads a log region and returns the valid records of its newest
+// tenancy, in sequence order. It tolerates torn and wrapped logs:
+// blocks are ordered by LSN, the end of the log is where the LSN
+// sequence breaks, parsing starts at record anchors, and CRC-invalid
+// records are skipped with a re-anchor at the next block.
 func Scan(region BlockRegion, size int64) ([]RecoveredRecord, error) {
+	return scan(region, size, -1)
+}
+
+// ScanTenancy is Scan keeping only the blocks that tenancy wrote (see
+// NewTenancy): the log of one server's session, whatever a later or
+// an earlier tenant left in the region. A tenancy that wrote nothing
+// there has no records.
+func ScanTenancy(region BlockRegion, size int64, tenancy uint64) ([]RecoveredRecord, error) {
+	return scan(region, size, int64(tenancy))
+}
+
+// scan is Scan of the given tenancy's blocks, or of every block when
+// tenancy is negative.
+func scan(region BlockRegion, size int64, tenancy int64) ([]RecoveredRecord, error) {
 	blocks := size / BlockSize
 	type blkInfo struct {
 		lsn    int64
@@ -676,8 +715,8 @@ func Scan(region BlockRegion, size int64) ([]RecoveredRecord, error) {
 	for i := int64(0); i < blocks; i++ {
 		blk := whole[i*BlockSize : (i+1)*BlockSize]
 		lsn := int64(binary.LittleEndian.Uint64(blk[0:8]))
-		if lsn == 0 {
-			continue // never written
+		if lsn == 0 || tenancy >= 0 && lsn>>32 != tenancy {
+			continue // never written, or another tenancy's
 		}
 		infos = append(infos, blkInfo{
 			lsn:    lsn,
@@ -690,7 +729,8 @@ func Scan(region BlockRegion, size int64) ([]RecoveredRecord, error) {
 	}
 	sort.Slice(infos, func(a, b int) bool { return infos[a].lsn < infos[b].lsn })
 	// Keep only the contiguous LSN run ending at the maximum: older
-	// detached runs are fully-reclaimed space.
+	// detached runs are fully-reclaimed space or earlier tenancies' (a
+	// tenancy's LSNs never run on into the next one's: n < 2^32).
 	end := len(infos) - 1
 	start := end
 	for start > 0 && infos[start-1].lsn == infos[start].lsn-1 {
