@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race alloc-budget benchmark-test bench bench-smoke bench-compare bench-pairs bench-codec loc
+.PHONY: check fmt vet build test race alloc-budget benchmark-test bench bench-smoke experiments bench-compare bench-pairs bench-codec loc
 
 ## check: the tier-1 gate — gofmt, vet, build, race-enabled tests, the
 ## allocation budgets without the race detector, and the repository
@@ -127,6 +127,14 @@ bench-smoke:
 	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --trace 1 --out BENCH_layers_$$(date -u +%Y%m%dT%H%M%SZ).json
 	$(MAKE) bench-compare
+
+## experiments: every entry of bench.Experiments once, at the -quick
+## sizing of the root BenchmarkExperiments (4 machines, 5 Petal
+## servers), each table logged. bench-smoke runs seven of them, the
+## ones with gates; this runs all twenty, and fails if any of them fails
+## its own assertions or no longer runs. Not part of check.
+experiments:
+	$(GO) test -run '^$$' -bench Experiments -benchtime 1x .
 
 ## bench-compare: the newest two points of the perf trajectory — the
 ## BENCH_<utc>.json files in this checkout: the committed ones and, at

@@ -375,19 +375,19 @@ var exported = map[string]string{
 	"lockservice.WrongShard.WireTag":              "internal/rpc/codec.go",
 
 	"localfs.DefaultConfig": "internal/bench/bench.go",
-	"localfs.FS.Close":      "internal/bench/experiments.go",
-	"localfs.FS.Create":     "internal/workload/workload.go",
-	"localfs.FS.Mkdir":      "internal/workload/workload.go",
+	"localfs.FS.Close":      "internal/bench/bench.go",
+	"localfs.FS.Create":     "internal/workload/suites.go",
+	"localfs.FS.Mkdir":      "internal/workload/mab.go",
 	"localfs.FS.Open":       "internal/localfs/localfs.go",
 	"localfs.FS.OpenFile":   "internal/workload/workload.go",
 	"localfs.FS.ReadDir":    "internal/workload/workload.go",
-	"localfs.FS.Readlink":   "internal/workload/workload.go",
-	"localfs.FS.Remove":     "internal/workload/workload.go",
-	"localfs.FS.Rename":     "internal/workload/workload.go",
-	"localfs.FS.Rmdir":      "internal/workload/workload.go",
+	"localfs.FS.Readlink":   "internal/workload/suites.go",
+	"localfs.FS.Remove":     "internal/workload/suites.go",
+	"localfs.FS.Rename":     "internal/workload/suites.go",
+	"localfs.FS.Rmdir":      "internal/workload/suites.go",
 	"localfs.FS.Stat":       "internal/workload/workload.go",
-	"localfs.FS.Symlink":    "internal/workload/workload.go",
-	"localfs.FS.Sync":       "internal/workload/workload.go",
+	"localfs.FS.Symlink":    "internal/workload/suites.go",
+	"localfs.FS.Sync":       "internal/workload/suites.go",
 	"localfs.File.ReadAt":   "internal/workload/workload.go",
 	"localfs.File.Size":     "internal/workload/workload.go",
 	"localfs.File.Sync":     "internal/workload/suites.go",
@@ -411,7 +411,7 @@ var exported = map[string]string{
 	"fs.FS.Poisoned":                "cluster.go",
 	"fs.FS.ReadDir":                 "cmd/frangicli/main.go, benchmark/harness.go",
 	"fs.FS.ReadDirPlus":             "internal/bench/readpath.go",
-	"fs.FS.Readlink":                "internal/workload/workload.go",
+	"fs.FS.Readlink":                "internal/workload/suites.go",
 	"fs.FS.Remove":                  "cmd/frangicli/main.go, benchmark/harness.go",
 	"fs.FS.Rename":                  "cmd/frangicli/main.go, benchmark/harness.go",
 	"fs.FS.Rmdir":                   "cmd/frangicli/main.go, benchmark/harness.go",
@@ -441,94 +441,85 @@ var exported = map[string]string{
 	"fs.Restore":                    "examples/backup/main.go",
 	"fs.SegLock":                    "internal/fs/alloc.go",
 	// The adapters' methods are called through workload.FS.
-	"workload.Connectathon.Run":          "internal/bench/experiments.go",
-	"workload.ContentionResult.ReadMBps": "internal/bench/experiments.go, examples/contention/main.go",
-	"workload.DefaultConnectathon":       "internal/bench/bench.go",
-	"workload.DefaultMAB":                "internal/bench/bench.go",
-	"workload.Frangipani.Create":         "internal/workload/suites.go",
-	"workload.Frangipani.Mkdir":          "internal/workload/mab.go",
-	"workload.Frangipani.Open":           "internal/workload/contention.go",
-	"workload.Frangipani.ReadDirNames":   "internal/workload/suites.go",
-	"workload.Frangipani.Readlink":       "internal/workload/suites.go",
-	"workload.Frangipani.Remove":         "internal/workload/suites.go",
-	"workload.Frangipani.Rename":         "internal/workload/suites.go",
-	"workload.Frangipani.Rmdir":          "internal/workload/suites.go",
-	"workload.Frangipani.Stat":           "internal/workload/mab.go",
-	"workload.Frangipani.Symlink":        "internal/workload/suites.go",
-	"workload.Frangipani.Sync":           "internal/workload/suites.go",
-	"workload.Local.Create":              "internal/workload/suites.go",
-	"workload.Local.Mkdir":               "internal/workload/mab.go",
-	"workload.Local.Open":                "internal/workload/contention.go",
-	"workload.Local.ReadDirNames":        "internal/workload/suites.go",
-	"workload.Local.Readlink":            "internal/workload/suites.go",
-	"workload.Local.Remove":              "internal/workload/suites.go",
-	"workload.Local.Rename":              "internal/workload/suites.go",
-	"workload.Local.Rmdir":               "internal/workload/suites.go",
-	"workload.Local.Stat":                "internal/workload/mab.go",
-	"workload.Local.Symlink":             "internal/workload/suites.go",
-	"workload.Local.Sync":                "internal/workload/suites.go",
-	"workload.MAB.Run":                   "internal/bench/experiments.go",
-	"workload.ReaderWriterContention":    "internal/bench/experiments.go, examples/contention/main.go",
-	"workload.SeqRead":                   "internal/bench/experiments.go, internal/bench/readpath.go",
-	"workload.SeqWrite":                  "internal/bench/experiments.go, internal/bench/scalesweep.go",
-	"workload.SmallReadSwarm":            "internal/bench/experiments.go",
-	"workload.WriteSharing":              "internal/bench/experiments.go",
-	"sim.CPU.BusyTime":                   "internal/bench/experiments.go",
-	"sim.CPU.ResetStats":                 "benchmark/layers.go",
-	"sim.CPU.Use":                        "internal/fs/fs.go",
-	"sim.CPU.Utilization":                "benchmark/layers.go",
-	"sim.Clock.After":                    "internal/paxos/paxos.go",
-	"sim.Clock.Now":                      "internal/fs/fs.go",
-	"sim.Clock.Real":                     "internal/rpc/rpc.go",
-	"sim.Clock.Sleep":                    "internal/fs/fs.go",
-	"sim.Clock.SleepUntil":               "internal/sim/network.go",
-	"sim.Clock.Stop":                     "internal/sim/world.go",
-	"sim.Clock.Tick":                     "internal/fs/fs.go",
-	"sim.DefaultDiskParams":              "internal/petal/server.go",
-	"sim.DefaultLinkParams":              "internal/sim/world.go",
-	"sim.Disk.CorruptSector":             "fault injection for ROADMAP item 2's schedules: TestDiskCorruptSector",
-	"sim.Disk.Fail":                      "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
-	"sim.Disk.Failed":                    "internal/sim/nvram.go",
-	"sim.Disk.InjectTornWrite":           "fault injection for ROADMAP item 2's schedules: TestDiskTornWrite, TestNVRAMTornDestage",
-	"sim.Disk.Params":                    "internal/petal/store.go",
-	"sim.Disk.ReadAt":                    "internal/sim/nvram.go, internal/petal/store.go",
-	"sim.Disk.Revive":                    "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
-	"sim.Disk.Stats":                     "benchmark/layers.go",
-	"sim.Disk.WriteAt":                   "internal/sim/nvram.go",
-	"sim.NVRAM.Close":                    "internal/petal/server.go",
-	"sim.NVRAM.Flush":                    "internal/sim/nvram.go",
-	"sim.NVRAM.ReadAt":                   "internal/petal/store.go",
-	"sim.NVRAM.WriteAt":                  "internal/petal/store.go",
-	"sim.Network.AddHost":                "internal/sim/world.go",
-	"sim.Network.Cut":                    "fault injection for ROADMAP item 2's schedules: TestNetworkDirectedCut",
-	"sim.Network.CutBoth":                "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
-	"sim.Network.Heal":                   "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
-	"sim.Network.Isolate":                "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
-	"sim.Network.LinkUtilization":        "benchmark/layers.go",
-	"sim.Network.Reconnect":              "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
-	"sim.Network.Register":               "internal/rpc/rpc.go",
-	"sim.Network.ResetStats":             "benchmark/layers.go",
-	"sim.Network.Send":                   "TestNetworkSendAllocs",
-	"sim.Network.SendMessage":            "internal/rpc/rpc.go",
-	"sim.Network.SetDropEvery":           "fault injection for ROADMAP item 2's schedules: TestNetworkDropEvery",
-	"sim.Network.Stats":                  "benchmark/layers.go",
-	"sim.Network.Unregister":             "internal/rpc/rpc.go",
-	"sim.NewCPU":                         "internal/sim/world.go",
-	"sim.NewClock":                       "internal/sim/world.go, benchmark/drives.go",
-	"sim.NewDisk":                        "internal/petal/server.go",
-	"sim.NewNVRAM":                       "internal/petal/server.go",
-	"sim.NewNetwork":                     "internal/sim/world.go",
-	"sim.NewResource":                    "internal/sim/disk.go, internal/lockservice/server.go",
-	"sim.NewWorld":                       "cluster.go",
-	"sim.Resource.BusyTime":              "internal/sim/resource.go",
-	"sim.Resource.ResetStats":            "internal/sim/resource.go",
-	"sim.Resource.Use":                   "internal/sim/disk.go",
-	"sim.Resource.Utilization":           "internal/sim/resource.go",
-	"sim.World.AddMachine":               "internal/sim/world.go",
-	"sim.World.CPU":                      "internal/fs/fs.go",
-	"sim.World.Rand":                     "seeded randomness for ROADMAP item 2's schedules: TestWorldDeterministicRand",
-	"sim.World.RandIntn":                 "petal's Client holds it as a method value: TestWorldDeterministicRand",
-	"sim.World.Stop":                     "cluster.go",
+	"workload.Connectathon.Run":        "internal/bench/experiments.go",
+	"workload.DefaultConnectathon":     "internal/bench/bench.go",
+	"workload.DefaultMAB":              "internal/bench/bench.go",
+	"workload.Each":                    "internal/bench/experiments.go, internal/bench/readpath.go",
+	"workload.NewRunner":               "internal/bench/lockscale.go, internal/bench/scalesweep.go",
+	"workload.Result.MBps":             "internal/bench/experiments.go, examples/contention/main.go",
+	"workload.Result.Pct":              "internal/bench/lockscale.go, internal/bench/scalesweep.go",
+	"workload.Result.PerSec":           "internal/bench/experiments.go, internal/bench/lockscale.go",
+	"workload.Runner.Go":               "internal/bench/lockscale.go, internal/bench/scalesweep.go",
+	"workload.Runner.Measure":          "internal/bench/lockscale.go, internal/bench/scalesweep.go",
+	"workload.Runner.Stop":             "internal/bench/lockscale.go, internal/bench/scalesweep.go",
+	"workload.Frangipani.Open":         "internal/workload/contention.go",
+	"workload.Frangipani.ReadDirNames": "internal/workload/suites.go",
+	"workload.Frangipani.Stat":         "internal/workload/mab.go",
+	"workload.Local.Open":              "internal/workload/contention.go",
+	"workload.Local.ReadDirNames":      "internal/workload/suites.go",
+	"workload.Local.Stat":              "internal/workload/mab.go",
+	"workload.MAB.Run":                 "internal/bench/experiments.go",
+	"workload.ReaderWriterContention":  "internal/bench/experiments.go, examples/contention/main.go",
+	"workload.SeqRead":                 "internal/bench/experiments.go",
+	"workload.SeqWrite":                "internal/bench/experiments.go, internal/bench/scalesweep.go",
+	"workload.SmallReadSwarm":          "internal/bench/experiments.go",
+	"workload.WriteSharing":            "internal/bench/experiments.go",
+	"sim.CPU.BusyTime":                 "internal/bench/experiments.go",
+	"sim.CPU.ResetStats":               "benchmark/layers.go",
+	"sim.CPU.Use":                      "internal/fs/fs.go",
+	"sim.CPU.Utilization":              "benchmark/layers.go",
+	"sim.Clock.After":                  "internal/paxos/paxos.go",
+	"sim.Clock.Now":                    "internal/fs/fs.go",
+	"sim.Clock.Real":                   "internal/rpc/rpc.go",
+	"sim.Clock.Sleep":                  "internal/fs/fs.go",
+	"sim.Clock.SleepUntil":             "internal/sim/network.go",
+	"sim.Clock.Stop":                   "internal/sim/world.go",
+	"sim.Clock.Tick":                   "internal/fs/fs.go",
+	"sim.DefaultDiskParams":            "internal/petal/server.go",
+	"sim.DefaultLinkParams":            "internal/sim/world.go",
+	"sim.Disk.CorruptSector":           "fault injection for ROADMAP item 2's schedules: TestDiskCorruptSector",
+	"sim.Disk.Fail":                    "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
+	"sim.Disk.Failed":                  "internal/sim/nvram.go",
+	"sim.Disk.InjectTornWrite":         "fault injection for ROADMAP item 2's schedules: TestDiskTornWrite, TestNVRAMTornDestage",
+	"sim.Disk.Params":                  "internal/petal/store.go",
+	"sim.Disk.ReadAt":                  "internal/sim/nvram.go, internal/petal/store.go",
+	"sim.Disk.Revive":                  "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
+	"sim.Disk.Stats":                   "benchmark/layers.go",
+	"sim.Disk.WriteAt":                 "internal/sim/nvram.go",
+	"sim.NVRAM.Close":                  "internal/petal/server.go",
+	"sim.NVRAM.Flush":                  "internal/sim/nvram.go",
+	"sim.NVRAM.ReadAt":                 "internal/petal/store.go",
+	"sim.NVRAM.WriteAt":                "internal/petal/store.go",
+	"sim.Network.AddHost":              "internal/sim/world.go",
+	"sim.Network.Cut":                  "fault injection for ROADMAP item 2's schedules: TestNetworkDirectedCut",
+	"sim.Network.CutBoth":              "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Heal":                 "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Isolate":              "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.LinkUtilization":      "benchmark/layers.go",
+	"sim.Network.Reconnect":            "fault injection for ROADMAP item 2's schedules: TestNetworkPartition",
+	"sim.Network.Register":             "internal/rpc/rpc.go",
+	"sim.Network.ResetStats":           "benchmark/layers.go",
+	"sim.Network.Send":                 "TestNetworkSendAllocs",
+	"sim.Network.SendMessage":          "internal/rpc/rpc.go",
+	"sim.Network.SetDropEvery":         "fault injection for ROADMAP item 2's schedules: TestNetworkDropEvery",
+	"sim.Network.Stats":                "benchmark/layers.go",
+	"sim.Network.Unregister":           "internal/rpc/rpc.go",
+	"sim.NewCPU":                       "internal/sim/world.go",
+	"sim.NewClock":                     "internal/sim/world.go, benchmark/drives.go",
+	"sim.NewDisk":                      "internal/petal/server.go",
+	"sim.NewNVRAM":                     "internal/petal/server.go",
+	"sim.NewNetwork":                   "internal/sim/world.go",
+	"sim.NewResource":                  "internal/sim/disk.go, internal/lockservice/server.go",
+	"sim.NewWorld":                     "cluster.go",
+	"sim.Resource.BusyTime":            "internal/sim/resource.go",
+	"sim.Resource.ResetStats":          "internal/sim/resource.go",
+	"sim.Resource.Use":                 "internal/sim/disk.go",
+	"sim.Resource.Utilization":         "internal/sim/resource.go",
+	"sim.World.AddMachine":             "internal/sim/world.go",
+	"sim.World.CPU":                    "internal/fs/fs.go",
+	"sim.World.Rand":                   "seeded randomness for ROADMAP item 2's schedules: TestWorldDeterministicRand",
+	"sim.World.RandIntn":               "petal's Client holds it as a method value: TestWorldDeterministicRand",
+	"sim.World.Stop":                   "cluster.go",
 
 	"reuse.List.Len":       "internal/cache/cache.go",
 	"reuse.List.Put":       "internal/fs/fs.go, internal/obs/trace.go, internal/sim/nvram.go",

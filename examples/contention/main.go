@@ -65,11 +65,11 @@ func run(readAhead int) (float64, int64) {
 		check(err)
 		readers = append(readers, workload.Frangipani{FS: r})
 	}
-	res, err := workload.ReaderWriterContention(cluster.World.Clock,
+	read, written, err := workload.ReaderWriterContention(cluster.World.Clock,
 		workload.Frangipani{FS: writer}, readers, "/hot",
 		1<<20, 64<<10, 10*sim.Duration(time.Second))
 	check(err)
-	return res.ReadMBps(), res.WriterOps
+	return read.MBps(), written.Ops
 }
 
 func check(err error) {

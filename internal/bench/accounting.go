@@ -1,19 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
-	"frangipani"
 	"frangipani/internal/obs"
-)
-
-// Failure artifacts for the noisy-neighbor gate: CI uploads both so a
-// red run leaves the account table and the merged timeline behind.
-const (
-	nnForensicsArtifact = "FORENSICS_noisy-neighbor-obs.json"
-	nnAccountsArtifact  = "ACCOUNTS_noisy-neighbor-obs.json"
 )
 
 // NoisyNeighborObs is the per-principal accounting gate (run by `make
@@ -55,6 +45,8 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 	// cluster journal, which MergeTimeline folds into the forensics
 	// timeline.
 	watcher := obs.NewAnomalyWatcher(c.Obs().Journal("cluster"), 3)
+	// A red run leaves the account table and the merged timeline behind.
+	fail := func(err error) error { return failDump("noisy-neighbor-obs", err, c.Forensics(""), acct) }
 
 	const (
 		streamer = "streamer"
@@ -111,7 +103,7 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 			return nil, err
 		}
 		if v := closeWindow(); len(v) != 0 {
-			return nil, o.nnFail(c, acct, fmt.Errorf("verdict fired during warm-up window %d: %+v", w, v))
+			return nil, fail(fmt.Errorf("verdict fired during warm-up window %d: %+v", w, v))
 		}
 	}
 	// One deliberately unattributed op, through the server's own view:
@@ -161,18 +153,18 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 		})
 	}
 	if !seen[obs.UnknownPrincipal] {
-		return nil, o.nnFail(c, acct, fmt.Errorf("unattributed work did not surface as %q", obs.UnknownPrincipal))
+		return nil, fail(fmt.Errorf("unattributed work did not surface as %q", obs.UnknownPrincipal))
 	}
 	byteFrac := frac(attrBytes, totBytes)
 	waitFrac := frac(attrWait, totWait)
 	if byteFrac < 0.95 {
-		return nil, o.nnFail(c, acct, fmt.Errorf("only %.1f%% of %d bytes attributed (need 95%%)", byteFrac*100, totBytes))
+		return nil, fail(fmt.Errorf("only %.1f%% of %d bytes attributed (need 95%%)", byteFrac*100, totBytes))
 	}
 	if waitFrac < 0.95 {
-		return nil, o.nnFail(c, acct, fmt.Errorf("only %.1f%% of %.1fms lock-wait attributed (need 95%%)", waitFrac*100, float64(totWait)/1e6))
+		return nil, fail(fmt.Errorf("only %.1f%% of %.1fms lock-wait attributed (need 95%%)", waitFrac*100, float64(totWait)/1e6))
 	}
 	if len(stats) == 0 || stats[0].Principal != streamer {
-		return nil, o.nnFail(c, acct, fmt.Errorf("streamer not first by bytes (table order: %v)", principals(stats)))
+		return nil, fail(fmt.Errorf("streamer not first by bytes (table order: %v)", principals(stats)))
 	}
 	hogged := false
 	for _, v := range verdicts {
@@ -181,7 +173,7 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 		}
 	}
 	if !hogged {
-		return nil, o.nnFail(c, acct, fmt.Errorf("no noisy-neighbor verdict naming hog=%s victim=%s (got %+v)", streamer, reader, verdicts))
+		return nil, fail(fmt.Errorf("no noisy-neighbor verdict naming hog=%s victim=%s (got %+v)", streamer, reader, verdicts))
 	}
 	inTimeline := false
 	for _, e := range c.Timeline(obs.Filter{Layer: "obs"}) {
@@ -190,29 +182,10 @@ func (o Options) NoisyNeighborObs() (*Table, error) {
 		}
 	}
 	if !inTimeline {
-		return nil, o.nnFail(c, acct, fmt.Errorf("obs.noisyneighbor event missing from merged timeline"))
+		return nil, fail(fmt.Errorf("obs.noisyneighbor event missing from merged timeline"))
 	}
 	t.Rows = append(t.Rows, []string{"-- attributed", fmt.Sprintf("%.1f%%", byteFrac*100), "", "", fmt.Sprintf("%.1f%%", waitFrac*100), ""})
 	return t, nil
-}
-
-// nnFail dumps the account table and the merged forensics timeline so
-// a red CI run keeps the evidence, then returns err.
-func (o Options) nnFail(c *frangipani.Cluster, acct *obs.AccountTable, err error) error {
-	var kept []string
-	if b, merr := json.MarshalIndent(acct.Snapshot(), "", "  "); merr == nil {
-		if werr := os.WriteFile(nnAccountsArtifact, b, 0o644); werr == nil {
-			kept = append(kept, nnAccountsArtifact)
-		}
-	}
-	dump := c.Forensics("noisy-neighbor-obs: " + err.Error())
-	if werr := os.WriteFile(nnForensicsArtifact, []byte(dump.JSON()), 0o644); werr == nil {
-		kept = append(kept, nnForensicsArtifact)
-	}
-	if len(kept) > 0 {
-		return fmt.Errorf("%w (evidence dumped to %v)", err, kept)
-	}
-	return err
 }
 
 func frac(part, whole int64) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"frangipani"
 	"frangipani/internal/fs"
 	"frangipani/internal/obs"
 	"frangipani/internal/workload"
@@ -29,14 +30,8 @@ func (o Options) ContentionProfile() (*Table, error) {
 		return nil, err
 	}
 	defer c.Close()
-	setup, err := c.AddServer("setup")
+	setup, err := seed(c, "setup", frangipani.DefaultFSConfig(), 64<<10, "/hot")
 	if err != nil {
-		return nil, err
-	}
-	if _, err := workload.SeqWrite(workload.Frangipani{FS: setup}, c.World.Clock, "/hot", 64<<10, 64<<10); err != nil {
-		return nil, err
-	}
-	if err := setup.Sync(); err != nil {
 		return nil, err
 	}
 	info, err := setup.Stat("/hot")
@@ -49,13 +44,9 @@ func (o Options) ContentionProfile() (*Table, error) {
 		writers = 2
 		dur = 2 * time.Second
 	}
-	var wfs []workload.FS
-	for i := 0; i < writers; i++ {
-		w, err := c.AddServerWithConfig(fmt.Sprintf("wr%d", i), contentionFSConfig(0))
-		if err != nil {
-			return nil, err
-		}
-		wfs = append(wfs, workload.Frangipani{FS: w})
+	wfs, err := contenders(c, "wr%d", writers, contentionFSConfig(0))
+	if err != nil {
+		return nil, err
 	}
 	res, err := workload.WriteSharing(c.World.Clock, wfs, "/hot", 16<<10, dur)
 	if err != nil {
@@ -87,7 +78,7 @@ func (o Options) ContentionProfile() (*Table, error) {
 
 	t.Rows = append(t.Rows,
 		[]string{"writers", fmt.Sprint(writers)},
-		[]string{"write ops completed", fmt.Sprint(res.WriterOps)},
+		[]string{"write ops completed", fmt.Sprint(res.Ops)},
 		[]string{"dominant root op", fmt.Sprintf("%s (%d traces, mean %.1fms)",
 			dom, cp.Count(dom), float64(cp.MeanNs(dom))/1e6)},
 		[]string{"latency attributed", fmt.Sprintf("%.1f%%", cov*100)},

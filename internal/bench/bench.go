@@ -131,15 +131,59 @@ func (o Options) newCluster(nvram bool, mutate func(*frangipani.ClusterConfig)) 
 	return frangipani.NewCluster(cfg)
 }
 
-// newLocal builds the AdvFS-like baseline on its own simulated
-// machine.
-func (o Options) newLocal(nvram bool) (*sim.World, *localfs.FS) {
+// withCluster builds a Frangipani testbed, runs fn on it and closes it,
+// whatever fn returned.
+func (o Options) withCluster(nvram bool, mutate func(*frangipani.ClusterConfig), fn func(*frangipani.Cluster) error) error {
+	c, err := o.newCluster(nvram, mutate)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return fn(c)
+}
+
+// withLocal builds the AdvFS-like baseline on its own simulated
+// machine, runs fn on it and tears it down.
+func (o Options) withLocal(nvram bool, fn func(*sim.World, workload.Local) error) error {
 	w := sim.NewWorld(o.Compression, 7)
+	defer w.Stop()
 	cfg := localfs.DefaultConfig()
 	if nvram {
 		cfg.NVRAM = 8 << 20
 	}
-	return w, localfs.New(w, "advfs", cfg)
+	lf := localfs.New(w, "advfs", cfg)
+	defer lf.Close()
+	return fn(w, workload.Local{FS: lf})
+}
+
+// seed mounts machine with cfg, has it write each path (size bytes in
+// 64 KB records) and syncs it: the set-up of every rig that reads or
+// rewrites files another server made.
+func seed(c *frangipani.Cluster, machine string, cfg frangipani.Config, size int64, paths ...string) (*fs.FS, error) {
+	f, err := c.AddServerWithConfig(machine, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range paths {
+		if _, err := workload.SeqWrite(workload.Frangipani{FS: f}, c.World.Clock, p, size, 64<<10); err != nil {
+			return nil, err
+		}
+	}
+	return f, f.Sync()
+}
+
+// contenders mounts n servers named by format (0…n-1), each with cfg,
+// for a rig that shares one file between them.
+func contenders(c *frangipani.Cluster, format string, n int, cfg frangipani.Config) ([]workload.FS, error) {
+	out := make([]workload.FS, n)
+	for i := range out {
+		f, err := c.AddServerWithConfig(fmt.Sprintf(format, i), cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = workload.Frangipani{FS: f}
+	}
+	return out, nil
 }
 
 // mountN mounts n Frangipani servers named ws1..wsN.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"frangipani"
-	"frangipani/internal/fs"
 	"frangipani/internal/sim"
 	"frangipani/internal/workload"
 )
@@ -20,33 +19,27 @@ func (o Options) Table1MAB() (*Table, error) {
 		Notes:  "Paper's shape: Frangipani within a small factor of AdvFS on every phase; NVRAM narrows write-heavy phases.",
 	}
 	var cols [4][5]sim.Duration
-
 	for i, nvram := range []bool{false, true} {
-		w, lf := o.newLocal(nvram)
-		phases, err := o.mabSize().Run(workload.Local{FS: lf}, w.Clock, "/mab")
-		lf.Close()
-		w.Stop()
+		err := o.withLocal(nvram, func(w *sim.World, lf workload.Local) (err error) {
+			cols[i], err = o.mabSize().Run(lf, w.Clock, "/mab")
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("advfs mab (nvram=%v): %w", nvram, err)
 		}
-		cols[i] = phases
 	}
 	for i, nvram := range []bool{false, true} {
-		c, err := o.newCluster(nvram, nil)
-		if err != nil {
-			return nil, err
-		}
-		fss, err := mountN(c, 1, nil)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		phases, err := o.mabSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/mab")
-		c.Close()
+		err := o.withCluster(nvram, nil, func(c *frangipani.Cluster) error {
+			fss, err := mountN(c, 1, nil)
+			if err != nil {
+				return err
+			}
+			cols[2+i], err = o.mabSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/mab")
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("frangipani mab (nvram=%v): %w", nvram, err)
 		}
-		cols[2+i] = phases
 	}
 	for p, name := range workload.MABPhases {
 		t.Rows = append(t.Rows, []string{
@@ -77,31 +70,26 @@ func (o Options) Table2Connectathon() (*Table, error) {
 	}
 	var cols [4][9]sim.Duration
 	for i, nvram := range []bool{false, true} {
-		w, lf := o.newLocal(nvram)
-		times, err := o.connSize().Run(workload.Local{FS: lf}, w.Clock, "/cthon")
-		lf.Close()
-		w.Stop()
+		err := o.withLocal(nvram, func(w *sim.World, lf workload.Local) (err error) {
+			cols[i], err = o.connSize().Run(lf, w.Clock, "/cthon")
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("advfs cthon: %w", err)
 		}
-		cols[i] = times
 	}
 	for i, nvram := range []bool{false, true} {
-		c, err := o.newCluster(nvram, nil)
-		if err != nil {
-			return nil, err
-		}
-		fss, err := mountN(c, 1, nil)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		times, err := o.connSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/cthon")
-		c.Close()
+		err := o.withCluster(nvram, nil, func(c *frangipani.Cluster) error {
+			fss, err := mountN(c, 1, nil)
+			if err != nil {
+				return err
+			}
+			cols[2+i], err = o.connSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/cthon")
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("frangipani cthon: %w", err)
 		}
-		cols[2+i] = times
 	}
 	for p, name := range workload.ConnectathonTests {
 		t.Rows = append(t.Rows, []string{
@@ -121,83 +109,58 @@ func (o Options) Table3Throughput() (*Table, error) {
 		Notes:  "Paper: Frangipani W 15.3 @42%, R 10.3 @25%; AdvFS W 13.3 @80%, R 13.2 @50%. Shape: Frangipani ≥ AdvFS on writes at lower CPU; reads a bit below AdvFS.",
 	}
 	total := o.seqBytes()
-
-	// Frangipani.
-	c, err := o.newCluster(true, nil)
-	if err != nil {
-		return nil, err
+	// row writes /big through w, then reads it back through the file
+	// system reader returns, each timed with its machine's CPU busy
+	// share, capped at 1: a machine's busy time may include work just
+	// before the measured call.
+	row := func(system string, clock *sim.Clock, w workload.FS, wcpu *sim.CPU, reader func() (workload.FS, *sim.CPU, error)) error {
+		busy := wcpu.BusyTime()
+		wdur, err := workload.SeqWrite(w, clock, "/big", total, 64<<10)
+		if err != nil {
+			return err
+		}
+		wu := min(float64(wcpu.BusyTime()-busy)/float64(wdur), 1)
+		r, rcpu, err := reader()
+		if err != nil {
+			return err
+		}
+		busy = rcpu.BusyTime()
+		rbytes, rdur, err := workload.SeqRead(r, clock, "/big", 64<<10)
+		if err != nil {
+			return err
+		}
+		ru := min(float64(rcpu.BusyTime()-busy)/float64(rdur), 1)
+		t.Rows = append(t.Rows, []string{
+			system,
+			fmt.Sprintf("%.1f", mbps(total, wdur)), fmt.Sprintf("%.0f%%", wu*100),
+			fmt.Sprintf("%.1f", mbps(rbytes, rdur)), fmt.Sprintf("%.0f%%", ru*100),
+		})
+		return nil
 	}
-	fss, err := mountN(c, 1, nil)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	wfs := workload.Frangipani{FS: fss[0]}
-	cpu := c.World.CPU("ws1")
-	busy0 := cpu.BusyTime()
-	wdur, err := workload.SeqWrite(wfs, c.World.Clock, "/big", total, 64<<10)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	wcpu := cpuFrac(float64(cpu.BusyTime()-busy0)/float64(wdur), 0)
-	// Read from a second, cold-cached machine.
-	f2, err := c.AddServer("wsR")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	cpu2 := c.World.CPU("wsR")
-	busy0 = cpu2.BusyTime()
-	rbytes, rdur, err := workload.SeqRead(workload.Frangipani{FS: f2}, c.World.Clock, "/big", 64<<10)
-	rcpu := cpuFrac(float64(cpu2.BusyTime()-busy0)/float64(rdur), 0)
-	c.Close()
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		"Frangipani",
-		fmt.Sprintf("%.1f", mbps(total, wdur)), fmt.Sprintf("%.0f%%", wcpu*100),
-		fmt.Sprintf("%.1f", mbps(rbytes, rdur)), fmt.Sprintf("%.0f%%", rcpu*100),
+	// Frangipani reads from a second, cold-cached machine.
+	err := o.withCluster(true, nil, func(c *frangipani.Cluster) error {
+		fss, err := mountN(c, 1, nil)
+		if err != nil {
+			return err
+		}
+		return row("Frangipani", c.World.Clock, workload.Frangipani{FS: fss[0]}, c.World.CPU("ws1"), func() (workload.FS, *sim.CPU, error) {
+			f2, err := c.AddServer("wsR")
+			return workload.Frangipani{FS: f2}, c.World.CPU("wsR"), err
+		})
 	})
-
-	// AdvFS: write, drop the cache by reopening... the baseline cache
-	// is per-FS; emulate a cold read with a fresh FS? The paper reads
-	// through the same machine; our baseline's cache holds the file,
-	// so bound the cache below the file size for a disk-bound read.
-	w, lf := o.newLocal(true)
-	lfw := workload.Local{FS: lf}
-	lcpu := w.CPU("advfs")
-	lbusy := lcpu.BusyTime()
-	wdur, err = workload.SeqWrite(lfw, w.Clock, "/big", total, 64<<10)
-	if err != nil {
-		w.Stop()
-		return nil, err
-	}
-	awcpu := cpuFrac(float64(lcpu.BusyTime()-lbusy)/float64(wdur), 0)
-	lbusy = lcpu.BusyTime()
-	rbytes, rdur, err = workload.SeqRead(lfw, w.Clock, "/big", 64<<10)
-	arcpu := cpuFrac(float64(lcpu.BusyTime()-lbusy)/float64(rdur), 0)
-	lf.Close()
-	w.Stop()
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{
-		"AdvFS",
-		fmt.Sprintf("%.1f", mbps(total, wdur)), fmt.Sprintf("%.0f%%", awcpu*100),
-		fmt.Sprintf("%.1f", mbps(rbytes, rdur)), fmt.Sprintf("%.0f%%", arcpu*100),
+	// AdvFS reads back through the machine that wrote, as the paper's
+	// did.
+	err = o.withLocal(true, func(w *sim.World, lf workload.Local) error {
+		cpu := w.CPU("advfs")
+		return row("AdvFS", w.Clock, lf, cpu, func() (workload.FS, *sim.CPU, error) { return lf, cpu, nil })
 	})
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
-}
-
-// cpuFrac re-normalizes a utilization sample (utilization is measured
-// since ResetStats, which may predate the measured window slightly).
-func cpuFrac(u float64, _ sim.Time) float64 {
-	if u > 1 {
-		return 1
-	}
-	return u
 }
 
 // Fig5ScalingMAB reproduces Figure 5: average MAB elapsed time as
@@ -210,48 +173,56 @@ func (o Options) Fig5ScalingMAB() (*Table, error) {
 		Notes:  "Paper: latency nearly flat (+8% from 1 to 6 machines).",
 	}
 	var base float64
-	os := o.scaled()
 	for n := 1; n <= o.MaxMachines; n++ {
-		c, err := os.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		fss, err := mountN(c, n, nil)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		type res struct {
-			d   sim.Duration
-			err error
-		}
-		ch := make(chan res, n)
-		for i := range fss {
-			go func(i int, f *fs.FS) {
-				phases, err := o.mabSize().Run(workload.Frangipani{FS: f}, c.World.Clock, fmt.Sprintf("/mab%d", i))
-				var sum sim.Duration
+		sums := make([]sim.Duration, n)
+		err := o.scaled().withCluster(true, nil, func(c *frangipani.Cluster) error {
+			fss, err := mountN(c, n, nil)
+			if err != nil {
+				return err
+			}
+			return workload.Each(n, func(i int) error {
+				phases, err := o.mabSize().Run(workload.Frangipani{FS: fss[i]}, c.World.Clock, fmt.Sprintf("/mab%d", i))
 				for _, p := range phases {
-					sum += p
+					sums[i] += p
 				}
-				ch <- res{sum, err}
-			}(i, fss[i])
+				return err
+			})
+		})
+		if err != nil {
+			return nil, err
 		}
 		var total float64
-		for range fss {
-			r := <-ch
-			if r.err != nil {
-				c.Close()
-				return nil, r.err
-			}
-			total += float64(r.d)
+		for _, d := range sums {
+			total += float64(d)
 		}
-		c.Close()
 		avg := total / float64(n)
 		if n == 1 {
 			base = avg
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprintf("%.1f", avg/1e6), fmt.Sprintf("%+.0f%%", (avg/base-1)*100),
+		})
+	}
+	return t, nil
+}
+
+// scalingRows adds, for 1 to MaxMachines machines, the aggregate MB/s
+// agg measures against the linear reference the one-machine run sets.
+func (o Options) scalingRows(t *Table, agg func(n int) (float64, error)) (*Table, error) {
+	var base float64
+	for n := 1; n <= o.MaxMachines; n++ {
+		a, err := agg(n)
+		if err != nil {
+			return nil, err
+		}
+		if n == 1 {
+			base = a
+		}
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(n),
+			fmt.Sprintf("%.1f", a),
+			fmt.Sprintf("%.1f", base*float64(n)),
+			fmt.Sprintf("%.0f%%", a/(base*float64(n))*100),
 		})
 	}
 	return t, nil
@@ -267,77 +238,45 @@ func (o Options) Fig6ReadScaling() (*Table, error) {
 		Header: []string{"Machines", "Aggregate MB/s", "Linear ref", "Efficiency"},
 		Notes:  "Paper: near-linear scaling until the Petal servers' links saturate.",
 	}
-	perMachine := o.seqBytes()
-	var base float64
-	os := o.scaled()
-	for n := 1; n <= o.MaxMachines; n++ {
-		c, err := os.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		// A writer machine creates the shared file set, then n fresh
-		// readers (cold caches) stream it simultaneously.
-		wf, err := c.AddServer("writer")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		path := "/shared.dat"
-		if _, err := workload.SeqWrite(workload.Frangipani{FS: wf}, c.World.Clock, path, perMachine, 64<<10); err != nil {
-			c.Close()
-			return nil, err
-		}
-		if err := wf.Sync(); err != nil {
-			c.Close()
-			return nil, err
+	return o.scalingRows(t, func(n int) (float64, error) {
+		return o.scaled().coldReads(n, []string{"/shared.dat"})
+	})
+}
+
+// coldReads has a writer machine seed each of paths with seqBytes,
+// then n fresh machines (cold caches) each read one of them, machine i
+// paths[i%len(paths)], all at once. It returns their aggregate MB/s.
+func (o Options) coldReads(n int, paths []string) (agg float64, err error) {
+	err = o.withCluster(true, nil, func(c *frangipani.Cluster) error {
+		if _, err := seed(c, "writer", frangipani.DefaultFSConfig(), o.seqBytes(), paths...); err != nil {
+			return err
 		}
 		readers, err := mountN(c, n, nil)
 		if err != nil {
-			c.Close()
-			return nil, err
+			return err
 		}
-		type res struct {
-			bytes int64
-			err   error
-		}
-		ch := make(chan res, n)
+		bytes := make([]int64, n)
 		start := c.World.Clock.Now()
-		for _, r := range readers {
-			go func(r *fs.FS) {
-				bytes, _, err := workload.SeqRead(workload.Frangipani{FS: r}, c.World.Clock, path, 64<<10)
-				ch <- res{bytes, err}
-			}(r)
-		}
-		var total int64
-		for range readers {
-			r := <-ch
-			if r.err != nil {
-				c.Close()
-				return nil, r.err
-			}
-			total += r.bytes
-		}
-		elapsed := sim.Duration(c.World.Clock.Now() - start)
-		c.Close()
-		agg := mbps(total, elapsed)
-		if n == 1 {
-			base = agg
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n),
-			fmt.Sprintf("%.1f", agg),
-			fmt.Sprintf("%.1f", base*float64(n)),
-			fmt.Sprintf("%.0f%%", agg/(base*float64(n))*100),
+		err = workload.Each(n, func(i int) (err error) {
+			bytes[i], _, err = workload.SeqRead(workload.Frangipani{FS: readers[i]}, c.World.Clock, paths[i%len(paths)], 64<<10)
+			return err
 		})
-	}
-	return t, nil
+		elapsed := sim.Duration(c.World.Clock.Now() - start)
+		var total int64
+		for _, b := range bytes {
+			total += b
+		}
+		agg = mbps(total, elapsed)
+		return err
+	})
+	return agg, err
 }
 
 // Fig7WriteScaling reproduces Figure 7: aggregate write throughput,
 // each machine writing a private large file. With replication every
 // client write becomes two Petal writes, so saturation arrives at
-// roughly half the read ceiling; the noReplicate ablation shows the
-// difference.
+// roughly half the read ceiling; the noReplicate ablation, the same
+// testbed with that one setting changed, shows the difference.
 func (o Options) Fig7WriteScaling(noReplicate bool) (*Table, error) {
 	id := "Figure 7"
 	if noReplicate {
@@ -350,74 +289,30 @@ func (o Options) Fig7WriteScaling(noReplicate bool) (*Table, error) {
 		Notes:  "Paper: scales until the Petal servers' ATM links saturate; replication doubles the Petal-side write load.",
 	}
 	perMachine := o.seqBytes()
-	var base float64
-	os := o.scaled()
-	for n := 1; n <= o.MaxMachines; n++ {
-		c, err := os.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		if noReplicate {
-			// Rebuild with the ablation knob.
-			c.Close()
-			c, err = os.newClusterNoReplicate()
+	return o.scalingRows(t, func(n int) (agg float64, err error) {
+		err = o.scaled().withCluster(true, func(cc *frangipani.ClusterConfig) { cc.NoReplicate = noReplicate }, func(c *frangipani.Cluster) error {
+			writers, err := mountN(c, n, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
-		}
-		writers, err := mountN(c, n, nil)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		// Pre-create the files so the measured window holds only
-		// steady-state writing, not the root-directory create dance.
-		for i, w := range writers {
-			if err := w.Create(fmt.Sprintf("/private%d.dat", i)); err != nil {
-				c.Close()
-				return nil, err
+			// Pre-create the files so the measured window holds only
+			// steady-state writing, not the root-directory create dance.
+			for i, w := range writers {
+				if err := w.Create(fmt.Sprintf("/private%d.dat", i)); err != nil {
+					return err
+				}
 			}
-		}
-		ch := make(chan error, n)
-		start := c.World.Clock.Now()
-		for i, w := range writers {
-			go func(i int, w *fs.FS) {
-				_, err := workload.SeqWrite(workload.Frangipani{FS: w}, c.World.Clock,
+			start := c.World.Clock.Now()
+			err = workload.Each(n, func(i int) error {
+				_, err := workload.SeqWrite(workload.Frangipani{FS: writers[i]}, c.World.Clock,
 					fmt.Sprintf("/private%d.dat", i), perMachine, 64<<10)
-				ch <- err
-			}(i, w)
-		}
-		for range writers {
-			if err := <-ch; err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		elapsed := sim.Duration(c.World.Clock.Now() - start)
-		c.Close()
-		agg := mbps(perMachine*int64(n), elapsed)
-		if n == 1 {
-			base = agg
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n),
-			fmt.Sprintf("%.1f", agg),
-			fmt.Sprintf("%.1f", base*float64(n)),
-			fmt.Sprintf("%.0f%%", agg/(base*float64(n))*100),
+				return err
+			})
+			agg = mbps(perMachine*int64(n), sim.Duration(c.World.Clock.Now()-start))
+			return err
 		})
-	}
-	return t, nil
-}
-
-func (o Options) newClusterNoReplicate() (*frangipani.Cluster, error) {
-	cfg := frangipani.DefaultClusterConfig()
-	cfg.Compression = o.Compression
-	cfg.PetalServers = o.PetalServers
-	cfg.DisksPerServer = o.DisksPerServer
-	cfg.DiskCapacity = 2 << 30
-	cfg.NVRAM = 8 << 20
-	cfg.NoReplicate = true
-	return frangipani.NewCluster(cfg)
+		return agg, err
+	})
 }
 
 // Fig8Contention reproduces Figure 8: read throughput of N readers
@@ -459,35 +354,26 @@ func (o Options) contentionRun(readers, readAhead, writeBytes int) (float64, err
 		return 0, err
 	}
 	defer c.Close()
-	writer, err := c.AddServerWithConfig("writer", contentionFSConfig(readAhead))
-	if err != nil {
-		return 0, err
-	}
 	fileSize := int64(1 << 20)
-	if _, err := workload.SeqWrite(workload.Frangipani{FS: writer}, c.World.Clock, "/hot", fileSize, 64<<10); err != nil {
-		return 0, err
-	}
-	if err := writer.Sync(); err != nil {
-		return 0, err
-	}
-	var rfs []workload.FS
-	for i := 0; i < readers; i++ {
-		r, err := c.AddServerWithConfig(fmt.Sprintf("rd%d", i), contentionFSConfig(readAhead))
-		if err != nil {
-			return 0, err
-		}
-		rfs = append(rfs, workload.Frangipani{FS: r})
-	}
-	dur := 8 * time.Second
-	if o.Quick {
-		dur = 4 * time.Second
-	}
-	res, err := workload.ReaderWriterContention(c.World.Clock, workload.Frangipani{FS: writer},
-		rfs, "/hot", fileSize, writeBytes, dur)
+	writer, err := seed(c, "writer", contentionFSConfig(readAhead), fileSize, "/hot")
 	if err != nil {
 		return 0, err
 	}
-	return res.ReadMBps(), nil
+	rfs, err := contenders(c, "rd%d", readers, contentionFSConfig(readAhead))
+	if err != nil {
+		return 0, err
+	}
+	read, _, err := workload.ReaderWriterContention(c.World.Clock, workload.Frangipani{FS: writer},
+		rfs, "/hot", fileSize, writeBytes, o.contentionWindow())
+	return read.MBps(), err
+}
+
+// contentionWindow is the measured window of the §9.4 sharing rigs.
+func (o Options) contentionWindow() sim.Duration {
+	if o.Quick {
+		return 4 * time.Second
+	}
+	return 8 * time.Second
 }
 
 func contentionFSConfig(readAhead int) frangipani.Config {
@@ -543,46 +429,25 @@ func (o Options) WriteSharing() (*Table, error) {
 		maxWriters = 2
 	}
 	for n := 1; n <= maxWriters; n++ {
-		c, err := o.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		setup, err := c.AddServer("setup")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if _, err := workload.SeqWrite(workload.Frangipani{FS: setup}, c.World.Clock, "/ww", 64<<10, 64<<10); err != nil {
-			c.Close()
-			return nil, err
-		}
-		if err := setup.Sync(); err != nil {
-			c.Close()
-			return nil, err
-		}
-		var wfs []workload.FS
-		for i := 0; i < n; i++ {
-			w, err := c.AddServerWithConfig(fmt.Sprintf("wr%d", i), contentionFSConfig(0))
-			if err != nil {
-				c.Close()
-				return nil, err
+		var res workload.Result
+		err := o.withCluster(true, nil, func(c *frangipani.Cluster) error {
+			if _, err := seed(c, "setup", frangipani.DefaultFSConfig(), 64<<10, "/ww"); err != nil {
+				return err
 			}
-			wfs = append(wfs, workload.Frangipani{FS: w})
-		}
-		dur := 8 * time.Second
-		if o.Quick {
-			dur = 4 * time.Second
-		}
-		res, err := workload.WriteSharing(c.World.Clock, wfs, "/ww", 16<<10, dur)
-		c.Close()
+			wfs, err := contenders(c, "wr%d", n, contentionFSConfig(0))
+			if err != nil {
+				return err
+			}
+			res, err = workload.WriteSharing(c.World.Clock, wfs, "/ww", 16<<10, o.contentionWindow())
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		rate := float64(res.WriterOps) / res.Elapsed.Seconds()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
-			fmt.Sprintf("%.1f", rate),
-			fmt.Sprintf("%.1f", rate/float64(n)),
+			fmt.Sprintf("%.1f", res.PerSec()),
+			fmt.Sprintf("%.1f", res.PerSec()/float64(n)),
 		})
 	}
 	return t, nil
@@ -601,17 +466,15 @@ func (o Options) AblationSyncLog() (*Table, error) {
 		name string
 		sync bool
 	}{{"async (default)", false}, {"sync log", true}} {
-		c, err := o.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.SyncLog = mode.sync })
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		times, err := o.connSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/abl")
-		c.Close()
+		var times [9]sim.Duration
+		err := o.withCluster(true, nil, func(c *frangipani.Cluster) error {
+			fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.SyncLog = mode.sync })
+			if err != nil {
+				return err
+			}
+			times, err = o.connSize().Run(workload.Frangipani{FS: fss[0]}, c.World.Clock, "/abl")
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -668,27 +531,25 @@ func (o Options) SmallReads() (*Table, error) {
 	if o.Quick {
 		readers = 10
 	}
-	c, err := o.newCluster(true, nil)
+	var agg float64
+	err := o.withCluster(true, nil, func(c *frangipani.Cluster) error {
+		prep, err := c.AddServer("prep")
+		if err != nil {
+			return err
+		}
+		reader, err := c.AddServer("reader")
+		if err != nil {
+			return err
+		}
+		bytes, dur, err := workload.SmallReadSwarm(workload.Frangipani{FS: prep},
+			workload.Frangipani{FS: reader}, c.World.Clock, "/small", readers, 8<<10)
+		agg = mbps(bytes, dur)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	prep, err := c.AddServer("prep")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	reader, err := c.AddServer("reader")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	bytes, dur, err := workload.SmallReadSwarm(workload.Frangipani{FS: prep},
-		workload.Frangipani{FS: reader}, c.World.Clock, "/small", readers, 8<<10)
-	c.Close()
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"Frangipani", fmt.Sprintf("%.2f", mbps(bytes, dur))})
+	t.Rows = append(t.Rows, []string{"Frangipani", fmt.Sprintf("%.2f", agg)})
 	return t, nil
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -8,10 +9,6 @@ import (
 	"frangipani"
 	"frangipani/internal/obs"
 )
-
-// forensicsArtifact is where ForensicsSmoke dumps the merged timeline
-// when its assertions fail, so CI preserves the evidence.
-const forensicsArtifact = "FORENSICS_forensics-smoke.json"
 
 // forensicsWant is the causal chain a lease-expiry recovery must leave
 // in the flight recorder, in order: the dead server's lease expires,
@@ -56,6 +53,7 @@ func (o Options) ForensicsSmoke() (*Table, error) {
 		return nil, err
 	}
 	ws1, ws2 := fss[0], fss[1]
+	fail := func(err error) error { return failDump("forensics-smoke", err, c.Forensics(""), nil) }
 	const files = 5
 	for i := 0; i < files; i++ {
 		if err := ws1.Create(fmt.Sprintf("/doc%d", i)); err != nil {
@@ -72,12 +70,12 @@ func (o Options) ForensicsSmoke() (*Table, error) {
 			break
 		}
 		if time.Now().After(deadline) {
-			return nil, o.forensicsFail(c, fmt.Errorf("recovery did not complete: ws2 sees %d/%d files (err %v)", len(ents), files, err))
+			return nil, fail(fmt.Errorf("recovery did not complete: ws2 sees %d/%d files (err %v)", len(ents), files, err))
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	if got := c.Obs().Counter("fs.recovery.count#" + ws2.Machine()).Value(); got < 1 {
-		return nil, o.forensicsFail(c, fmt.Errorf("ws2 replayed no logs (Recoveries=%d)", got))
+		return nil, fail(fmt.Errorf("ws2 replayed no logs (Recoveries=%d)", got))
 	}
 	// Assert the merged timeline contains the recovery chain in order.
 	events := obs.MergeTimeline(c.Obs().Journals(), obs.Filter{})
@@ -92,12 +90,12 @@ func (o Options) ForensicsSmoke() (*Table, error) {
 			}
 		}
 		if found < 0 {
-			return nil, o.forensicsFail(c, fmt.Errorf("timeline missing %s.%s %s after index %d (%d events total)",
+			return nil, fail(fmt.Errorf("timeline missing %s.%s %s after index %d (%d events total)",
 				want.layer, want.op, want.kind, idx, len(events)))
 		}
 		e := events[found]
 		if want.kind == "replayed" && e.Arg < 1 {
-			return nil, o.forensicsFail(c, fmt.Errorf("replay applied %d records, want >= 1", e.Arg))
+			return nil, fail(fmt.Errorf("replay applied %d records, want >= 1", e.Arg))
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%s.%s %s", e.Layer, e.Op, e.Kind),
@@ -110,12 +108,29 @@ func (o Options) ForensicsSmoke() (*Table, error) {
 	return t, nil
 }
 
-// forensicsFail dumps the merged timeline to forensicsArtifact so a
-// failed CI run leaves the evidence behind, then returns err.
-func (o Options) forensicsFail(c *frangipani.Cluster, err error) error {
-	dump := c.Forensics("forensics-smoke: " + err.Error())
-	if werr := os.WriteFile(forensicsArtifact, []byte(dump.JSON()), 0o644); werr == nil {
-		return fmt.Errorf("%w (timeline dumped to %s)", err, forensicsArtifact)
+// failDump keeps the evidence of a failed gate for CI, which uploads
+// FORENSICS_*.json and ACCOUNTS_*.json: dump, with the reason, in
+// FORENSICS_<name>.json and, when acct is set, the account table in
+// ACCOUNTS_<name>.json. It returns err naming the files it wrote.
+func failDump(name string, err error, dump obs.ForensicsDump, acct *obs.AccountTable) error {
+	dump.Schema, dump.Reason = obs.ForensicsSchema, name+": "+err.Error()
+	if dump.TakenAtNs == 0 {
+		dump.TakenAtNs = time.Now().UnixNano()
+	}
+	files := [][2]string{{"FORENSICS_" + name + ".json", dump.JSON()}}
+	if acct != nil {
+		if b, merr := json.MarshalIndent(acct.Snapshot(), "", "  "); merr == nil {
+			files = append(files, [2]string{"ACCOUNTS_" + name + ".json", string(b)})
+		}
+	}
+	var kept []string
+	for _, f := range files {
+		if os.WriteFile(f[0], []byte(f[1]), 0o644) == nil {
+			kept = append(kept, f[0])
+		}
+	}
+	if len(kept) > 0 {
+		return fmt.Errorf("%w (evidence dumped to %v)", err, kept)
 	}
 	return err
 }

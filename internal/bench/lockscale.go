@@ -2,20 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
 	"frangipani/internal/sim"
+	"frangipani/internal/workload"
 )
-
-// lockScaleArtifact is where LockScaling dumps the lockservice
-// timeline when its assertions fail, so CI preserves the evidence.
-const lockScaleArtifact = "FORENSICS_lock-scaling.json"
 
 // lockScaleRes is one measured lock-scaling run.
 type lockScaleRes struct {
@@ -86,7 +79,9 @@ func (o Options) LockScaling() (*Table, error) {
 	t.Rows = append(t.Rows, []string{"ratio 1->4", "", fmt.Sprintf("%.2fx", tputRatio),
 		"", fmt.Sprintf("%.2fx", p99Ratio), "", "", ""})
 
-	fail := func(err error) error { return o.lockScaleFail(r4, err) }
+	fail := func(err error) error {
+		return failDump("lock-scaling", err, obs.ForensicsDump{Events: r4.events}, nil)
+	}
 	if r4.wrongShard == 0 {
 		return nil, fail(fmt.Errorf("lock-scaling: no wrong-shard nacks — the stale-epoch retry path never fired"))
 	}
@@ -174,84 +169,56 @@ func (o Options) lockScaleRun(nServers int, handoff bool) (*lockScaleRes, error)
 		clerks[i] = c
 	}
 
-	var (
-		measuring, stopped atomic.Bool
-		measuredOps        atomic.Int64
-		workerErr          atomic.Value
-		latMu              sync.Mutex
-		lats               []sim.Duration
-		wg                 sync.WaitGroup
-	)
 	// Every worker walks all the locks with its own stride (odd, so
 	// coprime with the power-of-two lock count), making nearly every
 	// acquire a cross-clerk handover (request, revoke, release, grant)
 	// rather than a free sticky re-grant.
 	strides := []uint64{3, 5, 7, 9, 11, 13, 15, 17, 19, 21}
+	run := workload.NewRunner(w.Clock, 1)
 	for ci, c := range clerks {
 		for wk := 0; wk < nWorkers; wk++ {
-			wg.Add(1)
-			go func(c *lockservice.Clerk, ci, wk int) {
-				defer wg.Done()
-				stride := strides[(ci*nWorkers+wk)%len(strides)]
-				cursor := uint64(ci*nWorkers + wk)
-				var local []sim.Duration
-				for !stopped.Load() {
-					cursor += stride
-					lock := cursor % nLocks
-					counted := measuring.Load()
-					t0 := w.Clock.Now()
-					if err := c.Lock(lock, lockservice.Exclusive); err != nil {
-						workerErr.Store(fmt.Errorf("worker %d.%d lock %d: %v", ci, wk, lock, err))
-						return
-					}
-					if counted && measuring.Load() {
-						local = append(local, sim.Duration(w.Clock.Now()-t0))
-						measuredOps.Add(1)
-					}
-					w.Clock.Sleep(holdFor)
-					c.Unlock(lock)
+			stride := strides[(ci*nWorkers+wk)%len(strides)]
+			cursor, lock := uint64(ci*nWorkers+wk), uint64(0)
+			run.Go(0, func() (int64, error) {
+				cursor += stride
+				lock = cursor % nLocks
+				if err := c.Lock(lock, lockservice.Exclusive); err != nil {
+					return 0, fmt.Errorf("worker %d.%d lock %d: %v", ci, wk, lock, err)
 				}
-				latMu.Lock()
-				lats = append(lats, local...)
-				latMu.Unlock()
-			}(c, ci, wk)
+				return 0, nil
+			}, func() {
+				w.Clock.Sleep(holdFor)
+				c.Unlock(lock)
+			})
 		}
 	}
+	events := func() []obs.Event { return obs.MergeTimeline(w.Obs.Journals(), obs.Filter{Layer: "lockservice"}) }
+	fail := func(err error) error { return failDump("lock-scaling", err, obs.ForensicsDump{Events: events()}, nil) }
 
 	// Warm up (sessions open, sticky grants in motion), then measure.
 	w.Clock.Sleep(2 * time.Second)
-	measuring.Store(true)
-	t0 := w.Clock.Now()
-	w.Clock.Sleep(measureFor)
-	measuring.Store(false)
-	elapsed := sim.Duration(w.Clock.Now() - t0)
+	run.Measure(measureFor)
 
 	res := &lockScaleRes{servers: nServers}
 	if handoff {
 		handoffs, epochs, err := o.lockScaleHandoff(w, servers, clerks, names)
 		if err != nil {
-			stopped.Store(true)
-			wg.Wait()
-			res.events = obs.MergeTimeline(w.Obs.Journals(), obs.Filter{Layer: "lockservice"})
-			return nil, o.lockScaleFail(res, err)
+			run.Stop()
+			return nil, fail(err)
 		}
 		res.handoffs, res.epochs = handoffs, epochs
 	}
-	stopped.Store(true)
-	wg.Wait()
-	if err, _ := workerErr.Load().(error); err != nil {
-		res.events = obs.MergeTimeline(w.Obs.Journals(), obs.Filter{Layer: "lockservice"})
-		return nil, o.lockScaleFail(res, fmt.Errorf("lock-scaling: %w", err))
+	groups, err := run.Stop()
+	if err != nil {
+		return nil, fail(fmt.Errorf("lock-scaling: %w", err))
 	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) == 0 {
+	acquires := groups[0]
+	if acquires.Ops == 0 {
 		return nil, fmt.Errorf("lock-scaling: no acquires completed in the measured window")
 	}
-	res.ops = measuredOps.Load()
-	res.opsPerSec = float64(res.ops) / elapsed.Seconds()
-	res.p50 = lats[len(lats)/2]
-	res.p99 = lats[len(lats)*99/100]
+	res.ops = acquires.Ops
+	res.opsPerSec = acquires.PerSec()
+	res.p50, res.p99 = acquires.Pct(50), acquires.Pct(99)
 	for _, n := range names {
 		res.wrongShard += w.Obs.Counter("lockservice.server.wrongshard#" + n).Value()
 	}
@@ -260,7 +227,7 @@ func (o Options) lockScaleRun(nServers int, handoff bool) (*lockScaleRes, error)
 		res.batches += w.Obs.Counter("lockservice.clerk.batches#" + m).Value()
 		res.batchedOps += w.Obs.Counter("lockservice.clerk.batched_ops#" + m).Value()
 	}
-	res.events = obs.MergeTimeline(w.Obs.Journals(), obs.Filter{Layer: "lockservice"})
+	res.events = events()
 	return res, nil
 }
 
@@ -346,19 +313,4 @@ func (o Options) lockScaleHandoff(w *sim.World, servers []*lockservice.Server, c
 		return handoffs, epochs, err
 	}
 	return handoffs, epochs, nil
-}
-
-// lockScaleFail dumps the lockservice timeline to lockScaleArtifact so
-// a failed CI run leaves the evidence behind, then returns err.
-func (o Options) lockScaleFail(r *lockScaleRes, err error) error {
-	dump := obs.ForensicsDump{
-		Schema:    obs.ForensicsSchema,
-		TakenAtNs: time.Now().UnixNano(),
-		Reason:    "lock-scaling: " + err.Error(),
-		Events:    r.events,
-	}
-	if werr := os.WriteFile(lockScaleArtifact, []byte(dump.JSON()), 0o644); werr == nil {
-		return fmt.Errorf("%w (timeline dumped to %s)", err, lockScaleArtifact)
-	}
-	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"frangipani"
-	"frangipani/internal/fs"
 	"frangipani/internal/petal"
 	"frangipani/internal/sim"
 	"frangipani/internal/workload"
@@ -48,56 +47,19 @@ func (o Options) ReadScaling() (*Table, error) {
 
 // readStreamRows: N machines stream disjoint files with cold caches.
 func (o Options) readStreamRows(t *Table) error {
-	perMachine := o.seqBytes()
-	os := o.scaled()
 	maxN := o.MaxMachines
 	if o.Quick && maxN > 4 {
 		maxN = 4
 	}
 	for n := 1; n <= maxN; n++ {
-		c, err := os.newCluster(true, nil)
+		paths := make([]string, n)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("/stream%d.dat", i)
+		}
+		agg, err := o.scaled().coldReads(n, paths)
 		if err != nil {
 			return err
 		}
-		writer, err := c.AddServer("writer")
-		if err != nil {
-			c.Close()
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if _, err := workload.SeqWrite(workload.Frangipani{FS: writer}, c.World.Clock,
-				fmt.Sprintf("/stream%d.dat", i), perMachine, 64<<10); err != nil {
-				c.Close()
-				return err
-			}
-		}
-		if err := writer.Sync(); err != nil {
-			c.Close()
-			return err
-		}
-		readers, err := mountN(c, n, nil)
-		if err != nil {
-			c.Close()
-			return err
-		}
-		ch := make(chan error, n)
-		start := c.World.Clock.Now()
-		for i, r := range readers {
-			go func(i int, r *fs.FS) {
-				_, _, err := workload.SeqRead(workload.Frangipani{FS: r}, c.World.Clock,
-					fmt.Sprintf("/stream%d.dat", i), 64<<10)
-				ch <- err
-			}(i, r)
-		}
-		for range readers {
-			if err := <-ch; err != nil {
-				c.Close()
-				return err
-			}
-		}
-		elapsed := sim.Duration(c.World.Clock.Now() - start)
-		c.Close()
-		agg := mbps(perMachine*int64(n), elapsed)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("stream N=%d", n),
 			"balanced",
@@ -135,7 +97,6 @@ func (o Options) readBalanceRows(t *Table) error {
 	if o.Quick {
 		readers = 4
 	}
-	os := o.scaled()
 	var base float64
 	for _, mode := range []struct {
 		name    string
@@ -144,57 +105,48 @@ func (o Options) readBalanceRows(t *Table) error {
 		{"primary-only", false},
 		{"balanced", true},
 	} {
-		c, err := os.newCluster(true, func(cc *frangipani.ClusterConfig) {
+		err := o.scaled().withCluster(true, func(cc *frangipani.ClusterConfig) {
 			// The acceptance rig: 3 Petal servers, 2-way replication.
 			// Enough disks that the hot server's network link, not its
 			// arms, is the bottleneck the balancer relieves.
 			cc.PetalServers = 3
 			cc.DisksPerServer = 6
-		})
-		if err != nil {
-			return err
-		}
-		pc := c.Client("prep")
-		const v = petal.VDiskID("hot")
-		if err := pc.CreateVDisk(v); err != nil {
-			c.Close()
-			return err
-		}
-		st, err := pc.State()
-		if err != nil {
-			c.Close()
-			return err
-		}
-		hot := c.PetalServerNames()[0]
-		var hotChunks []int64
-		for ch := int64(0); len(hotChunks) < chunks && ch < 8192; ch++ {
-			if p, _ := st.Replicas(v, ch); p == hot {
-				hotChunks = append(hotChunks, ch)
-			}
-		}
-		if len(hotChunks) < chunks {
-			c.Close()
-			return fmt.Errorf("read-scaling: only %d/%d chunks place their primary on %s", len(hotChunks), chunks, hot)
-		}
-		buf := make([]byte, petal.ChunkSize)
-		for i := range buf {
-			buf[i] = byte(i * 131)
-		}
-		for _, chk := range hotChunks {
-			if err := pc.Write(v, chk*petal.ChunkSize, buf); err != nil {
-				c.Close()
+		}, func(c *frangipani.Cluster) error {
+			pc := c.Client("prep")
+			const v = petal.VDiskID("hot")
+			if err := pc.CreateVDisk(v); err != nil {
 				return err
 			}
-		}
-		clients := make([]*petal.Client, readers)
-		for i := range clients {
-			clients[i] = c.Client(fmt.Sprintf("rd%d", i))
-			clients[i].SetReadBalance(mode.balance)
-		}
-		errs := make(chan error, readers)
-		start := c.World.Clock.Now()
-		for _, rc := range clients {
-			go func(rc *petal.Client) {
+			st, err := pc.State()
+			if err != nil {
+				return err
+			}
+			hot := c.PetalServerNames()[0]
+			var hotChunks []int64
+			for ch := int64(0); len(hotChunks) < chunks && ch < 8192; ch++ {
+				if p, _ := st.Replicas(v, ch); p == hot {
+					hotChunks = append(hotChunks, ch)
+				}
+			}
+			if len(hotChunks) < chunks {
+				return fmt.Errorf("read-scaling: only %d/%d chunks place their primary on %s", len(hotChunks), chunks, hot)
+			}
+			buf := make([]byte, petal.ChunkSize)
+			for i := range buf {
+				buf[i] = byte(i * 131)
+			}
+			for _, chk := range hotChunks {
+				if err := pc.Write(v, chk*petal.ChunkSize, buf); err != nil {
+					return err
+				}
+			}
+			clients := make([]*petal.Client, readers)
+			for i := range clients {
+				clients[i] = c.Client(fmt.Sprintf("rd%d", i))
+				clients[i].SetReadBalance(mode.balance)
+			}
+			start := c.World.Clock.Now()
+			err = workload.Each(readers, func(i int) error {
 				// Each client streams the whole hot set `passes` times
 				// as 8 concurrent scatter-gather reads, keeping the
 				// pipeline full the way the fs prefetcher does.
@@ -209,62 +161,48 @@ func (o Options) readBalanceRows(t *Table) error {
 					}
 				}
 				const g = 8
-				sub := make(chan error, g)
 				per := (n + g - 1) / g
-				calls := 0
-				for s := 0; s < n; s += per {
-					e := s + per
-					if e > n {
-						e = n
-					}
-					calls++
-					go func(part []petal.ReadExtent) { sub <- rc.ReadV(v, part) }(exts[s:e])
-				}
-				var first error
-				for i := 0; i < calls; i++ {
-					if err := <-sub; err != nil && first == nil {
-						first = err
-					}
-				}
-				errs <- first
-			}(rc)
-		}
-		for range clients {
-			if err := <-errs; err != nil {
-				c.Close()
+				return workload.Each((n+per-1)/per, func(k int) error {
+					return clients[i].ReadV(v, exts[k*per:min((k+1)*per, n)])
+				})
+			})
+			if err != nil {
 				return err
 			}
-		}
-		elapsed := sim.Duration(c.World.Clock.Now() - start)
-		var primary, backup int64
-		for _, rc := range clients {
-			st := rc.Stats()
-			primary += st.ReadPrimary
-			backup += st.ReadBackup
-		}
-		c.Close()
-		total := int64(readers) * int64(passes) * int64(len(hotChunks)) * petal.ChunkSize
-		agg := mbps(total, elapsed)
-		ratio := "1.00x (baseline)"
-		if mode.balance {
-			r := agg / base
-			share := 100 * float64(backup) / float64(primary+backup)
-			ratio = fmt.Sprintf("%.2fx (assert >= %.2fx; %.2fx short of 2x), %.0f%% to backup (assert %d-%d%%)", r, balanceFloor, 2-r, share, balanceShareLo, balanceShareHi)
-			if share < balanceShareLo || share > balanceShareHi {
-				return fmt.Errorf("read-scaling: in balanced mode the backup served %.0f%% of %d bytes; want %d-%d%%", share, primary+backup, balanceShareLo, balanceShareHi)
+			elapsed := sim.Duration(c.World.Clock.Now() - start)
+			var primary, backup int64
+			for _, rc := range clients {
+				st := rc.Stats()
+				primary += st.ReadPrimary
+				backup += st.ReadBackup
 			}
-			if r < balanceFloor {
-				return fmt.Errorf("read-scaling: balanced %.1f MB/s vs primary-only %.1f MB/s = %.2fx; want >= %.2fx", agg, base, r, balanceFloor)
+			total := int64(readers) * int64(passes) * int64(len(hotChunks)) * petal.ChunkSize
+			agg := mbps(total, elapsed)
+			ratio := "1.00x (baseline)"
+			if mode.balance {
+				r := agg / base
+				share := 100 * float64(backup) / float64(primary+backup)
+				ratio = fmt.Sprintf("%.2fx (assert >= %.2fx; %.2fx short of 2x), %.0f%% to backup (assert %d-%d%%)", r, balanceFloor, 2-r, share, balanceShareLo, balanceShareHi)
+				if share < balanceShareLo || share > balanceShareHi {
+					return fmt.Errorf("read-scaling: in balanced mode the backup served %.0f%% of %d bytes; want %d-%d%%", share, primary+backup, balanceShareLo, balanceShareHi)
+				}
+				if r < balanceFloor {
+					return fmt.Errorf("read-scaling: balanced %.1f MB/s vs primary-only %.1f MB/s = %.2fx; want >= %.2fx", agg, base, r, balanceFloor)
+				}
+			} else {
+				base = agg
 			}
-		} else {
-			base = agg
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("hot-primary %d rd x %d chunks", readers, len(hotChunks)),
-			mode.name,
-			fmt.Sprintf("%.1f MB/s", agg),
-			ratio,
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("hot-primary %d rd x %d chunks", readers, len(hotChunks)),
+				mode.name,
+				fmt.Sprintf("%.1f MB/s", agg),
+				ratio,
+			})
+			return nil
 		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -3,10 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"frangipani"
@@ -15,10 +11,6 @@ import (
 	"frangipani/internal/sim"
 	"frangipani/internal/workload"
 )
-
-// scaleSweepArtifact is where ScaleSweep dumps the lockservice
-// timeline when its assertions fail, so CI preserves the evidence.
-const scaleSweepArtifact = "FORENSICS_scale-sweep.json"
 
 // scaleRes is one measured point of the big-N sweep.
 type scaleRes struct {
@@ -109,12 +101,12 @@ func (o Options) ScaleSweep() (*Table, error) {
 
 	for _, r := range results {
 		if r.renewStd != 0 {
-			return nil, o.scaleSweepFail(r, fmt.Errorf(
+			return nil, r.fail(fmt.Errorf(
 				"scale-sweep: %d standalone renewal RPCs at N=%d — busy clerks must piggyback 100%% of renewals (piggybacked=%d elided=%d)",
 				r.renewStd, r.n, r.renewPig, r.renewElid))
 		}
 		if r.renewPig == 0 {
-			return nil, o.scaleSweepFail(r, fmt.Errorf(
+			return nil, r.fail(fmt.Errorf(
 				"scale-sweep: no piggybacked renewals at N=%d — the batch piggyback path never fired", r.n))
 		}
 	}
@@ -123,13 +115,13 @@ func (o Options) ScaleSweep() (*Table, error) {
 	}
 	readEff := r32.readMBps() / (base.readMBps() * 4)
 	if readEff < 0.7 {
-		return nil, o.scaleSweepFail(r32, fmt.Errorf(
+		return nil, r32.fail(fmt.Errorf(
 			"scale-sweep: read throughput scaled only %.0f%% of linear from 8 to 32 machines (want >= 70%%): %.1f -> %.1f MB/s",
 			readEff*100, base.readMBps(), r32.readMBps()))
 	}
 	writeEff := r32.writeMBps() / (base.writeMBps() * 4)
 	if writeEff < 0.7 {
-		return nil, o.scaleSweepFail(r32, fmt.Errorf(
+		return nil, r32.fail(fmt.Errorf(
 			"scale-sweep: write throughput scaled only %.0f%% of linear from 8 to 32 machines (want >= 70%%): %.2f -> %.2f MB/s",
 			writeEff*100, base.writeMBps(), r32.writeMBps()))
 	}
@@ -256,75 +248,39 @@ func (o Options) scaleRun(n int) (*scaleRes, error) {
 		}
 	}
 
-	var (
-		measuring, stopped             atomic.Bool
-		readBytes, writeBytes, creates atomic.Int64
-		workerErr                      atomic.Value
-		latMu                          sync.Mutex
-		readLats, createLats           []sim.Duration
-		wg                             sync.WaitGroup
-	)
+	run := workload.NewRunner(w.Clock, 2)
 	for i, f := range servers {
 		for k := 0; k < readStreams; k++ {
-			wg.Add(1)
-			go func(i, k int, f *fs.FS) {
-				defer wg.Done()
-				h, err := f.Open(readPath(i, k))
-				if err != nil {
-					workerErr.Store(fmt.Errorf("reader ws%d.%d: %v", i+1, k, err))
-					return
+			h, err := f.Open(readPath(i, k))
+			if err != nil {
+				run.Stop()
+				return nil, fmt.Errorf("reader ws%d.%d: %v", i+1, k, err)
+			}
+			buf, off := make([]byte, recSize), int64(0)
+			run.Go(0, func() (int64, error) {
+				m, err := h.ReadAt(buf, off)
+				if err != nil && err != io.EOF {
+					return 0, fmt.Errorf("reader ws%d.%d off %d: %v", i+1, k, off, err)
 				}
-				buf := make([]byte, recSize)
-				var local []sim.Duration
-				for !stopped.Load() {
-					for off := int64(0); off < readFileBytes && !stopped.Load(); off += int64(recSize) {
-						counted := measuring.Load()
-						t0 := w.Clock.Now()
-						m, err := h.ReadAt(buf, off)
-						if err != nil && err != io.EOF {
-							workerErr.Store(fmt.Errorf("reader ws%d.%d off %d: %v", i+1, k, off, err))
-							return
-						}
-						if counted && measuring.Load() {
-							readBytes.Add(int64(m))
-							local = append(local, sim.Duration(w.Clock.Now()-t0))
-						}
-					}
+				if off += int64(recSize); off >= readFileBytes {
+					off = 0
 				}
-				latMu.Lock()
-				readLats = append(readLats, local...)
-				latMu.Unlock()
-			}(i, k, f)
+				return int64(m), nil
+			}, nil)
 		}
 		for k := 0; k < writeStreams; k++ {
-			wg.Add(1)
-			go func(i, k int, f *fs.FS) {
-				defer wg.Done()
-				data := make([]byte, payloadBytes)
-				var local []sim.Duration
-				for seq := 0; !stopped.Load(); seq++ {
-					path := fmt.Sprintf("%s/f%d", writeDir(i, k), seq)
-					counted := measuring.Load()
-					t0 := w.Clock.Now()
-					h, err := f.OpenFile(path, true)
-					if err == nil {
-						_, err = h.WriteAt(data, 0)
-					}
-					if err != nil {
-						workerErr.Store(fmt.Errorf("writer ws%d.%d seq %d: %v", i+1, k, seq, err))
-						break
-					}
-					if counted && measuring.Load() {
-						creates.Add(1)
-						writeBytes.Add(int64(len(data)))
-						local = append(local, sim.Duration(w.Clock.Now()-t0))
-					}
-					w.Clock.Sleep(createGap)
+			data, seq := make([]byte, payloadBytes), 0
+			run.Go(1, func() (int64, error) {
+				h, err := f.OpenFile(fmt.Sprintf("%s/f%d", writeDir(i, k), seq), true)
+				if err == nil {
+					_, err = h.WriteAt(data, 0)
 				}
-				latMu.Lock()
-				createLats = append(createLats, local...)
-				latMu.Unlock()
-			}(i, k, f)
+				if err != nil {
+					return 0, fmt.Errorf("writer ws%d.%d seq %d: %v", i+1, k, seq, err)
+				}
+				seq++
+				return int64(len(data)), nil
+			}, func() { w.Clock.Sleep(createGap) })
 		}
 	}
 
@@ -342,57 +298,38 @@ func (o Options) scaleRun(n int) (*scaleRes, error) {
 	// ticks absorbed), then measure.
 	w.Clock.Sleep(warmup)
 	std0, pig0, elid0 := snap()
-	measuring.Store(true)
-	t0 := w.Clock.Now()
-	w.Clock.Sleep(window)
-	measuring.Store(false)
-	elapsed := sim.Duration(w.Clock.Now() - t0)
+	run.Measure(window)
 	std1, pig1, elid1 := snap()
-	stopped.Store(true)
-	wg.Wait()
+	groups, err := run.Stop()
+	reads, creates := groups[0], groups[1]
 
 	res := &scaleRes{
 		n:          n,
 		streams:    n * (readStreams + writeStreams),
-		elapsed:    elapsed,
-		readBytes:  readBytes.Load(),
-		writeBytes: writeBytes.Load(),
-		creates:    creates.Load(),
+		elapsed:    reads.Elapsed,
+		readBytes:  reads.Bytes,
+		writeBytes: creates.Bytes,
+		creates:    creates.Ops,
+		readP50:    reads.Pct(50),
+		readP99:    reads.Pct(99),
+		createP50:  creates.Pct(50),
+		createP99:  creates.Pct(99),
 		renewStd:   std1 - std0,
 		renewPig:   pig1 - pig0,
 		renewElid:  elid1 - elid0,
 		events:     obs.MergeTimeline(w.Obs.Journals(), obs.Filter{Layer: "lockservice"}),
 	}
-	if err, _ := workerErr.Load().(error); err != nil {
-		return nil, o.scaleSweepFail(res, fmt.Errorf("scale-sweep: %w", err))
+	if err != nil {
+		return nil, res.fail(fmt.Errorf("scale-sweep: %w", err))
 	}
 	if res.readBytes == 0 || res.creates == 0 {
-		return nil, o.scaleSweepFail(res, fmt.Errorf("scale-sweep: idle measured window at N=%d (read %d B, %d creates)", n, res.readBytes, res.creates))
+		return nil, res.fail(fmt.Errorf("scale-sweep: idle measured window at N=%d (read %d B, %d creates)", n, res.readBytes, res.creates))
 	}
-	pct := func(lats []sim.Duration, p int) sim.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[len(lats)*p/100]
-	}
-	sort.Slice(readLats, func(i, j int) bool { return readLats[i] < readLats[j] })
-	sort.Slice(createLats, func(i, j int) bool { return createLats[i] < createLats[j] })
-	res.readP50, res.readP99 = pct(readLats, 50), pct(readLats, 99)
-	res.createP50, res.createP99 = pct(createLats, 50), pct(createLats, 99)
 	return res, nil
 }
 
-// scaleSweepFail dumps the lockservice timeline to scaleSweepArtifact
-// so a failed CI run leaves the evidence behind, then returns err.
-func (o Options) scaleSweepFail(r *scaleRes, err error) error {
-	dump := obs.ForensicsDump{
-		Schema:    obs.ForensicsSchema,
-		TakenAtNs: time.Now().UnixNano(),
-		Reason:    "scale-sweep: " + err.Error(),
-		Events:    r.events,
-	}
-	if werr := os.WriteFile(scaleSweepArtifact, []byte(dump.JSON()), 0o644); werr == nil {
-		return fmt.Errorf("%w (timeline dumped to %s)", err, scaleSweepArtifact)
-	}
-	return err
+// fail dumps the lockservice timeline of r so a failed CI run leaves
+// the evidence behind, then returns err.
+func (r *scaleRes) fail(err error) error {
+	return failDump("scale-sweep", err, obs.ForensicsDump{Events: r.events}, nil)
 }

@@ -198,8 +198,8 @@ func (c *Clerk) Open() error {
 	for _, s := range c.servers {
 		c.lease.ack(s, true, now) // the open session is every server's first ack
 	}
+	c.adoptLocked(resp.State)
 	c.mu.Unlock()
-	_ = c.refreshState()
 	go c.sender()
 	c.cancels = append(c.cancels,
 		c.w.Clock.Tick(renewTick(c.cfg.LeaseDuration), c.renew),
@@ -290,15 +290,19 @@ func (c *Clerk) refreshState() error {
 		}
 		if sr, ok := r.(StateResp); ok && sr.OK {
 			c.mu.Lock()
-			if !c.stateOK || sr.State.Version > c.state.Version {
-				c.state = sr.State
-				c.stateOK = true
-			}
+			c.adoptLocked(sr.State)
 			c.mu.Unlock()
 			return nil
 		}
 	}
 	return ErrNoServer
+}
+
+// adoptLocked takes st as the shard map unless the one held is newer.
+func (c *Clerk) adoptLocked(st GState) {
+	if !c.stateOK || st.Version > c.state.Version {
+		c.state, c.stateOK = st, true
+	}
 }
 
 // noteNewEpoch reacts to a server advertising a shard-map epoch newer

@@ -212,12 +212,14 @@ type (
 	// OpenResp returns the lease identifier and the log slot assigned
 	// to this session; Frangipani uses the slot to pick its private
 	// log ("determines which portion of the log space to use from the
-	// lease identifier", §7).
+	// lease identifier", §7). State, the global state the open was
+	// applied to, gives the clerk its shard map in the same round trip.
 	OpenResp struct {
 		OK      bool
 		Err     string
 		LeaseID uint64
 		LogSlot int
+		State   GState
 	}
 	// CloseReq closes a session cleanly (unmount).
 	CloseReq struct {

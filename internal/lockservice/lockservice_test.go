@@ -808,3 +808,29 @@ func TestJournalSkipsStickyHits(t *testing.T) {
 		t.Fatalf("one contended acquire journalled %d acquire events, want exactly 1", n)
 	}
 }
+
+// TestOpenIsOneRoundTrip: §7's join is one exchange with the lock
+// service. Open's reply carries the shard map, so the lock servers see
+// one request for it in all, and the clerk routes by the map it got.
+func TestOpenIsOneRoundTrip(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SweepEvery = time.Hour // no expiry sweep's RenewalsReq in the count
+	ls := newTestLSConfig(t, 3, cfg, 1)
+	requests := func() (n int64) {
+		for _, name := range ls.names {
+			n += ls.w.Obs.Counter("lockservice.server.requests#" + name).Value()
+		}
+		return n
+	}
+	before := requests()
+	c := ls.clerk(t, "ws1")
+	if got := requests() - before; got != 1 {
+		t.Fatalf("Open sent the lock servers %d requests, want 1", got)
+	}
+	c.mu.Lock()
+	known, version := c.stateOK, c.state.Version
+	c.mu.Unlock()
+	if !known || version == 0 {
+		t.Fatalf("clerk opened without the shard map (known %v, version %d)", known, version)
+	}
+}

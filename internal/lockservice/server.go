@@ -644,11 +644,12 @@ func (s *Server) onOpen(m OpenReq) OpenResp {
 	s.mu.Lock()
 	sess, ok := s.state.Sessions[sessionKey(m.Clerk, m.Table)]
 	s.renewals[m.Clerk] = s.w.Clock.Now()
+	st := s.state.Clone()
 	s.mu.Unlock()
 	if !ok {
 		return OpenResp{Err: "session vanished"}
 	}
-	return OpenResp{OK: true, LeaseID: sess.LeaseID, LogSlot: sess.LogSlot}
+	return OpenResp{OK: true, LeaseID: sess.LeaseID, LogSlot: sess.LogSlot, State: st}
 }
 
 func (s *Server) onClose(m CloseReq) {

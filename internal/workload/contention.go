@@ -2,27 +2,9 @@ package workload
 
 import (
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"frangipani/internal/sim"
 )
-
-// ContentionResult reports one run of a lock-contention rig.
-type ContentionResult struct {
-	ReaderBytes int64        // bytes delivered to the readers
-	WriterOps   int64        // writer passes completed
-	Elapsed     sim.Duration // simulated run time
-}
-
-// ReadMBps returns aggregate reader throughput in MB/s of simulated
-// time.
-func (r ContentionResult) ReadMBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.ReaderBytes) / (1 << 20) / r.Elapsed.Seconds()
-}
 
 // ReaderWriterContention is the Figure 8/9 rig: one writer keeps
 // rewriting the first writeBytes of a shared file while each reader
@@ -30,118 +12,75 @@ func (r ContentionResult) ReadMBps() float64 {
 // repeatedly acquires the write lock, then gets a callback to
 // downgrade it so that the readers can get the read lock" (§9.4).
 // The file (of fileSize bytes) must already exist with its contents
-// written; duration is the measurement window in simulated time.
+// written; duration is the measurement window in simulated time. It
+// returns what the readers and the writer did inside the window.
 func ReaderWriterContention(clock *sim.Clock, writer FS, readers []FS, path string,
-	fileSize int64, writeBytes int, duration sim.Duration) (ContentionResult, error) {
+	fileSize int64, writeBytes int, duration sim.Duration) (read, written Result, err error) {
 
 	wh, err := writer.Open(path, false)
 	if err != nil {
-		return ContentionResult{}, err
+		return read, written, err
 	}
 	var rhs []File
 	for _, r := range readers {
 		h, err := r.Open(path, false)
 		if err != nil {
-			return ContentionResult{}, err
+			return read, written, err
 		}
 		rhs = append(rhs, h)
 	}
-
-	var stop atomic.Bool
-	var readerBytes, writerOps int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(rhs)+1)
-
-	start := clock.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := content(writeBytes, 1)
-		for !stop.Load() {
-			if _, err := wh.WriteAt(buf, 0); err != nil {
-				errCh <- err
-				return
-			}
-			atomic.AddInt64(&writerOps, 1)
-		}
-	}()
+	run := NewRunner(clock, 2)
+	buf := content(writeBytes, 1)
+	run.Go(1, func() (int64, error) { return int64(len(buf)), write(wh, buf) }, nil)
 	for _, h := range rhs {
-		wg.Add(1)
-		go func(h File) {
-			defer wg.Done()
-			buf := make([]byte, 64<<10)
-			off := int64(0)
-			for !stop.Load() {
-				n, err := h.ReadAt(buf, off)
-				atomic.AddInt64(&readerBytes, int64(n))
-				off += int64(n)
-				if err == io.EOF || off >= fileSize {
-					off = 0
-				} else if err != nil {
-					errCh <- err
-					return
-				}
+		buf, off := make([]byte, 64<<10), int64(0)
+		run.Go(0, func() (int64, error) {
+			n, err := h.ReadAt(buf, off)
+			off += int64(n)
+			if err == io.EOF || off >= fileSize {
+				off, err = 0, nil
 			}
-		}(h)
+			return int64(n), err
+		}, nil)
 	}
-	clock.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := sim.Duration(clock.Now() - start)
-	select {
-	case err := <-errCh:
-		return ContentionResult{}, err
-	default:
+	run.Measure(duration)
+	res, err := run.Stop()
+	if err != nil {
+		return read, written, err
 	}
-	return ContentionResult{
-		ReaderBytes: atomic.LoadInt64(&readerBytes),
-		WriterOps:   atomic.LoadInt64(&writerOps),
-		Elapsed:     elapsed,
-	}, nil
+	return res[0], res[1], nil
 }
 
 // WriteSharing is the third §9.4 experiment: N writers all rewriting
 // the same region of one file. The write lock ping-pongs between the
-// servers; each handoff forces a flush. Returns aggregate write
-// operations completed.
+// servers; each handoff forces a flush. It returns the writes done
+// inside the window.
 func WriteSharing(clock *sim.Clock, writers []FS, path string, writeBytes int,
-	duration sim.Duration) (ContentionResult, error) {
+	duration sim.Duration) (Result, error) {
 
 	var hs []File
 	for _, w := range writers {
 		h, err := w.Open(path, false)
 		if err != nil {
-			return ContentionResult{}, err
+			return Result{}, err
 		}
 		hs = append(hs, h)
 	}
-	var stop atomic.Bool
-	var ops int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(hs))
-	start := clock.Now()
+	run := NewRunner(clock, 1)
 	for i, h := range hs {
-		wg.Add(1)
-		go func(i int, h File) {
-			defer wg.Done()
-			buf := content(writeBytes, i)
-			for !stop.Load() {
-				if _, err := h.WriteAt(buf, 0); err != nil {
-					errCh <- err
-					return
-				}
-				atomic.AddInt64(&ops, 1)
-			}
-		}(i, h)
+		buf := content(writeBytes, i)
+		run.Go(0, func() (int64, error) { return int64(len(buf)), write(h, buf) }, nil)
 	}
-	clock.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := sim.Duration(clock.Now() - start)
-	select {
-	case err := <-errCh:
-		return ContentionResult{}, err
-	default:
+	run.Measure(duration)
+	res, err := run.Stop()
+	if err != nil {
+		return Result{}, err
 	}
-	return ContentionResult{WriterOps: atomic.LoadInt64(&ops), Elapsed: elapsed}, nil
+	return res[0], nil
+}
+
+// write rewrites the start of h with buf.
+func write(h File, buf []byte) error {
+	_, err := h.WriteAt(buf, 0)
+	return err
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"frangipani/internal/sim"
 )
@@ -31,17 +30,21 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 	if err := f.Mkdir(root); err != nil {
 		return out, err
 	}
-	timeIt := func(i int, fn func() error) error {
+	// timeIt times test i, unless an earlier step failed.
+	var err error
+	timeIt := func(i int, fn func() error) {
+		if err != nil {
+			return
+		}
 		start := clock.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", ConnectathonTests[i], err)
+		if err = fn(); err != nil {
+			err = fmt.Errorf("%s: %w", ConnectathonTests[i], err)
 		}
 		out[i] = sim.Duration(clock.Now() - start)
-		return nil
 	}
 
 	// 1: create/remove.
-	if err := timeIt(0, func() error {
+	timeIt(0, func() error {
 		for i := 0; i < c.Files; i++ {
 			if err := f.Create(fmt.Sprintf("%s/t1-%d", root, i)); err != nil {
 				return err
@@ -53,12 +56,10 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 2: mkdir/rmdir a small tree.
-	if err := timeIt(1, func() error {
+	timeIt(1, func() error {
 		for i := 0; i < c.Files/4; i++ {
 			d := fmt.Sprintf("%s/d%d", root, i)
 			if err := f.Mkdir(d); err != nil {
@@ -78,24 +79,18 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// Setup a tree for lookups.
-	for i := 0; i < 4; i++ {
-		if err := f.Mkdir(fmt.Sprintf("%s/lk%d", root, i)); err != nil {
-			return out, err
-		}
-		for j := 0; j < c.Files/4; j++ {
-			if err := f.Create(fmt.Sprintf("%s/lk%d/f%d", root, i, j)); err != nil {
-				return out, err
-			}
+	for i := 0; i < 4 && err == nil; i++ {
+		err = f.Mkdir(fmt.Sprintf("%s/lk%d", root, i))
+		for j := 0; j < c.Files/4 && err == nil; j++ {
+			err = f.Create(fmt.Sprintf("%s/lk%d/f%d", root, i, j))
 		}
 	}
 
 	// 3: lookups across directories.
-	if err := timeIt(2, func() error {
+	timeIt(2, func() error {
 		for pass := 0; pass < 3; pass++ {
 			for i := 0; i < 4; i++ {
 				for j := 0; j < c.Files/4; j++ {
@@ -106,24 +101,20 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 4: getattr repeated on one file (hot attribute cache).
-	if err := timeIt(3, func() error {
+	timeIt(3, func() error {
 		for i := 0; i < c.Files*5; i++ {
 			if _, _, err := f.Stat(root + "/lk0/f0"); err != nil {
 				return err
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 5: setattr via truncate.
-	if err := timeIt(4, func() error {
+	timeIt(4, func() error {
 		h, err := f.Open(root+"/lk0/f0", false)
 		if err != nil {
 			return err
@@ -134,48 +125,40 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 6: write small files.
-	if err := timeIt(5, func() error {
+	timeIt(5, func() error {
 		for i := 0; i < c.Files; i++ {
 			if err := writeAll(f, fmt.Sprintf("%s/w%d", root, i), content(4096, i)); err != nil {
 				return err
 			}
 		}
 		return f.Sync()
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 7: read them back.
-	if err := timeIt(6, func() error {
+	timeIt(6, func() error {
 		for i := 0; i < c.Files; i++ {
 			if _, err := readAll(f, fmt.Sprintf("%s/w%d", root, i)); err != nil {
 				return err
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 8: readdir.
-	if err := timeIt(7, func() error {
+	timeIt(7, func() error {
 		for i := 0; i < 20; i++ {
 			if _, err := f.ReadDirNames(root); err != nil {
 				return err
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
+	})
 
 	// 9: rename + symlink + readlink.
-	if err := timeIt(8, func() error {
+	timeIt(8, func() error {
 		for i := 0; i < c.Files/2; i++ {
 			src := fmt.Sprintf("%s/w%d", root, i)
 			dst := fmt.Sprintf("%s/r%d", root, i)
@@ -191,10 +174,8 @@ func (c Connectathon) Run(f FS, clock *sim.Clock, root string) ([9]sim.Duration,
 			}
 		}
 		return nil
-	}); err != nil {
-		return out, err
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // SeqWrite writes a file of total bytes in recSize records and
@@ -266,24 +247,13 @@ func SmallReadSwarm(prep, f FS, clock *sim.Clock, dir string, readers, fileSize 
 	if err := prep.Sync(); err != nil {
 		return 0, 0, err
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
 	start := clock.Now()
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := readAll(f, fmt.Sprintf("%s/s%d", dir, i))
-			errs <- err
-		}(i)
+	err := Each(readers, func(i int) error {
+		_, err := readAll(f, fmt.Sprintf("%s/s%d", dir, i))
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	wg.Wait()
-	elapsed := sim.Duration(clock.Now() - start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return int64(readers) * int64(fileSize), elapsed, nil
+	return int64(readers) * int64(fileSize), sim.Duration(clock.Now() - start), nil
 }

@@ -11,7 +11,6 @@
 package workload
 
 import (
-	"fmt"
 	"io"
 
 	"frangipani/internal/fs"
@@ -43,29 +42,9 @@ type FS interface {
 	Sync() error
 }
 
-// Frangipani adapts *fs.FS to the workload interface.
-type Frangipani struct{ FS *fs.FS }
-
-// Create implements FS.
-func (a Frangipani) Create(path string) error { return a.FS.Create(path) }
-
-// Mkdir implements FS.
-func (a Frangipani) Mkdir(path string) error { return a.FS.Mkdir(path) }
-
-// Remove implements FS.
-func (a Frangipani) Remove(path string) error { return a.FS.Remove(path) }
-
-// Rmdir implements FS.
-func (a Frangipani) Rmdir(path string) error { return a.FS.Rmdir(path) }
-
-// Rename implements FS.
-func (a Frangipani) Rename(src, dst string) error { return a.FS.Rename(src, dst) }
-
-// Symlink implements FS.
-func (a Frangipani) Symlink(target, path string) error { return a.FS.Symlink(target, path) }
-
-// Readlink implements FS.
-func (a Frangipani) Readlink(path string) (string, error) { return a.FS.Readlink(path) }
+// Frangipani adapts *fs.FS to the workload interface; the methods
+// whose signatures already match are its own.
+type Frangipani struct{ *fs.FS }
 
 // Stat implements FS.
 func (a Frangipani) Stat(path string) (int64, bool, error) {
@@ -79,14 +58,7 @@ func (a Frangipani) Stat(path string) (int64, bool, error) {
 // ReadDirNames implements FS.
 func (a Frangipani) ReadDirNames(path string) ([]string, error) {
 	ents, err := a.FS.ReadDir(path)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name
-	}
-	return names, nil
+	return names(ents, err, func(e fs.DirEntry) string { return e.Name })
 }
 
 // Open implements FS.
@@ -94,32 +66,9 @@ func (a Frangipani) Open(path string, create bool) (File, error) {
 	return a.FS.OpenFile(path, create)
 }
 
-// Sync implements FS.
-func (a Frangipani) Sync() error { return a.FS.Sync() }
-
-// Local adapts *localfs.FS to the workload interface.
-type Local struct{ FS *localfs.FS }
-
-// Create implements FS.
-func (a Local) Create(path string) error { return a.FS.Create(path) }
-
-// Mkdir implements FS.
-func (a Local) Mkdir(path string) error { return a.FS.Mkdir(path) }
-
-// Remove implements FS.
-func (a Local) Remove(path string) error { return a.FS.Remove(path) }
-
-// Rmdir implements FS.
-func (a Local) Rmdir(path string) error { return a.FS.Rmdir(path) }
-
-// Rename implements FS.
-func (a Local) Rename(src, dst string) error { return a.FS.Rename(src, dst) }
-
-// Symlink implements FS.
-func (a Local) Symlink(target, path string) error { return a.FS.Symlink(target, path) }
-
-// Readlink implements FS.
-func (a Local) Readlink(path string) (string, error) { return a.FS.Readlink(path) }
+// Local adapts *localfs.FS to the workload interface, as Frangipani
+// does *fs.FS.
+type Local struct{ *localfs.FS }
 
 // Stat implements FS.
 func (a Local) Stat(path string) (int64, bool, error) {
@@ -133,23 +82,25 @@ func (a Local) Stat(path string) (int64, bool, error) {
 // ReadDirNames implements FS.
 func (a Local) ReadDirNames(path string) ([]string, error) {
 	ents, err := a.FS.ReadDir(path)
+	return names(ents, err, func(e localfs.DirEntry) string { return e.Name })
+}
+
+// names lists by name the entries a ReadDir returned.
+func names[E any](ents []E, err error, name func(E) string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(ents))
+	out := make([]string, len(ents))
 	for i, e := range ents {
-		names[i] = e.Name
+		out[i] = name(e)
 	}
-	return names, nil
+	return out, nil
 }
 
 // Open implements FS.
 func (a Local) Open(path string, create bool) (File, error) {
 	return a.FS.OpenFile(path, create)
 }
-
-// Sync implements FS.
-func (a Local) Sync() error { return a.FS.Sync() }
 
 // content fills a deterministic pseudo-random buffer.
 func content(n int, seed int) []byte {
@@ -215,12 +166,4 @@ func walk(f FS, root string, fn func(path string, isDir bool) error) error {
 		}
 	}
 	return nil
-}
-
-// mustNoErr panics on error; workload phases treat any FS error as a
-// harness bug.
-func mustNoErr(err error, op string) {
-	if err != nil {
-		panic(fmt.Sprintf("workload: %s: %v", op, err))
-	}
 }

@@ -96,19 +96,19 @@ func TestContentionRigsOnBaseline(t *testing.T) {
 	if err := writeAll(f, "/hot", content(256<<10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReaderWriterContention(w.Clock, f, []FS{f, f}, "/hot",
-		256<<10, 16<<10, 2*time.Second)
+	read, written, err := ReaderWriterContention(w.Clock, f, []FS{f, f}, "/hot",
+		256<<10, 16<<10, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReaderBytes == 0 || res.WriterOps == 0 {
-		t.Fatalf("rig idle: %+v", res)
+	if read.Bytes == 0 || written.Ops == 0 {
+		t.Fatalf("rig idle: read %+v, written %+v", read, written)
 	}
-	ws, err := WriteSharing(w.Clock, []FS{f, f}, "/hot", 8<<10, 2*time.Second)
+	ws, err := WriteSharing(w.Clock, []FS{f, f}, "/hot", 8<<10, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.WriterOps == 0 {
+	if ws.Ops == 0 {
 		t.Fatal("write-sharing rig idle")
 	}
 }
