@@ -1,6 +1,7 @@
 package frangipani_test
 
 import (
+	"fmt"
 	"testing"
 
 	"frangipani/internal/bench"
@@ -11,8 +12,9 @@ import (
 // 'Experiments/table1$'` regenerates Table 1 of the paper's evaluation
 // (§9). The measured quantity is simulated time, so b.N iterations
 // simply repeat the experiment; the interesting output is the table
-// itself, logged once per run. `go run ./cmd/frangibench` prints the
-// full-size versions; these use the Quick sizing.
+// itself, printed whole once per run (b.Log would keep only its first
+// ten lines). `go run ./cmd/frangibench` prints the full-size versions;
+// these use the Quick sizing.
 func BenchmarkExperiments(b *testing.B) {
 	o := bench.DefaultOptions()
 	o.Quick = true
@@ -26,7 +28,7 @@ func BenchmarkExperiments(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.Log("\n" + tb.Render())
+					fmt.Printf("--- %s\n%s\n", b.Name(), tb.Render())
 				}
 			}
 		})

@@ -377,6 +377,7 @@ var exported = map[string]string{
 	"localfs.DefaultConfig": "internal/bench/bench.go",
 	"localfs.FS.Close":      "internal/bench/bench.go",
 	"localfs.FS.Create":     "internal/workload/suites.go",
+	"localfs.FS.DropCache":  "internal/bench/experiments.go",
 	"localfs.FS.Mkdir":      "internal/workload/mab.go",
 	"localfs.FS.Open":       "internal/localfs/localfs.go",
 	"localfs.FS.OpenFile":   "internal/workload/workload.go",
@@ -484,6 +485,7 @@ var exported = map[string]string{
 	"sim.Disk.Params":                  "internal/petal/store.go",
 	"sim.Disk.ReadAt":                  "internal/sim/nvram.go, internal/petal/store.go",
 	"sim.Disk.Revive":                  "fault injection for ROADMAP item 2's schedules: TestDiskFailAndRevive",
+	"sim.Disk.Seeks":                   "seek time apart from transfer time, for EXPERIMENTS.md's arm accounting: TestDiskSeekAccounting",
 	"sim.Disk.Stats":                   "benchmark/layers.go",
 	"sim.Disk.WriteAt":                 "internal/sim/nvram.go",
 	"sim.NVRAM.Close":                  "internal/petal/server.go",

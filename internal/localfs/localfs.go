@@ -757,6 +757,24 @@ func (h *File) Sync() error {
 	return f.writeCoalesced(items)
 }
 
+// DropCache writes back every dirty page and then drops every clean one
+// from the buffer cache, so that the next read of any file comes from
+// the disks, as the first read after a reboot does.
+func (f *FS) DropCache() error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k, p := range f.cache {
+		if !p.dirty {
+			delete(f.cache, k)
+			delete(f.lruStamp, k)
+		}
+	}
+	return nil
+}
+
 // Sync flushes all dirty state (the update demon body).
 func (f *FS) Sync() error {
 	_ = f.log.Flush()

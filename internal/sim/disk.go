@@ -67,6 +67,8 @@ type Disk struct {
 	writes    int64
 	bytesRead int64
 	bytesWr   int64
+	seeks     int64    // I/Os that moved the arm
+	seekTime  Duration // and what moving it cost them
 }
 
 // NewDisk returns an empty simulated disk.
@@ -100,18 +102,24 @@ func (d *Disk) serviceTime(s int64, n int) Duration {
 		if gap < 0 {
 			gap = -gap
 		}
+		seek := d.params.SeekTime
 		if gap*SectorSize <= 2<<20 {
-			short := d.params.SeekTime / 8
-			if short < msec {
-				short = msec
-			}
-			cost += short
-		} else {
-			cost += d.params.SeekTime
+			seek = max(d.params.SeekTime/8, msec)
 		}
+		cost += seek
+		d.seeks++
+		d.seekTime += seek
 	}
 	d.head = s + int64((n+SectorSize-1)/SectorSize)
 	return cost
+}
+
+// headSector returns the sector the arm is over once every I/O issued
+// to it is done: serviceTime moves it when an I/O is issued.
+func (d *Disk) headSector() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.head
 }
 
 func (d *Disk) checkRange(off int64, n int) error {
@@ -248,4 +256,12 @@ func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.reads, d.writes, d.bytesRead, d.bytesWr
+}
+
+// Seeks reports how many I/Os moved the arm and the seek time they
+// were charged, apart from their transfer time.
+func (d *Disk) Seeks() (seeks int64, seekTime Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.seeks, d.seekTime
 }

@@ -23,7 +23,7 @@ type BlockDev interface {
 type nvEntry struct {
 	slot   *nvSlot
 	epoch  int64
-	queued bool // present in the destage order queue
+	queued bool // in one of the destage queues; false while its run is on the arm
 }
 
 // nvSlot holds one staged sector's bytes. Its one owner is the entry
@@ -43,11 +43,18 @@ type nvScratch struct {
 // is empty: 64 KB of sectors, one object.
 const slabSlots = 128
 
+// runSectors caps a destage run: 32 KB, one part of a Petal write. A
+// read that arrives while a run is on the arm waits for all of it
+// (EXPERIMENTS.md, "Destage in head order").
+const runSectors = 64
+
 // NVRAM is a battery-backed write buffer placed in front of a disk,
 // modelling the paper's PrestoServe cards (8 MB). Writes complete as
 // soon as they are staged in NVRAM; a background thread destages them
-// to the disk. Reads see the union of NVRAM and disk contents, the
-// newest staged write winning. The paper treats NVRAM failure as
+// to the disk in runs of up to 32 KB, in the disk's head order, each
+// sweep serving what was queued before it began (takeRun). Reads see
+// the union of NVRAM and disk contents, the newest staged write
+// winning. The paper treats NVRAM failure as
 // equivalent to failure of the Petal server it fronts, and so do we:
 // there is no separate NVRAM fault mode.
 //
@@ -69,11 +76,16 @@ type NVRAM struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	dirty   map[int64]nvEntry // sector index -> staged data
-	order   []int64           // FIFO destage order (queued entries)
 	epoch   int64
 	stopped bool
 	free    reuse.List[*nvSlot]    // slots no entry stages
 	scratch reuse.List[*nvScratch] // of reads that are done
+
+	// The queued sectors in sector order, in two sets: those of the sweep
+	// under way, queued before it began, and those of the next (takeRun).
+	// A rewrite of a queued sector leaves it in its set.
+	queue     sectorTree
+	now, next int32 // their roots in queue, 0 when empty
 
 	run    *[]byte // the destager's: the run on its way to the disk, from bufpool
 	epochs []int64 // and the epoch of each of its sectors
@@ -134,6 +146,7 @@ func (n *NVRAM) stage(p []byte, off int64) {
 		n.cond.Wait()
 	}
 	n.epoch++
+	fresh := int64(-1) // where the sectors before idx that this write queues begin; -1: none
 	for i := 0; i < count; i++ {
 		idx := s + int64(i)
 		e, ok := n.dirty[idx]
@@ -141,13 +154,29 @@ func (n *NVRAM) stage(p []byte, off int64) {
 			e.slot = n.slot()
 		}
 		if !e.queued {
-			n.order = append(n.order, idx)
+			e.queued = true
+			if fresh < 0 {
+				fresh = idx
+			}
+		} else {
+			n.enqueue(fresh, idx)
+			fresh = -1
 		}
 		copy(e.slot[:], p[i*SectorSize:])
-		n.dirty[idx] = nvEntry{slot: e.slot, epoch: n.epoch, queued: true}
+		e.epoch = n.epoch
+		n.dirty[idx] = e
 	}
+	n.enqueue(fresh, s+int64(count))
 	n.cond.Broadcast()
 	n.mu.Unlock()
+}
+
+// enqueue queues the sectors [from, to) for the next sweep; from < 0
+// queues none.
+func (n *NVRAM) enqueue(from, to int64) {
+	if from >= 0 {
+		n.queue.addRange(&n.next, from, to)
+	}
 }
 
 // slot takes a slot from the free list, making a slab of them if it is
@@ -220,10 +249,10 @@ func (n *NVRAM) apply(p []byte, sc *nvScratch) {
 	n.scratch.Put(sc)
 }
 
-// destager drains staged sectors to the disk in FIFO order, batching
-// contiguous runs into single disk writes. Entries stay readable in
-// the overlay until the disk write completes, and survive if they are
-// re-dirtied while in flight.
+// destager drains staged sectors to the disk a run at a time, in the
+// order takeRun picks. Entries stay readable in the overlay until the
+// disk write completes, and survive if they are re-dirtied while in
+// flight.
 func (n *NVRAM) destager() {
 	for {
 		start, ok := n.takeRun()
@@ -237,36 +266,57 @@ func (n *NVRAM) destager() {
 	}
 }
 
-// takeRun waits for a queued sector and gathers the contiguous run that
-// starts at the oldest one into n.run, the epochs it was staged at into
-// n.epochs, and returns the run's first sector; ok is false once the
-// card is stopped and drained. The run's buffer is the shared pool's
-// (Disk.WriteAt copies out of it) and goes back in retire: a buffer per
-// card, kept at the size of its longest run, is resident memory that
-// every idle card holds on to.
+// takeRun waits for a queued sector and gathers a run into n.run, the
+// epochs its sectors were staged at into n.epochs, and returns the run's
+// first sector; ok is false once the card is stopped and drained.
+//
+// The run is in the disk's head order (C-LOOK, the one-way elevator of
+// BSD's disksort): it starts at the first sector of this sweep at or
+// after the head — where the arm will be once what it has been given is
+// done — or, when none is ahead, at the lowest, and takes the queued
+// sectors that follow it on the disk, up to runSectors. A sweep serves
+// only what was queued before it began; what is queued meanwhile waits
+// for the next, which begins when this one is drained. So a writer that
+// stays just ahead of the head cannot keep a sector behind it on the
+// card: no sector waits beyond the end of the sweep after the one it was
+// queued in.
+//
+// The run's buffer is the shared pool's (Disk.WriteAt copies out of it)
+// and goes back in retire: a buffer per card, kept at the size of its
+// longest run, is resident memory that every idle card holds on to.
 func (n *NVRAM) takeRun() (start int64, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for len(n.order) == 0 && !n.stopped {
+	for n.now == 0 && n.next == 0 && !n.stopped {
 		n.cond.Wait()
 	}
-	if len(n.order) == 0 {
+	if n.now == 0 && n.next == 0 {
 		return 0, false
 	}
-	start = n.order[0]
-	taken := 1
-	for taken < len(n.order) && n.order[taken] == start+int64(taken) {
-		taken++
+	if n.now == 0 { // the next sweep begins
+		n.now, n.next = n.next, 0
 	}
-	n.run, n.epochs = bufpool.Get(taken*SectorSize), n.epochs[:0]
-	for i, idx := range n.order[:taken] {
-		e := n.dirty[idx]
-		copy((*n.run)[i*SectorSize:], e.slot[:])
-		n.epochs = append(n.epochs, e.epoch)
+	start, ok = n.queue.ceil(n.now, n.disk.headSector())
+	if !ok {
+		start, _ = n.queue.ceil(n.now, 0)
+	}
+	n.epochs = n.epochs[:0]
+	for idx := start; len(n.epochs) < runSectors; idx++ {
+		e, ok := n.dirty[idx]
+		if !ok || !e.queued {
+			break
+		}
 		e.queued = false
 		n.dirty[idx] = e
+		n.epochs = append(n.epochs, e.epoch)
 	}
-	n.order = n.order[:copy(n.order, n.order[taken:])] // one backing array for life
+	end := start + int64(len(n.epochs))
+	n.queue.cut(&n.now, start, end)
+	n.queue.cut(&n.next, start, end)
+	n.run = bufpool.Get(len(n.epochs) * SectorSize)
+	for i := range n.epochs {
+		copy((*n.run)[i*SectorSize:], n.dirty[start+int64(i)].slot[:])
+	}
 	return start, true
 }
 

@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -126,12 +128,14 @@ func TestNVRAMReadIsCardOverDisk(t *testing.T) {
 	// The disk has what the run carried: A, not B.
 	mustRead(t, d, 2*SectorSize, sectors(4, 0xA0), "the disk after the first run")
 
-	if start, count, err := destageOne(t, nv); err != nil || start != 3 || count != 2 {
-		t.Fatalf("second run: start %d, %d sectors, %v; want B's 3..4", start, count, err)
-	}
-	check("B destaged")
+	// The head is past A, at 6: C is the first queued sector at or after
+	// it, and B, behind it, is next.
 	if start, count, err := destageOne(t, nv); err != nil || start != 6 || count != 1 {
-		t.Fatalf("third run: start %d, %d sectors, %v; want C's 6", start, count, err)
+		t.Fatalf("second run: start %d, %d sectors, %v; want C's 6", start, count, err)
+	}
+	check("C destaged")
+	if start, count, err := destageOne(t, nv); err != nil || start != 3 || count != 2 {
+		t.Fatalf("third run: start %d, %d sectors, %v; want B's 3..4", start, count, err)
 	}
 	if n := staged(nv); n != 0 {
 		t.Fatalf("%d sectors staged after every run", n)
@@ -405,7 +409,7 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 				}
 			case 5: // the destager takes a run
 				nv.mu.Lock()
-				queued := len(nv.order) > 0
+				queued := nv.now != 0 || nv.next != 0
 				nv.mu.Unlock()
 				if !runOut && queued {
 					runStart, runOut = nv.takeRun()
@@ -433,6 +437,198 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 			}
 			seen[slot] = true
 		}
+	}
+}
+
+// TestNVRAMDestageOrderAgainstModel: seeded staging, rewrites (of a run
+// on the arm too), plain and held reads, reads of the bare disk that move
+// its head, and a writer that stages at the head, against a byte model
+// and a model of the destage order. The model marks a sector with the
+// sweep under way when it is staged and not queued already; a sweep
+// serves the sectors marked before it began, and the next begins when
+// none of those is left. Each run must start at the first of them at or
+// after the head (else at the lowest) and take the queued sectors that
+// follow it, up to runSectors, with the newest bytes of each. Every read
+// returns the newest write. Then a sector is staged behind the head
+// while a writer keeps staging one just ahead of it before every run:
+// two sweeps take at most twice the sectors queued when it was staged,
+// so it must reach the disk within that many runs. At the end the card's
+// own destager drains it (Flush), and the disk holds every newest write.
+func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
+	const (
+		disk = 8192 // sectors: the disk and the card, so no write waits for room
+		hot  = 512  // sectors the seeded steps touch
+	)
+	for seed := int64(1); seed <= 20; seed++ {
+		c := NewClock(1e5)
+		t.Cleanup(c.Stop)
+		d := NewDisk(c, "d", DiskParams{Capacity: disk * SectorSize, SeekTime: time.Millisecond, TransferRate: 64 << 20})
+		nv := newNVRAM(c, d, disk*SectorSize, 0)
+		rng := rand.New(rand.NewSource(seed))
+		model := make([]byte, disk*SectorSize) // the newest write of each sector
+		onDisk := make([]byte, disk*SectorSize)
+		queued := map[int64]int64{} // sector -> the model's sweep it was queued in
+		sweep := int64(1)
+		runOut, runStart, runLen := false, int64(0), 0
+
+		write := func(s int64, k int) {
+			p := make([]byte, k*SectorSize)
+			rng.Read(p)
+			if err := nv.WriteAt(p, s*SectorSize); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[s*SectorSize:], p)
+			for i := s; i < s+int64(k); i++ {
+				if _, ok := queued[i]; !ok {
+					queued[i] = sweep
+				}
+			}
+		}
+		take := func() {
+			now := func(mark int64) bool { return mark < sweep }
+			if !slices.ContainsFunc(slices.Collect(maps.Values(queued)), now) {
+				sweep++
+			}
+			head := d.headSector()
+			want, lowest := int64(-1), int64(-1)
+			for s, mark := range queued {
+				if !now(mark) {
+					continue
+				}
+				if s >= head && (want < 0 || s < want) {
+					want = s
+				}
+				if lowest < 0 || s < lowest {
+					lowest = s
+				}
+			}
+			if want < 0 {
+				want = lowest
+			}
+			count := 0
+			for ; count < runSectors; count++ {
+				if _, ok := queued[want+int64(count)]; !ok {
+					break
+				}
+				delete(queued, want+int64(count))
+			}
+			start, ok := nv.takeRun()
+			if !ok || start != want || len(*nv.run) != count*SectorSize {
+				t.Fatalf("seed %d, sweep %d, head %d: the run is %d sectors at %d, want %d at %d", seed, sweep, head, len(*nv.run)/SectorSize, start, count, want)
+			}
+			if !bytes.Equal(*nv.run, model[start*SectorSize:][:count*SectorSize]) {
+				t.Fatalf("seed %d: the run at %d does not carry the newest write", seed, start)
+			}
+			runOut, runStart, runLen = true, start, count
+		}
+		land := func() { // the run's disk write, then retire
+			if err := d.WriteAt(*nv.run, runStart*SectorSize); err != nil {
+				t.Fatal(err)
+			}
+			copy(onDisk[runStart*SectorSize:], *nv.run)
+			nv.retire(runStart)
+			runOut = false
+		}
+		span := func() (s int64, k int) {
+			i := rng.Intn(hot)
+			return int64(i), 1 + rng.Intn(min(hot-i, 16))
+		}
+		type heldRead struct {
+			s      int64
+			k      int
+			sc     *nvScratch
+			staged []bool // the sectors the card staged when the read snapshotted
+			want   []byte // the newest write of each sector then
+		}
+		var reads []*heldRead
+		for step := 0; step < 400; step++ {
+			switch rng.Intn(9) {
+			case 0, 1: // a write, or a rewrite of queued sectors
+				write(span())
+			case 2: // a writer stages just ahead of the head
+				if h := d.headSector(); h >= 0 && h < hot {
+					write(h, 1+rng.Intn(min(hot-int(h), 4)))
+				}
+			case 3: // a rewrite of the run on the arm
+				if runOut {
+					i := rng.Intn(runLen)
+					write(runStart+int64(i), 1+rng.Intn(runLen-i))
+				}
+			case 4: // a plain read
+				s, k := span()
+				mustRead(t, nv, s*SectorSize, model[s*SectorSize:(s+int64(k))*SectorSize], "a plain read")
+			case 5: // a read of the bare disk, which moves its head
+				s, k := span()
+				mustRead(t, d, s*SectorSize, onDisk[s*SectorSize:(s+int64(k))*SectorSize], "a read of the disk")
+			case 6: // a read snapshots and holds; an earlier one finishes
+				s, k := span()
+				r := &heldRead{s: s, k: k, staged: make([]bool, k), want: bytes.Clone(model[s*SectorSize : (s+int64(k))*SectorSize])}
+				nv.mu.Lock()
+				for j := range r.staged {
+					_, r.staged[j] = nv.dirty[s+int64(j)]
+				}
+				nv.mu.Unlock()
+				r.sc = nv.snapshot(s, k)
+				reads = append(reads, r)
+				if len(reads) > 3 {
+					r := reads[0]
+					reads = reads[1:]
+					got := make([]byte, r.k*SectorSize)
+					if err := d.ReadAt(got, r.s*SectorSize); err != nil {
+						t.Fatal(err)
+					}
+					nv.apply(got, r.sc)
+					for j := 0; j < r.k; j++ {
+						want := r.want[j*SectorSize : (j+1)*SectorSize]
+						if !r.staged[j] {
+							want = onDisk[(r.s+int64(j))*SectorSize:][:SectorSize]
+						}
+						if !bytes.Equal(got[j*SectorSize:(j+1)*SectorSize], want) {
+							t.Fatalf("seed %d: a held read of sector %d returned bytes nobody staged or destaged there when it read (staged when it snapshotted: %v)", seed, r.s+int64(j), r.staged[j])
+						}
+					}
+				}
+			case 7: // the destager takes a run
+				if !runOut && len(queued) > 0 {
+					take()
+				}
+			case 8: // the run lands and is retired
+				if runOut {
+					land()
+				}
+			}
+		}
+		for _, r := range reads {
+			nv.apply(make([]byte, r.k*SectorSize), r.sc)
+		}
+		if runOut {
+			land()
+		}
+
+		// A sector behind the head, and a writer that stays just ahead of it.
+		mustRead(t, d, hot*SectorSize, onDisk[hot*SectorSize:(hot+1)*SectorSize], "a read that moves the head past the hot sectors")
+		x := int64(rng.Intn(hot))
+		write(x, 1)
+		bound := 2 * len(queued)
+		for runs := 0; ; runs++ {
+			if _, ok := queued[x]; !ok {
+				break
+			}
+			if runs == bound {
+				t.Fatalf("seed %d: sector %d, staged behind the head with %d sectors queued, is still on the card after %d runs of a writer staging ahead of the head", seed, x, bound/2, runs)
+			}
+			write(d.headSector(), 1)
+			take()
+			land()
+		}
+
+		go nv.destager()
+		within(t, c, time.Hour, "Flush", nv.Flush)
+		if n := staged(nv); n != 0 {
+			t.Fatalf("seed %d: Flush returned with %d sectors staged", seed, n)
+		}
+		mustRead(t, d, 0, model, "the disk once the card is drained")
+		nv.Close()
 	}
 }
 
@@ -464,15 +660,25 @@ func TestNVRAMStagingAllocs(t *testing.T) {
 		return l
 	}
 	write() // warm: the map and the queue have grown
-	destageOne(t, nv)
+	for staged(nv) > 0 {
+		destageOne(t, nv)
+	}
 	written := least(write)
 	if written != 0 {
 		t.Errorf("a 64 KB WriteAt on a warm card: %v allocations, want 0", written)
 	}
 	cycle := least(func() {
 		write()
-		if _, count, err := destageOne(t, nv); err != nil || count != len(p)/SectorSize {
-			t.Fatalf("destaged %d sectors, %v", count, err)
+		destaged := 0
+		for staged(nv) > 0 {
+			_, count, err := destageOne(t, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			destaged += count
+		}
+		if destaged != len(p)/SectorSize {
+			t.Fatalf("destaged %d sectors", destaged)
 		}
 	})
 	if cycle != written && !raceBuild() {

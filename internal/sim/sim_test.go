@@ -124,6 +124,42 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskSeekAccounting: Seeks counts the I/Os that moved the arm and
+// their seek time apart from transfer time. The first I/O moves the arm
+// from nowhere; an I/O that starts where the last one ended moves it not
+// at all; a hop within 2 MB is a track-to-track seek (an eighth of the
+// average, at least 1 ms), and a 4 MB hop the full average.
+func TestDiskSeekAccounting(t *testing.T) {
+	c := testClock()
+	defer c.Stop()
+	d := NewDisk(c, "d0", DefaultDiskParams(16<<20))
+	p := make([]byte, 8*SectorSize)
+	seek := DefaultDiskParams(0).SeekTime
+	for _, step := range []struct {
+		what     string
+		io       func(p []byte, off int64) error
+		off      int64
+		seeks    int64
+		seekTime Duration
+	}{
+		{"the first write", d.WriteAt, 0, 1, seek / 8},
+		{"a sequential write", d.WriteAt, int64(len(p)), 1, seek / 8},
+		{"a sequential read", d.ReadAt, 2 * int64(len(p)), 1, seek / 8},
+		{"a 4 MB hop", d.ReadAt, 2*int64(len(p)) + 4<<20, 2, seek/8 + seek},
+		{"a short hop back", d.WriteAt, 3 << 20, 3, seek/8 + seek + seek/8},
+	} {
+		if err := step.io(p, step.off); err != nil {
+			t.Fatal(err)
+		}
+		if seeks, seekTime := d.Seeks(); seeks != step.seeks || seekTime != step.seekTime {
+			t.Fatalf("after %s: %d seeks, %v seeking; want %d, %v", step.what, seeks, seekTime, step.seeks, step.seekTime)
+		}
+	}
+	if reads, writes, _, _ := d.Stats(); reads != 2 || writes != 3 {
+		t.Fatalf("Stats: %d reads, %d writes; want 2 and 3", reads, writes)
+	}
+}
+
 func TestDiskBounds(t *testing.T) {
 	c := testClock()
 	d := NewDisk(c, "d0", DefaultDiskParams(4*SectorSize))
