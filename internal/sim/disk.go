@@ -114,14 +114,6 @@ func (d *Disk) serviceTime(s int64, n int) Duration {
 	return cost
 }
 
-// headSector returns the sector the arm is over once every I/O issued
-// to it is done: serviceTime moves it when an I/O is issued.
-func (d *Disk) headSector() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.head
-}
-
 func (d *Disk) checkRange(off int64, n int) error {
 	if off < 0 || n < 0 || off+int64(n) > d.params.Capacity {
 		return fmt.Errorf("%w: off=%d len=%d cap=%d", ErrDiskBounds, off, n, d.params.Capacity)

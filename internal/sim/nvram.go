@@ -23,7 +23,7 @@ type BlockDev interface {
 type nvEntry struct {
 	slot   *nvSlot
 	epoch  int64
-	queued bool // in one of the destage queues; false while its run is on the arm
+	queued bool // in order; false while its run is on the arm
 }
 
 // nvSlot holds one staged sector's bytes. Its one owner is the entry
@@ -44,19 +44,24 @@ type nvScratch struct {
 const slabSlots = 128
 
 // runSectors caps a destage run: 32 KB, one part of a Petal write. A
-// read that arrives while a run is on the arm waits for all of it
-// (EXPERIMENTS.md, "Destage in head order").
+// read that arrives while a run is on the arm waits for all of it; the
+// cap halves that wait against a 64 KB run, and it, not the order of
+// the runs, is what raised stream reads (EXPERIMENTS.md, "Destage in
+// head order").
 const runSectors = 64
 
 // NVRAM is a battery-backed write buffer placed in front of a disk,
-// modelling the paper's PrestoServe cards (8 MB). Writes complete as
-// soon as they are staged in NVRAM; a background thread destages them
-// to the disk in runs of up to 32 KB, in the disk's head order, each
-// sweep serving what was queued before it began (takeRun). Reads see
-// the union of NVRAM and disk contents, the newest staged write
-// winning. The paper treats NVRAM failure as
-// equivalent to failure of the Petal server it fronts, and so do we:
-// there is no separate NVRAM fault mode.
+// modelling the paper's PrestoServe cards (8 MB). Its one job is to
+// absorb synchronous write latency: writes complete as soon as they are
+// staged in NVRAM, and a background thread destages them to the disk
+// in arrival order, in runs of up to 32 KB (takeRun). It does not
+// schedule the arm: a destage in the disk's head order seeked less but
+// measured no better end to end than arrival order with the same cap
+// (EXPERIMENTS.md, "Destage in head order", its "FIFO + cap" rows).
+// Reads see the union of NVRAM and disk contents, the newest staged
+// write winning. The paper treats NVRAM failure as equivalent to
+// failure of the Petal server it fronts, and so do we: there is no
+// separate NVRAM fault mode.
 //
 // The card is the simulator's, not the file system's: on the host it
 // costs a write one copy of its payload into slots from the card's free
@@ -76,16 +81,11 @@ type NVRAM struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	dirty   map[int64]nvEntry // sector index -> staged data
+	order   []int64           // the queued sectors, in the order they were queued
 	epoch   int64
 	stopped bool
 	free    reuse.List[*nvSlot]    // slots no entry stages
 	scratch reuse.List[*nvScratch] // of reads that are done
-
-	// The queued sectors in sector order, in two sets: those of the sweep
-	// under way, queued before it began, and those of the next (takeRun).
-	// A rewrite of a queued sector leaves it in its set.
-	queue     sectorTree
-	now, next int32 // their roots in queue, 0 when empty
 
 	run    *[]byte // the destager's: the run on its way to the disk, from bufpool
 	epochs []int64 // and the epoch of each of its sectors
@@ -146,37 +146,20 @@ func (n *NVRAM) stage(p []byte, off int64) {
 		n.cond.Wait()
 	}
 	n.epoch++
-	fresh := int64(-1) // where the sectors before idx that this write queues begin; -1: none
 	for i := 0; i < count; i++ {
 		idx := s + int64(i)
 		e, ok := n.dirty[idx]
 		if !ok {
 			e.slot = n.slot()
 		}
-		if !e.queued {
-			e.queued = true
-			if fresh < 0 {
-				fresh = idx
-			}
-		} else {
-			n.enqueue(fresh, idx)
-			fresh = -1
+		if !e.queued { // new, or re-dirtied while its run is on the arm
+			n.order = append(n.order, idx)
 		}
 		copy(e.slot[:], p[i*SectorSize:])
-		e.epoch = n.epoch
-		n.dirty[idx] = e
+		n.dirty[idx] = nvEntry{slot: e.slot, epoch: n.epoch, queued: true}
 	}
-	n.enqueue(fresh, s+int64(count))
 	n.cond.Broadcast()
 	n.mu.Unlock()
-}
-
-// enqueue queues the sectors [from, to) for the next sweep; from < 0
-// queues none.
-func (n *NVRAM) enqueue(from, to int64) {
-	if from >= 0 {
-		n.queue.addRange(&n.next, from, to)
-	}
 }
 
 // slot takes a slot from the free list, making a slab of them if it is
@@ -266,20 +249,14 @@ func (n *NVRAM) destager() {
 	}
 }
 
-// takeRun waits for a queued sector and gathers a run into n.run, the
-// epochs its sectors were staged at into n.epochs, and returns the run's
-// first sector; ok is false once the card is stopped and drained.
-//
-// The run is in the disk's head order (C-LOOK, the one-way elevator of
-// BSD's disksort): it starts at the first sector of this sweep at or
-// after the head — where the arm will be once what it has been given is
-// done — or, when none is ahead, at the lowest, and takes the queued
-// sectors that follow it on the disk, up to runSectors. A sweep serves
-// only what was queued before it began; what is queued meanwhile waits
-// for the next, which begins when this one is drained. So a writer that
-// stays just ahead of the head cannot keep a sector behind it on the
-// card: no sector waits beyond the end of the sweep after the one it was
-// queued in.
+// takeRun waits for a queued sector and gathers the run that starts at
+// the oldest one into n.run, the epochs its sectors were staged at into
+// n.epochs, and returns the run's first sector; ok is false once the
+// card is stopped and drained. The run takes the sectors queued right
+// after the oldest for as long as they follow it on the disk, up to
+// runSectors. A rewrite of a queued sector keeps its place, so a sector
+// waits for at most one run per sector queued ahead of it, whatever is
+// staged meanwhile.
 //
 // The run's buffer is the shared pool's (Disk.WriteAt copies out of it)
 // and goes back in retire: a buffer per card, kept at the size of its
@@ -287,36 +264,26 @@ func (n *NVRAM) destager() {
 func (n *NVRAM) takeRun() (start int64, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for n.now == 0 && n.next == 0 && !n.stopped {
+	for len(n.order) == 0 && !n.stopped {
 		n.cond.Wait()
 	}
-	if n.now == 0 && n.next == 0 {
+	if len(n.order) == 0 {
 		return 0, false
 	}
-	if n.now == 0 { // the next sweep begins
-		n.now, n.next = n.next, 0
+	start = n.order[0]
+	taken := 1
+	for taken < min(len(n.order), runSectors) && n.order[taken] == start+int64(taken) {
+		taken++
 	}
-	start, ok = n.queue.ceil(n.now, n.disk.headSector())
-	if !ok {
-		start, _ = n.queue.ceil(n.now, 0)
-	}
-	n.epochs = n.epochs[:0]
-	for idx := start; len(n.epochs) < runSectors; idx++ {
-		e, ok := n.dirty[idx]
-		if !ok || !e.queued {
-			break
-		}
+	n.run, n.epochs = bufpool.Get(taken*SectorSize), n.epochs[:0]
+	for i, idx := range n.order[:taken] {
+		e := n.dirty[idx]
+		copy((*n.run)[i*SectorSize:], e.slot[:])
+		n.epochs = append(n.epochs, e.epoch)
 		e.queued = false
 		n.dirty[idx] = e
-		n.epochs = append(n.epochs, e.epoch)
 	}
-	end := start + int64(len(n.epochs))
-	n.queue.cut(&n.now, start, end)
-	n.queue.cut(&n.next, start, end)
-	n.run = bufpool.Get(len(n.epochs) * SectorSize)
-	for i := range n.epochs {
-		copy((*n.run)[i*SectorSize:], n.dirty[start+int64(i)].slot[:])
-	}
+	n.order = n.order[:copy(n.order, n.order[taken:])] // one backing array for life
 	return start, true
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -128,14 +127,12 @@ func TestNVRAMReadIsCardOverDisk(t *testing.T) {
 	// The disk has what the run carried: A, not B.
 	mustRead(t, d, 2*SectorSize, sectors(4, 0xA0), "the disk after the first run")
 
-	// The head is past A, at 6: C is the first queued sector at or after
-	// it, and B, behind it, is next.
-	if start, count, err := destageOne(t, nv); err != nil || start != 6 || count != 1 {
-		t.Fatalf("second run: start %d, %d sectors, %v; want C's 6", start, count, err)
-	}
-	check("C destaged")
 	if start, count, err := destageOne(t, nv); err != nil || start != 3 || count != 2 {
-		t.Fatalf("third run: start %d, %d sectors, %v; want B's 3..4", start, count, err)
+		t.Fatalf("second run: start %d, %d sectors, %v; want B's 3..4", start, count, err)
+	}
+	check("B destaged")
+	if start, count, err := destageOne(t, nv); err != nil || start != 6 || count != 1 {
+		t.Fatalf("third run: start %d, %d sectors, %v; want C's 6", start, count, err)
 	}
 	if n := staged(nv); n != 0 {
 		t.Fatalf("%d sectors staged after every run", n)
@@ -409,7 +406,7 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 				}
 			case 5: // the destager takes a run
 				nv.mu.Lock()
-				queued := nv.now != 0 || nv.next != 0
+				queued := len(nv.order) > 0
 				nv.mu.Unlock()
 				if !runOut && queued {
 					runStart, runOut = nv.takeRun()
@@ -440,20 +437,24 @@ func TestNVRAMHeldReadsAgainstModel(t *testing.T) {
 	}
 }
 
-// TestNVRAMDestageOrderAgainstModel: seeded staging, rewrites (of a run
-// on the arm too), plain and held reads, reads of the bare disk that move
-// its head, and a writer that stages at the head, against a byte model
-// and a model of the destage order. The model marks a sector with the
-// sweep under way when it is staged and not queued already; a sweep
-// serves the sectors marked before it began, and the next begins when
-// none of those is left. Each run must start at the first of them at or
-// after the head (else at the lowest) and take the queued sectors that
-// follow it, up to runSectors, with the newest bytes of each. Every read
-// returns the newest write. Then a sector is staged behind the head
-// while a writer keeps staging one just ahead of it before every run:
-// two sweeps take at most twice the sectors queued when it was staged,
-// so it must reach the disk within that many runs. At the end the card's
-// own destager drains it (Flush), and the disk holds every newest write.
+// TestNVRAMDestageOrderAgainstModel: seeded staging (short writes,
+// rewrites of queued sectors, streams longer than a run, rewrites of the
+// run on the arm), plain and held reads and reads of the bare disk,
+// against a byte model and a model of the destage order: the queued
+// sectors, oldest first. A write queues each of its sectors that is not
+// queued already at the tail; a rewrite of a queued sector leaves it
+// where it is; a sector rewritten while its run is on the arm is queued
+// again. Each run must start at the oldest queued sector and take the
+// sectors queued right after it for as long as they follow it on the
+// disk, up to runSectors, with the newest bytes of each; some run must
+// reach the cap. Every read returns the newest write, a read of a run
+// just retired too (a sector rewritten while the run was on the arm
+// stays staged). Then a sector is staged while a writer keeps staging
+// before every run, rewriting it and queueing new sectors: each run
+// takes the oldest queued sector, so it must reach the disk within one
+// run more than there were sectors queued ahead of it. At the end the
+// card's own destager drains it (Flush), and the disk holds every
+// newest write.
 func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 	const (
 		disk = 8192 // sectors: the disk and the card, so no write waits for room
@@ -467,9 +468,8 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		model := make([]byte, disk*SectorSize) // the newest write of each sector
 		onDisk := make([]byte, disk*SectorSize)
-		queued := map[int64]int64{} // sector -> the model's sweep it was queued in
-		sweep := int64(1)
-		runOut, runStart, runLen := false, int64(0), 0
+		var queue []int64 // the model's queued sectors, oldest first
+		runOut, runStart, runLen, longest := false, int64(0), 0, 0
 
 		write := func(s int64, k int) {
 			p := make([]byte, k*SectorSize)
@@ -479,47 +479,25 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 			}
 			copy(model[s*SectorSize:], p)
 			for i := s; i < s+int64(k); i++ {
-				if _, ok := queued[i]; !ok {
-					queued[i] = sweep
+				if !slices.Contains(queue, i) {
+					queue = append(queue, i)
 				}
 			}
 		}
 		take := func() {
-			now := func(mark int64) bool { return mark < sweep }
-			if !slices.ContainsFunc(slices.Collect(maps.Values(queued)), now) {
-				sweep++
-			}
-			head := d.headSector()
-			want, lowest := int64(-1), int64(-1)
-			for s, mark := range queued {
-				if !now(mark) {
-					continue
-				}
-				if s >= head && (want < 0 || s < want) {
-					want = s
-				}
-				if lowest < 0 || s < lowest {
-					lowest = s
-				}
-			}
-			if want < 0 {
-				want = lowest
-			}
-			count := 0
-			for ; count < runSectors; count++ {
-				if _, ok := queued[want+int64(count)]; !ok {
-					break
-				}
-				delete(queued, want+int64(count))
+			want, count := queue[0], 1
+			for count < min(len(queue), runSectors) && queue[count] == want+int64(count) {
+				count++
 			}
 			start, ok := nv.takeRun()
 			if !ok || start != want || len(*nv.run) != count*SectorSize {
-				t.Fatalf("seed %d, sweep %d, head %d: the run is %d sectors at %d, want %d at %d", seed, sweep, head, len(*nv.run)/SectorSize, start, count, want)
+				t.Fatalf("seed %d: the run is %d sectors at %d, want %d at %d", seed, len(*nv.run)/SectorSize, start, count, want)
 			}
 			if !bytes.Equal(*nv.run, model[start*SectorSize:][:count*SectorSize]) {
 				t.Fatalf("seed %d: the run at %d does not carry the newest write", seed, start)
 			}
-			runOut, runStart, runLen = true, start, count
+			queue = queue[count:]
+			runOut, runStart, runLen, longest = true, start, count, max(longest, count)
 		}
 		land := func() { // the run's disk write, then retire
 			if err := d.WriteAt(*nv.run, runStart*SectorSize); err != nil {
@@ -528,6 +506,7 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 			copy(onDisk[runStart*SectorSize:], *nv.run)
 			nv.retire(runStart)
 			runOut = false
+			mustRead(t, nv, runStart*SectorSize, model[runStart*SectorSize:][:runLen*SectorSize], "a read of a run just retired")
 		}
 		span := func() (s int64, k int) {
 			i := rng.Intn(hot)
@@ -545,10 +524,8 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 			switch rng.Intn(9) {
 			case 0, 1: // a write, or a rewrite of queued sectors
 				write(span())
-			case 2: // a writer stages just ahead of the head
-				if h := d.headSector(); h >= 0 && h < hot {
-					write(h, 1+rng.Intn(min(hot-int(h), 4)))
-				}
+			case 2: // a stream longer than a run
+				write(int64(rng.Intn(hot-3*runSectors)), runSectors+1+rng.Intn(2*runSectors))
 			case 3: // a rewrite of the run on the arm
 				if runOut {
 					i := rng.Intn(runLen)
@@ -557,7 +534,7 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 			case 4: // a plain read
 				s, k := span()
 				mustRead(t, nv, s*SectorSize, model[s*SectorSize:(s+int64(k))*SectorSize], "a plain read")
-			case 5: // a read of the bare disk, which moves its head
+			case 5: // a read of the bare disk
 				s, k := span()
 				mustRead(t, d, s*SectorSize, onDisk[s*SectorSize:(s+int64(k))*SectorSize], "a read of the disk")
 			case 6: // a read snapshots and holds; an earlier one finishes
@@ -589,7 +566,7 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 					}
 				}
 			case 7: // the destager takes a run
-				if !runOut && len(queued) > 0 {
+				if !runOut && len(queue) > 0 {
 					take()
 				}
 			case 8: // the run lands and is retired
@@ -604,22 +581,30 @@ func TestNVRAMDestageOrderAgainstModel(t *testing.T) {
 		if runOut {
 			land()
 		}
+		if longest != runSectors {
+			t.Fatalf("seed %d: the longest run was %d sectors; the steps never reached the cap", seed, longest)
+		}
 
-		// A sector behind the head, and a writer that stays just ahead of it.
-		mustRead(t, d, hot*SectorSize, onDisk[hot*SectorSize:(hot+1)*SectorSize], "a read that moves the head past the hot sectors")
+		// A sector, and a writer that rewrites it and queues a new sector
+		// past the hot ones before every run.
 		x := int64(rng.Intn(hot))
+		ahead := slices.Index(queue, x)
+		if ahead < 0 {
+			ahead = len(queue)
+		}
 		write(x, 1)
-		bound := 2 * len(queued)
-		for runs := 0; ; runs++ {
-			if _, ok := queued[x]; !ok {
-				break
+		for runs, next := 0, int64(hot); ; runs++ {
+			if runs > ahead {
+				t.Fatalf("seed %d: sector %d, staged with %d sectors queued ahead of it, is not on the disk after %d runs of a writer staging before each", seed, x, ahead, runs)
 			}
-			if runs == bound {
-				t.Fatalf("seed %d: sector %d, staged behind the head with %d sectors queued, is still on the card after %d runs of a writer staging ahead of the head", seed, x, bound/2, runs)
-			}
-			write(d.headSector(), 1)
+			write(x, 1)
+			write(next, 1)
+			next++
 			take()
 			land()
+			if x >= runStart && x < runStart+int64(runLen) {
+				break
+			}
 		}
 
 		go nv.destager()
