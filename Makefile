@@ -52,7 +52,9 @@ race:
 ## (nothing), a replicated 64 KB WriteV (a
 ## write-behind flight: two parts, nothing) and a ReadV round trip (client
 ## and servers: one object a reply), halved and lone, a 16 KB WriteV someone waits for, in two
-## parts (partedWriteVAllocs: nothing), an RPC's time-out, a network Send of
+## parts (partedWriteVAllocs: nothing), the wire codec's encoding of a
+## 16 x 64 KB WriteVReq and ReadVResp (nothing) and their decoding (4 and 3,
+## TestCodecEncodeAllocs), an RPC's time-out, a network Send of
 ## a boxed payload (nothing), a sticky lock's Lock/TryLock and Unlock, a
 ## lock handoff on a bare world (a bound: one object a message, four), a
 ## lease check, a flight-recorder record (an event or a finished span:

@@ -89,19 +89,8 @@ var clusterMethods = map[string]string{
 // names the file that makes the interface call, and a String method
 // that only fmt calls the test that formats its type.
 var exported = map[string]string{
-	"rpc.AppendBool":               "internal/petal/wirecodec.go",
 	"rpc.AppendMessage":            "TestCodecGoldenRequests",
 	"rpc.AppendMessageHeader":      "internal/rpc/tcp.go",
-	"rpc.AppendString":             "internal/petal/wirecodec.go, internal/lockservice/wirecodec.go",
-	"rpc.Cursor.Bool":              "internal/petal/wirecodec.go",
-	"rpc.Cursor.Byte":              "internal/lockservice/wirecodec.go",
-	"rpc.Cursor.Count":             "internal/petal/wirecodec.go",
-	"rpc.Cursor.Done":              "internal/petal/wirecodec.go",
-	"rpc.Cursor.Len":               "internal/rpc/codec.go",
-	"rpc.Cursor.String":            "internal/petal/wirecodec.go",
-	"rpc.Cursor.Take":              "internal/petal/wirecodec.go",
-	"rpc.Cursor.Uvarint":           "internal/petal/wirecodec.go",
-	"rpc.Cursor.Varint":            "internal/lockservice/wirecodec.go",
 	"rpc.DecodeMessage":            "internal/rpc/tcp.go",
 	"rpc.Endpoint.Call":            "internal/lockservice/clerk.go, benchmark/drives.go",
 	"rpc.Endpoint.Cast":            "internal/lockservice/clerk.go",
@@ -112,9 +101,8 @@ var exported = map[string]string{
 	"rpc.RecvBuf.Hold":             "internal/petal/server.go",
 	"rpc.NewTCPCarrier":            "benchmark/drives.go",
 	"rpc.Pending.Wait":             "internal/petal/client.go",
-	"rpc.RecvBuf.Release":          "internal/petal/wirecodec.go",
-	"rpc.RegisterType":             "internal/paxos/paxos.go",
-	"rpc.RegisterWireDecoder":      "internal/petal/wirecodec.go",
+	"rpc.RecvBuf.Release":          "internal/petal/wire.go",
+	"rpc.Register":                 "internal/paxos/paxos.go",
 	"rpc.Release":                  "internal/petal/server.go, benchmark/drives.go",
 	"rpc.SimCarrier.Register":      "internal/rpc/rpc.go",
 	"rpc.SimCarrier.Send":          "internal/rpc/rpc.go",
@@ -236,61 +224,51 @@ var exported = map[string]string{
 	"cache.Pool.UnpinBehind":       "internal/fs/file.go",
 	"cache.Pool.Usage":             "internal/fs/fs.go",
 
-	"petal.Client.Close":                  "cluster.go, benchmark/drives.go",
-	"petal.Client.CreateVDisk":            "cluster.go, benchmark/drives.go",
-	"petal.Client.Decommit":               "internal/fs/file.go",
-	"petal.Client.DeleteVDisk":            "TestVDiskErrors",
-	"petal.Client.For":                    "internal/fs/file.go",
-	"petal.Client.ListChunks":             "internal/fs/backup.go",
-	"petal.Client.Overlapped":             "internal/fs/fs.go",
-	"petal.Client.Read":                   "internal/fs/backup.go, cmd/frangick/main.go",
-	"petal.Client.ReadV":                  "internal/fs/fs.go, benchmark/drives.go",
-	"petal.Client.SetLeaseInfo":           "internal/fs/fs.go",
-	"petal.Client.SetReadBalance":         "cluster.go, internal/bench/readpath.go",
-	"petal.Client.Snapshot":               "cluster.go",
-	"petal.Client.State":                  "internal/bench/readpath.go",
-	"petal.Client.Stats":                  "internal/fs/fs.go",
-	"petal.Client.Write":                  "internal/fs/backup.go, cmd/frangick/main.go",
-	"petal.Client.WriteV":                 "internal/fs/fs.go, benchmark/drives.go",
-	"petal.ClientAddr":                    "benchmark/layers.go",
-	"petal.DataAddr":                      "internal/petal/client.go, benchmark/layers.go",
-	"petal.DefaultServerConfig":           "cluster.go, benchmark/drives.go",
-	"petal.GlobalState.Apply":             "internal/petal/server.go",
-	"petal.GlobalState.Clone":             "internal/petal/server.go",
-	"petal.GlobalState.Replicas":          "internal/petal/plan.go, internal/bench/readpath.go",
-	"petal.NewClient":                     "cluster.go, benchmark/drives.go",
-	"petal.NewClientWithCarrier":          "internal/petal/client.go",
-	"petal.NewGlobalState":                "internal/petal/server.go",
-	"petal.NewServer":                     "cluster.go, benchmark/drives.go",
-	"petal.NewServerWithCarrier":          "internal/petal/server.go",
-	"petal.PushChunkReq.WireSize":         "internal/rpc/rpc.go",
-	"petal.ReadVReq.AppendWireHeader":     "internal/rpc/codec.go",
-	"petal.ReadVReq.AppendWirePayloads":   "internal/rpc/codec.go",
-	"petal.ReadVReq.WireTag":              "internal/rpc/codec.go",
-	"petal.ReadVResp.AppendWireHeader":    "internal/rpc/codec.go",
-	"petal.ReadVResp.AppendWirePayloads":  "internal/rpc/codec.go",
-	"petal.ReadVResp.ReleaseWire":         "internal/rpc/codec.go",
-	"petal.ReadVResp.WireSize":            "internal/rpc/rpc.go",
-	"petal.ReadVResp.WireTag":             "internal/rpc/codec.go",
-	"petal.Server.Close":                  "cluster.go, benchmark/drives.go",
-	"petal.Server.CommittedBytes":         "TestSparseCommitAccounting, TestDecommitFreesSpace",
-	"petal.Server.Crash":                  "examples/failover/main.go",
-	"petal.Server.DebugReadChunk":         "TestPartedWriteFailsOver",
-	"petal.Server.Disks":                  "benchmark/layers.go",
-	"petal.Server.MissedBacklog":          "cluster.go",
-	"petal.Server.Name":                   "cluster.go",
-	"petal.Server.Restart":                "examples/failover/main.go",
-	"petal.Server.State":                  "TestSplitReadCorruptHalf",
-	"petal.WriteVReq.AppendWireHeader":    "internal/rpc/codec.go",
-	"petal.WriteVReq.AppendWirePayloads":  "internal/rpc/codec.go",
-	"petal.WriteVReq.ReleaseWire":         "internal/rpc/codec.go",
-	"petal.WriteVReq.WireSize":            "internal/rpc/rpc.go",
-	"petal.WriteVReq.WireTag":             "internal/rpc/codec.go",
-	"petal.WriteVResp.AppendWireHeader":   "internal/rpc/codec.go",
-	"petal.WriteVResp.AppendWirePayloads": "internal/rpc/codec.go",
-	"petal.WriteVResp.WireTag":            "internal/rpc/codec.go",
-	"petal.Workers.Go":                    "internal/fs/fs.go, internal/fs/file.go",
-	"petal.Workers.Run":                   "internal/fs/fs.go",
+	"petal.Client.Close":          "cluster.go, benchmark/drives.go",
+	"petal.Client.CreateVDisk":    "cluster.go, benchmark/drives.go",
+	"petal.Client.Decommit":       "internal/fs/file.go",
+	"petal.Client.DeleteVDisk":    "TestVDiskErrors",
+	"petal.Client.For":            "internal/fs/file.go",
+	"petal.Client.ListChunks":     "internal/fs/backup.go",
+	"petal.Client.Overlapped":     "internal/fs/fs.go",
+	"petal.Client.Read":           "internal/fs/backup.go, cmd/frangick/main.go",
+	"petal.Client.ReadV":          "internal/fs/fs.go, benchmark/drives.go",
+	"petal.Client.SetLeaseInfo":   "internal/fs/fs.go",
+	"petal.Client.SetReadBalance": "cluster.go, internal/bench/readpath.go",
+	"petal.Client.Snapshot":       "cluster.go",
+	"petal.Client.State":          "internal/bench/readpath.go",
+	"petal.Client.Stats":          "internal/fs/fs.go",
+	"petal.Client.Write":          "internal/fs/backup.go, cmd/frangick/main.go",
+	"petal.Client.WriteV":         "internal/fs/fs.go, benchmark/drives.go",
+	"petal.ClientAddr":            "benchmark/layers.go",
+	"petal.DataAddr":              "internal/petal/client.go, benchmark/layers.go",
+	"petal.DefaultServerConfig":   "cluster.go, benchmark/drives.go",
+	"petal.GlobalState.Apply":     "internal/petal/server.go",
+	"petal.GlobalState.Clone":     "internal/petal/server.go",
+	"petal.GlobalState.Replicas":  "internal/petal/plan.go, internal/bench/readpath.go",
+	"petal.NewClient":             "cluster.go, benchmark/drives.go",
+	"petal.NewClientWithCarrier":  "internal/petal/client.go",
+	"petal.NewGlobalState":        "internal/petal/server.go",
+	"petal.NewServer":             "cluster.go, benchmark/drives.go",
+	"petal.NewServerWithCarrier":  "internal/petal/server.go",
+	"petal.PushChunkReq.WireSize": "internal/rpc/rpc.go",
+	"petal.ReadVResp.HoldWire":    "internal/rpc/codec.go",
+	"petal.ReadVResp.ReleaseWire": "internal/rpc/codec.go",
+	"petal.ReadVResp.WireSize":    "internal/rpc/rpc.go",
+	"petal.Server.Close":          "cluster.go, benchmark/drives.go",
+	"petal.Server.CommittedBytes": "TestSparseCommitAccounting, TestDecommitFreesSpace",
+	"petal.Server.Crash":          "examples/failover/main.go",
+	"petal.Server.DebugReadChunk": "TestPartedWriteFailsOver",
+	"petal.Server.Disks":          "benchmark/layers.go",
+	"petal.Server.MissedBacklog":  "cluster.go",
+	"petal.Server.Name":           "cluster.go",
+	"petal.Server.Restart":        "examples/failover/main.go",
+	"petal.Server.State":          "TestSplitReadCorruptHalf",
+	"petal.WriteVReq.HoldWire":    "internal/rpc/codec.go",
+	"petal.WriteVReq.ReleaseWire": "internal/rpc/codec.go",
+	"petal.WriteVReq.WireSize":    "internal/rpc/rpc.go",
+	"petal.Workers.Go":            "internal/fs/fs.go, internal/fs/file.go",
+	"petal.Workers.Run":           "internal/fs/fs.go",
 
 	"paxos.Detector.Alive":       "internal/lockservice/server.go, internal/petal/server.go",
 	"paxos.Detector.AliveCount":  "internal/paxos/detector.go",
@@ -325,54 +303,45 @@ var exported = map[string]string{
 	"wal.ScanTenancy":     "internal/fs/fs.go",
 	"wal.SetBlockVersion": "internal/fs/fs.go",
 
-	"lockservice.AcquireBatch.AppendWireHeader":   "internal/rpc/codec.go",
-	"lockservice.AcquireBatch.AppendWirePayloads": "internal/rpc/codec.go",
-	"lockservice.AcquireBatch.WireSize":           "internal/rpc/rpc.go",
-	"lockservice.AcquireBatch.WireTag":            "internal/rpc/codec.go",
-	"lockservice.Addr":                            "benchmark/layers.go",
-	"lockservice.Clerk.Abandon":                   "internal/fs/fs.go",
-	"lockservice.Clerk.Close":                     "internal/fs/fs.go",
-	"lockservice.Clerk.ExpiresAt":                 "internal/fs/fs.go",
-	"lockservice.Clerk.Held":                      "internal/fs/file.go",
-	"lockservice.Clerk.HeldCount":                 "TestIdleLocksDiscarded",
-	"lockservice.Clerk.InjectStaleShardMap":       "internal/bench/lockscale.go",
-	"lockservice.Clerk.LeaseLost":                 "internal/fs/fs.go",
-	"lockservice.Clerk.LeaseID":                   "internal/fs/fs.go",
-	"lockservice.Clerk.LeaseValid":                "internal/fs/fs.go",
-	"lockservice.Clerk.Lock":                      "internal/fs/fs.go, benchmark/drives.go",
-	"lockservice.Clerk.LogSlot":                   "internal/fs/fs.go",
-	"lockservice.Clerk.MemoryBytes":               "TestClerkMemoryAccounting, TestIdleLocksDiscarded",
-	"lockservice.Clerk.Open":                      "internal/fs/fs.go",
-	"lockservice.Clerk.SetCallbacks":              "internal/fs/fs.go, benchmark/drives.go",
-	"lockservice.Clerk.SetRecover":                "internal/fs/fs.go",
-	"lockservice.Clerk.TryLock":                   "internal/fs/fs.go",
-	"lockservice.Clerk.Unlock":                    "internal/fs/fs.go",
-	"lockservice.ClerkAddr":                       "benchmark/layers.go",
-	"lockservice.DefaultConfig":                   "internal/fs/fs.go, benchmark/drives.go",
-	"lockservice.GState.Apply":                    "internal/lockservice/server.go",
-	"lockservice.GState.Clone":                    "internal/lockservice/server.go",
-	"lockservice.GState.ServerFor":                "internal/lockservice/clerk.go",
-	"lockservice.GState.ShardOf":                  "internal/lockservice/clerk.go",
-	"lockservice.Mode.String":                     "TestExploreTwoClerks: its traces print modes through fmt",
-	"lockservice.NewClerk":                        "internal/bench/lockscale.go, benchmark/drives.go",
-	"lockservice.NewClerkWithCarrier":             "internal/fs/fs.go",
-	"lockservice.NewGState":                       "internal/lockservice/server.go",
-	"lockservice.NewServer":                       "cluster.go, benchmark/drives.go",
-	"lockservice.NewServerWithCarrier":            "internal/lockservice/server.go",
-	"lockservice.ReleaseBatch.AppendWireHeader":   "internal/rpc/codec.go",
-	"lockservice.ReleaseBatch.AppendWirePayloads": "internal/rpc/codec.go",
-	"lockservice.ReleaseBatch.WireSize":           "internal/rpc/rpc.go",
-	"lockservice.ReleaseBatch.WireTag":            "internal/rpc/codec.go",
-	"lockservice.Server.Close":                    "cluster.go",
-	"lockservice.Server.Crash":                    "internal/bench/lockscale.go",
-	"lockservice.Server.Restart":                  "internal/bench/lockscale.go",
-	"lockservice.Server.State":                    "internal/bench/lockscale.go",
-	"lockservice.Server.Stats":                    "TestClerkMemoryAccounting",
-	"lockservice.ShardOf":                         "cluster.go",
-	"lockservice.WrongShard.AppendWireHeader":     "internal/rpc/codec.go",
-	"lockservice.WrongShard.AppendWirePayloads":   "internal/rpc/codec.go",
-	"lockservice.WrongShard.WireSize":             "internal/rpc/rpc.go",
-	"lockservice.WrongShard.WireTag":              "internal/rpc/codec.go",
+	"lockservice.AcquireBatch.WireSize":     "internal/rpc/rpc.go",
+	"lockservice.Addr":                      "benchmark/layers.go",
+	"lockservice.Clerk.Abandon":             "internal/fs/fs.go",
+	"lockservice.Clerk.Close":               "internal/fs/fs.go",
+	"lockservice.Clerk.ExpiresAt":           "internal/fs/fs.go",
+	"lockservice.Clerk.Held":                "internal/fs/file.go",
+	"lockservice.Clerk.HeldCount":           "TestIdleLocksDiscarded",
+	"lockservice.Clerk.InjectStaleShardMap": "internal/bench/lockscale.go",
+	"lockservice.Clerk.LeaseLost":           "internal/fs/fs.go",
+	"lockservice.Clerk.LeaseID":             "internal/fs/fs.go",
+	"lockservice.Clerk.LeaseValid":          "internal/fs/fs.go",
+	"lockservice.Clerk.Lock":                "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.LogSlot":             "internal/fs/fs.go",
+	"lockservice.Clerk.MemoryBytes":         "TestClerkMemoryAccounting, TestIdleLocksDiscarded",
+	"lockservice.Clerk.Open":                "internal/fs/fs.go",
+	"lockservice.Clerk.SetCallbacks":        "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.SetRecover":          "internal/fs/fs.go",
+	"lockservice.Clerk.TryLock":             "internal/fs/fs.go",
+	"lockservice.Clerk.Unlock":              "internal/fs/fs.go",
+	"lockservice.ClerkAddr":                 "benchmark/layers.go",
+	"lockservice.DefaultConfig":             "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.GState.Apply":              "internal/lockservice/server.go",
+	"lockservice.GState.Clone":              "internal/lockservice/server.go",
+	"lockservice.GState.ServerFor":          "internal/lockservice/clerk.go",
+	"lockservice.GState.ShardOf":            "internal/lockservice/clerk.go",
+	"lockservice.Mode.String":               "TestExploreTwoClerks: its traces print modes through fmt",
+	"lockservice.NewClerk":                  "internal/bench/lockscale.go, benchmark/drives.go",
+	"lockservice.NewClerkWithCarrier":       "internal/fs/fs.go",
+	"lockservice.NewGState":                 "internal/lockservice/server.go",
+	"lockservice.NewServer":                 "cluster.go, benchmark/drives.go",
+	"lockservice.NewServerWithCarrier":      "internal/lockservice/server.go",
+	"lockservice.ReleaseBatch.WireSize":     "internal/rpc/rpc.go",
+	"lockservice.Server.Close":              "cluster.go",
+	"lockservice.Server.Crash":              "internal/bench/lockscale.go",
+	"lockservice.Server.Restart":            "internal/bench/lockscale.go",
+	"lockservice.Server.State":              "internal/bench/lockscale.go",
+	"lockservice.Server.Stats":              "TestClerkMemoryAccounting",
+	"lockservice.ShardOf":                   "cluster.go",
+	"lockservice.WrongShard.WireSize":       "internal/rpc/rpc.go",
 
 	"localfs.DefaultConfig": "internal/bench/bench.go",
 	"localfs.FS.Close":      "internal/bench/bench.go",

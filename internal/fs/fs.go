@@ -265,7 +265,9 @@ func Mkfs(pc *petal.Client, vd petal.VDiskID, lay Layout) error {
 // machine is this server's identity; lockServers lists the lock
 // service members. As §7 has it, the server obtains a lease, takes its
 // log slot and tenancy from it, and goes into operation: the params
-// sector is read while the lease is sought, and nothing is written.
+// sector is read while the lease is sought, and nothing is written. A
+// machine that crashed and mounts again under its name is refused with
+// lockservice.ErrPriorSession until its old session's log is recovered.
 func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	lockServers []string, lay Layout, cfg Config) (*FS, error) {
 	if err := lay.Validate(); err != nil {
@@ -315,14 +317,14 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.clerk.SetCallbacks(fs.onRevoke, nil, fs.onLeaseLost)
 	fs.clerk.SetRecover(fs.onRecover)
 	opened := fs.clerk.Open()
-	if err := <-formatted; err != nil {
-		if opened == nil {
-			fs.clerk.Close()
-		}
-		return nil, err
-	}
+	formatErr := <-formatted
 	if opened != nil {
+		fs.clerk.Abandon() // a failed open holds no session to close
 		return nil, opened
+	}
+	if formatErr != nil {
+		fs.clerk.Close()
+		return nil, formatErr
 	}
 	fs.logSlot = fs.clerk.LogSlot()
 	if fs.logSlot >= lay.LogSlots {

@@ -1,9 +1,12 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
+
+	"frangipani/internal/lockservice"
 )
 
 // awaitSessionGone waits until no lock server lists machine's session
@@ -186,4 +189,50 @@ func TestMountUnformattedLeavesNoSession(t *testing.T) {
 		t.Fatal("Mount of an unformatted virtual disk succeeded")
 	}
 	awaitSessionGone(t, tw, "ws1", blank)
+}
+
+// TestRemountAfterCrashRecoversOldTenancy: ws1 crashes with a create in
+// its log that no write-back reached, and its machine mounts again under
+// the same name before the lease has expired. The lock service refuses
+// the new incarnation until ws2 has recovered the old one's log, so the
+// create is there, and the new mount gets a lease of its own.
+func TestRemountAfterCrashRecoversOldTenancy(t *testing.T) {
+	tw := newTestWorld(t)
+	f1 := tw.mount(t, "ws1", func(c *Config) {
+		c.SyncLog = true        // the log reaches Petal
+		c.SyncEvery = time.Hour // but metadata write-back never runs
+	})
+	f2 := tw.mount(t, "ws2", nil)
+	if err := f1.Create("/logged"); err != nil {
+		t.Fatal(err)
+	}
+	f1.Crash()
+
+	cfg := DefaultConfig()
+	cfg.Lock = lockCfg()
+	deadline := time.Now().Add(60 * time.Second)
+	var again *FS
+	for again == nil {
+		f, err := Mount(tw.w, "ws1", tw.client("ws1"), tw.vd, tw.lockNames, tw.lay, cfg)
+		switch {
+		case err == nil:
+			again = f
+			tw.mounts = append(tw.mounts, f)
+		case !errors.Is(err, lockservice.ErrPriorSession):
+			t.Fatalf("mount ws1 again: %v", err)
+		case time.Now().After(deadline):
+			t.Fatal("ws1 could not mount again for 60 s")
+		default:
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if again.clerk.LeaseID() == f1.clerk.LeaseID() {
+		t.Errorf("ws1 mounted again under its dead session's lease %d", f1.clerk.LeaseID())
+	}
+	if _, err := f2.Stat("/logged"); err != nil {
+		t.Fatalf("ws1's logged create is gone once ws1 mounted again: %v", err)
+	}
+	if _, _, done := recoveryOf(tw, "ws2", "ws1"); !done {
+		t.Error("ws2 recorded no recovery of ws1")
+	}
 }

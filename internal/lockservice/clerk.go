@@ -173,16 +173,23 @@ func (c *Clerk) SetRecover(onRecover func(dead string, deadSlot int, deadLease u
 }
 
 // Open contacts the lock service, opens the table, and starts lease
-// renewal. It returns the assigned log slot.
+// renewal. While the session of an earlier incarnation of this machine
+// is still open it returns ErrPriorSession: the caller retries once the
+// lock service has had that session's log recovered.
 func (c *Clerk) Open() error {
 	var resp OpenResp
 	ok := false
+	req := OpenReq{Clerk: c.machine, Table: c.table, Incarnation: int64(c.w.Clock.Now())}
 	for _, s := range c.servers {
-		r, err := c.ep.Call(c.addr(s), OpenReq{Clerk: c.machine, Table: c.table}, 180*time.Second)
+		r, err := c.ep.Call(c.addr(s), req, 180*time.Second)
 		if err != nil {
 			continue
 		}
-		if or, isOpen := r.(OpenResp); isOpen && or.OK {
+		or, _ := r.(OpenResp)
+		if or.Err == ErrPriorSession.Error() {
+			return ErrPriorSession
+		}
+		if or.OK {
 			resp = or
 			ok = true
 			break
@@ -530,8 +537,7 @@ const batchRoom = 4
 
 // acquireMsg and releaseMsg are batch messages with room for their lists
 // beside them, so a batch is one allocation. They are sent by pointer
-// (&m.AcquireBatch): the server takes a pointer from the simulated
-// carrier and a value from TCP.
+// (&m.AcquireBatch), and arrive as one on both carriers.
 type acquireMsg struct {
 	AcquireBatch
 	room [batchRoom]BatchReq

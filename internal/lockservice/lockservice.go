@@ -38,7 +38,7 @@ import (
 
 // Wire-type registration so the protocol runs over TCP carriers.
 func init() {
-	for _, v := range []any{
+	rpc.Register(
 		GrantMsg{}, RevokeMsg{},
 		AcquireBatch{}, ReleaseBatch{}, WrongShard{}, BatchReq{}, BatchRel{},
 		OpenReq{}, OpenResp{}, CloseReq{},
@@ -47,9 +47,7 @@ func init() {
 		RecoverReq{}, RecoveryDone{},
 		CmdOpenSession{}, CmdCloseSession{}, CmdMarkDead{}, CmdSetAlive{},
 		GState{}, Session{},
-	} {
-		rpc.RegisterType(v)
-	}
+	)
 }
 
 // Mode is a lock mode. Modes are ordered: None < Shared < Exclusive.
@@ -113,6 +111,11 @@ var (
 	ErrLeaseLost = errors.New("lockservice: lease lost")
 	ErrClosed    = errors.New("lockservice: clerk closed")
 	ErrNoServer  = errors.New("lockservice: no lock server reachable")
+	// ErrPriorSession refuses an open while the session of an earlier
+	// incarnation of the same clerk (a machine that crashed and came
+	// back under its name) is still in the global state: its log must
+	// be recovered, and the session closed, before the name is reused.
+	ErrPriorSession = errors.New("lockservice: an earlier incarnation's session is still open")
 )
 
 // Per-lock memory cost constants from the paper, used only for the
@@ -205,9 +208,12 @@ type (
 		NewMode Mode
 	}
 	// OpenReq opens a lock table and establishes a lease (a Call).
+	// Incarnation tells this clerk apart from an earlier one of the same
+	// machine: the simulated time of its Open.
 	OpenReq struct {
-		Clerk string
-		Table string
+		Clerk       string
+		Table       string
+		Incarnation int64
 	}
 	// OpenResp returns the lease identifier and the log slot assigned
 	// to this session; Frangipani uses the slot to pick its private
@@ -311,13 +317,60 @@ type (
 	}
 )
 
+// uvarintLen returns the encoded length of a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// varintLen returns the encoded length of a zigzag varint.
+func varintLen(v int64) int {
+	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+}
+
+// WireSize is the simulated network's cost model of a batch: about its
+// encoded bytes, so that vectoring N requests into one message costs
+// one base-message overhead, not N.
+func (m AcquireBatch) WireSize() int {
+	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(m.Renew) + uvarintLen(uint64(len(m.Reqs)))
+	for _, r := range m.Reqs {
+		n += uvarintLen(r.Lock) + 1 + varintLen(r.Epoch)
+	}
+	return n
+}
+
+// WireSize is the cost model of a batch (see AcquireBatch).
+func (m ReleaseBatch) WireSize() int {
+	n := 2 + len(m.Clerk) + len(m.Table) + varintLen(m.MapEpoch) + uvarintLen(m.Renew) + uvarintLen(uint64(len(m.Rels)))
+	for _, r := range m.Rels {
+		n += uvarintLen(r.Lock) + 1
+	}
+	return n
+}
+
+// WireSize is the cost model of a nack (see AcquireBatch).
+func (m WrongShard) WireSize() int {
+	n := 2 + len(m.Server) + len(m.Table) + varintLen(m.Epoch) + uvarintLen(uint64(len(m.Locks)))
+	for _, lk := range m.Locks {
+		n += uvarintLen(lk)
+	}
+	return n
+}
+
 // Global-state commands, decided through Paxos.
 type (
 	// CmdOpenSession registers a clerk's open table and assigns a
-	// lease id and log slot deterministically.
+	// lease id and log slot deterministically. It is idempotent for one
+	// incarnation, and leaves the state alone while a session of
+	// another incarnation is open.
 	CmdOpenSession struct {
-		Clerk string
-		Table string
+		Clerk       string
+		Table       string
+		Incarnation int64
 	}
 	// CmdCloseSession removes a session (clean close, or after
 	// recovery of a dead clerk completes).
@@ -345,11 +398,12 @@ type (
 
 // Session is one open (clerk, table) pair.
 type Session struct {
-	Clerk   string
-	Table   string
-	LeaseID uint64
-	LogSlot int
-	Dead    bool // lease expired; recovery in progress
+	Clerk       string
+	Table       string
+	Incarnation int64 // of the clerk that opened it (OpenReq)
+	LeaseID     uint64
+	LogSlot     int
+	Dead        bool // lease expired; recovery in progress
 }
 
 // GState is the lock service's Paxos-replicated global state: "a list
@@ -426,13 +480,14 @@ func (g *GState) Apply(cmd any) {
 	case CmdOpenSession:
 		key := sessionKey(c.Clerk, c.Table)
 		if _, ok := g.Sessions[key]; ok {
-			return // idempotent re-open keeps the existing lease
+			return // a re-open keeps the existing lease; one of another incarnation is refused
 		}
 		g.Sessions[key] = Session{
-			Clerk:   c.Clerk,
-			Table:   c.Table,
-			LeaseID: g.NextLease,
-			LogSlot: g.freeSlot(c.Table),
+			Clerk:       c.Clerk,
+			Table:       c.Table,
+			Incarnation: c.Incarnation,
+			LeaseID:     g.NextLease,
+			LogSlot:     g.freeSlot(c.Table),
 		}
 		g.NextLease++
 	case CmdCloseSession:

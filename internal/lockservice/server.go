@@ -437,10 +437,6 @@ func (s *Server) cpuCost(body any) sim.Duration {
 		ops = len(m.Reqs)
 	case *ReleaseBatch:
 		ops = len(m.Rels)
-	case AcquireBatch:
-		ops = len(m.Reqs)
-	case ReleaseBatch:
-		ops = len(m.Rels)
 	case SyncResp:
 		ops = len(m.Locks)
 	}
@@ -458,14 +454,10 @@ func (s *Server) handle(from string, body any) any {
 	// operations wait on it: it is nobody's in particular.
 	s.acct.ServerOp(obs.UnknownPrincipal)
 	switch m := body.(type) {
-	case *AcquireBatch: // from the simulated carrier
+	case *AcquireBatch:
 		s.onAcquireBatch(m)
-	case AcquireBatch: // decoded from TCP
-		s.onAcquireBatch(&m)
 	case *ReleaseBatch:
 		s.onReleaseBatch(m)
-	case ReleaseBatch:
-		s.onReleaseBatch(&m)
 	case RenewMsg:
 		s.renew(m.Clerk, m.LeaseID)
 	case RenewalsReq:
@@ -638,7 +630,7 @@ func (s *Server) retryRevokes() {
 }
 
 func (s *Server) onOpen(m OpenReq) OpenResp {
-	if err := s.px.Submit(CmdOpenSession{Clerk: m.Clerk, Table: m.Table}, 120*time.Second); err != nil {
+	if err := s.px.Submit(CmdOpenSession{Clerk: m.Clerk, Table: m.Table, Incarnation: m.Incarnation}, 120*time.Second); err != nil {
 		return OpenResp{Err: err.Error()}
 	}
 	s.mu.Lock()
@@ -648,6 +640,9 @@ func (s *Server) onOpen(m OpenReq) OpenResp {
 	s.mu.Unlock()
 	if !ok {
 		return OpenResp{Err: "session vanished"}
+	}
+	if sess.Incarnation != m.Incarnation {
+		return OpenResp{Err: ErrPriorSession.Error()}
 	}
 	return OpenResp{OK: true, LeaseID: sess.LeaseID, LogSlot: sess.LogSlot, State: st}
 }

@@ -35,7 +35,7 @@ type Detector struct {
 // beat is the heartbeat wire message.
 type beat struct{ From string }
 
-func init() { rpc.RegisterType(beat{}) }
+func init() { rpc.Register(beat{}) }
 
 // NewDetector builds a failure detector for id among peers. interval
 // is the heartbeat period; a peer is suspected after suspect without

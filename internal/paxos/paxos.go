@@ -124,12 +124,10 @@ type Node struct {
 
 // Wire-type registration so paxos runs over TCP carriers.
 func init() {
-	for _, v := range []any{
+	rpc.Register(
 		PrepareReq{}, PrepareResp{}, AcceptReq{}, AcceptResp{},
 		DecideMsg{}, LearnReq{}, LearnResp{}, entry{},
-	} {
-		rpc.RegisterType(v)
-	}
+	)
 }
 
 // callTimeout bounds each phase RPC, in simulated time.

@@ -803,13 +803,8 @@ func staleView(err error) bool {
 // extents — the other replica "can ordinarily recover it" (§4) — and
 // served data is kept.
 func (x *xfer) settleRead(srv string, ps []piece, resp any) (unserved []piece, err error) {
-	var rr *ReadVResp
-	switch r := resp.(type) {
-	case *ReadVResp: // from the simulated carrier
-		rr = r
-	case ReadVResp: // decoded from TCP
-		rr = &r
-	default:
+	rr, ok := resp.(*ReadVResp)
+	if !ok {
 		return ps, nil
 	}
 	// On TCP the data aliases a pooled receive buffer; recycle it once

@@ -106,10 +106,9 @@ type (
 	// error on one chunk) come back in Results so the other extents'
 	// data is not thrown away.
 	// Per-extent Data aliases a pooled buffer (wb): the one the server
-	// read the extents into or, when decoded from the TCP carrier's fast
-	// codec, the receive buffer. The consumer releases it with
-	// rpc.Release after copying the data out. gob ignores the
-	// unexported field.
+	// read the extents into or, when decoded from a TCP frame, the
+	// receive buffer. The consumer releases it with rpc.Release after
+	// copying the data out. The codec carries exported fields only.
 	ReadVResp struct {
 		OK      bool
 		Err     string
@@ -146,7 +145,7 @@ type (
 		Epoch int64
 
 		// wb is the pooled receive buffer the extents' Data aliases
-		// when the request was decoded by the TCP fast codec.
+		// when the request was decoded from a TCP frame.
 		wb *rpc.RecvBuf
 	}
 	// WriteVResp acknowledges a write. All extents applied (OK) or the

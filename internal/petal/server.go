@@ -443,7 +443,7 @@ func (s *Server) onReadV(m *ReadVReq) any {
 	base, ceiling, _, err := s.state.resolve(m.VDisk)
 	s.mu.Unlock()
 	if err != nil {
-		return ReadVResp{Err: err.Error()}
+		return &ReadVResp{Err: err.Error()}
 	}
 	r := new(readReply)
 	bufp := bufpool.Get(size)

@@ -3,11 +3,10 @@ package petal
 import "frangipani/internal/rpc"
 
 // Register every Petal wire type (and the Paxos command payloads the
-// directory protocol submits) with the TCP carrier's codec, so the
-// full Petal stack can run over real sockets as well as the
-// simulated network.
+// directory protocol submits) with the wire codec, so the full Petal
+// stack can run over real sockets as well as the simulated network.
 func init() {
-	for _, v := range []any{
+	rpc.Register(
 		ReadVExtent{}, ReadVExtentResult{}, ReadVReq{}, ReadVResp{},
 		WriteVExtent{}, WriteVReq{}, WriteVResp{},
 		DecommitReq{},
@@ -16,7 +15,21 @@ func init() {
 		RepairReq{}, PushChunkReq{},
 		ListChunksReq{}, ListChunksResp{},
 		CmdCreateVDisk{}, CmdDeleteVDisk{}, CmdSnapshot{}, CmdSetAlive{},
-	} {
-		rpc.RegisterType(v)
-	}
+	)
 }
+
+// HoldWire implements rpc.WireHolder: the per-extent Data fields alias
+// rb.
+func (r *ReadVResp) HoldWire(rb *rpc.RecvBuf) { r.wb = rb }
+
+// ReleaseWire implements rpc.WireReleaser: it returns the pooled
+// buffer the per-extent Data fields alias. Idempotent.
+func (r ReadVResp) ReleaseWire() { r.wb.Release() }
+
+// HoldWire implements rpc.WireHolder: the per-extent Data fields alias
+// rb.
+func (w *WriteVReq) HoldWire(rb *rpc.RecvBuf) { w.wb = rb }
+
+// ReleaseWire implements rpc.WireReleaser: it returns the pooled
+// receive buffer the per-extent Data fields alias. Idempotent.
+func (w WriteVReq) ReleaseWire() { w.wb.Release() }

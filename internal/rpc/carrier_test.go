@@ -123,7 +123,7 @@ func TestTCPCarriesConcurrentBulkIntact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				resp, err := cli.Call("srv", req, 30*time.Second)
+				resp, err := cli.Call("srv", &req, 30*time.Second)
 				if wr, ok := resp.(petal.WriteVResp); err != nil || !ok || !wr.OK {
 					t.Errorf("round %d: reply %#v, %v", r, resp, err)
 					return

@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -19,13 +18,12 @@ import (
 // (from, to) pair.
 //
 // A pair's connection is its FIFO, as a sim.Network pair's queue is.
-// Each message is one frame in the codec.go format (gob only for types
-// without a registered wire codec), which its sender writes whole under
-// the connection's mutex: the header and the payload slices in one
-// writev, the payload bytes straight from the caller's buffers. The
-// receiver reads each frame into one pooled buffer, decodes it and
-// delivers it before it reads the next, so a pair's messages — casts
-// and calls alike — arrive in send order.
+// Each message is one frame in the codec.go format, which its sender
+// writes whole under the connection's mutex: the header and the payload
+// slices in one writev, the payload bytes straight from the caller's
+// buffers. The receiver reads each frame into one pooled buffer, decodes
+// it and delivers it before it reads the next, so a pair's messages —
+// casts and calls alike — arrive in send order.
 //
 // The name directory maps logical host names to TCP addresses. In a
 // single process (tests) it fills itself as hosts register; across
@@ -54,14 +52,6 @@ const (
 )
 
 var magic = [6]byte{'F', 'R', 'G', 'P', '3', '\n'}
-
-// RegisterType makes a concrete message type encodable on TCP
-// carriers' gob escape hatch (a thin wrapper over gob.Register).
-func RegisterType(v any) { gob.Register(v) }
-
-func init() {
-	gob.Register(Envelope{})
-}
 
 // NewTCPCarrier returns an empty carrier.
 func NewTCPCarrier() *TCPCarrier {
@@ -142,12 +132,11 @@ func (t *TCPCarrier) serveConn(name string, conn net.Conn) {
 			return
 		}
 		rb := NewRecvBuf(buf)
-		body, retained, err := DecodeMessage(*buf, rb)
+		env, retained, err := DecodeMessage(*buf, rb)
 		if !retained {
 			rb.Release()
 		}
-		env, isEnv := body.(Envelope) // a gob body of another type is no message
-		if err != nil || !isEnv {
+		if err != nil {
 			continue
 		}
 		t.mu.Lock()
@@ -189,7 +178,7 @@ type tcpConn struct {
 func (tc *tcpConn) write(env Envelope) (dead bool, err error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	hdr, iov, _, err := AppendMessageHeader(append(tc.hdr[:0], 0, 0, 0, 0), append(tc.iov[:0], nil), env)
+	hdr, iov, err := AppendMessageHeader(append(tc.hdr[:0], 0, 0, 0, 0), append(tc.iov[:0], nil), env)
 	if err != nil {
 		return false, err
 	}

@@ -13,8 +13,7 @@ type tcpEcho struct{ N int }
 type tcpEchoResp struct{ N int }
 
 func init() {
-	RegisterType(tcpEcho{})
-	RegisterType(tcpEchoResp{})
+	Register(tcpEcho{}, tcpEchoResp{})
 }
 
 func newTCPPair(t *testing.T) (*Endpoint, *Endpoint, *TCPCarrier) {
