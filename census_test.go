@@ -270,21 +270,35 @@ var exported = map[string]string{
 	"petal.Workers.Go":            "internal/fs/fs.go, internal/fs/file.go",
 	"petal.Workers.Run":           "internal/fs/fs.go",
 
-	"paxos.Detector.Alive":       "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.Alive":       "internal/paxos/group.go",
 	"paxos.Detector.AliveCount":  "internal/paxos/detector.go",
-	"paxos.Detector.Crash":       "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Detector.Members":     "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Detector.QuorumAlive": "internal/lockservice/server.go",
-	"paxos.Detector.Recover":     "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Detector.Start":       "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Detector.Stop":        "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.NewDetector":          "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.NewNode":              "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Node.Close":           "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Node.Crash":           "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Detector.Crash":       "internal/paxos/group.go",
+	"paxos.Detector.QuorumAlive": "internal/paxos/group.go",
+	"paxos.Detector.Recover":     "internal/paxos/group.go",
+	"paxos.Detector.Start":       "internal/paxos/group.go",
+	"paxos.Detector.Stop":        "internal/paxos/group.go",
+	"paxos.StateReq.Answer":      "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Follower.Adopt":       "internal/petal/client.go, internal/lockservice/clerk.go",
+	"paxos.Follower.Ask":         "internal/petal/client.go",
+	"paxos.Follower.Refresh":     "internal/petal/client.go, internal/lockservice/clerk.go",
+	"paxos.Follower.Replace":     "internal/lockservice/clerk.go",
+	"paxos.Follower.View":        "internal/petal/client.go, internal/lockservice/clerk.go",
+	"paxos.Group.Alive":          "internal/lockservice/server.go",
+	"paxos.Group.Close":          "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Group.Coordinator":    "internal/lockservice/server.go",
+	"paxos.Group.Crash":          "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Group.Down":           "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Group.Members":        "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Group.QuorumAlive":    "internal/lockservice/server.go",
+	"paxos.Group.Restart":        "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Group.Submit":         "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.NewFollower":          "internal/lockservice/clerk.go, internal/petal/client.go",
+	"paxos.NewGroup":             "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Close":           "internal/paxos/group.go",
+	"paxos.Node.Crash":           "internal/paxos/group.go",
 	"paxos.Node.Quorum":          "internal/paxos/paxos.go",
-	"paxos.Node.Recover":         "internal/lockservice/server.go, internal/petal/server.go",
-	"paxos.Node.Submit":          "internal/lockservice/server.go, internal/petal/server.go",
+	"paxos.Node.Recover":         "internal/paxos/group.go",
+	"paxos.Node.Submit":          "internal/paxos/group.go",
 
 	"wal.BlockVersion":    "internal/fs/fs.go",
 	"wal.Log.Append":      "internal/fs/fs.go, internal/localfs/localfs.go",
@@ -308,6 +322,7 @@ var exported = map[string]string{
 	"lockservice.Clerk.Abandon":             "internal/fs/fs.go",
 	"lockservice.Clerk.Close":               "internal/fs/fs.go",
 	"lockservice.Clerk.ExpiresAt":           "internal/fs/fs.go",
+	"lockservice.Clerk.Follower":            "TestIncrementalRefresh",
 	"lockservice.Clerk.Held":                "internal/fs/file.go",
 	"lockservice.Clerk.HeldCount":           "TestIdleLocksDiscarded",
 	"lockservice.Clerk.InjectStaleShardMap": "internal/bench/lockscale.go",
@@ -339,7 +354,6 @@ var exported = map[string]string{
 	"lockservice.Server.Crash":              "internal/bench/lockscale.go",
 	"lockservice.Server.Restart":            "internal/bench/lockscale.go",
 	"lockservice.Server.State":              "internal/bench/lockscale.go",
-	"lockservice.Server.Stats":              "TestClerkMemoryAccounting",
 	"lockservice.ShardOf":                   "cluster.go",
 	"lockservice.WrongShard.WireSize":       "internal/rpc/rpc.go",
 
@@ -438,7 +452,6 @@ var exported = map[string]string{
 	"sim.CPU.ResetStats":               "benchmark/layers.go",
 	"sim.CPU.Use":                      "internal/fs/fs.go",
 	"sim.CPU.Utilization":              "benchmark/layers.go",
-	"sim.Clock.After":                  "internal/paxos/paxos.go",
 	"sim.Clock.Now":                    "internal/fs/fs.go",
 	"sim.Clock.Real":                   "internal/rpc/rpc.go",
 	"sim.Clock.Sleep":                  "internal/fs/fs.go",
@@ -611,11 +624,11 @@ func TestClusterMethodCensus(t *testing.T) {
 // TestExportedCensus holds every exported function of internal/rpc,
 // internal/obs, internal/cache, internal/petal, internal/paxos,
 // internal/wal, internal/lockservice, internal/localfs, internal/fs,
-// internal/workload, internal/sim and internal/reuse, and every
-// exported method of their exported types, generic ones included, to
+// internal/workload, internal/sim and internal/reuse, generic ones
+// included, and every exported method of their exported types, to
 // exported, and each entry to a file or test that calls it.
 func TestExportedCensus(t *testing.T) {
-	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)(?:\[\w+\])?\) )?([A-Z]\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func (?:\(\w+ \*?([A-Z]\w*)(?:\[\w+\])?\) )?([A-Z]\w*)(\[[^\]]*\])?\(`)
 	var got []string
 	for _, path := range goFiles(t, false) {
 		dir := filepath.ToSlash(filepath.Dir(path))
@@ -628,6 +641,9 @@ func TestExportedCensus(t *testing.T) {
 		pkg := filepath.Base(dir)
 		for _, m := range decl.FindAllStringSubmatch(readFile(t, path), -1) {
 			name, call := pkg+"."+m[2], m[2]+"("
+			if m[3] != "" { // a generic function: called instantiated
+				call = m[2] + "["
+			}
 			if m[1] != "" {
 				name, call = pkg+"."+m[1]+"."+m[2], "."+m[2]+"("
 			}

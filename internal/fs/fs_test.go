@@ -28,6 +28,7 @@ type testWorld struct {
 	lay        Layout
 	vd         petal.VDiskID
 	mounts     []*FS
+	clients    []*petal.Client // every Petal client made, closed at cleanup
 }
 
 func lockCfg() lockservice.Config {
@@ -88,7 +89,12 @@ func newTestWorldIn(t testing.TB, w *sim.World, lay Layout) *testWorld {
 				if txns, claims := freeHolding(f); txns+claims != 0 {
 					t.Errorf("%s: %d free transactions and %d free claims still hold something", f.machine, txns, claims)
 				}
+			} else {
+				f.Crash() // stops its sync demon, clerk and workers
 			}
+		}
+		for _, pc := range tw.clients {
+			pc.Close()
 		}
 		for _, s := range tw.locks {
 			s.Close()
@@ -166,7 +172,16 @@ func dirtyCount(pool *cache.Pool, lock uint64) int {
 }
 
 func (tw *testWorld) client(machine string) *petal.Client {
-	return petal.NewClient(tw.w, machine, tw.petalNames)
+	return tw.clientVia(machine, rpc.SimCarrier{Net: tw.w.Net})
+}
+
+// clientVia makes a Petal client on carrier, which the cleanup closes:
+// a client left open keeps its parked workers, and through them its
+// world, for as long as the test binary runs.
+func (tw *testWorld) clientVia(machine string, carrier rpc.Carrier) *petal.Client {
+	pc := petal.NewClientWithCarrier(tw.w, machine, tw.petalNames, carrier)
+	tw.clients = append(tw.clients, pc)
+	return pc
 }
 
 func (tw *testWorld) mount(t testing.TB, machine string, mutate func(*Config)) *FS {
@@ -182,7 +197,7 @@ func (tw *testWorld) mountVia(t testing.TB, machine string, carrier rpc.Carrier,
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	pc := petal.NewClientWithCarrier(tw.w, machine, tw.petalNames, carrier)
+	pc := tw.clientVia(machine, carrier)
 	f, err := Mount(tw.w, machine, pc, tw.vd, tw.lockNames, tw.lay, cfg)
 	if err != nil {
 		t.Fatalf("mount %s: %v", machine, err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"frangipani/internal/obs"
+	"frangipani/internal/paxos"
 	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
@@ -45,8 +46,6 @@ type Clerk struct {
 	locks     map[uint64]*clkLock
 	epochGen  int64         // source of per-lock request epochs
 	shardVer  map[int]int64 // fencing floor per lock shard
-	state     GState
-	stateOK   bool
 	leaseID   uint64
 	logSlot   int
 	lease     lease
@@ -61,9 +60,10 @@ type Clerk struct {
 	sendCond *sync.Cond
 	// revokers run the revokes (see revoke); stop ends them.
 	revokers reuse.Workers[revokeJob]
-	// refreshing single-flights shard-map refetches triggered by
-	// wrong-shard nacks and epoch piggybacks.
-	refreshing bool
+	// follow keeps the shard map: Open adopts the one its reply
+	// carries, and a nack, a newer epoch in an ack, a sync or a retry
+	// refreshes it.
+	follow *paxos.Follower[GState]
 
 	// onRevoke runs before a lock is downgraded (to Shared) or
 	// released (to None): flush dirty data, then invalidate on full
@@ -136,6 +136,7 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 		c.jr = reg.Journal(machine)
 	}
 	c.ep = rpc.NewEndpoint(ClerkAddr(machine), carrier, w.Clock, c.handle)
+	c.follow = paxos.NewFollower[GState](c.ep, c.servers, Addr, w.Obs, "lockservice.refresh", machine)
 	return c
 }
 
@@ -205,8 +206,8 @@ func (c *Clerk) Open() error {
 	for _, s := range c.servers {
 		c.lease.ack(s, true, now) // the open session is every server's first ack
 	}
-	c.adoptLocked(resp.State)
 	c.mu.Unlock()
+	c.follow.Adopt(resp.State, resp.State.Version)
 	go c.sender()
 	c.cancels = append(c.cancels,
 		c.w.Clock.Tick(renewTick(c.cfg.LeaseDuration), c.renew),
@@ -288,52 +289,24 @@ func (c *Clerk) stop() bool {
 	return true
 }
 
-// refreshState fetches the shard map.
-func (c *Clerk) refreshState() error {
-	for _, s := range c.servers {
-		r, err := c.ep.Call(c.addr(s), StateReq{}, 60*time.Second)
-		if err != nil {
-			continue
-		}
-		if sr, ok := r.(StateResp); ok && sr.OK {
-			c.mu.Lock()
-			c.adoptLocked(sr.State)
-			c.mu.Unlock()
-			return nil
-		}
-	}
-	return ErrNoServer
-}
+// Follower returns the clerk's copy of the lock service's global state.
+func (c *Clerk) Follower() *paxos.Follower[GState] { return c.follow }
 
-// adoptLocked takes st as the shard map unless the one held is newer.
-func (c *Clerk) adoptLocked(st GState) {
-	if !c.stateOK || st.Version > c.state.Version {
-		c.state, c.stateOK = st, true
-	}
-}
-
-// noteNewEpoch reacts to a server advertising a shard-map epoch newer
-// than ours (piggybacked on RenewAck or quoted by a WrongShard nack):
-// refetch the map once, single-flighted. Called with c.mu held.
+// noteNewEpochLocked reacts to a server advertising a shard-map epoch
+// newer than ours (piggybacked on RenewAck): refetch the map. Called
+// with c.mu held.
 func (c *Clerk) noteNewEpochLocked(epoch int64) {
-	if !c.stateOK || epoch <= c.state.Epoch || c.refreshing || c.closed || c.leaseLost {
-		return
+	if st, ver := c.follow.View(); ver >= 0 && epoch > st.Epoch && !c.closed && !c.leaseLost {
+		go c.follow.Refresh(ver)
 	}
-	c.refreshing = true
-	go func() {
-		_ = c.refreshState()
-		c.mu.Lock()
-		c.refreshing = false
-		c.mu.Unlock()
-	}()
 }
 
 // shardOfLocked maps a lock to its shard under the current map (or
 // the default shard count if the map is not yet known — before the
-// first refreshState completes no grants are in flight anyway).
+// first refresh completes no grants are in flight anyway).
 func (c *Clerk) shardOfLocked(lock uint64) int {
-	if c.stateOK {
-		return c.state.ShardOf(lock)
+	if st, ver := c.follow.View(); ver >= 0 {
+		return st.ShardOf(lock)
 	}
 	return ShardOf(lock, c.cfg.Shards)
 }
@@ -423,17 +396,20 @@ func (c *Clerk) Unlock(lock uint64) {
 func (c *Clerk) InjectStaleShardMap() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.stateOK || len(c.servers) < 2 {
+	st, ver := c.follow.View()
+	if ver < 0 || len(c.servers) < 2 {
 		return
 	}
 	idx := make(map[string]int, len(c.servers))
 	for i, s := range c.servers {
 		idx[s] = i
 	}
-	for sh, srv := range c.state.Assignment {
-		c.state.Assignment[sh] = c.servers[(idx[srv]+1)%len(c.servers)]
+	st = st.Clone()
+	for sh, srv := range st.Assignment {
+		st.Assignment[sh] = c.servers[(idx[srv]+1)%len(c.servers)]
 	}
-	c.state.Version--
+	st.Version--
+	c.follow.Replace(st, st.Version)
 }
 
 // Held reports the clerk's current granted mode for a lock.
@@ -512,11 +488,11 @@ func (c *Clerk) sender() {
 		if c.closed {
 			return
 		}
-		if !c.stateOK {
+		if _, ver := c.follow.View(); ver < 0 {
 			c.mu.Unlock()
-			err := c.refreshState()
+			err := c.follow.Refresh(-1)
 			c.mu.Lock()
-			if err != nil || !c.stateOK {
+			if err != nil {
 				// Routing unknown: drop the drain. Pending wants are
 				// re-enqueued by the retry ticker and lost releases are
 				// re-asked-for by the server's revoke retry.
@@ -578,9 +554,10 @@ func (c *Clerk) batchLocked(srv string) *outBatch {
 // revalidation below, so the only surviving same-lock order is
 // release-then-reacquire — exactly the order the batches transmit.
 func (c *Clerk) flushLocked(ops []sendOp) {
-	mapEpoch := c.state.Epoch
+	st, _ := c.follow.View()
+	mapEpoch := st.Epoch
 	for _, op := range ops {
-		b := c.batchLocked(c.state.ServerFor(op.lock))
+		b := c.batchLocked(st.ServerFor(op.lock))
 		if op.release {
 			if b.rel == nil {
 				b.rel = &releaseMsg{ReleaseBatch: ReleaseBatch{Clerk: c.machine, Table: c.table, MapEpoch: mapEpoch}}
@@ -650,7 +627,8 @@ func (c *Clerk) retryRequests() {
 	if !anyPending {
 		return
 	}
-	_ = c.refreshState() // routing may have changed under us
+	_, ver := c.follow.View()
+	_ = c.follow.Refresh(ver) // routing may have changed under us
 	c.mu.Lock()
 	now := c.w.Clock.Now()
 	for id, l := range c.locks {
@@ -770,17 +748,16 @@ func (c *Clerk) onRevokeMsg(m RevokeMsg) {
 
 // onWrongShard handles a stale-routing nack: refetch the shard map,
 // then re-drive every nacked lock against its new owner, so no
-// acknowledged release is ever lost to a handoff. The refetch runs on
-// its own goroutine: handlers execute on the delivery lane and must not
-// issue blocking Calls.
+// acknowledged release is ever lost to a handoff.
 func (c *Clerk) onWrongShard(m WrongShard) {
 	if m.Table != c.table || len(m.Locks) == 0 {
 		return
 	}
 	c.jr.Record("lockservice", "shard", "wrongshard", m.Locks[0], int64(len(m.Locks)), "nack from "+m.Server)
 	locks := append([]uint64(nil), m.Locks...)
-	go func() {
-		_ = c.refreshState()
+	_, ver := c.follow.View()
+	go func() { // handlers run on the delivery lane and must not block
+		_ = c.follow.Refresh(ver)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.closed || c.leaseLost {
@@ -816,7 +793,8 @@ func (c *Clerk) onSync(m SyncReq) any {
 		}
 	}
 	c.mu.Unlock()
-	go func() { _ = c.refreshState() }() // assignment changed; relearn routing
+	_, ver := c.follow.View()
+	go c.follow.Refresh(ver) // assignment changed; relearn routing
 	_ = c.ep.Cast(c.addr(m.Server), SyncResp{Clerk: c.machine, Seq: m.Seq, Locks: held})
 	return nil
 }

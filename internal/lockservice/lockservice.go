@@ -33,6 +33,7 @@ import (
 	"slices"
 	"time"
 
+	"frangipani/internal/paxos"
 	"frangipani/internal/rpc"
 )
 
@@ -43,9 +44,9 @@ func init() {
 		AcquireBatch{}, ReleaseBatch{}, WrongShard{}, BatchReq{}, BatchRel{},
 		OpenReq{}, OpenResp{}, CloseReq{},
 		RenewMsg{}, RenewAck{}, RenewalsReq{}, RenewalsResp{},
-		StateReq{}, StateResp{}, SyncReq{}, SyncResp{}, HeldLock{},
+		SyncReq{}, SyncResp{}, HeldLock{},
 		RecoverReq{}, RecoveryDone{},
-		CmdOpenSession{}, CmdCloseSession{}, CmdMarkDead{}, CmdSetAlive{},
+		CmdOpenSession{}, CmdCloseSession{}, CmdMarkDead{},
 		GState{}, Session{},
 	)
 }
@@ -264,14 +265,6 @@ type (
 		OK    bool
 		Times map[string]int64
 	}
-	// StateReq asks a lock server for the current global state (a
-	// Call); clerks use it to learn the shard map.
-	StateReq struct{}
-	// StateResp carries the global state.
-	StateResp struct {
-		OK    bool
-		State GState
-	}
 	// SyncReq asks a clerk to report its held locks in the given
 	// shards so a server taking over those shards can rebuild state.
 	// NumShards lets the clerk evaluate shard membership even before
@@ -384,16 +377,6 @@ type (
 		Clerk string
 		Table string
 	}
-	// CmdSetAlive records a lock server liveness transition and
-	// reassigns shards: "the locks are always reassigned such that
-	// the number of locks served by each server is balanced, the
-	// number of reassignments is minimized, and each lock is served
-	// by exactly one lock server" (§6). Every reassignment advances
-	// the shard-map epoch.
-	CmdSetAlive struct {
-		Server string
-		Alive  bool
-	}
 )
 
 // Session is one open (clerk, table) pair.
@@ -498,7 +481,12 @@ func (g *GState) Apply(cmd any) {
 			s.Dead = true
 			g.Sessions[key] = s
 		}
-	case CmdSetAlive:
+	case paxos.SetAlive:
+		// A liveness change reassigns shards: "the locks are always
+		// reassigned such that the number of locks served by each
+		// server is balanced, the number of reassignments is
+		// minimized, and each lock is served by exactly one lock
+		// server" (§6). Every reassignment advances the map epoch.
 		if _, ok := g.Alive[c.Server]; ok {
 			g.Alive[c.Server] = c.Alive
 			g.reassign()

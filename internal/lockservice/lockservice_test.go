@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"frangipani/internal/obs"
+	"frangipani/internal/paxos"
 	"frangipani/internal/sim"
 )
 
@@ -556,7 +557,7 @@ func TestGStateReassignBalancedMinimalMovement(t *testing.T) {
 	}
 	before := append([]string(nil), g.Assignment...)
 	epochBefore := g.Epoch
-	g.Apply(CmdSetAlive{Server: "d", Alive: false})
+	g.Apply(paxos.SetAlive{Server: "d", Alive: false})
 	if g.Epoch <= epochBefore {
 		t.Fatalf("epoch did not advance on reassignment: %d -> %d", epochBefore, g.Epoch)
 	}
@@ -584,7 +585,7 @@ func TestGStateReassignBalancedMinimalMovement(t *testing.T) {
 	// epoch: clerks refetch on every epoch change, so spurious bumps
 	// are pure churn.
 	epochBefore = g.Epoch
-	g.Apply(CmdSetAlive{Server: "d", Alive: false}) // already dead
+	g.Apply(paxos.SetAlive{Server: "d", Alive: false}) // already dead
 	g.Apply(CmdOpenSession{Clerk: "ws1", Table: "fs"})
 	if g.Epoch != epochBefore {
 		t.Fatalf("epoch bumped without assignment change: %d -> %d", epochBefore, g.Epoch)
@@ -657,7 +658,7 @@ func TestClerkMemoryAccounting(t *testing.T) {
 	}
 	waitUntil(t, func() bool {
 		for _, s := range ls.servers {
-			if n, b := s.Stats(); n > 0 && b > 0 {
+			if n, b := s.stats(); n > 0 && b > 0 {
 				return true
 			}
 		}
@@ -676,7 +677,7 @@ func TestGStateReassignProperty(t *testing.T) {
 	for step, pick := range rng {
 		s := servers[pick]
 		alive[s] = !alive[s]
-		g.Apply(CmdSetAlive{Server: s, Alive: alive[s]})
+		g.Apply(paxos.SetAlive{Server: s, Alive: alive[s]})
 		nAlive := 0
 		for _, v := range alive {
 			if v {
@@ -827,10 +828,28 @@ func TestOpenIsOneRoundTrip(t *testing.T) {
 	if got := requests() - before; got != 1 {
 		t.Fatalf("Open sent the lock servers %d requests, want 1", got)
 	}
-	c.mu.Lock()
-	known, version := c.stateOK, c.state.Version
-	c.mu.Unlock()
-	if !known || version == 0 {
-		t.Fatalf("clerk opened without the shard map (known %v, version %d)", known, version)
+	if _, version := c.follow.View(); version <= 0 { // -1: no map at all
+		t.Fatalf("clerk opened without the shard map (version %d)", version)
 	}
+}
+
+// TestServerGaugesPublishLockMemory: the lockservice.server.{locks,bytes}
+// gauges carry the memory model without anyone asking a server for it:
+// the revoke-retry tick every server runs publishes it.
+func TestServerGaugesPublishLockMemory(t *testing.T) {
+	ls := newTestLS(t, 3)
+	c := ls.clerk(t, "ws1")
+	if err := c.Lock(1, Shared); err != nil {
+		t.Fatal(err)
+	}
+	c.Unlock(1)
+	waitUntil(t, func() bool {
+		for _, name := range ls.names {
+			if ls.w.Obs.Gauge("lockservice.server.locks#"+name).Value() > 0 &&
+				ls.w.Obs.Gauge("lockservice.server.bytes#"+name).Value() > 0 {
+				return true
+			}
+		}
+		return false
+	})
 }

@@ -116,7 +116,7 @@ func TestMajorityDisownLosesLease(t *testing.T) {
 	}
 	ack("ls1", true)
 
-	if err := ls.servers[0].px.Submit(CmdMarkDead{Clerk: "wsZ", Table: "fs"}, time.Minute); err != nil {
+	if err := ls.servers[0].grp.Submit(CmdMarkDead{Clerk: "wsZ", Table: "fs"}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, func() bool {

@@ -108,8 +108,7 @@ type Server struct {
 	w    *sim.World
 	cfg  Config
 	ep   *rpc.Endpoint
-	px   *paxos.Node
-	det  *paxos.Detector
+	grp  *paxos.Group
 	cpu  *sim.Resource // modelled protocol-processing capacity
 
 	mu         sync.Mutex
@@ -120,8 +119,6 @@ type Server struct {
 	ackCast    map[string]sim.Time     // the last RenewAck cast to each clerk
 	recoveries map[string]*recoveryJob // session key -> job
 	nextSeq    uint64
-	crashed    bool
-	closed     bool
 	cancels    []func()
 	// casts are empty cast lists for the handlers: one takes a list,
 	// fills it under mu, sends what it holds after letting go of mu, and
@@ -185,10 +182,8 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg Config,
 		s.acct = reg.Accounts()
 		s.jr = reg.Journal(name)
 	}
-	s.px = paxos.NewNode(name, peers, carrier, w.Clock, s.applyCmd)
-	s.det = paxos.NewDetector(name, peers, carrier, w.Clock,
-		cfg.HeartbeatEvery, cfg.SuspectAfter, s.onLiveness)
-	s.det.Start() // once s.det is set: onLiveness reads it
+	s.grp = paxos.NewGroup(name, peers, carrier, w.Clock,
+		cfg.HeartbeatEvery, cfg.SuspectAfter, s.jr, s.applyCmd, nil)
 	s.ep = rpc.NewEndpoint(Addr(name), carrier, w.Clock, s.handle)
 	s.cancels = append(s.cancels,
 		w.Clock.Tick(cfg.SweepEvery, s.sweep),
@@ -231,29 +226,20 @@ func (s *Server) State() GState {
 	return s.state.Clone()
 }
 
-func (s *Server) isDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed || s.closed
-}
-
 // Crash silences the server; its volatile lock state is lost.
 func (s *Server) Crash() {
+	s.grp.Crash()
 	s.mu.Lock()
-	s.crashed = true
 	s.locks = make(map[lockKey]*lockState) // volatile state dies
 	s.pendingGrp = make(map[int]*shardSync)
 	s.mu.Unlock()
-	s.px.Crash()
-	s.det.Crash()
 }
 
-// Restart revives a crashed server. It proposes itself alive; the
+// Restart revives a crashed server. Its group proposes it alive; the
 // resulting reassignment hands it shards, whose state it then
 // recovers from the clerks.
 func (s *Server) Restart() {
 	s.mu.Lock()
-	s.crashed = false
 	// A fresh renewal table would read as "silence evidence" to the
 	// coordinator's majority expiry rule; grant every known session a
 	// fresh window instead.
@@ -263,56 +249,16 @@ func (s *Server) Restart() {
 		s.renewals[sess.Clerk] = now
 	}
 	s.mu.Unlock()
-	s.px.Recover()
-	s.det.Recover()
-	go func() {
-		_ = s.px.Submit(CmdSetAlive{Server: s.name, Alive: true}, 120*time.Second)
-	}()
+	s.grp.Restart()
 }
 
 // Close shuts the server down permanently.
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.grp.Close()
 	for _, c := range s.cancels {
 		c()
 	}
-	s.det.Stop()
-	s.px.Close()
 	s.ep.Close()
-}
-
-// onLiveness: coordinator proposes death transitions; rejoiners
-// propose their own return (see Restart).
-func (s *Server) onLiveness(peer string, alive bool) {
-	if s.isDown() || alive {
-		return
-	}
-	s.mu.Lock()
-	already := !s.state.Alive[peer]
-	s.mu.Unlock()
-	if already || !s.amCoordinator() {
-		return
-	}
-	go func() {
-		_ = s.px.Submit(CmdSetAlive{Server: peer, Alive: false}, 120*time.Second)
-	}()
-}
-
-// amCoordinator reports whether this server is the lowest-named one
-// it believes alive; the coordinator runs lease sweeps and liveness
-// proposals.
-func (s *Server) amCoordinator() bool {
-	for _, p := range s.det.Members() {
-		if p == s.name {
-			return true
-		}
-		if s.det.Alive(p) {
-			return false
-		}
-	}
-	return true
 }
 
 // applyCmd applies a decided command and reacts to shard-map changes:
@@ -372,7 +318,7 @@ func (s *Server) applyCmd(seq int64, cmd paxos.Command) {
 	}
 	s.mu.Unlock()
 
-	if len(gained) > 0 && !s.isDown() {
+	if len(gained) > 0 && !s.grp.Down() {
 		go s.syncShards(gained)
 	}
 }
@@ -445,7 +391,7 @@ func (s *Server) cpuCost(body any) sim.Duration {
 
 // handle serves the lock protocol.
 func (s *Server) handle(from string, body any) any {
-	if s.isDown() {
+	if s.grp.Down() {
 		return nil
 	}
 	s.cpu.Use(s.cpuCost(body))
@@ -472,11 +418,10 @@ func (s *Server) handle(from string, body any) any {
 		return s.onOpen(m)
 	case CloseReq:
 		s.onClose(m)
-	case StateReq:
+	case paxos.StateReq:
 		s.mu.Lock()
-		st := s.state.Clone()
-		s.mu.Unlock()
-		return StateResp{OK: true, State: st}
+		defer s.mu.Unlock()
+		return m.Answer(s.state.Version, func() any { return s.state.Clone() })
 	case SyncResp:
 		s.onSyncResp(m)
 	case RecoveryDone:
@@ -552,8 +497,8 @@ func (s *Server) onReleaseBatch(m *ReleaseBatch) {
 func (s *Server) onBatch(clerk, table string, mapEpoch int64, reqs []BatchReq, rels []BatchRel) {
 	var wrong []uint64
 	s.mu.Lock()
-	if s.crashed {
-		// Crashed during handle's CPU charge, after its isDown check:
+	if s.grp.Down() {
+		// Crashed during handle's CPU charge, after its Down check:
 		// the lock table is gone, and a dead server grants nothing
 		// from the empty one.
 		s.mu.Unlock()
@@ -612,9 +557,10 @@ func (s *Server) sessionDead(clerk, table string) bool {
 	return ok && sess.Dead
 }
 
-// retryRevokes re-emits revokes for locks with blocked waiters.
+// retryRevokes re-emits revokes for locks with blocked waiters, and
+// publishes the lock memory model (stats).
 func (s *Server) retryRevokes() {
-	if s.isDown() {
+	if s.grp.Down() {
 		return
 	}
 	s.mu.Lock()
@@ -627,10 +573,11 @@ func (s *Server) retryRevokes() {
 	ver := s.state.Version
 	s.mu.Unlock()
 	s.sendCasts(ver, outs)
+	s.stats()
 }
 
 func (s *Server) onOpen(m OpenReq) OpenResp {
-	if err := s.px.Submit(CmdOpenSession{Clerk: m.Clerk, Table: m.Table, Incarnation: m.Incarnation}, 120*time.Second); err != nil {
+	if err := s.grp.Submit(CmdOpenSession{Clerk: m.Clerk, Table: m.Table, Incarnation: m.Incarnation}); err != nil {
 		return OpenResp{Err: err.Error()}
 	}
 	s.mu.Lock()
@@ -648,14 +595,14 @@ func (s *Server) onOpen(m OpenReq) OpenResp {
 }
 
 func (s *Server) onClose(m CloseReq) {
-	_ = s.px.Submit(CmdCloseSession{Clerk: m.Clerk, Table: m.Table}, 120*time.Second)
+	_ = s.grp.Submit(CmdCloseSession{Clerk: m.Clerk, Table: m.Table})
 }
 
 // majorityRenewals aggregates the renewal tables of all reachable
 // lock servers and returns, per clerk, the k-th freshest renewal
 // time with k = majority — mirroring the clerk's own lease rule.
 func (s *Server) majorityRenewals() map[string]sim.Time {
-	peers := s.det.Members()
+	peers := s.grp.Members()
 	tables := make([]map[string]int64, 0, len(peers))
 	s.mu.Lock()
 	own := make(map[string]int64, len(s.renewals))
@@ -665,7 +612,7 @@ func (s *Server) majorityRenewals() map[string]sim.Time {
 	s.mu.Unlock()
 	tables = append(tables, own)
 	for _, p := range peers {
-		if p == s.name || !s.det.Alive(p) {
+		if p == s.name || !s.grp.Alive(p) {
 			continue
 		}
 		resp, err := s.ep.Call(Addr(p), RenewalsReq{}, 5*time.Second)
@@ -705,7 +652,7 @@ func (s *Server) majorityRenewals() map[string]sim.Time {
 // sweep runs on every server but acts only on the coordinator: expire
 // leases, mark their sessions dead, and drive recovery jobs.
 func (s *Server) sweep() {
-	if s.isDown() || !s.amCoordinator() || !s.det.QuorumAlive() {
+	if s.grp.Down() || !s.grp.Coordinator() || !s.grp.QuorumAlive() {
 		return
 	}
 	now := s.w.Clock.Now()
@@ -757,7 +704,7 @@ func (s *Server) sweep() {
 
 	for _, e := range expired {
 		s.jr.Record("lockservice", "lease", "expire", 0, 0, e.clerk+"/"+e.table)
-		_ = s.px.Submit(CmdMarkDead{Clerk: e.clerk, Table: e.table}, 120*time.Second)
+		_ = s.grp.Submit(CmdMarkDead{Clerk: e.clerk, Table: e.table})
 	}
 	for _, j := range jobs {
 		s.jr.Record("lockservice", "recovery", "assign", 0, int64(j.slot), j.dead+" by "+j.recoverer)
@@ -797,7 +744,7 @@ func (s *Server) onRecoveryDone(m RecoveryDone) {
 		return
 	}
 	s.jr.Record("lockservice", "recovery", "closed", 0, 0, m.Dead)
-	_ = s.px.Submit(CmdCloseSession{Clerk: m.Dead, Table: m.Table}, 120*time.Second)
+	_ = s.grp.Submit(CmdCloseSession{Clerk: m.Dead, Table: m.Table})
 }
 
 // syncShards reconstructs gained shards' lock state from the clerks
@@ -839,7 +786,7 @@ func (s *Server) syncShards(shards []int) {
 // syncRetry re-sends SyncReqs for pending shards and prunes clerks
 // whose sessions are gone.
 func (s *Server) syncRetry() {
-	if s.isDown() {
+	if s.grp.Down() {
 		return
 	}
 	s.mu.Lock()
@@ -945,9 +892,10 @@ func (s *Server) finishSync(seq uint64) {
 	s.send(ver, outs)
 }
 
-// Stats reports the paper's lock memory model applied to this
-// server's current state.
-func (s *Server) Stats() (locks int, bytes int64) {
+// stats reports the paper's lock memory model applied to this
+// server's current state, and sets the lockservice.server.{locks,bytes}
+// gauges to it: the revoke-retry tick every server runs calls it.
+func (s *Server) stats() (locks int, bytes int64) {
 	s.mu.Lock()
 	for _, ls := range s.locks {
 		locks++
@@ -955,8 +903,6 @@ func (s *Server) Stats() (locks int, bytes int64) {
 		bytes += int64((len(ls.holders) + len(ls.waiters))) * ServerBytesPerClerk
 	}
 	s.mu.Unlock()
-	// Mirror the computed values into the registry so snapshots see
-	// them without calling Stats.
 	s.locksG.Set(int64(locks))
 	s.memBytes.Set(bytes)
 	return locks, bytes

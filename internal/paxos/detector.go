@@ -22,13 +22,12 @@ type Detector struct {
 	clock    *sim.Clock
 	interval sim.Duration
 	suspect  sim.Duration
+	onChange func(peer string, alive bool)
 
 	mu        sync.Mutex
 	lastHeard map[string]sim.Time
-	onChange  func(peer string, alive bool)
 	alive     map[string]bool
-	stopped   bool
-	crashed   bool
+	down      bool // crashed or stopped
 	cancel    func()
 }
 
@@ -37,32 +36,28 @@ type beat struct{ From string }
 
 func init() { rpc.Register(beat{}) }
 
-// NewDetector builds a failure detector for id among peers. interval
+// newDetector builds a failure detector for id among peers. interval
 // is the heartbeat period; a peer is suspected after suspect without
 // a beat (the paper's lease machinery uses 30s leases; detectors run
-// much faster). onChange, if non-nil, is invoked on every liveness
-// transition (never concurrently). The detector neither beats nor
-// sweeps, and so calls nothing, until Start: an owner whose onChange
-// reads the detector back stores it first.
-func NewDetector(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock,
+// much faster). onChange is invoked on every liveness transition. The
+// detector neither beats nor sweeps, and so calls nothing, until Start:
+// an owner whose onChange reads the detector back stores it first.
+func newDetector(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock,
 	interval, suspect sim.Duration, onChange func(peer string, alive bool)) *Detector {
-	d := &Detector{
-		id:        id,
-		peers:     peers,
-		clock:     clock,
-		interval:  interval,
-		suspect:   suspect,
-		lastHeard: make(map[string]sim.Time),
-		alive:     make(map[string]bool),
-		onChange:  onChange,
-	}
-	now := clock.Now()
-	for _, p := range peers {
-		d.lastHeard[p] = now
-		d.alive[p] = true
-	}
+	d := &Detector{id: id, peers: peers, clock: clock, interval: interval, suspect: suspect, onChange: onChange}
+	d.reset()
 	d.ep = rpc.NewEndpoint(id+".hb", carrier, clock, d.handle)
 	return d
+}
+
+// reset believes every peer alive, with a fresh suspect window.
+func (d *Detector) reset() {
+	now := d.clock.Now()
+	d.lastHeard = make(map[string]sim.Time, len(d.peers))
+	d.alive = make(map[string]bool, len(d.peers))
+	for _, p := range d.peers {
+		d.lastHeard[p], d.alive[p] = now, true
+	}
 }
 
 // Start begins heartbeats and sweeps. Call it once, before Stop.
@@ -70,21 +65,17 @@ func (d *Detector) Start() { d.cancel = d.clock.Tick(d.interval, d.tick) }
 
 func (d *Detector) handle(from string, body any) any {
 	b, ok := body.(beat)
-	if !ok {
-		return nil
-	}
 	d.mu.Lock()
-	if d.stopped || d.crashed {
+	if !ok || d.down {
 		d.mu.Unlock()
 		return nil
 	}
 	d.lastHeard[b.From] = d.clock.Now()
 	wasDead := !d.alive[b.From]
 	d.alive[b.From] = true
-	cb := d.onChange
 	d.mu.Unlock()
-	if wasDead && cb != nil {
-		cb(b.From, true)
+	if wasDead {
+		d.onChange(b.From, true)
 	}
 	return nil
 }
@@ -92,28 +83,21 @@ func (d *Detector) handle(from string, body any) any {
 // tick broadcasts our heartbeat and sweeps for newly-suspected peers.
 func (d *Detector) tick() {
 	d.mu.Lock()
-	if d.stopped || d.crashed {
+	if d.down {
 		d.mu.Unlock()
 		return
 	}
 	now := d.clock.Now()
-	d.lastHeard[d.id] = now
 	var died []string
 	for _, p := range d.peers {
-		if p == d.id {
-			continue
-		}
-		if d.alive[p] && sim.Duration(now-d.lastHeard[p]) > d.suspect {
+		if p != d.id && d.alive[p] && sim.Duration(now-d.lastHeard[p]) > d.suspect {
 			d.alive[p] = false
 			died = append(died, p)
 		}
 	}
-	cb := d.onChange
 	d.mu.Unlock()
 	for _, p := range died {
-		if cb != nil {
-			cb(p, false)
-		}
+		d.onChange(p, false)
 	}
 	for _, p := range d.peers {
 		if p != d.id {
@@ -149,14 +133,11 @@ func (d *Detector) QuorumAlive() bool {
 	return d.AliveCount() >= len(d.peers)/2+1
 }
 
-// Members returns the fixed group membership.
-func (d *Detector) Members() []string { return d.peers }
-
 // Crash silences the detector (no beats sent or accepted), simulating
 // the host being down. Peer liveness views are left to decay normally.
 func (d *Detector) Crash() {
 	d.mu.Lock()
-	d.crashed = true
+	d.down = true
 	d.mu.Unlock()
 }
 
@@ -164,20 +145,14 @@ func (d *Detector) Crash() {
 // given a fresh suspect window.
 func (d *Detector) Recover() {
 	d.mu.Lock()
-	d.crashed = false
-	now := d.clock.Now()
-	for _, p := range d.peers {
-		d.lastHeard[p] = now
-		d.alive[p] = true
-	}
+	d.down = false
+	d.reset()
 	d.mu.Unlock()
 }
 
-// Stop halts heartbeats and sweeps.
+// Stop halts heartbeats and sweeps for good.
 func (d *Detector) Stop() {
-	d.mu.Lock()
-	d.stopped = true
-	d.mu.Unlock()
+	d.Crash()
 	d.cancel()
 	d.ep.Close()
 }

@@ -18,6 +18,11 @@
 // a changing set of *their* servers by deciding commands through this
 // fixed group, which is how the paper's lock service reassigns lock
 // groups.
+//
+// Petal and the lock service each run their global state on a Group, a
+// replica and a failure detector as one member with one set of
+// membership rules, and their clients keep a copy of it through a
+// Follower.
 package paxos
 
 import (
@@ -127,15 +132,16 @@ func init() {
 	rpc.Register(
 		PrepareReq{}, PrepareResp{}, AcceptReq{}, AcceptResp{},
 		DecideMsg{}, LearnReq{}, LearnResp{}, entry{},
+		SetAlive{}, StateReq{}, StateResp{},
 	)
 }
 
 // callTimeout bounds each phase RPC, in simulated time.
 const callTimeout = 1 * time.Second
 
-// NewNode creates a replica named id among peers (which must include
+// newNode creates a replica named id among peers (which must include
 // id) on the given carrier. apply receives decided commands in order.
-func NewNode(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock, apply Applier) *Node {
+func newNode(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock, apply Applier) *Node {
 	n := &Node{
 		id:        id,
 		peers:     peers,
@@ -266,10 +272,12 @@ func (n *Node) onDecide(seq int64, v entry) {
 
 // applyLoop delivers decided commands in order. On a gap that stays
 // open, it asks peers, then drives a no-op proposal to flush out any
-// chosen-but-unlearned value.
+// chosen-but-unlearned value. An instance counts as applied, for
+// Submit, once the applier has returned.
 func (n *Node) applyLoop() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for {
-		n.mu.Lock()
 		for !n.closed {
 			in, ok := n.instances[n.applied]
 			if ok && in.decided {
@@ -286,23 +294,21 @@ func (n *Node) applyLoop() {
 			n.cond.Wait()
 		}
 		if n.closed {
-			n.mu.Unlock()
 			return
 		}
-		seq := n.applied
-		in := n.instances[seq]
-		v := in.chosen
-		n.applied++
+		seq, v := n.applied, n.instances[n.applied].chosen
 		// A command retried by its submitter can be chosen in more than
 		// one instance; apply only its first occurrence. The check is
 		// deterministic across nodes because the log is identical.
 		dup := n.appliedID[v.ID]
-		n.appliedID[v.ID] = true
-		n.cond.Broadcast()
 		n.mu.Unlock()
 		if !dup && !v.Noop && n.apply != nil {
 			n.apply(seq, v.Cmd)
 		}
+		n.mu.Lock()
+		n.applied++
+		n.appliedID[v.ID] = true
+		n.cond.Broadcast()
 	}
 }
 
@@ -333,68 +339,46 @@ func (n *Node) fillGap(seq int64) {
 }
 
 // Submit proposes cmd and blocks until it has been applied on this
-// node or the deadline (simulated) passes.
+// node, the deadline (simulated) passes or the node is crashed or
+// closed: a crashed process proposes nothing.
 func (n *Node) Submit(cmd Command, deadline time.Duration) error {
 	n.mu.Lock()
 	n.ballotGen++
-	id := fmt.Sprintf("%s-%d", n.id, n.ballotGen)
+	e := entry{ID: fmt.Sprintf("%s-%d", n.id, n.ballotGen), Cmd: cmd}
 	n.mu.Unlock()
-	e := entry{ID: id, Cmd: cmd}
-
-	done := make(chan struct{})
-	cancelled := false
-	go func() {
-		n.mu.Lock()
-		for !n.appliedID[id] && !n.closed && !cancelled {
-			n.cond.Wait()
-		}
-		applied := n.appliedID[id]
-		n.mu.Unlock()
-		if applied {
-			close(done)
-		}
-	}()
-	cancel := func() {
-		n.mu.Lock()
-		cancelled = true
-		n.mu.Unlock()
-		n.cond.Broadcast()
-	}
-
-	timeout := n.clock.After(deadline)
+	end := n.clock.Now() + sim.Time(deadline)
 	for attempt := 0; ; attempt++ {
 		n.mu.Lock()
-		if n.appliedID[id] {
-			n.mu.Unlock()
-			cancel()
-			return nil
-		}
-		seq := n.applied
+		applied, down, seq := n.appliedID[e.ID], n.crashed, n.applied
 		// Target the first instance we do not know to be decided.
-		for {
-			in, ok := n.instances[seq]
-			if !ok || !in.decided {
-				break
-			}
+		for in := n.instances[seq]; in != nil && in.decided; in = n.instances[seq] {
 			seq++
 		}
 		n.mu.Unlock()
-
-		n.proposeAt(seq, e)
-
-		select {
-		case <-done:
+		switch {
+		case applied:
 			return nil
-		case <-timeout:
-			cancel()
+		case down || n.clock.Now() >= end:
 			return ErrNotDecided
-		default:
 		}
-		// Randomized exponential backoff so duelling proposers
-		// desynchronize; the global-state command rate is tiny, so
-		// latency here is uncritical.
-		max := 20 << min(attempt, 5)
-		n.clock.Sleep(time.Duration(5+rand.Intn(max)) * time.Millisecond)
+		n.proposeAt(seq, e)
+		// Every instance below seq was decided when seq was picked, so
+		// once seq is decided, whatever it holds, the apply loop reaches
+		// it without the network: wait for that and look again.
+		n.mu.Lock()
+		in := n.instances[seq]
+		decided := in != nil && in.decided
+		for decided && n.applied <= seq && !n.closed {
+			n.cond.Wait()
+		}
+		n.mu.Unlock()
+		if !decided {
+			// Randomized exponential backoff so duelling proposers
+			// desynchronize; the global-state command rate is tiny, so
+			// latency here is uncritical.
+			max := 20 << min(attempt, 5)
+			n.clock.Sleep(time.Duration(5+rand.Intn(max)) * time.Millisecond)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	for _, name := range names {
 		w.AddMachine(name+".px", sim.DefaultLinkParams())
 		name := name
-		node := NewNode(name, names, carrier, w.Clock, func(seq int64, cmd Command) {
+		node := newNode(name, names, carrier, w.Clock, func(seq int64, cmd Command) {
 			c.mu.Lock()
 			c.logs[name] = append(c.logs[name], cmd)
 			c.mu.Unlock()
@@ -214,7 +214,7 @@ func TestDetectorSeesCrash(t *testing.T) {
 	var dets []*Detector
 	for _, n := range names {
 		n := n
-		d := NewDetector(n, names, carrier, w.Clock,
+		d := newDetector(n, names, carrier, w.Clock,
 			100*time.Millisecond, 2*time.Second,
 			func(peer string, alive bool) {
 				mu.Lock()
@@ -252,15 +252,15 @@ func TestDetectorSeesCrash(t *testing.T) {
 }
 
 // TestDetectorSilentUntilStart: an owner's callback reads the detector
-// back through the field NewDetector's result is stored in (the Petal and
-// lock servers' onLiveness do), so nothing may call it before Start. b
+// back through the field newDetector's result is stored in (Group's
+// onLiveness does), so nothing may call it before Start. b
 // never beats: once started, the first sweep reports it dead.
 func TestDetectorSilentUntilStart(t *testing.T) {
 	w := sim.NewWorld(100, 5)
 	defer w.Stop()
 	var calls atomic.Int64
 	var owner struct{ det *Detector }
-	owner.det = NewDetector("a", []string{"a", "b"}, rpc.SimCarrier{Net: w.Net}, w.Clock,
+	owner.det = newDetector("a", []string{"a", "b"}, rpc.SimCarrier{Net: w.Net}, w.Clock,
 		100*time.Millisecond, 200*time.Millisecond,
 		func(peer string, alive bool) {
 			if owner.det.Alive(peer) != alive {

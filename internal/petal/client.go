@@ -11,6 +11,7 @@ import (
 
 	"frangipani/internal/bufpool"
 	"frangipani/internal/obs"
+	"frangipani/internal/paxos"
 	"frangipani/internal/reuse"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
@@ -60,17 +61,12 @@ type driver struct {
 	servers []string
 	addrs   map[string]string // DataAddr of each server, made once
 
-	mu      sync.Mutex
-	state   GlobalState
-	stateOK bool
-	// refreshWait single-flights state refreshes: concurrent callers
-	// wait on the in-flight probe instead of stampeding every server.
-	refreshWait chan struct{}
-	// refreshRR rotates the single-probe target so repeated refreshes
-	// sample different servers (a lagging server cannot pin us to a
-	// stale view forever).
-	refreshRR atomic.Uint64
+	// follow keeps the view of the global state, version-aware: its
+	// petal.refresh.{rpcs,skipped,unchanged} counters are what the
+	// control plane costs this client.
+	follow *paxos.Follower[GlobalState]
 
+	mu sync.Mutex // guards leaseInfo
 	// leaseInfo, when set, stamps writes with the holder's lease
 	// expiration so guarded Petal servers can reject writes from
 	// expired leases (§6's hazard fix).
@@ -108,14 +104,6 @@ type driver struct {
 	// reads counts this client's read calls in flight: a read that finds
 	// no other is lone.
 	reads atomic.Int32
-
-	// Control-plane refresh statistics: at big N the O(N) full-state
-	// sweep was itself a scaling cost, so the incremental path's hit
-	// rates are first-class observables.
-	refreshRPCs    *obs.Counter // StateReq calls issued
-	refreshSkipped *obs.Counter // refreshes short-circuited (version already advanced / coalesced)
-	refreshFanout  *obs.Counter // probe failures that forced a bounded fan-out
-	refreshUnch    *obs.Counter // probes answered Unchanged (no state shipped)
 
 	// infl is the load signal read routing balances on: per server, the
 	// bytes of this client's reads that have been routed to it and not
@@ -198,27 +186,23 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		return reg.Gauge("petal." + name + "#" + key)
 	}
 	c := &Client{driver: &driver{
-		name:           machine,
-		clock:          w.Clock,
-		servers:        append([]string(nil), servers...),
-		addrs:          dataAddrs(servers),
-		opDeadline:     30 * time.Second,
-		parallelism:    8,
-		randIntn:       w.RandIntn,
-		writeVRPCs:     counter("writev.rpcs"),
-		writeVExtents:  counter("writev.extents"),
-		readVRPCs:      counter("readv.rpcs"),
-		readVExtents:   counter("readv.extents"),
-		readPrimary:    counter("read.primary"),
-		readBackup:     counter("read.backup"),
-		balancePct:     gauge("read.balance.pct", machine),
-		readLone:       counter("read.lone"),
-		writeParted:    counter("write.parted"),
-		refreshRPCs:    counter("refresh.rpcs"),
-		refreshSkipped: counter("refresh.skipped"),
-		refreshFanout:  counter("refresh.fanout"),
-		refreshUnch:    counter("refresh.unchanged"),
-		infl:           make(map[string]*obs.Gauge, len(servers)),
+		name:          machine,
+		clock:         w.Clock,
+		servers:       append([]string(nil), servers...),
+		addrs:         dataAddrs(servers),
+		opDeadline:    30 * time.Second,
+		parallelism:   8,
+		randIntn:      w.RandIntn,
+		writeVRPCs:    counter("writev.rpcs"),
+		writeVExtents: counter("writev.extents"),
+		readVRPCs:     counter("readv.rpcs"),
+		readVExtents:  counter("readv.extents"),
+		readPrimary:   counter("read.primary"),
+		readBackup:    counter("read.backup"),
+		balancePct:    gauge("read.balance.pct", machine),
+		readLone:      counter("read.lone"),
+		writeParted:   counter("write.parted"),
+		infl:          make(map[string]*obs.Gauge, len(servers)),
 	}}
 	c.balanceReads.Store(true)
 	for _, s := range servers {
@@ -236,6 +220,7 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 		}
 	}
 	c.ep = rpc.NewEndpoint(ClientAddr(machine), carrier, w.Clock, nil)
+	c.follow = paxos.NewFollower[GlobalState](c.ep, servers, DataAddr, reg, "petal.refresh", machine)
 	return c
 }
 
@@ -270,149 +255,17 @@ func (c Client) Close() {
 	c.workers.Close()
 }
 
-// refreshSince refreshes the global-state view, version-aware and
-// incremental. usedVersion is the version the caller routed with when
-// it hit trouble (-1 for "just refresh"):
-//
-//   - If the cached view has already advanced past usedVersion —
-//     another caller refreshed first — skip the network entirely.
-//   - Concurrent refreshes coalesce onto one in-flight probe.
-//   - The probe itself asks ONE server (rotating round-robin) with
-//     HaveVersion, so the common answer is a tiny Unchanged reply;
-//     only a failed or unusable probe falls back to a bounded
-//     parallel fan-out over the remaining servers.
-func (c Client) refreshSince(usedVersion int64) error {
-	c.mu.Lock()
-	for {
-		if c.stateOK && c.state.Version > usedVersion {
-			c.mu.Unlock()
-			c.refreshSkipped.Add(1)
-			return nil
-		}
-		ch := c.refreshWait
-		if ch == nil {
-			break
-		}
-		// A refresh is in flight: wait for it, then re-judge. The
-		// waiters coalesce rather than stampeding the servers.
-		c.mu.Unlock()
-		<-ch
-		c.mu.Lock()
-		if c.stateOK {
-			c.mu.Unlock()
-			c.refreshSkipped.Add(1)
-			return nil
-		}
-		// The in-flight refresh failed and we never had a view; fall
-		// through to run our own probe (refreshWait is nil again, or
-		// someone else started one and we wait again).
-	}
-	ch := make(chan struct{})
-	c.refreshWait = ch
-	have := int64(-1)
-	if c.stateOK {
-		have = c.state.Version
-	}
-	c.mu.Unlock()
-
-	err := c.doRefresh(have)
-
-	c.mu.Lock()
-	c.refreshWait = nil
-	c.mu.Unlock()
-	close(ch)
-	return err
-}
-
-// doRefresh runs one refresh: a single version-aware probe, then a
-// bounded fan-out only if the probe fails.
-func (c Client) doRefresh(have int64) error {
-	n := len(c.servers)
-	if n == 0 {
-		return ErrUnavailable
-	}
-	probe := c.servers[int(c.refreshRR.Add(1)-1)%n]
-	if sr, ok := c.askState(probe, have); ok {
-		if sr.Unchanged {
-			// Server is no newer than us; nothing to adopt. Retry
-			// loops that still fail will rotate to other servers.
-			c.refreshUnch.Add(1)
-			return nil
-		}
-		c.adoptState(sr.State)
-		return nil
-	}
-	// Probe failed: bounded parallel fan-out over the remaining
-	// servers, adopting the best view any of them returns. Servers
-	// apply Paxos decisions asynchronously, so keeping the highest
-	// version guards against a lagging straggler.
-	c.refreshFanout.Add(1)
-	var rmu sync.Mutex
-	got, gotState := false, false
-	var best GlobalState
-	var fo FanOut
-	_ = c.workers.Run(&fo, 4, n, func(i int) error {
-		if c.servers[i] == probe {
-			return nil
-		}
-		sr, ok := c.askState(c.servers[i], have)
-		if !ok {
-			return nil
-		}
-		rmu.Lock()
-		got = true // a server current with us still counts as an answer
-		if !sr.Unchanged && (!gotState || sr.State.Version > best.Version) {
-			best = sr.State
-			gotState = true
-		}
-		rmu.Unlock()
-		return nil
-	})
-	if !got {
-		return ErrUnavailable
-	}
-	if gotState {
-		c.adoptState(best)
-	}
-	return nil
-}
-
-// askState asks srv for the global state, telling it the version the
-// caller has: a server no newer answers Unchanged, without the state.
-// ok reports an answer.
-func (c Client) askState(srv string, have int64) (sr StateResp, ok bool) {
-	c.refreshRPCs.Add(1)
-	resp, err := c.ep.Call(DataAddr(srv), StateReq{HaveVersion: have}, dataTimeout)
-	sr, ok = resp.(StateResp)
-	return sr, err == nil && ok && sr.OK
-}
-
-// adoptState installs a fetched view unless the cached one is newer.
-func (c Client) adoptState(st GlobalState) {
-	c.mu.Lock()
-	if !c.stateOK || st.Version >= c.state.Version {
-		c.state = st
-		c.stateOK = true
-	}
-	c.mu.Unlock()
-}
-
 // State returns the client's view of the global state, refreshed first
 // when it has none.
 func (c Client) State() (GlobalState, error) {
-	c.mu.Lock()
-	ok := c.stateOK
-	st := c.state
-	c.mu.Unlock()
-	if ok {
-		return st, nil
+	st, ver := c.follow.View()
+	if ver < 0 {
+		if c.follow.Refresh(-1) != nil {
+			return GlobalState{}, ErrUnavailable
+		}
+		st, _ = c.follow.View()
 	}
-	if err := c.refreshSince(-1); err != nil {
-		return GlobalState{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state, nil
+	return st, nil
 }
 
 // SetReadBalance toggles read load balancing across replicas. On (the
@@ -632,7 +485,7 @@ func (c Client) transfer(x *xfer, exts []Extent) (err error) {
 		// Version-aware: if another caller already refreshed past the
 		// view we routed with, the retry reuses it without touching
 		// the network (petal.refresh.skipped counts these).
-		_ = c.refreshSince(routedVer)
+		_ = c.follow.Refresh(routedVer)
 		c.retryPause(attempt, deadline)
 	}
 }
@@ -994,33 +847,26 @@ func (c Client) admin(cmd Command) error {
 // serves the disk. A server that does not answer is skipped; one still
 // behind after dataTimeout is left to catch up on its own.
 func (c Client) settle(applied string) {
-	c.mu.Lock()
-	have := int64(-1)
-	if c.stateOK {
-		have = c.state.Version
-	}
-	c.mu.Unlock()
-	sr, ok := c.askState(applied, have)
-	if !ok {
-		_ = c.refreshSince(have) // it has gone away since; any newer view will do
+	_, have := c.follow.View()
+	sr, err := c.follow.Ask(DataAddr(applied), have)
+	if err != nil {
+		_ = c.follow.Refresh(have) // it has gone away since; any newer view will do
 		return
 	}
-	if !sr.Unchanged {
-		c.adoptState(sr.State)
+	if st, ok := sr.State.(GlobalState); ok {
+		c.follow.Adopt(st, sr.Version)
 	}
-	c.mu.Lock()
-	alive := c.state.Alive
-	c.mu.Unlock()
+	view, _ := c.follow.View()
 	deadline := c.clock.Now() + sim.Time(dataTimeout)
 	var fo FanOut
 	_ = c.workers.Run(&fo, 4, len(c.servers), func(i int) error {
 		srv := c.servers[i]
-		if srv == applied || !alive[srv] {
+		if srv == applied || !view.Alive[srv] {
 			return nil
 		}
 		for c.clock.Now() < deadline {
 			// A version nobody has makes the answer the short one.
-			if r, ok := c.askState(srv, math.MaxInt64); !ok || r.Version >= sr.Version {
+			if r, err := c.follow.Ask(addrOf(c.addrs, srv), math.MaxInt64); err != nil || r.Version >= sr.Version {
 				break
 			}
 			c.clock.Sleep(5 * time.Millisecond)

@@ -171,20 +171,6 @@ type (
 		OK  bool
 		Err string
 	}
-	// StateReq asks a server for the current global state.
-	// HaveVersion is the version the client already holds: a server
-	// whose state is no newer answers Unchanged instead of shipping
-	// the full directory, making routine refreshes O(1) on the wire.
-	StateReq struct{ HaveVersion int64 }
-	// StateResp returns a copy of the global state, or Unchanged when
-	// the server has nothing newer than the client's HaveVersion
-	// (Version echoes the server's current version in that case).
-	StateResp struct {
-		OK        bool
-		Unchanged bool
-		Version   int64
-		State     GlobalState
-	}
 	// RepairReq asks a partner to push the named server, restarting,
 	// every chunk it missed; the partner answers when it is done.
 	RepairReq struct{ For string }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"frangipani/internal/paxos"
 	"frangipani/internal/sim"
 )
 
@@ -487,12 +488,12 @@ func TestGlobalStateApply(t *testing.T) {
 	if err := g.Apply(CmdSnapshot{Parent: "s", Snap: "s2"}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v", err)
 	}
-	g.Apply(CmdSetAlive{Server: "b", Alive: false})
+	g.Apply(paxos.SetAlive{Server: "b", Alive: false})
 	if g.Alive["b"] {
 		t.Fatal("SetAlive not applied")
 	}
 	// Unknown server ignored.
-	g.Apply(CmdSetAlive{Server: "zz", Alive: false})
+	g.Apply(paxos.SetAlive{Server: "zz", Alive: false})
 	if _, ok := g.Alive["zz"]; ok {
 		t.Fatal("unknown server added to liveness map")
 	}

@@ -357,11 +357,14 @@ func TestReadChargeGivenBack(t *testing.T) {
 	t.Run("parked for a new view, forced refresh", func(t *testing.T) {
 		tc := newTestCluster(t, 3, nil)
 		tc.client.opDeadline = time.Second
-		refreshes := tc.client.refreshRPCs.Value() + tc.client.refreshSkipped.Value()
+		refreshes := func() int64 {
+			return tc.w.Obs.Counter("petal.refresh.rpcs#ws0").Value() + tc.w.Obs.Counter("petal.refresh.skipped#ws0").Value()
+		}
+		before := refreshes()
 		if err := tc.client.Read("never-created", 0, make([]byte, 2*ChunkSize)); err == nil {
 			t.Fatal("read of a nonexistent vdisk succeeded")
 		}
-		if tc.client.refreshRPCs.Value()+tc.client.refreshSkipped.Value() == refreshes {
+		if refreshes() == before {
 			t.Fatal("test vacuous: the parked pieces forced no refresh")
 		}
 		assertIdle(t, tc.client)
@@ -515,7 +518,7 @@ func TestSplitReadDeadReplica(t *testing.T) {
 		waitUntil(t, time.Minute, func() bool {
 			st, err := tc.client.State()
 			if err != nil || st.Alive["p2"] {
-				_ = tc.client.refreshSince(st.Version) // not yet: ask for a newer view
+				_ = tc.client.follow.Refresh(st.Version) // not yet: ask for a newer view
 				return false
 			}
 			return true
@@ -568,7 +571,7 @@ func routeFixture(tb testing.TB) *Client {
 	w := sim.NewWorld(200, 3)
 	names := []string{"p0", "p1", "p2"}
 	c := NewClient(w, "ws0", names)
-	c.adoptState(NewGlobalState(names))
+	c.follow.Adopt(NewGlobalState(names), 0)
 	tb.Cleanup(func() {
 		c.Close()
 		w.Stop()

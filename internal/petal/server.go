@@ -56,8 +56,7 @@ type Server struct {
 	w    *sim.World
 	cfg  ServerConfig
 	ep   *rpc.Endpoint
-	px   *paxos.Node
-	det  *paxos.Detector
+	grp  *paxos.Group
 	cpu  *sim.CPU
 	st   *store
 
@@ -65,10 +64,7 @@ type Server struct {
 	state   GlobalState
 	missed  map[string]map[chunkKey]uint64 // partner -> keys it missed -> missSeq of the latest miss
 	missSeq uint64
-	crashed bool
-	closed  bool
 
-	rejoinMu sync.Mutex // serializes rejoin passes
 	aeCancel func()
 	nvs      []*sim.NVRAM
 
@@ -156,10 +152,8 @@ func NewServerWithCarrier(w *sim.World, name string, peers []string, cfg ServerC
 		s.jr = reg.Journal(name)
 	}
 
-	s.px = paxos.NewNode(name, peers, carrier, w.Clock, s.applyCmd)
-	s.det = paxos.NewDetector(name, peers, carrier, w.Clock,
-		cfg.HeartbeatEvery, cfg.SuspectAfter, s.onLiveness)
-	s.det.Start() // once s.det is set: onLiveness reads it
+	s.grp = paxos.NewGroup(name, peers, carrier, w.Clock,
+		cfg.HeartbeatEvery, cfg.SuspectAfter, s.jr, s.applyCmd, s.rejoin)
 	s.ep = rpc.NewEndpoint(DataAddr(name), carrier, w.Clock, s.handle)
 	s.aeCancel = w.Clock.Tick(cfg.SuspectAfter, s.antiEntropy)
 	return s
@@ -189,53 +183,9 @@ func (s *Server) applyCmd(seq int64, cmd paxos.Command) {
 	s.mu.Unlock()
 }
 
-// onLiveness reacts to failure-detector transitions. The lowest-named
-// live server proposes the liveness change into the global state;
-// proposals are idempotent there.
-func (s *Server) onLiveness(peer string, alive bool) {
-	if s.isDown() {
-		return
-	}
-	if alive {
-		// The rejoiner proposes itself alive after resync; nothing to
-		// do here.
-		return
-	}
-	s.mu.Lock()
-	already := !s.state.Alive[peer]
-	s.mu.Unlock()
-	if already || !s.amCoordinator() {
-		return
-	}
-	s.jr.Record("petal", "replica", "death", 0, 0, peer)
-	go func() {
-		_ = s.px.Submit(CmdSetAlive{Server: peer, Alive: false}, 60*time.Second)
-	}()
-}
-
-// amCoordinator reports whether this server is the lowest-named one
-// it currently believes alive.
-func (s *Server) amCoordinator() bool {
-	for _, p := range s.det.Members() {
-		if p == s.name {
-			return true
-		}
-		if s.det.Alive(p) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Server) isDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed || s.closed
-}
-
 // handle serves the Petal data and control protocol.
 func (s *Server) handle(from string, body any) any {
-	if s.isDown() {
+	if s.grp.Down() {
 		// The request will never be served; recycle any pooled
 		// receive buffer its payload occupies.
 		rpc.Release(body)
@@ -257,18 +207,10 @@ func (s *Server) handle(from string, body any) any {
 	switch m := body.(type) {
 	case AdminReq:
 		return s.onAdmin(m)
-	case StateReq:
+	case paxos.StateReq:
 		s.mu.Lock()
-		if s.state.Version <= m.HaveVersion {
-			// Client is current: answer without cloning or shipping
-			// the directory (incremental refresh fast path).
-			v := s.state.Version
-			s.mu.Unlock()
-			return StateResp{OK: true, Unchanged: true, Version: v}
-		}
-		st := s.state.Clone()
-		s.mu.Unlock()
-		return StateResp{OK: true, Version: st.Version, State: st}
+		defer s.mu.Unlock()
+		return m.Answer(s.state.Version, func() any { return s.state.Clone() })
 	case RepairReq:
 		s.repair(m.For)
 		return AdminResp{OK: true}
@@ -332,7 +274,7 @@ func (s *Server) MissedBacklog() int {
 // forward failures. A partner restarting after a declared crash asks
 // for its repair itself (rejoin).
 func (s *Server) antiEntropy() {
-	if s.isDown() {
+	if s.grp.Down() {
 		return
 	}
 	s.mu.Lock()
@@ -515,7 +457,7 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 		if epoch == 0 || ceiling >= epoch {
 			break
 		}
-		if s.w.Clock.Now() >= waitLimit || s.isDown() {
+		if s.w.Clock.Now() >= waitLimit || s.grp.Down() {
 			return "", 0, st, ErrUnavailable.Error()
 		}
 		s.w.Clock.Sleep(20 * time.Millisecond)
@@ -812,7 +754,7 @@ func (s *Server) onAdmin(m AdminReq) AdminResp {
 	if err := probe.Apply(m.Cmd); err != nil {
 		return AdminResp{Err: err.Error()}
 	}
-	if err := s.px.Submit(m.Cmd, 60*time.Second); err != nil {
+	if err := s.grp.Submit(m.Cmd); err != nil {
 		return AdminResp{Err: err.Error()}
 	}
 	return AdminResp{OK: true}
@@ -821,43 +763,31 @@ func (s *Server) onAdmin(m AdminReq) AdminResp {
 // Crash stops the server: data path, Paxos, and heartbeats all go
 // silent. Disk contents are retained.
 func (s *Server) Crash() {
-	s.mu.Lock()
-	s.crashed = true
-	s.mu.Unlock()
 	s.jr.Record("petal", "replica", "crash", 0, 0, "")
-	s.px.Crash()
-	s.det.Crash()
+	s.grp.Crash()
 }
 
 // Restart revives a crashed server. Its partners push it the writes it
-// missed and then it proposes itself alive; clients route reads back to
-// it only after that point.
+// missed (rejoin) and then its group proposes it alive; clients route
+// reads back to it only after that point.
 func (s *Server) Restart() {
-	s.mu.Lock()
-	s.crashed = false
-	s.mu.Unlock()
 	s.jr.Record("petal", "replica", "restart", 0, 0, "resync from partners")
-	s.px.Recover()
-	s.det.Recover()
-	go s.rejoin()
+	s.grp.Restart()
 }
 
 // repairTimeout bounds rejoin's wait for one partner's repair: the
 // partner answers once it has pushed every chunk the server missed.
 const repairTimeout = 60 * time.Second
 
-// rejoin asks every partner to repair this server, one partner at a
-// time, then proposes aliveness.
+// rejoin is the group's rejoin hook: it asks every partner to repair
+// this server, one partner at a time.
 func (s *Server) rejoin() {
-	s.rejoinMu.Lock()
-	defer s.rejoinMu.Unlock()
-	for _, p := range s.det.Members() {
-		if p == s.name || s.isDown() {
+	for _, p := range s.grp.Members() {
+		if p == s.name || s.grp.Down() {
 			continue
 		}
 		_, _ = s.ep.Call(addrOf(s.addrs, p), RepairReq{For: s.name}, repairTimeout)
 	}
-	_ = s.px.Submit(CmdSetAlive{Server: s.name, Alive: true}, 60*time.Second)
 }
 
 // DebugReadChunk reads length bytes at off within a chunk directly
@@ -880,12 +810,8 @@ func (s *Server) DebugReadChunk(v VDiskID, chunk int64, off, length int) ([]byte
 
 // Close shuts the server down permanently.
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.grp.Close()
 	s.aeCancel()
-	s.det.Stop()
-	s.px.Close()
 	s.ep.Close()
 	s.workers.Close()
 	for _, nv := range s.nvs {

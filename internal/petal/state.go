@@ -2,6 +2,8 @@ package petal
 
 import (
 	"sort"
+
+	"frangipani/internal/paxos"
 )
 
 // Command is a Petal global-state command, decided through Paxos and
@@ -20,14 +22,6 @@ type (
 	CmdSnapshot struct {
 		Parent VDiskID
 		Snap   VDiskID
-	}
-	// CmdSetAlive records a server's liveness transition. Placement
-	// never changes, but clients and replicas route around servers
-	// that are not alive, and a rejoining server resyncs before
-	// proposing itself alive again.
-	CmdSetAlive struct {
-		Server string
-		Alive  bool
 	}
 )
 
@@ -122,7 +116,9 @@ func (g *GlobalState) Apply(cmd Command) error {
 		}
 		parent.Epoch++
 		g.VDisks[c.Parent] = parent
-	case CmdSetAlive:
+	case paxos.SetAlive:
+		// Placement never changes, but clients and replicas route
+		// around a server that is not alive.
 		if _, ok := g.Alive[c.Server]; ok {
 			g.Alive[c.Server] = c.Alive
 		}

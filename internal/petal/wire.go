@@ -11,10 +11,9 @@ func init() {
 		WriteVExtent{}, WriteVReq{}, WriteVResp{},
 		DecommitReq{},
 		AdminReq{}, AdminResp{},
-		StateReq{}, StateResp{},
 		RepairReq{}, PushChunkReq{},
 		ListChunksReq{}, ListChunksResp{},
-		CmdCreateVDisk{}, CmdDeleteVDisk{}, CmdSnapshot{}, CmdSetAlive{},
+		CmdCreateVDisk{}, CmdDeleteVDisk{}, CmdSnapshot{}, GlobalState{},
 	)
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"frangipani/internal/lockservice"
 	"frangipani/internal/obs"
+	"frangipani/internal/paxos"
 	"frangipani/internal/petal"
 	"frangipani/internal/rpc"
 )
@@ -49,7 +50,7 @@ func sampleEnvelopes() []rpc.Envelope {
 		{ID: 7, IsReply: true, Body: petal.WriteVResp{OK: false, Err: "petal: write rejected, lease expired"}},
 		// Control traffic: an empty struct, a cast, an interface field,
 		// empty and nil slices, and no body at all.
-		{ID: 8, Body: petal.StateReq{}},
+		{ID: 8, Body: paxos.StateReq{}},
 		{Body: petal.AdminResp{OK: true}}, // cast (ID 0)
 		{ID: 9, Body: petal.AdminReq{Cmd: petal.CmdSnapshot{Parent: "vd", Snap: "vd-snap"}}},
 		{ID: 9, Body: &petal.AdminReq{}},

@@ -92,12 +92,6 @@ func (c *Clock) SleepUntil(t Time) {
 	c.tm.waitUntil(at)
 }
 
-// After returns a channel that fires once d of simulated time has
-// elapsed, mirroring time.After.
-func (c *Clock) After(d Duration) <-chan time.Time {
-	return time.After(c.Real(d))
-}
-
 // Stop marks the clock stopped. Tickers started from this clock exit
 // at their next wakeup. Nobody asleep is stranded: every pending wait
 // still ends at its deadline, after which the timer goroutine and its

@@ -80,7 +80,7 @@ func within(t *testing.T, c *Clock, d Duration, what string, fn func()) {
 	go func() { fn(); close(done) }()
 	select {
 	case <-done:
-	case <-c.After(d):
+	case <-time.After(c.Real(d)):
 		t.Fatalf("%s has not returned after %v of simulated time", what, d)
 	}
 }
