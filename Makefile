@@ -37,7 +37,9 @@ race:
 ## the entries their evictions drop), a 64 KB ReadAt right after a lock
 ## handoff (a bound: the lock messages and the speculative fill's lone
 ## ReadV replies, 9; 12 while claims and transactions were new, 29 before
-## its pages and sector took the entries the revoke dropped), a cold
+## its pages and sector took the entries the revoke dropped), a revoke
+## that takes a cached directory's lock to None (a bound: its four lock
+## messages; the hint it keeps is a slot of a fixed table), a cold
 ## Stat (a bound: the inode sector's read reply, 1), a streaming 64 KB
 ## WriteAt with its write-behind flight (nothing: its transaction and
 ## claim come from free lists, the flight runs on a parked worker; 3
@@ -104,6 +106,16 @@ bench:
 ##   noisy-neighbor-obs: >= 95% of a principal-tagged streaming writer's
 ##     bytes and lock-wait are attributed, the writer ranks first by
 ##     bytes, and the watcher's verdict lands in the merged timeline;
+##   table1, table2: on the rows that touch new metadata Frangipani's raw
+##     time stays within 3x AdvFS's for Create Directories and Table 2's
+##     create/remove, 2x for Copy Files and 1.3x for the MAB total
+##     (ROADMAP item 6: a create that touches a free inode first takes
+##     its lock with its free neighbours' in one batch and reads their
+##     sectors in one fetch; before that the rows read 9.5x, 3.8x,
+##     1.76x and 5.2x). Both run at full size, about a second each: at
+##     -quick sizing the rows are a few milliseconds and one host stall
+##     decides a gate (one of eight `go run` runs failed Copy Files at
+##     2.48x; none of twenty at full size);
 ##   scale-sweep: read and write throughput stay >= 0.7x linear from 8 to
 ##     32 servers (8/16/32 machines in -quick) and busy clerks send zero
 ##     standalone renew RPCs; on failure it dumps
@@ -125,6 +137,8 @@ bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp lock-scaling -out lock-scaling-trajectory.json
 	$(GO) run ./cmd/frangibench -quick -exp obs-overhead
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
+	$(GO) run ./cmd/frangibench -exp table1
+	$(GO) run ./cmd/frangibench -exp table2
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --trace 1 --out BENCH_layers_$$(date -u +%Y%m%dT%H%M%SZ).json
@@ -132,7 +146,7 @@ bench-smoke:
 
 ## experiments: every entry of bench.Experiments once, at the -quick
 ## sizing of the root BenchmarkExperiments (4 machines, 5 Petal
-## servers), each table logged. bench-smoke runs seven of them, the
+## servers), each table logged. bench-smoke runs nine of them, the
 ## ones with gates; this runs all twenty, and fails if any of them fails
 ## its own assertions or no longer runs. Not part of check.
 experiments:

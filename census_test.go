@@ -213,6 +213,7 @@ var exported = map[string]string{
 	"cache.Pool.MarkCleanIfBatch":  "internal/fs/fs.go",
 	"cache.Pool.MarkDirty":         "internal/fs/file.go",
 	"cache.Pool.MaxSeq":            "internal/fs/fs.go",
+	"cache.Pool.Own":               "internal/fs/ops.go",
 	"cache.Pool.Mutate":            "internal/fs/file.go",
 	"cache.Pool.Peek":              "internal/fs/file.go",
 	"cache.Pool.Pin":               "internal/fs/gate.go",
@@ -329,7 +330,8 @@ var exported = map[string]string{
 	"lockservice.Clerk.LeaseLost":           "internal/fs/fs.go",
 	"lockservice.Clerk.LeaseID":             "internal/fs/fs.go",
 	"lockservice.Clerk.LeaseValid":          "internal/fs/fs.go",
-	"lockservice.Clerk.Lock":                "internal/fs/fs.go, benchmark/drives.go",
+	"lockservice.Clerk.Lock":                "benchmark/drives.go",
+	"lockservice.Clerk.LockAll":             "internal/fs/fs.go",
 	"lockservice.Clerk.LogSlot":             "internal/fs/fs.go",
 	"lockservice.Clerk.MemoryBytes":         "TestClerkMemoryAccounting, TestIdleLocksDiscarded",
 	"lockservice.Clerk.Open":                "internal/fs/fs.go",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -48,15 +49,32 @@ func (o Options) Table1MAB() (*Table, error) {
 	}
 	var totals []string
 	totals = append(totals, "TOTAL")
-	for c := 0; c < 4; c++ {
-		var sum sim.Duration
+	var sums [4]sim.Duration
+	for c := range sums {
 		for p := 0; p < 5; p++ {
-			sum += cols[c][p]
+			sums[c] += cols[c][p]
 		}
-		totals = append(totals, ms(sum))
+		totals = append(totals, ms(sums[c]))
 	}
 	t.Rows = append(t.Rows, totals)
+	if err := errors.Join(
+		rawRatio("table1", "Create Directories", cols[2][0], cols[0][0], 3),
+		rawRatio("table1", "Copy Files", cols[2][1], cols[0][1], 2),
+		rawRatio("table1", "TOTAL", sums[2], sums[0], 1.3),
+	); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// rawRatio is the gate on a row that touches new metadata (ROADMAP item
+// 6): Frangipani's raw time at most bound times AdvFS's.
+func rawRatio(exp, row string, frangipani, advfs sim.Duration, bound float64) error {
+	if r := float64(frangipani) / float64(advfs); r > bound {
+		return fmt.Errorf("%s: %s takes %s ms on Frangipani, %.2fx AdvFS's %s ms (want <= %.1fx)",
+			exp, row, ms(frangipani), r, ms(advfs), bound)
+	}
+	return nil
 }
 
 // Table2Connectathon reproduces Table 2: the Connectathon-style
@@ -95,6 +113,9 @@ func (o Options) Table2Connectathon() (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			name, ms(cols[0][p]), ms(cols[1][p]), ms(cols[2][p]), ms(cols[3][p]),
 		})
+	}
+	if err := rawRatio("table2", workload.ConnectathonTests[0], cols[2][0], cols[0][0], 3); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -408,6 +408,18 @@ func (p *Pool) Fill(addr int64, data []byte, owner uint64) (e *Entry, inserted b
 	return e, true
 }
 
+// Own puts the block cached at addr, if there is one, under owner, dirty
+// or not: for a block that passes from one lock's protection to
+// another's, so that the new lock's revoke is the one that writes it
+// back and drops it.
+func (p *Pool) Own(addr int64, owner uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.entries[addr]; ok {
+		p.setOwnerLocked(e, owner)
+	}
+}
+
 func (p *Pool) setOwnerLocked(e *Entry, owner uint64) {
 	if e.Owner == owner {
 		return

@@ -221,6 +221,34 @@ func TestReInsertChangesOwner(t *testing.T) {
 	}
 }
 
+// TestOwnMovesEntry: a block put under another owner is that owner's
+// to flush and to drop, dirty as it was; the old owner's invalidation
+// leaves it.
+func TestOwnMovesEntry(t *testing.T) {
+	p := NewPool(512, 8)
+	e := p.Insert(0, make([]byte, 512), 1)
+	p.MarkDirty(e, 1)
+	p.Unpin(e)
+	p.Own(0, 2)
+	p.Own(512, 2) // nothing cached there: nothing to do
+	if got := p.DirtyByOwner(nil, 1); len(got) != 0 {
+		t.Fatal("old owner still counts the block dirty")
+	}
+	got := p.DirtyByOwner(nil, 2)
+	if len(got) != 1 {
+		t.Fatal("new owner does not count the block dirty")
+	}
+	p.Unpin(got...)
+	p.InvalidateByOwner(1)
+	if !p.Contains(0) {
+		t.Fatal("the old owner's invalidation dropped the block")
+	}
+	p.InvalidateByOwner(2)
+	if p.Contains(0) {
+		t.Fatal("the new owner's invalidation left the block")
+	}
+}
+
 // TestCapacityInvariantProperty: with a flusher that writes its victims
 // back, the pool never holds more than its capacity once a call has
 // returned. With one that fails, no dirty block is ever dropped, and the

@@ -267,6 +267,57 @@ func (fs *FS) ownsSeg(c allocClass, seg int64) bool {
 	return false
 }
 
+// firstTouch is how many free inodes a create takes the locks of, and
+// reads, when the lock of the one it allocated is not held here: that
+// one and up to firstTouch-1 of the next ones in its bitmap sector.
+const firstTouch = 16
+
+// lockNew takes the lock of inum, an inode t has just allocated, until t
+// is done. Nobody else can want it (the inode was free, protected by the
+// segment lock t holds), so taking it out of order is safe. A lock this
+// server does not hold — an inode it never used, or one whose lock
+// another server took — would cost the create a lock round trip and then
+// a read of the inode's sector, and the next create the same again. So
+// lockNew takes in the same batch the locks of up to firstTouch-1 of the
+// free inodes after inum in its bitmap sector, which the segment lock
+// protects just as it does inum, and brings in all their sectors with
+// one fetch: the creates after this one find both ready.
+func (fs *FS) lockNew(t *txn, inum int64) error {
+	id := InodeLock(inum)
+	if fs.clerk.TryLock(id, lockExtraMode) {
+		t.segs = append(t.segs, id)
+		return nil
+	}
+	var idRoom [firstTouch]uint64
+	var blockRoom [firstTouch]block
+	ids, blocks := append(idRoom[:0], id), append(blockRoom[:0], block{fs.lay.InodeAddr(inum), id, fs.meta})
+	addr, _, _ := fs.lay.bitLoc(inum)
+	if e, ok := fs.meta.Peek(addr); ok {
+		var sector [SectorSize]byte // a copy: another operation of this server may be claiming a bit
+		fs.meta.CopyOut(sector[:], e, 0)
+		fs.meta.Unpin(e)
+		for n := inum + 1; n < fs.lay.MaxInodes && len(ids) < firstTouch; n++ {
+			a, byteOff, mask := fs.lay.bitLoc(n)
+			if a != addr {
+				break
+			}
+			if sector[byteOff]&mask == 0 {
+				ids = append(ids, InodeLock(n))
+				blocks = append(blocks, block{fs.lay.InodeAddr(n), InodeLock(n), fs.meta})
+			}
+		}
+	}
+	if err := fs.lockBatch(t.op, ids, lockExtraMode); err != nil {
+		return err
+	}
+	t.segs = append(t.segs, id)
+	err := fs.warm(t.op, blocks)
+	for _, n := range ids[1:] {
+		fs.clerk.Unlock(n)
+	}
+	return err
+}
+
 // freeSpec names one object to free.
 type freeSpec struct {
 	class allocClass

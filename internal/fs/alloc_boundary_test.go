@@ -3,6 +3,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -160,5 +161,78 @@ func TestSegmentStealAcrossServers(t *testing.T) {
 	}
 	if rep.Files != n {
 		t.Fatalf("checker found %d files, want %d", rep.Files, n)
+	}
+}
+
+// TestFreedDirBlockWrittenBackBeforeReuse: ws1 empties and removes a
+// directory whose emptied sectors it has not written back, and ws2 makes
+// a directory that allocates the freed block — in a layout whose inodes
+// and directory blocks share one bitmap segment, so ws2 takes the
+// segment's lock from ws1 to do it. The dead sectors must reach Petal
+// before ws2 reads the block, not after ws2 has written its entries
+// there: once both servers have synced, a third server lists every entry
+// of ws2's directory, and fsck is clean.
+func TestFreedDirBlockWrittenBackBeforeReuse(t *testing.T) {
+	lay := tinyInodeLayout()
+	lay.MetaSmallBoundary = 600 // directory blocks in segment 0 too
+	tw := newTestWorldLayout(t, lay)
+	ws1 := tw.mount(t, "ws1", nil)
+	ws2 := tw.mount(t, "ws2", nil)
+	if err := ws1.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := ws1.Create(fmt.Sprintf("/d/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ws1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := ws1.Remove(fmt.Sprintf("/d/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := ws1.Stat("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws1.Rmdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	// /d's inode goes to a file of ws1's, so that ws2 takes no lock of
+	// ws1's that covers /d's sectors.
+	if err := ws1.Create("/keep"); err != nil {
+		t.Fatal(err)
+	}
+	if keep, err := ws1.Stat("/keep"); err != nil || keep.Inum != d.Inum {
+		t.Fatalf("setup: /keep is inode %d (%v), want /d's %d", keep.Inum, err, d.Inum)
+	}
+	if err := ws2.Mkdir("/o"); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("o%d", i)
+		if err := ws2.Create("/o/" + name); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, name)
+	}
+	for _, f := range []*FS{ws2, ws1} {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := names(t, tw.mount(t, "ws3", nil), "/o"); !slices.Equal(got, want) {
+		t.Errorf("a third server lists /o as %v, want %v", got, want)
+	}
+	rep, err := Check(tw.client("fsck"), tw.vd, tw.lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Problems {
+		t.Errorf("fsck: %s %s", p.Kind, p.Msg)
 	}
 }

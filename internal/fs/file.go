@@ -424,7 +424,7 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 		var room [1 + chunkPages]block // stack scratch for the sector and a 64 KB read
 		blocks := append(room[:0], block{addr, owner, fs.meta})
 		var keep func(sector []byte) bool
-		if h, hinted := fs.takeHint(inum); hinted {
+		if h, hinted := fs.takeHint(inum, TypeFile); hinted {
 			blocks = fs.filePages(blocks, h, off&^(BlockSize-1), min(off+n, h.Size), owner)
 			keep = func(sector []byte) bool { return fs.specFill(h, sector) }
 		}
@@ -436,18 +436,21 @@ func (fs *FS) loadForRead(op *obs.Span, inum, off, n int64) (Inode, error) {
 	return fs.inodeOf(e)
 }
 
-// specFill judges the pages of a speculative fill of a file by its inode
-// sector, read with them; h is the block map the inode had when a revoke
-// took the file's lock from this server. The caller holds the file's lock
-// and has held it since before the read went out. So if the inode still
-// maps the blocks h does, they have been the file's since the grant: only
-// a holder of the file's lock could have written them, and the last
-// writer flushed before it let go. The pages read are the file's current
-// data and are kept. If the map changed, a block may be another file's
-// now, written under another lock: the pages are dropped, and the read
+// specFill judges the pages or directory sectors of a speculative fill
+// by the inode sector read with them; h is the block map the inode had
+// when a revoke took its lock from this server. The caller holds the
+// lock and has held it since before the read went out. So if the inode
+// still maps the blocks h does, they have been the inode's since the
+// grant: only a holder of its lock could have written them, and the last
+// writer flushed before it let go. What was read is the current content
+// and is kept. If the map changed, a block may be another inode's now,
+// written under another lock: what was read is dropped, and the caller
 // fetches what the inode maps, as any miss does.
 func (fs *FS) specFill(h Inode, sector []byte) bool {
 	fs.m.specFills.Inc()
+	if h.Type == TypeDir {
+		fs.m.specDirs.Inc()
+	}
 	in, err := decodeInode(sector)
 	if err == nil && (in.Small != h.Small || in.Large != h.Large) {
 		fs.m.specDropped.Inc()
@@ -456,10 +459,28 @@ func (fs *FS) specFill(h Inode, sector []byte) bool {
 	return err == nil
 }
 
-// keepHint records, as a revoke takes file inum's lock from this server,
-// the file's block map while its inode sector is still cached. A hint is
-// dropped when a read takes it, when this server frees the inode, and
-// when there are metaCacheCap others.
+// hintSlots is how many hints a server keeps, in a table direct-mapped
+// by inode number: a hint takes the slot of whichever one was there.
+const hintSlots = 1024
+
+// hint is what a revoke leaves of a file or directory it takes the lock
+// of: the block map (small, large, size) the inode had then, where the
+// next fetch of the inode will probably find its pages (loadForRead) or
+// its directory sectors (inodeEntry). A hint is only advice: specFill
+// checks it against the inode read with what it names. It holds no
+// pointer, so the table is nothing for the collector to scan.
+type hint struct {
+	used        bool
+	typ         FileType
+	inum        int64
+	small       [NumDirect]int64
+	large, size int64
+}
+
+// keepHint records, as a revoke takes inode inum's lock from this
+// server, the block map of the file or directory while its inode sector
+// is still cached. A hint is dropped when a fetch takes it, when this
+// server frees the inode, and when another inode's takes its slot.
 func (fs *FS) keepHint(inum int64) {
 	e, ok := fs.meta.Peek(fs.lay.InodeAddr(inum))
 	if !ok {
@@ -467,27 +488,34 @@ func (fs *FS) keepHint(inum int64) {
 	}
 	in, err := decodeInode(e.Data)
 	fs.meta.Unpin(e)
-	if err != nil || in.Type != TypeFile || in.Size == 0 {
+	if err != nil || in.Type != TypeFile && in.Type != TypeDir || in.Size == 0 {
 		return
 	}
 	fs.mu.Lock()
-	if _, ok := fs.hints[inum]; !ok && len(fs.hints) >= metaCacheCap {
-		for k := range fs.hints {
-			delete(fs.hints, k)
-			break
-		}
-	}
-	fs.hints[inum] = Inode{Small: in.Small, Large: in.Large, Size: in.Size}
+	fs.hints[inum%hintSlots] = hint{true, in.Type, inum, in.Small, in.Large, in.Size}
 	fs.mu.Unlock()
 }
 
-// takeHint removes and returns file inum's hint, if it has one.
-func (fs *FS) takeHint(inum int64) (Inode, bool) {
+// takeHint removes and returns inode inum's hint, if it has one and it
+// is of a file of type typ.
+func (fs *FS) takeHint(inum int64, typ FileType) (Inode, bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	h, ok := fs.hints[inum]
-	delete(fs.hints, inum)
-	return h, ok
+	h := &fs.hints[inum%hintSlots]
+	if !h.used || h.inum != inum || h.typ != typ {
+		return Inode{}, false
+	}
+	h.used = false
+	return Inode{Type: h.typ, Small: h.small, Large: h.large, Size: h.size}, true
+}
+
+// dropHint forgets inode inum's hint, if it has one.
+func (fs *FS) dropHint(inum int64) {
+	fs.mu.Lock()
+	if h := &fs.hints[inum%hintSlots]; h.inum == inum {
+		h.used = false
+	}
+	fs.mu.Unlock()
 }
 
 // filePages appends to buf the file's pages in [lo, hi), holes left

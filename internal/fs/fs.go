@@ -96,6 +96,7 @@ type fsMetrics struct {
 	raHits, raWasted, raJoins    *obs.Counter
 	fills                        *obs.Counter
 	specFills, specDropped       *obs.Counter
+	specDirs                     *obs.Counter
 	allocSticky, allocResume     *obs.Counter
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
@@ -130,6 +131,7 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		fills:         c("read.fills"),
 		specFills:     c("read.spec.fills"),
 		specDropped:   c("read.spec.dropped"),
+		specDirs:      c("read.spec.dirs"),
 		allocSticky:   c("alloc.sticky.hits"),
 		allocResume:   c("alloc.resume.hits"),
 		allocRescan:   c("alloc.rescan"),
@@ -217,11 +219,10 @@ type server struct {
 	// into inodes when they are next logged. Guarded by mu.
 	atimes map[int64]int64
 
-	// hints holds, for files whose inode lock a revoke took away, the
-	// block map (Small, Large, Size) the inode had then: where the next
-	// read of the file will probably find its pages (loadForRead).
-	// Guarded by mu; at most metaCacheCap of them.
-	hints map[int64]Inode
+	// hints holds, for files and directories whose inode lock a revoke
+	// took away, the block map the inode had then (keepHint), in a table
+	// direct-mapped by inode number. Guarded by mu.
+	hints []hint
 
 	// Observability; set once in Mount.
 	m    fsMetrics
@@ -292,7 +293,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		segResume:  make(map[segKey]int64),
 		segFull:    make(map[segKey]bool),
 		atimes:     make(map[int64]int64),
-		hints:      make(map[int64]Inode),
+		hints:      make([]hint, hintSlots),
 		gate:       gate{claims: make(map[int64]*claim)},
 	}}
 	fs.m = newFSMetrics(w.Obs, machine)
@@ -431,12 +432,20 @@ func (fs *FS) lock(op *obs.Span, id uint64, mode lockservice.Mode) error {
 	if fs.clerk.TryLock(id, mode) {
 		return nil
 	}
+	return fs.lockBatch(op, []uint64{id}, mode)
+}
+
+// lockBatch acquires several locks for op in one wait, through the
+// clerk's LockAll: one batch of requests for each lock server. The wait
+// gets a lockservice.acquire span under op and is charged to op's
+// principal.
+func (fs *FS) lockBatch(op *obs.Span, ids []uint64, mode lockservice.Mode) error {
 	if fs.now == nil {
-		return fs.clerk.Lock(id, mode)
+		return fs.clerk.LockAll(ids, mode)
 	}
 	sp := op.Child("lockservice", "acquire")
 	start := fs.now()
-	err := fs.clerk.Lock(id, mode)
+	err := fs.clerk.LockAll(ids, mode)
 	fs.acct.LockWait(op.Ctx().Principal, fs.now()-start)
 	sp.Done()
 	return err
@@ -958,17 +967,6 @@ func (t *txn) commit() error {
 		}
 		t.fs.mu.Unlock()
 	}
-	return nil
-}
-
-// lockExtra acquires an additional exclusive lock that is held until
-// the transaction's locks are released (used for locks discovered
-// mid-operation, like a freshly allocated inode's).
-func (t *txn) lockExtra(id uint64) error {
-	if err := t.fs.lock(t.op, id, lockExtraMode); err != nil {
-		return err
-	}
-	t.segs = append(t.segs, id)
 	return nil
 }
 

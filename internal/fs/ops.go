@@ -138,11 +138,34 @@ func (fs *FS) retrying(op *obs.Span, fn func(op *obs.Span) error) error {
 // loadInode reads and decodes an inode under its (already held)
 // lock.
 func (fs *FS) loadInode(op *obs.Span, inum int64) (Inode, error) {
-	e, err := fs.read(op, fs.meta, fs.lay.InodeAddr(inum), InodeLock(inum))
+	e, err := fs.inodeEntry(op, inum)
 	if err != nil {
 		return Inode{}, err
 	}
 	return fs.inodeOf(e)
+}
+
+// inodeEntry returns inode inum's sector, pinned; the caller holds the
+// inode's lock. A miss on the sector of a directory whose lock a revoke
+// took away from this server — the lookup, create or remove after a
+// handoff — is a speculative fill, as loadForRead's is for a file: the
+// sector comes in with the directory sectors the hint maps, in one claim
+// and one ReadV, and specFill judges them by it.
+func (fs *FS) inodeEntry(op *obs.Span, inum int64) (*cache.Entry, error) {
+	addr := fs.lay.InodeAddr(inum)
+	if e, ok := fs.meta.Lookup(addr); ok {
+		return e, nil
+	}
+	owner := InodeLock(inum)
+	var room [1 + dirRoom]block
+	blocks := append(room[:0], block{addr, owner, fs.meta})
+	var keep func(sector []byte) bool
+	if h, hinted := fs.takeHint(inum, TypeDir); hinted {
+		blocks = fs.dirSectors(blocks, h, 0, owner)
+		keep = func(sector []byte) bool { return fs.specFill(h, sector) }
+	}
+	e, _, err := fs.fetch(op, fs.pc, blocks, keep)
+	return e, err
 }
 
 // inodeOf decodes the inode sector e and lets go of it. It decodes a copy
@@ -158,10 +181,11 @@ func (fs *FS) inodeOf(e *cache.Entry) (Inode, error) {
 // loadInode is fs.loadInode for an inode the transaction may change: its
 // sector comes with it, held.
 func (t *txn) loadInode(inum int64) (*cache.Entry, Inode, error) {
-	e, err := t.read(t.fs.lay.InodeAddr(inum), InodeLock(inum))
+	e, err := t.fs.inodeEntry(t.op, inum)
 	if err != nil {
 		return nil, Inode{}, err
 	}
+	t.hold(e)
 	in, err := decodeInode(e.Data)
 	return e, in, err
 }
@@ -333,16 +357,46 @@ func (fs *FS) dirSectorAddr(in Inode, off int64) (int64, bool) {
 	return pageAddr + (inPage &^ (SectorSize - 1)), true
 }
 
+// dirSectors appends to buf the directory's sectors from off, which is
+// sector-aligned, to its end, under owner, the directory's lock.
+func (fs *FS) dirSectors(buf []block, in Inode, off int64, owner uint64) []block {
+	for ; off < in.Size; off += SectorSize {
+		addr, ok := fs.dirSectorAddr(in, off)
+		if !ok {
+			break
+		}
+		buf = append(buf, block{addr, owner, fs.meta})
+	}
+	return buf
+}
+
+// dirSector returns the directory's content sector at off, pinned, and
+// its address; the caller holds dirInum's lock. A miss brings in the
+// sectors after it with it in one fetch: a scan that misses one sector
+// of a cold directory would miss each of the rest.
+func (fs *FS) dirSector(op *obs.Span, dirInum int64, in Inode, off int64) (*cache.Entry, int64, error) {
+	addr, ok := fs.dirSectorAddr(in, off)
+	if !ok {
+		return nil, 0, ErrBadDir
+	}
+	if e, ok := fs.meta.Lookup(addr); ok {
+		return e, addr, nil
+	}
+	var room [dirRoom]block
+	e, _, err := fs.fetch(op, fs.pc, fs.dirSectors(room[:0], in, off, InodeLock(dirInum)), nil)
+	return e, addr, err
+}
+
+// dirRoom is how many directory sectors a fetch lists on its caller's
+// stack: 8 KB of directory; a longer one spills to the heap.
+const dirRoom = 16
+
 // dirFind scans a directory for name. dirInum's lock must be held;
 // the content sectors are cached under it so revocation flushes and
 // invalidates them with the directory.
 func (fs *FS) dirFind(op *obs.Span, dirInum int64, in Inode, name string) (DirEntry, int64, int, error) {
 	for off := int64(0); off < in.Size; off += SectorSize {
-		addr, ok := fs.dirSectorAddr(in, off)
-		if !ok {
-			return DirEntry{}, 0, 0, ErrBadDir
-		}
-		e, err := fs.read(op, fs.meta, addr, InodeLock(dirInum))
+		e, addr, err := fs.dirSector(op, dirInum, in, off)
 		if err != nil {
 			return DirEntry{}, 0, 0, err
 		}
@@ -355,25 +409,12 @@ func (fs *FS) dirFind(op *obs.Span, dirInum int64, in Inode, name string) (DirEn
 	return DirEntry{}, 0, 0, ErrNotExist
 }
 
-// dirEntries lists a directory's entries (dir lock held). The content
-// sector addresses are collected up front and warmed with one fetch, so
-// a cold scan costs one Petal round trip instead of one per sector.
+// dirEntries lists a directory's entries (dir lock held). A cold scan
+// costs one Petal round trip, not one per sector (dirSector).
 func (fs *FS) dirEntries(op *obs.Span, dirInum int64, in Inode) ([]DirEntry, error) {
-	lockID := InodeLock(dirInum)
-	var sectors []block
-	for off := int64(0); off < in.Size; off += SectorSize {
-		addr, ok := fs.dirSectorAddr(in, off)
-		if !ok {
-			return nil, ErrBadDir
-		}
-		sectors = append(sectors, block{addr, lockID, fs.meta})
-	}
-	if err := fs.warm(op, sectors); err != nil {
-		return nil, err
-	}
 	var out []DirEntry
-	for _, b := range sectors {
-		e, err := fs.read(op, fs.meta, b.addr, lockID)
+	for off := int64(0); off < in.Size; off += SectorSize {
+		e, _, err := fs.dirSector(op, dirInum, in, off)
 		if err != nil {
 			return nil, err
 		}
@@ -395,11 +436,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 	lockID := InodeLock(dirInum)
 	// Try existing sectors.
 	for off := int64(0); off < in.Size; off += SectorSize {
-		addr, ok := fs.dirSectorAddr(*in, off)
-		if !ok {
-			return ErrBadDir
-		}
-		e, err := fs.read(t.op, fs.meta, addr, lockID)
+		e, _, err := fs.dirSector(t.op, dirInum, *in, off)
 		if err != nil {
 			return err
 		}
@@ -429,6 +466,10 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 	if err != nil {
 		return err
 	}
+	// A sector of a block that was free may be cached here under the
+	// lock of the block's segment (destroyInode): it is the directory's
+	// now, to write back when the directory's lock goes.
+	fs.meta.Own(addr, lockID)
 	// Initialize the fresh sector (it may hold stale metadata from a
 	// previous life) and append.
 	tmp := make([]byte, dirDataEnd)
@@ -442,13 +483,8 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 
 // dirRemove deletes name from the directory (lock held exclusive).
 func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
-	lockID := InodeLock(dirInum)
 	for off := int64(0); off < in.Size; off += SectorSize {
-		a, ok := fs.dirSectorAddr(in, off)
-		if !ok {
-			return ErrBadDir
-		}
-		e, err := fs.read(t.op, fs.meta, a, lockID)
+		e, _, err := fs.dirSector(t.op, dirInum, in, off)
 		if err != nil {
 			return err
 		}
@@ -668,10 +704,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			if err != nil {
 				return err
 			}
-			// The new inode's lock cannot be contended (the inode was
-			// free, protected by our segment lock), so acquiring it
-			// out of order is safe. It is held until after commit.
-			if err := t.lockExtra(InodeLock(inum)); err != nil {
+			if err := fs.lockNew(t, inum); err != nil {
 				return err
 			}
 			now := int64(fs.w.Clock.Now())
@@ -853,8 +886,11 @@ func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
 	if err := fs.freeObjs(t, items); err != nil {
 		return err
 	}
+	if in.Type == TypeDir {
+		fs.disownDir(in)
+	}
 	t.putInode(e, Inode{Type: TypeFree})
-	fs.takeHint(inum) // its blocks are free now
+	fs.dropHint(inum) // its blocks are free now
 	// Drop cached data pages; their contents are dead. Those already on
 	// their way to Petal must land before the blocks can be reused.
 	fs.data.InvalidateByOwner(InodeLock(inum))
@@ -865,6 +901,29 @@ func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
 		_ = fs.pc.For(t.op).Decommit(fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
 	}
 	return nil
+}
+
+// disownDir puts the sectors of a directory being destroyed that are
+// cached here, dirty or not, under the locks of their blocks' bitmap
+// segments, which protect a free block (§3) and which the caller holds.
+// Left under the directory's lock, a sector would be written back only
+// when that lock goes — after a server that allocated the block under
+// the segment's lock had read it, or, on this server, over the sector's
+// new directory's writes.
+func (fs *FS) disownDir(in Inode) {
+	for off := int64(0); off < in.Size; off += SectorSize {
+		addr, ok := fs.dirSectorAddr(in, off)
+		if !ok {
+			continue
+		}
+		var bit int64
+		if slot, _ := blockFor(off); slot >= 0 {
+			bit = fs.lay.bitFor(classMetaSmall, in.Small[slot]-1)
+		} else {
+			bit = fs.lay.bitFor(classLarge, in.Large-1)
+		}
+		fs.meta.Own(addr, SegLock(bit/fs.lay.SegBits))
+	}
 }
 
 // Rename moves src to dst, replacing a compatible existing dst.

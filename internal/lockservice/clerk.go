@@ -316,50 +316,91 @@ func (c *Clerk) shardOfLocked(lock uint64) int {
 // whose behalf the caller waits is the caller's to record: the clerk
 // keeps the per-lock and per-machine figures only.
 func (c *Clerk) Lock(lock uint64, mode Mode) error {
+	return c.LockAll([]uint64{lock}, mode)
+}
+
+// LockAll acquires every lock of locks in mode, as Lock does each, but
+// asks for all it has to in one hold of the clerk's mutex, so that one
+// drain of the queue sends them: a batch for each lock server, not a
+// round trip for each lock. It returns once it holds them all, or with
+// an error holding none. It takes at most 64 locks, in no order, so the
+// caller must know that nobody holding one of them waits for a lock the
+// caller holds — as a server taking the locks of free inodes under the
+// lock of their bitmap segment does.
+func (c *Clerk) LockAll(locks []uint64, mode Mode) error {
+	if len(locks) > 64 {
+		panic("lockservice: LockAll takes at most 64 locks")
+	}
 	if c.now == nil {
-		_, err := c.lockWait(lock, mode)
+		_, err := c.lockWait(locks, mode)
 		return err
 	}
 	start := c.now()
-	blocked, err := c.lockWait(lock, mode)
+	blocked, err := c.lockWait(locks, mode)
 	wait := c.now() - start
-	c.acqLat.Record(wait)
 	// Journal only acquires that blocked or failed: uncontended sticky
 	// hits are the overwhelming common case and would churn the ring.
 	// These records, with the whole acquire latency as the wait, are
 	// the hot-lock ranking's input (obs.Registry.HotLocks).
-	if err != nil {
-		c.jr.Record("lockservice", "acquire", "fail", lock, wait, err.Error())
-	} else if blocked {
-		c.jr.Record("lockservice", "acquire", "ok", lock, wait, "")
+	for _, lock := range locks {
+		c.acqLat.Record(wait)
+		if err != nil {
+			c.jr.Record("lockservice", "acquire", "fail", lock, wait, err.Error())
+		} else if blocked {
+			c.jr.Record("lockservice", "acquire", "ok", lock, wait, "")
+		}
 	}
 	return err
 }
 
-// lockWait is Lock's wait loop; blocked reports that the caller had to
-// wait for the grant instead of finding it cached.
-func (c *Clerk) lockWait(lock uint64, mode Mode) (blocked bool, err error) {
+// lockWait is LockAll's wait loop; blocked reports that the caller had
+// to wait for a grant instead of finding them all cached.
+func (c *Clerk) lockWait(locks []uint64, mode Mode) (blocked bool, err error) {
+	all := uint64(1)<<len(locks) - 1
+	var in uint64 // bit i: the caller is inside locks[i]
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		if c.closed {
-			c.mu.Unlock()
-			return blocked, ErrClosed
-		}
-		if c.leaseLost {
-			c.mu.Unlock()
-			return blocked, ErrLeaseLost
+		if c.closed || c.leaseLost {
+			err = ErrClosed
+			if !c.closed {
+				err = ErrLeaseLost
+			}
+			for i, lock := range locks {
+				if in&(1<<i) != 0 {
+					c.apply(lock, c.lockLocked(lock).unlock())
+				}
+			}
+			return blocked, err
 		}
 		now := c.w.Clock.Now()
-		l := c.lockLocked(lock)
-		if l.admit(mode, now, true) {
-			c.mu.Unlock()
+		for i, lock := range locks {
+			if in&(1<<i) != 0 {
+				continue
+			}
+			if l := c.lockLocked(lock); l.admit(mode, now, true) {
+				in |= 1 << i
+			} else {
+				c.apply(lock, l.want(mode, now, c.cfg.RevokeRetry))
+			}
+		}
+		if in == all {
 			return blocked, nil
 		}
 		blocked = true
-		c.apply(lock, l.want(mode, now, c.cfg.RevokeRetry))
-		l.waiters[mode]++
+		c.waiting(locks, in, mode, 1)
 		c.cond.Wait()
-		l.waiters[mode]--
+		c.waiting(locks, in, mode, -1)
+	}
+}
+
+// waiting adds d to the waiters in mode of each lock of locks the
+// caller of lockWait is not yet inside (bit i of in clear).
+func (c *Clerk) waiting(locks []uint64, in uint64, mode Mode, d int) {
+	for i, lock := range locks {
+		if in&(1<<i) == 0 {
+			c.lockLocked(lock).waiters[mode] += d
+		}
 	}
 }
 

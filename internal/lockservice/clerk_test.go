@@ -200,3 +200,54 @@ func TestHandoffRoundAllocs(t *testing.T) {
 		t.Errorf("a lock handoff allocates %.1f objects, want at most %d (one a message)", least, handoffRoundAllocs)
 	}
 }
+
+// TestLockAllOneBatch: LockAll asks for every lock it has to in one drain
+// of the clerk's queue — one batch for each lock server, however many
+// locks — and returns holding them all; with one that another clerk
+// holds, once that clerk has given it back. A closed clerk's LockAll
+// holds none.
+func TestLockAllOneBatch(t *testing.T) {
+	ls := newTestLS(t, 3)
+	a, b := ls.clerk(t, "wsA"), ls.clerk(t, "wsB")
+	batches := ls.w.Obs.Counter("lockservice.clerk.batches#wsA")
+	ops := ls.w.Obs.Counter("lockservice.clerk.batched_ops#wsA")
+	b0, o0 := batches.Value(), ops.Value()
+	var locks []uint64
+	for id := uint64(1); id <= 16; id++ {
+		locks = append(locks, id)
+	}
+	if err := a.LockAll(locks, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if n := batches.Value() - b0; n > int64(len(ls.names)) {
+		t.Errorf("LockAll of %d locks sent %d batches, want at most one a server (%d)", len(locks), n, len(ls.names))
+	}
+	if n := ops.Value() - o0; n != int64(len(locks)) {
+		t.Errorf("the batches carried %d operations, want %d", n, len(locks))
+	}
+	for _, id := range locks {
+		if m := a.Held(id); m != Exclusive {
+			t.Errorf("lock %d held %v, want exclusive", id, m)
+		}
+		a.Unlock(id)
+	}
+	if err := b.Lock(20, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	b.Unlock(20)
+	if err := a.LockAll([]uint64{20, 21}, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if m := a.Held(20); m != Shared {
+		t.Errorf("lock 20 held %v, want shared", m)
+	}
+	a.Unlock(20)
+	a.Unlock(21)
+	if m := b.Held(20); m > Shared {
+		t.Errorf("wsB still holds lock 20 %v", m)
+	}
+	b.Close()
+	if err := b.LockAll([]uint64{30, 31}, Shared); err != ErrClosed {
+		t.Errorf("a closed clerk's LockAll returned %v, want ErrClosed", err)
+	}
+}
