@@ -116,6 +116,11 @@ bench:
 ##     -quick sizing the rows are a few milliseconds and one host stall
 ##     decides a gate (one of eight `go run` runs failed Copy Files at
 ##     2.48x; none of twenty at full size);
+##   fig9 (-quick, about 30 s): Figure 9's readers read >= 1.15x as much
+##     beside a writer of an 8 KB shared region as beside one of 64 KB,
+##     at every reader count (at -quick the parent of this gate read
+##     1.41x and 1.31x at one and two readers, its change 1.51x and
+##     1.40x);
 ##   scale-sweep: read and write throughput stay >= 0.7x linear from 8 to
 ##     32 servers (8/16/32 machines in -quick) and busy clerks send zero
 ##     standalone renew RPCs; on failure it dumps
@@ -139,6 +144,7 @@ bench-smoke:
 	$(GO) run ./cmd/frangibench -quick -exp noisy-neighbor-obs
 	$(GO) run ./cmd/frangibench -exp table1
 	$(GO) run ./cmd/frangibench -exp table2
+	$(GO) run ./cmd/frangibench -quick -exp fig9
 	$(GO) run ./cmd/frangibench -quick -exp scale-sweep -out BENCH_scale_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --out BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 	bash benchmark/run.sh --workload all --seed 1 --trace 1 --out BENCH_layers_$$(date -u +%Y%m%dT%H%M%SZ).json
@@ -146,7 +152,7 @@ bench-smoke:
 
 ## experiments: every entry of bench.Experiments once, at the -quick
 ## sizing of the root BenchmarkExperiments (4 machines, 5 Petal
-## servers), each table logged. bench-smoke runs nine of them, the
+## servers), each table logged. bench-smoke runs ten of them, the
 ## ones with gates; this runs all twenty, and fails if any of them fails
 ## its own assertions or no longer runs. Not part of check.
 experiments:

@@ -212,7 +212,9 @@ var exported = map[string]string{
 	"cache.Pool.Lookup":            "internal/fs/file.go, benchmark/drives.go",
 	"cache.Pool.MarkCleanIfBatch":  "internal/fs/fs.go",
 	"cache.Pool.MarkDirty":         "internal/fs/file.go",
+	"cache.Pool.MarkDirtyJoint":    "internal/fs/fs.go",
 	"cache.Pool.MaxSeq":            "internal/fs/fs.go",
+	"cache.Pool.Newer":             "internal/fs/fs.go",
 	"cache.Pool.Own":               "internal/fs/ops.go",
 	"cache.Pool.Mutate":            "internal/fs/file.go",
 	"cache.Pool.Peek":              "internal/fs/file.go",

@@ -53,6 +53,11 @@ type Entry struct {
 	// they changed, so the log may be released through First only once
 	// Data has been written.
 	First int64
+	// Joint is the log sequence of the newest record that changed this
+	// block together with another one. A record that changed this block
+	// alone is atomic with the block's write, so a write-back that may
+	// go ahead of the log (a lock's revoke) forces it only through Joint.
+	Joint int64
 	// Owner is the lock id covering this block.
 	Owner uint64
 
@@ -527,7 +532,13 @@ func (p *Pool) flushVictims(victims []*Entry) {
 // way out is in use again, and back on the ring. The caller must hold e
 // pinned: an entry nobody holds may be another block's already, and
 // MarkDirty of one panics.
-func (p *Pool) MarkDirty(e *Entry, seq int64) {
+func (p *Pool) MarkDirty(e *Entry, seq int64) { p.markDirty(e, seq, false) }
+
+// MarkDirtyJoint is MarkDirty for a record at seq that changed other
+// blocks too: it is e's Joint as well.
+func (p *Pool) MarkDirtyJoint(e *Entry, seq int64) { p.markDirty(e, seq, true) }
+
+func (p *Pool) markDirty(e *Entry, seq int64, joint bool) {
 	p.mu.Lock()
 	if e.pins <= 0 {
 		p.mu.Unlock()
@@ -540,6 +551,9 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	e.gen++
 	if seq > e.Seq {
 		e.Seq = seq
+	}
+	if joint && seq > e.Joint {
+		e.Joint = seq
 	}
 	var victims []*Entry
 	if e.prev == nil {
@@ -718,16 +732,28 @@ func (p *Pool) Len() int {
 	return len(p.entries)
 }
 
-// MaxSeq returns the highest covering log sequence across the
-// entries, read with one lock acquisition.
-func (p *Pool) MaxSeq(es []*Entry) int64 {
+// MaxSeq returns the highest covering log sequence across the entries
+// and the highest of their Joint sequences, read with one lock
+// acquisition.
+func (p *Pool) MaxSeq(es []*Entry) (seq, joint int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var max int64
 	for _, e := range es {
-		if e.Seq > max {
-			max = e.Seq
+		seq, joint = max(seq, e.Seq), max(joint, e.Joint)
+	}
+	return seq, joint
+}
+
+// Newer counts the entries of es whose covering log sequence is past
+// seq.
+func (p *Pool) Newer(es []*Entry, seq int64) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, e := range es {
+		if e.Seq > seq {
+			n++
 		}
 	}
-	return max
+	return n
 }

@@ -191,6 +191,31 @@ func TestDirtyThrough(t *testing.T) {
 	}
 }
 
+// TestJointSeq: a block's Joint is the newest record that changed it
+// together with another block, however many records that changed it
+// alone came after; MaxSeq reports it beside the newest of all, and
+// Newer counts the blocks whose newest record is past a mark.
+func TestJointSeq(t *testing.T) {
+	p := NewPool(512, 4)
+	a := p.Insert(0, make([]byte, 512), 1)
+	b := p.Insert(512, make([]byte, 512), 1)
+	p.MarkDirtyJoint(a, 4)
+	p.MarkDirtyJoint(b, 4)
+	p.MarkDirty(a, 6)
+	p.MarkDirty(b, 5)
+	if a.Joint != 4 || a.Seq != 6 {
+		t.Fatalf("a: Joint %d Seq %d, want 4 and 6", a.Joint, a.Seq)
+	}
+	es := []*Entry{a, b}
+	if seq, joint := p.MaxSeq(es); seq != 6 || joint != 4 {
+		t.Fatalf("MaxSeq = %d, %d; want 6, 4", seq, joint)
+	}
+	if n := p.Newer(es, 5); n != 1 {
+		t.Fatalf("Newer(5) = %d, want 1", n)
+	}
+	p.Unpin(a, b)
+}
+
 func TestInvalidateAll(t *testing.T) {
 	p := NewPool(512, 16)
 	for i := int64(0); i < 8; i++ {

@@ -100,7 +100,7 @@ type fsMetrics struct {
 	allocSticky, allocResume     *obs.Counter
 	allocRescan, allocSkipFull   *obs.Counter
 	flushBatches, flushRuns      *obs.Counter
-	flushPages                   *obs.Counter
+	flushPages, flushAhead       *obs.Counter
 	flushPeak                    *obs.Gauge
 	opLat                        map[string]*obs.Histogram
 }
@@ -139,6 +139,7 @@ func newFSMetrics(reg *obs.Registry, machine string) fsMetrics {
 		flushBatches:  c("flush.batches"),
 		flushRuns:     c("flush.runs"),
 		flushPages:    c("flush.pages"),
+		flushAhead:    c("flush.ahead"),
 		flushPeak:     obs.NewGauge(),
 	}
 	if reg != nil {
@@ -307,8 +308,8 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	fs.data.SetObs(w.Obs, machine+".data")
 	// Eviction writes its dirty victims back as every flusher does, for no
 	// operation: through the flight gate, log first.
-	fs.meta.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.meta, es) })
-	fs.data.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.data, es) })
+	fs.meta.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.meta, es, false) })
+	fs.data.SetFlusher(func(es []*cache.Entry) error { return fs.flush(nil, fs.data, es, false) })
 
 	carrier := cfg.Carrier
 	if carrier == nil {
@@ -773,8 +774,9 @@ func blockRuns(exts []petal.ReadExtent, mine []block, buf []byte) []petal.ReadEx
 
 // ensureLogFlushed enforces write-ahead order: before a block dirtied
 // by the record at seq may be written to Petal, the log must be
-// durable through seq. Concurrent callers group-commit inside the
-// WAL, so redundant calls are cheap.
+// durable through seq (a revoke's write-back asks less, see flushRuns).
+// Concurrent callers group-commit inside the WAL, so redundant calls
+// are cheap.
 func (fs *FS) ensureLogFlushed(op *obs.Span, seq int64) error {
 	if seq == 0 {
 		return nil
@@ -940,6 +942,9 @@ func (t *txn) commit() error {
 	})
 	var room [txnRanges]wal.Update // on the stack; what a transaction has no room for spills here too
 	ups := room[:0]
+	// joint: the record changes more than one sector, so replay must find
+	// it whole before any of them goes home (see flushRuns).
+	joint := len(t.sectors) > 1
 	for _, r := range mergeRanges(t.ranges) {
 		e := t.sectors[r.sector]
 		ups = append(ups, wal.Update{Addr: e.Addr, Off: r.lo, Data: e.Data[r.lo:r.hi], Ver: wal.BlockVersion(e.Data)})
@@ -950,7 +955,11 @@ func (t *txn) commit() error {
 	}
 	t.fs.acct.WAL(t.op.Ctx().Principal, int64(wal.RecordSize(ups)))
 	for _, e := range t.sectors {
-		t.fs.meta.MarkDirty(e, seq)
+		if joint {
+			t.fs.meta.MarkDirtyJoint(e, seq)
+		} else {
+			t.fs.meta.MarkDirty(e, seq)
+		}
 	}
 	t.fs.mu.Lock()
 	if seq > t.fs.appended {
@@ -1035,10 +1044,12 @@ type poolFlush struct {
 	op         *obs.Span
 	meta, data []*cache.Entry
 	// logOnly forces the log through the sectors' newest records and
-	// leaves them dirty (fsync), instead of writing them back.
-	logOnly bool
-	job     func(i int) error
-	fan     petal.FanOut
+	// leaves them dirty (fsync), instead of writing them back. ahead
+	// writes them back ahead of the records that changed them alone (a
+	// revoke's flushOwner, see flushRuns).
+	logOnly, ahead bool
+	job            func(i int) error
+	fan            petal.FanOut
 }
 
 // newPoolFlush takes a two-job write-back for op from the server's
@@ -1061,11 +1072,12 @@ func (p *poolFlush) flushJob(i int) error {
 	fs := p.fs
 	switch {
 	case i == 1:
-		return fs.flush(p.op, fs.data, p.data)
+		return fs.flush(p.op, fs.data, p.data, false)
 	case p.logOnly:
-		return fs.ensureLogFlushed(p.op, fs.meta.MaxSeq(p.meta))
+		seq, _ := fs.meta.MaxSeq(p.meta)
+		return fs.ensureLogFlushed(p.op, seq)
 	}
-	return fs.flush(p.op, fs.meta, p.meta)
+	return fs.flush(p.op, fs.meta, p.meta, p.ahead)
 }
 
 // unpin lets go of the dirty lists, which their pools pinned, and empties
@@ -1082,7 +1094,7 @@ func (p *poolFlush) unpin() {
 // gives it back to its server.
 func (p *poolFlush) free() {
 	p.unpin()
-	p.op, p.logOnly = nil, false
+	p.op, p.logOnly, p.ahead = nil, false, false
 	p.fs.flushes.Put(p)
 }
 
@@ -1098,14 +1110,14 @@ func (p *poolFlush) free() {
 // are therefore all a caller is owed, however fast the blocks are being
 // written again; what is written behind a pass is its writer's next
 // flush. It returns the first error of its own writes and of the flights
-// it joined; failed blocks stay dirty.
-func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry) error {
+// it joined; failed blocks stay dirty. ahead is flushRuns'.
+func (fs *FS) flush(op *obs.Span, pool *cache.Pool, es []*cache.Entry, ahead bool) error {
 	var theirsRoom [8]*claim // stack scratch: a pass joins at most the write-behind flights out, FlushParallelism (8) by default
 	for pass := 0; pass < 2 && len(es) > 0; pass++ {
 		fl, theirs, joined, _ := fs.gate.claimFlight(pool, es, theirsRoom[:0], 0)
 		var err error
 		if fl != nil {
-			err = fs.flushRuns(op, pool, fl.entries)
+			err = fs.flushRuns(op, pool, fl.entries, ahead)
 			fs.gate.release(fl, nil, err)
 		}
 		for _, other := range theirs {
@@ -1150,7 +1162,7 @@ func (fs *FS) flushBehind(es []*cache.Entry) bool {
 func (c *claim) Run() {
 	fs := c.fs
 	if c.flight {
-		fs.gate.release(c, nil, fs.flushRuns(nil, fs.data, c.entries))
+		fs.gate.release(c, nil, fs.flushRuns(nil, fs.data, c.entries, false))
 		return
 	}
 	ra := c.ra
@@ -1289,14 +1301,34 @@ func (b *flushBatch) snapshot(pool *cache.Pool) {
 // are packed into scatter-gather batches and dispatched through the
 // flush workers, so one cache-sync round trip carries many runs and,
 // with FlushParallelism > 1, transfers overlap. It sorts dirty.
-func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
+//
+// Log-first means through the newest record covering any of the blocks,
+// unless ahead (a revoke's write-back): then it is only through the
+// newest record that changed one of them together with another block
+// (Entry.Joint). A sector write is atomic, so a record that changed one
+// sector alone lands whole with it, and replay skips it once the sector
+// carries its version; a record that changed several must be in the log
+// before any of them lands, or a crash between their writes leaves half
+// of it. An overwrite's mtime, a size change inside allocated blocks: a
+// file whose un-durable records are all like that goes home in one
+// round, its sector beside its pages, and its lock changes hands.
+func (fs *FS) flushRuns(op *obs.Span, pool *cache.Pool, dirty []*cache.Entry, ahead bool) error {
 	if len(dirty) == 0 {
 		return nil
 	}
-	// Log-before-data: force the log through the newest record
-	// covering any of these blocks before writing them in place.
-	if err := fs.ensureLogFlushed(op, pool.MaxSeq(dirty)); err != nil {
+	seq, joint := pool.MaxSeq(dirty)
+	force := seq
+	if ahead {
+		force = joint
+	}
+	if err := fs.ensureLogFlushed(op, force); err != nil {
 		return err
+	}
+	if force < seq { // fs.flush.ahead counts the sectors that now go ahead
+		fs.mu.Lock()
+		flushed := fs.flushed
+		fs.mu.Unlock()
+		fs.m.flushAhead.Add(int64(pool.Newer(dirty, flushed)))
 	}
 	w, ok := fs.writeBacks.Take()
 	if !ok {
@@ -1368,11 +1400,18 @@ func (fs *FS) noteFlushInFlight(d int64) {
 // reclaimLog is the WAL's space-pressure callback: write in place, log
 // first, every sector that still holds an update from a record through
 // seq, so that the records' space can be reused. Whoever's append tipped
-// the log over, the space is everybody's: it runs for no operation.
+// the log over, the space is everybody's: it runs for no operation. A
+// record whose sector a revoke sent home ahead of it (flushRuns) may
+// still be only in memory, and no dirty sector leads the flush to it:
+// the log is forced through seq before it is released, so the tail never
+// passes a record that was never written.
 func (fs *FS) reclaimLog(through int64) {
 	dirty := fs.meta.DirtyThrough(through)
-	err := fs.flush(nil, fs.meta, dirty)
+	err := fs.flush(nil, fs.meta, dirty, false)
 	fs.meta.Unpin(dirty...)
+	if err == nil {
+		err = fs.ensureLogFlushed(nil, through)
+	}
 	if err == nil {
 		fs.log.Release(through)
 	}
@@ -1411,9 +1450,10 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 // flushOwner is the flush a lock waits for before it changes hands: "a
 // write lock that covers dirty data can change owners only after the
 // dirty data has been written to Petal" (§4). The lock's metadata (the
-// log forced through its newest record, then the sectors in place) and
-// its data are two jobs for the flush workers — user data is not logged,
-// so no write-ahead order binds it. The clerk has drained the lock's
+// log forced through its newest record that changed more than one
+// sector, then the sectors in place, see flushRuns) and its data are two
+// jobs for the flush workers — user data is not logged, so no
+// write-ahead order binds it. The clerk has drained the lock's
 // users, so nothing is written behind a pass and clean is reachable. The
 // rule is absolute — a transient Petal failure must delay the handoff,
 // not drop the data — so this goes round until nothing the lock covers
@@ -1423,6 +1463,7 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 func (fs *FS) flushOwner(op *obs.Span, lock uint64) {
 	p := fs.newPoolFlush(op)
 	defer p.free()
+	p.ahead = true
 	for {
 		p.unpin()
 		p.meta, p.data = fs.meta.DirtyByOwner(p.meta, lock), fs.data.DirtyByOwner(p.data, lock)

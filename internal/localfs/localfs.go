@@ -644,6 +644,17 @@ func (h *File) ReadAt(p []byte, off int64) (int, error) {
 		readErr = io.EOF
 	}
 	sequential := f.raNext[h.ino] == off && off > 0
+	// The pages the call reads and, on a sequential stream, the next
+	// ReadAhead pages (the single-node baseline has no locks to lose;
+	// prefetching just fills cache) come in with one round of disk reads.
+	lo, hi := off/PageSize, (off+want-1)/PageSize
+	if sequential {
+		hi = min(hi+int64(f.cfg.ReadAhead), (in.size-1)/PageSize)
+	}
+	if err := f.readPagesLocked(in, lo, hi); err != nil {
+		f.mu.Unlock()
+		return 0, err
+	}
 	n := 0
 	for int64(n) < want {
 		cur := off + int64(n)
@@ -661,22 +672,84 @@ func (h *File) ReadAt(p []byte, off int64) (int, error) {
 		copy(p[n:n+chunk], cp.data[inPage:])
 		n += chunk
 	}
-	// Synchronous read-ahead of the next pages (the single-node
-	// baseline has no locks to lose; prefetching just fills cache).
-	if sequential {
-		last := (off + int64(n)) / PageSize
-		for i := int64(1); i <= int64(f.cfg.ReadAhead); i++ {
-			if (last+i)*PageSize >= in.size {
-				break
-			}
-			if _, err := f.pageLocked(in, last+i, true); err != nil {
-				break
-			}
-		}
-	}
 	f.raNext[h.ino] = off + int64(n)
 	f.mu.Unlock()
 	return n, readErr
+}
+
+// readPagesLocked brings into the cache the pages lo..hi of in that lie
+// below its size and are not cached: as per-disk runs of contiguous
+// stripe space, one transfer each, issued on every disk at once. mu is
+// held, and let go of while the disks work; a page some other operation
+// installed meanwhile is kept (it may be dirty).
+func (f *FS) readPagesLocked(in *inode, lo, hi int64) error {
+	var items []flushItem
+	var pages []int64
+	// Each disk's items, in page order, which is its address order: the
+	// extents of a file are allocated in file order from each disk's
+	// growing bump allocator.
+	perDisk := make([][]int, len(f.disks))
+	for pg := lo; pg <= hi && pg*PageSize < in.size; pg++ {
+		if _, ok := f.cache[pageKey{in.ino, pg}]; ok {
+			continue
+		}
+		e := f.ensureExtent(in, pg*PageSize)
+		perDisk[e.disk] = append(perDisk[e.disk], len(items))
+		items = append(items, flushItem{disk: e.disk, off: e.off + pg*PageSize%StripeSize})
+		pages = append(pages, pg)
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	f.mu.Unlock()
+	var wg sync.WaitGroup
+	errs := make([]error, len(f.disks))
+	for disk, idx := range perDisk {
+		if len(idx) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[disk] = f.readRuns(items, idx)
+			}()
+		}
+	}
+	wg.Wait()
+	f.mu.Lock()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for i, pg := range pages {
+		key := pageKey{in.ino, pg}
+		if _, ok := f.cache[key]; ok {
+			continue
+		}
+		f.cache[key] = &page{data: items[i].data}
+		f.lruTick++
+		f.lruStamp[key] = f.lruTick
+	}
+	f.evictLocked()
+	return nil
+}
+
+// readRuns reads the items idx of one disk, one transfer per run of them
+// that lie one after another, and gives each its page of it.
+func (f *FS) readRuns(items []flushItem, idx []int) error {
+	for i := 0; i < len(idx); {
+		j := i + 1
+		for j < len(idx) && items[idx[j]].off == items[idx[j-1]].off+PageSize {
+			j++
+		}
+		buf := make([]byte, (j-i)*PageSize)
+		first := items[idx[i]]
+		if err := f.diskRead(first.disk, buf, first.off); err != nil {
+			return err
+		}
+		for k := i; k < j; k++ {
+			items[idx[k]].data = buf[(k-i)*PageSize : (k-i+1)*PageSize : (k-i+1)*PageSize]
+		}
+		i = j
+	}
+	return nil
 }
 
 // Truncate adjusts size (page bookkeeping only; extents are
@@ -702,7 +775,8 @@ func (h *File) Truncate(size int64) error {
 	return nil
 }
 
-// flushItem is one dirty page bound for disk.
+// flushItem is one page bound for disk, or, without its data, one to be
+// read from it.
 type flushItem struct {
 	disk int
 	off  int64

@@ -158,3 +158,42 @@ func TestManySmallFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestColdReadOneTransferPerRun: a cold read brings its pages, and on a
+// sequential stream the read-ahead's, in one transfer per disk's run of
+// stripe space — not one 4 KB read a page — and the bytes are the file's.
+func TestColdReadOneTransferPerRun(t *testing.T) {
+	f := newFS(t)
+	h, _ := f.OpenFile("/big", true)
+	data := make([]byte, 4*StripeSize)
+	for i := range data {
+		data[i] = byte(i*7 + i>>12)
+	}
+	if _, err := h.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	reads := func() (n int64) {
+		for _, d := range f.disks {
+			r, _, _, _ := d.Stats()
+			n += r
+		}
+		return n
+	}
+	got := make([]byte, len(data))
+	for i, want := range []int64{1, 2, 1, 0} { // the first read is not yet a stream: no read-ahead
+		r0 := reads()
+		off := int64(i) * StripeSize
+		if n, err := h.ReadAt(got[off:off+StripeSize], off); err != nil && err != io.EOF || n != StripeSize {
+			t.Fatalf("read %d: n=%d err=%v", i, n, err)
+		}
+		if n := reads() - r0; n != want {
+			t.Errorf("read %d of a stripe unit made %d disk reads, want %d", i, n, want)
+		}
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("the cold reads return the wrong bytes")
+	}
+}
